@@ -101,8 +101,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"runtime"
-	"runtime/pprof"
 	"sort"
 	"strings"
 	"sync"
@@ -115,11 +113,9 @@ import (
 	"anton2/internal/machine"
 	"anton2/internal/multicast"
 	"anton2/internal/packaging"
-	"anton2/internal/power"
 	"anton2/internal/route"
 	"anton2/internal/telemetry"
 	"anton2/internal/topo"
-	"anton2/internal/traffic"
 	"anton2/internal/wctraffic"
 )
 
@@ -180,35 +176,34 @@ const usageHint = "usage: anton2bench [-quick] [-parallel N] [-json dir] [-check
 // invocation, so `all` never re-runs a shared configuration.
 var resultCache = exp.NewCache()
 
-// experiments maps names to runners, in `all` execution order. skipAll
-// entries run only when named explicitly: kernelbench measures the
-// simulator's own speed, not the paper's evaluation.
-var experiments = []struct {
+// experiment is one runnable name. skipAll entries run only when named
+// explicitly: kernelbench measures the simulator's own speed, not the paper's
+// evaluation.
+type experiment struct {
 	name    string
 	run     func() error
 	skipAll bool
-}{
-	{"fig4", fig4, false}, {"deadlock", deadlockCheck, false}, {"fig2", fig2, false}, {"fig3", fig3, false},
-	{"table1", table1, false}, {"table2", table2, false}, {"fig12", fig12, false}, {"fig13", fig13, false},
-	{"fig11", fig11, false}, {"fig9", fig9, false}, {"fig10", fig10, false}, {"faultsweep", faultsweep, false},
-	{"routecompare", routecompare, false},
-	{"mdstep", mdstep, false},
-	{"kernelbench", kernelbench, true},
 }
 
-// aliases maps topic names onto figure numbers.
-var aliases = map[string]string{
-	"throughput":    "fig9",
-	"blend":         "fig10",
-	"latency":       "fig11",
-	"decomposition": "fig12",
-	"energy":        "fig13",
-	"robustness":    "faultsweep",
-	"routing":       "routecompare",
-	"timestep":      "mdstep",
-	"workload":      "mdstep",
-	"kernel":        "kernelbench",
-}
+// experiments lists every experiment in `all` execution order — the analytic
+// results, then the simulated families of the core registry — and aliases
+// maps every other accepted spelling onto an experiment name.
+var experiments, aliases = func() ([]experiment, map[string]string) {
+	exps := []experiment{
+		{"fig4", fig4, false}, {"deadlock", deadlockCheck, false}, {"fig2", fig2, false}, {"fig3", fig3, false},
+		{"table1", table1, false}, {"table2", table2, false}, {"fig12", fig12, false},
+	}
+	names := map[string]string{"decomposition": "fig12", "kernel": "kernelbench"}
+	for _, f := range core.Families() {
+		exps = append(exps, experiment{f.Figure, func() error { return runFamily(f) }, false})
+		for _, alias := range append([]string{f.Name}, f.Aliases...) {
+			if alias != f.Figure {
+				names[alias] = f.Figure
+			}
+		}
+	}
+	return append(exps, experiment{"kernelbench", kernelbench, true}), names
+}()
 
 func validNames() []string {
 	names := make([]string, 0, len(experiments)+len(aliases)+1)
@@ -223,27 +218,15 @@ func validNames() []string {
 	return names
 }
 
-// benchConfig is machine.DefaultConfig plus the -check/-engine/-shards
-// wiring; every simulated experiment builds its machines through it. Engine
-// and Shards are pure scheduling choices — excluded from experiment cache
-// keys because they cannot change results (the cross-engine differential
-// tests in internal/core pin that).
-func benchConfig(shape topo.TorusShape) machine.Config {
-	mc := machine.DefaultConfig(shape)
+// benchFlags applies the -check/-engine/-shards wiring to a machine config;
+// every simulated family's configs pass through it. Engine and Shards are
+// pure scheduling choices — excluded from experiment cache keys because they
+// cannot change results (the cross-engine differential tests in
+// internal/core pin that).
+func benchFlags(mc *machine.Config) {
 	mc.Check = *checkFlag
 	mc.Engine = *engineFlag
 	mc.Shards = *shardsFlag
-	return mc
-}
-
-// parseShape parses "KxKxK" torus shapes.
-func parseShape(s string) (topo.TorusShape, error) {
-	var kx, ky, kz int
-	if _, err := fmt.Sscanf(s, "%dx%dx%d", &kx, &ky, &kz); err != nil {
-		return topo.TorusShape{}, fmt.Errorf("bad shape %q", s)
-	}
-	shape := topo.Shape3(kx, ky, kz)
-	return shape, shape.Validate()
 }
 
 func main() {
@@ -300,14 +283,14 @@ func run(args []string, stderr io.Writer) int {
 	}
 	satShapeOverride = nil
 	if *shapeFlag != "" {
-		shape, err := parseShape(*shapeFlag)
+		shape, err := topo.ParseShape(*shapeFlag)
 		if err != nil {
 			return reject(err)
 		}
 		satShapeOverride = &shape
 	}
 
-	stopProfiles, err := startProfiles()
+	stopProfiles, err := exp.StartProfiles(*cpuprofile, *memprofile, stderr)
 	if err != nil {
 		fmt.Fprintln(stderr, "anton2bench:", err)
 		return 1
@@ -358,46 +341,6 @@ func run(args []string, stderr io.Writer) int {
 	fmt.Fprintf(stderr, "anton2bench: unknown experiment %q (valid: %s)\n",
 		what, strings.Join(validNames(), ", "))
 	return 2
-}
-
-// startProfiles begins the -cpuprofile capture and returns a stop function
-// that finishes it and writes the -memprofile snapshot; the stop must run
-// before the process exits or the profiles are truncated.
-func startProfiles() (func(), error) {
-	var stops []func()
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			return nil, fmt.Errorf("cpuprofile: %w", err)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("cpuprofile: %w", err)
-		}
-		stops = append(stops, func() {
-			pprof.StopCPUProfile()
-			f.Close()
-		})
-	}
-	if *memprofile != "" {
-		stops = append(stops, func() {
-			f, err := os.Create(*memprofile)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "anton2bench: memprofile:", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "anton2bench: memprofile:", err)
-			}
-		})
-	}
-	return func() {
-		for _, stop := range stops {
-			stop()
-		}
-	}, nil
 }
 
 // telemetryOpts returns a per-point telemetry factory for one figure: nil
@@ -487,18 +430,57 @@ func sweep(name string, jobs []exp.Job) ([]exp.Result, error) {
 	return rs, err
 }
 
-// satShape is the machine for the headline saturation sweeps (fig9, fig10).
-// The default is the paper's full 512-node machine — feasible since the
-// active-set engine made paper-scale stepping cheap; -shape restores the
-// previous 8x4x2 (or any other) scale, and -quick stays small.
-func satShape() topo.TorusShape {
-	if satShapeOverride != nil {
-		return *satShapeOverride
-	}
+// benchExtras are the anton2bench-only behaviours of individual families:
+// which ones the -shape override applies to (the headline saturation sweeps,
+// whose default is the paper's full 512-node machine, and mdstep), and a step
+// to run after a clean sweep.
+var benchExtras = map[string]struct {
+	shapeFlag bool
+	after     func(core.Axes) error
+}{
+	"throughput": {shapeFlag: true},
+	"blend":      {shapeFlag: true},
+	"mdstep":     {shapeFlag: true, after: mdstepReplayCheck},
+}
+
+// runFamily regenerates one simulated figure from its registry entry: the
+// family's full or -quick panels, with the -shape and -fault overrides
+// applied, expanded by the family into jobs whose machine configs carry the
+// bench flags, swept, and printed by the family's own renderer.
+func runFamily(f *core.Family) error {
+	header(f.Title, f.Paper)
+	panels := f.Full
 	if *quick {
-		return topo.Shape3(4, 4, 2)
+		panels = f.Quick
 	}
-	return topo.Shape3(8, 8, 8)
+	extras := benchExtras[f.Name]
+	tel := telemetryOpts(f.Figure)
+	mutate := func(mc *machine.Config) {
+		benchFlags(mc)
+		mc.Telemetry = tel()
+	}
+	checked := make([]core.Axes, len(panels))
+	var jobs []exp.Job
+	for i, a := range panels {
+		if satShapeOverride != nil && extras.shapeFlag {
+			a.Shape = *satShapeOverride
+		}
+		if baseFault != nil {
+			a.Fault = *baseFault
+		}
+		if err := f.Check(&a); err != nil {
+			return err
+		}
+		checked[i] = a
+		jobs = append(jobs, f.Jobs(a, mutate)...)
+	}
+	rs, sweepErr := sweep(f.Figure, jobs)
+	f.Render(os.Stdout, checked, rs)
+	printHeatmap()
+	if sweepErr != nil || extras.after == nil {
+		return sweepErr
+	}
+	return extras.after(checked[0])
 }
 
 func header(title, paper string) {
@@ -655,300 +637,4 @@ func fig12() error {
 	}
 	fmt.Printf("          total %.1f ns\n", core.TotalNS(traced))
 	return nil
-}
-
-func fig13() error {
-	header("Figure 13: router energy vs injection rate",
-		"E = 42.7 + 0.837h + (34.4 + 0.250n)(a/r) pJ; energy falls as rate rises past 0.5")
-	flits := 1200
-	if *quick {
-		flits = 400
-	}
-	rates := [][2]int{{1, 8}, {1, 4}, {1, 2}, {5, 8}, {3, 4}, {7, 8}, {1, 1}}
-	payloads := []core.PayloadKind{core.PayloadZeros, core.PayloadOnes, core.PayloadRandom}
-
-	tel := telemetryOpts("fig13")
-	var jobs []exp.Job
-	for _, payload := range payloads {
-		for _, r := range rates {
-			mc := benchConfig(topo.Shape3(1, 1, 1))
-			mc.Telemetry = tel()
-			jobs = append(jobs, core.EnergyJob(core.EnergyConfig{
-				Machine: mc, Model: power.PaperModel,
-				RateNum: r[0], RateDen: r[1],
-				Payload: payload, Flits: flits,
-			}))
-		}
-	}
-	rs, sweepErr := sweep("fig13", jobs)
-	defer printHeatmap()
-
-	fmt.Printf("measured: %-7s", "rate")
-	for _, r := range rates {
-		fmt.Printf(" %6.3f", float64(r[0])/float64(r[1]))
-	}
-	fmt.Println()
-	var all []core.EnergyPoint
-	for pi, payload := range payloads {
-		fmt.Printf("          %-7s", payload)
-		for ri := range rates {
-			r := rs[pi*len(rates)+ri]
-			if r.Err != nil {
-				fmt.Printf(" %6s", "FAIL")
-				continue
-			}
-			pt := r.Value.(core.EnergyPoint)
-			fmt.Printf(" %6.1f", pt.PerFlitPJ)
-			all = append(all, pt)
-		}
-		fmt.Println(" pJ/flit")
-	}
-	if len(all) == len(jobs) {
-		m := core.FitEnergyModel(all)
-		fmt.Printf("          refit: E = %.1f + %.3fh + (%.1f + %.3fn)(a/r) pJ\n",
-			m.Fixed, m.PerBitFlip, m.PerActivation, m.PerActSetBit)
-	}
-	return sweepErr
-}
-
-func fig11() error {
-	header("Figure 11: one-way latency vs hops", "80.7 ns fixed + 39.1 ns/hop; minimum 99 ns")
-	// 4x4x4 keeps the run in seconds; the fit quality does not depend on
-	// the maximum hop count (the paper's 8x8x8 reaches 12 hops).
-	shape := topo.Shape3(4, 4, 4)
-	if *quick {
-		shape = topo.Shape3(4, 4, 2)
-	}
-	lcfg := core.DefaultLatencyConfig(shape)
-	lcfg.Machine.Check = *checkFlag
-	lcfg.Machine.Telemetry = telemetryOpts("fig11")()
-	rs, sweepErr := sweep("fig11", []exp.Job{core.LatencyJob(lcfg)})
-	defer printHeatmap()
-	if sweepErr != nil {
-		return sweepErr
-	}
-	res := rs[0].Value.(core.LatencyResult)
-	fmt.Printf("measured: %.1f ns fixed + %.1f ns/hop (r2=%.4f); minimum %.1f ns on %v\n",
-		res.InterceptNS, res.SlopeNS, res.R2, res.MinNS, shape)
-	for _, p := range res.Points {
-		fmt.Printf("          hops=%2d  %6.1f ns\n", p.Hops, p.MeanNS)
-	}
-	return nil
-}
-
-func fig9() error {
-	header("Figure 9: throughput beyond saturation",
-		"RR: uniform falls below 60%; IW: ~90% stable (8x8x8, weights from uniform loads)")
-	batches := []int{64, 256, 1024}
-	if *quick {
-		batches = []int{32, 128}
-	}
-	patterns := []traffic.Pattern{traffic.NHop{N: 2}, traffic.Uniform{}}
-	arbs := []struct {
-		name string
-		iw   bool
-	}{{"round-robin", false}, {"inverse-weighted", true}}
-
-	tel := telemetryOpts("fig9")
-	var jobs []exp.Job
-	for _, pat := range patterns {
-		for _, arb := range arbs {
-			for _, b := range batches {
-				mc := benchConfig(satShape())
-				if arb.iw {
-					mc.Arbiter = 1
-				}
-				mc.Telemetry = tel()
-				jobs = append(jobs, core.ThroughputJob(core.ThroughputConfig{
-					Machine:        mc,
-					Pattern:        pat,
-					WeightPatterns: []traffic.Pattern{traffic.Uniform{}},
-					Batch:          b,
-				}))
-			}
-		}
-	}
-	rs, sweepErr := sweep("fig9", jobs)
-	defer printHeatmap()
-
-	i := 0
-	for _, pat := range patterns {
-		for _, arb := range arbs {
-			fmt.Printf("measured: %-8s %-16s on %v:", pat.Name(), arb.name, satShape())
-			for bi := range batches {
-				r := rs[i]
-				i++
-				if r.Err != nil {
-					fmt.Printf("  batch %4d: FAILED", batches[bi])
-					continue
-				}
-				tr := r.Value.(core.ThroughputResult)
-				fmt.Printf("  batch %4d: %.3f (fair %.3f)", tr.Batch, tr.Normalized, tr.Fairness)
-			}
-			fmt.Println()
-		}
-	}
-	return sweepErr
-}
-
-func fig10() error {
-	header("Figure 10: blending tornado and reverse tornado",
-		"Both-weights ~85% across all blends; single weights fall off away from their pattern; None lowest")
-	fractions := []float64{0, 0.25, 0.5, 0.75, 1}
-	batch := 256
-	if *quick {
-		fractions = []float64{0, 0.5, 1}
-		batch = 96
-	}
-	modes := []core.WeightMode{core.WeightsNone, core.WeightsForward, core.WeightsReverse, core.WeightsBoth}
-
-	tel := telemetryOpts("fig10")
-	var jobs []exp.Job
-	for _, mode := range modes {
-		for _, f := range fractions {
-			mc := benchConfig(satShape())
-			mc.Telemetry = tel()
-			jobs = append(jobs, core.BlendJob(core.BlendConfig{
-				Machine:         mc,
-				Weights:         mode,
-				ForwardFraction: f,
-				Batch:           batch,
-			}))
-		}
-	}
-	rs, sweepErr := sweep("fig10", jobs)
-	defer printHeatmap()
-
-	fmt.Printf("measured: %-8s", "weights")
-	for _, f := range fractions {
-		fmt.Printf("  f=%.2f", f)
-	}
-	fmt.Println("   (f = tornado fraction)")
-	i := 0
-	for _, mode := range modes {
-		fmt.Printf("          %-8v", mode)
-		for range fractions {
-			r := rs[i]
-			i++
-			if r.Err != nil {
-				fmt.Printf("  %6s", "FAIL")
-				continue
-			}
-			fmt.Printf("  %6.3f", r.Value.(core.BlendResult).Normalized)
-		}
-		fmt.Println()
-	}
-	return sweepErr
-}
-
-// routecompare scores every registered routing strategy on one grid:
-// deadlock verdict, VC/area cost, analytic saturation rate and path length,
-// measured throughput and latency, and degradation under permanent link
-// outages. The fault-aware strategy (angara) should absorb the outages
-// un-degraded (routed-native counts) where the static schemes concede a
-// degraded run (emergency reroutes).
-func routecompare() error {
-	header("Routing strategies: head-to-head comparison",
-		"pluggable strategies; n+1 VCs (anton) vs 2n (baseline) vs 1 (vcless turn-restricted) vs fault-aware graph routing (angara)")
-	shape := topo.Shape3(4, 4, 2)
-	batch := 64
-	failLinks := []int{0, 1, 2, 4}
-	if *quick {
-		shape = topo.Shape3(3, 3, 2)
-		batch = 16
-		failLinks = []int{0, 2}
-	}
-	jobs := core.RouteCompareJobs(benchConfig(shape), traffic.Uniform{}, batch, failLinks, 0)
-	rs, sweepErr := sweep("routecompare", jobs)
-
-	fmt.Printf("measured: %-12s %5s %14s %5s %6s %6s %6s %10s %9s %8s %8s %7s\n",
-		"strategy", "fail", "deadlock", "tvcs", "area", "hops", "thpt", "pkts/kcyc", "mean lat", "p99 lat", "reroute", "outcome")
-	last := ""
-	for _, r := range rs {
-		if r.Err != nil {
-			fmt.Printf("          %-12s FAILED: %v\n", last, r.Err)
-			continue
-		}
-		pt := r.Value.(core.RouteComparePoint)
-		if pt.Strategy != last && last != "" {
-			fmt.Println()
-		}
-		last = pt.Strategy
-		verdict := "-"
-		if pt.DeadlockVerified {
-			verdict = "CYCLE FOUND"
-			if pt.DeadlockFree {
-				verdict = "deadlock-free"
-			}
-		}
-		outcome := "ok"
-		if pt.DegradedRun {
-			outcome = "degraded"
-		}
-		reroute := fmt.Sprintf("%d", pt.Rerouted)
-		if pt.RoutedNative > 0 {
-			reroute = fmt.Sprintf("%dn", pt.RoutedNative)
-		}
-		fmt.Printf("          %-12s %5d %14s %5d %6.3f %6.2f %6.3f %10.2f %9.1f %8.0f %8s %7s\n",
-			pt.Strategy, pt.FailLinks, verdict, pt.TorusVCs, pt.AreaVsAnton, pt.MeanTorusHops,
-			pt.Throughput, pt.PacketsPerKCycle, pt.MeanLatency, pt.P99Latency, reroute, outcome)
-	}
-	return sweepErr
-}
-
-// faultsweep is the robustness experiment: throughput and delivery latency
-// versus transient-corruption rate under the reliable-link layer, holding any
-// -fault base spec (stalls, credit loss, failed links) fixed across points.
-func faultsweep() error {
-	header("Robustness: throughput and latency vs transient fault rate",
-		"reliable links mask corruption at retransmission cost; degradation is smooth, not a cliff")
-	rates := []float64{0, 0.0025, 0.005, 0.01, 0.02, 0.05}
-	shape := topo.Shape3(4, 4, 2)
-	batch := 96
-	if *quick {
-		rates = []float64{0, 0.005, 0.01, 0.02, 0.05}
-		shape = topo.Shape3(2, 2, 2)
-		batch = 32
-	}
-	if baseFault != nil {
-		fmt.Printf("base fault spec: %s\n", baseFault.Canonical())
-	}
-
-	tel := telemetryOpts("faultsweep")
-	var jobs []exp.Job
-	for _, r := range rates {
-		mc := benchConfig(shape)
-		mc.Telemetry = tel()
-		spec := fault.Spec{}
-		if baseFault != nil {
-			spec = *baseFault
-		}
-		spec.CorruptRate = r
-		mc.Fault = &spec
-		jobs = append(jobs, core.FaultJob(core.FaultConfig{
-			Machine: mc,
-			Pattern: traffic.Uniform{},
-			Batch:   batch,
-		}))
-	}
-	rs, sweepErr := sweep("faultsweep", jobs)
-	defer printHeatmap()
-
-	fmt.Printf("measured: %-8s %10s %12s %11s %12s %9s\n",
-		"corrupt", "throughput", "mean latency", "p99 latency", "retransmits", "outcome")
-	for i, r := range rs {
-		if r.Err != nil {
-			fmt.Printf("          %-8.4f %10s\n", rates[i], "FAILED")
-			continue
-		}
-		pt := r.Value.(core.FaultPoint)
-		outcome := "ok"
-		if pt.DegradedRun {
-			outcome = "degraded"
-		}
-		fmt.Printf("          %-8.4f %10.3f %12.1f %11.0f %12d %9s\n",
-			rates[i], pt.Throughput, pt.MeanLatency, pt.P99Latency,
-			pt.Counters["retransmits"], outcome)
-	}
-	return sweepErr
 }

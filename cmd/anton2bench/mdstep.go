@@ -7,77 +7,18 @@ import (
 	"reflect"
 
 	"anton2/internal/core"
-	"anton2/internal/exp"
-	"anton2/internal/route"
-	"anton2/internal/topo"
-	"anton2/internal/workload"
+	"anton2/internal/machine"
 )
 
-// mdstep is the application-shaped experiment: an MD timestep as three
-// dependent communication phases — halo exchange, multicast force
-// distribution, global reduction — each ending at a fabric-quiescence
-// barrier. One point per registered routing strategy; the headline number is
-// end-to-end timestep time, so unlike the saturation sweeps lower is better.
-// After the sweep, the run's record/replay guarantee is exercised inline: the
-// default strategy's point is re-run with traffic capture enabled and the
-// trace replayed on a fresh machine, which must reproduce every per-phase
-// cycle count exactly (with -json, the capture is written alongside the
-// artifacts).
-func mdstep() error {
-	header("MD timestep: phased application workload across routing strategies",
-		"timestep = halo exchange + multicast force distribution + global reduction; figure of merit is end-to-end timestep time")
-	shape := topo.Shape3(4, 4, 2)
-	spec := workload.DefaultSpec()
-	if *quick {
-		shape = topo.Shape3(2, 2, 2)
-	} else {
-		spec.Timesteps = 2
-	}
-	if satShapeOverride != nil {
-		shape = *satShapeOverride
-	}
-	fmt.Printf("workload: %s on %v\n", spec.Canonical(), shape)
-
-	tel := telemetryOpts("mdstep")
-	var jobs []exp.Job
-	for _, strat := range route.Strategies() {
-		mc := benchConfig(shape)
-		mc.Telemetry = tel()
-		mc.Scheme = strat
-		jobs = append(jobs, core.MDStepJob(core.MDStepConfig{Machine: mc, Workload: spec}))
-	}
-	rs, sweepErr := sweep("mdstep", jobs)
-	defer printHeatmap()
-
-	fmt.Printf("measured: %-12s %9s %9s %9s %11s %10s %10s\n",
-		"strategy", "halo", "mcast", "reduce", "total cyc", "cyc/step", "ns/step")
-	for i, r := range rs {
-		if r.Err != nil {
-			fmt.Printf("          %-12s FAILED: %v\n", route.Strategies()[i].Name(), r.Err)
-			continue
-		}
-		pt := r.Value.(core.MDStepPoint)
-		// Sum each phase across timesteps so the row reads as one step's
-		// budget regardless of the timestep count.
-		byPhase := map[string]uint64{}
-		for _, ph := range pt.Phases {
-			byPhase[ph.Phase] += ph.Cycles
-		}
-		steps := uint64(pt.Timesteps)
-		fmt.Printf("          %-12s %9d %9d %9d %11d %10.0f %10.1f\n",
-			pt.Strategy, byPhase["halo"]/steps, byPhase["multicast"]/steps, byPhase["reduce"]/steps,
-			pt.TotalCycles, pt.CyclesPerTimestep, pt.TotalNS/float64(pt.Timesteps))
-	}
-	if sweepErr != nil {
-		return sweepErr
-	}
-	return mdstepReplayCheck(shape, spec)
-}
-
-// mdstepReplayCheck records the default strategy's point, replays the capture
-// on a fresh machine, and fails the experiment on any per-phase divergence.
-func mdstepReplayCheck(shape topo.TorusShape, spec workload.Spec) error {
-	cfg := core.MDStepConfig{Machine: benchConfig(shape), Workload: spec}
+// mdstepReplayCheck exercises the mdstep family's record/replay guarantee
+// after its sweep: the default strategy's point is re-run with traffic capture
+// enabled and the trace replayed on a fresh machine, which must reproduce
+// every per-phase cycle count exactly (with -json, the capture is written
+// alongside the artifacts).
+func mdstepReplayCheck(a core.Axes) error {
+	mc := machine.DefaultConfig(a.Shape)
+	benchFlags(&mc)
+	cfg := core.MDStepConfig{Machine: mc, Workload: a.Workload}
 	pt, tr, err := core.RunMDStepPointRecorded(cfg, true)
 	if err != nil {
 		return fmt.Errorf("record: %w", err)

@@ -83,7 +83,7 @@ func main() {
 	}
 
 	// Deadlock verification.
-	shape, err := parseShape(*verifyShape)
+	shape, err := topo.ParseShape(*verifyShape)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -102,13 +102,4 @@ func main() {
 		fmt.Printf("  %-20s T-group VCs per class: %d, M-group: %d -> %s\n",
 			s.Name(), s.TorusVCs(), s.MeshVCs(), verdict)
 	}
-}
-
-func parseShape(s string) (topo.TorusShape, error) {
-	var kx, ky, kz int
-	if _, err := fmt.Sscanf(s, "%dx%dx%d", &kx, &ky, &kz); err != nil {
-		return topo.TorusShape{}, fmt.Errorf("anton2route: bad shape %q", s)
-	}
-	shape := topo.Shape3(kx, ky, kz)
-	return shape, shape.Validate()
 }

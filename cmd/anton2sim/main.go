@@ -58,8 +58,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"strings"
 
 	"anton2/internal/arbiter"
@@ -113,13 +111,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	shape, err := parseShape(*shapeFlag)
+	shape, err := topo.ParseShape(*shapeFlag)
 	if err != nil {
 		return reject(err)
 	}
-	pattern, err := parsePattern(*patternFlag)
-	if err != nil {
-		return reject(err)
+	pattern, ok := traffic.ByName(*patternFlag)
+	if !ok {
+		return reject(fmt.Errorf("unknown pattern %q (valid: %s)", *patternFlag, strings.Join(traffic.Names(), ", ")))
 	}
 	if *batch <= 0 {
 		return reject(fmt.Errorf("batch must be positive, got %d", *batch))
@@ -137,12 +135,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return reject(fmt.Errorf("unknown scheme %q (registered: %s)", *schemeFlag, strings.Join(route.StrategyNames(), ", ")))
 	}
 	mc.Scheme = strat
-	switch *arbFlag {
-	case "rr":
-		mc.Arbiter = arbiter.KindRoundRobin
-	case "iw":
-		mc.Arbiter = arbiter.KindInverseWeighted
-	default:
+	if mc.Arbiter, ok = arbiter.KindByName(*arbFlag); !ok {
 		return reject(fmt.Errorf("unknown arbiter %q", *arbFlag))
 	}
 	if *faultFlag != "" {
@@ -186,7 +179,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		opts.Checkpoint = exp.CheckpointOptions{Dir: *ckptDir, Every: *ckptEvery, Resume: *resumeFlag}
 	}
 
-	stopProfiles, err := startProfiles(*cpuprofile, *memprofile, stderr)
+	stopProfiles, err := exp.StartProfiles(*cpuprofile, *memprofile, stderr)
 	if err != nil {
 		fmt.Fprintln(stderr, "anton2sim:", err)
 		return 1
@@ -257,73 +250,4 @@ func simulate(mc machine.Config, pattern traffic.Pattern, batch int, jsonDir str
 		fmt.Fprint(stdout, telemetry.RenderHeatmap(*telReport))
 	}
 	return nil
-}
-
-// startProfiles begins the cpuprofile capture and returns a stop function
-// that finishes it and writes the memprofile snapshot; run it before the
-// process exits or the profiles are truncated.
-func startProfiles(cpuprofile, memprofile string, stderr io.Writer) (func(), error) {
-	var stops []func()
-	if cpuprofile != "" {
-		f, err := os.Create(cpuprofile)
-		if err != nil {
-			return nil, fmt.Errorf("cpuprofile: %w", err)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("cpuprofile: %w", err)
-		}
-		stops = append(stops, func() {
-			pprof.StopCPUProfile()
-			f.Close()
-		})
-	}
-	if memprofile != "" {
-		stops = append(stops, func() {
-			f, err := os.Create(memprofile)
-			if err != nil {
-				fmt.Fprintln(stderr, "anton2sim: memprofile:", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(stderr, "anton2sim: memprofile:", err)
-			}
-		})
-	}
-	return func() {
-		for _, stop := range stops {
-			stop()
-		}
-	}, nil
-}
-
-func parsePattern(s string) (traffic.Pattern, error) {
-	switch s {
-	case "uniform":
-		return traffic.Uniform{}, nil
-	case "1-hop":
-		return traffic.NHop{N: 1}, nil
-	case "2-hop":
-		return traffic.NHop{N: 2}, nil
-	case "tornado":
-		return traffic.Tornado(), nil
-	case "reverse-tornado":
-		return traffic.ReverseTornado(), nil
-	case "bit-complement":
-		return traffic.BitComplement(), nil
-	case "nearest-neighbor":
-		return traffic.NearestNeighbor{}, nil
-	}
-	return nil, fmt.Errorf("unknown pattern %q", s)
-}
-
-func parseShape(s string) (topo.TorusShape, error) {
-	var kx, ky, kz int
-	if _, err := fmt.Sscanf(s, "%dx%dx%d", &kx, &ky, &kz); err != nil {
-		return topo.TorusShape{}, fmt.Errorf("bad shape %q", s)
-	}
-	shape := topo.Shape3(kx, ky, kz)
-	return shape, shape.Validate()
 }

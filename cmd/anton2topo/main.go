@@ -20,7 +20,7 @@ func main() {
 	shapeFlag := flag.String("shape", "8x8x8", "torus shape KxKxK")
 	flag.Parse()
 
-	shape, err := parseShape(*shapeFlag)
+	shape, err := topo.ParseShape(*shapeFlag)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -83,16 +83,4 @@ func main() {
 		fmt.Printf("  %-18s %5d directed links, mean %.0f cm, latency %d cycles (%.1f ns)\n",
 			m, s.Links, s.TotalCM/float64(s.Links), example.LatencyCycles(), example.LatencyNS())
 	}
-}
-
-func parseShape(s string) (topo.TorusShape, error) {
-	var kx, ky, kz int
-	if _, err := fmt.Sscanf(s, "%dx%dx%d", &kx, &ky, &kz); err != nil {
-		return topo.TorusShape{}, fmt.Errorf("anton2topo: bad shape %q (want e.g. 8x8x8)", s)
-	}
-	shape := topo.Shape3(kx, ky, kz)
-	if err := shape.Validate(); err != nil {
-		return topo.TorusShape{}, err
-	}
-	return shape, nil
 }

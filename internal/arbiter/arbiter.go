@@ -113,3 +113,20 @@ func (k Kind) String() string {
 	}
 	return "inverse-weighted"
 }
+
+// kindNames are the short spellings command lines, requests and sweep cache
+// keys use.
+var kindNames = [...]string{KindRoundRobin: "rr", KindInverseWeighted: "iw"}
+
+// Short returns the kind's short spelling, "rr" or "iw".
+func (k Kind) Short() string { return kindNames[k] }
+
+// KindByName resolves a short spelling, "rr" or "iw".
+func KindByName(name string) (Kind, bool) {
+	for k, n := range kindNames {
+		if n == name {
+			return Kind(k), true
+		}
+	}
+	return 0, false
+}

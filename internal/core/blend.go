@@ -2,10 +2,10 @@ package core
 
 import (
 	"fmt"
-
-	"anton2/internal/exp"
+	"io"
 
 	"anton2/internal/arbiter"
+	"anton2/internal/exp"
 	"anton2/internal/loadcalc"
 	"anton2/internal/machine"
 	"anton2/internal/packet"
@@ -140,11 +140,7 @@ func RunBlend(cfg BlendConfig) (BlendResult, error) {
 
 	maxCycles := cfg.MaxCycles
 	if maxCycles == 0 {
-		ideal := float64(cfg.Batch) / satRate
-		maxCycles = uint64(60 * ideal)
-		if maxCycles < 300_000 {
-			maxCycles = 300_000
-		}
+		maxCycles = cycleBudget(cfg.Batch, satRate, 60, 300_000)
 	}
 	end, err := m.RunUntilDelivered(total, maxCycles)
 	if err != nil {
@@ -168,4 +164,72 @@ func RunBlend(cfg BlendConfig) (BlendResult, error) {
 // configuration rather than once per fraction.
 func BlendSweep(cfg BlendConfig, fractions []float64) ([]BlendResult, error) {
 	return BlendSweepOpts(cfg, fractions, exp.Serial())
+}
+
+// The blend family (Figure 10). Axes: Shape, Weights, Fractions (the sweep),
+// Batch.
+func init() {
+	fig10 := func(shape topo.TorusShape, batch int, fractions ...float64) []Axes {
+		var panels []Axes
+		for _, mode := range []WeightMode{WeightsNone, WeightsForward, WeightsReverse, WeightsBoth} {
+			panels = append(panels, Axes{Shape: shape, Weights: mode, Fractions: fractions, Batch: batch})
+		}
+		return panels
+	}
+	register(&Family{
+		Name:   "blend",
+		Figure: "fig10",
+		Title:  "Figure 10: blending tornado and reverse tornado",
+		Paper:  "Both-weights ~85% across all blends; single weights fall off away from their pattern; None lowest",
+		Full:   fig10(topo.Shape3(8, 8, 8), 256, 0, 0.25, 0.5, 0.75, 1),
+		Quick:  fig10(topo.Shape3(4, 4, 2), 96, 0, 0.5, 1),
+		Check: func(a *Axes) error {
+			if err := checkShape(a); err != nil {
+				return err
+			}
+			if err := checkUnitList("fractions", a.Fractions, "[0, 0.5, 1]"); err != nil {
+				return err
+			}
+			return checkBatch(a)
+		},
+		Points: func(a Axes) (int, string) { return len(a.Fractions), "fractions" },
+		Spec: func(a Axes) *exp.Spec {
+			return exp.NewSpec("serve-blend").Add("shape", a.Shape).Add("weights", a.Weights).
+				Add("fractions", joinBar(a.Fractions)).Add("batch", a.Batch)
+		},
+		Jobs: func(a Axes, mutate func(*machine.Config)) []exp.Job {
+			jobs := make([]exp.Job, 0, len(a.Fractions))
+			for _, f := range a.Fractions {
+				mc := machine.DefaultConfig(a.Shape)
+				mutate(&mc)
+				jobs = append(jobs, BlendJob(BlendConfig{
+					Machine:         mc,
+					Weights:         a.Weights,
+					ForwardFraction: f,
+					Batch:           a.Batch,
+				}))
+			}
+			return jobs
+		},
+		Render: func(w io.Writer, panels []Axes, rs []exp.Result) {
+			fmt.Fprintf(w, "measured: %-8s", "weights")
+			for _, f := range panels[0].Fractions {
+				fmt.Fprintf(w, "  f=%.2f", f)
+			}
+			fmt.Fprintln(w, "   (f = tornado fraction)")
+			for _, a := range panels {
+				fmt.Fprintf(w, "          %-8v", a.Weights)
+				for range a.Fractions {
+					r := rs[0]
+					rs = rs[1:]
+					if r.Err != nil {
+						fmt.Fprintf(w, "  %6s", "FAIL")
+						continue
+					}
+					fmt.Fprintf(w, "  %6.3f", r.Value.(BlendResult).Normalized)
+				}
+				fmt.Fprintln(w)
+			}
+		},
+	})
 }

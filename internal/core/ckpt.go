@@ -77,27 +77,27 @@ func ckptGuard(rc ckpt.RunConfig, mc machine.Config) error {
 	return nil
 }
 
+// saveRunCkpt captures the machine, pairs the snapshot with the runner's
+// driver section, and persists the checkpoint through the writer's throttle
+// and atomic-replace discipline. Write failures are sticky in the writer and
+// deliberately do not interrupt the simulation.
+func saveRunCkpt(w *ckpt.Writer, m *machine.Machine, tag string, driver any) {
+	snap, err := m.Snapshot()
+	if err != nil {
+		return
+	}
+	c := ckpt.New(tag, snap.Now)
+	if ckptAddJSON(c, sectionMachine, snap) != nil || ckptAddJSON(c, sectionDriver, driver) != nil {
+		return
+	}
+	_ = w.Save(c)
+}
+
 // installCkptHook arms the engine's checkpoint hook: at every snapshot
-// boundary it captures the machine, asks the runner for its driver section,
-// and persists the pair through the writer's throttle and atomic-replace
-// discipline. Write failures are sticky in the writer and deliberately do not
-// interrupt the simulation. The caller must disarm with
-// m.Engine.SetCheckpoint(0, nil) when the run finishes.
-func installCkptHook(m *machine.Machine, rc ckpt.RunConfig, tag string, driver func() any) *ckpt.Writer {
+// boundary it asks the runner for its driver section and saves a checkpoint.
+// The caller must disarm with m.Engine.SetCheckpoint(0, nil) when the run
+// finishes.
+func installCkptHook(m *machine.Machine, rc ckpt.RunConfig, tag string, driver func() any) {
 	w := ckpt.NewWriter(rc)
-	m.Engine.SetCheckpoint(rc.Every, func(now uint64) {
-		snap, err := m.Snapshot()
-		if err != nil {
-			return
-		}
-		c := ckpt.New(tag, snap.Now)
-		if err := ckptAddJSON(c, sectionMachine, snap); err != nil {
-			return
-		}
-		if err := ckptAddJSON(c, sectionDriver, driver()); err != nil {
-			return
-		}
-		_ = w.Save(c)
-	})
-	return w
+	m.Engine.SetCheckpoint(rc.Every, func(uint64) { saveRunCkpt(w, m, tag, driver()) })
 }

@@ -64,6 +64,21 @@ func PatternLoads(cfg machine.Config, p traffic.Pattern) (*loadcalc.Loads, error
 	return v.(*loadcalc.Loads), nil
 }
 
+// patternSatRate returns a pattern's analytic loads on a machine and its
+// per-core saturation rate, rejecting a pattern that places no torus load (no
+// rate to normalize by).
+func patternSatRate(mc machine.Config, p traffic.Pattern) (*loadcalc.Loads, float64, error) {
+	loads, err := PatternLoads(mc, p)
+	if err != nil {
+		return nil, 0, err
+	}
+	satRate := loads.SaturationRate()
+	if satRate <= 0 {
+		return nil, 0, fmt.Errorf("core: pattern %s places no torus load", p.Name())
+	}
+	return loads, satRate, nil
+}
+
 // BlendedSaturationRate returns the per-core saturation injection rate of a
 // linear blend of pattern loads (load is linear in the mixing coefficients,
 // Section 3.2).
@@ -86,4 +101,13 @@ func BlendedSaturationRate(fracs []float64, loads []*loadcalc.Loads) float64 {
 	}
 	capacity := 1000.0 / 3214.0
 	return capacity / maxLoad
+}
+
+// cycleBudget is the default bound of a batch run: mult times the ideal
+// completion time at the analytic saturation rate, but at least floor cycles.
+func cycleBudget(batch int, satRate, mult float64, floor uint64) uint64 {
+	if n := uint64(mult * (float64(batch) / satRate)); n > floor {
+		return n
+	}
+	return floor
 }

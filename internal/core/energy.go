@@ -2,9 +2,9 @@ package core
 
 import (
 	"fmt"
+	"io"
 
 	"anton2/internal/exp"
-
 	"anton2/internal/machine"
 	"anton2/internal/packet"
 	"anton2/internal/power"
@@ -255,4 +255,79 @@ func FitEnergyModel(points []EnergyPoint) power.Model {
 		samples[i] = power.Sample{H: p.H, N: p.N, AOverR: p.AOverR, Energy: p.PerFlitPJ}
 	}
 	return power.Fit(samples)
+}
+
+// energyRates is the Figure 13 injection-rate sweep.
+var energyRates = [][2]int{{1, 8}, {1, 4}, {1, 2}, {5, 8}, {3, 4}, {7, 8}, {1, 1}}
+
+// The energy family (Figure 13). Axes: Payload, Flits. Every point measures
+// the single-node loop machine; the rate sweep is the figure's, fixed.
+func init() {
+	fig13 := func(flits int) []Axes {
+		var panels []Axes
+		for _, payload := range []PayloadKind{PayloadZeros, PayloadOnes, PayloadRandom} {
+			panels = append(panels, Axes{Payload: payload, Flits: flits})
+		}
+		return panels
+	}
+	register(&Family{
+		Name:   "energy",
+		Figure: "fig13",
+		Title:  "Figure 13: router energy vs injection rate",
+		Paper:  "E = 42.7 + 0.837h + (34.4 + 0.250n)(a/r) pJ; energy falls as rate rises past 0.5",
+		Full:   fig13(1200),
+		Quick:  fig13(400),
+		Check: func(a *Axes) error {
+			if a.Flits == 0 {
+				a.Flits = 400
+			}
+			if a.Flits < 0 {
+				return badAxis("flits", "must be positive, got %d", a.Flits)
+			}
+			return nil
+		},
+		Points: func(Axes) (int, string) { return len(energyRates), "flits" },
+		Spec: func(a Axes) *exp.Spec {
+			return exp.NewSpec("serve-energy").Add("payload", a.Payload).Add("flits", a.Flits)
+		},
+		Jobs: func(a Axes, mutate func(*machine.Config)) []exp.Job {
+			jobs := make([]exp.Job, 0, len(energyRates))
+			for _, r := range energyRates {
+				mc := machine.DefaultConfig(topo.Shape3(1, 1, 1))
+				mutate(&mc)
+				jobs = append(jobs, EnergyJob(EnergyConfig{
+					Machine: mc, Model: power.PaperModel,
+					RateNum: r[0], RateDen: r[1],
+					Payload: a.Payload, Flits: a.Flits,
+				}))
+			}
+			return jobs
+		},
+		Render: func(w io.Writer, panels []Axes, rs []exp.Result) {
+			fmt.Fprintf(w, "measured: %-7s", "rate")
+			for _, r := range energyRates {
+				fmt.Fprintf(w, " %6.3f", float64(r[0])/float64(r[1]))
+			}
+			fmt.Fprintln(w)
+			var all []EnergyPoint
+			for pi, a := range panels {
+				fmt.Fprintf(w, "          %-7s", a.Payload)
+				for _, r := range rs[pi*len(energyRates) : (pi+1)*len(energyRates)] {
+					if r.Err != nil {
+						fmt.Fprintf(w, " %6s", "FAIL")
+						continue
+					}
+					pt := r.Value.(EnergyPoint)
+					fmt.Fprintf(w, " %6.1f", pt.PerFlitPJ)
+					all = append(all, pt)
+				}
+				fmt.Fprintln(w, " pJ/flit")
+			}
+			if len(all) == len(rs) {
+				m := FitEnergyModel(all)
+				fmt.Fprintf(w, "          refit: E = %.1f + %.3fh + (%.1f + %.3fn)(a/r) pJ\n",
+					m.Fixed, m.PerBitFlip, m.PerActivation, m.PerActSetBit)
+			}
+		},
+	})
 }

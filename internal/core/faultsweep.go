@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"io"
 
 	"anton2/internal/exp"
 	"anton2/internal/fault"
@@ -64,65 +65,17 @@ func RunFaultPoint(cfg FaultConfig) (FaultPoint, error) {
 	if err != nil {
 		return FaultPoint{}, err
 	}
-	measured, err := PatternLoads(cfg.Machine, cfg.Pattern)
+	_, satRate, err := patternSatRate(cfg.Machine, cfg.Pattern)
 	if err != nil {
 		return FaultPoint{}, err
-	}
-	satRate := measured.SaturationRate()
-	if satRate <= 0 {
-		return FaultPoint{}, fmt.Errorf("core: pattern %s places no torus load", cfg.Pattern.Name())
-	}
-
-	tm := m.Topo
-	cores := tm.Chip.CoreEndpoints()
-	total := uint64(tm.NumNodes() * len(cores) * cfg.Batch)
-
-	for n := 0; n < tm.NumNodes(); n++ {
-		for _, ep := range cores {
-			src := topo.NodeEp{Node: n, Ep: ep}
-			rng := sim.NewRNG(cfg.Machine.Seed, fmt.Sprintf("fault-src-%d-%d", n, ep))
-			sent := 0
-			m.Endpoint(src).Source = func() *packet.Packet {
-				if sent >= cfg.Batch {
-					return nil
-				}
-				sent++
-				dst := cfg.Pattern.Dest(tm, src, rng)
-				return m.MakeRandomPacket(src, dst, route.ClassRequest, 0, rng)
-			}
-		}
-	}
-	lats := make([]float64, 0, total)
-	onDeliver := func(p *packet.Packet, now uint64) bool {
-		lats = append(lats, float64(now-p.InjectedAt))
-		return false
-	}
-	for n := 0; n < tm.NumNodes(); n++ {
-		for ep := 0; ep < topo.NumEndpoints; ep++ {
-			m.Endpoint(topo.NodeEp{Node: n, Ep: ep}).OnDeliver = onDeliver
-		}
-	}
-
-	maxCycles := cfg.MaxCycles
-	if maxCycles == 0 {
-		// The throughput default, doubled: retransmission and stall
-		// overhead stretches completion well past the lossless ideal.
-		ideal := float64(cfg.Batch) / satRate
-		maxCycles = uint64(100 * ideal)
-		if maxCycles < 400_000 {
-			maxCycles = 400_000
-		}
 	}
 	pt := FaultPoint{Batch: cfg.Batch}
 	if cfg.Machine.Fault != nil {
 		pt.Spec = cfg.Machine.Fault.Canonical()
 		pt.CorruptRate = cfg.Machine.Fault.CorruptRate
 	}
-	end, err := m.RunUntilDelivered(total, maxCycles)
+	end, lats, err := runLatencyBatch(m, cfg.Machine.Seed, "fault", cfg.Pattern, cfg.Batch, satRate, cfg.MaxCycles)
 	if err != nil {
-		return pt, fmt.Errorf("core: fault run (%s): %w", pt.Spec, err)
-	}
-	if err := m.FinishChecks(); err != nil {
 		return pt, fmt.Errorf("core: fault run (%s): %w", pt.Spec, err)
 	}
 
@@ -135,6 +88,52 @@ func RunFaultPoint(cfg FaultConfig) (FaultPoint, error) {
 		pt.Counters = st.Counters.Map()
 	}
 	return pt, nil
+}
+
+// runLatencyBatch is the measurement body faultsweep and routecompare points
+// share: every core injects batch packets drawn from pattern on its own
+// "<stream>-src-<node>-<ep>" RNG stream, every delivery records its
+// injection-to-delivery latency in cycles, and the run — checked by
+// FinishChecks — ends when the last packet arrives. maxCycles 0 means the
+// throughput default doubled (100x the lossless ideal, floor 400k cycles):
+// retransmission, stall and reroute overhead stretches completion well past
+// the ideal.
+func runLatencyBatch(m *machine.Machine, seed uint64, stream string, pattern traffic.Pattern, batch int, satRate float64, maxCycles uint64) (end uint64, lats []float64, err error) {
+	tm := m.Topo
+	cores := tm.Chip.CoreEndpoints()
+	total := uint64(tm.NumNodes() * len(cores) * batch)
+	for n := 0; n < tm.NumNodes(); n++ {
+		for _, ep := range cores {
+			src := topo.NodeEp{Node: n, Ep: ep}
+			rng := sim.NewRNG(seed, fmt.Sprintf("%s-src-%d-%d", stream, n, ep))
+			sent := 0
+			m.Endpoint(src).Source = func() *packet.Packet {
+				if sent >= batch {
+					return nil
+				}
+				sent++
+				dst := pattern.Dest(tm, src, rng)
+				return m.MakeRandomPacket(src, dst, route.ClassRequest, 0, rng)
+			}
+		}
+	}
+	lats = make([]float64, 0, total)
+	onDeliver := func(p *packet.Packet, now uint64) bool {
+		lats = append(lats, float64(now-p.InjectedAt))
+		return false
+	}
+	for n := 0; n < tm.NumNodes(); n++ {
+		for ep := 0; ep < topo.NumEndpoints; ep++ {
+			m.Endpoint(topo.NodeEp{Node: n, Ep: ep}).OnDeliver = onDeliver
+		}
+	}
+	if maxCycles == 0 {
+		maxCycles = cycleBudget(batch, satRate, 100, 400_000)
+	}
+	if end, err = m.RunUntilDelivered(total, maxCycles); err != nil {
+		return 0, nil, err
+	}
+	return end, lats, m.FinishChecks()
 }
 
 // FaultSpec canonically identifies one faultsweep point. The fault spec
@@ -156,20 +155,66 @@ func FaultJob(cfg FaultConfig) exp.Job {
 	}}
 }
 
-// FaultSweepOpts sweeps corruption rate over the given points (plus any
-// fixed stall/credit-loss/outage settings in base), through the
-// orchestrator. A nil base sweeps corruption alone.
-func FaultSweepOpts(cfg FaultConfig, base *fault.Spec, rates []float64, opts exp.Options) ([]FaultPoint, error) {
-	jobs := make([]exp.Job, len(rates))
-	for i, r := range rates {
-		c := cfg
-		spec := fault.Spec{}
-		if base != nil {
-			spec = *base
-		}
-		spec.CorruptRate = r
-		c.Machine.Fault = &spec
-		jobs[i] = FaultJob(c)
-	}
-	return collect[FaultPoint](exp.Run(jobs, opts))
+// The faultsweep family. Axes: Shape, Pattern, Rates (the sweep), Batch, Fault
+// (the base spec held fixed while the corruption rate is swept; the fault
+// layer is attached even at rate 0).
+func init() {
+	register(&Family{
+		Name:    "faultsweep",
+		Figure:  "faultsweep",
+		Aliases: []string{"robustness"},
+		Title:   "Robustness: throughput and latency vs transient fault rate",
+		Paper:   "reliable links mask corruption at retransmission cost; degradation is smooth, not a cliff",
+		Full:    []Axes{{Shape: topo.Shape3(4, 4, 2), Rates: []float64{0, 0.0025, 0.005, 0.01, 0.02, 0.05}, Batch: 96}},
+		Quick:   []Axes{{Shape: topo.Shape3(2, 2, 2), Rates: []float64{0, 0.005, 0.01, 0.02, 0.05}, Batch: 32}},
+		Check: func(a *Axes) error {
+			if err := checkShape(a); err != nil {
+				return err
+			}
+			checkPattern(a)
+			if err := checkUnitList("rates", a.Rates, "[0, 0.01, 0.05]"); err != nil {
+				return err
+			}
+			return checkBatch(a)
+		},
+		Points: func(a Axes) (int, string) { return len(a.Rates), "rates" },
+		Spec: func(a Axes) *exp.Spec {
+			return exp.NewSpec("serve-faultsweep").Add("shape", a.Shape).Add("pattern", a.Pattern.Name()).
+				Add("rates", joinBar(a.Rates)).Add("batch", a.Batch).Add("fault", a.Fault.Canonical())
+		},
+		Jobs: func(a Axes, mutate func(*machine.Config)) []exp.Job {
+			jobs := make([]exp.Job, 0, len(a.Rates))
+			for _, r := range a.Rates {
+				mc := machine.DefaultConfig(a.Shape)
+				spec := a.Fault
+				spec.CorruptRate = r
+				mc.Fault = &spec
+				mutate(&mc)
+				jobs = append(jobs, FaultJob(FaultConfig{Machine: mc, Pattern: a.Pattern, Batch: a.Batch}))
+			}
+			return jobs
+		},
+		Render: func(w io.Writer, panels []Axes, rs []exp.Result) {
+			a := panels[0]
+			if a.Fault != (fault.Spec{}) {
+				fmt.Fprintf(w, "base fault spec: %s\n", a.Fault.Canonical())
+			}
+			fmt.Fprintf(w, "measured: %-8s %10s %12s %11s %12s %9s\n",
+				"corrupt", "throughput", "mean latency", "p99 latency", "retransmits", "outcome")
+			for i, r := range rs {
+				if r.Err != nil {
+					fmt.Fprintf(w, "          %-8.4f %10s\n", a.Rates[i], "FAILED")
+					continue
+				}
+				pt := r.Value.(FaultPoint)
+				outcome := "ok"
+				if pt.DegradedRun {
+					outcome = "degraded"
+				}
+				fmt.Fprintf(w, "          %-8.4f %10.3f %12.1f %11.0f %12d %9s\n",
+					a.Rates[i], pt.Throughput, pt.MeanLatency, pt.P99Latency,
+					pt.Counters["retransmits"], outcome)
+			}
+		},
+	})
 }

@@ -17,13 +17,13 @@ import (
 // checks the shape of the results: every point completes, delivers the full
 // batch, and records a detected-equals-injected corruption ledger.
 func TestFaultSweepDegradesGracefully(t *testing.T) {
-	cfg := FaultConfig{
-		Machine: machine.DefaultConfig(topo.Shape3(2, 2, 2)),
-		Pattern: traffic.Uniform{},
-		Batch:   24,
-	}
 	rates := []float64{0, 0.01, 0.05}
-	pts, err := FaultSweepOpts(cfg, nil, rates, exp.Serial())
+	f, _ := FamilyByName("faultsweep")
+	a := Axes{Shape: topo.Shape3(2, 2, 2), Rates: rates, Batch: 24}
+	if err := f.Check(&a); err != nil {
+		t.Fatal(err)
+	}
+	pts, err := collect[FaultPoint](exp.Run(f.Jobs(a, func(*machine.Config) {}), exp.Serial()))
 	if err != nil {
 		t.Fatal(err)
 	}

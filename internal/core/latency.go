@@ -2,9 +2,11 @@ package core
 
 import (
 	"fmt"
+	"io"
 	"math/rand"
 	"sort"
 
+	"anton2/internal/exp"
 	"anton2/internal/machine"
 	"anton2/internal/packet"
 	"anton2/internal/route"
@@ -265,4 +267,38 @@ func MeasureDecomposition(cfg LatencyConfig) ([]LatencyComponent, error) {
 	}
 	out = append(out, LatencyComponent{Name: "sync + handler dispatch", NS: machine.CyclesToNS(float64(cfg.RecvOverhead))})
 	return out, nil
+}
+
+// The latency family (Figure 11). Axes: Shape. One job measures the whole
+// hop sweep with the calibrated default overheads.
+func init() {
+	register(&Family{
+		Name:   "latency",
+		Figure: "fig11",
+		Title:  "Figure 11: one-way latency vs hops",
+		Paper:  "80.7 ns fixed + 39.1 ns/hop; minimum 99 ns",
+		// 4x4x4 keeps the run in seconds; the fit quality does not depend on
+		// the maximum hop count (the paper's 8x8x8 reaches 12 hops).
+		Full:   []Axes{{Shape: topo.Shape3(4, 4, 4)}},
+		Quick:  []Axes{{Shape: topo.Shape3(4, 4, 2)}},
+		Check:  checkShape,
+		Points: func(Axes) (int, string) { return 1, "shape" },
+		Spec:   func(a Axes) *exp.Spec { return exp.NewSpec("serve-latency").Add("shape", a.Shape) },
+		Jobs: func(a Axes, mutate func(*machine.Config)) []exp.Job {
+			cfg := DefaultLatencyConfig(a.Shape)
+			mutate(&cfg.Machine)
+			return []exp.Job{LatencyJob(cfg)}
+		},
+		Render: func(w io.Writer, panels []Axes, rs []exp.Result) {
+			if rs[0].Err != nil {
+				return
+			}
+			res := rs[0].Value.(LatencyResult)
+			fmt.Fprintf(w, "measured: %.1f ns fixed + %.1f ns/hop (r2=%.4f); minimum %.1f ns on %v\n",
+				res.InterceptNS, res.SlopeNS, res.R2, res.MinNS, panels[0].Shape)
+			for _, p := range res.Points {
+				fmt.Fprintf(w, "          hops=%2d  %6.1f ns\n", p.Hops, p.MeanNS)
+			}
+		},
+	})
 }

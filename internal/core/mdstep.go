@@ -1,7 +1,9 @@
 package core
 
 import (
+	"errors"
 	"fmt"
+	"io"
 
 	"anton2/internal/ckpt"
 	"anton2/internal/exp"
@@ -71,7 +73,7 @@ func mdstepMachine(cfg MDStepConfig) (machine.Config, workload.Spec, error) {
 
 // RunMDStepPoint executes one mdstep measurement.
 func RunMDStepPoint(cfg MDStepConfig) (MDStepPoint, error) {
-	pt, _, err := RunMDStepPointRecorded(cfg, false)
+	pt, _, err := runMDStep(cfg, ckpt.RunConfig{}, false)
 	return pt, err
 }
 
@@ -80,70 +82,10 @@ func RunMDStepPoint(cfg MDStepConfig) (MDStepPoint, error) {
 // every rc.Every cycles, and when rc asks for a resume and a usable
 // checkpoint exists, the run restores it, replays the RNG draws of every
 // already-injected phase, and finishes bit-identically to an uninterrupted
-// run. Recording does not compose with checkpointing.
+// run.
 func RunMDStepPointCkpt(cfg MDStepConfig, rc ckpt.RunConfig) (MDStepPoint, error) {
-	if !rc.Enabled() {
-		return RunMDStepPoint(cfg)
-	}
-	mc, spec, err := mdstepMachine(cfg)
-	if err != nil {
-		return MDStepPoint{}, err
-	}
-	if err := ckptGuard(rc, mc); err != nil {
-		return MDStepPoint{}, err
-	}
-	pt := MDStepPoint{Strategy: mc.Scheme.Name(), Workload: spec.Canonical(), Timesteps: spec.Timesteps}
-	m, _, err := BuildMachine(mc)
-	if err != nil {
-		return pt, err
-	}
-	tag := MDStepSpec(cfg).Canonical()
-
-	var from *workload.Progress
-	var prog workload.Progress
-	if snap := loadRunCkpt(rc, tag, &prog); snap != nil {
-		if err := m.Restore(snap); err == nil {
-			from = &prog
-		} else {
-			// A failed restore may leave the machine partially mutated;
-			// rebuild and start over — resuming is only an optimization.
-			if m, _, err = BuildMachine(mc); err != nil {
-				return pt, err
-			}
-		}
-	}
-
-	// The workload's engine hook hands us the driver Progress; pair it with
-	// a machine snapshot and persist. m is captured after any restore, so
-	// the sink always snapshots the machine actually running.
-	w := ckpt.NewWriter(rc)
-	sink := func(p workload.Progress) {
-		snap, err := m.Snapshot()
-		if err != nil {
-			return
-		}
-		c := ckpt.New(tag, snap.Now)
-		if err := ckptAddJSON(c, sectionMachine, snap); err != nil {
-			return
-		}
-		if err := ckptAddJSON(c, sectionDriver, p); err != nil {
-			return
-		}
-		_ = w.Save(c)
-	}
-	res, err := workload.RunResumable(m, spec, cfg.MaxPhaseCycles, from, rc.Every, sink)
-	if err != nil {
-		return pt, fmt.Errorf("core: mdstep %s: %w", pt.Strategy, err)
-	}
-	if err := m.FinishChecks(); err != nil {
-		return pt, fmt.Errorf("core: mdstep %s: %w", pt.Strategy, err)
-	}
-	rc.Discard()
-	pt.Phases = res.Phases
-	pt.TotalCycles = res.TotalCycles
-	pt.TotalNS = res.TotalNS
-	pt.CyclesPerTimestep = float64(res.TotalCycles) / float64(spec.Timesteps)
-	return pt, nil
+	pt, _, err := runMDStep(cfg, rc, false)
+	return pt, err
 }
 
 // RunMDStepPointRecorded is RunMDStepPoint with an optional traffic capture:
@@ -151,26 +93,66 @@ func RunMDStepPointCkpt(cfg MDStepConfig, rc ckpt.RunConfig) (MDStepPoint, error
 // format, and ReplayMDStepTrace replays the capture to identical per-phase
 // cycle counts.
 func RunMDStepPointRecorded(cfg MDStepConfig, record bool) (MDStepPoint, *trace.Trace, error) {
+	return runMDStep(cfg, ckpt.RunConfig{}, record)
+}
+
+// runMDStep is the one mdstep driver: a zero rc runs without checkpoints,
+// record captures the traffic. Recording does not compose with checkpointing
+// (a resumed run cannot re-record what it skips).
+func runMDStep(cfg MDStepConfig, rc ckpt.RunConfig, record bool) (MDStepPoint, *trace.Trace, error) {
 	mc, spec, err := mdstepMachine(cfg)
 	if err != nil {
 		return MDStepPoint{}, nil, err
+	}
+	if err := ckptGuard(rc, mc); err != nil {
+		return MDStepPoint{}, nil, err
+	}
+	if rc.Enabled() && record {
+		return MDStepPoint{}, nil, fmt.Errorf("core: mdstep recording does not compose with checkpointing")
 	}
 	pt := MDStepPoint{Strategy: mc.Scheme.Name(), Workload: spec.Canonical(), Timesteps: spec.Timesteps}
 	m, _, err := BuildMachine(mc)
 	if err != nil {
 		return pt, nil, err
 	}
+
+	var from *workload.Progress
+	var sink func(workload.Progress)
+	if rc.Enabled() {
+		tag := MDStepSpec(cfg).Canonical()
+		var prog workload.Progress
+		if snap := loadRunCkpt(rc, tag, &prog); snap != nil {
+			if err := m.Restore(snap); err == nil {
+				from = &prog
+			} else {
+				// A failed restore may leave the machine partially mutated;
+				// rebuild and start over — resuming is only an optimization.
+				if m, _, err = BuildMachine(mc); err != nil {
+					return pt, nil, err
+				}
+			}
+		}
+		// The workload's engine hook hands us the driver Progress. m is read
+		// at save time, so the sink snapshots the machine actually running
+		// even after a failed restore rebuilt it.
+		w := ckpt.NewWriter(rc)
+		sink = func(p workload.Progress) { saveRunCkpt(w, m, tag, p) }
+	}
+	var res workload.Result
 	var rec *trace.Recorder
 	if record {
 		rec = trace.NewRecorder(spec.Header(mc.Shape, mc.Seed))
+		res, err = workload.Run(m, spec, rec, cfg.MaxPhaseCycles)
+	} else {
+		res, err = workload.RunResumable(m, spec, cfg.MaxPhaseCycles, from, rc.Every, sink)
 	}
-	res, err := workload.Run(m, spec, rec, cfg.MaxPhaseCycles)
+	if err == nil {
+		err = m.FinishChecks()
+	}
 	if err != nil {
 		return pt, nil, fmt.Errorf("core: mdstep %s: %w", pt.Strategy, err)
 	}
-	if err := m.FinishChecks(); err != nil {
-		return pt, nil, fmt.Errorf("core: mdstep %s: %w", pt.Strategy, err)
-	}
+	rc.Discard()
 	pt.Phases = res.Phases
 	pt.TotalCycles = res.TotalCycles
 	pt.TotalNS = res.TotalNS
@@ -244,7 +226,75 @@ func MDStepJobs(base machine.Config, spec workload.Spec, maxPhaseCycles uint64) 
 	return jobs
 }
 
-// MDStepSweepOpts runs the strategy sweep through the orchestrator.
-func MDStepSweepOpts(base machine.Config, spec workload.Spec, maxPhaseCycles uint64, opts exp.Options) ([]MDStepPoint, error) {
-	return collect[MDStepPoint](exp.Run(MDStepJobs(base, spec, maxPhaseCycles), opts))
+// The mdstep family. Axes: Shape, Workload, Strategies (the sweep: one point
+// per strategy running the same phased workload; multicast tables are derived
+// inside the point). The headline number is end-to-end timestep time, so
+// unlike the saturation sweeps lower is better.
+func init() {
+	twoSteps := workload.DefaultSpec()
+	twoSteps.Timesteps = 2
+	register(&Family{
+		Name:    "mdstep",
+		Figure:  "mdstep",
+		Aliases: []string{"timestep", "workload"},
+		Title:   "MD timestep: phased application workload across routing strategies",
+		Paper:   "timestep = halo exchange + multicast force distribution + global reduction; figure of merit is end-to-end timestep time",
+		Full:    []Axes{{Shape: topo.Shape3(4, 4, 2), Workload: twoSteps}},
+		Quick:   []Axes{{Shape: topo.Shape3(2, 2, 2)}},
+		Check: func(a *Axes) error {
+			if err := checkShape(a); err != nil {
+				return err
+			}
+			// A workload knob out of range is blamed on that knob
+			// (halopackets, timesteps, ...), not on the axis as a whole.
+			a.Workload = a.Workload.WithDefaults()
+			if err := a.Workload.Validate(); err != nil {
+				var re *workload.RangeError
+				if errors.As(err, &re) {
+					return badAxis(re.Field, "%v", err)
+				}
+				return err
+			}
+			checkStrategies(a)
+			return nil
+		},
+		Points: func(a Axes) (int, string) { return len(a.Strategies), "strategies" },
+		Spec: func(a Axes) *exp.Spec {
+			return exp.NewSpec("serve-mdstep").Add("shape", a.Shape).Add("workload", a.Workload.Canonical()).
+				Add("strategies", joinBar(strategyNames(a.Strategies)))
+		},
+		Jobs: func(a Axes, mutate func(*machine.Config)) []exp.Job {
+			jobs := make([]exp.Job, 0, len(a.Strategies))
+			for _, strat := range a.Strategies {
+				mc := machine.DefaultConfig(a.Shape)
+				mc.Scheme = strat
+				mutate(&mc)
+				jobs = append(jobs, MDStepJob(MDStepConfig{Machine: mc, Workload: a.Workload}))
+			}
+			return jobs
+		},
+		Render: func(w io.Writer, panels []Axes, rs []exp.Result) {
+			a := panels[0]
+			fmt.Fprintf(w, "workload: %s on %v\n", a.Workload.Canonical(), a.Shape)
+			fmt.Fprintf(w, "measured: %-12s %9s %9s %9s %11s %10s %10s\n",
+				"strategy", "halo", "mcast", "reduce", "total cyc", "cyc/step", "ns/step")
+			for i, r := range rs {
+				if r.Err != nil {
+					fmt.Fprintf(w, "          %-12s FAILED: %v\n", a.Strategies[i].Name(), r.Err)
+					continue
+				}
+				pt := r.Value.(MDStepPoint)
+				// Sum each phase across timesteps so the row reads as one
+				// step's budget regardless of the timestep count.
+				byPhase := map[string]uint64{}
+				for _, ph := range pt.Phases {
+					byPhase[ph.Phase] += ph.Cycles
+				}
+				steps := uint64(pt.Timesteps)
+				fmt.Fprintf(w, "          %-12s %9d %9d %9d %11d %10.0f %10.1f\n",
+					pt.Strategy, byPhase["halo"]/steps, byPhase["multicast"]/steps, byPhase["reduce"]/steps,
+					pt.TotalCycles, pt.CyclesPerTimestep, pt.TotalNS/float64(pt.Timesteps))
+			}
+		},
+	})
 }

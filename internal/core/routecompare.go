@@ -2,15 +2,14 @@ package core
 
 import (
 	"fmt"
+	"io"
 
 	"anton2/internal/area"
 	"anton2/internal/deadlock"
 	"anton2/internal/exp"
 	"anton2/internal/fault"
 	"anton2/internal/machine"
-	"anton2/internal/packet"
 	"anton2/internal/route"
-	"anton2/internal/sim"
 	"anton2/internal/stats"
 	"anton2/internal/topo"
 	"anton2/internal/traffic"
@@ -117,59 +116,15 @@ func RunRouteComparePoint(cfg RouteCompareConfig) (RouteComparePoint, error) {
 		pt.DeadlockVerified = true
 		pt.DeadlockFree = deadlock.Verify(m.RouteConfig(), deadlock.Options{}) == nil
 	}
-	measured, err := PatternLoads(cfg.Machine, cfg.Pattern)
+	measured, satRate, err := patternSatRate(cfg.Machine, cfg.Pattern)
 	if err != nil {
 		return pt, err
-	}
-	satRate := measured.SaturationRate()
-	if satRate <= 0 {
-		return pt, fmt.Errorf("core: pattern %s places no torus load", cfg.Pattern.Name())
 	}
 	pt.SatRate = satRate
 	pt.MeanTorusHops = measured.MeanTorusHops
 
-	tm := m.Topo
-	cores := tm.Chip.CoreEndpoints()
-	total := uint64(tm.NumNodes() * len(cores) * cfg.Batch)
-	for n := 0; n < tm.NumNodes(); n++ {
-		for _, ep := range cores {
-			src := topo.NodeEp{Node: n, Ep: ep}
-			rng := sim.NewRNG(cfg.Machine.Seed, fmt.Sprintf("rc-src-%d-%d", n, ep))
-			sent := 0
-			m.Endpoint(src).Source = func() *packet.Packet {
-				if sent >= cfg.Batch {
-					return nil
-				}
-				sent++
-				dst := cfg.Pattern.Dest(tm, src, rng)
-				return m.MakeRandomPacket(src, dst, route.ClassRequest, 0, rng)
-			}
-		}
-	}
-	lats := make([]float64, 0, total)
-	onDeliver := func(p *packet.Packet, now uint64) bool {
-		lats = append(lats, float64(now-p.InjectedAt))
-		return false
-	}
-	for n := 0; n < tm.NumNodes(); n++ {
-		for ep := 0; ep < topo.NumEndpoints; ep++ {
-			m.Endpoint(topo.NodeEp{Node: n, Ep: ep}).OnDeliver = onDeliver
-		}
-	}
-
-	maxCycles := cfg.MaxCycles
-	if maxCycles == 0 {
-		ideal := float64(cfg.Batch) / satRate
-		maxCycles = uint64(100 * ideal)
-		if maxCycles < 400_000 {
-			maxCycles = 400_000
-		}
-	}
-	end, err := m.RunUntilDelivered(total, maxCycles)
+	end, lats, err := runLatencyBatch(m, cfg.Machine.Seed, "rc", cfg.Pattern, cfg.Batch, satRate, cfg.MaxCycles)
 	if err != nil {
-		return pt, fmt.Errorf("core: routecompare %s (faillinks=%d): %w", pt.Strategy, pt.FailLinks, err)
-	}
-	if err := m.FinishChecks(); err != nil {
 		return pt, fmt.Errorf("core: routecompare %s (faillinks=%d): %w", pt.Strategy, pt.FailLinks, err)
 	}
 
@@ -208,32 +163,102 @@ func RouteCompareJob(cfg RouteCompareConfig) exp.Job {
 	}}
 }
 
-// RouteCompareJobs builds the full comparison grid: every registered
-// strategy at every fail-link count (0 = the healthy phase, which also
-// carries the static deadlock verdict). Strategies iterate in registry
-// (name) order so the job list — and the artifact — is deterministic.
-func RouteCompareJobs(base machine.Config, pattern traffic.Pattern, batch int, failLinks []int, maxCycles uint64) []exp.Job {
-	var jobs []exp.Job
-	for _, strat := range route.Strategies() {
-		for _, n := range failLinks {
-			c := RouteCompareConfig{
-				Machine:        base,
-				Pattern:        pattern,
-				Batch:          batch,
-				MaxCycles:      maxCycles,
-				VerifyDeadlock: n == 0,
+// The routecompare family. Axes: Shape, Pattern, Batch, Strategies x FailLinks
+// (the grid: every strategy at every fail-link count, 0 = the healthy cell,
+// which also carries the static deadlock verdict). Strategies default to the
+// whole registry in name order, so the job list — and the artifact — is
+// deterministic. The fault-aware strategy (angara) should absorb the outages
+// un-degraded (routed-native counts) where the static schemes concede a
+// degraded run (emergency reroutes).
+func init() {
+	register(&Family{
+		Name:    "routecompare",
+		Figure:  "routecompare",
+		Aliases: []string{"routing"},
+		Title:   "Routing strategies: head-to-head comparison",
+		Paper:   "pluggable strategies; n+1 VCs (anton) vs 2n (baseline) vs 1 (vcless turn-restricted) vs fault-aware graph routing (angara)",
+		Full:    []Axes{{Shape: topo.Shape3(4, 4, 2), Batch: 64, FailLinks: []int{0, 1, 2, 4}}},
+		Quick:   []Axes{{Shape: topo.Shape3(3, 3, 2), Batch: 16, FailLinks: []int{0, 2}}},
+		Check: func(a *Axes) error {
+			if err := checkShape(a); err != nil {
+				return err
 			}
-			c.Machine.Scheme = strat
-			if n > 0 {
-				c.Machine.Fault = &fault.Spec{FailLinks: n}
+			checkPattern(a)
+			if err := checkBatch(a); err != nil {
+				return err
 			}
-			jobs = append(jobs, RouteCompareJob(c))
-		}
-	}
-	return jobs
+			checkStrategies(a)
+			if len(a.FailLinks) == 0 {
+				a.FailLinks = []int{0}
+			}
+			for _, n := range a.FailLinks {
+				if n < 0 {
+					return badAxis("faillinks", "must be >= 0, got %d", n)
+				}
+			}
+			return nil
+		},
+		Points: func(a Axes) (int, string) { return len(a.Strategies) * len(a.FailLinks), "faillinks" },
+		Spec: func(a Axes) *exp.Spec {
+			return exp.NewSpec("serve-routecompare").Add("shape", a.Shape).Add("pattern", a.Pattern.Name()).
+				Add("batch", a.Batch).Add("strategies", joinBar(strategyNames(a.Strategies))).
+				Add("faillinks", joinBar(a.FailLinks))
+		},
+		Jobs: func(a Axes, mutate func(*machine.Config)) []exp.Job {
+			jobs := make([]exp.Job, 0, len(a.Strategies)*len(a.FailLinks))
+			for _, strat := range a.Strategies {
+				for _, n := range a.FailLinks {
+					mc := machine.DefaultConfig(a.Shape)
+					mc.Scheme = strat
+					if n > 0 {
+						mc.Fault = &fault.Spec{FailLinks: n}
+					}
+					mutate(&mc)
+					jobs = append(jobs, RouteCompareJob(RouteCompareConfig{
+						Machine:        mc,
+						Pattern:        a.Pattern,
+						Batch:          a.Batch,
+						VerifyDeadlock: n == 0,
+					}))
+				}
+			}
+			return jobs
+		},
+		Render: renderRouteCompare,
+	})
 }
 
-// RouteCompareSweepOpts runs the comparison grid through the orchestrator.
-func RouteCompareSweepOpts(base machine.Config, pattern traffic.Pattern, batch int, failLinks []int, maxCycles uint64, opts exp.Options) ([]RouteComparePoint, error) {
-	return collect[RouteComparePoint](exp.Run(RouteCompareJobs(base, pattern, batch, failLinks, maxCycles), opts))
+func renderRouteCompare(w io.Writer, _ []Axes, rs []exp.Result) {
+	fmt.Fprintf(w, "measured: %-12s %5s %14s %5s %6s %6s %6s %10s %9s %8s %8s %7s\n",
+		"strategy", "fail", "deadlock", "tvcs", "area", "hops", "thpt", "pkts/kcyc", "mean lat", "p99 lat", "reroute", "outcome")
+	last := ""
+	for _, r := range rs {
+		if r.Err != nil {
+			fmt.Fprintf(w, "          %-12s FAILED: %v\n", last, r.Err)
+			continue
+		}
+		pt := r.Value.(RouteComparePoint)
+		if pt.Strategy != last && last != "" {
+			fmt.Fprintln(w)
+		}
+		last = pt.Strategy
+		verdict := "-"
+		if pt.DeadlockVerified {
+			verdict = "CYCLE FOUND"
+			if pt.DeadlockFree {
+				verdict = "deadlock-free"
+			}
+		}
+		outcome := "ok"
+		if pt.DegradedRun {
+			outcome = "degraded"
+		}
+		reroute := fmt.Sprintf("%d", pt.Rerouted)
+		if pt.RoutedNative > 0 {
+			reroute = fmt.Sprintf("%dn", pt.RoutedNative)
+		}
+		fmt.Fprintf(w, "          %-12s %5d %14s %5d %6.3f %6.2f %6.3f %10.2f %9.1f %8.0f %8s %7s\n",
+			pt.Strategy, pt.FailLinks, verdict, pt.TorusVCs, pt.AreaVsAnton, pt.MeanTorusHops,
+			pt.Throughput, pt.PacketsPerKCycle, pt.MeanLatency, pt.P99Latency, reroute, outcome)
+	}
 }

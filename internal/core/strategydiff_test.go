@@ -8,153 +8,15 @@ import (
 	"anton2/internal/exp"
 	"anton2/internal/fault"
 	"anton2/internal/machine"
-	"anton2/internal/power"
 	"anton2/internal/route"
 	"anton2/internal/topo"
 	"anton2/internal/traffic"
-	"anton2/internal/workload"
 )
 
-// This file is the strategy-differential regression net, the companion to
-// enginediff_test.go: every registered routing strategy runs every simulated
-// experiment family, (a) completing deadlock-free under the full runtime
-// invariant suite and (b) producing byte-identical canonical artifacts
-// across all engine variants. A strategy that perturbs results under the
-// sharded stepper, or that trips flit conservation under faults, fails here
-// before it ever reaches an experiment.
-
-// stratShape keeps the per-strategy sweeps tiny: with four strategies, three
-// engine variants, and six families, each point must run in milliseconds.
-var stratShape = topo.Shape3(2, 2, 2)
-
-// diffStrategyFamily runs the cross-engine byte-stability check once per
-// registered strategy, injecting the strategy after the engine mutation.
-func diffStrategyFamily(t *testing.T, family string, jobs func(mutate func(*machine.Config)) []exp.Job) {
-	t.Helper()
-	for _, strat := range route.Strategies() {
-		strat := strat
-		t.Run(strat.Name(), func(t *testing.T) {
-			diffFamily(t, family+"-"+strat.Name(), func(mutate func(*machine.Config)) []exp.Job {
-				return jobs(func(c *machine.Config) {
-					mutate(c)
-					c.Scheme = strat
-				})
-			})
-		})
-	}
-}
-
-func TestStrategyDiffThroughput(t *testing.T) {
-	if testing.Short() {
-		t.Skip("strategy differential sweep is slow")
-	}
-	diffStrategyFamily(t, "throughput", func(mutate func(*machine.Config)) []exp.Job {
-		mc := machine.DefaultConfig(stratShape)
-		mutate(&mc)
-		return []exp.Job{ThroughputJob(ThroughputConfig{
-			Machine:        mc,
-			Pattern:        traffic.Uniform{},
-			WeightPatterns: []traffic.Pattern{traffic.Uniform{}},
-			Batch:          8,
-		})}
-	})
-}
-
-func TestStrategyDiffBlend(t *testing.T) {
-	if testing.Short() {
-		t.Skip("strategy differential sweep is slow")
-	}
-	// Tornado and reverse tornado coincide on a 2-ring (offset k/2 = 1 either
-	// way), degenerating the blend; the X dimension needs radix 4.
-	diffStrategyFamily(t, "blend", func(mutate func(*machine.Config)) []exp.Job {
-		mc := machine.DefaultConfig(topo.Shape3(4, 2, 2))
-		mutate(&mc)
-		return []exp.Job{BlendJob(BlendConfig{
-			Machine:         mc,
-			Weights:         WeightsBoth,
-			ForwardFraction: 0.5,
-			Batch:           8,
-		})}
-	})
-}
-
-func TestStrategyDiffLatency(t *testing.T) {
-	if testing.Short() {
-		t.Skip("strategy differential sweep is slow")
-	}
-	diffStrategyFamily(t, "latency", func(mutate func(*machine.Config)) []exp.Job {
-		cfg := DefaultLatencyConfig(stratShape)
-		cfg.PingPongs = 2
-		cfg.PairsPerHop = 1
-		cfg.MaxHops = 2
-		mutate(&cfg.Machine)
-		return []exp.Job{LatencyJob(cfg)}
-	})
-}
-
-func TestStrategyDiffEnergy(t *testing.T) {
-	if testing.Short() {
-		t.Skip("strategy differential sweep is slow")
-	}
-	// The energy loop is mesh-only (1x1x1): it exercises each strategy's
-	// M-group transitions without any torus traffic.
-	diffStrategyFamily(t, "energy", func(mutate func(*machine.Config)) []exp.Job {
-		mc := machine.DefaultConfig(topo.Shape3(1, 1, 1))
-		mutate(&mc)
-		return []exp.Job{EnergyJob(EnergyConfig{
-			Machine: mc, Model: power.PaperModel,
-			RateNum: 1, RateDen: 2,
-			Payload: PayloadRandom, Flits: 100,
-		})}
-	})
-}
-
-func TestStrategyDiffFaultSweep(t *testing.T) {
-	if testing.Short() {
-		t.Skip("strategy differential sweep is slow")
-	}
-	// One permanent outage plus background corruption: the reroute path (or,
-	// for angara, the native fault-routing path) must itself be engine-stable.
-	diffStrategyFamily(t, "faultsweep", func(mutate func(*machine.Config)) []exp.Job {
-		mc := machine.DefaultConfig(stratShape)
-		mc.Fault = &fault.Spec{CorruptRate: 0.02, FailLinks: 1}
-		mutate(&mc)
-		return []exp.Job{FaultJob(FaultConfig{
-			Machine: mc,
-			Pattern: traffic.Uniform{},
-			Batch:   8,
-		})}
-	})
-}
-
-func TestStrategyDiffRouteCompare(t *testing.T) {
-	if testing.Short() {
-		t.Skip("strategy differential sweep is slow")
-	}
-	// The routecompare grid already spans the registry, so one diffFamily
-	// call covers every strategy at both the healthy and faulted cells.
-	diffFamily(t, "routecompare", func(mutate func(*machine.Config)) []exp.Job {
-		mc := machine.DefaultConfig(stratShape)
-		mutate(&mc)
-		return RouteCompareJobs(mc, traffic.Uniform{}, 4, []int{0, 1}, 0)
-	})
-}
-
-func TestStrategyDiffMDStep(t *testing.T) {
-	if testing.Short() {
-		t.Skip("strategy differential sweep is slow")
-	}
-	// The mdstep sweep spans the registry itself, so one diffFamily call
-	// covers every strategy's phased-timestep timing. The phase barriers are
-	// the engine-sensitive part: each phase ends when the fabric quiesces,
-	// and all three engine variants must agree on every quiescence cycle.
-	diffFamily(t, "mdstep", func(mutate func(*machine.Config)) []exp.Job {
-		mc := machine.DefaultConfig(stratShape)
-		mutate(&mc)
-		spec := workload.Spec{HaloPackets: 4, HaloBurst: 2, Multicasts: 1, ReducePackets: 1, Timesteps: 1}
-		return MDStepJobs(mc, spec, 0)
-	})
-}
+// The strategy-differential suite itself (every registered strategy x every
+// family x every engine variant, byte-identical canonical artifacts) lives in
+// the diffRows table of enginediff_test.go; this file keeps the two
+// strategy-specific behavioural tests.
 
 // TestStrategyCheckedRuns completes one measured routecompare point per
 // (strategy, fail-link count) under the full runtime invariant suite: the

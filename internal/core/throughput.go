@@ -2,10 +2,11 @@ package core
 
 import (
 	"fmt"
+	"io"
 
+	"anton2/internal/arbiter"
 	"anton2/internal/ckpt"
 	"anton2/internal/exp"
-
 	"anton2/internal/machine"
 	"anton2/internal/packet"
 	"anton2/internal/route"
@@ -78,13 +79,9 @@ func RunThroughputCkpt(cfg ThroughputConfig, rc ckpt.RunConfig) (ThroughputResul
 	if err != nil {
 		return ThroughputResult{}, err
 	}
-	measured, err := PatternLoads(cfg.Machine, cfg.Pattern)
+	_, satRate, err := patternSatRate(cfg.Machine, cfg.Pattern)
 	if err != nil {
 		return ThroughputResult{}, err
-	}
-	satRate := measured.SaturationRate()
-	if satRate <= 0 {
-		return ThroughputResult{}, fmt.Errorf("core: pattern %s places no torus load", cfg.Pattern.Name())
 	}
 
 	tm := m.Topo
@@ -161,12 +158,7 @@ func RunThroughputCkpt(cfg ThroughputConfig, rc ckpt.RunConfig) (ThroughputResul
 
 	maxCycles := cfg.MaxCycles
 	if maxCycles == 0 {
-		// Generous: 50x the ideal completion time, floor 200k cycles.
-		ideal := float64(cfg.Batch) / satRate
-		maxCycles = uint64(50 * ideal)
-		if maxCycles < 200_000 {
-			maxCycles = 200_000
-		}
+		maxCycles = cycleBudget(cfg.Batch, satRate, 50, 200_000)
 	}
 	if rc.Enabled() {
 		installCkptHook(m, rc, tag, func() any {
@@ -199,4 +191,78 @@ func RunThroughputCkpt(cfg ThroughputConfig, rc ckpt.RunConfig) (ThroughputResul
 // orchestrator, serially; ThroughputSweepOpts exposes the worker pool.
 func ThroughputSweep(cfg ThroughputConfig, batches []int) ([]ThroughputResult, error) {
 	return ThroughputSweepOpts(cfg, batches, exp.Serial())
+}
+
+// The throughput family (Figure 9). Axes: Shape, Pattern, Arbiter, Batches
+// (the sweep). Every point uses the default machine with weights from uniform
+// loads regardless of the measured pattern, as the paper does.
+func init() {
+	fig9 := func(shape topo.TorusShape, batches ...int) []Axes {
+		var panels []Axes
+		for _, pat := range []traffic.Pattern{traffic.NHop{N: 2}, traffic.Uniform{}} {
+			for _, arb := range []arbiter.Kind{arbiter.KindRoundRobin, arbiter.KindInverseWeighted} {
+				panels = append(panels, Axes{Shape: shape, Pattern: pat, Arbiter: arb, Batches: batches})
+			}
+		}
+		return panels
+	}
+	register(&Family{
+		Name:   "throughput",
+		Figure: "fig9",
+		Title:  "Figure 9: throughput beyond saturation",
+		Paper:  "RR: uniform falls below 60%; IW: ~90% stable (8x8x8, weights from uniform loads)",
+		Full:   fig9(topo.Shape3(8, 8, 8), 64, 256, 1024),
+		Quick:  fig9(topo.Shape3(4, 4, 2), 32, 128),
+		Check: func(a *Axes) error {
+			if err := checkShape(a); err != nil {
+				return err
+			}
+			checkPattern(a)
+			if len(a.Batches) == 0 {
+				return badAxis("batches", "missing (e.g. [64, 256])")
+			}
+			for _, b := range a.Batches {
+				if b <= 0 {
+					return badAxis("batches", "batch must be positive, got %d", b)
+				}
+			}
+			return nil
+		},
+		Points: func(a Axes) (int, string) { return len(a.Batches), "batches" },
+		Spec: func(a Axes) *exp.Spec {
+			return exp.NewSpec("serve-throughput").Add("shape", a.Shape).Add("pattern", a.Pattern.Name()).
+				Add("arb", a.Arbiter.Short()).Add("batches", joinBar(a.Batches))
+		},
+		Jobs: func(a Axes, mutate func(*machine.Config)) []exp.Job {
+			jobs := make([]exp.Job, 0, len(a.Batches))
+			for _, b := range a.Batches {
+				mc := machine.DefaultConfig(a.Shape)
+				mc.Arbiter = a.Arbiter
+				mutate(&mc)
+				jobs = append(jobs, ThroughputJob(ThroughputConfig{
+					Machine:        mc,
+					Pattern:        a.Pattern,
+					WeightPatterns: []traffic.Pattern{traffic.Uniform{}},
+					Batch:          b,
+				}))
+			}
+			return jobs
+		},
+		Render: func(w io.Writer, panels []Axes, rs []exp.Result) {
+			for _, a := range panels {
+				fmt.Fprintf(w, "measured: %-8s %-16s on %v:", a.Pattern.Name(), a.Arbiter, a.Shape)
+				for _, b := range a.Batches {
+					r := rs[0]
+					rs = rs[1:]
+					if r.Err != nil {
+						fmt.Fprintf(w, "  batch %4d: FAILED", b)
+						continue
+					}
+					tr := r.Value.(ThroughputResult)
+					fmt.Fprintf(w, "  batch %4d: %.3f (fair %.3f)", tr.Batch, tr.Normalized, tr.Fairness)
+				}
+				fmt.Fprintln(w)
+			}
+		},
+	})
 }

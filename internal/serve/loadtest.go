@@ -116,19 +116,10 @@ func (r *LoadReport) String() string {
 
 // loadPool builds the distinct request set from the traffic generators.
 func loadPool(shape string, batch int) []*Request {
-	patterns := []traffic.Pattern{
-		traffic.Uniform{},
-		traffic.NHop{N: 1},
-		traffic.NHop{N: 2},
-		traffic.Tornado(),
-		traffic.ReverseTornado(),
-		traffic.BitComplement(),
-		traffic.NearestNeighbor{},
-	}
 	var pool []*Request
-	for _, p := range patterns {
+	for _, name := range traffic.Names() {
 		pool = append(pool, &Request{
-			Family: "throughput", Shape: shape, Pattern: p.Name(), Batches: []int{batch},
+			Family: "throughput", Shape: shape, Pattern: name, Batches: []int{batch},
 		})
 	}
 	// A pair of heavier sweeps and the fixed-machine families round out the

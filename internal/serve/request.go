@@ -2,15 +2,16 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"strings"
 
 	"anton2/internal/arbiter"
 	"anton2/internal/core"
 	"anton2/internal/exp"
 	"anton2/internal/fault"
 	"anton2/internal/machine"
-	"anton2/internal/power"
 	"anton2/internal/route"
 	"anton2/internal/telemetry"
 	"anton2/internal/topo"
@@ -24,8 +25,9 @@ import (
 // string are the same experiment — they collapse to one run in flight and
 // share one content-addressed artifact forever.
 type Request struct {
-	// Family selects the experiment: throughput, blend, latency, energy,
-	// faultsweep, routecompare, or mdstep.
+	// Family selects the experiment by any spelling the core family registry
+	// knows: throughput, blend, latency, energy, faultsweep, routecompare,
+	// mdstep, or an anton2bench name such as fig9.
 	Family string `json:"family"`
 	// Shape is the torus shape, e.g. "4x4x2" (ignored by energy, which
 	// always measures the single-node loop machine like Figure 13).
@@ -70,6 +72,10 @@ type Request struct {
 	Multicasts    int `json:"multicasts,omitempty"`
 	ReducePackets int `json:"reducepackets,omitempty"`
 	Timesteps     int `json:"timesteps,omitempty"`
+
+	// parsed is set by ParseRequest only: a request built as a literal may
+	// still be edited, so it is compiled afresh on every use.
+	parsed *compiled
 }
 
 // RequestError is a validation failure: the submission never reached the
@@ -97,7 +103,9 @@ const maxSweepPoints = 64
 // maxRequestBytes bounds the decoded submission body.
 const maxRequestBytes = 1 << 16
 
-// ParseRequest decodes and validates one submission body.
+// ParseRequest decodes and validates one submission body. The returned
+// request carries its compiled form, so the ID, Canonical, Jobs and Submit
+// calls that follow do not validate it again; treat it as immutable.
 func ParseRequest(r io.Reader) (*Request, error) {
 	dec := json.NewDecoder(io.LimitReader(r, maxRequestBytes))
 	dec.DisallowUnknownFields()
@@ -105,18 +113,28 @@ func ParseRequest(r io.Reader) (*Request, error) {
 	if err := dec.Decode(req); err != nil {
 		return nil, &RequestError{Msg: "malformed JSON: " + err.Error()}
 	}
-	if _, err := req.compile(); err != nil {
+	c, err := req.compile()
+	if err != nil {
 		return nil, err
 	}
+	req.parsed = c
 	return req, nil
 }
 
-// compiled is a validated request lowered to the pieces the runner needs.
+// compiled is a validated request lowered to the pieces the runner needs:
+// the family, its checked axes, and the sweep's identity and size.
 type compiled struct {
-	spec *exp.Spec
-	// build constructs the jobs. It is re-invoked per execution so each
-	// point can carry its own telemetry progress hook.
-	build func(tel func() *telemetry.Options) []exp.Job
+	fam       *core.Family
+	axes      core.Axes
+	canonical string
+	id        string
+	points    int
+}
+
+// jobs expands the sweep grid. It is invoked per execution so each point can
+// carry its own telemetry progress hook.
+func (c *compiled) jobs(tel func() *telemetry.Options) []exp.Job {
+	return c.fam.Jobs(c.axes, func(mc *machine.Config) { mc.Telemetry = tel() })
 }
 
 // Validate checks the request without building jobs.
@@ -132,7 +150,7 @@ func (q *Request) Canonical() (string, error) {
 	if err != nil {
 		return "", err
 	}
-	return c.spec.Canonical(), nil
+	return c.canonical, nil
 }
 
 // ID returns the content address of the request's artifact: the hex spec
@@ -142,7 +160,7 @@ func (q *Request) ID() (string, error) {
 	if err != nil {
 		return "", err
 	}
-	return fmt.Sprintf("%016x", c.spec.Hash()), nil
+	return c.id, nil
 }
 
 // Jobs builds the sweep's jobs; tel supplies per-point telemetry options
@@ -152,423 +170,107 @@ func (q *Request) Jobs(tel func() *telemetry.Options) ([]exp.Job, error) {
 	if err != nil {
 		return nil, err
 	}
-	return c.build(tel), nil
+	return c.jobs(tel), nil
 }
 
+// compile looks the family up in the core registry and hands it the typed
+// axes: the family's own Check supplies defaults and range checks, so the
+// server can never validate differently from anton2bench.
 func (q *Request) compile() (*compiled, error) {
-	switch q.Family {
-	case "throughput":
-		return q.compileThroughput()
-	case "blend":
-		return q.compileBlend()
-	case "latency":
-		return q.compileLatency()
-	case "energy":
-		return q.compileEnergy()
-	case "faultsweep":
-		return q.compileFaultsweep()
-	case "routecompare":
-		return q.compileRouteCompare()
-	case "mdstep":
-		return q.compileMDStep()
-	case "":
-		return nil, badField("family", "missing (throughput, blend, latency, energy, faultsweep, routecompare, mdstep)")
-	default:
-		return nil, badField("family", "unknown family %q (throughput, blend, latency, energy, faultsweep, routecompare, mdstep)", q.Family)
+	if q.parsed != nil {
+		return q.parsed, nil
 	}
+	fam, ok := core.FamilyByName(q.Family)
+	if !ok {
+		return nil, badField("family", "unknown or missing family %q (registered: %s)", q.Family, strings.Join(core.FamilyNames(), ", "))
+	}
+	axes, err := q.axes()
+	if err == nil {
+		err = fam.Check(&axes)
+	}
+	var axisErr *core.AxisError
+	if errors.As(err, &axisErr) {
+		return nil, &RequestError{Field: axisErr.Axis, Msg: axisErr.Msg}
+	}
+	if err != nil {
+		return nil, err
+	}
+	points, axis := fam.Points(axes)
+	if points > maxSweepPoints {
+		return nil, badField(axis, "%d points exceed the %d-point sweep bound", points, maxSweepPoints)
+	}
+	spec := fam.Spec(axes)
+	return &compiled{
+		fam:       fam,
+		axes:      axes,
+		canonical: spec.Canonical(),
+		id:        fmt.Sprintf("%016x", spec.Hash()),
+		points:    points,
+	}, nil
 }
 
-func (q *Request) shape() (topo.TorusShape, error) {
-	s := q.Shape
-	if s == "" {
-		return topo.TorusShape{}, badField("shape", "missing (e.g. \"4x4x2\")")
+// axes converts the request's strings to typed sweep axes. Empty fields stay
+// zero for the family to default; a name that resolves to nothing is rejected
+// here, with the field named.
+func (q *Request) axes() (core.Axes, error) {
+	a := core.Axes{
+		Batches: q.Batches, Batch: q.Batch, Fractions: q.Fractions, Rates: q.Rates,
+		Flits: q.Flits, FailLinks: q.FailLinks,
+		Workload: workload.Spec{
+			HaloRadius: q.Halo, HaloPackets: q.HaloPackets, HaloBurst: q.HaloBurst,
+			FanoutRadius: q.Fanout, Multicasts: q.Multicasts,
+			ReducePackets: q.ReducePackets, Timesteps: q.Timesteps,
+		},
 	}
-	var kx, ky, kz int
-	if _, err := fmt.Sscanf(s, "%dx%dx%d", &kx, &ky, &kz); err != nil {
-		return topo.TorusShape{}, badField("shape", "bad shape %q (want KxKxK)", s)
+	var err error
+	var ok bool
+	if q.Shape != "" {
+		if a.Shape, err = topo.ParseShape(q.Shape); err != nil {
+			return a, badField("shape", "%v", err)
+		}
 	}
-	shape := topo.Shape3(kx, ky, kz)
-	if err := shape.Validate(); err != nil {
-		return topo.TorusShape{}, badField("shape", "%v", err)
+	if q.Pattern != "" {
+		if a.Pattern, ok = traffic.ByName(q.Pattern); !ok {
+			return a, badField("pattern", "unknown pattern %q (%s)", q.Pattern, strings.Join(traffic.Names(), ", "))
+		}
 	}
-	return shape, nil
+	if q.Arbiter != "" {
+		if a.Arbiter, ok = arbiter.KindByName(q.Arbiter); !ok {
+			return a, badField("arbiter", "unknown arbiter %q (rr or iw)", q.Arbiter)
+		}
+	}
+	if a.Weights, ok = byName(q.Weights, core.WeightsNone, core.WeightsForward, core.WeightsReverse, core.WeightsBoth); !ok {
+		return a, badField("weights", "unknown weight mode %q (none, forward, reverse, both)", q.Weights)
+	}
+	if a.Payload, ok = byName(q.Payload, core.PayloadZeros, core.PayloadOnes, core.PayloadRandom); !ok {
+		return a, badField("payload", "unknown payload %q (zeros, ones, random)", q.Payload)
+	}
+	if q.Fault != "" {
+		if a.Fault, err = fault.ParseSpec(q.Fault); err != nil {
+			return a, badField("fault", "%v", err)
+		}
+	}
+	for _, n := range q.Strategies {
+		s, ok := route.StrategyByName(n)
+		if !ok {
+			return a, badField("strategies", "unknown strategy %q (registered: %s)", n, strings.Join(route.StrategyNames(), "|"))
+		}
+		a.Strategies = append(a.Strategies, s)
+	}
+	return a, nil
 }
 
-func (q *Request) pattern() (traffic.Pattern, error) {
-	switch q.Pattern {
-	case "", "uniform":
-		return traffic.Uniform{}, nil
-	case "1-hop":
-		return traffic.NHop{N: 1}, nil
-	case "2-hop":
-		return traffic.NHop{N: 2}, nil
-	case "tornado":
-		return traffic.Tornado(), nil
-	case "reverse-tornado":
-		return traffic.ReverseTornado(), nil
-	case "bit-complement":
-		return traffic.BitComplement(), nil
-	case "nearest-neighbor":
-		return traffic.NearestNeighbor{}, nil
+// byName resolves an enumeration value by its lower-cased String; the empty
+// name is the first (default) value.
+func byName[T fmt.Stringer](name string, values ...T) (T, bool) {
+	for _, v := range values {
+		if name == "" || name == strings.ToLower(v.String()) {
+			return v, true
+		}
 	}
-	return nil, badField("pattern", "unknown pattern %q", q.Pattern)
+	return values[0], false
 }
 
 // PatternNames lists every pattern name a request accepts (shared with the
 // load generator, which sweeps the full set).
-func PatternNames() []string {
-	return []string{"uniform", "1-hop", "2-hop", "tornado", "reverse-tornado", "bit-complement", "nearest-neighbor"}
-}
-
-func (q *Request) compileThroughput() (*compiled, error) {
-	shape, err := q.shape()
-	if err != nil {
-		return nil, err
-	}
-	pat, err := q.pattern()
-	if err != nil {
-		return nil, err
-	}
-	arb := q.Arbiter
-	if arb == "" {
-		arb = "rr"
-	}
-	if arb != "rr" && arb != "iw" {
-		return nil, badField("arbiter", "unknown arbiter %q (rr or iw)", arb)
-	}
-	if len(q.Batches) == 0 {
-		return nil, badField("batches", "missing (e.g. [64, 256])")
-	}
-	if len(q.Batches) > maxSweepPoints {
-		return nil, badField("batches", "%d points exceed the %d-point sweep bound", len(q.Batches), maxSweepPoints)
-	}
-	for _, b := range q.Batches {
-		if b <= 0 {
-			return nil, badField("batches", "batch must be positive, got %d", b)
-		}
-	}
-	spec := exp.NewSpec("serve-throughput").
-		Add("shape", shape).Add("pattern", pat.Name()).Add("arb", arb).Add("batches", intList(q.Batches))
-	build := func(tel func() *telemetry.Options) []exp.Job {
-		jobs := make([]exp.Job, 0, len(q.Batches))
-		for _, b := range q.Batches {
-			// Mirrors anton2bench fig9: default machine, weights from
-			// uniform loads regardless of the measured pattern.
-			mc := machine.DefaultConfig(shape)
-			if arb == "iw" {
-				mc.Arbiter = arbiter.KindInverseWeighted
-			}
-			mc.Telemetry = tel()
-			jobs = append(jobs, core.ThroughputJob(core.ThroughputConfig{
-				Machine:        mc,
-				Pattern:        pat,
-				WeightPatterns: []traffic.Pattern{traffic.Uniform{}},
-				Batch:          b,
-			}))
-		}
-		return jobs
-	}
-	return &compiled{spec: spec, build: build}, nil
-}
-
-func (q *Request) compileBlend() (*compiled, error) {
-	shape, err := q.shape()
-	if err != nil {
-		return nil, err
-	}
-	var mode core.WeightMode
-	switch q.Weights {
-	case "", "none":
-		mode = core.WeightsNone
-	case "forward":
-		mode = core.WeightsForward
-	case "reverse":
-		mode = core.WeightsReverse
-	case "both":
-		mode = core.WeightsBoth
-	default:
-		return nil, badField("weights", "unknown weight mode %q (none, forward, reverse, both)", q.Weights)
-	}
-	if len(q.Fractions) == 0 {
-		return nil, badField("fractions", "missing (e.g. [0, 0.5, 1])")
-	}
-	if len(q.Fractions) > maxSweepPoints {
-		return nil, badField("fractions", "%d points exceed the %d-point sweep bound", len(q.Fractions), maxSweepPoints)
-	}
-	for _, f := range q.Fractions {
-		if f < 0 || f > 1 || f != f {
-			return nil, badField("fractions", "fraction must be in [0, 1], got %g", f)
-		}
-	}
-	if q.Batch <= 0 {
-		return nil, badField("batch", "must be positive, got %d", q.Batch)
-	}
-	spec := exp.NewSpec("serve-blend").
-		Add("shape", shape).Add("weights", mode).Add("fractions", floatList(q.Fractions)).Add("batch", q.Batch)
-	build := func(tel func() *telemetry.Options) []exp.Job {
-		jobs := make([]exp.Job, 0, len(q.Fractions))
-		for _, f := range q.Fractions {
-			mc := machine.DefaultConfig(shape)
-			mc.Telemetry = tel()
-			jobs = append(jobs, core.BlendJob(core.BlendConfig{
-				Machine:         mc,
-				Weights:         mode,
-				ForwardFraction: f,
-				Batch:           q.Batch,
-			}))
-		}
-		return jobs
-	}
-	return &compiled{spec: spec, build: build}, nil
-}
-
-func (q *Request) compileLatency() (*compiled, error) {
-	shape, err := q.shape()
-	if err != nil {
-		return nil, err
-	}
-	spec := exp.NewSpec("serve-latency").Add("shape", shape)
-	build := func(tel func() *telemetry.Options) []exp.Job {
-		// Mirrors anton2bench fig11: the calibrated default overheads.
-		lcfg := core.DefaultLatencyConfig(shape)
-		lcfg.Machine.Telemetry = tel()
-		return []exp.Job{core.LatencyJob(lcfg)}
-	}
-	return &compiled{spec: spec, build: build}, nil
-}
-
-// energyRates is the Figure 13 injection-rate sweep.
-var energyRates = [][2]int{{1, 8}, {1, 4}, {1, 2}, {5, 8}, {3, 4}, {7, 8}, {1, 1}}
-
-func (q *Request) compileEnergy() (*compiled, error) {
-	var payload core.PayloadKind
-	switch q.Payload {
-	case "", "zeros":
-		payload = core.PayloadZeros
-	case "ones":
-		payload = core.PayloadOnes
-	case "random":
-		payload = core.PayloadRandom
-	default:
-		return nil, badField("payload", "unknown payload %q (zeros, ones, random)", q.Payload)
-	}
-	flits := q.Flits
-	if flits == 0 {
-		flits = 400
-	}
-	if flits < 0 {
-		return nil, badField("flits", "must be positive, got %d", flits)
-	}
-	spec := exp.NewSpec("serve-energy").Add("payload", payload).Add("flits", flits)
-	build := func(tel func() *telemetry.Options) []exp.Job {
-		jobs := make([]exp.Job, 0, len(energyRates))
-		for _, r := range energyRates {
-			// Mirrors anton2bench fig13: the single-node loop machine.
-			mc := machine.DefaultConfig(topo.Shape3(1, 1, 1))
-			mc.Telemetry = tel()
-			jobs = append(jobs, core.EnergyJob(core.EnergyConfig{
-				Machine: mc, Model: power.PaperModel,
-				RateNum: r[0], RateDen: r[1],
-				Payload: payload, Flits: flits,
-			}))
-		}
-		return jobs
-	}
-	return &compiled{spec: spec, build: build}, nil
-}
-
-func (q *Request) compileFaultsweep() (*compiled, error) {
-	shape, err := q.shape()
-	if err != nil {
-		return nil, err
-	}
-	pat, err := q.pattern()
-	if err != nil {
-		return nil, err
-	}
-	if len(q.Rates) == 0 {
-		return nil, badField("rates", "missing (e.g. [0, 0.01, 0.05])")
-	}
-	if len(q.Rates) > maxSweepPoints {
-		return nil, badField("rates", "%d points exceed the %d-point sweep bound", len(q.Rates), maxSweepPoints)
-	}
-	for _, r := range q.Rates {
-		if r < 0 || r > 1 || r != r {
-			return nil, badField("rates", "corruption rate must be in [0, 1], got %g", r)
-		}
-	}
-	if q.Batch <= 0 {
-		return nil, badField("batch", "must be positive, got %d", q.Batch)
-	}
-	var base fault.Spec
-	if q.Fault != "" {
-		base, err = fault.ParseSpec(q.Fault)
-		if err != nil {
-			return nil, badField("fault", "%v", err)
-		}
-	}
-	spec := exp.NewSpec("serve-faultsweep").
-		Add("shape", shape).Add("pattern", pat.Name()).Add("rates", floatList(q.Rates)).
-		Add("batch", q.Batch).Add("fault", base.Canonical())
-	build := func(tel func() *telemetry.Options) []exp.Job {
-		jobs := make([]exp.Job, 0, len(q.Rates))
-		for _, r := range q.Rates {
-			// Mirrors anton2bench faultsweep: the base spec held fixed,
-			// corruption rate swept, fault layer attached even at rate 0.
-			mc := machine.DefaultConfig(shape)
-			mc.Telemetry = tel()
-			fs := base
-			fs.CorruptRate = r
-			mc.Fault = &fs
-			jobs = append(jobs, core.FaultJob(core.FaultConfig{
-				Machine: mc,
-				Pattern: pat,
-				Batch:   q.Batch,
-			}))
-		}
-		return jobs
-	}
-	return &compiled{spec: spec, build: build}, nil
-}
-
-func (q *Request) compileRouteCompare() (*compiled, error) {
-	shape, err := q.shape()
-	if err != nil {
-		return nil, err
-	}
-	pat, err := q.pattern()
-	if err != nil {
-		return nil, err
-	}
-	if q.Batch <= 0 {
-		return nil, badField("batch", "must be positive, got %d", q.Batch)
-	}
-	names := q.Strategies
-	if len(names) == 0 {
-		names = route.StrategyNames()
-	}
-	strats := make([]route.Strategy, 0, len(names))
-	for _, n := range names {
-		s, ok := route.StrategyByName(n)
-		if !ok {
-			return nil, badField("strategies", "unknown strategy %q (registered: %s)", n, strList(route.StrategyNames()))
-		}
-		strats = append(strats, s)
-	}
-	fails := q.FailLinks
-	if len(fails) == 0 {
-		fails = []int{0}
-	}
-	for _, n := range fails {
-		if n < 0 {
-			return nil, badField("faillinks", "must be >= 0, got %d", n)
-		}
-	}
-	if pts := len(strats) * len(fails); pts > maxSweepPoints {
-		return nil, badField("faillinks", "%d points exceed the %d-point sweep bound", pts, maxSweepPoints)
-	}
-	spec := exp.NewSpec("serve-routecompare").
-		Add("shape", shape).Add("pattern", pat.Name()).Add("batch", q.Batch).
-		Add("strategies", strList(names)).Add("faillinks", intList(fails))
-	build := func(tel func() *telemetry.Options) []exp.Job {
-		jobs := make([]exp.Job, 0, len(strats)*len(fails))
-		for _, strat := range strats {
-			for _, n := range fails {
-				// Mirrors anton2bench routecompare: the healthy cell of each
-				// strategy carries the static deadlock verdict.
-				mc := machine.DefaultConfig(shape)
-				mc.Scheme = strat
-				mc.Telemetry = tel()
-				if n > 0 {
-					mc.Fault = &fault.Spec{FailLinks: n}
-				}
-				jobs = append(jobs, core.RouteCompareJob(core.RouteCompareConfig{
-					Machine:        mc,
-					Pattern:        pat,
-					Batch:          q.Batch,
-					VerifyDeadlock: n == 0,
-				}))
-			}
-		}
-		return jobs
-	}
-	return &compiled{spec: spec, build: build}, nil
-}
-
-func (q *Request) compileMDStep() (*compiled, error) {
-	shape, err := q.shape()
-	if err != nil {
-		return nil, err
-	}
-	wl := workload.Spec{
-		HaloRadius: q.Halo, HaloPackets: q.HaloPackets, HaloBurst: q.HaloBurst,
-		FanoutRadius: q.Fanout, Multicasts: q.Multicasts,
-		ReducePackets: q.ReducePackets, Timesteps: q.Timesteps,
-	}.WithDefaults()
-	if err := wl.Validate(); err != nil {
-		return nil, badField("workload", "%v", err)
-	}
-	names := q.Strategies
-	if len(names) == 0 {
-		names = route.StrategyNames()
-	}
-	strats := make([]route.Strategy, 0, len(names))
-	for _, n := range names {
-		s, ok := route.StrategyByName(n)
-		if !ok {
-			return nil, badField("strategies", "unknown strategy %q (registered: %s)", n, strList(route.StrategyNames()))
-		}
-		strats = append(strats, s)
-	}
-	if len(strats) > maxSweepPoints {
-		return nil, badField("strategies", "%d points exceed the %d-point sweep bound", len(strats), maxSweepPoints)
-	}
-	spec := exp.NewSpec("serve-mdstep").
-		Add("shape", shape).Add("workload", wl.Canonical()).Add("strategies", strList(names))
-	build := func(tel func() *telemetry.Options) []exp.Job {
-		jobs := make([]exp.Job, 0, len(strats))
-		for _, strat := range strats {
-			// Mirrors anton2bench mdstep: one point per strategy, the same
-			// phased workload, multicast tables derived inside core.
-			mc := machine.DefaultConfig(shape)
-			mc.Telemetry = tel()
-			mc.Scheme = strat
-			jobs = append(jobs, core.MDStepJob(core.MDStepConfig{Machine: mc, Workload: wl}))
-		}
-		return jobs
-	}
-	return &compiled{spec: spec, build: build}, nil
-}
-
-func strList(xs []string) string {
-	s := ""
-	for i, x := range xs {
-		if i > 0 {
-			s += "|"
-		}
-		s += x
-	}
-	return s
-}
-
-func intList(xs []int) string {
-	s := ""
-	for i, x := range xs {
-		if i > 0 {
-			s += "|"
-		}
-		s += fmt.Sprint(x)
-	}
-	return s
-}
-
-func floatList(xs []float64) string {
-	s := ""
-	for i, x := range xs {
-		if i > 0 {
-			s += "|"
-		}
-		s += fmt.Sprintf("%g", x)
-	}
-	return s
-}
+func PatternNames() []string { return traffic.Names() }

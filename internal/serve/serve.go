@@ -428,9 +428,7 @@ func (s *Server) Submit(req *Request) (*run, error) {
 	if err != nil {
 		return nil, err
 	}
-	canonical := c.spec.Canonical()
-	id := fmt.Sprintf("%016x", c.spec.Hash())
-	total := len(c.build(func() *telemetry.Options { return nil }))
+	id := c.id
 
 	s.mu.Lock()
 	if r, ok := s.runs[id]; ok {
@@ -461,7 +459,7 @@ func (s *Server) Submit(req *Request) (*run, error) {
 	}
 	if onDisk {
 		s.metrics.HitsDisk.Add(1)
-		r := s.completedRun(id, canonical, req.Family, b)
+		r := s.completedRun(id, c.canonical, c.fam.Name, b)
 		s.runs[id] = r
 		s.mu.Unlock()
 		// A surviving WAL entry for an artifact that did reach disk is
@@ -477,9 +475,9 @@ func (s *Server) Submit(req *Request) (*run, error) {
 	}
 	r := &run{
 		id:        id,
-		canonical: canonical,
-		family:    req.Family,
-		total:     total,
+		canonical: c.canonical,
+		family:    c.fam.Name,
+		total:     c.points,
 		state:     StateQueued,
 		doneCh:    make(chan struct{}),
 	}
@@ -615,7 +613,7 @@ func (s *Server) simulate(ctx context.Context, r *run, c *compiled) ([]byte, err
 		// per-point completion progress via OnResult below.
 		tel = func() *telemetry.Options { return nil }
 	}
-	jobs := c.build(tel)
+	jobs := c.jobs(tel)
 	prevs := make([]uint64, len(jobs))
 	opts := exp.Options{
 		Name:           "run-" + r.id[:8],

@@ -217,13 +217,14 @@ func TestValidationRejects(t *testing.T) {
 		{"empty", `{}`, "family"},
 		{"unknown family", `{"family":"figure-9000"}`, "family"},
 		{"bad shape", `{"family":"throughput","shape":"4x4","batches":[8]}`, "shape"},
+		{"shape trailing junk", `{"family":"throughput","shape":"4x4x2x9junk","batches":[8]}`, "shape"},
 		{"missing batches", `{"family":"throughput","shape":"2x2x2"}`, "batches"},
 		{"negative batch", `{"family":"faultsweep","shape":"2x2x2","rates":[0],"batch":-1}`, "batch"},
 		{"rate out of range", `{"family":"faultsweep","shape":"2x2x2","rates":[1.5],"batch":8}`, "rates"},
 		{"bad fault spec", `{"family":"faultsweep","shape":"2x2x2","rates":[0],"batch":8,"fault":"bogus=1"}`, "fault"},
 		{"unknown strategy", `{"family":"routecompare","shape":"2x2x2","batch":8,"strategies":["warp"]}`, "strategies"},
 		{"negative faillinks", `{"family":"routecompare","shape":"2x2x2","batch":8,"faillinks":[-1]}`, "faillinks"},
-		{"mdstep bad workload", `{"family":"mdstep","shape":"2x2x2","halopackets":-4}`, "workload"},
+		{"mdstep bad workload", `{"family":"mdstep","shape":"2x2x2","halopackets":-4}`, "halopackets"},
 		{"mdstep unknown strategy", `{"family":"mdstep","shape":"2x2x2","strategies":["warp"]}`, "strategies"},
 		{"unknown field", `{"family":"latency","shape":"2x2x2","turbo":true}`, ""},
 		{"malformed", `{"family":`, ""},

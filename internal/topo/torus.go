@@ -59,6 +59,17 @@ func (s TorusShape) Validate() error {
 	return nil
 }
 
+// ParseShape parses a "KxKxK" torus shape, e.g. "8x4x2". It is strict: the
+// input must be exactly what String renders for the parsed shape, so trailing
+// input ("4x4x2x9"), signs and leading zeros are rejected rather than ignored.
+func ParseShape(s string) (TorusShape, error) {
+	var shape TorusShape
+	if _, err := fmt.Sscanf(s, "%dx%dx%d", &shape.K[0], &shape.K[1], &shape.K[2]); err != nil || shape.String() != s {
+		return TorusShape{}, fmt.Errorf("topo: bad shape %q (want KxKxK, e.g. 8x4x2)", s)
+	}
+	return shape, shape.Validate()
+}
+
 // NodeID maps a coordinate to a dense index in [0, NumNodes).
 func (s TorusShape) NodeID(c NodeCoord) int {
 	return (c.Z*s.K[1]+c.Y)*s.K[0] + c.X

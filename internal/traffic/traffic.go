@@ -219,3 +219,28 @@ func (NearestNeighbor) Flows(m *topo.Machine) loadcalc.FlowFunc {
 		return out
 	}
 }
+
+// named are the patterns selectable by name on command lines and in served
+// requests, in listing order.
+var named = []Pattern{
+	Uniform{}, NHop{N: 1}, NHop{N: 2}, Tornado(), ReverseTornado(), BitComplement(), NearestNeighbor{},
+}
+
+// Names lists every pattern name ByName resolves.
+func Names() []string {
+	out := make([]string, len(named))
+	for i, p := range named {
+		out[i] = p.Name()
+	}
+	return out
+}
+
+// ByName resolves a pattern by its Name.
+func ByName(name string) (Pattern, bool) {
+	for _, p := range named {
+		if p.Name() == name {
+			return p, true
+		}
+	}
+	return nil, false
+}

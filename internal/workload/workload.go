@@ -118,26 +118,33 @@ func (s Spec) WithDefaults() Spec {
 // unbounded amount of simulation.
 func (s Spec) Validate() error {
 	s = s.WithDefaults()
-	check := func(name string, v, lo, hi int) error {
-		if v < lo || v > hi {
-			return fmt.Errorf("workload: %s = %d outside [%d, %d]", name, v, lo, hi)
-		}
-		return nil
-	}
-	for _, err := range []error{
-		check("haloradius", s.HaloRadius, 1, 8),
-		check("halopackets", s.HaloPackets, 1, 1024),
-		check("haloburst", s.HaloBurst, 1, 256),
-		check("fanoutradius", s.FanoutRadius, 1, 8),
-		check("multicasts", s.Multicasts, 1, 64),
-		check("reducepackets", s.ReducePackets, 1, 256),
-		check("timesteps", s.Timesteps, 1, 64),
+	for _, c := range []RangeError{
+		{"halo", s.HaloRadius, 1, 8},
+		{"halopackets", s.HaloPackets, 1, 1024},
+		{"haloburst", s.HaloBurst, 1, 256},
+		{"fanout", s.FanoutRadius, 1, 8},
+		{"multicasts", s.Multicasts, 1, 64},
+		{"reducepackets", s.ReducePackets, 1, 256},
+		{"timesteps", s.Timesteps, 1, 64},
 	} {
-		if err != nil {
-			return err
+		if c.Value < c.Lo || c.Value > c.Hi {
+			return &c
 		}
 	}
 	return nil
+}
+
+// RangeError is Validate's failure: one knob outside its bounds. Field is
+// the knob's request-layer spelling (halo, halopackets, haloburst, fanout,
+// multicasts, reducepackets, timesteps), so a caller can name the offending
+// input.
+type RangeError struct {
+	Field         string
+	Value, Lo, Hi int
+}
+
+func (e *RangeError) Error() string {
+	return fmt.Sprintf("workload: %s = %d outside [%d, %d]", e.Field, e.Value, e.Lo, e.Hi)
 }
 
 // Canonical renders the spec (defaults applied) as a single deterministic
