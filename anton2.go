@@ -116,30 +116,6 @@ func NewMachine(cfg Config) (*Machine, error) { return machine.New(cfg) }
 // CyclesToNS converts 1.5 GHz network cycles to nanoseconds.
 func CyclesToNS(cycles float64) float64 { return machine.CyclesToNS(cycles) }
 
-// Cycle-kernel benchmark (simulator speed, not a paper result).
-type (
-	// KernelConfig describes one cycle-kernel measurement.
-	KernelConfig = core.KernelConfig
-	// KernelResult is one measured cycles/sec point.
-	KernelResult = core.KernelResult
-	// KernelWorkload selects the kernel traffic shape.
-	KernelWorkload = core.KernelWorkload
-)
-
-// Kernel workloads.
-const (
-	// KernelSparse trickles packets between a few distant endpoints —
-	// the active-set scheduler's best case.
-	KernelSparse = core.KernelSparse
-	// KernelSaturated bursts uniform traffic from every core endpoint —
-	// the scheduler's break-even case.
-	KernelSaturated = core.KernelSaturated
-)
-
-// RunKernel measures simulated cycles per wall-clock second for one engine
-// configuration and workload.
-func RunKernel(cfg KernelConfig) (KernelResult, error) { return core.RunKernel(cfg) }
-
 // Observability (attach via Config.Telemetry; never perturbs results).
 type (
 	// TelemetryOptions tunes the opt-in zero-cost-off telemetry collector:

@@ -393,50 +393,3 @@ func BenchmarkAblationSlices(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkCycleKernel measures the simulator's own speed — simulated
-// cycles per wall-clock second — for each cycle-engine configuration on the
-// two workloads that bracket its operating range: a sparse trickle (most
-// components idle most cycles; the active-set scheduler's best case) and a
-// saturated uniform burst (near-peak occupancy; its break-even case). Every
-// engine simulates the identical deterministic workload, so the cycles/sec
-// ratios are apples-to-apples; cmd/anton2bench's kernelbench experiment
-// writes the same measurements to BENCH_7.json and gates CI on the
-// active/scan speedup ratio. ANTON2_BENCH_FULL=1 adds the 8x8x8 and
-// 16x16x16 paper-scale machines.
-func BenchmarkCycleKernel(b *testing.B) {
-	shapes := []Shape{NewShape(8, 4, 2)}
-	if fullScale() {
-		shapes = append(shapes, NewShape(8, 8, 8), NewShape(16, 16, 16))
-	}
-	engines := []struct {
-		name   string
-		mutate func(*Config)
-	}{
-		{"scan", func(c *Config) { c.Engine = EngineScan }},
-		{"active", func(c *Config) { c.Engine = EngineActive }},
-		{"active-sharded4", func(c *Config) { c.Shards = 4 }},
-	}
-	for _, shape := range shapes {
-		for _, wl := range []KernelWorkload{KernelSparse, KernelSaturated} {
-			for _, eng := range engines {
-				name := fmt.Sprintf("%dx%dx%d/%s/%s", shape.K[0], shape.K[1], shape.K[2], wl, eng.name)
-				b.Run(name, func(b *testing.B) {
-					for i := 0; i < b.N; i++ {
-						mc := DefaultConfig(shape)
-						eng.mutate(&mc)
-						r, err := RunKernel(KernelConfig{Machine: mc, Workload: wl})
-						if err != nil {
-							b.Fatal(err)
-						}
-						b.ReportMetric(r.CyclesPerSec, "cycles/sec")
-						if i == 0 {
-							b.Logf("%s: %d cycles, %d packets, %.3fs wall = %.0f cycles/sec",
-								name, r.Cycles, r.Packets, r.WallSec, r.CyclesPerSec)
-						}
-					}
-				})
-			}
-		}
-	}
-}

@@ -9,13 +9,13 @@
 //	            [-shape KxKxK] [-cpuprofile file] [-memprofile file]
 //	            [-checkpoint-dir dir] [-checkpoint-every N] [-resume]
 //	            [-experiment name]
-//	            [fig4|fig9|fig10|fig11|fig12|fig13|table1|table2|fig3|fig2|deadlock|faultsweep|routecompare|mdstep|kernelbench|all]
+//	            [fig4|fig9|fig10|fig11|fig12|fig13|table1|table2|fig3|fig2|deadlock|faultsweep|routecompare|mdstep|all]
 //
 // Simulation figures also answer to topic aliases: throughput (fig9), blend
 // (fig10), latency (fig11), decomposition (fig12), energy (fig13),
 // robustness (faultsweep), routing (routecompare), timestep or workload
-// (mdstep), kernel (kernelbench). -experiment is an alternative spelling of
-// the positional experiment name.
+// (mdstep). -experiment is an alternative spelling of the positional
+// experiment name.
 //
 // -engine selects the cycle kernel: the default active-set scheduler ticks
 // only components with pending work and skips fully idle cycles; -engine
@@ -36,14 +36,6 @@
 // The headline saturation sweeps (fig9, fig10) default to the paper's full
 // 8x8x8 (512-node) machine, made tractable by the active-set engine; -shape
 // overrides the scale (e.g. -shape 8x4x2 for the pre-promotion machine).
-//
-// The kernelbench experiment (excluded from `all`) measures the simulator's
-// own speed — simulated cycles/sec per engine on sparse and saturated
-// workloads at 8x4x2, 8x8x8, and 16x16x16 (-quick: 8x4x2 only) — and writes
-// the -benchout artifact (default BENCH_7.json). With -baseline, it exits
-// nonzero if any (shape, workload) active/scan speedup ratio fell more than
-// 15% below the baseline artifact's; CI gates on the ratio because raw
-// cycles/sec is host-dependent.
 //
 // The routecompare experiment scores every registered routing strategy
 // head-to-head on one grid: static deadlock verdict, VC provisioning and
@@ -134,8 +126,6 @@ var (
 	engineFlag   *string
 	shardsFlag   *int
 	shapeFlag    *string
-	benchOut     *string
-	baselineFlag *string
 	expFlag      *string
 	ckptDir      *string
 	ckptEvery    *uint64
@@ -162,8 +152,6 @@ func registerFlags(fs *flag.FlagSet) {
 	engineFlag = fs.String("engine", "", "cycle engine: active (default) or scan (the reference every-component-every-cycle loop)")
 	shardsFlag = fs.Int("shards", 0, "step the machine across N goroutine shards (0/1 = serial; requires the active engine)")
 	shapeFlag = fs.String("shape", "", "saturation-experiment torus shape KxKxK (default 8x8x8, or 4x4x2 with -quick)")
-	benchOut = fs.String("benchout", "BENCH_7.json", "kernelbench: write the cycles/sec artifact to this file")
-	baselineFlag = fs.String("baseline", "", "kernelbench: fail if the active/scan speedup ratio regresses >15% against this artifact")
 	expFlag = fs.String("experiment", "", "experiment to run (same as the positional argument)")
 	ckptDir = fs.String("checkpoint-dir", "", "persist crash-recovery checkpoints under this directory")
 	ckptEvery = fs.Uint64("checkpoint-every", 0, "cycles between checkpoints (0 disables; requires -checkpoint-dir)")
@@ -176,13 +164,10 @@ const usageHint = "usage: anton2bench [-quick] [-parallel N] [-json dir] [-check
 // invocation, so `all` never re-runs a shared configuration.
 var resultCache = exp.NewCache()
 
-// experiment is one runnable name. skipAll entries run only when named
-// explicitly: kernelbench measures the simulator's own speed, not the paper's
-// evaluation.
+// experiment is one runnable name.
 type experiment struct {
-	name    string
-	run     func() error
-	skipAll bool
+	name string
+	run  func() error
 }
 
 // experiments lists every experiment in `all` execution order — the analytic
@@ -190,19 +175,19 @@ type experiment struct {
 // maps every other accepted spelling onto an experiment name.
 var experiments, aliases = func() ([]experiment, map[string]string) {
 	exps := []experiment{
-		{"fig4", fig4, false}, {"deadlock", deadlockCheck, false}, {"fig2", fig2, false}, {"fig3", fig3, false},
-		{"table1", table1, false}, {"table2", table2, false}, {"fig12", fig12, false},
+		{"fig4", fig4}, {"deadlock", deadlockCheck}, {"fig2", fig2}, {"fig3", fig3},
+		{"table1", table1}, {"table2", table2}, {"fig12", fig12},
 	}
-	names := map[string]string{"decomposition": "fig12", "kernel": "kernelbench"}
+	names := map[string]string{"decomposition": "fig12"}
 	for _, f := range core.Families() {
-		exps = append(exps, experiment{f.Figure, func() error { return runFamily(f) }, false})
+		exps = append(exps, experiment{f.Figure, func() error { return runFamily(f) }})
 		for _, alias := range append([]string{f.Name}, f.Aliases...) {
 			if alias != f.Figure {
 				names[alias] = f.Figure
 			}
 		}
 	}
-	return append(exps, experiment{"kernelbench", kernelbench, true}), names
+	return exps, names
 }()
 
 func validNames() []string {
@@ -311,12 +296,8 @@ func run(args []string, stderr io.Writer) int {
 		what = fig
 	}
 	if what == "all" {
-		failed, ran := 0, 0
+		failed := 0
 		for _, e := range experiments {
-			if e.skipAll {
-				continue
-			}
-			ran++
 			if err := e.run(); err != nil {
 				fmt.Fprintf(stderr, "anton2bench: %s failed: %v\n", e.name, err)
 				failed++
@@ -324,7 +305,7 @@ func run(args []string, stderr io.Writer) int {
 			fmt.Println()
 		}
 		if failed > 0 {
-			fmt.Fprintf(stderr, "anton2bench: %d of %d experiments failed\n", failed, ran)
+			fmt.Fprintf(stderr, "anton2bench: %d of %d experiments failed\n", failed, len(experiments))
 			return 1
 		}
 		return 0

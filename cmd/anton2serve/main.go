@@ -10,8 +10,6 @@
 //	anton2serve [-addr host:port] [-cache dir] [-workers N] [-point-parallel N]
 //	            [-max-queue N] [-queue-timeout d] [-run-timeout d] [-drain-timeout d]
 //	            [-checkpoint-every cycles]
-//	anton2serve -loadtest [-lt-requests N] [-lt-clients N] [-lt-seed N]
-//	            [-lt-shape KxKxK] [-lt-batch N]
 //
 // API:
 //
@@ -36,11 +34,6 @@
 // checkpoint-aware sweep point additionally persists a resumable simulation
 // snapshot at least every N simulated cycles, and a restarted server resumes
 // those points mid-run, bit-identical to an uninterrupted execution.
-//
-// With -loadtest, the binary instead starts a private server instance and
-// drives it with a seeded request mix derived from the repo's own traffic
-// pattern generators, reporting throughput, latency percentiles, and the
-// final cache-tier counters. Exit status 1 if any request failed.
 package main
 
 import (
@@ -59,7 +52,7 @@ import (
 	"anton2/internal/serve"
 )
 
-const usageHint = "usage: anton2serve [-addr host:port] [-cache dir] [-workers N] [-loadtest] (run with -h for the full list)"
+const usageHint = "usage: anton2serve [-addr host:port] [-cache dir] [-workers N] (run with -h for the full list)"
 
 var (
 	addr          *string
@@ -71,18 +64,11 @@ var (
 	runTimeout    *time.Duration
 	drainTimeout  *time.Duration
 	ckptEvery     *uint64
-
-	loadtest   *bool
-	ltRequests *int
-	ltClients  *int
-	ltSeed     *int64
-	ltShape    *string
-	ltBatch    *int
 )
 
 func registerFlags(fs *flag.FlagSet) {
 	addr = fs.String("addr", "127.0.0.1:8723", "listen address")
-	cacheDir = fs.String("cache", "", "persistent artifact-cache directory (default anton2serve-cache; a temp dir in -loadtest mode)")
+	cacheDir = fs.String("cache", "anton2serve-cache", "persistent artifact-cache directory")
 	workers = fs.Int("workers", 2, "concurrently executing runs")
 	pointParallel = fs.Int("point-parallel", 0, "per-run sweep-point worker pool (0 = one per run)")
 	maxQueue = fs.Int("max-queue", 16, "queued runs before submissions get 429")
@@ -90,22 +76,15 @@ func registerFlags(fs *flag.FlagSet) {
 	runTimeout = fs.Duration("run-timeout", 5*time.Minute, "max run execution time before cancellation with 504")
 	drainTimeout = fs.Duration("drain-timeout", 30*time.Second, "graceful-drain budget on SIGTERM before runs are cancelled")
 	ckptEvery = fs.Uint64("checkpoint-every", 0, "persist a resumable per-point snapshot at least every N simulated cycles (0 = off); with the run WAL this makes kill -9 recoverable mid-simulation")
-
-	loadtest = fs.Bool("loadtest", false, "self-load-test: start a private server and drive it with generated traffic")
-	ltRequests = fs.Int("lt-requests", 64, "loadtest: total submissions")
-	ltClients = fs.Int("lt-clients", 4, "loadtest: concurrent submitters")
-	ltSeed = fs.Int64("lt-seed", 1, "loadtest: draw-sequence seed")
-	ltShape = fs.String("lt-shape", "2x2x2", "loadtest: torus shape for pooled specs")
-	ltBatch = fs.Int("lt-batch", 32, "loadtest: per-point packet batch for pooled specs")
 }
 
 func main() {
-	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+	os.Exit(run(os.Args[1:], os.Stderr))
 }
 
 // run is the testable entry point: flag parsing and validation (exit 2 on
-// rejection with a one-line hint), then either serving or load-testing.
-func run(args []string, stdout, stderr io.Writer) int {
+// rejection with a one-line hint), then serving until signalled.
+func run(args []string, stderr io.Writer) int {
 	fs := flag.NewFlagSet("anton2serve", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	registerFlags(fs)
@@ -126,25 +105,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *queueTimeout < 0 || *runTimeout < 0 || *drainTimeout < 0 {
 		return reject(fmt.Errorf("timeouts must be >= 0"))
 	}
-	if *ltRequests <= 0 || *ltClients <= 0 {
-		return reject(fmt.Errorf("lt-requests and lt-clients must be > 0"))
-	}
 
-	dir := *cacheDir
-	if dir == "" {
-		if *loadtest {
-			tmp, err := os.MkdirTemp("", "anton2serve-loadtest-*")
-			if err != nil {
-				fmt.Fprintln(stderr, "anton2serve:", err)
-				return 1
-			}
-			defer os.RemoveAll(tmp)
-			dir = tmp
-		} else {
-			dir = "anton2serve-cache"
-		}
-	}
-	store, err := serve.OpenStore(dir)
+	store, err := serve.OpenStore(*cacheDir)
 	if err != nil {
 		fmt.Fprintln(stderr, "anton2serve:", err)
 		return 1
@@ -166,11 +128,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 
-	listenAddr := *addr
-	if *loadtest {
-		listenAddr = "127.0.0.1:0" // private instance, ephemeral port
-	}
-	ln, err := net.Listen("tcp", listenAddr)
+	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		fmt.Fprintln(stderr, "anton2serve:", err)
 		return 1
@@ -178,29 +136,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	hs := &http.Server{Handler: srv.Handler()}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()
-
-	if *loadtest {
-		defer srv.Close()
-		defer hs.Close()
-		report, err := serve.LoadTest(serve.LoadTestConfig{
-			BaseURL:     "http://" + ln.Addr().String(),
-			Clients:     *ltClients,
-			Requests:    *ltRequests,
-			Seed:        *ltSeed,
-			Shape:       *ltShape,
-			Batch:       *ltBatch,
-			WaitTimeout: *runTimeout,
-		})
-		if err != nil {
-			fmt.Fprintln(stderr, "anton2serve:", err)
-			return 1
-		}
-		fmt.Fprint(stdout, report)
-		if report.Errors > 0 {
-			return 1
-		}
-		return 0
-	}
 
 	fmt.Fprintf(stderr, "anton2serve: listening on http://%s (cache %s, %d workers)\n",
 		ln.Addr(), store.Dir(), *workers)

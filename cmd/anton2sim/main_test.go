@@ -44,6 +44,24 @@ func TestInvalidFlagsRejected(t *testing.T) {
 	}
 }
 
+// TestFlagInventory pins the exact flag set, read off the -h listing: an
+// option cannot appear, or reappear, without editing this test.
+func TestFlagInventory(t *testing.T) {
+	var out, errb bytes.Buffer
+	run([]string{"-h"}, &out, &errb)
+	var got []string
+	for _, line := range strings.Split(errb.String(), "\n") {
+		if rest, ok := strings.CutPrefix(line, "  -"); ok {
+			got = append(got, strings.Fields(rest)[0])
+		}
+	}
+	const want = "arbiter batch check checkpoint-dir checkpoint-every cpuprofile engine fault json " +
+		"memprofile pattern resume scheme seed shape shards telemetry"
+	if g := strings.Join(got, " "); g != want {
+		t.Errorf("flags = %s\nwant    %s", g, want)
+	}
+}
+
 // TestRunFaultFree exercises the full fault-free path on a tiny machine.
 func TestRunFaultFree(t *testing.T) {
 	var out, errb bytes.Buffer

@@ -1,9 +1,6 @@
 package ckpt
 
-import (
-	"os"
-	"time"
-)
+import "os"
 
 // RunConfig parameterizes checkpointing for a single run (one experiment
 // point). The zero value disables checkpointing entirely; every consumer of
@@ -20,10 +17,6 @@ type RunConfig struct {
 	// starting at cycle 0. Retried attempts set it unconditionally: a
 	// panicked or timed-out attempt restarts from the last snapshot.
 	Resume bool
-	// MinInterval, when positive, throttles writes by wall clock: a
-	// snapshot boundary closer than this to the previous write is skipped.
-	// The cycle counter still advances, so the next boundary writes.
-	MinInterval time.Duration
 }
 
 // Enabled reports whether this run takes checkpoints at all.
@@ -55,33 +48,24 @@ func (rc RunConfig) Discard() {
 	}
 }
 
-// Writer persists successive checkpoints of one run, applying the
-// wall-clock throttle and atomic-replace discipline. It is driven from the
-// engine's checkpoint hook, which runs on the coordinating goroutine, so it
-// needs no locking.
+// Writer persists successive checkpoints of one run with the atomic-replace
+// discipline. It is driven from the engine's checkpoint hook, which runs on
+// the coordinating goroutine, so it needs no locking.
 type Writer struct {
-	rc   RunConfig
-	last time.Time
-	err  error
+	rc  RunConfig
+	err error
 }
 
 // NewWriter returns a writer for the run config.
 func NewWriter(rc RunConfig) *Writer { return &Writer{rc: rc} }
 
-// Save writes the checkpoint unless the wall-clock throttle suppresses it.
-// The first error is sticky and returned from every later call: a run whose
-// checkpoints stopped persisting should surface that once at the end rather
-// than fail mid-flight (the simulation itself is unaffected).
+// Save writes the checkpoint. The first error is sticky and returned from
+// every later call: a run whose checkpoints stopped persisting should surface
+// that once at the end rather than fail mid-flight (the simulation itself is
+// unaffected).
 func (w *Writer) Save(c *Checkpoint) error {
 	if w.err != nil {
 		return w.err
-	}
-	if w.rc.MinInterval > 0 {
-		now := time.Now()
-		if !w.last.IsZero() && now.Sub(w.last) < w.rc.MinInterval {
-			return nil
-		}
-		w.last = now
 	}
 	w.err = WriteFile(w.rc.Path, c)
 	return w.err

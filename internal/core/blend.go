@@ -3,14 +3,12 @@ package core
 import (
 	"fmt"
 	"io"
+	"math/rand"
 
 	"anton2/internal/arbiter"
 	"anton2/internal/exp"
 	"anton2/internal/loadcalc"
 	"anton2/internal/machine"
-	"anton2/internal/packet"
-	"anton2/internal/route"
-	"anton2/internal/sim"
 	"anton2/internal/topo"
 	"anton2/internal/traffic"
 )
@@ -96,47 +94,31 @@ func RunBlend(cfg BlendConfig) (BlendResult, error) {
 	}
 
 	tm := m.Topo
-	cores := tm.Chip.CoreEndpoints()
-	total := uint64(tm.NumNodes() * len(cores) * cfg.Batch)
+	total := uint64(tm.NumNodes() * len(tm.Chip.CoreEndpoints()) * cfg.Batch)
 
 	// Pattern labels: under single-weight modes every packet is labeled
 	// pattern 0 (there is only one weight set); under Both, tornado
 	// packets are pattern 0 and reverse packets pattern 1.
-	for n := 0; n < tm.NumNodes(); n++ {
-		for _, ep := range cores {
-			src := topo.NodeEp{Node: n, Ep: ep}
-			rng := sim.NewRNG(mcfg.Seed, fmt.Sprintf("blend-src-%d-%d", n, ep))
-			sent := 0
-			nFwd := int(float64(cfg.Batch)*cfg.ForwardFraction + 0.5)
-			m.Endpoint(src).Source = func() *packet.Packet {
-				if sent >= cfg.Batch {
-					return nil
-				}
-				// Interleave forward/reverse sends in proportion.
-				var isFwd bool
-				if nFwd >= cfg.Batch {
-					isFwd = true
-				} else if nFwd <= 0 {
-					isFwd = false
-				} else {
-					isFwd = rng.Float64() < cfg.ForwardFraction
-				}
-				sent++
-				var dst topo.NodeEp
-				var pid uint8
-				if isFwd {
-					dst = fwd.Dest(tm, src, rng)
-					pid = 0
-				} else {
-					dst = rev.Dest(tm, src, rng)
-					if cfg.Weights == WeightsBoth {
-						pid = 1
-					}
-				}
-				return m.MakeRandomPacket(src, dst, route.ClassRequest, pid, rng)
-			}
+	nFwd := int(float64(cfg.Batch)*cfg.ForwardFraction + 0.5)
+	injectBatches(m, "blend", cfg.Batch, nil, func(src topo.NodeEp, rng *rand.Rand) (topo.NodeEp, uint8) {
+		// Interleave forward/reverse sends in proportion.
+		var isFwd bool
+		if nFwd >= cfg.Batch {
+			isFwd = true
+		} else if nFwd <= 0 {
+			isFwd = false
+		} else {
+			isFwd = rng.Float64() < cfg.ForwardFraction
 		}
-	}
+		if isFwd {
+			return fwd.Dest(tm, src, rng), 0
+		}
+		var pid uint8
+		if cfg.Weights == WeightsBoth {
+			pid = 1
+		}
+		return rev.Dest(tm, src, rng), pid
+	})
 
 	maxCycles := cfg.MaxCycles
 	if maxCycles == 0 {

@@ -78,8 +78,8 @@ func ckptGuard(rc ckpt.RunConfig, mc machine.Config) error {
 }
 
 // saveRunCkpt captures the machine, pairs the snapshot with the runner's
-// driver section, and persists the checkpoint through the writer's throttle
-// and atomic-replace discipline. Write failures are sticky in the writer and
+// driver section, and persists the checkpoint through the writer's
+// atomic-replace discipline. Write failures are sticky in the writer and
 // deliberately do not interrupt the simulation.
 func saveRunCkpt(w *ckpt.Writer, m *machine.Machine, tag string, driver any) {
 	snap, err := m.Snapshot()

@@ -3,13 +3,12 @@ package core
 import (
 	"fmt"
 	"io"
+	"math/rand"
 
 	"anton2/internal/exp"
 	"anton2/internal/fault"
 	"anton2/internal/machine"
 	"anton2/internal/packet"
-	"anton2/internal/route"
-	"anton2/internal/sim"
 	"anton2/internal/stats"
 	"anton2/internal/topo"
 	"anton2/internal/traffic"
@@ -74,7 +73,7 @@ func RunFaultPoint(cfg FaultConfig) (FaultPoint, error) {
 		pt.Spec = cfg.Machine.Fault.Canonical()
 		pt.CorruptRate = cfg.Machine.Fault.CorruptRate
 	}
-	end, lats, err := runLatencyBatch(m, cfg.Machine.Seed, "fault", cfg.Pattern, cfg.Batch, satRate, cfg.MaxCycles)
+	end, lats, err := runLatencyBatch(m, "fault", cfg.Pattern, cfg.Batch, satRate, cfg.MaxCycles)
 	if err != nil {
 		return pt, fmt.Errorf("core: fault run (%s): %w", pt.Spec, err)
 	}
@@ -91,32 +90,19 @@ func RunFaultPoint(cfg FaultConfig) (FaultPoint, error) {
 }
 
 // runLatencyBatch is the measurement body faultsweep and routecompare points
-// share: every core injects batch packets drawn from pattern on its own
-// "<stream>-src-<node>-<ep>" RNG stream, every delivery records its
+// share: every core injects batch packets drawn from pattern (injectBatches
+// under the given stream prefix), every delivery records its
 // injection-to-delivery latency in cycles, and the run — checked by
 // FinishChecks — ends when the last packet arrives. maxCycles 0 means the
 // throughput default doubled (100x the lossless ideal, floor 400k cycles):
 // retransmission, stall and reroute overhead stretches completion well past
 // the ideal.
-func runLatencyBatch(m *machine.Machine, seed uint64, stream string, pattern traffic.Pattern, batch int, satRate float64, maxCycles uint64) (end uint64, lats []float64, err error) {
+func runLatencyBatch(m *machine.Machine, stream string, pattern traffic.Pattern, batch int, satRate float64, maxCycles uint64) (end uint64, lats []float64, err error) {
 	tm := m.Topo
-	cores := tm.Chip.CoreEndpoints()
-	total := uint64(tm.NumNodes() * len(cores) * batch)
-	for n := 0; n < tm.NumNodes(); n++ {
-		for _, ep := range cores {
-			src := topo.NodeEp{Node: n, Ep: ep}
-			rng := sim.NewRNG(seed, fmt.Sprintf("%s-src-%d-%d", stream, n, ep))
-			sent := 0
-			m.Endpoint(src).Source = func() *packet.Packet {
-				if sent >= batch {
-					return nil
-				}
-				sent++
-				dst := pattern.Dest(tm, src, rng)
-				return m.MakeRandomPacket(src, dst, route.ClassRequest, 0, rng)
-			}
-		}
-	}
+	total := uint64(tm.NumNodes() * len(tm.Chip.CoreEndpoints()) * batch)
+	injectBatches(m, stream, batch, nil, func(src topo.NodeEp, rng *rand.Rand) (topo.NodeEp, uint8) {
+		return pattern.Dest(tm, src, rng), 0
+	})
 	lats = make([]float64, 0, total)
 	onDeliver := func(p *packet.Packet, now uint64) bool {
 		lats = append(lats, float64(now-p.InjectedAt))

@@ -10,48 +10,28 @@ import (
 	"anton2/internal/topo"
 )
 
-// This file is the cycle-kernel benchmark: it measures the simulator's own
-// speed (simulated cycles per wall-clock second), not any property of the
-// modeled network. Two workload shapes bracket the scheduler's operating
-// range: a sparse trickle where almost every component is idle almost every
-// cycle (the active-set scheduler's best case — paper-scale machines spend
-// most of their area waiting), and a saturated uniform burst where nearly
-// every component has work every cycle (the scheduler's break-even case).
-// Both workloads are deterministic, so every engine configuration simulates
-// the exact same cycle count and cycles/sec ratios are apples-to-apples.
+// This file is the cycle-kernel probe benchmark/ times: it measures the
+// simulator's own speed (simulated cycles per wall-clock second), not any
+// property of the modeled network, on a sparse trickle where almost every
+// component is idle almost every cycle (the active-set scheduler's best case
+// — paper-scale machines spend most of their area waiting). The workload is
+// deterministic, so every engine configuration simulates the exact same
+// cycle count and cycles/sec ratios are apples-to-apples.
 
 // KernelWorkload selects the traffic shape for the cycle-kernel benchmark.
 type KernelWorkload int
 
-// Kernel workloads.
-const (
-	// KernelSparse trickles packets between a few distant endpoint pairs
-	// on a fixed schedule.
-	KernelSparse KernelWorkload = iota
-	// KernelSaturated bursts a batch of uniform-random traffic from every
-	// core endpoint at cycle 0.
-	KernelSaturated
-)
+// KernelSparse trickles 16 packets from each of 8 endpoints spread across the
+// torus (fewer on machines with fewer nodes) to its antipode, one every 512
+// cycles.
+const KernelSparse KernelWorkload = iota
 
-func (w KernelWorkload) String() string {
-	return [...]string{"sparse", "saturated"}[w]
-}
+func (w KernelWorkload) String() string { return "sparse" }
 
 // KernelConfig describes one cycle-kernel measurement.
 type KernelConfig struct {
 	Machine  machine.Config
 	Workload KernelWorkload
-	// Senders is the number of trickling endpoints (sparse; 0 = 8,
-	// clamped to the node count).
-	Senders int
-	// PerSender packets per trickling endpoint (sparse; 0 = 16).
-	PerSender int
-	// Gap is the injection period per sender in cycles (sparse; 0 = 512).
-	Gap uint64
-	// Batch packets per core endpoint (saturated; 0 = 4).
-	Batch int
-	// MaxCycles bounds the run (0 = a generous default).
-	MaxCycles uint64
 }
 
 // KernelResult is one measured kernel point.
@@ -82,6 +62,9 @@ func engineName(cfg machine.Config) string {
 // RunKernel builds a machine, loads the workload, and measures wall time
 // over the simulation run only (construction and injection excluded).
 func RunKernel(cfg KernelConfig) (KernelResult, error) {
+	if cfg.Workload != KernelSparse {
+		return KernelResult{}, fmt.Errorf("core: unknown kernel workload %d", cfg.Workload)
+	}
 	m, err := machine.New(cfg.Machine)
 	if err != nil {
 		return KernelResult{}, err
@@ -89,78 +72,33 @@ func RunKernel(cfg KernelConfig) (KernelResult, error) {
 	tm := m.Topo
 	cores := tm.Chip.CoreEndpoints()
 
+	const per, gap = 16, 512
+	senders := min(8, tm.NumNodes())
+	// Spread senders across the torus; each targets the antipodal node,
+	// maximizing hops (and the set of briefly-busy routers).
+	stride := tm.NumNodes() / senders
 	var total uint64
-	switch cfg.Workload {
-	case KernelSparse:
-		senders, per, gap := cfg.Senders, cfg.PerSender, cfg.Gap
-		if senders == 0 {
-			senders = 8
+	for i := 0; i < senders; i++ {
+		srcNode := i * stride
+		c := tm.Shape.Coord(srcNode)
+		anti := tm.Shape.Wrap(topo.NodeCoord{
+			X: c.X + tm.Shape.K[topo.DimX]/2,
+			Y: c.Y + tm.Shape.K[topo.DimY]/2,
+			Z: c.Z + tm.Shape.K[topo.DimZ]/2,
+		})
+		src := topo.NodeEp{Node: srcNode, Ep: cores[0]}
+		dst := topo.NodeEp{Node: tm.Shape.NodeID(anti), Ep: cores[len(cores)-1]}
+		rng := sim.NewRNG(cfg.Machine.Seed, fmt.Sprintf("kernel-sparse-%d", i))
+		for j := 0; j < per; j++ {
+			p := m.MakeRandomPacket(src, dst, route.ClassRequest, 0, rng)
+			p.NotBefore = 1 + uint64(j)*gap
+			m.Endpoint(src).Inject(p)
+			total++
 		}
-		if senders > tm.NumNodes() {
-			senders = tm.NumNodes()
-		}
-		if per == 0 {
-			per = 16
-		}
-		if gap == 0 {
-			gap = 512
-		}
-		// Spread senders across the torus; each targets the antipodal
-		// node, maximizing hops (and the set of briefly-busy routers).
-		stride := tm.NumNodes() / senders
-		for i := 0; i < senders; i++ {
-			srcNode := i * stride
-			c := tm.Shape.Coord(srcNode)
-			anti := tm.Shape.Wrap(topo.NodeCoord{
-				X: c.X + tm.Shape.K[topo.DimX]/2,
-				Y: c.Y + tm.Shape.K[topo.DimY]/2,
-				Z: c.Z + tm.Shape.K[topo.DimZ]/2,
-			})
-			src := topo.NodeEp{Node: srcNode, Ep: cores[0]}
-			dst := topo.NodeEp{Node: tm.Shape.NodeID(anti), Ep: cores[len(cores)-1]}
-			rng := sim.NewRNG(cfg.Machine.Seed, fmt.Sprintf("kernel-sparse-%d", i))
-			for j := 0; j < per; j++ {
-				p := m.MakeRandomPacket(src, dst, route.ClassRequest, 0, rng)
-				p.NotBefore = 1 + uint64(j)*gap
-				m.Endpoint(src).Inject(p)
-				total++
-			}
-		}
-	case KernelSaturated:
-		batch := cfg.Batch
-		if batch == 0 {
-			batch = 4
-		}
-		for n := 0; n < tm.NumNodes(); n++ {
-			for _, ep := range cores {
-				src := topo.NodeEp{Node: n, Ep: ep}
-				rng := sim.NewRNG(cfg.Machine.Seed, fmt.Sprintf("kernel-sat-%d-%d", n, ep))
-				for j := 0; j < batch; j++ {
-					var dst topo.NodeEp
-					for {
-						dst = topo.NodeEp{
-							Node: rng.Intn(tm.NumNodes()),
-							Ep:   cores[rng.Intn(len(cores))],
-						}
-						if dst != src {
-							break
-						}
-					}
-					m.Endpoint(src).Inject(m.MakeRandomPacket(src, dst, route.ClassRequest, 0, rng))
-					total++
-				}
-			}
-		}
-	default:
-		return KernelResult{}, fmt.Errorf("core: unknown kernel workload %d", cfg.Workload)
 	}
 
-	maxCycles := cfg.MaxCycles
-	if maxCycles == 0 {
-		maxCycles = 8_000_000
-	}
 	start := time.Now()
-	end, err := m.RunUntilDelivered(total, maxCycles)
+	end, err := m.RunUntilDelivered(total, 8_000_000)
 	wall := time.Since(start).Seconds()
 	if err != nil {
 		return KernelResult{}, fmt.Errorf("core: kernel run (%s): %w", cfg.Workload, err)

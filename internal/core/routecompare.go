@@ -123,7 +123,7 @@ func RunRouteComparePoint(cfg RouteCompareConfig) (RouteComparePoint, error) {
 	pt.SatRate = satRate
 	pt.MeanTorusHops = measured.MeanTorusHops
 
-	end, lats, err := runLatencyBatch(m, cfg.Machine.Seed, "rc", cfg.Pattern, cfg.Batch, satRate, cfg.MaxCycles)
+	end, lats, err := runLatencyBatch(m, "rc", cfg.Pattern, cfg.Batch, satRate, cfg.MaxCycles)
 	if err != nil {
 		return pt, fmt.Errorf("core: routecompare %s (faillinks=%d): %w", pt.Strategy, pt.FailLinks, err)
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"io"
+	"math/rand"
 
 	"anton2/internal/arbiter"
 	"anton2/internal/ckpt"
@@ -114,34 +115,16 @@ func RunThroughputCkpt(cfg ThroughputConfig, rc ckpt.RunConfig) (ThroughputResul
 		}
 	}
 
-	ci := 0
-	for n := 0; n < tm.NumNodes(); n++ {
-		for _, ep := range cores {
-			src := topo.NodeEp{Node: n, Ep: ep}
-			if !resumed {
-				remaining[tm.EndpointIndex(src)] = cfg.Batch
+	if !resumed {
+		for n := 0; n < tm.NumNodes(); n++ {
+			for _, ep := range cores {
+				remaining[tm.EndpointIndex(topo.NodeEp{Node: n, Ep: ep})] = cfg.Batch
 			}
-			rng := sim.NewRNG(cfg.Machine.Seed, fmt.Sprintf("tp-src-%d-%d", n, ep))
-			// Fast-forward the stream past the draws of every packet this
-			// core injected before the checkpoint: the pattern destination,
-			// then the route choices MakeRandomPacket draws.
-			for k := 0; k < sent[ci]; k++ {
-				cfg.Pattern.Dest(tm, src, rng)
-				route.RandomChoices(rng)
-			}
-			i := ci
-			m.Endpoint(src).Source = func() *packet.Packet {
-				if sent[i] >= cfg.Batch {
-					return nil
-				}
-				sent[i]++
-				dst := cfg.Pattern.Dest(tm, src, rng)
-				p := m.MakeRandomPacket(src, dst, route.ClassRequest, cfg.PatternID, rng)
-				return p
-			}
-			ci++
 		}
 	}
+	injectBatches(m, "tp", cfg.Batch, sent, func(src topo.NodeEp, rng *rand.Rand) (topo.NodeEp, uint8) {
+		return cfg.Pattern.Dest(tm, src, rng), cfg.PatternID
+	})
 	onDeliver := func(p *packet.Packet, now uint64) bool {
 		i := tm.EndpointIndex(p.Src)
 		remaining[i]--
@@ -185,6 +168,43 @@ func RunThroughputCkpt(cfg ThroughputConfig, rc ckpt.RunConfig) (ThroughputResul
 		MaxUtilization:  maxU,
 		Fairness:        stats.JainIndex(finished),
 	}, nil
+}
+
+// injectBatches makes every core endpoint, in (node, core) order, the source
+// of batch request packets: each packet's destination and weight-pattern
+// label come from draw, then its route choices from MakeRandomPacket, all on
+// the core's own "<stream>-src-<node>-<ep>" RNG stream. sent counts, in the
+// same order, the packets each core has already injected — all zero for a
+// fresh run (nil allocates them); a resumed run passes its checkpointed
+// counts and each stream is fast-forwarded past exactly those packets' draws.
+func injectBatches(m *machine.Machine, stream string, batch int, sent []int,
+	draw func(src topo.NodeEp, rng *rand.Rand) (dst topo.NodeEp, patternID uint8)) {
+	tm := m.Topo
+	cores := tm.Chip.CoreEndpoints()
+	if sent == nil {
+		sent = make([]int, tm.NumNodes()*len(cores))
+	}
+	i := 0
+	for n := 0; n < tm.NumNodes(); n++ {
+		for _, ep := range cores {
+			src := topo.NodeEp{Node: n, Ep: ep}
+			rng := sim.NewRNG(m.Cfg.Seed, fmt.Sprintf("%s-src-%d-%d", stream, n, ep))
+			for k := 0; k < sent[i]; k++ {
+				draw(src, rng)
+				route.RandomChoices(rng)
+			}
+			count := &sent[i]
+			m.Endpoint(src).Source = func() *packet.Packet {
+				if *count >= batch {
+					return nil
+				}
+				*count++
+				dst, pid := draw(src, rng)
+				return m.MakeRandomPacket(src, dst, route.ClassRequest, pid, rng)
+			}
+			i++
+		}
+	}
 }
 
 // ThroughputSweep runs a batch-size sweep (one Figure 9 curve) through the

@@ -75,10 +75,9 @@ type Options struct {
 // whole-process restart case, where a previous invocation's checkpoints are
 // still on disk. The zero value disables checkpointing.
 type CheckpointOptions struct {
-	Dir         string
-	Every       uint64
-	MinInterval time.Duration
-	Resume      bool
+	Dir    string
+	Every  uint64
+	Resume bool
 }
 
 // runConfig derives one attempt's checkpoint config. The file name pins
@@ -86,10 +85,9 @@ type CheckpointOptions struct {
 // a stale file from a different run sharing the path is ignored on load.
 func (c CheckpointOptions) runConfig(hash string, seed uint64, retried bool) ckpt.RunConfig {
 	return ckpt.RunConfig{
-		Path:        filepath.Join(c.Dir, fmt.Sprintf("%s-%016x.ckpt", hash, seed)),
-		Every:       c.Every,
-		MinInterval: c.MinInterval,
-		Resume:      c.Resume || retried,
+		Path:   filepath.Join(c.Dir, fmt.Sprintf("%s-%016x.ckpt", hash, seed)),
+		Every:  c.Every,
+		Resume: c.Resume || retried,
 	}
 }
 

@@ -27,7 +27,7 @@ type Metrics struct {
 
 	// Request-level cache accounting, by tier.
 	HitsFlight atomic.Uint64 // collapsed onto an identical in-flight run
-	HitsMemory atomic.Uint64 // served from the in-process artifact cache
+	HitsMemory atomic.Uint64 // served by a completed run still in the run registry
 	HitsDisk   atomic.Uint64 // served from the persistent store
 	Misses     atomic.Uint64 // required a fresh simulation
 

@@ -2,25 +2,23 @@
 // an HTTP/JSON server that accepts experiment specs (the same families
 // anton2bench runs), validates them with the CLI's exit-2 rigor (HTTP 400),
 // collapses identical in-flight submissions onto one simulation through the
-// internal/exp singleflight cache keyed by canonical spec, shards sweep
-// points across the exp worker pool, and returns content-addressed
-// artifacts that are byte-identical to anton2bench's canonical artifacts
-// for the same specs.
+// run registry keyed by canonical-spec hash, shards sweep points across the
+// exp worker pool, and returns content-addressed artifacts that are
+// byte-identical to anton2bench's canonical artifacts for the same specs.
 //
 // The result cache has three tiers, checked in order at submission:
 //
 //  1. flight — an identical run is queued or executing; the submission
 //     attaches to it (exactly one simulation runs for N identical POSTs);
-//  2. memory — the in-process artifact cache (an exp.Cache keyed by the
-//     request's canonical spec) already holds the bytes;
+//  2. memory — the same run registry holds the completed run and its
+//     artifact bytes;
 //  3. disk — the persistent Store (content-addressed by spec hash) holds
 //     the artifact from an earlier run or an earlier process; restarts
 //     serve warm specs without re-simulation.
 //
 // Overload degrades with typed responses instead of unbounded queueing: a
 // full admission queue returns 429, a request that cannot start or finish
-// inside its deadline returns 504 (reusing the exp AttemptTimeout/Backoff
-// machinery for per-point bounds), and a draining server returns 503.
+// inside its deadline returns 504, and a draining server returns 503.
 // Live progress streams per run over SSE, fed per completed sweep point by
 // the exp.Options.OnResult hook and per sampling window by the telemetry
 // AfterStep progress hook.
@@ -63,12 +61,6 @@ type Config struct {
 	// RunTimeout bounds one run's execution; expiry cancels the sweep's
 	// remaining points and fails the run with 504 (default 5m).
 	RunTimeout time.Duration
-	// AttemptTimeout / Backoff / Retries are passed to the exp pool
-	// (per-point attempt deadline and retry policy). AttemptTimeout
-	// defaults to RunTimeout.
-	AttemptTimeout time.Duration
-	Backoff        time.Duration
-	Retries        int
 	// LiveProgress attaches a telemetry progress hook to every simulated
 	// point so SSE clients see cycle-level liveness between point
 	// completions (default on; disable for minimum overhead).
@@ -104,9 +96,6 @@ func (c *Config) withDefaults() Config {
 	if out.RunTimeout <= 0 {
 		out.RunTimeout = 5 * time.Minute
 	}
-	if out.AttemptTimeout <= 0 {
-		out.AttemptTimeout = out.RunTimeout
-	}
 	if out.Logf == nil {
 		out.Logf = func(string, ...any) {}
 	}
@@ -123,11 +112,10 @@ const (
 
 // run is one submission's lifecycle. Identical submissions share one run.
 type run struct {
-	id        string
-	canonical string
-	family    string
-	total     int
-	cache     string // tier that satisfied the submission: "", flight, memory, disk
+	id     string
+	family string
+	total  int
+	cache  string // tier that satisfied the submission: "", flight, memory, disk
 
 	done   atomic.Int64  // completed sweep points
 	cycles atomic.Uint64 // simulated cycles (live, via telemetry progress)
@@ -236,13 +224,13 @@ type Server struct {
 	store   *Store
 	metrics Metrics
 
-	// artifacts is the in-process memory tier and request-level
-	// singleflight: canonical request spec -> artifact bytes.
-	artifacts *exp.Cache
 	// points is the point-level singleflight shared by every run, so two
 	// different sweeps overlapping in a point still simulate it once.
 	points *exp.Cache
 
+	// runs is the flight and memory tiers in one registry, keyed by run id
+	// (the canonical request spec's hash): a queued or executing entry
+	// absorbs identical submissions, a completed one serves its bytes.
 	mu     sync.Mutex
 	runs   map[string]*run
 	queued int // runs in StateQueued (admission bound)
@@ -281,7 +269,6 @@ func NewServer(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:       c,
 		store:     c.Store,
-		artifacts: exp.NewCache(),
 		points:    exp.NewCache(),
 		runs:      map[string]*run{},
 		slots:     make(chan struct{}, c.Workers),
@@ -448,10 +435,6 @@ func (s *Server) Submit(req *Request) (*run, error) {
 		}
 	}
 
-	// Memory tier: the artifact cache may hold bytes even when the run
-	// registry does not (an earlier failed run that still produced them is
-	// impossible — failures Forget — but keep the tier check cheap and
-	// uniform with a plain cache probe via the disk path below).
 	b, onDisk, derr := s.store.LoadArtifact(id)
 	if derr != nil {
 		s.mu.Unlock()
@@ -459,7 +442,7 @@ func (s *Server) Submit(req *Request) (*run, error) {
 	}
 	if onDisk {
 		s.metrics.HitsDisk.Add(1)
-		r := s.completedRun(id, c.canonical, c.fam.Name, b)
+		r := s.completedRun(id, c.fam.Name, b)
 		s.runs[id] = r
 		s.mu.Unlock()
 		// A surviving WAL entry for an artifact that did reach disk is
@@ -474,12 +457,11 @@ func (s *Server) Submit(req *Request) (*run, error) {
 		return nil, ErrQueueFull
 	}
 	r := &run{
-		id:        id,
-		canonical: c.canonical,
-		family:    c.fam.Name,
-		total:     c.points,
-		state:     StateQueued,
-		doneCh:    make(chan struct{}),
+		id:     id,
+		family: c.fam.Name,
+		total:  c.points,
+		state:  StateQueued,
+		doneCh: make(chan struct{}),
 	}
 	s.runs[id] = r
 	s.queued++
@@ -503,15 +485,14 @@ func (s *Server) Submit(req *Request) (*run, error) {
 }
 
 // completedRun registers an already-satisfied run (disk hit).
-func (s *Server) completedRun(id, canonical, family string, artifact []byte) *run {
+func (s *Server) completedRun(id, family string, artifact []byte) *run {
 	r := &run{
-		id:        id,
-		canonical: canonical,
-		family:    family,
-		state:     StateCompleted,
-		cache:     "disk",
-		artifact:  artifact,
-		doneCh:    make(chan struct{}),
+		id:       id,
+		family:   family,
+		state:    StateCompleted,
+		cache:    "disk",
+		artifact: artifact,
+		doneCh:   make(chan struct{}),
 	}
 	if n := countArtifactPoints(artifact); n > 0 {
 		r.total = n
@@ -564,13 +545,8 @@ func (s *Server) execute(r *run, c *compiled) {
 	ctx, cancel := context.WithTimeout(s.baseCtx, s.cfg.RunTimeout)
 	defer cancel()
 
-	val, _, err := s.artifacts.Do(r.canonical, func() (any, error) {
-		return s.simulate(ctx, r, c)
-	})
+	artifact, err := s.simulate(ctx, r, c)
 	if err != nil {
-		// Non-deterministic failure (deadline, drain): do not let it
-		// stick to the spec's cache slot.
-		s.artifacts.Forget(r.canonical)
 		s.metrics.RunsFailed.Add(1)
 		if errors.Is(err, context.DeadlineExceeded) {
 			s.metrics.Rejected504.Add(1)
@@ -579,7 +555,6 @@ func (s *Server) execute(r *run, c *compiled) {
 		r.finish(StateFailed, nil, err)
 		return
 	}
-	artifact := val.([]byte)
 	s.metrics.RunsCompleted.Add(1)
 	r.finish(StateCompleted, artifact, nil)
 
@@ -616,12 +591,9 @@ func (s *Server) simulate(ctx context.Context, r *run, c *compiled) ([]byte, err
 	jobs := c.jobs(tel)
 	prevs := make([]uint64, len(jobs))
 	opts := exp.Options{
-		Name:           "run-" + r.id[:8],
-		Parallelism:    s.cfg.PointParallelism,
-		Cache:          s.points,
-		AttemptTimeout: s.cfg.AttemptTimeout,
-		Backoff:        s.cfg.Backoff,
-		Retries:        s.cfg.Retries,
+		Name:        "run-" + r.id[:8],
+		Parallelism: s.cfg.PointParallelism,
+		Cache:       s.points,
 		OnResult: func(res exp.Result) {
 			r.done.Add(1)
 			if res.Index < len(prevs) && res.Cycles > prevs[res.Index] {
@@ -714,7 +686,7 @@ func (s *Server) lookupRun(id string) (*run, bool) {
 	if r, ok := s.runs[id]; ok { // raced with a submission
 		return r, true
 	}
-	r = s.completedRun(id, "", "", b)
+	r = s.completedRun(id, "", b)
 	s.runs[id] = r
 	return r, true
 }

@@ -5,8 +5,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -472,39 +472,53 @@ func TestStatusAndArtifactEndpoints(t *testing.T) {
 	}
 }
 
-// TestLoadTestSmoke runs the self-load-test small against a live server and
-// sanity-checks the report shape.
-func TestLoadTestSmoke(t *testing.T) {
+// TestMixedFamiliesConcurrentClients: four closed-loop clients POST a seeded
+// draw, with repeats, over every family and every traffic pattern; every
+// reply is 200 and the repeats are served by a cache tier.
+func TestMixedFamiliesConcurrentClients(t *testing.T) {
 	if testing.Short() {
-		t.Skip("load test in -short mode")
+		t.Skip("24 cold-and-warm submissions in -short mode")
 	}
-	_, ts := newTestServer(t, Config{Workers: 4})
-	report, err := LoadTest(LoadTestConfig{
-		BaseURL:  ts.URL,
-		Clients:  4,
-		Requests: 24,
-		Batch:    8,
-	})
-	if err != nil {
-		t.Fatal(err)
+	s, ts := newTestServer(t, Config{Workers: 4})
+	pool := []*Request{
+		{Family: "faultsweep", Shape: "2x2x2", Pattern: "uniform", Rates: []float64{0, 0.01, 0.05}, Batch: 8},
+		{Family: "faultsweep", Shape: "2x2x2", Pattern: "tornado", Rates: []float64{0, 0.02}, Batch: 8, Fault: "stall=0.001"},
+		{Family: "blend", Shape: "2x2x2", Fractions: []float64{0, 0.5, 1}, Weights: "both", Batch: 8},
+		{Family: "latency", Shape: "2x2x2"},
+		{Family: "energy", Payload: "random", Flits: 64},
 	}
-	if report.Errors != 0 {
-		t.Fatalf("load test errors = %d\n%s", report.Errors, report)
+	for _, name := range PatternNames() {
+		pool = append(pool, &Request{Family: "throughput", Shape: "2x2x2", Pattern: name, Batches: []int{8}})
 	}
-	if report.ByStatus[http.StatusOK] != 24 {
-		t.Fatalf("OK count = %d, want 24\n%s", report.ByStatus[http.StatusOK], report)
+	rng := rand.New(rand.NewSource(1))
+	draws := make(chan []byte, 24)
+	for i := 0; i < cap(draws); i++ {
+		draws <- mustJSON(t, pool[rng.Intn(len(pool))])
 	}
-	if report.P50 <= 0 || report.P99 < report.P50 || report.Throughput <= 0 {
-		t.Fatalf("implausible percentiles/throughput: %+v", report)
+	close(draws)
+	var wg sync.WaitGroup
+	for c := 0; c < 4; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for body := range draws {
+				resp, err := http.Post(ts.URL+"/v1/runs?wait=1", "application/json", bytes.NewReader(body))
+				if err != nil {
+					t.Error(err)
+					continue
+				}
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					t.Errorf("status = %d for %s", resp.StatusCode, body)
+				}
+			}
+		}()
 	}
-	if report.Metrics["anton2serve_cache_hit_rate"] <= 0 {
-		t.Fatalf("expected repeated draws to produce cache hits\n%s", report)
+	wg.Wait()
+	if s.Metrics().hitRate() <= 0 {
+		t.Fatal("expected repeated draws to produce cache hits")
 	}
-	// Deterministic draw sequence: same seed, same pool order.
-	if report.Distinct != len(loadPool("2x2x2", 8)) {
-		t.Fatalf("distinct = %d", report.Distinct)
-	}
-	_ = fmt.Sprintf("%s", report) // String() must not panic on a full report
 }
 
 // TestRouteCompareServed: the routecompare family is servable, and the
