@@ -21,17 +21,17 @@
 // only components with pending work and skips fully idle cycles; -engine
 // scan restores the reference every-component-every-cycle loop. -shards N
 // steps each machine across N goroutine shards with a deterministic
-// phase-barrier merge (requires the active engine; incompatible with -check
-// and -telemetry). All engine configurations produce bit-identical results
-// and artifacts — the flags change simulation speed only and are excluded
-// from result cache keys.
+// phase-barrier merge. All engine configurations produce bit-identical
+// results and artifacts — the flags change simulation speed only and are
+// excluded from result cache keys. A flag combination that
+// machine.Config.Validate or Checkpointable refuses exits 2.
 //
 // With -checkpoint-dir and -checkpoint-every N, checkpoint-aware experiment
-// points (fig9 throughput, mdstep) persist a resumable snapshot every N
-// cycles; a retried attempt resumes from its last checkpoint, and -resume
-// also resumes first attempts after a whole-process restart. Resumed points
-// are bit-identical to uninterrupted ones. Checkpointing is incompatible
-// with -check and -telemetry.
+// points persist a resumable snapshot every N cycles; a retried attempt
+// resumes from its last checkpoint, and -resume also resumes first attempts
+// after a whole-process restart. Resumed points are bit-identical to
+// uninterrupted ones. `all` runs its other points without checkpoints; a
+// named experiment with no such point (core.ErrNoRunCkpt) exits 2.
 //
 // The headline saturation sweeps (fig9, fig10) default to the paper's full
 // 8x8x8 (512-node) machine, made tractable by the active-set engine; -shape
@@ -244,26 +244,27 @@ func run(args []string, stderr io.Writer) int {
 		}
 		baseFault = &spec
 	}
-	switch *engineFlag {
-	case "", machine.EngineScan, machine.EngineActive:
-	default:
-		return reject(fmt.Errorf("unknown engine %q (valid: scan, active)", *engineFlag))
+	// The flags' mode combination, validated on the config every simulated
+	// point's machine will carry (the shape plays no part).
+	mc := machine.DefaultConfig(topo.TorusShape{})
+	benchFlags(&mc)
+	if *telemetryDir != "" {
+		mc.Telemetry = &telemetry.Options{}
 	}
-	if *shardsFlag < 0 {
-		return reject(fmt.Errorf("shards must be >= 0, got %d", *shardsFlag))
+	mc.Fault = baseFault
+	if err := mc.Validate(); err != nil {
+		return reject(err)
 	}
-	if *shardsFlag > 1 && *engineFlag == machine.EngineScan {
-		return reject(fmt.Errorf("sharded stepping requires the active engine"))
-	}
-	if *ckptEvery > 0 || *resumeFlag {
+	checkpointing := *ckptEvery > 0 || *resumeFlag
+	if checkpointing {
 		if *ckptDir == "" {
 			return reject(fmt.Errorf("-checkpoint-every/-resume require -checkpoint-dir"))
 		}
 		if *ckptEvery == 0 {
 			return reject(fmt.Errorf("-resume requires -checkpoint-every"))
 		}
-		if *checkFlag || *telemetryDir != "" {
-			return reject(fmt.Errorf("checkpointing is incompatible with -check and -telemetry"))
+		if err := mc.Checkpointable(); err != nil {
+			return reject(err)
 		}
 	}
 	satShapeOverride = nil
@@ -312,6 +313,9 @@ func run(args []string, stderr io.Writer) int {
 	}
 	for _, e := range experiments {
 		if e.name == what {
+			if checkpointing && !checkpointAware(what) {
+				return reject(core.ErrNoRunCkpt)
+			}
 			if err := e.run(); err != nil {
 				fmt.Fprintf(stderr, "anton2bench: %s failed: %v\n", e.name, err)
 				return 1
@@ -424,17 +428,15 @@ var benchExtras = map[string]struct {
 	"mdstep":     {shapeFlag: true, after: mdstepReplayCheck},
 }
 
-// runFamily regenerates one simulated figure from its registry entry: the
+// familyJobs expands one registry entry into what a run of it sweeps: the
 // family's full or -quick panels, with the -shape and -fault overrides
-// applied, expanded by the family into jobs whose machine configs carry the
-// bench flags, swept, and printed by the family's own renderer.
-func runFamily(f *core.Family) error {
-	header(f.Title, f.Paper)
+// applied and checked, and the jobs they expand into, whose machine configs
+// carry the bench flags.
+func familyJobs(f *core.Family) ([]core.Axes, []exp.Job, error) {
 	panels := f.Full
 	if *quick {
 		panels = f.Quick
 	}
-	extras := benchExtras[f.Name]
 	tel := telemetryOpts(f.Figure)
 	mutate := func(mc *machine.Config) {
 		benchFlags(mc)
@@ -443,18 +445,49 @@ func runFamily(f *core.Family) error {
 	checked := make([]core.Axes, len(panels))
 	var jobs []exp.Job
 	for i, a := range panels {
-		if satShapeOverride != nil && extras.shapeFlag {
+		if satShapeOverride != nil && benchExtras[f.Name].shapeFlag {
 			a.Shape = *satShapeOverride
 		}
 		if baseFault != nil {
 			a.Fault = *baseFault
 		}
 		if err := f.Check(&a); err != nil {
-			return err
+			return nil, nil, err
 		}
 		checked[i] = a
 		jobs = append(jobs, f.Jobs(a, mutate)...)
 	}
+	return checked, jobs, nil
+}
+
+// checkpointAware reports whether the named experiment is a simulated family
+// with at least one point that can checkpoint.
+func checkpointAware(name string) bool {
+	f, ok := core.FamilyByName(name)
+	if !ok {
+		return false
+	}
+	_, jobs, err := familyJobs(f)
+	if err != nil {
+		return true // a failing axis check is runFamily's to report
+	}
+	for _, j := range jobs {
+		if j.RunCkpt != nil {
+			return true
+		}
+	}
+	return false
+}
+
+// runFamily regenerates one simulated figure from its registry entry: the
+// jobs of familyJobs, swept, and printed by the family's own renderer.
+func runFamily(f *core.Family) error {
+	header(f.Title, f.Paper)
+	checked, jobs, err := familyJobs(f)
+	if err != nil {
+		return err
+	}
+	extras := benchExtras[f.Name]
 	rs, sweepErr := sweep(f.Figure, jobs)
 	f.Render(os.Stdout, checked, rs)
 	printHeatmap()

@@ -25,6 +25,11 @@ func TestInvalidFlagsRejected(t *testing.T) {
 		{"unknown engine", []string{"-engine", "warp", "fig4"}, "unknown engine"},
 		{"negative shards", []string{"-shards", "-1", "fig4"}, "shards must be >= 0"},
 		{"sharded scan", []string{"-engine", "scan", "-shards", "2", "fig4"}, "requires the active engine"},
+		{"sharded check", []string{"-shards", "2", "-check", "fig4"}, "Config.Check"},
+		{"sharded telemetry", []string{"-shards", "2", "-telemetry", "x", "fig4"}, "Config.Telemetry"},
+		{"checkpointed check", []string{"-checkpoint-dir", "x", "-checkpoint-every", "100", "-check", "fig9"}, "Config.Check"},
+		{"checkpointed family without RunCkpt", []string{"-quick", "-checkpoint-dir", "x", "-checkpoint-every", "100", "faultsweep"}, "no RunCkpt"},
+		{"checkpointed analytic experiment", []string{"-checkpoint-dir", "x", "-checkpoint-every", "100", "fig4"}, "no RunCkpt"},
 		{"bad shape", []string{"-shape", "8by8", "fig9"}, "bad shape"},
 		{"conflicting experiment", []string{"-experiment", "fig4", "fig9"}, "both -experiment"},
 		{"unknown flag", []string{"-frobnicate"}, ""},

@@ -90,7 +90,13 @@ func main() {
 	}
 	fmt.Printf("\nDeadlock verification on %v (Section 2.5)\n", shape)
 	fmt.Println("==========================================")
-	for _, s := range []route.Scheme{route.AntonScheme{}, route.BaselineScheme{}, route.NoDatelineScheme{}} {
+	// Every registered strategy, then the deliberately broken no-dateline
+	// scheme (never registered) to show the analyzer has teeth.
+	var schemes []route.Scheme
+	for _, s := range route.Strategies() {
+		schemes = append(schemes, s)
+	}
+	for _, s := range append(schemes, route.NoDatelineScheme{}) {
 		m := topo.MustMachine(shape)
 		cfg := route.NewConfig(m)
 		cfg.Scheme = s

@@ -17,8 +17,8 @@
 // the machine across N goroutine shards with a deterministic phase-barrier
 // merge. All three produce bit-identical results and artifacts — the flags
 // change only simulation speed (and are excluded from result cache keys).
-// Sharding requires the active engine and is incompatible with -check and
-// -telemetry.
+// A flag combination that machine.Config.Validate or Checkpointable refuses
+// exits 2.
 //
 // With -check, the run executes under the internal/check invariant suite
 // (flit conservation, credit accounting, VC monotonicity, dimension order);
@@ -35,8 +35,8 @@
 // With -checkpoint-dir and -checkpoint-every N, the run persists a complete
 // resumable snapshot (machine state plus driver position) every N cycles,
 // torn-write-safe; -resume restarts an interrupted run from its last
-// checkpoint and finishes bit-identically to an uninterrupted one.
-// Checkpointing is incompatible with -check, -telemetry, and -fault runs.
+// checkpoint and finishes bit-identically to an uninterrupted one; a -fault
+// run has no checkpoint-aware job (core.ErrNoRunCkpt) and exits 2.
 //
 // With -telemetry, the run executes under the internal/telemetry collector:
 // a JSON report (<dir>/anton2sim.json) with windowed channel utilization,
@@ -145,15 +145,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		mc.Fault = &spec
 	}
-	switch *engineFlag {
-	case "", machine.EngineScan, machine.EngineActive:
-		mc.Engine = *engineFlag
-	default:
-		return reject(fmt.Errorf("unknown engine %q (valid: scan, active)", *engineFlag))
-	}
-	if *shardsFlag < 0 {
-		return reject(fmt.Errorf("shards must be >= 0, got %d", *shardsFlag))
-	}
+	mc.Engine = *engineFlag
 	mc.Shards = *shardsFlag
 	var telReport *telemetry.Report
 	if *telemetryDir != "" {
@@ -164,6 +156,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 			Sink:         func(r *telemetry.Report) { telReport = r },
 		}
 	}
+	if err := mc.Validate(); err != nil {
+		return reject(err)
+	}
+	job := simJob(mc, pattern, *batch)
 
 	opts := exp.Serial()
 	if *ckptEvery > 0 || *resumeFlag {
@@ -173,8 +169,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if *ckptEvery == 0 {
 			return reject(fmt.Errorf("-resume requires -checkpoint-every"))
 		}
-		if *checkFlag || *telemetryDir != "" || *faultFlag != "" {
-			return reject(fmt.Errorf("checkpointing is incompatible with -check, -telemetry, and -fault"))
+		if err := mc.Checkpointable(); err != nil {
+			return reject(err)
+		}
+		if job.RunCkpt == nil {
+			return reject(core.ErrNoRunCkpt)
 		}
 		opts.Checkpoint = exp.CheckpointOptions{Dir: *ckptDir, Every: *ckptEvery, Resume: *resumeFlag}
 	}
@@ -184,7 +183,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "anton2sim:", err)
 		return 1
 	}
-	err = simulate(mc, pattern, *batch, *jsonDir, opts, stdout, stderr, &telReport)
+	err = simulate(mc, pattern, *batch, job, *jsonDir, opts, stdout, stderr, &telReport)
 	stopProfiles()
 	if err != nil {
 		fmt.Fprintln(stderr, "anton2sim:", err)
@@ -193,7 +192,21 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-func simulate(mc machine.Config, pattern traffic.Pattern, batch int, jsonDir string, opts exp.Options, stdout, stderr io.Writer, telReport **telemetry.Report) error {
+// simJob is the run's one experiment point: a fault-layer measurement under
+// -fault, a Figure 9 style throughput measurement otherwise.
+func simJob(mc machine.Config, pattern traffic.Pattern, batch int) exp.Job {
+	if mc.Fault != nil {
+		return core.FaultJob(core.FaultConfig{Machine: mc, Pattern: pattern, Batch: batch})
+	}
+	return core.ThroughputJob(core.ThroughputConfig{
+		Machine:        mc,
+		Pattern:        pattern,
+		WeightPatterns: []traffic.Pattern{pattern},
+		Batch:          batch,
+	})
+}
+
+func simulate(mc machine.Config, pattern traffic.Pattern, batch int, job exp.Job, jsonDir string, opts exp.Options, stdout, stderr io.Writer, telReport **telemetry.Report) error {
 	shape := mc.Shape
 	fmt.Fprintf(stdout, "simulating %v, %d cores/node, pattern %s, %s arbiters, %s VC scheme, batch %d\n",
 		shape, topo.NumRouters, pattern.Name(), mc.Arbiter, mc.Scheme.Name(), batch)
@@ -201,17 +214,6 @@ func simulate(mc machine.Config, pattern traffic.Pattern, batch int, jsonDir str
 		fmt.Fprintf(stdout, "fault layer: %s\n", mc.Fault.Canonical())
 	}
 
-	var job exp.Job
-	if mc.Fault != nil {
-		job = core.FaultJob(core.FaultConfig{Machine: mc, Pattern: pattern, Batch: batch})
-	} else {
-		job = core.ThroughputJob(core.ThroughputConfig{
-			Machine:        mc,
-			Pattern:        pattern,
-			WeightPatterns: []traffic.Pattern{pattern},
-			Batch:          batch,
-		})
-	}
 	rs := exp.Run([]exp.Job{job}, opts)
 	if jsonDir != "" {
 		path, err := exp.WriteArtifacts(jsonDir, "anton2sim", rs)

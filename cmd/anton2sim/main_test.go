@@ -26,6 +26,12 @@ func TestInvalidFlagsRejected(t *testing.T) {
 		{"unknown pattern", []string{"-pattern", "sideways"}, "unknown pattern"},
 		{"unknown arbiter", []string{"-arbiter", "fifo"}, "unknown arbiter"},
 		{"unknown scheme", []string{"-scheme", "extra"}, "unknown scheme"},
+		{"unknown engine", []string{"-engine", "warp"}, "unknown engine"},
+		{"negative shards", []string{"-shards", "-1"}, "shards must be >= 0"},
+		{"sharded scan", []string{"-engine", "scan", "-shards", "2"}, "requires the active engine"},
+		{"sharded check", []string{"-shards", "2", "-check"}, "Config.Check"},
+		{"checkpointed telemetry", []string{"-checkpoint-dir", "x", "-checkpoint-every", "100", "-telemetry", "y"}, "Config.Telemetry"},
+		{"checkpointed fault run", []string{"-checkpoint-dir", "x", "-checkpoint-every", "100", "-fault", "corrupt=0.01"}, "no RunCkpt"},
 		{"unknown flag", []string{"-frobnicate"}, ""},
 	}
 	for _, tc := range cases {

@@ -216,13 +216,13 @@ func (s *Suite) event(ev Event, p *packet.Packet, ch *fabric.Channel, vc uint8, 
 	}
 }
 
-// Cycle runs periodic scans; the machine calls it from the engine's
-// AfterStep hook every cycle.
-func (s *Suite) Cycle(now uint64) {
-	if now%s.opts.ScanInterval != 0 {
-		return
-	}
-	s.scan(now)
+// Observe is the suite's engine observer (sim.Engine.Observe, first deadline
+// 1): the clock has arrived at now, so cycle now-1 just completed; it scans
+// the machine as of that cycle and asks to run again ScanInterval cycles on —
+// completed cycles 0, ScanInterval, 2*ScanInterval, ...
+func (s *Suite) Observe(now uint64) (next uint64) {
+	s.scan(now - 1)
+	return now + s.opts.ScanInterval
 }
 
 func (s *Suite) scan(now uint64) {

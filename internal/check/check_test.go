@@ -54,10 +54,10 @@ func TestSuiteViolationAccounting(t *testing.T) {
 func TestSuiteScanInterval(t *testing.T) {
 	c := &scanCounter{}
 	s := check.NewSuite(check.Env{}, check.Options{ScanInterval: 64}, c)
-	for now := uint64(0); now < 130; now++ {
-		s.Cycle(now)
+	for now := uint64(1); now <= 130; { // the engine's part: call at each deadline
+		now = s.Observe(now)
 	}
-	if c.scans != 3 { // cycles 0, 64, 128
+	if c.scans != 3 { // completed cycles 0, 64, 128
 		t.Errorf("scanned %d times over 130 cycles at interval 64, want 3", c.scans)
 	}
 	s.Finish(130, true)

@@ -232,33 +232,6 @@ func TestRunConfig(t *testing.T) {
 	rc.Discard() // second discard is a no-op
 }
 
-func TestWriterSticky(t *testing.T) {
-	dir := t.TempDir()
-	rc := RunConfig{Path: filepath.Join(dir, "w.ckpt"), Every: 4}
-	w := NewWriter(rc)
-	if err := w.Save(New("t", 4).Add("m", []byte("a"))); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Save(New("t", 8).Add("m", []byte("b"))); err != nil {
-		t.Fatal(err)
-	}
-	c, err := ReadFile(rc.Path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Cycle != 8 {
-		t.Fatalf("latest save not visible: cycle %d", c.Cycle)
-	}
-	// An unwritable path makes the error sticky.
-	bad := NewWriter(RunConfig{Path: filepath.Join(dir, "missing", "\x00", "w.ckpt"), Every: 4})
-	if err := bad.Save(New("t", 4)); err == nil {
-		t.Fatal("Save to invalid path succeeded")
-	}
-	if bad.Err() == nil {
-		t.Fatal("writer error not sticky")
-	}
-}
-
 // FuzzCheckpointCodec exercises the three codec guarantees on arbitrary
 // bytes: Decode never panics; anything Decode accepts re-encodes to a fixed
 // point; and Recover (the truncated-tail path) never panics, accepting any

@@ -47,29 +47,3 @@ func (rc RunConfig) Discard() {
 		}
 	}
 }
-
-// Writer persists successive checkpoints of one run with the atomic-replace
-// discipline. It is driven from the engine's checkpoint hook, which runs on
-// the coordinating goroutine, so it needs no locking.
-type Writer struct {
-	rc  RunConfig
-	err error
-}
-
-// NewWriter returns a writer for the run config.
-func NewWriter(rc RunConfig) *Writer { return &Writer{rc: rc} }
-
-// Save writes the checkpoint. The first error is sticky and returned from
-// every later call: a run whose checkpoints stopped persisting should surface
-// that once at the end rather than fail mid-flight (the simulation itself is
-// unaffected).
-func (w *Writer) Save(c *Checkpoint) error {
-	if w.err != nil {
-		return w.err
-	}
-	w.err = WriteFile(w.rc.Path, c)
-	return w.err
-}
-
-// Err returns the sticky write error, if any.
-func (w *Writer) Err() error { return w.err }

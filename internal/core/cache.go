@@ -108,8 +108,3 @@ func RestoreLoads(snapshot map[string]json.RawMessage) (int, error) {
 	}
 	return restored, nil
 }
-
-// LoadsCacheKey exposes the canonical load-table cache key for a
-// (machine configuration, pattern) pair, so persistence layers can name
-// snapshot entries consistently with the in-process cache.
-func LoadsCacheKey(cfg machine.Config, p traffic.Pattern) string { return loadsKey(cfg, p) }

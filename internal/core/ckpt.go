@@ -2,10 +2,11 @@ package core
 
 import (
 	"encoding/json"
-	"fmt"
+	"errors"
 
 	"anton2/internal/ckpt"
 	"anton2/internal/machine"
+	"anton2/internal/traffic"
 )
 
 // This file threads crash-safe checkpointing through the figure runners. A
@@ -19,6 +20,11 @@ import (
 // Resuming is strictly an optimization: any problem with a checkpoint — torn
 // file, tag mismatch, shape mismatch against the rebuilt machine — silently
 // falls back to a fresh run, which is always correct.
+
+// ErrNoRunCkpt is what the CLIs answer when asked to checkpoint a point whose
+// job has no exp.Job.RunCkpt; this message is the one list of the jobs that
+// do have one.
+var ErrNoRunCkpt = errors.New("checkpointing: this point's job has no RunCkpt (checkpoint-aware: fig9 throughput points — anton2sim without -fault — and mdstep)")
 
 // Section names inside a run checkpoint.
 const (
@@ -61,27 +67,31 @@ func loadRunCkpt(rc ckpt.RunConfig, tag string, driver any) *machine.Snapshot {
 	return &snap
 }
 
-// ckptGuard rejects run configurations that cannot be snapshotted before any
-// simulation happens, so the failure is an immediate error rather than a run
-// that silently writes no checkpoints.
-func ckptGuard(rc ckpt.RunConfig, mc machine.Config) error {
-	if !rc.Enabled() {
-		return nil
+// resumeRunCkpt tries to resume the run on m, freshly built by
+// BuildMachine(mc, weightPatterns...): it decodes the checkpoint's driver
+// section into driver, lets valid (when non-nil) vet it against the run, and
+// restores the machine snapshot. It returns the machine to run on and whether
+// it holds the restored state.
+func resumeRunCkpt(m *machine.Machine, rc ckpt.RunConfig, tag string, driver any, valid func() bool,
+	mc machine.Config, weightPatterns ...traffic.Pattern) (*machine.Machine, bool, error) {
+	snap := loadRunCkpt(rc, tag, driver)
+	if snap == nil || (valid != nil && !valid()) {
+		return m, false, nil
 	}
-	if mc.Check {
-		return fmt.Errorf("core: checkpointing does not compose with the invariant suite (Config.Check)")
+	if m.Restore(snap) == nil {
+		return m, true, nil
 	}
-	if mc.Telemetry != nil {
-		return fmt.Errorf("core: checkpointing does not compose with telemetry capture")
-	}
-	return nil
+	// A failed restore may leave the machine partially mutated; rebuild and
+	// start over — resuming is only an optimization.
+	m, _, err := BuildMachine(mc, weightPatterns...)
+	return m, false, err
 }
 
 // saveRunCkpt captures the machine, pairs the snapshot with the runner's
-// driver section, and persists the checkpoint through the writer's
-// atomic-replace discipline. Write failures are sticky in the writer and
-// deliberately do not interrupt the simulation.
-func saveRunCkpt(w *ckpt.Writer, m *machine.Machine, tag string, driver any) {
+// driver section, and persists the checkpoint with the atomic-replace
+// discipline. A failed write deliberately does not interrupt the simulation:
+// the previous checkpoint, if any, stays in place.
+func saveRunCkpt(rc ckpt.RunConfig, m *machine.Machine, tag string, driver any) {
 	snap, err := m.Snapshot()
 	if err != nil {
 		return
@@ -90,14 +100,17 @@ func saveRunCkpt(w *ckpt.Writer, m *machine.Machine, tag string, driver any) {
 	if ckptAddJSON(c, sectionMachine, snap) != nil || ckptAddJSON(c, sectionDriver, driver) != nil {
 		return
 	}
-	_ = w.Save(c)
+	_ = ckpt.WriteFile(rc.Path, c)
 }
 
-// installCkptHook arms the engine's checkpoint hook: at every snapshot
-// boundary it asks the runner for its driver section and saves a checkpoint.
-// The caller must disarm with m.Engine.SetCheckpoint(0, nil) when the run
-// finishes.
-func installCkptHook(m *machine.Machine, rc ckpt.RunConfig, tag string, driver func() any) {
-	w := ckpt.NewWriter(rc)
-	m.Engine.SetCheckpoint(rc.Every, func(uint64) { saveRunCkpt(w, m, tag, driver()) })
+// observeCkpt installs the run's checkpoint observer on m: whenever the
+// clock reaches a multiple of rc.Every it asks the runner for its driver
+// section and saves a checkpoint. m is the run's own machine and is dropped
+// with it, so the observer is never uninstalled.
+func observeCkpt(m *machine.Machine, rc ckpt.RunConfig, tag string, driver func() any) {
+	next := func(now uint64) uint64 { return now + rc.Every - now%rc.Every }
+	m.Engine.Observe(next(m.Engine.Now()), func(now uint64) uint64 {
+		saveRunCkpt(rc, m, tag, driver())
+		return next(now)
+	})
 }

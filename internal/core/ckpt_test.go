@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -10,6 +11,7 @@ import (
 	"anton2/internal/ckpt"
 	"anton2/internal/machine"
 	"anton2/internal/route"
+	"anton2/internal/telemetry"
 	"anton2/internal/topo"
 	"anton2/internal/traffic"
 	"anton2/internal/workload"
@@ -79,33 +81,100 @@ func mdCkptConfig(seed uint64) MDStepConfig {
 	}
 }
 
+// TestMDStepCkptResume: an mdstep point resumed from its last checkpoint
+// finishes bit-identically to an uninterrupted run, whether the checkpoints
+// were left by budget interruptions (each inside some phase's delivery wait)
+// or by a crash right after one that landed inside a phase barrier's
+// quiescence stepping.
 func TestMDStepCkptResume(t *testing.T) {
 	ref, err := RunMDStepPoint(mdCkptConfig(7))
 	if err != nil {
 		t.Fatal(err)
 	}
+	for _, row := range []struct {
+		name string
+		// interrupt leaves the checkpoint of an interrupted run at rc.Path,
+		// or finishes the run itself; it returns what it finished, if so.
+		interrupt func(t *testing.T, rc ckpt.RunConfig) (MDStepPoint, bool)
+	}{
+		{"budget interruptions", func(t *testing.T, rc ckpt.RunConfig) (MDStepPoint, bool) {
+			pt, err := RunMDStepPointCkpt(mdCkptConfig(7), rc)
+			return pt, err == nil
+		}},
+		{"crash inside quiescence", func(t *testing.T, rc ckpt.RunConfig) (MDStepPoint, bool) {
+			mdCkptInQuiescence(t, mdCkptConfig(7), rc)
+			return MDStepPoint{}, false
+		}},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			rc := ckpt.RunConfig{
+				Path:  filepath.Join(t.TempDir(), "md.ckpt"),
+				Every: 40,
+			}
+			got, done := row.interrupt(t, rc)
+			rc.Resume = true
+			attempts := 0
+			for ; !done && attempts < 100; attempts++ {
+				got, err = RunMDStepPointCkpt(mdCkptConfig(7), rc)
+				done = err == nil
+			}
+			if !done {
+				t.Fatalf("never completed in %d attempts: %v", attempts, err)
+			}
+			if !reflect.DeepEqual(got, ref) {
+				t.Errorf("resumed point %+v differs from uninterrupted %+v after %d resumes", got, ref, attempts)
+			}
+			if _, err := os.Stat(rc.Path); !os.IsNotExist(err) {
+				t.Errorf("checkpoint file not discarded after success (stat err: %v)", err)
+			}
+		})
+	}
+}
 
-	rc := ckpt.RunConfig{
-		Path:  filepath.Join(t.TempDir(), "md.ckpt"),
-		Every: 40,
-	}
-	var got MDStepPoint
-	attempts := 0
-	for ; attempts < 100; attempts++ {
-		got, err = RunMDStepPointCkpt(mdCkptConfig(7), rc)
-		if err == nil {
-			break
-		}
-		rc.Resume = true
-	}
+// mdCkptInQuiescence plays a run that crashes right after a checkpoint taken
+// inside a phase barrier's quiescence stepping: it drives the point's
+// workload with a checkpoint every cycle and keeps, at rc.Path, the first one
+// that fires after the clock at which its phase's last delivery arrived — the
+// delivery wait is over by then, so it is the driver's manual quiescence Step
+// that fired it. It fails the test unless a fresh machine can resume from
+// what it kept.
+func mdCkptInQuiescence(t *testing.T, cfg MDStepConfig, rc ckpt.RunConfig) {
+	t.Helper()
+	mc, spec, err := mdstepMachine(cfg)
 	if err != nil {
-		t.Fatalf("never completed in %d attempts: %v", attempts, err)
+		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, ref) {
-		t.Errorf("resumed point %+v differs from uninterrupted %+v after %d interruptions", got, ref, attempts)
+	m, _, err := BuildMachine(mc)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := os.Stat(rc.Path); !os.IsNotExist(err) {
-		t.Errorf("checkpoint file not discarded after success (stat err: %v)", err)
+	tag := MDStepSpec(cfg).Canonical()
+	var deliveredAt uint64 // clock at which the current phase's wait was first seen over
+	phase, kept := -1, false
+	_, err = workload.RunResumable(m, spec, cfg.MaxPhaseCycles, nil, 1, func(p workload.Progress) {
+		if key := p.Timestep*3 + p.Phase; key != phase {
+			phase, deliveredAt = key, 0
+		}
+		switch {
+		case kept || m.Delivered() < p.Before+p.Expected:
+		case deliveredAt == 0:
+			deliveredAt = m.Engine.Now()
+		default:
+			saveRunCkpt(rc, m, tag, p)
+			kept = true
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var prog workload.Progress
+	rc.Resume = true
+	snap := loadRunCkpt(rc, tag, &prog)
+	if !kept || snap == nil {
+		t.Fatalf("no checkpoint landed inside quiescence stepping (kept %v)", kept)
+	}
+	if fresh, _, err := BuildMachine(mc); err != nil || fresh.Restore(snap) != nil {
+		t.Fatalf("the kept checkpoint (cycle %d) does not restore into a fresh machine", snap.Now)
 	}
 }
 
@@ -145,8 +214,14 @@ func TestCkptGuards(t *testing.T) {
 	cfg := tpCkptConfig(1)
 	cfg.Machine.Check = true
 	rc := ckpt.RunConfig{Path: filepath.Join(t.TempDir(), "x.ckpt"), Every: 10}
-	if _, err := RunThroughputCkpt(cfg, rc); err == nil {
-		t.Error("checkpointing with the invariant suite attached should fail")
+	var ce *machine.ConfigError
+	if _, err := RunThroughputCkpt(cfg, rc); !errors.As(err, &ce) || ce.Field != "Check" {
+		t.Errorf("checkpointing with the invariant suite attached = %v, want a *machine.ConfigError on Check", err)
+	}
+	md := mdCkptConfig(1)
+	md.Machine.Telemetry = &telemetry.Options{}
+	if _, err := RunMDStepPointCkpt(md, rc); !errors.As(err, &ce) || ce.Field != "Telemetry" {
+		t.Errorf("checkpointing with telemetry attached = %v, want a *machine.ConfigError on Telemetry", err)
 	}
 }
 

@@ -25,7 +25,7 @@ func TestSnapshotRestoreLoadsRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := LoadsCacheKey(cfg, pat)
+	key := loadsKey(cfg, pat)
 	if _, ok := snap[key]; !ok {
 		t.Fatalf("snapshot missing key %q (have %d entries)", key, len(snap))
 	}

@@ -104,11 +104,14 @@ func runMDStep(cfg MDStepConfig, rc ckpt.RunConfig, record bool) (MDStepPoint, *
 	if err != nil {
 		return MDStepPoint{}, nil, err
 	}
-	if err := ckptGuard(rc, mc); err != nil {
-		return MDStepPoint{}, nil, err
-	}
-	if rc.Enabled() && record {
-		return MDStepPoint{}, nil, fmt.Errorf("core: mdstep recording does not compose with checkpointing")
+	if rc.Enabled() {
+		// Refuse up front rather than run on silently writing no checkpoints.
+		if err := mc.Checkpointable(); err != nil {
+			return MDStepPoint{}, nil, err
+		}
+		if record {
+			return MDStepPoint{}, nil, fmt.Errorf("core: mdstep recording does not compose with checkpointing")
+		}
 	}
 	pt := MDStepPoint{Strategy: mc.Scheme.Name(), Workload: spec.Canonical(), Timesteps: spec.Timesteps}
 	m, _, err := BuildMachine(mc)
@@ -121,22 +124,15 @@ func runMDStep(cfg MDStepConfig, rc ckpt.RunConfig, record bool) (MDStepPoint, *
 	if rc.Enabled() {
 		tag := MDStepSpec(cfg).Canonical()
 		var prog workload.Progress
-		if snap := loadRunCkpt(rc, tag, &prog); snap != nil {
-			if err := m.Restore(snap); err == nil {
-				from = &prog
-			} else {
-				// A failed restore may leave the machine partially mutated;
-				// rebuild and start over — resuming is only an optimization.
-				if m, _, err = BuildMachine(mc); err != nil {
-					return pt, nil, err
-				}
-			}
+		var resumed bool
+		if m, resumed, err = resumeRunCkpt(m, rc, tag, &prog, nil, mc); err != nil {
+			return pt, nil, err
 		}
-		// The workload's engine hook hands us the driver Progress. m is read
-		// at save time, so the sink snapshots the machine actually running
-		// even after a failed restore rebuilt it.
-		w := ckpt.NewWriter(rc)
-		sink = func(p workload.Progress) { saveRunCkpt(w, m, tag, p) }
+		if resumed {
+			from = &prog
+		}
+		// The workload's engine observer hands us the driver Progress.
+		sink = func(p workload.Progress) { saveRunCkpt(rc, m, tag, p) }
 	}
 	var res workload.Result
 	var rec *trace.Recorder

@@ -73,8 +73,11 @@ func RunThroughput(cfg ThroughputConfig) (ThroughputResult, error) {
 // run restores it, fast-forwards every per-core RNG stream past the packets
 // already injected, and finishes bit-identically to an uninterrupted run.
 func RunThroughputCkpt(cfg ThroughputConfig, rc ckpt.RunConfig) (ThroughputResult, error) {
-	if err := ckptGuard(rc, cfg.Machine); err != nil {
-		return ThroughputResult{}, err
+	if rc.Enabled() {
+		// Refuse up front rather than run on silently writing no checkpoints.
+		if err := cfg.Machine.Checkpointable(); err != nil {
+			return ThroughputResult{}, err
+		}
 	}
 	m, _, err := BuildMachine(cfg.Machine, cfg.WeightPatterns...)
 	if err != nil {
@@ -95,24 +98,17 @@ func RunThroughputCkpt(cfg ThroughputConfig, rc ckpt.RunConfig) (ThroughputResul
 	remaining := make([]int, tm.NumEndpointsTotal())
 	finished := make([]float64, 0, numCores)
 
-	resumed := false
-	if rc.Enabled() {
-		var prog tpProgress
-		if snap := loadRunCkpt(rc, tag, &prog); snap != nil &&
-			len(prog.Sent) == numCores && len(prog.Remaining) == len(remaining) {
-			if err := m.Restore(snap); err == nil {
-				copy(sent, prog.Sent)
-				copy(remaining, prog.Remaining)
-				finished = append(finished, prog.Finished...)
-				resumed = true
-			} else {
-				// A failed restore may leave the machine partially mutated;
-				// rebuild and start over — resuming is only an optimization.
-				if m, _, err = BuildMachine(cfg.Machine, cfg.WeightPatterns...); err != nil {
-					return ThroughputResult{}, err
-				}
-			}
-		}
+	var prog tpProgress
+	m, resumed, err := resumeRunCkpt(m, rc, tag, &prog, func() bool {
+		return len(prog.Sent) == numCores && len(prog.Remaining) == len(remaining)
+	}, cfg.Machine, cfg.WeightPatterns...)
+	if err != nil {
+		return ThroughputResult{}, err
+	}
+	if resumed {
+		copy(sent, prog.Sent)
+		copy(remaining, prog.Remaining)
+		finished = append(finished, prog.Finished...)
 	}
 
 	if !resumed {
@@ -144,10 +140,9 @@ func RunThroughputCkpt(cfg ThroughputConfig, rc ckpt.RunConfig) (ThroughputResul
 		maxCycles = cycleBudget(cfg.Batch, satRate, 50, 200_000)
 	}
 	if rc.Enabled() {
-		installCkptHook(m, rc, tag, func() any {
+		observeCkpt(m, rc, tag, func() any {
 			return tpProgress{Sent: sent, Remaining: remaining, Finished: finished}
 		})
-		defer m.Engine.SetCheckpoint(0, nil)
 	}
 	end, err := m.RunUntilDelivered(total, maxCycles)
 	if err != nil {

@@ -27,13 +27,12 @@ func ckptCountJob(t *testing.T, limit, crashAt int) Job {
 				}
 			}
 		}
-		w := ckpt.NewWriter(rc)
 		for n := start; n < limit; n++ {
 			if rc.Enabled() && n%10 == 0 {
 				c := ckpt.New(tag, uint64(n))
 				b, _ := json.Marshal(n)
 				c.Add("n", b)
-				if err := w.Save(c); err != nil {
+				if err := ckpt.WriteFile(rc.Path, c); err != nil {
 					t.Errorf("checkpoint save: %v", err)
 				}
 			}

@@ -7,6 +7,8 @@
 package machine
 
 import (
+	"fmt"
+
 	"anton2/internal/arbiter"
 	"anton2/internal/check"
 	"anton2/internal/fault"
@@ -25,9 +27,6 @@ const (
 
 // CyclesToNS converts cycles to nanoseconds.
 func CyclesToNS(cycles float64) float64 { return cycles * float64(CyclePS) / 1000.0 }
-
-// NSToCycles converts nanoseconds to (fractional) cycles.
-func NSToCycles(ns float64) float64 { return ns * 1000.0 / float64(CyclePS) }
 
 // Config parameterizes a simulated machine.
 type Config struct {
@@ -121,11 +120,64 @@ type Config struct {
 
 	// Shards, when > 1, splits the simulation across that many goroutines
 	// (contiguous node ranges) with a deterministic phase-barrier merge;
-	// results stay bit-identical to a serial run. Requires EngineActive and
-	// is incompatible with Check and Telemetry (their hooks assume
-	// single-threaded stepping). Clamped to the node count. Like Engine, it
+	// results stay bit-identical to a serial run. Validate lists what it
+	// does not compose with. Clamped to the node count. Like Engine, it
 	// never changes results and is excluded from cache keys.
 	Shards int
+}
+
+// ConfigError is a Config that Validate or Checkpointable refuses, naming the
+// offending field.
+type ConfigError struct {
+	Field string // the Config field, e.g. "Shards"
+	Msg   string
+}
+
+func (e *ConfigError) Error() string { return "machine: Config." + e.Field + ": " + e.Msg }
+
+// Validate is the one statement of which modes compose: it returns a
+// *ConfigError for an unknown engine, a negative shard count, sharding
+// combined with anything that assumes single-threaded stepping, or an
+// invalid fault spec. It reads no derived input (topology, weight tables), so
+// the CLIs call it on the config their flags describe, before anything runs;
+// New calls it first and builds every config it accepts, given a valid Shape
+// and the Weights an inverse-weighted Arbiter needs.
+func (c Config) Validate() error {
+	sharded := c.Shards > 1
+	switch {
+	case c.Engine != "" && c.Engine != EngineActive && c.Engine != EngineScan:
+		return &ConfigError{"Engine", fmt.Sprintf("unknown engine %q (valid: %s, %s)", c.Engine, EngineActive, EngineScan)}
+	case c.Shards < 0:
+		return &ConfigError{"Shards", fmt.Sprintf("shards must be >= 0, got %d", c.Shards)}
+	case sharded && c.Engine == EngineScan:
+		return &ConfigError{"Engine", "sharded stepping requires the active engine"}
+	case sharded && c.Check:
+		return &ConfigError{"Check", "the invariant suite assumes single-threaded stepping (Shards > 1)"}
+	case sharded && c.Telemetry != nil:
+		return &ConfigError{"Telemetry", "telemetry assumes single-threaded stepping (Shards > 1)"}
+	case sharded && c.EndpointPipeline == 0:
+		// A cross-endpoint OnDeliver callback could observe same-cycle
+		// state a serial step would already have updated.
+		return &ConfigError{"EndpointPipeline", "sharded stepping requires an endpoint pipeline of at least 1 cycle"}
+	case c.Fault != nil:
+		if err := c.Fault.Validate(); err != nil {
+			return &ConfigError{"Fault", err.Error()}
+		}
+	}
+	return nil
+}
+
+// Checkpointable reports whether a machine built from c can be snapshotted
+// and restored: the invariant suite's and the telemetry collector's own
+// state is not part of a Snapshot, so either one is a *ConfigError.
+func (c Config) Checkpointable() error {
+	switch {
+	case c.Check:
+		return &ConfigError{"Check", "checkpointing does not snapshot the invariant suite"}
+	case c.Telemetry != nil:
+		return &ConfigError{"Telemetry", "checkpointing does not snapshot telemetry windows"}
+	}
+	return nil
 }
 
 // Engine mode names for Config.Engine.

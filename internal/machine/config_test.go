@@ -1,0 +1,112 @@
+package machine
+
+import (
+	"errors"
+	"fmt"
+	"testing"
+
+	"anton2/internal/telemetry"
+	"anton2/internal/topo"
+)
+
+// refusedField asserts err is a *ConfigError and returns the field it names.
+func refusedField(t *testing.T, err error) string {
+	t.Helper()
+	var ce *ConfigError
+	if !errors.As(err, &ce) {
+		t.Fatalf("err = %v (%T), want a *ConfigError", err, err)
+	}
+	return ce.Field
+}
+
+// TestConfigLattice walks the whole mode lattice — engine x shards x check x
+// telemetry x endpoint pipeline x checkpoint — and holds every cell to the
+// contract: Validate and New agree, a refused cell is a *ConfigError naming
+// the field the table below expects, a built cell runs, and a snapshot of it
+// succeeds exactly when Checkpointable says so (again with a typed refusal).
+func TestConfigLattice(t *testing.T) {
+	// The expected refusal, written as the rules read in DESIGN §9.
+	wantField := func(engine string, shards int, check, tel bool, epipe uint64) string {
+		switch {
+		case engine == "warp":
+			return "Engine"
+		case shards < 0:
+			return "Shards"
+		case shards <= 1:
+			return ""
+		case engine == EngineScan:
+			return "Engine"
+		case check:
+			return "Check"
+		case tel:
+			return "Telemetry"
+		case epipe == 0:
+			return "EndpointPipeline"
+		}
+		return ""
+	}
+	cells := 0
+	for _, engine := range []string{"", EngineActive, EngineScan, "warp"} {
+		for _, shards := range []int{0, 2, -1} {
+			for _, check := range []bool{false, true} {
+				for _, tel := range []bool{false, true} {
+					for _, epipe := range []uint64{0, 4} {
+						for _, ckpt := range []bool{false, true} {
+							cells++
+							cfg := DefaultConfig(topo.Shape3(2, 2, 2))
+							cfg.Engine, cfg.Shards, cfg.Check, cfg.EndpointPipeline = engine, shards, check, epipe
+							if tel {
+								cfg.Telemetry = &telemetry.Options{}
+							}
+							name := fmt.Sprintf("engine=%q shards=%d check=%v tel=%v epipe=%d ckpt=%v", engine, shards, check, tel, epipe, ckpt)
+							want := wantField(engine, shards, check, tel, epipe)
+							verr := cfg.Validate()
+							m, nerr := New(cfg)
+							if (verr == nil) != (nerr == nil) {
+								t.Fatalf("%s: Validate = %v but New = %v", name, verr, nerr)
+							}
+							if want != "" {
+								if nerr == nil {
+									t.Fatalf("%s: built, want Config.%s refused", name, want)
+								}
+								if got := refusedField(t, nerr); got != want {
+									t.Errorf("%s: refused Config.%s, want Config.%s", name, got, want)
+								}
+								continue
+							}
+							if nerr != nil {
+								t.Fatalf("%s: refused (%v), want it to build", name, nerr)
+							}
+							snapInject(m, 2)
+							m.Engine.Run(40)
+							if !ckpt {
+								continue
+							}
+							cerr := cfg.Checkpointable()
+							_, serr := m.Snapshot()
+							if (cerr == nil) != (serr == nil) {
+								t.Fatalf("%s: Checkpointable = %v but Snapshot = %v", name, cerr, serr)
+							}
+							switch {
+							case check:
+								want = "Check"
+							case tel:
+								want = "Telemetry"
+							}
+							if want == "" {
+								if serr != nil {
+									t.Errorf("%s: Snapshot = %v, want success", name, serr)
+								}
+							} else if got := refusedField(t, serr); got != want {
+								t.Errorf("%s: Snapshot refused Config.%s, want Config.%s", name, got, want)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	if cells != 4*3*2*2*2*2 {
+		t.Fatalf("walked %d cells, want %d", cells, 4*3*2*2*2*2)
+	}
+}

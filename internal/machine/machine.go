@@ -84,32 +84,17 @@ func New(cfg Config) (*Machine, error) {
 	if cfg.Scheme == nil {
 		cfg.Scheme = route.AntonScheme{}
 	}
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	if cfg.Arbiter == arbiter.KindInverseWeighted && cfg.Weights == nil {
-		return nil, fmt.Errorf("machine: inverse-weighted arbitration requires a WeightSet")
+		return nil, &ConfigError{"Weights", "inverse-weighted arbitration requires a WeightSet"}
 	}
 	mode := sim.ModeActive
-	switch cfg.Engine {
-	case "", EngineActive:
-	case EngineScan:
+	if cfg.Engine == EngineScan {
 		mode = sim.ModeScan
-	default:
-		return nil, fmt.Errorf("machine: unknown engine mode %q (want %q or %q)", cfg.Engine, EngineActive, EngineScan)
 	}
-	shards := cfg.Shards
-	if shards > tm.NumNodes() {
-		shards = tm.NumNodes()
-	}
-	if shards > 1 {
-		if mode != sim.ModeActive {
-			return nil, fmt.Errorf("machine: sharded stepping requires the active engine")
-		}
-		if cfg.Check {
-			return nil, fmt.Errorf("machine: sharded stepping is incompatible with the invariant suite (Check)")
-		}
-		if cfg.Telemetry != nil {
-			return nil, fmt.Errorf("machine: sharded stepping is incompatible with telemetry")
-		}
-	}
+	shards := min(cfg.Shards, tm.NumNodes())
 	m := &Machine{
 		Cfg:    cfg,
 		Topo:   tm,
@@ -193,9 +178,6 @@ func New(cfg Config) (*Machine, error) {
 	// adapters bind their reliable-link state, and it ticks first each
 	// cycle so stall transitions and credit resyncs precede all adapters.
 	if cfg.Fault != nil {
-		if err := cfg.Fault.Validate(); err != nil {
-			return nil, fmt.Errorf("machine: %w", err)
-		}
 		m.flt = newFaultLayer(m, *cfg.Fault)
 		m.flt.cid = m.Engine.Register(m.flt)
 	}
@@ -277,6 +259,7 @@ func New(cfg Config) (*Machine, error) {
 			Channels: m.chans,
 			Queued:   m.queuedPackets,
 		}, cfg.CheckOptions)
+		m.Engine.Observe(1, m.checks.Observe)
 	}
 	if cfg.Telemetry != nil {
 		env := telemetry.Env{
@@ -294,18 +277,8 @@ func New(cfg Config) (*Machine, error) {
 			}
 		}
 		m.tel = telemetry.NewCollector(env, *cfg.Telemetry)
-	}
-	switch {
-	case m.checks != nil && m.tel != nil:
-		checks, tel := m.checks, m.tel
-		m.Engine.AfterStep = func(now uint64) {
-			checks.Cycle(now)
-			tel.Cycle(now)
-		}
-	case m.checks != nil:
-		m.Engine.AfterStep = m.checks.Cycle
-	case m.tel != nil:
-		m.Engine.AfterStep = m.tel.Cycle
+		// Observe(0) samples nothing and names the first window boundary.
+		m.Engine.Observe(m.tel.Observe(0), m.tel.Observe)
 	}
 	// The detail provider runs only on the watchdog failure path, so
 	// attaching it unconditionally costs nothing on healthy runs.

@@ -238,8 +238,8 @@ func TestCycleConversions(t *testing.T) {
 	if ns := CyclesToNS(1); ns < 0.66 || ns > 0.67 {
 		t.Errorf("1 cycle = %f ns, want ~0.667", ns)
 	}
-	if c := NSToCycles(CyclesToNS(100)); c < 99.9 || c > 100.1 {
-		t.Errorf("round trip = %f, want 100", c)
+	if ns := CyclesToNS(1500); ns < 999 || ns > 1001 {
+		t.Errorf("1500 cycles = %f ns, want ~1000 (1.5 GHz)", ns)
 	}
 }
 

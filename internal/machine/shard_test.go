@@ -176,34 +176,32 @@ func TestShardedSourceDriven(t *testing.T) {
 }
 
 // TestShardedConfigValidation: sharding is incompatible with the scan engine,
-// the invariant suite, and telemetry — all of which assume single-threaded
-// stepping — and the constructor must say so rather than race.
+// the invariant suite, telemetry, and a zero-cycle endpoint pipeline — all of
+// which assume single-threaded stepping — and the constructor must say so,
+// with a typed error naming the field, rather than race.
 func TestShardedConfigValidation(t *testing.T) {
 	base := DefaultConfig(topo.Shape3(2, 2, 2))
-
-	cfg := base
-	cfg.Shards = 2
-	cfg.Engine = EngineScan
-	if _, err := New(cfg); err == nil {
-		t.Error("expected error for sharded + scan engine")
-	}
-
-	cfg = base
-	cfg.Shards = 2
-	cfg.Check = true
-	if _, err := New(cfg); err == nil {
-		t.Error("expected error for sharded + invariant suite")
-	}
-
-	cfg = base
-	if _, err := New(cfg); err != nil {
+	if _, err := New(base); err != nil {
 		t.Errorf("base config must build: %v", err)
 	}
-
-	cfg = base
-	cfg.Engine = "warp"
-	if _, err := New(cfg); err == nil {
-		t.Error("expected error for unknown engine mode")
+	for _, tc := range []struct {
+		name   string
+		mutate func(*Config)
+		field  string
+	}{
+		{"sharded + scan engine", func(c *Config) { c.Shards, c.Engine = 2, EngineScan }, "Engine"},
+		{"sharded + invariant suite", func(c *Config) { c.Shards, c.Check = 2, true }, "Check"},
+		{"sharded + zero endpoint pipeline", func(c *Config) { c.Shards, c.EndpointPipeline = 2, 0 }, "EndpointPipeline"},
+		{"unknown engine mode", func(c *Config) { c.Engine = "warp" }, "Engine"},
+	} {
+		cfg := base
+		tc.mutate(&cfg)
+		_, err := New(cfg)
+		if err == nil {
+			t.Errorf("expected error for %s", tc.name)
+		} else if got := refusedField(t, err); got != tc.field {
+			t.Errorf("%s: refused Config.%s, want Config.%s", tc.name, got, tc.field)
+		}
 	}
 }
 
@@ -213,10 +211,8 @@ func TestShardedConfigValidation(t *testing.T) {
 // the channel pipes all reuse capacity.
 func TestActiveStepMachineZeroAllocs(t *testing.T) {
 	cfg := DefaultConfig(topo.Shape3(2, 2, 2))
+	cfg.Engine = EngineActive
 	m := steadyStateMachine(t, cfg)
-	if m.Engine.Mode() != 1 {
-		t.Fatal("default engine is not the active-set scheduler")
-	}
 	if avg := testing.AllocsPerRun(500, func() { m.Engine.Step() }); avg != 0 {
 		t.Errorf("active-engine Step allocates %.2f objects/cycle, want 0", avg)
 	}

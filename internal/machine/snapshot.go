@@ -195,13 +195,13 @@ func snapVCQ(q *vcq, reg *pktRegistry) VCQState {
 }
 
 // Snapshot captures the machine's complete mutable state. It must be called
-// between engine steps (never from a hook running inside one) and refuses to
-// run with the invariant suite or telemetry attached, with per-packet tracing
-// active, after a fatal fault, or with unflushed cross-shard traffic — the
-// last cannot happen between steps, so it is a consistency check.
+// between engine steps (an engine observer is one such place) and refuses to
+// run unless the config is Checkpointable, with per-packet tracing active,
+// after a fatal fault, or with unflushed cross-shard traffic — the last
+// cannot happen between steps, so it is a consistency check.
 func (m *Machine) Snapshot() (*Snapshot, error) {
-	if m.checks != nil || m.tel != nil {
-		return nil, fmt.Errorf("machine: checkpointing requires the invariant suite and telemetry to be off")
+	if err := m.Cfg.Checkpointable(); err != nil {
+		return nil, err
 	}
 	if m.flt != nil && m.flt.fatal != nil {
 		return nil, fmt.Errorf("machine: cannot checkpoint after a fatal fault: %w", m.flt.fatal)
@@ -352,8 +352,8 @@ func (m *Machine) Restore(s *Snapshot) error {
 	if m.Engine.Now() != 0 || m.injected != 0 || m.delivered != 0 {
 		return fmt.Errorf("machine: restore requires a freshly built machine")
 	}
-	if m.checks != nil || m.tel != nil {
-		return fmt.Errorf("machine: restore requires the invariant suite and telemetry to be off")
+	if err := m.Cfg.Checkpointable(); err != nil {
+		return err
 	}
 	if len(s.Nodes) != len(m.nodes) {
 		return fmt.Errorf("machine: snapshot has %d nodes, machine has %d", len(s.Nodes), len(m.nodes))

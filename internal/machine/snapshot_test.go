@@ -193,6 +193,11 @@ func TestSnapshotGuards(t *testing.T) {
 	m := MustNew(cfg)
 	if _, err := m.Snapshot(); err == nil {
 		t.Error("snapshot with the invariant suite attached should fail")
+	} else if got := refusedField(t, err); got != "Check" {
+		t.Errorf("snapshot refused Config.%s, want Config.Check", got)
+	}
+	if err := m.Restore(&Snapshot{}); refusedField(t, err) != "Check" {
+		t.Errorf("restore with the invariant suite attached = %v, want Config.Check refused", err)
 	}
 
 	cfg2 := DefaultConfig(topo.Shape3(2, 2, 2))

@@ -21,7 +21,7 @@
 // inside its deadline returns 504, and a draining server returns 503.
 // Live progress streams per run over SSE, fed per completed sweep point by
 // the exp.Options.OnResult hook and per sampling window by the telemetry
-// AfterStep progress hook.
+// collector's Progress callback.
 package serve
 
 import (
@@ -582,10 +582,10 @@ func (s *Server) leaveQueue() {
 func (s *Server) simulate(ctx context.Context, r *run, c *compiled) ([]byte, error) {
 	tel := s.pointTelemetry(r)
 	if s.cfg.CheckpointEvery > 0 {
-		// Checkpointing refuses to compose with the telemetry layer (its
-		// window state is not snapshotted), so checkpointed points run
-		// without the cycle-level progress hook; SSE clients still see
-		// per-point completion progress via OnResult below.
+		// A config carrying telemetry is not machine.Config.Checkpointable,
+		// so checkpointed points run without the cycle-level progress
+		// callback; SSE clients still see per-point completion progress via
+		// OnResult below.
 		tel = func() *telemetry.Options { return nil }
 	}
 	jobs := c.jobs(tel)
@@ -636,9 +636,10 @@ func (s *Server) simulate(ctx context.Context, r *run, c *compiled) ([]byte, err
 }
 
 // pointTelemetry returns the per-point telemetry factory feeding the run's
-// live cycle counter from the AfterStep window hook. Point index equals
-// build order equals exp.Result.Index, which lets OnResult reconcile the
-// final cycle count against the live tally without double counting.
+// live cycle counter from the collector's window-boundary Progress callback.
+// Point index equals build order equals exp.Result.Index, which lets OnResult
+// reconcile the final cycle count against the live tally without double
+// counting.
 func (s *Server) pointTelemetry(r *run) func() *telemetry.Options {
 	if s.cfg.NoLiveProgress {
 		return func() *telemetry.Options { return nil }

@@ -175,15 +175,6 @@ func (s *Store) SaveArtifact(id string, b []byte) error {
 	return nil
 }
 
-// ArtifactCount reports how many artifacts the store holds (metrics).
-func (s *Store) ArtifactCount() int {
-	matches, err := filepath.Glob(filepath.Join(s.dir, "artifacts", "*.json"))
-	if err != nil {
-		return 0
-	}
-	return len(matches)
-}
-
 // walPath returns the write-ahead-log entry path for a run id.
 func (s *Store) walPath(id string) (string, error) {
 	if !validID(id) {

@@ -58,23 +58,22 @@ func TestActiveOverflowWake(t *testing.T) {
 	}
 }
 
-// afterStepRecorder pins the AfterStep contract in ModeActive: the hook must
-// observe every cycle, including idle ones (installing it disables jumping),
-// so telemetry windows and invariant scans land on identical cycle counts in
-// every mode.
+// TestActiveAfterStepSeesEveryCycle pins the period-1 observer in ModeActive
+// (what the retired every-cycle hook was): returning now+1 clamps every idle
+// jump to one cycle, so the observer sees every clock, idle ones included.
 func TestActiveAfterStepSeesEveryCycle(t *testing.T) {
 	e := NewEngineMode(ModeActive)
 	s := &selfWaker{e: e, period: 17}
 	s.id = e.Register(s)
 	var seen []uint64
-	e.AfterStep = func(now uint64) { seen = append(seen, now) }
+	e.Observe(1, func(now uint64) uint64 { seen = append(seen, now); return now + 1 })
 	e.Run(50)
 	if len(seen) != 50 {
-		t.Fatalf("AfterStep saw %d cycles, want all 50", len(seen))
+		t.Fatalf("observer saw %d clocks, want all 50", len(seen))
 	}
 	for i, at := range seen {
-		if at != uint64(i) {
-			t.Fatalf("AfterStep cycle %d = %d, want %d (no cycle may be skipped)", i, at, i)
+		if at != uint64(i+1) {
+			t.Fatalf("observer call %d at clock %d, want %d (no cycle may be skipped)", i, at, i+1)
 		}
 	}
 }

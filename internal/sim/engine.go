@@ -78,48 +78,28 @@ type Engine struct {
 	// order, which is what makes sharded runs bit-identical to serial ones.
 	OnMerge func(now uint64)
 
-	// AfterStep, when non-nil, is invoked at the end of every Step with the
-	// cycle that just completed (after all components ticked, before the
-	// clock advances). The invariant-checking layer hangs its per-cycle
-	// scans off this hook; when nil the engine pays a single predicted
-	// branch per cycle. Installing AfterStep also disables cycle jumping in
-	// Run/RunUntil: the hook observes every cycle, including idle ones, so
-	// telemetry window boundaries land on exactly the same cycle counts in
-	// every mode.
-	AfterStep func(now uint64)
-
 	// DeadlockDetail, when non-nil, is called once when the RunUntil
 	// watchdog fires, to capture a diagnostic snapshot (e.g. a per-router
 	// blocked-VC summary) into the returned ErrDeadlock. It runs only on
 	// the failure path, so it may be arbitrarily expensive.
 	DeadlockDetail func() string
 
-	// Checkpoint hook, installed via SetCheckpoint. Run/RunUntil invoke
-	// onCkpt between steps whenever the clock reaches the next multiple of
-	// ckptEvery; idle-cycle jumps are clamped to that boundary exactly as
-	// they are to the watchdog deadline, so the hook observes the same
-	// settled states in every engine mode. When off (ckptEvery == 0) the
-	// run loops pay a single predicted compare per iteration and allocate
-	// nothing — the same zero-cost-off discipline as AfterStep.
-	ckptEvery uint64
-	nextCkpt  uint64
-	onCkpt    func(now uint64)
+	// obs holds the between-steps observers installed by Observe, in
+	// installation order, and nextObs the earliest of their deadlines
+	// (^uint64(0) with none installed), so an unobserved engine pays a single
+	// predicted compare per clock advance and allocates nothing.
+	obs     []observer
+	nextObs uint64
 }
-
-// NewEngine returns an empty engine at cycle 0 in ModeScan.
-func NewEngine() *Engine { return NewEngineMode(ModeScan) }
 
 // NewEngineMode returns an empty engine at cycle 0 in the given mode.
 func NewEngineMode(m Mode) *Engine {
-	e := &Engine{mode: m, progress: make([]progSlot, 1)}
+	e := &Engine{mode: m, progress: make([]progSlot, 1), nextObs: ^uint64(0)}
 	if m == ModeActive {
 		e.wheel.init()
 	}
 	return e
 }
-
-// Mode reports the engine's scheduling mode.
-func (e *Engine) Mode() Mode { return e.mode }
 
 // Register adds a component to the tick list and returns its component id.
 // Components are ticked in component-id order within a cycle, which—combined
@@ -162,9 +142,6 @@ func (e *Engine) ConfigureShards(ranges []ShardRange, serialPrefix int, merge fu
 	}
 }
 
-// Shards reports the configured shard count (0 when stepping serially).
-func (e *Engine) Shards() int { return len(e.shards) }
-
 // Now returns the current cycle.
 func (e *Engine) Now() uint64 { return e.now }
 
@@ -186,29 +163,48 @@ func (e *Engine) progressTotal() uint64 {
 	return t
 }
 
-// SetCheckpoint installs the periodic checkpoint hook: fn runs between
-// steps (simulation fully settled, no component mid-tick) whenever the clock
-// reaches a multiple of every, with the cycle about to execute. Unlike
-// AfterStep it does not disable idle-cycle jumping — jumps are clamped to
-// the next boundary instead, so checkpoint cycles are engine-mode-invariant
-// without observing every cycle. every == 0 or fn == nil uninstalls the
-// hook. Only Run and RunUntil consume it; manual Step loops do not.
-func (e *Engine) SetCheckpoint(every uint64, fn func(now uint64)) {
-	if every == 0 || fn == nil {
-		e.ckptEvery, e.nextCkpt, e.onCkpt = 0, 0, nil
-		return
-	}
-	e.ckptEvery, e.onCkpt = every, fn
-	e.nextCkpt = e.now + every - e.now%every
+// observer is one installed between-steps hook and its next deadline.
+type observer struct {
+	at uint64
+	fn func(now uint64) (next uint64)
 }
 
-// fireCkpt runs the checkpoint hook when the clock has reached the next
-// boundary, then advances the boundary.
-func (e *Engine) fireCkpt() {
-	if e.now >= e.nextCkpt {
-		e.onCkpt(e.now)
-		e.nextCkpt = e.now + e.ckptEvery - e.now%e.ckptEvery
+// Observe installs fn as a between-steps observer: it runs whenever the
+// clock arrives at or past its deadline — at the end of the Step that
+// completes cycle deadline-1, or at the end of an idle jump, which is clamped
+// to the earliest deadline exactly as it is to the budget and the watchdog —
+// with the simulation fully settled (no component mid-tick) and now the cycle
+// about to execute. first is the first deadline; fn returns the next one, and
+// a value <= now uninstalls the observer. Deadlines are therefore the same
+// clocks in scan, active and sharded engines, under Step, Run and RunUntil
+// alike; an observer returning now+1 sees every cycle. Observers due at the
+// same clock run in installation order. fn must only read simulation state,
+// and must not call Observe.
+func (e *Engine) Observe(first uint64, fn func(now uint64) (next uint64)) {
+	e.obs = append(e.obs, observer{at: first, fn: fn})
+	e.nextObs = min(e.nextObs, first)
+}
+
+// arrive moves the clock to t and runs every observer whose deadline that
+// reaches, dropping the ones that uninstall themselves.
+func (e *Engine) arrive(t uint64) {
+	e.now = t
+	if t < e.nextObs {
+		return
 	}
+	kept := e.obs[:0]
+	e.nextObs = ^uint64(0)
+	for _, o := range e.obs {
+		if o.at <= t {
+			if o.at = o.fn(t); o.at <= t {
+				continue
+			}
+		}
+		kept = append(kept, o)
+		e.nextObs = min(e.nextObs, o.at)
+	}
+	clear(e.obs[len(kept):])
+	e.obs = kept
 }
 
 // ResetTo rewinds (or fast-forwards) the engine to cycle now with nothing
@@ -216,6 +212,8 @@ func (e *Engine) fireCkpt() {
 // discarded. Restore paths use it on a freshly built engine before
 // re-issuing the wakes implied by the restored state (pipe arrivals plus a
 // blanket WakeAll — extra wakes are harmless, missing ones are not).
+// Observers stay installed with their deadlines; one the new clock has
+// already passed runs at the next clock advance.
 func (e *Engine) ResetTo(now uint64) {
 	e.now = now
 	if e.mode == ModeActive {
@@ -223,9 +221,6 @@ func (e *Engine) ResetTo(now uint64) {
 	}
 	for i := range e.progress {
 		e.progress[i].v = 0
-	}
-	if e.ckptEvery != 0 {
-		e.nextCkpt = now + e.ckptEvery - now%e.ckptEvery
 	}
 }
 
@@ -258,7 +253,8 @@ func (e *Engine) Wake(id int, at uint64) {
 	e.wheel.set(id, at, e.now, e.par)
 }
 
-// Step advances the simulation by a single cycle.
+// Step advances the simulation by a single cycle, then runs the observers
+// due at the new clock.
 func (e *Engine) Step() {
 	if e.mode == ModeScan {
 		for _, c := range e.comps {
@@ -267,10 +263,7 @@ func (e *Engine) Step() {
 	} else {
 		e.stepActive()
 	}
-	if e.AfterStep != nil {
-		e.AfterStep(e.now)
-	}
-	e.now++
+	e.arrive(e.now + 1)
 }
 
 // stepActive ticks only the components scheduled for the current cycle. The
@@ -353,10 +346,6 @@ func (e *Engine) tickRange(slot, lo, hi int) {
 	}
 }
 
-// canJump reports whether Run/RunUntil may skip idle cycles: only in
-// ModeActive and only when no AfterStep hook is observing every cycle.
-func (e *Engine) canJump() bool { return e.mode == ModeActive && e.AfterStep == nil }
-
 // nextWake returns the earliest cycle >= now with a scheduled component, or
 // ^uint64(0) when nothing is scheduled at all.
 func (e *Engine) nextWake() uint64 {
@@ -370,30 +359,12 @@ func (e *Engine) nextWake() uint64 {
 	return w.heapMin
 }
 
-// Run advances the simulation by n cycles. In ModeActive with no AfterStep
-// hook, stretches of cycles with no scheduled component are skipped in one
-// clock jump; the observable end state (component state, Now, progress) is
-// identical to stepping through them, because idle ticks are no-ops.
+// Run advances the simulation by n cycles. In ModeActive, stretches of
+// cycles with no scheduled component are skipped in one clock jump; the
+// observable end state (component state, Now, progress) is identical to
+// stepping through them, because idle ticks are no-ops.
 func (e *Engine) Run(n uint64) {
-	end := e.now + n
-	for e.now < end {
-		if e.ckptEvery != 0 {
-			e.fireCkpt()
-		}
-		if e.canJump() {
-			if t := e.nextWake(); t > e.now {
-				if t > end {
-					t = end
-				}
-				if e.ckptEvery != 0 && t > e.nextCkpt {
-					t = e.nextCkpt
-				}
-				e.now = t
-				continue
-			}
-		}
-		e.Step()
-	}
+	_ = e.run(nil, n, 0) // no predicate and no watchdog: nothing to fail
 }
 
 // ErrDeadlock is returned by RunUntil when no component reports progress for
@@ -429,57 +400,55 @@ func (e *ErrTimeout) Error() string {
 // ErrDeadlock if no progress is observed for watchdog cycles, or ErrTimeout
 // after maxCycles. A watchdog of 0 disables deadlock detection.
 //
-// In ModeActive with no AfterStep hook, idle stretches are skipped; jump
-// targets are clamped to the budget end and to the watchdog deadline so the
-// error cycle numbers (ErrTimeout.Cycle, ErrDeadlock.Cycle/LastProgress) are
-// exactly the ones the scan-mode loop would have produced.
+// In ModeActive idle stretches are skipped; jump targets are clamped to the
+// budget end, to the watchdog deadline and to the earliest observer deadline,
+// so observers run at — and the error cycle numbers (ErrTimeout.Cycle,
+// ErrDeadlock.Cycle/LastProgress) are — exactly the clocks the scan-mode loop
+// would have produced.
 func (e *Engine) RunUntil(done func() bool, maxCycles, watchdog uint64) error {
+	return e.run(done, maxCycles, watchdog)
+}
+
+// run is the one run loop: Run is run with no predicate (a spent budget is
+// then the normal way out, not an ErrTimeout) and no watchdog.
+func (e *Engine) run(done func() bool, maxCycles, watchdog uint64) error {
 	end := e.now + maxCycles
 	lastProgress := e.progressTotal()
 	lastProgressAt := e.now
-	deadlock := func() error {
-		err := &ErrDeadlock{Cycle: e.now, Window: watchdog, LastProgress: lastProgressAt}
-		if e.DeadlockDetail != nil {
-			err.Detail = e.DeadlockDetail()
-		}
-		return err
-	}
-	for !done() {
-		if e.ckptEvery != 0 {
-			e.fireCkpt()
-		}
+	for done == nil || !done() {
 		if e.now >= end {
+			if done == nil {
+				return nil
+			}
 			return &ErrTimeout{Cycle: e.now}
 		}
-		if e.canJump() {
-			if t := e.nextWake(); t > e.now {
-				if t > end {
-					t = end
-				}
-				if watchdog != 0 {
-					if dl := lastProgressAt + watchdog; dl < t {
-						t = dl
-					}
-				}
-				if e.ckptEvery != 0 && t > e.nextCkpt {
-					t = e.nextCkpt
-				}
-				e.now = t
-				// The skipped cycles were idle: no component ticked, so no
-				// progress. Fire the watchdog at the same cycle scan mode
-				// would have (lastProgressAt + watchdog).
-				if watchdog != 0 && e.now-lastProgressAt >= watchdog {
-					return deadlock()
-				}
-				continue
+		t := e.now
+		if e.mode == ModeActive {
+			t = min(e.nextWake(), end, e.nextObs)
+			if watchdog != 0 {
+				t = min(t, lastProgressAt+watchdog)
 			}
 		}
-		e.Step()
+		if t > e.now {
+			// The skipped cycles are idle: no component ticks, so no
+			// progress, and the watchdog below fires at the same cycle scan
+			// mode would have (lastProgressAt + watchdog).
+			e.arrive(t)
+		} else {
+			e.Step()
+		}
+		if watchdog == 0 {
+			continue
+		}
 		if p := e.progressTotal(); p != lastProgress {
 			lastProgress = p
 			lastProgressAt = e.now
-		} else if watchdog != 0 && e.now-lastProgressAt >= watchdog {
-			return deadlock()
+		} else if e.now-lastProgressAt >= watchdog {
+			err := &ErrDeadlock{Cycle: e.now, Window: watchdog, LastProgress: lastProgressAt}
+			if e.DeadlockDetail != nil {
+				err.Detail = e.DeadlockDetail()
+			}
+			return err
 		}
 	}
 	return nil

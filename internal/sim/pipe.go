@@ -81,17 +81,6 @@ func (p *Pipe[T]) Poll(now uint64) (T, bool) {
 	return v, true
 }
 
-// NextArrival returns the arrival cycle of the oldest undelivered item, if
-// any. Arrival cycles are monotone per pipe (senders serialize), so this is
-// the earliest cycle at which the receiver could make progress — the wake
-// cycle an active-set scheduler needs.
-func (p *Pipe[T]) NextArrival() (uint64, bool) {
-	if p.head >= len(p.q) {
-		return 0, false
-	}
-	return p.q[p.head].at, true
-}
-
 // Empty reports whether the pipe holds no items (arrived or in flight).
 func (p *Pipe[T]) Empty() bool { return p.head >= len(p.q) }
 

@@ -18,7 +18,7 @@ func (c *counter) Tick(now uint64) {
 }
 
 func TestEngineStepAdvancesClock(t *testing.T) {
-	e := NewEngine()
+	e := NewEngineMode(ModeScan)
 	c := &counter{e: e}
 	e.Register(c)
 	e.Run(5)
@@ -37,7 +37,7 @@ func TestEngineStepAdvancesClock(t *testing.T) {
 }
 
 func TestRunUntilDone(t *testing.T) {
-	e := NewEngine()
+	e := NewEngineMode(ModeScan)
 	c := &counter{e: e}
 	e.Register(c)
 	err := e.RunUntil(func() bool { return e.Now() >= 10 }, 100, 50)
@@ -50,7 +50,7 @@ func TestRunUntilDone(t *testing.T) {
 }
 
 func TestRunUntilTimeout(t *testing.T) {
-	e := NewEngine()
+	e := NewEngineMode(ModeScan)
 	c := &counter{e: e}
 	e.Register(c)
 	err := e.RunUntil(func() bool { return false }, 20, 0)
@@ -65,7 +65,7 @@ type idle struct{}
 func (idle) Tick(uint64) {}
 
 func TestRunUntilDeadlock(t *testing.T) {
-	e := NewEngine()
+	e := NewEngineMode(ModeScan)
 	e.Register(idle{})
 	err := e.RunUntil(func() bool { return false }, 1000, 10)
 	var de *ErrDeadlock
@@ -93,7 +93,7 @@ func (s *stallAfter) Tick(now uint64) {
 // the last-progress cycle, and the DeadlockDetail provider's snapshot, and
 // render all three in its message.
 func TestDeadlockSnapshot(t *testing.T) {
-	e := NewEngine()
+	e := NewEngineMode(ModeScan)
 	e.Register(&stallAfter{e: e, n: 7})
 	detailCalls := 0
 	e.DeadlockDetail = func() string {

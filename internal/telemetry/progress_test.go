@@ -18,8 +18,8 @@ func TestProgressFiresAtWindowBoundaries(t *testing.T) {
 		WindowCycles: 100,
 		Progress:     func(elapsed uint64) { ticks = append(ticks, elapsed) },
 	})
-	for now := uint64(0); now < 350; now++ {
-		c.Cycle(now)
+	for now := c.Observe(0); now <= 350; { // the engine's part: call at each deadline
+		now = c.Observe(now)
 	}
 	want := []uint64{100, 200, 300}
 	if len(ticks) != len(want) {

@@ -120,34 +120,50 @@ func TestTelemetryBitIdentity(t *testing.T) {
 
 // TestTelemetryEngineParity: telemetry reports — windowed per-channel flit
 // series, occupancy histograms, grant shares, cycle counts — must be
-// byte-identical between the scan engine and the active-set engine.
-// Installing the collector hooks Engine.AfterStep, which disables idle-cycle
-// jumping, so every sampling window closes on exactly the same cycle in both
-// modes; this test pins that contract end to end through a real workload.
+// byte-identical between the scan engine and the active-set engine. The
+// collector's engine observer clamps the active engine's idle-cycle jumps to
+// its window boundaries, so every sampling window closes on exactly the same
+// cycle in both modes; this test pins that contract end to end through a
+// saturated workload (no idle cycles to jump) and through a checked sparse
+// one (one packet in flight: nearly every cycle is a jump, with the invariant
+// suite's scans interleaved).
 func TestTelemetryEngineParity(t *testing.T) {
-	report := func(engine string) []byte {
-		dir := t.TempDir()
-		mc := machine.DefaultConfig(topo.Shape3(2, 2, 2))
-		mc.Engine = engine
-		mc.Telemetry = &telemetry.Options{
-			WindowCycles: 64, MaxWindows: 4,
-			TracePackets: 2, OccBins: 8,
-			Dir: dir, Name: "parity",
+	for _, tc := range []struct {
+		name string
+		job  func(mc machine.Config) exp.Job
+	}{
+		{"saturated fig9 point", func(mc machine.Config) exp.Job {
+			return core.ThroughputJob(core.ThroughputConfig{Machine: mc, Pattern: traffic.Uniform{}, Batch: 4})
+		}},
+		{"checked sparse fig11 point", func(mc machine.Config) exp.Job {
+			mc.Check = true
+			cfg := core.DefaultLatencyConfig(mc.Shape)
+			cfg.Machine, cfg.PingPongs, cfg.PairsPerHop = mc, 4, 2
+			return core.LatencyJob(cfg)
+		}},
+	} {
+		report := func(engine string) []byte {
+			dir := t.TempDir()
+			mc := machine.DefaultConfig(topo.Shape3(2, 2, 2))
+			mc.Engine = engine
+			mc.Telemetry = &telemetry.Options{
+				WindowCycles: 64, MaxWindows: 4,
+				TracePackets: 2, OccBins: 8,
+				Dir: dir, Name: "parity",
+			}
+			rs := exp.Run([]exp.Job{tc.job(mc)}, exp.Serial())
+			if err := exp.FirstErr(rs); err != nil {
+				t.Fatalf("%s, engine %q: %v", tc.name, engine, err)
+			}
+			data, err := os.ReadFile(filepath.Join(dir, "parity.json"))
+			if err != nil {
+				t.Fatalf("%s, engine %q: %v", tc.name, engine, err)
+			}
+			return data
 		}
-		rs := exp.Run([]exp.Job{core.ThroughputJob(core.ThroughputConfig{
-			Machine: mc, Pattern: traffic.Uniform{}, Batch: 4,
-		})}, exp.Serial())
-		if err := exp.FirstErr(rs); err != nil {
-			t.Fatalf("engine %q: %v", engine, err)
+		scan, active := report(machine.EngineScan), report(machine.EngineActive)
+		if !bytes.Equal(scan, active) {
+			t.Errorf("%s: telemetry reports diverge between engines (%d vs %d bytes)", tc.name, len(scan), len(active))
 		}
-		data, err := os.ReadFile(filepath.Join(dir, "parity.json"))
-		if err != nil {
-			t.Fatalf("engine %q: %v", engine, err)
-		}
-		return data
-	}
-	scan, active := report(machine.EngineScan), report(machine.EngineActive)
-	if !bytes.Equal(scan, active) {
-		t.Errorf("telemetry reports diverge between engines (%d vs %d bytes)", len(scan), len(active))
 	}
 }

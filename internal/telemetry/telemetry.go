@@ -23,7 +23,6 @@ import (
 	"anton2/internal/packet"
 	"anton2/internal/stats"
 	"anton2/internal/topo"
-	"anton2/internal/trace"
 )
 
 // Defaults for the zero Options value.
@@ -63,21 +62,14 @@ type Options struct {
 	// Sink, when non-nil, receives the finished report in addition to —
 	// or instead of — the JSON artifacts.
 	Sink func(*Report)
-	// Progress, when non-nil, is invoked from the engine AfterStep hook at
-	// every sampling-window boundary with the number of cycles simulated
+	// Progress, when non-nil, is invoked from the collector's engine observer
+	// at every sampling-window boundary with the number of cycles simulated
 	// so far. It gives long-running consumers (anton2serve streams it to
 	// clients) a live heartbeat at window granularity without adding any
 	// per-cycle cost. Like every telemetry output it is observation-only:
 	// the callback must not touch simulation state, and it runs on the
 	// simulating goroutine, so it must be fast and non-blocking.
 	Progress func(elapsedCycles uint64)
-	// InjectionSink, when non-nil, receives one trace.Event per unicast
-	// injection (multicast clones and circulating packets are skipped),
-	// carrying the packet's route choices so a run's traffic can be
-	// captured in the internal/trace recorded-trace format and replayed.
-	// Like Progress it runs on the simulating goroutine and must not
-	// touch simulation state.
-	InjectionSink func(trace.Event)
 }
 
 // Env carries the observed machine's geometry and state accessors. It is
@@ -104,8 +96,8 @@ type Env struct {
 }
 
 // Collector accumulates telemetry for one machine. All hook methods are safe
-// to call every cycle; the only per-cycle cost off a window boundary is one
-// compare in Cycle.
+// to call every cycle; the periodic sampling runs from Observe, at window
+// boundaries only.
 type Collector struct {
 	env  Env
 	opts Options
@@ -193,14 +185,15 @@ func NewCollector(env Env, opts Options) *Collector {
 	return c
 }
 
-// Cycle is the engine AfterStep hook: now is the cycle that just completed,
-// so now+1 cycles have elapsed. Off a window boundary this is a single
-// compare.
-func (c *Collector) Cycle(now uint64) {
-	if now+1 < c.nextSample {
-		return
+// Observe is the collector's engine observer (sim.Engine.Observe): the clock
+// has arrived at now, so now cycles have elapsed. It closes the window when
+// now has reached its boundary and returns the next boundary — which moves
+// out as windows merge — as the next deadline.
+func (c *Collector) Observe(now uint64) (next uint64) {
+	if now >= c.nextSample {
+		c.sample(now)
 	}
-	c.sample(now + 1)
+	return c.nextSample
 }
 
 // sample closes the window ending at elapsed cycles.
@@ -283,9 +276,6 @@ func (c *Collector) OnAdapterGrant(egress bool, node, adapter, vc int) {
 func (c *Collector) OnInject(p *packet.Packet, now uint64) {
 	if p.Circulate || p.MGroup >= 0 {
 		return
-	}
-	if c.opts.InjectionSink != nil {
-		c.opts.InjectionSink(trace.FromPacket(p, now))
 	}
 	if p.Trace == nil {
 		if c.traceBudget <= 0 {

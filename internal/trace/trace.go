@@ -2,11 +2,9 @@
 // deterministic JSON-lines encoding of every logical injection in a run.
 // The first line is a Header identifying the format version, the machine
 // shape, and the workload that produced the capture; every following line is
-// one Event in injection order. The telemetry collector can emit events as
-// packets enter the fabric (telemetry.Options.InjectionSink), the workload
-// layer records them with phase context, and both traffic.Replay and
-// workload.ReplayTrace consume them — the simulator captures and replays its
-// own traffic.
+// one Event in injection order. The workload layer records events with their
+// phase context through a Recorder and workload.ReplayTrace consumes them —
+// the simulator captures and replays its own traffic.
 //
 // Format v1 guarantees:
 //   - Encoding is deterministic: the same Trace always yields the same bytes.
@@ -94,22 +92,6 @@ func ParseDimOrder(s string) (topo.DimOrder, bool) {
 	return topo.DimOrder{}, false
 }
 
-// ParseShape parses a canonical "KxKxK" shape string.
-func ParseShape(s string) (topo.TorusShape, error) {
-	var kx, ky, kz int
-	if n, err := fmt.Sscanf(s, "%dx%dx%d", &kx, &ky, &kz); n != 3 || err != nil {
-		return topo.TorusShape{}, fmt.Errorf("trace: malformed shape %q", s)
-	}
-	sh := topo.Shape3(kx, ky, kz)
-	if sh.String() != s {
-		return topo.TorusShape{}, fmt.Errorf("trace: non-canonical shape %q", s)
-	}
-	if err := sh.Validate(); err != nil {
-		return topo.TorusShape{}, err
-	}
-	return sh, nil
-}
-
 func (h Header) validate() (topo.TorusShape, error) {
 	if h.Format != Format {
 		return topo.TorusShape{}, fmt.Errorf("trace: format %q, want %q", h.Format, Format)
@@ -117,7 +99,11 @@ func (h Header) validate() (topo.TorusShape, error) {
 	if h.Version != Version {
 		return topo.TorusShape{}, fmt.Errorf("trace: version %d, want %d", h.Version, Version)
 	}
-	return ParseShape(h.Shape)
+	shape, err := topo.ParseShape(h.Shape) // strict: canonical spellings only
+	if err != nil {
+		return topo.TorusShape{}, fmt.Errorf("trace: %w", err)
+	}
+	return shape, nil
 }
 
 func (e *Event) validate(shape topo.TorusShape) error {
@@ -254,28 +240,6 @@ func Decode(data []byte) (*Trace, error) {
 		return nil, err
 	}
 	return t, nil
-}
-
-// FromPacket captures a unicast injection as a trace event with no phase
-// context (timestep and phase zero) — the form the telemetry injection sink
-// emits. The packet's route.State holds its choices post strategy Choose;
-// replaying them through the same strategy is stable because Choose is a
-// projection onto the strategy's allowed choice set (idempotent), as is the
-// fault-avoidance rewrite for an already-avoiding choice.
-func FromPacket(p *packet.Packet, now uint64) Event {
-	return Event{
-		Cycle:   now,
-		Kind:    KindUnicast,
-		SrcNode: p.Src.Node,
-		SrcEp:   p.Src.Ep,
-		DstNode: p.Dst.Node,
-		DstEp:   p.Dst.Ep,
-		Class:   int(p.Route.Class),
-		Size:    int(p.Size),
-		Order:   p.Route.DimOrder.String(),
-		Slice:   int(p.Route.Slice),
-		Ties:    p.Route.Ties,
-	}
 }
 
 // Recorder accumulates events during a run. It is not synchronized: record

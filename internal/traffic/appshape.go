@@ -1,12 +1,10 @@
 package traffic
 
-// This file holds the application-shaped generators: temporal burstiness,
-// spatial hotspots, and recorded-trace playback. Unlike the synthetic
-// patterns in traffic.go these are not all node-symmetric, so they are
-// deliberately excluded from the saturation-analysis pattern lists (loadcalc
-// derives channel loads from the node-0 flow view under a symmetry
-// assumption); the workload layer and the experiment families that use them
-// reason about time, not steady-state rate.
+// This file holds the application-shaped generator: temporal burstiness.
+// Unlike the synthetic patterns in traffic.go it is stateful, so it is
+// deliberately excluded from the saturation-analysis pattern lists; the
+// workload layer and the experiment family that use it reason about time, not
+// steady-state rate.
 
 import (
 	"fmt"
@@ -15,7 +13,6 @@ import (
 
 	"anton2/internal/loadcalc"
 	"anton2/internal/topo"
-	"anton2/internal/trace"
 )
 
 // Bursty wraps an inner pattern with temporal burstiness: each source sends
@@ -73,135 +70,3 @@ func (b *Bursty) Dest(m *topo.Machine, src topo.NodeEp, rng *rand.Rand) topo.Nod
 // Flows implements Pattern. Bursting reorders packets in time but leaves the
 // destination distribution unchanged.
 func (b *Bursty) Flows(m *topo.Machine) loadcalc.FlowFunc { return b.Inner.Flows(m) }
-
-// Hotspot aims a fraction Frac of every source's packets at the core
-// endpoints of one hot node and draws the rest from Inner (nil = Uniform).
-// Sources on the hot node itself send pure inner traffic. The pattern is not
-// node-symmetric: Flows describes node-0 sources, per the FlowFunc contract,
-// which is the hot view only when Node == 0.
-type Hotspot struct {
-	Node  int     // hot node id
-	Frac  float64 // fraction of packets aimed at the hot node, in [0, 1]
-	Inner Pattern
-}
-
-func (h Hotspot) inner() Pattern {
-	if h.Inner == nil {
-		return Uniform{}
-	}
-	return h.Inner
-}
-
-// Name implements Pattern.
-func (h Hotspot) Name() string {
-	return fmt.Sprintf("hotspot%d-%g-%s", h.Node, h.Frac, h.inner().Name())
-}
-
-// Dest implements Pattern.
-func (h Hotspot) Dest(m *topo.Machine, src topo.NodeEp, rng *rand.Rand) topo.NodeEp {
-	if src.Node != h.Node && rng.Float64() < h.Frac {
-		cores := m.Chip.CoreEndpoints()
-		return topo.NodeEp{Node: h.Node, Ep: cores[rng.Intn(len(cores))]}
-	}
-	return h.inner().Dest(m, src, rng)
-}
-
-// Flows implements Pattern.
-func (h Hotspot) Flows(m *topo.Machine) loadcalc.FlowFunc {
-	innerFlows := h.inner().Flows(m)
-	if h.Node == 0 {
-		return innerFlows
-	}
-	cores := m.Chip.CoreEndpoints()
-	return func(srcEp int) []loadcalc.Flow {
-		var out []loadcalc.Flow
-		idx := make(map[topo.NodeEp]int)
-		add := func(dst topo.NodeEp, frac float64) {
-			if i, ok := idx[dst]; ok {
-				out[i].Frac += frac
-			} else {
-				idx[dst] = len(out)
-				out = append(out, loadcalc.Flow{Dst: dst, Frac: frac})
-			}
-		}
-		for _, f := range innerFlows(srcEp) {
-			add(f.Dst, f.Frac*(1-h.Frac))
-		}
-		for _, ep := range cores {
-			add(topo.NodeEp{Node: h.Node, Ep: ep}, h.Frac/float64(len(cores)))
-		}
-		return out
-	}
-}
-
-// Replay plays back the unicast destinations of a recorded trace: each
-// source re-issues its recorded destination sequence in order, wrapping
-// around when exhausted, so a capture can drive open-loop rate sweeps with
-// the application's spatial structure. Sources with no recorded events fall
-// back to uniform traffic. Cursors are mutex-guarded; like Bursty, use one
-// Replay per run where possible.
-type Replay struct {
-	Tr *trace.Trace
-
-	once sync.Once
-	mu   sync.Mutex
-	seq  map[topo.NodeEp][]topo.NodeEp
-	pos  map[topo.NodeEp]int
-}
-
-// NewReplay wraps a decoded trace as a traffic pattern.
-func NewReplay(tr *trace.Trace) *Replay { return &Replay{Tr: tr} }
-
-// Name implements Pattern.
-func (r *Replay) Name() string { return "replay" }
-
-func (r *Replay) build() {
-	r.seq = make(map[topo.NodeEp][]topo.NodeEp)
-	r.pos = make(map[topo.NodeEp]int)
-	for _, e := range r.Tr.Events {
-		if e.Kind != trace.KindUnicast {
-			continue
-		}
-		src := topo.NodeEp{Node: e.SrcNode, Ep: e.SrcEp}
-		r.seq[src] = append(r.seq[src], topo.NodeEp{Node: e.DstNode, Ep: e.DstEp})
-	}
-}
-
-// Dest implements Pattern.
-func (r *Replay) Dest(m *topo.Machine, src topo.NodeEp, rng *rand.Rand) topo.NodeEp {
-	r.once.Do(r.build)
-	r.mu.Lock()
-	s := r.seq[src]
-	if len(s) == 0 {
-		r.mu.Unlock()
-		return Uniform{}.Dest(m, src, rng)
-	}
-	i := r.pos[src]
-	r.pos[src] = (i + 1) % len(s)
-	r.mu.Unlock()
-	return s[i]
-}
-
-// Flows implements Pattern: the empirical destination distribution of the
-// trace's node-0 sources, in first-appearance order.
-func (r *Replay) Flows(m *topo.Machine) loadcalc.FlowFunc {
-	r.once.Do(r.build)
-	return func(srcEp int) []loadcalc.Flow {
-		s := r.seq[topo.NodeEp{Node: 0, Ep: srcEp}]
-		if len(s) == 0 {
-			return Uniform{}.Flows(m)(srcEp)
-		}
-		var out []loadcalc.Flow
-		idx := make(map[topo.NodeEp]int)
-		frac := 1 / float64(len(s))
-		for _, dst := range s {
-			if i, ok := idx[dst]; ok {
-				out[i].Frac += frac
-			} else {
-				idx[dst] = len(out)
-				out = append(out, loadcalc.Flow{Dst: dst, Frac: frac})
-			}
-		}
-		return out
-	}
-}

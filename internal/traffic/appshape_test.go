@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"anton2/internal/topo"
-	"anton2/internal/trace"
 )
 
 // chiSquareVsFlows draws destinations for a node-0 source and tests
@@ -64,22 +63,11 @@ func TestChiSquareBursty(t *testing.T) {
 	chiSquareVsFlows(t, m, p, m.Chip.CoreEndpoints()[3], 40000, 2*float64(p.Len), rand.New(rand.NewSource(12)))
 }
 
-// TestChiSquareHotspot: online draws agree with the merged hot + background
-// distribution.
-func TestChiSquareHotspot(t *testing.T) {
-	m := machineFor(t, topo.Shape3(4, 4, 2))
-	p := Hotspot{Node: 5, Frac: 0.3}
-	chiSquareVsFlows(t, m, p, m.Chip.CoreEndpoints()[7], 40000, 1, rand.New(rand.NewSource(13)))
-}
-
 func TestAppShapeFlowsSumToOne(t *testing.T) {
 	m := machineFor(t, topo.Shape3(4, 4, 4))
 	for _, p := range []Pattern{
 		NewBursty(Uniform{}, 4),
 		NewBursty(NHop{N: 2}, 8),
-		Hotspot{Node: 9, Frac: 0.25},
-		Hotspot{Node: 0, Frac: 0.5, Inner: NHop{N: 1}},
-		Hotspot{Node: 3, Frac: 1},
 	} {
 		checkFlowsSumToOne(t, m, p)
 	}
@@ -127,94 +115,4 @@ func TestBurstyPerSourceIndependence(t *testing.T) {
 			t.Fatalf("source B burst broke at draw %d (p = 1e-6)", i)
 		}
 	}
-}
-
-// TestHotspotFraction: the observed hot-node fraction tracks Frac, and
-// sources on the hot node fall back to pure inner traffic.
-func TestHotspotFraction(t *testing.T) {
-	m := machineFor(t, topo.Shape3(4, 4, 2))
-	p := Hotspot{Node: 5, Frac: 0.3}
-	rng := rand.New(rand.NewSource(17))
-	src := topo.NodeEp{Node: 0, Ep: m.Chip.CoreEndpoints()[0]}
-	const draws = 40000
-	hot := 0
-	for i := 0; i < draws; i++ {
-		if p.Dest(m, src, rng).Node == p.Node {
-			hot++
-		}
-	}
-	// Background uniform also lands on the hot node 1/31 of the time.
-	want := p.Frac + (1-p.Frac)/float64(m.NumNodes()-1)
-	if got := float64(hot) / draws; math.Abs(got-want) > 0.02 {
-		t.Errorf("hot fraction %.3f, want ~%.3f", got, want)
-	}
-	// A source on the hot node sends pure inner (uniform excludes self).
-	hotSrc := topo.NodeEp{Node: p.Node, Ep: m.Chip.CoreEndpoints()[0]}
-	for i := 0; i < 1000; i++ {
-		if p.Dest(m, hotSrc, rng).Node == p.Node {
-			t.Fatal("hot-node source sent to itself")
-		}
-	}
-}
-
-func replayFixture(m *topo.Machine) (*Replay, []topo.NodeEp) {
-	cores := m.Chip.CoreEndpoints()
-	src := topo.NodeEp{Node: 0, Ep: cores[0]}
-	dsts := []topo.NodeEp{
-		{Node: 3, Ep: cores[1]},
-		{Node: 5, Ep: cores[2]},
-		{Node: 3, Ep: cores[1]},
-		{Node: 1, Ep: cores[0]},
-	}
-	tr := &trace.Trace{Header: trace.Header{Format: trace.Format, Version: trace.Version, Shape: m.Shape.String(), Seed: 1}}
-	for i, d := range dsts {
-		tr.Events = append(tr.Events, trace.Event{
-			Cycle: uint64(i), Kind: trace.KindUnicast,
-			SrcNode: src.Node, SrcEp: src.Ep, DstNode: d.Node, DstEp: d.Ep,
-			Size: 1, Order: "XYZ", Ties: [topo.NumDims]int8{1, 1, 1},
-		})
-	}
-	return NewReplay(tr), dsts
-}
-
-// TestReplayPlaysBackInOrder: recorded destinations come back in order and
-// wrap around; sources absent from the trace fall back to uniform.
-func TestReplayPlaysBackInOrder(t *testing.T) {
-	m := machineFor(t, topo.Shape3(4, 4, 2))
-	p, dsts := replayFixture(m)
-	rng := rand.New(rand.NewSource(18))
-	src := topo.NodeEp{Node: 0, Ep: m.Chip.CoreEndpoints()[0]}
-	for i := 0; i < 3*len(dsts); i++ {
-		want := dsts[i%len(dsts)]
-		if got := p.Dest(m, src, rng); got != want {
-			t.Fatalf("draw %d = %v, want %v", i, got, want)
-		}
-	}
-	other := topo.NodeEp{Node: 7, Ep: m.Chip.CoreEndpoints()[0]}
-	for i := 0; i < 100; i++ {
-		if p.Dest(m, other, rng).Node == other.Node {
-			t.Fatal("uniform fallback sent to the source node")
-		}
-	}
-}
-
-// TestReplayFlowsEmpirical: Flows reports the per-destination frequencies of
-// the recorded sequence.
-func TestReplayFlowsEmpirical(t *testing.T) {
-	m := machineFor(t, topo.Shape3(4, 4, 2))
-	p, dsts := replayFixture(m)
-	flows := p.Flows(m)(m.Chip.CoreEndpoints()[0])
-	want := map[topo.NodeEp]float64{}
-	for _, d := range dsts {
-		want[d] += 1 / float64(len(dsts))
-	}
-	if len(flows) != len(want) {
-		t.Fatalf("got %d flows, want %d", len(flows), len(want))
-	}
-	for _, f := range flows {
-		if math.Abs(f.Frac-want[f.Dst]) > 1e-12 {
-			t.Errorf("flow to %v = %g, want %g", f.Dst, f.Frac, want[f.Dst])
-		}
-	}
-	checkFlowsSumToOne(t, m, p)
 }

@@ -1,11 +1,10 @@
 // Package traffic defines the synthetic traffic patterns of the paper's
 // measurement section: uniform random, n-hop neighbor locality [2], tornado
 // and reverse tornado [25], plus generic permutations, and the
-// application-shaped generators of appshape.go (bursty, hotspot, trace
-// replay). Every pattern both draws destinations online (for the simulator)
-// and enumerates its destination distribution (for load computation). The
-// synthetic patterns in this file are node-symmetric; the application-shaped
-// ones need not be, and Flows always describes node-0 sources.
+// application-shaped bursty wrapper of appshape.go. Every pattern both draws
+// destinations online (for the simulator) and enumerates its destination
+// distribution (for load computation). The patterns are node-symmetric, and
+// Flows always describes node-0 sources.
 package traffic
 
 import (

@@ -18,9 +18,7 @@ import (
 // errors out on the first divergence instead of reporting skewed times.
 //
 // Unicast choices recorded by Run are pre strategy-Choose, so replay applies
-// the same Choose the original did. Telemetry captures (trace.FromPacket)
-// hold post-Choose choices; they replay stably too because Choose is a
-// projection onto the strategy's allowed choice set.
+// the same Choose the original did.
 func ReplayTrace(m *machine.Machine, tr *trace.Trace, maxPhaseCycles uint64) (Result, error) {
 	if got := m.Topo.Shape.String(); tr.Header.Shape != got {
 		return Result{}, fmt.Errorf("workload: trace captured on %s, machine is %s", tr.Header.Shape, got)

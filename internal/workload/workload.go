@@ -232,11 +232,12 @@ const quiesceBudget = 1 << 16
 func defaultPhaseBudget(expected uint64) uint64 { return 400_000 + 64*expected }
 
 // Progress is a run's driver-level position, captured alongside a machine
-// snapshot when a checkpoint fires. Checkpoints fire only inside the
-// delivery wait of a phase (the engine's checkpoint hook is consumed by
-// RunUntil, never by the manual quiescence stepping), so at capture time the
-// current phase is fully injected and Progress pins exactly where the
-// resumed run re-enters: finish this phase's delivery wait, then continue.
+// snapshot when a checkpoint fires. Checkpoints fire when the clock arrives
+// at a multiple of the interval, which only happens inside finishPhase (its
+// delivery wait or its quiescence stepping), so at capture time the current
+// phase is fully injected and Progress pins exactly where the resumed run
+// re-enters: finish this phase — a delivery wait that is already over returns
+// at once — then continue.
 type Progress struct {
 	// Timestep and Phase locate the in-progress phase.
 	Timestep int `json:"timestep"`
@@ -291,15 +292,15 @@ func Run(m *machine.Machine, spec Spec, rec *trace.Recorder, maxPhaseCycles uint
 }
 
 // RunResumable is Run with checkpoint support: when every > 0 and sink is
-// non-nil, the engine's checkpoint hook is installed and sink is invoked
-// between engine steps with the driver's current Progress (the caller pairs
-// it with machine.Snapshot to form a complete checkpoint). When from is
-// non-nil the run resumes an interrupted one: the machine must already hold
-// the restored snapshot, completed phases are taken from from.Completed, the
-// per-source RNG draws of every already-injected phase are replayed (so
-// later phases draw exactly what the uninterrupted run would have), and
-// execution re-enters at the interrupted phase's delivery wait. Recording
-// does not compose with resumption.
+// non-nil, an engine observer invokes sink between engine steps, whenever the
+// clock reaches a multiple of every, with the driver's current Progress (the
+// caller pairs it with machine.Snapshot to form a complete checkpoint). When
+// from is non-nil the run resumes an interrupted one: the machine must
+// already hold the restored snapshot, completed phases are taken from
+// from.Completed, the per-source RNG draws of every already-injected phase
+// are replayed (so later phases draw exactly what the uninterrupted run would
+// have), and execution re-enters at the interrupted phase's delivery wait.
+// Recording does not compose with resumption.
 func RunResumable(m *machine.Machine, spec Spec, maxPhaseCycles uint64, from *Progress, every uint64, sink func(prog Progress)) (Result, error) {
 	return runInner(m, spec, nil, maxPhaseCycles, from, every, sink)
 }
@@ -339,8 +340,18 @@ func runInner(m *machine.Machine, spec Spec, rec *trace.Recorder, maxPhaseCycles
 	var cur Progress
 	track := every > 0 && sink != nil
 	if track {
-		m.Engine.SetCheckpoint(every, func(uint64) { sink(cur) })
-		defer m.Engine.SetCheckpoint(0, nil)
+		// The machine is the caller's and outlives the run, so the observer
+		// uninstalls itself at its first deadline after the run returns.
+		running := true
+		defer func() { running = false }()
+		next := func(now uint64) uint64 { return now + every - now%every }
+		m.Engine.Observe(next(m.Engine.Now()), func(now uint64) uint64 {
+			if !running {
+				return 0
+			}
+			sink(cur)
+			return next(now)
+		})
 	}
 	resuming := from != nil
 	if resuming {
@@ -456,59 +467,35 @@ func runInner(m *machine.Machine, spec Spec, rec *trace.Recorder, maxPhaseCycles
 			if ph.idx == PhaseMulticast && !hasMcast {
 				continue
 			}
+			var pos Progress // this phase's position, as a checkpoint records it
 			if resuming {
 				key, fromKey := ts*numPhases+ph.idx, from.Timestep*numPhases+from.Phase
-				if key < fromKey {
-					// Completed before the checkpoint: the machine state
-					// already reflects it; only the draws need replaying.
-					if ph.replay != nil {
-						ph.replay()
-					}
-					continue
-				}
 				if key > fromKey {
 					return Result{}, fmt.Errorf("workload: checkpoint position (timestep %d, %s) was skipped", from.Timestep, PhaseName(from.Phase))
 				}
-				// The interrupted phase: fully injected at checkpoint time,
-				// so replay its draws and re-enter the delivery wait.
+				// Fully injected by checkpoint time: the machine state
+				// already reflects it; only the draws need replaying.
 				if ph.replay != nil {
 					ph.replay()
 				}
-				resuming = false
-				if track {
-					cur = Progress{
-						Timestep: ts, Phase: ph.idx,
-						Completed:  append([]PhaseResult(nil), res.Phases...),
-						Before:     from.Before,
-						Injected:   from.Injected,
-						Expected:   from.Expected,
-						PhaseStart: from.PhaseStart,
-					}
+				if key < fromKey {
+					continue
 				}
-				pr, err := finishPhase(m, ts, ph.idx, maxPhaseCycles, from.Before, from.Injected, from.Expected, from.PhaseStart)
-				if err != nil {
+				// The interrupted phase: re-enter its delivery wait.
+				resuming = false
+				pos = *from
+			} else {
+				pos = Progress{Timestep: ts, Phase: ph.idx, PhaseStart: m.Engine.Now(), Before: m.Delivered()}
+				var err error
+				if pos.Injected, pos.Expected, err = ph.inject(); err != nil {
 					return Result{}, err
 				}
-				res.Phases = append(res.Phases, pr)
-				continue
-			}
-			start := m.Engine.Now()
-			before := m.Delivered()
-			injected, expected, err := ph.inject()
-			if err != nil {
-				return Result{}, err
 			}
 			if track {
-				cur = Progress{
-					Timestep: ts, Phase: ph.idx,
-					Completed:  append([]PhaseResult(nil), res.Phases...),
-					Before:     before,
-					Injected:   injected,
-					Expected:   expected,
-					PhaseStart: start,
-				}
+				pos.Completed = append([]PhaseResult(nil), res.Phases...)
+				cur = pos
 			}
-			pr, err := finishPhase(m, ts, ph.idx, maxPhaseCycles, before, injected, expected, start)
+			pr, err := finishPhase(m, ts, ph.idx, maxPhaseCycles, pos.Before, pos.Injected, pos.Expected, pos.PhaseStart)
 			if err != nil {
 				return Result{}, err
 			}
