@@ -6,6 +6,8 @@
 // from precomputed per-traffic-pattern loads.
 package arbiter
 
+import "math/bits"
+
 // MaxInputs bounds arbiter width so request vectors fit in a uint64.
 const MaxInputs = 64
 
@@ -79,18 +81,7 @@ func (a *FixedPriority) Pick(req uint64, _ []uint8) int {
 }
 
 // msb returns the index of the most significant set bit, or -1.
-func msb(x uint64) int {
-	if x == 0 {
-		return -1
-	}
-	i := 0
-	for s := 32; s > 0; s >>= 1 {
-		if x>>(uint(i)+uint(s)) != 0 {
-			i += s
-		}
-	}
-	return i
-}
+func msb(x uint64) int { return bits.Len64(x) - 1 }
 
 func checkK(k int) {
 	if k < 1 || k > MaxInputs {

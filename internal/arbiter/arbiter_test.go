@@ -90,12 +90,13 @@ func validTherm(k int, boundary int) uint64 {
 // fixed-priority-arbiter implementation is grant-for-grant identical to the
 // naive 2P-arbiter construction.
 func TestPrioArbMatchesNaive(t *testing.T) {
-	f := func(reqRaw uint16, priRaw uint16, boundary uint8) bool {
-		const k, p = 12, 2
+	f := func(reqRaw uint16, priRaw uint32, boundary, levels uint8) bool {
+		const k = 12
+		p := 1 + int(levels)%MaxPrioLevels
 		req := uint64(reqRaw) & ((1 << k) - 1)
 		pri := make([]uint8, k)
 		for i := 0; i < k; i++ {
-			pri[i] = uint8(priRaw>>i) & 1
+			pri[i] = uint8(priRaw>>(2*i)&3) % uint8(p)
 		}
 		therm := validTherm(k, int(boundary)%(k+1))
 		a := PrioArb(k, p, req, pri, therm)
@@ -105,6 +106,20 @@ func TestPrioArbMatchesNaive(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 5000}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestPrioArbAllocatesNothing: a pick sits on the cycle kernel's hot path.
+func TestPrioArbAllocatesNothing(t *testing.T) {
+	pri := []uint8{1, 0, 1, 0, 0, 1}
+	if n := testing.AllocsPerRun(100, func() { PrioArb(6, 2, 0b101101, pri, 0b000111) }); n != 0 {
+		t.Errorf("PrioArb allocates %.0f objects per pick, want 0", n)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Errorf("PrioArb must refuse more than %d priority levels", MaxPrioLevels)
+		}
+	}()
+	PrioArb(6, MaxPrioLevels+1, 1, pri, 0)
 }
 
 func TestPrioArbGrantProperties(t *testing.T) {

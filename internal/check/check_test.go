@@ -26,7 +26,7 @@ type scanCounter struct {
 	scans int
 }
 
-func (*scanCounter) Name() string            { return "scan-counter" }
+func (*scanCounter) Name() string                { return "scan-counter" }
 func (c *scanCounter) Scan(*check.Suite, uint64) { c.scans++ }
 
 func TestSuiteViolationAccounting(t *testing.T) {

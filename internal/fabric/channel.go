@@ -38,67 +38,89 @@ type EnergyCounters struct {
 	SetBitsSum  uint64 // one bits per flit payload
 }
 
+// MaxVCs bounds a channel's physical VC count: the per-VC credit counters
+// live in a fixed inline array. The widest registered routing strategy
+// (baseline-2n on the torus group) uses 12.
+const MaxVCs = 12
+
 // Channel is a directed link between two network components with per-VC
 // credit flow control. The sending component owns the credit counters and
 // the occupancy tracking; the receiving component polls arrivals and returns
 // credits as buffer space frees.
+//
+// Ready masks: each bound component owns an inMask and a credMask word, one
+// bit per port. The channel sets its bit in the receiver's inMask whenever a
+// packet enters the packet pipe, and in the sender's credMask whenever a
+// credit enters the credit pipe (pushPkt and pushCredit are the only
+// enqueuers); Recv and AbsorbCredits, which only the owning component calls,
+// clear the bit once they observe the pipe empty. The component's tick visits
+// set bits only, so an idle port costs no memory touch at all.
+//
+// Layout: both pipes and the credit counters are held inline and the fields
+// are grouped by who touches them on the hot path — the receiver's poll
+// (pkts, its mask), the sender's CanSend/Send (credit, serializer state,
+// counters), the credit return path (credits, its mask) — with
+// configuration-time, fault-only and staging state last.
 type Channel struct {
-	ID      int // global channel id (topo.Machine space), -1 if synthetic
-	Name    string
-	Group   topo.Group
-	latency uint64
-	rate    uint64 // millicycles per flit
+	pkts     sim.Pipe[*packet.Packet]
+	recvMask *uint32 // receiver's inMask word and this channel's bit in it
+	recvBit  uint32
+	recvID   int32
 
-	pkts    *sim.Pipe[*packet.Packet]
-	credits *sim.Pipe[creditMsg]
-
-	credit   []int // sender-side available credits per VC, in flits
-	bufFlits int   // per-VC buffer capacity, in flits (credit upper bound)
-
-	busyUntilMilli uint64 // serializer occupancy, in millicycles
-	lastIdleFrom   uint64 // cycle from which the channel has been idle
-
+	credit         [MaxVCs]int32 // sender-side available credits per VC, in flits
+	busyUntilMilli uint64        // serializer occupancy, in millicycles
 	// stallUntil: the channel accepts no new frames while now < stallUntil.
 	// Zero (never stalled) is the common case; the fault layer sets it for
 	// transient stalls and permanent outages.
 	stallUntil uint64
 
-	// DropCredit, when non-nil, is consulted on every credit return; a true
-	// result drops the message, accumulating into lost. Installed only by
-	// the fault layer (EnableCreditLoss).
-	DropCredit func(vc, flits uint8) bool
-	lost       []int // credits dropped and not yet restored, per VC
-
-	// CensusExempt marks a channel whose in-flight packets are accounted
-	// for by a reliable-link retransmission window instead of the pipe
-	// census (the pipe may hold duplicates of one logical packet).
-	CensusExempt bool
-
-	// Energy is non-nil when energy tracking is enabled.
-	Energy      *EnergyCounters
-	prevPayload []byte
-	sentAny     bool
-
+	latency uint64
+	rate    uint64 // millicycles per flit
 	// Sent counts total flits forwarded (always maintained; used for
 	// utilization reporting). Pkts is the packet analogue.
 	Sent uint64
 	Pkts uint64
-
-	// Active-set bindings: the engine component ids of the two endpoints.
-	// When bound, a send wakes the receiver at the arrival cycle and a
-	// credit return wakes the sender at the credit's arrival cycle, so
+	// Active-set bindings: the engines and component ids of the two
+	// endpoints. When bound, a send wakes the receiver at the arrival cycle
+	// and a credit return wakes the sender at the credit's arrival cycle, so
 	// sleeping components never miss traffic and — because credits are
 	// absorbed on the same cycle as in scan mode — per-cycle credit
 	// counters stay bit-identical across scheduling modes.
-	recvE, sndE   *sim.Engine
-	recvID, sndID int32
+	recvE, sndE *sim.Engine
+	// DropCredit, when non-nil, is consulted on every credit return; a true
+	// result drops the message, accumulating into lost. Installed only by
+	// the fault layer (EnableCreditLoss).
+	DropCredit func(vc, flits uint8) bool
+	// Energy is non-nil when energy tracking is enabled.
+	Energy *EnergyCounters
 
+	credits sim.Pipe[creditMsg]
+	sndMask *uint32 // sender's credMask word and this channel's bit in it
+	sndBit  uint32
+	sndID   int32
+
+	bufFlits int32 // per-VC buffer capacity, in flits (credit upper bound)
+	numVCs   uint8
 	// deferred: the channel crosses a shard boundary; sends and credit
 	// returns are staged locally and flushed (with their original arrival
 	// cycles) at the phase barrier by the coordinator.
-	deferred    bool
+	deferred bool
+	sentAny  bool
+	// CensusExempt marks a channel whose in-flight packets are accounted
+	// for by a reliable-link retransmission window instead of the pipe
+	// census (the pipe may hold duplicates of one logical packet).
+	CensusExempt bool
+	Group        topo.Group
+
+	ID          int // global channel id (topo.Machine space), -1 if synthetic
+	Name        string
+	lost        []int // credits dropped and not yet restored, per VC
+	prevPayload []byte
 	stagedPkts  []stagedPkt
 	stagedCreds []stagedCred
+	// unbound is the mask word an unbound side points at (with a zero bit),
+	// so the enqueue and drain paths need no nil checks.
+	unbound uint32
 }
 
 type stagedPkt struct {
@@ -126,8 +148,8 @@ type Config struct {
 
 // New builds a channel with full initial credit for every VC.
 func New(c Config) *Channel {
-	if c.NumVCs < 1 {
-		panic("fabric: channel needs at least one VC")
+	if c.NumVCs < 1 || c.NumVCs > MaxVCs {
+		panic(fmt.Sprintf("fabric: channel needs 1..%d VCs, got %d", MaxVCs, c.NumVCs))
 	}
 	if c.BufFlits < packet.MaxFlits {
 		panic(fmt.Sprintf("fabric: per-VC buffer %d cannot hold a max-size packet", c.BufFlits))
@@ -138,22 +160,20 @@ func New(c Config) *Channel {
 	if c.Latency == 0 {
 		c.Latency = 1
 	}
-	if c.CreditLatency == 0 {
-		c.CreditLatency = 1
-	}
 	ch := &Channel{
 		ID:       c.ID,
 		Name:     c.Name,
 		Group:    c.Group,
 		latency:  c.Latency,
 		rate:     c.RateMilli,
-		pkts:     sim.NewPipe[*packet.Packet](c.Latency),
-		credits:  sim.NewPipe[creditMsg](c.CreditLatency),
-		credit:   make([]int, c.NumVCs),
-		bufFlits: c.BufFlits,
+		pkts:     sim.MakePipe[*packet.Packet](c.Latency),
+		credits:  sim.MakePipe[creditMsg](c.CreditLatency),
+		numVCs:   uint8(c.NumVCs),
+		bufFlits: int32(c.BufFlits),
 	}
-	for i := range ch.credit {
-		ch.credit[i] = c.BufFlits
+	ch.recvMask, ch.sndMask = &ch.unbound, &ch.unbound
+	for i := 0; i < c.NumVCs; i++ {
+		ch.credit[i] = ch.bufFlits
 	}
 	if c.TrackEnergy {
 		ch.Energy = &EnergyCounters{}
@@ -161,16 +181,40 @@ func New(c Config) *Channel {
 	return ch
 }
 
-// BindReceiver registers the receiving component for active-set wakeups:
-// every send wakes it at the packet's arrival cycle.
-func (ch *Channel) BindReceiver(e *sim.Engine, id int) {
+// BindReceiver registers the receiving component: every packet entering the
+// pipe sets bit of the component's inMask word and wakes it at the packet's
+// arrival cycle.
+func (ch *Channel) BindReceiver(e *sim.Engine, id int, inMask *uint32, bit uint) {
 	ch.recvE, ch.recvID = e, int32(id)
+	ch.recvMask, ch.recvBit = inMask, 1<<bit
 }
 
-// BindSender registers the sending component for active-set wakeups: every
-// credit return wakes it at the credit's arrival cycle.
-func (ch *Channel) BindSender(e *sim.Engine, id int) {
+// BindSender registers the sending component: every credit entering the pipe
+// sets bit of the component's credMask word and wakes it at the credit's
+// arrival cycle.
+func (ch *Channel) BindSender(e *sim.Engine, id int, credMask *uint32, bit uint) {
 	ch.sndE, ch.sndID = e, int32(id)
+	ch.sndMask, ch.sndBit = credMask, 1<<bit
+}
+
+// pushPkt is the only place a packet enters the pipe: enqueue, mark the
+// receiver's port ready, wake the receiver at the arrival cycle.
+func (ch *Channel) pushPkt(at uint64, p *packet.Packet) {
+	ch.pkts.SendAt(at, p)
+	*ch.recvMask |= ch.recvBit
+	if ch.recvE != nil {
+		ch.recvE.Wake(int(ch.recvID), at)
+	}
+}
+
+// pushCredit is the only place a credit enters the pipe: enqueue, mark the
+// sender's port ready, wake the sender at the arrival cycle.
+func (ch *Channel) pushCredit(at uint64, msg creditMsg) {
+	ch.credits.SendAt(at, msg)
+	*ch.sndMask |= ch.sndBit
+	if ch.sndE != nil {
+		ch.sndE.Wake(int(ch.sndID), at)
+	}
 }
 
 // WakeSender wakes the bound sending component at the given cycle. The fault
@@ -187,48 +231,46 @@ func (ch *Channel) WakeSender(at uint64) {
 // the phase barrier with their original arrival cycles.
 func (ch *Channel) SetDeferred(on bool) { ch.deferred = on }
 
-// FlushStaged moves staged sends and credit returns into the pipes and
-// issues the corresponding wakes. Coordinator-only, at the phase barrier.
+// FlushStaged moves staged sends and credit returns into the pipes (setting
+// ready bits and issuing wakes as a direct send would). Coordinator-only, at
+// the phase barrier.
 func (ch *Channel) FlushStaged() {
 	for i := range ch.stagedPkts {
 		s := &ch.stagedPkts[i]
-		ch.pkts.SendAt(s.at, s.p)
-		if ch.recvE != nil {
-			ch.recvE.Wake(int(ch.recvID), s.at)
-		}
+		ch.pushPkt(s.at, s.p)
 		s.p = nil
 	}
 	ch.stagedPkts = ch.stagedPkts[:0]
-	for i := range ch.stagedCreds {
-		s := &ch.stagedCreds[i]
-		ch.credits.SendAt(s.at, s.msg)
-		if ch.sndE != nil {
-			ch.sndE.Wake(int(ch.sndID), s.at)
-		}
+	for _, s := range ch.stagedCreds {
+		ch.pushCredit(s.at, s.msg)
 	}
 	ch.stagedCreds = ch.stagedCreds[:0]
 }
 
 // NumVCs returns the channel's physical VC count.
-func (ch *Channel) NumVCs() int { return len(ch.credit) }
+func (ch *Channel) NumVCs() int { return int(ch.numVCs) }
 
 // Latency returns the delivery latency in cycles.
 func (ch *Channel) Latency() uint64 { return ch.latency }
 
-// AbsorbCredits drains returned credits into the sender-side counters. The
-// sending component calls this at the top of its Tick.
+// AbsorbCredits drains returned credits into the sender-side counters, and
+// clears the sender's ready bit once the credit pipe is empty. The sending
+// component calls this at the top of its Tick for ports whose bit is set.
 func (ch *Channel) AbsorbCredits(now uint64) {
 	for {
 		c, ok := ch.credits.Poll(now)
 		if !ok {
-			return
+			break
 		}
-		ch.credit[c.vc] += int(c.flits)
+		ch.credit[c.vc] += int32(c.flits)
+	}
+	if ch.credits.Empty() {
+		*ch.sndMask &^= ch.sndBit
 	}
 }
 
 // Credits returns the sender-side available credit for a VC, in flits.
-func (ch *Channel) Credits(vc uint8) int { return ch.credit[vc] }
+func (ch *Channel) Credits(vc uint8) int { return int(ch.credit[vc]) }
 
 // CanSend reports whether a packet of the given size can be forwarded on vc
 // right now: the serializer must free up within this cycle (a small
@@ -237,7 +279,7 @@ func (ch *Channel) Credits(vc uint8) int { return ch.credit[vc] }
 // exactly) and the downstream VC must have credit for every flit (virtual
 // cut-through).
 func (ch *Channel) CanSend(now uint64, vc uint8, flits uint8) bool {
-	return ch.credit[vc] >= int(flits) && ch.busyUntilMilli < (now+1)*1000 && ch.stallUntil <= now
+	return ch.credit[vc] >= int32(flits) && ch.busyUntilMilli < (now+1)*1000 && ch.stallUntil <= now
 }
 
 // Send forwards a packet on vc and returns the arrival cycle. The packet
@@ -260,7 +302,7 @@ func (ch *Channel) transmit(now uint64, p *packet.Packet, vc uint8) uint64 {
 	if !ch.CanSend(now, vc, p.Size) {
 		panic("fabric: Send without CanSend on " + ch.Name)
 	}
-	ch.credit[vc] -= int(p.Size)
+	ch.credit[vc] -= int32(p.Size)
 	ch.Sent += uint64(p.Size)
 	ch.Pkts++
 
@@ -284,10 +326,7 @@ func (ch *Channel) transmit(now uint64, p *packet.Packet, vc uint8) uint64 {
 		ch.stagedPkts = append(ch.stagedPkts, stagedPkt{at: arrive, p: p})
 		return arrive
 	}
-	ch.pkts.SendAt(arrive, p)
-	if ch.recvE != nil {
-		ch.recvE.Wake(int(ch.recvID), arrive)
-	}
+	ch.pushPkt(arrive, p)
 	return arrive
 }
 
@@ -307,10 +346,16 @@ func (ch *Channel) countEnergy(now uint64, p *packet.Packet) {
 	}
 }
 
-// Recv polls for an arrived packet. The receiving component calls this in
-// its Tick; credits guarantee it has buffer space for anything that arrives.
+// Recv polls for an arrived packet, and clears the receiver's ready bit once
+// the packet pipe is empty. The receiving component calls this in its Tick
+// for ports whose bit is set; credits guarantee it has buffer space for
+// anything that arrives.
 func (ch *Channel) Recv(now uint64) (*packet.Packet, bool) {
-	return ch.pkts.Poll(now)
+	p, ok := ch.pkts.Poll(now)
+	if ch.pkts.Empty() {
+		*ch.recvMask &^= ch.recvBit
+	}
+	return p, ok
 }
 
 // ReturnCredit informs the sender that flits of buffer space freed on vc.
@@ -319,21 +364,18 @@ func (ch *Channel) ReturnCredit(now uint64, vc uint8, flits uint8) {
 		ch.lost[vc] += int(flits)
 		return
 	}
-	at := now + ch.credits.Latency()
+	at, msg := now+ch.credits.Latency(), creditMsg{vc: vc, flits: flits}
 	if ch.deferred {
-		ch.stagedCreds = append(ch.stagedCreds, stagedCred{at: at, msg: creditMsg{vc: vc, flits: flits}})
+		ch.stagedCreds = append(ch.stagedCreds, stagedCred{at: at, msg: msg})
 		return
 	}
-	ch.credits.Send(now, creditMsg{vc: vc, flits: flits})
-	if ch.sndE != nil {
-		ch.sndE.Wake(int(ch.sndID), at)
-	}
+	ch.pushCredit(at, msg)
 }
 
 // EnableCreditLoss installs a credit-drop predicate and allocates the
 // lost-credit ledger the resync audit restores from.
 func (ch *Channel) EnableCreditLoss(drop func(vc, flits uint8) bool) {
-	ch.lost = make([]int, len(ch.credit))
+	ch.lost = make([]int, ch.numVCs)
 	ch.DropCredit = drop
 }
 
@@ -352,7 +394,7 @@ func (ch *Channel) RestoreLostCredits() int {
 	total := 0
 	for vc, n := range ch.lost {
 		if n > 0 {
-			ch.credit[vc] += n
+			ch.credit[vc] += int32(n)
 			total += n
 			ch.lost[vc] = 0
 		}
@@ -373,19 +415,23 @@ func (ch *Channel) Quiet() bool { return ch.pkts.Empty() && ch.credits.Empty() }
 
 // BufFlits returns the downstream per-VC buffer capacity in flits. It is the
 // upper bound a sender-side credit counter may ever reach.
-func (ch *Channel) BufFlits() int { return ch.bufFlits }
+func (ch *Channel) BufFlits() int { return int(ch.bufFlits) }
 
 // InFlight returns the number of packets currently traversing the channel
 // (sent but not yet received). Invariant checkers use it for the flit
 // conservation census.
 func (ch *Channel) InFlight() int { return ch.pkts.Len() }
 
+// CreditsInFlight returns the number of credit returns currently traversing
+// the channel's reverse path (returned but not yet absorbed).
+func (ch *Channel) CreditsInFlight() int { return ch.credits.Len() }
+
 // CorruptCreditsForTest deliberately skews the sender-side credit counter for
 // vc by delta flits. It exists solely so negative tests can prove the
 // invariant-checking layer catches credit-accounting bugs; production code
 // must never call it.
 func (ch *Channel) CorruptCreditsForTest(vc uint8, delta int) {
-	ch.credit[vc] += delta
+	ch.credit[vc] += int32(delta)
 }
 
 // FlitsSent returns the total flits forwarded over the channel's lifetime.

@@ -255,3 +255,72 @@ func TestChannelCreditInvariantProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestChannelReadyMasks: a bound channel keeps its bit of the receiver's
+// inMask set exactly while packets are in flight and its bit of the sender's
+// credMask exactly while credits are; a deferred (shard-crossing) channel
+// touches neither word until FlushStaged; and a restored channel re-derives
+// both bits from its in-flight entries.
+func TestChannelReadyMasks(t *testing.T) {
+	var inMask, credMask uint32
+	bind := func(ch *Channel) {
+		ch.BindReceiver(nil, 0, &inMask, 3)
+		ch.BindSender(nil, 0, &credMask, 5)
+	}
+	want := func(when string, in, cred uint32) {
+		t.Helper()
+		if inMask != in || credMask != cred {
+			t.Fatalf("%s: inMask %#x credMask %#x, want %#x %#x", when, inMask, credMask, in, cred)
+		}
+	}
+	ch := meshChan(false)
+	bind(ch)
+	inMask, credMask = 1, 1 // other ports' bits must survive
+	ch.Send(0, pkt(1), 0)
+	ch.Send(1, pkt(1), 1)
+	want("after sends", 1|1<<3, 1)
+	if _, ok := ch.Recv(0); ok {
+		t.Fatal("nothing is due at cycle 0")
+	}
+	want("after a not-yet-due poll", 1|1<<3, 1)
+	ch.Recv(1)
+	want("one packet still in flight", 1|1<<3, 1)
+	ch.Recv(2)
+	want("packet pipe drained", 1, 1)
+	ch.ReturnCredit(2, 0, 1)
+	want("credit in flight", 1, 1|1<<5)
+	ch.AbsorbCredits(2)
+	want("credit not yet due", 1, 1|1<<5)
+	ch.AbsorbCredits(3)
+	want("credit pipe drained", 1, 1)
+
+	ch.SetDeferred(true)
+	ch.Send(3, pkt(1), 0)
+	ch.ReturnCredit(3, 1, 1)
+	want("staged traffic", 1, 1)
+	ch.FlushStaged()
+	want("flushed", 1|1<<3, 1|1<<5)
+
+	st, err := ch.ExportState(func(*packet.Packet) int { return 0 })
+	if err != nil {
+		t.Fatal(err)
+	}
+	inMask, credMask = 0, 0
+	fresh := meshChan(false)
+	bind(fresh)
+	if err := fresh.RestoreState(st, func(int) (*packet.Packet, error) { return pkt(1), nil }); err != nil {
+		t.Fatal(err)
+	}
+	want("restored", 1<<3, 1<<5)
+}
+
+// TestChannelVCBound: the inline credit array is the VC limit.
+func TestChannelVCBound(t *testing.T) {
+	New(Config{Name: "widest", NumVCs: MaxVCs, BufFlits: 4})
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("a channel with %d VCs must panic", MaxVCs+1)
+		}
+	}()
+	New(Config{Name: "too wide", NumVCs: MaxVCs + 1, BufFlits: 4})
+}

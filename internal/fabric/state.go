@@ -57,12 +57,15 @@ func (ch *Channel) ExportState(pktIndex func(*packet.Packet) int) (ChannelState,
 		return ChannelState{}, fmt.Errorf("fabric: %s: snapshot with staged traffic", ch.Name)
 	}
 	st := ChannelState{
-		Credit:         append([]int(nil), ch.credit...),
+		Credit:         make([]int, ch.numVCs),
 		BusyUntilMilli: ch.busyUntilMilli,
 		StallUntil:     ch.stallUntil,
 		SentAny:        ch.sentAny,
 		Sent:           ch.Sent,
 		Pkts:           ch.Pkts,
+	}
+	for vc := range st.Credit {
+		st.Credit[vc] = int(ch.credit[vc])
 	}
 	if ch.lost != nil {
 		st.Lost = append([]int(nil), ch.lost...)
@@ -84,17 +87,20 @@ func (ch *Channel) ExportState(pktIndex func(*packet.Packet) int) (ChannelState,
 }
 
 // RestoreState loads exported state into a freshly built channel (empty
-// pipes) and re-issues the wakes the in-flight traffic implies: each packet
-// wakes the bound receiver at its arrival cycle, each credit the bound
-// sender — the same wakes the original Send/ReturnCredit issued.
+// pipes) and re-issues what the in-flight traffic implies: each packet sets
+// the bound receiver's ready bit and wakes it at its arrival cycle, each
+// credit likewise for the bound sender — the same pushPkt/pushCredit the
+// original Send/ReturnCredit went through.
 func (ch *Channel) RestoreState(st ChannelState, pkt func(int) (*packet.Packet, error)) error {
-	if len(st.Credit) != len(ch.credit) {
-		return fmt.Errorf("fabric: %s: restore with %d VCs, channel has %d", ch.Name, len(st.Credit), len(ch.credit))
+	if len(st.Credit) != int(ch.numVCs) {
+		return fmt.Errorf("fabric: %s: restore with %d VCs, channel has %d", ch.Name, len(st.Credit), ch.numVCs)
 	}
 	if !ch.pkts.Empty() || !ch.credits.Empty() {
 		return fmt.Errorf("fabric: %s: restore into a non-empty channel", ch.Name)
 	}
-	copy(ch.credit, st.Credit)
+	for vc, n := range st.Credit {
+		ch.credit[vc] = int32(n)
+	}
 	ch.busyUntilMilli = st.BusyUntilMilli
 	ch.stallUntil = st.StallUntil
 	if st.Lost != nil {
@@ -118,19 +124,13 @@ func (ch *Channel) RestoreState(st ChannelState, pkt func(int) (*packet.Packet, 
 		if err != nil {
 			return fmt.Errorf("fabric: %s: %w", ch.Name, err)
 		}
-		ch.pkts.SendAt(e.At, p)
-		if ch.recvE != nil {
-			ch.recvE.Wake(int(ch.recvID), e.At)
-		}
+		ch.pushPkt(e.At, p)
 	}
 	for _, e := range st.Credits {
-		if int(e.VC) >= len(ch.credit) {
-			return fmt.Errorf("fabric: %s: credit entry for VC %d of %d", ch.Name, e.VC, len(ch.credit))
+		if e.VC >= ch.numVCs {
+			return fmt.Errorf("fabric: %s: credit entry for VC %d of %d", ch.Name, e.VC, ch.numVCs)
 		}
-		ch.credits.SendAt(e.At, creditMsg{vc: e.VC, flits: e.Flits})
-		if ch.sndE != nil {
-			ch.sndE.Wake(int(ch.sndID), e.At)
-		}
+		ch.pushCredit(e.At, creditMsg{vc: e.VC, flits: e.Flits})
 	}
 	return nil
 }

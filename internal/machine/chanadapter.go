@@ -2,6 +2,7 @@ package machine
 
 import (
 	"fmt"
+	"math/bits"
 
 	"anton2/internal/arbiter"
 	"anton2/internal/fabric"
@@ -30,8 +31,16 @@ type ChannelAdapter struct {
 	torusOut   *fabric.Channel // adapter -> neighbor (serial out)
 	torusIn    *fabric.Channel // neighbor -> adapter (serial in)
 
+	// Ready masks maintained by the bound channels (see fabric.Channel):
+	// inMask has bit inFromRouter / inTorusIn set while that channel holds
+	// packets in flight, credMask bit credTorusOut / credToRouter while that
+	// channel holds returning credits.
+	inMask, credMask uint32
+
 	eg  []vcq // mesh -> torus queues, indexed by arrival VC
 	ing []vcq // torus -> router queues, indexed by arrival VC
+	// egOcc / ingOcc: bit v set while eg[v] / ing[v] is non-empty.
+	egOcc, ingOcc uint32
 
 	// Reliable-link state, non-nil only under fault injection: rlOut is
 	// the go-back-N sender side of torusOut, rlIn the receiver side of
@@ -56,6 +65,16 @@ type ChannelAdapter struct {
 	EgSent, EgStarved uint64
 	InSent, InStarved uint64
 }
+
+// Bit positions of the adapter's channels in its ready masks.
+const (
+	inFromRouter = iota
+	inTorusIn
+)
+const (
+	credTorusOut = iota
+	credToRouter
+)
 
 func newChannelAdapter(m *Machine, node int, id topo.AdapterID) *ChannelAdapter {
 	ca := m.Topo.Chip.AdapterAt(id)
@@ -84,14 +103,15 @@ func newChannelAdapter(m *Machine, node int, id topo.AdapterID) *ChannelAdapter 
 	return a
 }
 
-// bind registers the adapter for active-set wakeups: packet arrivals on both
-// receive sides, credit returns on both send sides, and — when the link is
-// reliable — ack/nack control arrivals on the outgoing link's reverse pipe.
+// bind registers the adapter for active-set wakeups and ready-mask bits:
+// packet arrivals on both receive sides, credit returns on both send sides,
+// and — when the link is reliable — ack/nack control arrivals on the outgoing
+// link's reverse pipe.
 func (a *ChannelAdapter) bind() {
-	a.fromRouter.BindReceiver(a.m.Engine, a.cid)
-	a.torusIn.BindReceiver(a.m.Engine, a.cid)
-	a.toRouter.BindSender(a.m.Engine, a.cid)
-	a.torusOut.BindSender(a.m.Engine, a.cid)
+	a.fromRouter.BindReceiver(a.m.Engine, a.cid, &a.inMask, inFromRouter)
+	a.torusIn.BindReceiver(a.m.Engine, a.cid, &a.inMask, inTorusIn)
+	a.torusOut.BindSender(a.m.Engine, a.cid, &a.credMask, credTorusOut)
+	a.toRouter.BindSender(a.m.Engine, a.cid, &a.credMask, credToRouter)
 	if a.rlOut != nil {
 		a.rlOut.sndE, a.rlOut.sndID = a.m.Engine, int32(a.cid)
 	}
@@ -121,13 +141,17 @@ func (a *ChannelAdapter) Tick(now uint64) {
 }
 
 func (a *ChannelAdapter) tick(now uint64) {
-	a.torusOut.AbsorbCredits(now)
-	a.toRouter.AbsorbCredits(now)
+	if a.credMask&(1<<credTorusOut) != 0 {
+		a.torusOut.AbsorbCredits(now)
+	}
+	if a.credMask&(1<<credToRouter) != 0 {
+		a.toRouter.AbsorbCredits(now)
+	}
 	if a.rlOut != nil {
 		a.reliableOutTick(now)
 	}
 
-	for {
+	for a.inMask&(1<<inFromRouter) != 0 {
 		p, ok := a.fromRouter.Recv(now)
 		if !ok {
 			break
@@ -139,10 +163,10 @@ func (a *ChannelAdapter) tick(now uint64) {
 		if p.Trace != nil {
 			p.Tracepoint("adapter egress "+a.id.String(), now)
 		}
-		a.eg[p.CurVC].push(p)
+		pushVC(a.eg, &a.egOcc, p.CurVC, p)
 		a.queued++
 	}
-	for {
+	for a.inMask&(1<<inTorusIn) != 0 {
 		p, ok := a.torusIn.Recv(now)
 		if !ok {
 			break
@@ -158,7 +182,7 @@ func (a *ChannelAdapter) tick(now uint64) {
 		if p.Trace != nil {
 			p.Tracepoint("adapter ingress "+a.id.String(), now)
 		}
-		a.ing[p.CurVC].push(p)
+		pushVC(a.ing, &a.ingOcc, p.CurVC, p)
 		a.queued++
 	}
 	// A pending replay preempts fresh egress traffic (go-back-N order).
@@ -172,11 +196,9 @@ func (a *ChannelAdapter) tick(now uint64) {
 	// need window space and yield to a retransmission this cycle.
 	var req uint64
 	if !sentRetx && (a.rlOut == nil || a.rlOut.snd.CanSend()) {
-		for vci := range a.eg {
+		for m := a.egOcc; m != 0; m &= m - 1 {
+			vci := bits.TrailingZeros32(m)
 			q := &a.eg[vci]
-			if q.empty() {
-				continue
-			}
 			if !q.routed {
 				p := q.headPkt()
 				// The dateline rule applies as the packet leaves the
@@ -201,9 +223,8 @@ func (a *ChannelAdapter) tick(now uint64) {
 			if a.m.tel != nil {
 				a.m.tel.OnAdapterGrant(true, a.node, a.id.Index(), g)
 			}
-			q := &a.eg[g]
-			outVC := q.outVC
-			p := q.pop()
+			outVC := a.eg[g].outVC
+			p := popVC(a.eg, &a.egOcc, uint8(g))
 			a.queued--
 			a.torusOut.Send(now, p, outVC)
 			if rl := a.rlOut; rl != nil {
@@ -225,11 +246,9 @@ func (a *ChannelAdapter) tick(now uint64) {
 
 	// Ingress: one packet per cycle toward the router.
 	req = 0
-	for vci := range a.ing {
+	for m := a.ingOcc; m != 0; m &= m - 1 {
+		vci := bits.TrailingZeros32(m)
 		q := &a.ing[vci]
-		if q.empty() {
-			continue
-		}
 		if !q.routed {
 			p := q.headPkt()
 			if p.MGroup >= 0 {
@@ -273,13 +292,13 @@ func (a *ChannelAdapter) tick(now uint64) {
 				a.m.checks.OnSend(b, a.toRouter, outVC, now)
 			}
 			if len(q.branches) == 0 {
-				orig := q.pop()
+				orig := popVC(a.ing, &a.ingOcc, uint8(g))
 				a.queued--
 				a.torusIn.ReturnCredit(now, uint8(g), orig.Size)
 				a.m.free(orig)
 			}
 		} else {
-			p := q.pop()
+			p := popVC(a.ing, &a.ingOcc, uint8(g))
 			a.queued--
 			a.toRouter.Send(now, p, outVC)
 			if a.m.checks != nil {

@@ -24,6 +24,11 @@ type EndpointAdapter struct {
 	out *fabric.Channel // endpoint -> router
 	in  *fabric.Channel // router -> endpoint
 
+	// Ready masks (bit 0 only) maintained by the bound channels: inMask is
+	// set while in holds packets in flight, credMask while out holds
+	// returning credits.
+	inMask, credMask uint32
+
 	swq  []*packet.Packet // software injection queue (FIFO)
 	head int
 
@@ -54,11 +59,11 @@ func newEndpoint(m *Machine, node, ep int) *EndpointAdapter {
 	}
 }
 
-// bind registers the endpoint for active-set wakeups: packet arrivals on the
-// ejection side, credit returns on the injection side.
+// bind registers the endpoint for active-set wakeups and ready-mask bits:
+// packet arrivals on the ejection side, credit returns on the injection side.
 func (e *EndpointAdapter) bind() {
-	e.in.BindReceiver(e.m.Engine, e.cid)
-	e.out.BindSender(e.m.Engine, e.cid)
+	e.in.BindReceiver(e.m.Engine, e.cid, &e.inMask, 0)
+	e.out.BindSender(e.m.Engine, e.cid, &e.credMask, 0)
 }
 
 // Inject queues a packet for transmission. The packet's route state must be
@@ -116,12 +121,14 @@ func (e *EndpointAdapter) Tick(now uint64) {
 }
 
 func (e *EndpointAdapter) tick(now uint64) {
-	e.out.AbsorbCredits(now)
+	if e.credMask != 0 {
+		e.out.AbsorbCredits(now)
+	}
 
 	// Ejection: drain arrivals and return credits. Under sharding the
 	// delivery hooks run at the phase barrier (in component-id order, as a
 	// serial step would), because they touch machine-wide state.
-	for {
+	for e.inMask != 0 {
 		p, ok := e.in.Recv(now)
 		if !ok {
 			break

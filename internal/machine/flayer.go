@@ -93,19 +93,24 @@ func (rl *rlink) pushMeta(seq uint64, vc uint8, corrupt bool) {
 	rl.meta = append(rl.meta, frameMeta{seq: seq, vc: vc, corrupt: corrupt})
 }
 
-// sendCtrl issues one ack/nack toward the sender adapter, waking it at the
-// message's arrival cycle; on shard-crossing links the message is staged for
-// the barrier flush instead.
+// pushCtrl is the only place an ack/nack enters the control pipe: enqueue and
+// wake the sender adapter at the arrival cycle.
+func (rl *rlink) pushCtrl(at uint64, c linkCtrl) {
+	rl.ctrl.SendAt(at, c)
+	if rl.sndE != nil {
+		rl.sndE.Wake(int(rl.sndID), at)
+	}
+}
+
+// sendCtrl issues one ack/nack toward the sender adapter; on shard-crossing
+// links the message is staged for the barrier flush instead.
 func (rl *rlink) sendCtrl(now uint64, c linkCtrl) {
 	at := now + rl.ctrl.Latency()
 	if rl.deferred {
 		rl.ctrlStage = append(rl.ctrlStage, stagedCtrl{at: at, c: c})
 		return
 	}
-	rl.ctrl.Send(now, c)
-	if rl.sndE != nil {
-		rl.sndE.Wake(int(rl.sndID), at)
-	}
+	rl.pushCtrl(at, c)
 }
 
 // flush moves staged frame metadata and control messages into the live
@@ -116,12 +121,8 @@ func (rl *rlink) flush() {
 		rl.meta = append(rl.meta, rl.metaStage...)
 		rl.metaStage = rl.metaStage[:0]
 	}
-	for i := range rl.ctrlStage {
-		s := &rl.ctrlStage[i]
-		rl.ctrl.SendAt(s.at, s.c)
-		if rl.sndE != nil {
-			rl.sndE.Wake(int(rl.sndID), s.at)
-		}
+	for _, s := range rl.ctrlStage {
+		rl.pushCtrl(s.at, s.c)
 	}
 	rl.ctrlStage = rl.ctrlStage[:0]
 }

@@ -37,7 +37,8 @@ type Machine struct {
 	pool   []*packet.Packet
 	nextID uint64
 
-	// arena backs the flat SoA hot state of every router and adapter.
+	// arena backs the VC queues, port tables and scratch arrays of every
+	// router and adapter.
 	arena hotArena
 
 	// Sharding state (Cfg.Shards > 1): components are partitioned into

@@ -49,6 +49,42 @@ func (q *vcq) pop() *packet.Packet {
 	return p
 }
 
+// A set of VC queues (a router port's, an adapter's egress or ingress side)
+// carries an occupancy mask beside it: bit v is set exactly while queue v is
+// non-empty. pushVC and popVC are the only queue mutators on the tick path,
+// so the scans that nominate heads (SA1, adapter egress and ingress) visit
+// occupied queues only — in ascending VC order, the order a full walk would
+// have found them in.
+
+// pushVC appends p to qs[vc] and marks the VC occupied.
+func pushVC(qs []vcq, occ *uint32, vc uint8, p *packet.Packet) {
+	qs[vc].push(p)
+	*occ |= 1 << vc
+}
+
+// popVC removes the head of qs[vc], clearing the VC's occupancy bit when that
+// empties the queue.
+func popVC(qs []vcq, occ *uint32, vc uint8) *packet.Packet {
+	q := &qs[vc]
+	p := q.pop()
+	if q.empty() {
+		*occ &^= 1 << vc
+	}
+	return p
+}
+
+// occupancy recomputes a queue set's mask from the queues themselves
+// (Restore, and the mask-consistency test's reference).
+func occupancy(qs []vcq) uint32 {
+	var occ uint32
+	for vc := range qs {
+		if !qs[vc].empty() {
+			occ |= 1 << vc
+		}
+	}
+	return occ
+}
+
 // flits returns the queued flit count (for buffer occupancy accounting).
 func (q *vcq) flits() int {
 	total := 0

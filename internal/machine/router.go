@@ -2,6 +2,7 @@ package machine
 
 import (
 	"fmt"
+	"math/bits"
 
 	"anton2/internal/arbiter"
 	"anton2/internal/fabric"
@@ -25,13 +26,18 @@ type Router struct {
 	cid   int   // engine component id
 	shard int32 // owning shard (0 when unsharded)
 
-	// Hot state lives in the machine's flat arena (struct-of-arrays carved
-	// into per-router subslices in component-id order).
+	// Ready masks, one bit per port, maintained by the bound channels (see
+	// fabric.Channel): inMask bit p is set while port p's input channel
+	// holds packets in flight, credMask bit p while its output channel holds
+	// returning credits. tick visits set bits only.
+	inMask, credMask uint32
+
+	// Port tables, VC queues and scratch arrays are carved from the
+	// machine's flat arena in component-id order.
 	ports  []routerPort
 	sa1    []arbiter.Arbiter // per input port, over VCs
 	sa2    []arbiter.Arbiter // per output port, over input ports
 	inBusy []uint64          // crossbar input occupancy (multi-flit packets)
-	cand   []int8            // SA1 winner VC per input port, -1 if none
 	pats   []uint8           // scratch pattern labels for arbiter picks
 
 	queued int
@@ -40,6 +46,7 @@ type Router struct {
 type routerPort struct {
 	in, out *fabric.Channel
 	vcs     []vcq
+	occ     uint32 // bit v set while vcs[v] is non-empty (pushVC/popVC)
 }
 
 func newRouter(m *Machine, node int, rc topo.MeshCoord) *Router {
@@ -55,7 +62,6 @@ func newRouter(m *Machine, node int, rc topo.MeshCoord) *Router {
 		sa1:       make([]arbiter.Arbiter, len(cr.Ports)),
 		sa2:       make([]arbiter.Arbiter, len(cr.Ports)),
 		inBusy:    m.arena.takeBusy(len(cr.Ports)),
-		cand:      m.arena.takeCand(len(cr.Ports)),
 	}
 	maxVCScratch := route.MaxTotalVCs(m.Cfg.Scheme)
 	if maxVCScratch < len(cr.Ports) {
@@ -76,12 +82,13 @@ func newRouter(m *Machine, node int, rc topo.MeshCoord) *Router {
 	return r
 }
 
-// bind registers the router for active-set wakeups on all its channels:
-// packet arrivals on the input side, credit returns on the output side.
+// bind registers the router on all its channels — packet arrivals on the
+// input side, credit returns on the output side — for active-set wakeups and
+// for the port's bit of the ready masks.
 func (r *Router) bind() {
 	for pi := range r.ports {
-		r.ports[pi].in.BindReceiver(r.m.Engine, r.cid)
-		r.ports[pi].out.BindSender(r.m.Engine, r.cid)
+		r.ports[pi].in.BindReceiver(r.m.Engine, r.cid, &r.inMask, uint(pi))
+		r.ports[pi].out.BindSender(r.m.Engine, r.cid, &r.credMask, uint(pi))
 	}
 }
 
@@ -96,11 +103,14 @@ func (r *Router) Tick(now uint64) {
 }
 
 func (r *Router) tick(now uint64) {
-	// Absorb credits and arrivals.
-	for pi := range r.ports {
+	// Absorb credits, then arrivals, on the ports that have any in flight.
+	for m := r.credMask; m != 0; m &= m - 1 {
+		r.ports[bits.TrailingZeros32(m)].out.AbsorbCredits(now)
+	}
+	for m := r.inMask; m != 0; m &= m - 1 {
+		pi := bits.TrailingZeros32(m)
 		ps := &r.ports[pi]
-		ps.out.AbsorbCredits(now)
-		for {
+		for r.inMask>>pi&1 != 0 { // Recv clears the bit with the last packet
 			p, ok := ps.in.Recv(now)
 			if !ok {
 				break
@@ -109,7 +119,7 @@ func (r *Router) tick(now uint64) {
 			if p.Trace != nil {
 				p.Tracepoint("router "+r.rc.String(), now)
 			}
-			ps.vcs[p.CurVC].push(p)
+			pushVC(ps.vcs, &ps.occ, p.CurVC, p)
 			r.queued++
 		}
 	}
@@ -117,19 +127,20 @@ func (r *Router) tick(now uint64) {
 		return
 	}
 
-	// SA1: each input port nominates one (routed, credited) VC head.
+	// SA1: each input port nominates one (routed, credited) VC head and
+	// files its bid with that head's output port.
+	var cand [topo.MaxRouterPorts]uint8  // SA1 winner VC of each bidding input port
+	var bids [topo.MaxRouterPorts]uint64 // per output port: the inputs bidding for it
+	var outs uint32                      // output ports with at least one bid
 	for pi := range r.ports {
-		r.cand[pi] = -1
 		if r.inBusy[pi] > now {
 			continue
 		}
 		ps := &r.ports[pi]
 		var req uint64
-		for vci := range ps.vcs {
+		for m := ps.occ; m != 0; m &= m - 1 {
+			vci := bits.TrailingZeros32(m)
 			q := &ps.vcs[vci]
-			if q.empty() {
-				continue
-			}
 			if !q.routed {
 				r.routeHead(now, q)
 			}
@@ -149,36 +160,35 @@ func (r *Router) tick(now uint64) {
 		if r.m.tel != nil {
 			r.m.tel.OnSA1Grant(r.node, r.routerID, pi, g)
 		}
-		r.cand[pi] = int8(g)
+		cand[pi] = uint8(g)
+		po := ps.vcs[g].outPort
+		bids[po] |= 1 << pi
+		outs |= 1 << po
 	}
 
-	// SA2: each output port grants one nominated input; transfer.
-	for po := range r.ports {
-		var req uint64
-		for pi := range r.ports {
-			if r.cand[pi] >= 0 && int(r.ports[pi].vcs[r.cand[pi]].outPort) == po {
-				req |= 1 << pi
-				r.pats[pi] = r.ports[pi].vcs[r.cand[pi]].headPkt().PatternID
-			}
-		}
-		if req == 0 {
-			continue
+	// SA2: each output port with bids grants one nominated input; transfer.
+	for m := outs; m != 0; m &= m - 1 {
+		po := bits.TrailingZeros32(m)
+		req := bids[po]
+		for b := req; b != 0; b &= b - 1 {
+			pi := bits.TrailingZeros64(b)
+			r.pats[pi] = r.ports[pi].vcs[cand[pi]].headPkt().PatternID
 		}
 		g := r.sa2[po].Pick(req, r.pats)
 		if r.m.tel != nil {
 			r.m.tel.OnSA2Grant(r.node, r.routerID, po, g)
 		}
 		pi := g
-		vci := uint8(r.cand[pi])
-		q := &r.ports[pi].vcs[vci]
-		outVC := q.outVC
-		p := q.pop()
+		vci := cand[pi]
+		ps := &r.ports[pi]
+		outVC := ps.vcs[vci].outVC
+		p := popVC(ps.vcs, &ps.occ, vci)
 		r.queued--
 		r.ports[po].out.Send(now, p, outVC)
 		if r.m.checks != nil {
 			r.m.checks.OnSend(p, r.ports[po].out, outVC, now)
 		}
-		r.ports[pi].in.ReturnCredit(now, vci, p.Size)
+		ps.in.ReturnCredit(now, vci, p.Size)
 		r.inBusy[pi] = now + uint64(p.Size)
 		r.m.Engine.ProgressAt(int(r.shard))
 	}

@@ -5,8 +5,12 @@ import (
 	"fmt"
 	"testing"
 
+	"anton2/internal/arbiter"
 	"anton2/internal/fault"
+	"anton2/internal/loadcalc"
+	"anton2/internal/route"
 	"anton2/internal/topo"
+	"anton2/internal/traffic"
 )
 
 // fingerprint is a comparable digest of everything a run can observe: the
@@ -206,14 +210,30 @@ func TestShardedConfigValidation(t *testing.T) {
 }
 
 // TestActiveStepMachineZeroAllocs pins the allocation-free contract of the
-// SoA cycle kernel: a warmed steady-state machine stepping under the active
-// engine must not allocate — the arena-carved VC queues, the wake wheel, and
-// the channel pipes all reuse capacity.
+// cycle kernel: a warmed steady-state machine stepping under the active
+// engine must not allocate — the arena-carved VC queues, the wake wheel, the
+// channel pipes and both arbiter flavors all reuse capacity. (The
+// inverse-weighted row is what catches a per-grant allocation in
+// arbiter.PrioArb.)
 func TestActiveStepMachineZeroAllocs(t *testing.T) {
-	cfg := DefaultConfig(topo.Shape3(2, 2, 2))
-	cfg.Engine = EngineActive
-	m := steadyStateMachine(t, cfg)
-	if avg := testing.AllocsPerRun(500, func() { m.Engine.Step() }); avg != 0 {
-		t.Errorf("active-engine Step allocates %.2f objects/cycle, want 0", avg)
+	for _, kind := range []arbiter.Kind{arbiter.KindRoundRobin, arbiter.KindInverseWeighted} {
+		cfg := DefaultConfig(topo.Shape3(2, 2, 2))
+		cfg.Engine = EngineActive
+		cfg.Arbiter = kind
+		if kind == arbiter.KindInverseWeighted {
+			tm := topo.MustMachine(cfg.Shape)
+			rc := &route.Config{Machine: tm, Scheme: cfg.Scheme, DirOrder: cfg.DirOrder, UseSkip: true}
+			cfg.Weights = loadcalc.BuildWeights(loadcalc.Compute(rc, tm.Chip.CoreEndpoints(), traffic.Uniform{}.Flows(tm), route.ClassRequest))
+		}
+		m := steadyStateMachine(t, cfg)
+		if kind == arbiter.KindInverseWeighted {
+			// Inverse-weighted service fills the buffers more slowly: the
+			// in-flight population (and so the packet pool) is still
+			// growing after the shared warm-up.
+			m.Engine.Run(8192)
+		}
+		if avg := testing.AllocsPerRun(500, func() { m.Engine.Step() }); avg != 0 {
+			t.Errorf("%s: active-engine Step allocates %.2f objects/cycle, want 0", kind, avg)
+		}
 	}
 }

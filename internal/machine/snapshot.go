@@ -344,8 +344,9 @@ func restoreVCQ(q *vcq, st VCQState, pkt func(int) (*packet.Packet, error)) erro
 // Restore loads a snapshot into a freshly built machine with the same Config
 // (same shape, scheme, seed, fault spec — engine mode and shard count are
 // free to differ: snapshots are engine-invariant). It resets the engine clock
-// to the snapshot cycle, fills every component, re-issues the wakes implied
-// by in-flight traffic, and finally wakes every component once at the restore
+// to the snapshot cycle, fills every component (rebuilding the VC-occupancy
+// masks from the queues), re-issues the ready bits and wakes implied by
+// in-flight traffic, and finally wakes every component once at the restore
 // cycle — spurious ticks are no-ops by the active-set contract, so the
 // blanket wake restores schedule completeness without affecting results.
 func (m *Machine) Restore(s *Snapshot) error {
@@ -410,6 +411,7 @@ func (m *Machine) Restore(s *Snapshot) error {
 						return fmt.Errorf("machine: node %d router %d: %w", ni, ri, err)
 					}
 				}
+				r.ports[pi].occ = occupancy(vcs)
 				if err := arbiter.RestoreState(r.sa1[pi], rs.SA1[pi]); err != nil {
 					return err
 				}
@@ -435,6 +437,7 @@ func (m *Machine) Restore(s *Snapshot) error {
 					return fmt.Errorf("machine: node %d adapter %d: %w", ni, ai, err)
 				}
 			}
+			a.egOcc, a.ingOcc = occupancy(a.eg), occupancy(a.ing)
 			if err := arbiter.RestoreState(a.egArb, as.EgArb); err != nil {
 				return err
 			}
@@ -507,10 +510,7 @@ func (m *Machine) Restore(s *Snapshot) error {
 				rl.meta = append(rl.meta, frameMeta{seq: mt.Seq, vc: mt.VC, corrupt: mt.Corrupt})
 			}
 			for _, c := range ls.Ctrl {
-				rl.ctrl.SendAt(c.At, linkCtrl{seq: c.Seq, nack: c.Nack})
-				if rl.sndE != nil {
-					rl.sndE.Wake(int(rl.sndID), c.At)
-				}
+				rl.pushCtrl(c.At, linkCtrl{seq: c.Seq, nack: c.Nack})
 			}
 		}
 	}

@@ -5,9 +5,11 @@ import (
 	"anton2/internal/topo"
 )
 
-// hotArena owns the flat struct-of-arrays backing storage for every
-// component's per-cycle hot state: the VC queues of all routers and channel
-// adapters, and the routers' port tables and scratch arrays. Components are
+// hotArena owns the flat backing storage for the per-component arrays the
+// tick path indexes: the VC queues of all routers and channel adapters, and
+// the routers' port tables, crossbar-input occupancy and arbiter scratch
+// labels. (Credit counters and pipes live inline in fabric.Channel; ready and
+// occupancy masks live in the components and port tables.) Components are
 // carved contiguous subslices in registration (component-id) order, so the
 // cycle kernel walks dense memory instead of chasing per-component
 // allocations. The carve uses full slice expressions (len == cap), so an
@@ -17,10 +19,9 @@ type hotArena struct {
 	vcqs  []vcq
 	ports []routerPort
 	busy  []uint64
-	cand  []int8
 	pats  []uint8
 
-	nq, np, nb, nc, ns int // take cursors
+	nq, np, nb, ns int // take cursors
 }
 
 // newArena pre-sizes the arena for a machine: the chip layout is identical
@@ -45,7 +46,6 @@ func newArena(m *Machine) hotArena {
 		vcqs:  make([]vcq, (nPorts*maxVC+topo.NumChannelAdapters*2*tvcs)*nodes),
 		ports: make([]routerPort, nPorts*nodes),
 		busy:  make([]uint64, nPorts*nodes),
-		cand:  make([]int8, nPorts*nodes),
 		pats:  make([]uint8, (nPats+topo.NumChannelAdapters*tvcs)*nodes),
 	}
 }
@@ -65,12 +65,6 @@ func (h *hotArena) takePorts(n int) []routerPort {
 func (h *hotArena) takeBusy(n int) []uint64 {
 	s := h.busy[h.nb : h.nb+n : h.nb+n]
 	h.nb += n
-	return s
-}
-
-func (h *hotArena) takeCand(n int) []int8 {
-	s := h.cand[h.nc : h.nc+n : h.nc+n]
-	h.nc += n
 	return s
 }
 

@@ -233,11 +233,11 @@ func TestLegacySchemeUpgrade(t *testing.T) {
 // bareScheme is a pre-Strategy VC discipline with no path policy.
 type bareScheme struct{}
 
-func (bareScheme) Name() string                     { return "bare" }
-func (bareScheme) MeshVCs() int                     { return topo.NumDims + 1 }
-func (bareScheme) TorusVCs() int                    { return topo.NumDims + 1 }
-func (bareScheme) EnterDim(mvc uint8, d int) uint8  { return mvc }
-func (bareScheme) CrossDateline(tvc uint8) uint8    { return tvc + 1 }
+func (bareScheme) Name() string                    { return "bare" }
+func (bareScheme) MeshVCs() int                    { return topo.NumDims + 1 }
+func (bareScheme) TorusVCs() int                   { return topo.NumDims + 1 }
+func (bareScheme) EnterDim(mvc uint8, d int) uint8 { return mvc }
+func (bareScheme) CrossDateline(tvc uint8) uint8   { return tvc + 1 }
 func (bareScheme) ExitDim(tvc, mvc uint8, d int, tr, cr bool) uint8 {
 	if !tr {
 		return mvc

@@ -57,26 +57,26 @@ func (m *Metrics) snapshot(workers int) map[string]float64 {
 		util = float64(active) / float64(workers)
 	}
 	return map[string]float64{
-		"anton2serve_queue_depth":                      float64(m.QueueDepth.Load()),
-		"anton2serve_active_runs":                      float64(active),
-		"anton2serve_workers":                          float64(workers),
-		"anton2serve_worker_utilization":               util,
-		"anton2serve_rejected_total{code=\"429\"}":     float64(m.Rejected429.Load()),
-		"anton2serve_rejected_total{code=\"504\"}":     float64(m.Rejected504.Load()),
-		"anton2serve_rejected_total{code=\"503\"}":     float64(m.RejectedGone.Load()),
-		"anton2serve_runs_total{state=\"started\"}":    float64(m.RunsStarted.Load()),
-		"anton2serve_runs_total{state=\"completed\"}":  float64(m.RunsCompleted.Load()),
-		"anton2serve_runs_total{state=\"failed\"}":     float64(m.RunsFailed.Load()),
+		"anton2serve_queue_depth":                       float64(m.QueueDepth.Load()),
+		"anton2serve_active_runs":                       float64(active),
+		"anton2serve_workers":                           float64(workers),
+		"anton2serve_worker_utilization":                util,
+		"anton2serve_rejected_total{code=\"429\"}":      float64(m.Rejected429.Load()),
+		"anton2serve_rejected_total{code=\"504\"}":      float64(m.Rejected504.Load()),
+		"anton2serve_rejected_total{code=\"503\"}":      float64(m.RejectedGone.Load()),
+		"anton2serve_runs_total{state=\"started\"}":     float64(m.RunsStarted.Load()),
+		"anton2serve_runs_total{state=\"completed\"}":   float64(m.RunsCompleted.Load()),
+		"anton2serve_runs_total{state=\"failed\"}":      float64(m.RunsFailed.Load()),
 		"anton2serve_cache_hits_total{tier=\"flight\"}": float64(m.HitsFlight.Load()),
 		"anton2serve_cache_hits_total{tier=\"memory\"}": float64(m.HitsMemory.Load()),
 		"anton2serve_cache_hits_total{tier=\"disk\"}":   float64(m.HitsDisk.Load()),
-		"anton2serve_cache_misses_total":               float64(m.Misses.Load()),
-		"anton2serve_cache_hit_rate":                   m.hitRate(),
-		"anton2serve_points_total{state=\"run\"}":      float64(m.PointsRun.Load()),
-		"anton2serve_points_total{state=\"cached\"}":   float64(m.PointsCached.Load()),
-		"anton2serve_points_total{state=\"failed\"}":   float64(m.PointsFailed.Load()),
-		"anton2serve_sim_cycles_total":                 float64(m.SimCycles.Load()),
-		"anton2serve_loads_cached":                     float64(core.CachedLoadsLen()),
+		"anton2serve_cache_misses_total":                float64(m.Misses.Load()),
+		"anton2serve_cache_hit_rate":                    m.hitRate(),
+		"anton2serve_points_total{state=\"run\"}":       float64(m.PointsRun.Load()),
+		"anton2serve_points_total{state=\"cached\"}":    float64(m.PointsCached.Load()),
+		"anton2serve_points_total{state=\"failed\"}":    float64(m.PointsFailed.Load()),
+		"anton2serve_sim_cycles_total":                  float64(m.SimCycles.Load()),
+		"anton2serve_loads_cached":                      float64(core.CachedLoadsLen()),
 	}
 }
 

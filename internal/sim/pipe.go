@@ -11,7 +11,15 @@ package sim
 // whatever it enqueues (fabric.Channel does this for packets and credits).
 // Skipped idle cycles therefore cannot lose or delay items: arrival times are
 // absolute cycles, not tick counts.
+//
+// Layout: a Pipe is meant to be held by value inside its owner (MakePipe;
+// fabric.Channel embeds two), and it caches its head's arrival cycle in due
+// — never when empty — so the common poll, "nothing has arrived yet", reads
+// one word of the owner's cache line and never touches the backing array. A
+// torus pipe (latency 45) is non-empty on most cycles of a busy run and is
+// polled on every one of them.
 type Pipe[T any] struct {
+	due     uint64 // arrival cycle of q[head]; never when the pipe is empty
 	latency uint64
 	head    int
 	q       []pipeEntry[T]
@@ -22,55 +30,66 @@ type pipeEntry[T any] struct {
 	item T
 }
 
-// NewPipe returns a pipe with the given latency in cycles (minimum 1).
-func NewPipe[T any](latency uint64) *Pipe[T] {
+// never is the due value of an empty pipe: no poll cycle reaches it.
+const never = ^uint64(0)
+
+// MakePipe returns a pipe value with the given latency in cycles (minimum
+// 1), for owners that hold their pipes inline.
+func MakePipe[T any](latency uint64) Pipe[T] {
 	if latency == 0 {
 		latency = 1
 	}
-	return &Pipe[T]{latency: latency}
+	return Pipe[T]{due: never, latency: latency}
+}
+
+// NewPipe returns a heap-allocated pipe with the given latency in cycles
+// (minimum 1).
+func NewPipe[T any](latency uint64) *Pipe[T] {
+	p := MakePipe[T](latency)
+	return &p
 }
 
 // Latency returns the pipe's delivery latency in cycles.
 func (p *Pipe[T]) Latency() uint64 { return p.latency }
 
 // Send enqueues an item at cycle now; it arrives at now+latency.
-func (p *Pipe[T]) Send(now uint64, v T) {
-	p.q = append(p.q, pipeEntry[T]{at: now + p.latency, item: v})
-}
+func (p *Pipe[T]) Send(now uint64, v T) { p.SendAt(now+p.latency, v) }
 
 // SendAt enqueues an item that arrives at the explicit cycle at, which must
 // be at least now+1 for determinism. It is used to model serialized channels
 // whose delivery time depends on occupancy.
 func (p *Pipe[T]) SendAt(at uint64, v T) {
+	if p.head == len(p.q) {
+		p.due = at
+	}
 	p.q = append(p.q, pipeEntry[T]{at: at, item: v})
 }
 
 // Peek returns the oldest item if it has arrived by cycle now.
 func (p *Pipe[T]) Peek(now uint64) (T, bool) {
-	var zero T
-	if p.head >= len(p.q) {
+	if p.due > now {
+		var zero T
 		return zero, false
 	}
-	e := p.q[p.head]
-	if e.at > now {
-		return zero, false
-	}
-	return e.item, true
+	return p.q[p.head].item, true
 }
 
 // Poll removes and returns the oldest item if it has arrived by cycle now.
 func (p *Pipe[T]) Poll(now uint64) (T, bool) {
-	v, ok := p.Peek(now)
-	if !ok {
-		return v, false
-	}
 	var zero T
+	if p.due > now {
+		return zero, false
+	}
+	v := p.q[p.head].item
 	p.q[p.head].item = zero // release for GC
 	p.head++
 	if p.head == len(p.q) {
 		p.head = 0
 		p.q = p.q[:0]
-	} else if p.head > 64 && p.head*2 >= len(p.q) {
+		p.due = never
+		return v, true
+	}
+	if p.head > 64 && p.head*2 >= len(p.q) {
 		n := copy(p.q, p.q[p.head:])
 		for i := n; i < len(p.q); i++ {
 			p.q[i].item = zero
@@ -78,11 +97,12 @@ func (p *Pipe[T]) Poll(now uint64) (T, bool) {
 		p.q = p.q[:n]
 		p.head = 0
 	}
+	p.due = p.q[p.head].at
 	return v, true
 }
 
 // Empty reports whether the pipe holds no items (arrived or in flight).
-func (p *Pipe[T]) Empty() bool { return p.head >= len(p.q) }
+func (p *Pipe[T]) Empty() bool { return p.due == never }
 
 // Entries calls f for every undelivered item in FIFO order with its absolute
 // arrival cycle. Snapshot paths use it to externalize in-flight traffic;

@@ -279,6 +279,13 @@ func TestPipeProperty(t *testing.T) {
 			case 2: // advance time
 				now++
 			}
+			// The cached head arrival agrees with the queue itself.
+			if p.Empty() != (p.Len() == 0) {
+				return false
+			}
+			if _, ok := p.Peek(now); ok != (next < len(sentAt) && sentAt[next]+latency <= now) {
+				return false
+			}
 		}
 		return true
 	}
