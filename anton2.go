@@ -90,8 +90,9 @@ const (
 type (
 	// Config parameterizes a simulated machine. Config.Engine selects the
 	// cycle kernel (EngineActive default, EngineScan reference) and
-	// Config.Shards the goroutine shard count; both are pure scheduling
-	// choices with bit-identical results.
+	// Config.Shards the goroutine shard count (0 = auto when a core driver
+	// builds the machine, 1 = serial); both are pure scheduling choices with
+	// bit-identical results.
 	Config = machine.Config
 	// Machine is a fully wired simulated network.
 	Machine = machine.Machine

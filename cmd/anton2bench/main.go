@@ -21,7 +21,9 @@
 // only components with pending work and skips fully idle cycles; -engine
 // scan restores the reference every-component-every-cycle loop. -shards N
 // steps each machine across N goroutine shards with a deterministic
-// phase-barrier merge. All engine configurations produce bit-identical
+// phase-barrier merge; the default 0 is auto (the cores the -parallel pool
+// leaves idle, for machines large enough to gain; serial otherwise) and 1
+// forces serial. All engine configurations produce bit-identical
 // results and artifacts — the flags change simulation speed only and are
 // excluded from result cache keys. A flag combination that
 // machine.Config.Validate or Checkpointable refuses exits 2.
@@ -150,7 +152,7 @@ func registerFlags(fs *flag.FlagSet) {
 	cpuprofile = fs.String("cpuprofile", "", "write a pprof CPU profile of the bench process to this file")
 	memprofile = fs.String("memprofile", "", "write a pprof heap profile at exit to this file")
 	engineFlag = fs.String("engine", "", "cycle engine: active (default) or scan (the reference every-component-every-cycle loop)")
-	shardsFlag = fs.Int("shards", 0, "step the machine across N goroutine shards (0/1 = serial; requires the active engine)")
+	shardsFlag = fs.Int("shards", 0, "step the machine across N goroutine shards (0 = auto, 1 = serial; N > 1 requires the active engine)")
 	shapeFlag = fs.String("shape", "", "saturation-experiment torus shape KxKxK (default 8x8x8, or 4x4x2 with -quick)")
 	expFlag = fs.String("experiment", "", "experiment to run (same as the positional argument)")
 	ckptDir = fs.String("checkpoint-dir", "", "persist crash-recovery checkpoints under this directory")
@@ -437,13 +439,8 @@ func familyJobs(f *core.Family) ([]core.Axes, []exp.Job, error) {
 	if *quick {
 		panels = f.Quick
 	}
-	tel := telemetryOpts(f.Figure)
-	mutate := func(mc *machine.Config) {
-		benchFlags(mc)
-		mc.Telemetry = tel()
-	}
 	checked := make([]core.Axes, len(panels))
-	var jobs []exp.Job
+	points := 0
 	for i, a := range panels {
 		if satShapeOverride != nil && benchExtras[f.Name].shapeFlag {
 			a.Shape = *satShapeOverride
@@ -455,6 +452,19 @@ func familyJobs(f *core.Family) ([]core.Axes, []exp.Job, error) {
 			return nil, nil, err
 		}
 		checked[i] = a
+		n, _ := f.Points(a)
+		points += n
+	}
+	// Auto-sharding gets the cores the sweep's worker pool leaves idle.
+	pool := exp.Options{Parallelism: *parallel}.Workers(points)
+	tel := telemetryOpts(f.Figure)
+	mutate := func(mc *machine.Config) {
+		benchFlags(mc)
+		mc.Telemetry = tel()
+		mc.Shards = core.ResolveShards(*mc, pool)
+	}
+	var jobs []exp.Job
+	for _, a := range checked {
 		jobs = append(jobs, f.Jobs(a, mutate)...)
 	}
 	return checked, jobs, nil

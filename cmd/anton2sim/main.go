@@ -15,7 +15,9 @@
 // idle components and whole idle cycles; -engine scan restores the
 // reference loop that ticks every component every cycle. -shards N steps
 // the machine across N goroutine shards with a deterministic phase-barrier
-// merge. All three produce bit-identical results and artifacts — the flags
+// merge; the default 0 is auto (GOMAXPROCS shards for a machine large enough
+// to gain, serial otherwise) and 1 forces serial. All three produce
+// bit-identical results and artifacts — the flags
 // change only simulation speed (and are excluded from result cache keys).
 // A flag combination that machine.Config.Validate or Checkpointable refuses
 // exits 2.
@@ -97,7 +99,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		cpuprofile   = fs.String("cpuprofile", "", "write a pprof CPU profile to this file")
 		memprofile   = fs.String("memprofile", "", "write a pprof heap profile at exit to this file")
 		engineFlag   = fs.String("engine", "", "cycle engine: active (default) or scan (the reference every-component-every-cycle loop)")
-		shardsFlag   = fs.Int("shards", 0, "step the machine across N goroutine shards (0/1 = serial; requires the active engine)")
+		shardsFlag   = fs.Int("shards", 0, "step the machine across N goroutine shards (0 = auto, 1 = serial; N > 1 requires the active engine)")
 		ckptDir      = fs.String("checkpoint-dir", "", "persist crash-recovery checkpoints under this directory")
 		ckptEvery    = fs.Uint64("checkpoint-every", 0, "cycles between checkpoints (0 disables; requires -checkpoint-dir)")
 		resumeFlag   = fs.Bool("resume", false, "resume an interrupted run from its checkpoint in -checkpoint-dir")

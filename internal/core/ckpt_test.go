@@ -226,7 +226,9 @@ func TestCkptGuards(t *testing.T) {
 }
 
 // ckptEngines are the cycle-kernel variants the resume matrix crosses with
-// the routing strategies.
+// the routing strategies. The matrix runs the sharded one with its cycles
+// forced to alternate between parallel and serial (alternateCycles): a 2x2x2
+// machine never reaches the engine's own threshold.
 var ckptEngines = []struct {
 	name   string
 	mutate func(*machine.Config)
@@ -275,6 +277,9 @@ func TestCkptResumeEngineStrategyMatrix(t *testing.T) {
 			mutate := func(c *machine.Config) {
 				c.Scheme = strat
 				eng.mutate(c)
+			}
+			if eng.name == "sharded" {
+				machineBuilt = alternateCycles
 			}
 
 			t.Run("fig9/"+stratName+"/"+eng.name, func(t *testing.T) {
@@ -341,6 +346,7 @@ func TestCkptResumeEngineStrategyMatrix(t *testing.T) {
 					t.Errorf("resumed artifact differs after %d interruptions:\n got %s\nwant %s", attempts, gotBytes, refBytes)
 				}
 			})
+			machineBuilt = nil
 		}
 	}
 }

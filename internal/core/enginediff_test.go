@@ -23,13 +23,34 @@ import (
 // .Shards are deliberately excluded from exp spec cache keys (addMachine)
 // for exactly this reason: all engines share one seed per point.
 
-// engineVariants are the configurations every family is differenced across.
-// Shards=4 implies the active engine; the scan engine is the reference
-// semantics (tick every component every cycle, registration order).
-var engineVariants = map[string]func(*machine.Config){
-	"scan":     func(c *machine.Config) { c.Engine = machine.EngineScan },
-	"active":   func(c *machine.Config) { c.Engine = machine.EngineActive },
-	"sharded4": func(c *machine.Config) { c.Shards = 4 },
+// engineVariants are the configurations every family is differenced across;
+// the scan engine is the reference semantics (tick every component every
+// cycle, registration order). Both sharded variants imply the active engine.
+// sharded4 forces the per-cycle choice to alternate, so that staged and
+// direct cross-shard traffic and every transition between them run at any
+// shape; auto leaves Shards at 0 with the resolver forced above its floor
+// (four cores, one node per shard) and the engine on its own threshold, which
+// the paper-scale rows reach and the tiny ones do not.
+var engineVariants = map[string]struct {
+	mutate func(*machine.Config)
+	seam   func() // installs test seams; diffFamily removes them afterwards
+}{
+	"scan":   {mutate: func(c *machine.Config) { c.Engine = machine.EngineScan }},
+	"active": {mutate: func(c *machine.Config) { c.Engine = machine.EngineActive }},
+	"sharded4": {
+		mutate: func(c *machine.Config) { c.Shards = 4 },
+		seam:   func() { machineBuilt = alternateCycles },
+	},
+	"auto": {
+		mutate: func(c *machine.Config) { c.Shards = 0 },
+		seam:   func() { autoLimits = func() (int, int) { return 4, 1 } },
+	},
+}
+
+// alternateCycles is the machineBuilt seam of the sharded test variants: odd
+// cycles step in parallel, even ones serially.
+func alternateCycles(m *machine.Machine) {
+	m.Engine.ForceParallelForTest(func(now uint64) bool { return now&1 == 1 })
 }
 
 // diffFamily builds each family's jobs once per engine variant and compares
@@ -38,8 +59,14 @@ var engineVariants = map[string]func(*machine.Config){
 // results and make the test vacuous.
 func diffFamily(t *testing.T, family string, jobs func(mutate func(*machine.Config)) []exp.Job) {
 	t.Helper()
-	canonical := func(name string, mutate func(*machine.Config)) []byte {
-		rs := exp.Run(jobs(mutate), exp.Options{Name: family + "-" + name})
+	canonical := func(name string) []byte {
+		v := engineVariants[name]
+		if v.seam != nil {
+			limits := autoLimits
+			defer func() { machineBuilt, autoLimits = nil, limits }()
+			v.seam()
+		}
+		rs := exp.Run(jobs(v.mutate), exp.Options{Name: family + "-" + name})
 		if n := exp.Failed(rs); n > 0 {
 			t.Fatalf("%s/%s: %d points failed: %v", family, name, n, exp.FirstErr(rs))
 		}
@@ -49,14 +76,13 @@ func diffFamily(t *testing.T, family string, jobs func(mutate func(*machine.Conf
 		}
 		return data
 	}
-	ref := canonical("scan", engineVariants["scan"])
-	for name, mutate := range engineVariants {
+	ref := canonical("scan")
+	for name := range engineVariants {
 		if name == "scan" {
 			continue
 		}
-		name, mutate := name, mutate
 		t.Run(family+"/"+name, func(t *testing.T) {
-			if got := canonical(name, mutate); !bytes.Equal(got, ref) {
+			if got := canonical(name); !bytes.Equal(got, ref) {
 				t.Errorf("%s: %s artifact differs from scan reference\nscan:\n%s\n%s:\n%s",
 					family, name, ref, name, got)
 			}

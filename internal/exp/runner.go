@@ -123,6 +123,18 @@ type Result struct {
 	WallMS   float64 `json:"wall_ms"`
 }
 
+// Workers is the width of the pool RunCtx runs the given number of jobs over:
+// Parallelism (GOMAXPROCS when <= 0), but never more workers than jobs. A
+// caller that sizes per-job resources to the cores left over (machine
+// sharding) reads it before building its jobs.
+func (o Options) Workers(jobs int) int {
+	workers := o.Parallelism
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	return min(workers, jobs)
+}
+
 // Run executes the jobs over a worker pool and returns one Result per job in
 // input order. A job that fails (including by panic or simulated deadlock)
 // becomes a failed point; the rest of the sweep still completes.
@@ -137,13 +149,7 @@ func Run(jobs []Job, opts Options) []Result {
 // are never written to the cache, so a later run of the same specs
 // recomputes them.
 func RunCtx(ctx context.Context, jobs []Job, opts Options) []Result {
-	workers := opts.Parallelism
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
+	workers := opts.Workers(len(jobs))
 	results := make([]Result, len(jobs))
 
 	var mu sync.Mutex // guards progress output, OnResult, completion count

@@ -101,9 +101,8 @@ type Channel struct {
 
 	bufFlits int32 // per-VC buffer capacity, in flits (credit upper bound)
 	numVCs   uint8
-	// deferred: the channel crosses a shard boundary; sends and credit
-	// returns are staged locally and flushed (with their original arrival
-	// cycles) at the phase barrier by the coordinator.
+	// deferred: the channel crosses a shard boundary (SetDeferred). The flag
+	// sits with the fields every send touches; what it gates is kept last.
 	deferred bool
 	sentAny  bool
 	// CensusExempt marks a channel whose in-flight packets are accounted
@@ -116,8 +115,14 @@ type Channel struct {
 	Name        string
 	lost        []int // credits dropped and not yet restored, per VC
 	prevPayload []byte
-	stagedPkts  []stagedPkt
-	stagedCreds []stagedCred
+	// A deferred channel stages its sends and credit returns here during
+	// the parallel phase of a sharded cycle and files itself on the staging
+	// shard's list (sndStage for the sending end, recvStage for the
+	// receiving one), which the coordinator flushes — with the original
+	// arrival cycles — at the phase barrier.
+	sndStage, recvStage *StageList
+	stagedPkts          []stagedPkt
+	stagedCreds         []stagedCred
 	// unbound is the mask word an unbound side points at (with a zero bit),
 	// so the enqueue and drain paths need no nil checks.
 	unbound uint32
@@ -226,15 +231,36 @@ func (ch *Channel) WakeSender(at uint64) {
 	}
 }
 
-// SetDeferred switches the channel to staged delivery for sharded stepping:
-// sends and credit returns buffer locally and FlushStaged applies them at
-// the phase barrier with their original arrival cycles.
-func (ch *Channel) SetDeferred(on bool) { ch.deferred = on }
+// StageList is one shard's list of the shard-crossing channels it staged
+// traffic on during the current parallel phase. Only that shard's worker
+// appends to it, and only the coordinator, at the barrier, flushes it, so the
+// barrier costs what was staged rather than a walk over every channel.
+type StageList struct{ chans []*Channel }
 
-// FlushStaged moves staged sends and credit returns into the pipes (setting
-// ready bits and issuing wakes as a direct send would). Coordinator-only, at
-// the phase barrier.
-func (ch *Channel) FlushStaged() {
+// Flush applies everything the listed channels staged and empties the list.
+// Coordinator-only, at the phase barrier.
+func (l *StageList) Flush() {
+	for i, ch := range l.chans {
+		ch.flushStaged()
+		l.chans[i] = nil
+	}
+	l.chans = l.chans[:0]
+}
+
+// SetDeferred marks the channel as crossing a shard boundary and names the
+// lists of the sender's and the receiver's shard. While shard workers run
+// (sim.Engine.Parallel) sends and credit returns are staged and applied by
+// StageList.Flush at the phase barrier with their original arrival cycles; in
+// a serially stepped cycle the coordinator ticks both ends itself, in id
+// order, so they enter the pipes directly, as on an unsharded machine.
+func (ch *Channel) SetDeferred(snd, recv *StageList) {
+	ch.deferred, ch.sndStage, ch.recvStage = true, snd, recv
+}
+
+// flushStaged moves staged sends and credit returns into the pipes (setting
+// ready bits and issuing wakes as a direct send would). A channel both of
+// whose ends staged is on two lists; its second flush finds nothing.
+func (ch *Channel) flushStaged() {
 	for i := range ch.stagedPkts {
 		s := &ch.stagedPkts[i]
 		ch.pushPkt(s.at, s.p)
@@ -322,7 +348,10 @@ func (ch *Channel) transmit(now uint64, p *packet.Packet, vc uint8) uint64 {
 	if arrive <= now {
 		arrive = now + 1
 	}
-	if ch.deferred {
+	if ch.deferred && ch.sndE.Parallel() {
+		if len(ch.stagedPkts) == 0 {
+			ch.sndStage.chans = append(ch.sndStage.chans, ch)
+		}
 		ch.stagedPkts = append(ch.stagedPkts, stagedPkt{at: arrive, p: p})
 		return arrive
 	}
@@ -365,7 +394,10 @@ func (ch *Channel) ReturnCredit(now uint64, vc uint8, flits uint8) {
 		return
 	}
 	at, msg := now+ch.credits.Latency(), creditMsg{vc: vc, flits: flits}
-	if ch.deferred {
+	if ch.deferred && ch.recvE.Parallel() {
+		if len(ch.stagedCreds) == 0 {
+			ch.recvStage.chans = append(ch.recvStage.chans, ch)
+		}
 		ch.stagedCreds = append(ch.stagedCreds, stagedCred{at: at, msg: msg})
 		return
 	}

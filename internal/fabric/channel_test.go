@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"anton2/internal/packet"
+	"anton2/internal/sim"
 	"anton2/internal/topo"
 )
 
@@ -258,9 +259,8 @@ func TestChannelCreditInvariantProperty(t *testing.T) {
 
 // TestChannelReadyMasks: a bound channel keeps its bit of the receiver's
 // inMask set exactly while packets are in flight and its bit of the sender's
-// credMask exactly while credits are; a deferred (shard-crossing) channel
-// touches neither word until FlushStaged; and a restored channel re-derives
-// both bits from its in-flight entries.
+// credMask exactly while credits are; and a restored channel re-derives both
+// bits from its in-flight entries.
 func TestChannelReadyMasks(t *testing.T) {
 	var inMask, credMask uint32
 	bind := func(ch *Channel) {
@@ -294,12 +294,9 @@ func TestChannelReadyMasks(t *testing.T) {
 	ch.AbsorbCredits(3)
 	want("credit pipe drained", 1, 1)
 
-	ch.SetDeferred(true)
 	ch.Send(3, pkt(1), 0)
 	ch.ReturnCredit(3, 1, 1)
-	want("staged traffic", 1, 1)
-	ch.FlushStaged()
-	want("flushed", 1|1<<3, 1|1<<5)
+	want("both in flight", 1|1<<3, 1|1<<5)
 
 	st, err := ch.ExportState(func(*packet.Packet) int { return 0 })
 	if err != nil {
@@ -312,6 +309,63 @@ func TestChannelReadyMasks(t *testing.T) {
 		t.Fatal(err)
 	}
 	want("restored", 1<<3, 1<<5)
+}
+
+// tickFn adapts a function to sim.Component.
+type tickFn func(now uint64)
+
+func (f tickFn) Tick(now uint64) { f(now) }
+
+// TestChannelStaging: a shard-crossing channel stages its sends and credit
+// returns only while shard workers run — touching neither mask word and filing
+// itself once on each staging shard's list, which the barrier flushes — and in
+// a serially stepped cycle of the same engine puts both straight into the
+// pipes. Either way the cycle ends in the same state.
+func TestChannelStaging(t *testing.T) {
+	for _, parallel := range []bool{false, true} {
+		var inMask, credMask uint32
+		var snd, recv StageList
+		e := sim.NewEngineMode(sim.ModeActive)
+		ch := meshChan(false)
+		ch.SetDeferred(&snd, &recv)
+		sender := e.Register(tickFn(func(now uint64) {
+			if now == 0 {
+				ch.Send(now, pkt(1), 0)
+			}
+		}))
+		receiver := e.Register(tickFn(func(now uint64) {
+			if now == 0 {
+				ch.ReturnCredit(now, 1, 1)
+				ch.ReturnCredit(now, 2, 1)
+			}
+		}))
+		ch.BindSender(e, sender, &credMask, 5)
+		ch.BindReceiver(e, receiver, &inMask, 3)
+		merged := false
+		e.ConfigureShards([]sim.ShardRange{{Lo: 0, Hi: 1}, {Lo: 1, Hi: 2}}, 0, func(uint64) {
+			merged = true
+			if inMask|credMask != 0 || ch.InFlight() != 0 || ch.CreditsInFlight() != 0 {
+				t.Errorf("staged traffic reached the pipes before the barrier: inMask %#x credMask %#x", inMask, credMask)
+			}
+			if len(snd.chans) != 1 || len(recv.chans) != 1 {
+				t.Errorf("stage lists hold %d and %d channels, want 1 and 1", len(snd.chans), len(recv.chans))
+			}
+			snd.Flush()
+			recv.Flush()
+		})
+		e.ForceParallelForTest(func(uint64) bool { return parallel })
+		e.Step()
+		if merged != parallel {
+			t.Fatalf("parallel=%v: merge ran %v", parallel, merged)
+		}
+		if inMask != 1<<3 || credMask != 1<<5 || ch.InFlight() != 1 || ch.CreditsInFlight() != 2 {
+			t.Errorf("parallel=%v: after the cycle inMask %#x credMask %#x, %d packets and %d credits in flight; want %#x %#x 1 2",
+				parallel, inMask, credMask, ch.InFlight(), ch.CreditsInFlight(), 1<<3, 1<<5)
+		}
+		if len(snd.chans)+len(recv.chans) != 0 {
+			t.Errorf("parallel=%v: stage lists not emptied", parallel)
+		}
+	}
 }
 
 // TestChannelVCBound: the inline credit array is the VC limit.

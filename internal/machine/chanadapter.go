@@ -295,7 +295,7 @@ func (a *ChannelAdapter) tick(now uint64) {
 				orig := popVC(a.ing, &a.ingOcc, uint8(g))
 				a.queued--
 				a.torusIn.ReturnCredit(now, uint8(g), orig.Size)
-				a.m.free(orig)
+				a.m.free(orig, a.shard)
 			}
 		} else {
 			p := popVC(a.ing, &a.ingOcc, uint8(g))
@@ -425,7 +425,7 @@ func (a *ChannelAdapter) expandMulticast(p *packet.Packet) []*packet.Packet {
 	ingress := a.m.Topo.Chip.AdapterAt(a.id).Router
 	out := make([]*packet.Packet, 0, len(e.Forward)+len(e.Deliver))
 	for _, d := range e.Forward {
-		c := a.m.clonePacket(p)
+		c := a.m.clonePacket(p, a.shard)
 		if d == p.Route.Dir {
 			route.MulticastContinue(&c.Route)
 		} else {
@@ -434,7 +434,7 @@ func (a *ChannelAdapter) expandMulticast(p *packet.Packet) []*packet.Packet {
 		out = append(out, c)
 	}
 	for _, ep := range e.Deliver {
-		c := a.m.clonePacket(p)
+		c := a.m.clonePacket(p, a.shard)
 		c.Dst = topo.NodeEp{Node: a.node, Ep: ep}
 		route.MulticastDeliver(a.m.routeCfg, &c.Route, c.Dst, ingress)
 		out = append(out, c)

@@ -119,10 +119,14 @@ type Config struct {
 	Engine string
 
 	// Shards, when > 1, splits the simulation across that many goroutines
-	// (contiguous node ranges) with a deterministic phase-barrier merge;
-	// results stay bit-identical to a serial run. Validate lists what it
-	// does not compose with. Clamped to the node count. Like Engine, it
-	// never changes results and is excluded from cache keys.
+	// (contiguous node ranges): dense cycles step in parallel with a
+	// deterministic phase-barrier merge, sparse ones serially, and results
+	// stay bit-identical to a serial run. Validate lists what it does not
+	// compose with. Clamped to the node count. 1 is the serial engine. 0 is
+	// auto: the core drivers (core.BuildMachine) resolve it from GOMAXPROCS
+	// and the machine size, to 1 wherever Shardable refuses; New itself
+	// builds it serial. Like Engine, it never changes results and is
+	// excluded from cache keys.
 	Shards int
 }
 
@@ -136,33 +140,50 @@ type ConfigError struct {
 func (e *ConfigError) Error() string { return "machine: Config." + e.Field + ": " + e.Msg }
 
 // Validate is the one statement of which modes compose: it returns a
-// *ConfigError for an unknown engine, a negative shard count, sharding
-// combined with anything that assumes single-threaded stepping, or an
-// invalid fault spec. It reads no derived input (topology, weight tables), so
-// the CLIs call it on the config their flags describe, before anything runs;
-// New calls it first and builds every config it accepts, given a valid Shape
-// and the Weights an inverse-weighted Arbiter needs.
+// *ConfigError for an unknown engine, a negative shard count, an explicit
+// shard count above 1 combined with anything Shardable refuses, or an invalid
+// fault spec. Shards == 0 (auto) never errors on that account: it resolves to
+// serial where an explicit count would be refused. Validate reads no derived
+// input (topology, weight tables), so the CLIs call it on the config their
+// flags describe, before anything runs; New calls it first and builds every
+// config it accepts, given a valid Shape and the Weights an inverse-weighted
+// Arbiter needs.
 func (c Config) Validate() error {
-	sharded := c.Shards > 1
 	switch {
 	case c.Engine != "" && c.Engine != EngineActive && c.Engine != EngineScan:
 		return &ConfigError{"Engine", fmt.Sprintf("unknown engine %q (valid: %s, %s)", c.Engine, EngineActive, EngineScan)}
 	case c.Shards < 0:
 		return &ConfigError{"Shards", fmt.Sprintf("shards must be >= 0, got %d", c.Shards)}
-	case sharded && c.Engine == EngineScan:
-		return &ConfigError{"Engine", "sharded stepping requires the active engine"}
-	case sharded && c.Check:
-		return &ConfigError{"Check", "the invariant suite assumes single-threaded stepping (Shards > 1)"}
-	case sharded && c.Telemetry != nil:
-		return &ConfigError{"Telemetry", "telemetry assumes single-threaded stepping (Shards > 1)"}
-	case sharded && c.EndpointPipeline == 0:
-		// A cross-endpoint OnDeliver callback could observe same-cycle
-		// state a serial step would already have updated.
-		return &ConfigError{"EndpointPipeline", "sharded stepping requires an endpoint pipeline of at least 1 cycle"}
-	case c.Fault != nil:
+	case c.Shards > 1:
+		if err := c.Shardable(); err != nil {
+			return err
+		}
+	}
+	if c.Fault != nil {
 		if err := c.Fault.Validate(); err != nil {
 			return &ConfigError{"Fault", err.Error()}
 		}
+	}
+	return nil
+}
+
+// Shardable reports whether the config composes with sharded stepping,
+// whatever its Shards says: everything that assumes single-threaded stepping
+// is a *ConfigError. Validate applies it to an explicit Shards > 1; the auto
+// resolver (core.ResolveShards) applies it to Shards == 0 and falls back to
+// serial.
+func (c Config) Shardable() error {
+	switch {
+	case c.Engine == EngineScan:
+		return &ConfigError{"Engine", "sharded stepping requires the active engine"}
+	case c.Check:
+		return &ConfigError{"Check", "the invariant suite assumes single-threaded stepping (Shards > 1)"}
+	case c.Telemetry != nil:
+		return &ConfigError{"Telemetry", "telemetry assumes single-threaded stepping (Shards > 1)"}
+	case c.EndpointPipeline == 0:
+		// A cross-endpoint OnDeliver callback could observe same-cycle
+		// state a serial step would already have updated.
+		return &ConfigError{"EndpointPipeline", "sharded stepping requires an endpoint pipeline of at least 1 cycle"}
 	}
 	return nil
 }

@@ -24,6 +24,10 @@ func refusedField(t *testing.T, err error) string {
 // contract: Validate and New agree, a refused cell is a *ConfigError naming
 // the field the table below expects, a built cell runs, and a snapshot of it
 // succeeds exactly when Checkpointable says so (again with a typed refusal).
+// The shards axis has the auto column (0), explicit serial (1), an explicit
+// count (2) and a negative one: auto and serial are never refused on account
+// of sharding, and Shardable — what the auto resolver consults — refuses
+// exactly the cells an explicit count is refused in, naming the same field.
 func TestConfigLattice(t *testing.T) {
 	// The expected refusal, written as the rules read in DESIGN §9.
 	wantField := func(engine string, shards int, check, tel bool, epipe uint64) string {
@@ -47,7 +51,7 @@ func TestConfigLattice(t *testing.T) {
 	}
 	cells := 0
 	for _, engine := range []string{"", EngineActive, EngineScan, "warp"} {
-		for _, shards := range []int{0, 2, -1} {
+		for _, shards := range []int{0, 1, 2, -1} {
 			for _, check := range []bool{false, true} {
 				for _, tel := range []bool{false, true} {
 					for _, epipe := range []uint64{0, 4} {
@@ -60,6 +64,15 @@ func TestConfigLattice(t *testing.T) {
 							}
 							name := fmt.Sprintf("engine=%q shards=%d check=%v tel=%v epipe=%d ckpt=%v", engine, shards, check, tel, epipe, ckpt)
 							want := wantField(engine, shards, check, tel, epipe)
+							if explicit := wantField(engine, 2, check, tel, epipe); engine != "warp" {
+								got := ""
+								if err := cfg.Shardable(); err != nil {
+									got = refusedField(t, err)
+								}
+								if got != explicit {
+									t.Errorf("%s: Shardable refuses Config.%s, but an explicit Shards: 2 is refused for Config.%s", name, got, explicit)
+								}
+							}
 							verr := cfg.Validate()
 							m, nerr := New(cfg)
 							if (verr == nil) != (nerr == nil) {
@@ -76,6 +89,10 @@ func TestConfigLattice(t *testing.T) {
 							}
 							if nerr != nil {
 								t.Fatalf("%s: refused (%v), want it to build", name, nerr)
+							}
+							// New builds auto serial (core.BuildMachine is what resolves it).
+							if got, want := len(m.shards), max(shards, 1); got != want {
+								t.Errorf("%s: built %d shards, want %d", name, got, want)
 							}
 							snapInject(m, 2)
 							m.Engine.Run(40)
@@ -106,7 +123,7 @@ func TestConfigLattice(t *testing.T) {
 			}
 		}
 	}
-	if cells != 4*3*2*2*2*2 {
-		t.Fatalf("walked %d cells, want %d", cells, 4*3*2*2*2*2)
+	if cells != 4*4*2*2*2*2 {
+		t.Fatalf("walked %d cells, want %d", cells, 4*4*2*2*2*2)
 	}
 }

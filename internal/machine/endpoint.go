@@ -34,7 +34,9 @@ type EndpointAdapter struct {
 
 	// Source, when non-nil, lazily supplies injection packets once the
 	// explicit queue is empty; it returns nil when exhausted. This keeps
-	// large batch experiments at O(1) memory.
+	// large batch experiments at O(1) memory. It runs inside this endpoint's
+	// Tick — on a shard worker in a parallel cycle — so the packets it makes
+	// must name this endpoint's node as their source.
 	Source func() *packet.Packet
 
 	// OnDeliver, when set, observes each delivered packet before it is
@@ -79,7 +81,7 @@ func (e *EndpointAdapter) Inject(p *packet.Packet) {
 		e.sched = nb
 	}
 	e.swq = append(e.swq, p)
-	if e.m.sharded {
+	if e.m.Engine.Parallel() {
 		// Traffic sources run inside shard workers; the machine-wide
 		// injection count is the one piece of shared state they touch.
 		atomic.AddUint64(&e.m.injected, 1)
@@ -125,9 +127,9 @@ func (e *EndpointAdapter) tick(now uint64) {
 		e.out.AbsorbCredits(now)
 	}
 
-	// Ejection: drain arrivals and return credits. Under sharding the
-	// delivery hooks run at the phase barrier (in component-id order, as a
-	// serial step would), because they touch machine-wide state.
+	// Ejection: drain arrivals and return credits. In a parallel phase the
+	// delivery hooks run at the barrier (in component-id order, as a serial
+	// step would), because they touch machine-wide state.
 	for e.inMask != 0 {
 		p, ok := e.in.Recv(now)
 		if !ok {
@@ -136,8 +138,9 @@ func (e *EndpointAdapter) tick(now uint64) {
 		e.in.ReturnCredit(now, p.CurVC, p.Size)
 		p.DeliveredAt = now
 		p.Tracepoint("endpoint deliver", now)
-		if e.m.sharded {
-			e.m.pendDeliv[e.shard] = append(e.m.pendDeliv[e.shard], delivEnt{e: e, p: p})
+		if e.m.Engine.Parallel() {
+			sh := &e.m.shards[e.shard]
+			sh.deliv = append(sh.deliv, delivEnt{e: e, p: p})
 		} else {
 			e.m.deliver(e, p, now)
 		}

@@ -77,16 +77,22 @@ type rlink struct {
 	sndE  *sim.Engine
 	sndID int32
 
-	// deferred: the link crosses a shard boundary; frame metadata and
-	// control messages are staged by the owning shard and flushed at the
-	// phase barrier (in lockstep with the channel's staged packets).
-	deferred  bool
-	metaStage []frameMeta
-	ctrlStage []stagedCtrl
+	// sndStage and recvStage are non-nil on a link that crosses a shard
+	// boundary: during a parallel phase frame metadata and control messages
+	// are staged by the owning shard, which files the link on its list, and
+	// flushed at the phase barrier (in lockstep with the channel's staged
+	// packets). They follow the channel's rule exactly: a serially stepped
+	// cycle stages nothing.
+	sndStage, recvStage *[]*rlink
+	metaStage           []frameMeta
+	ctrlStage           []stagedCtrl
 }
 
 func (rl *rlink) pushMeta(seq uint64, vc uint8, corrupt bool) {
-	if rl.deferred {
+	if rl.sndStage != nil && rl.sndE.Parallel() {
+		if len(rl.metaStage) == 0 {
+			*rl.sndStage = append(*rl.sndStage, rl)
+		}
 		rl.metaStage = append(rl.metaStage, frameMeta{seq: seq, vc: vc, corrupt: corrupt})
 		return
 	}
@@ -103,10 +109,14 @@ func (rl *rlink) pushCtrl(at uint64, c linkCtrl) {
 }
 
 // sendCtrl issues one ack/nack toward the sender adapter; on shard-crossing
-// links the message is staged for the barrier flush instead.
+// links in a parallel phase the message is staged for the barrier flush
+// instead.
 func (rl *rlink) sendCtrl(now uint64, c linkCtrl) {
 	at := now + rl.ctrl.Latency()
-	if rl.deferred {
+	if rl.recvStage != nil && rl.sndE.Parallel() {
+		if len(rl.ctrlStage) == 0 {
+			*rl.recvStage = append(*rl.recvStage, rl)
+		}
 		rl.ctrlStage = append(rl.ctrlStage, stagedCtrl{at: at, c: c})
 		return
 	}
@@ -115,7 +125,9 @@ func (rl *rlink) sendCtrl(now uint64, c linkCtrl) {
 
 // flush moves staged frame metadata and control messages into the live
 // structures. Coordinator-only, at the phase barrier; the channel's staged
-// packets flush in the same barrier, keeping the meta FIFO in lockstep.
+// packets flush in the same barrier, keeping the meta FIFO in lockstep. A
+// link both of whose ends staged is on two lists; its second flush finds
+// nothing.
 func (rl *rlink) flush() {
 	if len(rl.metaStage) > 0 {
 		rl.meta = append(rl.meta, rl.metaStage...)
@@ -221,12 +233,12 @@ func (f *faultLayer) setFatal(err error) {
 	f.mu.Unlock()
 }
 
-// setFatalShard records a fatal failure observed by one shard's adapters.
-// Unsharded runs set the machine-wide fatal directly (tick order already
-// picks the serial winner); sharded runs stage per shard and resolve at the
-// barrier.
+// setFatalShard records a fatal failure observed by one shard's adapters. A
+// serially stepped cycle sets the machine-wide fatal directly (tick order
+// already picks the serial winner); a parallel phase stages per shard and
+// resolves at the barrier.
 func (f *faultLayer) setFatalShard(shard int, err error) {
-	if !f.m.sharded {
+	if !f.m.Engine.Parallel() {
 		f.setFatal(err)
 		return
 	}
@@ -257,9 +269,9 @@ func newFaultLayer(m *Machine, spec fault.Spec) *faultLayer {
 		m:         m,
 		spec:      spec,
 		inj:       fault.NewInjector(spec, m.Cfg.Seed, n),
-		cnt:       make([]fault.Counters, m.shardCount+1),
+		cnt:       make([]fault.Counters, len(m.shards)+1),
 		recvShard: make([]int32, n),
-		fatalSh:   make([]error, m.shardCount),
+		fatalSh:   make([]error, len(m.shards)),
 		torusBase: base,
 		links:     make([]*fabric.Channel, n),
 		rlinks:    make([]*rlink, n),

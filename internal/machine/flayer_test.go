@@ -224,6 +224,7 @@ func TestMachineDeadlockDetail(t *testing.T) {
 func steadyStateMachine(tb testing.TB, cfg Config) *Machine {
 	tb.Helper()
 	m := MustNew(cfg)
+	m.Engine.ForceParallelForTest(cyclePolicies["parallel"])
 	nodes := m.Topo.NumNodes()
 	cores := m.Topo.Chip.CoreEndpoints()
 	for n := 0; n < nodes; n++ {

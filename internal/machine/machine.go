@@ -3,7 +3,7 @@ package machine
 import (
 	"fmt"
 	"math/rand"
-	"sync"
+	"sync/atomic"
 
 	"anton2/internal/arbiter"
 	"anton2/internal/check"
@@ -34,23 +34,24 @@ type Machine struct {
 	injected  uint64
 	delivered uint64
 
-	pool   []*packet.Packet
-	nextID uint64
+	// nextID numbers packets; it is the one word shard workers share when
+	// they allocate (the free lists are per shard).
+	nextID atomic.Uint64
 
 	// arena backs the VC queues, port tables and scratch arrays of every
 	// router and adapter.
 	arena hotArena
 
 	// Sharding state (Cfg.Shards > 1): components are partitioned into
-	// contiguous node ranges ticked by worker goroutines; cross-shard
-	// channel traffic is staged and flushed at the phase barrier, and
-	// deliveries are deferred per shard and applied at the barrier in
-	// component-id order, keeping sharded runs bit-identical to serial.
-	sharded    bool
-	shardCount int
-	nodeShard  []int32
-	allocMu    sync.Mutex // guards pool and nextID across shard workers
-	pendDeliv  [][]delivEnt
+	// contiguous node ranges. The engine steps a dense cycle with one worker
+	// goroutine per range — cross-shard channel traffic is then staged and
+	// flushed at the phase barrier, and deliveries are deferred per shard
+	// and applied at the barrier in component-id order, keeping the cycle
+	// bit-identical to a serial one — and a sparse cycle serially, in which
+	// nothing is staged or deferred (Engine.Parallel is the switch). An
+	// unsharded machine has the one shard 0.
+	nodeShard []int32
+	shards    []shardState
 
 	// checks is the attached invariant suite, or nil when Cfg.Check is
 	// false; every hook site guards on nil so disabled checking costs one
@@ -70,7 +71,20 @@ type Node struct {
 	Adapters  [topo.NumChannelAdapters]*ChannelAdapter
 }
 
-// delivEnt is one delivery deferred to the phase barrier of a sharded step.
+// shardState is what one shard's worker owns during a parallel phase: its
+// packet free list, and the lists of what it staged for the barrier — the
+// deliveries its endpoints deferred and the shard-crossing channels and
+// reliable links it staged traffic on. Padded so neighbouring shards' list
+// headers never share a cache line.
+type shardState struct {
+	pool   []*packet.Packet
+	deliv  []delivEnt
+	chans  fabric.StageList
+	rlinks []*rlink
+	_      [32]byte
+}
+
+// delivEnt is one delivery deferred to the phase barrier of a parallel cycle.
 type delivEnt struct {
 	e *EndpointAdapter
 	p *packet.Packet
@@ -95,7 +109,7 @@ func New(cfg Config) (*Machine, error) {
 	if cfg.Engine == EngineScan {
 		mode = sim.ModeScan
 	}
-	shards := min(cfg.Shards, tm.NumNodes())
+	shards := max(1, min(cfg.Shards, tm.NumNodes()))
 	m := &Machine{
 		Cfg:    cfg,
 		Topo:   tm,
@@ -110,28 +124,21 @@ func New(cfg Config) (*Machine, error) {
 	}
 	m.strategy = route.AsStrategy(cfg.Scheme)
 	_, m.faultAware = m.strategy.(route.FaultRouter)
-	if shards > 1 {
-		m.sharded = true
-		m.shardCount = shards
-	} else {
-		m.shardCount = 1
-	}
 	// Balanced contiguous node partition: shard s owns nodes
 	// [s*base + min(s, extra), ...); contiguous node ranges mean contiguous
 	// component-id ranges, which is what the engine shards over.
+	m.shards = make([]shardState, shards)
 	m.nodeShard = make([]int32, tm.NumNodes())
-	if m.sharded {
-		base, extra := tm.NumNodes()/shards, tm.NumNodes()%shards
-		n := 0
-		for s := 0; s < shards; s++ {
-			cnt := base
-			if s < extra {
-				cnt++
-			}
-			for i := 0; i < cnt; i++ {
-				m.nodeShard[n] = int32(s)
-				n++
-			}
+	base, extra := tm.NumNodes()/shards, tm.NumNodes()%shards
+	n := 0
+	for s := 0; s < shards; s++ {
+		cnt := base
+		if s < extra {
+			cnt++
+		}
+		for i := 0; i < cnt; i++ {
+			m.nodeShard[n] = int32(s)
+			n++
 		}
 	}
 	m.arena = newArena(m)
@@ -220,7 +227,7 @@ func New(cfg Config) (*Machine, error) {
 	}
 	m.Engine.SetSerialPrefix(prefix)
 
-	if m.sharded {
+	if shards > 1 {
 		perNode := topo.NumRouters + topo.NumChannelAdapters + topo.NumEndpoints
 		ranges := make([]sim.ShardRange, 0, shards)
 		lo := 0
@@ -231,22 +238,23 @@ func New(cfg Config) (*Machine, error) {
 			}
 		}
 		m.Engine.ConfigureShards(ranges, prefix, m.merge)
-		m.pendDeliv = make([][]delivEnt, shards)
-		// Torus channels whose endpoints land in different shards switch to
-		// staged (barrier-flushed) delivery; everything else stays direct.
+		// Torus channels whose endpoints land in different shards stage
+		// their traffic during a parallel phase; everything else stays
+		// direct.
 		for n := 0; n < tm.NumNodes(); n++ {
 			for ai := 0; ai < topo.NumChannelAdapters; ai++ {
 				ad := topo.AdapterByIndex(ai)
 				id := tm.TorusChanID(n, ad.Dir, ad.Slice)
 				u := tm.Shape.NodeID(tm.Shape.Neighbor(tm.Shape.Coord(n), ad.Dir))
+				snd, recv := &m.shards[m.nodeShard[n]], &m.shards[m.nodeShard[u]]
 				if m.flt != nil {
 					m.flt.recvShard[id-m.flt.torusBase] = m.nodeShard[u]
 				}
-				if m.nodeShard[n] != m.nodeShard[u] {
-					m.chans[id].SetDeferred(true)
+				if snd != recv {
+					m.chans[id].SetDeferred(&snd.chans, &recv.chans)
 					if m.flt != nil {
 						if rl := m.flt.rlinkFor(id); rl != nil {
-							rl.deferred = true
+							rl.sndStage, rl.recvStage = &snd.rlinks, &recv.rlinks
 						}
 					}
 				}
@@ -388,7 +396,7 @@ func (m *Machine) MakePacket(src, dst topo.NodeEp, c route.Choices, class route.
 			c = avoided
 		}
 	}
-	p := m.alloc()
+	p := m.alloc(m.nodeShard[src.Node])
 	p.Src, p.Dst = src, dst
 	p.Size = size
 	p.PatternID = pattern
@@ -413,29 +421,28 @@ func (m *Machine) MakeRandomPacket(src, dst topo.NodeEp, class route.Class, patt
 	return m.MakePacket(src, dst, route.RandomChoices(rng), class, pattern, 1)
 }
 
-func (m *Machine) alloc() *packet.Packet {
-	// Shard workers allocate concurrently; pool order and packet IDs become
-	// schedule-dependent then, but both are unobservable (checks and
-	// telemetry — the only ID consumers — are disabled under sharding, and
-	// pooled packets are fully Reset on reuse).
-	if m.sharded {
-		m.allocMu.Lock()
-		defer m.allocMu.Unlock()
-	}
-	m.nextID++
-	if n := len(m.pool); n > 0 {
-		p := m.pool[n-1]
-		m.pool = m.pool[:n-1]
+// alloc takes a packet from the free list of the given shard — the shard of
+// the component allocating, so no two workers ever share a list. Shard
+// workers allocate concurrently; packet IDs become schedule-dependent then,
+// but that is unobservable (checks and telemetry — the only ID consumers —
+// are refused under sharding, and pooled packets are fully Reset on reuse).
+func (m *Machine) alloc(shard int32) *packet.Packet {
+	id := m.nextID.Add(1)
+	pool := &m.shards[shard].pool
+	if n := len(*pool); n > 0 {
+		p := (*pool)[n-1]
+		*pool = (*pool)[:n-1]
 		p.Reset()
-		p.ID = m.nextID
+		p.ID = id
 		return p
 	}
-	return &packet.Packet{ID: m.nextID, MGroup: -1}
+	return &packet.Packet{ID: id, MGroup: -1}
 }
 
-// clonePacket copies a multicast packet for one branch of its tree.
-func (m *Machine) clonePacket(p *packet.Packet) *packet.Packet {
-	c := m.alloc()
+// clonePacket copies a multicast packet for one branch of its tree, on
+// behalf of a component of the given shard.
+func (m *Machine) clonePacket(p *packet.Packet, shard int32) *packet.Packet {
+	c := m.alloc(shard)
 	id := c.ID
 	*c = *p
 	c.ID = id
@@ -466,7 +473,7 @@ func (m *Machine) InjectMulticast(src topo.NodeEp, group int, class route.Class,
 		m.checks.OnMulticastInject(group, g, m.Engine.Now())
 	}
 	for _, d := range e.Forward {
-		p := m.alloc()
+		p := m.alloc(ep.shard)
 		p.Src, p.Size, p.PatternID, p.MGroup = src, 1, pattern, group
 		p.Route = route.InitMulticastBranch(m.routeCfg, d, g.DimIndex(d.Dim()), g.Order, g.Slice, class, srcRouter)
 		ep.Inject(p)
@@ -498,50 +505,56 @@ func (m *Machine) deliver(e *EndpointAdapter, p *packet.Packet, now uint64) {
 	// in an upstream retransmission window (awaiting its cumulative ack);
 	// recycling it would let a timeout rewind retransmit a packet whose
 	// fields the pool has since rewritten. Fault runs skip pooling.
+	// deliver never runs inside a shard worker, so it may hand the packet
+	// back to the shard that will allocate for this source again: steady
+	// traffic then recycles within each shard's own list.
 	if !retain && m.flt == nil {
-		m.pool = append(m.pool, p)
+		pool := &m.shards[m.nodeShard[p.Src.Node]].pool
+		*pool = append(*pool, p)
 	}
 }
 
-// free returns a packet to the pool.
-func (m *Machine) free(p *packet.Packet) {
+// free returns a packet to the free list of the given shard, the shard of
+// the component that consumed it.
+func (m *Machine) free(p *packet.Packet, shard int32) {
 	if m.checks != nil {
 		m.checks.OnFree(p, m.Engine.Now())
 	}
 	if m.flt == nil {
-		if m.sharded {
-			m.allocMu.Lock()
-			defer m.allocMu.Unlock()
-		}
-		m.pool = append(m.pool, p)
+		pool := &m.shards[shard].pool
+		*pool = append(*pool, p)
 	}
 }
 
-// merge is the sharded-step barrier hook: flush staged cross-shard channel
-// traffic (packets, credits, link-layer metadata and control messages) with
-// the arrival cycles recorded at send time, then apply deferred deliveries
-// in shard order — which is component-id order, the same order a serial step
-// would have delivered them.
+// merge is the barrier hook of a parallel cycle: flush what each shard staged
+// — cross-shard channel traffic (packets, credits) and link-layer metadata
+// and control messages, with the arrival cycles recorded at send time — then
+// apply deferred deliveries in shard order, which is component-id order, the
+// same order a serial step would have delivered them. It visits only what the
+// shards listed, so a cycle in which little crossed a boundary merges in
+// proportion.
 func (m *Machine) merge(now uint64) {
-	base := m.Topo.NumNodes() * m.Topo.NumIntraChans()
-	for _, ch := range m.chans[base:] {
-		ch.FlushStaged()
+	for si := range m.shards {
+		m.shards[si].chans.Flush()
 	}
 	if m.flt != nil {
-		for _, rl := range m.flt.rlinks {
-			if rl != nil && rl.deferred {
+		for si := range m.shards {
+			sh := &m.shards[si]
+			for i, rl := range sh.rlinks {
 				rl.flush()
+				sh.rlinks[i] = nil
 			}
+			sh.rlinks = sh.rlinks[:0]
 		}
 		m.flt.resolveFatal()
 	}
-	for si := range m.pendDeliv {
-		pd := m.pendDeliv[si]
-		for i := range pd {
-			m.deliver(pd[i].e, pd[i].p, now)
-			pd[i] = delivEnt{}
+	for si := range m.shards {
+		sh := &m.shards[si]
+		for i, d := range sh.deliv {
+			m.deliver(d.e, d.p, now)
+			sh.deliv[i] = delivEnt{}
 		}
-		m.pendDeliv[si] = pd[:0]
+		sh.deliv = sh.deliv[:0]
 	}
 }
 

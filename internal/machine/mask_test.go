@@ -67,14 +67,40 @@ func (m *Machine) maskErrors() []string {
 // replicate into branches at the channel adapters, and the transient-fault
 // mix (corruption and stalls under go-back-N, with its duplicate frames,
 // dropped frames and out-of-band credit returns).
-var maskScenarios = []struct {
-	name      string
-	withFault bool
-	mcast     bool
-}{
+var maskScenarios = []maskScenario{
 	{name: "uniform batch"},
 	{name: "multicast timestep", mcast: true},
 	{name: "transient faults", withFault: true},
+}
+
+type maskScenario struct {
+	name      string
+	withFault bool
+	mcast     bool
+}
+
+// config is the scenario's machine on the given shape and engine.
+func (sc maskScenario) config(shape topo.TorusShape, engine string, shards int) Config {
+	cfg := snapConfig(shape, engine, shards, sc.withFault)
+	if sc.mcast {
+		cfg.Multicast = maskGroups(topo.MustMachine(shape))
+	}
+	return cfg
+}
+
+// inject loads the scenario's traffic and returns the delivery count that
+// ends the run.
+func (sc maskScenario) inject(m *Machine) uint64 {
+	total := snapInject(m, 6)
+	if sc.mcast {
+		for n := 0; n < m.Topo.NumNodes(); n++ {
+			src := topo.NodeEp{Node: n, Ep: m.Topo.Chip.CoreEndpoints()[n%4]}
+			for i := 0; i < 3; i++ {
+				total += uint64(m.InjectMulticast(src, n, route.ClassRequest, 0))
+			}
+		}
+	}
+	return total
 }
 
 // maskGroups compiles one plane-neighborhood multicast group per node, with a
@@ -107,20 +133,10 @@ func TestMaskConsistency(t *testing.T) {
 	const restoreStride = 3
 	for _, sc := range maskScenarios {
 		for name, cfg := range snapVariants(sc.withFault) {
-			if sc.mcast {
-				cfg.Multicast = maskGroups(topo.MustMachine(cfg.Shape))
-			}
-			build := func() *Machine { return MustNew(cfg) }
+			cfg = sc.config(cfg.Shape, cfg.Engine, cfg.Shards)
+			build := func() *Machine { return buildForTest(cfg) }
 			m := build()
-			total := snapInject(m, 6)
-			if sc.mcast {
-				for n := 0; n < m.Topo.NumNodes(); n++ {
-					src := topo.NodeEp{Node: n, Ep: m.Topo.Chip.CoreEndpoints()[n%4]}
-					for i := 0; i < 3; i++ {
-						total += uint64(m.InjectMulticast(src, n, route.ClassRequest, 0))
-					}
-				}
-			}
+			total := sc.inject(m)
 			sawReady, sawOcc := false, false
 			for m.Delivered() < total {
 				if m.Engine.Now() > 200_000 {

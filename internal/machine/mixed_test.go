@@ -1,0 +1,113 @@
+package machine
+
+import (
+	"testing"
+
+	"anton2/internal/topo"
+)
+
+// snapshotBytes is the machine's snapshot as the checkpoint codec would carry
+// it, with packet IDs zeroed: a parallel phase numbers the multicast branches
+// it clones in worker-schedule order, which nothing but the invariant suite
+// and telemetry — both refused under sharding — ever reads.
+func snapshotBytes(t *testing.T, m *Machine) (*Snapshot, []byte) {
+	t.Helper()
+	s, err := m.Snapshot()
+	if err != nil {
+		t.Fatalf("snapshot at %d: %v", m.Engine.Now(), err)
+	}
+	ids := make([]uint64, len(s.Packets))
+	for i := range s.Packets {
+		ids[i], s.Packets[i].ID = s.Packets[i].ID, 0
+	}
+	b := mustJSON(t, s)
+	for i := range s.Packets {
+		s.Packets[i].ID = ids[i]
+	}
+	return s, b
+}
+
+// TestMixedCycles pins the per-cycle rule's premise: a sharded machine may
+// step any cycle serially or in parallel, in any interleaving, and stay
+// bit-identical to the scan reference. Each scenario runs on the scan engine
+// once, recording the fingerprint after every cycle and a snapshot every few;
+// then a sharded machine is stepped through the same cycles under each forced
+// policy and held, after every cycle, to the reference fingerprint and the
+// mask contract, and at the snapshot cycles to the reference snapshot — its
+// own and that of a fresh machine restored from it.
+func TestMixedCycles(t *testing.T) {
+	shapes := []struct {
+		shape      topo.TorusShape
+		shards     int
+		snapStride uint64
+	}{
+		{topo.Shape3(2, 2, 2), 2, 5},
+		{topo.Shape3(4, 4, 2), 4, 97},
+	}
+	if testing.Short() {
+		shapes = shapes[:1]
+	}
+	for _, sh := range shapes {
+		for _, sc := range maskScenarios {
+			ref := MustNew(sc.config(sh.shape, EngineScan, 0))
+			total := sc.inject(ref)
+			var fps []fingerprint
+			snaps := map[uint64][]byte{}
+			for ref.Delivered() < total {
+				if ref.Engine.Now() > 200_000 {
+					t.Fatalf("%v %s: reference did not finish (delivered %d/%d)", sh.shape, sc.name, ref.Delivered(), total)
+				}
+				ref.Engine.Step()
+				fps = append(fps, ref.fingerprint(ref.Engine.Now(), nil))
+				if now := ref.Engine.Now(); now%sh.snapStride == 0 {
+					_, snaps[now] = snapshotBytes(t, ref)
+				}
+			}
+			for pname, policy := range cyclePolicies {
+				t.Run(sh.shape.String()+"/"+sc.name+"/"+pname, func(t *testing.T) {
+					build := func() *Machine { return MustNew(sc.config(sh.shape, EngineActive, sh.shards)) }
+					m := build()
+					sc.inject(m)
+					m.Engine.ForceParallelForTest(policy)
+					for _, want := range fps {
+						m.Engine.Step()
+						now := m.Engine.Now()
+						if got := m.fingerprint(now, nil); got != want {
+							t.Fatalf("after cycle %d: trajectory divergence:\n  scan: %+v\n  got:  %+v", now-1, want, got)
+						}
+						if errs := m.maskErrors(); errs != nil {
+							t.Fatalf("after cycle %d: %d mask errors, first: %s", now-1, len(errs), errs[0])
+						}
+						wantSnap, ok := snaps[now]
+						if !ok {
+							continue
+						}
+						s, got := snapshotBytes(t, m)
+						if string(got) != string(wantSnap) {
+							t.Fatalf("snapshot at %d differs from the scan reference's", now)
+						}
+						r := build()
+						if err := r.Restore(s); err != nil {
+							t.Fatalf("restore at %d: %v", now, err)
+						}
+						if errs := r.maskErrors(); errs != nil {
+							t.Fatalf("restored at %d: %d mask errors, first: %s", now, len(errs), errs[0])
+						}
+						if _, again := snapshotBytes(t, r); string(again) != string(wantSnap) {
+							t.Fatalf("snapshot of the machine restored at %d differs from the scan reference's", now)
+						}
+					}
+					// A serially stepped cycle stages and defers nothing; the
+					// other two policies must have exercised the barrier.
+					deferred := 0
+					for si := range m.shards {
+						deferred += cap(m.shards[si].deliv)
+					}
+					if (deferred > 0) != (pname != "serial") {
+						t.Errorf("deferred-delivery capacity %d under the %s policy", deferred, pname)
+					}
+				})
+			}
+		}
+	}
+}

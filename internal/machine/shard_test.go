@@ -47,13 +47,32 @@ func (m *Machine) fingerprint(end uint64, runErr error) fingerprint {
 	return fp
 }
 
+// cyclePolicies are the forced per-cycle choices of a sharded engine
+// (sim.Engine.ForceParallelForTest): every cycle serial, every cycle
+// parallel, and alternating by cycle parity.
+var cyclePolicies = map[string]func(now uint64) bool{
+	"serial":      func(uint64) bool { return false },
+	"parallel":    func(uint64) bool { return true },
+	"alternating": func(now uint64) bool { return now&1 == 1 },
+}
+
+// buildForTest is MustNew for the differential tests. Their shapes are too
+// small to ever schedule sim.ParallelMinReady components in a cycle, so a
+// sharded machine's engine is forced to alternate parallel and serial cycles:
+// the staging paths, the direct paths and every transition between them run.
+func buildForTest(cfg Config) *Machine {
+	m := MustNew(cfg)
+	m.Engine.ForceParallelForTest(cyclePolicies["alternating"])
+	return m
+}
+
 // runWorkload drives a uniform-random burst through a machine built from cfg
 // and returns its fingerprint. Runs that end in an error (fault budget
 // exhaustion, watchdog) fingerprint the error too — divergent failure cycles
 // count as divergence.
 func runWorkload(t *testing.T, cfg Config, perEp int) fingerprint {
 	t.Helper()
-	m := MustNew(cfg)
+	m := buildForTest(cfg)
 	total := injectUniform(m, perEp, 1234)
 	end, err := m.RunUntilDelivered(total, 4_000_000)
 	return m.fingerprint(end, err)
@@ -137,7 +156,7 @@ func TestSleepingAdapterTimeoutParity(t *testing.T) {
 		cfg := DefaultConfig(topo.Shape3(2, 2, 2))
 		cfg.Fault = &fault.Spec{CorruptRate: 1, RetryLimit: 4}
 		mutate(&cfg)
-		m := MustNew(cfg)
+		m := buildForTest(cfg)
 		total := injectUniform(m, 2, 3)
 		end, err := m.RunUntilDelivered(total, 4_000_000)
 		var be *fault.BudgetError
@@ -216,10 +235,22 @@ func TestShardedConfigValidation(t *testing.T) {
 // inverse-weighted row is what catches a per-grant allocation in
 // arbiter.PrioArb.)
 func TestActiveStepMachineZeroAllocs(t *testing.T) {
-	for _, kind := range []arbiter.Kind{arbiter.KindRoundRobin, arbiter.KindInverseWeighted} {
+	for _, tc := range []struct {
+		kind   arbiter.Kind
+		shards int
+	}{
+		{arbiter.KindRoundRobin, 0},
+		{arbiter.KindInverseWeighted, 0},
+		// Sharded, every cycle parallel: the per-shard free lists, stage lists
+		// and deferred-delivery lists reuse capacity, and the shard goroutines
+		// start from closures built once.
+		{arbiter.KindRoundRobin, 2},
+	} {
+		kind := tc.kind
 		cfg := DefaultConfig(topo.Shape3(2, 2, 2))
 		cfg.Engine = EngineActive
 		cfg.Arbiter = kind
+		cfg.Shards = tc.shards
 		if kind == arbiter.KindInverseWeighted {
 			tm := topo.MustMachine(cfg.Shape)
 			rc := &route.Config{Machine: tm, Scheme: cfg.Scheme, DirOrder: cfg.DirOrder, UseSkip: true}
@@ -233,7 +264,7 @@ func TestActiveStepMachineZeroAllocs(t *testing.T) {
 			m.Engine.Run(8192)
 		}
 		if avg := testing.AllocsPerRun(500, func() { m.Engine.Step() }); avg != 0 {
-			t.Errorf("%s: active-engine Step allocates %.2f objects/cycle, want 0", kind, avg)
+			t.Errorf("%s shards=%d: active-engine Step allocates %.2f objects/cycle, want 0", kind, tc.shards, avg)
 		}
 	}
 }

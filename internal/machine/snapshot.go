@@ -206,8 +206,8 @@ func (m *Machine) Snapshot() (*Snapshot, error) {
 	if m.flt != nil && m.flt.fatal != nil {
 		return nil, fmt.Errorf("machine: cannot checkpoint after a fatal fault: %w", m.flt.fatal)
 	}
-	for _, pd := range m.pendDeliv {
-		if len(pd) != 0 {
+	for si := range m.shards {
+		if len(m.shards[si].deliv) != 0 {
 			return nil, fmt.Errorf("machine: snapshot with pending deferred deliveries")
 		}
 	}
@@ -215,7 +215,7 @@ func (m *Machine) Snapshot() (*Snapshot, error) {
 		Now:       m.Engine.Now(),
 		Injected:  m.injected,
 		Delivered: m.delivered,
-		NextID:    m.nextID,
+		NextID:    m.nextID.Load(),
 		Nodes:     make([]NodeState, len(m.nodes)),
 	}
 	reg := &pktRegistry{idx: make(map[*packet.Packet]int)}
@@ -388,8 +388,11 @@ func (m *Machine) Restore(s *Snapshot) error {
 	}
 
 	m.Engine.ResetTo(s.Now)
-	m.injected, m.delivered, m.nextID = s.Injected, s.Delivered, s.NextID
-	m.pool = m.pool[:0]
+	m.injected, m.delivered = s.Injected, s.Delivered
+	m.nextID.Store(s.NextID)
+	for si := range m.shards {
+		m.shards[si].pool = m.shards[si].pool[:0]
+	}
 
 	for ni, node := range m.nodes {
 		ns := &s.Nodes[ni]

@@ -30,15 +30,21 @@ func snapInject(m *Machine, perCore int) uint64 {
 	return total
 }
 
+// snapConfig is the snapshot tests' machine: the default config under the
+// given engine, optionally with the transient-fault go-back-N mix.
+func snapConfig(shape topo.TorusShape, engine string, shards int, withFault bool) Config {
+	cfg := DefaultConfig(shape)
+	cfg.Engine = engine
+	cfg.Shards = shards
+	if withFault {
+		cfg.Fault = &fault.Spec{CorruptRate: 0.02, StallRate: 0.001, StallCycles: 40, Window: 16}
+	}
+	return cfg
+}
+
 func snapVariants(withFault bool) map[string]Config {
 	mk := func(engine string, shards int) Config {
-		cfg := DefaultConfig(topo.Shape3(2, 2, 2))
-		cfg.Engine = engine
-		cfg.Shards = shards
-		if withFault {
-			cfg.Fault = &fault.Spec{CorruptRate: 0.02, StallRate: 0.001, StallCycles: 40, Window: 16}
-		}
-		return cfg
+		return snapConfig(topo.Shape3(2, 2, 2), engine, shards, withFault)
 	}
 	return map[string]Config{
 		"scan":    mk(EngineScan, 0),
@@ -63,7 +69,7 @@ func TestSnapshotEngineInvariant(t *testing.T) {
 		var ref []byte
 		var refName string
 		for name, cfg := range snapVariants(withFault) {
-			m := MustNew(cfg)
+			m := buildForTest(cfg)
 			snapInject(m, 8)
 			m.Engine.Run(300)
 			s, err := m.Snapshot()
@@ -115,7 +121,7 @@ func TestSnapshotRestoreBitIdentical(t *testing.T) {
 			if err := json.Unmarshal(wire, &midCopy); err != nil {
 				t.Fatal(err)
 			}
-			m := MustNew(cfg)
+			m := buildForTest(cfg)
 			if err := m.Restore(&midCopy); err != nil {
 				t.Fatalf("fault=%v %s: restore: %v", withFault, name, err)
 			}

@@ -132,9 +132,13 @@ type compiled struct {
 }
 
 // jobs expands the sweep grid. It is invoked per execution so each point can
-// carry its own telemetry progress hook.
-func (c *compiled) jobs(tel func() *telemetry.Options) []exp.Job {
-	return c.fam.Jobs(c.axes, func(mc *machine.Config) { mc.Telemetry = tel() })
+// carry its own telemetry progress hook. pool is how many points the caller
+// runs concurrently; auto-sharding gets the cores that leaves idle.
+func (c *compiled) jobs(tel func() *telemetry.Options, pool int) []exp.Job {
+	return c.fam.Jobs(c.axes, func(mc *machine.Config) {
+		mc.Telemetry = tel()
+		mc.Shards = core.ResolveShards(*mc, pool)
+	})
 }
 
 // Validate checks the request without building jobs.
@@ -163,14 +167,15 @@ func (q *Request) ID() (string, error) {
 	return c.id, nil
 }
 
-// Jobs builds the sweep's jobs; tel supplies per-point telemetry options
-// (nil options disable collection for that point).
+// Jobs builds the sweep's jobs, for a caller that runs them one at a time;
+// tel supplies per-point telemetry options (nil options disable collection
+// for that point).
 func (q *Request) Jobs(tel func() *telemetry.Options) ([]exp.Job, error) {
 	c, err := q.compile()
 	if err != nil {
 		return nil, err
 	}
-	return c.jobs(tel), nil
+	return c.jobs(tel, 1), nil
 }
 
 // compile looks the family up in the core registry and hands it the typed

@@ -588,7 +588,7 @@ func (s *Server) simulate(ctx context.Context, r *run, c *compiled) ([]byte, err
 		// OnResult below.
 		tel = func() *telemetry.Options { return nil }
 	}
-	jobs := c.jobs(tel)
+	jobs := c.jobs(tel, s.cfg.Workers*s.cfg.PointParallelism)
 	prevs := make([]uint64, len(jobs))
 	opts := exp.Options{
 		Name:        "run-" + r.id[:8],

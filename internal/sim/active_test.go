@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"math/bits"
 	"testing"
 )
 
@@ -241,39 +242,99 @@ func (s *shardCounter) Tick(now uint64) {
 	s.e.Wake(s.id, now+s.period)
 }
 
-// TestShardedTickParity: a sharded engine ticks exactly the components a
-// serial engine would, on the same cycles.
-func TestShardedTickParity(t *testing.T) {
-	build := func(shards int) (*Engine, []*shardCounter) {
-		e := NewEngineMode(ModeActive)
-		comps := make([]*shardCounter, 64)
-		for i := range comps {
-			s := &shardCounter{e: e, period: uint64(1 + i%9)}
-			s.id = e.Register(s)
-			comps[i] = s
-		}
-		if shards > 1 {
-			per := len(comps) / shards
-			var ranges []ShardRange
-			for s := 0; s < shards; s++ {
-				hi := (s + 1) * per
-				if s == shards-1 {
-					hi = len(comps)
-				}
-				ranges = append(ranges, ShardRange{Lo: s * per, Hi: hi})
-			}
-			merged := 0
-			e.ConfigureShards(ranges, 0, func(uint64) { merged++ })
-		}
-		return e, comps
+// shardedCounters builds n self-waking counters, split over the given number
+// of shards when it is above 1, and returns how often the merge hook ran.
+func shardedCounters(n, shards int) (*Engine, []*shardCounter, *int) {
+	e := NewEngineMode(ModeActive)
+	comps := make([]*shardCounter, n)
+	for i := range comps {
+		s := &shardCounter{e: e, period: uint64(1 + i%9)}
+		s.id = e.Register(s)
+		comps[i] = s
 	}
-	eSerial, serial := build(1)
-	eSharded, sharded := build(4)
-	eSerial.Run(500)
-	eSharded.Run(500)
-	for i := range serial {
-		if serial[i].n != sharded[i].n {
-			t.Fatalf("component %d: serial ticked %d, sharded %d", i, serial[i].n, sharded[i].n)
+	merged := new(int)
+	if shards > 1 {
+		per := len(comps) / shards
+		var ranges []ShardRange
+		for s := 0; s < shards; s++ {
+			hi := (s + 1) * per
+			if s == shards-1 {
+				hi = len(comps)
+			}
+			ranges = append(ranges, ShardRange{Lo: s * per, Hi: hi})
 		}
+		e.ConfigureShards(ranges, 0, func(uint64) { *merged++ })
+	}
+	return e, comps, merged
+}
+
+// TestShardedTickParity: a sharded engine ticks exactly the components a
+// serial engine would, on the same cycles — whether every cycle is stepped in
+// parallel, none is, or the choice alternates. 64 components on 4 shards share
+// one wheel word (every parallel-phase wake takes the atomic path); 200 on 3
+// have boundaries at 66 and 132, so two words are shared and two are owned.
+func TestShardedTickParity(t *testing.T) {
+	for _, sz := range []struct{ n, shards int }{{64, 4}, {200, 3}} {
+		eSerial, serial, _ := shardedCounters(sz.n, 1)
+		eSerial.Run(500)
+		for name, parallel := range map[string]func(now uint64) bool{
+			"parallel":    func(uint64) bool { return true },
+			"serial":      func(uint64) bool { return false },
+			"alternating": func(now uint64) bool { return now&1 == 1 },
+		} {
+			eSharded, sharded, merged := shardedCounters(sz.n, sz.shards)
+			eSharded.ForceParallelForTest(parallel)
+			eSharded.Run(500)
+			for i := range serial {
+				if serial[i].n != sharded[i].n {
+					t.Fatalf("%d/%d %s: component %d: serial ticked %d, sharded %d", sz.n, sz.shards, name, i, serial[i].n, sharded[i].n)
+				}
+			}
+			if want := map[string]int{"parallel": 500, "serial": 0, "alternating": 250}[name]; *merged != want {
+				t.Errorf("%d/%d %s: merge ran %d times, want %d", sz.n, sz.shards, name, *merged, want)
+			}
+			for b, n := range eSharded.wheel.cnt {
+				want := 0
+				for _, word := range eSharded.wheel.words[b] {
+					want += bits.OnesCount64(word)
+				}
+				if int(n) != want {
+					t.Fatalf("%d/%d %s: bucket %d counts %d scheduled, holds %d", sz.n, sz.shards, name, b, n, want)
+				}
+			}
+		}
+	}
+}
+
+// TestPerCycleRule: a sharded engine enters the parallel phase (and so runs
+// the merge hook) exactly on the cycles that schedule at least
+// ParallelMinReady components; a sparser cycle is the coordinator's alone.
+func TestPerCycleRule(t *testing.T) {
+	// Every component is scheduled on cycles that are multiples of all the
+	// periods 1..9 (every 2520th); period-1 components alone make 1/9 of n.
+	for _, tc := range []struct{ n, cycles, wantMerged int }{
+		{ParallelMinReady - 1, 64, 0},
+		{ParallelMinReady, 3, 1},       // cycle 0 schedules all n; no later one does
+		{9 * ParallelMinReady, 64, 64}, // the period-1 ninth is dense enough by itself
+	} {
+		e, _, merged := shardedCounters(tc.n, 2)
+		e.Run(uint64(tc.cycles))
+		if *merged != tc.wantMerged {
+			t.Errorf("%d components, %d cycles: %d parallel cycles, want %d", tc.n, tc.cycles, *merged, tc.wantMerged)
+		}
+	}
+}
+
+// TestParallelStepZeroAllocs: a parallel cycle starts its shard goroutines
+// from closures built once, so it allocates nothing in steady state either.
+func TestParallelStepZeroAllocs(t *testing.T) {
+	e, _, merged := shardedCounters(200, 2)
+	e.parMin = 0
+	e.Run(1024)
+	if avg := testing.AllocsPerRun(500, func() { e.Step() }); avg != 0 {
+		t.Errorf("parallel Step allocates %.2f objects/cycle in steady state, want 0", avg)
+	}
+	if *merged < 1024 {
+		t.Fatalf("only %d parallel cycles ran", *merged)
 	}
 }

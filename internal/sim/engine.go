@@ -19,6 +19,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"sync"
 )
 
@@ -68,14 +69,23 @@ type Engine struct {
 	stepping bool // inside Step: wakes for the current cycle defer to now+1
 	par      bool // inside the parallel phase: Wake must use atomic bit-sets
 
-	shards       []ShardRange
 	serialPrefix int
-	wg           sync.WaitGroup
-	// OnMerge, when non-nil, runs after the parallel phase of every sharded
-	// step that ticked at least one component, with the barrier still held
-	// (no workers running). The machine layer uses it to flush staged
-	// cross-shard channel sends and apply deferred deliveries in component-id
-	// order, which is what makes sharded runs bit-identical to serial ones.
+	// Sharded stepping (ConfigureShards). parMin is the per-cycle rule: a
+	// cycle with fewer scheduled components is ticked by the coordinator
+	// alone, exactly as an unsharded engine would; only a denser one enters
+	// the parallel phase. It is math.MaxUint32 on an unsharded engine, so the
+	// rule is the one compare every engine pays. workers[i] ticks shard i in
+	// the bucket parSlot; the closures are built once so a parallel cycle
+	// allocates nothing.
+	workers []func()
+	parMin  uint32
+	parSlot int
+	wg      sync.WaitGroup
+	// OnMerge, when non-nil, runs after the parallel phase of every cycle
+	// that had one, with the barrier still held (no workers running). The
+	// machine layer uses it to flush staged cross-shard channel sends and
+	// apply deferred deliveries in component-id order, which is what makes
+	// sharded runs bit-identical to serial ones.
 	OnMerge func(now uint64)
 
 	// DeadlockDetail, when non-nil, is called once when the RunUntil
@@ -94,7 +104,7 @@ type Engine struct {
 
 // NewEngineMode returns an empty engine at cycle 0 in the given mode.
 func NewEngineMode(m Mode) *Engine {
-	e := &Engine{mode: m, progress: make([]progSlot, 1), nextObs: ^uint64(0)}
+	e := &Engine{mode: m, progress: make([]progSlot, 1), nextObs: ^uint64(0), parMin: math.MaxUint32}
 	if m == ModeActive {
 		e.wheel.init()
 	}
@@ -125,21 +135,92 @@ func (e *Engine) Register(c Component) int {
 // registered (and therefore ticked) first.
 func (e *Engine) SetSerialPrefix(n int) { e.serialPrefix = n }
 
+// ParallelMinReady is the scheduled-component count from which a cycle of a
+// sharded engine is stepped in parallel; below it the hand-off costs more
+// than the shards save. Measured on the 2-vCPU benchmark host by timing every
+// stepped cycle of a run once forced serial and once forced parallel with 2
+// shards (three alternating repetitions, median per cycle) and comparing the
+// median cycle per ready-count bin, serial vs parallel in us:
+//
+//	ready        8x8x8 burst  8x4x4 burst  4x4x2 burst  4x4x2 mdstep
+//	256-383        62 / 70      41 / 63      36 / 63      37 / 66
+//	512-639       125 / 127     84 / 108    100 / 105     90 / 114
+//	768-895       199 / 157    141 / 137       -         172 / 175
+//	1024-1279     298 / 228    221 / 204    200 / 171    206 / 215
+//	2048-3071     787 / 422    755 / 443       -            -
+//	8192+        3739 / 2126      -            -            -
+//
+// (burst: the uniform batch-4 fig9 point, whose ramp, plateau and drain sweep
+// the ready count from 1 to ~20 000 at 8x8x8; mdstep: the 4-timestep MD
+// workload, 429 of whose 4 152 stepped cycles fall in the 512-639 bin.) A tick
+// costs 0.15-0.3 us — less on a machine that fits the cache — and the hand-off
+// ~5 us while the second thread still spins and 20-40 us once it has parked,
+// which it has whenever cycles are this long. On the 512-node machine the
+// crossover is near 400 ready, on the cache-resident ones between 640 and
+// 1 024, and the MD timestep, whose deliveries do their work at the barrier,
+// only ties from there. 1 024 is the first bin no measured run loses in; what
+// the 8x8x8 burst forgoes between 400 and 1 024 is 0.2 % of its wall time. A
+// constant, not a knob: the choice never changes a result, only which of two
+// bit-identical ways a cycle is executed.
+const ParallelMinReady = 1024
+
 // ConfigureShards splits the component-id space for sharded stepping.
-// Components with id < serialPrefix are ticked by the coordinator before the
-// parallel phase (in id order); each range is then ticked by its own worker
-// goroutine; merge (may be nil) runs at the barrier. Ranges must be sorted,
-// disjoint, and cover [serialPrefix, len(comps)). Only valid in ModeActive.
+// Components with id < serialPrefix are ticked by the coordinator first (in
+// id order). A cycle with fewer than ParallelMinReady scheduled components is
+// then finished by the coordinator too, the same way an unsharded engine
+// would; a denser one ticks each range on its own goroutine and runs merge
+// (may be nil) at the barrier. Ranges must be sorted, disjoint, and cover
+// [serialPrefix, len(comps)), with every component already registered. While
+// the workers run, a component may wake only components of its own range
+// (itself, or a peer it reaches without leaving the shard): each worker then
+// owns its part of the wake wheel outright. Whatever crosses a range is the
+// caller's to stage and to wake from merge. Only valid in ModeActive.
 func (e *Engine) ConfigureShards(ranges []ShardRange, serialPrefix int, merge func(now uint64)) {
 	if e.mode != ModeActive {
 		panic("sim: ConfigureShards requires ModeActive")
 	}
-	e.shards = ranges
 	e.serialPrefix = serialPrefix
 	e.OnMerge = merge
+	e.parMin = ParallelMinReady
+	e.workers = e.workers[:0]
+	for _, r := range ranges {
+		r.Lo = max(r.Lo, serialPrefix)
+		e.workers = append(e.workers, func() {
+			e.tickRange(e.parSlot, r.Lo, r.Hi)
+			e.wg.Done()
+		})
+	}
+	e.wheel.shard(ranges)
 	if n := len(ranges); n > len(e.progress) {
 		e.progress = make([]progSlot, n)
 	}
+}
+
+// Parallel reports whether shard workers are running, that is whether the
+// caller is inside the parallel phase of a sharded cycle. The machine layer
+// stages cross-shard effects only then; in a serially stepped cycle the
+// coordinator ticks every component in id order — the reference order — so
+// the same effects are applied directly.
+func (e *Engine) Parallel() bool { return e.par }
+
+// ForceParallelForTest overrides the per-cycle rule of a sharded engine: from
+// now on the cycle at clock now is stepped in parallel exactly when
+// parallel(now) says so. It works through an every-cycle observer, so the
+// engine no longer jumps idle stretches — which changes no result. Tests use
+// it to pin that either choice, in any interleaving, is bit-identical to the
+// reference. An unsharded engine has no choice to force and is left alone.
+func (e *Engine) ForceParallelForTest(parallel func(now uint64) bool) {
+	if len(e.workers) == 0 {
+		return
+	}
+	set := func(now uint64) uint64 {
+		e.parMin = math.MaxUint32
+		if parallel(now) {
+			e.parMin = 0
+		}
+		return now + 1
+	}
+	e.Observe(set(e.now), set)
 }
 
 // Now returns the current cycle.
@@ -239,7 +320,9 @@ func (e *Engine) WakeAll() {
 // every component is ticked every cycle anyway). Wakes in the past clamp to
 // the current cycle — or to the next cycle while a step is in progress, so
 // the bucket being drained is never mutated mid-scan. Extra wakes are
-// harmless: an idle tick is a no-op by construction.
+// harmless: an idle tick is a no-op by construction. Inside the parallel phase
+// of a sharded cycle id must belong to the calling worker's own range
+// (ConfigureShards).
 func (e *Engine) Wake(id int, at uint64) {
 	if e.mode != ModeActive {
 		return
@@ -270,7 +353,10 @@ func (e *Engine) Step() {
 // serial prefix ticks first with same-cycle wakes still honored (its targets
 // have higher ids, in bucket words not yet scanned); for everything after,
 // the stepping flag defers same-cycle wakes to the next cycle so the bucket
-// is never mutated behind the scan.
+// is never mutated behind the scan. A sharded engine then chooses per cycle:
+// a sparse cycle takes the same tickRange over the whole id range an
+// unsharded engine takes (no goroutine, no atomic wake path, no barrier),
+// and only a dense one is worth the parallel phase.
 func (e *Engine) stepActive() {
 	w := &e.wheel
 	w.drainOverflow(e.now)
@@ -282,41 +368,35 @@ func (e *Engine) stepActive() {
 		e.tickRange(slot, 0, e.serialPrefix)
 	}
 	e.stepping = true
-	if len(e.shards) == 0 {
+	if w.cnt[slot] < e.parMin {
 		e.tickRange(slot, e.serialPrefix, len(e.comps))
 	} else {
-		e.stepSharded(slot)
+		e.stepParallel(slot)
 	}
 	e.stepping = false
 	w.clear(slot)
 }
 
-// stepSharded runs the parallel phase of one cycle: one goroutine per shard
-// over its id range (the serial prefix already ticked), then the merge hook
-// at the barrier. Determinism argument: within a cycle, components only push
-// into latency>=1 pipes, so intra-shard tick order (id order, same as
-// serial) is the only order that matters for shard-local state; all
-// cross-shard effects are staged by the machine layer and applied by OnMerge
-// in id order with their original arrival cycles, so the post-barrier state
-// is bit-identical to a serial step.
-func (e *Engine) stepSharded(slot int) {
-	e.par = true
-	for _, s := range e.shards {
-		lo, hi := s.Lo, s.Hi
-		if lo < e.serialPrefix {
-			lo = e.serialPrefix
-		}
-		if lo >= hi {
-			continue
-		}
-		e.wg.Add(1)
-		go func(lo, hi int) {
-			defer e.wg.Done()
-			e.tickRange(slot, lo, hi)
-		}(lo, hi)
+// stepParallel runs the parallel phase of one cycle: one goroutine per shard
+// over its id range, then the merge hook at the barrier. (The coordinator
+// waits rather than ticking a shard itself: a lone spawned goroutine sits in
+// the coordinator's runnext slot, which an idle P steals only after a sleep —
+// measured 40-60 us per cycle on the benchmark host, against ~5 us for the
+// spawn-all-and-wait hand-off.) Determinism argument: within a cycle,
+// components only push into latency>=1 pipes, so intra-shard tick order (id
+// order, same as serial) is the only order that matters for shard-local state;
+// all cross-shard effects are staged by the machine layer and applied by
+// OnMerge in id order with their original arrival cycles, so the post-barrier
+// state is bit-identical to a serial step.
+func (e *Engine) stepParallel(slot int) {
+	e.par, e.parSlot = true, slot
+	e.wg.Add(len(e.workers))
+	for _, w := range e.workers {
+		go w()
 	}
 	e.wg.Wait()
 	e.par = false
+	e.wheel.fold()
 	if e.OnMerge != nil {
 		e.OnMerge(e.now)
 	}

@@ -39,6 +39,7 @@ func observedEngine(mode Mode, shards int) (*Engine, []*pulse) {
 			ranges = append(ranges, ShardRange{Lo: s * per, Hi: (s + 1) * per})
 		}
 		e.ConfigureShards(ranges, 0, nil)
+		e.parMin = 0 // 48 components: below the per-cycle rule
 	}
 	return e, comps
 }

@@ -36,6 +36,16 @@ type wheel struct {
 	cnt    [wheelBuckets]uint32 // scheduled bits per bucket (0 = skip/clear fast path)
 	nwords int
 
+	// Parallel-phase bookkeeping of a sharded engine (shard). A worker wakes
+	// only components of its own shard, so it owns every bucket word that
+	// lies inside its id range and writes it plainly, counting into its own
+	// slot of pcnt; only a word whose ids straddle two ranges is shared, and
+	// goes through the atomic path into the last slot. slotOf[wi] names the
+	// slot of word wi. The coordinator folds the slots into cnt at the
+	// barrier, so no word is shared by the workers but the straddling ones.
+	slotOf []uint16
+	pcnt   []*[wheelBuckets]uint32
+
 	mu      sync.Mutex // guards heap pushes during the parallel phase
 	heap    []wakeEnt
 	heapMin uint64 // heap[0].at, or ^uint64(0) when empty
@@ -73,8 +83,9 @@ func (w *wheel) grow(n int) {
 }
 
 // set schedules component id at cycle at (caller guarantees at >= now). With
-// par set (shard workers running) the bit and counter updates are atomic;
-// the serial path stays branch-cheap and allocation-free.
+// par set (shard workers running) the caller is the worker of id's shard: the
+// count goes to a per-shard slot, and the bit is set atomically only in a word
+// two shards share. The serial path stays branch-cheap and allocation-free.
 func (w *wheel) set(id int, at, now uint64, par bool) {
 	if at >= now+wheelBuckets {
 		w.pushHeap(at, id, par)
@@ -83,14 +94,21 @@ func (w *wheel) set(id int, at, now uint64, par bool) {
 	b := int(at) & wheelMask
 	wi, bit := id>>6, uint64(1)<<(id&63)
 	if par {
-		p := &w.words[b][wi]
+		p, k := &w.words[b][wi], int(w.slotOf[wi])
+		if k < len(w.pcnt)-1 {
+			if *p&bit == 0 {
+				*p |= bit
+				w.pcnt[k][b]++
+			}
+			return
+		}
 		for {
 			old := atomic.LoadUint64(p)
 			if old&bit != 0 {
 				return
 			}
 			if atomic.CompareAndSwapUint64(p, old, old|bit) {
-				atomic.AddUint32(&w.cnt[b], 1)
+				atomic.AddUint32(&w.pcnt[k][b], 1)
 				return
 			}
 		}
@@ -98,6 +116,40 @@ func (w *wheel) set(id int, at, now uint64, par bool) {
 	if w.words[b][wi]&bit == 0 {
 		w.words[b][wi] |= bit
 		w.cnt[b]++
+	}
+}
+
+// shard prepares the parallel-phase bookkeeping for the given id ranges
+// (sorted, disjoint): one count slot per range plus the shared one, each its
+// own allocation so that no two workers' counters share a cache line.
+func (w *wheel) shard(ranges []ShardRange) {
+	w.slotOf = make([]uint16, w.nwords)
+	w.pcnt = make([]*[wheelBuckets]uint32, len(ranges)+1)
+	for k := range w.pcnt {
+		w.pcnt[k] = new([wheelBuckets]uint32)
+	}
+	for k, r := range ranges {
+		for wi := r.Lo >> 6; wi < (r.Hi+63)>>6; wi++ {
+			w.slotOf[wi] = uint16(k)
+		}
+	}
+	for _, r := range ranges[1:] {
+		if r.Lo&63 != 0 {
+			w.slotOf[r.Lo>>6] = uint16(len(ranges))
+		}
+	}
+}
+
+// fold adds what the parallel phase counted per slot into cnt.
+// Coordinator-only, at the barrier.
+func (w *wheel) fold() {
+	for _, pc := range w.pcnt {
+		for b, n := range pc {
+			if n != 0 {
+				w.cnt[b] += n
+				pc[b] = 0
+			}
+		}
 	}
 }
 
