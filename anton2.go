@@ -204,8 +204,8 @@ const (
 // canonical spec hashes, so any pool size — including serial — produces
 // bit-identical results.
 type (
-	// SweepOptions configures a sweep execution: worker-pool size,
-	// retries, result cache, and progress reporting.
+	// SweepOptions configures a sweep execution: worker-pool size, result
+	// cache, checkpointing, and progress reporting.
 	SweepOptions = exp.Options
 	// SweepResult is the structured per-point outcome written to JSON
 	// artifacts.
@@ -236,18 +236,8 @@ func EnergySweepOpts(mcfg Config, model power.Model, payload PayloadKind, rates 
 // RunThroughput executes one Figure 9 style batch measurement.
 func RunThroughput(cfg ThroughputConfig) (ThroughputResult, error) { return core.RunThroughput(cfg) }
 
-// ThroughputSweep runs a batch-size sweep (one Figure 9 curve).
-func ThroughputSweep(cfg ThroughputConfig, batches []int) ([]ThroughputResult, error) {
-	return core.ThroughputSweep(cfg, batches)
-}
-
 // RunBlend executes one Figure 10 blend measurement.
 func RunBlend(cfg BlendConfig) (BlendResult, error) { return core.RunBlend(cfg) }
-
-// BlendSweep measures a set of blend fractions under one weight mode.
-func BlendSweep(cfg BlendConfig, fractions []float64) ([]BlendResult, error) {
-	return core.BlendSweep(cfg, fractions)
-}
 
 // DefaultLatencyConfig returns a calibrated Figure 11 configuration.
 func DefaultLatencyConfig(shape Shape) LatencyConfig { return core.DefaultLatencyConfig(shape) }
@@ -268,11 +258,6 @@ func MeasureDecomposition(cfg LatencyConfig) ([]core.LatencyComponent, error) {
 
 // RunEnergy performs one Section 4.5 two-route energy subtraction.
 func RunEnergy(cfg EnergyConfig) (EnergyPoint, error) { return core.RunEnergy(cfg) }
-
-// EnergySweep measures per-flit energy across injection rates (Figure 13).
-func EnergySweep(mcfg Config, model power.Model, payload PayloadKind, rates [][2]int, flits int) ([]EnergyPoint, error) {
-	return core.EnergySweep(mcfg, model, payload, rates, flits)
-}
 
 // FitEnergyModel refits the Section 4.5 energy model to measurements.
 func FitEnergyModel(points []EnergyPoint) power.Model { return core.FitEnergyModel(points) }

@@ -29,11 +29,12 @@
 // machine.Config.Validate or Checkpointable refuses exits 2.
 //
 // With -checkpoint-dir and -checkpoint-every N, checkpoint-aware experiment
-// points persist a resumable snapshot every N cycles; a retried attempt
-// resumes from its last checkpoint, and -resume also resumes first attempts
-// after a whole-process restart. Resumed points are bit-identical to
-// uninterrupted ones. `all` runs its other points without checkpoints; a
-// named experiment with no such point (core.ErrNoRunCkpt) exits 2.
+// points persist a resumable snapshot every N cycles; a later invocation with
+// -resume picks each point up from its last checkpoint (without -resume a
+// stale checkpoint is ignored and overwritten). Resumed points are
+// bit-identical to uninterrupted ones. `all` runs its other points without
+// checkpoints; a named experiment with no such point (core.ErrNoRunCkpt)
+// exits 2.
 //
 // The headline saturation sweeps (fig9, fig10) default to the paper's full
 // 8x8x8 (512-node) machine, made tractable by the active-set engine; -shape
@@ -132,6 +133,10 @@ var (
 	ckptDir      *string
 	ckptEvery    *uint64
 	resumeFlag   *bool
+
+	// checkpoint is the validated -checkpoint-dir/-checkpoint-every/-resume
+	// trio (core.CheckpointFlags); the zero value is checkpointing off.
+	checkpoint exp.CheckpointOptions
 
 	// baseFault is the parsed -fault spec; the faultsweep experiment holds
 	// it fixed while sweeping corruption rate.
@@ -257,17 +262,9 @@ func run(args []string, stderr io.Writer) int {
 	if err := mc.Validate(); err != nil {
 		return reject(err)
 	}
-	checkpointing := *ckptEvery > 0 || *resumeFlag
-	if checkpointing {
-		if *ckptDir == "" {
-			return reject(fmt.Errorf("-checkpoint-every/-resume require -checkpoint-dir"))
-		}
-		if *ckptEvery == 0 {
-			return reject(fmt.Errorf("-resume requires -checkpoint-every"))
-		}
-		if err := mc.Checkpointable(); err != nil {
-			return reject(err)
-		}
+	var err error
+	if checkpoint, err = core.CheckpointFlags(mc, *ckptDir, *ckptEvery, *resumeFlag); err != nil {
+		return reject(err)
 	}
 	satShapeOverride = nil
 	if *shapeFlag != "" {
@@ -315,7 +312,7 @@ func run(args []string, stderr io.Writer) int {
 	}
 	for _, e := range experiments {
 		if e.name == what {
-			if checkpointing && !checkpointAware(what) {
+			if checkpoint.Every > 0 && !checkpointAware(what) {
 				return reject(core.ErrNoRunCkpt)
 			}
 			if err := e.run(); err != nil {
@@ -387,9 +384,7 @@ func sweep(name string, jobs []exp.Job) ([]exp.Result, error) {
 		Parallelism: *parallel,
 		Cache:       resultCache,
 		Progress:    os.Stderr,
-	}
-	if *ckptDir != "" && *ckptEvery > 0 {
-		opts.Checkpoint = exp.CheckpointOptions{Dir: *ckptDir, Every: *ckptEvery, Resume: *resumeFlag}
+		Checkpoint:  checkpoint,
 	}
 	rs := exp.Run(jobs, opts)
 	if *jsonDir != "" {

@@ -164,20 +164,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	job := simJob(mc, pattern, *batch)
 
 	opts := exp.Serial()
-	if *ckptEvery > 0 || *resumeFlag {
-		if *ckptDir == "" {
-			return reject(fmt.Errorf("-checkpoint-every/-resume require -checkpoint-dir"))
-		}
-		if *ckptEvery == 0 {
-			return reject(fmt.Errorf("-resume requires -checkpoint-every"))
-		}
-		if err := mc.Checkpointable(); err != nil {
-			return reject(err)
-		}
-		if job.RunCkpt == nil {
-			return reject(core.ErrNoRunCkpt)
-		}
-		opts.Checkpoint = exp.CheckpointOptions{Dir: *ckptDir, Every: *ckptEvery, Resume: *resumeFlag}
+	opts.Checkpoint, err = core.CheckpointFlags(mc, *ckptDir, *ckptEvery, *resumeFlag)
+	if err != nil {
+		return reject(err)
+	}
+	if opts.Checkpoint.Every > 0 && job.RunCkpt == nil {
+		return reject(core.ErrNoRunCkpt)
 	}
 
 	stopProfiles, err := exp.StartProfiles(*cpuprofile, *memprofile, stderr)

@@ -94,7 +94,6 @@ func runBurst(t *testing.T, cfg machine.Config, perCore int) *machine.Machine {
 func TestBurstRunsClean(t *testing.T) {
 	cfg := machine.DefaultConfig(topo.Shape3(3, 2, 2))
 	cfg.Check = true
-	cfg.CheckOptions = check.Options{ScanInterval: 16}
 	m := runBurst(t, cfg, 8)
 	if err := m.FinishChecks(); err != nil {
 		t.Fatalf("FinishChecks: %v", err)

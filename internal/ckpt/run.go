@@ -14,8 +14,8 @@ type RunConfig struct {
 	// checkpointing even when Path is set.
 	Every uint64
 	// Resume restores from an existing checkpoint at Path instead of
-	// starting at cycle 0. Retried attempts set it unconditionally: a
-	// panicked or timed-out attempt restarts from the last snapshot.
+	// starting at cycle 0 (the process-restart case: a previous
+	// invocation's checkpoint is still on disk).
 	Resume bool
 }
 

@@ -139,15 +139,6 @@ func RunBlend(cfg BlendConfig) (BlendResult, error) {
 	}, nil
 }
 
-// BlendSweep measures a set of blend fractions under one weight mode through
-// the orchestrator, serially; BlendSweepOpts exposes the worker pool. The
-// per-point tornado/reverse-tornado loads used for weights and normalization
-// come from the shared loads cache, so they are computed once per machine
-// configuration rather than once per fraction.
-func BlendSweep(cfg BlendConfig, fractions []float64) ([]BlendResult, error) {
-	return BlendSweepOpts(cfg, fractions, exp.Serial())
-}
-
 // The blend family (Figure 10). Axes: Shape, Weights, Fractions (the sweep),
 // Batch.
 func init() {

@@ -5,6 +5,7 @@ import (
 	"errors"
 
 	"anton2/internal/ckpt"
+	"anton2/internal/exp"
 	"anton2/internal/machine"
 	"anton2/internal/traffic"
 )
@@ -25,6 +26,27 @@ import (
 // job has no exp.Job.RunCkpt; this message is the one list of the jobs that
 // do have one.
 var ErrNoRunCkpt = errors.New("checkpointing: this point's job has no RunCkpt (checkpoint-aware: fig9 throughput points — anton2sim without -fault — and mdstep)")
+
+// CheckpointFlags turns the CLIs' -checkpoint-dir / -checkpoint-every /
+// -resume trio into sweep options, or says why it cannot: the flags must come
+// together, and mc — the config every checkpointed machine will carry — must
+// be machine.Config.Checkpointable. With neither -checkpoint-every nor
+// -resume it returns the zero value: checkpointing off.
+func CheckpointFlags(mc machine.Config, dir string, every uint64, resume bool) (exp.CheckpointOptions, error) {
+	var off exp.CheckpointOptions
+	switch {
+	case every == 0 && !resume:
+		return off, nil
+	case dir == "":
+		return off, errors.New("-checkpoint-every/-resume require -checkpoint-dir")
+	case every == 0:
+		return off, errors.New("-resume requires -checkpoint-every")
+	}
+	if err := mc.Checkpointable(); err != nil {
+		return off, err
+	}
+	return exp.CheckpointOptions{Dir: dir, Every: every, Resume: resume}, nil
+}
 
 // Section names inside a run checkpoint.
 const (

@@ -238,9 +238,10 @@ var ckptEngines = []struct {
 	{"sharded", func(c *machine.Config) { c.Engine = machine.EngineActive; c.Shards = 2 }},
 }
 
-// resumeUntilDone drives a run the way the crash-retry loop does — each
-// attempt fails on its cycle budget with a checkpoint on disk, each retry
-// resumes — and returns the final point plus the number of interruptions.
+// resumeUntilDone drives a run the way a repeatedly killed and restarted
+// sweep does — each invocation fails on its cycle budget with a checkpoint on
+// disk, the next one resumes — and returns the final point plus the number of
+// interruptions.
 func resumeUntilDone[T any](t *testing.T, rc *ckpt.RunConfig, run func(ckpt.RunConfig) (T, error)) (T, int) {
 	t.Helper()
 	var got T
@@ -260,29 +261,42 @@ func resumeUntilDone[T any](t *testing.T, rc *ckpt.RunConfig, run func(ckpt.RunC
 // TestCkptResumeEngineStrategyMatrix: resume determinism across the full
 // engine × strategy grid. For every cycle-kernel variant (scan, active,
 // sharded) × routing strategy (anton, vcless, angara), the golden 2×2×2
-// mdstep and fig9 (throughput) points are run with a checkpoint at every
-// cycle and a budget that forces repeated mid-flight interruptions; the
-// resumed point must be byte-identical (canonical JSON) to the
-// uninterrupted run's.
+// mdstep and fig9 (throughput) points are run with frequent checkpoints and
+// a budget that forces repeated mid-flight interruptions; the resumed point
+// must be byte-identical (canonical JSON) to the uninterrupted run's. A
+// checkpoint is three quarters of a cell's time (snapshot JSON, encode,
+// fsync), so only the anton fig9 cells write one at every cycle — their
+// interruptions resume from the very cycle the budget ran out on, under each
+// engine — and the rest stride by 7, far below every budget here, so theirs
+// resume from up to six cycles earlier and re-simulate the difference; that
+// no cycle is a bad boundary for the machine itself is
+// machine.TestSnapshotEveryCycle's to pin. The cells run in parallel:
+// the machineBuilt seam the sharded ones need is installed once for the whole
+// matrix, which the others — unsharded engines have no per-cycle choice to
+// force — pass through untouched.
 func TestCkptResumeEngineStrategyMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("engine × strategy resume matrix is slow")
 	}
+	machineBuilt = alternateCycles
+	t.Cleanup(func() { machineBuilt = nil })
 	for _, stratName := range []string{"anton", "vcless", "angara"} {
 		strat, ok := route.StrategyByName(stratName)
 		if !ok {
 			t.Fatalf("strategy %q not registered", stratName)
+		}
+		tpEvery := uint64(7)
+		if stratName == "anton" {
+			tpEvery = 1
 		}
 		for _, eng := range ckptEngines {
 			mutate := func(c *machine.Config) {
 				c.Scheme = strat
 				eng.mutate(c)
 			}
-			if eng.name == "sharded" {
-				machineBuilt = alternateCycles
-			}
 
 			t.Run("fig9/"+stratName+"/"+eng.name, func(t *testing.T) {
+				t.Parallel()
 				refCfg := tpCkptConfig(7)
 				refCfg.Batch = 16
 				refCfg.MaxCycles = 0
@@ -299,7 +313,7 @@ func TestCkptResumeEngineStrategyMatrix(t *testing.T) {
 				// A budget of a third of the uninterrupted run guarantees at
 				// least two mid-flight interruptions.
 				cfg.MaxCycles = ref.Cycles / 3
-				rc := ckpt.RunConfig{Path: filepath.Join(t.TempDir(), "tp.ckpt"), Every: 1}
+				rc := ckpt.RunConfig{Path: filepath.Join(t.TempDir(), "tp.ckpt"), Every: tpEvery}
 				got, attempts := resumeUntilDone(t, &rc, func(rc ckpt.RunConfig) (ThroughputResult, error) {
 					return RunThroughputCkpt(cfg, rc)
 				})
@@ -312,6 +326,7 @@ func TestCkptResumeEngineStrategyMatrix(t *testing.T) {
 			})
 
 			t.Run("mdstep/"+stratName+"/"+eng.name, func(t *testing.T) {
+				t.Parallel()
 				refCfg := mdCkptConfig(7)
 				// vcless drains phases slower than anton; let the reference
 				// use the volume-scaled default budget.
@@ -335,7 +350,7 @@ func TestCkptResumeEngineStrategyMatrix(t *testing.T) {
 					}
 				}
 				cfg.MaxPhaseCycles = longest/2 + 1
-				rc := ckpt.RunConfig{Path: filepath.Join(t.TempDir(), "md.ckpt"), Every: 1}
+				rc := ckpt.RunConfig{Path: filepath.Join(t.TempDir(), "md.ckpt"), Every: 7}
 				got, attempts := resumeUntilDone(t, &rc, func(rc ckpt.RunConfig) (MDStepPoint, error) {
 					return RunMDStepPointCkpt(cfg, rc)
 				})
@@ -346,7 +361,6 @@ func TestCkptResumeEngineStrategyMatrix(t *testing.T) {
 					t.Errorf("resumed artifact differs after %d interruptions:\n got %s\nwant %s", attempts, gotBytes, refBytes)
 				}
 			})
-			machineBuilt = nil
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"anton2/internal/arbiter"
+	"anton2/internal/exp"
 	"anton2/internal/loadcalc"
 	"anton2/internal/machine"
 	"anton2/internal/power"
@@ -39,10 +40,10 @@ func TestRunThroughputBasics(t *testing.T) {
 
 func TestThroughputSweepMonotoneBatches(t *testing.T) {
 	mc := machine.DefaultConfig(topo.Shape3(2, 2, 2))
-	rs, err := ThroughputSweep(ThroughputConfig{
+	rs, err := ThroughputSweepOpts(ThroughputConfig{
 		Machine: mc,
 		Pattern: traffic.Uniform{},
-	}, []int{8, 32})
+	}, []int{8, 32}, exp.Serial())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +185,7 @@ func TestEnergyFitRecoversModel(t *testing.T) {
 	mc := machine.DefaultConfig(topo.Shape3(1, 1, 1))
 	var pts []EnergyPoint
 	for _, payload := range []PayloadKind{PayloadZeros, PayloadOnes, PayloadRandom} {
-		sw, err := EnergySweep(mc, power.PaperModel, payload, [][2]int{{1, 8}, {1, 2}, {3, 4}, {1, 1}}, 1200)
+		sw, err := EnergySweepOpts(mc, power.PaperModel, payload, [][2]int{{1, 8}, {1, 2}, {3, 4}, {1, 1}}, 1200, exp.Serial())
 		if err != nil {
 			t.Fatal(err)
 		}

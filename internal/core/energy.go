@@ -241,13 +241,6 @@ func RunEnergy(cfg EnergyConfig) (EnergyPoint, error) {
 	return pt, nil
 }
 
-// EnergySweep measures per-flit energy across injection rates for one
-// payload pattern (one Figure 13 curve) through the orchestrator, serially;
-// EnergySweepOpts exposes the worker pool.
-func EnergySweep(mcfg machine.Config, model power.Model, payload PayloadKind, rates [][2]int, flits int) ([]EnergyPoint, error) {
-	return EnergySweepOpts(mcfg, model, payload, rates, flits, exp.Serial())
-}
-
 // FitEnergyModel refits the Section 4.5 model to measured points.
 func FitEnergyModel(points []EnergyPoint) power.Model {
 	samples := make([]power.Sample, len(points))

@@ -105,7 +105,8 @@ type Family struct {
 	Spec func(a Axes) *exp.Spec
 	// Jobs expands the grid. Every machine config passes through mutate
 	// last, so a caller can set scheduling and observability fields
-	// (Check, Engine, Shards, Telemetry) that never enter a cache key.
+	// (Check, Engine, Shards, Telemetry, Progress) that never enter a cache
+	// key.
 	Jobs func(a Axes, mutate func(*machine.Config)) []exp.Job
 	// Render prints the measured table for the panels' results, which are
 	// concatenated in panel order.

@@ -89,8 +89,8 @@ func ThroughputSpec(cfg ThroughputConfig) *exp.Spec {
 }
 
 // ThroughputJob wraps one RunThroughput call for the orchestrator. The job
-// is checkpoint-aware: under exp's Checkpoint options a retried or restarted
-// attempt resumes from the last persisted snapshot.
+// is checkpoint-aware: under exp's Checkpoint options it persists snapshots as
+// it runs, and with Resume a restarted sweep picks up from the last one.
 func ThroughputJob(cfg ThroughputConfig) exp.Job {
 	run := func(seed uint64, rc ckpt.RunConfig) (any, error) {
 		c := cfg
@@ -179,7 +179,8 @@ func collect[T any](results []exp.Result) ([]T, error) {
 	return out, errors.Join(errs...)
 }
 
-// ThroughputSweepOpts runs a batch-size sweep through the orchestrator.
+// ThroughputSweepOpts runs a batch-size sweep (one Figure 9 curve) through
+// the orchestrator.
 func ThroughputSweepOpts(cfg ThroughputConfig, batches []int, opts exp.Options) ([]ThroughputResult, error) {
 	jobs := make([]exp.Job, len(batches))
 	for i, b := range batches {
@@ -190,7 +191,10 @@ func ThroughputSweepOpts(cfg ThroughputConfig, batches []int, opts exp.Options) 
 	return collect[ThroughputResult](exp.Run(jobs, opts))
 }
 
-// BlendSweepOpts runs a blend-fraction sweep through the orchestrator.
+// BlendSweepOpts measures a set of blend fractions under one weight mode
+// through the orchestrator. The per-point tornado/reverse-tornado loads used
+// for weights and normalization come from the shared loads cache, so they are
+// computed once per machine configuration rather than once per fraction.
 func BlendSweepOpts(cfg BlendConfig, fractions []float64, opts exp.Options) ([]BlendResult, error) {
 	jobs := make([]exp.Job, len(fractions))
 	for i, f := range fractions {
@@ -201,7 +205,8 @@ func BlendSweepOpts(cfg BlendConfig, fractions []float64, opts exp.Options) ([]B
 	return collect[BlendResult](exp.Run(jobs, opts))
 }
 
-// EnergySweepOpts runs an injection-rate sweep through the orchestrator.
+// EnergySweepOpts measures per-flit energy across injection rates for one
+// payload pattern (one Figure 13 curve) through the orchestrator.
 func EnergySweepOpts(mcfg machine.Config, model power.Model, payload PayloadKind, rates [][2]int, flits int, opts exp.Options) ([]EnergyPoint, error) {
 	jobs := make([]exp.Job, len(rates))
 	for i, r := range rates {

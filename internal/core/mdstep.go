@@ -195,8 +195,8 @@ func MDStepSpec(cfg MDStepConfig) *exp.Spec {
 }
 
 // MDStepJob wraps one RunMDStepPoint call for the orchestrator. The job is
-// checkpoint-aware: under exp's Checkpoint options a retried or restarted
-// attempt resumes from the last persisted snapshot.
+// checkpoint-aware: under exp's Checkpoint options it persists snapshots as
+// it runs, and with Resume a restarted sweep picks up from the last one.
 func MDStepJob(cfg MDStepConfig) exp.Job {
 	run := func(seed uint64, rc ckpt.RunConfig) (any, error) {
 		c := cfg

@@ -202,12 +202,6 @@ func injectBatches(m *machine.Machine, stream string, batch int, sent []int,
 	}
 }
 
-// ThroughputSweep runs a batch-size sweep (one Figure 9 curve) through the
-// orchestrator, serially; ThroughputSweepOpts exposes the worker pool.
-func ThroughputSweep(cfg ThroughputConfig, batches []int) ([]ThroughputResult, error) {
-	return ThroughputSweepOpts(cfg, batches, exp.Serial())
-}
-
 // The throughput family (Figure 9). Axes: Shape, Pattern, Arbiter, Batches
 // (the sweep). Every point uses the default machine with weights from uniform
 // loads regardless of the measured pattern, as the paper does.

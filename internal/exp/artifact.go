@@ -51,16 +51,15 @@ func WriteJSON(dir, name string, v any) (string, error) {
 }
 
 // MarshalCanonical renders results as JSON with every field that may vary
-// between otherwise-identical runs zeroed: wall time, attempt counts, and
-// cache-hit flags (a point may be computed or served from cache depending on
-// worker timing). Serial and parallel executions of the same jobs must
+// between otherwise-identical runs zeroed: wall time and cache-hit flags (a
+// point may be computed or served from cache depending on worker timing).
+// Serial and parallel executions of the same jobs must
 // produce byte-identical canonical JSON.
 func MarshalCanonical(results []Result) ([]byte, error) {
 	canon := make([]Result, len(results))
 	copy(canon, results)
 	for i := range canon {
 		canon[i].WallMS = 0
-		canon[i].Attempts = 0
 		canon[i].Cached = false
 	}
 	return json.MarshalIndent(ArtifactFile{Name: "canonical", Results: canon}, "", "  ")

@@ -51,24 +51,24 @@ func ckptCountJob(t *testing.T, limit, crashAt int) Job {
 	}
 }
 
-// TestRunCkptResumesAfterPanic: with Checkpoint options set, the retry of a
-// panicked attempt resumes from the last persisted checkpoint instead of
-// starting over.
+// TestRunCkptResumesAfterPanic: a job runs once, so a panicked Run leaves a
+// failed point and its checkpoint on disk; a second Run with Resume picks the
+// checkpoint up instead of starting over.
 func TestRunCkptResumesAfterPanic(t *testing.T) {
 	job := ckptCountJob(t, 100, 55)
 	opts := Serial()
-	opts.Retries = 1
 	opts.Checkpoint = CheckpointOptions{Dir: t.TempDir(), Every: 1}
+	if res := Run([]Job{job}, opts)[0]; res.Err == nil {
+		t.Fatalf("panicked run reported success: %+v", res)
+	}
+	opts.Checkpoint.Resume = true
 	res := Run([]Job{job}, opts)[0]
 	if res.Err != nil {
-		t.Fatalf("job failed: %v", res.Err)
-	}
-	if res.Attempts != 2 {
-		t.Fatalf("attempts = %d, want 2 (one crash, one resume)", res.Attempts)
+		t.Fatalf("resumed run failed: %v", res.Err)
 	}
 	got := res.Value.(map[string]int)
 	if got["start"] != 50 {
-		t.Errorf("retry started at %d, want 50 (the last checkpoint before the crash)", got["start"])
+		t.Errorf("resume started at %d, want 50 (the last checkpoint before the crash)", got["start"])
 	}
 }
 
@@ -113,6 +113,6 @@ func TestRunCkptFirstAttemptFresh(t *testing.T) {
 // ckptPathName mirrors CheckpointOptions.runConfig's file naming.
 func ckptPathName(j Job) string {
 	hash := fmt.Sprintf("%016x", j.Spec.Hash())
-	rc := CheckpointOptions{Dir: "", Every: 1}.runConfig(hash, j.Spec.Seed(), false)
+	rc := CheckpointOptions{Dir: "", Every: 1}.runConfig(hash, j.Spec.Seed())
 	return filepath.Base(rc.Path)
 }

@@ -96,28 +96,6 @@ func TestCancelDoesNotPoisonCache(t *testing.T) {
 	}
 }
 
-// TestCancelledBackoffInterrupted verifies retry backoff waits are cut short
-// by cancellation instead of sleeping out their full schedule.
-func TestCancelledBackoffInterrupted(t *testing.T) {
-	failing := Job{Spec: NewSpec("retrying"), Run: func(uint64) (any, error) {
-		return nil, errors.New("transient")
-	}}
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(20 * time.Millisecond)
-		cancel()
-	}()
-	start := time.Now()
-	rs := RunCtx(ctx, []Job{failing}, Options{Parallelism: 1, Retries: 10, Backoff: time.Hour})
-	if wall := time.Since(start); wall > 5*time.Second {
-		t.Fatalf("backoff not interrupted: run took %v", wall)
-	}
-	var ec *ErrCancelled
-	if !errors.As(rs[0].Err, &ec) {
-		t.Fatalf("want cancelled result, got %+v", rs[0])
-	}
-}
-
 // TestCacheSeedRangeForget covers the persistence-support surface.
 func TestCacheSeedRangeForget(t *testing.T) {
 	c := NewCache()

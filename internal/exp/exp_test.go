@@ -80,25 +80,6 @@ func TestPanicIsolatedToOnePoint(t *testing.T) {
 	}
 }
 
-func TestRetryBound(t *testing.T) {
-	var calls atomic.Int32
-	flaky := Job{Spec: NewSpec("flaky"), Run: func(uint64) (any, error) {
-		if calls.Add(1) < 3 {
-			return nil, errors.New("transient")
-		}
-		return "ok", nil
-	}}
-	rs := Run([]Job{flaky}, Options{Parallelism: 1, Retries: 2})
-	if rs[0].Err != nil || rs[0].Value != "ok" || rs[0].Attempts != 3 {
-		t.Errorf("retry did not recover: %+v", rs[0])
-	}
-	calls.Store(0)
-	rs = Run([]Job{flaky}, Options{Parallelism: 1}) // no retries
-	if rs[0].Err == nil || rs[0].Attempts != 1 {
-		t.Errorf("unretried failure misreported: %+v", rs[0])
-	}
-}
-
 func TestDeadlockPreservedAndIsolated(t *testing.T) {
 	dl := Job{Spec: NewSpec("stuck"), Run: func(uint64) (any, error) {
 		return nil, fmt.Errorf("run wedged: %w", &sim.ErrDeadlock{Cycle: 123, Window: 50_000})

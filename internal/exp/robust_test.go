@@ -1,89 +1,12 @@
 package exp
 
-import (
-	"errors"
-	"sync/atomic"
-	"testing"
-	"time"
-)
+import "testing"
 
 // degradedValue stands in for a measurement that completed by rerouting
 // around a permanent fault.
 type degradedValue struct{ deg bool }
 
 func (v degradedValue) Degraded() bool { return v.deg }
-
-func TestAttemptTimeoutDegrades(t *testing.T) {
-	block := make(chan struct{})
-	defer close(block)
-	slow := Job{Spec: NewSpec("slow"), Run: func(uint64) (any, error) {
-		<-block
-		return "late", nil
-	}}
-	rs := Run([]Job{slow}, Options{Parallelism: 1, AttemptTimeout: 10 * time.Millisecond})
-	r := rs[0]
-	if r.Err == nil {
-		t.Fatalf("runaway attempt succeeded: %+v", r)
-	}
-	var te *ErrAttemptTimeout
-	if !errors.As(r.Err, &te) {
-		t.Fatalf("error type = %T (%v), want *ErrAttemptTimeout", r.Err, r.Err)
-	}
-	if !r.Degraded {
-		t.Errorf("timeout not classified as degraded: %+v", r)
-	}
-	if r.Value != nil {
-		t.Errorf("timed-out attempt left a value: %+v", r)
-	}
-}
-
-func TestAttemptTimeoutRetriesThenRecovers(t *testing.T) {
-	var calls atomic.Int32
-	block := make(chan struct{})
-	defer close(block)
-	j := Job{Spec: NewSpec("slowthenfast"), Run: func(uint64) (any, error) {
-		if calls.Add(1) == 1 {
-			<-block // first attempt hangs past the deadline
-		}
-		return "ok", nil
-	}}
-	rs := Run([]Job{j}, Options{
-		Parallelism:    1,
-		Retries:        1,
-		AttemptTimeout: 10 * time.Millisecond,
-		Backoff:        time.Millisecond,
-	})
-	r := rs[0]
-	if r.Err != nil || r.Value != "ok" {
-		t.Fatalf("retry after timeout did not recover: %+v", r)
-	}
-	if r.Attempts != 2 {
-		t.Errorf("attempts = %d, want 2", r.Attempts)
-	}
-	if r.Degraded {
-		t.Errorf("clean retry wrongly marked degraded: %+v", r)
-	}
-}
-
-func TestBackoffKeepsRetryBound(t *testing.T) {
-	var calls atomic.Int32
-	j := Job{Spec: NewSpec("alwaysfails"), Run: func(uint64) (any, error) {
-		calls.Add(1)
-		return nil, errors.New("deterministic failure")
-	}}
-	start := time.Now()
-	rs := Run([]Job{j}, Options{Parallelism: 1, Retries: 2, Backoff: time.Millisecond})
-	if got := calls.Load(); got != 3 {
-		t.Errorf("attempts = %d, want 3 (1 + 2 retries)", got)
-	}
-	if rs[0].Err == nil {
-		t.Errorf("deterministic failure reported as success: %+v", rs[0])
-	}
-	// Backoff doubles: 1ms + 2ms between the three attempts.
-	if elapsed := time.Since(start); elapsed < 3*time.Millisecond {
-		t.Errorf("backoff not applied: elapsed %v < 3ms", elapsed)
-	}
-}
 
 func TestDegradedValueClassified(t *testing.T) {
 	jobs := []Job{

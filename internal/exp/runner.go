@@ -22,8 +22,7 @@ import (
 // RunCkpt, when non-nil, is the checkpoint-aware variant: given a
 // ckpt.RunConfig it must persist resumable state at the configured interval
 // and, when the config asks for a resume, produce a result bit-identical to
-// an uninterrupted Run. Jobs without RunCkpt simply restart from scratch on
-// retry.
+// an uninterrupted Run. Jobs without RunCkpt always start from scratch.
 type Job struct {
 	Spec    *Spec
 	Run     func(seed uint64) (any, error)
@@ -40,18 +39,6 @@ type Options struct {
 	Name string
 	// Parallelism bounds the worker pool; <= 0 means runtime.GOMAXPROCS.
 	Parallelism int
-	// Retries is the number of additional attempts after a failed run
-	// (error or panic). Deterministic failures fail every attempt; the
-	// bound keeps them from stalling the sweep.
-	Retries int
-	// AttemptTimeout, when positive, bounds each attempt's wall-clock
-	// time; an attempt past the deadline counts as a failed (degraded)
-	// attempt and the retry policy applies. The runaway attempt's
-	// goroutine is abandoned, so results already recorded stay valid.
-	AttemptTimeout time.Duration
-	// Backoff is the wait before the first retry, doubling on each
-	// further retry (zero = retry immediately).
-	Backoff time.Duration
 	// Cache, when non-nil, memoizes results by spec canonical string so
 	// repeated sweeps (or duplicate points within one) skip the work.
 	Cache *Cache
@@ -63,31 +50,30 @@ type Options struct {
 	// the callback needs no locking of its own, but it runs on worker
 	// goroutines and must not block.
 	OnResult func(Result)
-	// Checkpoint enables attempt-level crash recovery for jobs that
-	// provide RunCkpt.
+	// Checkpoint enables crash recovery for jobs that provide RunCkpt.
 	Checkpoint CheckpointOptions
 }
 
-// CheckpointOptions configures per-attempt checkpointing: each job writes
-// resumable state under Dir every Every cycles, and a retried attempt (after
-// a panic, error, or attempt timeout) resumes from the last checkpoint
-// instead of starting over. Resume additionally resumes first attempts — the
+// CheckpointOptions configures checkpointing: each job writes resumable state
+// under Dir every Every cycles. A job runs once per sweep, so the only thing
+// that picks a checkpoint up is a later sweep with Resume set — the
 // whole-process restart case, where a previous invocation's checkpoints are
-// still on disk. The zero value disables checkpointing.
+// still on disk; without Resume a stale file is ignored and overwritten. The
+// zero value disables checkpointing.
 type CheckpointOptions struct {
 	Dir    string
 	Every  uint64
 	Resume bool
 }
 
-// runConfig derives one attempt's checkpoint config. The file name pins
+// runConfig derives one job's checkpoint config. The file name pins
 // (spec hash, seed), and the checkpoint tag pins the full canonical spec, so
 // a stale file from a different run sharing the path is ignored on load.
-func (c CheckpointOptions) runConfig(hash string, seed uint64, retried bool) ckpt.RunConfig {
+func (c CheckpointOptions) runConfig(hash string, seed uint64) ckpt.RunConfig {
 	return ckpt.RunConfig{
 		Path:   filepath.Join(c.Dir, fmt.Sprintf("%s-%016x.ckpt", hash, seed)),
 		Every:  c.Every,
-		Resume: c.Resume || retried,
+		Resume: c.Resume,
 	}
 }
 
@@ -114,13 +100,12 @@ type Result struct {
 	Deadlock bool   `json:"deadlock,omitempty"`
 	// Degraded marks a graceful-degradation outcome: the value or the
 	// error reported Degraded() true (permanent link faults survived by
-	// rerouting, a retry budget exhausted, or an attempt deadline hit).
+	// rerouting, or a link's retransmission budget exhausted).
 	Degraded bool `json:"degraded,omitempty"`
 	// Cycles is the simulated cycle count when the value reports one.
-	Cycles   uint64  `json:"cycles,omitempty"`
-	Cached   bool    `json:"cached,omitempty"`
-	Attempts int     `json:"attempts,omitempty"`
-	WallMS   float64 `json:"wall_ms"`
+	Cycles uint64  `json:"cycles,omitempty"`
+	Cached bool    `json:"cached,omitempty"`
+	WallMS float64 `json:"wall_ms"`
 }
 
 // Workers is the width of the pool RunCtx runs the given number of jobs over:
@@ -144,10 +129,9 @@ func Run(jobs []Job, opts Options) []Result {
 
 // RunCtx is Run under a context: when ctx is cancelled the pool stops
 // scheduling new jobs promptly, fills every unscheduled point with a typed
-// *ErrCancelled failure, and returns once the in-flight jobs finish their
-// current attempt (retry backoff waits are interrupted). Cancelled points
-// are never written to the cache, so a later run of the same specs
-// recomputes them.
+// *ErrCancelled failure, and abandons the in-flight jobs, which become
+// cancelled points too. Cancelled points are never written to the cache, so a
+// later run of the same specs recomputes them.
 func RunCtx(ctx context.Context, jobs []Job, opts Options) []Result {
 	workers := opts.Workers(len(jobs))
 	results := make([]Result, len(jobs))
@@ -242,7 +226,7 @@ func cancelledResult(i int, j Job, cause error) Result {
 	}
 }
 
-// runOne executes a single job with retry, panic isolation, and caching.
+// runOne executes a single job once, with panic isolation and caching.
 func runOne(ctx context.Context, i int, j Job, opts Options) Result {
 	r := Result{
 		Index: i,
@@ -252,31 +236,22 @@ func runOne(ctx context.Context, i int, j Job, opts Options) Result {
 		Seed:  j.Spec.Seed(),
 	}
 	start := time.Now()
-	useCkpt := opts.Checkpoint.Dir != "" && opts.Checkpoint.Every > 0 && j.RunCkpt != nil
-	attempts := 0
-	attempt := func() (val any, err error) {
+	run := func() (val any, err error) {
 		defer func() {
 			if p := recover(); p != nil {
 				err = fmt.Errorf("exp: job %s panicked: %v", r.Kind, p)
 			}
 		}()
-		if useCkpt {
-			// attempts was already incremented for this attempt, so > 1
-			// means a retry: resume from whatever the failed attempt
-			// persisted rather than repeating its work.
-			return j.RunCkpt(r.Seed, opts.Checkpoint.runConfig(r.Hash, r.Seed, attempts > 1))
+		if opts.Checkpoint.Dir != "" && opts.Checkpoint.Every > 0 && j.RunCkpt != nil {
+			return j.RunCkpt(r.Seed, opts.Checkpoint.runConfig(r.Hash, r.Seed))
 		}
 		return j.Run(r.Seed)
 	}
-	if opts.AttemptTimeout > 0 || ctx.Done() != nil {
-		inner := attempt
-		limit := opts.AttemptTimeout
-		if limit <= 0 {
-			// Cancellation-only wrapping: no deadline, but a cancelled
-			// context still abandons the in-flight attempt promptly.
-			limit = time.Duration(1<<62 - 1)
-		}
-		attempt = func() (any, error) {
+	if ctx.Done() != nil {
+		// A cancelled context abandons the in-flight job promptly; its
+		// goroutine runs on unobserved.
+		inner := run
+		run = func() (any, error) {
 			type outcome struct {
 				val any
 				err error
@@ -286,46 +261,18 @@ func runOne(ctx context.Context, i int, j Job, opts Options) Result {
 				v, e := inner()
 				ch <- outcome{val: v, err: e}
 			}()
-			timer := time.NewTimer(limit)
-			defer timer.Stop()
 			select {
 			case o := <-ch:
 				return o.val, o.err
-			case <-timer.C:
-				return nil, &ErrAttemptTimeout{Kind: r.Kind, Limit: opts.AttemptTimeout}
 			case <-ctx.Done():
 				return nil, &ErrCancelled{Cause: ctx.Err()}
 			}
 		}
 	}
-	tryAll := func() (any, error) {
-		var val any
-		var err error
-		for a := 0; a <= opts.Retries; a++ {
-			if a > 0 && opts.Backoff > 0 {
-				wait := time.NewTimer(opts.Backoff << (a - 1))
-				select {
-				case <-wait.C:
-				case <-ctx.Done():
-					wait.Stop()
-					return nil, &ErrCancelled{Cause: ctx.Err()}
-				}
-			}
-			attempts++
-			if val, err = attempt(); err == nil {
-				return val, nil
-			}
-			var cancelled *ErrCancelled
-			if errors.As(err, &cancelled) {
-				return nil, err // retrying a cancelled run cannot help
-			}
-		}
-		return nil, err
-	}
 	var val any
 	var err error
 	if opts.Cache != nil {
-		val, r.Cached, err = opts.Cache.Do(r.Spec, tryAll)
+		val, r.Cached, err = opts.Cache.Do(r.Spec, run)
 		// A cancelled computation reflects this run's deadline, not the
 		// spec's deterministic outcome; drop it so later runs recompute.
 		var cancelled *ErrCancelled
@@ -333,9 +280,8 @@ func runOne(ctx context.Context, i int, j Job, opts Options) Result {
 			opts.Cache.Forget(r.Spec)
 		}
 	} else {
-		val, err = tryAll()
+		val, err = run()
 	}
-	r.Attempts = attempts
 	r.WallMS = float64(time.Since(start)) / float64(time.Millisecond)
 	if err != nil {
 		r.Err = err
@@ -360,21 +306,7 @@ func runOne(ctx context.Context, i int, j Job, opts Options) Result {
 // as graceful degradation rather than clean success or hard failure.
 type Degrader interface{ Degraded() bool }
 
-// ErrAttemptTimeout reports an attempt that exceeded Options.AttemptTimeout.
-type ErrAttemptTimeout struct {
-	Kind  string
-	Limit time.Duration
-}
-
-func (e *ErrAttemptTimeout) Error() string {
-	return fmt.Sprintf("exp: %s attempt exceeded %v deadline", e.Kind, e.Limit)
-}
-
-// Degraded marks the timeout as a degradation outcome (the run was bounded,
-// not broken).
-func (e *ErrAttemptTimeout) Degraded() bool { return true }
-
-// ErrCancelled reports a point that never ran (or was abandoned mid-attempt)
+// ErrCancelled reports a point that never ran (or was abandoned mid-run)
 // because the RunCtx context was cancelled. It unwraps to the context's
 // error, so errors.Is(err, context.Canceled) and
 // errors.Is(err, context.DeadlineExceeded) both work.

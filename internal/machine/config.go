@@ -10,7 +10,6 @@ import (
 	"fmt"
 
 	"anton2/internal/arbiter"
-	"anton2/internal/check"
 	"anton2/internal/fault"
 	"anton2/internal/loadcalc"
 	"anton2/internal/multicast"
@@ -24,6 +23,10 @@ const (
 	// CyclePS is the cycle time in picoseconds.
 	CyclePS = 1000000 / 1500 // 666 ps
 )
+
+// ProgressCycles is the cadence of Config.Progress, in simulated cycles:
+// coarse enough that the callback never shows in a profile.
+const ProgressCycles = 1024
 
 // CyclesToNS converts cycles to nanoseconds.
 func CyclesToNS(cycles float64) float64 { return cycles * float64(CyclePS) / 1000.0 }
@@ -88,8 +91,6 @@ type Config struct {
 	// simulation (results are bit-identical with it on or off); it is
 	// excluded from experiment cache keys for the same reason.
 	Check bool
-	// CheckOptions tunes the attached suite (zero value = defaults).
-	CheckOptions check.Options
 
 	// Telemetry, when non-nil, attaches an internal/telemetry collector:
 	// windowed per-channel utilization, per-router per-VC occupancy
@@ -97,6 +98,15 @@ type Config struct {
 	// Like Check it never perturbs the simulation and is excluded from
 	// experiment cache keys.
 	Telemetry *telemetry.Options
+
+	// Progress, when non-nil, is the live heartbeat: New installs it as an
+	// engine observer that calls it with the clock at every multiple of
+	// ProgressCycles (anton2serve streams it to SSE clients); a restored
+	// machine also reports its resumed clock on its first step. It reads
+	// nothing but the clock, so Validate, Shardable, Checkpointable and
+	// experiment cache keys ignore it. It runs on the simulating goroutine,
+	// between steps, and must be fast and non-blocking.
+	Progress func(cycles uint64)
 
 	// Fault, when non-nil, attaches the internal/fault layer: deterministic
 	// injection of transient flit corruption, link stalls, credit loss, and

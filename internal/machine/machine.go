@@ -267,7 +267,7 @@ func New(cfg Config) (*Machine, error) {
 			Route:    m.routeCfg,
 			Channels: m.chans,
 			Queued:   m.queuedPackets,
-		}, cfg.CheckOptions)
+		}, check.Options{})
 		m.Engine.Observe(1, m.checks.Observe)
 	}
 	if cfg.Telemetry != nil {
@@ -288,6 +288,12 @@ func New(cfg Config) (*Machine, error) {
 		m.tel = telemetry.NewCollector(env, *cfg.Telemetry)
 		// Observe(0) samples nothing and names the first window boundary.
 		m.Engine.Observe(m.tel.Observe(0), m.tel.Observe)
+	}
+	if cfg.Progress != nil {
+		m.Engine.Observe(ProgressCycles, func(now uint64) uint64 {
+			cfg.Progress(now)
+			return now + ProgressCycles - now%ProgressCycles
+		})
 	}
 	// The detail provider runs only on the watchdog failure path, so
 	// attaching it unconditionally costs nothing on healthy runs.

@@ -131,16 +131,6 @@ type compiled struct {
 	points    int
 }
 
-// jobs expands the sweep grid. It is invoked per execution so each point can
-// carry its own telemetry progress hook. pool is how many points the caller
-// runs concurrently; auto-sharding gets the cores that leaves idle.
-func (c *compiled) jobs(tel func() *telemetry.Options, pool int) []exp.Job {
-	return c.fam.Jobs(c.axes, func(mc *machine.Config) {
-		mc.Telemetry = tel()
-		mc.Shards = core.ResolveShards(*mc, pool)
-	})
-}
-
 // Validate checks the request without building jobs.
 func (q *Request) Validate() error {
 	_, err := q.compile()
@@ -169,13 +159,17 @@ func (q *Request) ID() (string, error) {
 
 // Jobs builds the sweep's jobs, for a caller that runs them one at a time;
 // tel supplies per-point telemetry options (nil options disable collection
-// for that point).
+// for that point). The parameter survives only because benchmark/ compiles
+// against it, always returning nil; the server itself attaches no collector.
 func (q *Request) Jobs(tel func() *telemetry.Options) ([]exp.Job, error) {
 	c, err := q.compile()
 	if err != nil {
 		return nil, err
 	}
-	return c.jobs(tel, 1), nil
+	return c.fam.Jobs(c.axes, func(mc *machine.Config) {
+		mc.Telemetry = tel()
+		mc.Shards = core.ResolveShards(*mc, 1)
+	}), nil
 }
 
 // compile looks the family up in the core registry and hands it the typed

@@ -20,8 +20,8 @@
 // full admission queue returns 429, a request that cannot start or finish
 // inside its deadline returns 504, and a draining server returns 503.
 // Live progress streams per run over SSE, fed per completed sweep point by
-// the exp.Options.OnResult hook and per sampling window by the telemetry
-// collector's Progress callback.
+// the exp.Options.OnResult hook and every machine.ProgressCycles simulated
+// cycles by the machine's Progress heartbeat.
 package serve
 
 import (
@@ -38,8 +38,9 @@ import (
 	"sync/atomic"
 	"time"
 
+	"anton2/internal/core"
 	"anton2/internal/exp"
-	"anton2/internal/telemetry"
+	"anton2/internal/machine"
 )
 
 // Config tunes a Server. The zero value plus a Store is serviceable; every
@@ -61,18 +62,17 @@ type Config struct {
 	// RunTimeout bounds one run's execution; expiry cancels the sweep's
 	// remaining points and fails the run with 504 (default 5m).
 	RunTimeout time.Duration
-	// LiveProgress attaches a telemetry progress hook to every simulated
-	// point so SSE clients see cycle-level liveness between point
-	// completions (default on; disable for minimum overhead).
+	// NoLiveProgress drops the cycle heartbeat (machine.Config.Progress)
+	// SSE clients otherwise see between point completions. A point runs the
+	// same either way, so the field stays only because benchmark/ compiles
+	// against it; retiring it is a benchmark-only PR.
 	NoLiveProgress bool
 	// CheckpointEvery, when non-zero, makes every checkpoint-aware sweep
 	// point persist a resumable snapshot to <store>/ckpt at least every
 	// that many simulated cycles. Combined with the write-ahead log of
 	// admitted runs, a killed server that restarts over the same store
 	// re-admits its unfinished runs and resumes each point mid-simulation,
-	// bit-identical to an uninterrupted run (0 = off). Checkpointed points
-	// run without the cycle-level telemetry progress hook (the two layers
-	// do not compose); per-point SSE progress is unaffected.
+	// bit-identical to an uninterrupted run (0 = off).
 	CheckpointEvery uint64
 	// Logf, when non-nil, receives operational log lines (persistence
 	// failures, drain progress). The default discards them.
@@ -118,7 +118,7 @@ type run struct {
 	cache  string // tier that satisfied the submission: "", flight, memory, disk
 
 	done   atomic.Int64  // completed sweep points
-	cycles atomic.Uint64 // simulated cycles (live, via telemetry progress)
+	cycles atomic.Uint64 // simulated cycles (live, via the machine heartbeat)
 
 	mu       sync.Mutex
 	state    string
@@ -580,25 +580,28 @@ func (s *Server) leaveQueue() {
 // of any point makes the whole computation fail (cancelled points are not
 // deterministic results and must not be persisted).
 func (s *Server) simulate(ctx context.Context, r *run, c *compiled) ([]byte, error) {
-	tel := s.pointTelemetry(r)
-	if s.cfg.CheckpointEvery > 0 {
-		// A config carrying telemetry is not machine.Config.Checkpointable,
-		// so checkpointed points run without the cycle-level progress
-		// callback; SSE clients still see per-point completion progress via
-		// OnResult below.
-		tel = func() *telemetry.Options { return nil }
+	// live[i] is what point i has contributed to r.cycles so far: the
+	// heartbeat raises it while the point simulates and OnResult tops it up
+	// to the final count, so nothing is counted twice.
+	var live []atomic.Uint64
+	credit := func(i int, cycles uint64) {
+		if prev := live[i].Load(); cycles > prev {
+			live[i].Store(cycles)
+			r.cycles.Add(cycles - prev)
+		}
 	}
-	jobs := c.jobs(tel, s.cfg.Workers*s.cfg.PointParallelism)
-	prevs := make([]uint64, len(jobs))
+	jobs := c.fam.Jobs(c.axes, s.pointConfig(func(i int, cycles uint64) {
+		credit(i, cycles)
+		r.notify()
+	}))
+	live = make([]atomic.Uint64, len(jobs))
 	opts := exp.Options{
 		Name:        "run-" + r.id[:8],
 		Parallelism: s.cfg.PointParallelism,
 		Cache:       s.points,
 		OnResult: func(res exp.Result) {
 			r.done.Add(1)
-			if res.Index < len(prevs) && res.Cycles > prevs[res.Index] {
-				r.cycles.Add(res.Cycles - prevs[res.Index])
-			}
+			credit(res.Index, res.Cycles)
 			switch {
 			case res.Cached:
 				s.metrics.PointsCached.Add(1)
@@ -635,33 +638,20 @@ func (s *Server) simulate(ctx context.Context, r *run, c *compiled) ([]byte, err
 	return exp.MarshalCanonical(rs)
 }
 
-// pointTelemetry returns the per-point telemetry factory feeding the run's
-// live cycle counter from the collector's window-boundary Progress callback.
-// Point index equals build order equals exp.Result.Index, which lets OnResult
-// reconcile the final cycle count against the live tally without double
-// counting.
-func (s *Server) pointTelemetry(r *run) func() *telemetry.Options {
-	if s.cfg.NoLiveProgress {
-		return func() *telemetry.Options { return nil }
-	}
+// pointConfig returns what every machine config of one execution of a sweep
+// passes through last, in point order (which is exp.Result.Index order): the
+// heartbeat — beat(point, cycles) on the simulating goroutine, unless
+// NoLiveProgress — and auto-sharding over the cores the worker pools leave
+// idle. The heartbeat changes neither the shard count nor checkpointability.
+func (s *Server) pointConfig(beat func(point int, cycles uint64)) func(*machine.Config) {
 	seq := 0
-	prevs := &sync.Map{}
-	return func() *telemetry.Options {
+	return func(mc *machine.Config) {
 		i := seq
 		seq++
-		return &telemetry.Options{
-			Progress: func(elapsed uint64) {
-				var prev uint64
-				if v, ok := prevs.Load(i); ok {
-					prev = v.(uint64)
-				}
-				if elapsed > prev {
-					r.cycles.Add(elapsed - prev)
-					prevs.Store(i, elapsed)
-					r.notify()
-				}
-			},
+		if !s.cfg.NoLiveProgress {
+			mc.Progress = func(cycles uint64) { beat(i, cycles) }
 		}
+		mc.Shards = core.ResolveShards(*mc, s.cfg.Workers*s.cfg.PointParallelism)
 	}
 }
 
@@ -853,7 +843,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, req *http.Request) {
 }
 
 // handleEvents streams run progress as server-sent events: one "progress"
-// event per state change, point completion, or telemetry window, and a
+// event per state change, point completion, or cycle heartbeat, and a
 // final "done" event when the run reaches a terminal state.
 func (s *Server) handleEvents(w http.ResponseWriter, req *http.Request) {
 	r, ok := s.lookupRun(req.PathValue("id"))

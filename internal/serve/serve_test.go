@@ -11,13 +11,16 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"anton2/internal/exp"
+	"anton2/internal/machine"
 	"anton2/internal/telemetry"
+	"anton2/internal/topo"
 )
 
 // quickSpec is the cheap faultsweep sweep most tests submit: small torus,
@@ -344,13 +347,11 @@ func TestWaitTimeoutTyped(t *testing.T) {
 
 // TestEventsStream reads the SSE feed end to end: at least one progress
 // event, then a final done event with the completed state and full count.
-func TestEventsStream(t *testing.T) {
-	s, ts := newTestServer(t, Config{Workers: 1})
-	r, err := s.Submit(quickSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Get(ts.URL + "/v1/runs/" + r.id + "/events")
+// streamEvents reads the run's SSE stream to its done event and returns every
+// event with its kind.
+func streamEvents(t *testing.T, ts *httptest.Server, id string) (events []Event, kinds []string) {
+	t.Helper()
+	resp, err := http.Get(ts.URL + "/v1/runs/" + id + "/events")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,9 +359,6 @@ func TestEventsStream(t *testing.T) {
 	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
 		t.Fatalf("Content-Type = %q", ct)
 	}
-
-	var events []Event
-	var kinds []string
 	sc := bufio.NewScanner(resp.Body)
 	kind := ""
 	for sc.Scan() {
@@ -375,11 +373,21 @@ func TestEventsStream(t *testing.T) {
 			}
 			events = append(events, ev)
 			kinds = append(kinds, kind)
-		}
-		if kind == "done" && len(kinds) > 0 && kinds[len(kinds)-1] == "done" {
-			break
+			if kind == "done" {
+				return events, kinds
+			}
 		}
 	}
+	return events, kinds
+}
+
+func TestEventsStream(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1})
+	r, err := s.Submit(quickSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	events, kinds := streamEvents(t, ts, r.id)
 	if len(events) < 2 {
 		t.Fatalf("got %d events, want at least initial progress + done", len(events))
 	}
@@ -395,6 +403,85 @@ func TestEventsStream(t *testing.T) {
 	}
 	if last.Cycles == 0 {
 		t.Fatal("final event reports zero simulated cycles")
+	}
+}
+
+// TestHeartbeatComposesWithCheckpointing: the default server with
+// -checkpoint-every on still streams rising cycle counts while a point is
+// running — the heartbeat is a clock-only engine observer, not a telemetry
+// collector the checkpoint layer would refuse — counts every cycle once, and
+// produces the artifact a NoLiveProgress server does.
+func TestHeartbeatComposesWithCheckpointing(t *testing.T) {
+	// One point, several heartbeat periods long (about 4 600 cycles).
+	req := &Request{Family: "throughput", Shape: "2x2x2", Batches: []int{512}}
+	s, ts := newTestServer(t, Config{Workers: 1, CheckpointEvery: 1000})
+	r, err := s.Submit(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	events, _ := streamEvents(t, ts, r.id)
+	last := events[len(events)-1]
+	if last.State != StateCompleted {
+		t.Fatalf("final state = %q (err %q), want completed", last.State, last.Error)
+	}
+	live, prev := false, uint64(0)
+	for _, ev := range events {
+		if ev.Cycles < prev {
+			t.Fatalf("cycles fell from %d to %d", prev, ev.Cycles)
+		}
+		prev = ev.Cycles
+		live = live || (ev.Done == 0 && ev.Cycles > 0)
+	}
+	if !live {
+		t.Errorf("no event reported cycles before the point completed: %+v", events)
+	}
+	resp, err := http.Get(ts.URL + "/v1/runs/" + r.id + "/artifact")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("artifact: status %d, err %v", resp.StatusCode, err)
+	}
+
+	_, quiet := newTestServer(t, Config{Workers: 1, NoLiveProgress: true})
+	resp, want := postWait(t, quiet, req)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status = %d, body %s", resp.StatusCode, want)
+	}
+	if !bytes.Equal(got, want) {
+		t.Error("artifact with heartbeat and checkpoints differs from the NoLiveProgress artifact")
+	}
+	var art exp.ArtifactFile
+	if err := json.Unmarshal(want, &art); err != nil {
+		t.Fatal(err)
+	}
+	if cycles := art.Results[0].Cycles; last.Cycles != cycles {
+		t.Errorf("run reported %d simulated cycles, the point ran %d", last.Cycles, cycles)
+	}
+}
+
+// TestDefaultPointsTakeTheQuietPath: what a default server adds to a point's
+// machine config — the heartbeat — changes nothing about how the point runs.
+// An 8x8x8 config resolves to the same shard count (two, on two cores with one
+// worker) as under NoLiveProgress, carries no telemetry collector and stays
+// checkpointable.
+func TestDefaultPointsTakeTheQuietPath(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	for _, quiet := range []bool{false, true} {
+		s, _ := newTestServer(t, Config{Workers: 1, NoLiveProgress: quiet})
+		mc := machine.DefaultConfig(topo.Shape3(8, 8, 8))
+		s.pointConfig(func(int, uint64) {})(&mc)
+		if (mc.Progress == nil) != quiet {
+			t.Errorf("NoLiveProgress=%v: heartbeat installed = %v", quiet, mc.Progress != nil)
+		}
+		if mc.Shards != 2 || mc.Telemetry != nil {
+			t.Errorf("NoLiveProgress=%v: Shards = %d, Telemetry = %v; want 2 shards and no collector", quiet, mc.Shards, mc.Telemetry)
+		}
+		if err := mc.Checkpointable(); err != nil {
+			t.Errorf("NoLiveProgress=%v: %v", quiet, err)
+		}
 	}
 }
 

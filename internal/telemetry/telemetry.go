@@ -62,14 +62,6 @@ type Options struct {
 	// Sink, when non-nil, receives the finished report in addition to —
 	// or instead of — the JSON artifacts.
 	Sink func(*Report)
-	// Progress, when non-nil, is invoked from the collector's engine observer
-	// at every sampling-window boundary with the number of cycles simulated
-	// so far. It gives long-running consumers (anton2serve streams it to
-	// clients) a live heartbeat at window granularity without adding any
-	// per-cycle cost. Like every telemetry output it is observation-only:
-	// the callback must not touch simulation state, and it runs on the
-	// simulating goroutine, so it must be fast and non-blocking.
-	Progress func(elapsedCycles uint64)
 }
 
 // Env carries the observed machine's geometry and state accessors. It is
@@ -209,9 +201,6 @@ func (c *Collector) sample(elapsed uint64) {
 		c.mergeWindows()
 	}
 	c.nextSample = elapsed + c.window
-	if c.opts.Progress != nil {
-		c.opts.Progress(elapsed)
-	}
 }
 
 // mergeWindows halves the series by summing adjacent windows and doubles the
