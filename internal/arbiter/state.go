@@ -1,56 +1,61 @@
 package arbiter
 
-import "fmt"
+import (
+	"fmt"
 
-// This file externalizes arbiter fairness state for checkpointing. The
-// machine only ever instantiates RoundRobin and InverseWeighted (plus the
-// stateless FixedPriority), so a concrete-type switch covers the registry
-// without widening the Arbiter interface.
+	"anton2/internal/wire"
+)
 
-// State is the serializable fairness position of one arbiter. RoundRobin
-// uses Next; InverseWeighted uses Accum and RRTherm; FixedPriority and other
-// stateless arbiters leave everything zero.
-type State struct {
-	Next    int      `json:"next,omitempty"`
-	Accum   []uint32 `json:"accum,omitempty"`
-	RRTherm uint64   `json:"rrtherm,omitempty"`
-}
+// This file is the arbiters' half of the checkpoint codec: the fairness
+// position of one arbiter, appended to and read back from the machine
+// snapshot. The machine only ever instantiates RoundRobin and
+// InverseWeighted (plus the stateless FixedPriority), so a concrete-type
+// switch covers the registry without widening the Arbiter interface. A
+// record carries no kind or width — the machine snapshot names the arbiter
+// kind once, and the width is the live arbiter's.
 
-// CaptureState snapshots an arbiter's fairness state. Stateless arbiters
-// return the zero State.
-func CaptureState(a Arbiter) (State, error) {
+// AppendState appends a's fairness position: the cursor of a RoundRobin, the
+// K accumulators and round-robin thermometer of an InverseWeighted, nothing
+// for a FixedPriority.
+func AppendState(b []byte, a Arbiter) ([]byte, error) {
 	switch ar := a.(type) {
 	case *RoundRobin:
-		return State{Next: ar.next}, nil
+		return wire.AppendUvarint(b, uint64(ar.next)), nil
 	case *InverseWeighted:
-		return State{Accum: ar.Accumulators(), RRTherm: ar.rrTherm}, nil
+		for _, acc := range ar.state.Accum {
+			b = wire.AppendUvarint(b, uint64(acc))
+		}
+		return wire.AppendUvarint(b, ar.rrTherm), nil
 	case *FixedPriority:
-		return State{}, nil
+		return b, nil
 	default:
-		return State{}, fmt.Errorf("arbiter: cannot snapshot %T", a)
+		return b, fmt.Errorf("arbiter: cannot snapshot %T", a)
 	}
 }
 
-// RestoreState loads a captured fairness position into an arbiter of the
-// same concrete type and width.
-func RestoreState(a Arbiter, st State) error {
+// ReadState loads a record AppendState wrote into an arbiter of the same
+// concrete type and width.
+func ReadState(r *wire.Reader, a Arbiter) {
 	switch ar := a.(type) {
 	case *RoundRobin:
-		if st.Next < 0 || st.Next >= ar.k {
-			return fmt.Errorf("arbiter: round-robin cursor %d outside [0, %d)", st.Next, ar.k)
+		next := r.Uvarint()
+		if next >= uint64(ar.k) {
+			r.Fail("arbiter: round-robin cursor %d outside [0, %d)", next, ar.k)
+			return
 		}
-		ar.next = st.Next
-		return nil
+		ar.next = int(next)
 	case *InverseWeighted:
-		if len(st.Accum) != ar.k {
-			return fmt.Errorf("arbiter: %d accumulators for a %d-input arbiter", len(st.Accum), ar.k)
+		for i := range ar.state.Accum {
+			acc := r.Uvarint()
+			if acc >= 2<<ar.state.M {
+				r.Fail("arbiter: accumulator %d exceeds %d bits", acc, ar.state.M+1)
+				return
+			}
+			ar.state.Accum[i] = uint32(acc)
 		}
-		copy(ar.state.Accum, st.Accum)
-		ar.rrTherm = st.RRTherm
-		return nil
+		ar.rrTherm = r.Uvarint()
 	case *FixedPriority:
-		return nil
 	default:
-		return fmt.Errorf("arbiter: cannot restore %T", a)
+		r.Fail("arbiter: cannot restore %T", a)
 	}
 }

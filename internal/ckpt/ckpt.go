@@ -1,24 +1,30 @@
 // Package ckpt defines the checkpoint container format: a versioned,
-// strictly-validated JSON-lines encoding of one simulation snapshot, in the
-// spirit of internal/trace's canonical strict codec. A checkpoint is a
-// *frame group*: a header line naming the format version, run tag, and cycle;
-// one line per named section (opaque payload bytes, CRC-covered); and a
-// commit line whose CRC covers every preceding line of the group. The
-// payloads themselves are produced by the layers that own the state
-// (machine snapshots, driver progress); this package only guarantees that
-// what was written is what is read back.
+// strictly-validated encoding of one simulation snapshot, in the spirit of
+// internal/trace's canonical strict codec. A checkpoint is a *frame group*: a
+// JSON header line naming the format version, run tag, and cycle; per named
+// section a JSON line (name, CRC-32C, length) followed by that many raw
+// payload bytes and a newline; and a JSON commit line whose CRC covers every
+// preceding byte of the group. The payloads themselves are produced by the
+// layers that own the state (the machine's binary snapshot record, the
+// driver's progress); this package only guarantees that what was written is
+// what is read back.
 //
-// Format v1 guarantees:
+// Format v2 guarantees:
 //   - Encoding is deterministic: the same Checkpoint always yields the same
 //     bytes, and Encode∘Decode is a fixed point.
 //   - Decode validates structure, per-section CRCs, and the commit CRC, and
-//     never panics on arbitrary input.
+//     never panics on arbitrary input: the section count and every section
+//     length are bounded by the input that remains before anything is indexed.
 //   - Recover scans arbitrary bytes for complete frame groups and returns
 //     the last valid one — a torn or truncated tail (the crash case) falls
 //     back to the most recent complete checkpoint instead of failing.
 //   - WriteFile is torn-write-safe: temp file + fsync + rename, so a crash
 //     mid-write leaves either the old checkpoint or the new one, never a
 //     mixture.
+//
+// There is one format and no reader for older ones: a file of any other
+// version fails the version check like any other unusable file, and the run
+// it belonged to starts over.
 package ckpt
 
 import (
@@ -32,21 +38,20 @@ import (
 )
 
 // Format and Version identify checkpoint files produced by this package.
-// Version bumps whenever the frame schema changes incompatibly.
+// Version bumps whenever the frame schema changes incompatibly; version 1
+// carried its sections base64-encoded inside the section lines.
 const (
 	Format  = "anton2-ckpt"
-	Version = 1
+	Version = 2
 )
 
 // castagnoli is the CRC-32C table shared by section and commit checksums.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-func crcHex(b []byte) string { return fmt.Sprintf("%08x", crc32.Checksum(b, castagnoli)) }
-
-// ChecksumHex returns the CRC-32C of b as 8 lowercase hex digits — the same
+// ChecksumHex returns the CRC-32C of b as 8 lowercase hex digits: the
 // checksum the checkpoint frames use, exported so sibling persistence layers
 // (the serve store's artifact sidecars) share one definition.
-func ChecksumHex(b []byte) string { return crcHex(b) }
+func ChecksumHex(b []byte) string { return fmt.Sprintf("%08x", crc32.Checksum(b, castagnoli)) }
 
 // Header is the first line of a frame group.
 type Header struct {
@@ -58,21 +63,22 @@ type Header struct {
 	Tag string `json:"tag,omitempty"`
 	// Cycle is the simulation clock at the snapshot boundary.
 	Cycle uint64 `json:"cycle"`
-	// Sections is the number of section lines that follow.
+	// Sections is the number of sections that follow.
 	Sections int `json:"sections"`
 }
 
-// sectionLine is one named payload with its own CRC, so a flipped bit in a
-// multi-megabyte machine snapshot is pinned to the section it corrupts.
+// sectionLine announces one named payload: Len raw bytes and a newline follow
+// it. Each payload has its own CRC, so a flipped bit in a multi-megabyte
+// machine snapshot is pinned to the section it corrupts.
 type sectionLine struct {
 	Name string `json:"name"`
 	CRC  string `json:"crc"`
-	Data []byte `json:"data"`
+	Len  int    `json:"len"`
 }
 
-// commitLine terminates a frame group. Its CRC covers the raw bytes of every
-// preceding line of the group (header and sections, newlines included): a
-// group without a matching commit line never existed.
+// commitLine terminates a frame group. Its CRC covers every preceding byte of
+// the group (header, section lines and payloads, newlines included): a group
+// without a matching commit line never existed.
 type commitLine struct {
 	Commit int    `json:"commit"`
 	CRC    string `json:"crc"`
@@ -97,7 +103,7 @@ func New(tag string, cycle uint64) *Checkpoint {
 	return &Checkpoint{Tag: tag, Cycle: cycle}
 }
 
-// Add appends a named section.
+// Add appends a named section. The checkpoint keeps data, not a copy.
 func (c *Checkpoint) Add(name string, data []byte) *Checkpoint {
 	c.Sections = append(c.Sections, Section{Name: name, Data: data})
 	return c
@@ -127,73 +133,61 @@ func (c *Checkpoint) validate() error {
 	return nil
 }
 
-// Encode serializes the checkpoint to its canonical JSON-lines frame group.
-// Encoding a valid checkpoint is deterministic: the same Checkpoint always
-// yields the same bytes.
-func (c *Checkpoint) Encode() ([]byte, error) {
+// Encode serializes the checkpoint to its canonical frame group. Encoding a
+// valid checkpoint is deterministic: the same Checkpoint always yields the
+// same bytes.
+func (c *Checkpoint) Encode() ([]byte, error) { return c.AppendEncode(nil) }
+
+// AppendEncode appends the checkpoint's frame group to b, for writers that
+// keep one buffer across the checkpoints of a run.
+func (c *Checkpoint) AppendEncode(b []byte) ([]byte, error) {
 	if err := c.validate(); err != nil {
-		return nil, err
+		return b, err
 	}
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	if err := enc.Encode(Header{
-		Format: Format, Version: Version,
-		Tag: c.Tag, Cycle: c.Cycle, Sections: len(c.Sections),
-	}); err != nil {
-		return nil, err
+	start := len(b)
+	line := func(v any) {
+		l, _ := json.Marshal(v) // structs of strings and integers: cannot fail
+		b = append(append(b, l...), '\n')
 	}
+	line(Header{Format: Format, Version: Version, Tag: c.Tag, Cycle: c.Cycle, Sections: len(c.Sections)})
 	for _, s := range c.Sections {
-		if err := enc.Encode(sectionLine{Name: s.Name, CRC: crcHex(s.Data), Data: s.Data}); err != nil {
-			return nil, err
-		}
+		line(sectionLine{Name: s.Name, CRC: ChecksumHex(s.Data), Len: len(s.Data)})
+		b = append(append(b, s.Data...), '\n')
 	}
-	commit := commitLine{Commit: len(c.Sections), CRC: crcHex(buf.Bytes())}
-	if err := enc.Encode(commit); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	line(commitLine{Commit: len(c.Sections), CRC: ChecksumHex(b[start:])})
+	return b, nil
 }
 
-// decodeLine strictly unmarshals one JSON-lines record: unknown fields and
-// trailing data are errors.
-func decodeLine(line []byte, v any) error {
-	dec := json.NewDecoder(bytes.NewReader(line))
+// decodeLine strictly unmarshals the JSON line that starts data — an object,
+// no unknown fields, nothing after it before the newline — and returns the
+// number of bytes it occupies, newline included. A line the input ends
+// inside is an error: that is what a torn write leaves.
+func decodeLine(data []byte, v any) (int, error) {
+	end := bytes.IndexByte(data, '\n')
+	if end < 0 {
+		return 0, errors.New("truncated line")
+	}
+	if end == 0 || data[0] != '{' {
+		return 0, errors.New("not a JSON object")
+	}
+	dec := json.NewDecoder(bytes.NewReader(data[:end]))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
-		return err
+		return 0, err
 	}
 	if dec.More() {
-		return errors.New("trailing data after record")
+		return 0, errors.New("trailing data after record")
 	}
-	return nil
+	return end + 1, nil
 }
 
-// splitLines splits on '\n' without a scanner so no byte of the input is
-// silently rewritten (bufio's line splitter strips '\r', which would defeat
-// the commit CRC). A trailing fragment with no newline is kept as a line —
-// exactly the shape a torn write produces.
-func splitLines(data []byte) [][]byte {
-	var lines [][]byte
-	for len(data) > 0 {
-		i := bytes.IndexByte(data, '\n')
-		if i < 0 {
-			lines = append(lines, data)
-			break
-		}
-		lines = append(lines, data[:i])
-		data = data[i+1:]
-	}
-	return lines
-}
-
-// decodeGroup strictly decodes one frame group starting at lines[start].
-// It returns the checkpoint and the number of lines consumed.
-func decodeGroup(lines [][]byte, start int) (*Checkpoint, int, error) {
-	if start >= len(lines) {
-		return nil, 0, errors.New("ckpt: empty input")
-	}
+// decodeGroup strictly decodes the frame group that starts data and returns
+// the checkpoint and the number of bytes the group occupies. Section payloads
+// alias data.
+func decodeGroup(data []byte) (*Checkpoint, int, error) {
 	var h Header
-	if err := decodeLine(lines[start], &h); err != nil {
+	pos, err := decodeLine(data, &h)
+	if err != nil {
 		return nil, 0, fmt.Errorf("ckpt: header: %w", err)
 	}
 	if h.Format != Format {
@@ -202,78 +196,81 @@ func decodeGroup(lines [][]byte, start int) (*Checkpoint, int, error) {
 	if h.Version != Version {
 		return nil, 0, fmt.Errorf("ckpt: version %d, want %d", h.Version, Version)
 	}
-	if h.Sections < 0 {
-		return nil, 0, fmt.Errorf("ckpt: negative section count %d", h.Sections)
-	}
-	need := h.Sections + 2 // header + sections + commit
-	if len(lines)-start < need {
-		return nil, 0, fmt.Errorf("ckpt: truncated group: %d of %d lines", len(lines)-start, need)
+	// Every section occupies at least its line's and its payload's newline.
+	if h.Sections < 0 || h.Sections > (len(data)-pos)/2 {
+		return nil, 0, fmt.Errorf("ckpt: %d sections in %d bytes", h.Sections, len(data)-pos)
 	}
 	c := &Checkpoint{Tag: h.Tag, Cycle: h.Cycle}
-	// The commit CRC covers the raw header and section lines, each with the
-	// '\n' the encoder appended.
-	sum := crc32.Checksum(append(lines[start], '\n'), castagnoli)
 	for i := 0; i < h.Sections; i++ {
-		line := lines[start+1+i]
 		var s sectionLine
-		if err := decodeLine(line, &s); err != nil {
+		n, err := decodeLine(data[pos:], &s)
+		if err != nil {
 			return nil, 0, fmt.Errorf("ckpt: section %d: %w", i, err)
 		}
+		pos += n
 		if s.Name == "" {
 			return nil, 0, fmt.Errorf("ckpt: section %d: empty name", i)
 		}
-		if got := crcHex(s.Data); got != s.CRC {
+		if s.Len < 0 || s.Len >= len(data)-pos || data[pos+s.Len] != '\n' {
+			return nil, 0, fmt.Errorf("ckpt: section %q: truncated: %d payload bytes in %d", s.Name, s.Len, len(data)-pos)
+		}
+		payload := data[pos : pos+s.Len : pos+s.Len]
+		if got := ChecksumHex(payload); got != s.CRC {
 			return nil, 0, fmt.Errorf("ckpt: section %q: crc %s, want %s", s.Name, got, s.CRC)
 		}
-		c.Sections = append(c.Sections, Section{Name: s.Name, Data: s.Data})
-		sum = crc32.Update(sum, castagnoli, append(line, '\n'))
+		c.Sections = append(c.Sections, Section{Name: s.Name, Data: payload})
+		pos += s.Len + 1
 	}
 	var cm commitLine
-	if err := decodeLine(lines[start+h.Sections+1], &cm); err != nil {
+	n, err := decodeLine(data[pos:], &cm)
+	if err != nil {
 		return nil, 0, fmt.Errorf("ckpt: commit: %w", err)
 	}
 	if cm.Commit != h.Sections {
 		return nil, 0, fmt.Errorf("ckpt: commit count %d, want %d", cm.Commit, h.Sections)
 	}
-	if want := fmt.Sprintf("%08x", sum); cm.CRC != want {
+	if want := ChecksumHex(data[:pos]); cm.CRC != want {
 		return nil, 0, fmt.Errorf("ckpt: commit crc %s, want %s", cm.CRC, want)
 	}
 	if err := c.validate(); err != nil {
 		return nil, 0, err
 	}
-	return c, need, nil
+	return c, pos + n, nil
 }
 
 // Decode parses and validates exactly one checkpoint. It never panics on
 // arbitrary input, and for any input x accepted by Decode,
-// Encode(Decode(x)) is a fixed point of the round trip.
+// Encode(Decode(x)) is a fixed point of the round trip. The sections of the
+// result alias data.
 func Decode(data []byte) (*Checkpoint, error) {
-	lines := splitLines(data)
-	c, used, err := decodeGroup(lines, 0)
+	c, used, err := decodeGroup(data)
 	if err != nil {
 		return nil, err
 	}
-	if used != len(lines) {
-		return nil, fmt.Errorf("ckpt: %d trailing lines after commit", len(lines)-used)
+	if used != len(data) {
+		return nil, fmt.Errorf("ckpt: %d trailing bytes after commit", len(data)-used)
 	}
 	return c, nil
 }
 
 // Recover scans the input for complete frame groups and returns the last
 // valid one — the newest checkpoint that was fully committed before a crash.
-// Garbage, torn groups, and a truncated tail are skipped; Recover never
-// panics. It fails only when no complete checkpoint exists.
+// A group starts at the start of the input or after a newline; garbage, torn
+// groups, and a truncated tail are skipped; Recover never panics. It fails
+// only when no complete checkpoint exists.
 func Recover(data []byte) (*Checkpoint, error) {
-	lines := splitLines(data)
 	var last *Checkpoint
-	for i := 0; i < len(lines); {
-		c, used, err := decodeGroup(lines, i)
-		if err != nil {
-			i++
+	for pos := 0; pos < len(data); {
+		if c, used, err := decodeGroup(data[pos:]); err == nil {
+			last = c
+			pos += used
 			continue
 		}
-		last = c
-		i += used
+		nl := bytes.IndexByte(data[pos:], '\n')
+		if nl < 0 {
+			break
+		}
+		pos += nl + 1
 	}
 	if last == nil {
 		return nil, errors.New("ckpt: no complete checkpoint in input")
@@ -281,31 +278,30 @@ func Recover(data []byte) (*Checkpoint, error) {
 	return last, nil
 }
 
-// WriteFile atomically replaces path with the encoded checkpoint: the bytes
-// are written to a temp file in the same directory, fsynced, and renamed
-// over path, then the directory entry is synced. A crash at any point leaves
-// either the previous file or the new one.
+// WriteFile atomically replaces path with the encoded checkpoint.
 func WriteFile(path string, c *Checkpoint) error {
 	data, err := c.Encode()
 	if err != nil {
 		return err
 	}
-	return writeFileAtomic(path, data)
+	return AtomicWriteFile(path, data)
 }
 
-// AtomicWriteFile exposes the torn-write-safe replace for other writers of
-// crash-adjacent files (artifacts, WAL records): temp file in the target
-// directory, fsync, rename, directory sync.
+// tempSuffix is what AtomicWriteFile's temp files carry between the target's
+// base name and os.CreateTemp's random digits.
+const tempSuffix = ".tmp"
+
+// AtomicWriteFile is the torn-write-safe replace, for checkpoints and for
+// other writers of crash-adjacent files (artifacts, WAL records): the bytes
+// are written to a temp file in the same directory, fsynced, and renamed over
+// path, then the directory entry is synced. A crash at any point leaves
+// either the previous file or the new one.
 func AtomicWriteFile(path string, data []byte) error {
-	return writeFileAtomic(path, data)
-}
-
-func writeFileAtomic(path string, data []byte) error {
 	dir := filepath.Dir(path)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("ckpt: mkdir: %w", err)
 	}
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
+	tmp, err := os.CreateTemp(dir, filepath.Base(path)+tempSuffix+"*")
 	if err != nil {
 		return fmt.Errorf("ckpt: temp file: %w", err)
 	}

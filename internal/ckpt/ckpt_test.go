@@ -10,7 +10,7 @@ import (
 
 func sample() *Checkpoint {
 	return New("spec=throughput/shape=2x2x2", 4096).
-		Add("machine", []byte(`{"now":4096,"injected":17}`)).
+		Add("machine", []byte("\x01\x80\x20\n{\"format\":\"anton2-ckpt\"}\n\x00\xff")).
 		Add("driver", []byte(`{"sent":[3,2,1]}`)).
 		Add("empty", nil)
 }
@@ -62,18 +62,12 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Flipping any payload byte must fail either the section or commit CRC.
+	// Flipping a bit of any byte — line, payload or newline — must fail the
+	// structure, a section CRC or the commit CRC.
 	for i := 0; i < len(enc); i++ {
-		if enc[i] == '\n' {
-			continue
-		}
 		bad := append([]byte(nil), enc...)
 		bad[i] ^= 0x01
 		if _, err := Decode(bad); err == nil {
-			// A flip inside base64 padding or whitespace could in theory
-			// survive JSON parsing; the CRCs must still catch the ones
-			// that change decoded bytes. Verify the decode result differs
-			// from nothing — any accepted mutation is a codec hole.
 			t.Fatalf("Decode accepted corrupted byte %d (%q)", i, enc[i])
 		}
 	}
@@ -105,21 +99,16 @@ func TestRecoverTruncatedTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A log holding a complete old group followed by a torn new group must
-	// recover the old group, for every truncation point of the new one.
-	// The sole exception is cutting only the final newline: the commit line
-	// is then still complete, so the new group legitimately recovers.
+	// recover the old group, for every truncation point of the new one (a
+	// commit line short of its newline is torn too).
 	for cut := 0; cut < len(curB); cut++ {
 		log := append(append([]byte(nil), oldB...), curB[:cut]...)
 		got, err := Recover(log)
 		if err != nil {
 			t.Fatalf("cut %d: Recover: %v", cut, err)
 		}
-		want := uint64(100)
-		if cut == len(curB)-1 {
-			want = 200
-		}
-		if got.Cycle != want {
-			t.Fatalf("cut %d: recovered cycle %d, want %d", cut, got.Cycle, want)
+		if got.Cycle != 100 {
+			t.Fatalf("cut %d: recovered cycle %d, want 100", cut, got.Cycle)
 		}
 	}
 	// The complete log recovers the newest group.
@@ -185,7 +174,7 @@ func TestWriteFileAtomicAndReadFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.WriteString(`{"format":"anton2-ckpt","version":1,"cycle":9999,"sec`); err != nil {
+	if _, err := f.WriteString(`{"format":"anton2-ckpt","version":2,"cycle":9999,"sec`); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
@@ -225,11 +214,61 @@ func TestRunConfig(t *testing.T) {
 	if c := norc.Load("tag"); c != nil {
 		t.Fatal("Load resumed without Resume set")
 	}
+	// A writer killed between creating its temp file and renaming it leaves
+	// the temp file behind; Discard takes those with it, and nothing else.
+	orphan, other := rc.Path+".tmp123456", filepath.Join(dir, "other.ckpt.tmp1")
+	for _, p := range []string{orphan, other} {
+		if err := os.WriteFile(p, []byte("torn"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
 	rc.Discard()
-	if _, err := os.Stat(rc.Path); !os.IsNotExist(err) {
-		t.Fatal("Discard left the checkpoint file")
+	for _, p := range []string{rc.Path, orphan} {
+		if _, err := os.Stat(p); !os.IsNotExist(err) {
+			t.Fatalf("Discard left %s", filepath.Base(p))
+		}
+	}
+	if _, err := os.Stat(other); err != nil {
+		t.Fatalf("Discard removed another run's temp file: %v", err)
 	}
 	rc.Discard() // second discard is a no-op
+}
+
+// overflowHeader is a header whose section count, plus the header and commit
+// lines, overflows int: v1 passed its truncation check and indexed past the
+// input.
+const overflowHeader = `{"format":"anton2-ckpt","version":2,"cycle":0,"sections":9223372036854775807}` + "\n"
+
+// TestDecodeBoundsCounts: the section count and every section length are
+// bounded by the input that remains before anything is indexed.
+func TestDecodeBoundsCounts(t *testing.T) {
+	for _, in := range []string{
+		overflowHeader,
+		`{"format":"anton2-ckpt","version":2,"cycle":0,"sections":1}` + "\n" +
+			`{"name":"m","crc":"00000000","len":9223372036854775807}` + "\n\n",
+		`{"format":"anton2-ckpt","version":2,"cycle":0,"sections":1}` + "\n" +
+			`{"name":"m","crc":"00000000","len":-1}` + "\n\n",
+	} {
+		if _, err := Decode([]byte(in)); err == nil {
+			t.Errorf("Decode accepted %q", in)
+		}
+		if _, err := Recover([]byte(in)); err == nil || !strings.Contains(err.Error(), "no complete checkpoint") {
+			t.Errorf("Recover(%q) = %v, want no complete checkpoint", in, err)
+		}
+	}
+}
+
+// TestDecodeRejectsOtherVersions: there is no reader for a v1 file.
+func TestDecodeRejectsOtherVersions(t *testing.T) {
+	v1 := `{"format":"anton2-ckpt","version":1,"tag":"t","cycle":7,"sections":1}` + "\n" +
+		`{"name":"m","crc":"a282ead8","data":"AAAA"}` + "\n" +
+		`{"commit":1,"crc":"00000000"}` + "\n"
+	if _, err := Decode([]byte(v1)); err == nil || !strings.Contains(err.Error(), "version 1") {
+		t.Errorf("Decode(v1 file) = %v, want a version error", err)
+	}
+	if _, err := Recover([]byte(v1)); err == nil {
+		t.Error("Recover found a checkpoint in a v1 file")
+	}
 }
 
 // FuzzCheckpointCodec exercises the three codec guarantees on arbitrary
@@ -244,7 +283,8 @@ func FuzzCheckpointCodec(f *testing.F) {
 	f.Add(enc, len(enc))
 	f.Add([]byte("{}\n"), 1)
 	f.Add([]byte(nil), 0)
-	f.Add([]byte(`{"format":"anton2-ckpt","version":1,"cycle":0,"sections":0}`+"\n"), 3)
+	f.Add([]byte(`{"format":"anton2-ckpt","version":2,"cycle":0,"sections":0}`+"\n"), 3)
+	f.Add([]byte(overflowHeader), 0)
 	f.Fuzz(func(t *testing.T, data []byte, cut int) {
 		c, err := Decode(data)
 		if err == nil {

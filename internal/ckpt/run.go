@@ -1,6 +1,10 @@
 package ckpt
 
-import "os"
+import (
+	"os"
+	"path/filepath"
+	"strings"
+)
 
 // RunConfig parameterizes checkpointing for a single run (one experiment
 // point). The zero value disables checkpointing entirely; every consumer of
@@ -38,12 +42,30 @@ func (rc RunConfig) Load(tag string) *Checkpoint {
 	return c
 }
 
-// Discard removes the run's checkpoint file (after a successful finish).
-// Missing files are fine.
+// Discard removes the run's checkpoint file (after a successful finish) and
+// any orphaned temp files beside it. Missing files are fine, and a file that
+// cannot be removed stays: the tag check protects readers.
 func (rc RunConfig) Discard() {
 	if rc.Path != "" {
-		if err := os.Remove(rc.Path); err != nil && !os.IsNotExist(err) {
-			_ = err // best-effort cleanup; the tag check protects readers
+		_ = os.Remove(rc.Path)
+		rc.RemoveOrphans()
+	}
+}
+
+// RemoveOrphans removes the temp files a writer of Path left behind when it
+// was killed between creating one and renaming it over Path: nothing else
+// ever would, and each is the size of a checkpoint. A run calls it before its
+// first write; Path belongs to one run at a time, so no live writer's temp
+// file is beside it then.
+func (rc RunConfig) RemoveOrphans() {
+	if rc.Path == "" {
+		return
+	}
+	dir, prefix := filepath.Dir(rc.Path), filepath.Base(rc.Path)+tempSuffix
+	ents, _ := os.ReadDir(dir) // best-effort, like the removals
+	for _, e := range ents {
+		if strings.HasPrefix(e.Name(), prefix) {
+			_ = os.Remove(filepath.Join(dir, e.Name()))
 		}
 	}
 }

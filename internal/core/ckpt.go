@@ -11,16 +11,18 @@ import (
 )
 
 // This file threads crash-safe checkpointing through the figure runners. A
-// checkpoint pairs two sections: "machine" (the complete machine.Snapshot)
-// and "driver" (the runner's own position — injection counters, RNG progress,
-// per-phase state). Restoring both and fast-forwarding the driver's RNG
-// streams makes a resumed run bit-identical to an uninterrupted one, so
-// checkpointing never perturbs results — it only bounds how much work a crash
-// can lose.
+// checkpoint pairs two sections: "machine" (the machine's binary snapshot
+// record, machine.AppendSnapshot) and "driver" (the runner's own position —
+// injection counters, RNG progress, per-phase state — a few hundred bytes of
+// JSON, because it is whatever struct the runner keeps and costs nothing at
+// that size). Restoring both and fast-forwarding the driver's RNG streams
+// makes a resumed run bit-identical to an uninterrupted one, so checkpointing
+// never perturbs results — it only bounds how much work a crash can lose.
 //
 // Resuming is strictly an optimization: any problem with a checkpoint — torn
-// file, tag mismatch, shape mismatch against the rebuilt machine — silently
-// falls back to a fresh run, which is always correct.
+// file, another format version, tag mismatch, shape mismatch against the
+// rebuilt machine — silently falls back to a fresh run, which is always
+// correct.
 
 // ErrNoRunCkpt is what the CLIs answer when asked to checkpoint a point whose
 // job has no exp.Job.RunCkpt; this message is the one list of the jobs that
@@ -54,39 +56,20 @@ const (
 	sectionDriver  = "driver"
 )
 
-// ckptAddJSON marshals v into a named checkpoint section.
-func ckptAddJSON(c *ckpt.Checkpoint, name string, v any) error {
-	b, err := json.Marshal(v)
-	if err != nil {
-		return err
-	}
-	c.Add(name, b)
-	return nil
-}
-
-// loadRunCkpt loads the machine snapshot and driver state from the run's
-// checkpoint, or returns nil when there is nothing usable to resume from.
-func loadRunCkpt(rc ckpt.RunConfig, tag string, driver any) *machine.Snapshot {
+// loadRunCkpt loads the machine snapshot record and driver state from the
+// run's checkpoint, or returns nil when there is nothing usable to resume
+// from.
+func loadRunCkpt(rc ckpt.RunConfig, tag string, driver any) []byte {
 	c := rc.Load(tag)
 	if c == nil {
 		return nil
 	}
-	mb, ok := c.Section(sectionMachine)
-	if !ok {
+	snap, hasMachine := c.Section(sectionMachine)
+	db, hasDriver := c.Section(sectionDriver)
+	if !hasMachine || !hasDriver || json.Unmarshal(db, driver) != nil {
 		return nil
 	}
-	db, ok := c.Section(sectionDriver)
-	if !ok {
-		return nil
-	}
-	var snap machine.Snapshot
-	if err := json.Unmarshal(mb, &snap); err != nil {
-		return nil
-	}
-	if err := json.Unmarshal(db, driver); err != nil {
-		return nil
-	}
-	return &snap
+	return snap
 }
 
 // resumeRunCkpt tries to resume the run on m, freshly built by
@@ -100,7 +83,7 @@ func resumeRunCkpt(m *machine.Machine, rc ckpt.RunConfig, tag string, driver any
 	if snap == nil || (valid != nil && !valid()) {
 		return m, false, nil
 	}
-	if m.Restore(snap) == nil {
+	if m.RestoreSnapshot(snap) == nil {
 		return m, true, nil
 	}
 	// A failed restore may leave the machine partially mutated; rebuild and
@@ -109,20 +92,43 @@ func resumeRunCkpt(m *machine.Machine, rc ckpt.RunConfig, tag string, driver any
 	return m, false, err
 }
 
-// saveRunCkpt captures the machine, pairs the snapshot with the runner's
-// driver section, and persists the checkpoint with the atomic-replace
-// discipline. A failed write deliberately does not interrupt the simulation:
-// the previous checkpoint, if any, stays in place.
-func saveRunCkpt(rc ckpt.RunConfig, m *machine.Machine, tag string, driver any) {
-	snap, err := m.Snapshot()
+// runCkptWriter persists one run's checkpoints: it owns the run's checkpoint
+// path for the life of the run and keeps the snapshot and frame buffers
+// between checkpoints, so a checkpoint in a steady run allocates only the
+// driver section's JSON.
+type runCkptWriter struct {
+	rc          ckpt.RunConfig
+	m           *machine.Machine
+	tag         string
+	snap, frame []byte
+}
+
+// newRunCkptWriter starts the run's checkpoint writing on m, the machine the
+// run will step (after any resume). Temp files a killed earlier writer of the
+// same path left behind go first.
+func newRunCkptWriter(rc ckpt.RunConfig, m *machine.Machine, tag string) *runCkptWriter {
+	rc.RemoveOrphans()
+	return &runCkptWriter{rc: rc, m: m, tag: tag}
+}
+
+// save captures the machine, pairs the snapshot with the runner's driver
+// section, and persists the checkpoint with the atomic-replace discipline. A
+// failed write deliberately does not interrupt the simulation: the previous
+// checkpoint, if any, stays in place.
+func (w *runCkptWriter) save(driver any) {
+	var err error
+	if w.snap, err = w.m.AppendSnapshot(w.snap[:0]); err != nil {
+		return
+	}
+	db, err := json.Marshal(driver)
 	if err != nil {
 		return
 	}
-	c := ckpt.New(tag, snap.Now)
-	if ckptAddJSON(c, sectionMachine, snap) != nil || ckptAddJSON(c, sectionDriver, driver) != nil {
+	c := ckpt.New(w.tag, w.m.Engine.Now()).Add(sectionMachine, w.snap).Add(sectionDriver, db)
+	if w.frame, err = c.AppendEncode(w.frame[:0]); err != nil {
 		return
 	}
-	_ = ckpt.WriteFile(rc.Path, c)
+	_ = ckpt.AtomicWriteFile(w.rc.Path, w.frame)
 }
 
 // observeCkpt installs the run's checkpoint observer on m: whenever the
@@ -130,9 +136,10 @@ func saveRunCkpt(rc ckpt.RunConfig, m *machine.Machine, tag string, driver any) 
 // section and saves a checkpoint. m is the run's own machine and is dropped
 // with it, so the observer is never uninstalled.
 func observeCkpt(m *machine.Machine, rc ckpt.RunConfig, tag string, driver func() any) {
+	w := newRunCkptWriter(rc, m, tag)
 	next := func(now uint64) uint64 { return now + rc.Every - now%rc.Every }
 	m.Engine.Observe(next(m.Engine.Now()), func(now uint64) uint64 {
-		saveRunCkpt(rc, m, tag, driver())
+		w.save(driver())
 		return next(now)
 	})
 }

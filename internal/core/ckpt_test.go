@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/json"
 	"errors"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -160,7 +161,7 @@ func mdCkptInQuiescence(t *testing.T, cfg MDStepConfig, rc ckpt.RunConfig) {
 		case deliveredAt == 0:
 			deliveredAt = m.Engine.Now()
 		default:
-			saveRunCkpt(rc, m, tag, p)
+			newRunCkptWriter(rc, m, tag).save(p)
 			kept = true
 		}
 	})
@@ -173,8 +174,8 @@ func mdCkptInQuiescence(t *testing.T, cfg MDStepConfig, rc ckpt.RunConfig) {
 	if !kept || snap == nil {
 		t.Fatalf("no checkpoint landed inside quiescence stepping (kept %v)", kept)
 	}
-	if fresh, _, err := BuildMachine(mc); err != nil || fresh.Restore(snap) != nil {
-		t.Fatalf("the kept checkpoint (cycle %d) does not restore into a fresh machine", snap.Now)
+	if fresh, _, err := BuildMachine(mc); err != nil || fresh.RestoreSnapshot(snap) != nil {
+		t.Fatalf("the kept checkpoint does not restore into a fresh machine (build: %v)", err)
 	}
 }
 
@@ -264,8 +265,8 @@ func resumeUntilDone[T any](t *testing.T, rc *ckpt.RunConfig, run func(ckpt.RunC
 // mdstep and fig9 (throughput) points are run with frequent checkpoints and
 // a budget that forces repeated mid-flight interruptions; the resumed point
 // must be byte-identical (canonical JSON) to the uninterrupted run's. A
-// checkpoint is three quarters of a cell's time (snapshot JSON, encode,
-// fsync), so only the anton fig9 cells write one at every cycle — their
+// checkpoint is an fsync, which at every cycle is still most of a cell's
+// time, so only the anton fig9 cells write one at every cycle — their
 // interruptions resume from the very cycle the budget ran out on, under each
 // engine — and the rest stride by 7, far below every budget here, so theirs
 // resume from up to six cycles earlier and re-simulate the difference; that
@@ -374,4 +375,110 @@ func mustCanonJSON(t *testing.T, v any) []byte {
 		t.Fatal(err)
 	}
 	return b
+}
+
+// v1File is a syntactically valid format-v1 checkpoint (sections base64 inside
+// JSON lines) carrying the given tag: what a run interrupted before the
+// format change left at its path.
+func v1File(tag string) []byte {
+	hdr, _ := json.Marshal(map[string]any{"format": ckpt.Format, "version": 1, "tag": tag, "cycle": 50, "sections": 1})
+	sec := `{"name":"machine","crc":"` + ckpt.ChecksumHex([]byte("{}")) + `","data":"e30="}` + "\n"
+	body := string(hdr) + "\n" + sec
+	return []byte(body + `{"commit":1,"crc":"` + ckpt.ChecksumHex([]byte(body)) + `"}` + "\n")
+}
+
+// TestStaleFormatStartsFresh: there is no reader for an older format. A
+// resuming run that finds a v1 file at its path starts over, reports what the
+// uninterrupted run reports, and — interrupted in its turn — leaves a
+// current-format checkpoint where the stale file was. An orphaned temp file a
+// killed writer left beside the path is gone by the end of the run too.
+func TestStaleFormatStartsFresh(t *testing.T) {
+	refCfg := tpCkptConfig(7)
+	refCfg.MaxCycles = 0
+	ref, err := RunThroughput(refCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rc := ckpt.RunConfig{Path: filepath.Join(t.TempDir(), "tp.ckpt"), Every: 50, Resume: true}
+	tag := ThroughputSpec(tpCkptConfig(7)).Canonical()
+	orphan := rc.Path + ".tmp4242"
+	for path, content := range map[string][]byte{rc.Path: v1File(tag), orphan: []byte("torn")} {
+		if err := os.WriteFile(path, content, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if rc.Load(tag) != nil {
+		t.Fatal("a v1 file loaded as a checkpoint")
+	}
+
+	// The budgeted config fails mid-flight; had it resumed from "cycle 50" of
+	// the stale file instead of starting over it could not match ref below.
+	if _, err := RunThroughputCkpt(tpCkptConfig(7), rc); err == nil {
+		t.Fatal("budget never interrupted the run; the test is not exercising the overwrite")
+	}
+	if c := rc.Load(tag); c == nil || c.Cycle == 0 {
+		t.Fatalf("interrupted run left no current-format checkpoint over the stale file: %+v", c)
+	}
+	if _, err := os.Stat(orphan); !os.IsNotExist(err) {
+		t.Errorf("orphaned temp file survived the run's first write (stat err: %v)", err)
+	}
+	got, _ := resumeUntilDone(t, &rc, func(rc ckpt.RunConfig) (ThroughputResult, error) {
+		return RunThroughputCkpt(tpCkptConfig(7), rc)
+	})
+	if !reflect.DeepEqual(got, ref) {
+		t.Errorf("result after a stale-format start %+v differs from uninterrupted %+v", got, ref)
+	}
+}
+
+// BenchmarkCheckpoint prices one checkpoint on the product path — snapshot,
+// frame encode, atomic write with fsync — of a machine caught mid-run: the
+// 4x4x2 MD timestep inside its first halo exchange, and the paper-size 8x8x8
+// machine mid-way through a uniform batch-4 burst.
+func BenchmarkCheckpoint(b *testing.B) {
+	loop := func(b *testing.B, w *runCkptWriter, driver any) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			w.save(driver)
+		}
+		b.StopTimer()
+		b.ReportMetric(float64(len(w.frame)), "bytes/checkpoint")
+		if c, err := ckpt.ReadFile(w.rc.Path); err != nil || c.Cycle != w.m.Engine.Now() {
+			b.Fatalf("checkpoint on disk: %+v, %v", c, err)
+		}
+	}
+	b.Run("mdstep-4x4x2", func(b *testing.B) {
+		cfg := MDStepConfig{Machine: machine.DefaultConfig(topo.Shape3(4, 4, 2))}
+		mc, spec, err := mdstepMachine(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		m, _, err := BuildMachine(mc)
+		if err != nil {
+			b.Fatal(err)
+		}
+		w := newRunCkptWriter(ckpt.RunConfig{Path: filepath.Join(b.TempDir(), "md.ckpt"), Every: 100}, m, "bench")
+		measured := false
+		if _, err := workload.RunResumable(m, spec, 0, nil, w.rc.Every, func(p workload.Progress) {
+			if !measured {
+				measured = true
+				loop(b, w, p)
+			}
+		}); err != nil || !measured {
+			b.Fatalf("measured %v, err %v", measured, err)
+		}
+	})
+	b.Run("uniform-8x8x8", func(b *testing.B) {
+		m, _, err := BuildMachine(machine.DefaultConfig(topo.Shape3(8, 8, 8)))
+		if err != nil {
+			b.Fatal(err)
+		}
+		sent := make([]int, m.Topo.NumNodes()*len(m.Topo.Chip.CoreEndpoints()))
+		injectBatches(m, "tp", 4, sent, func(src topo.NodeEp, rng *rand.Rand) (topo.NodeEp, uint8) {
+			return traffic.Uniform{}.Dest(m.Topo, src, rng), 0
+		})
+		m.Engine.Run(200)
+		w := newRunCkptWriter(ckpt.RunConfig{Path: filepath.Join(b.TempDir(), "tp.ckpt"), Every: 200}, m, "bench")
+		loop(b, w, tpProgress{Sent: sent})
+	})
 }

@@ -132,7 +132,8 @@ func runMDStep(cfg MDStepConfig, rc ckpt.RunConfig, record bool) (MDStepPoint, *
 			from = &prog
 		}
 		// The workload's engine observer hands us the driver Progress.
-		sink = func(p workload.Progress) { saveRunCkpt(rc, m, tag, p) }
+		w := newRunCkptWriter(rc, m, tag)
+		sink = func(p workload.Progress) { w.save(p) }
 	}
 	var res workload.Result
 	var rec *trace.Recorder

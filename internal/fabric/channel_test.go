@@ -7,6 +7,7 @@ import (
 	"anton2/internal/packet"
 	"anton2/internal/sim"
 	"anton2/internal/topo"
+	"anton2/internal/wire"
 )
 
 func meshChan(track bool) *Channel {
@@ -298,17 +299,21 @@ func TestChannelReadyMasks(t *testing.T) {
 	ch.ReturnCredit(3, 1, 1)
 	want("both in flight", 1|1<<3, 1|1<<5)
 
-	st, err := ch.ExportState(func(*packet.Packet) int { return 0 })
+	st, err := ch.AppendState(nil, func(*packet.Packet) uint64 { return 0 })
 	if err != nil {
 		t.Fatal(err)
 	}
 	inMask, credMask = 0, 0
 	fresh := meshChan(false)
 	bind(fresh)
-	if err := fresh.RestoreState(st, func(int) (*packet.Packet, error) { return pkt(1), nil }); err != nil {
-		t.Fatal(err)
+	r := wire.NewReader(st)
+	if fresh.ReadState(r, func(uint64) *packet.Packet { return pkt(1) }); r.Err() != nil || r.Len() != 0 {
+		t.Fatalf("restore: err %v, %d bytes unread", r.Err(), r.Len())
 	}
 	want("restored", 1<<3, 1<<5)
+	if again, _ := fresh.AppendState(nil, func(*packet.Packet) uint64 { return 0 }); string(again) != string(st) {
+		t.Errorf("restored channel re-encodes to %x, want %x", again, st)
+	}
 }
 
 // tickFn adapts a function to sim.Component.

@@ -2,135 +2,141 @@ package fabric
 
 import (
 	"fmt"
+	"math/bits"
 
 	"anton2/internal/packet"
+	"anton2/internal/wire"
 )
 
-// This file externalizes a channel's mutable state for checkpointing.
-// Everything a Channel accumulates after construction — credit counters,
-// serializer occupancy, stall windows, lost-credit ledgers, lifetime
-// counters, energy events, and the in-flight contents of both pipes — round
-// trips through ChannelState. Wiring (latency, rate, VC count, bindings) is
-// rebuilt by constructing the machine fresh and is deliberately absent.
+// This file is the channels' half of the checkpoint codec. Everything a
+// Channel accumulates after construction is appended to and read back from
+// the machine snapshot, as: VC count; flags (below); a mask of the VCs whose
+// credit counter is not at the buffer capacity, and those counters;
+// busyUntilMilli, stallUntil, Sent, Pkts; the lost-credit ledger and the
+// energy counters when flagged; the previous payload; the packet pipe as
+// (arrival cycle, packet index) pairs behind a count; the credit pipe as
+// (arrival cycle, VC, flits) triples behind a count. An idle channel is a
+// dozen bytes. Wiring (latency, rate, bindings) is rebuilt by constructing
+// the machine fresh and is deliberately absent.
 //
 // Packets are shared pointers: the same *packet.Packet can sit in a
 // retransmission window and in the pipe at once (Resend), so the machine
-// snapshot layer owns packet identity. Export maps each pointer to an index
-// via the provided callback; Restore resolves indices back through its
-// inverse.
+// snapshot layer owns packet identity and the record holds indices into its
+// packet table.
 
-// PktEntry is one in-flight packet: its absolute arrival cycle and its index
-// in the snapshot's packet registry.
-type PktEntry struct {
-	At  uint64 `json:"at"`
-	Pkt int    `json:"pkt"`
-}
+// Record flags: the channel has sent, keeps a lost-credit ledger, tracks
+// energy.
+const (
+	stSentAny = 1 << iota
+	stLost
+	stEnergy
+)
 
-// CreditEntry is one in-flight credit return.
-type CreditEntry struct {
-	At    uint64 `json:"at"`
-	VC    uint8  `json:"vc"`
-	Flits uint8  `json:"flits"`
-}
-
-// ChannelState is the serializable mutable state of one channel.
-type ChannelState struct {
-	Credit         []int           `json:"credit"`
-	BusyUntilMilli uint64          `json:"busy,omitempty"`
-	StallUntil     uint64          `json:"stall,omitempty"`
-	Lost           []int           `json:"lost,omitempty"`
-	SentAny        bool            `json:"sent_any,omitempty"`
-	Sent           uint64          `json:"sent,omitempty"`
-	Pkts           uint64          `json:"pkts,omitempty"`
-	Energy         *EnergyCounters `json:"energy,omitempty"`
-	PrevPayload    []byte          `json:"prev_payload,omitempty"`
-	InFlight       []PktEntry      `json:"in_flight,omitempty"`
-	Credits        []CreditEntry   `json:"credits,omitempty"`
-}
-
-// ExportState captures the channel's mutable state. pktIndex interns a
-// packet pointer into the snapshot registry and returns its index. Channels
+// AppendState appends the channel's mutable state. pktIndex interns a packet
+// pointer into the snapshot's packet table and returns its index. Channels
 // are snapshotted between engine steps only; staged (deferred) traffic must
 // already be flushed, which the phase-barrier merge guarantees.
-func (ch *Channel) ExportState(pktIndex func(*packet.Packet) int) (ChannelState, error) {
+func (ch *Channel) AppendState(b []byte, pktIndex func(*packet.Packet) uint64) ([]byte, error) {
 	if len(ch.stagedPkts) != 0 || len(ch.stagedCreds) != 0 {
-		return ChannelState{}, fmt.Errorf("fabric: %s: snapshot with staged traffic", ch.Name)
+		return b, fmt.Errorf("fabric: %s: snapshot with staged traffic", ch.Name)
 	}
-	st := ChannelState{
-		Credit:         make([]int, ch.numVCs),
-		BusyUntilMilli: ch.busyUntilMilli,
-		StallUntil:     ch.stallUntil,
-		SentAny:        ch.sentAny,
-		Sent:           ch.Sent,
-		Pkts:           ch.Pkts,
+	var flags uint8 // stSentAny, stLost, stEnergy, in that order
+	for i, set := range [...]bool{ch.sentAny, ch.lost != nil, ch.Energy != nil} {
+		if set {
+			flags |= 1 << i
+		}
 	}
-	for vc := range st.Credit {
-		st.Credit[vc] = int(ch.credit[vc])
+	var spent uint64
+	for vc, c := range ch.credit[:ch.numVCs] {
+		if c != ch.bufFlits {
+			spent |= 1 << vc
+		}
 	}
-	if ch.lost != nil {
-		st.Lost = append([]int(nil), ch.lost...)
+	b = append(b, ch.numVCs, flags)
+	b = wire.AppendUvarint(b, spent)
+	for m := spent; m != 0; m &= m - 1 {
+		b = wire.AppendVarint(b, int64(ch.credit[bits.TrailingZeros64(m)]))
 	}
-	if ch.Energy != nil {
-		e := *ch.Energy
-		st.Energy = &e
+	for _, v := range [...]uint64{ch.busyUntilMilli, ch.stallUntil, ch.Sent, ch.Pkts} {
+		b = wire.AppendUvarint(b, v)
 	}
-	if len(ch.prevPayload) > 0 {
-		st.PrevPayload = append([]byte(nil), ch.prevPayload...)
+	for _, n := range ch.lost {
+		b = wire.AppendVarint(b, int64(n))
 	}
+	if e := ch.Energy; e != nil {
+		for _, v := range [...]uint64{e.Flits, e.Activations, e.HammingSum, e.SetBitsSum} {
+			b = wire.AppendUvarint(b, v)
+		}
+	}
+	b = wire.AppendBytes(b, ch.prevPayload)
+	b = wire.AppendUvarint(b, uint64(ch.pkts.Len()))
 	ch.pkts.Entries(func(at uint64, p *packet.Packet) {
-		st.InFlight = append(st.InFlight, PktEntry{At: at, Pkt: pktIndex(p)})
+		b = wire.AppendUvarint(wire.AppendUvarint(b, at), pktIndex(p))
 	})
+	b = wire.AppendUvarint(b, uint64(ch.credits.Len()))
 	ch.credits.Entries(func(at uint64, c creditMsg) {
-		st.Credits = append(st.Credits, CreditEntry{At: at, VC: c.vc, Flits: c.flits})
+		b = append(wire.AppendUvarint(b, at), c.vc, c.flits)
 	})
-	return st, nil
+	return b, nil
 }
 
-// RestoreState loads exported state into a freshly built channel (empty
-// pipes) and re-issues what the in-flight traffic implies: each packet sets
-// the bound receiver's ready bit and wakes it at its arrival cycle, each
+// ReadState loads a record AppendState wrote into a freshly built channel
+// (empty pipes) and re-issues what the in-flight traffic implies: each packet
+// sets the bound receiver's ready bit and wakes it at its arrival cycle, each
 // credit likewise for the bound sender — the same pushPkt/pushCredit the
-// original Send/ReturnCredit went through.
-func (ch *Channel) RestoreState(st ChannelState, pkt func(int) (*packet.Packet, error)) error {
-	if len(st.Credit) != int(ch.numVCs) {
-		return fmt.Errorf("fabric: %s: restore with %d VCs, channel has %d", ch.Name, len(st.Credit), ch.numVCs)
-	}
+// original Send/ReturnCredit went through. pkt resolves a packet-table index,
+// failing the reader itself for one outside the table.
+func (ch *Channel) ReadState(r *wire.Reader, pkt func(uint64) *packet.Packet) {
 	if !ch.pkts.Empty() || !ch.credits.Empty() {
-		return fmt.Errorf("fabric: %s: restore into a non-empty channel", ch.Name)
+		r.Fail("fabric: %s: restore into a non-empty channel", ch.Name)
+		return
 	}
-	for vc, n := range st.Credit {
-		ch.credit[vc] = int32(n)
+	numVCs, flags, spent := r.Byte(), r.Byte(), r.Uvarint()
+	switch hasLost, hasEnergy := flags&stLost != 0, flags&stEnergy != 0; {
+	case r.Err() != nil:
+	case numVCs != ch.numVCs:
+		r.Fail("fabric: %s: restore with %d VCs, channel has %d", ch.Name, numVCs, ch.numVCs)
+	case hasLost != (ch.lost != nil):
+		r.Fail("fabric: %s: lost-credit ledger shape mismatch", ch.Name)
+	case hasEnergy != (ch.Energy != nil):
+		r.Fail("fabric: %s: snapshot and channel disagree on energy tracking", ch.Name)
+	case flags >= stEnergy<<1 || spent>>numVCs != 0:
+		r.Fail("%w", wire.ErrCorrupt)
 	}
-	ch.busyUntilMilli = st.BusyUntilMilli
-	ch.stallUntil = st.StallUntil
-	if st.Lost != nil {
-		if ch.lost == nil || len(st.Lost) != len(ch.lost) {
-			return fmt.Errorf("fabric: %s: lost-credit ledger shape mismatch", ch.Name)
+	if r.Err() != nil {
+		return
+	}
+	for vc := range ch.credit[:ch.numVCs] {
+		ch.credit[vc] = ch.bufFlits
+		if spent>>vc&1 != 0 {
+			c := r.Varint()
+			if c == int64(ch.bufFlits) || c != int64(int32(c)) {
+				r.Fail("%w", wire.ErrCorrupt)
+			}
+			ch.credit[vc] = int32(c)
 		}
-		copy(ch.lost, st.Lost)
 	}
-	ch.sentAny = st.SentAny
-	ch.Sent = st.Sent
-	ch.Pkts = st.Pkts
-	if st.Energy != nil {
-		if ch.Energy == nil {
-			return fmt.Errorf("fabric: %s: energy state for a channel without tracking", ch.Name)
+	ch.sentAny = flags&stSentAny != 0
+	ch.busyUntilMilli, ch.stallUntil, ch.Sent, ch.Pkts = r.Uvarint(), r.Uvarint(), r.Uvarint(), r.Uvarint()
+	for vc := range ch.lost {
+		ch.lost[vc] = int(r.Varint())
+	}
+	if e := ch.Energy; e != nil {
+		e.Flits, e.Activations, e.HammingSum, e.SetBitsSum = r.Uvarint(), r.Uvarint(), r.Uvarint(), r.Uvarint()
+	}
+	ch.prevPayload = append(ch.prevPayload[:0], r.Bytes()...)
+	for n := r.Count(2); n > 0; n-- {
+		at := r.Uvarint()
+		if p := pkt(r.Uvarint()); p != nil {
+			ch.pushPkt(at, p)
 		}
-		*ch.Energy = *st.Energy
 	}
-	ch.prevPayload = append(ch.prevPayload[:0], st.PrevPayload...)
-	for _, e := range st.InFlight {
-		p, err := pkt(e.Pkt)
-		if err != nil {
-			return fmt.Errorf("fabric: %s: %w", ch.Name, err)
+	for n := r.Count(3); n > 0; n-- {
+		at, vc, flits := r.Uvarint(), r.Byte(), r.Byte()
+		if vc >= ch.numVCs {
+			r.Fail("fabric: %s: credit entry for VC %d of %d", ch.Name, vc, ch.numVCs)
+			return
 		}
-		ch.pushPkt(e.At, p)
+		ch.pushCredit(at, creditMsg{vc: vc, flits: flits})
 	}
-	for _, e := range st.Credits {
-		if e.VC >= ch.numVCs {
-			return fmt.Errorf("fabric: %s: credit entry for VC %d of %d", ch.Name, e.VC, ch.numVCs)
-		}
-		ch.pushCredit(e.At, creditMsg{vc: e.VC, flits: e.Flits})
-	}
-	return nil
 }

@@ -224,20 +224,10 @@ type Counters struct {
 // per-shard counter slots so parallel shards never contend, and sums them
 // with Add when reporting.
 func (c *Counters) Add(o Counters) {
-	c.CorruptInjected += o.CorruptInjected
-	c.CorruptDetected += o.CorruptDetected
-	c.DupsDropped += o.DupsDropped
-	c.Retransmits += o.Retransmits
-	c.Acks += o.Acks
-	c.Nacks += o.Nacks
-	c.Timeouts += o.Timeouts
-	c.StallsInjected += o.StallsInjected
-	c.CreditsDropped += o.CreditsDropped
-	c.CreditsRestored += o.CreditsRestored
-	c.LinksFailed += o.LinksFailed
-	c.Rerouted += o.Rerouted
-	c.RoutedNative += o.RoutedNative
-	c.Unroutable += o.Unroutable
+	from := o.words()
+	for i, w := range c.words() {
+		*w += *from[i]
+	}
 }
 
 // Map returns the counters as a name->value map with stable JSON ordering

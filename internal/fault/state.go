@@ -1,86 +1,94 @@
 package fault
 
-import "fmt"
+import "anton2/internal/wire"
 
-// This file externalizes the fault layer's mutable state for checkpointing:
-// the go-back-N protocol machines and the injector's SplitMix64 stream
-// positions. Everything here is plain integers, so a restored run draws the
-// exact same fault schedule the uninterrupted run would have.
+// This file is the fault layer's half of the checkpoint codec: the go-back-N
+// protocol machines, the injector's SplitMix64 stream positions and the event
+// counters, appended to and read back from the machine snapshot. Everything
+// here is plain integers, so a restored run draws the exact same fault
+// schedule the uninterrupted run would have. Wiring parameters (window,
+// timeout, retry limit) are rebuilt from the machine config and are
+// deliberately absent.
 
-// SenderState is the serializable state of a go-back-N Sender. The wiring
-// parameters (window, timeout, retry limit) are rebuilt from the machine
-// config and are deliberately absent.
-type SenderState struct {
-	Base     uint64 `json:"base"`
-	Next     uint64 `json:"next"`
-	Retx     uint64 `json:"retx"`
-	LastMove uint64 `json:"last_move"`
-	Attempts int    `json:"attempts,omitempty"`
-	Dead     bool   `json:"dead,omitempty"`
+// AppendState appends the sender's protocol position.
+func (s *Sender) AppendState(b []byte) []byte {
+	for _, v := range [...]uint64{s.base, s.next, s.retx, s.lastMove, uint64(s.attempts)} {
+		b = wire.AppendUvarint(b, v)
+	}
+	return wire.AppendBool(b, s.dead)
 }
 
-// State captures the sender's protocol position.
-func (s *Sender) State() SenderState {
-	return SenderState{
-		Base: s.base, Next: s.next, Retx: s.retx,
-		LastMove: s.lastMove, Attempts: s.attempts, Dead: s.dead,
+// ReadState loads a position AppendState wrote.
+func (s *Sender) ReadState(r *wire.Reader) {
+	base, next, retx := r.Uvarint(), r.Uvarint(), r.Uvarint()
+	lastMove, attempts, dead := r.Uvarint(), r.Uvarint(), r.Bool()
+	if base > next || retx > next {
+		r.Fail("fault: sender state out of order: base %d, retx %d, next %d", base, retx, next)
+		return
+	}
+	s.base, s.next, s.retx = base, next, retx
+	s.lastMove, s.attempts, s.dead = lastMove, int(attempts), dead
+}
+
+// AppendState appends the receiver's protocol position.
+func (r *Receiver) AppendState(b []byte) []byte {
+	return wire.AppendBool(wire.AppendUvarint(b, r.expected), r.nackArmed)
+}
+
+// ReadState loads a position AppendState wrote.
+func (r *Receiver) ReadState(rd *wire.Reader) {
+	r.expected, r.nackArmed = rd.Uvarint(), rd.Bool()
+}
+
+// AppendStreams appends the position of every injection stream: one
+// SplitMix64 state per (kind, link), behind the link count. The
+// permanent-failure stream is not here — FailedLinks is a pure function of
+// the seed and re-derives identically on rebuild.
+func (in *Injector) AppendStreams(b []byte) []byte {
+	b = wire.AppendUvarint(b, uint64(len(in.corrupt)))
+	for _, streams := range [...][]uint64{in.corrupt, in.stall, in.credit} {
+		for _, s := range streams {
+			b = wire.AppendUint64(b, s)
+		}
+	}
+	return b
+}
+
+// ReadStreams loads stream positions into an injector built for the same
+// link count.
+func (in *Injector) ReadStreams(r *wire.Reader) {
+	if n := r.Uvarint(); n != uint64(len(in.corrupt)) {
+		r.Fail("fault: injector streams for %d links, machine has %d", n, len(in.corrupt))
+		return
+	}
+	for _, streams := range [...][]uint64{in.corrupt, in.stall, in.credit} {
+		for i := range streams {
+			streams[i] = r.Uint64()
+		}
 	}
 }
 
-// RestoreState loads a captured protocol position.
-func (s *Sender) RestoreState(st SenderState) error {
-	if st.Base > st.Next || st.Retx > st.Next {
-		return fmt.Errorf("fault: sender state out of order: base %d, retx %d, next %d", st.Base, st.Retx, st.Next)
-	}
-	s.base, s.next, s.retx = st.Base, st.Next, st.Retx
-	s.lastMove, s.attempts, s.dead = st.LastMove, st.Attempts, st.Dead
-	return nil
-}
-
-// ReceiverState is the serializable state of a go-back-N Receiver.
-type ReceiverState struct {
-	Expected  uint64 `json:"expected"`
-	NackArmed bool   `json:"nack_armed,omitempty"`
-}
-
-// State captures the receiver's protocol position.
-func (r *Receiver) State() ReceiverState {
-	return ReceiverState{Expected: r.expected, NackArmed: r.nackArmed}
-}
-
-// RestoreState loads a captured protocol position.
-func (r *Receiver) RestoreState(st ReceiverState) {
-	r.expected, r.nackArmed = st.Expected, st.NackArmed
-}
-
-// InjectorState is the serializable position of every injection stream: one
-// SplitMix64 state per (kind, link). The permanent-failure stream is not
-// here — FailedLinks is a pure function of the seed and re-derives
-// identically on rebuild.
-type InjectorState struct {
-	Corrupt []uint64 `json:"corrupt"`
-	Stall   []uint64 `json:"stall"`
-	Credit  []uint64 `json:"credit"`
-}
-
-// StreamState captures the injector's stream positions.
-func (in *Injector) StreamState() InjectorState {
-	return InjectorState{
-		Corrupt: append([]uint64(nil), in.corrupt...),
-		Stall:   append([]uint64(nil), in.stall...),
-		Credit:  append([]uint64(nil), in.credit...),
+// words lists the counters in declaration order, the order of their
+// checkpoint record.
+func (c *Counters) words() [14]*uint64 {
+	return [...]*uint64{
+		&c.CorruptInjected, &c.CorruptDetected, &c.DupsDropped, &c.Retransmits, &c.Acks, &c.Nacks,
+		&c.Timeouts, &c.StallsInjected, &c.CreditsDropped, &c.CreditsRestored, &c.LinksFailed,
+		&c.Rerouted, &c.RoutedNative, &c.Unroutable,
 	}
 }
 
-// RestoreStreams loads captured stream positions into an injector built for
-// the same link count.
-func (in *Injector) RestoreStreams(st InjectorState) error {
-	if len(st.Corrupt) != len(in.corrupt) || len(st.Stall) != len(in.stall) || len(st.Credit) != len(in.credit) {
-		return fmt.Errorf("fault: injector stream shape mismatch: %d/%d/%d states for %d links",
-			len(st.Corrupt), len(st.Stall), len(st.Credit), len(in.corrupt))
+// AppendState appends the counters.
+func (c *Counters) AppendState(b []byte) []byte {
+	for _, w := range c.words() {
+		b = wire.AppendUvarint(b, *w)
 	}
-	copy(in.corrupt, st.Corrupt)
-	copy(in.stall, st.Stall)
-	copy(in.credit, st.Credit)
-	return nil
+	return b
+}
+
+// ReadState loads counters AppendState wrote.
+func (c *Counters) ReadState(r *wire.Reader) {
+	for _, w := range c.words() {
+		*w = r.Uvarint()
+	}
 }

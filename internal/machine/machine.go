@@ -61,6 +61,10 @@ type Machine struct {
 	checks *check.Suite
 	tel    *telemetry.Collector
 	flt    *faultLayer
+
+	// snapTab is AppendSnapshot's packet interning table, kept between
+	// snapshots so that taking one allocates nothing.
+	snapTab pktTable
 }
 
 // Node groups one ASIC's components.

@@ -10,6 +10,18 @@ import (
 	"anton2/internal/topo"
 )
 
+// occupancy recomputes a queue set's mask from the queues themselves: the
+// reference the maintained masks are held to.
+func occupancy(qs []vcq) uint32 {
+	var occ uint32
+	for vc := range qs {
+		if !qs[vc].empty() {
+			occ |= 1 << vc
+		}
+	}
+	return occ
+}
+
 // maskErrors checks the two mask contracts on every component: a ready bit is
 // set exactly while its pipe holds something in flight, and a VC-occupancy
 // bit exactly while its queue is non-empty.
@@ -152,12 +164,8 @@ func TestMaskConsistency(t *testing.T) {
 				if m.Engine.Now()%restoreStride != 0 {
 					continue
 				}
-				s, err := m.Snapshot()
-				if err != nil {
-					t.Fatalf("%s/%s: snapshot at %d: %v", sc.name, name, m.Engine.Now(), err)
-				}
 				r := build()
-				if err := r.Restore(s); err != nil {
+				if err := r.RestoreSnapshot(mustSnapshot(t, m)); err != nil {
 					t.Fatalf("%s/%s: restore at %d: %v", sc.name, name, m.Engine.Now(), err)
 				}
 				if errs := r.maskErrors(); errs != nil {

@@ -3,28 +3,38 @@ package machine
 import (
 	"testing"
 
+	"anton2/internal/packet"
 	"anton2/internal/topo"
+	"anton2/internal/wire"
 )
 
-// snapshotBytes is the machine's snapshot as the checkpoint codec would carry
-// it, with packet IDs zeroed: a parallel phase numbers the multicast branches
-// it clones in worker-schedule order, which nothing but the invariant suite
-// and telemetry — both refused under sharding — ever reads.
-func snapshotBytes(t *testing.T, m *Machine) (*Snapshot, []byte) {
+// snapshotBytes is the machine's snapshot record, as is and with packet IDs
+// zeroed: a parallel phase numbers the multicast branches it clones in
+// worker-schedule order, which nothing but the invariant suite and telemetry —
+// both refused under sharding — ever reads. The masking walks the record's
+// packet table with the product's own packet codec; the encoder has no option
+// for it.
+func snapshotBytes(t *testing.T, m *Machine) (raw, masked []byte) {
 	t.Helper()
-	s, err := m.Snapshot()
-	if err != nil {
-		t.Fatalf("snapshot at %d: %v", m.Engine.Now(), err)
+	raw = mustSnapshot(t, m)
+	r := wire.NewReader(raw)
+	for i := 0; i < 5+len(m.snapshotShape()); i++ { // the header's varints
+		r.Uvarint()
 	}
-	ids := make([]uint64, len(s.Packets))
-	for i := range s.Packets {
-		ids[i], s.Packets[i].ID = s.Packets[i].ID, 0
+	r.Next(int(r.Uint64())) // the body
+	masked = append(masked, raw[:len(raw)-r.Len()]...)
+	n := r.Uvarint()
+	masked = wire.AppendUvarint(masked, n)
+	for ; n > 0; n-- {
+		var p packet.Packet
+		m.readPacket(r, &p)
+		p.ID = 0
+		masked = appendPacket(masked, &p)
 	}
-	b := mustJSON(t, s)
-	for i := range s.Packets {
-		s.Packets[i].ID = ids[i]
+	if r.Err() != nil || r.Len() != 0 {
+		t.Fatalf("walking the packet table of the snapshot at %d: err %v, %d bytes left", m.Engine.Now(), r.Err(), r.Len())
 	}
-	return s, b
+	return raw, masked
 }
 
 // TestMixedCycles pins the per-cycle rule's premise: a sharded machine may
@@ -82,12 +92,12 @@ func TestMixedCycles(t *testing.T) {
 						if !ok {
 							continue
 						}
-						s, got := snapshotBytes(t, m)
+						raw, got := snapshotBytes(t, m)
 						if string(got) != string(wantSnap) {
 							t.Fatalf("snapshot at %d differs from the scan reference's", now)
 						}
 						r := build()
-						if err := r.Restore(s); err != nil {
+						if err := r.RestoreSnapshot(raw); err != nil {
 							t.Fatalf("restore at %d: %v", now, err)
 						}
 						if errs := r.maskErrors(); errs != nil {

@@ -73,18 +73,6 @@ func popVC(qs []vcq, occ *uint32, vc uint8) *packet.Packet {
 	return p
 }
 
-// occupancy recomputes a queue set's mask from the queues themselves
-// (Restore, and the mask-consistency test's reference).
-func occupancy(qs []vcq) uint32 {
-	var occ uint32
-	for vc := range qs {
-		if !qs[vc].empty() {
-			occ |= 1 << vc
-		}
-	}
-	return occ
-}
-
 // flits returns the queued flit count (for buffer occupancy accounting).
 func (q *vcq) flits() int {
 	total := 0

@@ -1,521 +1,495 @@
 package machine
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math/bits"
 
 	"anton2/internal/arbiter"
 	"anton2/internal/fabric"
-	"anton2/internal/fault"
 	"anton2/internal/packet"
 	"anton2/internal/route"
 	"anton2/internal/topo"
+	"anton2/internal/wire"
 )
 
 // This file externalizes the machine's complete mutable state for
-// checkpointing. A Snapshot taken between engine steps, restored into a
-// freshly built machine with the same Config, continues the simulation
-// bit-identically to the uninterrupted run — across engine modes and shard
-// counts, because between steps all staged cross-shard traffic has been
-// flushed and snapshots are therefore engine- and shard-invariant.
+// checkpointing, as one binary record encoded straight from live state and
+// decoded straight back into it. A snapshot taken between engine steps,
+// restored into a freshly built machine with the same Config, continues the
+// simulation bit-identically to the uninterrupted run — across engine modes
+// and shard counts, because between steps all staged cross-shard traffic has
+// been flushed and snapshots are therefore engine- and shard-invariant.
 //
-// Packets are interned into a registry by pointer identity: the same
-// *packet.Packet may legally sit in a retransmission window and in a channel
-// pipe at once (go-back-N Resend), and collapsing such aliases on restore is
-// required for the link layer to release the right buffers. The registry is
-// built by traversing holders in a fixed order (per node: routers, adapters,
-// endpoints; then channels; then retransmission windows), so snapshot
-// encoding is deterministic.
+// Record order (every integer a wire varint unless noted):
+//
+//	header  version, now, injected, delivered, nextID, the machine's shape
+//	        (snapshotShape), body length (8 bytes, fixed)
+//	body    per node: routers (per port: queue set, SA1 and SA2 arbiter
+//	        positions, crossbar-input busy cycle), channel adapters (egress
+//	        and ingress queue sets, two arbiter positions, four diagnostic
+//	        counters), endpoints (software queue, send pipeline position);
+//	        then every channel (fabric.Channel.AppendState); then, under
+//	        fault injection, the injector streams, the summed counters and
+//	        every reliable link (presence, sender, receiver, window, frame
+//	        metadata, control pipe)
+//	table   packet count, then one record per packet
+//
+// A queue set is its occupancy mask, then the occupied queues only: packet
+// indices behind a count, then the head-of-line route decision if one has
+// been made. Queued totals and occupancy masks are rebuilt from the queues.
+//
+// Packets are interned into the table by pointer identity, in first-seen
+// order of the traversal above: the same *packet.Packet may legally sit in a
+// retransmission window and in a channel pipe at once (go-back-N Resend), and
+// collapsing such aliases on restore is required for the link layer to
+// release the right buffers. The table comes last so that one pass over the
+// holders both assigns and writes the indices. The decoder holds its input to
+// the encoder's discipline — indices in first-reference order, every table
+// entry referenced, every number minimally spelled — so whatever it accepts,
+// the restored machine re-encodes to the same bytes.
 //
 // Out of scope by design: the free-packet pool (unobservable — pooled
 // packets are fully Reset on reuse and IDs come from NextID), the invariant
 // suite and telemetry (Snapshot refuses to run with either attached), and
 // per-packet traces (refused likewise; tracing is a diagnostic mode).
 
-// PacketState is one registered packet's full field set.
-type PacketState struct {
-	ID          uint64      `json:"id"`
-	Src         topo.NodeEp `json:"src"`
-	Dst         topo.NodeEp `json:"dst"`
-	Size        uint8       `json:"size"`
-	Route       route.State `json:"route"`
-	PatternID   uint8       `json:"pattern,omitempty"`
-	MGroup      int         `json:"mgroup"`
-	CurVC       uint8       `json:"cur_vc"`
-	InjectedAt  uint64      `json:"injected_at"`
-	DeliveredAt uint64      `json:"delivered_at,omitempty"`
-	ArrivedAt   uint64      `json:"arrived_at,omitempty"`
-	NotBefore   uint64      `json:"not_before,omitempty"`
-	TorusHops   uint8       `json:"torus_hops,omitempty"`
-	Payload     []byte      `json:"payload,omitempty"`
-	SourceRoute []uint8     `json:"source_route,omitempty"`
-	SRIdx       int         `json:"sr_idx,omitempty"`
-	Circulate   bool        `json:"circulate,omitempty"`
-}
-
-// VCQState is one virtual-channel queue: packet registry indices plus the
-// head-of-line route decision.
-type VCQState struct {
-	Pkts     []int  `json:"pkts,omitempty"`
-	Routed   bool   `json:"routed,omitempty"`
-	OutPort  int8   `json:"out_port,omitempty"`
-	OutVC    uint8  `json:"out_vc,omitempty"`
-	ReadyAt  uint64 `json:"ready_at,omitempty"`
-	Branches []int  `json:"branches,omitempty"`
-}
-
-// RouterState is one mesh router's queues, arbitration positions, and
-// crossbar occupancy.
-type RouterState struct {
-	Ports  [][]VCQState    `json:"ports"`
-	SA1    []arbiter.State `json:"sa1"`
-	SA2    []arbiter.State `json:"sa2"`
-	InBusy []uint64        `json:"in_busy"`
-	Queued int             `json:"queued,omitempty"`
-}
-
-// AdapterState is one channel adapter's queues, arbitration positions, and
-// diagnostic counters.
-type AdapterState struct {
-	Eg        []VCQState    `json:"eg"`
-	Ing       []VCQState    `json:"ing"`
-	EgArb     arbiter.State `json:"eg_arb"`
-	InArb     arbiter.State `json:"in_arb"`
-	Queued    int           `json:"queued,omitempty"`
-	EgSent    uint64        `json:"eg_sent,omitempty"`
-	EgStarved uint64        `json:"eg_starved,omitempty"`
-	InSent    uint64        `json:"in_sent,omitempty"`
-	InStarved uint64        `json:"in_starved,omitempty"`
-}
-
-// EndpointState is one endpoint adapter's software injection queue and send
-// pipeline position. Source and OnDeliver closures cannot be serialized; the
-// driver that owns them records its own progress and reinstalls them after
-// Restore.
-type EndpointState struct {
-	SWQ   []int  `json:"swq,omitempty"`
-	Sched uint64 `json:"sched,omitempty"`
-}
-
-// NodeState groups one node's component states in registration order.
-type NodeState struct {
-	Routers   []RouterState   `json:"routers"`
-	Adapters  []AdapterState  `json:"adapters"`
-	Endpoints []EndpointState `json:"endpoints"`
-}
-
-// WinEntryState is one unacknowledged frame in a go-back-N window.
-type WinEntryState struct {
-	Pkt int   `json:"pkt"`
-	VC  uint8 `json:"vc"`
-}
-
-// FrameMetaState is the link-layer framing of one in-flight frame.
-type FrameMetaState struct {
-	Seq     uint64 `json:"seq"`
-	VC      uint8  `json:"vc"`
-	Corrupt bool   `json:"corrupt,omitempty"`
-}
-
-// CtrlEntryState is one in-flight ack/nack on a reverse control pipe.
-type CtrlEntryState struct {
-	At   uint64 `json:"at"`
-	Seq  uint64 `json:"seq"`
-	Nack bool   `json:"nack,omitempty"`
-}
-
-// RlinkState is one reliable link's protocol position.
-type RlinkState struct {
-	Snd  fault.SenderState   `json:"snd"`
-	Rcv  fault.ReceiverState `json:"rcv"`
-	Win  []WinEntryState     `json:"win,omitempty"`
-	Meta []FrameMetaState    `json:"meta,omitempty"`
-	Ctrl []CtrlEntryState    `json:"ctrl,omitempty"`
-}
-
-// FaultState is the fault layer's mutable state: injector stream positions,
-// machine-wide counters (per-shard slots are summed — the split is a
-// performance artifact, not simulation state), and per-link protocol state
-// (nil entries are permanently failed links, re-derived from the seed).
-type FaultState struct {
-	Streams  fault.InjectorState `json:"streams"`
-	Counters fault.Counters      `json:"counters"`
-	Rlinks   []*RlinkState       `json:"rlinks"`
-}
+// snapshotVersion is the first number of a snapshot record. It changes with
+// any change to the record order above; Restore refuses every other version.
+const snapshotVersion = 1
 
 // Snapshot is the machine's complete mutable state at cycle Now, where Now is
-// the next cycle the engine would process.
+// the next cycle the engine would process: the clock, for whoever files the
+// snapshot, and the versioned binary record.
 type Snapshot struct {
-	Now       uint64                `json:"now"`
-	Injected  uint64                `json:"injected"`
-	Delivered uint64                `json:"delivered"`
-	NextID    uint64                `json:"next_id"`
-	Packets   []PacketState         `json:"packets"`
-	Nodes     []NodeState           `json:"nodes"`
-	Chans     []fabric.ChannelState `json:"chans"`
-	Fault     *FaultState           `json:"fault,omitempty"`
+	Now  uint64 `json:"now"`
+	Data []byte `json:"data"`
 }
 
-// pktRegistry interns packets by pointer identity in first-seen order.
-type pktRegistry struct {
-	idx  map[*packet.Packet]int
-	list []PacketState
-	err  error
+// pktTable interns packets by pointer identity in first-seen order. A machine
+// keeps one and reuses it, so a steady run of snapshots allocates nothing.
+type pktTable struct {
+	idx    map[*packet.Packet]uint64
+	list   []*packet.Packet
+	traced *packet.Packet
+	// index is the intern method, bound once: the form channels take it in.
+	index func(*packet.Packet) uint64
 }
 
-func (r *pktRegistry) intern(p *packet.Packet) int {
-	if i, ok := r.idx[p]; ok {
+func (t *pktTable) intern(p *packet.Packet) uint64 {
+	if i, ok := t.idx[p]; ok {
 		return i
 	}
-	i := len(r.list)
-	r.idx[p] = i
-	if p.Trace != nil && r.err == nil {
-		r.err = fmt.Errorf("machine: packet %d has tracing enabled; traced runs cannot be checkpointed", p.ID)
+	i := uint64(len(t.list))
+	t.idx[p] = i
+	t.list = append(t.list, p)
+	if p.Trace != nil && t.traced == nil {
+		t.traced = p
 	}
-	r.list = append(r.list, PacketState{
-		ID: p.ID, Src: p.Src, Dst: p.Dst, Size: p.Size,
-		Route: p.Route, PatternID: p.PatternID, MGroup: p.MGroup, CurVC: p.CurVC,
-		InjectedAt: p.InjectedAt, DeliveredAt: p.DeliveredAt, ArrivedAt: p.ArrivedAt,
-		NotBefore: p.NotBefore, TorusHops: p.TorusHops,
-		Payload:     append([]byte(nil), p.Payload...),
-		SourceRoute: append([]uint8(nil), p.SourceRoute...),
-		SRIdx:       p.SRIdx, Circulate: p.Circulate,
-	})
 	return i
 }
 
-func snapVCQ(q *vcq, reg *pktRegistry) VCQState {
-	st := VCQState{Routed: q.routed, OutPort: q.outPort, OutVC: q.outVC, ReadyAt: q.readyAt}
-	for i := q.head; i < len(q.pkts); i++ {
-		st.Pkts = append(st.Pkts, reg.intern(q.pkts[i]))
+func (t *pktTable) appendPkts(b []byte, pkts []*packet.Packet) []byte {
+	b = wire.AppendUvarint(b, uint64(len(pkts)))
+	for _, p := range pkts {
+		b = wire.AppendUvarint(b, t.intern(p))
 	}
-	for _, b := range q.branches {
-		st.Branches = append(st.Branches, reg.intern(b))
-	}
-	return st
+	return b
 }
 
-// Snapshot captures the machine's complete mutable state. It must be called
-// between engine steps (an engine observer is one such place) and refuses to
-// run unless the config is Checkpointable, with per-packet tracing active,
-// after a fatal fault, or with unflushed cross-shard traffic — the last
-// cannot happen between steps, so it is a consistency check.
+// appendQueues appends a queue set: see the record order above.
+func (t *pktTable) appendQueues(b []byte, qs []vcq, occ uint32) []byte {
+	b = wire.AppendUvarint(b, uint64(occ))
+	for m := occ; m != 0; m &= m - 1 {
+		q := &qs[bits.TrailingZeros32(m)]
+		b = t.appendPkts(b, q.pkts[q.head:])
+		b = wire.AppendBool(b, q.routed)
+		if q.routed {
+			b = append(b, uint8(q.outPort), q.outVC)
+			b = wire.AppendUvarint(b, q.readyAt)
+			b = t.appendPkts(b, q.branches)
+		}
+	}
+	return b
+}
+
+func appendPacket(b []byte, p *packet.Packet) []byte {
+	b = wire.AppendUvarint(b, p.ID)
+	for _, v := range [...]int{p.Src.Node, p.Src.Ep, p.Dst.Node, p.Dst.Ep} {
+		b = wire.AppendUvarint(b, uint64(v))
+	}
+	b = append(b, p.Size, p.PatternID, p.CurVC, p.TorusHops)
+	b = p.Route.AppendTo(b)
+	b = wire.AppendVarint(b, int64(p.MGroup))
+	for _, v := range [...]uint64{p.InjectedAt, p.DeliveredAt, p.ArrivedAt, p.NotBefore} {
+		b = wire.AppendUvarint(b, v)
+	}
+	b = wire.AppendBytes(b, p.Payload)
+	b = wire.AppendBytes(b, p.SourceRoute)
+	b = wire.AppendUvarint(b, uint64(p.SRIdx))
+	return wire.AppendBool(b, p.Circulate)
+}
+
+// minPacketBytes is the shortest packet record: what bounds a table's packet
+// count by the bytes that remain.
+const minPacketBytes = 32
+
+// readPacket reads one packet record, refusing fields a later hop would index
+// a table with.
+func (m *Machine) readPacket(r *wire.Reader, p *packet.Packet) {
+	p.ID = r.Uvarint()
+	src, sep, dst, dep := r.Uvarint(), r.Uvarint(), r.Uvarint(), r.Uvarint()
+	hdr := r.Next(4)
+	if hdr == nil {
+		return
+	}
+	p.Size, p.PatternID, p.CurVC, p.TorusHops = hdr[0], hdr[1], hdr[2], hdr[3]
+	p.Route.ReadFrom(r)
+	p.MGroup = int(r.Varint())
+	p.InjectedAt, p.DeliveredAt, p.ArrivedAt, p.NotBefore = r.Uvarint(), r.Uvarint(), r.Uvarint(), r.Uvarint()
+	// An empty payload or source route restores as nil, which is how the
+	// tick path spells "none".
+	p.Payload = append([]byte(nil), r.Bytes()...)
+	p.SourceRoute = append([]uint8(nil), r.Bytes()...)
+	sr := r.Uvarint()
+	p.Circulate = r.Bool()
+	nodes := uint64(m.Topo.NumNodes())
+	if src >= nodes || dst >= nodes || sep >= topo.NumEndpoints || dep >= topo.NumEndpoints ||
+		p.Size < 1 || p.Size > packet.MaxFlits || p.CurVC >= fabric.MaxVCs ||
+		p.MGroup < -1 || sr > uint64(len(p.SourceRoute)) {
+		r.Fail("machine: packet %d: field out of range", p.ID)
+		return
+	}
+	p.Src, p.Dst = topo.NodeEp{Node: int(src), Ep: int(sep)}, topo.NodeEp{Node: int(dst), Ep: int(dep)}
+	p.SRIdx = int(sr)
+}
+
+// snapshotShape is what a snapshot record assumes of the machine it is
+// restored into, beyond what the build constants fix: node and channel
+// counts, VC queues per router port and per adapter side, arbiter kind, and
+// whether the fault layer exists.
+func (m *Machine) snapshotShape() [6]uint64 {
+	var fault uint64
+	if m.flt != nil {
+		fault = 1
+	}
+	return [6]uint64{
+		uint64(len(m.nodes)), uint64(len(m.chans)), uint64(route.MaxTotalVCs(m.Cfg.Scheme)),
+		uint64(route.TotalVCs(m.Cfg.Scheme, topo.GroupT)), uint64(m.Cfg.Arbiter), fault,
+	}
+}
+
+// Snapshot captures the machine's complete mutable state: AppendSnapshot into
+// a fresh buffer, beside the clock.
 func (m *Machine) Snapshot() (*Snapshot, error) {
-	if err := m.Cfg.Checkpointable(); err != nil {
+	data, err := m.AppendSnapshot(nil)
+	if err != nil {
 		return nil, err
 	}
+	return &Snapshot{Now: m.Engine.Now(), Data: data}, nil
+}
+
+// AppendSnapshot appends the machine's snapshot record to b. It must be
+// called between engine steps (an engine observer is one such place) and
+// refuses to run unless the config is Checkpointable, with per-packet tracing
+// active, after a fatal fault, or with unflushed cross-shard traffic — the
+// last cannot happen between steps, so it is a consistency check. On an error
+// b is returned as it came.
+func (m *Machine) AppendSnapshot(b []byte) ([]byte, error) {
+	if err := m.Cfg.Checkpointable(); err != nil {
+		return b, err
+	}
 	if m.flt != nil && m.flt.fatal != nil {
-		return nil, fmt.Errorf("machine: cannot checkpoint after a fatal fault: %w", m.flt.fatal)
+		return b, fmt.Errorf("machine: cannot checkpoint after a fatal fault: %w", m.flt.fatal)
 	}
 	for si := range m.shards {
 		if len(m.shards[si].deliv) != 0 {
-			return nil, fmt.Errorf("machine: snapshot with pending deferred deliveries")
+			return b, fmt.Errorf("machine: snapshot with pending deferred deliveries")
 		}
 	}
-	s := &Snapshot{
-		Now:       m.Engine.Now(),
-		Injected:  m.injected,
-		Delivered: m.delivered,
-		NextID:    m.nextID.Load(),
-		Nodes:     make([]NodeState, len(m.nodes)),
+	t := &m.snapTab
+	if t.idx == nil {
+		t.idx = make(map[*packet.Packet]uint64)
+		t.index = t.intern
 	}
-	reg := &pktRegistry{idx: make(map[*packet.Packet]int)}
-	for ni, node := range m.nodes {
-		ns := &s.Nodes[ni]
-		ns.Routers = make([]RouterState, len(node.Routers))
-		for ri, r := range node.Routers {
-			rs := &ns.Routers[ri]
-			rs.Ports = make([][]VCQState, len(r.ports))
-			rs.SA1 = make([]arbiter.State, len(r.sa1))
-			rs.SA2 = make([]arbiter.State, len(r.sa2))
-			rs.InBusy = append([]uint64(nil), r.inBusy...)
-			rs.Queued = r.queued
+	defer func() {
+		clear(t.idx)
+		clear(t.list)
+		t.list, t.traced = t.list[:0], nil
+	}()
+
+	orig := b
+	for _, v := range [...]uint64{snapshotVersion, m.Engine.Now(), m.injected, m.delivered, m.nextID.Load()} {
+		b = wire.AppendUvarint(b, v)
+	}
+	for _, v := range m.snapshotShape() {
+		b = wire.AppendUvarint(b, v)
+	}
+	body := len(b) + 8
+	b = wire.AppendUint64(b, 0)
+
+	var err error
+	arb := func(a arbiter.Arbiter) {
+		if err == nil {
+			b, err = arbiter.AppendState(b, a)
+		}
+	}
+	for _, node := range m.nodes {
+		for _, r := range node.Routers {
 			for pi := range r.ports {
-				vcs := r.ports[pi].vcs
-				qs := make([]VCQState, len(vcs))
-				for vci := range vcs {
-					qs[vci] = snapVCQ(&vcs[vci], reg)
-				}
-				rs.Ports[pi] = qs
-				var err error
-				if rs.SA1[pi], err = arbiter.CaptureState(r.sa1[pi]); err != nil {
-					return nil, err
-				}
-				if rs.SA2[pi], err = arbiter.CaptureState(r.sa2[pi]); err != nil {
-					return nil, err
-				}
+				b = t.appendQueues(b, r.ports[pi].vcs, r.ports[pi].occ)
+				arb(r.sa1[pi])
+				arb(r.sa2[pi])
+				b = wire.AppendUvarint(b, r.inBusy[pi])
 			}
 		}
-		ns.Adapters = make([]AdapterState, len(node.Adapters))
-		for ai, a := range node.Adapters {
-			as := &ns.Adapters[ai]
-			as.Eg = make([]VCQState, len(a.eg))
-			for vci := range a.eg {
-				as.Eg[vci] = snapVCQ(&a.eg[vci], reg)
+		for _, a := range node.Adapters {
+			b = t.appendQueues(b, a.eg, a.egOcc)
+			b = t.appendQueues(b, a.ing, a.ingOcc)
+			arb(a.egArb)
+			arb(a.inArb)
+			for _, v := range [...]uint64{a.EgSent, a.EgStarved, a.InSent, a.InStarved} {
+				b = wire.AppendUvarint(b, v)
 			}
-			as.Ing = make([]VCQState, len(a.ing))
-			for vci := range a.ing {
-				as.Ing[vci] = snapVCQ(&a.ing[vci], reg)
-			}
-			var err error
-			if as.EgArb, err = arbiter.CaptureState(a.egArb); err != nil {
-				return nil, err
-			}
-			if as.InArb, err = arbiter.CaptureState(a.inArb); err != nil {
-				return nil, err
-			}
-			as.Queued = a.queued
-			as.EgSent, as.EgStarved = a.EgSent, a.EgStarved
-			as.InSent, as.InStarved = a.InSent, a.InStarved
 		}
-		ns.Endpoints = make([]EndpointState, len(node.Endpoints))
-		for ei, e := range node.Endpoints {
-			es := &ns.Endpoints[ei]
-			for i := e.head; i < len(e.swq); i++ {
-				es.SWQ = append(es.SWQ, reg.intern(e.swq[i]))
-			}
-			es.Sched = e.sched
+		for _, e := range node.Endpoints {
+			b = t.appendPkts(b, e.swq[e.head:])
+			b = wire.AppendUvarint(b, e.sched)
 		}
 	}
-	s.Chans = make([]fabric.ChannelState, len(m.chans))
-	for ci, ch := range m.chans {
-		st, err := ch.ExportState(reg.intern)
-		if err != nil {
-			return nil, err
+	for _, ch := range m.chans {
+		if err == nil {
+			b, err = ch.AppendState(b, t.index)
 		}
-		s.Chans[ci] = st
 	}
-	if m.flt != nil {
-		f := m.flt
-		fs := &FaultState{
-			Streams:  f.inj.StreamState(),
-			Counters: f.counters(),
-			Rlinks:   make([]*RlinkState, len(f.rlinks)),
-		}
-		for li, rl := range f.rlinks {
+	if f := m.flt; f != nil && err == nil {
+		b = f.inj.AppendStreams(b)
+		c := f.counters()
+		b = c.AppendState(b)
+		for _, rl := range f.rlinks {
+			b = wire.AppendBool(b, rl != nil)
 			if rl == nil {
 				continue
 			}
 			if len(rl.metaStage) != 0 || len(rl.ctrlStage) != 0 {
-				return nil, fmt.Errorf("machine: snapshot with staged link-layer traffic on %s", rl.ch.Name)
+				err = fmt.Errorf("machine: snapshot with staged link-layer traffic on %s", rl.ch.Name)
+				break
 			}
-			ls := &RlinkState{Snd: rl.snd.State(), Rcv: rl.rcv.State()}
+			b = rl.rcv.AppendState(rl.snd.AppendState(b))
+			b = wire.AppendUvarint(b, uint64(len(rl.win)))
 			for _, w := range rl.win {
-				ls.Win = append(ls.Win, WinEntryState{Pkt: reg.intern(w.p), VC: w.vc})
+				b = append(wire.AppendUvarint(b, t.intern(w.p)), w.vc)
 			}
+			b = wire.AppendUvarint(b, uint64(len(rl.meta)-rl.metaHead))
 			for _, mt := range rl.meta[rl.metaHead:] {
-				ls.Meta = append(ls.Meta, FrameMetaState{Seq: mt.seq, VC: mt.vc, Corrupt: mt.corrupt})
+				b = wire.AppendBool(append(wire.AppendUvarint(b, mt.seq), mt.vc), mt.corrupt)
 			}
+			b = wire.AppendUvarint(b, uint64(rl.ctrl.Len()))
 			rl.ctrl.Entries(func(at uint64, c linkCtrl) {
-				ls.Ctrl = append(ls.Ctrl, CtrlEntryState{At: at, Seq: c.seq, Nack: c.nack})
+				b = wire.AppendBool(wire.AppendUvarint(wire.AppendUvarint(b, at), c.seq), c.nack)
 			})
-			fs.Rlinks[li] = ls
 		}
-		s.Fault = fs
 	}
-	if reg.err != nil {
-		return nil, reg.err
+	if err == nil && t.traced != nil {
+		err = fmt.Errorf("machine: packet %d has tracing enabled; traced runs cannot be checkpointed", t.traced.ID)
 	}
-	s.Packets = reg.list
-	return s, nil
+	if err != nil {
+		return orig, err
+	}
+	binary.LittleEndian.PutUint64(b[body-8:], uint64(len(b)-body))
+
+	b = wire.AppendUvarint(b, uint64(len(t.list)))
+	for _, p := range t.list {
+		b = appendPacket(b, p)
+	}
+	return b, nil
 }
 
-func restoreVCQ(q *vcq, st VCQState, pkt func(int) (*packet.Packet, error)) error {
-	q.pkts = q.pkts[:0]
-	q.head = 0
-	for _, i := range st.Pkts {
-		p, err := pkt(i)
-		if err != nil {
-			return err
-		}
-		q.pkts = append(q.pkts, p)
+// snapReader is a snapshot's body reader plus its decoded packet table.
+type snapReader struct {
+	*wire.Reader
+	pkts []packet.Packet
+	seen uint64 // table entries referenced so far
+}
+
+// pktAt resolves a packet-table index. The encoder numbers packets in the
+// order it first meets them, so the only acceptable indices are those already
+// seen and the next unseen one.
+func (d *snapReader) pktAt(i uint64) *packet.Packet {
+	if i > d.seen || i >= uint64(len(d.pkts)) {
+		d.Fail("machine: packet index %d out of first-reference order (%d referenced of %d)", i, d.seen, len(d.pkts))
+		return nil
 	}
-	q.routed, q.outPort, q.outVC, q.readyAt = st.Routed, st.OutPort, st.OutVC, st.ReadyAt
-	q.branches = nil
-	for _, i := range st.Branches {
-		b, err := pkt(i)
-		if err != nil {
-			return err
+	if i == d.seen {
+		d.seen++
+	}
+	return &d.pkts[i]
+}
+
+func (d *snapReader) readPkts(dst []*packet.Packet) []*packet.Packet {
+	for n := d.Count(1); n > 0; n-- {
+		dst = append(dst, d.pktAt(d.Uvarint()))
+	}
+	return dst
+}
+
+// readQueues reads a queue set into qs, the queues of a component with the
+// given number of output ports, and returns its occupancy mask and the
+// number of packets it holds.
+func (d *snapReader) readQueues(qs []vcq, ports int) (occ uint32, queued int) {
+	mask := d.Uvarint()
+	if mask>>len(qs) != 0 {
+		d.Fail("machine: queue set occupancy %#x names more than %d VCs", mask, len(qs))
+		return 0, 0
+	}
+	for m := mask; m != 0; m &= m - 1 {
+		q := &qs[bits.TrailingZeros64(m)]
+		q.pkts = d.readPkts(q.pkts)
+		if q.routed = d.Bool(); q.routed {
+			q.outPort, q.outVC, q.readyAt = int8(d.Byte()), d.Byte(), d.Uvarint()
+			q.branches = d.readPkts(nil)
+			if q.outPort < 0 || int(q.outPort) >= ports || q.outVC >= fabric.MaxVCs {
+				d.Fail("machine: head-of-line route to port %d VC %d", q.outPort, q.outVC)
+			}
 		}
-		q.branches = append(q.branches, b)
+		if len(q.pkts) == 0 {
+			d.Fail("machine: occupied queue with no packets")
+		}
+		queued += len(q.pkts)
+	}
+	return uint32(mask), queued
+}
+
+// Restore loads a snapshot into a freshly built machine with the same Config:
+// RestoreSnapshot of its record, which must agree with it on the clock.
+func (m *Machine) Restore(s *Snapshot) error {
+	if err := m.RestoreSnapshot(s.Data); err != nil {
+		return err
+	}
+	if s.Now != m.Engine.Now() {
+		return fmt.Errorf("machine: snapshot filed under cycle %d holds cycle %d", s.Now, m.Engine.Now())
 	}
 	return nil
 }
 
-// Restore loads a snapshot into a freshly built machine with the same Config
-// (same shape, scheme, seed, fault spec — engine mode and shard count are
-// free to differ: snapshots are engine-invariant). It resets the engine clock
-// to the snapshot cycle, fills every component (rebuilding the VC-occupancy
-// masks from the queues), re-issues the ready bits and wakes implied by
-// in-flight traffic, and finally wakes every component once at the restore
-// cycle — spurious ticks are no-ops by the active-set contract, so the
-// blanket wake restores schedule completeness without affecting results.
-func (m *Machine) Restore(s *Snapshot) error {
+// RestoreSnapshot loads a snapshot record into a freshly built machine with
+// the same Config (same shape, scheme, seed, fault spec — engine mode and
+// shard count are free to differ: snapshots are engine-invariant). It resets
+// the engine clock to the snapshot cycle, fills every component (rebuilding
+// queued totals and the VC-occupancy masks from the queues), re-issues the
+// ready bits and wakes implied by in-flight traffic, and finally wakes every
+// component once at the restore cycle — spurious ticks are no-ops by the
+// active-set contract, so the blanket wake restores schedule completeness
+// without affecting results. It never panics on arbitrary bytes; after an
+// error the machine may be partially filled and must be discarded.
+func (m *Machine) RestoreSnapshot(data []byte) error {
 	if m.Engine.Now() != 0 || m.injected != 0 || m.delivered != 0 {
 		return fmt.Errorf("machine: restore requires a freshly built machine")
 	}
 	if err := m.Cfg.Checkpointable(); err != nil {
 		return err
 	}
-	if len(s.Nodes) != len(m.nodes) {
-		return fmt.Errorf("machine: snapshot has %d nodes, machine has %d", len(s.Nodes), len(m.nodes))
+	r := wire.NewReader(data)
+	if v := r.Uvarint(); v != snapshotVersion && r.Err() == nil {
+		return fmt.Errorf("machine: snapshot version %d, want %d", v, snapshotVersion)
 	}
-	if len(s.Chans) != len(m.chans) {
-		return fmt.Errorf("machine: snapshot has %d channels, machine has %d", len(s.Chans), len(m.chans))
+	now, injected, delivered, nextID := r.Uvarint(), r.Uvarint(), r.Uvarint(), r.Uvarint()
+	var shape [6]uint64
+	for i := range shape {
+		shape[i] = r.Uvarint()
 	}
-	if (s.Fault != nil) != (m.flt != nil) {
-		return fmt.Errorf("machine: snapshot and machine disagree on fault injection")
+	bodyLen := r.Uint64()
+	if bodyLen > uint64(r.Len()) {
+		r.Fail("%w", wire.ErrCorrupt)
 	}
-
-	pkts := make([]*packet.Packet, len(s.Packets))
-	for i := range s.Packets {
-		ps := &s.Packets[i]
-		p := &packet.Packet{
-			ID: ps.ID, Src: ps.Src, Dst: ps.Dst, Size: ps.Size,
-			Route: ps.Route, PatternID: ps.PatternID, MGroup: ps.MGroup, CurVC: ps.CurVC,
-			InjectedAt: ps.InjectedAt, DeliveredAt: ps.DeliveredAt, ArrivedAt: ps.ArrivedAt,
-			NotBefore: ps.NotBefore, TorusHops: ps.TorusHops,
-			Payload:     append([]byte(nil), ps.Payload...),
-			SourceRoute: append([]uint8(nil), ps.SourceRoute...),
-			SRIdx:       ps.SRIdx, Circulate: ps.Circulate,
-		}
-		pkts[i] = p
+	d := &snapReader{Reader: wire.NewReader(r.Next(int(bodyLen)))}
+	if err := r.Err(); err != nil {
+		return fmt.Errorf("machine: snapshot header: %w", err)
 	}
-	pkt := func(i int) (*packet.Packet, error) {
-		if i < 0 || i >= len(pkts) {
-			return nil, fmt.Errorf("packet index %d outside registry of %d", i, len(pkts))
-		}
-		return pkts[i], nil
+	if want := m.snapshotShape(); shape != want {
+		return fmt.Errorf("machine: snapshot of a machine with [nodes channels router-VCs adapter-VCs arbiter-kind fault] = %v, this one has %v", shape, want)
 	}
 
-	m.Engine.ResetTo(s.Now)
-	m.injected, m.delivered = s.Injected, s.Delivered
-	m.nextID.Store(s.NextID)
-	for si := range m.shards {
-		m.shards[si].pool = m.shards[si].pool[:0]
+	d.pkts = make([]packet.Packet, r.Count(minPacketBytes))
+	for i := range d.pkts {
+		m.readPacket(r, &d.pkts[i])
+	}
+	if err := r.Err(); err != nil {
+		return fmt.Errorf("machine: snapshot packet table: %w", err)
+	}
+	if r.Len() != 0 {
+		return fmt.Errorf("machine: %d bytes after the snapshot's packet table", r.Len())
 	}
 
-	for ni, node := range m.nodes {
-		ns := &s.Nodes[ni]
-		if len(ns.Routers) != len(node.Routers) || len(ns.Adapters) != len(node.Adapters) || len(ns.Endpoints) != len(node.Endpoints) {
-			return fmt.Errorf("machine: node %d component counts differ from snapshot", ni)
+	m.Engine.ResetTo(now)
+	m.injected, m.delivered = injected, delivered
+	m.nextID.Store(nextID)
+	for _, node := range m.nodes {
+		for _, rt := range node.Routers {
+			for pi := range rt.ports {
+				ps := &rt.ports[pi]
+				var n int
+				ps.occ, n = d.readQueues(ps.vcs, len(rt.ports))
+				rt.queued += n
+				arbiter.ReadState(d.Reader, rt.sa1[pi])
+				arbiter.ReadState(d.Reader, rt.sa2[pi])
+				rt.inBusy[pi] = d.Uvarint()
+			}
 		}
-		for ri, r := range node.Routers {
-			rs := &ns.Routers[ri]
-			if len(rs.Ports) != len(r.ports) || len(rs.InBusy) != len(r.inBusy) {
-				return fmt.Errorf("machine: node %d router %d shape differs from snapshot", ni, ri)
-			}
-			for pi := range r.ports {
-				vcs := r.ports[pi].vcs
-				if len(rs.Ports[pi]) != len(vcs) {
-					return fmt.Errorf("machine: node %d router %d port %d VC count differs", ni, ri, pi)
-				}
-				for vci := range vcs {
-					if err := restoreVCQ(&vcs[vci], rs.Ports[pi][vci], pkt); err != nil {
-						return fmt.Errorf("machine: node %d router %d: %w", ni, ri, err)
-					}
-				}
-				r.ports[pi].occ = occupancy(vcs)
-				if err := arbiter.RestoreState(r.sa1[pi], rs.SA1[pi]); err != nil {
-					return err
-				}
-				if err := arbiter.RestoreState(r.sa2[pi], rs.SA2[pi]); err != nil {
-					return err
-				}
-			}
-			copy(r.inBusy, rs.InBusy)
-			r.queued = rs.Queued
+		for _, a := range node.Adapters {
+			var neg, ning int
+			a.egOcc, neg = d.readQueues(a.eg, 1)
+			a.ingOcc, ning = d.readQueues(a.ing, 1)
+			a.queued = neg + ning
+			arbiter.ReadState(d.Reader, a.egArb)
+			arbiter.ReadState(d.Reader, a.inArb)
+			a.EgSent, a.EgStarved, a.InSent, a.InStarved = d.Uvarint(), d.Uvarint(), d.Uvarint(), d.Uvarint()
 		}
-		for ai, a := range node.Adapters {
-			as := &ns.Adapters[ai]
-			if len(as.Eg) != len(a.eg) || len(as.Ing) != len(a.ing) {
-				return fmt.Errorf("machine: node %d adapter %d VC count differs", ni, ai)
-			}
-			for vci := range a.eg {
-				if err := restoreVCQ(&a.eg[vci], as.Eg[vci], pkt); err != nil {
-					return fmt.Errorf("machine: node %d adapter %d: %w", ni, ai, err)
-				}
-			}
-			for vci := range a.ing {
-				if err := restoreVCQ(&a.ing[vci], as.Ing[vci], pkt); err != nil {
-					return fmt.Errorf("machine: node %d adapter %d: %w", ni, ai, err)
-				}
-			}
-			a.egOcc, a.ingOcc = occupancy(a.eg), occupancy(a.ing)
-			if err := arbiter.RestoreState(a.egArb, as.EgArb); err != nil {
-				return err
-			}
-			if err := arbiter.RestoreState(a.inArb, as.InArb); err != nil {
-				return err
-			}
-			a.queued = as.Queued
-			a.EgSent, a.EgStarved = as.EgSent, as.EgStarved
-			a.InSent, a.InStarved = as.InSent, as.InStarved
+		for _, e := range node.Endpoints {
+			e.swq = d.readPkts(e.swq)
+			e.sched = d.Uvarint()
 		}
-		for ei, e := range node.Endpoints {
-			es := &ns.Endpoints[ei]
-			e.swq = e.swq[:0]
-			e.head = 0
-			for _, i := range es.SWQ {
-				p, err := pkt(i)
-				if err != nil {
-					return fmt.Errorf("machine: node %d endpoint %d: %w", ni, ei, err)
-				}
-				e.swq = append(e.swq, p)
-			}
-			e.sched = es.Sched
+		if err := d.Err(); err != nil {
+			return fmt.Errorf("machine: snapshot node %d: %w", node.ID, err)
 		}
 	}
-	for ci, ch := range m.chans {
-		if err := ch.RestoreState(s.Chans[ci], pkt); err != nil {
-			return err
-		}
+	for _, ch := range m.chans {
+		ch.ReadState(d.Reader, d.pktAt)
 	}
-	if s.Fault != nil {
-		f := m.flt
-		if err := f.inj.RestoreStreams(s.Fault.Streams); err != nil {
-			return err
-		}
-		if len(s.Fault.Rlinks) != len(f.rlinks) {
-			return fmt.Errorf("machine: snapshot has %d reliable links, machine has %d", len(s.Fault.Rlinks), len(f.rlinks))
-		}
+	if f := m.flt; f != nil {
+		f.inj.ReadStreams(d.Reader)
 		// The per-shard counter split is unobservable; the whole restored
 		// total goes into the injection slot (counters() sums the slots).
-		for i := range f.cnt {
-			f.cnt[i] = fault.Counters{}
-		}
-		f.cnt[f.injSlot()] = s.Fault.Counters
-		for li, ls := range s.Fault.Rlinks {
-			rl := f.rlinks[li]
-			if (ls == nil) != (rl == nil) {
-				return fmt.Errorf("machine: snapshot and machine disagree on failed link %d", li)
+		clear(f.cnt)
+		f.cnt[f.injSlot()].ReadState(d.Reader)
+		for _, rl := range f.rlinks {
+			if d.Bool() != (rl != nil) {
+				d.Fail("machine: snapshot and machine disagree on a failed link")
 			}
-			if rl == nil {
+			if rl == nil || d.Err() != nil {
 				continue
 			}
-			if err := rl.snd.RestoreState(ls.Snd); err != nil {
-				return fmt.Errorf("machine: link %s: %w", rl.ch.Name, err)
+			rl.snd.ReadState(d.Reader)
+			rl.rcv.ReadState(d.Reader)
+			for n := d.Count(2); n > 0; n-- {
+				rl.win = append(rl.win, winEntry{p: d.pktAt(d.Uvarint()), vc: d.Byte()})
 			}
-			rl.rcv.RestoreState(ls.Rcv)
-			if uint64(len(ls.Win)) != ls.Snd.Next-ls.Snd.Base {
-				return fmt.Errorf("machine: link %s: %d window entries for sequences [%d, %d)", rl.ch.Name, len(ls.Win), ls.Snd.Base, ls.Snd.Next)
+			if uint64(len(rl.win)) != rl.snd.Next()-rl.snd.Base() {
+				d.Fail("machine: link %s: %d window entries for sequences [%d, %d)", rl.ch.Name, len(rl.win), rl.snd.Base(), rl.snd.Next())
 			}
-			rl.win = rl.win[:0]
-			for _, w := range ls.Win {
-				p, err := pkt(w.Pkt)
-				if err != nil {
-					return fmt.Errorf("machine: link %s: %w", rl.ch.Name, err)
-				}
-				rl.win = append(rl.win, winEntry{p: p, vc: w.VC})
+			for n := d.Count(3); n > 0; n-- {
+				rl.meta = append(rl.meta, frameMeta{seq: d.Uvarint(), vc: d.Byte(), corrupt: d.Bool()})
 			}
-			rl.meta = rl.meta[:0]
-			rl.metaHead = 0
-			for _, mt := range ls.Meta {
-				rl.meta = append(rl.meta, frameMeta{seq: mt.Seq, vc: mt.VC, corrupt: mt.Corrupt})
-			}
-			for _, c := range ls.Ctrl {
-				rl.pushCtrl(c.At, linkCtrl{seq: c.Seq, nack: c.Nack})
+			for n := d.Count(3); n > 0; n-- {
+				rl.pushCtrl(d.Uvarint(), linkCtrl{seq: d.Uvarint(), nack: d.Bool()})
 			}
 		}
+	}
+	if err := d.Err(); err != nil {
+		return fmt.Errorf("machine: snapshot: %w", err)
+	}
+	if d.Len() != 0 || d.seen != uint64(len(d.pkts)) {
+		return fmt.Errorf("machine: snapshot body leaves %d bytes unread and %d of %d packets unreferenced", d.Len(), uint64(len(d.pkts))-d.seen, len(d.pkts))
 	}
 	m.Engine.WakeAll()
 	return nil

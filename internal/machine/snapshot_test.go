@@ -1,11 +1,14 @@
 package machine
 
 import (
+	"bytes"
 	"encoding/json"
 	"math/rand"
 	"testing"
 
+	"anton2/internal/arbiter"
 	"anton2/internal/fault"
+	"anton2/internal/loadcalc"
 	"anton2/internal/route"
 	"anton2/internal/topo"
 	"anton2/internal/traffic"
@@ -42,6 +45,16 @@ func snapConfig(shape topo.TorusShape, engine string, shards int, withFault bool
 	return cfg
 }
 
+// inverseWeighted returns cfg with inverse-weighted arbiters, weighted from
+// uniform loads.
+func inverseWeighted(cfg Config) Config {
+	tm := topo.MustMachine(cfg.Shape)
+	rc := &route.Config{Machine: tm, Scheme: cfg.Scheme, DirOrder: cfg.DirOrder, UseSkip: true}
+	cfg.Arbiter = arbiter.KindInverseWeighted
+	cfg.Weights = loadcalc.BuildWeights(loadcalc.Compute(rc, tm.Chip.CoreEndpoints(), traffic.Uniform{}.Flows(tm), route.ClassRequest))
+	return cfg
+}
+
 func snapVariants(withFault bool) map[string]Config {
 	mk := func(engine string, shards int) Config {
 		return snapConfig(topo.Shape3(2, 2, 2), engine, shards, withFault)
@@ -53,11 +66,12 @@ func snapVariants(withFault bool) map[string]Config {
 	}
 }
 
-func mustJSON(t *testing.T, v any) []byte {
+// mustSnapshot returns the machine's snapshot record.
+func mustSnapshot(t testing.TB, m *Machine) []byte {
 	t.Helper()
-	b, err := json.Marshal(v)
+	b, err := m.AppendSnapshot(nil)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("snapshot at %d: %v", m.Engine.Now(), err)
 	}
 	return b
 }
@@ -72,11 +86,7 @@ func TestSnapshotEngineInvariant(t *testing.T) {
 			m := buildForTest(cfg)
 			snapInject(m, 8)
 			m.Engine.Run(300)
-			s, err := m.Snapshot()
-			if err != nil {
-				t.Fatalf("fault=%v %s: %v", withFault, name, err)
-			}
-			b := mustJSON(t, s)
+			b := mustSnapshot(t, m)
 			if ref == nil {
 				ref, refName = b, name
 			} else if string(b) != string(ref) {
@@ -106,15 +116,14 @@ func TestSnapshotRestoreBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatalf("fault=%v reference: %v", withFault, err)
 		}
-		finRef, err := ref.Snapshot()
+		refBytes := mustSnapshot(t, ref)
+
+		// Carry the mid-flight snapshot through JSON, as a caller filing
+		// Snapshot values may: the record must survive as opaque bytes.
+		wire, err := json.Marshal(mid)
 		if err != nil {
 			t.Fatal(err)
 		}
-		refBytes := mustJSON(t, finRef)
-
-		// Serialize the mid-flight snapshot through JSON, as the checkpoint
-		// codec would, so the test also covers codec-level fidelity.
-		wire := mustJSON(t, mid)
 
 		for name, cfg := range variants {
 			var midCopy Snapshot
@@ -135,11 +144,7 @@ func TestSnapshotRestoreBitIdentical(t *testing.T) {
 			if end != endRef {
 				t.Errorf("fault=%v %s: resumed run finished at cycle %d, reference at %d", withFault, name, end, endRef)
 			}
-			fin, err := m.Snapshot()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := mustJSON(t, fin); string(got) != string(refBytes) {
+			if got := mustSnapshot(t, m); string(got) != string(refBytes) {
 				t.Errorf("fault=%v %s: resumed final state differs from uninterrupted run", withFault, name)
 			}
 		}
@@ -157,11 +162,7 @@ func TestSnapshotEveryCycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	finRef, err := ref.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	refBytes := mustJSON(t, finRef)
+	refBytes := mustSnapshot(t, ref)
 
 	for cut := uint64(0); cut <= 120; cut += 7 {
 		m := MustNew(cfg)
@@ -182,11 +183,7 @@ func TestSnapshotEveryCycle(t *testing.T) {
 		if end != endRef {
 			t.Errorf("cut %d: finished at cycle %d, want %d", cut, end, endRef)
 		}
-		fin, err := r.Snapshot()
-		if err != nil {
-			t.Fatalf("cut %d: %v", cut, err)
-		}
-		if got := mustJSON(t, fin); string(got) != string(refBytes) {
+		if got := mustSnapshot(t, r); string(got) != string(refBytes) {
 			t.Errorf("cut %d: final state differs from uninterrupted run", cut)
 		}
 	}
@@ -218,10 +215,77 @@ func TestSnapshotGuards(t *testing.T) {
 	if err := m3.Restore(s); err == nil {
 		t.Error("restore into a non-fresh machine should fail")
 	}
-	bad := *s
-	bad.Chans = bad.Chans[:1]
-	m4 := MustNew(cfg2)
-	if err := m4.Restore(&bad); err == nil {
-		t.Error("restore with a channel count mismatch should fail")
+	if err := MustNew(DefaultConfig(topo.Shape3(4, 2, 2))).Restore(s); err == nil {
+		t.Error("restore with a node and channel count mismatch should fail")
 	}
+	bad := *s
+	bad.Now++
+	if err := MustNew(cfg2).Restore(&bad); err == nil {
+		t.Error("restore of a snapshot filed under another cycle should fail")
+	}
+	if err := MustNew(inverseWeighted(cfg2)).Restore(s); err == nil {
+		t.Error("restore into a machine with another arbiter kind should fail")
+	}
+	flt := snapConfig(cfg2.Shape, "", 0, true)
+	if err := MustNew(flt).Restore(s); err == nil {
+		t.Error("restore of a fault-free snapshot into a fault-injecting machine should fail")
+	}
+}
+
+// TestSnapshotSteadyStateAllocs: a snapshot is encoded straight from live
+// state through a packet table the machine keeps, so taking one into a buffer
+// that already has the capacity allocates nothing.
+func TestSnapshotSteadyStateAllocs(t *testing.T) {
+	for _, withFault := range []bool{false, true} {
+		m := MustNew(snapConfig(topo.Shape3(4, 4, 2), EngineActive, 0, withFault))
+		snapInject(m, 8)
+		m.Engine.Run(100)
+		buf := mustSnapshot(t, m)
+		if avg := testing.AllocsPerRun(20, func() { buf, _ = m.AppendSnapshot(buf[:0]) }); avg != 0 {
+			t.Errorf("fault=%v: a warmed snapshot allocates %.1f objects, want 0", withFault, avg)
+		}
+		if inFlight := m.Injected() - m.Delivered(); inFlight < 100 {
+			t.Errorf("fault=%v: only %d packets in flight: not a mid-burst snapshot", withFault, inFlight)
+		}
+	}
+}
+
+// fuzzConfig is the machine FuzzSnapshotRestore restores into: the mask
+// scenarios' 2x2x2 machines, and the uniform one again under inverse-weighted
+// arbiters.
+func fuzzConfig(i uint8) (maskScenario, Config) {
+	sc := maskScenarios[int(i)%len(maskScenarios)]
+	cfg := sc.config(topo.Shape3(2, 2, 2), EngineActive, 0)
+	if int(i)%(len(maskScenarios)+1) == len(maskScenarios) {
+		sc = maskScenarios[0]
+		cfg = inverseWeighted(sc.config(topo.Shape3(2, 2, 2), EngineActive, 0))
+	}
+	return sc, cfg
+}
+
+// FuzzSnapshotRestore: restoring arbitrary bytes into a fresh machine is an
+// error or a success, never a panic, and on success the restored machine
+// re-encodes to exactly the bytes it was given — the decoder accepts one
+// spelling of a state. The seed corpus is real mid-flight snapshots of each
+// configuration.
+func FuzzSnapshotRestore(f *testing.F) {
+	for i := uint8(0); i <= uint8(len(maskScenarios)); i++ {
+		sc, cfg := fuzzConfig(i)
+		m := MustNew(cfg)
+		sc.inject(m)
+		for _, cycles := range []uint64{0, 40, 90} {
+			m.Engine.Run(cycles)
+			f.Add(i, mustSnapshot(f, m))
+		}
+	}
+	f.Fuzz(func(t *testing.T, i uint8, data []byte) {
+		_, cfg := fuzzConfig(i)
+		m := MustNew(cfg)
+		if err := m.RestoreSnapshot(data); err != nil {
+			return
+		}
+		if again := mustSnapshot(t, m); !bytes.Equal(again, data) {
+			t.Fatalf("restored machine re-encodes to %d bytes that differ from the %d restored", len(again), len(data))
+		}
+	})
 }
