@@ -8,14 +8,14 @@
 //	            [-fault corrupt=0.01,...] [-engine active|scan] [-shards N]
 //	            [-shape KxKxK] [-cpuprofile file] [-memprofile file]
 //	            [-checkpoint-dir dir] [-checkpoint-every N] [-resume]
-//	            [-experiment name]
-//	            [fig4|fig9|fig10|fig11|fig12|fig13|table1|table2|fig3|fig2|deadlock|faultsweep|routecompare|mdstep|all]
+//	            [-experiment name] [experiment]
 //
-// Simulation figures also answer to topic aliases: throughput (fig9), blend
-// (fig10), latency (fig11), decomposition (fig12), energy (fig13),
-// robustness (faultsweep), routing (routecompare), timestep or workload
-// (mdstep). -experiment is an alternative spelling of the positional
-// experiment name.
+// An experiment is an analytic result defined in this command (fig1, fig4,
+// table1, deadlock, ...), a simulated family of the internal/core registry
+// under its figure name, family name or an alias (fig9 = throughput, fig11 =
+// latency, mdstep = timestep = workload, ...), or all, the default. -h prints
+// every accepted name, generated from the experiment table and the registry;
+// -experiment is an alternative spelling of the positional name.
 //
 // -engine selects the cycle kernel: the default active-set scheduler ticks
 // only components with pending work and skips fully idle cycles; -engine
@@ -36,9 +36,14 @@
 // checkpoints; a named experiment with no such point (core.ErrNoRunCkpt)
 // exits 2.
 //
-// The headline saturation sweeps (fig9, fig10) default to the paper's full
-// 8x8x8 (512-node) machine, made tractable by the active-set engine; -shape
-// overrides the scale (e.g. -shape 8x4x2 for the pre-promotion machine).
+// Each simulated family sweeps the panels its registry entry declares
+// (core.Family.Full, or Quick under -quick): fig9 and fig10 the paper's full
+// 8x8x8 (512-node) machine at batches up to 1024 and 256 packets per core
+// (minutes; 4x4x2 and seconds under -quick), fig11 4x4x4, faultsweep,
+// routecompare and mdstep 4x4x2. -shape overrides the machine of fig9, fig10
+// and mdstep (e.g. -shape 8x4x2 for the pre-promotion scale) and of the two
+// analytic results that take a machine size: fig2 (default 8x8x8; the shape
+// must tile 4x4x1 backplanes) and deadlock (default 4x4x4).
 //
 // The routecompare experiment scores every registered routing strategy
 // head-to-head on one grid: static deadlock verdict, VC provisioning and
@@ -66,9 +71,7 @@
 // across the sweep; an invalid spec — malformed syntax, a negative, >1, or
 // NaN rate — is rejected with exit status 2 before anything runs.
 //
-// Without -quick, the saturation experiments run on an 8x4x2 machine with
-// batches up to 1024 packets per core (minutes); -quick shrinks them to
-// seconds. Simulation figures fan their independent points out over a
+// Simulation figures fan their independent points out over a
 // -parallel-sized worker pool (0 = GOMAXPROCS) with per-point seeds derived
 // from the experiment specs, so any pool size produces identical results.
 // With -json, each figure also writes a structured artifact
@@ -101,6 +104,7 @@ import (
 	"sync"
 
 	"anton2/internal/area"
+	"anton2/internal/ckpt"
 	"anton2/internal/core"
 	"anton2/internal/deadlock"
 	"anton2/internal/exp"
@@ -142,10 +146,18 @@ var (
 	// it fixed while sweeping corruption rate.
 	baseFault *fault.Spec
 
-	// satShapeOverride is the parsed -shape value; nil means the default
-	// (8x8x8, or 4x4x2 under -quick).
-	satShapeOverride *topo.TorusShape
+	// shapeOverride is the parsed -shape value; nil means each experiment's
+	// own default.
+	shapeOverride *topo.TorusShape
 )
+
+// shapeOr returns the -shape override, or def without one.
+func shapeOr(def topo.TorusShape) topo.TorusShape {
+	if shapeOverride != nil {
+		return *shapeOverride
+	}
+	return def
+}
 
 func registerFlags(fs *flag.FlagSet) {
 	quick = fs.Bool("quick", false, "smaller machines and batches (seconds instead of minutes)")
@@ -158,7 +170,7 @@ func registerFlags(fs *flag.FlagSet) {
 	memprofile = fs.String("memprofile", "", "write a pprof heap profile at exit to this file")
 	engineFlag = fs.String("engine", "", "cycle engine: active (default) or scan (the reference every-component-every-cycle loop)")
 	shardsFlag = fs.Int("shards", 0, "step the machine across N goroutine shards (0 = auto, 1 = serial; N > 1 requires the active engine)")
-	shapeFlag = fs.String("shape", "", "saturation-experiment torus shape KxKxK (default 8x8x8, or 4x4x2 with -quick)")
+	shapeFlag = fs.String("shape", "", "torus shape KxKxK of fig9, fig10 and mdstep (default: the family's panels), fig2 (8x8x8) and deadlock (4x4x4)")
 	expFlag = fs.String("experiment", "", "experiment to run (same as the positional argument)")
 	ckptDir = fs.String("checkpoint-dir", "", "persist crash-recovery checkpoints under this directory")
 	ckptEvery = fs.Uint64("checkpoint-every", 0, "cycles between checkpoints (0 disables; requires -checkpoint-dir)")
@@ -182,7 +194,7 @@ type experiment struct {
 // maps every other accepted spelling onto an experiment name.
 var experiments, aliases = func() ([]experiment, map[string]string) {
 	exps := []experiment{
-		{"fig4", fig4}, {"deadlock", deadlockCheck}, {"fig2", fig2}, {"fig3", fig3},
+		{"fig4", fig4}, {"deadlock", deadlockCheck}, {"fig1", fig1}, {"fig2", fig2}, {"fig3", fig3},
 		{"table1", table1}, {"table2", table2}, {"fig12", fig12},
 	}
 	names := map[string]string{"decomposition": "fig12"}
@@ -232,6 +244,12 @@ func run(args []string, stderr io.Writer) int {
 	fs := flag.NewFlagSet("anton2bench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	registerFlags(fs)
+	// The -h text lists the accepted experiment names from the experiment
+	// table, so a new one cannot be left out, then the flags.
+	fs.Usage = func() {
+		fmt.Fprintf(stderr, "usage: anton2bench [flags] [%s]\nflags:\n", strings.Join(validNames(), "|"))
+		fs.PrintDefaults()
+	}
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -266,13 +284,13 @@ func run(args []string, stderr io.Writer) int {
 	if checkpoint, err = core.CheckpointFlags(mc, *ckptDir, *ckptEvery, *resumeFlag); err != nil {
 		return reject(err)
 	}
-	satShapeOverride = nil
+	shapeOverride = nil
 	if *shapeFlag != "" {
 		shape, err := topo.ParseShape(*shapeFlag)
 		if err != nil {
 			return reject(err)
 		}
-		satShapeOverride = &shape
+		shapeOverride = &shape
 	}
 
 	stopProfiles, err := exp.StartProfiles(*cpuprofile, *memprofile, stderr)
@@ -401,7 +419,7 @@ func sweep(name string, jobs []exp.Job) ([]exp.Result, error) {
 			return rs, err
 		}
 		cpath := filepath.Join(*jsonDir, name+".canonical.json")
-		if err := os.WriteFile(cpath, canon, 0o644); err != nil {
+		if err := ckpt.AtomicWriteFile(cpath, canon); err != nil {
 			return rs, err
 		}
 	}
@@ -437,8 +455,8 @@ func familyJobs(f *core.Family) ([]core.Axes, []exp.Job, error) {
 	checked := make([]core.Axes, len(panels))
 	points := 0
 	for i, a := range panels {
-		if satShapeOverride != nil && benchExtras[f.Name].shapeFlag {
-			a.Shape = *satShapeOverride
+		if shapeOverride != nil && benchExtras[f.Name].shapeFlag {
+			a.Shape = *shapeOverride
 		}
 		if baseFault != nil {
 			a.Fault = *baseFault
@@ -533,15 +551,41 @@ func fig4() error {
 		fmt.Printf(" %3v", d)
 	}
 	fmt.Println()
+	fmt.Printf("          mesh channels it loads with 2 or more torus channels:\n")
+	for i, l := range wctraffic.Loads(chip, topo.DefaultDirOrder, wctraffic.DefaultPolicy, def.WorstPerm) {
+		ch := &chip.IntraChans[i]
+		if l >= 2 && ch.From.Kind == topo.LocRouter && ch.To.Kind == topo.LocRouter {
+			fmt.Printf("            %-12s %.1f\n", ch.Name, l)
+		}
+	}
+	fmt.Printf("          worst-case load of every direction order (* = optimal):\n")
+	for _, r := range wctraffic.SearchAll(chip, wctraffic.DefaultPolicy) {
+		mark, note := " ", ""
+		if r.WorstLoad == best {
+			mark = "*"
+		}
+		switch r.Order {
+		case topo.DefaultDirOrder:
+			note = "  (default)"
+		case topo.PaperDirOrder:
+			note = "  (the paper's published order, for its own layout)"
+		}
+		fmt.Printf("          %s %v  %.1f%s\n", mark, r.Order, r.WorstLoad, note)
+	}
 	return nil
 }
 
 func deadlockCheck() error {
 	header("Section 2.5: VC schemes", "Anton scheme needs n+1=4 T-group VCs per class (vs 2n=6), deadlock-free")
-	shape := topo.Shape3(4, 4, 4)
+	shape := shapeOr(topo.Shape3(4, 4, 4))
 	// Every registered strategy must verify acyclic; the deliberately broken
 	// no-dateline scheme (never registered) must be caught, proving the
-	// analyzer has teeth.
+	// analyzer has teeth — wherever it is broken: a ring of radix 3 or less
+	// is crossed in one hop, which closes no cycle.
+	longRing := false
+	for _, k := range shape.K {
+		longRing = longRing || k >= 4
+	}
 	schemes := make([]route.Scheme, 0, 8)
 	for _, s := range route.Strategies() {
 		schemes = append(schemes, s)
@@ -557,7 +601,7 @@ func deadlockCheck() error {
 			verdict = "CYCLE FOUND"
 		}
 		_, registered := route.StrategyByName(s.Name())
-		if registered == (err != nil) {
+		if wantCycle := !registered && longRing; wantCycle != (err != nil) {
 			failed = append(failed, s.Name())
 		}
 		fmt.Printf("measured: %-18s T:%d M:%d VCs/class on %v -> %s\n", s.Name(), s.TorusVCs(), s.MeshVCs(), shape, verdict)
@@ -568,9 +612,52 @@ func deadlockCheck() error {
 	return nil
 }
 
+func fig1() error {
+	header("Figure 1: on-chip network", "16 routers in a 4x4 mesh, 23 endpoint adapters, 12 torus-channel adapters; skip channels join the X corners")
+	chip := topo.DefaultChip()
+	fmt.Printf("measured: %d routers in a %dx%d mesh, %d endpoint adapters, %d torus-channel adapters\n",
+		topo.NumRouters, topo.MeshW, topo.MeshH, topo.NumEndpoints, topo.NumChannelAdapters)
+	for v := topo.MeshH - 1; v >= 0; v-- {
+		fmt.Print("         ")
+		for u := 0; u < topo.MeshW; u++ {
+			r := chip.RouterAt(topo.MeshCoord{U: u, V: v})
+			var eps, ads int
+			for _, p := range r.Ports {
+				switch p.Kind {
+				case topo.PortEndpoint:
+					eps++
+				case topo.PortAdapter:
+					ads++
+				}
+			}
+			tag := " "
+			if r.SkipPort() >= 0 {
+				tag = "*"
+			}
+			fmt.Printf("  R%d,%d%s[E:%d C:%d]", u, v, tag, eps, ads)
+		}
+		fmt.Println()
+	}
+	fmt.Println("          * = skip-channel corner router; E, C = endpoint, channel adapters attached")
+	fmt.Print("          channel adapters:")
+	for i := range chip.Adapters {
+		if i%4 == 0 {
+			fmt.Print("\n          ")
+		}
+		a := &chip.Adapters[i]
+		fmt.Printf("  C%-5s at %v", a.ID, a.Router)
+	}
+	fmt.Print("\n          skip channels:")
+	for _, p := range chip.SkipPairs {
+		fmt.Printf("  %v <-> %v", p[0], p[1])
+	}
+	fmt.Println()
+	return nil
+}
+
 func fig2() error {
 	header("Figure 2: packaging", "512 nodes = 32 backplanes (16 nodecards each) in 4 racks")
-	plan, err := packaging.Build(topo.Shape3(8, 8, 8))
+	plan, err := packaging.Build(shapeOr(topo.Shape3(8, 8, 8)))
 	if err != nil {
 		return err
 	}
@@ -578,6 +665,9 @@ func fig2() error {
 	stats := plan.Stats()
 	for _, m := range []packaging.Medium{packaging.BackplaneTrace, packaging.IntraRackCable, packaging.InterRackCable} {
 		s := stats[m]
+		if s.Links == 0 {
+			continue // a machine of one rack has no inter-rack cable
+		}
 		l := packaging.Link{Medium: m, LengthCM: s.TotalCM / float64(s.Links)}
 		fmt.Printf("            %-18s %5d links, latency %2d cycles\n", m, s.Links, l.LatencyCycles())
 	}

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -166,5 +167,90 @@ func TestQuickRouteCompareArtifact(t *testing.T) {
 	}
 	if len(strategies) < 4 {
 		t.Errorf("artifact scores %d strategies, want >= 4: %v", len(strategies), strategies)
+	}
+}
+
+// stdoutOf runs anton2bench with args, requires exit 0, and returns what it
+// printed.
+func stdoutOf(t *testing.T, args ...string) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	printed := make(chan string)
+	go func() {
+		b, _ := io.ReadAll(r)
+		printed <- string(b)
+	}()
+	stdout := os.Stdout
+	os.Stdout = w
+	var errb bytes.Buffer
+	code := run(args, &errb)
+	os.Stdout = stdout
+	w.Close()
+	out := <-printed
+	if code != 0 {
+		t.Fatalf("%v: exit code = %d, stderr:\n%s", args, code, errb.String())
+	}
+	return out
+}
+
+// TestFoldedAnalyticExperiments pins what anton2bench took over from the two
+// retired side commands (the routing-analysis and topology printers): the
+// Figure 1 layout dump, the per-order table and loaded-channel list of fig4,
+// and -shape reaching fig2 and deadlock.
+func TestFoldedAnalyticExperiments(t *testing.T) {
+	fig1 := stdoutOf(t, "fig1")
+	for _, want := range []string{
+		"R0,3*[E:1 C:1]  R1,3 [E:2 C:0]  R2,3 [E:1 C:0]  R3,3*[E:1 C:1]",
+		"* = skip-channel corner router",
+		"CX+/0  at R0,3",
+		"skip channels:  R3,0 <-> R0,0  R3,3 <-> R0,3",
+	} {
+		if !strings.Contains(fig1, want) {
+			t.Errorf("fig1 output missing %q:\n%s", want, fig1)
+		}
+	}
+
+	fig4 := stdoutOf(t, "fig4")
+	_, table, ok := strings.Cut(fig4, "worst-case load of every direction order (* = optimal):\n")
+	if !ok {
+		t.Fatalf("fig4 output has no per-order table:\n%s", fig4)
+	}
+	rows := strings.Split(strings.TrimSuffix(table, "\n"), "\n")
+	optimal := 0
+	for _, row := range rows {
+		starred := strings.HasPrefix(strings.TrimSpace(row), "*")
+		if starred {
+			optimal++
+		}
+		if starred != strings.Contains(row, "  2.0") || starred == strings.Contains(row, "  3.0") {
+			t.Errorf("fig4 order row %q: want load 2.0 on starred rows, 3.0 on the rest", row)
+		}
+	}
+	if len(rows) != 24 || optimal != 6 {
+		t.Errorf("fig4 table has %d order rows, %d optimal; want 24, 6:\n%s", len(rows), optimal, table)
+	}
+	for _, want := range []string{
+		"* V- U- V+ U+  2.0  (default)",
+		"  V- U+ U- V+  3.0  (the paper's published order",
+		"R0,1->R0,2   2.0",
+	} {
+		if !strings.Contains(fig4, want) {
+			t.Errorf("fig4 output missing %q:\n%s", want, fig4)
+		}
+	}
+
+	fig2 := stdoutOf(t, "-shape", "4x4x4", "fig2")
+	if !strings.Contains(fig2, "measured: 4 backplanes in 1 racks") || strings.Contains(fig2, "inter-rack") {
+		t.Errorf("fig2 on 4x4x4: want 4 backplanes in 1 rack and no inter-rack cable:\n%s", fig2)
+	}
+
+	// Radix-3 rings are crossed in one hop, so even the broken scheme is
+	// acyclic there and the experiment must not call that a wrong verdict.
+	dl := stdoutOf(t, "-shape", "3x3x2", "deadlock")
+	if n := strings.Count(dl, "on 3x3x2 -> deadlock-free"); n != 5 {
+		t.Errorf("deadlock on 3x3x2: %d deadlock-free verdicts, want 5:\n%s", n, dl)
 	}
 }

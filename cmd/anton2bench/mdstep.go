@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"reflect"
 
+	"anton2/internal/ckpt"
 	"anton2/internal/core"
 	"anton2/internal/machine"
 )
@@ -38,7 +39,7 @@ func mdstepReplayCheck(a core.Axes) error {
 			return err
 		}
 		path := filepath.Join(*jsonDir, "mdstep.trace.jsonl")
-		if err := os.WriteFile(path, data, 0o644); err != nil {
+		if err := ckpt.AtomicWriteFile(path, data); err != nil {
 			return err
 		}
 		fmt.Fprintf(os.Stderr, "mdstep: wrote %s\n", path)

@@ -8,14 +8,15 @@ import (
 	"fmt"
 	"log"
 
-	"anton2"
+	"anton2/internal/core"
+	"anton2/internal/topo"
 )
 
 func main() {
-	shape := anton2.NewShape(4, 4, 4)
-	cfg := anton2.DefaultLatencyConfig(shape)
+	shape := topo.Shape3(4, 4, 4)
+	cfg := core.DefaultLatencyConfig(shape)
 
-	res, err := anton2.RunLatency(cfg)
+	res, err := core.RunLatency(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -32,7 +33,7 @@ func main() {
 
 	fmt.Println("\nminimum-latency budget (Figure 12):")
 	var total float64
-	for _, c := range anton2.DecomposeMinLatency(cfg) {
+	for _, c := range core.DecomposeMinLatency(cfg) {
 		fmt.Printf("  %-30s %5.1f ns\n", c.Name, c.NS)
 		total += c.NS
 	}

@@ -9,18 +9,20 @@ import (
 	"fmt"
 	"log"
 
-	"anton2"
+	"anton2/internal/core"
+	"anton2/internal/machine"
+	"anton2/internal/topo"
 )
 
 func main() {
-	shape := anton2.NewShape(8, 4, 2)
+	shape := topo.Shape3(8, 4, 2)
 	fmt.Printf("flooding a %v machine with tornado traffic (every core sends k/2-1 hops away)\n\n", shape)
 
 	// Tornado is adversarial: all packets circle the ring in one
 	// direction, so through-traffic merges with injections at every hop.
-	for _, mode := range []anton2.WeightMode{anton2.WeightsNone, anton2.WeightsForward, anton2.WeightsBoth} {
-		res, err := anton2.RunBlend(anton2.BlendConfig{
-			Machine:         anton2.DefaultConfig(shape),
+	for _, mode := range []core.WeightMode{core.WeightsNone, core.WeightsForward, core.WeightsBoth} {
+		res, err := core.RunBlend(core.BlendConfig{
+			Machine:         machine.DefaultConfig(shape),
 			ForwardFraction: 1.0, // pure tornado
 			Weights:         mode,
 			Batch:           128,
@@ -34,10 +36,10 @@ func main() {
 
 	fmt.Println("\nblending tornado with reverse tornado (packets labeled by pattern):")
 	for _, f := range []float64{0, 0.5, 1} {
-		res, err := anton2.RunBlend(anton2.BlendConfig{
-			Machine:         anton2.DefaultConfig(shape),
+		res, err := core.RunBlend(core.BlendConfig{
+			Machine:         machine.DefaultConfig(shape),
 			ForwardFraction: f,
-			Weights:         anton2.WeightsBoth,
+			Weights:         core.WeightsBoth,
 			Batch:           128,
 		})
 		if err != nil {

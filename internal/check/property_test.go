@@ -135,24 +135,32 @@ func TestTornadoReflectionSymmetry(t *testing.T) {
 // experiment specs, so a parallel sweep must produce results bit-identical
 // to the serial sweep for every experiment family.
 func TestSerialParallelBitIdentical(t *testing.T) {
+	// identical runs a grid serially and on a worker pool, as the product
+	// does (exp.Run), and requires every point to succeed with equal values.
+	identical := func(t *testing.T, workers int, jobs []exp.Job) {
+		serial := exp.Run(jobs, exp.Serial())
+		par := exp.Run(jobs, exp.Parallel(workers))
+		for i := range serial {
+			if serial[i].Err != nil || par[i].Err != nil {
+				t.Fatalf("point %d failed: %v / %v", i, serial[i].Err, par[i].Err)
+			}
+			if !reflect.DeepEqual(serial[i].Value, par[i].Value) {
+				t.Errorf("point %d: serial %+v\nparallel %+v", i, serial[i].Value, par[i].Value)
+			}
+		}
+	}
+
 	t.Run("throughput", func(t *testing.T) {
 		cfg := core.ThroughputConfig{
 			Machine: machine.DefaultConfig(topo.Shape3(2, 2, 2)),
 			Pattern: traffic.Uniform{},
 		}
 		cfg.Machine.Check = true
-		batches := []int{4, 8, 16}
-		serial, err := core.ThroughputSweepOpts(cfg, batches, exp.Serial())
-		if err != nil {
-			t.Fatal(err)
+		var jobs []exp.Job
+		for _, cfg.Batch = range []int{4, 8, 16} {
+			jobs = append(jobs, core.ThroughputJob(cfg))
 		}
-		par, err := core.ThroughputSweepOpts(cfg, batches, exp.Parallel(4))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(serial, par) {
-			t.Errorf("serial %+v\nparallel %+v", serial, par)
-		}
+		identical(t, 4, jobs)
 	})
 
 	t.Run("blend", func(t *testing.T) {
@@ -164,58 +172,38 @@ func TestSerialParallelBitIdentical(t *testing.T) {
 			Batch:   4,
 		}
 		cfg.Machine.Check = true
-		fracs := []float64{0, 0.5, 1}
-		serial, err := core.BlendSweepOpts(cfg, fracs, exp.Serial())
-		if err != nil {
-			t.Fatal(err)
+		var jobs []exp.Job
+		for _, cfg.ForwardFraction = range []float64{0, 0.5, 1} {
+			jobs = append(jobs, core.BlendJob(cfg))
 		}
-		par, err := core.BlendSweepOpts(cfg, fracs, exp.Parallel(3))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(serial, par) {
-			t.Errorf("serial %+v\nparallel %+v", serial, par)
-		}
+		identical(t, 3, jobs)
 	})
 
 	t.Run("latency", func(t *testing.T) {
-		jobs := func() []exp.Job {
-			var out []exp.Job
-			for _, shape := range []topo.TorusShape{topo.Shape3(2, 2, 2), topo.Shape3(3, 2, 2)} {
-				cfg := core.DefaultLatencyConfig(shape)
-				cfg.Machine.Check = true
-				cfg.PingPongs, cfg.PairsPerHop = 2, 2
-				out = append(out, core.LatencyJob(cfg))
-			}
-			return out
+		var jobs []exp.Job
+		for _, shape := range []topo.TorusShape{topo.Shape3(2, 2, 2), topo.Shape3(3, 2, 2)} {
+			cfg := core.DefaultLatencyConfig(shape)
+			cfg.Machine.Check = true
+			cfg.PingPongs, cfg.PairsPerHop = 2, 2
+			jobs = append(jobs, core.LatencyJob(cfg))
 		}
-		serial := exp.Run(jobs(), exp.Serial())
-		par := exp.Run(jobs(), exp.Parallel(2))
-		for i := range serial {
-			if serial[i].Err != nil || par[i].Err != nil {
-				t.Fatalf("point %d failed: %v / %v", i, serial[i].Err, par[i].Err)
-			}
-			if !reflect.DeepEqual(serial[i].Value, par[i].Value) {
-				t.Errorf("point %d: serial %+v\nparallel %+v", i, serial[i].Value, par[i].Value)
-			}
-		}
+		identical(t, 2, jobs)
 	})
 
 	t.Run("energy", func(t *testing.T) {
-		mc := machine.DefaultConfig(topo.Shape3(1, 1, 1))
-		mc.Check = true
-		rates := [][2]int{{1, 4}, {1, 2}}
-		serial, err := core.EnergySweepOpts(mc, power.PaperModel, core.PayloadRandom, rates, 300, exp.Serial())
-		if err != nil {
-			t.Fatal(err)
+		cfg := core.EnergyConfig{
+			Machine: machine.DefaultConfig(topo.Shape3(1, 1, 1)),
+			Model:   power.PaperModel,
+			Payload: core.PayloadRandom,
+			Flits:   300,
 		}
-		par, err := core.EnergySweepOpts(mc, power.PaperModel, core.PayloadRandom, rates, 300, exp.Parallel(2))
-		if err != nil {
-			t.Fatal(err)
+		cfg.Machine.Check = true
+		var jobs []exp.Job
+		for _, r := range [][2]int{{1, 4}, {1, 2}} {
+			cfg.RateNum, cfg.RateDen = r[0], r[1]
+			jobs = append(jobs, core.EnergyJob(cfg))
 		}
-		if !reflect.DeepEqual(serial, par) {
-			t.Errorf("serial %+v\nparallel %+v", serial, par)
-		}
+		identical(t, 2, jobs)
 	})
 }
 

@@ -38,15 +38,31 @@ func TestRunThroughputBasics(t *testing.T) {
 	}
 }
 
-func TestThroughputSweepMonotoneBatches(t *testing.T) {
-	mc := machine.DefaultConfig(topo.Shape3(2, 2, 2))
-	rs, err := ThroughputSweepOpts(ThroughputConfig{
-		Machine: mc,
-		Pattern: traffic.Uniform{},
-	}, []int{8, 32}, exp.Serial())
-	if err != nil {
+// values runs jobs the way the product does — through exp.Run — and unwraps
+// the typed results, failing the test on the first failed point.
+func values[T any](t *testing.T, jobs []exp.Job) []T {
+	t.Helper()
+	rs := exp.Run(jobs, exp.Serial())
+	if err := exp.FirstErr(rs); err != nil {
 		t.Fatal(err)
 	}
+	out := make([]T, len(rs))
+	for i, r := range rs {
+		out[i] = r.Value.(T)
+	}
+	return out
+}
+
+func TestThroughputSweepMonotoneBatches(t *testing.T) {
+	var jobs []exp.Job
+	for _, b := range []int{8, 32} {
+		jobs = append(jobs, ThroughputJob(ThroughputConfig{
+			Machine: machine.DefaultConfig(topo.Shape3(2, 2, 2)),
+			Pattern: traffic.Uniform{},
+			Batch:   b,
+		}))
+	}
+	rs := values[ThroughputResult](t, jobs)
 	if len(rs) != 2 || rs[0].Batch != 8 || rs[1].Batch != 32 {
 		t.Fatalf("sweep results malformed: %+v", rs)
 	}
@@ -128,6 +144,25 @@ func TestRunLatencyFigure11(t *testing.T) {
 		t.Errorf("latency-vs-hops fit r2 = %.3f; should be nearly linear", res.R2)
 	}
 	t.Logf("fit: %.1f ns + %.1f ns/hop (r2=%.4f), min %.1f ns", res.InterceptNS, res.SlopeNS, res.R2, res.MinNS)
+
+	// The skip-channel ablation (EXPERIMENTS.md "Ablations"): X through
+	// traffic crosses the chip on one skip channel instead of three mesh
+	// hops, so a machine without skips pays more per inter-node hop.
+	slope := func(skips bool) float64 {
+		cfg := DefaultLatencyConfig(topo.Shape3(8, 2, 2))
+		cfg.Machine.UseSkip, cfg.Machine.ExitSkip = skips, skips
+		cfg.PingPongs, cfg.PairsPerHop, cfg.MaxHops = 4, 2, 4
+		res, err := RunLatency(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.SlopeNS
+	}
+	with, without := slope(true), slope(false)
+	if with >= without {
+		t.Errorf("per-hop latency with skips %.3f ns, without %.3f ns; skips must be faster", with, without)
+	}
+	t.Logf("per-hop latency: with skips %.3f ns, without %.3f ns", with, without)
 }
 
 func TestDecomposeMinLatency(t *testing.T) {
@@ -182,16 +217,13 @@ func TestEnergyFitRecoversModel(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run energy sweep")
 	}
-	mc := machine.DefaultConfig(topo.Shape3(1, 1, 1))
-	var pts []EnergyPoint
-	for _, payload := range []PayloadKind{PayloadZeros, PayloadOnes, PayloadRandom} {
-		sw, err := EnergySweepOpts(mc, power.PaperModel, payload, [][2]int{{1, 8}, {1, 2}, {3, 4}, {1, 1}}, 1200, exp.Serial())
-		if err != nil {
-			t.Fatal(err)
-		}
-		pts = append(pts, sw...)
+	// The full Figure 13 grid, as anton2bench fig13 expands it.
+	f, _ := FamilyByName("energy")
+	var jobs []exp.Job
+	for _, a := range f.Full {
+		jobs = append(jobs, f.Jobs(a, func(*machine.Config) {})...)
 	}
-	m := FitEnergyModel(pts)
+	m := FitEnergyModel(values[EnergyPoint](t, jobs))
 	check := func(name string, got, want, tol float64) {
 		if math.Abs(got-want) > tol*want {
 			t.Errorf("%s = %.3f, want %.3f +/- %.0f%%", name, got, want, tol*100)

@@ -23,10 +23,7 @@ func TestFaultSweepDegradesGracefully(t *testing.T) {
 	if err := f.Check(&a); err != nil {
 		t.Fatal(err)
 	}
-	pts, err := collect[FaultPoint](exp.Run(f.Jobs(a, func(*machine.Config) {}), exp.Serial()))
-	if err != nil {
-		t.Fatal(err)
-	}
+	pts := values[FaultPoint](t, f.Jobs(a, func(*machine.Config) {}))
 	if len(pts) != len(rates) {
 		t.Fatalf("got %d points, want %d", len(pts), len(rates))
 	}

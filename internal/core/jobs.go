@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 
 	"anton2/internal/ckpt"
@@ -9,8 +8,6 @@ import (
 	"anton2/internal/machine"
 	"anton2/internal/route"
 	"anton2/internal/traffic"
-
-	"anton2/internal/power"
 )
 
 // This file adapts the figure runners to the internal/exp orchestrator: each
@@ -162,59 +159,4 @@ func EnergyJob(cfg EnergyConfig) exp.Job {
 		c.Machine.Seed = seed
 		return RunEnergy(c)
 	}}
-}
-
-// collect unwraps successful results into their typed values, in job order,
-// and joins the failed points into one error (nil when all succeeded).
-func collect[T any](results []exp.Result) ([]T, error) {
-	out := make([]T, 0, len(results))
-	var errs []error
-	for _, r := range results {
-		if r.Err != nil {
-			errs = append(errs, fmt.Errorf("%s: %w", r.Spec, r.Err))
-			continue
-		}
-		out = append(out, r.Value.(T))
-	}
-	return out, errors.Join(errs...)
-}
-
-// ThroughputSweepOpts runs a batch-size sweep (one Figure 9 curve) through
-// the orchestrator.
-func ThroughputSweepOpts(cfg ThroughputConfig, batches []int, opts exp.Options) ([]ThroughputResult, error) {
-	jobs := make([]exp.Job, len(batches))
-	for i, b := range batches {
-		c := cfg
-		c.Batch = b
-		jobs[i] = ThroughputJob(c)
-	}
-	return collect[ThroughputResult](exp.Run(jobs, opts))
-}
-
-// BlendSweepOpts measures a set of blend fractions under one weight mode
-// through the orchestrator. The per-point tornado/reverse-tornado loads used
-// for weights and normalization come from the shared loads cache, so they are
-// computed once per machine configuration rather than once per fraction.
-func BlendSweepOpts(cfg BlendConfig, fractions []float64, opts exp.Options) ([]BlendResult, error) {
-	jobs := make([]exp.Job, len(fractions))
-	for i, f := range fractions {
-		c := cfg
-		c.ForwardFraction = f
-		jobs[i] = BlendJob(c)
-	}
-	return collect[BlendResult](exp.Run(jobs, opts))
-}
-
-// EnergySweepOpts measures per-flit energy across injection rates for one
-// payload pattern (one Figure 13 curve) through the orchestrator.
-func EnergySweepOpts(mcfg machine.Config, model power.Model, payload PayloadKind, rates [][2]int, flits int, opts exp.Options) ([]EnergyPoint, error) {
-	jobs := make([]exp.Job, len(rates))
-	for i, r := range rates {
-		jobs[i] = EnergyJob(EnergyConfig{
-			Machine: mcfg, Model: model,
-			RateNum: r[0], RateDen: r[1],
-			Payload: payload, Flits: flits,
-		})
-	}
-	return collect[EnergyPoint](exp.Run(jobs, opts))
 }

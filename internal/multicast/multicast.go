@@ -167,13 +167,6 @@ func UnicastHops(shape topo.TorusShape, root topo.NodeCoord, dests []topo.NodeEp
 	return total
 }
 
-// Savings returns unicast-minus-multicast torus hops for a destination set
-// under the given order.
-func Savings(shape topo.TorusShape, root topo.NodeCoord, dests []topo.NodeEp, order topo.DimOrder) int {
-	t := Build(shape, root, dests, order, 0)
-	return UnicastHops(shape, root, dests) - t.TorusHops()
-}
-
 // ChannelLoads accumulates per-(node, direction) load over a set of trees,
 // for studying the Figure 3 load-balancing effect of alternating orders.
 func ChannelLoads(shape topo.TorusShape, trees []*Tree) map[Edge]int {

@@ -19,6 +19,9 @@ func TestFigure2Configuration(t *testing.T) {
 	if p.NumRacks() != 4 {
 		t.Errorf("racks = %d, want 4", p.NumRacks())
 	}
+	if NodesPerBackplane != 16 || MaxNodes != 4096 {
+		t.Errorf("%d nodecards a backplane, %d nodes at most; Figure 2 has 16 and 4096", NodesPerBackplane, MaxNodes)
+	}
 }
 
 func TestConfigurationRange(t *testing.T) {

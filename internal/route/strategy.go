@@ -194,20 +194,13 @@ func AsStrategy(s Scheme) Strategy {
 	if st, ok := s.(Strategy); ok {
 		return st
 	}
-	return legacyStrategy{s}
+	return legacyStrategy{Scheme: s}
 }
 
 // legacyStrategy wraps a bare Scheme with the unrestricted minimal policy.
-type legacyStrategy struct{ Scheme }
-
-func (legacyStrategy) Wraps() bool { return true }
-
-func (legacyStrategy) Choose(cfg *Config, src, dst topo.NodeEp, c Choices, class Class) Choices {
-	return c
-}
-
-func (legacyStrategy) Enumerate(shape topo.TorusShape, a, b topo.NodeCoord) []WeightedChoice {
-	return EnumerateChoices(shape, a, b)
+type legacyStrategy struct {
+	Scheme
+	minimalPolicy
 }
 
 // InterNodeHopsFor returns the inter-node hop count of the strategy's route

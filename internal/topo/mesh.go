@@ -88,7 +88,8 @@ type DirOrder [NumMeshDirs]MeshDir
 var DefaultDirOrder = DirOrder{VNeg, UNeg, VPos, UPos}
 
 // PaperDirOrder is the direction order reported by the paper
-// (V-, U+, U-, V+), kept for the ablation benchmarks.
+// (V-, U+, U-, V+), kept for the direction-order ablation (anton2bench fig4
+// marks its row).
 var PaperDirOrder = DirOrder{VNeg, UPos, UNeg, VPos}
 
 func (o DirOrder) String() string {

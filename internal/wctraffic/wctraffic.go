@@ -25,13 +25,13 @@ type Demand struct {
 }
 
 // Policy selects which skip-channel roles the routing algorithm uses:
-// Through covers X through-traffic, Exit lets packets that finished the X
-// dimension cross to the other side before their M-group leg, and Entry
-// lets packets turning into X reach a far-side adapter via the near corner.
-// The production configuration is Through+Exit (Entry is deadlock-prone in
-// combination with Exit; see internal/route).
+// Through covers X through-traffic, and Exit lets packets that finished the X
+// dimension cross to the other side before their M-group leg. The production
+// configuration is both. (Letting packets turning into X cross the far
+// corner's skip as well is deadlock-prone in combination with Exit; see
+// route.Config.EntrySkip.)
 type Policy struct {
-	Through, Entry, Exit bool
+	Through, Exit bool
 }
 
 // DefaultPolicy matches route.NewConfig: through and exit skips.
@@ -61,41 +61,17 @@ func PathChannels(chip *topo.Chip, order topo.DirOrder, pol Policy, d Demand, sl
 		return append(appendMesh(chans, chip, order, rIn, rOut), out.FromRouter)
 	}
 
-	// Turning traffic: choose the exit landing (stay at the ingress
-	// corner or cross its skip) and the entry target (the egress corner
-	// or its skip partner), minimizing total hops with strict preference
-	// for fewer skip crossings — identical to route.AdapterIngress and
-	// route.legPlan.
-	entryFrom := func(at topo.MeshCoord) (cost int, via bool, tgt topo.MeshCoord) {
-		tgt = rOut
-		cost = meshDist(at, rOut)
-		if pol.Entry {
-			if alt, ok := chip.SkipPartner(rOut); ok {
-				if c := meshDist(at, alt) + 1; c < cost {
-					return c, true, alt
-				}
-			}
-		}
-		return cost, false, tgt
-	}
-	costDirect, viaDirect, tgtDirect := entryFrom(rIn)
-	landing, via, tgt := rIn, viaDirect, tgtDirect
-	exitSkip := false
+	// Turning traffic: stay at the ingress corner or first cross its skip,
+	// whichever leaves the shorter mesh leg, with strict preference for the
+	// path without the skip crossing — identical to route.AdapterIngress.
+	landing := rIn
 	if pol.Exit {
-		if sp, ok := chip.SkipPartner(rIn); ok {
-			if c, v, tg := entryFrom(sp); c+1 < costDirect {
-				landing, via, tgt, exitSkip = sp, v, tg, true
-			}
+		if sp, ok := chip.SkipPartner(rIn); ok && meshDist(sp, rOut)+1 < meshDist(rIn, rOut) {
+			chans = append(chans, skipChan(chip, rIn, sp))
+			landing = sp
 		}
 	}
-	if exitSkip {
-		chans = append(chans, skipChan(chip, rIn, landing))
-	}
-	chans = appendMesh(chans, chip, order, landing, tgt)
-	if via {
-		chans = append(chans, skipChan(chip, tgt, rOut))
-	}
-	return append(chans, out.FromRouter)
+	return append(appendMesh(chans, chip, order, landing, rOut), out.FromRouter)
 }
 
 func skipChan(chip *topo.Chip, from, to topo.MeshCoord) int {

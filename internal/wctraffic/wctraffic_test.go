@@ -49,6 +49,20 @@ func TestSkipChannelsEssential(t *testing.T) {
 	}
 }
 
+// TestPaperOrderLoadUnderThisLayout pins the direction-order ablation
+// (EXPERIMENTS.md "Ablations"): the order the paper publishes for its own
+// adapter placement carries 3 torus channels of worst-case load on this
+// layout, against 2 for the order the search picks here.
+func TestPaperOrderLoadUnderThisLayout(t *testing.T) {
+	chip := topo.DefaultChip()
+	if l := Evaluate(chip, topo.PaperDirOrder, DefaultPolicy).WorstLoad; l != 3 {
+		t.Errorf("paper order %v worst-case load = %g, want 3", topo.PaperDirOrder, l)
+	}
+	if l := Evaluate(chip, topo.DefaultDirOrder, DefaultPolicy).WorstLoad; l != 2 {
+		t.Errorf("default order %v worst-case load = %g, want 2", topo.DefaultDirOrder, l)
+	}
+}
+
 // TestPaperPermutationLoad: the paper's permutation (1) places at most two
 // torus channels of load on any mesh channel under the default order.
 func TestPaperPermutationLoad(t *testing.T) {
