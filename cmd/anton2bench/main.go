@@ -586,13 +586,8 @@ func deadlockCheck() error {
 	for _, k := range shape.K {
 		longRing = longRing || k >= 4
 	}
-	schemes := make([]route.Scheme, 0, 8)
-	for _, s := range route.Strategies() {
-		schemes = append(schemes, s)
-	}
-	schemes = append(schemes, route.NoDatelineScheme{})
 	var failed []string
-	for _, s := range schemes {
+	for _, s := range append(route.Strategies(), route.NoDatelineScheme{}) {
 		cfg := route.NewConfig(topo.MustMachine(shape))
 		cfg.Scheme = s
 		err := deadlock.Verify(cfg, deadlock.Options{})

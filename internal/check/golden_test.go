@@ -62,7 +62,7 @@ func computeHeadline(t *testing.T) headlineGolden {
 	}
 
 	verdicts := []struct {
-		scheme route.Scheme
+		scheme route.Strategy
 		shape  topo.TorusShape
 	}{
 		{route.AntonScheme{}, topo.Shape3(4, 4, 4)},

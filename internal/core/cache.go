@@ -23,12 +23,8 @@ var sharedLoads = exp.NewCache()
 // Patterns are keyed by Name(), which uniquely identifies every pattern in
 // internal/traffic; custom Permutation patterns must use distinct labels.
 func loadsKey(cfg machine.Config, p traffic.Pattern) string {
-	scheme := cfg.Scheme
-	if scheme == nil {
-		scheme = route.AntonScheme{}
-	}
 	return fmt.Sprintf("loads{shape=%v scheme=%s dir=%v skip=%v exitskip=%v pattern=%s}",
-		cfg.Shape, scheme.Name(), cfg.DirOrder, cfg.UseSkip, cfg.ExitSkip, p.Name())
+		cfg.Shape, cfg.Strategy().Name(), cfg.DirOrder, cfg.UseSkip, cfg.ExitSkip, p.Name())
 }
 
 // computeLoads is the uncached load computation behind PatternLoads.
@@ -37,17 +33,7 @@ func computeLoads(cfg machine.Config, p traffic.Pattern) (*loadcalc.Loads, error
 	if err != nil {
 		return nil, err
 	}
-	rcfg := &route.Config{
-		Machine:  tm,
-		Scheme:   cfg.Scheme,
-		DirOrder: cfg.DirOrder,
-		UseSkip:  cfg.UseSkip,
-		ExitSkip: cfg.ExitSkip,
-	}
-	if rcfg.Scheme == nil {
-		rcfg.Scheme = route.AntonScheme{}
-	}
-	return loadcalc.Compute(rcfg, tm.Chip.CoreEndpoints(), p.Flows(tm), route.ClassRequest), nil
+	return loadcalc.Compute(cfg.RouteConfig(tm), tm.Chip.CoreEndpoints(), p.Flows(tm), route.ClassRequest), nil
 }
 
 // CachedLoadsLen reports how many distinct (configuration, pattern) load

@@ -14,7 +14,6 @@ import (
 	"anton2/internal/arbiter"
 	"anton2/internal/loadcalc"
 	"anton2/internal/machine"
-	"anton2/internal/route"
 	"anton2/internal/topo"
 	"anton2/internal/traffic"
 )
@@ -27,9 +26,6 @@ import (
 // points reuse one computation. A config still at Shards == 0 (auto) is
 // resolved here, as a point running on its own.
 func BuildMachine(cfg machine.Config, weightPatterns ...traffic.Pattern) (*machine.Machine, []*loadcalc.Loads, error) {
-	if cfg.Scheme == nil {
-		cfg.Scheme = route.AntonScheme{}
-	}
 	cfg.Shards = ResolveShards(cfg, 1)
 	var loads []*loadcalc.Loads
 	for _, p := range weightPatterns {
@@ -149,11 +145,7 @@ func BlendedSaturationRate(fracs []float64, loads []*loadcalc.Loads) float64 {
 			maxLoad = l
 		}
 	}
-	if maxLoad == 0 {
-		return 0
-	}
-	capacity := 1000.0 / 3214.0
-	return capacity / maxLoad
+	return loadcalc.SaturationRateAt(maxLoad)
 }
 
 // cycleBudget is the default bound of a batch run: mult times the ideal

@@ -6,7 +6,6 @@ import (
 	"anton2/internal/ckpt"
 	"anton2/internal/exp"
 	"anton2/internal/machine"
-	"anton2/internal/route"
 	"anton2/internal/traffic"
 )
 
@@ -30,12 +29,8 @@ func (r BlendResult) SimCycles() uint64 { return r.Cycles }
 // Check and Telemetry are deliberately excluded — the observability layers
 // never affect results, so toggling them must not change cache keys.
 func addMachine(s *exp.Spec, cfg machine.Config) *exp.Spec {
-	scheme := cfg.Scheme
-	if scheme == nil {
-		scheme = route.AntonScheme{}
-	}
 	s.Add("shape", cfg.Shape).
-		Add("scheme", scheme.Name()).
+		Add("scheme", cfg.Strategy().Name()).
 		Add("dir", cfg.DirOrder).
 		Add("skip", cfg.UseSkip).
 		Add("exitskip", cfg.ExitSkip).

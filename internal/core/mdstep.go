@@ -52,13 +52,10 @@ type MDStepPoint struct {
 // SimCycles lets exp record simulated cycle counts in artifacts.
 func (p MDStepPoint) SimCycles() uint64 { return p.TotalCycles }
 
-// mdstepMachine finalizes a point's machine config: default strategy and
-// the workload's multicast tables.
+// mdstepMachine finalizes a point's machine config with the workload's
+// multicast tables.
 func mdstepMachine(cfg MDStepConfig) (machine.Config, workload.Spec, error) {
 	mc := cfg.Machine
-	if mc.Scheme == nil {
-		mc.Scheme = route.AntonScheme{}
-	}
 	spec := cfg.Workload.WithDefaults()
 	if err := spec.Validate(); err != nil {
 		return mc, spec, err
@@ -113,7 +110,7 @@ func runMDStep(cfg MDStepConfig, rc ckpt.RunConfig, record bool) (MDStepPoint, *
 			return MDStepPoint{}, nil, fmt.Errorf("core: mdstep recording does not compose with checkpointing")
 		}
 	}
-	pt := MDStepPoint{Strategy: mc.Scheme.Name(), Workload: spec.Canonical(), Timesteps: spec.Timesteps}
+	pt := MDStepPoint{Strategy: mc.Strategy().Name(), Workload: spec.Canonical(), Timesteps: spec.Timesteps}
 	m, _, err := BuildMachine(mc)
 	if err != nil {
 		return pt, nil, err

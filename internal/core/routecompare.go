@@ -93,10 +93,7 @@ func AreaRatioVsAnton(s route.Scheme) float64 {
 
 // RunRouteComparePoint executes one routecompare measurement.
 func RunRouteComparePoint(cfg RouteCompareConfig) (RouteComparePoint, error) {
-	scheme := cfg.Machine.Scheme
-	if scheme == nil {
-		scheme = route.AntonScheme{}
-	}
+	scheme := cfg.Machine.Strategy()
 	pt := RouteComparePoint{
 		Strategy:    scheme.Name(),
 		MeshVCs:     scheme.MeshVCs(),

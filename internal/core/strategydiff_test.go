@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -17,6 +18,48 @@ import (
 // family x every engine variant, byte-identical canonical artifacts) lives in
 // the diffRows table of enginediff_test.go; this file keeps the two
 // strategy-specific behavioural tests.
+
+// TestNilSchemeIsAnton: machine.Config.Strategy is the only default, so a nil
+// Scheme and an explicit AntonScheme name the same canonical string and the
+// same load table, and build machines that end a short run in the same state.
+func TestNilSchemeIsAnton(t *testing.T) {
+	unset := machine.DefaultConfig(topo.Shape3(2, 2, 2))
+	unset.Scheme = nil
+	anton := unset
+	anton.Scheme = route.AntonScheme{}
+
+	if a, b := addMachine(exp.NewSpec("x"), unset).Canonical(), addMachine(exp.NewSpec("x"), anton).Canonical(); a != b {
+		t.Errorf("addMachine canonicals differ:\n%s\n%s", a, b)
+	}
+	if a, b := loadsKey(unset, traffic.Uniform{}), loadsKey(anton, traffic.Uniform{}); a != b {
+		t.Errorf("loadsKeys differ:\n%s\n%s", a, b)
+	}
+	state := func(cfg machine.Config) []byte {
+		t.Helper()
+		m, _, err := BuildMachine(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(3))
+		cores := m.Topo.Chip.CoreEndpoints()
+		for n := 0; n < m.Topo.NumNodes(); n++ {
+			src := topo.NodeEp{Node: n, Ep: cores[n%len(cores)]}
+			dst := topo.NodeEp{Node: (n + 3) % m.Topo.NumNodes(), Ep: cores[0]}
+			m.Endpoint(src).Inject(m.MakeRandomPacket(src, dst, route.ClassRequest, 0, rng))
+		}
+		if _, err := m.RunUntilDelivered(uint64(m.Topo.NumNodes()), 10_000); err != nil {
+			t.Fatal(err)
+		}
+		snap, err := m.AppendSnapshot(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return snap
+	}
+	if !bytes.Equal(state(unset), state(anton)) {
+		t.Error("machines built from a nil Scheme and from AntonScheme diverged")
+	}
+}
 
 // TestStrategyCheckedRuns completes one measured routecompare point per
 // (strategy, fail-link count) under the full runtime invariant suite: the
@@ -62,7 +105,7 @@ func TestStrategyCheckedRuns(t *testing.T) {
 // strategy absorbs the same outages un-degraded by routing around them
 // natively — and the routecompare artifact must record that difference.
 func TestFaultAwareStrategyAbsorbsOutages(t *testing.T) {
-	run := func(scheme route.Scheme) (RouteComparePoint, []byte) {
+	run := func(scheme route.Strategy) (RouteComparePoint, []byte) {
 		t.Helper()
 		mc := machine.DefaultConfig(topo.Shape3(3, 3, 2))
 		mc.Scheme = scheme

@@ -56,7 +56,6 @@ func Build(cfg *route.Config, opts Options) *Graph {
 		maxVCs: maxSchemeVCs(cfg.Scheme),
 		adj:    make(map[int32]map[int32]struct{}),
 	}
-	strat := route.AsStrategy(cfg.Scheme)
 	m := cfg.Machine
 	n := m.NumNodes()
 	rot := 0
@@ -67,7 +66,7 @@ func Build(cfg *route.Config, opts Options) *Graph {
 			rot += stride
 			src := topo.NodeEp{Node: a, Ep: srcEp}
 			dst := topo.NodeEp{Node: b, Ep: dstEp}
-			for _, wc := range strat.Enumerate(m.Shape, m.Shape.Coord(a), m.Shape.Coord(b)) {
+			for _, wc := range cfg.Scheme.Enumerate(m.Shape, m.Shape.Coord(a), m.Shape.Coord(b)) {
 				g.addRoute(route.Walk(cfg, src, dst, wc.Order, wc.Slice, wc.Ties, route.ClassRequest))
 			}
 		}
@@ -78,7 +77,7 @@ func Build(cfg *route.Config, opts Options) *Graph {
 		for ep2 := 0; ep2 < topo.NumEndpoints; ep2++ {
 			src := topo.NodeEp{Node: 0, Ep: ep1}
 			dst := topo.NodeEp{Node: 0, Ep: ep2}
-			c := strat.Choose(cfg, src, dst,
+			c := cfg.Scheme.Choose(cfg, src, dst,
 				route.Choices{Order: topo.AllDimOrders[0], Slice: 0, Ties: [3]int8{1, 1, 1}}, route.ClassRequest)
 			g.addRoute(route.Walk(cfg, src, dst, c.Order, c.Slice, c.Ties, route.ClassRequest))
 		}

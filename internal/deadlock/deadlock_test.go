@@ -8,7 +8,7 @@ import (
 	"anton2/internal/topo"
 )
 
-func configFor(t testing.TB, shape topo.TorusShape, s route.Scheme) *route.Config {
+func configFor(t testing.TB, shape topo.TorusShape, s route.Strategy) *route.Config {
 	t.Helper()
 	m, err := topo.NewMachine(shape)
 	if err != nil {

@@ -18,10 +18,8 @@ import (
 const (
 	// MeshRateMilli: mesh channels carry one flit per cycle.
 	MeshRateMilli = 1000
-	// TorusRateMilli: effective torus channel bandwidth is 89.6 Gb/s
-	// against the 288 Gb/s mesh channel, i.e. 288/89.6 = 45/14 = 3.214
-	// cycles per 24-byte flit.
-	TorusRateMilli = 3214
+	// TorusRateMilli: the serialized torus channel (topo.TorusRateMilli).
+	TorusRateMilli = topo.TorusRateMilli
 )
 
 type creditMsg struct {

@@ -88,7 +88,6 @@ func computeWith(cfg *route.Config, sources []int, flows FlowFunc, class route.C
 		l.AdIn[a] = make([]float64, maxVC)
 	}
 
-	strat := route.AsStrategy(cfg.Scheme)
 	chip := m.Chip
 	for _, srcEp := range sources {
 		src := topo.NodeEp{Node: 0, Ep: srcEp}
@@ -103,7 +102,7 @@ func computeWith(cfg *route.Config, sources []int, flows FlowFunc, class route.C
 		for _, f := range fl {
 			srcC := m.Shape.Coord(0)
 			dstC := m.Shape.Coord(f.Dst.Node)
-			choices := strat.Enumerate(m.Shape, srcC, dstC)
+			choices := cfg.Scheme.Enumerate(m.Shape, srcC, dstC)
 			if fixedSlice != nil {
 				choices = route.FilterSlice(choices, *fixedSlice)
 			}
@@ -187,18 +186,19 @@ func (l *Loads) MaxTorusLoad() float64 {
 // utilization, assuming single-flit packets. Throughput measurements are
 // normalized against this rate.
 func (l *Loads) SaturationRate() float64 {
-	maxLoad := l.MaxTorusLoad()
-	if maxLoad == 0 {
-		return 0 // pattern uses no torus channels
-	}
-	capacity := 1000.0 / float64(fabricTorusRateMilli)
-	return capacity / maxLoad
+	return SaturationRateAt(l.MaxTorusLoad())
 }
 
-// fabricTorusRateMilli mirrors fabric.TorusRateMilli without importing the
-// simulator (loadcalc is a pure offline computation); the value is asserted
-// equal in the machine package's tests.
-const fabricTorusRateMilli = 3214
+// SaturationRateAt is the one capacity expression: the per-source injection
+// rate at which a torus channel carrying maxTorusLoad traversals per round
+// is fully utilized (its capacity is 1000/topo.TorusRateMilli flits per
+// cycle), or 0 when nothing loads the torus.
+func SaturationRateAt(maxTorusLoad float64) float64 {
+	if maxTorusLoad == 0 {
+		return 0
+	}
+	return 1000.0 / topo.TorusRateMilli / maxTorusLoad
+}
 
 // MaxMeshLoad returns the heaviest mesh (M-group or T-group intra) channel
 // load, along with its chip channel id.

@@ -35,9 +35,10 @@ func CyclesToNS(cycles float64) float64 { return cycles * float64(CyclePS) / 100
 type Config struct {
 	// Shape is the torus radix per dimension.
 	Shape topo.TorusShape
-	// Scheme is the VC promotion discipline (default: the Anton n+1
-	// scheme of Section 2.5).
-	Scheme route.Scheme
+	// Scheme is the routing strategy: VC promotion discipline plus path
+	// policy. Nil selects the paper's; read it through Strategy, the one
+	// place that default is spelled.
+	Scheme route.Strategy
 	// DirOrder is the on-chip direction-order algorithm (default:
 	// V- U+ U- V+, the Section 2.4 optimum).
 	DirOrder topo.DirOrder
@@ -140,6 +141,29 @@ type Config struct {
 	Shards int
 }
 
+// Strategy returns the routing strategy the config selects: Scheme, or the
+// Anton n+1 scheme of Section 2.5 when it is nil. Every reader of a Config
+// that may not have been through New names the strategy through here.
+func (c Config) Strategy() route.Strategy {
+	if c.Scheme == nil {
+		return route.AntonScheme{}
+	}
+	return c.Scheme
+}
+
+// RouteConfig returns the routing configuration the config describes over
+// the topology tm: what New routes with and what the analytic consumers
+// (load calculation, deadlock analysis) must be handed to agree with it.
+func (c Config) RouteConfig(tm *topo.Machine) *route.Config {
+	return &route.Config{
+		Machine:  tm,
+		Scheme:   c.Strategy(),
+		DirOrder: c.DirOrder,
+		UseSkip:  c.UseSkip,
+		ExitSkip: c.ExitSkip,
+	}
+}
+
 // ConfigError is a Config that Validate or Checkpointable refuses, naming the
 // offending field.
 type ConfigError struct {
@@ -234,7 +258,7 @@ func DefaultConfig(shape topo.TorusShape) Config {
 		MeshLatency:      1,
 		TorusLatency:     45, // SerDes + framing + wire, ~30 ns
 		CreditLatency:    1,
-		TorusRateMilli:   3214,
+		TorusRateMilli:   topo.TorusRateMilli,
 		Seed:             1,
 	}
 }

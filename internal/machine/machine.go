@@ -22,11 +22,9 @@ type Machine struct {
 	Engine *sim.Engine
 
 	routeCfg *route.Config
-	// strategy is Cfg.Scheme upgraded to a full routing strategy, and
-	// faultAware whether it natively routes around failed links
-	// (route.FaultRouter) — in which case absorbed link deaths do not
-	// degrade the run.
-	strategy   route.Strategy
+	// faultAware is whether Cfg.Scheme natively routes around failed
+	// links (route.FaultRouter) — in which case absorbed link deaths do
+	// not degrade the run.
 	faultAware bool
 	chans      []*fabric.Channel // global channel id -> channel
 	nodes      []*Node
@@ -100,9 +98,7 @@ func New(cfg Config) (*Machine, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Scheme == nil {
-		cfg.Scheme = route.AntonScheme{}
-	}
+	cfg.Scheme = cfg.Strategy()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -115,19 +111,12 @@ func New(cfg Config) (*Machine, error) {
 	}
 	shards := max(1, min(cfg.Shards, tm.NumNodes()))
 	m := &Machine{
-		Cfg:    cfg,
-		Topo:   tm,
-		Engine: sim.NewEngineMode(mode),
-		routeCfg: &route.Config{
-			Machine:  tm,
-			Scheme:   cfg.Scheme,
-			DirOrder: cfg.DirOrder,
-			UseSkip:  cfg.UseSkip,
-			ExitSkip: cfg.ExitSkip,
-		},
+		Cfg:      cfg,
+		Topo:     tm,
+		Engine:   sim.NewEngineMode(mode),
+		routeCfg: cfg.RouteConfig(tm),
 	}
-	m.strategy = route.AsStrategy(cfg.Scheme)
-	_, m.faultAware = m.strategy.(route.FaultRouter)
+	_, m.faultAware = cfg.Scheme.(route.FaultRouter)
 	// Balanced contiguous node partition: shard s owns nodes
 	// [s*base + min(s, extra), ...); contiguous node ranges mean contiguous
 	// component-id ranges, which is what the engine shards over.
@@ -381,7 +370,7 @@ func clipWeights(w [][arbiter.NumPatterns]uint32, k int) [][arbiter.NumPatterns]
 // strategy falls back to emergency rerouting (graceful degradation). An
 // unreachable destination marks the run fatally unroutable either way.
 func (m *Machine) MakePacket(src, dst topo.NodeEp, c route.Choices, class route.Class, pattern uint8, size uint8) *packet.Packet {
-	c = m.strategy.Choose(m.routeCfg, src, dst, c, class)
+	c = m.Cfg.Scheme.Choose(m.routeCfg, src, dst, c, class)
 	if m.flt != nil && len(m.flt.failed) > 0 {
 		avoided, rerouted, ok := m.avoidFailed(src, dst, c, class)
 		if !ok {
@@ -419,7 +408,7 @@ func (m *Machine) MakePacket(src, dst topo.NodeEp, c route.Choices, class route.
 // (route.FaultRouter); every other strategy falls back to the generic
 // emergency rerouting of graceful degradation.
 func (m *Machine) avoidFailed(src, dst topo.NodeEp, c route.Choices, class route.Class) (out route.Choices, rerouted, ok bool) {
-	if fr, isFR := m.strategy.(route.FaultRouter); isFR {
+	if fr, isFR := m.Cfg.Scheme.(route.FaultRouter); isFR {
 		out, ok = fr.ChooseAvoiding(m.routeCfg, src, dst, c, class, m.flt.failed)
 		return out, ok && out != c, ok
 	}

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"anton2/internal/arbiter"
-	"anton2/internal/loadcalc"
 	"anton2/internal/packaging"
 	"anton2/internal/packet"
 	"anton2/internal/route"
@@ -152,7 +151,7 @@ func TestDeterminism(t *testing.T) {
 // round-robin arbiters and checks that every packet is still delivered (the
 // runtime counterpart of the static deadlock analysis).
 func TestSaturationNoDeadlock(t *testing.T) {
-	for _, scheme := range []route.Scheme{route.AntonScheme{}, route.BaselineScheme{}} {
+	for _, scheme := range []route.Strategy{route.AntonScheme{}, route.BaselineScheme{}} {
 		cfg := DefaultConfig(topo.Shape3(4, 4, 2))
 		cfg.Scheme = scheme
 		m := MustNew(cfg)
@@ -182,13 +181,7 @@ func TestSaturationNoDeadlock(t *testing.T) {
 // TestInverseWeightedMachineRuns builds uniform-pattern weights and runs a
 // saturated burst through inverse-weighted arbiters.
 func TestInverseWeightedMachineRuns(t *testing.T) {
-	cfg := DefaultConfig(topo.Shape3(2, 2, 2))
-	tm := topo.MustMachine(cfg.Shape)
-	rc := &route.Config{Machine: tm, Scheme: cfg.Scheme, DirOrder: cfg.DirOrder, UseSkip: true}
-	loads := loadcalc.Compute(rc, tm.Chip.CoreEndpoints(), traffic.Uniform{}.Flows(tm), route.ClassRequest)
-	cfg.Arbiter = arbiter.KindInverseWeighted
-	cfg.Weights = loadcalc.BuildWeights(loads)
-	m := MustNew(cfg)
+	m := MustNew(inverseWeighted(DefaultConfig(topo.Shape3(2, 2, 2))))
 
 	rng := rand.New(rand.NewSource(5))
 	total := uint64(0)

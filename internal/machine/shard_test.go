@@ -7,10 +7,7 @@ import (
 
 	"anton2/internal/arbiter"
 	"anton2/internal/fault"
-	"anton2/internal/loadcalc"
-	"anton2/internal/route"
 	"anton2/internal/topo"
-	"anton2/internal/traffic"
 )
 
 // fingerprint is a comparable digest of everything a run can observe: the
@@ -252,9 +249,7 @@ func TestActiveStepMachineZeroAllocs(t *testing.T) {
 		cfg.Arbiter = kind
 		cfg.Shards = tc.shards
 		if kind == arbiter.KindInverseWeighted {
-			tm := topo.MustMachine(cfg.Shape)
-			rc := &route.Config{Machine: tm, Scheme: cfg.Scheme, DirOrder: cfg.DirOrder, UseSkip: true}
-			cfg.Weights = loadcalc.BuildWeights(loadcalc.Compute(rc, tm.Chip.CoreEndpoints(), traffic.Uniform{}.Flows(tm), route.ClassRequest))
+			cfg = inverseWeighted(cfg)
 		}
 		m := steadyStateMachine(t, cfg)
 		if kind == arbiter.KindInverseWeighted {

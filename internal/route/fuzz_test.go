@@ -31,7 +31,7 @@ func FuzzWalk(f *testing.F) {
 		if err != nil {
 			t.Fatalf("NewMachine(%v): %v", shape, err)
 		}
-		var scheme Scheme
+		var scheme Strategy
 		switch schemeSel % 3 {
 		case 0:
 			scheme = AntonScheme{}

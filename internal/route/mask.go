@@ -37,9 +37,8 @@ func ChoicesAvoiding(cfg *Config, src, dst topo.NodeEp, c Choices, class Class, 
 	if !UsesAny(cfg, src, dst, c, class, failed) {
 		return c, false, true
 	}
-	strat := AsStrategy(cfg.Scheme)
 	admits := func(cand Choices) bool {
-		return strat.Choose(cfg, src, dst, cand, class) == cand
+		return cfg.Scheme.Choose(cfg, src, dst, cand, class) == cand
 	}
 	flip := c.Ties
 	for d := range flip {

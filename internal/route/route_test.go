@@ -8,7 +8,7 @@ import (
 	"anton2/internal/topo"
 )
 
-func cfgFor(t testing.TB, shape topo.TorusShape, scheme Scheme) *Config {
+func cfgFor(t testing.TB, shape topo.TorusShape, scheme Strategy) *Config {
 	t.Helper()
 	m, err := topo.NewMachine(shape)
 	if err != nil {
@@ -75,7 +75,7 @@ func walkEndToEnd(t *testing.T, cfg *Config, src, dst topo.NodeEp, c Choices) []
 }
 
 func TestWalkAllPairsSmallTorus(t *testing.T) {
-	for _, scheme := range []Scheme{AntonScheme{}, BaselineScheme{}} {
+	for _, scheme := range []Strategy{AntonScheme{}, BaselineScheme{}} {
 		cfg := cfgFor(t, topo.Shape3(3, 2, 2), scheme)
 		n := cfg.Machine.NumNodes()
 		rng := rand.New(rand.NewSource(7))

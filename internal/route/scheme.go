@@ -15,6 +15,10 @@ import "anton2/internal/topo"
 // packet carries an M-group VC counter (used on mesh and endpoint channels)
 // and, while traveling a torus dimension, a T-group VC (used on skip
 // channels, router-to-channel-adapter channels, and torus channels).
+//
+// It is the VC half of a Strategy, which is what a routing configuration
+// holds; on its own it is the parameter of the helpers that need VC counts
+// alone (ChannelVCs, PhysVC, TotalVCs, the area model).
 type Scheme interface {
 	// Name identifies the scheme in reports.
 	Name() string

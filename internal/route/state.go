@@ -66,8 +66,10 @@ type State struct {
 
 // Config bundles the ingredients of a routing decision.
 type Config struct {
-	Machine  *topo.Machine
-	Scheme   Scheme
+	Machine *topo.Machine
+	// Scheme is the routing strategy: the VC discipline and the path
+	// policy every transition function below consults.
+	Scheme   Strategy
 	DirOrder topo.DirOrder // on-chip direction order
 	// UseSkip selects whether X through-traffic uses the skip channels
 	// (true in Anton 2; false only for the ablation study).
@@ -85,7 +87,7 @@ type Config struct {
 	ExitSkip bool
 }
 
-// NewConfig returns a Config with the paper's defaults: the Anton VC scheme
+// NewConfig returns a Config with the paper's defaults: the Anton strategy
 // and the V- U+ U- V+ direction order with skip channels enabled.
 func NewConfig(m *topo.Machine) *Config {
 	return &Config{Machine: m, Scheme: AntonScheme{}, DirOrder: topo.DefaultDirOrder, UseSkip: true, ExitSkip: true}
@@ -96,7 +98,7 @@ func NewConfig(m *topo.Machine) *Config {
 // applied when both directions are minimal; for non-wrapping strategies it
 // is the monotone coordinate difference, which never crosses a dateline.
 func (st *State) delta(cfg *Config, cur, dst topo.NodeCoord, d topo.Dim) int {
-	if s, ok := cfg.Scheme.(Strategy); ok && !s.Wraps() {
+	if !cfg.Scheme.Wraps() {
 		return dst.Get(d) - cur.Get(d)
 	}
 	delta, tie := cfg.Machine.Shape.MinimalDelta(cur, dst, d)

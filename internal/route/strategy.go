@@ -187,22 +187,6 @@ func pairHash(src, dst topo.NodeEp, i int) uint64 {
 	return z ^ (z >> 31)
 }
 
-// AsStrategy upgrades a Scheme to a Strategy. Schemes that already carry a
-// path policy pass through; a bare VC discipline gets the unrestricted
-// minimal policy (the correct reading of every pre-Strategy scheme).
-func AsStrategy(s Scheme) Strategy {
-	if st, ok := s.(Strategy); ok {
-		return st
-	}
-	return legacyStrategy{Scheme: s}
-}
-
-// legacyStrategy wraps a bare Scheme with the unrestricted minimal policy.
-type legacyStrategy struct {
-	Scheme
-	minimalPolicy
-}
-
 // InterNodeHopsFor returns the inter-node hop count of the strategy's route
 // for a node pair: the minimal wrap-around distance for wrapping strategies,
 // the monotone coordinate distance otherwise. Like InterNodeHops, the count

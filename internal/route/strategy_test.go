@@ -7,6 +7,16 @@ import (
 	"anton2/internal/topo"
 )
 
+// Every shipped scheme is a full Strategy — the only type a routing
+// configuration holds.
+var (
+	_ Strategy = AntonScheme{}
+	_ Strategy = BaselineScheme{}
+	_ Strategy = VClessScheme{}
+	_ Strategy = AngaraStrategy{}
+	_ Strategy = NoDatelineScheme{}
+)
+
 func TestRegistryShipsFourStrategies(t *testing.T) {
 	want := []string{"angara", "anton", "baseline-2n", "vcless"}
 	got := StrategyNames()
@@ -212,38 +222,4 @@ func TestAngaraBalancesAcrossSurvivors(t *testing.T) {
 	if len(picks) < 2 {
 		t.Errorf("all rerouted pairs picked the same survivor: %v", picks)
 	}
-}
-
-// TestLegacySchemeUpgrade: AsStrategy wraps a bare Scheme with the
-// unrestricted minimal policy.
-func TestLegacySchemeUpgrade(t *testing.T) {
-	s := AsStrategy(bareScheme{})
-	if !s.Wraps() {
-		t.Error("legacy upgrade should use minimal (wrapping) routing")
-	}
-	if s.Name() != "bare" {
-		t.Errorf("Name() = %q", s.Name())
-	}
-	shape := topo.Shape3(4, 4, 2)
-	if got, want := len(s.Enumerate(shape, shape.Coord(0), shape.Coord(1))), len(EnumerateChoices(shape, shape.Coord(0), shape.Coord(1))); got != want {
-		t.Errorf("legacy Enumerate returned %d choices, want %d", got, want)
-	}
-}
-
-// bareScheme is a pre-Strategy VC discipline with no path policy.
-type bareScheme struct{}
-
-func (bareScheme) Name() string                    { return "bare" }
-func (bareScheme) MeshVCs() int                    { return topo.NumDims + 1 }
-func (bareScheme) TorusVCs() int                   { return topo.NumDims + 1 }
-func (bareScheme) EnterDim(mvc uint8, d int) uint8 { return mvc }
-func (bareScheme) CrossDateline(tvc uint8) uint8   { return tvc + 1 }
-func (bareScheme) ExitDim(tvc, mvc uint8, d int, tr, cr bool) uint8 {
-	if !tr {
-		return mvc
-	}
-	if cr {
-		return tvc
-	}
-	return tvc + 1
 }

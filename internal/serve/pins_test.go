@@ -78,6 +78,10 @@ func replayPin(t *testing.T, body string) familyPin {
 	if err != nil {
 		t.Fatalf("%s: %v", body, err)
 	}
+	// A run restored from disk is described from its artifact alone.
+	if n, fam := probeArtifact(art); n != len(rs) || fam != req.Family {
+		t.Fatalf("%s: probeArtifact = (%d, %q), want (%d, %q)", body, n, fam, len(rs), req.Family)
+	}
 	return familyPin{
 		Family:    req.Family,
 		Request:   json.RawMessage(body),

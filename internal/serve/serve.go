@@ -442,7 +442,7 @@ func (s *Server) Submit(req *Request) (*run, error) {
 	}
 	if onDisk {
 		s.metrics.HitsDisk.Add(1)
-		r := s.completedRun(id, c.fam.Name, b)
+		r := s.completedRun(id, b)
 		s.runs[id] = r
 		s.mu.Unlock()
 		// A surviving WAL entry for an artifact that did reach disk is
@@ -484,34 +484,35 @@ func (s *Server) Submit(req *Request) (*run, error) {
 	return r, nil
 }
 
-// completedRun registers an already-satisfied run (disk hit).
-func (s *Server) completedRun(id, family string, artifact []byte) *run {
+// completedRun registers an already-satisfied run (disk hit). What a status
+// response says about it comes from the artifact, so a run found by id after
+// a restart reads the same as one re-submitted.
+func (s *Server) completedRun(id string, artifact []byte) *run {
 	r := &run{
 		id:       id,
-		family:   family,
 		state:    StateCompleted,
 		cache:    "disk",
 		artifact: artifact,
 		doneCh:   make(chan struct{}),
 	}
-	if n := countArtifactPoints(artifact); n > 0 {
-		r.total = n
-		r.done.Store(int64(n))
-	}
+	r.total, r.family = probeArtifact(artifact)
+	r.done.Store(int64(r.total))
 	close(r.doneCh)
 	return r
 }
 
-// countArtifactPoints decodes just enough of an artifact to report its
-// sweep size in status responses.
-func countArtifactPoints(b []byte) int {
+// probeArtifact decodes just enough of an artifact for a status response:
+// its sweep size and its family, which is every result's kind.
+func probeArtifact(b []byte) (points int, family string) {
 	var probe struct {
-		Results []json.RawMessage `json:"results"`
+		Results []struct {
+			Kind string `json:"kind"`
+		} `json:"results"`
 	}
-	if json.Unmarshal(b, &probe) != nil {
-		return 0
+	if json.Unmarshal(b, &probe) != nil || len(probe.Results) == 0 {
+		return 0, ""
 	}
-	return len(probe.Results)
+	return len(probe.Results), probe.Results[0].Kind
 }
 
 // execute drives one run to a terminal state: slot acquisition under the
@@ -677,7 +678,7 @@ func (s *Server) lookupRun(id string) (*run, bool) {
 	if r, ok := s.runs[id]; ok { // raced with a submission
 		return r, true
 	}
-	r = s.completedRun(id, "", b)
+	r = s.completedRun(id, b)
 	s.runs[id] = r
 	return r, true
 }

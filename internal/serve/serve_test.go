@@ -208,6 +208,42 @@ func TestColdRestartServesFromDisk(t *testing.T) {
 	}
 }
 
+// TestRestartStatusByIDNamesFamily: a run a restarted server finds on disk by
+// id reports its family, like one re-submitted.
+func TestRestartStatusByIDNamesFamily(t *testing.T) {
+	dir := t.TempDir()
+	st, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s1, ts1 := newTestServer(t, Config{Store: st})
+	resp, body := postWait(t, ts1, quickSpec())
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status = %d, body %s", resp.StatusCode, body)
+	}
+	id := resp.Header.Get("X-Anton2-Run-Id")
+	ts1.Close()
+	s1.Close()
+
+	st2, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts2 := newTestServer(t, Config{Store: st2})
+	sresp, err := http.Get(ts2.URL + "/v1/runs/" + id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sresp.Body.Close()
+	var ev Event
+	if err := json.NewDecoder(sresp.Body).Decode(&ev); err != nil {
+		t.Fatal(err)
+	}
+	if ev.Family != quickSpec().Family || ev.State != StateCompleted || ev.Total != 2 || ev.Done != 2 {
+		t.Fatalf("status after restart = %+v, want family %q, completed, 2/2 points", ev, quickSpec().Family)
+	}
+}
+
 // TestValidationRejects maps the CLI's exit-2 cases onto HTTP 400 with the
 // offending field named.
 func TestValidationRejects(t *testing.T) {

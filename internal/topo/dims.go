@@ -83,6 +83,12 @@ func (d Direction) String() string {
 // physical channels per direction per node.
 const NumSlices = 2
 
+// TorusRateMilli is the serialization rate of a torus channel in millicycles
+// per 24-byte flit: 89.6 Gb/s effective against the 288 Gb/s (one flit per
+// cycle) mesh channel, i.e. 288/89.6 = 45/14 = 3.214 cycles per flit. The
+// simulator's channels and the analytic saturation rates both read it here.
+const TorusRateMilli = 3214
+
 // DimOrder is a permutation of the three torus dimensions; inter-node routes
 // traverse dimensions in this order.
 type DimOrder [NumDims]Dim

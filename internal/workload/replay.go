@@ -4,8 +4,6 @@ import (
 	"fmt"
 
 	"anton2/internal/machine"
-	"anton2/internal/route"
-	"anton2/internal/topo"
 	"anton2/internal/trace"
 )
 
@@ -33,45 +31,25 @@ func ReplayTrace(m *machine.Machine, tr *trace.Trace, maxPhaseCycles uint64) (Re
 		}
 		group := events[i:j]
 		i = j
-		inject := func() (uint64, uint64, error) {
-			now := m.Engine.Now()
-			var injected, expected uint64
-			for _, e := range group {
-				if e.Cycle != now {
-					return 0, 0, fmt.Errorf("workload: replay diverged: %s phase (timestep %d) event recorded at cycle %d, fabric quiesced at %d (machine config mismatch?)",
-						PhaseName(ph), ts, e.Cycle, now)
-				}
-				src := topo.NodeEp{Node: e.SrcNode, Ep: e.SrcEp}
-				switch e.Kind {
-				case trace.KindUnicast:
-					ord, ok := trace.ParseDimOrder(e.Order)
-					if !ok {
-						return 0, 0, fmt.Errorf("workload: replay: unknown dimension order %q", e.Order)
-					}
-					c := route.Choices{Order: ord, Slice: uint8(e.Slice), Ties: e.Ties}
-					p := m.MakePacket(src, topo.NodeEp{Node: e.DstNode, Ep: e.DstEp}, c, route.Class(e.Class), 0, uint8(e.Size))
-					m.Endpoint(src).Inject(p)
-					injected++
-					expected++
-				case trace.KindMulticast:
-					if m.Cfg.Multicast[e.Group] == nil {
-						return 0, 0, fmt.Errorf("workload: replay: multicast group %d not loaded (rebuild the machine with the trace workload's Tables)", e.Group)
-					}
-					expected += uint64(m.InjectMulticast(src, e.Group, route.Class(e.Class), 0))
-					injected++
-				default:
-					return 0, 0, fmt.Errorf("workload: replay: unknown event kind %q", e.Kind)
-				}
-			}
-			return injected, expected, nil
-		}
 		start := m.Engine.Now()
 		before := m.Delivered()
-		injected, expected, err := inject()
-		if err != nil {
-			return Result{}, err
+		var expected uint64
+		for _, e := range group {
+			if e.Cycle != start {
+				return Result{}, fmt.Errorf("workload: replay diverged: %s phase (timestep %d) event recorded at cycle %d, fabric quiesced at %d (machine config mismatch?)",
+					PhaseName(ph), ts, e.Cycle, start)
+			}
+			in, err := injectionOf(e)
+			if err != nil {
+				return Result{}, err
+			}
+			n, err := in.inject(m)
+			if err != nil {
+				return Result{}, err
+			}
+			expected += n
 		}
-		pr, err := finishPhase(m, ts, ph, maxPhaseCycles, before, injected, expected, start)
+		pr, err := finishPhase(m, ts, ph, maxPhaseCycles, before, uint64(len(group)), expected, start)
 		if err != nil {
 			return Result{}, err
 		}

@@ -305,6 +305,136 @@ func RunResumable(m *machine.Machine, spec Spec, maxPhaseCycles uint64, from *Pr
 	return runInner(m, spec, nil, maxPhaseCycles, from, every, sink)
 }
 
+// injection is one logical injection: what a phase generator draws, what the
+// injector hands the machine, and what a trace.Event records. Unicast choices
+// are pre strategy-Choose.
+type injection struct {
+	mcast    bool
+	src, dst topo.NodeEp
+	choices  route.Choices
+	class    route.Class
+	size     uint8 // flits (unicast)
+	group    int   // multicast group id (mcast)
+}
+
+// inject is the one injector, shared by the live run and ReplayTrace: it
+// performs the injection on m and returns how many deliveries it will cause.
+func (in injection) inject(m *machine.Machine) (uint64, error) {
+	if in.mcast {
+		if m.Cfg.Multicast[in.group] == nil {
+			return 0, fmt.Errorf("workload: multicast group %d not loaded (build the machine with the workload's Tables)", in.group)
+		}
+		return uint64(m.InjectMulticast(in.src, in.group, in.class, 0)), nil
+	}
+	m.Endpoint(in.src).Inject(m.MakePacket(in.src, in.dst, in.choices, in.class, 0, in.size))
+	return 1, nil
+}
+
+// event renders the injection as the trace records it.
+func (in injection) event(ts, phase int, cycle uint64) trace.Event {
+	ev := trace.Event{Timestep: ts, Phase: phase, Cycle: cycle, SrcNode: in.src.Node, SrcEp: in.src.Ep, Class: int(in.class)}
+	if in.mcast {
+		ev.Kind, ev.Group = trace.KindMulticast, in.group
+		return ev
+	}
+	ev.Kind = trace.KindUnicast
+	ev.DstNode, ev.DstEp, ev.Size = in.dst.Node, in.dst.Ep, int(in.size)
+	ev.Order, ev.Slice, ev.Ties = in.choices.Order.String(), int(in.choices.Slice), in.choices.Ties
+	return ev
+}
+
+// injectionOf is event's inverse, for replay.
+func injectionOf(e trace.Event) (injection, error) {
+	in := injection{src: topo.NodeEp{Node: e.SrcNode, Ep: e.SrcEp}, class: route.Class(e.Class)}
+	switch e.Kind {
+	case trace.KindMulticast:
+		in.mcast, in.group = true, e.Group
+	case trace.KindUnicast:
+		ord, ok := trace.ParseDimOrder(e.Order)
+		if !ok {
+			return in, fmt.Errorf("workload: replay: unknown dimension order %q", e.Order)
+		}
+		in.dst, in.size = topo.NodeEp{Node: e.DstNode, Ep: e.DstEp}, uint8(e.Size)
+		in.choices = route.Choices{Order: ord, Slice: uint8(e.Slice), Ties: e.Ties}
+	default:
+		return in, fmt.Errorf("workload: replay: unknown event kind %q", e.Kind)
+	}
+	return in, nil
+}
+
+// generator draws a run's injections: it owns the per-source RNG streams
+// (seeded by the machine seed) and the stateful halo burst model, so a run is
+// fully determined by (machine config, spec).
+type generator struct {
+	tm    *topo.Machine
+	spec  Spec // defaults applied
+	cores []int
+	rngs  [][]*rand.Rand // [node][core index]
+	halo  *traffic.Bursty
+}
+
+func newGenerator(tm *topo.Machine, seed uint64, spec Spec) *generator {
+	g := &generator{tm: tm, spec: spec, cores: tm.Chip.CoreEndpoints(),
+		halo: traffic.NewBursty(traffic.NHop{N: spec.HaloRadius}, spec.HaloBurst)}
+	g.rngs = make([][]*rand.Rand, tm.NumNodes())
+	for n := range g.rngs {
+		g.rngs[n] = make([]*rand.Rand, len(g.cores))
+		for i, ep := range g.cores {
+			g.rngs[n][i] = sim.NewRNG(seed, fmt.Sprintf("wl-%d-%d", n, ep))
+		}
+	}
+	return g
+}
+
+// phase draws one phase's injections in injection order, handing each to
+// yield and stopping at its first error. Every call advances the RNG streams
+// exactly as far, whatever yield does with what it is handed: a resumed run
+// passes a no-op to fast-forward past phases the snapshot already holds. The
+// multicast phase draws nothing.
+func (g *generator) phase(idx int, yield func(injection) error) error {
+	switch idx {
+	case PhaseHalo:
+		for n := 0; n < g.tm.NumNodes(); n++ {
+			for ci, epid := range g.cores {
+				src, rng := topo.NodeEp{Node: n, Ep: epid}, g.rngs[n][ci]
+				for k := 0; k < g.spec.HaloPackets; k++ {
+					dst := g.halo.Dest(g.tm, src, rng)
+					in := injection{src: src, dst: dst, choices: route.RandomChoices(rng), class: route.ClassRequest, size: packet.MaxFlits}
+					if err := yield(in); err != nil {
+						return err
+					}
+				}
+			}
+		}
+	case PhaseMulticast:
+		for n := 0; n < g.tm.NumNodes(); n++ {
+			src := topo.NodeEp{Node: n, Ep: g.cores[0]}
+			for k := 0; k < g.spec.Multicasts; k++ {
+				in := injection{mcast: true, src: src, class: route.ClassRequest, group: GroupID(n, (n+k)%topo.NumSlices)}
+				if err := yield(in); err != nil {
+					return err
+				}
+			}
+		}
+	case PhaseReduce:
+		rr := 0
+		for n := 1; n < g.tm.NumNodes(); n++ {
+			for ci, epid := range g.cores {
+				src, rng := topo.NodeEp{Node: n, Ep: epid}, g.rngs[n][ci]
+				for k := 0; k < g.spec.ReducePackets; k++ {
+					dst := topo.NodeEp{Node: 0, Ep: g.cores[rr%len(g.cores)]}
+					rr++
+					in := injection{src: src, dst: dst, choices: route.RandomChoices(rng), class: route.ClassReply, size: 1}
+					if err := yield(in); err != nil {
+						return err
+					}
+				}
+			}
+		}
+	}
+	return nil
+}
+
 func runInner(m *machine.Machine, spec Spec, rec *trace.Recorder, maxPhaseCycles uint64, from *Progress, every uint64, sink func(prog Progress)) (Result, error) {
 	spec = spec.WithDefaults()
 	if err := spec.Validate(); err != nil {
@@ -317,23 +447,10 @@ func runInner(m *machine.Machine, spec Spec, rec *trace.Recorder, maxPhaseCycles
 	if tm.NumNodes() < 2 {
 		return Result{}, fmt.Errorf("workload: shape %s too small for an MD timestep", tm.Shape)
 	}
-	cores := tm.Chip.CoreEndpoints()
-	rngs := make([][]*rand.Rand, tm.NumNodes())
-	for n := range rngs {
-		rngs[n] = make([]*rand.Rand, len(cores))
-		for i, ep := range cores {
-			rngs[n][i] = sim.NewRNG(m.Cfg.Seed, fmt.Sprintf("wl-%d-%d", n, ep))
-		}
-	}
-	halo := traffic.NewBursty(traffic.NHop{N: spec.HaloRadius}, spec.HaloBurst)
+	gen := newGenerator(tm, m.Cfg.Seed, spec)
 	hasMcast := m.Cfg.Multicast[GroupID(0, 0)] != nil
 	if !hasMcast && len(spec.fanoutDests(tm, 0)) > 0 {
 		return Result{}, fmt.Errorf("workload: machine built without the spec's multicast tables (load Spec.Tables into Config.Multicast)")
-	}
-	record := func(ev trace.Event) {
-		if rec != nil {
-			rec.Record(ev)
-		}
 	}
 
 	var res Result
@@ -358,126 +475,19 @@ func runInner(m *machine.Machine, spec Spec, rec *trace.Recorder, maxPhaseCycles
 		res.Phases = append(res.Phases, from.Completed...)
 	}
 	for ts := 0; ts < spec.Timesteps; ts++ {
-		haloInject := func() (uint64, uint64, error) {
-			var count uint64
-			for n := 0; n < tm.NumNodes(); n++ {
-				for ci, epid := range cores {
-					src := topo.NodeEp{Node: n, Ep: epid}
-					e := m.Endpoint(src)
-					rng := rngs[n][ci]
-					for k := 0; k < spec.HaloPackets; k++ {
-						dst := halo.Dest(tm, src, rng)
-						c := route.RandomChoices(rng)
-						p := m.MakePacket(src, dst, c, route.ClassRequest, 0, packet.MaxFlits)
-						e.Inject(p)
-						record(trace.Event{
-							Timestep: ts, Phase: PhaseHalo, Cycle: p.InjectedAt, Kind: trace.KindUnicast,
-							SrcNode: n, SrcEp: epid, DstNode: dst.Node, DstEp: dst.Ep,
-							Class: int(route.ClassRequest), Size: packet.MaxFlits,
-							Order: c.Order.String(), Slice: int(c.Slice), Ties: c.Ties,
-						})
-						count++
-					}
-				}
-			}
-			return count, count, nil
-		}
-		mcastInject := func() (uint64, uint64, error) {
-			var count, expected uint64
-			for n := 0; n < tm.NumNodes(); n++ {
-				src := topo.NodeEp{Node: n, Ep: cores[0]}
-				for k := 0; k < spec.Multicasts; k++ {
-					sl := (n + k) % topo.NumSlices
-					gid := GroupID(n, sl)
-					expected += uint64(m.InjectMulticast(src, gid, route.ClassRequest, 0))
-					record(trace.Event{
-						Timestep: ts, Phase: PhaseMulticast, Cycle: m.Engine.Now(), Kind: trace.KindMulticast,
-						SrcNode: n, SrcEp: cores[0], Class: int(route.ClassRequest), Group: gid,
-					})
-					count++
-				}
-			}
-			return count, expected, nil
-		}
-		reduceInject := func() (uint64, uint64, error) {
-			var count uint64
-			rr := 0
-			for n := 1; n < tm.NumNodes(); n++ {
-				for ci, epid := range cores {
-					src := topo.NodeEp{Node: n, Ep: epid}
-					e := m.Endpoint(src)
-					rng := rngs[n][ci]
-					for k := 0; k < spec.ReducePackets; k++ {
-						dst := topo.NodeEp{Node: 0, Ep: cores[rr%len(cores)]}
-						rr++
-						c := route.RandomChoices(rng)
-						p := m.MakePacket(src, dst, c, route.ClassReply, 0, 1)
-						e.Inject(p)
-						record(trace.Event{
-							Timestep: ts, Phase: PhaseReduce, Cycle: p.InjectedAt, Kind: trace.KindUnicast,
-							SrcNode: n, SrcEp: epid, DstNode: dst.Node, DstEp: dst.Ep,
-							Class: int(route.ClassReply), Size: 1,
-							Order: c.Order.String(), Slice: int(c.Slice), Ties: c.Ties,
-						})
-						count++
-					}
-				}
-			}
-			return count, count, nil
-		}
-
-		// replay closures draw exactly what the inject closures draw, in
-		// the same order, without touching the machine: resumed runs use
-		// them to fast-forward the RNG streams (and the stateful halo
-		// burst generator) past already-injected phases. The multicast
-		// phase draws nothing.
-		haloReplay := func() {
-			for n := 0; n < tm.NumNodes(); n++ {
-				for ci, epid := range cores {
-					src := topo.NodeEp{Node: n, Ep: epid}
-					rng := rngs[n][ci]
-					for k := 0; k < spec.HaloPackets; k++ {
-						halo.Dest(tm, src, rng)
-						route.RandomChoices(rng)
-					}
-				}
-			}
-		}
-		reduceReplay := func() {
-			for n := 1; n < tm.NumNodes(); n++ {
-				for ci := range cores {
-					rng := rngs[n][ci]
-					for k := 0; k < spec.ReducePackets; k++ {
-						route.RandomChoices(rng)
-					}
-				}
-			}
-		}
-
-		phases := []struct {
-			idx    int
-			inject func() (uint64, uint64, error)
-			replay func()
-		}{
-			{PhaseHalo, haloInject, haloReplay},
-			{PhaseMulticast, mcastInject, nil},
-			{PhaseReduce, reduceInject, reduceReplay},
-		}
-		for _, ph := range phases {
-			if ph.idx == PhaseMulticast && !hasMcast {
+		for idx := 0; idx < numPhases; idx++ {
+			if idx == PhaseMulticast && !hasMcast {
 				continue
 			}
 			var pos Progress // this phase's position, as a checkpoint records it
 			if resuming {
-				key, fromKey := ts*numPhases+ph.idx, from.Timestep*numPhases+from.Phase
+				key, fromKey := ts*numPhases+idx, from.Timestep*numPhases+from.Phase
 				if key > fromKey {
 					return Result{}, fmt.Errorf("workload: checkpoint position (timestep %d, %s) was skipped", from.Timestep, PhaseName(from.Phase))
 				}
 				// Fully injected by checkpoint time: the machine state
 				// already reflects it; only the draws need replaying.
-				if ph.replay != nil {
-					ph.replay()
-				}
+				_ = gen.phase(idx, func(injection) error { return nil }) // the no-op cannot fail
 				if key < fromKey {
 					continue
 				}
@@ -485,9 +495,20 @@ func runInner(m *machine.Machine, spec Spec, rec *trace.Recorder, maxPhaseCycles
 				resuming = false
 				pos = *from
 			} else {
-				pos = Progress{Timestep: ts, Phase: ph.idx, PhaseStart: m.Engine.Now(), Before: m.Delivered()}
-				var err error
-				if pos.Injected, pos.Expected, err = ph.inject(); err != nil {
+				pos = Progress{Timestep: ts, Phase: idx, PhaseStart: m.Engine.Now(), Before: m.Delivered()}
+				err := gen.phase(idx, func(in injection) error {
+					n, err := in.inject(m)
+					if err != nil {
+						return err
+					}
+					pos.Injected++
+					pos.Expected += n
+					if rec != nil {
+						rec.Record(in.event(ts, idx, pos.PhaseStart))
+					}
+					return nil
+				})
+				if err != nil {
 					return Result{}, err
 				}
 			}
@@ -495,7 +516,7 @@ func runInner(m *machine.Machine, spec Spec, rec *trace.Recorder, maxPhaseCycles
 				pos.Completed = append([]PhaseResult(nil), res.Phases...)
 				cur = pos
 			}
-			pr, err := finishPhase(m, ts, ph.idx, maxPhaseCycles, pos.Before, pos.Injected, pos.Expected, pos.PhaseStart)
+			pr, err := finishPhase(m, ts, idx, maxPhaseCycles, pos.Before, pos.Injected, pos.Expected, pos.PhaseStart)
 			if err != nil {
 				return Result{}, err
 			}
