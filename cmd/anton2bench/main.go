@@ -32,9 +32,10 @@
 // points persist a resumable snapshot every N cycles; a later invocation with
 // -resume picks each point up from its last checkpoint (without -resume a
 // stale checkpoint is ignored and overwritten). Resumed points are
-// bit-identical to uninterrupted ones. `all` runs its other points without
-// checkpoints; a named experiment with no such point (core.ErrNoRunCkpt)
-// exits 2.
+// bit-identical to uninterrupted ones. Every simulated family checkpoints
+// but fig11 (latency) and fig13 (energy) — core.Family.Checkpoints; `all`
+// runs those two without checkpoints, and naming one of them or an analytic
+// experiment (core.ErrNoRunCkpt) exits 2.
 //
 // Each simulated family sweeps the panels its registry entry declares
 // (core.Family.Full, or Quick under -quick): fig9 and fig10 the paper's full
@@ -330,7 +331,7 @@ func run(args []string, stderr io.Writer) int {
 	}
 	for _, e := range experiments {
 		if e.name == what {
-			if checkpoint.Every > 0 && !checkpointAware(what) {
+			if f, ok := core.FamilyByName(what); checkpoint.Every > 0 && !(ok && f.Checkpoints()) {
 				return reject(core.ErrNoRunCkpt)
 			}
 			if err := e.run(); err != nil {
@@ -481,25 +482,6 @@ func familyJobs(f *core.Family) ([]core.Axes, []exp.Job, error) {
 		jobs = append(jobs, f.Jobs(a, mutate)...)
 	}
 	return checked, jobs, nil
-}
-
-// checkpointAware reports whether the named experiment is a simulated family
-// with at least one point that can checkpoint.
-func checkpointAware(name string) bool {
-	f, ok := core.FamilyByName(name)
-	if !ok {
-		return false
-	}
-	_, jobs, err := familyJobs(f)
-	if err != nil {
-		return true // a failing axis check is runFamily's to report
-	}
-	for _, j := range jobs {
-		if j.RunCkpt != nil {
-			return true
-		}
-	}
-	return false
 }
 
 // runFamily regenerates one simulated figure from its registry entry: the

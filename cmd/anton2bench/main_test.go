@@ -29,7 +29,7 @@ func TestInvalidFlagsRejected(t *testing.T) {
 		{"sharded check", []string{"-shards", "2", "-check", "fig4"}, "Config.Check"},
 		{"sharded telemetry", []string{"-shards", "2", "-telemetry", "x", "fig4"}, "Config.Telemetry"},
 		{"checkpointed check", []string{"-checkpoint-dir", "x", "-checkpoint-every", "100", "-check", "fig9"}, "Config.Check"},
-		{"checkpointed family without RunCkpt", []string{"-quick", "-checkpoint-dir", "x", "-checkpoint-every", "100", "faultsweep"}, "no RunCkpt"},
+		{"checkpointed family without RunCkpt", []string{"-quick", "-checkpoint-dir", "x", "-checkpoint-every", "100", "fig11"}, "no RunCkpt"},
 		{"checkpointed analytic experiment", []string{"-checkpoint-dir", "x", "-checkpoint-every", "100", "fig4"}, "no RunCkpt"},
 		{"bad shape", []string{"-shape", "8by8", "fig9"}, "bad shape"},
 		{"conflicting experiment", []string{"-experiment", "fig4", "fig9"}, "both -experiment"},

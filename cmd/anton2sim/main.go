@@ -37,8 +37,8 @@
 // With -checkpoint-dir and -checkpoint-every N, the run persists a complete
 // resumable snapshot (machine state plus driver position) every N cycles,
 // torn-write-safe; -resume restarts an interrupted run from its last
-// checkpoint and finishes bit-identically to an uninterrupted one; a -fault
-// run has no checkpoint-aware job (core.ErrNoRunCkpt) and exits 2.
+// checkpoint and finishes bit-identically to an uninterrupted one, with or
+// without -fault.
 //
 // With -telemetry, the run executes under the internal/telemetry collector:
 // a JSON report (<dir>/anton2sim.json) with windowed channel utilization,
@@ -167,9 +167,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	opts.Checkpoint, err = core.CheckpointFlags(mc, *ckptDir, *ckptEvery, *resumeFlag)
 	if err != nil {
 		return reject(err)
-	}
-	if opts.Checkpoint.Every > 0 && job.RunCkpt == nil {
-		return reject(core.ErrNoRunCkpt)
 	}
 
 	stopProfiles, err := exp.StartProfiles(*cpuprofile, *memprofile, stderr)

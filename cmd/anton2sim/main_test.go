@@ -2,8 +2,14 @@ package main
 
 import (
 	"bytes"
+	"os"
+	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
+	"time"
+
+	"anton2/internal/ckpt"
 )
 
 // TestInvalidFlagsRejected covers the flag-validation contract: every
@@ -31,7 +37,6 @@ func TestInvalidFlagsRejected(t *testing.T) {
 		{"sharded scan", []string{"-engine", "scan", "-shards", "2"}, "requires the active engine"},
 		{"sharded check", []string{"-shards", "2", "-check"}, "Config.Check"},
 		{"checkpointed telemetry", []string{"-checkpoint-dir", "x", "-checkpoint-every", "100", "-telemetry", "y"}, "Config.Telemetry"},
-		{"checkpointed fault run", []string{"-checkpoint-dir", "x", "-checkpoint-every", "100", "-fault", "corrupt=0.01"}, "no RunCkpt"},
 		{"unknown flag", []string{"-frobnicate"}, ""},
 	}
 	for _, tc := range cases {
@@ -93,5 +98,63 @@ func TestRunWithFaultSpec(t *testing.T) {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("missing %q in output:\n%s", want, out.String())
 		}
+	}
+}
+
+// TestFaultRunKillResume: a -fault run checkpoints like any other. The built
+// binary is started with -checkpoint-every, killed with SIGKILL as soon as its
+// first checkpoint is on disk, and run again with -resume; what the resumed
+// run prints — cycles, throughput, latency quantiles, every fault counter —
+// must be what an uninterrupted run prints, and its checkpoint must be gone.
+func TestFaultRunKillResume(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and kills the binary")
+	}
+	bin := filepath.Join(t.TempDir(), "anton2sim")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	args := []string{"-shape", "4x4x2", "-batch", "128", "-fault", "corrupt=0.01,stall=0.001"}
+	var ref, errb bytes.Buffer
+	if code := run(args, &ref, &errb); code != 0 {
+		t.Fatalf("uninterrupted run: exit code = %d, stderr: %s", code, errb.String())
+	}
+
+	dir := t.TempDir()
+	args = append(args, "-checkpoint-dir", dir, "-checkpoint-every", "100")
+	victim := exec.Command(bin, args...)
+	if err := victim.Start(); err != nil {
+		t.Fatal(err)
+	}
+	exited := make(chan error, 1)
+	go func() { exited <- victim.Wait() }()
+	var saved []string
+	for deadline := time.Now().Add(time.Minute); len(saved) == 0; time.Sleep(2 * time.Millisecond) {
+		select {
+		case err := <-exited:
+			t.Fatalf("the run ended (%v) before a checkpoint was seen; it is too short to kill", err)
+		default:
+		}
+		if time.Now().After(deadline) {
+			victim.Process.Kill()
+			t.Fatal("no checkpoint appeared within a minute")
+		}
+		saved, _ = filepath.Glob(filepath.Join(dir, "*.ckpt"))
+	}
+	victim.Process.Kill()
+	<-exited
+	if c, err := ckpt.ReadFile(saved[0]); err != nil || c.Cycle == 0 {
+		t.Fatalf("killed run's checkpoint: %+v, %v", c, err)
+	}
+
+	var got bytes.Buffer
+	if code := run(append(args, "-resume"), &got, &errb); code != 0 {
+		t.Fatalf("resumed run: exit code = %d, stderr: %s", code, errb.String())
+	}
+	if got.String() != ref.String() {
+		t.Errorf("resumed run printed\n%s\nuninterrupted run printed\n%s", got.String(), ref.String())
+	}
+	if left, _ := os.ReadDir(dir); len(left) != 0 {
+		t.Errorf("%d files left in the checkpoint directory after the resumed run", len(left))
 	}
 }

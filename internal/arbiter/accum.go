@@ -26,15 +26,8 @@ func NewAccumState(k, m int) *AccumState {
 	return &AccumState{K: k, M: m, Accum: make([]uint32, k)}
 }
 
-// Pri returns the per-input priority levels: 1 (high) when the accumulator's
-// MSB is clear, 0 (low) otherwise.
-func (s *AccumState) Pri() []uint8 {
-	pri := make([]uint8, s.K)
-	s.PriInto(pri)
-	return pri
-}
-
-// PriInto fills pri (len >= K) with the per-input priority levels.
+// PriInto fills pri (len >= K) with the per-input priority levels: 1 (high)
+// when the accumulator's MSB is clear, 0 (low) otherwise.
 func (s *AccumState) PriInto(pri []uint8) {
 	msbMask := uint32(1) << uint(s.M)
 	for i := 0; i < s.K; i++ {

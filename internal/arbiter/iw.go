@@ -77,14 +77,6 @@ func (a *InverseWeighted) Pick(req uint64, pats []uint8) int {
 	return g
 }
 
-// Accumulators exposes a copy of the accumulator values for tests and
-// debugging.
-func (a *InverseWeighted) Accumulators() []uint32 {
-	out := make([]uint32, a.k)
-	copy(out, a.state.Accum)
-	return out
-}
-
 // WeightsFromLoads converts per-input loads for one traffic pattern into
 // inverse weights: m_i = nint(beta * (1/gamma_i)), with beta scaled so the
 // largest weight fits in M bits. Inputs with zero load get the maximum

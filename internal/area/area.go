@@ -84,8 +84,8 @@ type Config struct {
 func Default() Config {
 	return Config{
 		Scheme:           route.AntonScheme{},
-		MeshVCBuf:        64,
-		TorusVCBuf:       256,
+		MeshVCBuf:        topo.MeshVCBuf,
+		TorusVCBuf:       topo.TorusVCBuf,
 		MulticastEntries: 256,
 		Patterns:         2,
 		WeightBits:       5,

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 
 	"anton2/internal/arbiter"
+	"anton2/internal/ckpt"
 	"anton2/internal/exp"
 	"anton2/internal/loadcalc"
 	"anton2/internal/machine"
@@ -55,7 +56,10 @@ type BlendResult struct {
 }
 
 // RunBlend executes one blend measurement.
-func RunBlend(cfg BlendConfig) (BlendResult, error) {
+func RunBlend(cfg BlendConfig) (BlendResult, error) { return runBlend(cfg, ckpt.RunConfig{}) }
+
+// runBlend is RunBlend under a checkpoint config (see runBatch).
+func runBlend(cfg BlendConfig, rc ckpt.RunConfig) (BlendResult, error) {
 	fwd, rev := traffic.Tornado(), traffic.ReverseTornado()
 
 	mcfg := cfg.Machine
@@ -73,10 +77,6 @@ func RunBlend(cfg BlendConfig) (BlendResult, error) {
 	if cfg.Weights != WeightsNone {
 		mcfg.Arbiter = arbiter.KindInverseWeighted
 	}
-	m, _, err := BuildMachine(mcfg, weightPats...)
-	if err != nil {
-		return BlendResult{}, err
-	}
 
 	// Normalization: the blend's own saturation rate (load is linear in
 	// the mixing coefficients).
@@ -93,43 +93,40 @@ func RunBlend(cfg BlendConfig) (BlendResult, error) {
 		return BlendResult{}, fmt.Errorf("core: degenerate blend saturation")
 	}
 
-	tm := m.Topo
-	total := uint64(tm.NumNodes() * len(tm.Chip.CoreEndpoints()) * cfg.Batch)
-
 	// Pattern labels: under single-weight modes every packet is labeled
 	// pattern 0 (there is only one weight set); under Both, tornado
 	// packets are pattern 0 and reverse packets pattern 1.
 	nFwd := int(float64(cfg.Batch)*cfg.ForwardFraction + 0.5)
-	injectBatches(m, "blend", cfg.Batch, nil, func(src topo.NodeEp, rng *rand.Rand) (topo.NodeEp, uint8) {
-		// Interleave forward/reverse sends in proportion.
-		var isFwd bool
-		if nFwd >= cfg.Batch {
-			isFwd = true
-		} else if nFwd <= 0 {
-			isFwd = false
-		} else {
-			isFwd = rng.Float64() < cfg.ForwardFraction
-		}
-		if isFwd {
-			return fwd.Dest(tm, src, rng), 0
-		}
-		var pid uint8
-		if cfg.Weights == WeightsBoth {
-			pid = 1
-		}
-		return rev.Dest(tm, src, rng), pid
-	})
-
-	maxCycles := cfg.MaxCycles
-	if maxCycles == 0 {
-		maxCycles = cycleBudget(cfg.Batch, satRate, 60, 300_000)
-	}
-	end, err := m.RunUntilDelivered(total, maxCycles)
+	_, end, _, err := runBatch(batchPoint{
+		machine: mcfg,
+		weights: weightPats,
+		stream:  "blend",
+		batch:   cfg.Batch,
+		draw: func(tm *topo.Machine, src topo.NodeEp, rng *rand.Rand) (topo.NodeEp, uint8) {
+			// Interleave forward/reverse sends in proportion.
+			var isFwd bool
+			if nFwd >= cfg.Batch {
+				isFwd = true
+			} else if nFwd <= 0 {
+				isFwd = false
+			} else {
+				isFwd = rng.Float64() < cfg.ForwardFraction
+			}
+			if isFwd {
+				return fwd.Dest(tm, src, rng), 0
+			}
+			var pid uint8
+			if cfg.Weights == WeightsBoth {
+				pid = 1
+			}
+			return rev.Dest(tm, src, rng), pid
+		},
+		maxCycles: cycleBudget(cfg.MaxCycles, cfg.Batch, satRate, 60, 300_000),
+		tag:       BlendSpec(cfg).Canonical(),
+		label:     fmt.Sprintf("blend run (f=%.2f, %v)", cfg.ForwardFraction, cfg.Weights),
+	}, rc)
 	if err != nil {
-		return BlendResult{}, fmt.Errorf("core: blend run (f=%.2f, %v): %w", cfg.ForwardFraction, cfg.Weights, err)
-	}
-	if err := m.FinishChecks(); err != nil {
-		return BlendResult{}, fmt.Errorf("core: blend run (f=%.2f, %v): %w", cfg.ForwardFraction, cfg.Weights, err)
+		return BlendResult{}, err
 	}
 	rate := float64(cfg.Batch) / float64(end)
 	return BlendResult{

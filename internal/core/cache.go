@@ -37,9 +37,13 @@ func computeLoads(cfg machine.Config, p traffic.Pattern) (*loadcalc.Loads, error
 }
 
 // CachedLoadsLen reports how many distinct (configuration, pattern) load
-// tables are currently cached (instrumentation for tests and EXPERIMENTS.md
-// timing notes).
-func CachedLoadsLen() int { return sharedLoads.Len() }
+// tables are cached: the completed ones, which is what SnapshotLoads writes —
+// a table still being computed is not counted.
+func CachedLoadsLen() int {
+	n := 0
+	sharedLoads.Range(func(string, any) { n++ })
+	return n
+}
 
 // loadsWire shadows Loads.Cfg out of the JSON encoding: the routing
 // configuration holds an interface-valued scheme and a topology pointer —

@@ -10,24 +10,24 @@ import (
 	"anton2/internal/traffic"
 )
 
-// This file threads crash-safe checkpointing through the figure runners. A
-// checkpoint pairs two sections: "machine" (the machine's binary snapshot
-// record, machine.AppendSnapshot) and "driver" (the runner's own position —
-// injection counters, RNG progress, per-phase state — a few hundred bytes of
-// JSON, because it is whatever struct the runner keeps and costs nothing at
-// that size). Restoring both and fast-forwarding the driver's RNG streams
-// makes a resumed run bit-identical to an uninterrupted one, so checkpointing
-// never perturbs results — it only bounds how much work a crash can lose.
+// This file threads crash-safe checkpointing through the two drivers, runBatch
+// and runMDStep. A checkpoint pairs two sections: "machine" (the machine's
+// binary snapshot record, machine.AppendSnapshot) and "driver" (the driver's
+// own position — a batchProgress or a workload.Progress — as JSON, because it
+// is whatever struct the driver keeps). Restoring both and fast-forwarding
+// the driver's RNG streams makes a resumed run bit-identical to an
+// uninterrupted one, so checkpointing never perturbs results — it only bounds
+// how much work a crash can lose.
 //
 // Resuming is strictly an optimization: any problem with a checkpoint — torn
 // file, another format version, tag mismatch, shape mismatch against the
 // rebuilt machine — silently falls back to a fresh run, which is always
 // correct.
 
-// ErrNoRunCkpt is what the CLIs answer when asked to checkpoint a point whose
-// job has no exp.Job.RunCkpt; this message is the one list of the jobs that
-// do have one.
-var ErrNoRunCkpt = errors.New("checkpointing: this point's job has no RunCkpt (checkpoint-aware: fig9 throughput points — anton2sim without -fault — and mdstep)")
+// ErrNoRunCkpt is what anton2bench answers when asked to checkpoint an
+// experiment whose jobs have no exp.Job.RunCkpt: an analytic result, or a
+// family whose Checkpoints method says no.
+var ErrNoRunCkpt = errors.New("checkpointing: this experiment's jobs have no RunCkpt")
 
 // CheckpointFlags turns the CLIs' -checkpoint-dir / -checkpoint-every /
 // -resume trio into sweep options, or says why it cannot: the flags must come

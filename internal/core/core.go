@@ -148,11 +148,12 @@ func BlendedSaturationRate(fracs []float64, loads []*loadcalc.Loads) float64 {
 	return loadcalc.SaturationRateAt(maxLoad)
 }
 
-// cycleBudget is the default bound of a batch run: mult times the ideal
-// completion time at the analytic saturation rate, but at least floor cycles.
-func cycleBudget(batch int, satRate, mult float64, floor uint64) uint64 {
-	if n := uint64(mult * (float64(batch) / satRate)); n > floor {
-		return n
+// cycleBudget is the bound of a batch run: maxCycles when the caller set one,
+// otherwise mult times the ideal completion time at the analytic saturation
+// rate, but at least floor cycles.
+func cycleBudget(maxCycles uint64, batch int, satRate, mult float64, floor uint64) uint64 {
+	if maxCycles != 0 {
+		return maxCycles
 	}
-	return floor
+	return max(uint64(mult*(float64(batch)/satRate)), floor)
 }

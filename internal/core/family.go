@@ -113,6 +113,13 @@ type Family struct {
 	Render func(w io.Writer, panels []Axes, rs []exp.Result)
 }
 
+// Checkpoints reports whether the family's jobs carry exp.Job.RunCkpt: all do
+// (one long run a point, under runBatch or runMDStep) but latency's ping-pong
+// pairs and energy's two short streams, which step their machines from loops
+// of their own and always start over. TestFamilyJobsCheckpoint holds it to
+// the jobs.
+func (f *Family) Checkpoints() bool { return f.Name != "latency" && f.Name != "energy" }
+
 // families is the registry, kept in Name order.
 var families []*Family
 

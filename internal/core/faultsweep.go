@@ -5,10 +5,10 @@ import (
 	"io"
 	"math/rand"
 
+	"anton2/internal/ckpt"
 	"anton2/internal/exp"
 	"anton2/internal/fault"
 	"anton2/internal/machine"
-	"anton2/internal/packet"
 	"anton2/internal/stats"
 	"anton2/internal/topo"
 	"anton2/internal/traffic"
@@ -59,11 +59,10 @@ func (p FaultPoint) SimCycles() uint64 { return p.Cycles }
 func (p FaultPoint) Degraded() bool { return p.DegradedRun }
 
 // RunFaultPoint executes one faultsweep measurement.
-func RunFaultPoint(cfg FaultConfig) (FaultPoint, error) {
-	m, _, err := BuildMachine(cfg.Machine)
-	if err != nil {
-		return FaultPoint{}, err
-	}
+func RunFaultPoint(cfg FaultConfig) (FaultPoint, error) { return runFaultPoint(cfg, ckpt.RunConfig{}) }
+
+// runFaultPoint is RunFaultPoint under a checkpoint config (see runBatch).
+func runFaultPoint(cfg FaultConfig, rc ckpt.RunConfig) (FaultPoint, error) {
 	_, satRate, err := patternSatRate(cfg.Machine, cfg.Pattern)
 	if err != nil {
 		return FaultPoint{}, err
@@ -73,15 +72,16 @@ func RunFaultPoint(cfg FaultConfig) (FaultPoint, error) {
 		pt.Spec = cfg.Machine.Fault.Canonical()
 		pt.CorruptRate = cfg.Machine.Fault.CorruptRate
 	}
-	end, lats, err := runLatencyBatch(m, "fault", cfg.Pattern, cfg.Batch, satRate, cfg.MaxCycles)
+	m, end, acc, err := runBatch(latencyBatch(cfg.Machine, "fault", cfg.Pattern, cfg.Batch, cfg.MaxCycles, satRate,
+		FaultSpec(cfg), fmt.Sprintf("fault run (%s)", pt.Spec)), rc)
 	if err != nil {
-		return pt, fmt.Errorf("core: fault run (%s): %w", pt.Spec, err)
+		return pt, err
 	}
 
 	pt.Cycles = end
 	pt.Throughput = float64(cfg.Batch) / float64(end) / satRate
-	pt.MeanLatency = stats.Mean(lats)
-	pt.P99Latency = stats.Percentile(lats, 99)
+	pt.MeanLatency = stats.Mean(acc.Latencies)
+	pt.P99Latency = stats.Percentile(acc.Latencies, 99)
 	if st := m.FaultStatus(); st != nil {
 		pt.DegradedRun = st.Degraded
 		pt.Counters = st.Counters.Map()
@@ -89,37 +89,25 @@ func RunFaultPoint(cfg FaultConfig) (FaultPoint, error) {
 	return pt, nil
 }
 
-// runLatencyBatch is the measurement body faultsweep and routecompare points
-// share: every core injects batch packets drawn from pattern (injectBatches
-// under the given stream prefix), every delivery records its
-// injection-to-delivery latency in cycles, and the run — checked by
-// FinishChecks — ends when the last packet arrives. maxCycles 0 means the
-// throughput default doubled (100x the lossless ideal, floor 400k cycles):
-// retransmission, stall and reroute overhead stretches completion well past
-// the ideal.
-func runLatencyBatch(m *machine.Machine, stream string, pattern traffic.Pattern, batch int, satRate float64, maxCycles uint64) (end uint64, lats []float64, err error) {
-	tm := m.Topo
-	total := uint64(tm.NumNodes() * len(tm.Chip.CoreEndpoints()) * batch)
-	injectBatches(m, stream, batch, nil, func(src topo.NodeEp, rng *rand.Rand) (topo.NodeEp, uint8) {
-		return pattern.Dest(tm, src, rng), 0
-	})
-	lats = make([]float64, 0, total)
-	onDeliver := func(p *packet.Packet, now uint64) bool {
-		lats = append(lats, float64(now-p.InjectedAt))
-		return false
+// latencyBatch is the batch point faultsweep and routecompare share: every
+// core draws its destinations from pattern, every delivery records its
+// latency, and the default budget is the throughput default doubled (100x the
+// lossless ideal, floor 400k cycles) — retransmission, stall and reroute
+// overhead stretches completion well past the ideal.
+func latencyBatch(mc machine.Config, stream string, pattern traffic.Pattern, batch int, maxCycles uint64, satRate float64,
+	spec *exp.Spec, label string) batchPoint {
+	return batchPoint{
+		machine: mc,
+		stream:  stream,
+		batch:   batch,
+		draw: func(tm *topo.Machine, src topo.NodeEp, rng *rand.Rand) (topo.NodeEp, uint8) {
+			return pattern.Dest(tm, src, rng), 0
+		},
+		maxCycles: cycleBudget(maxCycles, batch, satRate, 100, 400_000),
+		latencies: true,
+		tag:       spec.Canonical(),
+		label:     label,
 	}
-	for n := 0; n < tm.NumNodes(); n++ {
-		for ep := 0; ep < topo.NumEndpoints; ep++ {
-			m.Endpoint(topo.NodeEp{Node: n, Ep: ep}).OnDeliver = onDeliver
-		}
-	}
-	if maxCycles == 0 {
-		maxCycles = cycleBudget(batch, satRate, 100, 400_000)
-	}
-	if end, err = m.RunUntilDelivered(total, maxCycles); err != nil {
-		return 0, nil, err
-	}
-	return end, lats, m.FinishChecks()
 }
 
 // FaultSpec canonically identifies one faultsweep point. The fault spec
@@ -134,11 +122,7 @@ func FaultSpec(cfg FaultConfig) *exp.Spec {
 
 // FaultJob wraps one RunFaultPoint call for the orchestrator.
 func FaultJob(cfg FaultConfig) exp.Job {
-	return exp.Job{Spec: FaultSpec(cfg), Run: func(seed uint64) (any, error) {
-		c := cfg
-		c.Machine.Seed = seed
-		return RunFaultPoint(c)
-	}}
+	return pointJob(FaultSpec(cfg), cfg, func(c *FaultConfig) *machine.Config { return &c.Machine }, RunFaultPoint, runFaultPoint)
 }
 
 // The faultsweep family. Axes: Shape, Pattern, Rates (the sweep), Batch, Fault

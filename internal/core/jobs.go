@@ -6,6 +6,7 @@ import (
 	"anton2/internal/ckpt"
 	"anton2/internal/exp"
 	"anton2/internal/machine"
+	"anton2/internal/topo"
 	"anton2/internal/traffic"
 )
 
@@ -15,6 +16,30 @@ import (
 // the spec hash (exp.Spec.Seed), so a point's random streams depend only on
 // what it measures — never on worker scheduling — and serial and parallel
 // sweeps are bit-identical.
+
+// pointJob is the one adapter from a point runner to the orchestrator: the job
+// runs a copy of cfg whose machine config (reached through mc) carries the
+// spec-derived seed. run is the family's runner; runCkpt, when it has one, is
+// the same runner threading a ckpt.RunConfig and makes the job
+// checkpoint-aware: under exp's Checkpoint options it persists snapshots as it
+// runs, and with Resume a restarted sweep picks up from the last one.
+func pointJob[C, R any](spec *exp.Spec, cfg C, mc func(*C) *machine.Config,
+	run func(C) (R, error), runCkpt func(C, ckpt.RunConfig) (R, error)) exp.Job {
+	seeded := func(seed uint64) C {
+		c := cfg
+		mc(&c).Seed = seed
+		return c
+	}
+	var resumable func(seed uint64, rc ckpt.RunConfig) (any, error)
+	if runCkpt != nil {
+		resumable = func(seed uint64, rc ckpt.RunConfig) (any, error) { return runCkpt(seeded(seed), rc) }
+	}
+	return exp.Job{
+		Spec:    spec,
+		Run:     func(seed uint64) (any, error) { return run(seeded(seed)) },
+		RunCkpt: resumable,
+	}
+}
 
 // SimCycles lets exp record simulated cycle counts in artifacts.
 func (r ThroughputResult) SimCycles() uint64 { return r.Cycles }
@@ -27,7 +52,9 @@ func (r BlendResult) SimCycles() uint64 { return r.Cycles }
 // Weights) are encoded by presence: weights are derived from the listed
 // weight patterns, and the sweeps in this package never set the other two.
 // Check and Telemetry are deliberately excluded — the observability layers
-// never affect results, so toggling them must not change cache keys.
+// never affect results, so toggling them must not change cache keys. The
+// nineteen tokens are frozen — stored artifacts are addressed by their hash —
+// so the eight that are package topo's constants are still written.
 func addMachine(s *exp.Spec, cfg machine.Config) *exp.Spec {
 	s.Add("shape", cfg.Shape).
 		Add("scheme", cfg.Strategy().Name()).
@@ -35,16 +62,16 @@ func addMachine(s *exp.Spec, cfg machine.Config) *exp.Spec {
 		Add("skip", cfg.UseSkip).
 		Add("exitskip", cfg.ExitSkip).
 		Add("arb", cfg.Arbiter).
-		Add("meshbuf", cfg.MeshVCBuf).
-		Add("torusbuf", cfg.TorusVCBuf).
-		Add("rpipe", cfg.RouterPipeline).
-		Add("apipe", cfg.AdapterPipeline).
+		Add("meshbuf", topo.MeshVCBuf).
+		Add("torusbuf", topo.TorusVCBuf).
+		Add("rpipe", topo.RouterPipeline).
+		Add("apipe", topo.AdapterPipeline).
 		Add("epipe", cfg.EndpointPipeline).
-		Add("meshlat", cfg.MeshLatency).
-		Add("toruslat", cfg.TorusLatency).
-		Add("creditlat", cfg.CreditLatency).
+		Add("meshlat", topo.MeshLatency).
+		Add("toruslat", topo.TorusLatency).
+		Add("creditlat", topo.CreditLatency).
 		Add("linklat", cfg.LinkLatency != nil).
-		Add("rate", cfg.TorusRateMilli).
+		Add("rate", topo.TorusRateMilli).
 		Add("energy", cfg.TrackEnergy).
 		Add("mcast", cfg.Multicast != nil).
 		Add("seed", cfg.Seed)
@@ -80,20 +107,9 @@ func ThroughputSpec(cfg ThroughputConfig) *exp.Spec {
 		Add("maxcycles", cfg.MaxCycles)
 }
 
-// ThroughputJob wraps one RunThroughput call for the orchestrator. The job
-// is checkpoint-aware: under exp's Checkpoint options it persists snapshots as
-// it runs, and with Resume a restarted sweep picks up from the last one.
+// ThroughputJob wraps one RunThroughput call for the orchestrator.
 func ThroughputJob(cfg ThroughputConfig) exp.Job {
-	run := func(seed uint64, rc ckpt.RunConfig) (any, error) {
-		c := cfg
-		c.Machine.Seed = seed
-		return RunThroughputCkpt(c, rc)
-	}
-	return exp.Job{
-		Spec:    ThroughputSpec(cfg),
-		Run:     func(seed uint64) (any, error) { return run(seed, ckpt.RunConfig{}) },
-		RunCkpt: run,
-	}
+	return pointJob(ThroughputSpec(cfg), cfg, func(c *ThroughputConfig) *machine.Config { return &c.Machine }, RunThroughput, runThroughput)
 }
 
 // BlendSpec canonically identifies one Figure 10 blend point.
@@ -108,11 +124,7 @@ func BlendSpec(cfg BlendConfig) *exp.Spec {
 
 // BlendJob wraps one RunBlend call for the orchestrator.
 func BlendJob(cfg BlendConfig) exp.Job {
-	return exp.Job{Spec: BlendSpec(cfg), Run: func(seed uint64) (any, error) {
-		c := cfg
-		c.Machine.Seed = seed
-		return RunBlend(c)
-	}}
+	return pointJob(BlendSpec(cfg), cfg, func(c *BlendConfig) *machine.Config { return &c.Machine }, RunBlend, runBlend)
 }
 
 // LatencySpec canonically identifies one Figure 11 latency sweep.
@@ -128,11 +140,7 @@ func LatencySpec(cfg LatencyConfig) *exp.Spec {
 
 // LatencyJob wraps one RunLatency sweep for the orchestrator.
 func LatencyJob(cfg LatencyConfig) exp.Job {
-	return exp.Job{Spec: LatencySpec(cfg), Run: func(seed uint64) (any, error) {
-		c := cfg
-		c.Machine.Seed = seed
-		return RunLatency(c)
-	}}
+	return pointJob(LatencySpec(cfg), cfg, func(c *LatencyConfig) *machine.Config { return &c.Machine }, RunLatency, nil)
 }
 
 // EnergySpec canonically identifies one Figure 13 energy point.
@@ -149,9 +157,5 @@ func EnergySpec(cfg EnergyConfig) *exp.Spec {
 
 // EnergyJob wraps one RunEnergy two-route subtraction for the orchestrator.
 func EnergyJob(cfg EnergyConfig) exp.Job {
-	return exp.Job{Spec: EnergySpec(cfg), Run: func(seed uint64) (any, error) {
-		c := cfg
-		c.Machine.Seed = seed
-		return RunEnergy(c)
-	}}
+	return pointJob(EnergySpec(cfg), cfg, func(c *EnergyConfig) *machine.Config { return &c.Machine }, RunEnergy, nil)
 }

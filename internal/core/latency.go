@@ -196,17 +196,17 @@ type LatencyComponent struct {
 func DecomposeMinLatency(cfg LatencyConfig) []LatencyComponent {
 	mc := cfg.Machine
 	ns := machine.CyclesToNS
-	routerNS := ns(float64(mc.RouterPipeline + 1)) // pipeline + switch/output
+	routerNS := ns(topo.RouterPipeline + 1) // pipeline + switch/output
 	return []LatencyComponent{
 		{Name: "software send", NS: ns(float64(cfg.SendOverhead))},
-		{Name: "endpoint adapter (E)", NS: ns(float64(mc.EndpointPipeline + mc.MeshLatency))},
+		{Name: "endpoint adapter (E)", NS: ns(float64(mc.EndpointPipeline + topo.MeshLatency))},
 		{Name: "router RC/VA/SA1/SA2 (R)", NS: routerNS},
-		{Name: "mesh channel to adapter", NS: ns(float64(mc.MeshLatency))},
-		{Name: "channel adapter egress (C)", NS: ns(float64(mc.AdapterPipeline))},
-		{Name: "serialization + SerDes + wire", NS: ns(float64(mc.TorusLatency) + 3.214)},
-		{Name: "channel adapter ingress (C)", NS: ns(float64(mc.AdapterPipeline + mc.MeshLatency))},
+		{Name: "mesh channel to adapter", NS: ns(topo.MeshLatency)},
+		{Name: "channel adapter egress (C)", NS: ns(topo.AdapterPipeline)},
+		{Name: "serialization + SerDes + wire", NS: ns(float64(topo.TorusLatency) + 3.214)},
+		{Name: "channel adapter ingress (C)", NS: ns(topo.AdapterPipeline + topo.MeshLatency)},
 		{Name: "router (R)", NS: routerNS},
-		{Name: "mesh channel to endpoint", NS: ns(float64(mc.MeshLatency))},
+		{Name: "mesh channel to endpoint", NS: ns(topo.MeshLatency)},
 		{Name: "sync + handler dispatch", NS: ns(float64(cfg.RecvOverhead))},
 	}
 }

@@ -192,20 +192,9 @@ func MDStepSpec(cfg MDStepConfig) *exp.Spec {
 		Add("maxcycles", cfg.MaxPhaseCycles)
 }
 
-// MDStepJob wraps one RunMDStepPoint call for the orchestrator. The job is
-// checkpoint-aware: under exp's Checkpoint options it persists snapshots as
-// it runs, and with Resume a restarted sweep picks up from the last one.
+// MDStepJob wraps one RunMDStepPoint call for the orchestrator.
 func MDStepJob(cfg MDStepConfig) exp.Job {
-	run := func(seed uint64, rc ckpt.RunConfig) (any, error) {
-		c := cfg
-		c.Machine.Seed = seed
-		return RunMDStepPointCkpt(c, rc)
-	}
-	return exp.Job{
-		Spec:    MDStepSpec(cfg),
-		Run:     func(seed uint64) (any, error) { return run(seed, ckpt.RunConfig{}) },
-		RunCkpt: run,
-	}
+	return pointJob(MDStepSpec(cfg), cfg, func(c *MDStepConfig) *machine.Config { return &c.Machine }, RunMDStepPoint, RunMDStepPointCkpt)
 }
 
 // MDStepJobs builds one job per registered routing strategy, in registry

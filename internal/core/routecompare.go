@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"anton2/internal/area"
+	"anton2/internal/ckpt"
 	"anton2/internal/deadlock"
 	"anton2/internal/exp"
 	"anton2/internal/fault"
@@ -93,6 +94,12 @@ func AreaRatioVsAnton(s route.Scheme) float64 {
 
 // RunRouteComparePoint executes one routecompare measurement.
 func RunRouteComparePoint(cfg RouteCompareConfig) (RouteComparePoint, error) {
+	return runRouteComparePoint(cfg, ckpt.RunConfig{})
+}
+
+// runRouteComparePoint is RunRouteComparePoint under a checkpoint config (see
+// runBatch).
+func runRouteComparePoint(cfg RouteCompareConfig, rc ckpt.RunConfig) (RouteComparePoint, error) {
 	scheme := cfg.Machine.Strategy()
 	pt := RouteComparePoint{
 		Strategy:    scheme.Name(),
@@ -104,15 +111,6 @@ func RunRouteComparePoint(cfg RouteCompareConfig) (RouteComparePoint, error) {
 	if cfg.Machine.Fault != nil {
 		pt.FailLinks = cfg.Machine.Fault.FailLinks
 	}
-
-	m, _, err := BuildMachine(cfg.Machine)
-	if err != nil {
-		return pt, err
-	}
-	if cfg.VerifyDeadlock {
-		pt.DeadlockVerified = true
-		pt.DeadlockFree = deadlock.Verify(m.RouteConfig(), deadlock.Options{}) == nil
-	}
 	measured, satRate, err := patternSatRate(cfg.Machine, cfg.Pattern)
 	if err != nil {
 		return pt, err
@@ -120,16 +118,21 @@ func RunRouteComparePoint(cfg RouteCompareConfig) (RouteComparePoint, error) {
 	pt.SatRate = satRate
 	pt.MeanTorusHops = measured.MeanTorusHops
 
-	end, lats, err := runLatencyBatch(m, "rc", cfg.Pattern, cfg.Batch, satRate, cfg.MaxCycles)
+	m, end, acc, err := runBatch(latencyBatch(cfg.Machine, "rc", cfg.Pattern, cfg.Batch, cfg.MaxCycles, satRate,
+		RouteCompareSpec(cfg), fmt.Sprintf("routecompare %s (faillinks=%d)", pt.Strategy, pt.FailLinks)), rc)
 	if err != nil {
-		return pt, fmt.Errorf("core: routecompare %s (faillinks=%d): %w", pt.Strategy, pt.FailLinks, err)
+		return pt, err
+	}
+	if cfg.VerifyDeadlock {
+		pt.DeadlockVerified = true
+		pt.DeadlockFree = deadlock.Verify(m.RouteConfig(), deadlock.Options{}) == nil
 	}
 
 	pt.Cycles = end
 	pt.Throughput = float64(cfg.Batch) / float64(end) / satRate
 	pt.PacketsPerKCycle = float64(cfg.Batch) / float64(end) * 1000
-	pt.MeanLatency = stats.Mean(lats)
-	pt.P99Latency = stats.Percentile(lats, 99)
+	pt.MeanLatency = stats.Mean(acc.Latencies)
+	pt.P99Latency = stats.Percentile(acc.Latencies, 99)
 	if st := m.FaultStatus(); st != nil {
 		pt.DegradedRun = st.Degraded
 		pt.Rerouted = st.Counters.Rerouted
@@ -153,11 +156,7 @@ func RouteCompareSpec(cfg RouteCompareConfig) *exp.Spec {
 
 // RouteCompareJob wraps one RunRouteComparePoint call for the orchestrator.
 func RouteCompareJob(cfg RouteCompareConfig) exp.Job {
-	return exp.Job{Spec: RouteCompareSpec(cfg), Run: func(seed uint64) (any, error) {
-		c := cfg
-		c.Machine.Seed = seed
-		return RunRouteComparePoint(c)
-	}}
+	return pointJob(RouteCompareSpec(cfg), cfg, func(c *RouteCompareConfig) *machine.Config { return &c.Machine }, RunRouteComparePoint, runRouteComparePoint)
 }
 
 // The routecompare family. Axes: Shape, Pattern, Batch, Strategies x FailLinks

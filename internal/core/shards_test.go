@@ -65,7 +65,6 @@ func TestResolveShards(t *testing.T) {
 		"auto under check":       {func(c *machine.Config) { c.Check = true }, 1, 1},
 		"auto under telemetry":   {func(c *machine.Config) { c.Telemetry = &telemetry.Options{} }, 1, 1},
 		"auto with a heartbeat":  {func(c *machine.Config) { c.Progress = func(uint64) {} }, 1, 4},
-		"auto, no endpoint pipe": {func(c *machine.Config) { c.EndpointPipeline = 0 }, 1, 1},
 	} {
 		cfg := big
 		tc.mutate(&cfg)

@@ -9,9 +9,6 @@ import (
 	"anton2/internal/ckpt"
 	"anton2/internal/exp"
 	"anton2/internal/machine"
-	"anton2/internal/packet"
-	"anton2/internal/route"
-	"anton2/internal/sim"
 	"anton2/internal/stats"
 	"anton2/internal/topo"
 	"anton2/internal/traffic"
@@ -52,107 +49,32 @@ type ThroughputResult struct {
 	Fairness float64
 }
 
-// tpProgress is the throughput runner's driver section in a checkpoint: the
-// per-core injection counters (in (node, core) order, pinning each RNG
-// stream's position), the per-endpoint outstanding-delivery counters, and the
-// per-core completion times gathered so far.
-type tpProgress struct {
-	Sent      []int     `json:"sent"`
-	Remaining []int     `json:"remaining"`
-	Finished  []float64 `json:"finished"`
-}
-
 // RunThroughput executes one batch measurement.
 func RunThroughput(cfg ThroughputConfig) (ThroughputResult, error) {
-	return RunThroughputCkpt(cfg, ckpt.RunConfig{})
+	return runThroughput(cfg, ckpt.RunConfig{})
 }
 
-// RunThroughputCkpt is RunThroughput with crash-safe checkpointing: when rc
-// is enabled, the machine and driver state are persisted every rc.Every
-// cycles, and when rc asks for a resume and a usable checkpoint exists, the
-// run restores it, fast-forwards every per-core RNG stream past the packets
-// already injected, and finishes bit-identically to an uninterrupted run.
-func RunThroughputCkpt(cfg ThroughputConfig, rc ckpt.RunConfig) (ThroughputResult, error) {
-	if rc.Enabled() {
-		// Refuse up front rather than run on silently writing no checkpoints.
-		if err := cfg.Machine.Checkpointable(); err != nil {
-			return ThroughputResult{}, err
-		}
-	}
-	m, _, err := BuildMachine(cfg.Machine, cfg.WeightPatterns...)
-	if err != nil {
-		return ThroughputResult{}, err
-	}
+// runThroughput is RunThroughput under a checkpoint config (see runBatch).
+func runThroughput(cfg ThroughputConfig, rc ckpt.RunConfig) (ThroughputResult, error) {
 	_, satRate, err := patternSatRate(cfg.Machine, cfg.Pattern)
 	if err != nil {
 		return ThroughputResult{}, err
 	}
-
-	tm := m.Topo
-	cores := tm.Chip.CoreEndpoints()
-	numCores := tm.NumNodes() * len(cores)
-	total := uint64(numCores * cfg.Batch)
-	tag := ThroughputSpec(cfg).Canonical()
-
-	sent := make([]int, numCores)
-	remaining := make([]int, tm.NumEndpointsTotal())
-	finished := make([]float64, 0, numCores)
-
-	var prog tpProgress
-	m, resumed, err := resumeRunCkpt(m, rc, tag, &prog, func() bool {
-		return len(prog.Sent) == numCores && len(prog.Remaining) == len(remaining)
-	}, cfg.Machine, cfg.WeightPatterns...)
+	m, end, acc, err := runBatch(batchPoint{
+		machine: cfg.Machine,
+		weights: cfg.WeightPatterns,
+		stream:  "tp",
+		batch:   cfg.Batch,
+		draw: func(tm *topo.Machine, src topo.NodeEp, rng *rand.Rand) (topo.NodeEp, uint8) {
+			return cfg.Pattern.Dest(tm, src, rng), cfg.PatternID
+		},
+		maxCycles: cycleBudget(cfg.MaxCycles, cfg.Batch, satRate, 50, 200_000),
+		tag:       ThroughputSpec(cfg).Canonical(),
+		label:     fmt.Sprintf("throughput run (%s, batch %d)", cfg.Pattern.Name(), cfg.Batch),
+	}, rc)
 	if err != nil {
 		return ThroughputResult{}, err
 	}
-	if resumed {
-		copy(sent, prog.Sent)
-		copy(remaining, prog.Remaining)
-		finished = append(finished, prog.Finished...)
-	}
-
-	if !resumed {
-		for n := 0; n < tm.NumNodes(); n++ {
-			for _, ep := range cores {
-				remaining[tm.EndpointIndex(topo.NodeEp{Node: n, Ep: ep})] = cfg.Batch
-			}
-		}
-	}
-	injectBatches(m, "tp", cfg.Batch, sent, func(src topo.NodeEp, rng *rand.Rand) (topo.NodeEp, uint8) {
-		return cfg.Pattern.Dest(tm, src, rng), cfg.PatternID
-	})
-	onDeliver := func(p *packet.Packet, now uint64) bool {
-		i := tm.EndpointIndex(p.Src)
-		remaining[i]--
-		if remaining[i] == 0 {
-			finished = append(finished, float64(now))
-		}
-		return false
-	}
-	for n := 0; n < tm.NumNodes(); n++ {
-		for ep := 0; ep < topo.NumEndpoints; ep++ {
-			m.Endpoint(topo.NodeEp{Node: n, Ep: ep}).OnDeliver = onDeliver
-		}
-	}
-
-	maxCycles := cfg.MaxCycles
-	if maxCycles == 0 {
-		maxCycles = cycleBudget(cfg.Batch, satRate, 50, 200_000)
-	}
-	if rc.Enabled() {
-		observeCkpt(m, rc, tag, func() any {
-			return tpProgress{Sent: sent, Remaining: remaining, Finished: finished}
-		})
-	}
-	end, err := m.RunUntilDelivered(total, maxCycles)
-	if err != nil {
-		return ThroughputResult{}, fmt.Errorf("core: throughput run (%s, batch %d): %w", cfg.Pattern.Name(), cfg.Batch, err)
-	}
-	if err := m.FinishChecks(); err != nil {
-		return ThroughputResult{}, fmt.Errorf("core: throughput run (%s, batch %d): %w", cfg.Pattern.Name(), cfg.Batch, err)
-	}
-
-	rc.Discard()
 	rate := float64(cfg.Batch) / float64(end) // packets/cycle/core
 	_, meanU, maxU := m.TorusUtilization(nil, end)
 	return ThroughputResult{
@@ -161,45 +83,8 @@ func RunThroughputCkpt(cfg ThroughputConfig, rc ckpt.RunConfig) (ThroughputResul
 		Normalized:      rate / satRate,
 		MeanUtilization: meanU,
 		MaxUtilization:  maxU,
-		Fairness:        stats.JainIndex(finished),
+		Fairness:        stats.JainIndex(acc.Finished),
 	}, nil
-}
-
-// injectBatches makes every core endpoint, in (node, core) order, the source
-// of batch request packets: each packet's destination and weight-pattern
-// label come from draw, then its route choices from MakeRandomPacket, all on
-// the core's own "<stream>-src-<node>-<ep>" RNG stream. sent counts, in the
-// same order, the packets each core has already injected — all zero for a
-// fresh run (nil allocates them); a resumed run passes its checkpointed
-// counts and each stream is fast-forwarded past exactly those packets' draws.
-func injectBatches(m *machine.Machine, stream string, batch int, sent []int,
-	draw func(src topo.NodeEp, rng *rand.Rand) (dst topo.NodeEp, patternID uint8)) {
-	tm := m.Topo
-	cores := tm.Chip.CoreEndpoints()
-	if sent == nil {
-		sent = make([]int, tm.NumNodes()*len(cores))
-	}
-	i := 0
-	for n := 0; n < tm.NumNodes(); n++ {
-		for _, ep := range cores {
-			src := topo.NodeEp{Node: n, Ep: ep}
-			rng := sim.NewRNG(m.Cfg.Seed, fmt.Sprintf("%s-src-%d-%d", stream, n, ep))
-			for k := 0; k < sent[i]; k++ {
-				draw(src, rng)
-				route.RandomChoices(rng)
-			}
-			count := &sent[i]
-			m.Endpoint(src).Source = func() *packet.Packet {
-				if *count >= batch {
-					return nil
-				}
-				*count++
-				dst, pid := draw(src, rng)
-				return m.MakeRandomPacket(src, dst, route.ClassRequest, pid, rng)
-			}
-			i++
-		}
-	}
 }
 
 // The throughput family (Figure 9). Axes: Shape, Pattern, Arbiter, Batches

@@ -87,10 +87,3 @@ func (c *Cache) Forget(key string) {
 	delete(c.m, key)
 	c.mu.Unlock()
 }
-
-// Len reports the number of cached entries (including in-flight ones).
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.m)
-}

@@ -206,7 +206,7 @@ func (a *ChannelAdapter) tick(now uint64) {
 				vc := route.AdapterEgress(a.m.routeCfg, &p.Route, a.nodeCoord)
 				q.outVC = uint8(route.PhysVC(a.m.Cfg.Scheme, topo.GroupT, p.Route.Class, vc))
 				q.routed = true
-				q.readyAt = p.ArrivedAt + a.m.Cfg.AdapterPipeline
+				q.readyAt = p.ArrivedAt + topo.AdapterPipeline
 			}
 			if q.readyAt <= now {
 				if a.torusOut.CanSend(now, q.outVC, q.headPkt().Size) {
@@ -263,7 +263,7 @@ func (a *ChannelAdapter) tick(now uint64) {
 				q.outVC = uint8(route.PhysVC(a.m.Cfg.Scheme, topo.GroupT, p.Route.Class, vc))
 			}
 			q.routed = true
-			q.readyAt = p.ArrivedAt + a.m.Cfg.AdapterPipeline
+			q.readyAt = p.ArrivedAt + topo.AdapterPipeline
 		}
 		if q.readyAt <= now {
 			if a.toRouter.CanSend(now, q.outVC, a.ingHead(q).Size) {

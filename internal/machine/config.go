@@ -54,28 +54,15 @@ type Config struct {
 	// is KindInverseWeighted).
 	Weights *loadcalc.WeightSet
 
-	// Buffer depths per VC, in flits.
-	MeshVCBuf  int
-	TorusVCBuf int
-
-	// Pipeline depths, in cycles: the router's RC/VA/SA1 stages before a
-	// packet may bid for the switch, and the adapters' processing
-	// latencies.
-	RouterPipeline   uint64
-	AdapterPipeline  uint64
+	// EndpointPipeline is the endpoint adapter's send latency in cycles: 4
+	// on every machine this repository builds, and at least 1 (Validate).
+	// Buffer depths, the other pipeline depths, channel latencies and the
+	// torus serialization rate are the paper's constants (package topo).
 	EndpointPipeline uint64
 
-	// Channel latencies in cycles. TorusLatency covers SerDes,
-	// framing, and wire flight for a typical link; LinkLatency, when
-	// non-nil, overrides it per link (packaging-derived lengths).
-	MeshLatency   uint64
-	TorusLatency  uint64
-	CreditLatency uint64
-	LinkLatency   func(node int, ad topo.AdapterID) uint64
-
-	// TorusRateMilli is the torus serialization rate in millicycles per
-	// flit (default 3214 = 89.6 Gb/s effective of the 288 Gb/s mesh).
-	TorusRateMilli uint64
+	// LinkLatency, when non-nil, overrides topo.TorusLatency per link
+	// (packaging-derived lengths).
+	LinkLatency func(node int, ad topo.AdapterID) uint64
 
 	// TrackEnergy enables the per-channel event counters feeding the
 	// Section 4.5 energy model.
@@ -174,10 +161,11 @@ type ConfigError struct {
 func (e *ConfigError) Error() string { return "machine: Config." + e.Field + ": " + e.Msg }
 
 // Validate is the one statement of which modes compose: it returns a
-// *ConfigError for an unknown engine, a negative shard count, an explicit
-// shard count above 1 combined with anything Shardable refuses, or an invalid
-// fault spec. Shards == 0 (auto) never errors on that account: it resolves to
-// serial where an explicit count would be refused. Validate reads no derived
+// *ConfigError for an unknown engine, a negative shard count, an endpoint
+// pipeline of 0 cycles, an explicit shard count above 1 combined with
+// anything Shardable refuses, or an invalid fault spec. Shards == 0 (auto)
+// never errors on account of sharding: it resolves to serial where an explicit
+// count would be refused. Validate reads no derived
 // input (topology, weight tables), so the CLIs call it on the config their
 // flags describe, before anything runs; New calls it first and builds every
 // config it accepts, given a valid Shape and the Weights an inverse-weighted
@@ -188,6 +176,11 @@ func (c Config) Validate() error {
 		return &ConfigError{"Engine", fmt.Sprintf("unknown engine %q (valid: %s, %s)", c.Engine, EngineActive, EngineScan)}
 	case c.Shards < 0:
 		return &ConfigError{"Shards", fmt.Sprintf("shards must be >= 0, got %d", c.Shards)}
+	case c.EndpointPipeline == 0:
+		// Nothing asks for it, and sharded stepping cannot order it: a
+		// cross-endpoint OnDeliver callback could observe same-cycle state
+		// a serial step would already have updated.
+		return &ConfigError{"EndpointPipeline", "the endpoint pipeline must be at least 1 cycle"}
 	case c.Shards > 1:
 		if err := c.Shardable(); err != nil {
 			return err
@@ -214,10 +207,6 @@ func (c Config) Shardable() error {
 		return &ConfigError{"Check", "the invariant suite assumes single-threaded stepping (Shards > 1)"}
 	case c.Telemetry != nil:
 		return &ConfigError{"Telemetry", "telemetry assumes single-threaded stepping (Shards > 1)"}
-	case c.EndpointPipeline == 0:
-		// A cross-endpoint OnDeliver callback could observe same-cycle
-		// state a serial step would already have updated.
-		return &ConfigError{"EndpointPipeline", "sharded stepping requires an endpoint pipeline of at least 1 cycle"}
 	}
 	return nil
 }
@@ -250,15 +239,7 @@ func DefaultConfig(shape topo.TorusShape) Config {
 		UseSkip:          true,
 		ExitSkip:         true,
 		Arbiter:          arbiter.KindRoundRobin,
-		MeshVCBuf:        64,
-		TorusVCBuf:       256,
-		RouterPipeline:   3, // RC, VA, SA1; SA2 grants on the next scan
-		AdapterPipeline:  3,
 		EndpointPipeline: 4,
-		MeshLatency:      1,
-		TorusLatency:     45, // SerDes + framing + wire, ~30 ns
-		CreditLatency:    1,
-		TorusRateMilli:   topo.TorusRateMilli,
 		Seed:             1,
 	}
 }

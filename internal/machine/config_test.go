@@ -21,8 +21,8 @@ func refusedField(t *testing.T, err error) string {
 }
 
 // TestConfigLattice walks the whole mode lattice — engine x shards x check x
-// telemetry x endpoint pipeline x checkpoint, each cell with and without the
-// Progress heartbeat, which must change no verdict — and holds every cell to
+// telemetry x checkpoint, each cell with and without the Progress
+// heartbeat, which must change no verdict — and holds every cell to
 // the contract: Validate and New agree, a refused cell is a *ConfigError naming
 // the field the table below expects, a built cell runs, and a snapshot of it
 // succeeds exactly when Checkpointable says so (again with a typed refusal).
@@ -32,7 +32,7 @@ func refusedField(t *testing.T, err error) string {
 // exactly the cells an explicit count is refused in, naming the same field.
 func TestConfigLattice(t *testing.T) {
 	// The expected refusal, written as the rules read in DESIGN §9.
-	wantField := func(engine string, shards int, check, tel bool, epipe uint64) string {
+	wantField := func(engine string, shards int, check, tel bool) string {
 		switch {
 		case engine == "warp":
 			return "Engine"
@@ -46,8 +46,6 @@ func TestConfigLattice(t *testing.T) {
 			return "Check"
 		case tel:
 			return "Telemetry"
-		case epipe == 0:
-			return "EndpointPipeline"
 		}
 		return ""
 	}
@@ -56,73 +54,71 @@ func TestConfigLattice(t *testing.T) {
 		for _, shards := range []int{0, 1, 2, -1} {
 			for _, check := range []bool{false, true} {
 				for _, tel := range []bool{false, true} {
-					for _, epipe := range []uint64{0, 4} {
-						for _, ckpt := range []bool{false, true} {
-							for _, beat := range []bool{false, true} {
-								cells++
-								cfg := DefaultConfig(topo.Shape3(2, 2, 2))
-								cfg.Engine, cfg.Shards, cfg.Check, cfg.EndpointPipeline = engine, shards, check, epipe
-								if beat {
-									cfg.Progress = func(uint64) {}
+					for _, ckpt := range []bool{false, true} {
+						for _, beat := range []bool{false, true} {
+							cells++
+							cfg := DefaultConfig(topo.Shape3(2, 2, 2))
+							cfg.Engine, cfg.Shards, cfg.Check = engine, shards, check
+							if beat {
+								cfg.Progress = func(uint64) {}
+							}
+							if tel {
+								cfg.Telemetry = &telemetry.Options{}
+							}
+							name := fmt.Sprintf("engine=%q shards=%d check=%v tel=%v ckpt=%v beat=%v", engine, shards, check, tel, ckpt, beat)
+							want := wantField(engine, shards, check, tel)
+							if explicit := wantField(engine, 2, check, tel); engine != "warp" {
+								got := ""
+								if err := cfg.Shardable(); err != nil {
+									got = refusedField(t, err)
 								}
-								if tel {
-									cfg.Telemetry = &telemetry.Options{}
+								if got != explicit {
+									t.Errorf("%s: Shardable refuses Config.%s, but an explicit Shards: 2 is refused for Config.%s", name, got, explicit)
 								}
-								name := fmt.Sprintf("engine=%q shards=%d check=%v tel=%v epipe=%d ckpt=%v beat=%v", engine, shards, check, tel, epipe, ckpt, beat)
-								want := wantField(engine, shards, check, tel, epipe)
-								if explicit := wantField(engine, 2, check, tel, epipe); engine != "warp" {
-									got := ""
-									if err := cfg.Shardable(); err != nil {
-										got = refusedField(t, err)
-									}
-									if got != explicit {
-										t.Errorf("%s: Shardable refuses Config.%s, but an explicit Shards: 2 is refused for Config.%s", name, got, explicit)
-									}
+							}
+							verr := cfg.Validate()
+							m, nerr := New(cfg)
+							if (verr == nil) != (nerr == nil) {
+								t.Fatalf("%s: Validate = %v but New = %v", name, verr, nerr)
+							}
+							if want != "" {
+								if nerr == nil {
+									t.Fatalf("%s: built, want Config.%s refused", name, want)
 								}
-								verr := cfg.Validate()
-								m, nerr := New(cfg)
-								if (verr == nil) != (nerr == nil) {
-									t.Fatalf("%s: Validate = %v but New = %v", name, verr, nerr)
+								if got := refusedField(t, nerr); got != want {
+									t.Errorf("%s: refused Config.%s, want Config.%s", name, got, want)
 								}
-								if want != "" {
-									if nerr == nil {
-										t.Fatalf("%s: built, want Config.%s refused", name, want)
-									}
-									if got := refusedField(t, nerr); got != want {
-										t.Errorf("%s: refused Config.%s, want Config.%s", name, got, want)
-									}
-									continue
+								continue
+							}
+							if nerr != nil {
+								t.Fatalf("%s: refused (%v), want it to build", name, nerr)
+							}
+							// New builds auto serial (core.BuildMachine is what resolves it).
+							if got, want := len(m.shards), max(shards, 1); got != want {
+								t.Errorf("%s: built %d shards, want %d", name, got, want)
+							}
+							snapInject(m, 2)
+							m.Engine.Run(40)
+							if !ckpt {
+								continue
+							}
+							cerr := cfg.Checkpointable()
+							_, serr := m.Snapshot()
+							if (cerr == nil) != (serr == nil) {
+								t.Fatalf("%s: Checkpointable = %v but Snapshot = %v", name, cerr, serr)
+							}
+							switch {
+							case check:
+								want = "Check"
+							case tel:
+								want = "Telemetry"
+							}
+							if want == "" {
+								if serr != nil {
+									t.Errorf("%s: Snapshot = %v, want success", name, serr)
 								}
-								if nerr != nil {
-									t.Fatalf("%s: refused (%v), want it to build", name, nerr)
-								}
-								// New builds auto serial (core.BuildMachine is what resolves it).
-								if got, want := len(m.shards), max(shards, 1); got != want {
-									t.Errorf("%s: built %d shards, want %d", name, got, want)
-								}
-								snapInject(m, 2)
-								m.Engine.Run(40)
-								if !ckpt {
-									continue
-								}
-								cerr := cfg.Checkpointable()
-								_, serr := m.Snapshot()
-								if (cerr == nil) != (serr == nil) {
-									t.Fatalf("%s: Checkpointable = %v but Snapshot = %v", name, cerr, serr)
-								}
-								switch {
-								case check:
-									want = "Check"
-								case tel:
-									want = "Telemetry"
-								}
-								if want == "" {
-									if serr != nil {
-										t.Errorf("%s: Snapshot = %v, want success", name, serr)
-									}
-								} else if got := refusedField(t, serr); got != want {
-									t.Errorf("%s: Snapshot refused Config.%s, want Config.%s", name, got, want)
-								}
+							} else if got := refusedField(t, serr); got != want {
+								t.Errorf("%s: Snapshot refused Config.%s, want Config.%s", name, got, want)
 							}
 						}
 					}
@@ -130,8 +126,8 @@ func TestConfigLattice(t *testing.T) {
 			}
 		}
 	}
-	if cells != 4*4*2*2*2*2*2 {
-		t.Fatalf("walked %d cells, want %d", cells, 4*4*2*2*2*2*2)
+	if cells != 4*4*2*2*2*2 {
+		t.Fatalf("walked %d cells, want %d", cells, 4*4*2*2*2*2)
 	}
 }
 

@@ -146,18 +146,18 @@ func New(cfg Config) (*Machine, error) {
 				ID:            id,
 				Name:          fmt.Sprintf("n%d:%s", n, ch.Name),
 				Group:         ch.Group,
-				Latency:       cfg.MeshLatency,
+				Latency:       topo.MeshLatency,
 				RateMilli:     fabric.MeshRateMilli,
 				NumVCs:        route.TotalVCs(cfg.Scheme, ch.Group),
-				BufFlits:      cfg.MeshVCBuf,
-				CreditLatency: cfg.CreditLatency,
+				BufFlits:      topo.MeshVCBuf,
+				CreditLatency: topo.CreditLatency,
 				TrackEnergy:   cfg.TrackEnergy,
 			})
 		}
 		for ai := 0; ai < topo.NumChannelAdapters; ai++ {
 			ad := topo.AdapterByIndex(ai)
 			id := tm.TorusChanID(n, ad.Dir, ad.Slice)
-			lat := cfg.TorusLatency
+			lat := uint64(topo.TorusLatency)
 			if cfg.LinkLatency != nil {
 				lat = cfg.LinkLatency(n, ad)
 			}
@@ -166,10 +166,10 @@ func New(cfg Config) (*Machine, error) {
 				Name:          fmt.Sprintf("n%d:torus:%s", n, ad),
 				Group:         topo.GroupT,
 				Latency:       lat,
-				RateMilli:     cfg.TorusRateMilli,
+				RateMilli:     topo.TorusRateMilli,
 				NumVCs:        route.TotalVCs(cfg.Scheme, topo.GroupT),
-				BufFlits:      cfg.TorusVCBuf,
-				CreditLatency: cfg.CreditLatency,
+				BufFlits:      topo.TorusVCBuf,
+				CreditLatency: topo.CreditLatency,
 				TrackEnergy:   cfg.TrackEnergy,
 			})
 		}
@@ -268,7 +268,6 @@ func New(cfg Config) (*Machine, error) {
 			Topo:            tm,
 			Channels:        m.chans,
 			MaxVCs:          route.MaxTotalVCs(cfg.Scheme),
-			MeshVCBuf:       cfg.MeshVCBuf,
 			CyclePS:         CyclePS,
 			ScanVCOccupancy: m.scanVCOccupancy,
 		}
@@ -702,7 +701,7 @@ func (m *Machine) RunUntilDelivered(want uint64, maxCycles uint64) (uint64, erro
 // TorusUtilization returns the min, mean, and max utilization of all torus
 // channels over a window of cycles, where 1.0 is full effective bandwidth.
 func (m *Machine) TorusUtilization(startFlits []uint64, cycles uint64) (min, mean, max float64) {
-	capacity := float64(cycles) * 1000 / float64(m.Cfg.TorusRateMilli)
+	capacity := float64(cycles) * 1000 / topo.TorusRateMilli
 	base := m.Topo.NumNodes() * m.Topo.NumIntraChans()
 	min = 1e18
 	count := 0

@@ -12,13 +12,13 @@ import (
 	"anton2/internal/traffic"
 )
 
-// TestEffectiveBandwidthDerivation pins where DefaultConfig's TorusRateMilli
-// comes from: a 24-byte payload in a 30-byte frame makes a 112 Gb/s torus
+// TestEffectiveBandwidthDerivation pins where topo.TorusRateMilli comes
+// from: a 24-byte payload in a 30-byte frame makes a 112 Gb/s torus
 // channel carry 89.6 Gb/s, which is 45/14 cycles per flit of the 288 Gb/s mesh.
 func TestEffectiveBandwidthDerivation(t *testing.T) {
 	effective := 112.0 * 24 / 30
-	if got := uint64(1000 * 288 / effective); effective != 89.6 || got != DefaultConfig(topo.Shape3(1, 1, 1)).TorusRateMilli {
-		t.Errorf("effective %v Gb/s gives %d millicycles/flit, want 89.6 and %d", effective, got, DefaultConfig(topo.Shape3(1, 1, 1)).TorusRateMilli)
+	if got := uint64(1000 * 288 / effective); effective != 89.6 || got != topo.TorusRateMilli {
+		t.Errorf("effective %v Gb/s gives %d millicycles/flit, want 89.6 and %d", effective, got, topo.TorusRateMilli)
 	}
 }
 

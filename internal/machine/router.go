@@ -215,7 +215,7 @@ func (r *Router) routeHead(now uint64, q *vcq) {
 		q.outVC = uint8(route.PhysVC(r.m.Cfg.Scheme, out.Group, p.Route.Class, vc))
 	}
 	q.routed = true
-	q.readyAt = p.ArrivedAt + r.m.Cfg.RouterPipeline
+	q.readyAt = p.ArrivedAt + topo.RouterPipeline
 	if q.readyAt < now {
 		q.readyAt = now
 	}

@@ -211,7 +211,7 @@ func TestShardedConfigValidation(t *testing.T) {
 	}{
 		{"sharded + scan engine", func(c *Config) { c.Shards, c.Engine = 2, EngineScan }, "Engine"},
 		{"sharded + invariant suite", func(c *Config) { c.Shards, c.Check = 2, true }, "Check"},
-		{"sharded + zero endpoint pipeline", func(c *Config) { c.Shards, c.EndpointPipeline = 2, 0 }, "EndpointPipeline"},
+		{"zero endpoint pipeline", func(c *Config) { c.EndpointPipeline = 0 }, "EndpointPipeline"},
 		{"unknown engine mode", func(c *Config) { c.Engine = "warp" }, "Engine"},
 	} {
 		cfg := base

@@ -1,13 +1,6 @@
 package packet
 
-import (
-	"bytes"
-	"errors"
-	"testing"
-
-	"anton2/internal/route"
-	"anton2/internal/topo"
-)
+import "testing"
 
 func TestSizeForPayload(t *testing.T) {
 	cases := []struct {
@@ -53,148 +46,5 @@ func TestHammingAndSetBits(t *testing.T) {
 	}
 	if n := SetBits([]byte{0x03, 0x80}); n != 3 {
 		t.Errorf("SetBits = %d, want 3", n)
-	}
-}
-
-func validHeader() Header {
-	return Header{
-		Src:       topo.NodeEp{Node: 5, Ep: 3},
-		Dst:       topo.NodeEp{Node: 4090, Ep: topo.NumEndpoints - 1},
-		Class:     route.ClassReply,
-		Order:     topo.AllDimOrders[4],
-		Slice:     1,
-		Ties:      [topo.NumDims]int8{1, -1, 1},
-		PatternID: 1,
-		MGroup:    -1,
-	}
-}
-
-func TestEncodeDecodeRoundTrip(t *testing.T) {
-	payloads := [][]byte{nil, {}, []byte("position update!"), bytes.Repeat([]byte{0xA5}, MaxPayloadBytes)}
-	headers := []Header{validHeader()}
-	h2 := validHeader()
-	h2.MGroup = 0
-	h3 := validHeader()
-	h3.MGroup = MaxWireMGroup
-	h3.Ties = [topo.NumDims]int8{-1, -1, -1}
-	headers = append(headers, h2, h3)
-
-	for _, h := range headers {
-		for _, pay := range payloads {
-			buf, err := Encode(h, pay)
-			if err != nil {
-				t.Fatalf("Encode(%+v, %d bytes): %v", h, len(pay), err)
-			}
-			if len(buf) != HeaderBytes+len(pay) {
-				t.Fatalf("Encode produced %d bytes, want %d", len(buf), HeaderBytes+len(pay))
-			}
-			got, gotPay, err := Decode(buf)
-			if err != nil {
-				t.Fatalf("Decode: %v", err)
-			}
-			if got != h {
-				t.Errorf("round trip header:\n got %+v\nwant %+v", got, h)
-			}
-			if !bytes.Equal(gotPay, pay) {
-				t.Errorf("round trip payload: got %x, want %x", gotPay, pay)
-			}
-		}
-	}
-}
-
-func TestEncodeFieldBounds(t *testing.T) {
-	mut := []struct {
-		name string
-		mod  func(*Header)
-	}{
-		{"src node too big", func(h *Header) { h.Src.Node = 4096 }},
-		{"src node negative", func(h *Header) { h.Src.Node = -1 }},
-		{"src ep too big", func(h *Header) { h.Src.Ep = topo.NumEndpoints }},
-		{"dst ep too big", func(h *Header) { h.Dst.Ep = topo.NumEndpoints }},
-		{"class too big", func(h *Header) { h.Class = route.NumClasses }},
-		{"invalid order", func(h *Header) { h.Order = topo.DimOrder{0, 0, 0} }},
-		{"slice too big", func(h *Header) { h.Slice = topo.NumSlices }},
-		{"zero tie sign", func(h *Header) { h.Ties[1] = 0 }},
-		{"pattern too big", func(h *Header) { h.PatternID = 4 }},
-		{"mgroup too big", func(h *Header) { h.MGroup = MaxWireMGroup + 1 }},
-		{"mgroup below -1", func(h *Header) { h.MGroup = -2 }},
-	}
-	for _, m := range mut {
-		h := validHeader()
-		m.mod(&h)
-		if _, err := Encode(h, nil); !errors.Is(err, ErrFieldRange) {
-			t.Errorf("%s: Encode err = %v, want ErrFieldRange", m.name, err)
-		}
-	}
-	if _, err := Encode(validHeader(), make([]byte, MaxPayloadBytes+1)); !errors.Is(err, ErrFieldRange) {
-		t.Errorf("oversize payload: Encode err = %v, want ErrFieldRange", err)
-	}
-}
-
-func TestDecodeMalformed(t *testing.T) {
-	good, err := Encode(validHeader(), []byte("0123456789abcdef"))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for n := 0; n < HeaderBytes; n++ {
-		if _, _, err := Decode(good[:n]); !errors.Is(err, ErrTruncated) {
-			t.Errorf("Decode(%d bytes) err = %v, want ErrTruncated", n, err)
-		}
-	}
-	// Header intact but payload cut short or padded.
-	if _, _, err := Decode(good[:len(good)-1]); !errors.Is(err, ErrTruncated) {
-		t.Errorf("short payload: err = %v, want ErrTruncated", err)
-	}
-	if _, _, err := Decode(append(append([]byte{}, good...), 0)); !errors.Is(err, ErrTruncated) {
-		t.Errorf("trailing byte: err = %v, want ErrTruncated", err)
-	}
-
-	corrupt := func(mod func([]byte)) []byte {
-		b := append([]byte{}, good...)
-		mod(b)
-		return b
-	}
-	// Payload length field beyond the 32-byte maximum (bits [44,50)):
-	// setting bit 49 turns the encoded 16 into 48.
-	b := corrupt(func(b []byte) { b[6] |= 0x02 })
-	if _, _, err := Decode(b); !errors.Is(err, ErrFieldRange) {
-		t.Errorf("paylen 48: err = %v, want ErrFieldRange", err)
-	}
-	// Dimension-order index 6 or 7 (bits [35,38)).
-	b = corrupt(func(b []byte) { b[4] |= 0x7 << 3 })
-	if _, _, err := Decode(b); !errors.Is(err, ErrFieldRange) {
-		t.Errorf("order index 7: err = %v, want ErrFieldRange", err)
-	}
-	// Source endpoint 31 (bits [12,17)).
-	b = corrupt(func(b []byte) { b[1] |= 0xF0; b[2] |= 0x01 })
-	if _, _, err := Decode(b); !errors.Is(err, ErrFieldRange) {
-		t.Errorf("src ep 31: err = %v, want ErrFieldRange", err)
-	}
-}
-
-func TestHeaderOf(t *testing.T) {
-	p := &Packet{
-		Src:       topo.NodeEp{Node: 9, Ep: 2},
-		Dst:       topo.NodeEp{Node: 11, Ep: 20},
-		PatternID: 1,
-		MGroup:    17,
-	}
-	p.Route.Class = route.ClassReply
-	p.Route.DimOrder = topo.AllDimOrders[2]
-	p.Route.Slice = 1
-	p.Route.Ties = [topo.NumDims]int8{-1, 1, -1}
-
-	h := HeaderOf(p)
-	buf, err := Encode(h, nil)
-	if err != nil {
-		t.Fatalf("Encode(HeaderOf(p)): %v", err)
-	}
-	got, _, err := Decode(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != h {
-		t.Errorf("HeaderOf round trip: got %+v, want %+v", got, h)
 	}
 }

@@ -17,6 +17,7 @@ import (
 	"testing"
 	"time"
 
+	"anton2/internal/core"
 	"anton2/internal/exp"
 	"anton2/internal/machine"
 	"anton2/internal/telemetry"
@@ -205,6 +206,65 @@ func TestColdRestartServesFromDisk(t *testing.T) {
 	mresp.Body.Close()
 	if !strings.Contains(string(mb), `anton2serve_cache_hits_total{tier="disk"} 1`) {
 		t.Fatalf("/metrics missing disk hit:\n%s", mb)
+	}
+}
+
+// TestLoadsSavedOnlyWhenGrown: loads.json is rewritten only by a run that
+// completed a load table. Three runs over one (shape, pattern, strategy) write
+// it once; a run on a new shape writes it again; and what a restarted server
+// would restore holds both tables.
+func TestLoadsSavedOnlyWhenGrown(t *testing.T) {
+	dir := t.TempDir()
+	st, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, ts := newTestServer(t, Config{Store: st, Workers: 1})
+	run := func(shape string, batch int) os.FileInfo {
+		t.Helper()
+		resp, body := postWait(t, ts, &Request{Family: "throughput", Shape: shape, Batches: []int{batch}})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status = %d, body %s", resp.StatusCode, body)
+		}
+		// The response precedes the run's persistence; with one worker slot,
+		// holding it means that is over.
+		s.slots <- struct{}{}
+		<-s.slots
+		fi, err := os.Stat(filepath.Join(dir, "loads.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi
+	}
+	first := run("2x2x2", 2)
+	run("2x2x2", 3)
+	if again := run("2x2x2", 4); !os.SameFile(first, again) {
+		t.Error("loads.json was replaced by a run that computed no load table")
+	}
+	tables := core.CachedLoadsLen()
+	grown := run("2x3x2", 2)
+	if core.CachedLoadsLen() == tables {
+		t.Fatal("the 2x3x2 uniform table was already cached: the test needs a shape nothing else in this package uses")
+	}
+	if os.SameFile(first, grown) {
+		t.Error("loads.json was not replaced by a run that computed a new load table")
+	}
+
+	b, err := os.ReadFile(filepath.Join(dir, "loads.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, shape := range []string{"shape=2x2x2 ", "shape=2x3x2 "} {
+		if !strings.Contains(string(b), shape) {
+			t.Errorf("loads.json holds no table keyed %q", shape)
+		}
+	}
+	st2, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st2.RestoreLoads(); err != nil {
+		t.Errorf("restart cannot restore loads.json: %v", err)
 	}
 }
 

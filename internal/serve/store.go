@@ -47,8 +47,10 @@ type Store struct {
 	Quarantined atomic.Uint64
 
 	// loadsMu serializes load-snapshot writes (artifact writes need no
-	// lock: distinct names, atomic rename, identical bytes on collision).
-	loadsMu sync.Mutex
+	// lock: distinct names, atomic rename, identical bytes on collision) and
+	// guards loadsSaved, the number of tables the last one wrote.
+	loadsMu    sync.Mutex
+	loadsSaved int
 }
 
 // OpenStore opens (creating if needed) a store rooted at dir.
@@ -241,10 +243,17 @@ func (s *Store) ListWAL() ([]WALEntry, error) {
 }
 
 // SaveLoads snapshots the process-wide analytic load-table cache to disk.
-// Called after each completed run; the snapshot only ever grows, and a
-// concurrent older write can at worst persist a subset (the next run's
-// snapshot catches up).
+// Called after each completed run. The cache only ever grows, so when it holds
+// as many completed tables as the last snapshot wrote there is nothing new
+// and nothing is marshalled or written — the steady state: most runs reuse
+// tables. A table still being computed is not counted; the run that finds it
+// finished writes it.
 func (s *Store) SaveLoads() error {
+	s.loadsMu.Lock()
+	defer s.loadsMu.Unlock()
+	if core.CachedLoadsLen() == s.loadsSaved {
+		return nil
+	}
 	snap, err := core.SnapshotLoads()
 	if err != nil {
 		return err
@@ -253,11 +262,10 @@ func (s *Store) SaveLoads() error {
 	if err != nil {
 		return fmt.Errorf("serve: marshal loads snapshot: %w", err)
 	}
-	s.loadsMu.Lock()
-	defer s.loadsMu.Unlock()
 	if err := ckpt.AtomicWriteFile(filepath.Join(s.dir, "loads.json"), b); err != nil {
 		return fmt.Errorf("serve: write loads snapshot: %w", err)
 	}
+	s.loadsSaved = len(snap)
 	return nil
 }
 

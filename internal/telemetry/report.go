@@ -253,19 +253,6 @@ func (c *Collector) arbStats(r *Report) {
 	}
 }
 
-// TorusFlitTotal sums lifetime flits over torus channels; mesh analogue for
-// MeshFlitTotal. Conservation tests cross-check these against the machine's
-// own counters.
-func (r *Report) TorusFlitTotal() uint64 {
-	var total uint64
-	for _, cs := range r.Channels {
-		if cs.Torus {
-			total += cs.Flits
-		}
-	}
-	return total
-}
-
 // WindowFlitTotal sums a channel's window series (including the trailing
 // partial window); it must equal the channel's lifetime flit count when the
 // report was finalized after the run.

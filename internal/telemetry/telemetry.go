@@ -71,9 +71,6 @@ type Env struct {
 	Channels []*fabric.Channel // global channel id -> channel
 	// MaxVCs is the per-port VC array stride (route.MaxTotalVCs).
 	MaxVCs int
-	// MeshVCBuf is the per-VC mesh buffer depth in flits (histogram
-	// range scaling).
-	MeshVCBuf int
 	// CyclePS is the cycle time in picoseconds (trace timestamp scale).
 	CyclePS float64
 	// ScanVCOccupancy visits the queued flit count of every (chip router,
@@ -143,10 +140,6 @@ func NewCollector(env Env, opts Options) *Collector {
 	if opts.Name == "" {
 		opts.Name = "telemetry"
 	}
-	meshBuf := env.MeshVCBuf
-	if meshBuf <= 0 {
-		meshBuf = 64
-	}
 	nodes := env.Topo.NumNodes()
 	c := &Collector{
 		env:         env,
@@ -170,7 +163,7 @@ func NewCollector(env Env, opts Options) *Collector {
 	// Occupancy can exceed one VC buffer when several input ports of the
 	// same router queue into the same VC index; size the range for the
 	// worst case and let histogram clamping absorb the rest.
-	occRange := float64(meshBuf * topo.MaxRouterPorts)
+	occRange := float64(topo.MeshVCBuf * topo.MaxRouterPorts)
 	for i := range c.occ {
 		c.occ[i] = stats.NewHistogram(0, occRange, opts.OccBins)
 	}

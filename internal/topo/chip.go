@@ -91,16 +91,6 @@ func (r *Router) MeshPort(d MeshDir) int {
 	panic(fmt.Sprintf("topo: router %s has no mesh %s port", r.Coord, d))
 }
 
-// HasMeshPort reports whether the router has a mesh neighbor in direction d.
-func (r *Router) HasMeshPort(d MeshDir) bool {
-	for i := range r.Ports {
-		if r.Ports[i].Kind == PortMesh && r.Ports[i].MeshDir == d {
-			return true
-		}
-	}
-	return false
-}
-
 // SkipPort returns the skip-channel port index, or -1 if the router has none.
 func (r *Router) SkipPort() int {
 	for i := range r.Ports {

@@ -89,6 +89,22 @@ const NumSlices = 2
 // simulator's channels and the analytic saturation rates both read it here.
 const TorusRateMilli = 3214
 
+// The rest of the hardware the paper fixes and nothing in this repository
+// varies: buffer depths in flits per VC (the area model prices the same
+// ones), the pipeline depths in cycles of the router (RC, VA, SA1; SA2 grants
+// on the next scan) and of the channel adapter, and the channel latencies in
+// cycles — TorusLatency covers SerDes, framing and wire flight of a typical
+// link (~30 ns); machine.Config.LinkLatency overrides it per link.
+const (
+	MeshVCBuf       = 64
+	TorusVCBuf      = 256
+	RouterPipeline  = 3
+	AdapterPipeline = 3
+	MeshLatency     = 1
+	TorusLatency    = 45
+	CreditLatency   = 1
+)
+
 // DimOrder is a permutation of the three torus dimensions; inter-node routes
 // traverse dimensions in this order.
 type DimOrder [NumDims]Dim
