@@ -8,22 +8,22 @@
 //	            [-fault corrupt=0.01,...] [-engine active|scan] [-shards N]
 //	            [-shape KxKxK] [-cpuprofile file] [-memprofile file]
 //	            [-checkpoint-dir dir] [-checkpoint-every N] [-resume]
-//	            [-experiment name] [experiment]
+//	            [experiment]
 //
 // An experiment is an analytic result defined in this command (fig1, fig4,
 // table1, deadlock, ...), a simulated family of the internal/core registry
 // under its figure name, family name or an alias (fig9 = throughput, fig11 =
 // latency, mdstep = timestep = workload, ...), or all, the default. -h prints
-// every accepted name, generated from the experiment table and the registry;
-// -experiment is an alternative spelling of the positional name.
+// every accepted name, generated from the experiment table and the registry.
 //
 // -engine selects the cycle kernel: the default active-set scheduler ticks
 // only components with pending work and skips fully idle cycles; -engine
 // scan restores the reference every-component-every-cycle loop. -shards N
 // steps each machine across N goroutine shards with a deterministic
 // phase-barrier merge; the default 0 is auto (the cores the -parallel pool
-// leaves idle, for machines large enough to gain; serial otherwise) and 1
-// forces serial. All engine configurations produce bit-identical
+// leaves idle, for machines large enough to gain — a -check run included;
+// serial otherwise, and under -engine scan or -telemetry) and 1 forces
+// serial. All engine configurations produce bit-identical
 // results and artifacts — the flags change simulation speed only and are
 // excluded from result cache keys. A flag combination that
 // machine.Config.Validate or Checkpointable refuses exits 2.
@@ -80,7 +80,7 @@
 // With -check, every simulation runs under the internal/check invariant
 // suite (flit conservation, credit accounting, VC monotonicity, dimension
 // order, multicast delivery); violations fail the experiment. Checking does
-// not perturb results or seeds.
+// not perturb results or seeds, and a checked run shards like any other.
 //
 // With -telemetry, every simulated point runs under the internal/telemetry
 // collector: per-point JSON reports (<dir>/<figure>-pNN.json) with windowed
@@ -134,7 +134,6 @@ var (
 	engineFlag   *string
 	shardsFlag   *int
 	shapeFlag    *string
-	expFlag      *string
 	ckptDir      *string
 	ckptEvery    *uint64
 	resumeFlag   *bool
@@ -172,7 +171,6 @@ func registerFlags(fs *flag.FlagSet) {
 	engineFlag = fs.String("engine", "", "cycle engine: active (default) or scan (the reference every-component-every-cycle loop)")
 	shardsFlag = fs.Int("shards", 0, "step the machine across N goroutine shards (0 = auto, 1 = serial; N > 1 requires the active engine)")
 	shapeFlag = fs.String("shape", "", "torus shape KxKxK of fig9, fig10 and mdstep (default: the family's panels), fig2 (8x8x8) and deadlock (4x4x4)")
-	expFlag = fs.String("experiment", "", "experiment to run (same as the positional argument)")
 	ckptDir = fs.String("checkpoint-dir", "", "persist crash-recovery checkpoints under this directory")
 	ckptEvery = fs.Uint64("checkpoint-every", 0, "cycles between checkpoints (0 disables; requires -checkpoint-dir)")
 	resumeFlag = fs.Bool("resume", false, "resume interrupted points from their checkpoints in -checkpoint-dir")
@@ -302,13 +300,7 @@ func run(args []string, stderr io.Writer) int {
 	defer stopProfiles()
 
 	what := "all"
-	if *expFlag != "" {
-		what = *expFlag
-	}
 	if fs.NArg() > 0 {
-		if *expFlag != "" && fs.Arg(0) != *expFlag {
-			return reject(fmt.Errorf("both -experiment %q and positional %q given", *expFlag, fs.Arg(0)))
-		}
 		what = fs.Arg(0)
 	}
 	if fig, ok := aliases[what]; ok {

@@ -16,15 +16,17 @@
 // reference loop that ticks every component every cycle. -shards N steps
 // the machine across N goroutine shards with a deterministic phase-barrier
 // merge; the default 0 is auto (GOMAXPROCS shards for a machine large enough
-// to gain, serial otherwise) and 1 forces serial. All three produce
-// bit-identical results and artifacts — the flags
-// change only simulation speed (and are excluded from result cache keys).
+// to gain — a -check run included; serial otherwise, and under -engine scan or
+// -telemetry) and 1 forces serial. All three produce bit-identical results
+// and artifacts — the flags change only simulation speed (and are excluded
+// from result cache keys).
 // A flag combination that machine.Config.Validate or Checkpointable refuses
 // exits 2.
 //
 // With -check, the run executes under the internal/check invariant suite
 // (flit conservation, credit accounting, VC monotonicity, dimension order);
-// any violation fails the run. Checking never perturbs results or seeds.
+// any violation fails the run. Checking never perturbs results or seeds, and
+// a checked run shards like any other.
 //
 // With -fault, the run executes under the internal/fault layer: the spec is a
 // comma-joined key=value list (keys: corrupt, stall, creditloss [rates in

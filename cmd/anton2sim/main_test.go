@@ -35,7 +35,6 @@ func TestInvalidFlagsRejected(t *testing.T) {
 		{"unknown engine", []string{"-engine", "warp"}, "unknown engine"},
 		{"negative shards", []string{"-shards", "-1"}, "shards must be >= 0"},
 		{"sharded scan", []string{"-engine", "scan", "-shards", "2"}, "requires the active engine"},
-		{"sharded check", []string{"-shards", "2", "-check"}, "Config.Check"},
 		{"checkpointed telemetry", []string{"-checkpoint-dir", "x", "-checkpoint-every", "100", "-telemetry", "y"}, "Config.Telemetry"},
 		{"unknown flag", []string{"-frobnicate"}, ""},
 	}
@@ -86,10 +85,11 @@ func TestRunFaultFree(t *testing.T) {
 }
 
 // TestRunWithFaultSpec exercises the fault path end to end: the run completes
-// under corruption, reports the reliability counters, and exits 0.
+// under corruption — sharded, with the invariant suite on — reports the
+// reliability counters, and exits 0.
 func TestRunWithFaultSpec(t *testing.T) {
 	var out, errb bytes.Buffer
-	code := run([]string{"-shape", "2x2x2", "-batch", "4", "-check",
+	code := run([]string{"-shape", "2x2x2", "-batch", "4", "-check", "-shards", "2",
 		"-fault", "corrupt=0.02"}, &out, &errb)
 	if code != 0 {
 		t.Fatalf("exit code = %d, stderr: %s", code, errb.String())

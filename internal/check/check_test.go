@@ -2,6 +2,7 @@ package check_test
 
 import (
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -15,54 +16,30 @@ import (
 	"anton2/internal/traffic"
 )
 
-// named is a no-op checker for suite-level unit tests.
-type named struct{ check.NopChecker }
-
-func (named) Name() string { return "named" }
-
-// scanCounter counts Scan invocations.
-type scanCounter struct {
-	check.NopChecker
-	scans int
-}
-
-func (*scanCounter) Name() string                { return "scan-counter" }
-func (c *scanCounter) Scan(*check.Suite, uint64) { c.scans++ }
-
-func TestSuiteViolationAccounting(t *testing.T) {
-	s := check.NewSuite(check.Env{}, check.Options{MaxViolations: 2}, named{})
-	if err := s.Err(); err != nil {
-		t.Fatalf("fresh suite Err = %v, want nil", err)
-	}
-	for i := 0; i < 5; i++ {
-		s.Violate("named", uint64(i), "failure %d", i)
-	}
-	if got := s.Violations(); len(got) != 2 {
-		t.Errorf("retained %d violations, want MaxViolations=2", len(got))
-	} else if got[0].String() != "cycle 0: named: failure 0" {
-		t.Errorf("violation formatting: %q", got[0])
-	}
-	if s.ViolationCount() != 5 {
-		t.Errorf("ViolationCount = %d, want 5 (unretained still counted)", s.ViolationCount())
-	}
-	err := s.Err()
-	if err == nil || !strings.Contains(err.Error(), "5 invariant violation") {
-		t.Errorf("Err = %v, want the total count and first violation", err)
-	}
-}
-
+// TestSuiteScanInterval: the suite scans at completed cycles 0, ScanInterval,
+// 2*ScanInterval, ... and once more at Finish. Observed through a real
+// machine's engine: a credit counter pushed over capacity before an otherwise
+// idle machine runs is reported once per scan, at the cycle scanned, under
+// either engine (the active one jumps the idle cycles between deadlines).
 func TestSuiteScanInterval(t *testing.T) {
-	c := &scanCounter{}
-	s := check.NewSuite(check.Env{}, check.Options{ScanInterval: 64}, c)
-	for now := uint64(1); now <= 130; { // the engine's part: call at each deadline
-		now = s.Observe(now)
-	}
-	if c.scans != 3 { // completed cycles 0, 64, 128
-		t.Errorf("scanned %d times over 130 cycles at interval 64, want 3", c.scans)
-	}
-	s.Finish(130, true)
-	if c.scans != 4 {
-		t.Errorf("Finish did not run the final scan (scans = %d)", c.scans)
+	for _, engine := range []string{machine.EngineScan, machine.EngineActive} {
+		cfg := machine.DefaultConfig(topo.Shape3(2, 2, 2))
+		cfg.Check, cfg.Engine = true, engine
+		m := machine.MustNew(cfg)
+		m.Chan(0).CorruptCreditsForTest(0, +10)
+		m.Engine.Run(2*check.ScanInterval + 2)
+		want := []uint64{0, check.ScanInterval, 2 * check.ScanInterval}
+		var got []uint64
+		for _, v := range m.Checks().Violations() {
+			got = append(got, v.Cycle)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: scans over %d cycles reported at %v, want %v", engine, m.Engine.Now(), got, want)
+		}
+		if err := m.FinishChecks(); err == nil || m.Checks().ViolationCount() != len(want)+1 {
+			t.Errorf("%s: FinishChecks = %v with %d violations, want the final scan to add one to %d",
+				engine, err, m.Checks().ViolationCount(), len(want))
+		}
 	}
 }
 

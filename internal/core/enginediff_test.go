@@ -56,17 +56,24 @@ func alternateCycles(m *machine.Machine) {
 // diffFamily builds each family's jobs once per engine variant and compares
 // canonical artifacts against the scan reference. Each exp.Run gets no
 // cache: a shared cache would serve the second engine the first engine's
-// results and make the test vacuous.
-func diffFamily(t *testing.T, family string, jobs func(mutate func(*machine.Config)) []exp.Job) {
+// results and make the test vacuous. With checked, the two sharded variants
+// (the ones with a seam) also carry the invariant suite, whose violations
+// fail a point: the unchecked scan reference then shows both that sharding
+// changed nothing and that checking did not.
+func diffFamily(t *testing.T, family string, checked bool, jobs func(mutate func(*machine.Config)) []exp.Job) {
 	t.Helper()
 	canonical := func(name string) []byte {
 		v := engineVariants[name]
+		mutate := v.mutate
 		if v.seam != nil {
 			limits := autoLimits
 			defer func() { machineBuilt, autoLimits = nil, limits }()
 			v.seam()
+			if checked {
+				mutate = func(c *machine.Config) { v.mutate(c); c.Check = true }
+			}
 		}
-		rs := exp.Run(jobs(v.mutate), exp.Options{Name: family + "-" + name})
+		rs := exp.Run(jobs(mutate), exp.Options{Name: family + "-" + name})
 		if n := exp.Failed(rs); n > 0 {
 			t.Fatalf("%s/%s: %d points failed: %v", family, name, n, exp.FirstErr(rs))
 		}
@@ -103,7 +110,10 @@ var stratShape = topo.Shape3(2, 2, 2)
 // (TestEveryFamilyHasDiffRow insists), giving the axes its registry entry is
 // expanded with. engine panels run at paper scale across the engine variants;
 // strategy panels run tiny, once per registered routing strategy — or once in
-// all when the family sweeps the strategy registry itself.
+// all when the family sweeps the strategy registry itself — and checked (see
+// diffFamily). The paper-scale rows stay unchecked: FinishChecks drains the
+// network first, and the faultsweep row's credit-loss spec reports the credits
+// the resync audit restores during that drain.
 var diffRows = []struct {
 	family           string
 	engine, strategy []Axes
@@ -200,7 +210,7 @@ func engineDiff(t *testing.T, family string) {
 	}
 	for _, row := range diffRows {
 		if row.family == family {
-			diffFamily(t, family, func(mutate func(*machine.Config)) []exp.Job {
+			diffFamily(t, family, false, func(mutate func(*machine.Config)) []exp.Job {
 				return diffJobs(t, family, row.engine, mutate)
 			})
 		}
@@ -216,7 +226,7 @@ func strategyDiff(t *testing.T, family string) {
 			continue
 		}
 		if row.sweepsStrategies {
-			diffFamily(t, family, func(mutate func(*machine.Config)) []exp.Job {
+			diffFamily(t, family, true, func(mutate func(*machine.Config)) []exp.Job {
 				return diffJobs(t, family, row.strategy, mutate)
 			})
 			continue
@@ -225,7 +235,7 @@ func strategyDiff(t *testing.T, family string) {
 		// strategy, injecting the strategy after the engine mutation.
 		for _, strat := range route.Strategies() {
 			t.Run(strat.Name(), func(t *testing.T) {
-				diffFamily(t, family+"-"+strat.Name(), func(mutate func(*machine.Config)) []exp.Job {
+				diffFamily(t, family+"-"+strat.Name(), true, func(mutate func(*machine.Config)) []exp.Job {
 					return diffJobs(t, family, row.strategy, func(c *machine.Config) {
 						mutate(c)
 						c.Scheme = strat

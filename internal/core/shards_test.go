@@ -39,9 +39,9 @@ func TestAutoShards(t *testing.T) {
 }
 
 // TestResolveShards: an explicit count is returned untouched, auto resolves
-// through the limits, every rule by which machine.Config.Validate refuses an
-// explicit count makes auto serial instead of an error, and what auto resolves
-// to always validates.
+// through the limits — the invariant suite and the heartbeat riding along —
+// every rule by which machine.Config.Validate refuses an explicit count makes
+// auto serial instead of an error, and what auto resolves to always validates.
 func TestResolveShards(t *testing.T) {
 	limits := autoLimits
 	defer func() { autoLimits = limits }()
@@ -60,21 +60,20 @@ func TestResolveShards(t *testing.T) {
 		"auto, below the floor":  {func(c *machine.Config) { c.Shape = topo.Shape3(4, 4, 2) }, 1, 1},
 		"explicit serial":        {func(c *machine.Config) { c.Shards = 1 }, 1, 1},
 		"explicit count":         {func(c *machine.Config) { c.Shards = 7 }, 4, 7},
-		"explicit under check":   {func(c *machine.Config) { c.Shards, c.Check = 2, true }, 1, 2}, // Validate's to refuse
+		"explicit under check":   {func(c *machine.Config) { c.Shards, c.Check = 2, true }, 1, 2},
 		"auto under scan":        {func(c *machine.Config) { c.Engine = machine.EngineScan }, 1, 1},
-		"auto under check":       {func(c *machine.Config) { c.Check = true }, 1, 1},
+		"auto under check":       {func(c *machine.Config) { c.Check = true }, 1, 4},
 		"auto under telemetry":   {func(c *machine.Config) { c.Telemetry = &telemetry.Options{} }, 1, 1},
 		"auto with a heartbeat":  {func(c *machine.Config) { c.Progress = func(uint64) {} }, 1, 4},
 	} {
 		cfg := big
 		tc.mutate(&cfg)
-		explicit := cfg.Shards != 0
 		cfg.Shards = ResolveShards(cfg, tc.pool)
 		if cfg.Shards != tc.want {
 			t.Errorf("%s: resolved to %d shards, want %d", name, cfg.Shards, tc.want)
 		}
-		if err := cfg.Validate(); err != nil && !explicit {
-			t.Errorf("%s: auto resolved to a config Validate refuses: %v", name, err)
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("%s: resolved to a config Validate refuses: %v", name, err)
 		}
 	}
 

@@ -58,12 +58,6 @@ type ChannelAdapter struct {
 	outLabel string
 
 	queued int
-
-	// Diagnostic counters: per path, packets sent and cycles where a
-	// ready head could not proceed for lack of downstream credit or
-	// serializer capacity.
-	EgSent, EgStarved uint64
-	InSent, InStarved uint64
 }
 
 // Bit positions of the adapter's channels in its ready masks.
@@ -208,17 +202,12 @@ func (a *ChannelAdapter) tick(now uint64) {
 				q.routed = true
 				q.readyAt = p.ArrivedAt + topo.AdapterPipeline
 			}
-			if q.readyAt <= now {
-				if a.torusOut.CanSend(now, q.outVC, q.headPkt().Size) {
-					req |= 1 << vci
-					a.pats[vci] = q.headPkt().PatternID
-				} else {
-					a.EgStarved++
-				}
+			if q.readyAt <= now && a.torusOut.CanSend(now, q.outVC, q.headPkt().Size) {
+				req |= 1 << vci
+				a.pats[vci] = q.headPkt().PatternID
 			}
 		}
 		if req != 0 {
-			a.EgSent++
 			g := a.egArb.Pick(req, a.pats)
 			if a.m.tel != nil {
 				a.m.tel.OnAdapterGrant(true, a.node, a.id.Index(), g)
@@ -265,17 +254,12 @@ func (a *ChannelAdapter) tick(now uint64) {
 			q.routed = true
 			q.readyAt = p.ArrivedAt + topo.AdapterPipeline
 		}
-		if q.readyAt <= now {
-			if a.toRouter.CanSend(now, q.outVC, a.ingHead(q).Size) {
-				req |= 1 << vci
-				a.pats[vci] = a.ingHead(q).PatternID
-			} else {
-				a.InStarved++
-			}
+		if q.readyAt <= now && a.toRouter.CanSend(now, q.outVC, a.ingHead(q).Size) {
+			req |= 1 << vci
+			a.pats[vci] = a.ingHead(q).PatternID
 		}
 	}
 	if req != 0 {
-		a.InSent++
 		g := a.inArb.Pick(req, a.pats)
 		if a.m.tel != nil {
 			a.m.tel.OnAdapterGrant(false, a.node, a.id.Index(), g)

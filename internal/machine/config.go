@@ -75,9 +75,9 @@ type Config struct {
 	// Check attaches the internal/check invariant suite: flit
 	// conservation, credit accounting, VC-promotion monotonicity,
 	// dimension-order progress, and exactly-once multicast delivery are
-	// verified as the simulation runs. Checking does not perturb the
-	// simulation (results are bit-identical with it on or off); it is
-	// excluded from experiment cache keys for the same reason.
+	// verified as the simulation runs, sharded or not. Checking does not
+	// perturb the simulation (results are bit-identical with it on or off);
+	// it is excluded from experiment cache keys for the same reason.
 	Check bool
 
 	// Telemetry, when non-nil, attaches an internal/telemetry collector:
@@ -195,16 +195,15 @@ func (c Config) Validate() error {
 }
 
 // Shardable reports whether the config composes with sharded stepping,
-// whatever its Shards says: everything that assumes single-threaded stepping
-// is a *ConfigError. Validate applies it to an explicit Shards > 1; the auto
+// whatever its Shards says: the two things that assume single-threaded
+// stepping — the scan engine and the telemetry collector — are a
+// *ConfigError. Validate applies it to an explicit Shards > 1; the auto
 // resolver (core.ResolveShards) applies it to Shards == 0 and falls back to
 // serial.
 func (c Config) Shardable() error {
 	switch {
 	case c.Engine == EngineScan:
 		return &ConfigError{"Engine", "sharded stepping requires the active engine"}
-	case c.Check:
-		return &ConfigError{"Check", "the invariant suite assumes single-threaded stepping (Shards > 1)"}
 	case c.Telemetry != nil:
 		return &ConfigError{"Telemetry", "telemetry assumes single-threaded stepping (Shards > 1)"}
 	}

@@ -32,7 +32,7 @@ func refusedField(t *testing.T, err error) string {
 // exactly the cells an explicit count is refused in, naming the same field.
 func TestConfigLattice(t *testing.T) {
 	// The expected refusal, written as the rules read in DESIGN §9.
-	wantField := func(engine string, shards int, check, tel bool) string {
+	wantField := func(engine string, shards int, tel bool) string {
 		switch {
 		case engine == "warp":
 			return "Engine"
@@ -42,8 +42,6 @@ func TestConfigLattice(t *testing.T) {
 			return ""
 		case engine == EngineScan:
 			return "Engine"
-		case check:
-			return "Check"
 		case tel:
 			return "Telemetry"
 		}
@@ -66,8 +64,8 @@ func TestConfigLattice(t *testing.T) {
 								cfg.Telemetry = &telemetry.Options{}
 							}
 							name := fmt.Sprintf("engine=%q shards=%d check=%v tel=%v ckpt=%v beat=%v", engine, shards, check, tel, ckpt, beat)
-							want := wantField(engine, shards, check, tel)
-							if explicit := wantField(engine, 2, check, tel); engine != "warp" {
+							want := wantField(engine, shards, tel)
+							if explicit := wantField(engine, 2, tel); engine != "warp" {
 								got := ""
 								if err := cfg.Shardable(); err != nil {
 									got = refusedField(t, err)

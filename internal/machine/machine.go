@@ -260,7 +260,7 @@ func New(cfg Config) (*Machine, error) {
 			Route:    m.routeCfg,
 			Channels: m.chans,
 			Queued:   m.queuedPackets,
-		}, check.Options{})
+		})
 		m.Engine.Observe(1, m.checks.Observe)
 	}
 	if cfg.Telemetry != nil {
@@ -422,8 +422,9 @@ func (m *Machine) MakeRandomPacket(src, dst topo.NodeEp, class route.Class, patt
 // alloc takes a packet from the free list of the given shard — the shard of
 // the component allocating, so no two workers ever share a list. Shard
 // workers allocate concurrently; packet IDs become schedule-dependent then,
-// but that is unobservable (checks and telemetry — the only ID consumers —
-// are refused under sharding, and pooled packets are fully Reset on reuse).
+// but that changes no result: the invariant suite keys nothing by ID (it only
+// prints one in a violation), telemetry — the one ID consumer — is refused
+// under sharding, and pooled packets are fully Reset on reuse.
 func (m *Machine) alloc(shard int32) *packet.Packet {
 	id := m.nextID.Add(1)
 	pool := &m.shards[shard].pool
@@ -653,9 +654,8 @@ func (m *Machine) Quiet() bool { return m.quiet() }
 const drainBudget = 1 << 16
 
 // FinishChecks finalizes the attached invariant suite after a measurement:
-// it lets the network drain (bounded by drainBudget; skipped when
-// circulating streams can never drain), runs the end-of-run checks —
-// conservation of every injected packet, exact credit restoration,
+// it lets the network drain (bounded by drainBudget), runs the end-of-run
+// checks — conservation of every injected packet, exact credit restoration,
 // exactly-once multicast delivery — and returns an error if any invariant
 // was violated during or after the run. It also finalizes the attached
 // telemetry collector (closing its trailing window and emitting artifacts).
@@ -663,14 +663,10 @@ const drainBudget = 1 << 16
 func (m *Machine) FinishChecks() error {
 	var err error
 	if m.checks != nil {
-		quiesced := false
-		if m.checks.Circulating() == 0 {
-			for i := 0; i < drainBudget && !m.quiet(); i++ {
-				m.Engine.Step()
-			}
-			quiesced = m.quiet()
+		for i := 0; i < drainBudget && !m.quiet(); i++ {
+			m.Engine.Step()
 		}
-		m.checks.Finish(m.Engine.Now(), quiesced)
+		m.checks.Finish(m.Engine.Now(), m.quiet())
 		err = m.checks.Err()
 	}
 	if m.tel != nil {

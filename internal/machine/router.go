@@ -200,9 +200,6 @@ func (r *Router) routeHead(now uint64, q *vcq) {
 	if p.SourceRoute != nil {
 		op := p.SourceRoute[p.SRIdx]
 		p.SRIdx++
-		if p.SRIdx == len(p.SourceRoute) && p.Circulate {
-			p.SRIdx = 0
-		}
 		if int(op) >= len(r.ports) {
 			panic(fmt.Sprintf("machine: source route names port %d at %s with %d ports", op, r.rc, len(r.ports)))
 		}

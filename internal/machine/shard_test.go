@@ -3,10 +3,12 @@ package machine
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"anton2/internal/arbiter"
 	"anton2/internal/fault"
+	"anton2/internal/route"
 	"anton2/internal/topo"
 )
 
@@ -18,7 +20,6 @@ type fingerprint struct {
 	end                 uint64
 	injected, delivered uint64
 	flitSum, pktSum     uint64
-	egSent, inSent      uint64
 	faultCnt            fault.Counters
 	runErr              string
 }
@@ -29,17 +30,23 @@ func (m *Machine) fingerprint(end uint64, runErr error) fingerprint {
 		fp.flitSum += ch.Sent * uint64(ch.ID+1)
 		fp.pktSum += ch.Pkts * uint64(ch.ID*7+3)
 	}
-	for _, node := range m.nodes {
-		for _, a := range node.Adapters {
-			fp.egSent += a.EgSent
-			fp.inSent += a.InSent
-		}
-	}
 	if st := m.FaultStatus(); st != nil {
 		fp.faultCnt = st.Counters
 	}
 	if runErr != nil {
 		fp.runErr = runErr.Error()
+	}
+	return fp
+}
+
+// finish is the machine's fingerprint at the end of a run, taken before the
+// invariant suite — when the config attached one — drains the network and
+// finishes, which it must do without a violation.
+func (m *Machine) finish(t *testing.T, end uint64, runErr error) fingerprint {
+	t.Helper()
+	fp := m.fingerprint(end, runErr)
+	if err := m.FinishChecks(); err != nil {
+		t.Errorf("FinishChecks: %v", err)
 	}
 	return fp
 }
@@ -72,7 +79,7 @@ func runWorkload(t *testing.T, cfg Config, perEp int) fingerprint {
 	m := buildForTest(cfg)
 	total := injectUniform(m, perEp, 1234)
 	end, err := m.RunUntilDelivered(total, 4_000_000)
-	return m.fingerprint(end, err)
+	return m.finish(t, end, err)
 }
 
 // diffConfigs pins bit-identity between a reference config and variants that
@@ -117,15 +124,16 @@ func TestEngineScanVsActiveBitIdentical(t *testing.T) {
 // TestShardedBitIdentical: sharded stepping must be bit-identical to serial
 // for every shard count, including under the full transient-fault mix (whose
 // RNG streams are drawn from per-link state on whichever shard owns the
-// draw site).
+// draw site). The sharded runs carry the invariant suite, which the unchecked
+// serial reference shows changes nothing, and must finish it clean.
 func TestShardedBitIdentical(t *testing.T) {
 	variants := map[string]func(*Config){}
 	for _, s := range []int{2, 3, 5, 8} {
 		s := s
-		variants[fmt.Sprintf("shards=%d", s)] = func(c *Config) { c.Shards = s }
+		variants[fmt.Sprintf("shards=%d", s)] = func(c *Config) { c.Shards, c.Check = s, true }
 	}
 	// Clamping: more shards than nodes must degrade to one shard per node.
-	variants["shards=overclamped"] = func(c *Config) { c.Shards = 999 }
+	variants["shards=overclamped"] = func(c *Config) { c.Shards, c.Check = 999, true }
 
 	plain := DefaultConfig(topo.Shape3(2, 2, 2))
 	diffConfigs(t, "plain", plain, 6, variants)
@@ -177,15 +185,22 @@ func TestSleepingAdapterTimeoutParity(t *testing.T) {
 	}
 }
 
-// TestShardedSourceDriven: lazy traffic sources execute inside shard workers;
-// steady-state source-driven runs must still match serial exactly.
+// TestShardedSourceDriven: lazy traffic sources execute inside shard workers
+// — the invariant suite's inject hook with them; steady-state source-driven
+// runs must still match serial exactly, and once the sources are cut the
+// network must drain to a clean finish.
 func TestShardedSourceDriven(t *testing.T) {
 	run := func(shards int) fingerprint {
 		cfg := DefaultConfig(topo.Shape3(2, 2, 2))
-		cfg.Shards = shards
+		cfg.Shards, cfg.Check = shards, shards > 0
 		m := steadyStateMachine(t, cfg)
 		m.Engine.Run(2048)
-		return m.fingerprint(m.Engine.Now(), nil)
+		for _, node := range m.nodes {
+			for _, e := range node.Endpoints {
+				e.Source = nil
+			}
+		}
+		return m.finish(t, m.Engine.Now(), nil)
 	}
 	ref := run(0)
 	for _, s := range []int{2, 4} {
@@ -195,10 +210,10 @@ func TestShardedSourceDriven(t *testing.T) {
 	}
 }
 
-// TestShardedConfigValidation: sharding is incompatible with the scan engine,
-// the invariant suite, telemetry, and a zero-cycle endpoint pipeline — all of
-// which assume single-threaded stepping — and the constructor must say so,
-// with a typed error naming the field, rather than race.
+// TestShardedConfigValidation: sharding is incompatible with the scan engine
+// and telemetry, which assume single-threaded stepping, and nothing builds
+// with a zero-cycle endpoint pipeline — the constructor must say so, with a
+// typed error naming the field, rather than race.
 func TestShardedConfigValidation(t *testing.T) {
 	base := DefaultConfig(topo.Shape3(2, 2, 2))
 	if _, err := New(base); err != nil {
@@ -210,7 +225,6 @@ func TestShardedConfigValidation(t *testing.T) {
 		field  string
 	}{
 		{"sharded + scan engine", func(c *Config) { c.Shards, c.Engine = 2, EngineScan }, "Engine"},
-		{"sharded + invariant suite", func(c *Config) { c.Shards, c.Check = 2, true }, "Check"},
 		{"zero endpoint pipeline", func(c *Config) { c.EndpointPipeline = 0 }, "EndpointPipeline"},
 		{"unknown engine mode", func(c *Config) { c.Engine = "warp" }, "Engine"},
 	} {
@@ -221,6 +235,79 @@ func TestShardedConfigValidation(t *testing.T) {
 			t.Errorf("expected error for %s", tc.name)
 		} else if got := refusedField(t, err); got != tc.field {
 			t.Errorf("%s: refused Config.%s, want Config.%s", tc.name, got, tc.field)
+		}
+	}
+}
+
+// TestCheckedShardsMatchScan: the invariant suite composes with sharded
+// stepping. Every mask scenario at 4x4x2 — uniform batch, multicast branches
+// cloned and freed inside the workers, the transient-fault mix — runs on two
+// shards with Check on under each forced cycle policy, and must end on the
+// unchecked scan reference's fingerprint and finish without a violation.
+func TestCheckedShardsMatchScan(t *testing.T) {
+	shape := topo.Shape3(4, 4, 2)
+	for _, sc := range maskScenarios {
+		run := func(t *testing.T, cfg Config, policy func(uint64) bool) fingerprint {
+			m := MustNew(cfg)
+			if policy != nil {
+				m.Engine.ForceParallelForTest(policy)
+			}
+			end, err := m.RunUntilDelivered(sc.inject(m), 4_000_000)
+			return m.finish(t, end, err)
+		}
+		ref := run(t, sc.config(shape, EngineScan, 0), nil)
+		for pname, policy := range cyclePolicies {
+			t.Run(sc.name+"/"+pname, func(t *testing.T) {
+				cfg := sc.config(shape, EngineActive, 2)
+				cfg.Check = true
+				if got := run(t, cfg, policy); got != ref {
+					t.Fatalf("trajectory divergence:\n  scan:    %+v\n  checked: %+v", ref, got)
+				}
+			})
+		}
+	}
+}
+
+// TestShardedViolationsMatchSerial: what the suite reports does not depend on
+// who ran the hooks. A planted fault — a credit counter pushed over capacity,
+// which the coordinator's scans see, and two packets on different shards
+// whose M-VC is demoted after injection, which two workers' send hooks see in
+// the same cycle — yields the same error text from a serial machine and from
+// one stepping every cycle on two parallel shards.
+func TestShardedViolationsMatchSerial(t *testing.T) {
+	demote := func(m *Machine, node int) {
+		src := topo.NodeEp{Node: node, Ep: m.Topo.Chip.CoreEndpoints()[0]}
+		dst := topo.NodeEp{Node: (node + 1) % m.Topo.NumNodes(), Ep: src.Ep}
+		p := m.MakePacket(src, dst, route.Choices{Ties: [3]int8{1, 1, 1}}, route.ClassRequest, 0, 1)
+		p.Route.MVC = 1
+		m.Endpoint(src).Inject(p) // the suite sees M-VC 1 ...
+		p.Route.MVC = 0           // ... and the first send carries 0
+	}
+	for name, tc := range map[string]struct {
+		plant func(*Machine)
+		want  string
+	}{
+		"over-credit":  {func(m *Machine) { m.Chan(0).CorruptCreditsForTest(0, +10) }, "above buffer capacity"},
+		"demoted M-VC": {func(m *Machine) { demote(m, 0); demote(m, m.Topo.NumNodes()-1) }, "M-VC demoted 1 -> 0"},
+	} {
+		run := func(shards int) string {
+			cfg := DefaultConfig(topo.Shape3(2, 2, 2))
+			cfg.Shards, cfg.Check = shards, true
+			m := MustNew(cfg)
+			m.Engine.ForceParallelForTest(cyclePolicies["parallel"])
+			tc.plant(m)
+			injectUniform(m, 4, 7)
+			if _, err := m.RunUntilDelivered(m.Injected(), 4_000_000); err != nil {
+				t.Fatalf("%s, %d shards: %v", name, shards, err)
+			}
+			err := m.FinishChecks()
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("%s, %d shards: FinishChecks = %v, want a violation saying %q", name, shards, err, tc.want)
+			}
+			return err.Error()
+		}
+		if serial, sharded := run(1), run(2); sharded != serial {
+			t.Errorf("%s:\n  serial:  %s\n  sharded: %s", name, serial, sharded)
 		}
 	}
 }

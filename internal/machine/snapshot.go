@@ -27,8 +27,8 @@ import (
 //	        (snapshotShape), body length (8 bytes, fixed)
 //	body    per node: routers (per port: queue set, SA1 and SA2 arbiter
 //	        positions, crossbar-input busy cycle), channel adapters (egress
-//	        and ingress queue sets, two arbiter positions, four diagnostic
-//	        counters), endpoints (software queue, send pipeline position);
+//	        and ingress queue sets, two arbiter positions), endpoints
+//	        (software queue, send pipeline position);
 //	        then every channel (fabric.Channel.AppendState); then, under
 //	        fault injection, the injector streams, the summed counters and
 //	        every reliable link (presence, sender, receiver, window, frame
@@ -56,7 +56,7 @@ import (
 
 // snapshotVersion is the first number of a snapshot record. It changes with
 // any change to the record order above; Restore refuses every other version.
-const snapshotVersion = 1
+const snapshotVersion = 2
 
 // Snapshot is the machine's complete mutable state at cycle Now, where Now is
 // the next cycle the engine would process: the clock, for whoever files the
@@ -126,13 +126,12 @@ func appendPacket(b []byte, p *packet.Packet) []byte {
 	}
 	b = wire.AppendBytes(b, p.Payload)
 	b = wire.AppendBytes(b, p.SourceRoute)
-	b = wire.AppendUvarint(b, uint64(p.SRIdx))
-	return wire.AppendBool(b, p.Circulate)
+	return wire.AppendUvarint(b, uint64(p.SRIdx))
 }
 
 // minPacketBytes is the shortest packet record: what bounds a table's packet
 // count by the bytes that remain.
-const minPacketBytes = 32
+const minPacketBytes = 31
 
 // readPacket reads one packet record, refusing fields a later hop would index
 // a table with.
@@ -152,7 +151,6 @@ func (m *Machine) readPacket(r *wire.Reader, p *packet.Packet) {
 	p.Payload = append([]byte(nil), r.Bytes()...)
 	p.SourceRoute = append([]uint8(nil), r.Bytes()...)
 	sr := r.Uvarint()
-	p.Circulate = r.Bool()
 	nodes := uint64(m.Topo.NumNodes())
 	if src >= nodes || dst >= nodes || sep >= topo.NumEndpoints || dep >= topo.NumEndpoints ||
 		p.Size < 1 || p.Size > packet.MaxFlits || p.CurVC >= fabric.MaxVCs ||
@@ -248,9 +246,6 @@ func (m *Machine) AppendSnapshot(b []byte) ([]byte, error) {
 			b = t.appendQueues(b, a.ing, a.ingOcc)
 			arb(a.egArb)
 			arb(a.inArb)
-			for _, v := range [...]uint64{a.EgSent, a.EgStarved, a.InSent, a.InStarved} {
-				b = wire.AppendUvarint(b, v)
-			}
 		}
 		for _, e := range node.Endpoints {
 			b = t.appendPkts(b, e.swq[e.head:])
@@ -443,7 +438,6 @@ func (m *Machine) RestoreSnapshot(data []byte) error {
 			a.queued = neg + ning
 			arbiter.ReadState(d.Reader, a.egArb)
 			arbiter.ReadState(d.Reader, a.inArb)
-			a.EgSent, a.EgStarved, a.InSent, a.InStarved = d.Uvarint(), d.Uvarint(), d.Uvarint(), d.Uvarint()
 		}
 		for _, e := range node.Endpoints {
 			e.swq = d.readPkts(e.swq)

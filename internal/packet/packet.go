@@ -54,6 +54,11 @@ type Packet struct {
 	// CurVC is the physical VC on the channel currently carrying the
 	// packet; the sender sets it at each hop.
 	CurVC uint8
+	// SeenMVC, SeenTVC and SeenDim are the invariant suite's last observation
+	// of Route.MVC, Route.TVC and Route.DimIdx (internal/check stamps them at
+	// injection and at every send); nothing else reads them, and they are
+	// not part of a snapshot.
+	SeenMVC, SeenTVC, SeenDim uint8
 
 	// Timestamps (cycles). InjectedAt is when software handed the packet
 	// to the endpoint adapter; DeliveredAt when the destination endpoint
@@ -83,9 +88,6 @@ type Packet struct {
 	SourceRoute []uint8
 	// SRIdx is the position within SourceRoute.
 	SRIdx int
-	// Circulate marks a source-routed packet that is re-injected forever
-	// (the continuous streams of the energy experiment).
-	Circulate bool
 }
 
 // TraceEvent is one timestamped stage of a traced packet's journey.

@@ -252,11 +252,11 @@ func (c *Collector) OnAdapterGrant(egress bool, node, adapter, vc int) {
 }
 
 // OnInject considers a freshly injected packet for lifecycle tracing.
-// Multicast and circulating packets are skipped: multicast clones alias the
-// original's trace buffer, and circulating packets never deliver. A packet
-// the caller already traced is adopted without consuming budget.
+// Multicast packets are skipped: multicast clones alias the original's trace
+// buffer. A packet the caller already traced is adopted without consuming
+// budget.
 func (c *Collector) OnInject(p *packet.Packet, now uint64) {
-	if p.Circulate || p.MGroup >= 0 {
+	if p.MGroup >= 0 {
 		return
 	}
 	if p.Trace == nil {
