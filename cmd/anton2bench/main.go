@@ -21,12 +21,12 @@
 // scan restores the reference every-component-every-cycle loop. -shards N
 // steps each machine across N goroutine shards with a deterministic
 // phase-barrier merge; the default 0 is auto (the cores the -parallel pool
-// leaves idle, for machines large enough to gain — a -check run included;
-// serial otherwise, and under -engine scan or -telemetry) and 1 forces
-// serial. All engine configurations produce bit-identical
-// results and artifacts — the flags change simulation speed only and are
-// excluded from result cache keys. A flag combination that
-// machine.Config.Validate or Checkpointable refuses exits 2.
+// leaves idle, for machines large enough to gain — -check and -telemetry runs
+// included; serial otherwise, and under -engine scan) and 1 forces serial.
+// All engine configurations produce bit-identical results and artifacts — the
+// flags change simulation speed only and are excluded from result cache keys.
+// A flag combination that machine.Config.Validate or Checkpointable refuses
+// exits 2.
 //
 // With -checkpoint-dir and -checkpoint-every N, checkpoint-aware experiment
 // points persist a resumable snapshot every N cycles; a later invocation with
@@ -86,9 +86,11 @@
 // collector: per-point JSON reports (<dir>/<figure>-pNN.json) with windowed
 // channel utilization, per-VC occupancy histograms, and arbiter grant
 // shares, plus a Perfetto-loadable <dir>/<figure>-pNN.trace.json packet
-// trace, and a per-channel utilization heatmap after each figure. Telemetry,
-// like checking, never perturbs results, seeds, or cache keys. -cpuprofile
-// and -memprofile write pprof profiles of the bench process itself.
+// trace of the first four unicast packets injected at node 0, and a
+// per-channel utilization heatmap after each figure. Telemetry, like
+// checking, never perturbs results, seeds, or cache keys, and a telemetry run
+// shards like any other. -cpuprofile and -memprofile write pprof profiles of
+// the bench process itself.
 //
 // Exit status: 0 on success, 1 if any experiment fails, 2 for invalid flags
 // or an unknown experiment name.
@@ -340,10 +342,9 @@ func run(args []string, stderr io.Writer) int {
 
 // telemetryOpts returns a per-point telemetry factory for one figure: nil
 // options when -telemetry is off, otherwise distinct artifact names
-// <fig>-p00, <fig>-p01, ... under the -telemetry directory, with a few
-// packets traced per point. The last report to finish feeds the post-sweep
-// heatmap. Points served from the in-process result cache never run, so
-// they write no artifact.
+// <fig>-p00, <fig>-p01, ... under the -telemetry directory. The last report
+// to finish feeds the post-sweep heatmap. Points served from the in-process
+// result cache never run, so they write no artifact.
 func telemetryOpts(fig string) func() *telemetry.Options {
 	if *telemetryDir == "" {
 		return func() *telemetry.Options { return nil }
@@ -352,12 +353,7 @@ func telemetryOpts(fig string) func() *telemetry.Options {
 	return func() *telemetry.Options {
 		name := fmt.Sprintf("%s-p%02d", fig, seq)
 		seq++
-		return &telemetry.Options{
-			Dir:          *telemetryDir,
-			Name:         name,
-			TracePackets: 4,
-			Sink:         keepHeatmapReport,
-		}
+		return &telemetry.Options{Dir: *telemetryDir, Name: name, Sink: keepHeatmapReport}
 	}
 }
 

@@ -16,8 +16,8 @@
 // reference loop that ticks every component every cycle. -shards N steps
 // the machine across N goroutine shards with a deterministic phase-barrier
 // merge; the default 0 is auto (GOMAXPROCS shards for a machine large enough
-// to gain — a -check run included; serial otherwise, and under -engine scan or
-// -telemetry) and 1 forces serial. All three produce bit-identical results
+// to gain — -check and -telemetry runs included; serial otherwise, and under
+// -engine scan) and 1 forces serial. All three produce bit-identical results
 // and artifacts — the flags change only simulation speed (and are excluded
 // from result cache keys).
 // A flag combination that machine.Config.Validate or Checkpointable refuses
@@ -45,8 +45,10 @@
 // With -telemetry, the run executes under the internal/telemetry collector:
 // a JSON report (<dir>/anton2sim.json) with windowed channel utilization,
 // per-VC occupancy histograms, and arbiter grant shares, plus a
-// Perfetto-loadable <dir>/anton2sim.trace.json packet trace, and a torus
-// utilization heatmap on stdout. Telemetry never perturbs results or seeds.
+// Perfetto-loadable <dir>/anton2sim.trace.json trace of the first four
+// unicast packets injected at node 0, and a torus utilization heatmap on
+// stdout. Telemetry never perturbs results or seeds, and the report and trace
+// are the same bytes however the run is sharded.
 // -cpuprofile and -memprofile write pprof profiles of the process.
 //
 // The run goes through the internal/exp orchestrator: the simulation seed is
@@ -154,10 +156,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var telReport *telemetry.Report
 	if *telemetryDir != "" {
 		mc.Telemetry = &telemetry.Options{
-			Dir:          *telemetryDir,
-			Name:         "anton2sim",
-			TracePackets: 4,
-			Sink:         func(r *telemetry.Report) { telReport = r },
+			Dir:  *telemetryDir,
+			Name: "anton2sim",
+			Sink: func(r *telemetry.Report) { telReport = r },
 		}
 	}
 	if err := mc.Validate(); err != nil {

@@ -101,6 +101,32 @@ func TestRunWithFaultSpec(t *testing.T) {
 	}
 }
 
+// TestTelemetryShardParity: -telemetry composes with sharding. The report and
+// the packet trace a two-shard run writes are byte-identical to those of a
+// serial run and of the scan engine's.
+func TestTelemetryShardParity(t *testing.T) {
+	var want [2][]byte
+	for i, mode := range [][]string{{"-engine", "scan"}, {"-shards", "1"}, {"-shards", "2"}} {
+		dir := t.TempDir()
+		var out, errb bytes.Buffer
+		args := append([]string{"-shape", "4x4x2", "-batch", "4", "-telemetry", dir}, mode...)
+		if code := run(args, &out, &errb); code != 0 {
+			t.Fatalf("%v: exit code = %d, stderr: %s", mode, code, errb.String())
+		}
+		for j, name := range []string{"anton2sim.json", "anton2sim.trace.json"} {
+			got, err := os.ReadFile(filepath.Join(dir, name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if i == 0 {
+				want[j] = got
+			} else if !bytes.Equal(got, want[j]) {
+				t.Errorf("%v: %s differs from the scan engine's", mode, name)
+			}
+		}
+	}
+}
+
 // TestFaultRunKillResume: a -fault run checkpoints like any other. The built
 // binary is started with -checkpoint-every, killed with SIGKILL as soon as its
 // first checkpoint is on disk, and run again with -resume; what the resumed

@@ -186,8 +186,8 @@ func (s *Suite) OnClone(p *packet.Packet, now uint64) {
 // state claims to be traveling.
 func (s *Suite) OnSend(p *packet.Packet, ch *fabric.Channel, vc uint8, now uint64) {
 	if int(vc) < ch.NumVCs() && ch.Credits(vc) < 0 {
-		s.violate(credits, now, "channel %s vc %d credit went negative (%d) on send of packet %d",
-			ch.Name, vc, ch.Credits(vc), p.ID)
+		s.violate(credits, now, "channel %s vc %d credit went negative (%d) on send of packet %v",
+			ch.Name, vc, ch.Credits(vc), p)
 	}
 	if p.SourceRoute != nil {
 		return
@@ -196,42 +196,42 @@ func (s *Suite) OnSend(p *packet.Packet, ch *fabric.Channel, vc uint8, now uint6
 
 	scheme := s.env.Route.Scheme
 	if int(st.MVC) >= scheme.MeshVCs() {
-		s.violate(vcMonotone, now, "packet %d M-VC %d exceeds scheme bound %d (scheme %s)",
-			p.ID, st.MVC, scheme.MeshVCs()-1, scheme.Name())
+		s.violate(vcMonotone, now, "packet %v M-VC %d exceeds scheme bound %d (scheme %s)",
+			p, st.MVC, scheme.MeshVCs()-1, scheme.Name())
 	}
 	if int(st.TVC) >= scheme.TorusVCs() {
-		s.violate(vcMonotone, now, "packet %d T-VC %d exceeds scheme bound %d (scheme %s)",
-			p.ID, st.TVC, scheme.TorusVCs()-1, scheme.Name())
+		s.violate(vcMonotone, now, "packet %v T-VC %d exceeds scheme bound %d (scheme %s)",
+			p, st.TVC, scheme.TorusVCs()-1, scheme.Name())
 	}
 	if int(vc) >= ch.NumVCs() {
-		s.violate(vcMonotone, now, "packet %d sent on %s vc %d, channel has %d VCs",
-			p.ID, ch.Name, vc, ch.NumVCs())
+		s.violate(vcMonotone, now, "packet %v sent on %s vc %d, channel has %d VCs",
+			p, ch.Name, vc, ch.NumVCs())
 	}
 	if st.MVC < p.SeenMVC {
-		s.violate(vcMonotone, now, "packet %d M-VC demoted %d -> %d on %s", p.ID, p.SeenMVC, st.MVC, ch.Name)
+		s.violate(vcMonotone, now, "packet %v M-VC demoted %d -> %d on %s", p, p.SeenMVC, st.MVC, ch.Name)
 	}
 	if st.TVC < p.SeenTVC {
-		s.violate(vcMonotone, now, "packet %d T-VC demoted %d -> %d on %s", p.ID, p.SeenTVC, st.TVC, ch.Name)
+		s.violate(vcMonotone, now, "packet %v T-VC demoted %d -> %d on %s", p, p.SeenTVC, st.TVC, ch.Name)
 	}
 
 	if st.DimIdx < p.SeenDim {
-		s.violate(dimOrder, now, "packet %d dimension-order position moved backward %d -> %d (revisits a completed dimension)",
-			p.ID, p.SeenDim, st.DimIdx)
+		s.violate(dimOrder, now, "packet %v dimension-order position moved backward %d -> %d (revisits a completed dimension)",
+			p, p.SeenDim, st.DimIdx)
 	}
 	if st.DimIdx > topo.NumDims {
-		s.violate(dimOrder, now, "packet %d dimension-order position %d out of range", p.ID, st.DimIdx)
+		s.violate(dimOrder, now, "packet %v dimension-order position %d out of range", p, st.DimIdx)
 	}
 	if tm := s.env.Route.Machine; ch.ID >= 0 && tm.IsTorusChan(ch.ID) {
 		if int(st.DimIdx) >= topo.NumDims {
-			s.violate(dimOrder, now, "packet %d took torus hop on %s after completing all dimensions", p.ID, ch.Name)
+			s.violate(dimOrder, now, "packet %v took torus hop on %s after completing all dimensions", p, ch.Name)
 		} else {
 			if want := st.DimOrder[st.DimIdx]; st.Dir.Dim() != want {
-				s.violate(dimOrder, now, "packet %d traveling %v but dimension order says dim %v is next",
-					p.ID, st.Dir, want)
+				s.violate(dimOrder, now, "packet %v traveling %v but dimension order says dim %v is next",
+					p, st.Dir, want)
 			}
 			if _, ad := tm.TorusChanOf(ch.ID); ad.Dir != st.Dir {
-				s.violate(dimOrder, now, "packet %d claims direction %v but was sent on torus channel %s",
-					p.ID, st.Dir, ch.Name)
+				s.violate(dimOrder, now, "packet %v claims direction %v but was sent on torus channel %s",
+					p, st.Dir, ch.Name)
 			}
 		}
 	}

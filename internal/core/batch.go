@@ -43,12 +43,14 @@ type batchPoint struct {
 // of a batch checkpoint: per-core injection counts in (node, core) order
 // (pinning each RNG stream's position), per-endpoint outstanding deliveries,
 // per-core completion times, and — when asked for — one latency per packet
-// delivered so far.
+// delivered so far. fault, no part of a checkpoint, is the fault layer's
+// status at the last delivery (nil without one).
 type batchProgress struct {
 	Sent      []int     `json:"sent"`
 	Remaining []int     `json:"remaining"`
 	Finished  []float64 `json:"finished"`
 	Latencies []float64 `json:"latencies,omitempty"`
+	fault     *machine.FaultStatus
 }
 
 // runBatch executes one batch measurement and returns the machine it ran on,
@@ -124,6 +126,9 @@ func runBatch(pt batchPoint, rc ckpt.RunConfig) (*machine.Machine, uint64, *batc
 	// resumed machine is the checkpoint's: hand it what is left, so a point
 	// that runs out of budget does so at the same cycle however it got there.
 	end, err := m.RunUntilDelivered(uint64(total), pt.maxCycles-min(pt.maxCycles, m.Engine.Now()))
+	// Read before FinishChecks, whose drain under Check steps the fault
+	// layer on.
+	acc.fault = m.FaultStatus()
 	if err == nil {
 		err = m.FinishChecks()
 	}

@@ -72,7 +72,7 @@ func runFaultPoint(cfg FaultConfig, rc ckpt.RunConfig) (FaultPoint, error) {
 		pt.Spec = cfg.Machine.Fault.Canonical()
 		pt.CorruptRate = cfg.Machine.Fault.CorruptRate
 	}
-	m, end, acc, err := runBatch(latencyBatch(cfg.Machine, "fault", cfg.Pattern, cfg.Batch, cfg.MaxCycles, satRate,
+	_, end, acc, err := runBatch(latencyBatch(cfg.Machine, "fault", cfg.Pattern, cfg.Batch, cfg.MaxCycles, satRate,
 		FaultSpec(cfg), fmt.Sprintf("fault run (%s)", pt.Spec)), rc)
 	if err != nil {
 		return pt, err
@@ -82,7 +82,7 @@ func runFaultPoint(cfg FaultConfig, rc ckpt.RunConfig) (FaultPoint, error) {
 	pt.Throughput = float64(cfg.Batch) / float64(end) / satRate
 	pt.MeanLatency = stats.Mean(acc.Latencies)
 	pt.P99Latency = stats.Percentile(acc.Latencies, 99)
-	if st := m.FaultStatus(); st != nil {
+	if st := acc.fault; st != nil {
 		pt.DegradedRun = st.Degraded
 		pt.Counters = st.Counters.Map()
 	}

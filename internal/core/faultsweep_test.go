@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -9,6 +11,7 @@ import (
 	"anton2/internal/fault"
 	"anton2/internal/machine"
 	"anton2/internal/power"
+	"anton2/internal/telemetry"
 	"anton2/internal/topo"
 	"anton2/internal/traffic"
 )
@@ -153,5 +156,40 @@ func TestFaultOffArtifactBitIdentical(t *testing.T) {
 	}
 	if a, b := run(), run(); !bytes.Equal(a, b) {
 		t.Errorf("fault-off artifacts differ across runs:\n%s\n---\n%s", a, b)
+	}
+}
+
+// TestCheckChangesNoReport: the invariant suite's end-of-run drain steps the
+// machine on, fault layer included, so everything a point reports is read
+// before it. A faultsweep point under stalls and credit loss — whose counters
+// keep moving while the network drains — gives the same canonical artifact
+// and the same telemetry report with Check on and off.
+func TestCheckChangesNoReport(t *testing.T) {
+	run := func(check bool) (artifact, report []byte) {
+		dir := t.TempDir()
+		mc := machine.DefaultConfig(topo.Shape3(2, 2, 2))
+		mc.Fault = &fault.Spec{StallRate: 0.001, CreditLossRate: 0.01}
+		mc.Check = check
+		mc.Telemetry = &telemetry.Options{Dir: dir, Name: "point"}
+		rs := exp.Run([]exp.Job{FaultJob(FaultConfig{Machine: mc, Pattern: traffic.Uniform{}, Batch: 16})}, exp.Serial())
+		if err := exp.FirstErr(rs); err != nil {
+			t.Fatal(err)
+		}
+		artifact, err := exp.MarshalCanonical(rs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if report, err = os.ReadFile(filepath.Join(dir, "point.json")); err != nil {
+			t.Fatal(err)
+		}
+		return artifact, report
+	}
+	offArt, offRep := run(false)
+	onArt, onRep := run(true)
+	if !bytes.Equal(offArt, onArt) {
+		t.Errorf("canonical artifact changes with Check on:\n off %s\n on  %s", offArt, onArt)
+	}
+	if !bytes.Equal(offRep, onRep) {
+		t.Errorf("telemetry report changes with Check on (%d vs %d bytes)", len(offRep), len(onRep))
 	}
 }

@@ -133,7 +133,7 @@ func runRouteComparePoint(cfg RouteCompareConfig, rc ckpt.RunConfig) (RouteCompa
 	pt.PacketsPerKCycle = float64(cfg.Batch) / float64(end) * 1000
 	pt.MeanLatency = stats.Mean(acc.Latencies)
 	pt.P99Latency = stats.Percentile(acc.Latencies, 99)
-	if st := m.FaultStatus(); st != nil {
+	if st := acc.fault; st != nil {
 		pt.DegradedRun = st.Degraded
 		pt.Rerouted = st.Counters.Rerouted
 		pt.RoutedNative = st.Counters.RoutedNative

@@ -39,7 +39,8 @@ func TestAutoShards(t *testing.T) {
 }
 
 // TestResolveShards: an explicit count is returned untouched, auto resolves
-// through the limits — the invariant suite and the heartbeat riding along —
+// through the limits — the invariant suite, telemetry and the heartbeat
+// riding along —
 // every rule by which machine.Config.Validate refuses an explicit count makes
 // auto serial instead of an error, and what auto resolves to always validates.
 func TestResolveShards(t *testing.T) {
@@ -63,7 +64,7 @@ func TestResolveShards(t *testing.T) {
 		"explicit under check":   {func(c *machine.Config) { c.Shards, c.Check = 2, true }, 1, 2},
 		"auto under scan":        {func(c *machine.Config) { c.Engine = machine.EngineScan }, 1, 1},
 		"auto under check":       {func(c *machine.Config) { c.Check = true }, 1, 4},
-		"auto under telemetry":   {func(c *machine.Config) { c.Telemetry = &telemetry.Options{} }, 1, 1},
+		"auto under telemetry":   {func(c *machine.Config) { c.Telemetry = &telemetry.Options{} }, 1, 4},
 		"auto with a heartbeat":  {func(c *machine.Config) { c.Progress = func(uint64) {} }, 1, 4},
 	} {
 		cfg := big

@@ -82,8 +82,8 @@ type Config struct {
 
 	// Telemetry, when non-nil, attaches an internal/telemetry collector:
 	// windowed per-channel utilization, per-router per-VC occupancy
-	// histograms, per-arbiter grant counters, and optional packet traces.
-	// Like Check it never perturbs the simulation and is excluded from
+	// histograms, per-arbiter grant counters, and packet traces, sharded or
+	// not. Like Check it never perturbs the simulation and is excluded from
 	// experiment cache keys.
 	Telemetry *telemetry.Options
 
@@ -195,17 +195,13 @@ func (c Config) Validate() error {
 }
 
 // Shardable reports whether the config composes with sharded stepping,
-// whatever its Shards says: the two things that assume single-threaded
-// stepping — the scan engine and the telemetry collector — are a
-// *ConfigError. Validate applies it to an explicit Shards > 1; the auto
-// resolver (core.ResolveShards) applies it to Shards == 0 and falls back to
-// serial.
+// whatever its Shards says: the one thing that assumes single-threaded
+// stepping, the scan engine, is a *ConfigError. Validate applies it to an
+// explicit Shards > 1; the auto resolver (core.ResolveShards) applies it to
+// Shards == 0 and falls back to serial.
 func (c Config) Shardable() error {
-	switch {
-	case c.Engine == EngineScan:
+	if c.Engine == EngineScan {
 		return &ConfigError{"Engine", "sharded stepping requires the active engine"}
-	case c.Telemetry != nil:
-		return &ConfigError{"Telemetry", "telemetry assumes single-threaded stepping (Shards > 1)"}
 	}
 	return nil
 }

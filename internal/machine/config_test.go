@@ -32,18 +32,14 @@ func refusedField(t *testing.T, err error) string {
 // exactly the cells an explicit count is refused in, naming the same field.
 func TestConfigLattice(t *testing.T) {
 	// The expected refusal, written as the rules read in DESIGN §9.
-	wantField := func(engine string, shards int, tel bool) string {
+	wantField := func(engine string, shards int) string {
 		switch {
 		case engine == "warp":
 			return "Engine"
 		case shards < 0:
 			return "Shards"
-		case shards <= 1:
-			return ""
-		case engine == EngineScan:
+		case shards > 1 && engine == EngineScan:
 			return "Engine"
-		case tel:
-			return "Telemetry"
 		}
 		return ""
 	}
@@ -64,8 +60,8 @@ func TestConfigLattice(t *testing.T) {
 								cfg.Telemetry = &telemetry.Options{}
 							}
 							name := fmt.Sprintf("engine=%q shards=%d check=%v tel=%v ckpt=%v beat=%v", engine, shards, check, tel, ckpt, beat)
-							want := wantField(engine, shards, tel)
-							if explicit := wantField(engine, 2, tel); engine != "warp" {
+							want := wantField(engine, shards)
+							if explicit := wantField(engine, 2); engine != "warp" {
 								got := ""
 								if err := cfg.Shardable(); err != nil {
 									got = refusedField(t, err)
@@ -144,7 +140,7 @@ func TestProgressFiresAtCadence(t *testing.T) {
 		m := buildForTest(cfg)
 		snapInject(m, 40)
 		m.Engine.Run(3*ProgressCycles + 500)
-		if m.Telemetry() != nil {
+		if m.tel != nil {
 			t.Errorf("%s/%d: the heartbeat attached a collector", engine, shards)
 		}
 		return ticks

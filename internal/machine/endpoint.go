@@ -96,7 +96,7 @@ func (e *EndpointAdapter) Inject(p *packet.Packet) {
 		e.m.checks.OnInject(p, p.InjectedAt)
 	}
 	if e.m.tel != nil {
-		e.m.tel.OnInject(p, p.InjectedAt)
+		e.m.tel.OnInject(p)
 	}
 }
 

@@ -3,7 +3,6 @@ package machine
 import (
 	"fmt"
 	"math/rand"
-	"sync/atomic"
 
 	"anton2/internal/arbiter"
 	"anton2/internal/check"
@@ -31,10 +30,6 @@ type Machine struct {
 
 	injected  uint64
 	delivered uint64
-
-	// nextID numbers packets; it is the one word shard workers share when
-	// they allocate (the free lists are per shard).
-	nextID atomic.Uint64
 
 	// arena backs the VC queues, port tables and scratch arrays of every
 	// router and adapter.
@@ -420,31 +415,25 @@ func (m *Machine) MakeRandomPacket(src, dst topo.NodeEp, class route.Class, patt
 }
 
 // alloc takes a packet from the free list of the given shard — the shard of
-// the component allocating, so no two workers ever share a list. Shard
-// workers allocate concurrently; packet IDs become schedule-dependent then,
-// but that changes no result: the invariant suite keys nothing by ID (it only
-// prints one in a violation), telemetry — the one ID consumer — is refused
-// under sharding, and pooled packets are fully Reset on reuse.
+// the component allocating. Shard workers allocate concurrently and share no
+// word doing it: the lists are per shard and packets carry no serial number.
+// Pooled packets are fully Reset on reuse.
 func (m *Machine) alloc(shard int32) *packet.Packet {
-	id := m.nextID.Add(1)
 	pool := &m.shards[shard].pool
 	if n := len(*pool); n > 0 {
 		p := (*pool)[n-1]
 		*pool = (*pool)[:n-1]
 		p.Reset()
-		p.ID = id
 		return p
 	}
-	return &packet.Packet{ID: id, MGroup: -1}
+	return &packet.Packet{MGroup: -1}
 }
 
 // clonePacket copies a multicast packet for one branch of its tree, on
 // behalf of a component of the given shard.
 func (m *Machine) clonePacket(p *packet.Packet, shard int32) *packet.Packet {
 	c := m.alloc(shard)
-	id := c.ID
 	*c = *p
-	c.ID = id
 	c.Payload = nil // branches share no payload modeling
 	if m.checks != nil {
 		m.checks.OnClone(c, m.Engine.Now())
@@ -494,7 +483,7 @@ func (m *Machine) deliver(e *EndpointAdapter, p *packet.Packet, now uint64) {
 		m.checks.OnDeliver(p, now)
 	}
 	if m.tel != nil {
-		m.tel.OnDeliver(p, now)
+		m.tel.OnDeliver(p)
 	}
 	retain := false
 	if e.OnDeliver != nil {
@@ -564,10 +553,6 @@ func (m *Machine) Delivered() uint64 { return m.delivered }
 // Checks returns the attached invariant suite, or nil when Cfg.Check is
 // false.
 func (m *Machine) Checks() *check.Suite { return m.checks }
-
-// Telemetry returns the attached collector, or nil when Cfg.Telemetry is
-// unset.
-func (m *Machine) Telemetry() *telemetry.Collector { return m.tel }
 
 // scanVCOccupancy feeds the telemetry occupancy sampler: for every node it
 // visits each (chip router, VC) pair with the queued flit count summed over
@@ -653,28 +638,30 @@ func (m *Machine) Quiet() bool { return m.quiet() }
 // 1<<16 cycles covers that with wide margin on every supported shape.
 const drainBudget = 1 << 16
 
-// FinishChecks finalizes the attached invariant suite after a measurement:
-// it lets the network drain (bounded by drainBudget), runs the end-of-run
-// checks — conservation of every injected packet, exact credit restoration,
-// exactly-once multicast delivery — and returns an error if any invariant
-// was violated during or after the run. It also finalizes the attached
-// telemetry collector (closing its trailing window and emitting artifacts).
-// It is a no-op without Cfg.Check and Cfg.Telemetry.
+// FinishChecks ends a measurement. It first finalizes the attached telemetry
+// collector at the current cycle (closing its trailing window and emitting
+// artifacts). Then, with the invariant suite attached, it lets the network
+// drain (bounded by drainBudget), runs the end-of-run checks — conservation
+// of every injected packet, exact credit restoration, exactly-once multicast
+// delivery — and returns an error if any invariant was violated during or
+// after the run. The drain steps the engine on, fault layer included, so
+// whatever a caller reads of the measurement it reads before this call. It is
+// a no-op without Cfg.Check and Cfg.Telemetry.
 func (m *Machine) FinishChecks() error {
-	var err error
+	var telErr error
+	if m.tel != nil {
+		telErr = m.tel.Finish(m.Engine.Now())
+	}
 	if m.checks != nil {
 		for i := 0; i < drainBudget && !m.quiet(); i++ {
 			m.Engine.Step()
 		}
 		m.checks.Finish(m.Engine.Now(), m.quiet())
-		err = m.checks.Err()
-	}
-	if m.tel != nil {
-		if telErr := m.tel.Finish(m.Engine.Now()); err == nil {
-			err = telErr
+		if err := m.checks.Err(); err != nil {
+			return err
 		}
 	}
-	return err
+	return telErr
 }
 
 // RunUntilDelivered advances the simulation until the machine-wide delivered

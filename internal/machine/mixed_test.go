@@ -3,39 +3,8 @@ package machine
 import (
 	"testing"
 
-	"anton2/internal/packet"
 	"anton2/internal/topo"
-	"anton2/internal/wire"
 )
-
-// snapshotBytes is the machine's snapshot record, as is and with packet IDs
-// zeroed: a parallel phase numbers the multicast branches it clones in
-// worker-schedule order, which nothing but a violation message and telemetry
-// (refused under sharding) ever reads. The masking walks the record's
-// packet table with the product's own packet codec; the encoder has no option
-// for it.
-func snapshotBytes(t *testing.T, m *Machine) (raw, masked []byte) {
-	t.Helper()
-	raw = mustSnapshot(t, m)
-	r := wire.NewReader(raw)
-	for i := 0; i < 5+len(m.snapshotShape()); i++ { // the header's varints
-		r.Uvarint()
-	}
-	r.Next(int(r.Uint64())) // the body
-	masked = append(masked, raw[:len(raw)-r.Len()]...)
-	n := r.Uvarint()
-	masked = wire.AppendUvarint(masked, n)
-	for ; n > 0; n-- {
-		var p packet.Packet
-		m.readPacket(r, &p)
-		p.ID = 0
-		masked = appendPacket(masked, &p)
-	}
-	if r.Err() != nil || r.Len() != 0 {
-		t.Fatalf("walking the packet table of the snapshot at %d: err %v, %d bytes left", m.Engine.Now(), r.Err(), r.Len())
-	}
-	return raw, masked
-}
 
 // TestMixedCycles pins the per-cycle rule's premise: a sharded machine may
 // step any cycle serially or in parallel, in any interleaving, and stay
@@ -43,8 +12,8 @@ func snapshotBytes(t *testing.T, m *Machine) (raw, masked []byte) {
 // once, recording the fingerprint after every cycle and a snapshot every few;
 // then a sharded machine is stepped through the same cycles under each forced
 // policy and held, after every cycle, to the reference fingerprint and the
-// mask contract, and at the snapshot cycles to the reference snapshot — its
-// own and that of a fresh machine restored from it. 2x2x2 runs all three
+// mask contract, and at the snapshot cycles to the reference snapshot's raw
+// bytes — its own and that of a fresh machine restored from it. 2x2x2 runs all three
 // policies; 4x4x2 only the alternating one, which takes both kinds of cycle
 // and every transition between them (TestCheckedShardsMatchScan runs the
 // other two there, end to end).
@@ -74,7 +43,7 @@ func TestMixedCycles(t *testing.T) {
 				ref.Engine.Step()
 				fps = append(fps, ref.fingerprint(ref.Engine.Now(), nil))
 				if now := ref.Engine.Now(); now%sh.snapStride == 0 {
-					_, snaps[now] = snapshotBytes(t, ref)
+					snaps[now] = mustSnapshot(t, ref)
 				}
 			}
 			for _, pname := range sh.policies {
@@ -97,8 +66,8 @@ func TestMixedCycles(t *testing.T) {
 						if !ok {
 							continue
 						}
-						raw, got := snapshotBytes(t, m)
-						if string(got) != string(wantSnap) {
+						raw := mustSnapshot(t, m)
+						if string(raw) != string(wantSnap) {
 							t.Fatalf("snapshot at %d differs from the scan reference's", now)
 						}
 						r := build()
@@ -108,7 +77,7 @@ func TestMixedCycles(t *testing.T) {
 						if errs := r.maskErrors(); errs != nil {
 							t.Fatalf("restored at %d: %d mask errors, first: %s", now, len(errs), errs[0])
 						}
-						if _, again := snapshotBytes(t, r); string(again) != string(wantSnap) {
+						if again := mustSnapshot(t, r); string(again) != string(wantSnap) {
 							t.Fatalf("snapshot of the machine restored at %d differs from the scan reference's", now)
 						}
 					}

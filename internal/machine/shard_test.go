@@ -1,15 +1,20 @@
 package machine
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 
 	"anton2/internal/arbiter"
 	"anton2/internal/fault"
+	"anton2/internal/packet"
 	"anton2/internal/route"
+	"anton2/internal/telemetry"
 	"anton2/internal/topo"
+	"anton2/internal/traffic"
 )
 
 // fingerprint is a comparable digest of everything a run can observe: the
@@ -98,6 +103,14 @@ func diffConfigs(t *testing.T, name string, base Config, perEp int, variants map
 	}
 }
 
+// faultMix is the default machine on shape under the full fault mix:
+// corruption, stalls, credit loss and a permanent link outage.
+func faultMix(shape topo.TorusShape) Config {
+	cfg := DefaultConfig(shape)
+	cfg.Fault = &fault.Spec{CorruptRate: 0.02, StallRate: 0.001, StallCycles: 16, CreditLossRate: 0.01, FailLinks: 1}
+	return cfg
+}
+
 // TestEngineScanVsActiveBitIdentical: the active-set scheduler must reproduce
 // the scan loop's results exactly — same completion cycle, same per-channel
 // flit history — on plain and fault-injected workloads.
@@ -110,15 +123,7 @@ func TestEngineScanVsActiveBitIdentical(t *testing.T) {
 	plain := DefaultConfig(topo.Shape3(2, 2, 2))
 	diffConfigs(t, "plain", plain, 6, variants)
 
-	faulty := DefaultConfig(topo.Shape3(2, 2, 2))
-	faulty.Fault = &fault.Spec{
-		CorruptRate:    0.02,
-		StallRate:      0.001,
-		StallCycles:    16,
-		CreditLossRate: 0.01,
-		FailLinks:      1,
-	}
-	diffConfigs(t, "faultmix", faulty, 6, variants)
+	diffConfigs(t, "faultmix", faultMix(topo.Shape3(2, 2, 2)), 6, variants)
 }
 
 // TestShardedBitIdentical: sharded stepping must be bit-identical to serial
@@ -138,15 +143,87 @@ func TestShardedBitIdentical(t *testing.T) {
 	plain := DefaultConfig(topo.Shape3(2, 2, 2))
 	diffConfigs(t, "plain", plain, 6, variants)
 
-	faulty := DefaultConfig(topo.Shape3(2, 2, 2))
-	faulty.Fault = &fault.Spec{
-		CorruptRate:    0.02,
-		StallRate:      0.001,
-		StallCycles:    16,
-		CreditLossRate: 0.01,
-		FailLinks:      1,
+	diffConfigs(t, "faultmix", faultMix(topo.Shape3(2, 2, 2)), 6, variants)
+}
+
+// TestShardedTelemetryMatchesScan: the telemetry collector composes with
+// sharded stepping. A plain burst, the fault mix and a multicast run each
+// report — window series, occupancy, grant shares, packet traces, fault
+// counters — the same JSON bytes on two shards under every forced cycle
+// policy as on the scan reference. The bursts come from endpoint Sources, so
+// node 0's injections, which the trace list records, run on a shard worker in
+// every parallel cycle; a window closes during each burst, and another after
+// it.
+func TestShardedTelemetryMatchesScan(t *testing.T) {
+	shape := topo.Shape3(2, 2, 2)
+	mcast := DefaultConfig(shape)
+	mcast.Multicast = maskGroups(topo.MustMachine(shape))
+	for name, base := range map[string]Config{"plain": DefaultConfig(shape), "faultmix": faultMix(shape), "multicast": mcast} {
+		report := func(t *testing.T, engine string, shards int, policy func(uint64) bool) []byte {
+			cfg := base
+			cfg.Engine, cfg.Shards = engine, shards
+			var r *telemetry.Report
+			cfg.Telemetry = &telemetry.Options{Sink: func(rep *telemetry.Report) { r = rep }}
+			m := MustNew(cfg)
+			if policy != nil {
+				m.Engine.ForceParallelForTest(policy)
+			}
+			total := sourceUniform(m, 96)
+			if cfg.Multicast != nil {
+				for n := 0; n < m.Topo.NumNodes(); n++ {
+					total += uint64(m.InjectMulticast(topo.NodeEp{Node: n, Ep: m.Topo.Chip.CoreEndpoints()[1]}, n, route.ClassRequest, 0))
+				}
+			}
+			end, err := m.RunUntilDelivered(total, 4_000_000)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if end <= 1024 {
+				t.Fatalf("burst over at cycle %d: no window closed during it", end)
+			}
+			m.Engine.Run(1024)
+			if err := m.FinishChecks(); err != nil {
+				t.Fatal(err)
+			}
+			if len(r.Traces) != 4 {
+				t.Fatalf("%d packet traces, want 4", len(r.Traces))
+			}
+			b, err := json.Marshal(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return b
+		}
+		ref := report(t, EngineScan, 0, nil)
+		for pname, policy := range cyclePolicies {
+			t.Run(name+"/"+pname, func(t *testing.T) {
+				if got := report(t, EngineActive, 2, policy); string(got) != string(ref) {
+					t.Errorf("report of %d bytes differs from the scan reference's %d", len(got), len(ref))
+				}
+			})
+		}
 	}
-	diffConfigs(t, "faultmix", faulty, 6, variants)
+}
+
+// sourceUniform makes every core endpoint the Source of perEp uniform-random
+// request packets, each drawn on the endpoint's own RNG, and returns the
+// total.
+func sourceUniform(m *Machine, perEp int) uint64 {
+	cores := m.Topo.Chip.CoreEndpoints()
+	for n := 0; n < m.Topo.NumNodes(); n++ {
+		for _, ep := range cores {
+			src, left := topo.NodeEp{Node: n, Ep: ep}, perEp
+			rng := rand.New(rand.NewSource(int64(1 + n*64 + ep)))
+			m.Endpoint(src).Source = func() *packet.Packet {
+				if left == 0 {
+					return nil
+				}
+				left--
+				return m.MakeRandomPacket(src, traffic.Uniform{}.Dest(m.Topo, src, rng), route.ClassRequest, 0, rng)
+			}
+		}
+	}
+	return uint64(m.Topo.NumNodes() * len(cores) * perEp)
 }
 
 // TestSleepingAdapterTimeoutParity: with every frame corrupted, the receiver
@@ -210,8 +287,8 @@ func TestShardedSourceDriven(t *testing.T) {
 	}
 }
 
-// TestShardedConfigValidation: sharding is incompatible with the scan engine
-// and telemetry, which assume single-threaded stepping, and nothing builds
+// TestShardedConfigValidation: sharding is incompatible with the scan engine,
+// which assumes single-threaded stepping, and nothing builds
 // with a zero-cycle endpoint pipeline — the constructor must say so, with a
 // typed error naming the field, rather than race.
 func TestShardedConfigValidation(t *testing.T) {
@@ -273,22 +350,44 @@ func TestCheckedShardsMatchScan(t *testing.T) {
 // which the coordinator's scans see, and two packets on different shards
 // whose M-VC is demoted after injection, which two workers' send hooks see in
 // the same cycle — yields the same error text from a serial machine and from
-// one stepping every cycle on two parallel shards.
+// one stepping every cycle on two parallel shards. So do two demoted packets
+// that endpoint Sources make inside the first, parallel, cycle: a message
+// names a packet by what it is, not by when a worker allocated it.
 func TestShardedViolationsMatchSerial(t *testing.T) {
+	endpoints := func(m *Machine, node int) (src, dst topo.NodeEp) {
+		src = topo.NodeEp{Node: node, Ep: m.Topo.Chip.CoreEndpoints()[0]}
+		return src, topo.NodeEp{Node: (node + 1) % m.Topo.NumNodes(), Ep: src.Ep}
+	}
 	demote := func(m *Machine, node int) {
-		src := topo.NodeEp{Node: node, Ep: m.Topo.Chip.CoreEndpoints()[0]}
-		dst := topo.NodeEp{Node: (node + 1) % m.Topo.NumNodes(), Ep: src.Ep}
+		src, dst := endpoints(m, node)
 		p := m.MakePacket(src, dst, route.Choices{Ties: [3]int8{1, 1, 1}}, route.ClassRequest, 0, 1)
 		p.Route.MVC = 1
 		m.Endpoint(src).Inject(p) // the suite sees M-VC 1 ...
 		p.Route.MVC = 0           // ... and the first send carries 0
 	}
+	// sourceDemote is demote by the endpoint's Source: its first call makes
+	// the packet, which the endpoint injects; its second demotes it and ends
+	// the stream.
+	sourceDemote := func(m *Machine, node int) {
+		src, dst := endpoints(m, node)
+		var p *packet.Packet
+		m.Endpoint(src).Source = func() *packet.Packet {
+			if p != nil {
+				p.Route.MVC = 0
+				return nil
+			}
+			p = m.MakePacket(src, dst, route.Choices{Ties: [3]int8{1, 1, 1}}, route.ClassRequest, 0, 1)
+			p.Route.MVC = 1
+			return p
+		}
+	}
 	for name, tc := range map[string]struct {
 		plant func(*Machine)
 		want  string
 	}{
-		"over-credit":  {func(m *Machine) { m.Chan(0).CorruptCreditsForTest(0, +10) }, "above buffer capacity"},
-		"demoted M-VC": {func(m *Machine) { demote(m, 0); demote(m, m.Topo.NumNodes()-1) }, "M-VC demoted 1 -> 0"},
+		"over-credit":               {func(m *Machine) { m.Chan(0).CorruptCreditsForTest(0, +10) }, "above buffer capacity"},
+		"demoted M-VC":              {func(m *Machine) { demote(m, 0); demote(m, m.Topo.NumNodes()-1) }, "M-VC demoted 1 -> 0"},
+		"demoted M-VC from Sources": {func(m *Machine) { sourceDemote(m, 0); sourceDemote(m, m.Topo.NumNodes()-1) }, "M-VC demoted 1 -> 0"},
 	} {
 		run := func(shards int) string {
 			cfg := DefaultConfig(topo.Shape3(2, 2, 2))

@@ -23,7 +23,7 @@ import (
 //
 // Record order (every integer a wire varint unless noted):
 //
-//	header  version, now, injected, delivered, nextID, the machine's shape
+//	header  version, now, injected, delivered, the machine's shape
 //	        (snapshotShape), body length (8 bytes, fixed)
 //	body    per node: routers (per port: queue set, SA1 and SA2 arbiter
 //	        positions, crossbar-input busy cycle), channel adapters (egress
@@ -50,13 +50,15 @@ import (
 // the restored machine re-encodes to the same bytes.
 //
 // Out of scope by design: the free-packet pool (unobservable — pooled
-// packets are fully Reset on reuse and IDs come from NextID), the invariant
-// suite and telemetry (Snapshot refuses to run with either attached), and
-// per-packet traces (refused likewise; tracing is a diagnostic mode).
+// packets are fully Reset on reuse), the invariant suite and telemetry
+// (Snapshot refuses to run with either attached), and per-packet traces
+// (refused likewise; tracing is a diagnostic mode). Packets carry no
+// identity but their place in the table, so a sharded machine's record equals
+// a serial one's byte for byte.
 
 // snapshotVersion is the first number of a snapshot record. It changes with
 // any change to the record order above; Restore refuses every other version.
-const snapshotVersion = 2
+const snapshotVersion = 3
 
 // Snapshot is the machine's complete mutable state at cycle Now, where Now is
 // the next cycle the engine would process: the clock, for whoever files the
@@ -114,7 +116,6 @@ func (t *pktTable) appendQueues(b []byte, qs []vcq, occ uint32) []byte {
 }
 
 func appendPacket(b []byte, p *packet.Packet) []byte {
-	b = wire.AppendUvarint(b, p.ID)
 	for _, v := range [...]int{p.Src.Node, p.Src.Ep, p.Dst.Node, p.Dst.Ep} {
 		b = wire.AppendUvarint(b, uint64(v))
 	}
@@ -131,12 +132,11 @@ func appendPacket(b []byte, p *packet.Packet) []byte {
 
 // minPacketBytes is the shortest packet record: what bounds a table's packet
 // count by the bytes that remain.
-const minPacketBytes = 31
+const minPacketBytes = 30
 
 // readPacket reads one packet record, refusing fields a later hop would index
 // a table with.
 func (m *Machine) readPacket(r *wire.Reader, p *packet.Packet) {
-	p.ID = r.Uvarint()
 	src, sep, dst, dep := r.Uvarint(), r.Uvarint(), r.Uvarint(), r.Uvarint()
 	hdr := r.Next(4)
 	if hdr == nil {
@@ -155,7 +155,7 @@ func (m *Machine) readPacket(r *wire.Reader, p *packet.Packet) {
 	if src >= nodes || dst >= nodes || sep >= topo.NumEndpoints || dep >= topo.NumEndpoints ||
 		p.Size < 1 || p.Size > packet.MaxFlits || p.CurVC >= fabric.MaxVCs ||
 		p.MGroup < -1 || sr > uint64(len(p.SourceRoute)) {
-		r.Fail("machine: packet %d: field out of range", p.ID)
+		r.Fail("machine: packet record field out of range")
 		return
 	}
 	p.Src, p.Dst = topo.NodeEp{Node: int(src), Ep: int(sep)}, topo.NodeEp{Node: int(dst), Ep: int(dep)}
@@ -217,7 +217,7 @@ func (m *Machine) AppendSnapshot(b []byte) ([]byte, error) {
 	}()
 
 	orig := b
-	for _, v := range [...]uint64{snapshotVersion, m.Engine.Now(), m.injected, m.delivered, m.nextID.Load()} {
+	for _, v := range [...]uint64{snapshotVersion, m.Engine.Now(), m.injected, m.delivered} {
 		b = wire.AppendUvarint(b, v)
 	}
 	for _, v := range m.snapshotShape() {
@@ -286,7 +286,7 @@ func (m *Machine) AppendSnapshot(b []byte) ([]byte, error) {
 		}
 	}
 	if err == nil && t.traced != nil {
-		err = fmt.Errorf("machine: packet %d has tracing enabled; traced runs cannot be checkpointed", t.traced.ID)
+		err = fmt.Errorf("machine: packet %v has tracing enabled; traced runs cannot be checkpointed", t.traced)
 	}
 	if err != nil {
 		return orig, err
@@ -388,7 +388,7 @@ func (m *Machine) RestoreSnapshot(data []byte) error {
 	if v := r.Uvarint(); v != snapshotVersion && r.Err() == nil {
 		return fmt.Errorf("machine: snapshot version %d, want %d", v, snapshotVersion)
 	}
-	now, injected, delivered, nextID := r.Uvarint(), r.Uvarint(), r.Uvarint(), r.Uvarint()
+	now, injected, delivered := r.Uvarint(), r.Uvarint(), r.Uvarint()
 	var shape [6]uint64
 	for i := range shape {
 		shape[i] = r.Uvarint()
@@ -418,7 +418,6 @@ func (m *Machine) RestoreSnapshot(data []byte) error {
 
 	m.Engine.ResetTo(now)
 	m.injected, m.delivered = injected, delivered
-	m.nextID.Store(nextID)
 	for _, node := range m.nodes {
 		for _, rt := range node.Routers {
 			for pi := range rt.ports {

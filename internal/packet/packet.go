@@ -5,6 +5,8 @@
 package packet
 
 import (
+	"fmt"
+
 	"anton2/internal/route"
 	"anton2/internal/topo"
 )
@@ -37,6 +39,8 @@ func SizeForPayload(bytes int) uint8 {
 // Packet is one network packet. Packets move whole (virtual cut-through):
 // Size only affects channel occupancy and credit accounting.
 type Packet struct {
+	// ID is written by nothing: packets carry no serial number (String names
+	// one). It stays only because the benchmark harness compiles against it.
 	ID    uint64
 	Src   topo.NodeEp
 	Dst   topo.NodeEp
@@ -88,6 +92,11 @@ type Packet struct {
 	SourceRoute []uint8
 	// SRIdx is the position within SourceRoute.
 	SRIdx int
+}
+
+// String names the packet for diagnostics as src->dst@injected-cycle.
+func (p *Packet) String() string {
+	return fmt.Sprintf("%v->%v@%d", p.Src, p.Dst, p.InjectedAt)
 }
 
 // TraceEvent is one timestamped stage of a traced packet's journey.

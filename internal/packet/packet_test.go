@@ -24,9 +24,9 @@ func TestSizeForPayload(t *testing.T) {
 }
 
 func TestResetPreservesPayloadCapacity(t *testing.T) {
-	p := &Packet{ID: 7, Payload: make([]byte, 16, 32), TorusHops: 3}
+	p := &Packet{InjectedAt: 7, Payload: make([]byte, 16, 32), TorusHops: 3}
 	p.Reset()
-	if p.ID != 0 || p.TorusHops != 0 {
+	if p.InjectedAt != 0 || p.TorusHops != 0 {
 		t.Errorf("Reset left fields: %+v", p)
 	}
 	if p.MGroup != -1 {

@@ -74,7 +74,7 @@ func BenchmarkEngineStepTelemetryOff(b *testing.B) {
 
 // BenchmarkEngineStepTelemetryOn measures the enabled-collector overhead:
 // per-cycle it is one window-boundary compare, plus channel-counter deltas
-// and an occupancy scan amortized once per WindowCycles.
+// and an occupancy scan amortized once per 1 024-cycle window.
 func BenchmarkEngineStepTelemetryOn(b *testing.B) {
-	benchmarkStep(b, &telemetry.Options{WindowCycles: 256})
+	benchmarkStep(b, &telemetry.Options{})
 }

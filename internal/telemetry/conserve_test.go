@@ -3,6 +3,7 @@ package telemetry_test
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"anton2/internal/loadcalc"
@@ -29,10 +30,7 @@ func TestTelemetryConservation(t *testing.T) {
 	cfg := machine.DefaultConfig(shape)
 	cfg.Check = true
 	var report *telemetry.Report
-	cfg.Telemetry = &telemetry.Options{
-		WindowCycles: 128, MaxWindows: 6, TracePackets: 3,
-		Sink: func(r *telemetry.Report) { report = r },
-	}
+	cfg.Telemetry = &telemetry.Options{Sink: func(r *telemetry.Report) { report = r }}
 	m := machine.MustNew(cfg)
 	tm := m.Topo
 	cores := tm.Chip.CoreEndpoints()
@@ -161,12 +159,57 @@ func TestTelemetryConservation(t *testing.T) {
 			t.Errorf("inconsistent occupancy stat: %+v", o)
 		}
 	}
-	if len(report.Traces) != 3 {
-		t.Errorf("trace budget 3, captured %d", len(report.Traces))
+	// The first four packets injected at node 0 are traced, named 1..4.
+	if len(report.Traces) != 4 {
+		t.Errorf("trace budget 4, captured %d", len(report.Traces))
 	}
+	ids := map[uint64]bool{}
 	for _, tr := range report.Traces {
-		if len(tr.Events) == 0 || tr.DeliveredAt < tr.InjectedAt {
-			t.Errorf("bad trace %d: %d events over [%d,%d]", tr.ID, len(tr.Events), tr.InjectedAt, tr.DeliveredAt)
+		ids[tr.ID] = true
+		if len(tr.Events) == 0 || tr.DeliveredAt < tr.InjectedAt || !strings.HasPrefix(tr.Src, "n0:") {
+			t.Errorf("bad trace %d from %s: %d events over [%d,%d]", tr.ID, tr.Src, len(tr.Events), tr.InjectedAt, tr.DeliveredAt)
 		}
+	}
+	if !ids[1] || !ids[4] || len(ids) != len(report.Traces) {
+		t.Errorf("trace ids %v, want 1..4", ids)
+	}
+}
+
+// TestWindowMerging runs a sparse workload past 64 windows of 1 024 cycles:
+// the collector must have merged its series once, to 2 048-cycle windows,
+// and every torus channel's series must still sum to its lifetime flits.
+func TestWindowMerging(t *testing.T) {
+	cfg := machine.DefaultConfig(topo.Shape3(2, 2, 2))
+	var report *telemetry.Report
+	cfg.Telemetry = &telemetry.Options{Sink: func(r *telemetry.Report) { report = r }}
+	m := machine.MustNew(cfg)
+	tm := m.Topo
+	rng := rand.New(rand.NewSource(5))
+	src := topo.NodeEp{Node: 0, Ep: tm.Chip.CoreEndpoints()[0]}
+	for m.Engine.Now() < 100_000 {
+		for i := 0; i < 8; i++ {
+			dst := traffic.Uniform{}.Dest(tm, src, rng)
+			m.Endpoint(src).Inject(m.MakeRandomPacket(src, dst, route.ClassRequest, 0, rng))
+		}
+		m.Engine.Run(8192)
+	}
+	if err := m.FinishChecks(); err != nil {
+		t.Fatal(err)
+	}
+	if report.WindowCycles != 2048 {
+		t.Errorf("window_cycles = %d after %d cycles, want 2048", report.WindowCycles, report.Cycles)
+	}
+	var flits uint64
+	for _, cs := range report.Channels {
+		if !cs.Torus {
+			continue
+		}
+		flits += cs.Flits
+		if len(cs.WindowFlits) <= 32 || cs.WindowFlitTotal() != cs.Flits {
+			t.Fatalf("channel %s: %d windows summing to %d, lifetime %d", cs.Name, len(cs.WindowFlits), cs.WindowFlitTotal(), cs.Flits)
+		}
+	}
+	if flits == 0 {
+		t.Error("no torus traffic to merge")
 	}
 }

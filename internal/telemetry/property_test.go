@@ -70,13 +70,7 @@ func TestTelemetryBitIdentity(t *testing.T) {
 	off := familyJobs(shape, func() *telemetry.Options { return nil })
 	on := familyJobs(shape, func() *telemetry.Options {
 		seq++
-		return &telemetry.Options{
-			// Small windows with a low merge bound exercise the adaptive
-			// window-merging path during the runs.
-			WindowCycles: 64, MaxWindows: 4,
-			TracePackets: 2, OccBins: 8,
-			Dir: dir, Name: fmt.Sprintf("p%02d", seq),
-		}
+		return &telemetry.Options{Dir: dir, Name: fmt.Sprintf("p%02d", seq)}
 	})
 	if len(off) != len(on) {
 		t.Fatalf("job lists differ: %d vs %d", len(off), len(on))
@@ -146,11 +140,7 @@ func TestTelemetryEngineParity(t *testing.T) {
 			dir := t.TempDir()
 			mc := machine.DefaultConfig(topo.Shape3(2, 2, 2))
 			mc.Engine = engine
-			mc.Telemetry = &telemetry.Options{
-				WindowCycles: 64, MaxWindows: 4,
-				TracePackets: 2, OccBins: 8,
-				Dir: dir, Name: "parity",
-			}
+			mc.Telemetry = &telemetry.Options{Dir: dir, Name: "parity"}
 			rs := exp.Run([]exp.Job{tc.job(mc)}, exp.Serial())
 			if err := exp.FirstErr(rs); err != nil {
 				t.Fatalf("%s, engine %q: %v", tc.name, engine, err)

@@ -12,7 +12,7 @@ type Report struct {
 	// Cycles is the total simulated cycle count the report covers.
 	Cycles uint64 `json:"cycles"`
 	// WindowCycles is the final sampling window width (it doubles from
-	// Options.WindowCycles each time the window series was merged).
+	// 1 024 cycles each time the window series was merged).
 	WindowCycles uint64 `json:"window_cycles"`
 	// LastWindowCycles is the width of the trailing partial window, 0 if
 	// the run ended exactly on a boundary.
@@ -153,7 +153,7 @@ func (c *Collector) occStats(r *Report) {
 				Router:    ri,
 				VC:        uint8(vc),
 				Samples:   h.Total,
-				MeanFlits: c.occSum[i] / float64(c.occCount[i]),
+				MeanFlits: c.occSum[i] / float64(h.Total),
 				MaxFlits:  c.occMax[i],
 				P50Flits:  h.Quantile(0.5),
 				P99Flits:  h.Quantile(0.99),

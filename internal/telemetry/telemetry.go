@@ -25,39 +25,30 @@ import (
 	"anton2/internal/topo"
 )
 
-// Defaults for the zero Options value.
+// The collector's fixed resolution.
 const (
-	DefaultWindowCycles = 1024
-	DefaultMaxWindows   = 64
-	DefaultOccBins      = 16
-)
-
-// Options tunes a collector. The zero value gives sensible defaults with
-// packet tracing disabled.
-type Options struct {
-	// WindowCycles is the sampling window width in cycles (default 1024).
+	// windowCycles is the initial sampling window width in cycles.
 	// Per-channel flit counts are accumulated per window, giving a
 	// time-resolved analogue of loadcalc.Loads.
-	WindowCycles uint64
-	// MaxWindows bounds the number of windows kept per channel (default
-	// 64, rounded up to even). When a run outgrows the bound, the window
-	// width doubles and adjacent windows merge, so memory stays constant
-	// for arbitrarily long runs.
-	MaxWindows int
-	// TracePackets is the lifecycle-trace budget: the first N eligible
-	// unicast packets injected get a full hop-by-hop trace (default 0 =
-	// tracing off). Packets the caller already started tracing via
-	// packet.StartTrace are adopted without consuming budget.
-	TracePackets int
-	// OccBins is the per-(router,VC) occupancy histogram resolution
-	// (default 16 bins).
-	OccBins int
+	windowCycles = 1024
+	// maxWindows bounds the windows kept per channel. When a run outgrows
+	// it, the window width doubles and adjacent windows merge, so memory
+	// stays constant for arbitrarily long runs; it is even, so the halving
+	// is exact and window boundaries stay aligned.
+	maxWindows = 64
+	// occBins is the per-(router,VC) occupancy histogram resolution.
+	occBins = 16
+	// tracePackets is the lifecycle-trace budget (see OnInject).
+	tracePackets = 4
+)
 
+// Options names where a collector's report goes.
+type Options struct {
 	// Dir, when non-empty, makes Finish write the report as
 	// <Dir>/<Name>.json (plus <Dir>/<Name>.trace.json when packet traces
 	// were collected) through the internal/exp artifact writer.
 	Dir string
-	// Name is the artifact base name (default "telemetry").
+	// Name is the artifact base name.
 	Name string
 	// Sink, when non-nil, receives the finished report in addition to —
 	// or instead of — the JSON artifacts.
@@ -86,7 +77,10 @@ type Env struct {
 
 // Collector accumulates telemetry for one machine. All hook methods are safe
 // to call every cycle; the periodic sampling runs from Observe, at window
-// boundaries only.
+// boundaries only. Under sharded stepping the grant hooks run on the shard
+// workers, each writing only its own nodes' counters, OnInject touches the
+// collector only for node 0's injections, which one worker makes, and
+// everything else runs between steps.
 type Collector struct {
 	env  Env
 	opts Options
@@ -102,10 +96,9 @@ type Collector struct {
 	series   [][]uint64 // per-channel flits per window
 
 	// Per-(chip router, VC) occupancy, aggregated across nodes.
-	occ      []*stats.Histogram
-	occSum   []float64
-	occCount []uint64
-	occMax   []int
+	occ    []*stats.Histogram
+	occSum []float64
+	occMax []int
 
 	// Grant counters, dense over every arbitration point.
 	sa1  []uint64 // ((node*NumRouters+router)*MaxRouterPorts+port)*maxVCs + vc
@@ -113,59 +106,42 @@ type Collector struct {
 	adEg []uint64 // (node*NumChannelAdapters+adapter)*maxVCs + vc
 	adIn []uint64 // (node*NumChannelAdapters+adapter)*maxVCs + vc
 
-	traceBudget int
-	traced      map[uint64]struct{}
-	traces      []PacketTrace
+	// traced lists the traced packets in injection order, at most
+	// tracePackets of them; an entry goes nil when its packet is delivered.
+	traced []*packet.Packet
+	traces []PacketTrace
 
 	elapsed  uint64
 	finished bool
-	report   *Report
 }
 
 // NewCollector builds a collector for the given environment. machine.New
-// calls this when Config.Telemetry is set; tests may build one directly.
+// calls this when Config.Telemetry is set.
 func NewCollector(env Env, opts Options) *Collector {
-	if opts.WindowCycles == 0 {
-		opts.WindowCycles = DefaultWindowCycles
-	}
-	if opts.MaxWindows <= 0 {
-		opts.MaxWindows = DefaultMaxWindows
-	}
-	if opts.MaxWindows%2 != 0 {
-		opts.MaxWindows++
-	}
-	if opts.OccBins <= 0 {
-		opts.OccBins = DefaultOccBins
-	}
-	if opts.Name == "" {
-		opts.Name = "telemetry"
-	}
 	nodes := env.Topo.NumNodes()
 	c := &Collector{
-		env:         env,
-		opts:        opts,
-		maxVCs:      env.MaxVCs,
-		window:      opts.WindowCycles,
-		nextSample:  opts.WindowCycles,
-		prevSent:    make([]uint64, len(env.Channels)),
-		series:      make([][]uint64, len(env.Channels)),
-		occ:         make([]*stats.Histogram, topo.NumRouters*env.MaxVCs),
-		occSum:      make([]float64, topo.NumRouters*env.MaxVCs),
-		occCount:    make([]uint64, topo.NumRouters*env.MaxVCs),
-		occMax:      make([]int, topo.NumRouters*env.MaxVCs),
-		sa1:         make([]uint64, nodes*topo.NumRouters*topo.MaxRouterPorts*env.MaxVCs),
-		sa2:         make([]uint64, nodes*topo.NumRouters*topo.MaxRouterPorts*topo.MaxRouterPorts),
-		adEg:        make([]uint64, nodes*topo.NumChannelAdapters*env.MaxVCs),
-		adIn:        make([]uint64, nodes*topo.NumChannelAdapters*env.MaxVCs),
-		traceBudget: opts.TracePackets,
-		traced:      make(map[uint64]struct{}),
+		env:        env,
+		opts:       opts,
+		maxVCs:     env.MaxVCs,
+		window:     windowCycles,
+		nextSample: windowCycles,
+		prevSent:   make([]uint64, len(env.Channels)),
+		series:     make([][]uint64, len(env.Channels)),
+		occ:        make([]*stats.Histogram, topo.NumRouters*env.MaxVCs),
+		occSum:     make([]float64, topo.NumRouters*env.MaxVCs),
+		occMax:     make([]int, topo.NumRouters*env.MaxVCs),
+		sa1:        make([]uint64, nodes*topo.NumRouters*topo.MaxRouterPorts*env.MaxVCs),
+		sa2:        make([]uint64, nodes*topo.NumRouters*topo.MaxRouterPorts*topo.MaxRouterPorts),
+		adEg:       make([]uint64, nodes*topo.NumChannelAdapters*env.MaxVCs),
+		adIn:       make([]uint64, nodes*topo.NumChannelAdapters*env.MaxVCs),
+		traced:     make([]*packet.Packet, 0, tracePackets),
 	}
 	// Occupancy can exceed one VC buffer when several input ports of the
 	// same router queue into the same VC index; size the range for the
 	// worst case and let histogram clamping absorb the rest.
 	occRange := float64(topo.MeshVCBuf * topo.MaxRouterPorts)
 	for i := range c.occ {
-		c.occ[i] = stats.NewHistogram(0, occRange, opts.OccBins)
+		c.occ[i] = stats.NewHistogram(0, occRange, occBins)
 	}
 	return c
 }
@@ -176,29 +152,31 @@ func NewCollector(env Env, opts Options) *Collector {
 // out as windows merge — as the next deadline.
 func (c *Collector) Observe(now uint64) (next uint64) {
 	if now >= c.nextSample {
-		c.sample(now)
+		c.closeWindow(now)
+		if len(c.series) > 0 && len(c.series[0]) >= maxWindows {
+			c.mergeWindows()
+		}
+		c.nextSample = now + c.window
 	}
 	return c.nextSample
 }
 
-// sample closes the window ending at elapsed cycles.
-func (c *Collector) sample(elapsed uint64) {
+// closeWindow appends the window ending at elapsed cycles to every channel's
+// series and samples occupancy.
+func (c *Collector) closeWindow(elapsed uint64) {
 	for i, ch := range c.env.Channels {
 		sent := ch.FlitsSent()
 		c.series[i] = append(c.series[i], sent-c.prevSent[i])
 		c.prevSent[i] = sent
 	}
-	c.scanOcc()
-	c.lastSample = elapsed
-	if len(c.series) > 0 && len(c.series[0]) >= c.opts.MaxWindows {
-		c.mergeWindows()
+	if c.env.ScanVCOccupancy != nil {
+		c.env.ScanVCOccupancy(c.addOcc)
 	}
-	c.nextSample = elapsed + c.window
+	c.lastSample = elapsed
 }
 
 // mergeWindows halves the series by summing adjacent windows and doubles the
-// window width, keeping memory bounded for arbitrarily long runs. MaxWindows
-// is even, so the halving is exact and window boundaries stay aligned.
+// window width.
 func (c *Collector) mergeWindows() {
 	half := len(c.series[0]) / 2
 	for i := range c.series {
@@ -211,18 +189,10 @@ func (c *Collector) mergeWindows() {
 	c.window *= 2
 }
 
-func (c *Collector) scanOcc() {
-	if c.env.ScanVCOccupancy == nil {
-		return
-	}
-	c.env.ScanVCOccupancy(c.addOcc)
-}
-
 func (c *Collector) addOcc(router int, vc uint8, flits int) {
 	i := router*c.maxVCs + int(vc)
 	c.occ[i].Add(float64(flits))
 	c.occSum[i] += float64(flits)
-	c.occCount[i]++
 	if flits > c.occMax[i] {
 		c.occMax[i] = flits
 	}
@@ -251,42 +221,42 @@ func (c *Collector) OnAdapterGrant(egress bool, node, adapter, vc int) {
 	}
 }
 
-// OnInject considers a freshly injected packet for lifecycle tracing.
-// Multicast packets are skipped: multicast clones alias the original's trace
-// buffer. A packet the caller already traced is adopted without consuming
-// budget.
-func (c *Collector) OnInject(p *packet.Packet, now uint64) {
-	if p.MGroup >= 0 {
+// OnInject considers a freshly injected packet for lifecycle tracing: the
+// first tracePackets unicast packets injected at node 0 are traced, adopting
+// the trace of one the caller already started. Multicast packets are skipped
+// (their clones alias the original's trace buffer), and so is every other
+// node: node 0 lies in one shard, so the list has one writer however the
+// machine is sharded, and which packets are traced does not depend on the
+// worker schedule.
+func (c *Collector) OnInject(p *packet.Packet) {
+	if p.MGroup >= 0 || p.Src.Node != 0 || len(c.traced) == tracePackets {
 		return
 	}
-	if p.Trace == nil {
-		if c.traceBudget <= 0 {
-			return
-		}
-		c.traceBudget--
-		p.StartTrace()
-	}
-	c.traced[p.ID] = struct{}{}
+	p.StartTrace()
+	c.traced = append(c.traced, p)
 }
 
 // OnDeliver captures the completed trace of a tracked packet before the
-// machine recycles it.
-func (c *Collector) OnDeliver(p *packet.Packet, now uint64) {
-	if len(c.traced) == 0 {
+// machine recycles it. The trace is named by its 1-based injection ordinal.
+func (c *Collector) OnDeliver(p *packet.Packet) {
+	if p.Trace == nil {
 		return
 	}
-	if _, ok := c.traced[p.ID]; !ok {
+	for i, q := range c.traced {
+		if q != p {
+			continue
+		}
+		c.traced[i] = nil
+		c.traces = append(c.traces, PacketTrace{
+			ID:          uint64(i + 1),
+			Src:         epName(p.Src),
+			Dst:         epName(p.Dst),
+			InjectedAt:  p.InjectedAt,
+			DeliveredAt: p.DeliveredAt,
+			Events:      append([]packet.TraceEvent(nil), p.Trace...),
+		})
 		return
 	}
-	delete(c.traced, p.ID)
-	c.traces = append(c.traces, PacketTrace{
-		ID:          p.ID,
-		Src:         epName(p.Src),
-		Dst:         epName(p.Dst),
-		InjectedAt:  p.InjectedAt,
-		DeliveredAt: p.DeliveredAt,
-		Events:      append([]packet.TraceEvent(nil), p.Trace...),
-	})
 }
 
 // Finish closes the trailing partial window, builds the report, and emits it
@@ -299,37 +269,23 @@ func (c *Collector) Finish(elapsed uint64) error {
 	c.finished = true
 	if elapsed > c.lastSample {
 		c.partial = elapsed - c.lastSample
-		for i, ch := range c.env.Channels {
-			sent := ch.FlitsSent()
-			c.series[i] = append(c.series[i], sent-c.prevSent[i])
-			c.prevSent[i] = sent
-		}
-		c.scanOcc()
+		c.closeWindow(elapsed)
 	}
 	c.elapsed = elapsed
-	c.report = c.buildReport()
+	report := c.buildReport()
 	if c.opts.Sink != nil {
-		c.opts.Sink(c.report)
+		c.opts.Sink(report)
 	}
 	if c.opts.Dir != "" {
-		if _, err := exp.WriteJSON(c.opts.Dir, c.opts.Name, c.report); err != nil {
+		if _, err := exp.WriteJSON(c.opts.Dir, c.opts.Name, report); err != nil {
 			return err
 		}
-		if len(c.report.Traces) > 0 {
-			trace := ChromeTrace(c.report.Traces, c.env.CyclePS)
+		if len(report.Traces) > 0 {
+			trace := ChromeTrace(report.Traces, c.env.CyclePS)
 			if _, err := exp.WriteJSON(c.opts.Dir, c.opts.Name+".trace", trace); err != nil {
 				return err
 			}
 		}
 	}
 	return nil
-}
-
-// Report returns the finished report (building it on the fly if Finish has
-// not run, for mid-run inspection).
-func (c *Collector) Report() *Report {
-	if c.report != nil {
-		return c.report
-	}
-	return c.buildReport()
 }

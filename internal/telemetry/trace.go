@@ -3,7 +3,8 @@ package telemetry
 import "anton2/internal/packet"
 
 // PacketTrace is one packet's captured lifecycle: the raw tracepoint stream
-// plus injection/delivery bounds.
+// plus injection/delivery bounds. ID is the trace's 1-based injection ordinal
+// among the packets the collector traced.
 type PacketTrace struct {
 	ID          uint64              `json:"id"`
 	Src         string              `json:"src"`
@@ -42,7 +43,7 @@ type ChromeArgs struct {
 }
 
 // ChromeTrace converts captured packet traces into Chrome trace_event JSON.
-// Each packet becomes one thread (tid = packet id) of a single "anton2"
+// Each packet becomes one thread (tid = its trace ID) of a single "anton2"
 // process: an enclosing "lifetime" slice from injection to delivery, with
 // one nested slice per hop whose duration runs to the next tracepoint.
 // cyclePS is the cycle time in picoseconds.

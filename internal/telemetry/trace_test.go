@@ -17,18 +17,16 @@ import (
 var updateGolden = flag.Bool("update-golden", false, "rewrite the golden files under testdata/")
 
 // captureTrace runs one fully pinned packet — node 0 to its +X neighbor with
-// fixed routing choices on a 2x2x2 machine — under a one-packet trace budget
-// and converts the capture to Chrome trace_event form. Everything about the
+// fixed routing choices on a 2x2x2 machine — under the collector, which
+// traces it as the first packet injected at node 0, and converts the capture
+// to Chrome trace_event form. Everything about the
 // run is deterministic, so the output can be byte-compared against a golden
 // file.
 func captureTrace(t *testing.T) *telemetry.ChromeTraceFile {
 	t.Helper()
 	cfg := machine.DefaultConfig(topo.Shape3(2, 2, 2))
 	var report *telemetry.Report
-	cfg.Telemetry = &telemetry.Options{
-		TracePackets: 1,
-		Sink:         func(r *telemetry.Report) { report = r },
-	}
+	cfg.Telemetry = &telemetry.Options{Sink: func(r *telemetry.Report) { report = r }}
 	m := machine.MustNew(cfg)
 	tm := m.Topo
 	ep := tm.Chip.CoreEndpoints()[0]
