@@ -62,24 +62,6 @@ func (a *RoundRobin) Pick(req uint64, _ []uint8) int {
 	return -1
 }
 
-// FixedPriority always grants the highest-index requester, mirroring the
-// most-significant-bit-first rule of the hardware fixed-priority arbiters.
-type FixedPriority struct{ k int }
-
-// NewFixedPriority returns a fixed-priority arbiter over k inputs.
-func NewFixedPriority(k int) *FixedPriority {
-	checkK(k)
-	return &FixedPriority{k: k}
-}
-
-// K implements Arbiter.
-func (a *FixedPriority) K() int { return a.k }
-
-// Pick implements Arbiter.
-func (a *FixedPriority) Pick(req uint64, _ []uint8) int {
-	return msb(req)
-}
-
 // msb returns the index of the most significant set bit, or -1.
 func msb(x uint64) int { return bits.Len64(x) - 1 }
 

@@ -77,44 +77,6 @@ func (a *InverseWeighted) Pick(req uint64, pats []uint8) int {
 	return g
 }
 
-// WeightsFromLoads converts per-input loads for one traffic pattern into
-// inverse weights: m_i = nint(beta * (1/gamma_i)), with beta scaled so the
-// largest weight fits in M bits. Inputs with zero load get the maximum
-// weight (they receive service only when nothing else requests).
-func WeightsFromLoads(loads []float64) []uint32 {
-	maxW := uint32(1<<InverseWeightBits - 1)
-	// beta = minLoad * maxW makes the least-loaded input's weight ~maxW.
-	minLoad := math.Inf(1)
-	for _, g := range loads {
-		if g > 0 && g < minLoad {
-			minLoad = g
-		}
-	}
-	out := make([]uint32, len(loads))
-	if math.IsInf(minLoad, 1) {
-		for i := range out {
-			out[i] = 1 // no information: degenerate to round-robin-like
-		}
-		return out
-	}
-	beta := minLoad * float64(maxW)
-	for i, g := range loads {
-		if g <= 0 {
-			out[i] = maxW
-			continue
-		}
-		w := uint32(math.Round(beta / g))
-		if w < 1 {
-			w = 1
-		}
-		if w > maxW {
-			w = maxW
-		}
-		out[i] = w
-	}
-	return out
-}
-
 // JointWeights converts per-pattern input loads into an inverse-weight
 // table. loads[n][i] is the load on input i under traffic pattern n. The
 // scale factor beta is shared across patterns — the accumulator of equation

@@ -53,32 +53,6 @@ func PrioArb(k, p int, req uint64, pri []uint8, rrTherm uint64) uint64 {
 	return 0
 }
 
-// NaivePrioArb is the typical approach of [17] that Figure 7 improves on: a
-// separate round-robin arbiter per priority level (each built from two
-// fixed-priority arbiters over the pointer-split request vectors), with the
-// per-level results combined highest-level-first. It exists as a reference
-// implementation for equivalence testing against PrioArb.
-func NaivePrioArb(k, p int, req uint64, pri []uint8, rrTherm uint64) uint64 {
-	for level := p - 1; level >= 0; level-- {
-		var levelReq uint64
-		for i := 0; i < k; i++ {
-			if req&(1<<i) != 0 && int(pri[i]) == level {
-				levelReq |= 1 << i
-			}
-		}
-		if levelReq == 0 {
-			continue
-		}
-		// Round-robin split: the thermometer segment (at or below the
-		// pointer) has precedence, MSB first within each segment.
-		if hi := levelReq & rrTherm; hi != 0 {
-			return 1 << uint(msb(hi))
-		}
-		return 1 << uint(msb(levelReq))
-	}
-	return 0
-}
-
 // NextRRTherm returns the updated thermometer state after granting input g:
 // the granted input becomes the lowest-precedence requester, i.e. the
 // pointer moves just below it.

@@ -9,14 +9,12 @@ import (
 // This file is the arbiters' half of the checkpoint codec: the fairness
 // position of one arbiter, appended to and read back from the machine
 // snapshot. The machine only ever instantiates RoundRobin and
-// InverseWeighted (plus the stateless FixedPriority), so a concrete-type
-// switch covers the registry without widening the Arbiter interface. A
+// InverseWeighted, so a concrete-type switch covers the registry without widening the Arbiter interface. A
 // record carries no kind or width — the machine snapshot names the arbiter
 // kind once, and the width is the live arbiter's.
 
 // AppendState appends a's fairness position: the cursor of a RoundRobin, the
-// K accumulators and round-robin thermometer of an InverseWeighted, nothing
-// for a FixedPriority.
+// K accumulators and round-robin thermometer of an InverseWeighted.
 func AppendState(b []byte, a Arbiter) ([]byte, error) {
 	switch ar := a.(type) {
 	case *RoundRobin:
@@ -26,8 +24,6 @@ func AppendState(b []byte, a Arbiter) ([]byte, error) {
 			b = wire.AppendUvarint(b, uint64(acc))
 		}
 		return wire.AppendUvarint(b, ar.rrTherm), nil
-	case *FixedPriority:
-		return b, nil
 	default:
 		return b, fmt.Errorf("arbiter: cannot snapshot %T", a)
 	}
@@ -54,7 +50,6 @@ func ReadState(r *wire.Reader, a Arbiter) {
 			ar.state.Accum[i] = uint32(acc)
 		}
 		ar.rrTherm = r.Uvarint()
-	case *FixedPriority:
 	default:
 		r.Fail("arbiter: cannot restore %T", a)
 	}
