@@ -34,14 +34,9 @@ import (
 	"anton2/internal/topo"
 )
 
-const (
-	// ScanInterval is the cycle period of whole-machine scans (credit
-	// bounds, conservation census); one more always runs at Finish.
-	ScanInterval = 64
-	// MaxViolations bounds the violations retained verbatim; further
-	// failures are counted but not stored.
-	MaxViolations = 16
-)
+// ScanInterval is the cycle period of whole-machine scans (credit bounds,
+// conservation census); one more always runs at Finish.
+const ScanInterval = 64
 
 // The invariants, as Violation.Checker names them.
 const (
@@ -108,7 +103,6 @@ type Suite struct {
 	expected, got map[mkey]int
 
 	mu     sync.Mutex
-	varr   []Violation
 	vcount int
 	least  Violation
 }
@@ -126,24 +120,6 @@ func (s *Suite) violate(checker string, now uint64, format string, args ...any) 
 		s.least = v
 	}
 	s.vcount++
-	if len(s.varr) < MaxViolations {
-		s.varr = append(s.varr, v)
-	}
-}
-
-// Violations returns the retained violations (the first MaxViolations
-// recorded; within one parallel cycle that order is the workers').
-func (s *Suite) Violations() []Violation {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.varr
-}
-
-// ViolationCount returns the total violations seen, including unretained.
-func (s *Suite) ViolationCount() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.vcount
 }
 
 // Err returns nil when no invariant failed, or an error naming the total

@@ -1,8 +1,8 @@
 package check_test
 
 import (
+	"fmt"
 	"math/rand"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -16,10 +16,19 @@ import (
 	"anton2/internal/traffic"
 )
 
+// violations is the count the suite's error names, 0 without one.
+func violations(err error) int {
+	n := 0
+	if err != nil {
+		fmt.Sscanf(err.Error(), "check: %d invariant violation(s)", &n)
+	}
+	return n
+}
+
 // TestSuiteScanInterval: the suite scans at completed cycles 0, ScanInterval,
 // 2*ScanInterval, ... and once more at Finish. Observed through a real
 // machine's engine: a credit counter pushed over capacity before an otherwise
-// idle machine runs is reported once per scan, at the cycle scanned, under
+// idle machine runs is reported once per scan, the first at cycle 0, under
 // either engine (the active one jumps the idle cycles between deadlines).
 func TestSuiteScanInterval(t *testing.T) {
 	for _, engine := range []string{machine.EngineScan, machine.EngineActive} {
@@ -27,18 +36,21 @@ func TestSuiteScanInterval(t *testing.T) {
 		cfg.Check, cfg.Engine = true, engine
 		m := machine.MustNew(cfg)
 		m.Chan(0).CorruptCreditsForTest(0, +10)
-		m.Engine.Run(2*check.ScanInterval + 2)
-		want := []uint64{0, check.ScanInterval, 2 * check.ScanInterval}
-		var got []uint64
-		for _, v := range m.Checks().Violations() {
-			got = append(got, v.Cycle)
+		// Cycles run so far -> scans reported by then.
+		for _, step := range []struct{ until, scans uint64 }{
+			{1, 1}, {check.ScanInterval, 1}, {check.ScanInterval + 1, 2},
+			{2 * check.ScanInterval, 2}, {2*check.ScanInterval + 2, 3},
+		} {
+			m.Engine.Run(step.until - m.Engine.Now())
+			if got := violations(m.Checks().Err()); uint64(got) != step.scans {
+				t.Errorf("%s: %d violations after %d cycles, want %d", engine, got, m.Engine.Now(), step.scans)
+			}
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: scans over %d cycles reported at %v, want %v", engine, m.Engine.Now(), got, want)
+		if err := m.Checks().Err(); err == nil || !strings.Contains(err.Error(), "first: cycle 0: credits:") {
+			t.Errorf("%s: Err = %v, want the least violation at cycle 0", engine, err)
 		}
-		if err := m.FinishChecks(); err == nil || m.Checks().ViolationCount() != len(want)+1 {
-			t.Errorf("%s: FinishChecks = %v with %d violations, want the final scan to add one to %d",
-				engine, err, m.Checks().ViolationCount(), len(want))
+		if err := m.FinishChecks(); violations(err) != 4 {
+			t.Errorf("%s: FinishChecks = %v, want the final scan to add one to 3", engine, err)
 		}
 	}
 }
@@ -75,8 +87,8 @@ func TestBurstRunsClean(t *testing.T) {
 	if err := m.FinishChecks(); err != nil {
 		t.Fatalf("FinishChecks: %v", err)
 	}
-	if n := m.Checks().ViolationCount(); n != 0 {
-		t.Fatalf("%d violations on a healthy run: %v", n, m.Checks().Violations())
+	if err := m.Checks().Err(); err != nil {
+		t.Fatalf("healthy run: %v", err)
 	}
 }
 
@@ -92,11 +104,7 @@ func TestOverCreditFaultCaught(t *testing.T) {
 	if err == nil {
 		t.Fatal("FinishChecks passed despite an over-capacity credit counter")
 	}
-	vs := m.Checks().Violations()
-	if len(vs) == 0 || vs[0].Checker != "credits" {
-		t.Fatalf("want a credits violation first, got %v", vs)
-	}
-	if !strings.Contains(err.Error(), "above buffer capacity") {
+	if !strings.Contains(err.Error(), ": credits: ") || !strings.Contains(err.Error(), "above buffer capacity") {
 		t.Errorf("error does not describe the fault: %v", err)
 	}
 }
@@ -113,11 +121,7 @@ func TestCreditLeakFaultCaught(t *testing.T) {
 	if err == nil {
 		t.Fatal("FinishChecks passed despite a leaked credit")
 	}
-	vs := m.Checks().Violations()
-	if len(vs) == 0 || vs[0].Checker != "credits" {
-		t.Fatalf("want a credits violation, got %v", vs)
-	}
-	if !strings.Contains(err.Error(), "credit leak") {
+	if !strings.Contains(err.Error(), ": credits: ") || !strings.Contains(err.Error(), "credit leak") {
 		t.Errorf("error does not describe the leak: %v", err)
 	}
 }
