@@ -18,7 +18,6 @@ type Graph struct {
 	cfg    *route.Config
 	maxVCs int
 	adj    map[int32]map[int32]struct{}
-	routes int
 }
 
 // Options tunes route enumeration. Zero values select full coverage.
@@ -86,7 +85,6 @@ func Build(cfg *route.Config, opts Options) *Graph {
 }
 
 func (g *Graph) addRoute(hops []route.Hop) {
-	g.routes++
 	m := g.cfg.Machine
 	for i := 0; i+1 < len(hops); i++ {
 		budget := route.ChannelVCs(g.cfg.Scheme, m.ChanGroup(hops[i].Chan))
@@ -102,18 +100,6 @@ func (g *Graph) addRoute(hops []route.Hop) {
 		}
 		set[to] = struct{}{}
 	}
-}
-
-// Routes returns how many routes were enumerated into the graph.
-func (g *Graph) Routes() int { return g.routes }
-
-// NumEdges returns the dependency edge count.
-func (g *Graph) NumEdges() int {
-	total := 0
-	for _, s := range g.adj {
-		total += len(s)
-	}
-	return total
 }
 
 // FindCycle returns a dependency cycle as a list of (channel, VC) resources,

@@ -116,14 +116,11 @@ func TestBrokenSchemeStillCaught(t *testing.T) {
 // dimension order and one T-VC instead of six orders and four VCs).
 func TestStrategyGraphsDiffer(t *testing.T) {
 	shape := topo.Shape3(4, 4, 2)
-	anton := Build(configFor(t, shape, route.AntonScheme{}), Options{})
-	vcless := Build(configFor(t, shape, route.VClessScheme{}), Options{})
-	if vcless.Routes() >= anton.Routes() {
-		t.Errorf("vcless enumerated %d routes, anton %d; restricted policy should enumerate fewer",
-			vcless.Routes(), anton.Routes())
+	antonCfg, vclessCfg := configFor(t, shape, route.AntonScheme{}), configFor(t, shape, route.VClessScheme{})
+	if v, a := enumerated(vclessCfg), enumerated(antonCfg); v >= a {
+		t.Errorf("vcless enumerated %d routes, anton %d; restricted policy should enumerate fewer", v, a)
 	}
-	if vcless.NumEdges() >= anton.NumEdges() {
-		t.Errorf("vcless graph has %d edges, anton %d; single-VC graph should be smaller",
-			vcless.NumEdges(), anton.NumEdges())
+	if v, a := numEdges(Build(vclessCfg, Options{})), numEdges(Build(antonCfg, Options{})); v >= a {
+		t.Errorf("vcless graph has %d edges, anton %d; single-VC graph should be smaller", v, a)
 	}
 }
