@@ -111,12 +111,6 @@ func (s Spec) Validate() error {
 	return nil
 }
 
-// Active reports whether the spec injects any fault at all (as opposed to
-// only running the reliability protocol fault-free).
-func (s Spec) Active() bool {
-	return s.CorruptRate > 0 || s.StallRate > 0 || s.CreditLossRate > 0 || s.FailLinks > 0
-}
-
 // Canonical renders the spec as a stable, order-fixed key=value string. It is
 // embedded in experiment spec canonical forms (and hence cache keys), so its
 // format must never change for a given field set.
