@@ -61,16 +61,6 @@ type Loads struct {
 // its randomization probability, and folds the traversal counts by node.
 // class selects the traffic class whose VC indices are recorded.
 func Compute(cfg *route.Config, sources []int, flows FlowFunc, class route.Class) *Loads {
-	return computeWith(cfg, sources, flows, class, nil)
-}
-
-// ComputeFixedSlice is Compute with every packet pinned to one torus slice —
-// the slice-randomization ablation.
-func ComputeFixedSlice(cfg *route.Config, sources []int, flows FlowFunc, class route.Class, slice uint8) *Loads {
-	return computeWith(cfg, sources, flows, class, &slice)
-}
-
-func computeWith(cfg *route.Config, sources []int, flows FlowFunc, class route.Class, fixedSlice *uint8) *Loads {
 	m := cfg.Machine
 	l := &Loads{
 		Cfg:     cfg,
@@ -102,11 +92,7 @@ func computeWith(cfg *route.Config, sources []int, flows FlowFunc, class route.C
 		for _, f := range fl {
 			srcC := m.Shape.Coord(0)
 			dstC := m.Shape.Coord(f.Dst.Node)
-			choices := cfg.Scheme.Enumerate(m.Shape, srcC, dstC)
-			if fixedSlice != nil {
-				choices = route.FilterSlice(choices, *fixedSlice)
-			}
-			for _, wc := range choices {
+			for _, wc := range cfg.Scheme.Enumerate(m.Shape, srcC, dstC) {
 				w := f.Frac * wc.Weight
 				hops := route.Walk(cfg, src, f.Dst, wc.Order, wc.Slice, wc.Ties, class)
 				l.accumulate(chip, hops, w, class)

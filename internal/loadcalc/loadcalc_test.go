@@ -169,6 +169,28 @@ func TestMaxMeshLoadReported(t *testing.T) {
 	}
 }
 
+// pinnedSlice is a strategy whose packets all take one torus slice: the
+// choices of the wrapped strategy on that slice, reweighted to sum to 1.
+type pinnedSlice struct {
+	route.Strategy
+	slice uint8
+}
+
+func (p pinnedSlice) Enumerate(shape topo.TorusShape, a, b topo.NodeCoord) []route.WeightedChoice {
+	var out []route.WeightedChoice
+	total := 0.0
+	for _, wc := range p.Strategy.Enumerate(shape, a, b) {
+		if wc.Slice == p.slice {
+			out = append(out, wc)
+			total += wc.Weight
+		}
+	}
+	for i := range out {
+		out[i].Weight /= total
+	}
+	return out
+}
+
 // TestSliceRandomizationBalances: pinning every packet to one slice doubles
 // the load on that slice's channels — the ablation behind channel slicing
 // plus per-packet slice randomization (Section 2.3).
@@ -180,7 +202,9 @@ func TestSliceRandomizationBalances(t *testing.T) {
 	cfg := route.NewConfig(m)
 	flows := traffic.Uniform{}.Flows(m)
 	balanced := loadcalc.Compute(cfg, m.Chip.CoreEndpoints(), flows, route.ClassRequest)
-	pinned := loadcalc.ComputeFixedSlice(cfg, m.Chip.CoreEndpoints(), flows, route.ClassRequest, 0)
+	pinnedCfg := route.NewConfig(m)
+	pinnedCfg.Scheme = pinnedSlice{cfg.Scheme, 0}
+	pinned := loadcalc.Compute(pinnedCfg, m.Chip.CoreEndpoints(), flows, route.ClassRequest)
 
 	ratio := pinned.MaxTorusLoad() / balanced.MaxTorusLoad()
 	if math.Abs(ratio-2) > 1e-9 {
