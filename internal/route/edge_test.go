@@ -1,7 +1,6 @@
 package route
 
 import (
-	"math"
 	"testing"
 
 	"anton2/internal/topo"
@@ -86,7 +85,7 @@ func TestWalk2x2x2Exhaustive(t *testing.T) {
 	src := topo.NodeEp{Node: 0, Ep: 7}
 	for dn := 0; dn < shape.NumNodes(); dn++ {
 		dst := topo.NodeEp{Node: dn, Ep: 12}
-		want := InterNodeHops(shape, src, dst)
+		want := interNodeHops(shape, src, dst)
 		for _, ord := range topo.AllDimOrders {
 			for slice := uint8(0); slice < topo.NumSlices; slice++ {
 				for _, ties := range allTies() {
@@ -111,29 +110,6 @@ func TestWalk2x2x2Exhaustive(t *testing.T) {
 					}
 				}
 			}
-		}
-	}
-}
-
-// TestEnumerateChoicesFixedSliceWeights: the fixed-slice enumeration pins
-// every choice to the requested slice and renormalizes weights to 1.
-func TestEnumerateChoicesFixedSliceWeights(t *testing.T) {
-	shape := topo.Shape3(4, 4, 2)
-	a, b := shape.Coord(0), shape.Coord(shape.NumNodes()-1)
-	for slice := uint8(0); slice < topo.NumSlices; slice++ {
-		wcs := EnumerateChoicesFixedSlice(shape, a, b, slice)
-		if len(wcs) == 0 {
-			t.Fatalf("no choices for slice %d", slice)
-		}
-		sum := 0.0
-		for _, wc := range wcs {
-			if wc.Slice != slice {
-				t.Fatalf("choice %+v not pinned to slice %d", wc, slice)
-			}
-			sum += wc.Weight
-		}
-		if math.Abs(sum-1) > 1e-12 {
-			t.Errorf("slice %d weights sum to %g, want 1", slice, sum)
 		}
 	}
 }

@@ -78,7 +78,7 @@ func FuzzWalk(f *testing.F) {
 			}
 			lastTVC = int(h.VC)
 		}
-		if want := InterNodeHops(shape, src, dst); torusHops != want {
+		if want := interNodeHops(shape, src, dst); torusHops != want {
 			t.Fatalf("route %v->%v on %v took %d torus hops, minimal is %d", src, dst, shape, torusHops, want)
 		}
 
@@ -160,9 +160,35 @@ func FuzzStrategyWalk(f *testing.F) {
 				torusHops++
 			}
 		}
-		if want := InterNodeHopsFor(strat, shape, src, dst); torusHops != want {
+		if want := interNodeHopsFor(strat, shape, src, dst); torusHops != want {
 			t.Fatalf("%s: route %v->%v on %v took %d torus hops, want %d",
 				strat.Name(), src, dst, shape, torusHops, want)
 		}
 	})
+}
+
+// interNodeHopsFor returns the inter-node hop count of the strategy's route
+// for a node pair: the minimal wrap-around distance for wrapping strategies,
+// the monotone coordinate distance otherwise. Like interNodeHops, the count
+// is independent of which admissible choice the packet draws.
+func interNodeHopsFor(s Strategy, shape topo.TorusShape, src, dst topo.NodeEp) int {
+	if s.Wraps() {
+		return interNodeHops(shape, src, dst)
+	}
+	a, b := shape.Coord(src.Node), shape.Coord(dst.Node)
+	total := 0
+	for d := topo.Dim(0); d < topo.NumDims; d++ {
+		delta := b.Get(d) - a.Get(d)
+		if delta < 0 {
+			delta = -delta
+		}
+		total += delta
+	}
+	return total
+}
+
+// interNodeHops returns the minimal inter-node hop count of a route, which
+// is independent of the routing choices (minimal routing).
+func interNodeHops(shape topo.TorusShape, src, dst topo.NodeEp) int {
+	return shape.HopDistance(shape.Coord(src.Node), shape.Coord(dst.Node))
 }

@@ -68,7 +68,7 @@ func walkEndToEnd(t *testing.T, cfg *Config, src, dst topo.NodeEp, c Choices) []
 			torusHops++
 		}
 	}
-	if want := InterNodeHops(m.Shape, src, dst); torusHops != want {
+	if want := interNodeHops(m.Shape, src, dst); torusHops != want {
 		t.Fatalf("%v->%v %+v: %d torus hops, want minimal %d", src, dst, c, torusHops, want)
 	}
 	return hops

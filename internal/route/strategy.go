@@ -187,26 +187,6 @@ func pairHash(src, dst topo.NodeEp, i int) uint64 {
 	return z ^ (z >> 31)
 }
 
-// InterNodeHopsFor returns the inter-node hop count of the strategy's route
-// for a node pair: the minimal wrap-around distance for wrapping strategies,
-// the monotone coordinate distance otherwise. Like InterNodeHops, the count
-// is independent of which admissible choice the packet draws.
-func InterNodeHopsFor(s Strategy, shape topo.TorusShape, src, dst topo.NodeEp) int {
-	if s.Wraps() {
-		return InterNodeHops(shape, src, dst)
-	}
-	a, b := shape.Coord(src.Node), shape.Coord(dst.Node)
-	total := 0
-	for d := topo.Dim(0); d < topo.NumDims; d++ {
-		delta := b.Get(d) - a.Get(d)
-		if delta < 0 {
-			delta = -delta
-		}
-		total += delta
-	}
-	return total
-}
-
 // The strategy registry. Strategies register by Name; the shipped set is
 // registered at init. The deliberately broken NoDatelineScheme is NOT
 // registered — it exists to prove the deadlock analyzer has teeth, and the

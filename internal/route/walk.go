@@ -126,33 +126,3 @@ func EnumerateChoices(shape topo.TorusShape, a, b topo.NodeCoord) []WeightedChoi
 	}
 	return out
 }
-
-// FilterSlice restricts a choice enumeration to a single torus slice and
-// renormalizes the weights to sum to 1 (the slice-randomization ablation:
-// without randomization, one slice's channels carry all the load).
-func FilterSlice(all []WeightedChoice, slice uint8) []WeightedChoice {
-	out := make([]WeightedChoice, 0, len(all)/topo.NumSlices+1)
-	var total float64
-	for _, wc := range all {
-		if wc.Slice == slice {
-			out = append(out, wc)
-			total += wc.Weight
-		}
-	}
-	for i := range out {
-		out[i].Weight /= total
-	}
-	return out
-}
-
-// EnumerateChoicesFixedSlice is EnumerateChoices restricted to a single
-// torus slice.
-func EnumerateChoicesFixedSlice(shape topo.TorusShape, a, b topo.NodeCoord, slice uint8) []WeightedChoice {
-	return FilterSlice(EnumerateChoices(shape, a, b), slice)
-}
-
-// InterNodeHops returns the minimal inter-node hop count of a route, which
-// is independent of the routing choices (minimal routing).
-func InterNodeHops(shape topo.TorusShape, src, dst topo.NodeEp) int {
-	return shape.HopDistance(shape.Coord(src.Node), shape.Coord(dst.Node))
-}
