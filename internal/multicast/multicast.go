@@ -86,65 +86,6 @@ func Build(shape topo.TorusShape, root topo.NodeCoord, dests []topo.NodeEp, orde
 // distinct torus hops carrying a copy of the packet.
 func (t *Tree) TorusHops() int { return t.edges }
 
-// TorusLinks returns the sorted global channel ids of every torus link the
-// tree forwards copies along (all hops ride the tree's slice).
-func (t *Tree) TorusLinks(m *topo.Machine) []int {
-	var out []int
-	for from, dirs := range t.Forward {
-		node := m.Shape.NodeID(from)
-		for _, d := range dirs {
-			out = append(out, m.TorusChanID(node, d, t.Slice))
-		}
-	}
-	sort.Ints(out)
-	return out
-}
-
-// UsesAny reports whether the tree forwards along any link in failed.
-func (t *Tree) UsesAny(m *topo.Machine, failed map[int]bool) bool {
-	if len(failed) == 0 {
-		return false
-	}
-	for from, dirs := range t.Forward {
-		node := m.Shape.NodeID(from)
-		for _, d := range dirs {
-			if failed[m.TorusChanID(node, d, t.Slice)] {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// BuildAvoiding compiles a multicast tree that forwards along no link in
-// failed, preferring the given order and slice. Candidates are tried in
-// deterministic order: the preferred (order, slice), the preferred order on
-// the other slices, then every (order, slice) combination. A single failed
-// link is always avoidable (the parallel slice carries the same hop). ok is
-// false when every candidate tree touches a failed link.
-func BuildAvoiding(m *topo.Machine, root topo.NodeCoord, dests []topo.NodeEp, order topo.DimOrder, slice int, failed map[int]bool) (t *Tree, ok bool) {
-	try := func(ord topo.DimOrder, s int) *Tree {
-		tr := Build(m.Shape, root, dests, ord, s)
-		if tr.UsesAny(m, failed) {
-			return nil
-		}
-		return tr
-	}
-	for ds := 0; ds < topo.NumSlices; ds++ {
-		if tr := try(order, (slice+ds)%topo.NumSlices); tr != nil {
-			return tr, true
-		}
-	}
-	for _, ord := range topo.AllDimOrders {
-		for s := 0; s < topo.NumSlices; s++ {
-			if tr := try(ord, s); tr != nil {
-				return tr, true
-			}
-		}
-	}
-	return Build(m.Shape, root, dests, order, slice), false
-}
-
 // UnicastHops returns the bandwidth cost of reaching the same destinations
 // with individual unicasts: the sum of minimal hop distances (endpoint
 // copies on the same node share one unicast in the best case, so distinct
