@@ -18,8 +18,6 @@ const (
 	BackplaneX = 4
 	BackplaneY = 4
 	BackplaneZ = 1
-	// NodesPerBackplane is 16.
-	NodesPerBackplane = BackplaneX * BackplaneY * BackplaneZ
 	// BackplanesPerRack is 8.
 	BackplanesPerRack = 8
 	// MaxNodes is the largest supported machine (16x16x16).
@@ -133,12 +131,6 @@ func (p *Plan) backplaneIndex(bx, by, bz int) int {
 // rackOf returns the rack number of a backplane.
 func (p *Plan) rackOf(bx, by, bz int) int {
 	return p.backplaneIndex(bx, by, bz) / BackplanesPerRack
-}
-
-// BackplaneLabel returns the lexicographically smallest torus coordinate on
-// a backplane, the labeling convention of Figure 2.
-func (p *Plan) BackplaneLabel(bx, by, bz int) topo.NodeCoord {
-	return topo.NodeCoord{X: bx * BackplaneX, Y: by * BackplaneY, Z: bz * BackplaneZ}
 }
 
 // LinkFor classifies the torus link leaving node from in the given

@@ -19,8 +19,8 @@ func TestFigure2Configuration(t *testing.T) {
 	if p.NumRacks() != 4 {
 		t.Errorf("racks = %d, want 4", p.NumRacks())
 	}
-	if NodesPerBackplane != 16 || MaxNodes != 4096 {
-		t.Errorf("%d nodecards a backplane, %d nodes at most; Figure 2 has 16 and 4096", NodesPerBackplane, MaxNodes)
+	if perBackplane := BackplaneX * BackplaneY * BackplaneZ; perBackplane != 16 || MaxNodes != 4096 {
+		t.Errorf("%d nodecards a backplane, %d nodes at most; Figure 2 has 16 and 4096", perBackplane, MaxNodes)
 	}
 }
 
@@ -120,12 +120,5 @@ func TestStatsAccounting(t *testing.T) {
 	// backplane... sanity: traces strictly fewer than total.
 	if stats[BackplaneTrace].Links >= total {
 		t.Error("trace count implausible")
-	}
-}
-
-func TestBackplaneLabel(t *testing.T) {
-	p, _ := Build(topo.Shape3(8, 8, 8))
-	if l := p.BackplaneLabel(1, 1, 3); l != (topo.NodeCoord{X: 4, Y: 4, Z: 3}) {
-		t.Errorf("label = %v", l)
 	}
 }
