@@ -11,12 +11,8 @@ import (
 	"anton2/internal/topo"
 )
 
-// Flit geometry (Section 2.1/2.2).
+// Packet sizes (Section 2.1/2.2).
 const (
-	// FlitBytes is the mesh channel width: 192 bits per direction.
-	FlitBytes = 24
-	// HeaderBytes is the per-packet header size.
-	HeaderBytes = 8
 	// CommonPayloadBytes is the typical payload (one-flit packet).
 	CommonPayloadBytes = 16
 	// MaxPayloadBytes is the largest payload (two-flit packet).
