@@ -29,13 +29,6 @@ type Model struct {
 // PaperModel is the fit the paper reports for the Anton 2 router.
 var PaperModel = Model{Fixed: 42.7, PerBitFlip: 0.837, PerActivation: 34.4, PerActSetBit: 0.250}
 
-// FlitEnergy evaluates the model for a single flit with Hamming distance h
-// to its predecessor, n set payload bits, and activation-to-injection ratio
-// aOverR.
-func (m Model) FlitEnergy(h, n, aOverR float64) float64 {
-	return m.Fixed + m.PerBitFlip*h + (m.PerActivation+m.PerActSetBit*n)*aOverR
-}
-
 // Counters mirrors the per-channel event counts maintained by the fabric.
 type Counters struct {
 	Flits       uint64
@@ -63,14 +56,6 @@ func (m Model) WindowEnergy(c Counters) float64 {
 	return m.Fixed*float64(c.Flits) +
 		m.PerBitFlip*float64(c.HammingSum) +
 		(m.PerActivation+m.PerActSetBit*nBar)*float64(c.Activations)
-}
-
-// PerFlitEnergy is WindowEnergy divided by the flit count.
-func (m Model) PerFlitEnergy(c Counters) float64 {
-	if c.Flits == 0 {
-		return 0
-	}
-	return m.WindowEnergy(c) / float64(c.Flits)
 }
 
 // Sample is one energy measurement point for model fitting: a stream with

@@ -6,15 +6,23 @@ import (
 	"testing/quick"
 )
 
+// flitEnergy evaluates the model m for a single flit with Hamming distance h
+// to its predecessor, n set payload bits, and activation-to-injection ratio
+// aOverR: the paper's per-flit equation, the oracle WindowEnergy and Fit
+// are checked against.
+func flitEnergy(m Model, h, n, aOverR float64) float64 {
+	return m.Fixed + m.PerBitFlip*h + (m.PerActivation+m.PerActSetBit*n)*aOverR
+}
+
 func TestPaperModelValues(t *testing.T) {
 	// Zero payload, back-to-back stream (a/r -> 0): fixed energy only.
-	if e := PaperModel.FlitEnergy(0, 0, 0); e != 42.7 {
+	if e := flitEnergy(PaperModel, 0, 0, 0); e != 42.7 {
 		t.Errorf("fixed energy = %g", e)
 	}
 	// Isolated flits (a/r = 1), random payload h=96, n=64:
 	// 42.7 + 0.837*96 + (34.4 + 0.25*64) = 42.7 + 80.352 + 50.4.
 	want := 42.7 + 0.837*96 + 34.4 + 0.25*64
-	if e := PaperModel.FlitEnergy(96, 64, 1); math.Abs(e-want) > 1e-9 {
+	if e := flitEnergy(PaperModel, 96, 64, 1); math.Abs(e-want) > 1e-9 {
 		t.Errorf("energy = %g, want %g", e, want)
 	}
 }
@@ -24,15 +32,15 @@ func TestEnergyDecreasesWithRate(t *testing.T) {
 	// past 0.5 (activation ratio a/r = min(r,1-r)/r shrinks).
 	prev := math.Inf(1)
 	for _, r := range []float64{0.1, 0.3, 0.5, 0.7, 0.9, 1.0} {
-		e := PaperModel.FlitEnergy(96, 64, MaxActivationRate(r)/r)
+		e := flitEnergy(PaperModel, 96, 64, MaxActivationRate(r)/r)
 		if e > prev+1e-9 {
 			t.Errorf("energy increased with injection rate at r=%g", r)
 		}
 		prev = e
 	}
 	// Below 0.5 with maximized activation, a/r == 1: flat.
-	e1 := PaperModel.FlitEnergy(96, 64, MaxActivationRate(0.1)/0.1)
-	e2 := PaperModel.FlitEnergy(96, 64, MaxActivationRate(0.4)/0.4)
+	e1 := flitEnergy(PaperModel, 96, 64, MaxActivationRate(0.1)/0.1)
+	e2 := flitEnergy(PaperModel, 96, 64, MaxActivationRate(0.4)/0.4)
 	if math.Abs(e1-e2) > 1e-9 {
 		t.Errorf("energy should be flat below r=0.5: %g vs %g", e1, e2)
 	}
@@ -48,8 +56,8 @@ func TestWindowEnergyMatchesFlitEnergy(t *testing.T) {
 		HammingSum:  0,     // constant payload
 		SetBitsSum:  64 * flits,
 	}
-	got := PaperModel.PerFlitEnergy(c)
-	want := PaperModel.FlitEnergy(0, 64, 1)
+	got := PaperModel.WindowEnergy(c) / flits
+	want := flitEnergy(PaperModel, 0, 64, 1)
 	if math.Abs(got-want) > 1e-9 {
 		t.Errorf("window per-flit = %g, want %g", got, want)
 	}
@@ -65,7 +73,7 @@ func TestFitRecoversPaperModel(t *testing.T) {
 			for _, ar := range []float64{0.1, 0.5, 1.0} {
 				samples = append(samples, Sample{
 					H: h, N: n, AOverR: ar,
-					Energy: PaperModel.FlitEnergy(h, n, ar),
+					Energy: flitEnergy(PaperModel, h, n, ar),
 				})
 			}
 		}
