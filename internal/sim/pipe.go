@@ -65,15 +65,6 @@ func (p *Pipe[T]) SendAt(at uint64, v T) {
 	p.q = append(p.q, pipeEntry[T]{at: at, item: v})
 }
 
-// Peek returns the oldest item if it has arrived by cycle now.
-func (p *Pipe[T]) Peek(now uint64) (T, bool) {
-	if p.due > now {
-		var zero T
-		return zero, false
-	}
-	return p.q[p.head].item, true
-}
-
 // Poll removes and returns the oldest item if it has arrived by cycle now.
 func (p *Pipe[T]) Poll(now uint64) (T, bool) {
 	var zero T

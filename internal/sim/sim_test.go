@@ -283,7 +283,7 @@ func TestPipeProperty(t *testing.T) {
 			if p.Empty() != (p.Len() == 0) {
 				return false
 			}
-			if _, ok := p.Peek(now); ok != (next < len(sentAt) && sentAt[next]+latency <= now) {
+			if arrived := p.due <= now; arrived != (next < len(sentAt) && sentAt[next]+latency <= now) {
 				return false
 			}
 		}
