@@ -109,19 +109,6 @@ func Mean(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// Stddev returns the population standard deviation.
-func Stddev(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	s := 0.0
-	for _, x := range xs {
-		s += (x - m) * (x - m)
-	}
-	return math.Sqrt(s / float64(len(xs)))
-}
-
 // Percentile returns the p-th percentile (0..100) by nearest-rank.
 func Percentile(xs []float64, p float64) float64 {
 	if len(xs) == 0 {
