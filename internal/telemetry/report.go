@@ -252,14 +252,3 @@ func (c *Collector) arbStats(r *Report) {
 		r.ArbSummary = append(r.ArbSummary, s)
 	}
 }
-
-// WindowFlitTotal sums a channel's window series (including the trailing
-// partial window); it must equal the channel's lifetime flit count when the
-// report was finalized after the run.
-func (cs *ChannelStat) WindowFlitTotal() uint64 {
-	var total uint64
-	for _, f := range cs.WindowFlits {
-		total += f
-	}
-	return total
-}
