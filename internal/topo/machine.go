@@ -118,8 +118,3 @@ func (m *Machine) NumEndpointsTotal() int { return m.NumNodes() * NumEndpoints }
 
 // EndpointIndex flattens a NodeEp to a dense index.
 func (m *Machine) EndpointIndex(ne NodeEp) int { return ne.Node*NumEndpoints + ne.Ep }
-
-// EndpointByIndex is the inverse of EndpointIndex.
-func (m *Machine) EndpointByIndex(i int) NodeEp {
-	return NodeEp{Node: i / NumEndpoints, Ep: i % NumEndpoints}
-}

@@ -359,11 +359,18 @@ func TestTorusDest(t *testing.T) {
 	}
 }
 
+// TestEndpointIndexRoundTrip: EndpointIndex numbers the machine's endpoints
+// densely, each index in [0, NumEndpointsTotal) exactly once.
 func TestEndpointIndexRoundTrip(t *testing.T) {
 	m := MustMachine(Shape3(2, 2, 2))
-	for i := 0; i < m.NumEndpointsTotal(); i++ {
-		if m.EndpointIndex(m.EndpointByIndex(i)) != i {
-			t.Fatalf("endpoint index %d does not round-trip", i)
+	seen := make([]bool, m.NumEndpointsTotal())
+	for n := 0; n < m.NumNodes(); n++ {
+		for ep := 0; ep < NumEndpoints; ep++ {
+			i := m.EndpointIndex(NodeEp{Node: n, Ep: ep})
+			if i < 0 || i >= len(seen) || seen[i] {
+				t.Fatalf("endpoint n%d.E%d has index %d: out of range or taken", n, ep, i)
+			}
+			seen[i] = true
 		}
 	}
 }
