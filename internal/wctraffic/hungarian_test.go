@@ -2,13 +2,13 @@ package wctraffic
 
 import "math"
 
-// Hungarian solves the maximum-weight assignment problem on an n x n weight
+// hungarian solves the maximum-weight assignment problem on an n x n weight
 // matrix in O(n^3): it returns the assignment (row i -> column assign[i])
 // and the total weight. This is the general method for finding the
 // worst-case permutation demand for a single channel from per-demand load
-// contributions [27]; the exhaustive search in Evaluate uses it as a
-// cross-check and falls back to it for larger radix switches.
-func Hungarian(w [][]float64) ([]int, float64) {
+// contributions [27]; the tests use it to cross-check the exhaustive
+// permutation search of Evaluate.
+func hungarian(w [][]float64) ([]int, float64) {
 	n := len(w)
 	for _, row := range w {
 		if len(row) != n {
@@ -84,11 +84,11 @@ func Hungarian(w [][]float64) ([]int, float64) {
 	return assign, total
 }
 
-// WorstChannelLoad computes, for a single chip channel, the heaviest load
+// worstChannelLoad computes, for a single chip channel, the heaviest load
 // any permutation demand can place on it, using the Hungarian method over
 // the per-demand contribution matrix. U-turn demands are excluded by
 // assigning them -infinity-like weight (large negative).
-func WorstChannelLoad(contrib [][]float64) float64 {
+func worstChannelLoad(contrib [][]float64) float64 {
 	n := len(contrib)
 	w := make([][]float64, n)
 	for i := range w {
@@ -96,6 +96,6 @@ func WorstChannelLoad(contrib [][]float64) float64 {
 		copy(w[i], contrib[i])
 		w[i][i] = -1e9 // forbid U-turns
 	}
-	_, total := Hungarian(w)
+	_, total := hungarian(w)
 	return total
 }

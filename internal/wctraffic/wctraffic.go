@@ -4,8 +4,9 @@
 // the worst case over all admissible demands is attained at an extreme point
 // of the demand polytope, and extreme points are permutation traffic
 // patterns — so an exact search enumerates permutations of the six torus
-// directions (the two slices are assumed load-balanced, and a general
-// maximum-weight assignment solver is provided as the scalable alternative).
+// directions (the two slices are assumed load-balanced; the tests cross-check
+// the search with a maximum-weight assignment solver, the scalable
+// alternative).
 package wctraffic
 
 import (
@@ -218,17 +219,4 @@ func Best(chip *topo.Chip, pol Policy) ([]Result, float64) {
 		}
 	}
 	return winners, best
-}
-
-// PaperWorstCasePermutation is permutation (1) of the paper:
-//
-//	(X+ X- Y+ Y- Z+ Z-)
-//	(Z- X+ Y- Z+ X- Y+)
-var PaperWorstCasePermutation = [topo.NumDirections]topo.Direction{
-	topo.XPos: topo.ZNeg,
-	topo.XNeg: topo.XPos,
-	topo.YPos: topo.YNeg,
-	topo.YNeg: topo.ZPos,
-	topo.ZPos: topo.XNeg,
-	topo.ZNeg: topo.YPos,
 }

@@ -63,11 +63,24 @@ func TestPaperOrderLoadUnderThisLayout(t *testing.T) {
 	}
 }
 
+// paperWorstCasePermutation is permutation (1) of the paper:
+//
+//	(X+ X- Y+ Y- Z+ Z-)
+//	(Z- X+ Y- Z+ X- Y+)
+var paperWorstCasePermutation = [topo.NumDirections]topo.Direction{
+	topo.XPos: topo.ZNeg,
+	topo.XNeg: topo.XPos,
+	topo.YPos: topo.YNeg,
+	topo.YNeg: topo.ZPos,
+	topo.ZPos: topo.XNeg,
+	topo.ZNeg: topo.YPos,
+}
+
 // TestPaperPermutationLoad: the paper's permutation (1) places at most two
 // torus channels of load on any mesh channel under the default order.
 func TestPaperPermutationLoad(t *testing.T) {
 	chip := topo.DefaultChip()
-	loads := Loads(chip, topo.DefaultDirOrder, DefaultPolicy, PaperWorstCasePermutation)
+	loads := Loads(chip, topo.DefaultDirOrder, DefaultPolicy, paperWorstCasePermutation)
 	l, _ := MaxMeshLoad(chip, loads)
 	if l > 2.0 {
 		t.Fatalf("paper permutation load = %g under default order, want <= 2.0", l)
@@ -227,7 +240,7 @@ func TestHungarianMatchesBruteForce(t *testing.T) {
 				w[i][j] = float64(rng.Intn(100))
 			}
 		}
-		_, got := Hungarian(w)
+		_, got := hungarian(w)
 		want := bruteForceMax(w)
 		if got < want-1e-9 || got > want+1e-9 {
 			t.Fatalf("trial %d: Hungarian = %g, brute force = %g", trial, got, want)
@@ -300,7 +313,7 @@ func TestHungarianAgreesWithEnumeratedWorstCase(t *testing.T) {
 		}
 	}
 	for c := 0; c < nCh; c++ {
-		got := WorstChannelLoad(contrib[c])
+		got := worstChannelLoad(contrib[c])
 		if got < 0 {
 			got = 0 // all-forbidden rows can go negative; clamp like "no demand"
 		}
