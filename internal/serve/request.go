@@ -103,15 +103,19 @@ const maxSweepPoints = 64
 // maxRequestBytes bounds the decoded submission body.
 const maxRequestBytes = 1 << 16
 
-// ParseRequest decodes and validates one submission body. The returned
-// request carries its compiled form, so the ID, Canonical, Jobs and Submit
-// calls that follow do not validate it again; treat it as immutable.
+// ParseRequest decodes and validates one submission body: exactly one JSON
+// object, nothing after it but whitespace. The returned request carries its
+// compiled form, so the ID, Canonical, Jobs and Submit calls that follow do
+// not validate it again; treat it as immutable.
 func ParseRequest(r io.Reader) (*Request, error) {
 	dec := json.NewDecoder(io.LimitReader(r, maxRequestBytes))
 	dec.DisallowUnknownFields()
 	req := &Request{}
 	if err := dec.Decode(req); err != nil {
 		return nil, &RequestError{Msg: "malformed JSON: " + err.Error()}
+	}
+	if err := dec.Decode(&json.RawMessage{}); err != io.EOF {
+		return nil, &RequestError{Msg: "malformed JSON: trailing data after the request object"}
 	}
 	c, err := req.compile()
 	if err != nil {

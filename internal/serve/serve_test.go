@@ -317,6 +317,8 @@ func TestValidationRejects(t *testing.T) {
 		{"unknown family", `{"family":"figure-9000"}`, "family"},
 		{"bad shape", `{"family":"throughput","shape":"4x4","batches":[8]}`, "shape"},
 		{"shape trailing junk", `{"family":"throughput","shape":"4x4x2x9junk","batches":[8]}`, "shape"},
+		{"body trailing junk", `{"family":"throughput","shape":"2x2x2","batches":[8]} junk`, ""},
+		{"two request objects", `{"family":"throughput","shape":"2x2x2","batches":[8]}{"family":"latency","shape":"2x2x2"}`, ""},
 		{"missing batches", `{"family":"throughput","shape":"2x2x2"}`, "batches"},
 		{"negative batch", `{"family":"faultsweep","shape":"2x2x2","rates":[0],"batch":-1}`, "batch"},
 		{"rate out of range", `{"family":"faultsweep","shape":"2x2x2","rates":[1.5],"batch":8}`, "rates"},
