@@ -31,7 +31,7 @@ func refusedField(t *testing.T, err error) string {
 // of sharding, and Shardable — what the auto resolver consults — refuses
 // exactly the cells an explicit count is refused in, naming the same field.
 func TestConfigLattice(t *testing.T) {
-	// The expected refusal, written as the rules read in DESIGN §9.
+	// The expected refusal, written as the rules read in DESIGN §9.3.
 	wantField := func(engine string, shards int) string {
 		switch {
 		case engine == "warp":
