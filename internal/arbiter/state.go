@@ -9,9 +9,10 @@ import (
 // This file is the arbiters' half of the checkpoint codec: the fairness
 // position of one arbiter, appended to and read back from the machine
 // snapshot. The machine only ever instantiates RoundRobin and
-// InverseWeighted, so a concrete-type switch covers the registry without widening the Arbiter interface. A
-// record carries no kind or width — the machine snapshot names the arbiter
-// kind once, and the width is the live arbiter's.
+// InverseWeighted, so a concrete-type switch covers the registry without
+// widening the Arbiter interface. A record carries no kind or width — the
+// machine snapshot names the arbiter kind once, and the width is the live
+// arbiter's.
 
 // AppendState appends a's fairness position: the cursor of a RoundRobin, the
 // K accumulators and round-robin thermometer of an InverseWeighted.

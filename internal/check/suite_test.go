@@ -7,8 +7,9 @@ import (
 )
 
 // TestSuiteViolationAccounting: every violation is counted, and Err names the
-// count and the least violation by (cycle, checker, message) — whichever of several goroutines (shard
-// workers' send hooks, in a machine) reported it first.
+// count and the least violation by (cycle, checker, message) — whichever of
+// several goroutines (shard workers' send hooks, in a machine) reported it
+// first.
 func TestSuiteViolationAccounting(t *testing.T) {
 	s := NewSuite(Env{})
 	if err := s.Err(); err != nil {
