@@ -1,23 +1,17 @@
 package main
 
 import (
-	"bufio"
 	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
 	"io/fs"
-	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
 )
-
-// deadExportsAllowlist is the checked-in list of exported names the guard
-// tolerates although no program uses them: one "name reason" per line, blank
-// lines and # comments ignored. It may only shrink (CI counts its entries).
-const deadExportsAllowlist = "testdata/dead_exports.txt"
 
 // auditRoots are the module directories whose Go files the guard reads:
 // everything that declares or uses an anton2 name.
@@ -159,34 +153,6 @@ func usesIota(d *ast.GenDecl) bool {
 	return found
 }
 
-// auditExports compares the dead names with the allowlist (name -> reason)
-// and returns one problem per dead name not listed, per listed name that is
-// no longer dead, and per entry without a reason.
-func auditExports(files []srcFile, allow map[string]string) []string {
-	var problems []string
-	dead := map[string]bool{}
-	for _, name := range deadExports(files) {
-		dead[name] = true
-		if _, ok := allow[name]; !ok {
-			problems = append(problems, "dead export "+name+": no program uses it; delete it, move it into the test that needs it, or list it with a reason")
-		}
-	}
-	var listed []string
-	for name := range allow {
-		listed = append(listed, name)
-	}
-	sort.Strings(listed)
-	for _, name := range listed {
-		switch {
-		case !dead[name]:
-			problems = append(problems, "stale allowlist entry "+name+": it is used or gone; remove the line")
-		case strings.TrimSpace(allow[name]) == "":
-			problems = append(problems, "allowlist entry "+name+" has no reason")
-		}
-	}
-	return problems
-}
-
 // parseModule parses every .go file under the audit roots of the module at
 // root, skipping testdata directories.
 func parseModule(t *testing.T, root string) []srcFile {
@@ -225,40 +191,11 @@ func parseModule(t *testing.T, root string) []srcFile {
 	return files
 }
 
-// readAllowlist reads the name -> reason allowlist.
-func readAllowlist(t *testing.T, path string) map[string]string {
-	t.Helper()
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	allow := map[string]string{}
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		name, reason, _ := strings.Cut(line, " ")
-		if _, dup := allow[name]; dup {
-			t.Errorf("%s: %s listed twice", path, name)
-		}
-		allow[name] = reason
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
-	}
-	return allow
-}
-
-// TestNoDeadExports fails on any exported name that only its own package's
-// tests use, unless the allowlist names it; and on any allowlist entry that
-// no longer names a dead export, so the list can only shrink.
+// TestNoDeadExports fails on every exported name that only its own package's
+// tests use: delete it, or move it into the test that needs it.
 func TestNoDeadExports(t *testing.T) {
-	files := parseModule(t, filepath.Join("..", ".."))
-	for _, p := range auditExports(files, readAllowlist(t, deadExportsAllowlist)) {
-		t.Error(p)
+	for _, name := range deadExports(parseModule(t, filepath.Join("..", ".."))) {
+		t.Errorf("dead export %s: no program uses it; delete it or move it into the test that needs it", name)
 	}
 }
 
@@ -269,37 +206,36 @@ func Used() {}
 func Dead() {}
 `
 	cases := []struct {
-		name  string
-		srcs  map[string]string // path relative to the module root -> source
-		allow map[string]string
-		want  []string // problems, in order
+		name string
+		srcs map[string]string // path relative to the module root -> source
+		want []string          // dead names, sorted
 	}{
 		{"dead func", map[string]string{
 			"internal/lib/lib.go": lib,
 			"cmd/app/main.go":     "package main\nfunc main() { lib.Used() }\n",
-		}, nil, []string{"dead export internal/lib.Dead"}},
+		}, []string{"internal/lib.Dead"}},
 		{"used only by its own tests", map[string]string{
 			"internal/lib/lib.go":      lib,
 			"internal/lib/lib_test.go": "package lib\nfunc TestDead() { Dead() }\n",
 			"cmd/app/main.go":          "package main\nfunc main() { lib.Used() }\n",
-		}, nil, []string{"dead export internal/lib.Dead"}},
+		}, []string{"internal/lib.Dead"}},
 		{"used by another package's tests", map[string]string{
 			"internal/lib/lib.go":      lib,
 			"internal/use/use_test.go": "package use\nfunc TestX() { lib.Used(); lib.Dead() }\n",
-		}, nil, nil},
+		}, nil},
 		{"used from benchmark/ and examples/", map[string]string{
 			"internal/lib/lib.go":   lib,
 			"benchmark/main.go":     "package main\nfunc main() { lib.Used() }\n",
 			"examples/demo/main.go": "package main\nfunc main() { lib.Dead() }\n",
 			// A program's own exported names are not an API.
 			"benchmark/probe.go": "package main\nfunc Probe() {}\n",
-		}, nil, nil},
+		}, nil},
 		{"used within its own package", map[string]string{
 			"internal/lib/lib.go": "package lib\nfunc Helper() {}\nfunc run() { Helper() }\n",
-		}, nil, nil},
+		}, nil},
 		{"dead method", map[string]string{
 			"internal/lib/lib.go": "package lib\ntype T struct{}\nfunc (t *T) Peek() {}\nfunc New() *T { return new(T) }\nfunc run() { New() }\n",
-		}, nil, []string{"dead export internal/lib.T.Peek"}},
+		}, []string{"internal/lib.T.Peek"}},
 		{"iota member and stdlib interface method", map[string]string{
 			"internal/lib/lib.go": `package lib
 type Kind int
@@ -312,19 +248,7 @@ type Err struct{}
 func (Err) Error() string { return "" }
 func run() { _ = Kind(0); _ = Err{} }
 `,
-		}, nil, nil},
-		{"allowlisted", map[string]string{
-			"internal/lib/lib.go": lib,
-			"cmd/app/main.go":     "package main\nfunc main() { lib.Used() }\n",
-		}, map[string]string{"internal/lib.Dead": "kept for a reason"}, nil},
-		{"stale allowlist entry", map[string]string{
-			"internal/lib/lib.go": lib,
-			"cmd/app/main.go":     "package main\nfunc main() { lib.Used(); lib.Dead() }\n",
-		}, map[string]string{"internal/lib.Dead": "kept for a reason"}, []string{"stale allowlist entry internal/lib.Dead"}},
-		{"allowlist entry without a reason", map[string]string{
-			"internal/lib/lib.go": lib,
-			"cmd/app/main.go":     "package main\nfunc main() { lib.Used() }\n",
-		}, map[string]string{"internal/lib.Dead": ""}, []string{"allowlist entry internal/lib.Dead has no reason"}},
+		}, nil},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -337,14 +261,8 @@ func run() { _ = Kind(0); _ = Err{} }
 				}
 				files = append(files, srcFile{dir: filepath.ToSlash(filepath.Dir(path)), test: strings.HasSuffix(path, "_test.go"), ast: f})
 			}
-			got := auditExports(files, tc.allow)
-			if len(got) != len(tc.want) {
-				t.Fatalf("problems = %q\nwant prefixes %q", got, tc.want)
-			}
-			for i := range got {
-				if !strings.HasPrefix(got[i], tc.want[i]) {
-					t.Errorf("problem %d = %q, want prefix %q", i, got[i], tc.want[i])
-				}
+			if got := deadExports(files); !reflect.DeepEqual(got, tc.want) {
+				t.Errorf("dead = %q, want %q", got, tc.want)
 			}
 		})
 	}
