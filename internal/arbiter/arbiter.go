@@ -17,8 +17,6 @@ const MaxInputs = 64
 // weighted arbiters and only for the granted input); it may be nil when the
 // caller has no pattern labels.
 type Arbiter interface {
-	// K returns the arbiter's input count.
-	K() int
 	// Pick returns the granted input index, or -1 if req is empty.
 	Pick(req uint64, pats []uint8) int
 }
@@ -37,9 +35,6 @@ func NewRoundRobin(k int) *RoundRobin {
 	checkK(k)
 	return &RoundRobin{k: k}
 }
-
-// K implements Arbiter.
-func (a *RoundRobin) K() int { return a.k }
 
 // Pick implements Arbiter.
 func (a *RoundRobin) Pick(req uint64, _ []uint8) int {

@@ -49,9 +49,6 @@ func NewInverseWeighted(k int, weights [][NumPatterns]uint32) *InverseWeighted {
 	return a
 }
 
-// K implements Arbiter.
-func (a *InverseWeighted) K() int { return a.k }
-
 // Pick implements Arbiter: priorities come from the accumulator MSBs, the
 // grant from the two-level prioritized arbiter of Figure 8, and the
 // accumulator update from Figure 6 using the granted packet's pattern.

@@ -34,18 +34,6 @@ func (c Component) String() string {
 	}
 }
 
-// Count returns the per-ASIC instance count of a component type (Table 1).
-func (c Component) Count() int {
-	switch c {
-	case Router:
-		return topo.NumRouters
-	case EndpointAdapter:
-		return topo.NumEndpoints
-	default:
-		return topo.NumChannelAdapters
-	}
-}
-
 // Category indexes the area categories of Table 2.
 type Category int
 

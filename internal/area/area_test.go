@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"anton2/internal/route"
+	"anton2/internal/topo"
 )
 
 func TestTable1Reference(t *testing.T) {
@@ -101,8 +102,10 @@ func TestMulticastAreaScalesWithEntries(t *testing.T) {
 	}
 }
 
+// TestComponentCounts: the chip the model prices has Table 1's per-ASIC
+// instance count of each component type.
 func TestComponentCounts(t *testing.T) {
-	if Router.Count() != 16 || EndpointAdapter.Count() != 23 || ChannelAdapter.Count() != 12 {
+	if topo.NumRouters != 16 || topo.NumEndpoints != 23 || topo.NumChannelAdapters != 12 {
 		t.Error("component counts must match Table 1")
 	}
 }

@@ -1,87 +1,72 @@
-// Package ckpt defines the checkpoint container format: a versioned,
-// strictly-validated encoding of one simulation snapshot, in the spirit of
-// internal/trace's canonical strict codec. A checkpoint is a *frame group*: a
-// JSON header line naming the format version, run tag, and cycle; per named
-// section a JSON line (name, CRC-32C, length) followed by that many raw
-// payload bytes and a newline; and a JSON commit line whose CRC covers every
-// preceding byte of the group. The payloads themselves are produced by the
-// layers that own the state (the machine's binary snapshot record, the
-// driver's progress); this package only guarantees that what was written is
-// what is read back.
+// Package ckpt defines the checkpoint format: a versioned, strictly-validated
+// encoding of one simulation snapshot, in the spirit of internal/trace's
+// canonical strict codec. A checkpoint is one internal/wire record — format
+// name, version, run tag, cycle, then each section as a length-prefixed name
+// and payload — followed by the seal, a CRC-32C of every byte before it. The
+// payloads themselves are produced by the layers that own the state (the
+// machine's binary snapshot record, the driver's progress); this package only
+// guarantees that what was written is what is read back.
 //
-// Format v2 guarantees:
+// Format v3 guarantees:
 //   - Encoding is deterministic: the same Checkpoint always yields the same
 //     bytes, and Encode∘Decode is a fixed point.
-//   - Decode validates structure, per-section CRCs, and the commit CRC, and
-//     never panics on arbitrary input: the section count and every section
-//     length are bounded by the input that remains before anything is indexed.
-//   - Recover scans arbitrary bytes for complete frame groups and returns
-//     the last valid one — a torn or truncated tail (the crash case) falls
-//     back to the most recent complete checkpoint instead of failing.
-//   - WriteFile is torn-write-safe: temp file + fsync + rename, so a crash
-//     mid-write leaves either the old checkpoint or the new one, never a
-//     mixture.
+//   - Decode checks the seal before it parses, then parses strictly and never
+//     panics on arbitrary input: the section count and every length are
+//     bounded by the input that remains before anything is indexed.
+//   - AtomicWriteFile is torn-write-safe: temp file + fsync + rename, so a
+//     crash mid-write leaves either the old file or the new one, never a
+//     mixture. A file therefore holds one whole checkpoint or none.
 //
 // There is one format and no reader for older ones: a file of any other
-// version fails the version check like any other unusable file, and the run
-// it belonged to starts over.
+// version fails the seal or the version check like any other unusable file,
+// and the run it belonged to starts over.
 package ckpt
 
 import (
-	"bytes"
-	"encoding/json"
-	"errors"
+	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
+
+	"anton2/internal/wire"
 )
 
 // Format and Version identify checkpoint files produced by this package.
-// Version bumps whenever the frame schema changes incompatibly; version 1
-// carried its sections base64-encoded inside the section lines.
+// Version bumps whenever the record layout changes incompatibly; version 2
+// framed its sections in JSON lines with a CRC each.
 const (
 	Format  = "anton2-ckpt"
-	Version = 2
+	Version = 3
 )
 
-// castagnoli is the CRC-32C table shared by section and commit checksums.
+// castagnoli is the CRC-32C table behind the seal.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// ChecksumHex returns the CRC-32C of b as 8 lowercase hex digits: the
-// checksum the checkpoint frames use, exported so sibling persistence layers
-// (the serve store's artifact sidecars) share one definition.
-func ChecksumHex(b []byte) string { return fmt.Sprintf("%08x", crc32.Checksum(b, castagnoli)) }
+// sealLen is the size of the CRC-32C a sealed record ends with.
+const sealLen = 4
 
-// Header is the first line of a frame group.
-type Header struct {
-	Format  string `json:"format"`
-	Version int    `json:"version"`
-	// Tag identifies the run that wrote the checkpoint (conventionally the
-	// experiment spec canonical string); restore paths reject checkpoints
-	// whose tag does not match the run they are resuming.
-	Tag string `json:"tag,omitempty"`
-	// Cycle is the simulation clock at the snapshot boundary.
-	Cycle uint64 `json:"cycle"`
-	// Sections is the number of sections that follow.
-	Sections int `json:"sections"`
+// Seal appends the CRC-32C of b to b: the one integrity check of every file a
+// process reads back after a crash (checkpoints, the serve store's
+// artifacts). Like append, it may write into b's spare capacity.
+func Seal(b []byte) []byte { return sealFrom(b, 0) }
+
+// sealFrom appends the CRC-32C of b[start:] to b.
+func sealFrom(b []byte, start int) []byte {
+	return binary.LittleEndian.AppendUint32(b, crc32.Checksum(b[start:], castagnoli))
 }
 
-// sectionLine announces one named payload: Len raw bytes and a newline follow
-// it. Each payload has its own CRC, so a flipped bit in a multi-megabyte
-// machine snapshot is pinned to the section it corrupts.
-type sectionLine struct {
-	Name string `json:"name"`
-	CRC  string `json:"crc"`
-	Len  int    `json:"len"`
-}
-
-// commitLine terminates a frame group. Its CRC covers every preceding byte of
-// the group (header, section lines and payloads, newlines included): a group
-// without a matching commit line never existed.
-type commitLine struct {
-	Commit int    `json:"commit"`
-	CRC    string `json:"crc"`
+// Unseal checks the CRC-32C that Seal appended and returns the bytes it
+// covers; the result aliases b.
+func Unseal(b []byte) ([]byte, error) {
+	n := len(b) - sealLen
+	if n < 0 {
+		return nil, fmt.Errorf("ckpt: %d bytes, too short for a seal", len(b))
+	}
+	if got, want := crc32.Checksum(b[:n], castagnoli), binary.LittleEndian.Uint32(b[n:]); got != want {
+		return nil, fmt.Errorf("ckpt: crc %08x, want %08x", got, want)
+	}
+	return b[:n:n], nil
 }
 
 // Section is one named opaque payload of a checkpoint.
@@ -90,10 +75,14 @@ type Section struct {
 	Data []byte
 }
 
-// Checkpoint is a decoded frame group: the snapshot identity plus its
-// sections in written order.
+// Checkpoint is a decoded record: the snapshot identity plus its sections in
+// written order.
 type Checkpoint struct {
-	Tag      string
+	// Tag identifies the run that wrote the checkpoint (conventionally the
+	// experiment spec canonical string); RunConfig.Load ignores checkpoints
+	// whose tag does not match the run they would resume.
+	Tag string
+	// Cycle is the simulation clock at the snapshot boundary.
 	Cycle    uint64
 	Sections []Section
 }
@@ -133,158 +122,67 @@ func (c *Checkpoint) validate() error {
 	return nil
 }
 
-// Encode serializes the checkpoint to its canonical frame group. Encoding a
-// valid checkpoint is deterministic: the same Checkpoint always yields the
+// appendString appends s behind its length, as wire.AppendBytes would.
+func appendString(b []byte, s string) []byte {
+	return append(wire.AppendUvarint(b, uint64(len(s))), s...)
+}
+
+// Encode serializes the checkpoint to its canonical sealed record. Encoding
+// a valid checkpoint is deterministic: the same Checkpoint always yields the
 // same bytes.
 func (c *Checkpoint) Encode() ([]byte, error) { return c.AppendEncode(nil) }
 
-// AppendEncode appends the checkpoint's frame group to b, for writers that
+// AppendEncode appends the checkpoint's sealed record to b, for writers that
 // keep one buffer across the checkpoints of a run.
 func (c *Checkpoint) AppendEncode(b []byte) ([]byte, error) {
 	if err := c.validate(); err != nil {
 		return b, err
 	}
 	start := len(b)
-	line := func(v any) {
-		l, _ := json.Marshal(v) // structs of strings and integers: cannot fail
-		b = append(append(b, l...), '\n')
-	}
-	line(Header{Format: Format, Version: Version, Tag: c.Tag, Cycle: c.Cycle, Sections: len(c.Sections)})
+	b = appendString(b, Format)
+	b = wire.AppendUvarint(b, Version)
+	b = appendString(b, c.Tag)
+	b = wire.AppendUvarint(b, c.Cycle)
+	b = wire.AppendUvarint(b, uint64(len(c.Sections)))
 	for _, s := range c.Sections {
-		line(sectionLine{Name: s.Name, CRC: ChecksumHex(s.Data), Len: len(s.Data)})
-		b = append(append(b, s.Data...), '\n')
+		b = wire.AppendBytes(appendString(b, s.Name), s.Data)
 	}
-	line(commitLine{Commit: len(c.Sections), CRC: ChecksumHex(b[start:])})
-	return b, nil
-}
-
-// decodeLine strictly unmarshals the JSON line that starts data — an object,
-// no unknown fields, nothing after it before the newline — and returns the
-// number of bytes it occupies, newline included. A line the input ends
-// inside is an error: that is what a torn write leaves.
-func decodeLine(data []byte, v any) (int, error) {
-	end := bytes.IndexByte(data, '\n')
-	if end < 0 {
-		return 0, errors.New("truncated line")
-	}
-	if end == 0 || data[0] != '{' {
-		return 0, errors.New("not a JSON object")
-	}
-	dec := json.NewDecoder(bytes.NewReader(data[:end]))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return 0, err
-	}
-	if dec.More() {
-		return 0, errors.New("trailing data after record")
-	}
-	return end + 1, nil
-}
-
-// decodeGroup strictly decodes the frame group that starts data and returns
-// the checkpoint and the number of bytes the group occupies. Section payloads
-// alias data.
-func decodeGroup(data []byte) (*Checkpoint, int, error) {
-	var h Header
-	pos, err := decodeLine(data, &h)
-	if err != nil {
-		return nil, 0, fmt.Errorf("ckpt: header: %w", err)
-	}
-	if h.Format != Format {
-		return nil, 0, fmt.Errorf("ckpt: format %q, want %q", h.Format, Format)
-	}
-	if h.Version != Version {
-		return nil, 0, fmt.Errorf("ckpt: version %d, want %d", h.Version, Version)
-	}
-	// Every section occupies at least its line's and its payload's newline.
-	if h.Sections < 0 || h.Sections > (len(data)-pos)/2 {
-		return nil, 0, fmt.Errorf("ckpt: %d sections in %d bytes", h.Sections, len(data)-pos)
-	}
-	c := &Checkpoint{Tag: h.Tag, Cycle: h.Cycle}
-	for i := 0; i < h.Sections; i++ {
-		var s sectionLine
-		n, err := decodeLine(data[pos:], &s)
-		if err != nil {
-			return nil, 0, fmt.Errorf("ckpt: section %d: %w", i, err)
-		}
-		pos += n
-		if s.Name == "" {
-			return nil, 0, fmt.Errorf("ckpt: section %d: empty name", i)
-		}
-		if s.Len < 0 || s.Len >= len(data)-pos || data[pos+s.Len] != '\n' {
-			return nil, 0, fmt.Errorf("ckpt: section %q: truncated: %d payload bytes in %d", s.Name, s.Len, len(data)-pos)
-		}
-		payload := data[pos : pos+s.Len : pos+s.Len]
-		if got := ChecksumHex(payload); got != s.CRC {
-			return nil, 0, fmt.Errorf("ckpt: section %q: crc %s, want %s", s.Name, got, s.CRC)
-		}
-		c.Sections = append(c.Sections, Section{Name: s.Name, Data: payload})
-		pos += s.Len + 1
-	}
-	var cm commitLine
-	n, err := decodeLine(data[pos:], &cm)
-	if err != nil {
-		return nil, 0, fmt.Errorf("ckpt: commit: %w", err)
-	}
-	if cm.Commit != h.Sections {
-		return nil, 0, fmt.Errorf("ckpt: commit count %d, want %d", cm.Commit, h.Sections)
-	}
-	if want := ChecksumHex(data[:pos]); cm.CRC != want {
-		return nil, 0, fmt.Errorf("ckpt: commit crc %s, want %s", cm.CRC, want)
-	}
-	if err := c.validate(); err != nil {
-		return nil, 0, err
-	}
-	return c, pos + n, nil
+	return sealFrom(b, start), nil
 }
 
 // Decode parses and validates exactly one checkpoint. It never panics on
-// arbitrary input, and for any input x accepted by Decode,
-// Encode(Decode(x)) is a fixed point of the round trip. The sections of the
-// result alias data.
+// arbitrary input, and for any input x accepted by Decode, Encode(Decode(x))
+// is x. The sections of the result alias data.
 func Decode(data []byte) (*Checkpoint, error) {
-	c, used, err := decodeGroup(data)
+	body, err := Unseal(data)
 	if err != nil {
 		return nil, err
 	}
-	if used != len(data) {
-		return nil, fmt.Errorf("ckpt: %d trailing bytes after commit", len(data)-used)
+	r := wire.NewReader(body)
+	if f := r.Bytes(); string(f) != Format {
+		return nil, fmt.Errorf("ckpt: format %q, want %q", f, Format)
+	}
+	if v := r.Uvarint(); v != Version {
+		return nil, fmt.Errorf("ckpt: version %d, want %d", v, Version)
+	}
+	c := &Checkpoint{Tag: string(r.Bytes()), Cycle: r.Uvarint()}
+	// Every section spells at least its name's and its payload's length.
+	n := r.Count(2)
+	c.Sections = make([]Section, 0, n)
+	for i := 0; i < n; i++ {
+		name := string(r.Bytes())
+		c.Sections = append(c.Sections, Section{Name: name, Data: r.Bytes()})
+	}
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("ckpt: %w", err)
+	}
+	if r.Len() != 0 {
+		return nil, fmt.Errorf("ckpt: %d trailing bytes after the last section", r.Len())
+	}
+	if err := c.validate(); err != nil {
+		return nil, err
 	}
 	return c, nil
-}
-
-// Recover scans the input for complete frame groups and returns the last
-// valid one — the newest checkpoint that was fully committed before a crash.
-// A group starts at the start of the input or after a newline; garbage, torn
-// groups, and a truncated tail are skipped; Recover never panics. It fails
-// only when no complete checkpoint exists.
-func Recover(data []byte) (*Checkpoint, error) {
-	var last *Checkpoint
-	for pos := 0; pos < len(data); {
-		if c, used, err := decodeGroup(data[pos:]); err == nil {
-			last = c
-			pos += used
-			continue
-		}
-		nl := bytes.IndexByte(data[pos:], '\n')
-		if nl < 0 {
-			break
-		}
-		pos += nl + 1
-	}
-	if last == nil {
-		return nil, errors.New("ckpt: no complete checkpoint in input")
-	}
-	return last, nil
-}
-
-// WriteFile atomically replaces path with the encoded checkpoint.
-func WriteFile(path string, c *Checkpoint) error {
-	data, err := c.Encode()
-	if err != nil {
-		return err
-	}
-	return AtomicWriteFile(path, data)
 }
 
 // tempSuffix is what AtomicWriteFile's temp files carry between the target's
@@ -331,16 +229,16 @@ func AtomicWriteFile(path string, data []byte) error {
 	return nil
 }
 
-// ReadFile loads the newest complete checkpoint from path, tolerating a torn
-// tail. A missing file returns os.ErrNotExist.
+// ReadFile decodes the checkpoint at path. A missing file returns
+// os.ErrNotExist.
 func ReadFile(path string) (*Checkpoint, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	c, err := Recover(data)
+	c, err := Decode(data)
 	if err != nil {
-		return nil, fmt.Errorf("ckpt: %s: %w", path, err)
+		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return c, nil
 }

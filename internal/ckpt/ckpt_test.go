@@ -2,10 +2,15 @@ package ckpt
 
 import (
 	"bytes"
+	"fmt"
+	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"anton2/internal/wire"
 )
 
 func sample() *Checkpoint {
@@ -15,12 +20,33 @@ func sample() *Checkpoint {
 		Add("empty", nil)
 }
 
-func TestEncodeDecodeRoundTrip(t *testing.T) {
-	c := sample()
-	enc, err := c.Encode()
+func mustEncode(t testing.TB, c *Checkpoint) []byte {
+	t.Helper()
+	b, err := c.Encode()
 	if err != nil {
 		t.Fatalf("Encode: %v", err)
 	}
+	return b
+}
+
+// head is an unsealed record of the given version up to its section count.
+func head(version uint64) []byte {
+	b := wire.AppendUvarint(appendString(nil, Format), version)
+	return wire.AppendUvarint(appendString(b, "t"), 7)
+}
+
+// v2Group is a well-formed frame group of the retired format v2: JSON
+// header, section and commit lines, a CRC per section and one over the group.
+func v2Group() []byte {
+	crc := func(b string) string { return fmt.Sprintf("%08x", crc32.Checksum([]byte(b), castagnoli)) }
+	g := `{"format":"anton2-ckpt","version":2,"tag":"t","cycle":7,"sections":1}` + "\n" +
+		`{"name":"m","crc":"` + crc("{}") + `","len":2}` + "\n{}\n"
+	return []byte(g + `{"commit":1,"crc":"` + crc(g) + `"}` + "\n")
+}
+
+func TestEncodeDecodeRoundTrip(t *testing.T) {
+	c := sample()
+	enc := mustEncode(t, c)
 	dec, err := Decode(enc)
 	if err != nil {
 		t.Fatalf("Decode: %v", err)
@@ -34,41 +60,34 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 			t.Fatalf("section %d differs: %+v vs %+v", i, dec.Sections[i], c.Sections[i])
 		}
 	}
-	re, err := dec.Encode()
-	if err != nil {
-		t.Fatalf("re-Encode: %v", err)
+	if re := mustEncode(t, dec); !bytes.Equal(enc, re) {
+		t.Fatalf("Encode∘Decode not a fixed point:\n%q\nvs\n%q", enc, re)
 	}
-	if !bytes.Equal(enc, re) {
-		t.Fatalf("Encode∘Decode not a fixed point:\n%s\nvs\n%s", enc, re)
+	// AppendEncode seals only what it appends.
+	app, err := c.AppendEncode([]byte("prefix"))
+	if err != nil || string(app) != "prefix"+string(enc) {
+		t.Fatalf("AppendEncode = %q, %v; want prefix then %q", app, err, enc)
 	}
 }
 
 func TestEncodeDeterministic(t *testing.T) {
-	a, err := sample().Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := sample().Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a, b) {
+	if !bytes.Equal(mustEncode(t, sample()), mustEncode(t, sample())) {
 		t.Fatal("two encodings of the same checkpoint differ")
 	}
 }
 
+// TestDecodeRejectsCorruption: flipping a bit of any byte, or cutting the
+// record anywhere, fails the seal.
 func TestDecodeRejectsCorruption(t *testing.T) {
-	enc, err := sample().Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Flipping a bit of any byte — line, payload or newline — must fail the
-	// structure, a section CRC or the commit CRC.
+	enc := mustEncode(t, sample())
 	for i := 0; i < len(enc); i++ {
-		bad := append([]byte(nil), enc...)
+		bad := bytes.Clone(enc)
 		bad[i] ^= 0x01
 		if _, err := Decode(bad); err == nil {
 			t.Fatalf("Decode accepted corrupted byte %d (%q)", i, enc[i])
+		}
+		if _, err := Decode(enc[:i]); err == nil {
+			t.Fatalf("Decode accepted the record cut to %d bytes", i)
 		}
 	}
 }
@@ -78,68 +97,30 @@ func TestDecodeRejectsDuplicateAndTrailing(t *testing.T) {
 	if _, err := dup.Encode(); err == nil {
 		t.Fatal("Encode accepted duplicate section names")
 	}
-	enc, err := sample().Encode()
+	enc := mustEncode(t, sample())
+	body, err := Unseal(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Decode(append(append([]byte(nil), enc...), "junk\n"...)); err == nil {
-		t.Fatal("Decode accepted trailing data")
-	}
-}
-
-func TestRecoverTruncatedTail(t *testing.T) {
-	old := New("tag", 100).Add("machine", []byte("old-state"))
-	cur := New("tag", 200).Add("machine", []byte("new-state"))
-	oldB, err := old.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	curB, err := cur.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A log holding a complete old group followed by a torn new group must
-	// recover the old group, for every truncation point of the new one (a
-	// commit line short of its newline is torn too).
-	for cut := 0; cut < len(curB); cut++ {
-		log := append(append([]byte(nil), oldB...), curB[:cut]...)
-		got, err := Recover(log)
-		if err != nil {
-			t.Fatalf("cut %d: Recover: %v", cut, err)
+	section := func(b []byte, name string) []byte { return wire.AppendBytes(appendString(b, name), []byte("x")) }
+	for name, in := range map[string][]byte{
+		"junk after the seal":   append(bytes.Clone(enc), "junk\n"...),
+		"junk inside the seal":  Seal(append(bytes.Clone(body), 0)),
+		"duplicate name":        Seal(section(section(wire.AppendUvarint(head(Version), 2), "a"), "a")),
+		"empty name":            Seal(section(wire.AppendUvarint(head(Version), 1), "")),
+		"fewer sections than n": Seal(section(wire.AppendUvarint(head(Version), 2), "a")),
+	} {
+		if _, err := Decode(in); err == nil {
+			t.Errorf("Decode accepted a record with %s", name)
 		}
-		if got.Cycle != 100 {
-			t.Fatalf("cut %d: recovered cycle %d, want 100", cut, got.Cycle)
-		}
-	}
-	// The complete log recovers the newest group.
-	got, err := Recover(append(append([]byte(nil), oldB...), curB...))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Cycle != 200 {
-		t.Fatalf("recovered cycle %d, want 200 (latest group)", got.Cycle)
-	}
-	// Garbage before and between groups is skipped.
-	log := append([]byte("garbage line\n\x00\x01\x02\n"), oldB...)
-	log = append(log, "more garbage\n"...)
-	log = append(log, curB...)
-	got, err = Recover(log)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Cycle != 200 {
-		t.Fatalf("recovered cycle %d from dirty log, want 200", got.Cycle)
-	}
-	if _, err := Recover([]byte("no checkpoints here\n")); err == nil {
-		t.Fatal("Recover invented a checkpoint from garbage")
 	}
 }
 
 func TestWriteFileAtomicAndReadFile(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "run.ckpt")
-	if err := WriteFile(path, sample()); err != nil {
-		t.Fatalf("WriteFile: %v", err)
+	if err := AtomicWriteFile(path, mustEncode(t, sample())); err != nil {
+		t.Fatalf("AtomicWriteFile: %v", err)
 	}
 	c, err := ReadFile(path)
 	if err != nil {
@@ -149,7 +130,7 @@ func TestWriteFileAtomicAndReadFile(t *testing.T) {
 		t.Fatalf("read cycle %d, want 4096", c.Cycle)
 	}
 	// Replacement leaves no temp debris.
-	if err := WriteFile(path, New("spec", 8192).Add("machine", []byte("v2"))); err != nil {
+	if err := AtomicWriteFile(path, mustEncode(t, New("spec", 8192).Add("machine", []byte("v2")))); err != nil {
 		t.Fatal(err)
 	}
 	ents, err := os.ReadDir(dir)
@@ -168,22 +149,21 @@ func TestWriteFileAtomicAndReadFile(t *testing.T) {
 	if c.Cycle != 8192 {
 		t.Fatalf("read cycle %d after replace, want 8192", c.Cycle)
 	}
-	// A torn tail appended to the file (simulated partial append) still
-	// recovers the committed checkpoint.
+	// A file holds one whole checkpoint or none: anything appended to it
+	// makes it unusable rather than half-read.
 	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.WriteString(`{"format":"anton2-ckpt","version":2,"cycle":9999,"sec`); err != nil {
+	if _, err := f.WriteString("torn"); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
-	c, err = ReadFile(path)
-	if err != nil {
-		t.Fatalf("ReadFile with torn tail: %v", err)
+	if c, err := ReadFile(path); err == nil {
+		t.Fatalf("ReadFile accepted a file with bytes past its seal: %+v", c)
 	}
-	if c.Cycle != 8192 {
-		t.Fatalf("torn tail: recovered cycle %d, want 8192", c.Cycle)
+	if _, err := ReadFile(filepath.Join(dir, "missing.ckpt")); !os.IsNotExist(err) {
+		t.Fatalf("ReadFile of a missing file = %v, want ErrNotExist", err)
 	}
 }
 
@@ -199,7 +179,7 @@ func TestRunConfig(t *testing.T) {
 	if c := rc.Load("tag"); c != nil {
 		t.Fatal("Load invented a checkpoint from a missing file")
 	}
-	if err := WriteFile(rc.Path, New("tag", 32).Add("m", []byte("s"))); err != nil {
+	if err := AtomicWriteFile(rc.Path, mustEncode(t, New("tag", 32).Add("m", []byte("s")))); err != nil {
 		t.Fatal(err)
 	}
 	if c := rc.Load("other-tag"); c != nil {
@@ -234,80 +214,64 @@ func TestRunConfig(t *testing.T) {
 	rc.Discard() // second discard is a no-op
 }
 
-// overflowHeader is a header whose section count, plus the header and commit
-// lines, overflows int: v1 passed its truncation check and indexed past the
-// input.
-const overflowHeader = `{"format":"anton2-ckpt","version":2,"cycle":0,"sections":9223372036854775807}` + "\n"
-
 // TestDecodeBoundsCounts: the section count and every section length are
-// bounded by the input that remains before anything is indexed.
+// bounded by the input that remains before anything is indexed, so sealed
+// records that claim more than they hold fail instead of allocating or
+// indexing past the input.
 func TestDecodeBoundsCounts(t *testing.T) {
-	for _, in := range []string{
-		overflowHeader,
-		`{"format":"anton2-ckpt","version":2,"cycle":0,"sections":1}` + "\n" +
-			`{"name":"m","crc":"00000000","len":9223372036854775807}` + "\n\n",
-		`{"format":"anton2-ckpt","version":2,"cycle":0,"sections":1}` + "\n" +
-			`{"name":"m","crc":"00000000","len":-1}` + "\n\n",
+	oneSection := appendString(wire.AppendUvarint(head(Version), 1), "m")
+	for name, body := range map[string][]byte{
+		"section count overflows": wire.AppendUvarint(head(Version), math.MaxUint64),
+		"section count too large": wire.AppendUvarint(head(Version), 1<<40),
+		"length overflows":        wire.AppendUvarint(bytes.Clone(oneSection), math.MaxUint64),
+		"length past the end":     wire.AppendUvarint(bytes.Clone(oneSection), math.MaxInt64),
 	} {
-		if _, err := Decode([]byte(in)); err == nil {
-			t.Errorf("Decode accepted %q", in)
-		}
-		if _, err := Recover([]byte(in)); err == nil || !strings.Contains(err.Error(), "no complete checkpoint") {
-			t.Errorf("Recover(%q) = %v, want no complete checkpoint", in, err)
+		if _, err := Decode(Seal(body)); err == nil {
+			t.Errorf("Decode accepted a record whose %s", name)
 		}
 	}
 }
 
-// TestDecodeRejectsOtherVersions: there is no reader for a v1 file.
+// TestDecodeRejectsOtherVersions: there is no reader for another version,
+// whether it is spelled as a sealed record or as a retired v2 frame group.
 func TestDecodeRejectsOtherVersions(t *testing.T) {
-	v1 := `{"format":"anton2-ckpt","version":1,"tag":"t","cycle":7,"sections":1}` + "\n" +
-		`{"name":"m","crc":"a282ead8","data":"AAAA"}` + "\n" +
-		`{"commit":1,"crc":"00000000"}` + "\n"
-	if _, err := Decode([]byte(v1)); err == nil || !strings.Contains(err.Error(), "version 1") {
-		t.Errorf("Decode(v1 file) = %v, want a version error", err)
+	v2Record := Seal(wire.AppendUvarint(head(2), 0))
+	if _, err := Decode(v2Record); err == nil || !strings.Contains(err.Error(), "version 2") {
+		t.Errorf("Decode(record claiming v2) = %v, want a version error", err)
 	}
-	if _, err := Recover([]byte(v1)); err == nil {
-		t.Error("Recover found a checkpoint in a v1 file")
+	if c, err := Decode(v2Group()); err == nil {
+		t.Errorf("Decode accepted a v2 frame group: %+v", c)
 	}
 }
 
-// FuzzCheckpointCodec exercises the three codec guarantees on arbitrary
-// bytes: Decode never panics; anything Decode accepts re-encodes to a fixed
-// point; and Recover (the truncated-tail path) never panics, accepting any
-// prefix of valid data plus arbitrary garbage.
+// FuzzCheckpointCodec exercises the codec guarantees on arbitrary bytes:
+// Decode never panics, and anything it accepts re-encodes to the same bytes.
+// Random bytes rarely pass the seal, so each input is also sealed and
+// decoded, which drives the structural decoder behind it.
 func FuzzCheckpointCodec(f *testing.F) {
-	enc, err := sample().Encode()
+	enc := mustEncode(f, sample())
+	body, err := Unseal(enc)
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(enc, len(enc))
-	f.Add([]byte("{}\n"), 1)
-	f.Add([]byte(nil), 0)
-	f.Add([]byte(`{"format":"anton2-ckpt","version":2,"cycle":0,"sections":0}`+"\n"), 3)
-	f.Add([]byte(overflowHeader), 0)
-	f.Fuzz(func(t *testing.T, data []byte, cut int) {
-		c, err := Decode(data)
-		if err == nil {
+	f.Add(enc)
+	f.Add(bytes.Clone(body))
+	f.Add([]byte(nil))
+	f.Add(wire.AppendUvarint(head(Version), math.MaxUint64))
+	f.Add(v2Group())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, in := range [][]byte{data, Seal(bytes.Clone(data))} {
+			c, err := Decode(in)
+			if err != nil {
+				continue
+			}
 			re, err := c.Encode()
 			if err != nil {
 				t.Fatalf("accepted input failed to re-encode: %v", err)
 			}
-			c2, err := Decode(re)
-			if err != nil {
-				t.Fatalf("re-encoded output rejected: %v", err)
+			if !bytes.Equal(re, in) {
+				t.Fatalf("Encode∘Decode not a fixed point:\n%q\nvs\n%q", in, re)
 			}
-			re2, err := c2.Encode()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(re, re2) {
-				t.Fatal("Encode∘Decode not a fixed point")
-			}
-		}
-		// Recover must never panic, on the raw input or any truncation.
-		_, _ = Recover(data)
-		if cut >= 0 && cut < len(data) {
-			_, _ = Recover(data[:cut])
 		}
 	})
 }

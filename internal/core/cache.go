@@ -24,7 +24,7 @@ var sharedLoads = exp.NewCache()
 // internal/traffic; custom Permutation patterns must use distinct labels.
 func loadsKey(cfg machine.Config, p traffic.Pattern) string {
 	return fmt.Sprintf("loads{shape=%v scheme=%s dir=%v skip=%v exitskip=%v pattern=%s}",
-		cfg.Shape, cfg.Strategy().Name(), cfg.DirOrder, cfg.UseSkip, cfg.ExitSkip, p.Name())
+		cfg.Shape, cfg.Strategy().Name(), topo.DefaultDirOrder, cfg.UseSkip, cfg.ExitSkip, p.Name())
 }
 
 // computeLoads is the uncached load computation behind PatternLoads.

@@ -93,14 +93,14 @@ func resumeRunCkpt(m *machine.Machine, rc ckpt.RunConfig, tag string, driver any
 }
 
 // runCkptWriter persists one run's checkpoints: it owns the run's checkpoint
-// path for the life of the run and keeps the snapshot and frame buffers
+// path for the life of the run and keeps the snapshot and record buffers
 // between checkpoints, so a checkpoint in a steady run allocates only the
 // driver section's JSON.
 type runCkptWriter struct {
-	rc          ckpt.RunConfig
-	m           *machine.Machine
-	tag         string
-	snap, frame []byte
+	rc           ckpt.RunConfig
+	m            *machine.Machine
+	tag          string
+	snap, record []byte
 }
 
 // newRunCkptWriter starts the run's checkpoint writing on m, the machine the
@@ -125,10 +125,10 @@ func (w *runCkptWriter) save(driver any) {
 		return
 	}
 	c := ckpt.New(w.tag, w.m.Engine.Now()).Add(sectionMachine, w.snap).Add(sectionDriver, db)
-	if w.frame, err = c.AppendEncode(w.frame[:0]); err != nil {
+	if w.record, err = c.AppendEncode(w.record[:0]); err != nil {
 		return
 	}
-	_ = ckpt.AtomicWriteFile(w.rc.Path, w.frame)
+	_ = ckpt.AtomicWriteFile(w.rc.Path, w.record)
 }
 
 // observeCkpt installs the run's checkpoint observer on m: whenever the

@@ -3,6 +3,8 @@ package core
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -497,18 +499,21 @@ func mustCanonJSON(t *testing.T, v any) []byte {
 	return b
 }
 
-// v1File is a syntactically valid format-v1 checkpoint (sections base64 inside
-// JSON lines) carrying the given tag: what a run interrupted before the
-// format change left at its path.
-func v1File(tag string) []byte {
-	hdr, _ := json.Marshal(map[string]any{"format": ckpt.Format, "version": 1, "tag": tag, "cycle": 50, "sections": 1})
-	sec := `{"name":"machine","crc":"` + ckpt.ChecksumHex([]byte("{}")) + `","data":"e30="}` + "\n"
-	body := string(hdr) + "\n" + sec
-	return []byte(body + `{"commit":1,"crc":"` + ckpt.ChecksumHex([]byte(body)) + `"}` + "\n")
+// v2File is a well-formed checkpoint of the retired format v2 (JSON header,
+// section and commit lines, a CRC-32C per section and one over the group)
+// carrying the given tag: what a run interrupted before the format change
+// left at its path.
+func v2File(tag string) []byte {
+	crc := func(b []byte) string {
+		return fmt.Sprintf("%08x", crc32.Checksum(b, crc32.MakeTable(crc32.Castagnoli)))
+	}
+	hdr, _ := json.Marshal(map[string]any{"format": ckpt.Format, "version": 2, "tag": tag, "cycle": 50, "sections": 1})
+	body := string(hdr) + "\n" + `{"name":"machine","crc":"` + crc([]byte("{}")) + `","len":2}` + "\n{}\n"
+	return []byte(body + `{"commit":1,"crc":"` + crc([]byte(body)) + `"}` + "\n")
 }
 
 // TestStaleFormatStartsFresh: there is no reader for an older format. A
-// resuming run that finds a v1 file at its path starts over, reports what the
+// resuming run that finds a v2 file at its path starts over, reports what the
 // uninterrupted run reports, and — killed in its turn — leaves a
 // current-format checkpoint where the stale file was. An orphaned temp file a
 // killed writer left beside the path is gone by the end of the run too.
@@ -523,13 +528,13 @@ func TestStaleFormatStartsFresh(t *testing.T) {
 	rc := ckpt.RunConfig{Path: filepath.Join(t.TempDir(), "tp.ckpt"), Every: 50, Resume: true}
 	tag := ThroughputSpec(cfg).Canonical()
 	orphan := rc.Path + ".tmp4242"
-	for path, content := range map[string][]byte{rc.Path: v1File(tag), orphan: []byte("torn")} {
+	for path, content := range map[string][]byte{rc.Path: v2File(tag), orphan: []byte("torn")} {
 		if err := os.WriteFile(path, content, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if rc.Load(tag) != nil {
-		t.Fatal("a v1 file loaded as a checkpoint")
+		t.Fatal("a v2 file loaded as a checkpoint")
 	}
 
 	// Had the run resumed from "cycle 50" of the stale file instead of
@@ -557,7 +562,7 @@ func TestStaleFormatStartsFresh(t *testing.T) {
 }
 
 // BenchmarkCheckpoint prices one checkpoint on the product path — snapshot,
-// frame encode, atomic write with fsync — of a machine caught mid-run: the
+// record encode, atomic write with fsync — of a machine caught mid-run: the
 // 4x4x2 MD timestep inside its first halo exchange, and the paper-size 8x8x8
 // machine mid-way through a uniform batch-4 burst.
 func BenchmarkCheckpoint(b *testing.B) {
@@ -568,7 +573,7 @@ func BenchmarkCheckpoint(b *testing.B) {
 			w.save(driver)
 		}
 		b.StopTimer()
-		b.ReportMetric(float64(len(w.frame)), "bytes/checkpoint")
+		b.ReportMetric(float64(len(w.record)), "bytes/checkpoint")
 		if c, err := ckpt.ReadFile(w.rc.Path); err != nil || c.Cycle != w.m.Engine.Now() {
 			b.Fatalf("checkpoint on disk: %+v, %v", c, err)
 		}

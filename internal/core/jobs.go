@@ -48,17 +48,18 @@ func (r ThroughputResult) SimCycles() uint64 { return r.Cycles }
 func (r BlendResult) SimCycles() uint64 { return r.Cycles }
 
 // addMachine encodes every result-affecting machine.Config field into the
-// spec. Function-valued and table-valued fields (LinkLatency, Multicast,
-// Weights) are encoded by presence: weights are derived from the listed
-// weight patterns, and the sweeps in this package never set the other two.
-// Check and Telemetry are deliberately excluded — the observability layers
-// never affect results, so toggling them must not change cache keys. The
-// nineteen tokens are frozen — stored artifacts are addressed by their hash —
-// so the eight that are package topo's constants are still written.
+// spec. Table-valued fields (Multicast, Weights) are encoded by presence:
+// weights are derived from the listed weight patterns, and the sweeps in this
+// package never set Multicast. Check and Telemetry are deliberately excluded —
+// the observability layers never affect results, so toggling them must not
+// change cache keys. The nineteen tokens are frozen — stored artifacts are
+// addressed by their hash — so the ten that no Config field sets any more
+// are still written: package topo's eight constants, the direction order
+// (always topo.DefaultDirOrder) and per-link latencies (always off).
 func addMachine(s *exp.Spec, cfg machine.Config) *exp.Spec {
 	s.Add("shape", cfg.Shape).
 		Add("scheme", cfg.Strategy().Name()).
-		Add("dir", cfg.DirOrder).
+		Add("dir", topo.DefaultDirOrder).
 		Add("skip", cfg.UseSkip).
 		Add("exitskip", cfg.ExitSkip).
 		Add("arb", cfg.Arbiter).
@@ -70,7 +71,7 @@ func addMachine(s *exp.Spec, cfg machine.Config) *exp.Spec {
 		Add("meshlat", topo.MeshLatency).
 		Add("toruslat", topo.TorusLatency).
 		Add("creditlat", topo.CreditLatency).
-		Add("linklat", cfg.LinkLatency != nil).
+		Add("linklat", false).
 		Add("rate", topo.TorusRateMilli).
 		Add("energy", cfg.TrackEnergy).
 		Add("mcast", cfg.Multicast != nil).

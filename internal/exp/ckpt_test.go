@@ -32,7 +32,7 @@ func ckptCountJob(t *testing.T, limit, crashAt int) Job {
 				c := ckpt.New(tag, uint64(n))
 				b, _ := json.Marshal(n)
 				c.Add("n", b)
-				if err := ckpt.WriteFile(rc.Path, c); err != nil {
+				if err := writeCkpt(rc.Path, c); err != nil {
 					t.Errorf("checkpoint save: %v", err)
 				}
 			}
@@ -83,7 +83,7 @@ func TestRunCkptFirstAttemptFresh(t *testing.T) {
 	c := ckpt.New(job.Spec.Canonical(), 30)
 	b, _ := json.Marshal(30)
 	c.Add("n", b)
-	if err := ckpt.WriteFile(path, c); err != nil {
+	if err := writeCkpt(path, c); err != nil {
 		t.Fatal(err)
 	}
 
@@ -97,7 +97,7 @@ func TestRunCkptFirstAttemptFresh(t *testing.T) {
 		t.Errorf("fresh first attempt started at %d, want 0", got)
 	}
 
-	if err := ckpt.WriteFile(path, c); err != nil {
+	if err := writeCkpt(path, c); err != nil {
 		t.Fatal(err)
 	}
 	opts.Checkpoint.Resume = true
@@ -108,6 +108,15 @@ func TestRunCkptFirstAttemptFresh(t *testing.T) {
 	if got := res.Value.(map[string]int)["start"]; got != 30 {
 		t.Errorf("resumed first attempt started at %d, want 30", got)
 	}
+}
+
+// writeCkpt encodes c and atomically replaces path with it.
+func writeCkpt(path string, c *ckpt.Checkpoint) error {
+	b, err := c.Encode()
+	if err != nil {
+		return err
+	}
+	return ckpt.AtomicWriteFile(path, b)
 }
 
 // ckptPathName mirrors CheckpointOptions.runConfig's file naming.

@@ -153,7 +153,7 @@ func TestChannelCreditLossRestoreInterleaved(t *testing.T) {
 func TestChannelStallHoldsInFlightDelivery(t *testing.T) {
 	ch := New(Config{
 		Name: "torus", Group: topo.GroupT, Latency: 5,
-		RateMilli: TorusRateMilli, NumVCs: 2, BufFlits: 8,
+		RateMilli: topo.TorusRateMilli, NumVCs: 2, BufFlits: 8,
 		CreditLatency: 1,
 	})
 	arrive := ch.Send(0, pkt(2), 0)

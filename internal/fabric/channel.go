@@ -14,13 +14,9 @@ import (
 	"anton2/internal/topo"
 )
 
-// RateMilli expresses channel bandwidth in millicycles per flit.
-const (
-	// MeshRateMilli: mesh channels carry one flit per cycle.
-	MeshRateMilli = 1000
-	// TorusRateMilli: the serialized torus channel (topo.TorusRateMilli).
-	TorusRateMilli = topo.TorusRateMilli
-)
+// MeshRateMilli is the mesh channels' bandwidth in millicycles per flit: one
+// flit per cycle. The serialized torus channel's is topo.TorusRateMilli.
+const MeshRateMilli = 1000
 
 type creditMsg struct {
 	vc    uint8

@@ -97,7 +97,7 @@ func TestChannelBackToBackMeshRate(t *testing.T) {
 func TestChannelTorusSerialization(t *testing.T) {
 	ch := New(Config{
 		Name: "torus", Group: topo.GroupT, Latency: 10,
-		RateMilli: TorusRateMilli, NumVCs: 8, BufFlits: 32,
+		RateMilli: topo.TorusRateMilli, NumVCs: 8, BufFlits: 32,
 	})
 	// Send at cycle 0: serializer busy until 3.214 cycles.
 	ch.Send(0, pkt(1), 0)

@@ -186,18 +186,6 @@ func SaturationRateAt(maxTorusLoad float64) float64 {
 	return 1000.0 / topo.TorusRateMilli / maxTorusLoad
 }
 
-// MaxMeshLoad returns the heaviest mesh (M-group or T-group intra) channel
-// load, along with its chip channel id.
-func (l *Loads) MaxMeshLoad() (float64, int) {
-	max, id := 0.0, -1
-	for i, v := range l.Chan {
-		if v > max {
-			max, id = v, i
-		}
-	}
-	return max, id
-}
-
 // WeightSet is a full set of inverse-weight tables for every arbiter in one
 // node (shared by all nodes under node symmetry), over up to
 // arbiter.NumPatterns traffic patterns.

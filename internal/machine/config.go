@@ -39,9 +39,6 @@ type Config struct {
 	// policy. Nil selects the paper's; read it through Strategy, the one
 	// place that default is spelled.
 	Scheme route.Strategy
-	// DirOrder is the on-chip direction-order algorithm (default:
-	// V- U+ U- V+, the Section 2.4 optimum).
-	DirOrder topo.DirOrder
 	// UseSkip routes X through-traffic over the skip channels; ExitSkip
 	// additionally lets packets finishing the X dimension cross sides
 	// over the skip (see route.Config).
@@ -59,10 +56,6 @@ type Config struct {
 	// Buffer depths, the other pipeline depths, channel latencies and the
 	// torus serialization rate are the paper's constants (package topo).
 	EndpointPipeline uint64
-
-	// LinkLatency, when non-nil, overrides topo.TorusLatency per link
-	// (packaging-derived lengths).
-	LinkLatency func(node int, ad topo.AdapterID) uint64
 
 	// TrackEnergy enables the per-channel event counters feeding the
 	// Section 4.5 energy model.
@@ -140,12 +133,14 @@ func (c Config) Strategy() route.Strategy {
 
 // RouteConfig returns the routing configuration the config describes over
 // the topology tm: what New routes with and what the analytic consumers
-// (load calculation, deadlock analysis) must be handed to agree with it.
+// (load calculation, deadlock analysis) must be handed to agree with it. The
+// on-chip direction order is always topo.DefaultDirOrder; the direction-order
+// ablations are analytic and vary route.Config.DirOrder directly.
 func (c Config) RouteConfig(tm *topo.Machine) *route.Config {
 	return &route.Config{
 		Machine:  tm,
 		Scheme:   c.Strategy(),
-		DirOrder: c.DirOrder,
+		DirOrder: topo.DefaultDirOrder,
 		UseSkip:  c.UseSkip,
 		ExitSkip: c.ExitSkip,
 	}
@@ -230,7 +225,6 @@ func DefaultConfig(shape topo.TorusShape) Config {
 	return Config{
 		Shape:            shape,
 		Scheme:           route.AntonScheme{},
-		DirOrder:         topo.DefaultDirOrder,
 		UseSkip:          true,
 		ExitSkip:         true,
 		Arbiter:          arbiter.KindRoundRobin,

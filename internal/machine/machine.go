@@ -152,15 +152,11 @@ func New(cfg Config) (*Machine, error) {
 		for ai := 0; ai < topo.NumChannelAdapters; ai++ {
 			ad := topo.AdapterByIndex(ai)
 			id := tm.TorusChanID(n, ad.Dir, ad.Slice)
-			lat := uint64(topo.TorusLatency)
-			if cfg.LinkLatency != nil {
-				lat = cfg.LinkLatency(n, ad)
-			}
 			m.chans[id] = fabric.New(fabric.Config{
 				ID:            id,
 				Name:          fmt.Sprintf("n%d:torus:%s", n, ad),
 				Group:         topo.GroupT,
-				Latency:       lat,
+				Latency:       topo.TorusLatency,
 				RateMilli:     topo.TorusRateMilli,
 				NumVCs:        route.TotalVCs(cfg.Scheme, topo.GroupT),
 				BufFlits:      topo.TorusVCBuf,
@@ -300,9 +296,6 @@ func MustNew(cfg Config) *Machine {
 // RouteConfig exposes the routing configuration (shared with loadcalc and
 // the deadlock analyzer).
 func (m *Machine) RouteConfig() *route.Config { return m.routeCfg }
-
-// Node returns a node by dense id.
-func (m *Machine) Node(id int) *Node { return m.nodes[id] }
 
 // Endpoint returns an endpoint adapter.
 func (m *Machine) Endpoint(ne topo.NodeEp) *EndpointAdapter {

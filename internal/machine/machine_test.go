@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"anton2/internal/arbiter"
-	"anton2/internal/packaging"
 	"anton2/internal/packet"
 	"anton2/internal/route"
 	"anton2/internal/topo"
@@ -247,47 +246,6 @@ func randomOtherCore(tm *topo.Machine, src topo.NodeEp, rng *rand.Rand) topo.Nod
 		n++
 	}
 	return topo.NodeEp{Node: n, Ep: cores[rng.Intn(len(cores))]}
-}
-
-// TestPackagingDerivedLatencies wires Figure 2 cable lengths into the
-// simulator: links crossing racks get longer latencies, and nearest-neighbor
-// latency varies accordingly.
-func TestPackagingDerivedLatencies(t *testing.T) {
-	shape := topo.Shape3(8, 4, 1)
-	plan, err := packaging.Build(shape)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := DefaultConfig(shape)
-	cfg.LinkLatency = plan.LatencyFunc()
-	m := MustNew(cfg)
-
-	measure := func(src, dst topo.NodeEp) uint64 {
-		p := m.MakePacket(src, dst, route.Choices{Order: topo.AllDimOrders[0], Ties: [3]int8{1, 1, 1}}, route.ClassRequest, 0, 1)
-		var lat uint64
-		done := false
-		m.Endpoint(dst).OnDeliver = func(dp *packet.Packet, now uint64) bool {
-			lat = now - dp.InjectedAt
-			done = true
-			return false
-		}
-		m.Endpoint(src).Inject(p)
-		if err := m.Engine.RunUntil(func() bool { return done }, 200_000, 50_000); err != nil {
-			t.Fatal(err)
-		}
-		m.Endpoint(dst).OnDeliver = nil
-		return lat
-	}
-
-	// Same backplane (x: 0->1) vs backplane-crossing (x: 3->4) neighbors.
-	ep := m.Topo.Chip.CoreEndpoints()[0]
-	intra := measure(topo.NodeEp{Node: shape.NodeID(topo.NodeCoord{X: 0}), Ep: ep},
-		topo.NodeEp{Node: shape.NodeID(topo.NodeCoord{X: 1}), Ep: ep})
-	cross := measure(topo.NodeEp{Node: shape.NodeID(topo.NodeCoord{X: 3}), Ep: ep},
-		topo.NodeEp{Node: shape.NodeID(topo.NodeCoord{X: 4}), Ep: ep})
-	if cross <= intra {
-		t.Errorf("backplane-crossing latency %d <= intra-backplane %d; cable model not applied", cross, intra)
-	}
 }
 
 // TestReplyClassIsolation: request and reply packets use disjoint physical

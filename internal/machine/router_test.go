@@ -110,7 +110,7 @@ func TestRouterPortLimit(t *testing.T) {
 	m := MustNew(DefaultConfig(topo.Shape3(2, 2, 2)))
 	for n := 0; n < m.Topo.NumNodes(); n++ {
 		for ri := 0; ri < topo.NumRouters; ri++ {
-			r := m.Node(n).Routers[ri]
+			r := m.nodes[n].Routers[ri]
 			if len(r.ports) > topo.MaxRouterPorts {
 				t.Fatalf("router %s has %d ports", fmt.Sprint(topo.RouterCoord(ri)), len(r.ports))
 			}

@@ -148,13 +148,6 @@ func (p *Plan) LinkFor(from topo.NodeCoord, dir topo.Direction) Link {
 	return Link{Medium: InterRackCable, LengthCM: InterRackCableCM}
 }
 
-// LatencyFunc adapts the plan to the simulator's per-link latency hook.
-func (p *Plan) LatencyFunc() func(node int, ad topo.AdapterID) uint64 {
-	return func(node int, ad topo.AdapterID) uint64 {
-		return p.LinkFor(p.Shape.Coord(node), ad.Dir).LatencyCycles()
-	}
-}
-
 // MediumStats summarizes link counts and total length per medium over all
 // directed torus links.
 type MediumStats struct {

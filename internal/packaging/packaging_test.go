@@ -82,23 +82,6 @@ func TestLatencyOrdering(t *testing.T) {
 	}
 }
 
-func TestLatencyFuncCoversAllLinks(t *testing.T) {
-	p, err := Build(topo.Shape3(4, 4, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := p.LatencyFunc()
-	for n := 0; n < p.Shape.NumNodes(); n++ {
-		for d := topo.Direction(0); d < topo.NumDirections; d++ {
-			for s := 0; s < topo.NumSlices; s++ {
-				if lat := f(n, topo.AdapterID{Dir: d, Slice: s}); lat == 0 {
-					t.Fatalf("zero latency for node %d %v", n, d)
-				}
-			}
-		}
-	}
-}
-
 func TestStatsAccounting(t *testing.T) {
 	p, err := Build(topo.Shape3(8, 8, 8))
 	if err != nil {

@@ -81,7 +81,7 @@ func TestArtifactVerifyQuarantine(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
 			id, want := warmArtifact(t, dir)
-			tc.corrupt(t, filepath.Join(dir, "artifacts", id+".json"))
+			tc.corrupt(t, filepath.Join(dir, "artifacts", id+".art"))
 
 			st, err := OpenStore(dir)
 			if err != nil {
@@ -98,44 +98,13 @@ func TestArtifactVerifyQuarantine(t *testing.T) {
 			if n := st.Quarantined.Load(); n != 1 {
 				t.Fatalf("Quarantined = %d, want 1", n)
 			}
-			if _, err := os.Stat(filepath.Join(dir, "quarantine", id+".json")); err != nil {
+			if _, err := os.Stat(filepath.Join(dir, "quarantine", id+".art")); err != nil {
 				t.Fatalf("corrupted artifact not quarantined: %v", err)
 			}
-			if got := s.Metrics().RunsStarted.Load(); got != 1 {
+			if got := s.metrics.RunsStarted.Load(); got != 1 {
 				t.Fatalf("RunsStarted = %d, want 1 (corruption must force re-simulation)", got)
 			}
 		})
-	}
-}
-
-// TestArtifactLegacyBackfill: an artifact without a checksum sidecar (the
-// pre-sidecar store layout) still serves from disk, and the read backfills
-// its sidecar so future reads verify fully.
-func TestArtifactLegacyBackfill(t *testing.T) {
-	dir := t.TempDir()
-	id, want := warmArtifact(t, dir)
-	sum := filepath.Join(dir, "artifacts", id+".sum")
-	if err := os.Remove(sum); err != nil {
-		t.Fatal(err)
-	}
-
-	st, err := OpenStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, ts := newTestServer(t, Config{Store: st})
-	resp, got := postWait(t, ts, quickSpec())
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d, body %s", resp.StatusCode, got)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatal("legacy artifact bytes differ")
-	}
-	if got := s.Metrics().RunsStarted.Load(); got != 0 {
-		t.Fatalf("RunsStarted = %d, want 0 (valid legacy artifact serves from disk)", got)
-	}
-	if _, err := os.Stat(sum); err != nil {
-		t.Fatalf("checksum sidecar not backfilled: %v", err)
 	}
 }
 
@@ -194,7 +163,7 @@ func TestWALRestartCompletes(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatal("wal-recovered artifact differs from direct computation")
 	}
-	if got := s2.Metrics().RunsStarted.Load(); got != 1 {
+	if got := s2.metrics.RunsStarted.Load(); got != 1 {
 		t.Fatalf("RunsStarted = %d, want 1 (recovery re-simulates the lost run)", got)
 	}
 	for {

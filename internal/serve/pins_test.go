@@ -49,16 +49,16 @@ var pinRequests = []string{
 	`{"family":"mdstep","shape":"2x2x2","strategies":["angara"],"halopackets":4,"haloburst":2,"multicasts":1,"reducepackets":1,"timesteps":2}`,
 }
 
-// replayPin runs one request body through the public request path —
-// ParseRequest, Canonical, ID, Jobs — and the exp pool, exactly as a cold
-// submission does.
+// replayPin runs one request body through the request path — ParseRequest,
+// ID, Jobs — and the exp pool, exactly as a cold submission does, and pins the
+// canonical sweep encoding the ID hashes.
 func replayPin(t *testing.T, body string) familyPin {
 	t.Helper()
 	req, err := ParseRequest(bytes.NewReader([]byte(body)))
 	if err != nil {
 		t.Fatalf("%s: %v", body, err)
 	}
-	canonical, err := req.Canonical()
+	c, err := req.compile()
 	if err != nil {
 		t.Fatalf("%s: %v", body, err)
 	}
@@ -85,7 +85,7 @@ func replayPin(t *testing.T, body string) familyPin {
 	return familyPin{
 		Family:    req.Family,
 		Request:   json.RawMessage(body),
-		Canonical: canonical,
+		Canonical: c.canonical,
 		ID:        id,
 		SHA256:    fmt.Sprintf("%x", sha256.Sum256(art)),
 	}

@@ -105,8 +105,8 @@ const maxRequestBytes = 1 << 16
 
 // ParseRequest decodes and validates one submission body: exactly one JSON
 // object, nothing after it but whitespace. The returned request carries its
-// compiled form, so the ID, Canonical, Jobs and Submit calls that follow do
-// not validate it again; treat it as immutable.
+// compiled form, so the ID, Jobs and Submit calls that follow do not validate
+// it again; treat it as immutable.
 func ParseRequest(r io.Reader) (*Request, error) {
 	dec := json.NewDecoder(io.LimitReader(r, maxRequestBytes))
 	dec.DisallowUnknownFields()
@@ -139,16 +139,6 @@ type compiled struct {
 func (q *Request) Validate() error {
 	_, err := q.compile()
 	return err
-}
-
-// Canonical returns the canonical sweep encoding, e.g.
-// "serve-throughput{shape=4x2x2 pattern=uniform arb=rr batches=32|64}".
-func (q *Request) Canonical() (string, error) {
-	c, err := q.compile()
-	if err != nil {
-		return "", err
-	}
-	return c.canonical, nil
 }
 
 // ID returns the content address of the request's artifact: the hex spec

@@ -13,8 +13,10 @@
 //  2. memory — the same run registry holds the completed run and its
 //     artifact bytes;
 //  3. disk — the persistent Store (content-addressed by spec hash) holds
-//     the artifact from an earlier run or an earlier process; restarts
-//     serve warm specs without re-simulation.
+//     the artifact from an earlier run or an earlier process, one
+//     artifacts/<hash>.art file each: the canonical bytes plus the CRC-32C
+//     seal a checkpoint ends with (ckpt.Seal), checked on every read;
+//     restarts serve warm specs without re-simulation.
 //
 // Overload degrades with typed responses instead of unbounded queueing: a
 // full admission queue returns 429, a request that cannot start or finish
@@ -329,9 +331,6 @@ func (s *Server) resumeWAL() {
 
 // Handler returns the HTTP surface.
 func (s *Server) Handler() http.Handler { return s.mux }
-
-// Metrics exposes the live counters (tests and the load generator).
-func (s *Server) Metrics() *Metrics { return &s.metrics }
 
 // Drain gracefully stops the server: new submissions are refused with 503,
 // queued and executing runs finish, and the call returns when the last one

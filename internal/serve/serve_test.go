@@ -141,14 +141,14 @@ func TestDedupeParallelSubmissions(t *testing.T) {
 			t.Fatalf("submission %d returned different artifact bytes", i)
 		}
 	}
-	if got := s.Metrics().RunsStarted.Load(); got != 1 {
+	if got := s.metrics.RunsStarted.Load(); got != 1 {
 		t.Fatalf("RunsStarted = %d, want exactly 1 for %d identical submissions", got, n)
 	}
-	if hits := s.Metrics().HitsFlight.Load() + s.Metrics().HitsMemory.Load(); hits != n-1 {
+	if hits := s.metrics.HitsFlight.Load() + s.metrics.HitsMemory.Load(); hits != n-1 {
 		t.Fatalf("flight+memory hits = %d, want %d", hits, n-1)
 	}
 	// Both sweep points simulated exactly once across all submissions.
-	if got := s.Metrics().PointsRun.Load(); got != 2 {
+	if got := s.metrics.PointsRun.Load(); got != 2 {
 		t.Fatalf("PointsRun = %d, want 2", got)
 	}
 }
@@ -174,8 +174,8 @@ func TestColdRestartServesFromDisk(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, "loads.json")); err != nil {
 		t.Fatalf("load-table snapshot not persisted: %v", err)
 	}
-	if arts, _ := filepath.Glob(filepath.Join(dir, "artifacts", "*.json")); len(arts) != 1 {
-		t.Fatalf("artifact count = %d, want 1", len(arts))
+	if arts, _ := filepath.Glob(filepath.Join(dir, "artifacts", "*")); len(arts) != 1 || filepath.Ext(arts[0]) != ".art" {
+		t.Fatalf("artifact files = %v, want one .art", arts)
 	}
 
 	// "Restart": a brand-new Server over the same directory.
@@ -194,7 +194,7 @@ func TestColdRestartServesFromDisk(t *testing.T) {
 	if got := resp2.Header.Get("X-Anton2-Cache"); got != "disk" {
 		t.Fatalf("X-Anton2-Cache = %q, want disk", got)
 	}
-	if got := s2.Metrics().RunsStarted.Load(); got != 0 {
+	if got := s2.metrics.RunsStarted.Load(); got != 0 {
 		t.Fatalf("RunsStarted = %d after restart, want 0 (no re-simulation)", got)
 	}
 
@@ -379,7 +379,7 @@ func TestOverloadTyped(t *testing.T) {
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("overflow status = %d (body %s), want 429", resp.StatusCode, b)
 	}
-	if got := s.Metrics().Rejected429.Load(); got != 1 {
+	if got := s.metrics.Rejected429.Load(); got != 1 {
 		t.Fatalf("Rejected429 = %d, want 1", got)
 	}
 
@@ -398,7 +398,7 @@ func TestOverloadTyped(t *testing.T) {
 	if aresp.StatusCode != http.StatusGatewayTimeout {
 		t.Fatalf("timed-out run artifact status = %d (body %s), want 504", aresp.StatusCode, ab)
 	}
-	if got := s.Metrics().Rejected504.Load(); got != 1 {
+	if got := s.metrics.Rejected504.Load(); got != 1 {
 		t.Fatalf("Rejected504 = %d, want 1", got)
 	}
 
@@ -701,7 +701,7 @@ func TestMixedFamiliesConcurrentClients(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if s.Metrics().hitRate() <= 0 {
+	if s.metrics.hitRate() <= 0 {
 		t.Fatal("expected repeated draws to produce cache hits")
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -21,9 +22,8 @@ import (
 // the analytic load-table cache and a write-ahead log of admitted-but-
 // unfinished runs, all under one directory:
 //
-//	<dir>/artifacts/<hash>.json   canonical artifact bytes (exp.MarshalCanonical)
-//	<dir>/artifacts/<hash>.sum    CRC-32C sidecar verified on every read
-//	<dir>/quarantine/             artifacts that failed verification
+//	<dir>/artifacts/<hash>.art    canonical artifact bytes (exp.MarshalCanonical) + ckpt.Seal
+//	<dir>/quarantine/<hash>.art   artifacts that failed their seal
 //	<dir>/wal/<hash>.json         original Request bodies of unfinished runs
 //	<dir>/loads.json              load-table snapshot (core.SnapshotLoads)
 //
@@ -31,10 +31,10 @@ import (
 // same bytes, a property the bit-identity tests pin), so a Store never
 // invalidates; deleting the directory is the only eviction. Writes go
 // through a same-directory temp file + fsync + rename, so a crash mid-write
-// never leaves a torn artifact to be served later. Reads verify the CRC-32C
-// sidecar: an artifact whose bytes do not match (bit rot, truncation by an
-// external actor, a partially copied cache directory) is moved to
-// quarantine/ and reported as a miss, so the server transparently
+// never leaves a torn artifact to be served later. Reads check the seal, the
+// CRC-32C checkpoints end with too: an artifact whose bytes do not match (bit
+// rot, truncation by an external actor, a partially copied cache directory)
+// is moved to quarantine/ and reported as a miss, so the server transparently
 // re-simulates it — determinism makes the replacement byte-identical.
 type Store struct {
 	dir string
@@ -58,7 +58,7 @@ func OpenStore(dir string) (*Store, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("serve: store dir must not be empty")
 	}
-	for _, sub := range []string{"artifacts", "wal"} {
+	for _, sub := range []string{"artifacts", "quarantine", "wal"} {
 		if err := os.MkdirAll(filepath.Join(dir, sub), 0o755); err != nil {
 			return nil, fmt.Errorf("serve: open store: %w", err)
 		}
@@ -91,19 +91,12 @@ func (s *Store) artifactPath(id string) (string, error) {
 	if !validID(id) {
 		return "", fmt.Errorf("serve: bad artifact id %q", id)
 	}
-	return filepath.Join(s.dir, "artifacts", id+".json"), nil
-}
-
-// sumPath is the CRC-32C sidecar path next to an artifact.
-func (s *Store) sumPath(id string) string {
-	return filepath.Join(s.dir, "artifacts", id+".sum")
+	return filepath.Join(s.dir, "artifacts", id+".art"), nil
 }
 
 // LoadArtifact returns the cached artifact bytes for id, with ok=false when
-// the store has none. The bytes are verified against the CRC-32C sidecar
-// written by SaveArtifact; on mismatch the artifact is quarantined and
-// reported as a miss so the caller re-simulates. A pre-sidecar artifact
-// (older store layout) is structurally checked and its sidecar backfilled.
+// the store has none. A file that fails its seal is quarantined and reported
+// as a miss so the caller re-simulates.
 func (s *Store) LoadArtifact(id string) ([]byte, bool, error) {
 	path, err := s.artifactPath(id)
 	if err != nil {
@@ -116,63 +109,30 @@ func (s *Store) LoadArtifact(id string) ([]byte, bool, error) {
 	if err != nil {
 		return nil, false, fmt.Errorf("serve: load artifact: %w", err)
 	}
-	got := ckpt.ChecksumHex(b)
-	want, serr := os.ReadFile(s.sumPath(id))
-	switch {
-	case serr == nil:
-		if strings.TrimSpace(string(want)) != got {
-			s.quarantine(id, "checksum mismatch")
-			return nil, false, nil
-		}
-	case errors.Is(serr, fs.ErrNotExist):
-		// Legacy artifact with no sidecar: the strongest available check
-		// is structural. A torn or truncated artifact fails it; a passing
-		// one gets its sidecar backfilled so future reads verify fully.
-		if !json.Valid(b) {
-			s.quarantine(id, "invalid JSON (no checksum sidecar)")
-			return nil, false, nil
-		}
-		if err := ckpt.AtomicWriteFile(s.sumPath(id), []byte(got+"\n")); err != nil {
-			s.logf("serve: backfill checksum for %s: %v", id, err)
-		}
-	default:
-		return nil, false, fmt.Errorf("serve: load artifact checksum: %w", serr)
-	}
-	return b, true, nil
-}
-
-// quarantine moves a failed artifact (and its sidecar, if any) out of the
-// serving path so the next submission re-simulates the spec.
-func (s *Store) quarantine(id, reason string) {
-	qdir := filepath.Join(s.dir, "quarantine")
-	if err := os.MkdirAll(qdir, 0o755); err != nil {
-		s.logf("serve: quarantine %s: %v", id, err)
-		return
-	}
-	for _, ext := range []string{".json", ".sum"} {
-		src := filepath.Join(s.dir, "artifacts", id+ext)
-		if err := os.Rename(src, filepath.Join(qdir, id+ext)); err != nil && !errors.Is(err, fs.ErrNotExist) {
+	art, err := ckpt.Unseal(b)
+	if err != nil {
+		// Out of the serving path with it, so the spec is re-simulated.
+		if err := os.Rename(path, filepath.Join(s.dir, "quarantine", filepath.Base(path))); err != nil {
 			s.logf("serve: quarantine %s: %v", id, err)
 		}
+		s.Quarantined.Add(1)
+		s.logf("serve: quarantined artifact %s: %v", id, err)
+		return nil, false, nil
 	}
-	s.Quarantined.Add(1)
-	s.logf("serve: quarantined artifact %s: %s", id, reason)
+	return art, true, nil
 }
 
-// SaveArtifact persists the artifact bytes for id atomically, with a
-// CRC-32C sidecar that LoadArtifact verifies on every read. The artifact is
-// durable before the sidecar is written, so a crash between the two writes
-// at worst leaves a legacy-layout artifact that the next read backfills.
+// SaveArtifact persists the artifact bytes for id atomically, sealed so that
+// LoadArtifact can check them on every read.
 func (s *Store) SaveArtifact(id string, b []byte) error {
 	path, err := s.artifactPath(id)
 	if err != nil {
 		return err
 	}
-	if err := ckpt.AtomicWriteFile(path, b); err != nil {
+	// b is the slice the run serves: clipped, it has no spare capacity for
+	// Seal's append to write into, so the seal goes on a copy.
+	if err := ckpt.AtomicWriteFile(path, ckpt.Seal(slices.Clip(b))); err != nil {
 		return fmt.Errorf("serve: write artifact %s: %w", id, err)
-	}
-	if err := ckpt.AtomicWriteFile(s.sumPath(id), []byte(ckpt.ChecksumHex(b)+"\n")); err != nil {
-		return fmt.Errorf("serve: write artifact checksum %s: %w", id, err)
 	}
 	return nil
 }

@@ -52,9 +52,6 @@ func NewPipe[T any](latency uint64) *Pipe[T] {
 // Latency returns the pipe's delivery latency in cycles.
 func (p *Pipe[T]) Latency() uint64 { return p.latency }
 
-// Send enqueues an item at cycle now; it arrives at now+latency.
-func (p *Pipe[T]) Send(now uint64, v T) { p.SendAt(now+p.latency, v) }
-
 // SendAt enqueues an item that arrives at the explicit cycle at, which must
 // be at least now+1 for determinism. It is used to model serialized channels
 // whose delivery time depends on occupancy.

@@ -128,9 +128,12 @@ func TestDeadlockSnapshot(t *testing.T) {
 	}
 }
 
+// send enqueues v at cycle now, to arrive after the pipe's latency.
+func send[T any](p *Pipe[T], now uint64, v T) { p.SendAt(now+p.Latency(), v) }
+
 func TestPipeLatency(t *testing.T) {
 	p := NewPipe[int](3)
-	p.Send(10, 42)
+	send(p, 10, 42)
 	for now := uint64(10); now < 13; now++ {
 		if _, ok := p.Poll(now); ok {
 			t.Fatalf("item visible at cycle %d, latency 3 sent at 10", now)
@@ -150,7 +153,7 @@ func TestPipeZeroLatencyClamped(t *testing.T) {
 	if p.Latency() != 1 {
 		t.Fatalf("latency = %d, want clamped to 1", p.Latency())
 	}
-	p.Send(0, 1)
+	send(p, 0, 1)
 	if _, ok := p.Poll(0); ok {
 		t.Fatal("zero-latency delivery would break tick-order independence")
 	}
@@ -162,7 +165,7 @@ func TestPipeZeroLatencyClamped(t *testing.T) {
 func TestPipeFIFOOrder(t *testing.T) {
 	p := NewPipe[int](1)
 	for i := 0; i < 100; i++ {
-		p.Send(uint64(i), i)
+		send(p, uint64(i), i)
 	}
 	for i := 0; i < 100; i++ {
 		v, ok := p.Poll(1000)
@@ -178,7 +181,7 @@ func TestPipeCompaction(t *testing.T) {
 	sent, got := 0, 0
 	for round := 0; round < 50; round++ {
 		for i := 0; i < 10; i++ {
-			p.Send(uint64(round), sent)
+			send(p, uint64(round), sent)
 			sent++
 		}
 		for i := 0; i < 9; i++ {
@@ -264,7 +267,7 @@ func TestPipeProperty(t *testing.T) {
 		for _, op := range ops {
 			switch op % 3 {
 			case 0: // send
-				p.Send(now, uint64(len(sentAt)))
+				send(p, now, uint64(len(sentAt)))
 				sentAt = append(sentAt, now)
 			case 1: // poll
 				if v, ok := p.Poll(now); ok {

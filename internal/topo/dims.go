@@ -94,7 +94,7 @@ const TorusRateMilli = 3214
 // ones), the pipeline depths in cycles of the router (RC, VA, SA1; SA2 grants
 // on the next scan) and of the channel adapter, and the channel latencies in
 // cycles — TorusLatency covers SerDes, framing and wire flight of a typical
-// link (~30 ns); machine.Config.LinkLatency overrides it per link.
+// link (~30 ns), and the simulator gives it to every torus link.
 const (
 	MeshVCBuf       = 64
 	TorusVCBuf      = 256

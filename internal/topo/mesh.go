@@ -96,18 +96,6 @@ func (o DirOrder) String() string {
 	return o[0].String() + " " + o[1].String() + " " + o[2].String() + " " + o[3].String()
 }
 
-// Valid reports whether the order is a permutation of the four directions.
-func (o DirOrder) Valid() bool {
-	var seen [NumMeshDirs]bool
-	for _, d := range o {
-		if d >= NumMeshDirs || seen[d] {
-			return false
-		}
-		seen[d] = true
-	}
-	return true
-}
-
 // AllDirOrders enumerates all 24 direction-order routing algorithms, the
 // search space of Section 2.4.
 func AllDirOrders() []DirOrder {

@@ -154,6 +154,19 @@ func TestMeshRouterIDRoundTrip(t *testing.T) {
 	}
 }
 
+// permutation reports whether the order names each of the four directions
+// once.
+func permutation(o DirOrder) bool {
+	var seen [NumMeshDirs]bool
+	for _, d := range o {
+		if d >= NumMeshDirs || seen[d] {
+			return false
+		}
+		seen[d] = true
+	}
+	return true
+}
+
 func TestAllDirOrders(t *testing.T) {
 	orders := AllDirOrders()
 	if len(orders) != 24 {
@@ -161,7 +174,7 @@ func TestAllDirOrders(t *testing.T) {
 	}
 	seen := map[string]bool{}
 	for _, o := range orders {
-		if !o.Valid() {
+		if !permutation(o) {
 			t.Errorf("order %v invalid", o)
 		}
 		seen[o.String()] = true
@@ -169,7 +182,7 @@ func TestAllDirOrders(t *testing.T) {
 	if len(seen) != 24 {
 		t.Fatalf("got %d distinct orders, want 24", len(seen))
 	}
-	if !DefaultDirOrder.Valid() {
+	if !permutation(DefaultDirOrder) {
 		t.Error("DefaultDirOrder invalid")
 	}
 }
