@@ -1,11 +1,12 @@
 package loadcalc_test
 
 import (
-	"anton2/internal/loadcalc"
+	"fmt"
 	"math"
 	"slices"
 	"testing"
 
+	"anton2/internal/loadcalc"
 	"anton2/internal/route"
 	"anton2/internal/topo"
 	"anton2/internal/traffic"
@@ -162,8 +163,9 @@ func TestBuildWeightsShape(t *testing.T) {
 	}
 }
 
-// TestMaxMeshLoadReported: uniform traffic loads the chip's mesh channels.
-func TestMaxMeshLoadReported(t *testing.T) {
+// TestUniformLoadsMeshChannels: uniform traffic loads the chip's mesh
+// channels.
+func TestUniformLoadsMeshChannels(t *testing.T) {
 	_, l := computeFor(t, topo.Shape3(3, 3, 3), traffic.Uniform{})
 	if max := slices.Max(l.Chan); max <= 0 {
 		t.Fatalf("heaviest mesh channel load = %g, want > 0", max)
@@ -216,5 +218,193 @@ func TestSliceRandomizationBalances(t *testing.T) {
 		if topo.AdapterByIndex(i).Slice == 1 && v != 0 {
 			t.Errorf("slice-1 adapter %v carries %g load despite pinning", topo.AdapterByIndex(i), v)
 		}
+	}
+}
+
+// walkOracle is the per-route enumerator Compute replaced, kept as its
+// oracle: every route walked whole by route.Walk and accumulated hop by hop.
+func walkOracle(cfg *route.Config, sources []int, flows loadcalc.FlowFunc, class route.Class) *loadcalc.Loads {
+	m := cfg.Machine
+	l := &loadcalc.Loads{
+		Cfg:     cfg,
+		Chan:    make([]float64, m.NumIntraChans()),
+		Sources: len(sources),
+	}
+	maxVC := route.MaxTotalVCs(cfg.Scheme)
+	for r := 0; r < topo.NumRouters; r++ {
+		for p := 0; p < topo.MaxRouterPorts; p++ {
+			l.SA1[r][p] = make([]float64, maxVC)
+		}
+	}
+	for a := 0; a < topo.NumChannelAdapters; a++ {
+		l.AdEg[a] = make([]float64, maxVC)
+		l.AdIn[a] = make([]float64, maxVC)
+	}
+
+	chip := m.Chip
+	for _, srcEp := range sources {
+		src := topo.NodeEp{Node: 0, Ep: srcEp}
+		fl := flows(srcEp)
+		for _, f := range fl {
+			srcC := m.Shape.Coord(0)
+			dstC := m.Shape.Coord(f.Dst.Node)
+			for _, wc := range cfg.Scheme.Enumerate(m.Shape, srcC, dstC) {
+				w := f.Frac * wc.Weight
+				hops := route.Walk(cfg, src, f.Dst, wc.Order, wc.Slice, wc.Ties, class)
+				accumulate(l, chip, hops, w, class)
+			}
+		}
+	}
+	return l
+}
+
+func accumulate(l *loadcalc.Loads, chip *topo.Chip, hops []route.Hop, w float64, class route.Class) {
+	m := l.Cfg.Machine
+	for i, h := range hops {
+		if m.IsTorusChan(h.Chan) {
+			_, ad := m.TorusChanOf(h.Chan)
+			l.Torus[ad.Index()] += w
+			l.MeanTorusHops += w / float64(l.Sources)
+		} else {
+			_, ch := m.IntraChanOf(h.Chan)
+			l.Chan[ch.ID] += w
+		}
+		if i == 0 {
+			continue
+		}
+		transition(l, chip, hops[i-1], h, w, class)
+	}
+}
+
+// transition records the arbiter-input load of moving from channel a to
+// channel b at the component between them.
+func transition(l *loadcalc.Loads, chip *topo.Chip, a, b route.Hop, w float64, class route.Class) {
+	m := l.Cfg.Machine
+	aTorus, bTorus := m.IsTorusChan(a.Chan), m.IsTorusChan(b.Chan)
+	switch {
+	case aTorus && !bTorus:
+		// Torus arrival -> channel-adapter ingress arbiter.
+		_, ad := m.TorusChanOf(a.Chan)
+		vc := route.PhysVC(l.Cfg.Scheme, topo.GroupT, class, a.VC)
+		l.AdIn[ad.Index()][vc] += w
+	case !aTorus && bTorus:
+		// Router-to-adapter channel -> adapter egress arbiter. The
+		// egress queue is indexed by the arrival (pre-dateline) VC.
+		_, bad := m.TorusChanOf(b.Chan)
+		vc := route.PhysVC(l.Cfg.Scheme, topo.GroupT, class, a.VC)
+		l.AdEg[bad.Index()][vc] += w
+	case !aTorus && !bTorus:
+		// Router transition: SA1 (input port, VC) and SA2 (output
+		// port, input port).
+		_, ach := m.IntraChanOf(a.Chan)
+		_, bch := m.IntraChanOf(b.Chan)
+		in := chip.InPortOf(ach.ID)
+		out := chip.OutPortOf(bch.ID)
+		if in.Router < 0 || out.Router < 0 || in.Router != out.Router {
+			panic("loadcalc: intra transition does not cross a router")
+		}
+		vc := route.PhysVC(l.Cfg.Scheme, ach.Group, class, a.VC)
+		l.SA1[in.Router][in.Port][vc] += w
+		l.SA2[in.Router][out.Port][in.Port] += w
+	default:
+		panic("loadcalc: torus-to-torus transition is impossible")
+	}
+}
+
+// bitDiff names the first load in which got and want differ in any bit, or
+// returns "" when every field is bit-identical.
+func bitDiff(got, want *loadcalc.Loads) string {
+	var d string
+	cmp := func(name string, g, w []float64) {
+		for i := 0; d == "" && i < max(len(g), len(w)); i++ {
+			if i >= len(g) || i >= len(w) {
+				d = fmt.Sprintf("%s: %d loads, want %d", name, len(g), len(w))
+			} else if math.Float64bits(g[i]) != math.Float64bits(w[i]) {
+				d = fmt.Sprintf("%s[%d] = %v, want %v", name, i, g[i], w[i])
+			}
+		}
+	}
+	cmp("Chan", got.Chan, want.Chan)
+	cmp("Torus", got.Torus[:], want.Torus[:])
+	cmp("MeanTorusHops", []float64{got.MeanTorusHops}, []float64{want.MeanTorusHops})
+	for r := range got.SA2 {
+		for p := range got.SA2[r] {
+			cmp(fmt.Sprintf("SA2[%d][%d]", r, p), got.SA2[r][p][:], want.SA2[r][p][:])
+			cmp(fmt.Sprintf("SA1[%d][%d]", r, p), got.SA1[r][p], want.SA1[r][p])
+		}
+	}
+	for a := range got.AdEg {
+		cmp(fmt.Sprintf("AdEg[%d]", a), got.AdEg[a], want.AdEg[a])
+		cmp(fmt.Sprintf("AdIn[%d]", a), got.AdIn[a], want.AdIn[a])
+	}
+	if d == "" && (got.Sources != want.Sources || got.Cfg != want.Cfg) {
+		d = fmt.Sprintf("Sources, Cfg = %d, %p; want %d, %p", got.Sources, got.Cfg, want.Sources, want.Cfg)
+	}
+	return d
+}
+
+// TestComputeMatchesWalkOracle: composing routes from memoized prefixes and
+// sinks leaves every load bit-identical to walking each route whole, for
+// every registered strategy plus a slice-pinned one, every pattern, and the
+// skip ablations. On 2x2x2 tornado's destinations share the source's node,
+// so those routes are walked whole. The matrix sources from four of the
+// sixteen cores to keep the oracle's cost down; the 8x8x8 row from all.
+func TestComputeMatchesWalkOracle(t *testing.T) {
+	match := func(cfg *route.Config, sources []int, p traffic.Pattern) string {
+		m := cfg.Machine
+		want := walkOracle(cfg, sources, p.Flows(m), route.ClassRequest)
+		return bitDiff(loadcalc.Compute(cfg, sources, p.Flows(m), route.ClassRequest), want)
+	}
+	strategies := append(route.Strategies(), route.Strategy(pinnedSlice{route.AntonScheme{}, 1}))
+	ablations := []struct {
+		name string
+		set  func(*route.Config)
+	}{
+		{"default", func(*route.Config) {}},
+		{"noskip", func(c *route.Config) { c.UseSkip = false }},
+		{"noexitskip", func(c *route.Config) { c.ExitSkip = false }},
+		{"entryskip", func(c *route.Config) { c.EntrySkip = true }},
+	}
+	for _, shape := range []topo.TorusShape{topo.Shape3(2, 2, 2), topo.Shape3(3, 3, 2), topo.Shape3(4, 2, 2), topo.Shape3(4, 4, 2)} {
+		m := topo.MustMachine(shape)
+		cores := m.Chip.CoreEndpoints()
+		sources := []int{cores[0], cores[5], cores[10], cores[15]}
+		for si, s := range strategies {
+			for _, ab := range ablations {
+				cfg := route.NewConfig(m)
+				cfg.Scheme = s
+				ab.set(cfg)
+				for _, name := range traffic.Names() {
+					p, _ := traffic.ByName(name)
+					if d := match(cfg, sources, p); d != "" {
+						t.Errorf("%v strategy %d (%s) %s %s: %s", shape, si, s.Name(), ab.name, name, d)
+					}
+				}
+			}
+		}
+	}
+	t.Run("8x8x8/uniform/anton", func(t *testing.T) {
+		if testing.Short() {
+			t.Skip("the oracle walks 8x8x8 in ~3 s")
+		}
+		m := topo.MustMachine(topo.Shape3(8, 8, 8))
+		if d := match(route.NewConfig(m), m.Chip.CoreEndpoints(), traffic.Uniform{}); d != "" {
+			t.Error(d)
+		}
+	})
+}
+
+// TestComputeAllocs: Compute allocates per distinct segment table, not per
+// route: one choice list per destination node, one flow list per source, and
+// the logarithmic growth of its tables — a few hundred allocations where a
+// walk per route made ~285 000 at 4x4x2.
+func TestComputeAllocs(t *testing.T) {
+	m := topo.MustMachine(topo.Shape3(4, 4, 2))
+	cfg := route.NewConfig(m)
+	sources := m.Chip.CoreEndpoints()
+	flows := traffic.Uniform{}.Flows(m)
+	allocs := testing.AllocsPerRun(2, func() { loadcalc.Compute(cfg, sources, flows, route.ClassRequest) })
+	if budget := float64(m.NumNodes() + len(sources) + 192); allocs > budget {
+		t.Errorf("Compute made %.0f allocations at 4x4x2 uniform, want <= %.0f", allocs, budget)
 	}
 }
