@@ -7,7 +7,7 @@
 //	anton2bench [-quick] [-parallel N] [-json dir] [-check] [-telemetry dir]
 //	            [-fault corrupt=0.01,...] [-engine active|scan] [-shards N]
 //	            [-shape KxKxK] [-cpuprofile file] [-memprofile file]
-//	            [-checkpoint-dir dir] [-checkpoint-every N] [-resume]
+//	            [-checkpoint-dir dir -checkpoint-every N]
 //	            [experiment]
 //
 // An experiment is an analytic result defined in this command (fig1, fig4,
@@ -28,13 +28,13 @@
 // A flag combination that machine.Config.Validate or Checkpointable refuses
 // exits 2.
 //
-// With -checkpoint-dir and -checkpoint-every N, checkpoint-aware experiment
-// points persist a resumable snapshot every N cycles; a later invocation with
-// -resume picks each point up from its last checkpoint (without -resume a
-// stale checkpoint is ignored and overwritten). Resumed points are
-// bit-identical to uninterrupted ones. Every simulated family checkpoints
-// but fig11 (latency) and fig13 (energy) — core.Family.Checkpoints; `all`
-// runs those two without checkpoints, and naming one of them or an analytic
+// With -checkpoint-dir and -checkpoint-every N (one without the other exits
+// 2), checkpoint-aware experiment points persist a resumable snapshot every N
+// cycles; a later invocation over the same directory picks each point up from
+// its last checkpoint. Resumed points are bit-identical to uninterrupted
+// ones. A point is checkpoint-aware when its job carries exp.Job.RunCkpt:
+// every simulated family's but fig11 (latency) and fig13 (energy). `all` runs
+// those two without checkpoints, and naming one of them or an analytic
 // experiment (core.ErrNoRunCkpt) exits 2.
 //
 // Each simulated family sweeps the panels its registry entry declares
@@ -102,6 +102,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -138,10 +139,9 @@ var (
 	shapeFlag    *string
 	ckptDir      *string
 	ckptEvery    *uint64
-	resumeFlag   *bool
 
-	// checkpoint is the validated -checkpoint-dir/-checkpoint-every/-resume
-	// trio (core.CheckpointFlags); the zero value is checkpointing off.
+	// checkpoint is the validated -checkpoint-dir/-checkpoint-every pair
+	// (core.CheckpointFlags); the zero value is checkpointing off.
 	checkpoint exp.CheckpointOptions
 
 	// baseFault is the parsed -fault spec; the faultsweep experiment holds
@@ -175,7 +175,6 @@ func registerFlags(fs *flag.FlagSet) {
 	shapeFlag = fs.String("shape", "", "torus shape KxKxK of fig9, fig10 and mdstep (default: the family's panels), fig2 (8x8x8) and deadlock (4x4x4)")
 	ckptDir = fs.String("checkpoint-dir", "", "persist crash-recovery checkpoints under this directory")
 	ckptEvery = fs.Uint64("checkpoint-every", 0, "cycles between checkpoints (0 disables; requires -checkpoint-dir)")
-	resumeFlag = fs.Bool("resume", false, "resume interrupted points from their checkpoints in -checkpoint-dir")
 }
 
 const usageHint = "usage: anton2bench [-quick] [-parallel N] [-json dir] [-check] [-fault k=v,...] [experiment] (run with -h for the full list)"
@@ -282,7 +281,7 @@ func run(args []string, stderr io.Writer) int {
 		return reject(err)
 	}
 	var err error
-	if checkpoint, err = core.CheckpointFlags(mc, *ckptDir, *ckptEvery, *resumeFlag); err != nil {
+	if checkpoint, err = core.CheckpointFlags(mc, *ckptDir, *ckptEvery); err != nil {
 		return reject(err)
 	}
 	shapeOverride = nil
@@ -325,7 +324,7 @@ func run(args []string, stderr io.Writer) int {
 	}
 	for _, e := range experiments {
 		if e.name == what {
-			if f, ok := core.FamilyByName(what); checkpoint.Every > 0 && !(ok && f.Checkpoints()) {
+			if checkpoint.Every > 0 && !hasRunCkpt(what) {
 				return reject(core.ErrNoRunCkpt)
 			}
 			if err := e.run(); err != nil {
@@ -338,6 +337,19 @@ func run(args []string, stderr io.Writer) int {
 	fmt.Fprintf(stderr, "anton2bench: unknown experiment %q (valid: %s)\n",
 		what, strings.Join(validNames(), ", "))
 	return 2
+}
+
+// hasRunCkpt reports whether some job of the named experiment carries
+// exp.Job.RunCkpt, which checkpointing it needs; an analytic experiment has
+// no jobs. A family whose axes the flags leave invalid is let through: its
+// run reports what is wrong with them.
+func hasRunCkpt(name string) bool {
+	f, ok := core.FamilyByName(name)
+	if !ok {
+		return false
+	}
+	_, jobs, err := familyJobs(f)
+	return err != nil || slices.ContainsFunc(jobs, func(j exp.Job) bool { return j.RunCkpt != nil })
 }
 
 // telemetryOpts returns a per-point telemetry factory for one figure: nil
@@ -560,7 +572,7 @@ func deadlockCheck() error {
 	for _, s := range append(route.Strategies(), route.NoDatelineScheme{}) {
 		cfg := route.NewConfig(topo.MustMachine(shape))
 		cfg.Scheme = s
-		err := deadlock.Verify(cfg, deadlock.Options{})
+		err := deadlock.Verify(cfg)
 		verdict := "deadlock-free"
 		if err != nil {
 			verdict = "CYCLE FOUND"

@@ -29,6 +29,7 @@ func TestInvalidFlagsRejected(t *testing.T) {
 		{"checkpointed check", []string{"-checkpoint-dir", "x", "-checkpoint-every", "100", "-check", "fig9"}, "Config.Check"},
 		{"checkpointed family without RunCkpt", []string{"-quick", "-checkpoint-dir", "x", "-checkpoint-every", "100", "fig11"}, "no RunCkpt"},
 		{"checkpointed analytic experiment", []string{"-checkpoint-dir", "x", "-checkpoint-every", "100", "fig4"}, "no RunCkpt"},
+		{"lone checkpoint dir", []string{"-checkpoint-dir", "x", "fig9"}, "-checkpoint-every"},
 		{"bad shape", []string{"-shape", "8by8", "fig9"}, "bad shape"},
 		{"unknown flag", []string{"-frobnicate"}, ""},
 		// The positional argument is the one spelling of the experiment name.
@@ -67,7 +68,7 @@ func TestFlagInventory(t *testing.T) {
 		}
 	}
 	const want = "check checkpoint-dir checkpoint-every cpuprofile engine fault json " +
-		"memprofile parallel quick resume shape shards telemetry"
+		"memprofile parallel quick shape shards telemetry"
 	if g := strings.Join(got, " "); g != want {
 		t.Errorf("flags = %s\nwant    %s", g, want)
 	}

@@ -8,7 +8,7 @@
 //	          [-arbiter rr|iw] [-batch 256] [-scheme anton|baseline-2n|vcless|angara] [-seed 1] [-json dir] [-check]
 //	          [-fault corrupt=0.01,stall=0.001,...] [-telemetry dir]
 //	          [-engine active|scan] [-shards N]
-//	          [-checkpoint-dir dir] [-checkpoint-every N] [-resume]
+//	          [-checkpoint-dir dir -checkpoint-every N]
 //	          [-cpuprofile file] [-memprofile file]
 //
 // -engine selects the cycle kernel: the default active-set scheduler skips
@@ -36,11 +36,11 @@
 // negative, >1, or NaN rate — is rejected before any simulation starts, with
 // exit status 2.
 //
-// With -checkpoint-dir and -checkpoint-every N, the run persists a complete
-// resumable snapshot (machine state plus driver position) every N cycles,
-// torn-write-safe; -resume restarts an interrupted run from its last
-// checkpoint and finishes bit-identically to an uninterrupted one, with or
-// without -fault.
+// With -checkpoint-dir and -checkpoint-every N (one without the other exits
+// 2), the run persists a complete resumable snapshot (machine state plus
+// driver position) every N cycles, torn-write-safe. Run again with the same
+// flags, an interrupted run restarts from the last checkpoint it left and
+// finishes bit-identically to an uninterrupted one, with or without -fault.
 //
 // With -telemetry, the run executes under the internal/telemetry collector:
 // a JSON report (<dir>/anton2sim.json) with windowed channel utilization,
@@ -106,7 +106,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		shardsFlag   = fs.Int("shards", 0, "step the machine across N goroutine shards (0 = auto, 1 = serial; N > 1 requires the active engine)")
 		ckptDir      = fs.String("checkpoint-dir", "", "persist crash-recovery checkpoints under this directory")
 		ckptEvery    = fs.Uint64("checkpoint-every", 0, "cycles between checkpoints (0 disables; requires -checkpoint-dir)")
-		resumeFlag   = fs.Bool("resume", false, "resume an interrupted run from its checkpoint in -checkpoint-dir")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -167,7 +166,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	job := simJob(mc, pattern, *batch)
 
 	opts := exp.Serial()
-	opts.Checkpoint, err = core.CheckpointFlags(mc, *ckptDir, *ckptEvery, *resumeFlag)
+	opts.Checkpoint, err = core.CheckpointFlags(mc, *ckptDir, *ckptEvery)
 	if err != nil {
 		return reject(err)
 	}

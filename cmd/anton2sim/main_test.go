@@ -36,6 +36,7 @@ func TestInvalidFlagsRejected(t *testing.T) {
 		{"negative shards", []string{"-shards", "-1"}, "shards must be >= 0"},
 		{"sharded scan", []string{"-engine", "scan", "-shards", "2"}, "requires the active engine"},
 		{"checkpointed telemetry", []string{"-checkpoint-dir", "x", "-checkpoint-every", "100", "-telemetry", "y"}, "Config.Telemetry"},
+		{"lone checkpoint dir", []string{"-checkpoint-dir", "x"}, "-checkpoint-every"},
 		{"unknown flag", []string{"-frobnicate"}, ""},
 	}
 	for _, tc := range cases {
@@ -66,7 +67,7 @@ func TestFlagInventory(t *testing.T) {
 		}
 	}
 	const want = "arbiter batch check checkpoint-dir checkpoint-every cpuprofile engine fault json " +
-		"memprofile pattern resume scheme seed shape shards telemetry"
+		"memprofile pattern scheme seed shape shards telemetry"
 	if g := strings.Join(got, " "); g != want {
 		t.Errorf("flags = %s\nwant    %s", g, want)
 	}
@@ -129,9 +130,10 @@ func TestTelemetryShardParity(t *testing.T) {
 
 // TestFaultRunKillResume: a -fault run checkpoints like any other. The built
 // binary is started with -checkpoint-every, killed with SIGKILL as soon as its
-// first checkpoint is on disk, and run again with -resume; what the resumed
-// run prints — cycles, throughput, latency quantiles, every fault counter —
-// must be what an uninterrupted run prints, and its checkpoint must be gone.
+// first checkpoint is on disk, and run again with the same arguments, which
+// resumes it; what the resumed run prints — cycles, throughput, latency
+// quantiles, every fault counter — must be what an uninterrupted run prints,
+// and its checkpoint must be gone.
 func TestFaultRunKillResume(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and kills the binary")
@@ -174,7 +176,7 @@ func TestFaultRunKillResume(t *testing.T) {
 	}
 
 	var got bytes.Buffer
-	if code := run(append(args, "-resume"), &got, &errb); code != 0 {
+	if code := run(args, &got, &errb); code != 0 {
 		t.Fatalf("resumed run: exit code = %d, stderr: %s", code, errb.String())
 	}
 	if got.String() != ref.String() {

@@ -23,7 +23,7 @@ func main() {
 
 	// Statically verify the VC promotion scheme has no cyclic channel
 	// dependencies (Section 2.5 of the paper).
-	if err := deadlock.Verify(route.NewConfig(topo.MustMachine(shape)), deadlock.Options{}); err != nil {
+	if err := deadlock.Verify(route.NewConfig(topo.MustMachine(shape))); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("%v with the Anton n+1-VC scheme: deadlock-free\n", shape)

@@ -77,7 +77,7 @@ func computeHeadline(t *testing.T) headlineGolden {
 		cfg := route.NewConfig(m)
 		cfg.Scheme = v.scheme
 		key := fmt.Sprintf("%s@%s", v.scheme.Name(), v.shape)
-		g.DeadlockFree[key] = deadlock.Verify(cfg, deadlock.Options{}) == nil
+		g.DeadlockFree[key] = deadlock.Verify(cfg) == nil
 	}
 
 	mc := machine.DefaultConfig(topo.Shape3(8, 8, 8))

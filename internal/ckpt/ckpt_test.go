@@ -175,7 +175,7 @@ func TestRunConfig(t *testing.T) {
 		t.Fatal("configured RunConfig reports disabled")
 	}
 	dir := t.TempDir()
-	rc := RunConfig{Path: filepath.Join(dir, "r.ckpt"), Every: 16, Resume: true}
+	rc := RunConfig{Path: filepath.Join(dir, "r.ckpt"), Every: 16}
 	if c := rc.Load("tag"); c != nil {
 		t.Fatal("Load invented a checkpoint from a missing file")
 	}
@@ -189,10 +189,8 @@ func TestRunConfig(t *testing.T) {
 	if c == nil || c.Cycle != 32 {
 		t.Fatalf("Load: got %+v, want cycle 32", c)
 	}
-	norc := rc
-	norc.Resume = false
-	if c := norc.Load("tag"); c != nil {
-		t.Fatal("Load resumed without Resume set")
+	if c := (RunConfig{Path: rc.Path}).Load("tag"); c != nil {
+		t.Fatal("a disabled RunConfig loaded a checkpoint")
 	}
 	// A writer killed between creating its temp file and renaming it leaves
 	// the temp file behind; Discard takes those with it, and nothing else.

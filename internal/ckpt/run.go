@@ -17,22 +17,18 @@ type RunConfig struct {
 	// Every is the cycle interval between snapshots; zero disables
 	// checkpointing even when Path is set.
 	Every uint64
-	// Resume restores from an existing checkpoint at Path instead of
-	// starting at cycle 0 (the process-restart case: a previous
-	// invocation's checkpoint is still on disk).
-	Resume bool
 }
 
 // Enabled reports whether this run takes checkpoints at all.
 func (rc RunConfig) Enabled() bool { return rc.Path != "" && rc.Every > 0 }
 
-// Load returns the checkpoint to resume from, or nil when the config does
-// not ask for a resume or no usable checkpoint exists. A checkpoint whose
-// tag does not match is ignored (it belongs to a different run that shared
-// the path), never an error: resuming is an optimization, starting over is
-// always correct.
+// Load returns the checkpoint an enabled run resumes from — whatever a
+// previous invocation left at Path — or nil when checkpointing is off or no
+// usable checkpoint exists. A checkpoint whose tag does not match is ignored
+// (it belongs to a different run that shared the path), never an error:
+// resuming is an optimization, starting over is always correct.
 func (rc RunConfig) Load(tag string) *Checkpoint {
-	if !rc.Enabled() || !rc.Resume {
+	if !rc.Enabled() {
 		return nil
 	}
 	c, err := ReadFile(rc.Path)

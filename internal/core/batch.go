@@ -56,17 +56,11 @@ type batchProgress struct {
 // runBatch executes one batch measurement and returns the machine it ran on,
 // the cycle the last packet arrived at, and what it accumulated. With rc
 // enabled the machine and the accumulator are persisted every rc.Every cycles;
-// when rc asks for a resume and a usable checkpoint exists, the run restores
-// it, fast-forwards every per-core RNG stream past the packets already
-// injected, and finishes bit-identically to an uninterrupted run. A zero rc
-// installs no observer and costs nothing.
+// when a usable checkpoint exists, the run restores it, fast-forwards every
+// per-core RNG stream past the packets already injected, and finishes
+// bit-identically to an uninterrupted run. A zero rc installs no observer and
+// costs nothing.
 func runBatch(pt batchPoint, rc ckpt.RunConfig) (*machine.Machine, uint64, *batchProgress, error) {
-	if rc.Enabled() {
-		// Refuse up front rather than run on silently writing no checkpoints.
-		if err := pt.machine.Checkpointable(); err != nil {
-			return nil, 0, nil, err
-		}
-	}
 	m, _, err := BuildMachine(pt.machine, pt.weights...)
 	if err != nil {
 		return nil, 0, nil, err
@@ -77,11 +71,13 @@ func runBatch(pt batchPoint, rc ckpt.RunConfig) (*machine.Machine, uint64, *batc
 	total := numCores * pt.batch
 
 	var acc batchProgress
-	m, resumed, err := resumeRunCkpt(m, rc, pt.tag, &acc, func() bool {
-		return len(acc.Sent) == numCores && len(acc.Remaining) == tm.NumEndpointsTotal()
-	}, pt.machine, pt.weights...)
-	if err != nil {
-		return nil, 0, nil, err
+	resumed := false
+	if rc.Enabled() {
+		if m, resumed, err = resumeRunCkpt(m, rc, pt.tag, &acc, func() bool {
+			return len(acc.Sent) == numCores && len(acc.Remaining) == tm.NumEndpointsTotal()
+		}, pt.machine, pt.weights...); err != nil {
+			return nil, 0, nil, err
+		}
 	}
 	if !resumed {
 		acc = batchProgress{

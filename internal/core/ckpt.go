@@ -19,35 +19,36 @@ import (
 // uninterrupted one, so checkpointing never perturbs results — it only bounds
 // how much work a crash can lose.
 //
-// Resuming is strictly an optimization: any problem with a checkpoint — torn
+// A checkpointing run always resumes from a usable checkpoint at its path, and
+// resuming is strictly an optimization: any problem with a checkpoint — torn
 // file, another format version, tag mismatch, shape mismatch against the
 // rebuilt machine — silently falls back to a fresh run, which is always
 // correct.
 
 // ErrNoRunCkpt is what anton2bench answers when asked to checkpoint an
-// experiment whose jobs have no exp.Job.RunCkpt: an analytic result, or a
-// family whose Checkpoints method says no.
+// experiment none of whose jobs has an exp.Job.RunCkpt: an analytic result,
+// or a family whose points step their machines from loops of their own.
 var ErrNoRunCkpt = errors.New("checkpointing: this experiment's jobs have no RunCkpt")
 
-// CheckpointFlags turns the CLIs' -checkpoint-dir / -checkpoint-every /
-// -resume trio into sweep options, or says why it cannot: the flags must come
-// together, and mc — the config every checkpointed machine will carry — must
-// be machine.Config.Checkpointable. With neither -checkpoint-every nor
-// -resume it returns the zero value: checkpointing off.
-func CheckpointFlags(mc machine.Config, dir string, every uint64, resume bool) (exp.CheckpointOptions, error) {
+// CheckpointFlags turns the CLIs' -checkpoint-dir / -checkpoint-every pair
+// into sweep options, or says why it cannot: the flags must come together,
+// and mc — the config every checkpointed machine will carry — must be
+// machine.Config.Checkpointable. With neither flag it returns the zero value:
+// checkpointing off.
+func CheckpointFlags(mc machine.Config, dir string, every uint64) (exp.CheckpointOptions, error) {
 	var off exp.CheckpointOptions
 	switch {
-	case every == 0 && !resume:
+	case dir == "" && every == 0:
 		return off, nil
 	case dir == "":
-		return off, errors.New("-checkpoint-every/-resume require -checkpoint-dir")
+		return off, errors.New("-checkpoint-every requires -checkpoint-dir")
 	case every == 0:
-		return off, errors.New("-resume requires -checkpoint-every")
+		return off, errors.New("-checkpoint-dir requires -checkpoint-every")
 	}
 	if err := mc.Checkpointable(); err != nil {
 		return off, err
 	}
-	return exp.CheckpointOptions{Dir: dir, Every: every, Resume: resume}, nil
+	return exp.CheckpointOptions{Dir: dir, Every: every}, nil
 }
 
 // Section names inside a run checkpoint.
@@ -72,13 +73,18 @@ func loadRunCkpt(rc ckpt.RunConfig, tag string, driver any) []byte {
 	return snap
 }
 
-// resumeRunCkpt tries to resume the run on m, freshly built by
-// BuildMachine(mc, weightPatterns...): it decodes the checkpoint's driver
-// section into driver, lets valid (when non-nil) vet it against the run, and
-// restores the machine snapshot. It returns the machine to run on and whether
-// it holds the restored state.
+// resumeRunCkpt is what both drivers call first on an enabled rc. It refuses
+// a config that is not Checkpointable rather than let the run go on silently
+// writing no checkpoints. Otherwise it tries to resume the run on m, freshly
+// built by BuildMachine(mc, weightPatterns...): it decodes the checkpoint's
+// driver section into driver, lets valid (when non-nil) vet it against the
+// run, and restores the machine snapshot. It returns the machine to run on and
+// whether it holds the restored state.
 func resumeRunCkpt(m *machine.Machine, rc ckpt.RunConfig, tag string, driver any, valid func() bool,
 	mc machine.Config, weightPatterns ...traffic.Pattern) (*machine.Machine, bool, error) {
+	if err := mc.Checkpointable(); err != nil {
+		return nil, false, err
+	}
 	snap := loadRunCkpt(rc, tag, driver)
 	if snap == nil || (valid != nil && !valid()) {
 		return m, false, nil

@@ -80,9 +80,9 @@ func probeSeam(m *machine.Machine) {
 // killedThenResumed runs job through exp.Run with a checkpoint every `every`
 // cycles and kills it when its clock reaches killAt; the panic becomes a
 // failed point and the last checkpoint stays in the sweep's directory. It then
-// runs the job again with Resume, requires that run to have started from that
-// checkpoint rather than from cycle 0, and returns its result. mc is the
-// job's machine config.
+// runs the job again over that directory, requires that run to have started
+// from that checkpoint rather than from cycle 0, and returns its result. mc is
+// the job's machine config.
 func killedThenResumed(t *testing.T, job exp.Job, mc machine.Config, every, killAt uint64) exp.Result {
 	t.Helper()
 	opts := exp.Serial()
@@ -96,7 +96,6 @@ func killedThenResumed(t *testing.T, job exp.Job, mc machine.Config, every, kill
 	}
 	witness := &runProbe{}
 	arm(mc, job.Spec.Seed(), witness)
-	opts.Checkpoint.Resume = true
 	r := exp.Run([]exp.Job{job}, opts)[0]
 	// The kill observer runs before the checkpoint observer of the same clock.
 	if last := (killAt - 1) / every * every; witness.first != last+1 {
@@ -189,7 +188,6 @@ func TestMDStepCkptResume(t *testing.T) {
 				Every: 40,
 			}
 			got, done := row.interrupt(t, rc)
-			rc.Resume = true
 			attempts := 0
 			for ; !done && attempts < 100; attempts++ {
 				got, err = RunMDStepPointCkpt(mdCkptConfig(7), rc)
@@ -245,7 +243,6 @@ func mdCkptInQuiescence(t *testing.T, cfg MDStepConfig, rc ckpt.RunConfig) {
 		t.Fatal(err)
 	}
 	var prog workload.Progress
-	rc.Resume = true
 	snap := loadRunCkpt(rc, tag, &prog)
 	if !kept || snap == nil {
 		t.Fatalf("no checkpoint landed inside quiescence stepping (kept %v)", kept)
@@ -309,24 +306,58 @@ func TestCkptOffBitIdentical(t *testing.T) {
 }
 
 // TestFamilyJobsCheckpoint: every job of every registered family carries
-// RunCkpt exactly when Family.Checkpoints says so, and that is every family
-// but latency and energy.
+// RunCkpt — one long run a point, under runBatch or runMDStep — but latency's
+// ping-pong pairs and energy's two short streams, which step their machines
+// from loops of their own and always start over.
 func TestFamilyJobsCheckpoint(t *testing.T) {
 	for _, f := range Families() {
-		if want := f.Name != "latency" && f.Name != "energy"; f.Checkpoints() != want {
-			t.Errorf("%s: Checkpoints() = %v, want %v", f.Name, f.Checkpoints(), want)
-		}
+		want := f.Name != "latency" && f.Name != "energy"
 		for _, panels := range [][]Axes{f.Full, f.Quick} {
 			for _, a := range panels {
 				if err := f.Check(&a); err != nil {
 					t.Fatalf("%s: %v", f.Name, err)
 				}
 				for _, job := range f.Jobs(a, func(*machine.Config) {}) {
-					if got := job.RunCkpt != nil; got != f.Checkpoints() {
-						t.Errorf("%s: job %s has RunCkpt = %v, family says %v", f.Name, job.Spec.Canonical(), got, f.Checkpoints())
+					if got := job.RunCkpt != nil; got != want {
+						t.Errorf("%s: job %s has RunCkpt = %v, want %v", f.Name, job.Spec.Canonical(), got, want)
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestCheckpointFlags: the CLIs' checkpoint flags come as a pair, on a
+// config checkpointing can snapshot, or not at all.
+func TestCheckpointFlags(t *testing.T) {
+	mc := machine.DefaultConfig(topo.Shape3(2, 2, 2))
+	checked, observed := mc, mc
+	checked.Check = true
+	observed.Telemetry = &telemetry.Options{}
+	for _, tc := range []struct {
+		name  string
+		mc    machine.Config
+		dir   string
+		every uint64
+		want  string // substring of the refusal; empty accepts
+	}{
+		{"every without dir", mc, "", 100, "-checkpoint-every requires -checkpoint-dir"},
+		{"dir without every", mc, "d", 0, "-checkpoint-dir requires -checkpoint-every"},
+		{"check", checked, "d", 100, "Config.Check"},
+		{"telemetry", observed, "d", 100, "Config.Telemetry"},
+		{"on", mc, "d", 100, ""},
+		{"off", checked, "", 0, ""},
+	} {
+		opts, err := CheckpointFlags(tc.mc, tc.dir, tc.every)
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: refused: %v", tc.name, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("%s: err = %v, want one naming %q", tc.name, err, tc.want)
+		case tc.want != "" && opts != (exp.CheckpointOptions{}):
+			t.Errorf("%s: refused with options %+v, want the zero value", tc.name, opts)
+		case tc.want == "" && opts != (exp.CheckpointOptions{Dir: tc.dir, Every: tc.every}):
+			t.Errorf("%s: options = %+v", tc.name, opts)
 		}
 	}
 }
@@ -374,7 +405,6 @@ func resumeUntilDone[T any](t *testing.T, rc *ckpt.RunConfig, run func(ckpt.RunC
 		if err == nil {
 			return got, attempts
 		}
-		rc.Resume = true
 	}
 	t.Fatalf("never completed in %d attempts: %v", attempts, err)
 	return got, attempts
@@ -525,7 +555,7 @@ func TestStaleFormatStartsFresh(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rc := ckpt.RunConfig{Path: filepath.Join(t.TempDir(), "tp.ckpt"), Every: 50, Resume: true}
+	rc := ckpt.RunConfig{Path: filepath.Join(t.TempDir(), "tp.ckpt"), Every: 50}
 	tag := ThroughputSpec(cfg).Canonical()
 	orphan := rc.Path + ".tmp4242"
 	for path, content := range map[string][]byte{rc.Path: v2File(tag), orphan: []byte("torn")} {

@@ -22,7 +22,7 @@ import (
 // spec-derived seed. run is the family's runner; runCkpt, when it has one, is
 // the same runner threading a ckpt.RunConfig and makes the job
 // checkpoint-aware: under exp's Checkpoint options it persists snapshots as it
-// runs, and with Resume a restarted sweep picks up from the last one.
+// runs, and a restarted sweep picks up from the last one.
 func pointJob[C, R any](spec *exp.Spec, cfg C, mc func(*C) *machine.Config,
 	run func(C) (R, error), runCkpt func(C, ckpt.RunConfig) (R, error)) exp.Job {
 	seeded := func(seed uint64) C {
@@ -128,7 +128,8 @@ func BlendJob(cfg BlendConfig) exp.Job {
 	return pointJob(BlendSpec(cfg), cfg, func(c *BlendConfig) *machine.Config { return &c.Machine }, RunBlend, runBlend)
 }
 
-// LatencySpec canonically identifies one Figure 11 latency sweep.
+// LatencySpec canonically identifies one Figure 11 latency sweep. The sweep
+// always runs to the diameter; the frozen maxhops=0 token still says so.
 func LatencySpec(cfg LatencyConfig) *exp.Spec {
 	s := exp.NewSpec("latency")
 	addMachine(s, cfg.Machine)
@@ -136,7 +137,7 @@ func LatencySpec(cfg LatencyConfig) *exp.Spec {
 		Add("recvover", cfg.RecvOverhead).
 		Add("pingpongs", cfg.PingPongs).
 		Add("pairs", cfg.PairsPerHop).
-		Add("maxhops", cfg.MaxHops)
+		Add("maxhops", 0)
 }
 
 // LatencyJob wraps one RunLatency sweep for the orchestrator.

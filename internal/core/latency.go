@@ -27,10 +27,9 @@ type LatencyConfig struct {
 	RecvOverhead uint64
 	// PingPongs per endpoint pair.
 	PingPongs int
-	// PairsPerHop averages over several endpoint pairs at each hop count.
+	// PairsPerHop averages over several endpoint pairs at each hop count,
+	// from 1 to the machine's diameter.
 	PairsPerHop int
-	// MaxHops bounds the sweep (0 = the machine's diameter).
-	MaxHops int
 }
 
 // DefaultLatencyConfig returns overheads calibrated so a nearest-neighbor
@@ -81,10 +80,6 @@ func RunLatency(cfg LatencyConfig) (LatencyResult, error) {
 		return LatencyResult{}, err
 	}
 	tm := m.Topo
-	maxHops := cfg.MaxHops
-	if maxHops == 0 || maxHops > diameter(tm.Shape) {
-		maxHops = diameter(tm.Shape)
-	}
 
 	// Collect candidate destination nodes by hop distance from node 0;
 	// sampling node pairs is equivalent to sampling all pairs by
@@ -101,7 +96,7 @@ func RunLatency(cfg LatencyConfig) (LatencyResult, error) {
 	cores := tm.Chip.CoreEndpoints()
 
 	var xs, ys []float64
-	for h := 1; h <= maxHops; h++ {
+	for h := 1; h <= diameter(tm.Shape); h++ {
 		nodes := byHops[h]
 		if len(nodes) == 0 {
 			continue

@@ -76,10 +76,9 @@ func RunMDStepPoint(cfg MDStepConfig) (MDStepPoint, error) {
 
 // RunMDStepPointCkpt is RunMDStepPoint with crash-safe checkpointing: when rc
 // is enabled, the machine snapshot and the workload's Progress are persisted
-// every rc.Every cycles, and when rc asks for a resume and a usable
-// checkpoint exists, the run restores it, replays the RNG draws of every
-// already-injected phase, and finishes bit-identically to an uninterrupted
-// run.
+// every rc.Every cycles, and when a usable checkpoint exists, the run
+// restores it, replays the RNG draws of every already-injected phase, and
+// finishes bit-identically to an uninterrupted run.
 func RunMDStepPointCkpt(cfg MDStepConfig, rc ckpt.RunConfig) (MDStepPoint, error) {
 	pt, _, err := runMDStep(cfg, rc, false)
 	return pt, err
@@ -94,21 +93,11 @@ func RunMDStepPointRecorded(cfg MDStepConfig, record bool) (MDStepPoint, *trace.
 }
 
 // runMDStep is the one mdstep driver: a zero rc runs without checkpoints,
-// record captures the traffic. Recording does not compose with checkpointing
-// (a resumed run cannot re-record what it skips).
+// record captures the traffic. No caller asks for both.
 func runMDStep(cfg MDStepConfig, rc ckpt.RunConfig, record bool) (MDStepPoint, *trace.Trace, error) {
 	mc, spec, err := mdstepMachine(cfg)
 	if err != nil {
 		return MDStepPoint{}, nil, err
-	}
-	if rc.Enabled() {
-		// Refuse up front rather than run on silently writing no checkpoints.
-		if err := mc.Checkpointable(); err != nil {
-			return MDStepPoint{}, nil, err
-		}
-		if record {
-			return MDStepPoint{}, nil, fmt.Errorf("core: mdstep recording does not compose with checkpointing")
-		}
 	}
 	pt := MDStepPoint{Strategy: mc.Strategy().Name(), Workload: spec.Canonical(), Timesteps: spec.Timesteps}
 	m, _, err := BuildMachine(mc)

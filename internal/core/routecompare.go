@@ -125,7 +125,7 @@ func runRouteComparePoint(cfg RouteCompareConfig, rc ckpt.RunConfig) (RouteCompa
 	}
 	if cfg.VerifyDeadlock {
 		pt.DeadlockVerified = true
-		pt.DeadlockFree = deadlock.Verify(m.RouteConfig(), deadlock.Options{}) == nil
+		pt.DeadlockFree = deadlock.Verify(m.RouteConfig()) == nil
 	}
 
 	pt.Cycles = end

@@ -20,16 +20,6 @@ type Graph struct {
 	adj    map[int32]map[int32]struct{}
 }
 
-// Options tunes route enumeration. Zero values select full coverage.
-type Options struct {
-	// EndpointStride samples endpoint pairs: source endpoint for pair
-	// (a, b) rotates through all endpoints with this stride (1 = a single
-	// deterministic endpoint pair per node pair rotated for coverage).
-	// The on-chip M-group dependencies depend only on router positions,
-	// so rotating endpoints across node pairs covers all attachments.
-	EndpointStride int
-}
-
 // nodeID packs a (channel, vc) resource.
 func (g *Graph) nodeID(ch int, vc uint8) int32 { return int32(ch*g.maxVCs + int(vc)) }
 
@@ -40,16 +30,13 @@ func (g *Graph) Resource(n int32) (ch int, vc int) {
 
 // Build enumerates all node pairs with every routing choice the strategy
 // admits (dimension order, slice, tie-breaks) and records the channel/VC
-// dependencies of each route. Endpoint attachments are rotated
+// dependencies of each route. Each node pair gets one endpoint pair, rotated
 // deterministically so that every endpoint participates across the
-// enumeration. Restricted-path strategies contribute exactly their
-// restricted choice sets, so the graph verified here is the graph the
-// simulator routes in.
-func Build(cfg *route.Config, opts Options) *Graph {
-	stride := opts.EndpointStride
-	if stride <= 0 {
-		stride = 1
-	}
+// enumeration: the on-chip M-group dependencies depend only on router
+// positions, so rotating endpoints across node pairs covers all attachments.
+// Restricted-path strategies contribute exactly their restricted choice
+// sets, so the graph verified here is the graph the simulator routes in.
+func Build(cfg *route.Config) *Graph {
 	g := &Graph{
 		cfg:    cfg,
 		maxVCs: maxSchemeVCs(cfg.Scheme),
@@ -62,7 +49,7 @@ func Build(cfg *route.Config, opts Options) *Graph {
 		for b := 0; b < n; b++ {
 			srcEp := rot % topo.NumEndpoints
 			dstEp := (rot * 7) % topo.NumEndpoints
-			rot += stride
+			rot++
 			src := topo.NodeEp{Node: a, Ep: srcEp}
 			dst := topo.NodeEp{Node: b, Ep: dstEp}
 			for _, wc := range cfg.Scheme.Enumerate(m.Shape, m.Shape.Coord(a), m.Shape.Coord(b)) {
@@ -196,8 +183,8 @@ func maxSchemeVCs(s route.Scheme) int {
 
 // Verify builds the graph and returns an error describing a cycle if one
 // exists.
-func Verify(cfg *route.Config, opts Options) error {
-	g := Build(cfg, opts)
+func Verify(cfg *route.Config) error {
+	g := Build(cfg)
 	if cycle := g.FindCycle(); cycle != nil {
 		return fmt.Errorf("deadlock: scheme %q has cyclic VC dependencies: %s", cfg.Scheme.Name(), g.DescribeCycle(cycle))
 	}

@@ -54,7 +54,7 @@ func TestAntonSchemeDeadlockFree(t *testing.T) {
 	}
 	for _, shape := range shapes {
 		t.Run(shape.String(), func(t *testing.T) {
-			if err := Verify(configFor(t, shape, route.AntonScheme{}), Options{}); err != nil {
+			if err := Verify(configFor(t, shape, route.AntonScheme{})); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -71,7 +71,7 @@ func TestBaselineSchemeDeadlockFree(t *testing.T) {
 	}
 	for _, shape := range shapes {
 		t.Run(shape.String(), func(t *testing.T) {
-			if err := Verify(configFor(t, shape, route.BaselineScheme{}), Options{}); err != nil {
+			if err := Verify(configFor(t, shape, route.BaselineScheme{})); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -84,7 +84,7 @@ func TestBaselineSchemeDeadlockFree(t *testing.T) {
 // hazards.
 func TestNoDatelineSchemeHasCycle(t *testing.T) {
 	cfg := configFor(t, topo.Shape3(4, 1, 1), route.NoDatelineScheme{})
-	g := Build(cfg, Options{})
+	g := Build(cfg)
 	cycle := g.FindCycle()
 	if cycle == nil {
 		t.Fatal("broken no-dateline scheme reported deadlock-free")
@@ -100,7 +100,7 @@ func TestNoDatelineSchemeHasCycle(t *testing.T) {
 // the analyzer must not report false positives.
 func TestNoDatelineSchemeSafeOnTinyRings(t *testing.T) {
 	cfg := configFor(t, topo.Shape3(3, 2, 2), route.NoDatelineScheme{})
-	if err := Verify(cfg, Options{}); err != nil {
+	if err := Verify(cfg); err != nil {
 		t.Fatalf("false positive on tiny rings: %v", err)
 	}
 }
@@ -112,7 +112,7 @@ func TestMGroupSingleVCAcyclic(t *testing.T) {
 	for _, ord := range topo.AllDirOrders() {
 		cfg := configFor(t, topo.Shape3(2, 2, 1), route.AntonScheme{})
 		cfg.DirOrder = ord
-		g := Build(cfg, Options{})
+		g := Build(cfg)
 		// The full graph being acyclic implies the M-restricted graph is
 		// too; verify the full graph.
 		if cycle := g.FindCycle(); cycle != nil {
@@ -123,7 +123,7 @@ func TestMGroupSingleVCAcyclic(t *testing.T) {
 
 func TestGraphStatsReasonable(t *testing.T) {
 	cfg := configFor(t, topo.Shape3(2, 2, 2), route.AntonScheme{})
-	g := Build(cfg, Options{})
+	g := Build(cfg)
 	if n := enumerated(cfg); n < 8*8*12 {
 		t.Errorf("only %d routes enumerated; expected at least all pairs x orders x slices", n)
 	}
@@ -156,7 +156,7 @@ func TestConfigVariantsDeadlockFree(t *testing.T) {
 			cfg := configFor(t, shape, route.AntonScheme{})
 			cfg.UseSkip = v.useSkip
 			cfg.ExitSkip = v.exit
-			if err := Verify(cfg, Options{}); err != nil {
+			if err := Verify(cfg); err != nil {
 				t.Errorf("%v %s: %v", shape, v.name, err)
 			}
 		}
@@ -170,7 +170,7 @@ func TestEntryPlusExitSkipIsCyclic(t *testing.T) {
 	cfg := configFor(t, topo.Shape3(8, 2, 2), route.AntonScheme{})
 	cfg.EntrySkip = true
 	cfg.ExitSkip = true
-	if err := Verify(cfg, Options{}); err == nil {
+	if err := Verify(cfg); err == nil {
 		t.Fatal("entry+exit skip policy reported deadlock-free; the analyzer should find the mesh cycle")
 	}
 }

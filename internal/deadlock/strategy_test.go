@@ -29,7 +29,7 @@ func TestRegisteredStrategiesDeadlockFree(t *testing.T) {
 				if testing.Short() && shape.NumNodes() > 27 {
 					t.Skip("large shape in -short mode")
 				}
-				if err := Verify(configFor(t, shape, strat), Options{}); err != nil {
+				if err := Verify(configFor(t, shape, strat)); err != nil {
 					t.Fatal(err)
 				}
 			})
@@ -54,7 +54,7 @@ func TestRegisteredStrategiesDeadlockFreeNoSkips(t *testing.T) {
 				cfg := configFor(t, topo.Shape3(4, 4, 2), strat)
 				cfg.UseSkip = v.useSkip
 				cfg.ExitSkip = v.exit
-				if err := Verify(cfg, Options{}); err != nil {
+				if err := Verify(cfg); err != nil {
 					t.Fatal(err)
 				}
 			})
@@ -72,7 +72,7 @@ func TestVClessSingleTorusVC(t *testing.T) {
 		t.Fatalf("vcless TorusVCs = %d, want 1", got)
 	}
 	cfg := configFor(t, topo.Shape3(5, 4, 3), route.VClessScheme{})
-	g := Build(cfg, Options{})
+	g := Build(cfg)
 	if cycle := g.FindCycle(); cycle != nil {
 		t.Fatalf("vcless cycle: %s", g.DescribeCycle(cycle))
 	}
@@ -93,7 +93,7 @@ func TestBrokenSchemeStillCaught(t *testing.T) {
 	} {
 		t.Run(shape.String(), func(t *testing.T) {
 			cfg := configFor(t, shape, route.NoDatelineScheme{})
-			g := Build(cfg, Options{})
+			g := Build(cfg)
 			cycle := g.FindCycle()
 			if cycle == nil {
 				t.Fatal("broken no-dateline scheme reported deadlock-free")
@@ -102,7 +102,7 @@ func TestBrokenSchemeStillCaught(t *testing.T) {
 			if !strings.Contains(desc, "torus") || !strings.Contains(desc, ".vc") {
 				t.Errorf("cycle description should name torus channel VCs, got %s", desc)
 			}
-			if err := Verify(cfg, Options{}); err == nil {
+			if err := Verify(cfg); err == nil {
 				t.Error("Verify must reject the broken scheme")
 			} else if !strings.Contains(err.Error(), "broken-no-dateline") {
 				t.Errorf("Verify error should name the scheme, got %v", err)
@@ -120,7 +120,7 @@ func TestStrategyGraphsDiffer(t *testing.T) {
 	if v, a := enumerated(vclessCfg), enumerated(antonCfg); v >= a {
 		t.Errorf("vcless enumerated %d routes, anton %d; restricted policy should enumerate fewer", v, a)
 	}
-	if v, a := numEdges(Build(vclessCfg, Options{})), numEdges(Build(antonCfg, Options{})); v >= a {
+	if v, a := numEdges(Build(vclessCfg)), numEdges(Build(antonCfg)); v >= a {
 		t.Errorf("vcless graph has %d edges, anton %d; single-VC graph should be smaller", v, a)
 	}
 }

@@ -3,7 +3,6 @@ package exp
 import (
 	"encoding/json"
 	"fmt"
-	"path/filepath"
 	"testing"
 
 	"anton2/internal/ckpt"
@@ -52,8 +51,8 @@ func ckptCountJob(t *testing.T, limit, crashAt int) Job {
 }
 
 // TestRunCkptResumesAfterPanic: a job runs once, so a panicked Run leaves a
-// failed point and its checkpoint on disk; a second Run with Resume picks the
-// checkpoint up instead of starting over.
+// failed point and its checkpoint on disk; a second Run over the same
+// directory picks the checkpoint up instead of starting over.
 func TestRunCkptResumesAfterPanic(t *testing.T) {
 	job := ckptCountJob(t, 100, 55)
 	opts := Serial()
@@ -61,7 +60,6 @@ func TestRunCkptResumesAfterPanic(t *testing.T) {
 	if res := Run([]Job{job}, opts)[0]; res.Err == nil {
 		t.Fatalf("panicked run reported success: %+v", res)
 	}
-	opts.Checkpoint.Resume = true
 	res := Run([]Job{job}, opts)[0]
 	if res.Err != nil {
 		t.Fatalf("resumed run failed: %v", res.Err)
@@ -72,14 +70,15 @@ func TestRunCkptResumesAfterPanic(t *testing.T) {
 	}
 }
 
-// TestRunCkptFirstAttemptFresh: without CheckpointOptions.Resume, a first
-// attempt ignores any stale checkpoint file on disk; with it, the first
-// attempt resumes (the process-restart case).
-func TestRunCkptFirstAttemptFresh(t *testing.T) {
-	dir := t.TempDir()
+// TestRunCkptResumesFromDisk: a checkpoint a previous process left where the
+// runner looks for a job is resumed on the job's first attempt, with no
+// option asking for it (the process-restart case).
+func TestRunCkptResumesFromDisk(t *testing.T) {
 	job := ckptCountJob(t, 100, -1) // never crashes
+	opts := Serial()
+	opts.Checkpoint = CheckpointOptions{Dir: t.TempDir(), Every: 1}
 	// Plant a checkpoint where the runner will look for this job.
-	path := filepath.Join(dir, ckptPathName(job))
+	path := opts.Checkpoint.runConfig(fmt.Sprintf("%016x", job.Spec.Hash()), job.Spec.Seed()).Path
 	c := ckpt.New(job.Spec.Canonical(), 30)
 	b, _ := json.Marshal(30)
 	c.Add("n", b)
@@ -87,26 +86,12 @@ func TestRunCkptFirstAttemptFresh(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	opts := Serial()
-	opts.Checkpoint = CheckpointOptions{Dir: dir, Every: 1}
 	res := Run([]Job{job}, opts)[0]
 	if res.Err != nil {
 		t.Fatal(res.Err)
 	}
-	if got := res.Value.(map[string]int)["start"]; got != 0 {
-		t.Errorf("fresh first attempt started at %d, want 0", got)
-	}
-
-	if err := writeCkpt(path, c); err != nil {
-		t.Fatal(err)
-	}
-	opts.Checkpoint.Resume = true
-	res = Run([]Job{job}, opts)[0]
-	if res.Err != nil {
-		t.Fatal(res.Err)
-	}
 	if got := res.Value.(map[string]int)["start"]; got != 30 {
-		t.Errorf("resumed first attempt started at %d, want 30", got)
+		t.Errorf("first attempt started at %d, want 30 (the planted checkpoint)", got)
 	}
 }
 
@@ -117,11 +102,4 @@ func writeCkpt(path string, c *ckpt.Checkpoint) error {
 		return err
 	}
 	return ckpt.AtomicWriteFile(path, b)
-}
-
-// ckptPathName mirrors CheckpointOptions.runConfig's file naming.
-func ckptPathName(j Job) string {
-	hash := fmt.Sprintf("%016x", j.Spec.Hash())
-	rc := CheckpointOptions{Dir: "", Every: 1}.runConfig(hash, j.Spec.Seed())
-	return filepath.Base(rc.Path)
 }

@@ -19,9 +19,9 @@ import (
 // into every random stream it creates so results depend only on the spec,
 // never on which worker runs the job or when.
 //
-// RunCkpt, when non-nil, is the checkpoint-aware variant: given a
+// RunCkpt, when non-nil, is the checkpoint-aware variant: given an enabled
 // ckpt.RunConfig it must persist resumable state at the configured interval
-// and, when the config asks for a resume, produce a result bit-identical to
+// and, resuming from what rc.Load returns, produce a result bit-identical to
 // an uninterrupted Run. Jobs without RunCkpt always start from scratch.
 type Job struct {
 	Spec    *Spec
@@ -55,26 +55,25 @@ type Options struct {
 }
 
 // CheckpointOptions configures checkpointing: each job writes resumable state
-// under Dir every Every cycles. A job runs once per sweep, so the only thing
-// that picks a checkpoint up is a later sweep with Resume set — the
-// whole-process restart case, where a previous invocation's checkpoints are
-// still on disk; without Resume a stale file is ignored and overwritten. The
-// zero value disables checkpointing.
+// under Dir every Every cycles. A job runs once per sweep, so what picks a
+// checkpoint up is a later sweep over the same Dir — the whole-process
+// restart case, where a previous invocation's checkpoints are still on disk.
+// The zero value disables checkpointing.
 type CheckpointOptions struct {
-	Dir    string
-	Every  uint64
-	Resume bool
+	Dir   string
+	Every uint64
 }
 
 // runConfig derives one job's checkpoint config. The file name pins
 // (spec hash, seed), and the checkpoint tag pins the full canonical spec, so
 // a stale file from a different run sharing the path is ignored on load.
+// Without a Dir there is no path, so the config is disabled.
 func (c CheckpointOptions) runConfig(hash string, seed uint64) ckpt.RunConfig {
-	return ckpt.RunConfig{
-		Path:   filepath.Join(c.Dir, fmt.Sprintf("%s-%016x.ckpt", hash, seed)),
-		Every:  c.Every,
-		Resume: c.Resume,
+	rc := ckpt.RunConfig{Every: c.Every}
+	if c.Dir != "" {
+		rc.Path = filepath.Join(c.Dir, fmt.Sprintf("%s-%016x.ckpt", hash, seed))
 	}
+	return rc
 }
 
 // Serial returns options that run jobs one at a time in order.
@@ -242,8 +241,8 @@ func runOne(ctx context.Context, i int, j Job, opts Options) Result {
 				err = fmt.Errorf("exp: job %s panicked: %v", r.Kind, p)
 			}
 		}()
-		if opts.Checkpoint.Dir != "" && opts.Checkpoint.Every > 0 && j.RunCkpt != nil {
-			return j.RunCkpt(r.Seed, opts.Checkpoint.runConfig(r.Hash, r.Seed))
+		if rc := opts.Checkpoint.runConfig(r.Hash, r.Seed); rc.Enabled() && j.RunCkpt != nil {
+			return j.RunCkpt(r.Seed, rc)
 		}
 		return j.Run(r.Seed)
 	}

@@ -614,16 +614,8 @@ func (s *Server) simulate(ctx context.Context, r *run, c *compiled) ([]byte, err
 			s.metrics.SimCycles.Add(res.Cycles)
 			r.notify()
 		},
-	}
-	if s.cfg.CheckpointEvery > 0 {
-		// Resume is always on: checkpoint tags pin the full spec canonical,
-		// so a stale or foreign file is ignored, and a valid resume is
-		// bit-identical to a fresh run — at worst it is a head start.
-		opts.Checkpoint = exp.CheckpointOptions{
-			Dir:    filepath.Join(s.store.Dir(), "ckpt"),
-			Every:  s.cfg.CheckpointEvery,
-			Resume: true,
-		}
+		// CheckpointEvery 0 leaves checkpointing off.
+		Checkpoint: exp.CheckpointOptions{Dir: filepath.Join(s.store.Dir(), "ckpt"), Every: s.cfg.CheckpointEvery},
 	}
 	rs := exp.RunCtx(ctx, jobs, opts)
 	for _, res := range rs {

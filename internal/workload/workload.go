@@ -440,9 +440,6 @@ func runInner(m *machine.Machine, spec Spec, rec *trace.Recorder, maxPhaseCycles
 	if err := spec.Validate(); err != nil {
 		return Result{}, err
 	}
-	if from != nil && rec != nil {
-		return Result{}, fmt.Errorf("workload: cannot record a resumed run")
-	}
 	tm := m.Topo
 	if tm.NumNodes() < 2 {
 		return Result{}, fmt.Errorf("workload: shape %s too small for an MD timestep", tm.Shape)
