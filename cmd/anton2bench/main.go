@@ -44,7 +44,8 @@
 // routecompare and mdstep 4x4x2. -shape overrides the machine of fig9, fig10
 // and mdstep (e.g. -shape 8x4x2 for the pre-promotion scale) and of the two
 // analytic results that take a machine size: fig2 (default 8x8x8; the shape
-// must tile 4x4x1 backplanes) and deadlock (default 4x4x4).
+// must tile 4x4x1 backplanes) and deadlock (default 4x4x4). A shape a named
+// family refuses (a single node, say) exits 2 before anything runs.
 //
 // The routecompare experiment scores every registered routing strategy
 // head-to-head on one grid: static deadlock verdict, VC provisioning and
@@ -68,9 +69,10 @@
 // The faultsweep experiment sweeps transient-corruption rate under the
 // internal/fault layer, measuring throughput and delivery-latency quantiles
 // as the reliable-link protocol retransmits around injected faults. -fault
-// supplies a base spec (stall, credit-loss, failed-link settings) held fixed
-// across the sweep; an invalid spec — malformed syntax, a negative, >1, or
-// NaN rate — is rejected with exit status 2 before anything runs.
+// supplies a base spec held fixed across the sweep (keys corrupt, stall and
+// creditloss, rates in 0..1, and faillinks, a count); an invalid spec —
+// malformed syntax, an unknown key, a negative, >1, or NaN rate — is rejected
+// with exit status 2 before anything runs.
 //
 // Simulation figures fan their independent points out over a
 // -parallel-sized worker pool (0 = GOMAXPROCS) with per-point seeds derived
@@ -324,8 +326,8 @@ func run(args []string, stderr io.Writer) int {
 	}
 	for _, e := range experiments {
 		if e.name == what {
-			if checkpoint.Every > 0 && !hasRunCkpt(what) {
-				return reject(core.ErrNoRunCkpt)
+			if err := checkExperiment(what); err != nil {
+				return reject(err)
 			}
 			if err := e.run(); err != nil {
 				fmt.Fprintf(stderr, "anton2bench: %s failed: %v\n", e.name, err)
@@ -339,17 +341,22 @@ func run(args []string, stderr io.Writer) int {
 	return 2
 }
 
-// hasRunCkpt reports whether some job of the named experiment carries
-// exp.Job.RunCkpt, which checkpointing it needs; an analytic experiment has
-// no jobs. A family whose axes the flags leave invalid is let through: its
-// run reports what is wrong with them.
-func hasRunCkpt(name string) bool {
-	f, ok := core.FamilyByName(name)
-	if !ok {
-		return false
+// checkExperiment refuses what the flags make of the named experiment before
+// it runs: a family whose axes they leave invalid (a -shape it cannot take)
+// and, under checkpointing, an experiment none of whose jobs carries
+// exp.Job.RunCkpt (an analytic experiment has no jobs).
+func checkExperiment(name string) error {
+	var jobs []exp.Job
+	if f, ok := core.FamilyByName(name); ok {
+		var err error
+		if _, jobs, err = familyJobs(f); err != nil {
+			return err
+		}
 	}
-	_, jobs, err := familyJobs(f)
-	return err != nil || slices.ContainsFunc(jobs, func(j exp.Job) bool { return j.RunCkpt != nil })
+	if checkpoint.Every > 0 && !slices.ContainsFunc(jobs, func(j exp.Job) bool { return j.RunCkpt != nil }) {
+		return core.ErrNoRunCkpt
+	}
+	return nil
 }
 
 // telemetryOpts returns a per-point telemetry factory for one figure: nil
@@ -671,7 +678,7 @@ func fig3() error {
 
 func table1() error {
 	header("Table 1: component die area", "router 3.4%, endpoint adapter 1.1%, channel adapter 4.7%")
-	t1 := area.Compute(area.Default()).Table1()
+	t1 := area.Compute(route.AntonScheme{}).Table1()
 	fmt.Printf("measured: router %.1f%%, endpoint adapter %.1f%%, channel adapter %.1f%% (total %.1f%% < 10%%)\n",
 		t1[area.Router], t1[area.EndpointAdapter], t1[area.ChannelAdapter],
 		t1[area.Router]+t1[area.EndpointAdapter]+t1[area.ChannelAdapter])
@@ -681,15 +688,13 @@ func table1() error {
 func table2() error {
 	header("Table 2: network area by category",
 		"queues 46.6, reduction 9.6, link 8.9, config 8.6, debug 7.8, misc 7.3, multicast 5.7, arbiters 5.4 (%)")
-	byComp, total := area.Compute(area.Default()).Table2()
+	byComp, total := area.Compute(route.AntonScheme{}).Table2()
 	fmt.Printf("measured: %-14s %8s %9s %8s %7s\n", "category", "router", "endpoint", "channel", "total")
 	for k := area.Category(0); k < area.NumCategories; k++ {
 		fmt.Printf("          %-14s %8.1f %9.1f %8.1f %7.1f\n",
 			k, byComp[area.Router][k], byComp[area.EndpointAdapter][k], byComp[area.ChannelAdapter][k], total[k])
 	}
-	cfg := area.Default()
-	cfg.Scheme = route.BaselineScheme{}
-	growth := area.Compute(cfg).NetworkTotal()/area.Compute(area.Default()).NetworkTotal() - 1
+	growth := area.RatioVsAnton(route.BaselineScheme{}) - 1
 	fmt.Printf("          ablation: baseline 2n-VC scheme costs +%.1f%% network area\n", 100*growth)
 	return nil
 }

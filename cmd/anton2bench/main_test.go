@@ -22,6 +22,8 @@ func TestInvalidFlagsRejected(t *testing.T) {
 		{"NaN rate", []string{"-fault", "stall=NaN", "faultsweep"}, "must be finite"},
 		{"malformed spec", []string{"-fault", "corrupt:0.1", "faultsweep"}, "malformed spec"},
 		{"unknown spec key", []string{"-fault", "chaos=1", "faultsweep"}, "unknown spec key"},
+		{"retired fault key", []string{"-fault", "window=8", "faultsweep"}, `unknown spec key "window"`},
+		{"one-node shape", []string{"-shape", "1x1x1", "fig9"}, `axis "shape"`},
 		{"negative parallel", []string{"-parallel", "-2", "fig4"}, "parallel must be >= 0"},
 		{"unknown engine", []string{"-engine", "warp", "fig4"}, "unknown engine"},
 		{"negative shards", []string{"-shards", "-1", "fig4"}, "shards must be >= 0"},

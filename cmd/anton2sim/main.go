@@ -30,11 +30,11 @@
 //
 // With -fault, the run executes under the internal/fault layer: the spec is a
 // comma-joined key=value list (keys: corrupt, stall, creditloss [rates in
-// 0..1], stallcycles, timeout, resync [cycles], faillinks, window, retry
-// [counts]) selecting deterministic fault injection with go-back-N
-// reliable-link retransmission. An invalid spec — malformed syntax, a
-// negative, >1, or NaN rate — is rejected before any simulation starts, with
-// exit status 2.
+// 0..1], faillinks [a count]) selecting deterministic fault injection with
+// go-back-N reliable-link retransmission, whose window, retry budget, stall
+// length and credit-resync period are internal/fault constants. An invalid
+// spec — malformed syntax, an unknown key, a negative, >1, or NaN rate — is
+// rejected before any simulation starts, with exit status 2.
 //
 // With -checkpoint-dir and -checkpoint-every N (one without the other exits
 // 2), the run persists a complete resumable snapshot (machine state plus

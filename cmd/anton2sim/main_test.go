@@ -26,6 +26,7 @@ func TestInvalidFlagsRejected(t *testing.T) {
 		{"NaN rate", []string{"-fault", "corrupt=NaN"}, "must be finite"},
 		{"malformed spec element", []string{"-fault", "corrupt"}, "malformed spec"},
 		{"unknown spec key", []string{"-fault", "warp=0.5"}, "unknown spec key"},
+		{"retired fault key", []string{"-fault", "window=8"}, `unknown spec key "window"`},
 		{"negative faillinks", []string{"-fault", "faillinks=-1"}, "faillinks"},
 		{"negative batch", []string{"-batch", "-4"}, "batch must be positive"},
 		{"bad shape", []string{"-shape", "2x2"}, "bad shape"},

@@ -1,10 +1,9 @@
 // Package area provides a parametric silicon-area model of the Anton 2
 // network components, calibrated to the die-area breakdown the paper reports
-// (Tables 1 and 2). Scaling laws tie each category to its dominant
-// structure — queue area to VC count and buffer depth, arbiter area to
-// accumulator and weight storage, multicast area to table entries — so the
-// model supports the design ablations the paper argues from (notably the
-// one-third T-group VC reduction of Section 2.5).
+// (Tables 1 and 2). Queue area scales with each port's VC count and buffer
+// depth; every other category is the shipped design's. That prices the design
+// ablation the paper argues from — the one-third T-group VC reduction of
+// Section 2.5 — for any routing scheme's VC provisioning.
 package area
 
 import (
@@ -54,32 +53,6 @@ func (c Category) String() string {
 	return [...]string{"Queues", "Reduction", "Link", "Configuration", "Debug", "Miscellaneous", "Multicast", "Arbiters"}[c]
 }
 
-// Config holds the design parameters the model scales with.
-type Config struct {
-	// Scheme determines per-group VC counts.
-	Scheme route.Scheme
-	// MeshVCBuf / TorusVCBuf are per-VC buffer depths in flits.
-	MeshVCBuf, TorusVCBuf int
-	// MulticastEntries is the per-adapter multicast table size.
-	MulticastEntries int
-	// Patterns is the number of weight sets per inverse-weighted arbiter.
-	Patterns int
-	// WeightBits is M, the inverse-weight width.
-	WeightBits int
-}
-
-// Default returns the shipped Anton 2 configuration.
-func Default() Config {
-	return Config{
-		Scheme:           route.AntonScheme{},
-		MeshVCBuf:        topo.MeshVCBuf,
-		TorusVCBuf:       topo.TorusVCBuf,
-		MulticastEntries: 256,
-		Patterns:         2,
-		WeightBits:       5,
-	}
-}
-
 // Reference die-area calibration: Table 1 reports the network at 9.2% of
 // the ASIC (3.4 + 1.1 + 4.7), and Table 2 gives the per-component,
 // per-category split of the network area (in % of network area).
@@ -101,66 +74,46 @@ type Breakdown struct {
 	ByComponent [NumComponents][NumCategories]float64
 }
 
-// scale factors relating a configuration's structures to the reference.
-func scales(c Config) (queueRouter, queueEndpoint, queueChannel, arb, mcast float64) {
-	ref := Default()
-	// Queue bits per component type: sum over ports of VCs x depth.
-	qr := func(c Config) float64 {
-		mesh := float64(route.TotalVCs(c.Scheme, topo.GroupM) * c.MeshVCBuf)
-		torus := float64(route.TotalVCs(c.Scheme, topo.GroupT) * c.MeshVCBuf)
-		// Average router port mix: count M-group vs T-group input
-		// ports over the chip.
-		var mPorts, tPorts int
-		chip := topo.DefaultChip()
-		for ri := range chip.Routers {
-			for pi := range chip.Routers[ri].Ports {
-				p := &chip.Routers[ri].Ports[pi]
-				g := chip.IntraChans[p.InChan].Group
-				if g == topo.GroupT {
-					tPorts++
-				} else {
-					mPorts++
-				}
+// queueBits returns the queue storage, VCs x depth summed over ports, of the
+// routers and of the channel adapters under scheme s. Endpoint adapters hold
+// one VC per traffic class whatever the scheme.
+func queueBits(s route.Scheme) (routers, channelAdapters float64) {
+	mesh := float64(route.TotalVCs(s, topo.GroupM) * topo.MeshVCBuf)
+	torus := float64(route.TotalVCs(s, topo.GroupT) * topo.MeshVCBuf)
+	// Average router port mix: count M-group vs T-group input ports over
+	// the chip.
+	var mPorts, tPorts int
+	chip := topo.DefaultChip()
+	for ri := range chip.Routers {
+		for pi := range chip.Routers[ri].Ports {
+			p := &chip.Routers[ri].Ports[pi]
+			if chip.IntraChans[p.InChan].Group == topo.GroupT {
+				tPorts++
+			} else {
+				mPorts++
 			}
 		}
-		return float64(mPorts)*mesh + float64(tPorts)*torus
 	}
-	qe := func(c Config) float64 {
-		// Endpoint adapters: one VC per traffic class.
-		return float64(route.NumClasses * c.MeshVCBuf)
-	}
-	qc := func(c Config) float64 {
-		// Channel adapters: T-group VCs on both the mesh side and the
-		// serial side (deep buffers cover the torus round trip).
-		t := route.TotalVCs(c.Scheme, topo.GroupT)
-		return float64(t*c.MeshVCBuf + t*c.TorusVCBuf)
-	}
-	ar := func(c Config) float64 {
-		// Accumulators (M+1 bits), weight storage (Patterns x M bits)
-		// per input, plus the prioritized arbiter (~quarter of total,
-		// Section 4.4).
-		storage := float64(c.WeightBits+1) + float64(c.Patterns*c.WeightBits)
-		return storage + storage/3
-	}
-	mc := func(c Config) float64 { return float64(c.MulticastEntries) }
-	return qr(c) / qr(ref), qe(c) / qe(ref), qc(c) / qc(ref), ar(c) / ar(ref), mc(c) / mc(ref)
+	// Channel adapters: T-group VCs on both the mesh side and the serial
+	// side (deep buffers cover the torus round trip).
+	t := route.TotalVCs(s, topo.GroupT)
+	return float64(mPorts)*mesh + float64(tPorts)*torus, float64(t*topo.MeshVCBuf + t*topo.TorusVCBuf)
 }
 
-// Compute evaluates the model.
-func Compute(c Config) *Breakdown {
-	if c.Scheme == nil {
-		c.Scheme = route.AntonScheme{}
-	}
-	qr, qe, qc, arb, mc := scales(c)
+// Compute evaluates the model for a routing scheme's VC provisioning.
+func Compute(s route.Scheme) *Breakdown {
+	qr, qc := queueBits(s)
+	refR, refC := queueBits(route.AntonScheme{})
 	b := &Breakdown{ByComponent: table2Reference}
-	b.ByComponent[Router][Queues] *= qr
-	b.ByComponent[EndpointAdapter][Queues] *= qe
-	b.ByComponent[ChannelAdapter][Queues] *= qc
-	for comp := Component(0); comp < NumComponents; comp++ {
-		b.ByComponent[comp][Arbiters] *= arb
-		b.ByComponent[comp][Multicast] *= mc
-	}
+	b.ByComponent[Router][Queues] *= qr / refR
+	b.ByComponent[ChannelAdapter][Queues] *= qc / refC
 	return b
+}
+
+// RatioVsAnton prices a scheme's VC provisioning against the paper's scheme:
+// the ratio of the two network areas.
+func RatioVsAnton(s route.Scheme) float64 {
+	return Compute(s).NetworkTotal() / Compute(route.AntonScheme{}).NetworkTotal()
 }
 
 // ComponentTotal returns a component type's total area units.

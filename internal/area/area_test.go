@@ -9,7 +9,7 @@ import (
 )
 
 func TestTable1Reference(t *testing.T) {
-	b := Compute(Default())
+	b := Compute(route.AntonScheme{})
 	t1 := b.Table1()
 	want := [NumComponents]float64{Router: 3.4, EndpointAdapter: 1.1, ChannelAdapter: 4.7}
 	for c := Component(0); c < NumComponents; c++ {
@@ -24,7 +24,7 @@ func TestTable1Reference(t *testing.T) {
 }
 
 func TestTable2Reference(t *testing.T) {
-	b := Compute(Default())
+	b := Compute(route.AntonScheme{})
 	_, total := b.Table2()
 	want := map[Category]float64{
 		Queues: 46.6, Reduction: 9.6, Link: 8.9, ConfigRegs: 8.6,
@@ -51,10 +51,8 @@ func TestTable2Reference(t *testing.T) {
 // the prior 2n-VC approach needs substantially more queue area, since queue
 // area is roughly proportional to VC count.
 func TestBaselineSchemeCostsMoreQueueArea(t *testing.T) {
-	anton := Compute(Default())
-	cfg := Default()
-	cfg.Scheme = route.BaselineScheme{}
-	baseline := Compute(cfg)
+	anton := Compute(route.AntonScheme{})
+	baseline := Compute(route.BaselineScheme{})
 
 	aQ := anton.ByComponent[Router][Queues] + anton.ByComponent[ChannelAdapter][Queues]
 	bQ := baseline.ByComponent[Router][Queues] + baseline.ByComponent[ChannelAdapter][Queues]
@@ -69,36 +67,8 @@ func TestBaselineSchemeCostsMoreQueueArea(t *testing.T) {
 	}
 	// The whole-network figure EXPERIMENTS.md "Ablations" quotes (the last
 	// line of `anton2bench table2`).
-	if g := baseline.NetworkTotal()/anton.NetworkTotal() - 1; math.Abs(g-0.133) > 0.0005 {
+	if g := RatioVsAnton(route.BaselineScheme{}) - 1; math.Abs(g-0.133) > 0.0005 {
 		t.Errorf("baseline network-area growth = %.2f%%, want 13.3%%", g*100)
-	}
-}
-
-func TestArbiterAreaScalesWithPatterns(t *testing.T) {
-	one := Default()
-	one.Patterns = 1
-	four := Default()
-	four.Patterns = 4
-	a1 := Compute(one).ByComponent[Router][Arbiters]
-	a4 := Compute(four).ByComponent[Router][Arbiters]
-	if a4 <= a1 {
-		t.Error("more weight sets must cost more arbiter area")
-	}
-	// Storage dominates (~3/4 of arbiter area per Section 4.4).
-	if a4/a1 > 2.5 {
-		t.Errorf("4-pattern arbiter %.2fx larger; storage scaling looks wrong", a4/a1)
-	}
-}
-
-func TestMulticastAreaScalesWithEntries(t *testing.T) {
-	small := Default()
-	small.MulticastEntries = 128
-	big := Default()
-	big.MulticastEntries = 512
-	s := Compute(small).ByComponent[EndpointAdapter][Multicast]
-	l := Compute(big).ByComponent[EndpointAdapter][Multicast]
-	if math.Abs(l/s-4) > 1e-9 {
-		t.Errorf("multicast area ratio = %g, want 4 (table-dominated)", l/s)
 	}
 }
 

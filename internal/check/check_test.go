@@ -10,7 +10,6 @@ import (
 	"anton2/internal/core"
 	"anton2/internal/machine"
 	"anton2/internal/multicast"
-	"anton2/internal/power"
 	"anton2/internal/route"
 	"anton2/internal/topo"
 	"anton2/internal/traffic"
@@ -225,8 +224,7 @@ func TestVerifiedSweeps8x8x8(t *testing.T) {
 		mc := machine.DefaultConfig(shape)
 		mc.Check = true
 		pt, err := core.RunEnergy(core.EnergyConfig{
-			Machine: mc, Model: power.PaperModel,
-			RateNum: 1, RateDen: 2, Payload: core.PayloadRandom, Flits: 200,
+			Machine: mc, RateNum: 1, RateDen: 2, Payload: core.PayloadRandom, Flits: 200,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -16,7 +16,6 @@ import (
 	"anton2/internal/exp"
 	"anton2/internal/loadcalc"
 	"anton2/internal/machine"
-	"anton2/internal/power"
 	"anton2/internal/route"
 	"anton2/internal/topo"
 	"anton2/internal/traffic"
@@ -193,7 +192,6 @@ func TestSerialParallelBitIdentical(t *testing.T) {
 	t.Run("energy", func(t *testing.T) {
 		cfg := core.EnergyConfig{
 			Machine: machine.DefaultConfig(topo.Shape3(1, 1, 1)),
-			Model:   power.PaperModel,
 			Payload: core.PayloadRandom,
 			Flits:   300,
 		}

@@ -45,7 +45,6 @@ type BlendConfig struct {
 	ForwardFraction float64
 	Weights         WeightMode
 	Batch           int
-	MaxCycles       uint64
 }
 
 // BlendResult is one measured blending point.
@@ -121,7 +120,7 @@ func runBlend(cfg BlendConfig, rc ckpt.RunConfig) (BlendResult, error) {
 			}
 			return rev.Dest(tm, src, rng), pid
 		},
-		maxCycles: cycleBudget(cfg.MaxCycles, cfg.Batch, satRate, 60, 300_000),
+		maxCycles: cycleBudget(cfg.Batch, satRate, 60, 300_000),
 		tag:       BlendSpec(cfg).Canonical(),
 		label:     fmt.Sprintf("blend run (f=%.2f, %v)", cfg.ForwardFraction, cfg.Weights),
 	}, rc)

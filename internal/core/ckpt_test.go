@@ -127,16 +127,33 @@ func TestThroughputCkptResume(t *testing.T) {
 	}
 }
 
-// TestResumedBudgetIsAbsolute: MaxCycles bounds a run from cycle 0. A point
-// that cannot meet its budget fails at the same cycle — the error is part of
-// its canonical artifact — whether it ran uninterrupted or was killed at a
-// checkpoint and resumed with that much of the budget already spent.
+// TestResumedBudgetIsAbsolute: a batch point's cycle budget bounds it from
+// cycle 0. A point that cannot meet its budget fails at the same cycle — the
+// error is part of its canonical artifact — whether it ran uninterrupted or
+// was killed at a checkpoint and resumed with that much of the budget already
+// spent. The point is the golden fig9 one under a 250-cycle budget.
 func TestResumedBudgetIsAbsolute(t *testing.T) {
 	machineBuilt = probeSeam
 	defer func() { machineBuilt = nil }()
 	cfg := tpCkptConfig(7)
-	cfg.MaxCycles = 250
-	job := ThroughputJob(cfg)
+	spec := ThroughputSpec(cfg)
+	run := func(seed uint64, rc ckpt.RunConfig) (any, error) {
+		mc := cfg.Machine
+		mc.Seed = seed
+		_, _, _, err := runBatch(batchPoint{
+			machine: mc,
+			stream:  "tp",
+			batch:   cfg.Batch,
+			draw: func(tm *topo.Machine, src topo.NodeEp, rng *rand.Rand) (topo.NodeEp, uint8) {
+				return cfg.Pattern.Dest(tm, src, rng), 0
+			},
+			maxCycles: 250,
+			tag:       spec.Canonical(),
+			label:     "budget run",
+		}, rc)
+		return nil, err
+	}
+	job := exp.Job{Spec: spec, Run: func(seed uint64) (any, error) { return run(seed, ckpt.RunConfig{}) }, RunCkpt: run}
 	ref := exp.Run([]exp.Job{job}, exp.Serial())[0]
 	var timeout *sim.ErrTimeout
 	if !errors.As(ref.Err, &timeout) || timeout.Cycle != 250 {
@@ -270,9 +287,9 @@ func batchCkptJobs(mutate func(*machine.Config)) map[string]exp.Job {
 	return map[string]exp.Job{
 		"fig10": BlendJob(BlendConfig{Machine: mc(topo.Shape3(4, 2, 2), nil), Weights: WeightsBoth, ForwardFraction: 0.5, Batch: 16}),
 		"faultsweep/transient": FaultJob(FaultConfig{Pattern: traffic.Uniform{}, Batch: 16,
-			Machine: mc(small, &fault.Spec{CorruptRate: 0.02, StallRate: 0.001, StallCycles: 40, Window: 16})}),
+			Machine: mc(small, &fault.Spec{CorruptRate: 0.02, StallRate: 0.001})}),
 		"faultsweep/faillinks":          FaultJob(FaultConfig{Pattern: traffic.Uniform{}, Batch: 16, Machine: mc(small, &fault.Spec{FailLinks: 1})}),
-		"routecompare/healthy":          RouteCompareJob(RouteCompareConfig{Machine: mc(small, nil), Pattern: traffic.Uniform{}, Batch: 16, VerifyDeadlock: true}),
+		"routecompare/healthy":          RouteCompareJob(RouteCompareConfig{Machine: mc(small, nil), Pattern: traffic.Uniform{}, Batch: 16}),
 		"routecompare/angara-faillinks": RouteCompareJob(rc),
 	}
 }

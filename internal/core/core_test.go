@@ -191,8 +191,7 @@ func TestEnergyFigure13Shape(t *testing.T) {
 	mc := machine.DefaultConfig(topo.Shape3(1, 1, 1))
 	run := func(payload PayloadKind, num, den int) EnergyPoint {
 		pt, err := RunEnergy(EnergyConfig{
-			Machine: mc, Model: power.PaperModel,
-			RateNum: num, RateDen: den, Payload: payload, Flits: 1500,
+			Machine: mc, RateNum: num, RateDen: den, Payload: payload, Flits: 1500,
 		})
 		if err != nil {
 			t.Fatal(err)

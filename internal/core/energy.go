@@ -30,12 +30,11 @@ func (p PayloadKind) String() string {
 // EnergyConfig describes a Section 4.5 router-energy measurement: a single
 // core streams single-flit packets around a circuitous on-chip route at a
 // controlled injection rate with maximized activation rate; router power is
-// recovered by subtracting a short-route run from a long-route run.
+// recovered by subtracting a short-route run from a long-route run, with
+// power.PaperModel assigning energy to the counted events (the simulation's
+// ground truth, standing in for the voltage-regulator telemetry).
 type EnergyConfig struct {
 	Machine machine.Config
-	// Model assigns energy to counted events (the simulation's ground
-	// truth, standing in for the voltage-regulator telemetry).
-	Model power.Model
 	// RateNum/RateDen is the injection rate r = num/den.
 	RateNum, RateDen int
 	Payload          PayloadKind
@@ -223,8 +222,8 @@ func RunEnergy(cfg EnergyConfig) (EnergyPoint, error) {
 	hopsShort := routerHops(loopRoute(chip, false, home))
 	hopsLong := routerHops(loopRoute(chip, true, home))
 
-	eShort := cfg.Model.WindowEnergy(cShort)
-	eLong := cfg.Model.WindowEnergy(cLong)
+	eShort := power.PaperModel.WindowEnergy(cShort)
+	eLong := power.PaperModel.WindowEnergy(cLong)
 	flits := float64(cfg.Flits)
 	perHopPerFlit := (eLong - eShort) / float64(hopsLong-hopsShort) / flits
 
@@ -289,7 +288,7 @@ func init() {
 				mc := machine.DefaultConfig(topo.Shape3(1, 1, 1))
 				mutate(&mc)
 				jobs = append(jobs, EnergyJob(EnergyConfig{
-					Machine: mc, Model: power.PaperModel,
+					Machine: mc,
 					RateNum: r[0], RateDen: r[1],
 					Payload: a.Payload, Flits: a.Flits,
 				}))

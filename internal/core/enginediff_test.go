@@ -151,7 +151,7 @@ var diffRows = []struct {
 		family: "faultsweep",
 		engine: []Axes{{
 			Shape: paperShape, Rates: []float64{0, 0.02}, Batch: 8,
-			Fault: fault.Spec{StallRate: 0.001, StallCycles: 16, CreditLossRate: 0.01},
+			Fault: fault.Spec{StallRate: 0.001, CreditLossRate: 0.01},
 		}},
 		// One permanent outage plus background corruption: the reroute path
 		// (or, for angara, the native fault-routing path) must itself be

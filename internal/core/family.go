@@ -165,6 +165,9 @@ func checkShape(a *Axes) error {
 	if err := a.Shape.Validate(); err != nil {
 		return badAxis("shape", "%v", err)
 	}
+	if a.Shape.NumNodes() < 2 {
+		return badAxis("shape", "%v is a single node; the family measures traffic between nodes", a.Shape)
+	}
 	return nil
 }
 

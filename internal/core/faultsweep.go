@@ -24,9 +24,6 @@ type FaultConfig struct {
 	Pattern traffic.Pattern
 	// Batch is the number of packets each core sends.
 	Batch int
-	// MaxCycles bounds the run (0 = a generous default, scaled up for
-	// retransmission overhead).
-	MaxCycles uint64
 }
 
 // FaultPoint is one measured faultsweep point.
@@ -72,7 +69,7 @@ func runFaultPoint(cfg FaultConfig, rc ckpt.RunConfig) (FaultPoint, error) {
 		pt.Spec = cfg.Machine.Fault.Canonical()
 		pt.CorruptRate = cfg.Machine.Fault.CorruptRate
 	}
-	_, end, acc, err := runBatch(latencyBatch(cfg.Machine, "fault", cfg.Pattern, cfg.Batch, cfg.MaxCycles, satRate,
+	_, end, acc, err := runBatch(latencyBatch(cfg.Machine, "fault", cfg.Pattern, cfg.Batch, satRate,
 		FaultSpec(cfg), fmt.Sprintf("fault run (%s)", pt.Spec)), rc)
 	if err != nil {
 		return pt, err
@@ -91,10 +88,10 @@ func runFaultPoint(cfg FaultConfig, rc ckpt.RunConfig) (FaultPoint, error) {
 
 // latencyBatch is the batch point faultsweep and routecompare share: every
 // core draws its destinations from pattern, every delivery records its
-// latency, and the default budget is the throughput default doubled (100x the
+// latency, and the cycle budget is the throughput budget doubled (100x the
 // lossless ideal, floor 400k cycles) — retransmission, stall and reroute
 // overhead stretches completion well past the ideal.
-func latencyBatch(mc machine.Config, stream string, pattern traffic.Pattern, batch int, maxCycles uint64, satRate float64,
+func latencyBatch(mc machine.Config, stream string, pattern traffic.Pattern, batch int, satRate float64,
 	spec *exp.Spec, label string) batchPoint {
 	return batchPoint{
 		machine: mc,
@@ -103,7 +100,7 @@ func latencyBatch(mc machine.Config, stream string, pattern traffic.Pattern, bat
 		draw: func(tm *topo.Machine, src topo.NodeEp, rng *rand.Rand) (topo.NodeEp, uint8) {
 			return pattern.Dest(tm, src, rng), 0
 		},
-		maxCycles: cycleBudget(maxCycles, batch, satRate, 100, 400_000),
+		maxCycles: cycleBudget(batch, satRate, 100, 400_000),
 		latencies: true,
 		tag:       spec.Canonical(),
 		label:     label,
@@ -117,7 +114,7 @@ func FaultSpec(cfg FaultConfig) *exp.Spec {
 	addMachine(s, cfg.Machine)
 	return s.Add("pattern", cfg.Pattern.Name()).
 		Add("batch", cfg.Batch).
-		Add("maxcycles", cfg.MaxCycles)
+		Add("maxcycles", noCycleBound)
 }
 
 // FaultJob wraps one RunFaultPoint call for the orchestrator.

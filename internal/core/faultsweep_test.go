@@ -10,7 +10,6 @@ import (
 	"anton2/internal/exp"
 	"anton2/internal/fault"
 	"anton2/internal/machine"
-	"anton2/internal/power"
 	"anton2/internal/telemetry"
 	"anton2/internal/topo"
 	"anton2/internal/traffic"
@@ -72,7 +71,7 @@ func TestFaultSweepSerialParallelIdentical(t *testing.T) {
 	var jobs []exp.Job
 	for _, r := range []float64{0.005, 0.02, 0.05} {
 		c := cfg
-		c.Machine.Fault = &fault.Spec{CorruptRate: r, StallRate: 0.001, StallCycles: 12}
+		c.Machine.Fault = &fault.Spec{CorruptRate: r, StallRate: 0.001}
 		jobs = append(jobs, FaultJob(c))
 	}
 	serial := exp.Run(jobs, exp.Serial())
@@ -110,8 +109,7 @@ func TestFaultFreeSpecsUnchanged(t *testing.T) {
 			Machine: mc, PingPongs: 4,
 		}).Canonical(),
 		"energy": EnergySpec(EnergyConfig{
-			Machine: mc, Model: power.Model{Fixed: 1},
-			RateNum: 1, RateDen: 8, Flits: 4,
+			Machine: mc, RateNum: 1, RateDen: 8, Flits: 4,
 		}).Canonical(),
 		"faultsweep": FaultSpec(FaultConfig{
 			Machine: mc, Pattern: traffic.Uniform{}, Batch: 32,

@@ -6,6 +6,7 @@ import (
 	"anton2/internal/ckpt"
 	"anton2/internal/exp"
 	"anton2/internal/machine"
+	"anton2/internal/power"
 	"anton2/internal/topo"
 	"anton2/internal/traffic"
 )
@@ -97,6 +98,11 @@ func patternNames(pats []traffic.Pattern) string {
 	return names
 }
 
+// noCycleBound is the frozen maxcycles token of the batch families' specs:
+// no caller bounds a point's cycles (cycleBudget does), as every stored spec
+// says.
+const noCycleBound = 0
+
 // ThroughputSpec canonically identifies one Figure 9 style point.
 func ThroughputSpec(cfg ThroughputConfig) *exp.Spec {
 	s := exp.NewSpec("throughput")
@@ -105,7 +111,7 @@ func ThroughputSpec(cfg ThroughputConfig) *exp.Spec {
 		Add("weights", patternNames(cfg.WeightPatterns)).
 		Add("pid", cfg.PatternID).
 		Add("batch", cfg.Batch).
-		Add("maxcycles", cfg.MaxCycles)
+		Add("maxcycles", noCycleBound)
 }
 
 // ThroughputJob wraps one RunThroughput call for the orchestrator.
@@ -120,7 +126,7 @@ func BlendSpec(cfg BlendConfig) *exp.Spec {
 	return s.Add("f", cfg.ForwardFraction).
 		Add("weights", cfg.Weights).
 		Add("batch", cfg.Batch).
-		Add("maxcycles", cfg.MaxCycles)
+		Add("maxcycles", noCycleBound)
 }
 
 // BlendJob wraps one RunBlend call for the orchestrator.
@@ -145,12 +151,13 @@ func LatencyJob(cfg LatencyConfig) exp.Job {
 	return pointJob(LatencySpec(cfg), cfg, func(c *LatencyConfig) *machine.Config { return &c.Machine }, RunLatency, nil)
 }
 
-// EnergySpec canonically identifies one Figure 13 energy point.
+// EnergySpec canonically identifies one Figure 13 energy point. The model
+// token spells out power.PaperModel, which prices every point.
 func EnergySpec(cfg EnergyConfig) *exp.Spec {
+	m := power.PaperModel
 	s := exp.NewSpec("energy")
 	addMachine(s, cfg.Machine)
-	return s.Add("model", fmt.Sprintf("%g/%g/%g/%g",
-		cfg.Model.Fixed, cfg.Model.PerBitFlip, cfg.Model.PerActivation, cfg.Model.PerActSetBit)).
+	return s.Add("model", fmt.Sprintf("%g/%g/%g/%g", m.Fixed, m.PerBitFlip, m.PerActivation, m.PerActSetBit)).
 		Add("ratenum", cfg.RateNum).
 		Add("rateden", cfg.RateDen).
 		Add("payload", cfg.Payload).

@@ -10,7 +10,6 @@ import (
 	"anton2/internal/exp"
 	"anton2/internal/fault"
 	"anton2/internal/machine"
-	"anton2/internal/route"
 	"anton2/internal/stats"
 	"anton2/internal/topo"
 	"anton2/internal/traffic"
@@ -31,13 +30,12 @@ type RouteCompareConfig struct {
 	Pattern traffic.Pattern
 	// Batch is the number of packets each core sends.
 	Batch int
-	// MaxCycles bounds the run (0 = a generous default).
-	MaxCycles uint64
-	// VerifyDeadlock runs the static analyzer on the run's shape and
-	// records the verdict (set on the healthy point of each strategy;
-	// the verdict is fail-count-independent).
-	VerifyDeadlock bool
 }
+
+// verifiesDeadlock reports whether a point runs the static analyzer on its
+// shape and records the verdict: a point with no failed links does, and its
+// verdict stands for the strategy at every fail-link count.
+func verifiesDeadlock(mc machine.Config) bool { return mc.Fault == nil || mc.Fault.FailLinks == 0 }
 
 // RouteComparePoint is one measured routecompare cell.
 type RouteComparePoint struct {
@@ -50,8 +48,8 @@ type RouteComparePoint struct {
 	// AreaVsAnton is the network-area ratio of this strategy's VC
 	// provisioning against the paper's scheme (internal/area).
 	AreaVsAnton float64 `json:"area_vs_anton"`
-	// DeadlockVerified/DeadlockFree report the static analyzer verdict
-	// when VerifyDeadlock was set.
+	// DeadlockVerified/DeadlockFree report the static analyzer verdict of a
+	// point with no failed links.
 	DeadlockVerified bool `json:"deadlock_verified,omitempty"`
 	DeadlockFree     bool `json:"deadlock_free,omitempty"`
 	// SatRate is the strategy's own analytic saturation rate
@@ -84,14 +82,6 @@ func (p RouteComparePoint) SimCycles() uint64 { return p.Cycles }
 // Degraded implements exp.Degrader for result classification.
 func (p RouteComparePoint) Degraded() bool { return p.DegradedRun }
 
-// AreaRatioVsAnton prices a strategy's VC provisioning against the paper's
-// scheme: the network-area ratio at otherwise-default area parameters.
-func AreaRatioVsAnton(s route.Scheme) float64 {
-	cfg := area.Default()
-	cfg.Scheme = s
-	return area.Compute(cfg).NetworkTotal() / area.Compute(area.Default()).NetworkTotal()
-}
-
 // RunRouteComparePoint executes one routecompare measurement.
 func RunRouteComparePoint(cfg RouteCompareConfig) (RouteComparePoint, error) {
 	return runRouteComparePoint(cfg, ckpt.RunConfig{})
@@ -105,7 +95,7 @@ func runRouteComparePoint(cfg RouteCompareConfig, rc ckpt.RunConfig) (RouteCompa
 		Strategy:    scheme.Name(),
 		MeshVCs:     scheme.MeshVCs(),
 		TorusVCs:    scheme.TorusVCs(),
-		AreaVsAnton: AreaRatioVsAnton(scheme),
+		AreaVsAnton: area.RatioVsAnton(scheme),
 		Batch:       cfg.Batch,
 	}
 	if cfg.Machine.Fault != nil {
@@ -118,12 +108,12 @@ func runRouteComparePoint(cfg RouteCompareConfig, rc ckpt.RunConfig) (RouteCompa
 	pt.SatRate = satRate
 	pt.MeanTorusHops = measured.MeanTorusHops
 
-	m, end, acc, err := runBatch(latencyBatch(cfg.Machine, "rc", cfg.Pattern, cfg.Batch, cfg.MaxCycles, satRate,
+	m, end, acc, err := runBatch(latencyBatch(cfg.Machine, "rc", cfg.Pattern, cfg.Batch, satRate,
 		RouteCompareSpec(cfg), fmt.Sprintf("routecompare %s (faillinks=%d)", pt.Strategy, pt.FailLinks)), rc)
 	if err != nil {
 		return pt, err
 	}
-	if cfg.VerifyDeadlock {
+	if verifiesDeadlock(cfg.Machine) {
 		pt.DeadlockVerified = true
 		pt.DeadlockFree = deadlock.Verify(m.RouteConfig()) == nil
 	}
@@ -150,8 +140,8 @@ func RouteCompareSpec(cfg RouteCompareConfig) *exp.Spec {
 	addMachine(s, cfg.Machine)
 	return s.Add("pattern", cfg.Pattern.Name()).
 		Add("batch", cfg.Batch).
-		Add("maxcycles", cfg.MaxCycles).
-		Add("verify", cfg.VerifyDeadlock)
+		Add("maxcycles", noCycleBound).
+		Add("verify", verifiesDeadlock(cfg.Machine))
 }
 
 // RouteCompareJob wraps one RunRouteComparePoint call for the orchestrator.
@@ -210,12 +200,7 @@ func init() {
 						mc.Fault = &fault.Spec{FailLinks: n}
 					}
 					mutate(&mc)
-					jobs = append(jobs, RouteCompareJob(RouteCompareConfig{
-						Machine:        mc,
-						Pattern:        a.Pattern,
-						Batch:          a.Batch,
-						VerifyDeadlock: n == 0,
-					}))
+					jobs = append(jobs, RouteCompareJob(RouteCompareConfig{Machine: mc, Pattern: a.Pattern, Batch: a.Batch}))
 				}
 			}
 			return jobs

@@ -30,8 +30,6 @@ type ThroughputConfig struct {
 	PatternID uint8
 	// Batch is the number of packets each core sends.
 	Batch int
-	// MaxCycles bounds the run (0 = a generous default).
-	MaxCycles uint64
 }
 
 // ThroughputResult is one measured point.
@@ -68,7 +66,7 @@ func runThroughput(cfg ThroughputConfig, rc ckpt.RunConfig) (ThroughputResult, e
 		draw: func(tm *topo.Machine, src topo.NodeEp, rng *rand.Rand) (topo.NodeEp, uint8) {
 			return cfg.Pattern.Dest(tm, src, rng), cfg.PatternID
 		},
-		maxCycles: cycleBudget(cfg.MaxCycles, cfg.Batch, satRate, 50, 200_000),
+		maxCycles: cycleBudget(cfg.Batch, satRate, 50, 200_000),
 		tag:       ThroughputSpec(cfg).Canonical(),
 		label:     fmt.Sprintf("throughput run (%s, batch %d)", cfg.Pattern.Name(), cfg.Batch),
 	}, rc)

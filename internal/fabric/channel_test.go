@@ -194,18 +194,6 @@ func TestHammingAndSetBitsHelpers(t *testing.T) {
 	}
 }
 
-func TestSizeForPayload(t *testing.T) {
-	if packet.SizeForPayload(16) != 1 || packet.SizeForPayload(17) != 2 || packet.SizeForPayload(32) != 2 {
-		t.Error("flit sizing wrong")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("oversized payload must panic")
-		}
-	}()
-	packet.SizeForPayload(33)
-}
-
 // TestChannelCreditInvariantProperty: under random interleavings of sends,
 // credit returns, and time advances, the sender-side credit never exceeds
 // the buffer capacity and never goes negative, and flits are conserved.

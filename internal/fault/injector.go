@@ -23,8 +23,8 @@ type Injector struct {
 	credit  []uint64
 }
 
-// NewInjector builds an injector for links torus links. The spec should
-// already be normalized; seed is the spec-hash-derived machine seed.
+// NewInjector builds an injector for links torus links; seed is the
+// spec-hash-derived machine seed.
 func NewInjector(spec Spec, seed uint64, links int) *Injector {
 	in := &Injector{
 		spec:    spec,

@@ -18,18 +18,25 @@ import (
 	"strings"
 )
 
-// Default protocol parameters, applied by Normalized when the spec leaves
-// them zero.
+// The reliable-link protocol's parameters, the same on every link. The
+// machine derives each link's ack-progress timeout from the link's latency
+// and StallCycles.
 const (
-	DefaultWindow      = 256
-	DefaultRetryLimit  = 16
-	DefaultStallCycles = 64
-	DefaultResync      = 1024
+	// Window is the go-back-N sliding window in frames.
+	Window = 256
+	// RetryLimit bounds how many times a sender may rewind while its window
+	// base makes no progress before the link is declared dead and the run
+	// fails with a BudgetError.
+	RetryLimit = 16
+	// StallCycles is the duration of one transient stall.
+	StallCycles = 64
+	// ResyncInterval is the period of the credit resync audit in cycles.
+	ResyncInterval = 1024
 )
 
-// Spec configures the fault injector and the reliable-link protocol. The
-// zero value means "no faults" but, attached to a machine config, still
-// enables the go-back-N reliability layer on every torus link.
+// Spec configures the fault injector. The zero value means "no faults" but,
+// attached to a machine config, still enables the go-back-N reliability
+// layer on every torus link.
 type Spec struct {
 	// CorruptRate is the per-frame probability that a transmitted torus
 	// frame is corrupted on the wire (detected by the receiver's CRC and
@@ -39,8 +46,6 @@ type Spec struct {
 	// torus link begins a transient stall of StallCycles cycles during
 	// which it accepts no new frames.
 	StallRate float64
-	// StallCycles is the duration of one transient stall.
-	StallCycles uint64
 	// CreditLossRate is the per-message probability that a credit return
 	// on a torus link is dropped. Lost credits are restored by a periodic
 	// resync audit every ResyncInterval cycles.
@@ -49,35 +54,6 @@ type Spec struct {
 	// service (unidirectional outages), chosen deterministically from the
 	// seed. Traffic is rerouted around them at injection time.
 	FailLinks int
-	// Window is the go-back-N sliding window in frames (default 256).
-	Window int
-	// RetryLimit bounds how many times the sender may rewind while its
-	// window base makes no progress before the link is declared dead and
-	// the run fails with a BudgetError (default 16).
-	RetryLimit int
-	// TimeoutCycles is the ack-progress timeout before the sender rewinds
-	// to its window base. Zero derives a default from the link latency.
-	TimeoutCycles uint64
-	// ResyncInterval is the period of the credit resync audit in cycles
-	// (default 1024).
-	ResyncInterval uint64
-}
-
-// Normalized returns the spec with protocol defaults filled in.
-func (s Spec) Normalized() Spec {
-	if s.Window <= 0 {
-		s.Window = DefaultWindow
-	}
-	if s.RetryLimit <= 0 {
-		s.RetryLimit = DefaultRetryLimit
-	}
-	if s.StallCycles == 0 {
-		s.StallCycles = DefaultStallCycles
-	}
-	if s.ResyncInterval == 0 {
-		s.ResyncInterval = DefaultResync
-	}
-	return s
 }
 
 // Validate rejects rates outside [0,1], non-finite rates, and negative
@@ -102,38 +78,33 @@ func (s Spec) Validate() error {
 	if s.FailLinks < 0 {
 		return fmt.Errorf("fault: faillinks must be >= 0, got %d", s.FailLinks)
 	}
-	if s.Window < 0 {
-		return fmt.Errorf("fault: window must be >= 0, got %d", s.Window)
-	}
-	if s.RetryLimit < 0 {
-		return fmt.Errorf("fault: retry must be >= 0, got %d", s.RetryLimit)
-	}
 	return nil
 }
 
 // Canonical renders the spec as a stable, order-fixed key=value string. It is
-// embedded in experiment spec canonical forms (and hence cache keys), so its
-// format must never change for a given field set.
+// embedded in experiment spec canonical forms (and hence cache keys, which
+// address stored artifacts), so its format must never change: the five
+// protocol tokens ParseSpec no longer accepts are still written, as the 0
+// every stored spec holds.
 func (s Spec) Canonical() string {
 	g := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 	parts := []string{
 		"corrupt=" + g(s.CorruptRate),
 		"stall=" + g(s.StallRate),
-		"stallcycles=" + strconv.FormatUint(s.StallCycles, 10),
+		"stallcycles=0",
 		"creditloss=" + g(s.CreditLossRate),
 		"faillinks=" + strconv.Itoa(s.FailLinks),
-		"window=" + strconv.Itoa(s.Window),
-		"retry=" + strconv.Itoa(s.RetryLimit),
-		"timeout=" + strconv.FormatUint(s.TimeoutCycles, 10),
-		"resync=" + strconv.FormatUint(s.ResyncInterval, 10),
+		"window=0",
+		"retry=0",
+		"timeout=0",
+		"resync=0",
 	}
 	return strings.Join(parts, ",")
 }
 
 // ParseSpec parses a comma-separated key=value fault spec, e.g.
-// "corrupt=1e-3,faillinks=1,stall=1e-4,stallcycles=32". Recognized keys:
-// corrupt, stall, stallcycles, creditloss, faillinks, window, retry,
-// timeout, resync. The result is validated but not normalized.
+// "corrupt=1e-3,faillinks=1,stall=1e-4". Recognized keys: corrupt, stall,
+// creditloss, faillinks. The result is validated.
 func ParseSpec(text string) (Spec, error) {
 	var s Spec
 	text = strings.TrimSpace(text)
@@ -154,18 +125,8 @@ func ParseSpec(text string) (Spec, error) {
 			s.StallRate, err = strconv.ParseFloat(val, 64)
 		case "creditloss":
 			s.CreditLossRate, err = strconv.ParseFloat(val, 64)
-		case "stallcycles":
-			s.StallCycles, err = strconv.ParseUint(val, 10, 64)
-		case "timeout":
-			s.TimeoutCycles, err = strconv.ParseUint(val, 10, 64)
-		case "resync":
-			s.ResyncInterval, err = strconv.ParseUint(val, 10, 64)
 		case "faillinks":
 			s.FailLinks, err = strconv.Atoi(val)
-		case "window":
-			s.Window, err = strconv.Atoi(val)
-		case "retry":
-			s.RetryLimit, err = strconv.Atoi(val)
 		default:
 			return s, fmt.Errorf("fault: unknown spec key %q", key)
 		}

@@ -7,15 +7,11 @@ import (
 )
 
 func TestParseSpec(t *testing.T) {
-	s, err := ParseSpec("corrupt=1e-3,faillinks=2,stall=0.25,stallcycles=32,creditloss=1e-5,window=8,retry=3,timeout=100,resync=512")
+	s, err := ParseSpec("corrupt=1e-3,faillinks=2,stall=0.25,creditloss=1e-5")
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := Spec{
-		CorruptRate: 1e-3, StallRate: 0.25, StallCycles: 32,
-		CreditLossRate: 1e-5, FailLinks: 2, Window: 8, RetryLimit: 3,
-		TimeoutCycles: 100, ResyncInterval: 512,
-	}
+	want := Spec{CorruptRate: 1e-3, StallRate: 0.25, CreditLossRate: 1e-5, FailLinks: 2}
 	if s != want {
 		t.Fatalf("parsed %+v, want %+v", s, want)
 	}
@@ -35,12 +31,22 @@ func TestParseSpecRejects(t *testing.T) {
 		"corrupt",            // missing value
 		"=3",                 // missing key
 		"corrupt=zebra",      // unparsable value
-		"stallcycles=-5",     // negative duration
 		"creditloss=-1e-300", // tiny negative rate
 	}
 	for _, text := range bad {
 		if _, err := ParseSpec(text); err == nil {
 			t.Errorf("ParseSpec(%q) accepted a malformed spec", text)
+		}
+	}
+}
+
+// TestParseSpecRefusesProtocolKeys: the go-back-N parameters are package
+// constants, so a spec that sets one is refused, naming the key.
+func TestParseSpecRefusesProtocolKeys(t *testing.T) {
+	for _, kv := range []string{"window=8", "retry=3", "timeout=100", "resync=512", "stallcycles=32"} {
+		key, _, _ := strings.Cut(kv, "=")
+		if _, err := ParseSpec("corrupt=0.01," + kv); err == nil || !strings.Contains(err.Error(), `unknown spec key "`+key+`"`) {
+			t.Errorf("ParseSpec(%q) = %v, want it refused naming %q", kv, err, key)
 		}
 	}
 }
@@ -65,23 +71,10 @@ func TestCanonicalStable(t *testing.T) {
 	if got := s.Canonical(); got != want {
 		t.Fatalf("canonical form drifted:\n got  %s\n want %s", got, want)
 	}
-	// Canonical must render the raw spec, not the normalized one, so cache
-	// keys do not depend on the default constants.
-	if got := s.Normalized().Canonical(); !strings.Contains(got, "window=256") {
-		t.Fatalf("normalized canonical missing defaults: %s", got)
-	}
-}
-
-func TestNormalizedDefaults(t *testing.T) {
-	n := (Spec{}).Normalized()
-	if n.Window != DefaultWindow || n.RetryLimit != DefaultRetryLimit ||
-		n.StallCycles != DefaultStallCycles || n.ResyncInterval != DefaultResync {
-		t.Fatalf("defaults not applied: %+v", n)
-	}
 }
 
 func TestInjectorDeterminism(t *testing.T) {
-	spec := Spec{CorruptRate: 0.3, StallRate: 0.1, CreditLossRate: 0.2, FailLinks: 3}.Normalized()
+	spec := Spec{CorruptRate: 0.3, StallRate: 0.1, CreditLossRate: 0.2, FailLinks: 3}
 	a := NewInjector(spec, 42, 12)
 	b := NewInjector(spec, 42, 12)
 	for i := 0; i < 1000; i++ {

@@ -7,7 +7,7 @@ import "anton2/internal/wire"
 // counters, appended to and read back from the machine snapshot. Everything
 // here is plain integers, so a restored run draws the exact same fault
 // schedule the uninterrupted run would have. Wiring parameters (window,
-// timeout, retry limit) are rebuilt from the machine config and are
+// timeout, retry limit) are constants or derived from the link, and are
 // deliberately absent.
 
 // AppendState appends the sender's protocol position.

@@ -299,7 +299,7 @@ func transition(l *loadcalc.Loads, chip *topo.Chip, a, b route.Hop, w float64, c
 		_, ach := m.IntraChanOf(a.Chan)
 		_, bch := m.IntraChanOf(b.Chan)
 		in := chip.InPortOf(ach.ID)
-		out := chip.OutPortOf(bch.ID)
+		out := outPort(chip, bch.ID)
 		if in.Router < 0 || out.Router < 0 || in.Router != out.Router {
 			panic("loadcalc: intra transition does not cross a router")
 		}
@@ -309,6 +309,19 @@ func transition(l *loadcalc.Loads, chip *topo.Chip, a, b route.Hop, w float64, c
 	default:
 		panic("loadcalc: torus-to-torus transition is impossible")
 	}
+}
+
+// outPort returns the router port chip channel ch leaves through (router -1
+// when no router drives it).
+func outPort(chip *topo.Chip, ch int) topo.PortRef {
+	for ri := range chip.Routers {
+		for pi, p := range chip.Routers[ri].Ports {
+			if p.OutChan == ch {
+				return topo.PortRef{Router: ri, Port: pi}
+			}
+		}
+	}
+	return topo.PortRef{Router: -1}
 }
 
 // bitDiff names the first load in which got and want differ in any bit, or

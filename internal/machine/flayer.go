@@ -262,7 +262,6 @@ func (f *faultLayer) resolveFatal() {
 }
 
 func newFaultLayer(m *Machine, spec fault.Spec) *faultLayer {
-	spec = spec.Normalized()
 	base := m.Topo.NumNodes() * m.Topo.NumIntraChans()
 	n := len(m.chans) - base
 	f := &faultLayer{
@@ -292,16 +291,14 @@ func newFaultLayer(m *Machine, spec fault.Spec) *faultLayer {
 			continue
 		}
 		ch.CensusExempt = true
-		timeout := spec.TimeoutCycles
-		if timeout == 0 {
-			// Cover the worst-case ack round trip (serialization + two
-			// wire flights + receiver turnaround) plus a stall episode.
-			timeout = 8*ch.Latency() + 4*spec.StallCycles + 64
-		}
+		// The ack timeout covers the worst-case ack round trip
+		// (serialization + two wire flights + receiver turnaround) plus a
+		// stall episode.
+		timeout := 8*ch.Latency() + 4*fault.StallCycles + 64
 		f.rlinks[i] = &rlink{
 			link: i,
 			ch:   ch,
-			snd:  fault.NewSender(spec.Window, timeout, spec.RetryLimit),
+			snd:  fault.NewSender(fault.Window, timeout, fault.RetryLimit),
 			ctrl: sim.NewPipe[linkCtrl](ch.Latency()),
 		}
 		if spec.CreditLossRate > 0 {
@@ -337,12 +334,12 @@ func (f *faultLayer) Tick(now uint64) {
 				continue
 			}
 			if f.inj.StallNext(i) {
-				ch.SetStall(now + f.spec.StallCycles)
+				ch.SetStall(now + fault.StallCycles)
 				f.cnt[f.injSlot()].StallsInjected++
 			}
 		}
 	}
-	if f.spec.CreditLossRate > 0 && now%f.spec.ResyncInterval == 0 {
+	if f.spec.CreditLossRate > 0 && now%fault.ResyncInterval == 0 {
 		for i, ch := range f.links {
 			if f.rlinks[i] == nil {
 				continue
@@ -366,7 +363,7 @@ func (f *faultLayer) Tick(now uint64) {
 	case f.spec.StallRate > 0:
 		f.m.Engine.Wake(f.cid, now+1)
 	case f.spec.CreditLossRate > 0:
-		f.m.Engine.Wake(f.cid, now-now%f.spec.ResyncInterval+f.spec.ResyncInterval)
+		f.m.Engine.Wake(f.cid, now-now%fault.ResyncInterval+fault.ResyncInterval)
 	}
 }
 

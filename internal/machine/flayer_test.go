@@ -84,9 +84,7 @@ func TestFaultStallsAndCreditLoss(t *testing.T) {
 	cfg.Fault = &fault.Spec{
 		CorruptRate:    0.01,
 		StallRate:      0.002,
-		StallCycles:    24,
 		CreditLossRate: 0.02,
-		ResyncInterval: 512,
 	}
 	m := MustNew(cfg)
 	total := injectUniform(m, 8, 7)
@@ -148,7 +146,7 @@ func TestFaultPermanentLinkDegraded(t *testing.T) {
 // deadlock.
 func TestFaultBudgetExhaustion(t *testing.T) {
 	cfg := DefaultConfig(topo.Shape3(2, 2, 2))
-	cfg.Fault = &fault.Spec{CorruptRate: 1, RetryLimit: 4}
+	cfg.Fault = &fault.Spec{CorruptRate: 1}
 	m := MustNew(cfg)
 	total := injectUniform(m, 2, 3)
 	_, err := m.RunUntilDelivered(total, 4_000_000)
@@ -174,7 +172,6 @@ func TestFaultDeterminism(t *testing.T) {
 		cfg.Fault = &fault.Spec{
 			CorruptRate:    0.02,
 			StallRate:      0.001,
-			StallCycles:    16,
 			CreditLossRate: 0.01,
 			FailLinks:      1,
 		}

@@ -107,7 +107,7 @@ func diffConfigs(t *testing.T, name string, base Config, perEp int, variants map
 // corruption, stalls, credit loss and a permanent link outage.
 func faultMix(shape topo.TorusShape) Config {
 	cfg := DefaultConfig(shape)
-	cfg.Fault = &fault.Spec{CorruptRate: 0.02, StallRate: 0.001, StallCycles: 16, CreditLossRate: 0.01, FailLinks: 1}
+	cfg.Fault = &fault.Spec{CorruptRate: 0.02, StallRate: 0.001, CreditLossRate: 0.01, FailLinks: 1}
 	return cfg
 }
 
@@ -236,7 +236,7 @@ func sourceUniform(m *Machine, perEp int) uint64 {
 func TestSleepingAdapterTimeoutParity(t *testing.T) {
 	run := func(mutate func(*Config)) fingerprint {
 		cfg := DefaultConfig(topo.Shape3(2, 2, 2))
-		cfg.Fault = &fault.Spec{CorruptRate: 1, RetryLimit: 4}
+		cfg.Fault = &fault.Spec{CorruptRate: 1}
 		mutate(&cfg)
 		m := buildForTest(cfg)
 		total := injectUniform(m, 2, 3)

@@ -40,7 +40,7 @@ func snapConfig(shape topo.TorusShape, engine string, shards int, withFault bool
 	cfg.Engine = engine
 	cfg.Shards = shards
 	if withFault {
-		cfg.Fault = &fault.Spec{CorruptRate: 0.02, StallRate: 0.001, StallCycles: 40, Window: 16}
+		cfg.Fault = &fault.Spec{CorruptRate: 0.02, StallRate: 0.001}
 	}
 	return cfg
 }

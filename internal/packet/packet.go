@@ -15,22 +15,9 @@ import (
 const (
 	// CommonPayloadBytes is the typical payload (one-flit packet).
 	CommonPayloadBytes = 16
-	// MaxPayloadBytes is the largest payload (two-flit packet).
-	MaxPayloadBytes = 32
 	// MaxFlits is the largest packet size in flits.
 	MaxFlits = 2
 )
-
-// SizeForPayload returns the packet size in flits for a payload byte count.
-func SizeForPayload(bytes int) uint8 {
-	if bytes <= CommonPayloadBytes {
-		return 1
-	}
-	if bytes <= MaxPayloadBytes {
-		return 2
-	}
-	panic("packet: payload exceeds the 32-byte maximum")
-}
 
 // Packet is one network packet. Packets move whole (virtual cut-through):
 // Size only affects channel occupancy and credit accounting.

@@ -2,27 +2,6 @@ package packet
 
 import "testing"
 
-func TestSizeForPayload(t *testing.T) {
-	cases := []struct {
-		bytes int
-		want  uint8
-	}{
-		{0, 1}, {1, 1}, {CommonPayloadBytes, 1},
-		{CommonPayloadBytes + 1, 2}, {MaxPayloadBytes, 2},
-	}
-	for _, c := range cases {
-		if got := SizeForPayload(c.bytes); got != c.want {
-			t.Errorf("SizeForPayload(%d) = %d, want %d", c.bytes, got, c.want)
-		}
-	}
-	defer func() {
-		if recover() == nil {
-			t.Errorf("SizeForPayload(%d) did not panic", MaxPayloadBytes+1)
-		}
-	}()
-	SizeForPayload(MaxPayloadBytes + 1)
-}
-
 func TestResetPreservesPayloadCapacity(t *testing.T) {
 	p := &Packet{InjectedAt: 7, Payload: make([]byte, 16, 32), TorusHops: 3}
 	p.Reset()

@@ -45,7 +45,7 @@ func warmArtifact(t *testing.T, dir string) (string, []byte) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	ts.Close()
-	s.Close()
+	stop(s)
 	return id, body
 }
 
@@ -132,7 +132,7 @@ func TestWALRestartCompletes(t *testing.T) {
 	if _, err := os.Stat(walPath); err != nil {
 		t.Fatalf("admitted run not recorded in wal: %v", err)
 	}
-	s1.Close() // "crash": the queued run dies without an artifact
+	stop(s1) // "crash": the queued run dies without an artifact
 
 	jobs, err := quickSpec().Jobs(func() *telemetry.Options { return nil })
 	if err != nil {

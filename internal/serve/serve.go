@@ -353,13 +353,6 @@ func (s *Server) Drain(ctx context.Context) error {
 	}
 }
 
-// Close cancels everything immediately and waits for run goroutines.
-func (s *Server) Close() {
-	s.draining.Store(true)
-	s.cancelAll()
-	s.wg.Wait()
-}
-
 // Typed overload / lifecycle errors, mapped onto HTTP status codes.
 var (
 	// ErrQueueFull refuses a submission when MaxQueue runs are already

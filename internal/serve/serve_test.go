@@ -61,9 +61,17 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(func() {
 		ts.Close()
-		s.Close()
+		stop(s)
 	})
 	return s, ts
+}
+
+// stop is a drain already out of time: every run is cancelled at once, and it
+// returns when their goroutines have.
+func stop(s *Server) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	s.Drain(ctx)
 }
 
 func postWait(t *testing.T, ts *httptest.Server, req *Request) (*http.Response, []byte) {
@@ -169,7 +177,7 @@ func TestColdRestartServesFromDisk(t *testing.T) {
 		t.Fatalf("warm-up status = %d, body %s", resp.StatusCode, warm)
 	}
 	ts1.Close()
-	s1.Close()
+	stop(s1)
 
 	if _, err := os.Stat(filepath.Join(dir, "loads.json")); err != nil {
 		t.Fatalf("load-table snapshot not persisted: %v", err)
@@ -283,7 +291,7 @@ func TestRestartStatusByIDNamesFamily(t *testing.T) {
 	}
 	id := resp.Header.Get("X-Anton2-Run-Id")
 	ts1.Close()
-	s1.Close()
+	stop(s1)
 
 	st2, err := OpenStore(dir)
 	if err != nil {
@@ -323,6 +331,9 @@ func TestValidationRejects(t *testing.T) {
 		{"negative batch", `{"family":"faultsweep","shape":"2x2x2","rates":[0],"batch":-1}`, "batch"},
 		{"rate out of range", `{"family":"faultsweep","shape":"2x2x2","rates":[1.5],"batch":8}`, "rates"},
 		{"bad fault spec", `{"family":"faultsweep","shape":"2x2x2","rates":[0],"batch":8,"fault":"bogus=1"}`, "fault"},
+		{"retired fault key", `{"family":"faultsweep","shape":"2x2x2","rates":[0],"batch":8,"fault":"window=8"}`, "fault"},
+		{"one-node latency", `{"family":"latency","shape":"1x1x1"}`, "shape"},
+		{"one-node throughput", `{"family":"throughput","shape":"1x1x1","batches":[8]}`, "shape"},
 		{"unknown strategy", `{"family":"routecompare","shape":"2x2x2","batch":8,"strategies":["warp"]}`, "strategies"},
 		{"negative faillinks", `{"family":"routecompare","shape":"2x2x2","batch":8,"faillinks":[-1]}`, "faillinks"},
 		{"mdstep bad workload", `{"family":"mdstep","shape":"2x2x2","halopackets":-4}`, "halopackets"},

@@ -10,7 +10,6 @@ import (
 	"anton2/internal/core"
 	"anton2/internal/exp"
 	"anton2/internal/machine"
-	"anton2/internal/power"
 	"anton2/internal/telemetry"
 	"anton2/internal/topo"
 	"anton2/internal/traffic"
@@ -44,8 +43,7 @@ func familyJobs(shape topo.TorusShape, tel func() *telemetry.Options) []exp.Job 
 		mc := machine.DefaultConfig(topo.Shape3(1, 1, 1))
 		mc.Telemetry = tel()
 		jobs = append(jobs, core.EnergyJob(core.EnergyConfig{
-			Machine: mc, Model: power.PaperModel,
-			RateNum: r[0], RateDen: r[1],
+			Machine: mc, RateNum: r[0], RateDen: r[1],
 			Payload: core.PayloadRandom, Flits: 200,
 		}))
 	}

@@ -198,10 +198,9 @@ type Chip struct {
 	// coreEndpoints holds one endpoint per router (the "cores" that drive
 	// the paper's measurements).
 	coreEndpoints [NumRouters]int
-	// inPortOf / outPortOf map a chip channel id to the router port it
-	// enters / leaves through (router -1 when the endpoint of the channel
-	// is not a router).
-	inPortOf, outPortOf []PortRef
+	// inPortOf maps a chip channel id to the router port it enters through
+	// (router -1 when the channel does not end at a router).
+	inPortOf []PortRef
 }
 
 // PortRef names a port on a router.
@@ -328,18 +327,14 @@ func buildChip() *Chip {
 		}
 	}
 
-	// Channel-to-router-port lookup tables.
+	// Channel-to-router-port lookup table.
 	c.inPortOf = make([]PortRef, len(c.IntraChans))
-	c.outPortOf = make([]PortRef, len(c.IntraChans))
 	for i := range c.inPortOf {
 		c.inPortOf[i] = PortRef{Router: -1}
-		c.outPortOf[i] = PortRef{Router: -1}
 	}
 	for ri := range c.Routers {
 		for pi := range c.Routers[ri].Ports {
-			p := &c.Routers[ri].Ports[pi]
-			c.inPortOf[p.InChan] = PortRef{Router: ri, Port: pi}
-			c.outPortOf[p.OutChan] = PortRef{Router: ri, Port: pi}
+			c.inPortOf[c.Routers[ri].Ports[pi].InChan] = PortRef{Router: ri, Port: pi}
 		}
 	}
 	return c
@@ -348,9 +343,6 @@ func buildChip() *Chip {
 // InPortOf returns the router port a chip channel enters through
 // (Router == -1 when the channel terminates at an endpoint or adapter).
 func (c *Chip) InPortOf(chipChan int) PortRef { return c.inPortOf[chipChan] }
-
-// OutPortOf returns the router port a chip channel leaves through.
-func (c *Chip) OutPortOf(chipChan int) PortRef { return c.outPortOf[chipChan] }
 
 // RouterAt returns the router at the given mesh coordinate.
 func (c *Chip) RouterAt(mc MeshCoord) *Router { return &c.Routers[RouterID(mc)] }

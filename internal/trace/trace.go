@@ -257,9 +257,6 @@ func NewRecorder(h Header) *Recorder {
 // Record appends one event.
 func (r *Recorder) Record(ev Event) { r.tr.Events = append(r.tr.Events, ev) }
 
-// Len returns the number of recorded events.
-func (r *Recorder) Len() int { return len(r.tr.Events) }
-
 // Trace returns the capture accumulated so far. The returned value shares
 // storage with the recorder.
 func (r *Recorder) Trace() *Trace { return &r.tr }

@@ -60,8 +60,8 @@ func TestRecorder(t *testing.T) {
 	for _, e := range want {
 		rec.Record(e)
 	}
-	if rec.Len() != len(want) {
-		t.Fatalf("Len = %d, want %d", rec.Len(), len(want))
+	if n := len(rec.Trace().Events); n != len(want) {
+		t.Fatalf("%d events recorded, want %d", n, len(want))
 	}
 	if _, err := rec.Trace().Encode(); err != nil {
 		t.Fatalf("Encode recorded trace: %v", err)

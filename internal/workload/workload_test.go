@@ -98,7 +98,7 @@ func TestRecordThenReplay(t *testing.T) {
 	shape := topo.Shape3(2, 2, 2)
 	rec := trace.NewRecorder(spec.Header(shape, 1))
 	orig := runOnce(t, shape, spec, rec, nil)
-	if rec.Len() == 0 {
+	if len(rec.Trace().Events) == 0 {
 		t.Fatal("recorder captured no events")
 	}
 
