@@ -168,8 +168,11 @@ func TestWriteFileAtomicAndReadFile(t *testing.T) {
 }
 
 func TestRunConfig(t *testing.T) {
-	if (RunConfig{}).Enabled() {
-		t.Fatal("zero RunConfig reports enabled")
+	// A path alone, or an interval alone, does not enable checkpointing.
+	for _, rc := range []RunConfig{{}, {Path: "x"}, {Every: 1}} {
+		if rc.Enabled() {
+			t.Fatalf("%+v reports enabled", rc)
+		}
 	}
 	if !(RunConfig{Path: "x", Every: 1}).Enabled() {
 		t.Fatal("configured RunConfig reports disabled")

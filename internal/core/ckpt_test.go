@@ -11,11 +11,11 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"anton2/internal/ckpt"
 	"anton2/internal/exp"
-	"anton2/internal/fault"
 	"anton2/internal/machine"
 	"anton2/internal/route"
 	"anton2/internal/sim"
@@ -39,29 +39,24 @@ type runProbe struct {
 	first  uint64 // the first clock the machine stepped to: checkpoint + 1 on a resumed one
 }
 
-// probeKey names the next machine a probe is meant for. Cells of the resume
-// matrix run in parallel and differ in nothing but the engine (a point's seed
-// is derived from its spec, which leaves the engine out), so it is in the key.
-type probeKey struct {
-	seed    uint64
-	engine  string
-	sharded bool
-}
+var probes sync.Map // machine seed -> *runProbe
 
-var probes sync.Map // probeKey -> *runProbe
+// ownChoice, while set, leaves sharded machines on the engine's own
+// per-cycle choice: the mode lattice sets it around an auto cell, which runs
+// while no other cell does.
+var ownChoice atomic.Bool
 
-// arm registers p for the next machine BuildMachine builds from mc under the
-// given seed.
-func arm(mc machine.Config, seed uint64, p *runProbe) {
-	probes.Store(probeKey{seed, mc.Engine, mc.Shards > 1}, p)
-}
-
-// probeSeam is the machineBuilt seam of the resume tests: sharded machines
-// alternate parallel and serial cycles (alternateCycles), and a machine with
-// a probe armed gets it as an engine observer.
+// probeSeam is the machineBuilt seam of the resume tests and the mode
+// lattice: a sharded machine alternates parallel and serial cycles
+// (alternateCycles) at any shape unless ownChoice is set, and a machine whose
+// seed has a probe armed gets it as an engine observer. A probe is armed by
+// seed, which the cells of one lattice panel share, so while one is armed no
+// other machine of that seed may be built.
 func probeSeam(m *machine.Machine) {
-	alternateCycles(m)
-	v, ok := probes.LoadAndDelete(probeKey{m.Cfg.Seed, m.Cfg.Engine, m.Cfg.Shards > 1})
+	if !ownChoice.Load() {
+		alternateCycles(m)
+	}
+	v, ok := probes.LoadAndDelete(m.Cfg.Seed)
 	if !ok {
 		return
 	}
@@ -77,54 +72,41 @@ func probeSeam(m *machine.Machine) {
 	})
 }
 
-// killedThenResumed runs job through exp.Run with a checkpoint every `every`
-// cycles and kills it when its clock reaches killAt; the panic becomes a
-// failed point and the last checkpoint stays in the sweep's directory. It then
-// runs the job again over that directory, requires that run to have started
-// from that checkpoint rather than from cycle 0, and returns its result. mc is
-// the job's machine config.
-func killedThenResumed(t *testing.T, job exp.Job, mc machine.Config, every, killAt uint64) exp.Result {
+// killedThenResumed runs jobs through exp.Run under opts, which checkpoint,
+// and kills jobs[0] when its clock reaches killAt; the panic becomes a failed
+// point and its last checkpoint stays in the sweep's directory, where the
+// other jobs, finished, leave nothing. It then runs the jobs again over that
+// directory, requires jobs[0] to have started from that checkpoint rather
+// than from cycle 0 and the directory to be empty after success, and returns
+// the second run's results.
+func killedThenResumed(t *testing.T, jobs []exp.Job, opts exp.Options, killAt uint64) []exp.Result {
 	t.Helper()
-	opts := exp.Serial()
-	opts.Checkpoint = exp.CheckpointOptions{Dir: t.TempDir(), Every: every}
-	arm(mc, job.Spec.Seed(), &runProbe{killAt: killAt})
-	if r := exp.Run([]exp.Job{job}, opts)[0]; r.Err == nil || !strings.Contains(r.Error, "killed") {
+	seed, every := jobs[0].Spec.Seed(), opts.Checkpoint.Every
+	defer probes.Delete(seed)
+	probes.Store(seed, &runProbe{killAt: killAt})
+	if r := exp.Run(jobs, opts)[0]; r.Err == nil || !strings.Contains(r.Error, "killed") {
 		t.Fatalf("the kill at cycle %d never fired: %+v", killAt, r)
 	}
 	if ents, _ := os.ReadDir(opts.Checkpoint.Dir); len(ents) != 1 {
 		t.Fatalf("killed run left %d files in its checkpoint directory, want its one checkpoint", len(ents))
 	}
 	witness := &runProbe{}
-	arm(mc, job.Spec.Seed(), witness)
-	r := exp.Run([]exp.Job{job}, opts)[0]
+	probes.Store(seed, witness)
+	rs := exp.Run(jobs, opts)
 	// The kill observer runs before the checkpoint observer of the same clock.
 	if last := (killAt - 1) / every * every; witness.first != last+1 {
 		t.Errorf("second run first stepped to cycle %d, want %d (resumed from the checkpoint at %d)", witness.first, last+1, last)
 	}
-	if ents, _ := os.ReadDir(opts.Checkpoint.Dir); r.Err == nil && len(ents) != 0 {
+	if ents, _ := os.ReadDir(opts.Checkpoint.Dir); exp.Failed(rs) == 0 && len(ents) != 0 {
 		t.Errorf("%d files left in the checkpoint directory after success, want the checkpoint discarded", len(ents))
 	}
-	return r
+	return rs
 }
 
 func tpCkptConfig(seed uint64) ThroughputConfig {
 	mc := machine.DefaultConfig(topo.Shape3(2, 2, 2))
 	mc.Seed = seed
 	return ThroughputConfig{Machine: mc, Pattern: traffic.Uniform{}, Batch: 64}
-}
-
-func TestThroughputCkptResume(t *testing.T) {
-	machineBuilt = probeSeam
-	defer func() { machineBuilt = nil }()
-	job := ThroughputJob(tpCkptConfig(7))
-	ref := exp.Run([]exp.Job{job}, exp.Serial())[0]
-	if ref.Err != nil {
-		t.Fatal(ref.Err)
-	}
-	got := killedThenResumed(t, job, tpCkptConfig(7).Machine, 50, ref.Cycles/2)
-	if got.Err != nil || !reflect.DeepEqual(got.Value, ref.Value) {
-		t.Errorf("resumed result %+v (%v) differs from uninterrupted %+v", got.Value, got.Err, ref.Value)
-	}
 }
 
 // TestResumedBudgetIsAbsolute: a batch point's cycle budget bounds it from
@@ -159,7 +141,9 @@ func TestResumedBudgetIsAbsolute(t *testing.T) {
 	if !errors.As(ref.Err, &timeout) || timeout.Cycle != 250 {
 		t.Fatalf("uninterrupted run = %v, want a timeout at cycle 250", ref.Err)
 	}
-	if got := killedThenResumed(t, job, cfg.Machine, 50, 120); got.Error != ref.Error {
+	opts := exp.Serial()
+	opts.Checkpoint = exp.CheckpointOptions{Dir: t.TempDir(), Every: 50}
+	if got := killedThenResumed(t, []exp.Job{job}, opts, 120)[0]; got.Error != ref.Error {
 		t.Errorf("resumed run failed with %q, uninterrupted with %q", got.Error, ref.Error)
 	}
 }
@@ -175,52 +159,79 @@ func mdCkptConfig(seed uint64) MDStepConfig {
 }
 
 // TestMDStepCkptResume: an mdstep point resumed from its last checkpoint
-// finishes bit-identically to an uninterrupted run, whether the checkpoints
-// were left by budget interruptions (each inside some phase's delivery wait)
-// or by a crash right after one that landed inside a phase barrier's
-// quiescence stepping.
+// finishes bit-identically to an uninterrupted scan run, whether the
+// checkpoints were left by budget interruptions (each inside some phase's
+// delivery wait; under every registered strategy on the scan engine, the
+// active one and two shards alternating parallel and serial cycles) or by a
+// crash right after one that landed inside a phase barrier's quiescence
+// stepping.
 func TestMDStepCkptResume(t *testing.T) {
-	ref, err := RunMDStepPoint(mdCkptConfig(7))
-	if err != nil {
-		t.Fatal(err)
+	machineBuilt = probeSeam
+	t.Cleanup(func() { machineBuilt = nil })
+	// resume runs cfg with a checkpoint every `every` cycles until it
+	// completes, after interrupt left its checkpoint, and holds it to ref; it
+	// returns the number of resumes.
+	resume := func(t *testing.T, cfg MDStepConfig, ref MDStepPoint, every uint64, interrupt func(rc ckpt.RunConfig)) int {
+		rc := ckpt.RunConfig{Path: filepath.Join(t.TempDir(), "md.ckpt"), Every: every}
+		interrupt(rc)
+		got, err := RunMDStepPointCkpt(cfg, rc)
+		attempts := 0
+		for ; err != nil && attempts < 100; attempts++ {
+			got, err = RunMDStepPointCkpt(cfg, rc)
+		}
+		if err != nil {
+			t.Fatalf("never completed in %d attempts: %v", attempts, err)
+		}
+		if !reflect.DeepEqual(got, ref) {
+			t.Errorf("resumed point %+v differs from uninterrupted %+v after %d resumes", got, ref, attempts)
+		}
+		if _, err := os.Stat(rc.Path); !os.IsNotExist(err) {
+			t.Errorf("checkpoint file not discarded after success (stat err: %v)", err)
+		}
+		return attempts
 	}
-	for _, row := range []struct {
-		name string
-		// interrupt leaves the checkpoint of an interrupted run at rc.Path,
-		// or finishes the run itself; it returns what it finished, if so.
-		interrupt func(t *testing.T, rc ckpt.RunConfig) (MDStepPoint, bool)
-	}{
-		{"budget interruptions", func(t *testing.T, rc ckpt.RunConfig) (MDStepPoint, bool) {
-			pt, err := RunMDStepPointCkpt(mdCkptConfig(7), rc)
-			return pt, err == nil
-		}},
-		{"crash inside quiescence", func(t *testing.T, rc ckpt.RunConfig) (MDStepPoint, bool) {
-			mdCkptInQuiescence(t, mdCkptConfig(7), rc)
-			return MDStepPoint{}, false
-		}},
-	} {
-		t.Run(row.name, func(t *testing.T) {
-			rc := ckpt.RunConfig{
-				Path:  filepath.Join(t.TempDir(), "md.ckpt"),
-				Every: 40,
+	engines := []struct {
+		name   string
+		engine string
+		shards int
+	}{{"scan", machine.EngineScan, 1}, {"active", machine.EngineActive, 1}, {"sharded", machine.EngineActive, 2}}
+	t.Run("budget interruptions", func(t *testing.T) {
+		for _, s := range route.Strategies() {
+			refCfg := mdCkptConfig(7)
+			// The volume-scaled default budget: vcless drains phases slower
+			// than anton.
+			refCfg.Machine.Scheme, refCfg.Machine.Engine, refCfg.MaxPhaseCycles = s, machine.EngineScan, 0
+			ref, err := RunMDStepPoint(refCfg)
+			if err != nil {
+				t.Fatalf("%s: %v", s.Name(), err)
 			}
-			got, done := row.interrupt(t, rc)
-			attempts := 0
-			for ; !done && attempts < 100; attempts++ {
-				got, err = RunMDStepPointCkpt(mdCkptConfig(7), rc)
-				done = err == nil
+			// Each phase is bounded below the longest one, so that at least
+			// one is interrupted mid-flight. A budget counts from the cycle at
+			// which a run, fresh or resumed, entered its phase and spans two
+			// checkpoints, so every run makes progress.
+			var longest uint64
+			for _, ph := range ref.Phases {
+				longest = max(longest, ph.Cycles)
 			}
-			if !done {
-				t.Fatalf("never completed in %d attempts: %v", attempts, err)
+			for _, eng := range engines {
+				t.Run(s.Name()+"/"+eng.name, func(t *testing.T) {
+					t.Parallel()
+					cfg := refCfg
+					cfg.Machine.Engine, cfg.Machine.Shards, cfg.MaxPhaseCycles = eng.engine, eng.shards, longest/2+1
+					if resume(t, cfg, ref, max(1, longest/4), func(ckpt.RunConfig) {}) == 0 {
+						t.Error("the budget never interrupted the run: no resume exercised")
+					}
+				})
 			}
-			if !reflect.DeepEqual(got, ref) {
-				t.Errorf("resumed point %+v differs from uninterrupted %+v after %d resumes", got, ref, attempts)
-			}
-			if _, err := os.Stat(rc.Path); !os.IsNotExist(err) {
-				t.Errorf("checkpoint file not discarded after success (stat err: %v)", err)
-			}
-		})
-	}
+		}
+	})
+	t.Run("crash inside quiescence", func(t *testing.T) {
+		ref, err := RunMDStepPoint(mdCkptConfig(7))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resume(t, mdCkptConfig(7), ref, 40, func(rc ckpt.RunConfig) { mdCkptInQuiescence(t, mdCkptConfig(7), rc) })
+	})
 }
 
 // mdCkptInQuiescence plays a run that crashes right after a checkpoint taken
@@ -266,59 +277,6 @@ func mdCkptInQuiescence(t *testing.T, cfg MDStepConfig, rc ckpt.RunConfig) {
 	}
 	if fresh, _, err := BuildMachine(mc); err != nil || fresh.RestoreSnapshot(snap) != nil {
 		t.Fatalf("the kept checkpoint does not restore into a fresh machine (build: %v)", err)
-	}
-}
-
-// batchCkptJobs are one small point of each batch family — two of faultsweep:
-// the transient-fault mix and a permanent link outage — as the resume matrix
-// and the checkpointing-off test run them. Blend needs a ring of radix 4:
-// tornado places no torus load on 2x2x2.
-func batchCkptJobs(mutate func(*machine.Config)) map[string]exp.Job {
-	mc := func(shape topo.TorusShape, flt *fault.Spec) machine.Config {
-		c := machine.DefaultConfig(shape)
-		c.Seed, c.Fault = 7, flt
-		mutate(&c)
-		return c
-	}
-	small := topo.Shape3(2, 2, 2)
-	angara, _ := route.StrategyByName("angara")
-	rc := RouteCompareConfig{Machine: mc(small, &fault.Spec{FailLinks: 1}), Pattern: traffic.Uniform{}, Batch: 16}
-	rc.Machine.Scheme = angara
-	return map[string]exp.Job{
-		"fig10": BlendJob(BlendConfig{Machine: mc(topo.Shape3(4, 2, 2), nil), Weights: WeightsBoth, ForwardFraction: 0.5, Batch: 16}),
-		"faultsweep/transient": FaultJob(FaultConfig{Pattern: traffic.Uniform{}, Batch: 16,
-			Machine: mc(small, &fault.Spec{CorruptRate: 0.02, StallRate: 0.001})}),
-		"faultsweep/faillinks":          FaultJob(FaultConfig{Pattern: traffic.Uniform{}, Batch: 16, Machine: mc(small, &fault.Spec{FailLinks: 1})}),
-		"routecompare/healthy":          RouteCompareJob(RouteCompareConfig{Machine: mc(small, nil), Pattern: traffic.Uniform{}, Batch: 16}),
-		"routecompare/angara-faillinks": RouteCompareJob(rc),
-	}
-}
-
-// TestCkptOffBitIdentical: with checkpointing off, a job's RunCkpt — the entry
-// point exp takes whenever a sweep has a checkpoint directory — reports
-// exactly what its Run reports and writes nothing, for every batch family and
-// mdstep (the off path is the pre-checkpoint code path).
-func TestCkptOffBitIdentical(t *testing.T) {
-	jobs := batchCkptJobs(func(*machine.Config) {})
-	jobs["fig9"] = ThroughputJob(tpCkptConfig(3))
-	jobs["mdstep"] = MDStepJob(mdCkptConfig(3))
-	dir := t.TempDir()
-	for name, job := range jobs {
-		a, err := job.Run(job.Spec.Seed())
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		// A path alone does not enable checkpointing; Every does.
-		b, err := job.RunCkpt(job.Spec.Seed(), ckpt.RunConfig{Path: filepath.Join(dir, "off.ckpt")})
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if !reflect.DeepEqual(a, b) {
-			t.Errorf("%s: disabled checkpointing changed the result: %+v vs %+v", name, a, b)
-		}
-	}
-	if ents, _ := os.ReadDir(dir); len(ents) != 0 {
-		t.Errorf("disabled checkpointing wrote %d files", len(ents))
 	}
 }
 
@@ -379,173 +337,6 @@ func TestCheckpointFlags(t *testing.T) {
 	}
 }
 
-// TestCkptGuards: checkpointing refuses configurations it cannot snapshot.
-func TestCkptGuards(t *testing.T) {
-	cfg := tpCkptConfig(1)
-	cfg.Machine.Check = true
-	rc := ckpt.RunConfig{Path: filepath.Join(t.TempDir(), "x.ckpt"), Every: 10}
-	var ce *machine.ConfigError
-	if _, err := runThroughput(cfg, rc); !errors.As(err, &ce) || ce.Field != "Check" {
-		t.Errorf("checkpointing with the invariant suite attached = %v, want a *machine.ConfigError on Check", err)
-	}
-	md := mdCkptConfig(1)
-	md.Machine.Telemetry = &telemetry.Options{}
-	if _, err := RunMDStepPointCkpt(md, rc); !errors.As(err, &ce) || ce.Field != "Telemetry" {
-		t.Errorf("checkpointing with telemetry attached = %v, want a *machine.ConfigError on Telemetry", err)
-	}
-}
-
-// ckptEngines are the cycle-kernel variants the resume matrix crosses with
-// the routing strategies. The matrix runs the sharded one with its cycles
-// forced to alternate between parallel and serial (alternateCycles): a 2x2x2
-// machine never reaches the engine's own threshold.
-var ckptEngines = []struct {
-	name   string
-	mutate func(*machine.Config)
-}{
-	{"scan", func(c *machine.Config) { c.Engine = machine.EngineScan }},
-	{"active", func(c *machine.Config) { c.Engine = machine.EngineActive }},
-	{"sharded", func(c *machine.Config) { c.Engine = machine.EngineActive; c.Shards = 2 }},
-}
-
-// resumeUntilDone drives a run the way a repeatedly killed and restarted
-// sweep does — each invocation fails on its cycle budget with a checkpoint on
-// disk, the next one resumes — and returns the final point plus the number of
-// interruptions.
-func resumeUntilDone[T any](t *testing.T, rc *ckpt.RunConfig, run func(ckpt.RunConfig) (T, error)) (T, int) {
-	t.Helper()
-	var got T
-	var err error
-	attempts := 0
-	for ; attempts < 200; attempts++ {
-		got, err = run(*rc)
-		if err == nil {
-			return got, attempts
-		}
-	}
-	t.Fatalf("never completed in %d attempts: %v", attempts, err)
-	return got, attempts
-}
-
-// TestCkptResumeEngineStrategyMatrix: resume determinism across the full
-// engine × strategy grid and every checkpoint-aware family. For every
-// cycle-kernel variant (scan, active, sharded) × routing strategy (anton,
-// vcless, angara), the golden 2×2×2 fig9 point is killed at a mid-run
-// checkpoint and resumed through exp.Run, and the mdstep point is run with a
-// phase budget that forces repeated mid-flight interruptions; under each
-// engine the same kill and resume is played on a fig10 point, on faultsweep
-// points under the transient-fault mix and under a permanent link outage, and
-// on routecompare points healthy and with the fault-aware strategy routing
-// around an outage. The resumed point must be byte-identical (canonical JSON:
-// fault counters, latency quantiles and fairness included) to the
-// uninterrupted run's. A checkpoint is an fsync, which at every cycle is still
-// most of a cell's time, so only the anton fig9 cells write one at every cycle
-// — they resume from the cycle before the kill, under each engine — and the
-// rest stride by 7 and re-simulate up to six cycles; that no cycle is a bad
-// boundary for the machine itself is machine.TestSnapshotEveryCycle's to pin.
-// The cells run in parallel: the machineBuilt seam is installed once for the
-// whole matrix (probeSeam; unsharded engines have no per-cycle choice to
-// force and pass through alternateCycles untouched).
-func TestCkptResumeEngineStrategyMatrix(t *testing.T) {
-	if testing.Short() {
-		t.Skip("engine × strategy resume matrix is slow")
-	}
-	machineBuilt = probeSeam
-	t.Cleanup(func() { machineBuilt = nil })
-	// batchCell holds one batch job, whose machine config went through
-	// mutate, to the uninterrupted artifact across a kill halfway through.
-	batchCell := func(t *testing.T, job exp.Job, mutate func(*machine.Config), every uint64) {
-		t.Parallel()
-		mc := machine.Config{}
-		mutate(&mc)
-		ref := exp.Run([]exp.Job{job}, exp.Serial())
-		if ref[0].Err != nil {
-			t.Fatal(ref[0].Err)
-		}
-		got := killedThenResumed(t, job, mc, every, ref[0].Cycles/2)
-		want, _ := exp.MarshalCanonical(ref)
-		if have, _ := exp.MarshalCanonical([]exp.Result{got}); string(have) != string(want) {
-			t.Errorf("resumed artifact differs:\n got %s\nwant %s", have, want)
-		}
-	}
-	for _, eng := range ckptEngines {
-		for name, job := range batchCkptJobs(eng.mutate) {
-			t.Run(name+"/"+eng.name, func(t *testing.T) { batchCell(t, job, eng.mutate, 7) })
-		}
-	}
-	for _, stratName := range []string{"anton", "vcless", "angara"} {
-		strat, ok := route.StrategyByName(stratName)
-		if !ok {
-			t.Fatalf("strategy %q not registered", stratName)
-		}
-		tpEvery := uint64(7)
-		if stratName == "anton" {
-			tpEvery = 1
-		}
-		for _, eng := range ckptEngines {
-			mutate := func(c *machine.Config) {
-				c.Scheme = strat
-				eng.mutate(c)
-			}
-
-			t.Run("fig9/"+stratName+"/"+eng.name, func(t *testing.T) {
-				cfg := tpCkptConfig(7)
-				cfg.Batch = 16
-				mutate(&cfg.Machine)
-				batchCell(t, ThroughputJob(cfg), mutate, tpEvery)
-			})
-
-			t.Run("mdstep/"+stratName+"/"+eng.name, func(t *testing.T) {
-				t.Parallel()
-				refCfg := mdCkptConfig(7)
-				// vcless drains phases slower than anton; let the reference
-				// use the volume-scaled default budget.
-				refCfg.MaxPhaseCycles = 0
-				mutate(&refCfg.Machine)
-				ref, err := RunMDStepPoint(refCfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				refBytes := mustCanonJSON(t, ref)
-
-				cfg := mdCkptConfig(7)
-				mutate(&cfg.Machine)
-				// Bound each phase below the longest uninterrupted phase so
-				// at least one phase is interrupted mid-flight (budgets are
-				// relative to the resume point, so progress is monotone).
-				var longest uint64
-				for _, ph := range ref.Phases {
-					if ph.Cycles > longest {
-						longest = ph.Cycles
-					}
-				}
-				cfg.MaxPhaseCycles = longest/2 + 1
-				rc := ckpt.RunConfig{Path: filepath.Join(t.TempDir(), "md.ckpt"), Every: 7}
-				got, attempts := resumeUntilDone(t, &rc, func(rc ckpt.RunConfig) (MDStepPoint, error) {
-					return RunMDStepPointCkpt(cfg, rc)
-				})
-				if attempts == 0 {
-					t.Fatal("budget never interrupted the run; the test is not exercising resume")
-				}
-				if gotBytes := mustCanonJSON(t, got); string(gotBytes) != string(refBytes) {
-					t.Errorf("resumed artifact differs after %d interruptions:\n got %s\nwant %s", attempts, gotBytes, refBytes)
-				}
-			})
-		}
-	}
-}
-
-// mustCanonJSON renders a point in its canonical artifact form for byte
-// comparison.
-func mustCanonJSON(t *testing.T, v any) []byte {
-	t.Helper()
-	b, err := json.MarshalIndent(v, "", " ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	return b
-}
-
 // v2File is a well-formed checkpoint of the retired format v2 (JSON header,
 // section and commit lines, a CRC-32C per section and one over the group)
 // carrying the given tag: what a run interrupted before the format change
@@ -587,7 +378,7 @@ func TestStaleFormatStartsFresh(t *testing.T) {
 	// Had the run resumed from "cycle 50" of the stale file instead of
 	// starting over, its first step would not be to cycle 1.
 	probe := &runProbe{killAt: 120}
-	arm(cfg.Machine, cfg.Machine.Seed, probe)
+	probes.Store(cfg.Machine.Seed, probe)
 	func() {
 		defer func() { _ = recover() }()
 		_, err = runThroughput(cfg, rc)

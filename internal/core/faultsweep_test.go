@@ -58,40 +58,6 @@ func TestFaultSweepDegradesGracefully(t *testing.T) {
 	}
 }
 
-// TestFaultSweepSerialParallelIdentical is the determinism contract for the
-// faultsweep family: fault injection draws from per-link spec-seeded streams,
-// so serial and parallel execution must produce byte-identical canonical
-// artifacts.
-func TestFaultSweepSerialParallelIdentical(t *testing.T) {
-	cfg := FaultConfig{
-		Machine: machine.DefaultConfig(topo.Shape3(2, 2, 2)),
-		Pattern: traffic.Uniform{},
-		Batch:   16,
-	}
-	var jobs []exp.Job
-	for _, r := range []float64{0.005, 0.02, 0.05} {
-		c := cfg
-		c.Machine.Fault = &fault.Spec{CorruptRate: r, StallRate: 0.001}
-		jobs = append(jobs, FaultJob(c))
-	}
-	serial := exp.Run(jobs, exp.Serial())
-	par := exp.Run(jobs, exp.Parallel(3))
-	if err := exp.FirstErr(serial); err != nil {
-		t.Fatal(err)
-	}
-	a, err := exp.MarshalCanonical(serial)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := exp.MarshalCanonical(par)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a, b) {
-		t.Errorf("serial and parallel faultsweep artifacts differ:\n%s\n---\n%s", a, b)
-	}
-}
-
 // TestFaultFreeSpecsUnchanged is the cache-key half of the bit-identity
 // guard: with no fault spec configured, every experiment family's canonical
 // spec string must not mention the fault layer at all, so artifacts and

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"errors"
 	"testing"
 
@@ -50,41 +49,6 @@ func TestDeadlockedJobIsFailedPoint(t *testing.T) {
 	}
 	if exp.Failed(rs) != 1 {
 		t.Errorf("failed-point count = %d, want 1", exp.Failed(rs))
-	}
-}
-
-// TestBlendSweepSerialParallelIdentical is the determinism contract on a
-// Figure 10 style sweep: serial execution and an 8-worker pool must produce
-// byte-identical canonical JSON artifacts (wall-time fields excluded),
-// because every point's seed comes from its spec hash, not from scheduling.
-func TestBlendSweepSerialParallelIdentical(t *testing.T) {
-	fractions := []float64{0, 0.5, 1}
-	var jobs []exp.Job
-	for _, mode := range []WeightMode{WeightsNone, WeightsBoth} {
-		for _, f := range fractions {
-			jobs = append(jobs, BlendJob(BlendConfig{
-				Machine:         machine.DefaultConfig(topo.Shape3(4, 4, 2)),
-				Weights:         mode,
-				ForwardFraction: f,
-				Batch:           32,
-			}))
-		}
-	}
-	serial := exp.Run(jobs, exp.Serial())
-	par := exp.Run(jobs, exp.Parallel(8))
-	if err := exp.FirstErr(serial); err != nil {
-		t.Fatal(err)
-	}
-	a, err := exp.MarshalCanonical(serial)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := exp.MarshalCanonical(par)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a, b) {
-		t.Errorf("serial and parallel-8 artifacts differ:\n%s\n---\n%s", a, b)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"anton2/internal/machine"
-	"anton2/internal/telemetry"
 	"anton2/internal/topo"
 )
 
@@ -39,10 +38,10 @@ func TestAutoShards(t *testing.T) {
 }
 
 // TestResolveShards: an explicit count is returned untouched, auto resolves
-// through the limits — the invariant suite, telemetry and the heartbeat
-// riding along —
-// every rule by which machine.Config.Validate refuses an explicit count makes
-// auto serial instead of an error, and what auto resolves to always validates.
+// through the limits, every rule by which machine.Config.Validate refuses an
+// explicit count makes auto serial instead of an error, and what auto
+// resolves to always validates. That Check, Telemetry and the heartbeat
+// change none of it is the mode lattice's (lattice_test.go).
 func TestResolveShards(t *testing.T) {
 	limits := autoLimits
 	defer func() { autoLimits = limits }()
@@ -61,11 +60,7 @@ func TestResolveShards(t *testing.T) {
 		"auto, below the floor":  {func(c *machine.Config) { c.Shape = topo.Shape3(4, 4, 2) }, 1, 1},
 		"explicit serial":        {func(c *machine.Config) { c.Shards = 1 }, 1, 1},
 		"explicit count":         {func(c *machine.Config) { c.Shards = 7 }, 4, 7},
-		"explicit under check":   {func(c *machine.Config) { c.Shards, c.Check = 2, true }, 1, 2},
 		"auto under scan":        {func(c *machine.Config) { c.Engine = machine.EngineScan }, 1, 1},
-		"auto under check":       {func(c *machine.Config) { c.Check = true }, 1, 4},
-		"auto under telemetry":   {func(c *machine.Config) { c.Telemetry = &telemetry.Options{} }, 1, 4},
-		"auto with a heartbeat":  {func(c *machine.Config) { c.Progress = func(uint64) {} }, 1, 4},
 	} {
 		cfg := big
 		tc.mutate(&cfg)
@@ -91,7 +86,7 @@ func TestResolveShards(t *testing.T) {
 
 // TestBuildMachineResolvesAuto: BuildMachine is where a config still at auto
 // becomes a sharded or serial machine; machine.New leaves it alone (and builds
-// it serial, which machine's TestConfigLattice pins).
+// it serial, which machine's TestShardedConfigValidation pins).
 func TestBuildMachineResolvesAuto(t *testing.T) {
 	limits := autoLimits
 	defer func() { autoLimits = limits }()

@@ -14,9 +14,8 @@ import (
 	"anton2/internal/traffic"
 )
 
-// The strategy-differential suite itself (every registered strategy x every
-// family x every engine variant, byte-identical canonical artifacts) lives in
-// the diffRows table of enginediff_test.go; this file keeps the two
+// That every registered strategy gives every family's artifact in every mode
+// is the mode lattice's (lattice_test.go); this file keeps the two
 // strategy-specific behavioural tests.
 
 // TestNilSchemeIsAnton: machine.Config.Strategy is the only default, so a nil
@@ -58,39 +57,6 @@ func TestNilSchemeIsAnton(t *testing.T) {
 	}
 	if !bytes.Equal(state(unset), state(anton)) {
 		t.Error("machines built from a nil Scheme and from AntonScheme diverged")
-	}
-}
-
-// TestStrategyCheckedRuns completes one measured routecompare point per
-// (strategy, fail-link count) under the full runtime invariant suite: the
-// run must finish deadlock-free with flit conservation, credit accounting,
-// and VC monotonicity intact, and the healthy cell must carry a verified
-// deadlock-free verdict.
-func TestStrategyCheckedRuns(t *testing.T) {
-	for _, strat := range route.Strategies() {
-		for _, n := range []int{0, 1} {
-			strat, n := strat, n
-			name := strat.Name() + "/healthy"
-			if n > 0 {
-				name = strat.Name() + "/faillinks=1"
-			}
-			t.Run(name, func(t *testing.T) {
-				mc := machine.DefaultConfig(stratShape)
-				mc.Check = true
-				mc.Scheme = strat
-				if n > 0 {
-					mc.Fault = &fault.Spec{FailLinks: n}
-				}
-				pt, err := RunRouteComparePoint(RouteCompareConfig{Machine: mc, Pattern: traffic.Uniform{}, Batch: 8})
-				if err != nil {
-					t.Fatalf("%s: checked run failed: %v", strat.Name(), err)
-				}
-				if n == 0 && (!pt.DeadlockVerified || !pt.DeadlockFree) {
-					t.Errorf("%s: healthy cell verdict = verified %v, free %v",
-						strat.Name(), pt.DeadlockVerified, pt.DeadlockFree)
-				}
-			})
-		}
 	}
 }
 

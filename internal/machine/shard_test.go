@@ -287,32 +287,19 @@ func TestShardedSourceDriven(t *testing.T) {
 	}
 }
 
-// TestShardedConfigValidation: sharding is incompatible with the scan engine,
-// which assumes single-threaded stepping, and nothing builds
-// with a zero-cycle endpoint pipeline — the constructor must say so, with a
-// typed error naming the field, rather than race.
+// TestShardedConfigValidation: nothing builds with a zero-cycle endpoint
+// pipeline — the constructor must say so, with a typed error naming the
+// field, rather than race — and New builds auto (Shards 0) serial: resolving
+// it is core.BuildMachine's. The refusals on the mode axes are the mode
+// lattice's (core's TestConfigLattice).
 func TestShardedConfigValidation(t *testing.T) {
 	base := DefaultConfig(topo.Shape3(2, 2, 2))
-	if _, err := New(base); err != nil {
-		t.Errorf("base config must build: %v", err)
+	if m, err := New(base); err != nil || len(m.shards) != 1 {
+		t.Errorf("auto config: %v, want it built serial", err)
 	}
-	for _, tc := range []struct {
-		name   string
-		mutate func(*Config)
-		field  string
-	}{
-		{"sharded + scan engine", func(c *Config) { c.Shards, c.Engine = 2, EngineScan }, "Engine"},
-		{"zero endpoint pipeline", func(c *Config) { c.EndpointPipeline = 0 }, "EndpointPipeline"},
-		{"unknown engine mode", func(c *Config) { c.Engine = "warp" }, "Engine"},
-	} {
-		cfg := base
-		tc.mutate(&cfg)
-		_, err := New(cfg)
-		if err == nil {
-			t.Errorf("expected error for %s", tc.name)
-		} else if got := refusedField(t, err); got != tc.field {
-			t.Errorf("%s: refused Config.%s, want Config.%s", tc.name, got, tc.field)
-		}
+	base.EndpointPipeline = 0
+	if _, err := New(base); refusedField(t, err) != "EndpointPipeline" {
+		t.Errorf("zero endpoint pipeline: %v, want Config.EndpointPipeline refused", err)
 	}
 }
 
