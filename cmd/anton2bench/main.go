@@ -52,7 +52,7 @@
 // network-area cost, analytic saturation rate and mean path length, measured
 // throughput and delivery latency, and degradation behavior under permanent
 // link outages (faillinks sweeps up from the healthy machine). Strategies are
-// pluggable — see internal/route.RegisterStrategy — and the strategy name is
+// pluggable — see internal/route.registerStrategy — and the strategy name is
 // part of every experiment cache key.
 //
 // The mdstep experiment measures an application-shaped figure of merit:

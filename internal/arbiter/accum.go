@@ -9,26 +9,26 @@ package arbiter
 // the window is shifted by subtracting 2^M from every accumulator — realized
 // by clearing the MSB, or zeroing entirely in the underflow case.
 
-// AccumState holds the accumulators of one inverse-weighted arbiter.
-type AccumState struct {
+// accumState holds the accumulators of one inverse-weighted arbiter.
+type accumState struct {
 	K     int      // input count
 	M     int      // inverse-weight bit width; accumulators are M+1 bits
 	Accum []uint32 // K accumulators, each < 2^(M+1)
 }
 
-// NewAccumState returns zeroed accumulators for a k-input arbiter with
+// newAccumState returns zeroed accumulators for a k-input arbiter with
 // M-bit inverse weights.
-func NewAccumState(k, m int) *AccumState {
+func newAccumState(k, m int) *accumState {
 	checkK(k)
 	if m < 1 || m > 30 {
 		panic("arbiter: inverse-weight width out of range")
 	}
-	return &AccumState{K: k, M: m, Accum: make([]uint32, k)}
+	return &accumState{K: k, M: m, Accum: make([]uint32, k)}
 }
 
-// PriInto fills pri (len >= K) with the per-input priority levels: 1 (high)
+// priInto fills pri (len >= K) with the per-input priority levels: 1 (high)
 // when the accumulator's MSB is clear, 0 (low) otherwise.
-func (s *AccumState) PriInto(pri []uint8) {
+func (s *accumState) priInto(pri []uint8) {
 	msbMask := uint32(1) << uint(s.M)
 	for i := 0; i < s.K; i++ {
 		if s.Accum[i]&msbMask == 0 {
@@ -39,10 +39,10 @@ func (s *AccumState) PriInto(pri []uint8) {
 	}
 }
 
-// Update applies the accumulator update rule for a one-hot grant vector and
+// update applies the accumulator update rule for a one-hot grant vector and
 // the granted input's inverse weight (invWeight < 2^M). It mirrors the
 // always_comb block of Figure 6 exactly.
-func (s *AccumState) Update(grant uint64, invWeight uint32) {
+func (s *accumState) update(grant uint64, invWeight uint32) {
 	msbMask := uint32(1) << uint(s.M)
 	if invWeight >= msbMask {
 		panic("arbiter: inverse weight exceeds M bits")

@@ -8,8 +8,8 @@ package arbiter
 
 import "math/bits"
 
-// MaxInputs bounds arbiter width so request vectors fit in a uint64.
-const MaxInputs = 64
+// maxInputs bounds arbiter width so request vectors fit in a uint64.
+const maxInputs = 64
 
 // Arbiter selects one requester per invocation and updates its internal
 // fairness state. req is a bitmask of requesting inputs. pats[i] holds the
@@ -61,7 +61,7 @@ func (a *RoundRobin) Pick(req uint64, _ []uint8) int {
 func msb(x uint64) int { return bits.Len64(x) - 1 }
 
 func checkK(k int) {
-	if k < 1 || k > MaxInputs {
+	if k < 1 || k > maxInputs {
 		panic("arbiter: input count out of range")
 	}
 }

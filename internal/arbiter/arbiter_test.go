@@ -82,14 +82,14 @@ func validTherm(k int, boundary int) uint64 {
 func TestPrioArbMatchesNaive(t *testing.T) {
 	f := func(reqRaw uint16, priRaw uint32, boundary, levels uint8) bool {
 		const k = 12
-		p := 1 + int(levels)%MaxPrioLevels
+		p := 1 + int(levels)%maxPrioLevels
 		req := uint64(reqRaw) & ((1 << k) - 1)
 		pri := make([]uint8, k)
 		for i := 0; i < k; i++ {
 			pri[i] = uint8(priRaw>>(2*i)&3) % uint8(p)
 		}
 		therm := validTherm(k, int(boundary)%(k+1))
-		a := PrioArb(k, p, req, pri, therm)
+		a := prioArb(k, p, req, pri, therm)
 		b := naivePrioArb(k, p, req, pri, therm)
 		return a == b
 	}
@@ -102,7 +102,7 @@ func TestPrioArbMatchesNaive(t *testing.T) {
 // separate round-robin arbiter per priority level (each built from two
 // fixed-priority arbiters over the pointer-split request vectors), with the
 // per-level results combined highest-level-first. It is the reference
-// implementation TestPrioArbMatchesNaive checks PrioArb against.
+// implementation TestPrioArbMatchesNaive checks prioArb against.
 func naivePrioArb(k, p int, req uint64, pri []uint8, rrTherm uint64) uint64 {
 	for level := p - 1; level >= 0; level-- {
 		var levelReq uint64
@@ -127,15 +127,15 @@ func naivePrioArb(k, p int, req uint64, pri []uint8, rrTherm uint64) uint64 {
 // TestPrioArbAllocatesNothing: a pick sits on the cycle kernel's hot path.
 func TestPrioArbAllocatesNothing(t *testing.T) {
 	pri := []uint8{1, 0, 1, 0, 0, 1}
-	if n := testing.AllocsPerRun(100, func() { PrioArb(6, 2, 0b101101, pri, 0b000111) }); n != 0 {
-		t.Errorf("PrioArb allocates %.0f objects per pick, want 0", n)
+	if n := testing.AllocsPerRun(100, func() { prioArb(6, 2, 0b101101, pri, 0b000111) }); n != 0 {
+		t.Errorf("prioArb allocates %.0f objects per pick, want 0", n)
 	}
 	defer func() {
 		if recover() == nil {
-			t.Errorf("PrioArb must refuse more than %d priority levels", MaxPrioLevels)
+			t.Errorf("prioArb must refuse more than %d priority levels", maxPrioLevels)
 		}
 	}()
-	PrioArb(6, MaxPrioLevels+1, 1, pri, 0)
+	prioArb(6, maxPrioLevels+1, 1, pri, 0)
 }
 
 func TestPrioArbGrantProperties(t *testing.T) {
@@ -151,7 +151,7 @@ func TestPrioArbGrantProperties(t *testing.T) {
 			}
 		}
 		therm := validTherm(k, int(boundary)%(k+1))
-		g := PrioArb(k, p, req, pri, therm)
+		g := prioArb(k, p, req, pri, therm)
 		if req == 0 {
 			return g == 0
 		}
@@ -173,13 +173,13 @@ func TestPrioArbGrantProperties(t *testing.T) {
 func TestNextRRThermIsThermometer(t *testing.T) {
 	const k = 9
 	for g := 0; g < k; g++ {
-		th := NextRRTherm(k, g)
+		th := nextRRTherm(k, g)
 		// Prefix-of-ones property.
 		seenZero := false
 		for i := 0; i < k; i++ {
 			bit := th&(1<<i) != 0
 			if bit && seenZero {
-				t.Fatalf("NextRRTherm(%d,%d) = %b not a thermometer", k, g, th)
+				t.Fatalf("nextRRTherm(%d,%d) = %b not a thermometer", k, g, th)
 			}
 			if !bit {
 				seenZero = true
@@ -198,10 +198,10 @@ func TestPrioArbRoundRobinWithinLevel(t *testing.T) {
 	req := uint64((1 << k) - 1)
 	seen := map[int]int{}
 	for i := 0; i < 2*k; i++ {
-		g := PrioArb(k, 2, req, pri, therm)
+		g := prioArb(k, 2, req, pri, therm)
 		gi := msb(g)
 		seen[gi]++
-		therm = NextRRTherm(k, gi)
+		therm = nextRRTherm(k, gi)
 	}
 	for i := 0; i < k; i++ {
 		if seen[i] != 2 {
@@ -212,11 +212,11 @@ func TestPrioArbRoundRobinWithinLevel(t *testing.T) {
 
 func TestAccumUpdateFigure6Semantics(t *testing.T) {
 	const m = 5 // accumulators are 6 bits; MSB mask 32
-	s := NewAccumState(2, m)
+	s := newAccumState(2, m)
 
 	// Grant to a high-priority input: plain add.
 	s.Accum = []uint32{10, 20}
-	s.Update(0b01, 7)
+	s.update(0b01, 7)
 	if s.Accum[0] != 17 || s.Accum[1] != 20 {
 		t.Fatalf("high-pri grant: accums %v, want [17 20]", s.Accum)
 	}
@@ -225,7 +225,7 @@ func TestAccumUpdateFigure6Semantics(t *testing.T) {
 	// input clears MSB then adds; other low-pri inputs clear MSB;
 	// high-pri inputs clamp at 0 (underflow).
 	s.Accum = []uint32{32 + 5, 12}
-	s.Update(0b01, 3)
+	s.update(0b01, 3)
 	if s.Accum[0] != 8 {
 		t.Errorf("low-pri grant: accum[0] = %d, want 5+3 = 8", s.Accum[0])
 	}
@@ -235,7 +235,7 @@ func TestAccumUpdateFigure6Semantics(t *testing.T) {
 
 	// No grant: unchanged.
 	before := append([]uint32(nil), s.Accum...)
-	s.Update(0, 9)
+	s.update(0, 9)
 	for i := range before {
 		if s.Accum[i] != before[i] {
 			t.Fatalf("no-grant update changed accumulators")
@@ -246,20 +246,20 @@ func TestAccumUpdateFigure6Semantics(t *testing.T) {
 // TestAccumWindowInvariant: accumulators always stay below 2^(M+1).
 func TestAccumWindowInvariant(t *testing.T) {
 	const k, m = 4, 5
-	s := NewAccumState(k, m)
+	s := newAccumState(k, m)
 	rng := rand.New(rand.NewSource(1))
 	pri := make([]uint8, k)
 	therm := uint64((1 << k) - 1)
 	for step := 0; step < 20000; step++ {
 		req := uint64(rng.Intn(1 << k))
-		s.PriInto(pri)
-		grant := PrioArb(k, 2, req, pri, therm)
+		s.priInto(pri)
+		grant := prioArb(k, 2, req, pri, therm)
 		if grant == 0 {
 			continue
 		}
 		g := msb(grant)
-		s.Update(grant, uint32(rng.Intn(1<<m)))
-		therm = NextRRTherm(k, g)
+		s.update(grant, uint32(rng.Intn(1<<m)))
+		therm = nextRRTherm(k, g)
 		for i, a := range s.Accum {
 			if a >= 1<<(m+1) {
 				t.Fatalf("step %d: accumulator %d = %d escaped the window", step, i, a)
@@ -356,7 +356,7 @@ func TestWeightsFromLoads(t *testing.T) {
 		w = append(w, row[0])
 	}
 	// Least positive load gets the max weight; zero load also maxes out.
-	maxW := uint32(1<<InverseWeightBits - 1)
+	maxW := uint32(1<<inverseWeightBits - 1)
 	if w[2] != maxW {
 		t.Errorf("least-loaded weight = %d, want %d", w[2], maxW)
 	}
@@ -406,7 +406,7 @@ func TestJointWeightsSharedBeta(t *testing.T) {
 		t.Fatalf("got %d rows", len(w))
 	}
 	// Min positive load (1) maps to maxW under both patterns.
-	maxW := uint32(1<<InverseWeightBits - 1)
+	maxW := uint32(1<<inverseWeightBits - 1)
 	if w[1][0] != maxW || w[0][1] != maxW {
 		t.Errorf("min-load inputs should carry max weight: %v", w)
 	}

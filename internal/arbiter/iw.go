@@ -2,10 +2,10 @@ package arbiter
 
 import "math"
 
-// InverseWeightBits is M, the inverse-weight bit width of the Anton 2
+// inverseWeightBits is M, the inverse-weight bit width of the Anton 2
 // implementation; accumulators are M+1 bits and the sliding window spans
 // 2^(M+1) values.
-const InverseWeightBits = 5
+const inverseWeightBits = 5
 
 // NumPatterns is N, the number of simultaneously supported traffic patterns;
 // each packet header carries a field identifying its pattern (Section 3.3).
@@ -20,13 +20,13 @@ const NumPatterns = 2
 type InverseWeighted struct {
 	k       int
 	weights [][NumPatterns]uint32
-	state   *AccumState
+	state   *accumState
 	rrTherm uint64
 	pri     []uint8
 }
 
 // NewInverseWeighted builds an arbiter over k inputs with the given per-input
-// per-pattern inverse weights (each < 2^InverseWeightBits).
+// per-pattern inverse weights (each < 2^inverseWeightBits).
 func NewInverseWeighted(k int, weights [][NumPatterns]uint32) *InverseWeighted {
 	checkK(k)
 	if len(weights) != k {
@@ -34,7 +34,7 @@ func NewInverseWeighted(k int, weights [][NumPatterns]uint32) *InverseWeighted {
 	}
 	for _, w := range weights {
 		for _, m := range w {
-			if m >= 1<<InverseWeightBits {
+			if m >= 1<<inverseWeightBits {
 				panic("arbiter: inverse weight exceeds M bits")
 			}
 		}
@@ -42,7 +42,7 @@ func NewInverseWeighted(k int, weights [][NumPatterns]uint32) *InverseWeighted {
 	a := &InverseWeighted{
 		k:       k,
 		weights: weights,
-		state:   NewAccumState(k, InverseWeightBits),
+		state:   newAccumState(k, inverseWeightBits),
 		rrTherm: (uint64(1) << uint(k)) - 1,
 		pri:     make([]uint8, k),
 	}
@@ -56,8 +56,8 @@ func (a *InverseWeighted) Pick(req uint64, pats []uint8) int {
 	if req == 0 {
 		return -1
 	}
-	a.state.PriInto(a.pri)
-	grant := PrioArb(a.k, 2, req, a.pri, a.rrTherm)
+	a.state.priInto(a.pri)
+	grant := prioArb(a.k, 2, req, a.pri, a.rrTherm)
 	if grant == 0 {
 		return -1
 	}
@@ -69,8 +69,8 @@ func (a *InverseWeighted) Pick(req uint64, pats []uint8) int {
 	if n >= NumPatterns {
 		n = NumPatterns - 1
 	}
-	a.state.Update(grant, a.weights[g][n])
-	a.rrTherm = NextRRTherm(a.k, g)
+	a.state.update(grant, a.weights[g][n])
+	a.rrTherm = nextRRTherm(a.k, g)
 	return g
 }
 
@@ -85,7 +85,7 @@ func JointWeights(loads [][]float64) [][NumPatterns]uint32 {
 		panic("arbiter: JointWeights needs 1..NumPatterns load vectors")
 	}
 	k := len(loads[0])
-	maxW := float64(uint32(1)<<InverseWeightBits - 1)
+	maxW := float64(uint32(1)<<inverseWeightBits - 1)
 	minLoad := math.Inf(1)
 	for _, lv := range loads {
 		if len(lv) != k {

@@ -10,27 +10,27 @@ import "math/bits"
 // needs only P+1 fixed-priority arbiters instead of 2P because adjacent
 // unrolled vectors are mutually exclusive after the round-robin split.
 
-// MaxPrioLevels bounds P: the unrolled request vectors live in a fixed-size
+// maxPrioLevels bounds P: the unrolled request vectors live in a fixed-size
 // array so a pick allocates nothing (the inverse-weighted arbiter, the only
 // production caller, has P = 2).
-const MaxPrioLevels = 4
+const maxPrioLevels = 4
 
-// PrioArb computes the grant vector for the request vector req (k bits),
+// prioArb computes the grant vector for the request vector req (k bits),
 // per-input priority levels pri (each in [0, P)), and thermometer-encoded
 // round-robin state rrTherm. It mirrors the hardware exactly, including the
 // parallel-prefix (Kogge-Stone) cancellation network.
-func PrioArb(k, p int, req uint64, pri []uint8, rrTherm uint64) uint64 {
-	if k < 1 || k > MaxInputs {
-		panic("arbiter: PrioArb width out of range")
+func prioArb(k, p int, req uint64, pri []uint8, rrTherm uint64) uint64 {
+	if k < 1 || k > maxInputs {
+		panic("arbiter: prioArb width out of range")
 	}
-	if p < 1 || p > MaxPrioLevels {
-		panic("arbiter: PrioArb priority level count out of range")
+	if p < 1 || p > maxPrioLevels {
+		panic("arbiter: prioArb priority level count out of range")
 	}
 	// req_unroll[l][i] = req[i] && ( {pri[i], rr_therm[i]} >= 2l-1 ), with
 	// req_unroll[0] = req. The concatenation {pri, rr} for priority level
 	// pr and thermometer bit th has value 2*pr + th, so input i appears in
 	// the unrolled vectors 1..(code+1)/2.
-	var unroll [MaxPrioLevels + 1]uint64
+	var unroll [maxPrioLevels + 1]uint64
 	unroll[0] = req
 	for r := req & (uint64(1)<<uint(k) - 1); r != 0; r &= r - 1 {
 		i := bits.TrailingZeros64(r)
@@ -53,10 +53,10 @@ func PrioArb(k, p int, req uint64, pri []uint8, rrTherm uint64) uint64 {
 	return 0
 }
 
-// NextRRTherm returns the updated thermometer state after granting input g:
+// nextRRTherm returns the updated thermometer state after granting input g:
 // the granted input becomes the lowest-precedence requester, i.e. the
 // pointer moves just below it.
-func NextRRTherm(k, g int) uint64 {
+func nextRRTherm(k, g int) uint64 {
 	if g <= 0 {
 		// Wrap: everything is at or below the (k-1) pointer.
 		return (uint64(1) << uint(k)) - 1

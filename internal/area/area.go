@@ -113,11 +113,11 @@ func Compute(s route.Scheme) *Breakdown {
 // RatioVsAnton prices a scheme's VC provisioning against the paper's scheme:
 // the ratio of the two network areas.
 func RatioVsAnton(s route.Scheme) float64 {
-	return Compute(s).NetworkTotal() / Compute(route.AntonScheme{}).NetworkTotal()
+	return Compute(s).networkTotal() / Compute(route.AntonScheme{}).networkTotal()
 }
 
-// ComponentTotal returns a component type's total area units.
-func (b *Breakdown) ComponentTotal(c Component) float64 {
+// componentTotal returns a component type's total area units.
+func (b *Breakdown) componentTotal(c Component) float64 {
 	var sum float64
 	for k := Category(0); k < NumCategories; k++ {
 		sum += b.ByComponent[c][k]
@@ -125,11 +125,11 @@ func (b *Breakdown) ComponentTotal(c Component) float64 {
 	return sum
 }
 
-// NetworkTotal returns total network area units.
-func (b *Breakdown) NetworkTotal() float64 {
+// networkTotal returns total network area units.
+func (b *Breakdown) networkTotal() float64 {
 	var sum float64
 	for c := Component(0); c < NumComponents; c++ {
-		sum += b.ComponentTotal(c)
+		sum += b.componentTotal(c)
 	}
 	return sum
 }
@@ -143,7 +143,7 @@ const referenceDieArea = 100 / networkDieFraction
 func (b *Breakdown) Table1() [NumComponents]float64 {
 	var out [NumComponents]float64
 	for c := Component(0); c < NumComponents; c++ {
-		out[c] = 100 * b.ComponentTotal(c) / referenceDieArea
+		out[c] = 100 * b.componentTotal(c) / referenceDieArea
 	}
 	return out
 }
@@ -151,7 +151,7 @@ func (b *Breakdown) Table1() [NumComponents]float64 {
 // Table2 returns the per-component and total category shares of network
 // area, in percent of the *current* network area (the paper's Table 2).
 func (b *Breakdown) Table2() (byComp [NumComponents][NumCategories]float64, total [NumCategories]float64) {
-	net := b.NetworkTotal()
+	net := b.networkTotal()
 	for c := Component(0); c < NumComponents; c++ {
 		for k := Category(0); k < NumCategories; k++ {
 			pct := 100 * b.ByComponent[c][k] / net

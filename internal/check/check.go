@@ -1,6 +1,6 @@
 // Package check is the runtime-verification layer of the cycle simulator: one
 // Suite that the machine calls at six packet-lifecycle hooks (inject, clone,
-// send, deliver, free, multicast inject), scans with every ScanInterval
+// send, deliver, free, multicast inject), scans with every scanInterval
 // cycles and finishes once, recording violations of the five invariants the
 // paper's correctness arguments rest on: flit conservation, credit accounting
 // (Section 2.1), monotonic VC promotion (Section 2.5), dimension-order
@@ -34,11 +34,11 @@ import (
 	"anton2/internal/topo"
 )
 
-// ScanInterval is the cycle period of whole-machine scans (credit bounds,
+// scanInterval is the cycle period of whole-machine scans (credit bounds,
 // conservation census); one more always runs at Finish.
-const ScanInterval = 64
+const scanInterval = 64
 
-// The invariants, as Violation.Checker names them.
+// The invariants, as violation.Checker names them.
 const (
 	conservation = "conservation"
 	credits      = "credits"
@@ -47,20 +47,20 @@ const (
 	mcastOnce    = "multicast-once"
 )
 
-// Violation is one recorded invariant failure.
-type Violation struct {
+// violation is one recorded invariant failure.
+type violation struct {
 	Cycle   uint64
 	Checker string
 	Msg     string
 }
 
-func (v Violation) String() string {
+func (v violation) String() string {
 	return fmt.Sprintf("cycle %d: %s: %s", v.Cycle, v.Checker, v.Msg)
 }
 
 // less orders violations by (cycle, checker, message): an order that does not
 // depend on which shard worker reported first.
-func (v Violation) less(o Violation) bool {
+func (v violation) less(o violation) bool {
 	if v.Cycle != o.Cycle {
 		return v.Cycle < o.Cycle
 	}
@@ -104,7 +104,7 @@ type Suite struct {
 
 	mu     sync.Mutex
 	vcount int
-	least  Violation
+	least  violation
 }
 
 // NewSuite builds the suite over the given environment.
@@ -113,7 +113,7 @@ func NewSuite(env Env) *Suite {
 }
 
 func (s *Suite) violate(checker string, now uint64, format string, args ...any) {
-	v := Violation{Cycle: now, Checker: checker, Msg: fmt.Sprintf(format, args...)}
+	v := violation{Cycle: now, Checker: checker, Msg: fmt.Sprintf(format, args...)}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.vcount == 0 || v.less(s.least) {
@@ -245,11 +245,11 @@ func (s *Suite) OnMulticastInject(group int, g *multicast.Compiled, now uint64) 
 
 // Observe is the suite's engine observer (sim.Engine.Observe, first deadline
 // 1): the clock has arrived at now, so cycle now-1 just completed; it scans
-// the machine as of that cycle and asks to run again ScanInterval cycles on —
-// completed cycles 0, ScanInterval, 2*ScanInterval, ...
+// the machine as of that cycle and asks to run again scanInterval cycles on —
+// completed cycles 0, scanInterval, 2*scanInterval, ...
 func (s *Suite) Observe(now uint64) (next uint64) {
 	s.scan(now - 1)
-	return now + ScanInterval
+	return now + scanInterval
 }
 
 // live is the ledger's count of packets that exist.

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"anton2/internal/check"
 	"anton2/internal/core"
 	"anton2/internal/machine"
 	"anton2/internal/multicast"
@@ -24,12 +23,13 @@ func violations(err error) int {
 	return n
 }
 
-// TestSuiteScanInterval: the suite scans at completed cycles 0, ScanInterval,
-// 2*ScanInterval, ... and once more at Finish. Observed through a real
+// TestSuiteScanInterval: the suite scans at completed cycles 0, 64, 128, ...
+// (check's scan interval) and once more at Finish. Observed through a real
 // machine's engine: a credit counter pushed over capacity before an otherwise
 // idle machine runs is reported once per scan, the first at cycle 0, under
 // either engine (the active one jumps the idle cycles between deadlines).
 func TestSuiteScanInterval(t *testing.T) {
+	const interval = 64
 	for _, engine := range []string{machine.EngineScan, machine.EngineActive} {
 		cfg := machine.DefaultConfig(topo.Shape3(2, 2, 2))
 		cfg.Check, cfg.Engine = true, engine
@@ -37,8 +37,8 @@ func TestSuiteScanInterval(t *testing.T) {
 		m.Chan(0).CorruptCreditsForTest(0, +10)
 		// Cycles run so far -> scans reported by then.
 		for _, step := range []struct{ until, scans uint64 }{
-			{1, 1}, {check.ScanInterval, 1}, {check.ScanInterval + 1, 2},
-			{2 * check.ScanInterval, 2}, {2*check.ScanInterval + 2, 3},
+			{1, 1}, {interval, 1}, {interval + 1, 2},
+			{2 * interval, 2}, {2*interval + 2, 3},
 		} {
 			m.Engine.Run(step.until - m.Engine.Now())
 			if got := violations(m.Checks().Err()); uint64(got) != step.scans {

@@ -73,7 +73,7 @@ func TestWalkTranslationSymmetry(t *testing.T) {
 			} else {
 				bn, bch := tm.IntraChanOf(base[i].Chan)
 				mn, mch := tm.IntraChanOf(moved[i].Chan)
-				if bch.ID != mch.ID || mn != translate(shape, bn, off) {
+				if bch != mch || mn != translate(shape, bn, off) {
 					t.Fatalf("trial %d hop %d: mesh hop (n%d,%s) -> (n%d,%s), want same chip channel, node translated",
 						trial, i, bn, bch.Name, mn, mch.Name)
 				}

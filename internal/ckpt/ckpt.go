@@ -37,7 +37,7 @@ import (
 // framed its sections in JSON lines with a CRC each.
 const (
 	Format  = "anton2-ckpt"
-	Version = 3
+	version = 3
 )
 
 // castagnoli is the CRC-32C table behind the seal.
@@ -140,7 +140,7 @@ func (c *Checkpoint) AppendEncode(b []byte) ([]byte, error) {
 	}
 	start := len(b)
 	b = appendString(b, Format)
-	b = wire.AppendUvarint(b, Version)
+	b = wire.AppendUvarint(b, version)
 	b = appendString(b, c.Tag)
 	b = wire.AppendUvarint(b, c.Cycle)
 	b = wire.AppendUvarint(b, uint64(len(c.Sections)))
@@ -162,8 +162,8 @@ func Decode(data []byte) (*Checkpoint, error) {
 	if f := r.Bytes(); string(f) != Format {
 		return nil, fmt.Errorf("ckpt: format %q, want %q", f, Format)
 	}
-	if v := r.Uvarint(); v != Version {
-		return nil, fmt.Errorf("ckpt: version %d, want %d", v, Version)
+	if v := r.Uvarint(); v != version {
+		return nil, fmt.Errorf("ckpt: version %d, want %d", v, version)
 	}
 	c := &Checkpoint{Tag: string(r.Bytes()), Cycle: r.Uvarint()}
 	// Every section spells at least its name's and its payload's length.

@@ -106,9 +106,9 @@ func TestDecodeRejectsDuplicateAndTrailing(t *testing.T) {
 	for name, in := range map[string][]byte{
 		"junk after the seal":   append(bytes.Clone(enc), "junk\n"...),
 		"junk inside the seal":  Seal(append(bytes.Clone(body), 0)),
-		"duplicate name":        Seal(section(section(wire.AppendUvarint(head(Version), 2), "a"), "a")),
-		"empty name":            Seal(section(wire.AppendUvarint(head(Version), 1), "")),
-		"fewer sections than n": Seal(section(wire.AppendUvarint(head(Version), 2), "a")),
+		"duplicate name":        Seal(section(section(wire.AppendUvarint(head(version), 2), "a"), "a")),
+		"empty name":            Seal(section(wire.AppendUvarint(head(version), 1), "")),
+		"fewer sections than n": Seal(section(wire.AppendUvarint(head(version), 2), "a")),
 	} {
 		if _, err := Decode(in); err == nil {
 			t.Errorf("Decode accepted a record with %s", name)
@@ -220,10 +220,10 @@ func TestRunConfig(t *testing.T) {
 // records that claim more than they hold fail instead of allocating or
 // indexing past the input.
 func TestDecodeBoundsCounts(t *testing.T) {
-	oneSection := appendString(wire.AppendUvarint(head(Version), 1), "m")
+	oneSection := appendString(wire.AppendUvarint(head(version), 1), "m")
 	for name, body := range map[string][]byte{
-		"section count overflows": wire.AppendUvarint(head(Version), math.MaxUint64),
-		"section count too large": wire.AppendUvarint(head(Version), 1<<40),
+		"section count overflows": wire.AppendUvarint(head(version), math.MaxUint64),
+		"section count too large": wire.AppendUvarint(head(version), 1<<40),
 		"length overflows":        wire.AppendUvarint(bytes.Clone(oneSection), math.MaxUint64),
 		"length past the end":     wire.AppendUvarint(bytes.Clone(oneSection), math.MaxInt64),
 	} {
@@ -258,7 +258,7 @@ func FuzzCheckpointCodec(f *testing.F) {
 	f.Add(enc)
 	f.Add(bytes.Clone(body))
 	f.Add([]byte(nil))
-	f.Add(wire.AppendUvarint(head(Version), math.MaxUint64))
+	f.Add(wire.AppendUvarint(head(version), math.MaxUint64))
 	f.Add(v2Group())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, in := range [][]byte{data, Seal(bytes.Clone(data))} {

@@ -87,7 +87,7 @@ func runBlend(cfg BlendConfig, rc ckpt.RunConfig) (BlendResult, error) {
 	if err != nil {
 		return BlendResult{}, err
 	}
-	satRate := BlendedSaturationRate([]float64{cfg.ForwardFraction, 1 - cfg.ForwardFraction}, []*loadcalc.Loads{fl, rl})
+	satRate := blendedSaturationRate([]float64{cfg.ForwardFraction, 1 - cfg.ForwardFraction}, []*loadcalc.Loads{fl, rl})
 	if satRate <= 0 {
 		return BlendResult{}, fmt.Errorf("core: degenerate blend saturation")
 	}
@@ -121,7 +121,7 @@ func runBlend(cfg BlendConfig, rc ckpt.RunConfig) (BlendResult, error) {
 			return rev.Dest(tm, src, rng), pid
 		},
 		maxCycles: cycleBudget(cfg.Batch, satRate, 60, 300_000),
-		tag:       BlendSpec(cfg).Canonical(),
+		tag:       blendSpec(cfg).Canonical(),
 		label:     fmt.Sprintf("blend run (f=%.2f, %v)", cfg.ForwardFraction, cfg.Weights),
 	}, rc)
 	if err != nil {

@@ -45,18 +45,6 @@ func CachedLoadsLen() int {
 	return n
 }
 
-// loadsWire shadows Loads.Cfg out of the JSON encoding: the routing
-// configuration holds an interface-valued scheme and a topology pointer —
-// neither round-trips through JSON — and no post-computation consumer
-// (BuildWeights, SaturationRate, the normalizers) reads it, so a restored
-// table with a nil Cfg is fully usable. The shadow must carry a JSON name
-// (a `json:"-"` field would not participate in field dominance); a nil
-// RawMessage with omitempty keeps it out of the encoded bytes.
-type loadsWire struct {
-	*loadcalc.Loads
-	Cfg json.RawMessage `json:"Cfg,omitempty"`
-}
-
 // SnapshotLoads serializes every completed cached load table, keyed by its
 // canonical loadsKey string. anton2serve persists the snapshot next to its
 // artifact cache so a restarted server skips the analytic route enumeration
@@ -69,7 +57,7 @@ func SnapshotLoads() (map[string]json.RawMessage, error) {
 		if !ok {
 			return
 		}
-		b, err := json.Marshal(loadsWire{Loads: l})
+		b, err := json.Marshal(l)
 		if err != nil {
 			if firstErr == nil {
 				firstErr = fmt.Errorf("core: snapshot loads %q: %w", key, err)
@@ -89,7 +77,7 @@ func RestoreLoads(snapshot map[string]json.RawMessage) (int, error) {
 	restored := 0
 	for key, raw := range snapshot {
 		l := &loadcalc.Loads{}
-		if err := json.Unmarshal(raw, &loadsWire{Loads: l}); err != nil {
+		if err := json.Unmarshal(raw, l); err != nil {
 			return restored, fmt.Errorf("core: restore loads %q: %w", key, err)
 		}
 		if sharedLoads.Seed(key, l) {

@@ -118,7 +118,7 @@ func TestResumedBudgetIsAbsolute(t *testing.T) {
 	machineBuilt = probeSeam
 	defer func() { machineBuilt = nil }()
 	cfg := tpCkptConfig(7)
-	spec := ThroughputSpec(cfg)
+	spec := throughputSpec(cfg)
 	run := func(seed uint64, rc ckpt.RunConfig) (any, error) {
 		mc := cfg.Machine
 		mc.Seed = seed
@@ -364,7 +364,7 @@ func TestStaleFormatStartsFresh(t *testing.T) {
 		t.Fatal(err)
 	}
 	rc := ckpt.RunConfig{Path: filepath.Join(t.TempDir(), "tp.ckpt"), Every: 50}
-	tag := ThroughputSpec(cfg).Canonical()
+	tag := throughputSpec(cfg).Canonical()
 	orphan := rc.Path + ".tmp4242"
 	for path, content := range map[string][]byte{rc.Path: v2File(tag), orphan: []byte("torn")} {
 		if err := os.WriteFile(path, content, 0o644); err != nil {

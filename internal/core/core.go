@@ -54,31 +54,31 @@ func BuildMachine(cfg machine.Config, weightPatterns ...traffic.Pattern) (*machi
 // machineBuilt, when non-nil, sees every machine BuildMachine returns. A test
 // seam: the cross-engine differential tests use it to force a sharded
 // engine's per-cycle choice on shapes too small to ever schedule
-// sim.ParallelMinReady components.
+// sim.parallelMinReady components.
 var machineBuilt func(*machine.Machine)
 
-// NodesPerShard is the auto-sharding floor: a shard must own at least this
+// nodesPerShard is the auto-sharding floor: a shard must own at least this
 // many nodes. Measured on the 2-vCPU benchmark host as the wall time of a
 // uniform batch-4 burst (the fig9 point) with Shards 1 against Shards 2,
 // alternating, best of 15 runs per shape (5 from 256 nodes): 32 nodes (4x4x2)
 // 1.05x, 64 nodes (4x4x4, 8x4x2) 1.06-1.07x, 128 nodes (8x4x4) 1.37x, 256
 // nodes (8x8x4) 1.47x, 512 nodes (8x8x8) 1.47x. Two shards start to pay at 128
-// nodes, where most cycles of a dense run schedule sim.ParallelMinReady
+// nodes, where most cycles of a dense run schedule sim.parallelMinReady
 // components; below that the best case gains a few percent and the 4x4x2 MD
 // timestep nothing (0.99-1.00x), so auto stays serial, which also keeps every
 // 4x4x2, 4x2x2 and 2x2x2 point on the unsharded code path. A constant, not a
 // knob.
-const NodesPerShard = 64
+const nodesPerShard = 64
 
 // autoLimits supplies the two inputs of the auto rule that are not in the
 // config: the cores this process may use and the floor. Tests replace it to
 // drive the auto path on small shapes and single-core hosts.
-var autoLimits = func() (procs, nodesPerShard int) { return runtime.GOMAXPROCS(0), NodesPerShard }
+var autoLimits = func() (procs, perShard int) { return runtime.GOMAXPROCS(0), nodesPerShard }
 
 // ResolveShards is the one place Config.Shards == 0 (auto) becomes a number;
 // any other value is an explicit choice and is returned as is. pool is how
 // many points the caller runs concurrently (1 for a point on its own): auto
-// is min(cores / pool, nodes / NodesPerShard), so a sweep that already fills
+// is min(cores / pool, nodes / nodesPerShard), so a sweep that already fills
 // the cores never oversubscribes them, and 1 — serial — on one core, below the
 // floor, and wherever machine.Config.Shardable would refuse sharding.
 // BuildMachine applies it with pool 1; the owners of a worker pool
@@ -128,10 +128,10 @@ func patternSatRate(mc machine.Config, p traffic.Pattern) (*loadcalc.Loads, floa
 	return loads, satRate, nil
 }
 
-// BlendedSaturationRate returns the per-core saturation injection rate of a
+// blendedSaturationRate returns the per-core saturation injection rate of a
 // linear blend of pattern loads (load is linear in the mixing coefficients,
 // Section 3.2).
-func BlendedSaturationRate(fracs []float64, loads []*loadcalc.Loads) float64 {
+func blendedSaturationRate(fracs []float64, loads []*loadcalc.Loads) float64 {
 	if len(fracs) != len(loads) || len(loads) == 0 {
 		panic("core: blend fraction/load mismatch")
 	}

@@ -105,8 +105,8 @@ func TestBlendedSaturationRateLinear(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pure := BlendedSaturationRate([]float64{1, 0}, []*loadcalc.Loads{fl, rl})
-	mid := BlendedSaturationRate([]float64{0.5, 0.5}, []*loadcalc.Loads{fl, rl})
+	pure := blendedSaturationRate([]float64{1, 0}, []*loadcalc.Loads{fl, rl})
+	mid := blendedSaturationRate([]float64{0.5, 0.5}, []*loadcalc.Loads{fl, rl})
 	// Tornado and reverse use opposite channels: a 50/50 blend halves the
 	// busiest channel's load, doubling the saturation rate.
 	if math.Abs(mid/pure-2) > 1e-9 {
@@ -224,7 +224,7 @@ func TestEnergyFitRecoversModel(t *testing.T) {
 	for _, a := range f.Full {
 		jobs = append(jobs, f.Jobs(a, func(*machine.Config) {})...)
 	}
-	m := FitEnergyModel(values[EnergyPoint](t, jobs))
+	m := fitEnergyModel(values[EnergyPoint](t, jobs))
 	check := func(name string, got, want, tol float64) {
 		if math.Abs(got-want) > tol*want {
 			t.Errorf("%s = %.3f, want %.3f +/- %.0f%%", name, got, want, tol*100)

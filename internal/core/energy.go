@@ -240,8 +240,8 @@ func RunEnergy(cfg EnergyConfig) (EnergyPoint, error) {
 	return pt, nil
 }
 
-// FitEnergyModel refits the Section 4.5 model to measured points.
-func FitEnergyModel(points []EnergyPoint) power.Model {
+// fitEnergyModel refits the Section 4.5 model to measured points.
+func fitEnergyModel(points []EnergyPoint) power.Model {
 	samples := make([]power.Sample, len(points))
 	for i, p := range points {
 		samples[i] = power.Sample{H: p.H, N: p.N, AOverR: p.AOverR, Energy: p.PerFlitPJ}
@@ -316,7 +316,7 @@ func init() {
 				fmt.Fprintln(w, " pJ/flit")
 			}
 			if len(all) == len(rs) {
-				m := FitEnergyModel(all)
+				m := fitEnergyModel(all)
 				fmt.Fprintf(w, "          refit: E = %.1f + %.3fh + (%.1f + %.3fn)(a/r) pJ\n",
 					m.Fixed, m.PerBitFlip, m.PerActivation, m.PerActSetBit)
 			}

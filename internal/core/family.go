@@ -22,8 +22,8 @@ import (
 // exp.Jobs, its paper-figure panels, and its table renderer; anton2bench, the
 // experiment server and the differential test suites all iterate the
 // registry instead of spelling the families out again. Adding a family is one
-// new file in this package that calls register from init (plus a row in the
-// diff-test table, which TestEveryFamilyHasDiffRow insists on).
+// new file in this package that calls register from init (plus a panel in
+// the mode lattice's latticePanelAxes, which TestLatticeCovers insists on).
 
 // Axes are the typed sweep axes of one request or one figure panel. Every
 // family reads the subset it documents and ignores the rest; Family.Check

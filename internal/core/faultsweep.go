@@ -52,13 +52,11 @@ type FaultPoint struct {
 // SimCycles lets exp record simulated cycle counts in artifacts.
 func (p FaultPoint) SimCycles() uint64 { return p.Cycles }
 
-// Degraded implements exp.Degrader for result classification.
+// Degraded implements exp.degrader for result classification.
 func (p FaultPoint) Degraded() bool { return p.DegradedRun }
 
-// RunFaultPoint executes one faultsweep measurement.
-func RunFaultPoint(cfg FaultConfig) (FaultPoint, error) { return runFaultPoint(cfg, ckpt.RunConfig{}) }
-
-// runFaultPoint is RunFaultPoint under a checkpoint config (see runBatch).
+// runFaultPoint executes one faultsweep measurement under a checkpoint config
+// (see runBatch).
 func runFaultPoint(cfg FaultConfig, rc ckpt.RunConfig) (FaultPoint, error) {
 	_, satRate, err := patternSatRate(cfg.Machine, cfg.Pattern)
 	if err != nil {
@@ -70,7 +68,7 @@ func runFaultPoint(cfg FaultConfig, rc ckpt.RunConfig) (FaultPoint, error) {
 		pt.CorruptRate = cfg.Machine.Fault.CorruptRate
 	}
 	_, end, acc, err := runBatch(latencyBatch(cfg.Machine, "fault", cfg.Pattern, cfg.Batch, satRate,
-		FaultSpec(cfg), fmt.Sprintf("fault run (%s)", pt.Spec)), rc)
+		faultSpec(cfg), fmt.Sprintf("fault run (%s)", pt.Spec)), rc)
 	if err != nil {
 		return pt, err
 	}
@@ -107,9 +105,9 @@ func latencyBatch(mc machine.Config, stream string, pattern traffic.Pattern, bat
 	}
 }
 
-// FaultSpec canonically identifies one faultsweep point. The fault spec
+// faultSpec canonically identifies one faultsweep point. The fault spec
 // itself enters the key through addMachine.
-func FaultSpec(cfg FaultConfig) *exp.Spec {
+func faultSpec(cfg FaultConfig) *exp.Spec {
 	s := exp.NewSpec("faultsweep")
 	addMachine(s, cfg.Machine)
 	return s.Add("pattern", cfg.Pattern.Name()).
@@ -117,9 +115,9 @@ func FaultSpec(cfg FaultConfig) *exp.Spec {
 		Add("maxcycles", noCycleBound)
 }
 
-// FaultJob wraps one RunFaultPoint call for the orchestrator.
+// FaultJob wraps one runFaultPoint call for the orchestrator.
 func FaultJob(cfg FaultConfig) exp.Job {
-	return pointJob(FaultSpec(cfg), cfg, func(c *FaultConfig) *machine.Config { return &c.Machine }, RunFaultPoint, runFaultPoint)
+	return pointJob(faultSpec(cfg), cfg, func(c *FaultConfig) *machine.Config { return &c.Machine }, runFaultPoint, true)
 }
 
 // The faultsweep family. Axes: Shape, Pattern, Rates (the sweep), Batch, Fault

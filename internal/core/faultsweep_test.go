@@ -65,19 +65,19 @@ func TestFaultSweepDegradesGracefully(t *testing.T) {
 func TestFaultFreeSpecsUnchanged(t *testing.T) {
 	mc := machine.DefaultConfig(topo.Shape3(2, 2, 2))
 	specs := map[string]string{
-		"throughput": ThroughputSpec(ThroughputConfig{
+		"throughput": throughputSpec(ThroughputConfig{
 			Machine: mc, Pattern: traffic.Uniform{}, Batch: 32,
 		}).Canonical(),
-		"blend": BlendSpec(BlendConfig{
+		"blend": blendSpec(BlendConfig{
 			Machine: mc, ForwardFraction: 0.5, Batch: 32,
 		}).Canonical(),
-		"latency": LatencySpec(LatencyConfig{
+		"latency": latencySpec(LatencyConfig{
 			Machine: mc, PingPongs: 4,
 		}).Canonical(),
-		"energy": EnergySpec(EnergyConfig{
+		"energy": energySpec(EnergyConfig{
 			Machine: mc, RateNum: 1, RateDen: 8, Flits: 4,
 		}).Canonical(),
-		"faultsweep": FaultSpec(FaultConfig{
+		"faultsweep": faultSpec(FaultConfig{
 			Machine: mc, Pattern: traffic.Uniform{}, Batch: 32,
 		}).Canonical(),
 	}
@@ -89,7 +89,7 @@ func TestFaultFreeSpecsUnchanged(t *testing.T) {
 	// And the converse: a configured fault spec must key the cache.
 	fc := FaultConfig{Machine: mc, Pattern: traffic.Uniform{}, Batch: 32}
 	fc.Machine.Fault = &fault.Spec{CorruptRate: 0.01}
-	with := FaultSpec(fc).Canonical()
+	with := faultSpec(fc).Canonical()
 	if !strings.Contains(with, "fault=") {
 		t.Errorf("configured fault spec missing from cache key: %s", with)
 	}

@@ -20,26 +20,25 @@ import (
 
 // pointJob is the one adapter from a point runner to the orchestrator: the job
 // runs a copy of cfg whose machine config (reached through mc) carries the
-// spec-derived seed. run is the family's runner; runCkpt, when it has one, is
-// the same runner threading a ckpt.RunConfig and makes the job
-// checkpoint-aware: under exp's Checkpoint options it persists snapshots as it
-// runs, and a restarted sweep picks up from the last one.
+// spec-derived seed. run is the family's checkpoint-aware runner: the job's
+// Run passes it a zero ckpt.RunConfig. When resumable, the job's RunCkpt
+// passes it exp's, so under exp's Checkpoint options it persists snapshots
+// as it runs, and a restarted sweep picks up from the last one.
 func pointJob[C, R any](spec *exp.Spec, cfg C, mc func(*C) *machine.Config,
-	run func(C) (R, error), runCkpt func(C, ckpt.RunConfig) (R, error)) exp.Job {
+	run func(C, ckpt.RunConfig) (R, error), resumable bool) exp.Job {
 	seeded := func(seed uint64) C {
 		c := cfg
 		mc(&c).Seed = seed
 		return c
 	}
-	var resumable func(seed uint64, rc ckpt.RunConfig) (any, error)
-	if runCkpt != nil {
-		resumable = func(seed uint64, rc ckpt.RunConfig) (any, error) { return runCkpt(seeded(seed), rc) }
+	job := exp.Job{
+		Spec: spec,
+		Run:  func(seed uint64) (any, error) { return run(seeded(seed), ckpt.RunConfig{}) },
 	}
-	return exp.Job{
-		Spec:    spec,
-		Run:     func(seed uint64) (any, error) { return run(seeded(seed)) },
-		RunCkpt: resumable,
+	if resumable {
+		job.RunCkpt = func(seed uint64, rc ckpt.RunConfig) (any, error) { return run(seeded(seed), rc) }
 	}
+	return job
 }
 
 // SimCycles lets exp record simulated cycle counts in artifacts.
@@ -103,8 +102,8 @@ func patternNames(pats []traffic.Pattern) string {
 // says.
 const noCycleBound = 0
 
-// ThroughputSpec canonically identifies one Figure 9 style point.
-func ThroughputSpec(cfg ThroughputConfig) *exp.Spec {
+// throughputSpec canonically identifies one Figure 9 style point.
+func throughputSpec(cfg ThroughputConfig) *exp.Spec {
 	s := exp.NewSpec("throughput")
 	addMachine(s, cfg.Machine)
 	return s.Add("pattern", cfg.Pattern.Name()).
@@ -114,13 +113,13 @@ func ThroughputSpec(cfg ThroughputConfig) *exp.Spec {
 		Add("maxcycles", noCycleBound)
 }
 
-// ThroughputJob wraps one RunThroughput call for the orchestrator.
+// ThroughputJob wraps one runThroughput call for the orchestrator.
 func ThroughputJob(cfg ThroughputConfig) exp.Job {
-	return pointJob(ThroughputSpec(cfg), cfg, func(c *ThroughputConfig) *machine.Config { return &c.Machine }, RunThroughput, runThroughput)
+	return pointJob(throughputSpec(cfg), cfg, func(c *ThroughputConfig) *machine.Config { return &c.Machine }, runThroughput, true)
 }
 
-// BlendSpec canonically identifies one Figure 10 blend point.
-func BlendSpec(cfg BlendConfig) *exp.Spec {
+// blendSpec canonically identifies one Figure 10 blend point.
+func blendSpec(cfg BlendConfig) *exp.Spec {
 	s := exp.NewSpec("blend")
 	addMachine(s, cfg.Machine)
 	return s.Add("f", cfg.ForwardFraction).
@@ -129,14 +128,14 @@ func BlendSpec(cfg BlendConfig) *exp.Spec {
 		Add("maxcycles", noCycleBound)
 }
 
-// BlendJob wraps one RunBlend call for the orchestrator.
+// BlendJob wraps one runBlend call for the orchestrator.
 func BlendJob(cfg BlendConfig) exp.Job {
-	return pointJob(BlendSpec(cfg), cfg, func(c *BlendConfig) *machine.Config { return &c.Machine }, RunBlend, runBlend)
+	return pointJob(blendSpec(cfg), cfg, func(c *BlendConfig) *machine.Config { return &c.Machine }, runBlend, true)
 }
 
-// LatencySpec canonically identifies one Figure 11 latency sweep. The sweep
+// latencySpec canonically identifies one Figure 11 latency sweep. The sweep
 // always runs to the diameter; the frozen maxhops=0 token still says so.
-func LatencySpec(cfg LatencyConfig) *exp.Spec {
+func latencySpec(cfg LatencyConfig) *exp.Spec {
 	s := exp.NewSpec("latency")
 	addMachine(s, cfg.Machine)
 	return s.Add("sendover", cfg.SendOverhead).
@@ -148,12 +147,13 @@ func LatencySpec(cfg LatencyConfig) *exp.Spec {
 
 // LatencyJob wraps one RunLatency sweep for the orchestrator.
 func LatencyJob(cfg LatencyConfig) exp.Job {
-	return pointJob(LatencySpec(cfg), cfg, func(c *LatencyConfig) *machine.Config { return &c.Machine }, RunLatency, nil)
+	run := func(c LatencyConfig, _ ckpt.RunConfig) (LatencyResult, error) { return RunLatency(c) }
+	return pointJob(latencySpec(cfg), cfg, func(c *LatencyConfig) *machine.Config { return &c.Machine }, run, false)
 }
 
-// EnergySpec canonically identifies one Figure 13 energy point. The model
+// energySpec canonically identifies one Figure 13 energy point. The model
 // token spells out power.PaperModel, which prices every point.
-func EnergySpec(cfg EnergyConfig) *exp.Spec {
+func energySpec(cfg EnergyConfig) *exp.Spec {
 	m := power.PaperModel
 	s := exp.NewSpec("energy")
 	addMachine(s, cfg.Machine)
@@ -166,5 +166,6 @@ func EnergySpec(cfg EnergyConfig) *exp.Spec {
 
 // EnergyJob wraps one RunEnergy two-route subtraction for the orchestrator.
 func EnergyJob(cfg EnergyConfig) exp.Job {
-	return pointJob(EnergySpec(cfg), cfg, func(c *EnergyConfig) *machine.Config { return &c.Machine }, RunEnergy, nil)
+	run := func(c EnergyConfig, _ ckpt.RunConfig) (EnergyPoint, error) { return RunEnergy(c) }
+	return pointJob(energySpec(cfg), cfg, func(c *EnergyConfig) *machine.Config { return &c.Machine }, run, false)
 }

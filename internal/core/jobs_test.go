@@ -84,19 +84,19 @@ func TestPatternLoadsShared(t *testing.T) {
 // seeds (they are a pure function of the spec).
 func TestSweepSeedsFromSpecs(t *testing.T) {
 	cfg := ThroughputConfig{Machine: machine.DefaultConfig(topo.Shape3(2, 2, 2)), Pattern: traffic.Uniform{}, Batch: 4}
-	s1 := ThroughputSpec(cfg)
-	s2 := ThroughputSpec(cfg)
+	s1 := throughputSpec(cfg)
+	s2 := throughputSpec(cfg)
 	if s1.Seed() != s2.Seed() {
 		t.Error("same config must derive the same seed")
 	}
 	reseeded := cfg
 	reseeded.Machine.Seed = 7
-	if ThroughputSpec(reseeded).Seed() == s1.Seed() {
+	if throughputSpec(reseeded).Seed() == s1.Seed() {
 		t.Error("base-seed change must reach the derived seed")
 	}
 	bigger := cfg
 	bigger.Batch = 8
-	if ThroughputSpec(bigger).Seed() == s1.Seed() {
+	if throughputSpec(bigger).Seed() == s1.Seed() {
 		t.Error("parameter change must reach the derived seed")
 	}
 }

@@ -36,27 +36,10 @@ type KernelConfig struct {
 
 // KernelResult is one measured kernel point.
 type KernelResult struct {
-	Shape    string  `json:"shape"`
-	Engine   string  `json:"engine"`
-	Shards   int     `json:"shards,omitempty"`
-	Workload string  `json:"workload"`
-	Cycles   uint64  `json:"cycles"`
-	Packets  uint64  `json:"packets"`
-	WallSec  float64 `json:"wall_sec"`
+	Cycles  uint64  `json:"cycles"`
+	WallSec float64 `json:"wall_sec"`
 	// CyclesPerSec is the headline: simulated cycles per wall second.
 	CyclesPerSec float64 `json:"cycles_per_sec"`
-}
-
-// engineName renders a config's engine selection for artifacts.
-func engineName(cfg machine.Config) string {
-	name := cfg.Engine
-	if name == "" {
-		name = machine.EngineActive
-	}
-	if cfg.Shards > 1 {
-		name = fmt.Sprintf("%s-sharded%d", name, cfg.Shards)
-	}
-	return name
 }
 
 // RunKernel builds a machine, loads the workload, and measures wall time
@@ -104,12 +87,7 @@ func RunKernel(cfg KernelConfig) (KernelResult, error) {
 		return KernelResult{}, fmt.Errorf("core: kernel run (%s): %w", cfg.Workload, err)
 	}
 	return KernelResult{
-		Shape:        fmt.Sprintf("%dx%dx%d", tm.Shape.K[0], tm.Shape.K[1], tm.Shape.K[2]),
-		Engine:       engineName(cfg.Machine),
-		Shards:       cfg.Machine.Shards,
-		Workload:     cfg.Workload.String(),
 		Cycles:       end,
-		Packets:      total,
 		WallSec:      wall,
 		CyclesPerSec: float64(end) / wall,
 	}, nil

@@ -29,7 +29,7 @@ import (
 // serial / unobserved / uncheckpointed reference's for the same spec, byte
 // for byte. -short runs an all-pairs covering array of the mode axes under
 // every panel; the default run an all-triples one, plus paper-scale panels
-// on which the sharded engine reaches sim.ParallelMinReady on its own.
+// on which the sharded engine reaches sim.parallelMinReady on its own.
 
 // The mode axes, in row order; a row holds one value index per axis.
 const (

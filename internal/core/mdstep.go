@@ -181,9 +181,9 @@ func MDStepSpec(cfg MDStepConfig) *exp.Spec {
 		Add("maxcycles", cfg.MaxPhaseCycles)
 }
 
-// MDStepJob wraps one RunMDStepPoint call for the orchestrator.
-func MDStepJob(cfg MDStepConfig) exp.Job {
-	return pointJob(MDStepSpec(cfg), cfg, func(c *MDStepConfig) *machine.Config { return &c.Machine }, RunMDStepPoint, RunMDStepPointCkpt)
+// mdStepJob wraps one RunMDStepPointCkpt call for the orchestrator.
+func mdStepJob(cfg MDStepConfig) exp.Job {
+	return pointJob(MDStepSpec(cfg), cfg, func(c *MDStepConfig) *machine.Config { return &c.Machine }, RunMDStepPointCkpt, true)
 }
 
 // MDStepJobs builds one job per registered routing strategy, in registry
@@ -193,7 +193,7 @@ func MDStepJobs(base machine.Config, spec workload.Spec, maxPhaseCycles uint64) 
 	for _, strat := range route.Strategies() {
 		c := MDStepConfig{Machine: base, Workload: spec, MaxPhaseCycles: maxPhaseCycles}
 		c.Machine.Scheme = strat
-		jobs = append(jobs, MDStepJob(c))
+		jobs = append(jobs, mdStepJob(c))
 	}
 	return jobs
 }
@@ -241,7 +241,7 @@ func init() {
 				mc := machine.DefaultConfig(a.Shape)
 				mc.Scheme = strat
 				mutate(&mc)
-				jobs = append(jobs, MDStepJob(MDStepConfig{Machine: mc, Workload: a.Workload}))
+				jobs = append(jobs, mdStepJob(MDStepConfig{Machine: mc, Workload: a.Workload}))
 			}
 			return jobs
 		},

@@ -22,8 +22,8 @@ import (
 // degradation behavior under permanent link outages. One point = one
 // (strategy, failed-link count) cell; a sweep covers the whole registry.
 
-// RouteCompareConfig describes one routecompare point.
-type RouteCompareConfig struct {
+// routeCompareConfig describes one routecompare point.
+type routeCompareConfig struct {
 	// Machine carries the strategy under test in its Scheme field.
 	Machine machine.Config
 	// Pattern generates the measured traffic.
@@ -37,8 +37,8 @@ type RouteCompareConfig struct {
 // verdict stands for the strategy at every fail-link count.
 func verifiesDeadlock(mc machine.Config) bool { return mc.Fault == nil || mc.Fault.FailLinks == 0 }
 
-// RouteComparePoint is one measured routecompare cell.
-type RouteComparePoint struct {
+// routeComparePoint is one measured routecompare cell.
+type routeComparePoint struct {
 	Strategy  string `json:"strategy"`
 	FailLinks int    `json:"fail_links"`
 
@@ -77,21 +77,16 @@ type RouteComparePoint struct {
 }
 
 // SimCycles lets exp record simulated cycle counts in artifacts.
-func (p RouteComparePoint) SimCycles() uint64 { return p.Cycles }
+func (p routeComparePoint) SimCycles() uint64 { return p.Cycles }
 
-// Degraded implements exp.Degrader for result classification.
-func (p RouteComparePoint) Degraded() bool { return p.DegradedRun }
+// Degraded implements exp.degrader for result classification.
+func (p routeComparePoint) Degraded() bool { return p.DegradedRun }
 
-// RunRouteComparePoint executes one routecompare measurement.
-func RunRouteComparePoint(cfg RouteCompareConfig) (RouteComparePoint, error) {
-	return runRouteComparePoint(cfg, ckpt.RunConfig{})
-}
-
-// runRouteComparePoint is RunRouteComparePoint under a checkpoint config (see
-// runBatch).
-func runRouteComparePoint(cfg RouteCompareConfig, rc ckpt.RunConfig) (RouteComparePoint, error) {
+// runRouteComparePoint executes one routecompare measurement under a
+// checkpoint config (see runBatch).
+func runRouteComparePoint(cfg routeCompareConfig, rc ckpt.RunConfig) (routeComparePoint, error) {
 	scheme := cfg.Machine.Strategy()
-	pt := RouteComparePoint{
+	pt := routeComparePoint{
 		Strategy:    scheme.Name(),
 		MeshVCs:     scheme.MeshVCs(),
 		TorusVCs:    scheme.TorusVCs(),
@@ -109,7 +104,7 @@ func runRouteComparePoint(cfg RouteCompareConfig, rc ckpt.RunConfig) (RouteCompa
 	pt.MeanTorusHops = measured.MeanTorusHops
 
 	m, end, acc, err := runBatch(latencyBatch(cfg.Machine, "rc", cfg.Pattern, cfg.Batch, satRate,
-		RouteCompareSpec(cfg), fmt.Sprintf("routecompare %s (faillinks=%d)", pt.Strategy, pt.FailLinks)), rc)
+		routeCompareSpec(cfg), fmt.Sprintf("routecompare %s (faillinks=%d)", pt.Strategy, pt.FailLinks)), rc)
 	if err != nil {
 		return pt, err
 	}
@@ -131,11 +126,11 @@ func runRouteComparePoint(cfg RouteCompareConfig, rc ckpt.RunConfig) (RouteCompa
 	return pt, nil
 }
 
-// RouteCompareSpec canonically identifies one routecompare point. The
+// routeCompareSpec canonically identifies one routecompare point. The
 // strategy enters the key through addMachine's scheme name — distinct
 // strategies can never share a cached artifact — and the fail-link count
 // through the fault spec canonical.
-func RouteCompareSpec(cfg RouteCompareConfig) *exp.Spec {
+func routeCompareSpec(cfg routeCompareConfig) *exp.Spec {
 	s := exp.NewSpec("routecompare")
 	addMachine(s, cfg.Machine)
 	return s.Add("pattern", cfg.Pattern.Name()).
@@ -144,9 +139,9 @@ func RouteCompareSpec(cfg RouteCompareConfig) *exp.Spec {
 		Add("verify", verifiesDeadlock(cfg.Machine))
 }
 
-// RouteCompareJob wraps one RunRouteComparePoint call for the orchestrator.
-func RouteCompareJob(cfg RouteCompareConfig) exp.Job {
-	return pointJob(RouteCompareSpec(cfg), cfg, func(c *RouteCompareConfig) *machine.Config { return &c.Machine }, RunRouteComparePoint, runRouteComparePoint)
+// routeCompareJob wraps one runRouteComparePoint call for the orchestrator.
+func routeCompareJob(cfg routeCompareConfig) exp.Job {
+	return pointJob(routeCompareSpec(cfg), cfg, func(c *routeCompareConfig) *machine.Config { return &c.Machine }, runRouteComparePoint, true)
 }
 
 // The routecompare family. Axes: Shape, Pattern, Batch, Strategies x FailLinks
@@ -200,7 +195,7 @@ func init() {
 						mc.Fault = &fault.Spec{FailLinks: n}
 					}
 					mutate(&mc)
-					jobs = append(jobs, RouteCompareJob(RouteCompareConfig{Machine: mc, Pattern: a.Pattern, Batch: a.Batch}))
+					jobs = append(jobs, routeCompareJob(routeCompareConfig{Machine: mc, Pattern: a.Pattern, Batch: a.Batch}))
 				}
 			}
 			return jobs
@@ -218,7 +213,7 @@ func renderRouteCompare(w io.Writer, _ []Axes, rs []exp.Result) {
 			fmt.Fprintf(w, "          %-12s FAILED: %v\n", last, r.Err)
 			continue
 		}
-		pt := r.Value.(RouteComparePoint)
+		pt := r.Value.(routeComparePoint)
 		if pt.Strategy != last && last != "" {
 			fmt.Fprintln(w)
 		}

@@ -9,7 +9,7 @@ import (
 )
 
 // TestAutoShards pins the auto rule over cores x machine size x pool width:
-// min(cores / pool, nodes / NodesPerShard), never below 1. The shapes are the
+// min(cores / pool, nodes / nodesPerShard), never below 1. The shapes are the
 // benchmark's (2x2x2, 4x4x2, 8x8x8) and the paper's maximum (16x16x16): the
 // floor keeps the small two serial on any host and shards the large two.
 func TestAutoShards(t *testing.T) {
@@ -29,7 +29,7 @@ func TestAutoShards(t *testing.T) {
 				if w == 0 {
 					w = 1
 				}
-				if got := autoShards(procs, pool, nodes, NodesPerShard); got != w {
+				if got := autoShards(procs, pool, nodes, nodesPerShard); got != w {
 					t.Errorf("procs=%d nodes=%d pool=%d: auto = %d shards, want %d", procs, nodes, pool, got, w)
 				}
 			}
@@ -45,7 +45,7 @@ func TestAutoShards(t *testing.T) {
 func TestResolveShards(t *testing.T) {
 	limits := autoLimits
 	defer func() { autoLimits = limits }()
-	autoLimits = func() (int, int) { return 4, NodesPerShard }
+	autoLimits = func() (int, int) { return 4, nodesPerShard }
 
 	big := machine.DefaultConfig(topo.Shape3(8, 8, 8))
 	for name, tc := range map[string]struct {
@@ -74,13 +74,13 @@ func TestResolveShards(t *testing.T) {
 	}
 
 	// One core: every driver takes the unsharded path.
-	autoLimits = func() (int, int) { return 1, NodesPerShard }
+	autoLimits = func() (int, int) { return 1, nodesPerShard }
 	if got := ResolveShards(big, 1); got != 1 {
 		t.Errorf("one core: auto = %d shards, want 1", got)
 	}
 	// The production limits are GOMAXPROCS and the constant.
-	if procs, floor := limits(); procs != runtime.GOMAXPROCS(0) || floor != NodesPerShard {
-		t.Errorf("production limits = (%d, %d), want (GOMAXPROCS, NodesPerShard)", procs, floor)
+	if procs, floor := limits(); procs != runtime.GOMAXPROCS(0) || floor != nodesPerShard {
+		t.Errorf("production limits = (%d, %d), want (GOMAXPROCS, nodesPerShard)", procs, floor)
 	}
 }
 

@@ -66,12 +66,12 @@ func TestNilSchemeIsAnton(t *testing.T) {
 // strategy absorbs the same outages un-degraded by routing around them
 // natively — and the routecompare artifact must record that difference.
 func TestFaultAwareStrategyAbsorbsOutages(t *testing.T) {
-	run := func(scheme route.Strategy) (RouteComparePoint, []byte) {
+	run := func(scheme route.Strategy) (routeComparePoint, []byte) {
 		t.Helper()
 		mc := machine.DefaultConfig(topo.Shape3(3, 3, 2))
 		mc.Scheme = scheme
 		mc.Fault = &fault.Spec{FailLinks: 2}
-		job := RouteCompareJob(RouteCompareConfig{
+		job := routeCompareJob(routeCompareConfig{
 			Machine: mc,
 			Pattern: traffic.Uniform{},
 			Batch:   16,
@@ -84,7 +84,7 @@ func TestFaultAwareStrategyAbsorbsOutages(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return rs[0].Value.(RouteComparePoint), data
+		return rs[0].Value.(routeComparePoint), data
 	}
 
 	static, staticArt := run(route.AntonScheme{})

@@ -67,7 +67,7 @@ func runThroughput(cfg ThroughputConfig, rc ckpt.RunConfig) (ThroughputResult, e
 			return cfg.Pattern.Dest(tm, src, rng), cfg.PatternID
 		},
 		maxCycles: cycleBudget(cfg.Batch, satRate, 50, 200_000),
-		tag:       ThroughputSpec(cfg).Canonical(),
+		tag:       throughputSpec(cfg).Canonical(),
 		label:     fmt.Sprintf("throughput run (%s, batch %d)", cfg.Pattern.Name(), cfg.Batch),
 	}, rc)
 	if err != nil {

@@ -12,23 +12,23 @@ import (
 	"anton2/internal/topo"
 )
 
-// Graph is a dependency graph over (channel, VC) resources. An edge a->b
+// graph is a dependency graph over (channel, VC) resources. An edge a->b
 // means a packet can occupy a's buffer while requesting b's.
-type Graph struct {
+type graph struct {
 	cfg    *route.Config
 	maxVCs int
 	adj    map[int32]map[int32]struct{}
 }
 
 // nodeID packs a (channel, vc) resource.
-func (g *Graph) nodeID(ch int, vc uint8) int32 { return int32(ch*g.maxVCs + int(vc)) }
+func (g *graph) nodeID(ch int, vc uint8) int32 { return int32(ch*g.maxVCs + int(vc)) }
 
-// Resource unpacks a graph node into channel and VC for diagnostics.
-func (g *Graph) Resource(n int32) (ch int, vc int) {
+// resource unpacks a graph node into channel and VC for diagnostics.
+func (g *graph) resource(n int32) (ch int, vc int) {
 	return int(n) / g.maxVCs, int(n) % g.maxVCs
 }
 
-// Build enumerates all node pairs with every routing choice the strategy
+// build enumerates all node pairs with every routing choice the strategy
 // admits (dimension order, slice, tie-breaks) and records the channel/VC
 // dependencies of each route. Each node pair gets one endpoint pair, rotated
 // deterministically so that every endpoint participates across the
@@ -36,8 +36,8 @@ func (g *Graph) Resource(n int32) (ch int, vc int) {
 // positions, so rotating endpoints across node pairs covers all attachments.
 // Restricted-path strategies contribute exactly their restricted choice
 // sets, so the graph verified here is the graph the simulator routes in.
-func Build(cfg *route.Config) *Graph {
-	g := &Graph{
+func build(cfg *route.Config) *graph {
+	g := &graph{
 		cfg:    cfg,
 		maxVCs: maxSchemeVCs(cfg.Scheme),
 		adj:    make(map[int32]map[int32]struct{}),
@@ -71,7 +71,7 @@ func Build(cfg *route.Config) *Graph {
 	return g
 }
 
-func (g *Graph) addRoute(hops []route.Hop) {
+func (g *graph) addRoute(hops []route.Hop) {
 	m := g.cfg.Machine
 	for i := 0; i+1 < len(hops); i++ {
 		budget := route.ChannelVCs(g.cfg.Scheme, m.ChanGroup(hops[i].Chan))
@@ -89,10 +89,10 @@ func (g *Graph) addRoute(hops []route.Hop) {
 	}
 }
 
-// FindCycle returns a dependency cycle as a list of (channel, VC) resources,
+// findCycle returns a dependency cycle as a list of (channel, VC) resources,
 // or nil if the graph is acyclic. The cycle is reported in traversal order
 // with the first node repeated at the end.
-func (g *Graph) FindCycle() []int32 {
+func (g *graph) findCycle() []int32 {
 	const (
 		white = 0
 		gray  = 1
@@ -157,14 +157,14 @@ func (g *Graph) FindCycle() []int32 {
 	return append(cycle, cycleStart)
 }
 
-// DescribeCycle renders a cycle for diagnostics.
-func (g *Graph) DescribeCycle(cycle []int32) string {
+// describeCycle renders a cycle for diagnostics.
+func (g *graph) describeCycle(cycle []int32) string {
 	if len(cycle) == 0 {
 		return "acyclic"
 	}
 	s := ""
 	for i, n := range cycle {
-		ch, vc := g.Resource(n)
+		ch, vc := g.resource(n)
 		if i > 0 {
 			s += " -> "
 		}
@@ -184,9 +184,9 @@ func maxSchemeVCs(s route.Scheme) int {
 // Verify builds the graph and returns an error describing a cycle if one
 // exists.
 func Verify(cfg *route.Config) error {
-	g := Build(cfg)
-	if cycle := g.FindCycle(); cycle != nil {
-		return fmt.Errorf("deadlock: scheme %q has cyclic VC dependencies: %s", cfg.Scheme.Name(), g.DescribeCycle(cycle))
+	g := build(cfg)
+	if cycle := g.findCycle(); cycle != nil {
+		return fmt.Errorf("deadlock: scheme %q has cyclic VC dependencies: %s", cfg.Scheme.Name(), g.describeCycle(cycle))
 	}
 	return nil
 }

@@ -31,7 +31,7 @@ func enumerated(cfg *route.Config) int {
 }
 
 // numEdges counts the graph's dependency edges.
-func numEdges(g *Graph) int {
+func numEdges(g *graph) int {
 	total := 0
 	for _, s := range g.adj {
 		total += len(s)
@@ -84,12 +84,12 @@ func TestBaselineSchemeDeadlockFree(t *testing.T) {
 // hazards.
 func TestNoDatelineSchemeHasCycle(t *testing.T) {
 	cfg := configFor(t, topo.Shape3(4, 1, 1), route.NoDatelineScheme{})
-	g := Build(cfg)
-	cycle := g.FindCycle()
+	g := build(cfg)
+	cycle := g.findCycle()
 	if cycle == nil {
 		t.Fatal("broken no-dateline scheme reported deadlock-free")
 	}
-	desc := g.DescribeCycle(cycle)
+	desc := g.describeCycle(cycle)
 	if !strings.Contains(desc, "torus") {
 		t.Errorf("cycle should involve torus channels, got %s", desc)
 	}
@@ -112,18 +112,18 @@ func TestMGroupSingleVCAcyclic(t *testing.T) {
 	for _, ord := range topo.AllDirOrders() {
 		cfg := configFor(t, topo.Shape3(2, 2, 1), route.AntonScheme{})
 		cfg.DirOrder = ord
-		g := Build(cfg)
+		g := build(cfg)
 		// The full graph being acyclic implies the M-restricted graph is
 		// too; verify the full graph.
-		if cycle := g.FindCycle(); cycle != nil {
-			t.Fatalf("direction order %v: %s", ord, g.DescribeCycle(cycle))
+		if cycle := g.findCycle(); cycle != nil {
+			t.Fatalf("direction order %v: %s", ord, g.describeCycle(cycle))
 		}
 	}
 }
 
 func TestGraphStatsReasonable(t *testing.T) {
 	cfg := configFor(t, topo.Shape3(2, 2, 2), route.AntonScheme{})
-	g := Build(cfg)
+	g := build(cfg)
 	if n := enumerated(cfg); n < 8*8*12 {
 		t.Errorf("only %d routes enumerated; expected at least all pairs x orders x slices", n)
 	}
@@ -133,9 +133,9 @@ func TestGraphStatsReasonable(t *testing.T) {
 }
 
 func TestDescribeCycleAcyclic(t *testing.T) {
-	g := &Graph{maxVCs: 4}
-	if got := g.DescribeCycle(nil); got != "acyclic" {
-		t.Errorf("DescribeCycle(nil) = %q", got)
+	g := &graph{maxVCs: 4}
+	if got := g.describeCycle(nil); got != "acyclic" {
+		t.Errorf("describeCycle(nil) = %q", got)
 	}
 }
 

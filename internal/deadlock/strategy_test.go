@@ -72,9 +72,9 @@ func TestVClessSingleTorusVC(t *testing.T) {
 		t.Fatalf("vcless TorusVCs = %d, want 1", got)
 	}
 	cfg := configFor(t, topo.Shape3(5, 4, 3), route.VClessScheme{})
-	g := Build(cfg)
-	if cycle := g.FindCycle(); cycle != nil {
-		t.Fatalf("vcless cycle: %s", g.DescribeCycle(cycle))
+	g := build(cfg)
+	if cycle := g.findCycle(); cycle != nil {
+		t.Fatalf("vcless cycle: %s", g.describeCycle(cycle))
 	}
 }
 
@@ -93,12 +93,12 @@ func TestBrokenSchemeStillCaught(t *testing.T) {
 	} {
 		t.Run(shape.String(), func(t *testing.T) {
 			cfg := configFor(t, shape, route.NoDatelineScheme{})
-			g := Build(cfg)
-			cycle := g.FindCycle()
+			g := build(cfg)
+			cycle := g.findCycle()
 			if cycle == nil {
 				t.Fatal("broken no-dateline scheme reported deadlock-free")
 			}
-			desc := g.DescribeCycle(cycle)
+			desc := g.describeCycle(cycle)
 			if !strings.Contains(desc, "torus") || !strings.Contains(desc, ".vc") {
 				t.Errorf("cycle description should name torus channel VCs, got %s", desc)
 			}
@@ -120,7 +120,7 @@ func TestStrategyGraphsDiffer(t *testing.T) {
 	if v, a := enumerated(vclessCfg), enumerated(antonCfg); v >= a {
 		t.Errorf("vcless enumerated %d routes, anton %d; restricted policy should enumerate fewer", v, a)
 	}
-	if v, a := numEdges(Build(vclessCfg)), numEdges(Build(antonCfg)); v >= a {
+	if v, a := numEdges(build(vclessCfg)), numEdges(build(antonCfg)); v >= a {
 		t.Errorf("vcless graph has %d edges, anton %d; single-VC graph should be smaller", v, a)
 	}
 }

@@ -79,10 +79,10 @@ func (c *Cache) Range(visit func(key string, val any)) {
 	}
 }
 
-// Forget drops the entry for key, so the next Do recomputes it. Callers use
+// forget drops the entry for key, so the next Do recomputes it. Callers use
 // it to keep non-deterministic failures — a cancelled context, an operator
 // abort — from poisoning the deterministic result cache.
-func (c *Cache) Forget(key string) {
+func (c *Cache) forget(key string) {
 	c.mu.Lock()
 	delete(c.m, key)
 	c.mu.Unlock()

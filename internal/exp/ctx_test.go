@@ -115,8 +115,8 @@ func TestCacheSeedRangeForget(t *testing.T) {
 	if len(got) != 1 || got["a"] != 1 {
 		t.Fatalf("Range visited %v, want only a=1 (errors skipped)", got)
 	}
-	c.Forget("a")
+	c.forget("a")
 	if _, hit, _ := c.Do("a", func() (any, error) { return 3, nil }); hit {
-		t.Fatal("Forget did not drop the entry")
+		t.Fatal("forget did not drop the entry")
 	}
 }

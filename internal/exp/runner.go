@@ -29,9 +29,9 @@ type Job struct {
 	RunCkpt func(seed uint64, rc ckpt.RunConfig) (any, error)
 }
 
-// Cycler is implemented by result values that know their simulated cycle
+// cycler is implemented by result values that know their simulated cycle
 // count; Run copies it into Result.Cycles for the artifacts.
-type Cycler interface{ SimCycles() uint64 }
+type cycler interface{ SimCycles() uint64 }
 
 // Options configures a sweep execution.
 type Options struct {
@@ -276,7 +276,7 @@ func runOne(ctx context.Context, i int, j Job, opts Options) Result {
 		// spec's deterministic outcome; drop it so later runs recompute.
 		var cancelled *ErrCancelled
 		if errors.As(err, &cancelled) {
-			opts.Cache.Forget(r.Spec)
+			opts.Cache.forget(r.Spec)
 		}
 	} else {
 		val, err = run()
@@ -287,23 +287,23 @@ func runOne(ctx context.Context, i int, j Job, opts Options) Result {
 		r.Error = err.Error()
 		var dl *sim.ErrDeadlock
 		r.Deadlock = errors.As(err, &dl)
-		var dg Degrader
+		var dg degrader
 		r.Degraded = errors.As(err, &dg) && dg.Degraded()
 		return r
 	}
 	r.Value = val
-	if c, ok := val.(Cycler); ok {
+	if c, ok := val.(cycler); ok {
 		r.Cycles = c.SimCycles()
 	}
-	if dg, ok := val.(Degrader); ok && dg.Degraded() {
+	if dg, ok := val.(degrader); ok && dg.Degraded() {
 		r.Degraded = true
 	}
 	return r
 }
 
-// Degrader is implemented by values and errors that classify their outcome
+// degrader is implemented by values and errors that classify their outcome
 // as graceful degradation rather than clean success or hard failure.
-type Degrader interface{ Degraded() bool }
+type degrader interface{ Degraded() bool }
 
 // ErrCancelled reports a point that never ran (or was abandoned mid-run)
 // because the RunCtx context was cancelled. It unwraps to the context's
@@ -317,6 +317,9 @@ func (e *ErrCancelled) Error() string {
 
 // Unwrap exposes the context error that triggered the cancellation.
 func (e *ErrCancelled) Unwrap() error { return e.Cause }
+
+// errors.Is and errors.As walk a chain through this interface.
+var _ interface{ Unwrap() error } = (*ErrCancelled)(nil)
 
 // FirstErr returns the first failed result's error annotated with its spec,
 // or nil when every point succeeded.

@@ -52,8 +52,6 @@ type FlowFunc func(srcEp int) []Flow
 // units of traversals per "round" in which every source endpoint on every
 // node injects one packet.
 type Loads struct {
-	Cfg *route.Config
-
 	// Chan is indexed by chip channel id (per-node intra channels).
 	Chan []float64
 	// Torus is indexed by adapter index (direction x slice).
@@ -80,7 +78,7 @@ type Loads struct {
 // class selects the traffic class whose VC indices are recorded.
 func Compute(cfg *route.Config, sources []int, flows FlowFunc, class route.Class) *Loads {
 	t := newTables(cfg, class)
-	l := &Loads{Cfg: cfg, Sources: len(sources)}
+	l := &Loads{Sources: len(sources)}
 	var st route.State
 	for _, srcEp := range sources {
 		fl := flows(srcEp)

@@ -226,7 +226,6 @@ func TestSliceRandomizationBalances(t *testing.T) {
 func walkOracle(cfg *route.Config, sources []int, flows loadcalc.FlowFunc, class route.Class) *loadcalc.Loads {
 	m := cfg.Machine
 	l := &loadcalc.Loads{
-		Cfg:     cfg,
 		Chan:    make([]float64, m.NumIntraChans()),
 		Sources: len(sources),
 	}
@@ -241,7 +240,6 @@ func walkOracle(cfg *route.Config, sources []int, flows loadcalc.FlowFunc, class
 		l.AdIn[a] = make([]float64, maxVC)
 	}
 
-	chip := m.Chip
 	for _, srcEp := range sources {
 		src := topo.NodeEp{Node: 0, Ep: srcEp}
 		fl := flows(srcEp)
@@ -251,59 +249,57 @@ func walkOracle(cfg *route.Config, sources []int, flows loadcalc.FlowFunc, class
 			for _, wc := range cfg.Scheme.Enumerate(m.Shape, srcC, dstC) {
 				w := f.Frac * wc.Weight
 				hops := route.Walk(cfg, src, f.Dst, wc.Order, wc.Slice, wc.Ties, class)
-				accumulate(l, chip, hops, w, class)
+				accumulate(l, cfg, hops, w, class)
 			}
 		}
 	}
 	return l
 }
 
-func accumulate(l *loadcalc.Loads, chip *topo.Chip, hops []route.Hop, w float64, class route.Class) {
-	m := l.Cfg.Machine
+func accumulate(l *loadcalc.Loads, cfg *route.Config, hops []route.Hop, w float64, class route.Class) {
+	m := cfg.Machine
 	for i, h := range hops {
 		if m.IsTorusChan(h.Chan) {
 			_, ad := m.TorusChanOf(h.Chan)
 			l.Torus[ad.Index()] += w
 			l.MeanTorusHops += w / float64(l.Sources)
 		} else {
-			_, ch := m.IntraChanOf(h.Chan)
-			l.Chan[ch.ID] += w
+			l.Chan[h.Chan%m.NumIntraChans()] += w
 		}
 		if i == 0 {
 			continue
 		}
-		transition(l, chip, hops[i-1], h, w, class)
+		transition(l, cfg, hops[i-1], h, w, class)
 	}
 }
 
 // transition records the arbiter-input load of moving from channel a to
 // channel b at the component between them.
-func transition(l *loadcalc.Loads, chip *topo.Chip, a, b route.Hop, w float64, class route.Class) {
-	m := l.Cfg.Machine
+func transition(l *loadcalc.Loads, cfg *route.Config, a, b route.Hop, w float64, class route.Class) {
+	m := cfg.Machine
 	aTorus, bTorus := m.IsTorusChan(a.Chan), m.IsTorusChan(b.Chan)
 	switch {
 	case aTorus && !bTorus:
 		// Torus arrival -> channel-adapter ingress arbiter.
 		_, ad := m.TorusChanOf(a.Chan)
-		vc := route.PhysVC(l.Cfg.Scheme, topo.GroupT, class, a.VC)
+		vc := route.PhysVC(cfg.Scheme, topo.GroupT, class, a.VC)
 		l.AdIn[ad.Index()][vc] += w
 	case !aTorus && bTorus:
 		// Router-to-adapter channel -> adapter egress arbiter. The
 		// egress queue is indexed by the arrival (pre-dateline) VC.
 		_, bad := m.TorusChanOf(b.Chan)
-		vc := route.PhysVC(l.Cfg.Scheme, topo.GroupT, class, a.VC)
+		vc := route.PhysVC(cfg.Scheme, topo.GroupT, class, a.VC)
 		l.AdEg[bad.Index()][vc] += w
 	case !aTorus && !bTorus:
 		// Router transition: SA1 (input port, VC) and SA2 (output
 		// port, input port).
 		_, ach := m.IntraChanOf(a.Chan)
-		_, bch := m.IntraChanOf(b.Chan)
-		in := chip.InPortOf(ach.ID)
-		out := outPort(chip, bch.ID)
+		in := m.Chip.InPortOf(a.Chan % m.NumIntraChans())
+		out := outPort(m.Chip, b.Chan%m.NumIntraChans())
 		if in.Router < 0 || out.Router < 0 || in.Router != out.Router {
 			panic("loadcalc: intra transition does not cross a router")
 		}
-		vc := route.PhysVC(l.Cfg.Scheme, ach.Group, class, a.VC)
+		vc := route.PhysVC(cfg.Scheme, ach.Group, class, a.VC)
 		l.SA1[in.Router][in.Port][vc] += w
 		l.SA2[in.Router][out.Port][in.Port] += w
 	default:
@@ -350,8 +346,8 @@ func bitDiff(got, want *loadcalc.Loads) string {
 		cmp(fmt.Sprintf("AdEg[%d]", a), got.AdEg[a], want.AdEg[a])
 		cmp(fmt.Sprintf("AdIn[%d]", a), got.AdIn[a], want.AdIn[a])
 	}
-	if d == "" && (got.Sources != want.Sources || got.Cfg != want.Cfg) {
-		d = fmt.Sprintf("Sources, Cfg = %d, %p; want %d, %p", got.Sources, got.Cfg, want.Sources, want.Cfg)
+	if d == "" && got.Sources != want.Sources {
+		d = fmt.Sprintf("Sources = %d, want %d", got.Sources, want.Sources)
 	}
 	return d
 }

@@ -12,12 +12,12 @@ import (
 	"anton2/internal/topo"
 )
 
-// ChannelAdapter bridges a mesh router port to one external torus channel.
+// channelAdapter bridges a mesh router port to one external torus channel.
 // The egress path serializes mesh flits onto the torus link (applying the
 // dateline VC-promotion rule); the ingress path decides whether an arriving
 // packet continues along its dimension or turns, then forwards it to the
 // router. Both paths have per-VC queues and an arbiter across the VCs.
-type ChannelAdapter struct {
+type channelAdapter struct {
 	m         *Machine
 	node      int
 	nodeCoord topo.NodeCoord
@@ -70,11 +70,11 @@ const (
 	credToRouter
 )
 
-func newChannelAdapter(m *Machine, node int, id topo.AdapterID) *ChannelAdapter {
+func newChannelAdapter(m *Machine, node int, id topo.AdapterID) *channelAdapter {
 	ca := m.Topo.Chip.AdapterAt(id)
 	tvcs := route.TotalVCs(m.Cfg.Scheme, topo.GroupT)
 	u := m.Topo.Shape.NodeID(m.Topo.Shape.Neighbor(m.Topo.Shape.Coord(node), id.Dir))
-	a := &ChannelAdapter{
+	a := &channelAdapter{
 		m:          m,
 		node:       node,
 		nodeCoord:  m.Topo.Shape.Coord(node),
@@ -101,7 +101,7 @@ func newChannelAdapter(m *Machine, node int, id topo.AdapterID) *ChannelAdapter 
 // packet arrivals on both receive sides, credit returns on both send sides,
 // and — when the link is reliable — ack/nack control arrivals on the outgoing
 // link's reverse pipe.
-func (a *ChannelAdapter) bind() {
+func (a *channelAdapter) bind() {
 	a.fromRouter.BindReceiver(a.m.Engine, a.cid, &a.inMask, inFromRouter)
 	a.torusIn.BindReceiver(a.m.Engine, a.cid, &a.inMask, inTorusIn)
 	a.torusOut.BindSender(a.m.Engine, a.cid, &a.credMask, credTorusOut)
@@ -116,7 +116,7 @@ func (a *ChannelAdapter) bind() {
 // schedules a wake at the go-back-N timeout deadline when frames are
 // outstanding, so a sleeping adapter still fires its retransmit timer on
 // exactly the cycle scan mode would.
-func (a *ChannelAdapter) Tick(now uint64) {
+func (a *channelAdapter) Tick(now uint64) {
 	a.tick(now)
 	e := a.m.Engine
 	if a.queued > 0 {
@@ -134,7 +134,7 @@ func (a *ChannelAdapter) Tick(now uint64) {
 	}
 }
 
-func (a *ChannelAdapter) tick(now uint64) {
+func (a *channelAdapter) tick(now uint64) {
 	if a.credMask&(1<<credTorusOut) != 0 {
 		a.torusOut.AbsorbCredits(now)
 	}
@@ -300,7 +300,7 @@ func (a *ChannelAdapter) tick(now uint64) {
 // space immediately on the frame's wire VC; only the frame metadata is
 // consulted for that, because the packet pointer of a stale duplicate may
 // alias a packet that has long since moved on.
-func (a *ChannelAdapter) acceptFrame(now uint64, p *packet.Packet) bool {
+func (a *channelAdapter) acceptFrame(now uint64, p *packet.Packet) bool {
 	rl := a.rlIn
 	flt := a.m.flt
 	mt := rl.popMeta()
@@ -331,7 +331,7 @@ func (a *ChannelAdapter) acceptFrame(now uint64, p *packet.Packet) bool {
 // sender, releases acknowledged window entries, and fires the timeout
 // rewind. A sender that exhausts its rewind budget marks the whole run
 // fatally degraded.
-func (a *ChannelAdapter) reliableOutTick(now uint64) {
+func (a *channelAdapter) reliableOutTick(now uint64) {
 	rl := a.rlOut
 	flt := a.m.flt
 	for {
@@ -363,7 +363,7 @@ func (a *ChannelAdapter) reliableOutTick(now uint64) {
 // suite's OnSend hook: the packet's routing state may legitimately have
 // advanced since the original transmission, so route-progress checks would
 // misfire on the stale copy.
-func (a *ChannelAdapter) tryRetransmit(now uint64) bool {
+func (a *channelAdapter) tryRetransmit(now uint64) bool {
 	rl := a.rlOut
 	seq, ok := rl.snd.NeedRetx()
 	if !ok {
@@ -388,7 +388,7 @@ func (a *ChannelAdapter) tryRetransmit(now uint64) bool {
 
 // ingHead returns the packet that would move next from an ingress queue: a
 // pending multicast branch, or the head itself.
-func (a *ChannelAdapter) ingHead(q *vcq) *packet.Packet {
+func (a *channelAdapter) ingHead(q *vcq) *packet.Packet {
 	if len(q.branches) > 0 {
 		return q.branches[0]
 	}
@@ -397,7 +397,7 @@ func (a *ChannelAdapter) ingHead(q *vcq) *packet.Packet {
 
 // expandMulticast builds the branch copies an arriving multicast packet
 // fans out into at this node, per the group's table.
-func (a *ChannelAdapter) expandMulticast(p *packet.Packet) []*packet.Packet {
+func (a *channelAdapter) expandMulticast(p *packet.Packet) []*packet.Packet {
 	g := a.m.Cfg.Multicast[p.MGroup]
 	if g == nil {
 		panic(fmt.Sprintf("machine: multicast group %d not loaded", p.MGroup))

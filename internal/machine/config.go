@@ -20,16 +20,16 @@ import (
 
 // Clock parameters (Section 2.2): the on-chip network runs at 1.5 GHz.
 const (
-	// CyclePS is the cycle time in picoseconds.
-	CyclePS = 1000000 / 1500 // 666 ps
+	// cyclePS is the cycle time in picoseconds.
+	cyclePS = 1000000 / 1500 // 666 ps
 )
 
-// ProgressCycles is the cadence of Config.Progress, in simulated cycles:
+// progressCycles is the cadence of Config.Progress, in simulated cycles:
 // coarse enough that the callback never shows in a profile.
-const ProgressCycles = 1024
+const progressCycles = 1024
 
 // CyclesToNS converts cycles to nanoseconds.
-func CyclesToNS(cycles float64) float64 { return cycles * float64(CyclePS) / 1000.0 }
+func CyclesToNS(cycles float64) float64 { return cycles * float64(cyclePS) / 1000.0 }
 
 // Config parameterizes a simulated machine.
 type Config struct {
@@ -82,7 +82,7 @@ type Config struct {
 
 	// Progress, when non-nil, is the live heartbeat: New installs it as an
 	// engine observer that calls it with the clock at every multiple of
-	// ProgressCycles (anton2serve streams it to SSE clients); a restored
+	// progressCycles (anton2serve streams it to SSE clients); a restored
 	// machine also reports its resumed clock on its first step. It reads
 	// nothing but the clock, so Validate, Shardable, Checkpointable and
 	// experiment cache keys ignore it. It runs on the simulating goroutine,

@@ -20,7 +20,7 @@ func refusedField(t *testing.T, err error) string {
 
 // TestProgressFiresAtCadence pins the live-heartbeat contract anton2serve
 // relies on: Config.Progress fires with the clock at every multiple of
-// ProgressCycles and never between, at the same clocks whether the machine
+// progressCycles and never between, at the same clocks whether the machine
 // steps under scan, active, or two shards alternating serial and parallel
 // cycles (the run drains and then idles, so the active engines jump), and a
 // machine carrying it has no collector. That it changes no Shardable,
@@ -32,13 +32,13 @@ func TestProgressFiresAtCadence(t *testing.T) {
 		cfg.Progress = func(cycles uint64) { ticks = append(ticks, cycles) }
 		m := buildForTest(cfg)
 		snapInject(m, 40)
-		m.Engine.Run(3*ProgressCycles + 500)
+		m.Engine.Run(3*progressCycles + 500)
 		if m.tel != nil {
 			t.Errorf("%s/%d: the heartbeat attached a collector", engine, shards)
 		}
 		return ticks
 	}
-	want := []uint64{ProgressCycles, 2 * ProgressCycles, 3 * ProgressCycles}
+	want := []uint64{progressCycles, 2 * progressCycles, 3 * progressCycles}
 	for _, c := range []struct {
 		engine string
 		shards int

@@ -14,9 +14,7 @@ import (
 // communication is bursty and not self-throttling (Section 2) — and a single
 // VC per traffic class toward the network.
 type EndpointAdapter struct {
-	m    *Machine
-	node int
-	ep   int
+	m *Machine
 
 	cid   int   // engine component id
 	shard int32 // owning shard (0 when unsharded)
@@ -53,11 +51,9 @@ type EndpointAdapter struct {
 func newEndpoint(m *Machine, node, ep int) *EndpointAdapter {
 	ce := &m.Topo.Chip.Endpoints[ep]
 	return &EndpointAdapter{
-		m:    m,
-		node: node,
-		ep:   ep,
-		out:  m.chans[m.Topo.IntraChanID(node, ce.ToRouter)],
-		in:   m.chans[m.Topo.IntraChanID(node, ce.FromRouter)],
+		m:   m,
+		out: m.chans[m.Topo.IntraChanID(node, ce.ToRouter)],
+		in:  m.chans[m.Topo.IntraChanID(node, ce.FromRouter)],
 	}
 }
 
@@ -100,8 +96,8 @@ func (e *EndpointAdapter) Inject(p *packet.Packet) {
 	}
 }
 
-// Pending returns the number of packets queued for injection.
-func (e *EndpointAdapter) Pending() int { return len(e.swq) - e.head }
+// pending returns the number of packets queued for injection.
+func (e *EndpointAdapter) pending() int { return len(e.swq) - e.head }
 
 // Tick implements sim.Component. In active-set mode the endpoint re-arms
 // itself every cycle while a lazy Source is attached (the source must be
@@ -149,7 +145,7 @@ func (e *EndpointAdapter) tick(now uint64) {
 	// Top up the software queue from the lazy source so the injection
 	// pipeline stays full (one send per cycle once primed).
 	if e.Source != nil {
-		for e.Pending() <= int(e.m.Cfg.EndpointPipeline)+1 {
+		for e.pending() <= int(e.m.Cfg.EndpointPipeline)+1 {
 			p := e.Source()
 			if p == nil {
 				e.Source = nil

@@ -392,12 +392,10 @@ func (f *faultLayer) quiet() bool {
 	return true
 }
 
-// Status is a snapshot of the machine's fault state for reporting.
+// FaultStatus is a snapshot of the machine's fault state for reporting.
 type FaultStatus struct {
-	FailedLinks []int          // global channel ids of permanent outages
-	Counters    fault.Counters // protocol and injector event counts
-	Degraded    bool           // the run survived permanent faults or reroutes
-	Fatal       error          // retry budget exhaustion or unreachability, if any
+	Counters fault.Counters // protocol and injector event counts
+	Degraded bool           // the run survived permanent faults or reroutes
 }
 
 // degraded classifies the run: link outages and emergency reroutes concede
@@ -418,12 +416,7 @@ func (m *Machine) FaultStatus() *FaultStatus {
 		return nil
 	}
 	c := m.flt.counters()
-	return &FaultStatus{
-		FailedLinks: append([]int(nil), m.flt.failedList...),
-		Counters:    c,
-		Degraded:    m.degraded(c),
-		Fatal:       m.flt.fatal,
-	}
+	return &FaultStatus{Counters: c, Degraded: m.degraded(c)}
 }
 
 // deadlockDetail renders the per-router blocked-VC summary attached to
@@ -461,7 +454,7 @@ func (m *Machine) deadlockDetail() string {
 			}
 		}
 		for ei, e := range node.Endpoints {
-			if n := e.Pending(); n > 0 {
+			if n := e.pending(); n > 0 {
 				add("node %d endpoint %d: %d pkts pending injection\n", node.ID, ei, n)
 			}
 		}

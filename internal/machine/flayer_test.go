@@ -125,10 +125,10 @@ func TestFaultPermanentLinkDegraded(t *testing.T) {
 	if !st.Degraded {
 		t.Error("run with failed links not reported degraded")
 	}
-	if got := len(st.FailedLinks); got != 2 {
-		t.Fatalf("FailedLinks = %d entries, want 2", got)
+	if got := len(m.flt.failedList); got != 2 {
+		t.Fatalf("failed links = %d entries, want 2", got)
 	}
-	for _, id := range st.FailedLinks {
+	for _, id := range m.flt.failedList {
 		if sent := m.Chan(id).FlitsSent(); sent != 0 {
 			t.Errorf("failed link %s carried %d flits, want 0", m.Chan(id).Name, sent)
 		}

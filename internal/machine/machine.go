@@ -26,7 +26,7 @@ type Machine struct {
 	// not degrade the run.
 	faultAware bool
 	chans      []*fabric.Channel // global channel id -> channel
-	nodes      []*Node
+	nodes      []*node
 
 	injected  uint64
 	delivered uint64
@@ -60,12 +60,12 @@ type Machine struct {
 	snapTab pktTable
 }
 
-// Node groups one ASIC's components.
-type Node struct {
+// node groups one ASIC's components.
+type node struct {
 	ID        int
-	Routers   [topo.NumRouters]*Router
+	Routers   [topo.NumRouters]*router
 	Endpoints [topo.NumEndpoints]*EndpointAdapter
-	Adapters  [topo.NumChannelAdapters]*ChannelAdapter
+	Adapters  [topo.NumChannelAdapters]*channelAdapter
 }
 
 // shardState is what one shard's worker owns during a parallel phase: its
@@ -176,9 +176,9 @@ func New(cfg Config) (*Machine, error) {
 
 	// Components, registered in a fixed order for determinism; each records
 	// its engine id and shard and binds its channels for active-set wakeups.
-	m.nodes = make([]*Node, tm.NumNodes())
+	m.nodes = make([]*node, tm.NumNodes())
 	for n := 0; n < tm.NumNodes(); n++ {
-		node := &Node{ID: n}
+		node := &node{ID: n}
 		m.nodes[n] = node
 		sh := m.nodeShard[n]
 		for ri := 0; ri < topo.NumRouters; ri++ {
@@ -259,7 +259,7 @@ func New(cfg Config) (*Machine, error) {
 			Topo:            tm,
 			Channels:        m.chans,
 			MaxVCs:          route.MaxTotalVCs(cfg.Scheme),
-			CyclePS:         CyclePS,
+			CyclePS:         cyclePS,
 			ScanVCOccupancy: m.scanVCOccupancy,
 		}
 		if m.flt != nil {
@@ -273,9 +273,9 @@ func New(cfg Config) (*Machine, error) {
 		m.Engine.Observe(m.tel.Observe(0), m.tel.Observe)
 	}
 	if cfg.Progress != nil {
-		m.Engine.Observe(ProgressCycles, func(now uint64) uint64 {
+		m.Engine.Observe(progressCycles, func(now uint64) uint64 {
 			cfg.Progress(now)
-			return now + ProgressCycles - now%ProgressCycles
+			return now + progressCycles - now%progressCycles
 		})
 	}
 	// The detail provider runs only on the watchdog failure path, so
@@ -589,7 +589,7 @@ func (m *Machine) queuedPackets() int {
 			}
 		}
 		for _, e := range node.Endpoints {
-			total += e.Pending()
+			total += e.pending()
 		}
 	}
 	if m.flt != nil {

@@ -10,18 +10,17 @@ import (
 	"anton2/internal/topo"
 )
 
-// Router is one six-port on-chip mesh router. Its pipeline has four stages
+// router is one six-port on-chip mesh router. Its pipeline has four stages
 // (Figure 12): route computation (RC), VC allocation (VA), input switch
 // arbitration (SA1), and output switch arbitration (SA2). RC/VA/SA1 are
 // modeled as a fixed delay before a head packet may bid; SA1 then selects
 // one candidate VC per input port and SA2 one input per output port each
 // cycle, using the configured arbiter flavor.
-type Router struct {
-	m         *Machine
-	node      int
-	nodeCoord topo.NodeCoord
-	rc        topo.MeshCoord
-	routerID  int
+type router struct {
+	m        *Machine
+	node     int
+	rc       topo.MeshCoord
+	routerID int
 
 	cid   int   // engine component id
 	shard int32 // owning shard (0 when unsharded)
@@ -49,19 +48,18 @@ type routerPort struct {
 	occ     uint32 // bit v set while vcs[v] is non-empty (pushVC/popVC)
 }
 
-func newRouter(m *Machine, node int, rc topo.MeshCoord) *Router {
+func newRouter(m *Machine, node int, rc topo.MeshCoord) *router {
 	chip := m.Topo.Chip
 	cr := chip.RouterAt(rc)
-	r := &Router{
-		m:         m,
-		node:      node,
-		nodeCoord: m.Topo.Shape.Coord(node),
-		rc:        rc,
-		routerID:  topo.RouterID(rc),
-		ports:     m.arena.takePorts(len(cr.Ports)),
-		sa1:       make([]arbiter.Arbiter, len(cr.Ports)),
-		sa2:       make([]arbiter.Arbiter, len(cr.Ports)),
-		inBusy:    m.arena.takeBusy(len(cr.Ports)),
+	r := &router{
+		m:        m,
+		node:     node,
+		rc:       rc,
+		routerID: topo.RouterID(rc),
+		ports:    m.arena.takePorts(len(cr.Ports)),
+		sa1:      make([]arbiter.Arbiter, len(cr.Ports)),
+		sa2:      make([]arbiter.Arbiter, len(cr.Ports)),
+		inBusy:   m.arena.takeBusy(len(cr.Ports)),
 	}
 	maxVCScratch := route.MaxTotalVCs(m.Cfg.Scheme)
 	if maxVCScratch < len(cr.Ports) {
@@ -85,7 +83,7 @@ func newRouter(m *Machine, node int, rc topo.MeshCoord) *Router {
 // bind registers the router on all its channels — packet arrivals on the
 // input side, credit returns on the output side — for active-set wakeups and
 // for the port's bit of the ready masks.
-func (r *Router) bind() {
+func (r *router) bind() {
 	for pi := range r.ports {
 		r.ports[pi].in.BindReceiver(r.m.Engine, r.cid, &r.inMask, uint(pi))
 		r.ports[pi].out.BindSender(r.m.Engine, r.cid, &r.credMask, uint(pi))
@@ -95,14 +93,14 @@ func (r *Router) bind() {
 // Tick implements sim.Component. In active-set mode the router re-arms
 // itself for the next cycle whenever packets remain queued; all other wake
 // sources (arrivals, credit returns) come from the channel bindings.
-func (r *Router) Tick(now uint64) {
+func (r *router) Tick(now uint64) {
 	r.tick(now)
 	if r.queued > 0 {
 		r.m.Engine.Wake(r.cid, now+1)
 	}
 }
 
-func (r *Router) tick(now uint64) {
+func (r *router) tick(now uint64) {
 	// Absorb credits, then arrivals, on the ports that have any in flight.
 	for m := r.credMask; m != 0; m &= m - 1 {
 		r.ports[bits.TrailingZeros32(m)].out.AbsorbCredits(now)
@@ -195,7 +193,7 @@ func (r *Router) tick(now uint64) {
 }
 
 // routeHead runs route computation for a queue's new head packet.
-func (r *Router) routeHead(now uint64, q *vcq) {
+func (r *router) routeHead(now uint64, q *vcq) {
 	p := q.headPkt()
 	if p.SourceRoute != nil {
 		op := p.SourceRoute[p.SRIdx]

@@ -66,7 +66,7 @@ var cyclePolicies = map[string]func(now uint64) bool{
 }
 
 // buildForTest is MustNew for the differential tests. Their shapes are too
-// small to ever schedule sim.ParallelMinReady components in a cycle, so a
+// small to ever schedule sim.parallelMinReady components in a cycle, so a
 // sharded machine's engine is forced to alternate parallel and serial cycles:
 // the staging paths, the direct paths and every transition between them run.
 func buildForTest(cfg Config) *Machine {
@@ -403,7 +403,7 @@ func TestShardedViolationsMatchSerial(t *testing.T) {
 // engine must not allocate — the arena-carved VC queues, the wake wheel, the
 // channel pipes and both arbiter flavors all reuse capacity. (The
 // inverse-weighted row is what catches a per-grant allocation in
-// arbiter.PrioArb.)
+// arbiter.prioArb.)
 func TestActiveStepMachineZeroAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		kind   arbiter.Kind

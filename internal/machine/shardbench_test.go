@@ -20,7 +20,7 @@ import (
 // wall (above 1 the shards win). The saturated burst is where sharding pays;
 // the ping-pong and the timestep are where it must cost nothing, because their
 // cycles (all of the ping-pong's, all but ~60 of the timestep's 4 152) stay
-// below sim.ParallelMinReady and are stepped serially.
+// below sim.parallelMinReady and are stepped serially.
 //
 //	go test -run '^$' -bench ShardedOverSerial -benchtime 3x ./internal/machine
 func BenchmarkShardedOverSerial(b *testing.B) {

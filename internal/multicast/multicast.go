@@ -22,7 +22,6 @@ type Edge struct {
 
 // Tree is a compiled multicast route for one destination set.
 type Tree struct {
-	Root  topo.NodeCoord
 	Order topo.DimOrder
 	Slice int
 	// Forward maps each node in the tree to the directions it forwards
@@ -41,7 +40,6 @@ func Build(shape topo.TorusShape, root topo.NodeCoord, dests []topo.NodeEp, orde
 		panic("multicast: invalid dimension order")
 	}
 	t := &Tree{
-		Root:    root,
 		Order:   order,
 		Slice:   slice,
 		Forward: map[topo.NodeCoord][]topo.Direction{},

@@ -14,14 +14,14 @@ import (
 
 // Backplane geometry (Figure 2).
 const (
-	// BackplaneX x BackplaneY x BackplaneZ nodecards per backplane.
-	BackplaneX = 4
-	BackplaneY = 4
-	BackplaneZ = 1
-	// BackplanesPerRack is 8.
-	BackplanesPerRack = 8
-	// MaxNodes is the largest supported machine (16x16x16).
-	MaxNodes = 4096
+	// backplaneX x backplaneY x backplaneZ nodecards per backplane.
+	backplaneX = 4
+	backplaneY = 4
+	backplaneZ = 1
+	// backplanesPerRack is 8.
+	backplanesPerRack = 8
+	// maxNodes is the largest supported machine (16x16x16).
+	maxNodes = 4096
 )
 
 // Medium classifies a torus link's physical realization.
@@ -50,18 +50,18 @@ func (m Medium) String() string {
 
 // Physical constants for the latency model.
 const (
-	// NodecardTraceCM is the mean ASIC-to-edge-connector trace length
+	// nodecardTraceCM is the mean ASIC-to-edge-connector trace length
 	// (the paper reports 7.1 to 11.7 cm per nodecard).
-	NodecardTraceCM = 9.4
+	nodecardTraceCM = 9.4
 	// Propagation delay on PCB/cable, ~5 ns/m.
-	PropagationNSPerM = 5.0
-	// SerDesFixedNS is the serializer/deserializer plus framing latency
+	propagationNSPerM = 5.0
+	// serDesFixedNS is the serializer/deserializer plus framing latency
 	// per link, independent of length.
-	SerDesFixedNS = 25.0
+	serDesFixedNS = 25.0
 	// Typical media lengths in centimeters.
-	BackplaneTraceCM = 25.0
-	IntraRackCableCM = 120.0
-	InterRackCableCM = 350.0
+	backplaneTraceCM = 25.0
+	intraRackCableCM = 120.0
+	interRackCableCM = 350.0
 )
 
 // Link describes one directed torus link's physical realization.
@@ -70,15 +70,15 @@ type Link struct {
 	LengthCM float64
 }
 
-// LatencyNS returns the link's end-to-end flight time.
-func (l Link) LatencyNS() float64 {
-	wire := (l.LengthCM + 2*NodecardTraceCM) / 100 * PropagationNSPerM
-	return SerDesFixedNS + wire
+// latencyNS returns the link's end-to-end flight time.
+func (l Link) latencyNS() float64 {
+	wire := (l.LengthCM + 2*nodecardTraceCM) / 100 * propagationNSPerM
+	return serDesFixedNS + wire
 }
 
 // LatencyCycles converts to 1.5 GHz network cycles, rounding up.
 func (l Link) LatencyCycles() uint64 {
-	ns := l.LatencyNS()
+	ns := l.latencyNS()
 	return uint64(ns*1.5 + 0.999)
 }
 
@@ -95,17 +95,17 @@ func Build(shape topo.TorusShape) (*Plan, error) {
 	if err := shape.Validate(); err != nil {
 		return nil, err
 	}
-	if shape.NumNodes() > MaxNodes {
-		return nil, fmt.Errorf("packaging: %d nodes exceeds the %d-node maximum", shape.NumNodes(), MaxNodes)
+	if shape.NumNodes() > maxNodes {
+		return nil, fmt.Errorf("packaging: %d nodes exceeds the %d-node maximum", shape.NumNodes(), maxNodes)
 	}
-	if shape.K[0]%BackplaneX != 0 || shape.K[1]%BackplaneY != 0 {
-		return nil, fmt.Errorf("packaging: shape %v does not tile %dx%dx%d backplanes", shape, BackplaneX, BackplaneY, BackplaneZ)
+	if shape.K[0]%backplaneX != 0 || shape.K[1]%backplaneY != 0 {
+		return nil, fmt.Errorf("packaging: shape %v does not tile %dx%dx%d backplanes", shape, backplaneX, backplaneY, backplaneZ)
 	}
 	return &Plan{
 		Shape: shape,
-		BPX:   shape.K[0] / BackplaneX,
-		BPY:   shape.K[1] / BackplaneY,
-		BPZ:   shape.K[2] / BackplaneZ,
+		BPX:   shape.K[0] / backplaneX,
+		BPY:   shape.K[1] / backplaneY,
+		BPZ:   shape.K[2] / backplaneZ,
 	}, nil
 }
 
@@ -114,12 +114,12 @@ func (p *Plan) NumBackplanes() int { return p.BPX * p.BPY * p.BPZ }
 
 // NumRacks returns the rack count (eight backplanes per rack, rounded up).
 func (p *Plan) NumRacks() int {
-	return (p.NumBackplanes() + BackplanesPerRack - 1) / BackplanesPerRack
+	return (p.NumBackplanes() + backplanesPerRack - 1) / backplanesPerRack
 }
 
 // backplaneOf returns the backplane tile coordinates of a node.
 func (p *Plan) backplaneOf(c topo.NodeCoord) (bx, by, bz int) {
-	return c.X / BackplaneX, c.Y / BackplaneY, c.Z / BackplaneZ
+	return c.X / backplaneX, c.Y / backplaneY, c.Z / backplaneZ
 }
 
 // backplaneIndex flattens backplane coordinates; backplanes are assigned to
@@ -130,22 +130,22 @@ func (p *Plan) backplaneIndex(bx, by, bz int) int {
 
 // rackOf returns the rack number of a backplane.
 func (p *Plan) rackOf(bx, by, bz int) int {
-	return p.backplaneIndex(bx, by, bz) / BackplanesPerRack
+	return p.backplaneIndex(bx, by, bz) / backplanesPerRack
 }
 
-// LinkFor classifies the torus link leaving node from in the given
+// linkFor classifies the torus link leaving node from in the given
 // direction.
-func (p *Plan) LinkFor(from topo.NodeCoord, dir topo.Direction) Link {
+func (p *Plan) linkFor(from topo.NodeCoord, dir topo.Direction) Link {
 	to := p.Shape.Neighbor(from, dir)
 	fbx, fby, fbz := p.backplaneOf(from)
 	tbx, tby, tbz := p.backplaneOf(to)
 	if fbx == tbx && fby == tby && fbz == tbz {
-		return Link{Medium: BackplaneTrace, LengthCM: BackplaneTraceCM}
+		return Link{Medium: BackplaneTrace, LengthCM: backplaneTraceCM}
 	}
 	if p.rackOf(fbx, fby, fbz) == p.rackOf(tbx, tby, tbz) {
-		return Link{Medium: IntraRackCable, LengthCM: IntraRackCableCM}
+		return Link{Medium: IntraRackCable, LengthCM: intraRackCableCM}
 	}
-	return Link{Medium: InterRackCable, LengthCM: InterRackCableCM}
+	return Link{Medium: InterRackCable, LengthCM: interRackCableCM}
 }
 
 // MediumStats summarizes link counts and total length per medium over all
@@ -162,7 +162,7 @@ func (p *Plan) Stats() map[Medium]MediumStats {
 		c := p.Shape.Coord(n)
 		for d := topo.Direction(0); d < topo.NumDirections; d++ {
 			for s := 0; s < topo.NumSlices; s++ {
-				l := p.LinkFor(c, d)
+				l := p.linkFor(c, d)
 				ms := out[l.Medium]
 				ms.Links++
 				ms.TotalCM += l.LengthCM

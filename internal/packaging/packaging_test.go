@@ -19,8 +19,8 @@ func TestFigure2Configuration(t *testing.T) {
 	if p.NumRacks() != 4 {
 		t.Errorf("racks = %d, want 4", p.NumRacks())
 	}
-	if perBackplane := BackplaneX * BackplaneY * BackplaneZ; perBackplane != 16 || MaxNodes != 4096 {
-		t.Errorf("%d nodecards a backplane, %d nodes at most; Figure 2 has 16 and 4096", perBackplane, MaxNodes)
+	if perBackplane := backplaneX * backplaneY * backplaneZ; perBackplane != 16 || maxNodes != 4096 {
+		t.Errorf("%d nodecards a backplane, %d nodes at most; Figure 2 has 16 and 4096", perBackplane, maxNodes)
 	}
 }
 
@@ -53,27 +53,27 @@ func TestIntraBackplaneLinksAreTraces(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A link inside a 4x4 tile is a trace.
-	l := p.LinkFor(topo.NodeCoord{X: 1, Y: 1, Z: 0}, topo.XPos)
+	l := p.linkFor(topo.NodeCoord{X: 1, Y: 1, Z: 0}, topo.XPos)
 	if l.Medium != BackplaneTrace {
 		t.Errorf("interior link medium = %v", l.Medium)
 	}
 	// Crossing a tile boundary is a cable.
-	l = p.LinkFor(topo.NodeCoord{X: 3, Y: 0, Z: 0}, topo.XPos)
+	l = p.linkFor(topo.NodeCoord{X: 3, Y: 0, Z: 0}, topo.XPos)
 	if l.Medium == BackplaneTrace {
 		t.Error("tile-boundary link should be cabled")
 	}
-	// Z links always leave the backplane (BackplaneZ == 1).
-	l = p.LinkFor(topo.NodeCoord{X: 0, Y: 0, Z: 0}, topo.ZPos)
+	// Z links always leave the backplane (backplaneZ == 1).
+	l = p.linkFor(topo.NodeCoord{X: 0, Y: 0, Z: 0}, topo.ZPos)
 	if l.Medium == BackplaneTrace {
 		t.Error("Z link should be cabled")
 	}
 }
 
 func TestLatencyOrdering(t *testing.T) {
-	trace := Link{Medium: BackplaneTrace, LengthCM: BackplaneTraceCM}
-	intra := Link{Medium: IntraRackCable, LengthCM: IntraRackCableCM}
-	inter := Link{Medium: InterRackCable, LengthCM: InterRackCableCM}
-	if !(trace.LatencyNS() < intra.LatencyNS() && intra.LatencyNS() < inter.LatencyNS()) {
+	trace := Link{Medium: BackplaneTrace, LengthCM: backplaneTraceCM}
+	intra := Link{Medium: IntraRackCable, LengthCM: intraRackCableCM}
+	inter := Link{Medium: InterRackCable, LengthCM: interRackCableCM}
+	if !(trace.latencyNS() < intra.latencyNS() && intra.latencyNS() < inter.latencyNS()) {
 		t.Error("latency must increase with link length")
 	}
 	if trace.LatencyCycles() < 30 || inter.LatencyCycles() > 80 {

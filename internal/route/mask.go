@@ -9,9 +9,9 @@ import "anton2/internal/topo"
 // choice within the minimal set changes — so the Section 2.5 deadlock-freedom
 // argument is untouched.
 
-// UsesAny reports whether the route for src->dst under choices c traverses
+// usesAny reports whether the route for src->dst under choices c traverses
 // any channel in failed (a set of global channel ids).
-func UsesAny(cfg *Config, src, dst topo.NodeEp, c Choices, class Class, failed map[int]bool) bool {
+func usesAny(cfg *Config, src, dst topo.NodeEp, c Choices, class Class, failed map[int]bool) bool {
 	if len(failed) == 0 {
 		return false
 	}
@@ -34,7 +34,7 @@ func UsesAny(cfg *Config, src, dst topo.NodeEp, c Choices, class Class, failed m
 // from c; ok is false when no admissible candidate avoids the failed set
 // (the destination is unreachable under the strategy).
 func ChoicesAvoiding(cfg *Config, src, dst topo.NodeEp, c Choices, class Class, failed map[int]bool) (out Choices, rerouted, ok bool) {
-	if !UsesAny(cfg, src, dst, c, class, failed) {
+	if !usesAny(cfg, src, dst, c, class, failed) {
 		return c, false, true
 	}
 	admits := func(cand Choices) bool {
@@ -46,13 +46,13 @@ func ChoicesAvoiding(cfg *Config, src, dst topo.NodeEp, c Choices, class Class, 
 	}
 	for _, ties := range [][topo.NumDims]int8{c.Ties, flip} {
 		cand := Choices{Order: c.Order, Slice: (c.Slice + 1) % topo.NumSlices, Ties: ties}
-		if admits(cand) && !UsesAny(cfg, src, dst, cand, class, failed) {
+		if admits(cand) && !usesAny(cfg, src, dst, cand, class, failed) {
 			return cand, true, true
 		}
 		for _, ord := range topo.AllDimOrders {
 			for s := 0; s < topo.NumSlices; s++ {
 				cand := Choices{Order: ord, Slice: uint8(s), Ties: ties}
-				if admits(cand) && !UsesAny(cfg, src, dst, cand, class, failed) {
+				if admits(cand) && !usesAny(cfg, src, dst, cand, class, failed) {
 					return cand, true, true
 				}
 			}

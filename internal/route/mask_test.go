@@ -44,7 +44,7 @@ func TestChoicesAvoidingSingleLink(t *testing.T) {
 		if !rerouted {
 			t.Fatalf("trial %d: failed link on preferred route but no reroute reported", trial)
 		}
-		if UsesAny(cfg, src, dst, got, ClassRequest, failed) {
+		if usesAny(cfg, src, dst, got, ClassRequest, failed) {
 			t.Fatalf("trial %d: returned choices still use the failed link", trial)
 		}
 	}

@@ -83,7 +83,7 @@ func TestWalkAllPairsSmallTorus(t *testing.T) {
 			for b := 0; b < n; b++ {
 				src := topo.NodeEp{Node: a, Ep: rng.Intn(topo.NumEndpoints)}
 				dst := topo.NodeEp{Node: b, Ep: rng.Intn(topo.NumEndpoints)}
-				for _, wc := range EnumerateChoices(cfg.Machine.Shape, cfg.Machine.Shape.Coord(a), cfg.Machine.Shape.Coord(b)) {
+				for _, wc := range enumerateChoices(cfg.Machine.Shape, cfg.Machine.Shape.Coord(a), cfg.Machine.Shape.Coord(b)) {
 					walkEndToEnd(t, cfg, src, dst, wc.Choices)
 				}
 			}
@@ -315,7 +315,7 @@ func TestEnumerateChoicesWeightsSumToOne(t *testing.T) {
 	shape := topo.Shape3(4, 4, 4)
 	for ai := 0; ai < shape.NumNodes(); ai += 7 {
 		for bi := 0; bi < shape.NumNodes(); bi += 5 {
-			wcs := EnumerateChoices(shape, shape.Coord(ai), shape.Coord(bi))
+			wcs := enumerateChoices(shape, shape.Coord(ai), shape.Coord(bi))
 			sum := 0.0
 			for _, wc := range wcs {
 				sum += wc.Weight

@@ -191,9 +191,9 @@ func (st *State) EgressAdapter() topo.AdapterID {
 	return topo.AdapterID{Dir: st.Dir, Slice: int(st.Slice)}
 }
 
-// TargetRouter returns the mesh coordinate the packet's on-chip route aims
+// targetRouter returns the mesh coordinate the packet's on-chip route aims
 // for in its current mode.
-func (st *State) TargetRouter(cfg *Config, dst topo.NodeEp) topo.MeshCoord {
+func (st *State) targetRouter(cfg *Config, dst topo.NodeEp) topo.MeshCoord {
 	chip := cfg.Machine.Chip
 	switch st.Mode {
 	case ModeMeshToAdapter, ModeTransit:
@@ -227,7 +227,7 @@ func RouterNext(cfg *Config, st *State, dst topo.NodeEp, rc topo.MeshCoord) (por
 		st.SkipExit = false
 		return sp, st.TVC
 	}
-	target := st.TargetRouter(cfg, dst)
+	target := st.targetRouter(cfg, dst)
 
 	if st.Mode == ModeTransit {
 		// In-dimension through-traffic stays in the T-group.

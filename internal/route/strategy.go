@@ -57,7 +57,7 @@ func (minimalPolicy) Choose(cfg *Config, src, dst topo.NodeEp, c Choices, class 
 }
 
 func (minimalPolicy) Enumerate(shape topo.TorusShape, a, b topo.NodeCoord) []WeightedChoice {
-	return EnumerateChoices(shape, a, b)
+	return enumerateChoices(shape, a, b)
 }
 
 // monotonePolicy is the restricted path policy of the VC-less strategy:
@@ -156,14 +156,14 @@ func (AngaraStrategy) Name() string { return "angara" }
 // deterministic hash of (pair, candidate), which spreads different pairs
 // across different survivors instead of piling every flow onto the first.
 func (AngaraStrategy) ChooseAvoiding(cfg *Config, src, dst topo.NodeEp, c Choices, class Class, failed map[int]bool) (Choices, bool) {
-	if !UsesAny(cfg, src, dst, c, class, failed) {
+	if !usesAny(cfg, src, dst, c, class, failed) {
 		return c, true
 	}
 	shape := cfg.Machine.Shape
-	cands := EnumerateChoices(shape, shape.Coord(src.Node), shape.Coord(dst.Node))
+	cands := enumerateChoices(shape, shape.Coord(src.Node), shape.Coord(dst.Node))
 	best, bestKey := -1, uint64(0)
 	for i, wc := range cands {
-		if UsesAny(cfg, src, dst, wc.Choices, class, failed) {
+		if usesAny(cfg, src, dst, wc.Choices, class, failed) {
 			continue
 		}
 		key := pairHash(src, dst, i)
@@ -193,13 +193,13 @@ func pairHash(src, dst topo.NodeEp, i int) uint64 {
 // registry is the set a user may select and a routecompare run scores.
 var strategies = map[string]Strategy{}
 
-// RegisterStrategy adds a strategy to the registry. It panics on a duplicate
+// registerStrategy adds a strategy to the registry. It panics on a duplicate
 // or empty name: registration happens at init time and a collision is a
 // programming error, not a runtime condition.
-func RegisterStrategy(s Strategy) {
+func registerStrategy(s Strategy) {
 	name := s.Name()
 	if name == "" {
-		panic("route: RegisterStrategy with empty name")
+		panic("route: registerStrategy with empty name")
 	}
 	if _, dup := strategies[name]; dup {
 		panic(fmt.Sprintf("route: duplicate strategy %q", name))
@@ -233,8 +233,8 @@ func Strategies() []Strategy {
 }
 
 func init() {
-	RegisterStrategy(AntonScheme{})
-	RegisterStrategy(BaselineScheme{})
-	RegisterStrategy(VClessScheme{})
-	RegisterStrategy(AngaraStrategy{})
+	registerStrategy(AntonScheme{})
+	registerStrategy(BaselineScheme{})
+	registerStrategy(VClessScheme{})
+	registerStrategy(AngaraStrategy{})
 }

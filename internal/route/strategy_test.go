@@ -165,7 +165,7 @@ func TestAngaraAvoidsFailedLinks(t *testing.T) {
 	if !ok {
 		t.Fatal("one dead link should not sever a 4x2x2 torus pair")
 	}
-	if UsesAny(cfg, src, dst, out, ClassRequest, failed) {
+	if usesAny(cfg, src, dst, out, ClassRequest, failed) {
 		t.Fatal("ChooseAvoiding returned a route through the failed link")
 	}
 	// Deterministic: same inputs, same answer.
@@ -209,7 +209,7 @@ func TestAngaraBalancesAcrossSurvivors(t *testing.T) {
 	for ep := 0; ep < topo.NumEndpoints; ep++ {
 		for b := 1; b < m.Shape.NumNodes(); b++ {
 			src, dst := topo.NodeEp{Node: 0, Ep: ep}, topo.NodeEp{Node: b, Ep: ep}
-			if !UsesAny(cfg, src, dst, base, ClassRequest, failed) {
+			if !usesAny(cfg, src, dst, base, ClassRequest, failed) {
 				continue
 			}
 			out, ok := strat.ChooseAvoiding(cfg, src, dst, base, ClassRequest, failed)

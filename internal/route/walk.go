@@ -84,9 +84,9 @@ func RandomChoices(rng *rand.Rand) Choices {
 	return c
 }
 
-// TieDims returns the dimensions in which the minimal route from a to b has
+// tieDims returns the dimensions in which the minimal route from a to b has
 // two minimal directions (distance exactly k/2 on an even ring).
-func TieDims(shape topo.TorusShape, a, b topo.NodeCoord) []topo.Dim {
+func tieDims(shape topo.TorusShape, a, b topo.NodeCoord) []topo.Dim {
 	var out []topo.Dim
 	for d := topo.Dim(0); d < topo.NumDims; d++ {
 		if _, tie := shape.MinimalDelta(a, b, d); tie {
@@ -102,11 +102,11 @@ type WeightedChoice struct {
 	Weight float64 // probability of this choice under uniform randomization
 }
 
-// EnumerateChoices lists every distinct routing choice for a source and
+// enumerateChoices lists every distinct routing choice for a source and
 // destination node pair with its probability, enumerating tie-break signs
 // only for dimensions where a tie actually occurs. The weights sum to 1.
-func EnumerateChoices(shape topo.TorusShape, a, b topo.NodeCoord) []WeightedChoice {
-	tieDims := TieDims(shape, a, b)
+func enumerateChoices(shape topo.TorusShape, a, b topo.NodeCoord) []WeightedChoice {
+	tieDims := tieDims(shape, a, b)
 	nTie := len(tieDims)
 	total := len(topo.AllDimOrders) * topo.NumSlices * (1 << nTie)
 	out := make([]WeightedChoice, 0, total)

@@ -124,7 +124,7 @@ func TestWALRestartCompletes(t *testing.T) {
 		t.Fatal(err)
 	}
 	s1.slots <- struct{}{} // the worker is "busy": the run can only queue
-	r, err := s1.Submit(quickSpec())
+	r, err := s1.submit(quickSpec())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,10 +9,10 @@ import (
 	"anton2/internal/core"
 )
 
-// Metrics is the server's observable state: monotonic counters plus live
+// metrics is the server's observable state: monotonic counters plus live
 // gauges, all lock-free. Rendered in Prometheus text exposition format by
 // /metrics (append ?format=json for a JSON object).
-type Metrics struct {
+type metrics struct {
 	// Admission.
 	QueueDepth   atomic.Int64  // runs waiting for a worker slot
 	ActiveRuns   atomic.Int64  // runs holding a worker slot
@@ -39,7 +39,7 @@ type Metrics struct {
 }
 
 // hitRate returns hits/(hits+misses) over every cache tier, NaN-free.
-func (m *Metrics) hitRate() float64 {
+func (m *metrics) hitRate() float64 {
 	hits := m.HitsFlight.Load() + m.HitsMemory.Load() + m.HitsDisk.Load()
 	total := hits + m.Misses.Load()
 	if total == 0 {
@@ -50,7 +50,7 @@ func (m *Metrics) hitRate() float64 {
 
 // snapshot flattens every metric into name -> value, with the derived
 // gauges (utilization, hit rate) computed consistently for both formats.
-func (m *Metrics) snapshot(workers int) map[string]float64 {
+func (m *metrics) snapshot(workers int) map[string]float64 {
 	active := m.ActiveRuns.Load()
 	util := 0.0
 	if workers > 0 {
@@ -82,7 +82,7 @@ func (m *Metrics) snapshot(workers int) map[string]float64 {
 
 // renderText renders the Prometheus text exposition format, sorted by name
 // for stable scrapes and diffs.
-func (m *Metrics) renderText(workers int) string {
+func (m *metrics) renderText(workers int) string {
 	snap := m.snapshot(workers)
 	names := make([]string, 0, len(snap))
 	for n := range snap {

@@ -85,7 +85,7 @@ func replayPin(t *testing.T, body string) familyPin {
 	return familyPin{
 		Family:    req.Family,
 		Request:   json.RawMessage(body),
-		Canonical: c.canonical,
+		Canonical: c.fam.Spec(c.axes).Canonical(),
 		ID:        id,
 		SHA256:    fmt.Sprintf("%x", sha256.Sum256(art)),
 	}

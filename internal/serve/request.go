@@ -78,14 +78,14 @@ type Request struct {
 	parsed *compiled
 }
 
-// RequestError is a validation failure: the submission never reached the
+// requestError is a validation failure: the submission never reached the
 // queue. It maps to HTTP 400 exactly where the CLI harness exits 2.
-type RequestError struct {
+type requestError struct {
 	Field string `json:"field,omitempty"`
 	Msg   string `json:"msg"`
 }
 
-func (e *RequestError) Error() string {
+func (e *requestError) Error() string {
 	if e.Field == "" {
 		return "serve: invalid request: " + e.Msg
 	}
@@ -93,7 +93,7 @@ func (e *RequestError) Error() string {
 }
 
 func badField(field, format string, args ...any) error {
-	return &RequestError{Field: field, Msg: fmt.Sprintf(format, args...)}
+	return &requestError{Field: field, Msg: fmt.Sprintf(format, args...)}
 }
 
 // maxSweepPoints bounds a single request's fan-out so one submission cannot
@@ -112,10 +112,10 @@ func ParseRequest(r io.Reader) (*Request, error) {
 	dec.DisallowUnknownFields()
 	req := &Request{}
 	if err := dec.Decode(req); err != nil {
-		return nil, &RequestError{Msg: "malformed JSON: " + err.Error()}
+		return nil, &requestError{Msg: "malformed JSON: " + err.Error()}
 	}
 	if err := dec.Decode(&json.RawMessage{}); err != io.EOF {
-		return nil, &RequestError{Msg: "malformed JSON: trailing data after the request object"}
+		return nil, &requestError{Msg: "malformed JSON: trailing data after the request object"}
 	}
 	c, err := req.compile()
 	if err != nil {
@@ -128,11 +128,10 @@ func ParseRequest(r io.Reader) (*Request, error) {
 // compiled is a validated request lowered to the pieces the runner needs:
 // the family, its checked axes, and the sweep's identity and size.
 type compiled struct {
-	fam       *core.Family
-	axes      core.Axes
-	canonical string
-	id        string
-	points    int
+	fam    *core.Family
+	axes   core.Axes
+	id     string
+	points int
 }
 
 // Validate checks the request without building jobs.
@@ -183,7 +182,7 @@ func (q *Request) compile() (*compiled, error) {
 	}
 	var axisErr *core.AxisError
 	if errors.As(err, &axisErr) {
-		return nil, &RequestError{Field: axisErr.Axis, Msg: axisErr.Msg}
+		return nil, &requestError{Field: axisErr.Axis, Msg: axisErr.Msg}
 	}
 	if err != nil {
 		return nil, err
@@ -194,11 +193,10 @@ func (q *Request) compile() (*compiled, error) {
 	}
 	spec := fam.Spec(axes)
 	return &compiled{
-		fam:       fam,
-		axes:      axes,
-		canonical: spec.Canonical(),
-		id:        fmt.Sprintf("%016x", spec.Hash()),
-		points:    points,
+		fam:    fam,
+		axes:   axes,
+		id:     fmt.Sprintf("%016x", spec.Hash()),
+		points: points,
 	}, nil
 }
 

@@ -22,7 +22,7 @@
 // full admission queue returns 429, a request that cannot start or finish
 // inside its deadline returns 504, and a draining server returns 503.
 // Live progress streams per run over SSE, fed per completed sweep point by
-// the exp.Options.OnResult hook and every machine.ProgressCycles simulated
+// the exp.Options.OnResult hook and every machine.progressCycles simulated
 // cycles by the machine's Progress heartbeat.
 package serve
 
@@ -106,10 +106,10 @@ func (c *Config) withDefaults() Config {
 
 // Run states.
 const (
-	StateQueued    = "queued"
-	StateRunning   = "running"
-	StateCompleted = "completed"
-	StateFailed    = "failed"
+	stateQueued    = "queued"
+	stateRunning   = "running"
+	stateCompleted = "completed"
+	stateFailed    = "failed"
 )
 
 // run is one submission's lifecycle. Identical submissions share one run.
@@ -131,8 +131,8 @@ type run struct {
 	doneCh chan struct{} // closed on completion or failure
 }
 
-// Event is one progress update, also the status-endpoint body.
-type Event struct {
+// event is one progress update, also the status-endpoint body.
+type event struct {
 	ID     string `json:"id"`
 	Family string `json:"family"`
 	State  string `json:"state"`
@@ -143,10 +143,10 @@ type Event struct {
 	Error  string `json:"error,omitempty"`
 }
 
-func (r *run) snapshot() Event {
+func (r *run) snapshot() event {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	ev := Event{
+	ev := event{
 		ID:     r.id,
 		Family: r.family,
 		State:  r.state,
@@ -207,7 +207,7 @@ func (r *run) setState(state string) {
 // finish moves the run to a terminal state exactly once.
 func (r *run) finish(state string, artifact []byte, err error) {
 	r.mu.Lock()
-	if r.state == StateCompleted || r.state == StateFailed {
+	if r.state == stateCompleted || r.state == stateFailed {
 		r.mu.Unlock()
 		return
 	}
@@ -224,7 +224,7 @@ func (r *run) finish(state string, artifact []byte, err error) {
 type Server struct {
 	cfg     Config
 	store   *Store
-	metrics Metrics
+	metrics metrics
 
 	// points is the point-level singleflight shared by every run, so two
 	// different sweeps overlapping in a point still simulate it once.
@@ -235,7 +235,7 @@ type Server struct {
 	// absorbs identical submissions, a completed one serves its bytes.
 	mu     sync.Mutex
 	runs   map[string]*run
-	queued int // runs in StateQueued (admission bound)
+	queued int // runs in stateQueued (admission bound)
 
 	slots chan struct{} // worker tokens, cap = Workers
 
@@ -280,7 +280,7 @@ func NewServer(cfg Config) (*Server, error) {
 	if s.store.Logf == nil {
 		s.store.Logf = c.Logf
 	}
-	if n, err := s.store.RestoreLoads(); err != nil {
+	if n, err := s.store.restoreLoads(); err != nil {
 		c.Logf("serve: load-table restore failed: %v", err)
 	} else if n > 0 {
 		c.Logf("serve: restored %d analytic load tables from %s", n, s.store.Dir())
@@ -307,7 +307,7 @@ func NewServer(cfg Config) (*Server, error) {
 func (s *Server) resumeWAL() {
 	defer s.wg.Done()
 	defer s.ready.Store(true)
-	entries, err := s.store.ListWAL()
+	entries, err := s.store.listWAL()
 	if err != nil {
 		s.cfg.Logf("serve: wal scan failed: %v", err)
 		return
@@ -320,7 +320,7 @@ func (s *Server) resumeWAL() {
 			s.store.RemoveWAL(e.ID)
 			continue
 		}
-		if _, err := s.Submit(req); err != nil {
+		if _, err := s.submit(req); err != nil {
 			// Queue full or draining: keep the entry for the next restart.
 			s.cfg.Logf("serve: wal re-admit %s failed: %v", e.ID, err)
 			continue
@@ -355,16 +355,16 @@ func (s *Server) Drain(ctx context.Context) error {
 
 // Typed overload / lifecycle errors, mapped onto HTTP status codes.
 var (
-	// ErrQueueFull refuses a submission when MaxQueue runs are already
+	// errQueueFull refuses a submission when MaxQueue runs are already
 	// waiting (HTTP 429).
-	ErrQueueFull = errors.New("serve: admission queue full")
-	// ErrQueueTimeout fails a run that waited QueueTimeout without
+	errQueueFull = errors.New("serve: admission queue full")
+	// errQueueTimeout fails a run that waited QueueTimeout without
 	// getting a worker slot (HTTP 504).
-	ErrQueueTimeout = errors.New("serve: timed out waiting for a worker")
-	// ErrRunTimeout fails a run that exceeded RunTimeout (HTTP 504).
-	ErrRunTimeout = errors.New("serve: run exceeded its deadline")
-	// ErrDraining refuses submissions during graceful shutdown (503).
-	ErrDraining = errors.New("serve: server is draining")
+	errQueueTimeout = errors.New("serve: timed out waiting for a worker")
+	// errRunTimeout fails a run that exceeded RunTimeout (HTTP 504).
+	errRunTimeout = errors.New("serve: run exceeded its deadline")
+	// errDraining refuses submissions during graceful shutdown (503).
+	errDraining = errors.New("serve: server is draining")
 )
 
 // errorBody is the JSON error envelope.
@@ -380,7 +380,7 @@ func writeError(w http.ResponseWriter, code int, err error) {
 	var body errorBody
 	body.Error.Code = code
 	body.Error.Msg = err.Error()
-	var reqErr *RequestError
+	var reqErr *requestError
 	if errors.As(err, &reqErr) {
 		body.Error.Field = reqErr.Field
 	}
@@ -395,13 +395,13 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Write(b)
 }
 
-// Submit validates and admits one request, returning its run. The run may
-// already be complete (memory or disk hit). Typed errors: *RequestError
-// (400), ErrQueueFull (429), ErrDraining (503).
-func (s *Server) Submit(req *Request) (*run, error) {
+// submit validates and admits one request, returning its run. The run may
+// already be complete (memory or disk hit). Typed errors: *requestError
+// (400), errQueueFull (429), errDraining (503).
+func (s *Server) submit(req *Request) (*run, error) {
 	if s.draining.Load() {
 		s.metrics.RejectedGone.Add(1)
-		return nil, ErrDraining
+		return nil, errDraining
 	}
 	c, err := req.compile()
 	if err != nil {
@@ -412,11 +412,11 @@ func (s *Server) Submit(req *Request) (*run, error) {
 	s.mu.Lock()
 	if r, ok := s.runs[id]; ok {
 		switch r.currentState() {
-		case StateQueued, StateRunning:
+		case stateQueued, stateRunning:
 			s.metrics.HitsFlight.Add(1)
 			s.mu.Unlock()
 			return r, nil
-		case StateCompleted:
+		case stateCompleted:
 			s.metrics.HitsMemory.Add(1)
 			s.mu.Unlock()
 			return r, nil
@@ -446,13 +446,13 @@ func (s *Server) Submit(req *Request) (*run, error) {
 	if s.queued >= s.cfg.MaxQueue {
 		s.metrics.Rejected429.Add(1)
 		s.mu.Unlock()
-		return nil, ErrQueueFull
+		return nil, errQueueFull
 	}
 	r := &run{
 		id:     id,
 		family: c.fam.Name,
 		total:  c.points,
-		state:  StateQueued,
+		state:  stateQueued,
 		doneCh: make(chan struct{}),
 	}
 	s.runs[id] = r
@@ -482,7 +482,7 @@ func (s *Server) Submit(req *Request) (*run, error) {
 func (s *Server) completedRun(id string, artifact []byte) *run {
 	r := &run{
 		id:       id,
-		state:    StateCompleted,
+		state:    stateCompleted,
 		cache:    "disk",
 		artifact: artifact,
 		doneCh:   make(chan struct{}),
@@ -519,12 +519,12 @@ func (s *Server) execute(r *run, c *compiled) {
 		s.leaveQueue()
 		s.metrics.Rejected504.Add(1)
 		s.metrics.RunsFailed.Add(1)
-		r.finish(StateFailed, nil, ErrQueueTimeout)
+		r.finish(stateFailed, nil, errQueueTimeout)
 		return
 	case <-s.baseCtx.Done():
 		s.leaveQueue()
 		s.metrics.RunsFailed.Add(1)
-		r.finish(StateFailed, nil, ErrDraining)
+		r.finish(stateFailed, nil, errDraining)
 		return
 	}
 	s.leaveQueue()
@@ -533,7 +533,7 @@ func (s *Server) execute(r *run, c *compiled) {
 	s.metrics.ActiveRuns.Add(1)
 	defer s.metrics.ActiveRuns.Add(-1)
 	s.metrics.RunsStarted.Add(1)
-	r.setState(StateRunning)
+	r.setState(stateRunning)
 
 	ctx, cancel := context.WithTimeout(s.baseCtx, s.cfg.RunTimeout)
 	defer cancel()
@@ -543,13 +543,13 @@ func (s *Server) execute(r *run, c *compiled) {
 		s.metrics.RunsFailed.Add(1)
 		if errors.Is(err, context.DeadlineExceeded) {
 			s.metrics.Rejected504.Add(1)
-			err = fmt.Errorf("%w: %v", ErrRunTimeout, err)
+			err = fmt.Errorf("%w: %v", errRunTimeout, err)
 		}
-		r.finish(StateFailed, nil, err)
+		r.finish(stateFailed, nil, err)
 		return
 	}
 	s.metrics.RunsCompleted.Add(1)
-	r.finish(StateCompleted, artifact, nil)
+	r.finish(stateCompleted, artifact, nil)
 
 	if err := s.store.SaveArtifact(r.id, artifact); err != nil {
 		s.cfg.Logf("serve: persist artifact %s: %v", r.id, err)
@@ -673,17 +673,17 @@ func (s *Server) handleSubmit(w http.ResponseWriter, req *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	r, err := s.Submit(q)
+	r, err := s.submit(q)
 	switch {
 	case err == nil:
-	case errors.Is(err, ErrQueueFull):
+	case errors.Is(err, errQueueFull):
 		writeError(w, http.StatusTooManyRequests, err)
 		return
-	case errors.Is(err, ErrDraining):
+	case errors.Is(err, errDraining):
 		writeError(w, http.StatusServiceUnavailable, err)
 		return
 	default:
-		var reqErr *RequestError
+		var reqErr *requestError
 		if errors.As(err, &reqErr) {
 			writeError(w, http.StatusBadRequest, err)
 			return
@@ -698,7 +698,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, req *http.Request) {
 	}
 	w.Header().Set("Location", "/v1/runs/"+r.id)
 	code := http.StatusAccepted
-	if r.snapshot().State == StateCompleted {
+	if r.snapshot().State == stateCompleted {
 		code = http.StatusOK
 	}
 	writeJSON(w, code, r.snapshot())
@@ -712,7 +712,7 @@ func (s *Server) respondWhenDone(w http.ResponseWriter, req *http.Request, r *ru
 	if ms := req.URL.Query().Get("timeout_ms"); ms != "" {
 		n, err := strconv.Atoi(ms)
 		if err != nil || n <= 0 {
-			writeError(w, http.StatusBadRequest, &RequestError{Field: "timeout_ms", Msg: "must be a positive integer"})
+			writeError(w, http.StatusBadRequest, &requestError{Field: "timeout_ms", Msg: "must be a positive integer"})
 			return
 		}
 		t := time.NewTimer(time.Duration(n) * time.Millisecond)
@@ -733,15 +733,15 @@ func (s *Server) respondWhenDone(w http.ResponseWriter, req *http.Request, r *ru
 
 func (s *Server) writeRunArtifact(w http.ResponseWriter, r *run) {
 	ev := r.snapshot()
-	if ev.State == StateFailed {
+	if ev.State == stateFailed {
 		code := http.StatusInternalServerError
 		r.mu.Lock()
 		err := r.err
 		r.mu.Unlock()
 		switch {
-		case errors.Is(err, ErrQueueTimeout), errors.Is(err, ErrRunTimeout):
+		case errors.Is(err, errQueueTimeout), errors.Is(err, errRunTimeout):
 			code = http.StatusGatewayTimeout
-		case errors.Is(err, ErrDraining):
+		case errors.Is(err, errDraining):
 			code = http.StatusServiceUnavailable
 		}
 		writeError(w, code, err)
@@ -774,7 +774,7 @@ func (s *Server) handleArtifact(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	ev := r.snapshot()
-	if ev.State == StateQueued || ev.State == StateRunning {
+	if ev.State == stateQueued || ev.State == stateRunning {
 		// Not ready: poll-friendly 202 with the live status body.
 		writeJSON(w, http.StatusAccepted, ev)
 		return

@@ -271,7 +271,7 @@ func TestLoadsSavedOnlyWhenGrown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st2.RestoreLoads(); err != nil {
+	if _, err := st2.restoreLoads(); err != nil {
 		t.Errorf("restart cannot restore loads.json: %v", err)
 	}
 }
@@ -303,11 +303,11 @@ func TestRestartStatusByIDNamesFamily(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sresp.Body.Close()
-	var ev Event
+	var ev event
 	if err := json.NewDecoder(sresp.Body).Decode(&ev); err != nil {
 		t.Fatal(err)
 	}
-	if ev.Family != quickSpec().Family || ev.State != StateCompleted || ev.Total != 2 || ev.Done != 2 {
+	if ev.Family != quickSpec().Family || ev.State != stateCompleted || ev.Total != 2 || ev.Done != 2 {
 		t.Fatalf("status after restart = %+v, want family %q, completed, 2/2 points", ev, quickSpec().Family)
 	}
 }
@@ -374,7 +374,7 @@ func TestOverloadTyped(t *testing.T) {
 	s.slots <- struct{}{} // the worker is "busy"
 	defer func() { <-s.slots }()
 
-	r1, err := s.Submit(quickSpec())
+	r1, err := s.submit(quickSpec())
 	if err != nil {
 		t.Fatalf("first submission: %v", err)
 	}
@@ -414,7 +414,7 @@ func TestOverloadTyped(t *testing.T) {
 	}
 
 	// A failed run is retryable: the same spec admits a fresh run.
-	r2, err := s.Submit(quickSpec())
+	r2, err := s.submit(quickSpec())
 	if err != nil {
 		t.Fatalf("resubmission after 504: %v", err)
 	}
@@ -458,7 +458,7 @@ func TestWaitTimeoutTyped(t *testing.T) {
 // event, then a final done event with the completed state and full count.
 // streamEvents reads the run's SSE stream to its done event and returns every
 // event with its kind.
-func streamEvents(t *testing.T, ts *httptest.Server, id string) (events []Event, kinds []string) {
+func streamEvents(t *testing.T, ts *httptest.Server, id string) (events []event, kinds []string) {
 	t.Helper()
 	resp, err := http.Get(ts.URL + "/v1/runs/" + id + "/events")
 	if err != nil {
@@ -476,7 +476,7 @@ func streamEvents(t *testing.T, ts *httptest.Server, id string) (events []Event,
 		case strings.HasPrefix(line, "event: "):
 			kind = strings.TrimPrefix(line, "event: ")
 		case strings.HasPrefix(line, "data: "):
-			var ev Event
+			var ev event
 			if err := json.Unmarshal([]byte(strings.TrimPrefix(line, "data: ")), &ev); err != nil {
 				t.Fatalf("bad event payload %q: %v", line, err)
 			}
@@ -492,7 +492,7 @@ func streamEvents(t *testing.T, ts *httptest.Server, id string) (events []Event,
 
 func TestEventsStream(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 1})
-	r, err := s.Submit(quickSpec())
+	r, err := s.submit(quickSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -504,7 +504,7 @@ func TestEventsStream(t *testing.T) {
 	if kinds[len(kinds)-1] != "done" {
 		t.Fatalf("last event kind = %q, want done", kinds[len(kinds)-1])
 	}
-	if last.State != StateCompleted {
+	if last.State != stateCompleted {
 		t.Fatalf("final state = %q (err %q), want completed", last.State, last.Error)
 	}
 	if last.Done != int64(last.Total) || last.Total != 2 {
@@ -524,13 +524,13 @@ func TestHeartbeatComposesWithCheckpointing(t *testing.T) {
 	// One point, several heartbeat periods long (about 4 600 cycles).
 	req := &Request{Family: "throughput", Shape: "2x2x2", Batches: []int{512}}
 	s, ts := newTestServer(t, Config{Workers: 1, CheckpointEvery: 1000})
-	r, err := s.Submit(req)
+	r, err := s.submit(req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	events, _ := streamEvents(t, ts, r.id)
 	last := events[len(events)-1]
-	if last.State != StateCompleted {
+	if last.State != stateCompleted {
 		t.Fatalf("final state = %q (err %q), want completed", last.State, last.Error)
 	}
 	live, prev := false, uint64(0)
@@ -598,7 +598,7 @@ func TestDefaultPointsTakeTheQuietPath(t *testing.T) {
 // new submissions get 503, and /healthz flips to draining.
 func TestDrainGraceful(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 2})
-	r, err := s.Submit(quickSpec())
+	r, err := s.submit(quickSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -608,7 +608,7 @@ func TestDrainGraceful(t *testing.T) {
 	if err := s.Drain(ctx); err != nil {
 		t.Fatalf("drain: %v", err)
 	}
-	if got := r.snapshot().State; got != StateCompleted {
+	if got := r.snapshot().State; got != stateCompleted {
 		t.Fatalf("in-flight run state after drain = %q, want completed", got)
 	}
 
@@ -636,7 +636,7 @@ func TestDrainGraceful(t *testing.T) {
 // run, 202 for a pending artifact, 404 for garbage ids.
 func TestStatusAndArtifactEndpoints(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 1})
-	r, err := s.Submit(quickSpec())
+	r, err := s.submit(quickSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -646,12 +646,12 @@ func TestStatusAndArtifactEndpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var ev Event
+	var ev event
 	if err := json.NewDecoder(resp.Body).Decode(&ev); err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if ev.ID != r.id || ev.State != StateCompleted {
+	if ev.ID != r.id || ev.State != stateCompleted {
 		t.Fatalf("status = %+v", ev)
 	}
 

@@ -172,20 +172,20 @@ func (s *Store) RemoveWAL(id string) {
 	}
 }
 
-// WALEntry is one unfinished run recorded in the write-ahead log.
-type WALEntry struct {
+// walEntry is one unfinished run recorded in the write-ahead log.
+type walEntry struct {
 	ID   string
 	Body []byte
 }
 
-// ListWAL returns every write-ahead-log entry, sorted by id for a
+// listWAL returns every write-ahead-log entry, sorted by id for a
 // deterministic re-admission order.
-func (s *Store) ListWAL() ([]WALEntry, error) {
+func (s *Store) listWAL() ([]walEntry, error) {
 	entries, err := os.ReadDir(filepath.Join(s.dir, "wal"))
 	if err != nil {
 		return nil, fmt.Errorf("serve: list wal: %w", err)
 	}
-	var out []WALEntry
+	var out []walEntry
 	for _, e := range entries {
 		id := strings.TrimSuffix(e.Name(), ".json")
 		if e.IsDir() || !strings.HasSuffix(e.Name(), ".json") || !validID(id) {
@@ -196,7 +196,7 @@ func (s *Store) ListWAL() ([]WALEntry, error) {
 			s.logf("serve: read wal %s: %v", id, err)
 			continue
 		}
-		out = append(out, WALEntry{ID: id, Body: b})
+		out = append(out, walEntry{ID: id, Body: b})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out, nil
@@ -229,9 +229,9 @@ func (s *Store) SaveLoads() error {
 	return nil
 }
 
-// RestoreLoads seeds the process-wide load-table cache from disk, returning
+// restoreLoads seeds the process-wide load-table cache from disk, returning
 // how many tables were restored (0 with no error when no snapshot exists).
-func (s *Store) RestoreLoads() (int, error) {
+func (s *Store) restoreLoads() (int, error) {
 	b, err := os.ReadFile(filepath.Join(s.dir, "loads.json"))
 	if errors.Is(err, fs.ErrNotExist) {
 		return 0, nil

@@ -308,14 +308,14 @@ func TestShardedTickParity(t *testing.T) {
 
 // TestPerCycleRule: a sharded engine enters the parallel phase (and so runs
 // the merge hook) exactly on the cycles that schedule at least
-// ParallelMinReady components; a sparser cycle is the coordinator's alone.
+// parallelMinReady components; a sparser cycle is the coordinator's alone.
 func TestPerCycleRule(t *testing.T) {
 	// Every component is scheduled on cycles that are multiples of all the
 	// periods 1..9 (every 2520th); period-1 components alone make 1/9 of n.
 	for _, tc := range []struct{ n, cycles, wantMerged int }{
-		{ParallelMinReady - 1, 64, 0},
-		{ParallelMinReady, 3, 1},       // cycle 0 schedules all n; no later one does
-		{9 * ParallelMinReady, 64, 64}, // the period-1 ninth is dense enough by itself
+		{parallelMinReady - 1, 64, 0},
+		{parallelMinReady, 3, 1},       // cycle 0 schedules all n; no later one does
+		{9 * parallelMinReady, 64, 64}, // the period-1 ninth is dense enough by itself
 	} {
 		e, _, merged := shardedCounters(tc.n, 2)
 		e.Run(uint64(tc.cycles))

@@ -135,7 +135,7 @@ func (e *Engine) Register(c Component) int {
 // registered (and therefore ticked) first.
 func (e *Engine) SetSerialPrefix(n int) { e.serialPrefix = n }
 
-// ParallelMinReady is the scheduled-component count from which a cycle of a
+// parallelMinReady is the scheduled-component count from which a cycle of a
 // sharded engine is stepped in parallel; below it the hand-off costs more
 // than the shards save. Measured on the 2-vCPU benchmark host by timing every
 // stepped cycle of a run once forced serial and once forced parallel with 2
@@ -162,11 +162,11 @@ func (e *Engine) SetSerialPrefix(n int) { e.serialPrefix = n }
 // the 8x8x8 burst forgoes between 400 and 1 024 is 0.2 % of its wall time. A
 // constant, not a knob: the choice never changes a result, only which of two
 // bit-identical ways a cycle is executed.
-const ParallelMinReady = 1024
+const parallelMinReady = 1024
 
 // ConfigureShards splits the component-id space for sharded stepping.
 // Components with id < serialPrefix are ticked by the coordinator first (in
-// id order). A cycle with fewer than ParallelMinReady scheduled components is
+// id order). A cycle with fewer than parallelMinReady scheduled components is
 // then finished by the coordinator too, the same way an unsharded engine
 // would; a denser one ticks each range on its own goroutine and runs merge
 // (may be nil) at the barrier. Ranges must be sorted, disjoint, and cover
@@ -181,7 +181,7 @@ func (e *Engine) ConfigureShards(ranges []ShardRange, serialPrefix int, merge fu
 	}
 	e.serialPrefix = serialPrefix
 	e.OnMerge = merge
-	e.parMin = ParallelMinReady
+	e.parMin = parallelMinReady
 	e.workers = e.workers[:0]
 	for _, r := range ranges {
 		r.Lo = max(r.Lo, serialPrefix)

@@ -281,7 +281,7 @@ func (c *Collector) Finish(elapsed uint64) error {
 			return err
 		}
 		if len(report.Traces) > 0 {
-			trace := ChromeTrace(report.Traces, c.env.CyclePS)
+			trace := chromeTrace(report.Traces, c.env.CyclePS)
 			if _, err := exp.WriteJSON(c.opts.Dir, c.opts.Name+".trace", trace); err != nil {
 				return err
 			}

@@ -14,17 +14,17 @@ type PacketTrace struct {
 	Events      []packet.TraceEvent `json:"events"`
 }
 
-// ChromeTraceFile is the Chrome trace_event JSON object format — load the
+// chromeTraceFile is the Chrome trace_event JSON object format — load the
 // file in Perfetto (ui.perfetto.dev) or chrome://tracing.
-type ChromeTraceFile struct {
-	TraceEvents     []ChromeEvent `json:"traceEvents"`
+type chromeTraceFile struct {
+	TraceEvents     []chromeEvent `json:"traceEvents"`
 	DisplayTimeUnit string        `json:"displayTimeUnit"`
 }
 
-// ChromeEvent is one trace_event entry. Only the fields this exporter uses
+// chromeEvent is one trace_event entry. Only the fields this exporter uses
 // are modeled: "X" complete events carry ts+dur, "M" metadata events carry a
 // name argument. Timestamps are microseconds.
-type ChromeEvent struct {
+type chromeEvent struct {
 	Name string      `json:"name"`
 	Cat  string      `json:"cat,omitempty"`
 	Ph   string      `json:"ph"`
@@ -32,36 +32,37 @@ type ChromeEvent struct {
 	Dur  float64     `json:"dur"`
 	PID  int         `json:"pid"`
 	TID  uint64      `json:"tid"`
-	Args *ChromeArgs `json:"args,omitempty"`
+	Args *chromeArgs `json:"args,omitempty"`
 }
 
-// ChromeArgs is the deterministic argument payload (a struct, not a map, so
+// chromeArgs is the deterministic argument payload (a struct, not a map, so
 // the JSON key order is fixed for golden tests).
-type ChromeArgs struct {
+type chromeArgs struct {
 	Name  string `json:"name,omitempty"`
 	Cycle uint64 `json:"cycle,omitempty"`
 }
 
-// ChromeTrace converts captured packet traces into Chrome trace_event JSON.
+// chromeTrace converts captured packet traces into Chrome trace_event JSON.
 // Each packet becomes one thread (tid = its trace ID) of a single "anton2"
 // process: an enclosing "lifetime" slice from injection to delivery, with
 // one nested slice per hop whose duration runs to the next tracepoint.
 // cyclePS is the cycle time in picoseconds.
-func ChromeTrace(traces []PacketTrace, cyclePS float64) *ChromeTraceFile {
+func chromeTrace(traces []PacketTrace, cyclePS float64) *chromeTraceFile {
+	const pid = 0 // the one process
 	us := func(cycle uint64) float64 { return float64(cycle) * cyclePS / 1e6 }
-	f := &ChromeTraceFile{DisplayTimeUnit: "ns"}
-	f.TraceEvents = append(f.TraceEvents, ChromeEvent{
-		Name: "process_name", Ph: "M", Args: &ChromeArgs{Name: "anton2"},
+	f := &chromeTraceFile{DisplayTimeUnit: "ns"}
+	f.TraceEvents = append(f.TraceEvents, chromeEvent{
+		Name: "process_name", Ph: "M", PID: pid, Args: &chromeArgs{Name: "anton2"},
 	})
 	for _, t := range traces {
-		f.TraceEvents = append(f.TraceEvents, ChromeEvent{
-			Name: "thread_name", Ph: "M", TID: t.ID,
-			Args: &ChromeArgs{Name: "pkt " + t.Src + " -> " + t.Dst},
+		f.TraceEvents = append(f.TraceEvents, chromeEvent{
+			Name: "thread_name", Ph: "M", PID: pid, TID: t.ID,
+			Args: &chromeArgs{Name: "pkt " + t.Src + " -> " + t.Dst},
 		})
-		f.TraceEvents = append(f.TraceEvents, ChromeEvent{
+		f.TraceEvents = append(f.TraceEvents, chromeEvent{
 			Name: "lifetime", Cat: "packet", Ph: "X",
 			TS: us(t.InjectedAt), Dur: us(t.DeliveredAt) - us(t.InjectedAt),
-			TID: t.ID, Args: &ChromeArgs{Cycle: t.InjectedAt},
+			PID: pid, TID: t.ID, Args: &chromeArgs{Cycle: t.InjectedAt},
 		})
 		for i, ev := range t.Events {
 			end := t.DeliveredAt
@@ -71,10 +72,10 @@ func ChromeTrace(traces []PacketTrace, cyclePS float64) *ChromeTraceFile {
 			if end < ev.Cycle {
 				end = ev.Cycle
 			}
-			f.TraceEvents = append(f.TraceEvents, ChromeEvent{
+			f.TraceEvents = append(f.TraceEvents, chromeEvent{
 				Name: ev.Stage, Cat: "hop", Ph: "X",
 				TS: us(ev.Cycle), Dur: us(end) - us(ev.Cycle),
-				TID: t.ID, Args: &ChromeArgs{Cycle: ev.Cycle},
+				PID: pid, TID: t.ID, Args: &chromeArgs{Cycle: ev.Cycle},
 			})
 		}
 	}

@@ -18,15 +18,15 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite the golden files u
 
 // captureTrace runs one fully pinned packet — node 0 to its +X neighbor with
 // fixed routing choices on a 2x2x2 machine — under the collector, which
-// traces it as the first packet injected at node 0, and converts the capture
-// to Chrome trace_event form. Everything about the
-// run is deterministic, so the output can be byte-compared against a golden
-// file.
-func captureTrace(t *testing.T) *telemetry.ChromeTraceFile {
+// traces it as the first packet injected at node 0, and returns the Chrome
+// trace_event file the collector writes. Everything about the run is
+// deterministic, so the output can be byte-compared against a golden file.
+func captureTrace(t *testing.T) []byte {
 	t.Helper()
 	cfg := machine.DefaultConfig(topo.Shape3(2, 2, 2))
 	var report *telemetry.Report
-	cfg.Telemetry = &telemetry.Options{Sink: func(r *telemetry.Report) { report = r }}
+	dir := t.TempDir()
+	cfg.Telemetry = &telemetry.Options{Dir: dir, Name: "run", Sink: func(r *telemetry.Report) { report = r }}
 	m := machine.MustNew(cfg)
 	tm := m.Topo
 	ep := tm.Chip.CoreEndpoints()[0]
@@ -49,7 +49,11 @@ func captureTrace(t *testing.T) *telemetry.ChromeTraceFile {
 	if tr := report.Traces[0]; len(tr.Events) == 0 || tr.DeliveredAt <= tr.InjectedAt {
 		t.Fatalf("degenerate trace: %+v", tr)
 	}
-	return telemetry.ChromeTrace(report.Traces, machine.CyclePS)
+	got, err := os.ReadFile(filepath.Join(dir, "run.trace.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return got
 }
 
 // TestChromeTraceGolden pins the exporter's exact JSON: a single
@@ -57,11 +61,7 @@ func captureTrace(t *testing.T) *telemetry.ChromeTraceFile {
 // tracepoint placement, timestamp scaling, or serialization shows up in
 // Perfetto renderings.
 func TestChromeTraceGolden(t *testing.T) {
-	got, err := json.MarshalIndent(captureTrace(t), "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	got = append(got, '\n')
+	got := captureTrace(t)
 	golden := filepath.Join("testdata", "golden", "trace.json")
 	if *updateGolden {
 		if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
@@ -88,10 +88,7 @@ func TestChromeTraceGolden(t *testing.T) {
 // "X" complete events with non-negative microsecond ts/dur, with every hop
 // slice nested inside its packet's lifetime slice.
 func TestChromeTraceWellFormed(t *testing.T) {
-	raw, err := json.Marshal(captureTrace(t))
-	if err != nil {
-		t.Fatal(err)
-	}
+	raw := captureTrace(t)
 	var doc map[string]json.RawMessage
 	if err := json.Unmarshal(raw, &doc); err != nil {
 		t.Fatal(err)

@@ -123,9 +123,7 @@ func (r *Router) EndpointPort(ep int) int {
 
 // Endpoint describes one endpoint adapter's attachment.
 type Endpoint struct {
-	ID     int
 	Router MeshCoord
-	Port   int // port index at Router
 	// ToRouter / FromRouter are chip-local channel ids.
 	ToRouter, FromRouter int
 }
@@ -134,14 +132,12 @@ type Endpoint struct {
 type ChannelAdapter struct {
 	ID     AdapterID
 	Router MeshCoord
-	Port   int // port index at Router
 	// ToRouter / FromRouter are chip-local channel ids.
 	ToRouter, FromRouter int
 }
 
 // IntraChan is a directed channel within one ASIC.
 type IntraChan struct {
-	ID       int
 	Group    Group
 	From, To Loc
 	Name     string
@@ -165,14 +161,14 @@ type Loc struct {
 	Adapter  AdapterID // LocAdapter
 }
 
-// RouterLoc returns the Loc of a router.
-func RouterLoc(c MeshCoord) Loc { return Loc{Kind: LocRouter, Router: c} }
+// routerLoc returns the Loc of a router.
+func routerLoc(c MeshCoord) Loc { return Loc{Kind: LocRouter, Router: c} }
 
-// EndpointLoc returns the Loc of an endpoint adapter.
-func EndpointLoc(ep int) Loc { return Loc{Kind: LocEndpoint, Endpoint: ep} }
+// endpointLoc returns the Loc of an endpoint adapter.
+func endpointLoc(ep int) Loc { return Loc{Kind: LocEndpoint, Endpoint: ep} }
 
-// AdapterLoc returns the Loc of a torus-channel adapter.
-func AdapterLoc(a AdapterID) Loc { return Loc{Kind: LocAdapter, Adapter: a} }
+// adapterLoc returns the Loc of a torus-channel adapter.
+func adapterLoc(a AdapterID) Loc { return Loc{Kind: LocAdapter, Adapter: a} }
 
 func (l Loc) String() string {
 	switch l.Kind {
@@ -251,16 +247,15 @@ func buildChip() *Chip {
 
 	addChan := func(group Group, from, to Loc, name string) int {
 		id := len(c.IntraChans)
-		c.IntraChans = append(c.IntraChans, IntraChan{ID: id, Group: group, From: from, To: to, Name: name})
+		c.IntraChans = append(c.IntraChans, IntraChan{Group: group, From: from, To: to, Name: name})
 		return id
 	}
-	addPort := func(rc MeshCoord, p Port) int {
+	addPort := func(rc MeshCoord, p Port) {
 		r := &c.Routers[RouterID(rc)]
 		r.Ports = append(r.Ports, p)
 		if len(r.Ports) > MaxRouterPorts {
 			panic(fmt.Sprintf("topo: router %s exceeds %d ports", rc, MaxRouterPorts))
 		}
-		return len(r.Ports) - 1
 	}
 
 	// Mesh links (GroupM), both directions per adjacent pair.
@@ -268,14 +263,14 @@ func buildChip() *Chip {
 		for u := 0; u < MeshW; u++ {
 			at := MeshCoord{u, v}
 			for _, d := range []MeshDir{UPos, VPos} {
-				peer, ok := d.Step(at)
+				peer, ok := d.step(at)
 				if !ok {
 					continue
 				}
-				fwd := addChan(GroupM, RouterLoc(at), RouterLoc(peer), fmt.Sprintf("%s->%s", at, peer))
-				rev := addChan(GroupM, RouterLoc(peer), RouterLoc(at), fmt.Sprintf("%s->%s", peer, at))
+				fwd := addChan(GroupM, routerLoc(at), routerLoc(peer), fmt.Sprintf("%s->%s", at, peer))
+				rev := addChan(GroupM, routerLoc(peer), routerLoc(at), fmt.Sprintf("%s->%s", peer, at))
 				addPort(at, Port{Kind: PortMesh, MeshDir: d, Peer: peer, OutChan: fwd, InChan: rev})
-				addPort(peer, Port{Kind: PortMesh, MeshDir: d.Opposite(), Peer: at, OutChan: rev, InChan: fwd})
+				addPort(peer, Port{Kind: PortMesh, MeshDir: d.opposite(), Peer: at, OutChan: rev, InChan: fwd})
 			}
 		}
 	}
@@ -283,8 +278,8 @@ func buildChip() *Chip {
 	// Skip channels (GroupT): direct links between the X-edge corners.
 	for _, pair := range c.SkipPairs {
 		a, b := pair[0], pair[1]
-		fwd := addChan(GroupT, RouterLoc(a), RouterLoc(b), fmt.Sprintf("skip %s->%s", a, b))
-		rev := addChan(GroupT, RouterLoc(b), RouterLoc(a), fmt.Sprintf("skip %s->%s", b, a))
+		fwd := addChan(GroupT, routerLoc(a), routerLoc(b), fmt.Sprintf("skip %s->%s", a, b))
+		rev := addChan(GroupT, routerLoc(b), routerLoc(a), fmt.Sprintf("skip %s->%s", b, a))
 		addPort(a, Port{Kind: PortSkip, Peer: b, OutChan: fwd, InChan: rev})
 		addPort(b, Port{Kind: PortSkip, Peer: a, OutChan: rev, InChan: fwd})
 	}
@@ -296,10 +291,10 @@ func buildChip() *Chip {
 		if !ok {
 			panic("topo: missing adapter placement for " + id.String())
 		}
-		toR := addChan(GroupT, AdapterLoc(id), RouterLoc(rc), fmt.Sprintf("C%s->%s", id, rc))
-		fromR := addChan(GroupT, RouterLoc(rc), AdapterLoc(id), fmt.Sprintf("%s->C%s", rc, id))
-		port := addPort(rc, Port{Kind: PortAdapter, Adapter: id, OutChan: fromR, InChan: toR})
-		c.Adapters[i] = ChannelAdapter{ID: id, Router: rc, Port: port, ToRouter: toR, FromRouter: fromR}
+		toR := addChan(GroupT, adapterLoc(id), routerLoc(rc), fmt.Sprintf("C%s->%s", id, rc))
+		fromR := addChan(GroupT, routerLoc(rc), adapterLoc(id), fmt.Sprintf("%s->C%s", rc, id))
+		addPort(rc, Port{Kind: PortAdapter, Adapter: id, OutChan: fromR, InChan: toR})
+		c.Adapters[i] = ChannelAdapter{ID: id, Router: rc, ToRouter: toR, FromRouter: fromR}
 	}
 
 	// Endpoint adapters (GroupM links).
@@ -319,10 +314,10 @@ func buildChip() *Chip {
 		}
 		c.coreEndpoints[ri] = ep
 		for j := 0; j < n; j++ {
-			toR := addChan(GroupM, EndpointLoc(ep), RouterLoc(rc), fmt.Sprintf("E%d->%s", ep, rc))
-			fromR := addChan(GroupM, RouterLoc(rc), EndpointLoc(ep), fmt.Sprintf("%s->E%d", rc, ep))
-			port := addPort(rc, Port{Kind: PortEndpoint, Endpoint: ep, OutChan: fromR, InChan: toR})
-			c.Endpoints[ep] = Endpoint{ID: ep, Router: rc, Port: port, ToRouter: toR, FromRouter: fromR}
+			toR := addChan(GroupM, endpointLoc(ep), routerLoc(rc), fmt.Sprintf("E%d->%s", ep, rc))
+			fromR := addChan(GroupM, routerLoc(rc), endpointLoc(ep), fmt.Sprintf("%s->E%d", rc, ep))
+			addPort(rc, Port{Kind: PortEndpoint, Endpoint: ep, OutChan: fromR, InChan: toR})
+			c.Endpoints[ep] = Endpoint{Router: rc, ToRouter: toR, FromRouter: fromR}
 			ep++
 		}
 	}

@@ -50,11 +50,11 @@ func (d MeshDir) String() string {
 	}
 }
 
-// Opposite returns the reverse mesh direction.
-func (d MeshDir) Opposite() MeshDir { return d ^ 1 }
+// opposite returns the reverse mesh direction.
+func (d MeshDir) opposite() MeshDir { return d ^ 1 }
 
-// Step returns the coordinate one hop away; ok is false at a mesh edge.
-func (d MeshDir) Step(c MeshCoord) (MeshCoord, bool) {
+// step returns the coordinate one hop away; ok is false at a mesh edge.
+func (d MeshDir) step(c MeshCoord) (MeshCoord, bool) {
 	switch d {
 	case UPos:
 		c.U++

@@ -194,7 +194,7 @@ func TestMeshHopsReachDestination(t *testing.T) {
 				a, b := RouterCoord(ai), RouterCoord(bi)
 				cur := a
 				for _, d := range o.MeshHops(a, b) {
-					next, ok := d.Step(cur)
+					next, ok := d.step(cur)
 					if !ok {
 						t.Fatalf("order %v: route %v->%v walks off mesh at %v going %v", o, a, b, cur, d)
 					}
@@ -247,11 +247,11 @@ func TestChipInvariants(t *testing.T) {
 				t.Errorf("router %v port %d: in == out channel", r.Coord, pi)
 			}
 			out := &c.IntraChans[p.OutChan]
-			if out.From != RouterLoc(r.Coord) {
+			if out.From != routerLoc(r.Coord) {
 				t.Errorf("router %v port %d: out channel from %v", r.Coord, pi, out.From)
 			}
 			in := &c.IntraChans[p.InChan]
-			if in.To != RouterLoc(r.Coord) {
+			if in.To != routerLoc(r.Coord) {
 				t.Errorf("router %v port %d: in channel to %v", r.Coord, pi, in.To)
 			}
 		}
@@ -331,8 +331,8 @@ func TestMachineChannelIDs(t *testing.T) {
 				t.Fatalf("intra channel id %d classified as torus", id)
 			}
 			gotN, gotC := m.IntraChanOf(id)
-			if gotN != n || gotC.ID != ci {
-				t.Fatalf("IntraChanOf(%d) = %d,%d; want %d,%d", id, gotN, gotC.ID, n, ci)
+			if want := &m.Chip.IntraChans[ci]; gotN != n || gotC != want {
+				t.Fatalf("IntraChanOf(%d) = %d,%s; want %d,%s", id, gotN, gotC.Name, n, want.Name)
 			}
 		}
 		for d := Direction(0); d < NumDirections; d++ {

@@ -180,13 +180,13 @@ func BitComplement() Permutation {
 	}
 }
 
-// NearestNeighbor sends to a uniformly random node exactly one hop away
+// nearestNeighbor sends to a uniformly random node exactly one hop away
 // (the paper's 1-hop neighbor traffic is NHop{1}; this stricter variant
 // exercises single-dimension routes only).
-type NearestNeighbor struct{}
+type nearestNeighbor struct{}
 
 // Name implements Pattern.
-func (NearestNeighbor) Name() string { return "nearest-neighbor" }
+func (nearestNeighbor) Name() string { return "nearest-neighbor" }
 
 func nnNodes(m *topo.Machine, c topo.NodeCoord) []int {
 	seen := map[int]bool{}
@@ -202,13 +202,13 @@ func nnNodes(m *topo.Machine, c topo.NodeCoord) []int {
 }
 
 // Dest implements Pattern.
-func (NearestNeighbor) Dest(m *topo.Machine, src topo.NodeEp, rng *rand.Rand) topo.NodeEp {
+func (nearestNeighbor) Dest(m *topo.Machine, src topo.NodeEp, rng *rand.Rand) topo.NodeEp {
 	nodes := nnNodes(m, m.Shape.Coord(src.Node))
 	return topo.NodeEp{Node: nodes[rng.Intn(len(nodes))], Ep: src.Ep}
 }
 
 // Flows implements Pattern.
-func (NearestNeighbor) Flows(m *topo.Machine) loadcalc.FlowFunc {
+func (nearestNeighbor) Flows(m *topo.Machine) loadcalc.FlowFunc {
 	nodes := nnNodes(m, m.Shape.Coord(0))
 	return func(srcEp int) []loadcalc.Flow {
 		out := make([]loadcalc.Flow, 0, len(nodes))
@@ -222,7 +222,7 @@ func (NearestNeighbor) Flows(m *topo.Machine) loadcalc.FlowFunc {
 // named are the patterns selectable by name on command lines and in served
 // requests, in listing order.
 var named = []Pattern{
-	Uniform{}, NHop{N: 1}, NHop{N: 2}, Tornado(), ReverseTornado(), BitComplement(), NearestNeighbor{},
+	Uniform{}, NHop{N: 1}, NHop{N: 2}, Tornado(), ReverseTornado(), BitComplement(), nearestNeighbor{},
 }
 
 // Names lists every pattern name ByName resolves.

@@ -35,7 +35,7 @@ func TestAllPatternsFlowsSumToOne(t *testing.T) {
 	m := machineFor(t, topo.Shape3(4, 4, 4))
 	for _, p := range []Pattern{
 		Uniform{}, NHop{N: 1}, NHop{N: 2}, Tornado(), ReverseTornado(),
-		BitComplement(), NearestNeighbor{},
+		BitComplement(), nearestNeighbor{},
 	} {
 		checkFlowsSumToOne(t, m, p)
 	}
@@ -150,7 +150,7 @@ func TestNearestNeighborDistanceOne(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	src := topo.NodeEp{Node: 21, Ep: 2}
 	for i := 0; i < 200; i++ {
-		d := (NearestNeighbor{}).Dest(m, src, rng)
+		d := (nearestNeighbor{}).Dest(m, src, rng)
 		if h := m.Shape.HopDistance(m.Shape.Coord(src.Node), m.Shape.Coord(d.Node)); h != 1 {
 			t.Fatalf("nearest-neighbor destination %d hops away", h)
 		}

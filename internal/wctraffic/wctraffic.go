@@ -15,13 +15,13 @@ import (
 	"anton2/internal/topo"
 )
 
-// Demand labels a unit switching demand between two external channels of
+// demand labels a unit switching demand between two external channels of
 // one ASIC: traffic arriving on the channel labeled In departs on the
 // channel labeled Out. By the paper's channel-naming convention, traffic
 // arriving on channel d travels in direction opposite(d), so a packet
 // continuing through the node in one dimension has Out == opposite(In), and
 // Out == In would be a non-minimal U-turn (excluded from the demand space).
-type Demand struct {
+type demand struct {
 	In, Out topo.Direction
 }
 
@@ -38,14 +38,14 @@ type Policy struct {
 // DefaultPolicy matches route.NewConfig: through and exit skips.
 var DefaultPolicy = Policy{Through: true, Exit: true}
 
-// PathChannels returns the chip channel ids a demand's traffic traverses on
+// pathChannels returns the chip channel ids a demand's traffic traverses on
 // the given slice under a direction-order algorithm: ingress adapter link,
 // any mesh or skip channels, and the egress adapter link. It mirrors the
 // routing policy of internal/route: X-dimension legs enter and exit through
 // the nearest corner, crossing the skip channel when the adapter sits on
 // the far side of the chip (the cross-check against route.Walk lives in the
 // tests).
-func PathChannels(chip *topo.Chip, order topo.DirOrder, pol Policy, d Demand, slice int) []int {
+func pathChannels(chip *topo.Chip, order topo.DirOrder, pol Policy, d demand, slice int) []int {
 	in := chip.AdapterAt(topo.AdapterID{Dir: d.In, Slice: slice})
 	out := chip.AdapterAt(topo.AdapterID{Dir: d.Out, Slice: slice})
 	chans := []int{in.ToRouter}
@@ -114,8 +114,8 @@ func Loads(chip *topo.Chip, order topo.DirOrder, pol Policy, perm [topo.NumDirec
 	loads := make([]float64, len(chip.IntraChans))
 	for s := 0; s < topo.NumSlices; s++ {
 		for in := topo.Direction(0); in < topo.NumDirections; in++ {
-			d := Demand{In: in, Out: perm[in]}
-			for _, ch := range PathChannels(chip, order, pol, d, s) {
+			d := demand{In: in, Out: perm[in]}
+			for _, ch := range pathChannels(chip, order, pol, d, s) {
 				loads[ch]++
 			}
 		}
@@ -123,20 +123,20 @@ func Loads(chip *topo.Chip, order topo.DirOrder, pol Policy, perm [topo.NumDirec
 	return loads
 }
 
-// MaxMeshLoad returns the heaviest load over the router-to-router mesh
-// channels (the contended resources of Figure 4) and the channel id.
-func MaxMeshLoad(chip *topo.Chip, loads []float64) (float64, int) {
-	best, id := 0.0, -1
+// maxMeshLoad returns the heaviest load over the router-to-router mesh
+// channels (the contended resources of Figure 4).
+func maxMeshLoad(chip *topo.Chip, loads []float64) float64 {
+	best := 0.0
 	for i, l := range loads {
 		ch := &chip.IntraChans[i]
 		if ch.From.Kind != topo.LocRouter || ch.To.Kind != topo.LocRouter {
 			continue // adapter/endpoint links carry at most one channel's demand
 		}
 		if l > best {
-			best, id = l, i
+			best = l
 		}
 	}
-	return best, id
+	return best
 }
 
 // Result summarizes the worst-case analysis of one direction order.
@@ -147,8 +147,6 @@ type Result struct {
 	WorstLoad float64
 	// WorstPerm attains WorstLoad.
 	WorstPerm [topo.NumDirections]topo.Direction
-	// WorstChan is the chip channel id carrying WorstLoad.
-	WorstChan int
 }
 
 // permutations enumerates all fixed-point-free permutations of the six
@@ -180,12 +178,11 @@ func permutations() [][topo.NumDirections]topo.Direction {
 // Evaluate computes the worst-case mesh load of one direction order by
 // exact enumeration of permutation demands.
 func Evaluate(chip *topo.Chip, order topo.DirOrder, pol Policy) Result {
-	res := Result{Order: order, WorstChan: -1}
+	res := Result{Order: order}
 	for _, perm := range permutations() {
 		loads := Loads(chip, order, pol, perm)
-		l, ch := MaxMeshLoad(chip, loads)
-		if l > res.WorstLoad {
-			res.WorstLoad, res.WorstPerm, res.WorstChan = l, perm, ch
+		if l := maxMeshLoad(chip, loads); l > res.WorstLoad {
+			res.WorstLoad, res.WorstPerm = l, perm
 		}
 	}
 	return res

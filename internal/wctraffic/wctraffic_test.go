@@ -81,7 +81,7 @@ var paperWorstCasePermutation = [topo.NumDirections]topo.Direction{
 func TestPaperPermutationLoad(t *testing.T) {
 	chip := topo.DefaultChip()
 	loads := Loads(chip, topo.DefaultDirOrder, DefaultPolicy, paperWorstCasePermutation)
-	l, _ := MaxMeshLoad(chip, loads)
+	l := maxMeshLoad(chip, loads)
 	if l > 2.0 {
 		t.Fatalf("paper permutation load = %g under default order, want <= 2.0", l)
 	}
@@ -158,12 +158,12 @@ func TestPathChannelsMatchesWalker(t *testing.T) {
 				midID := m.Shape.NodeID(mid)
 				for _, h := range hops {
 					if !m.IsTorusChan(h.Chan) {
-						if n, ch := m.IntraChanOf(h.Chan); n == midID {
-							got = append(got, ch.ID)
+						if n, _ := m.IntraChanOf(h.Chan); n == midID {
+							got = append(got, h.Chan%m.NumIntraChans())
 						}
 					}
 				}
-				want := PathChannels(chip, cfg.DirOrder, DefaultPolicy, Demand{In: in, Out: out}, s)
+				want := pathChannels(chip, cfg.DirOrder, DefaultPolicy, demand{In: in, Out: out}, s)
 				sort.Ints(got)
 				wantSorted := append([]int(nil), want...)
 				sort.Ints(wantSorted)
@@ -296,7 +296,7 @@ func TestHungarianAgreesWithEnumeratedWorstCase(t *testing.T) {
 				continue
 			}
 			for s := 0; s < topo.NumSlices; s++ {
-				for _, ch := range PathChannels(chip, order, DefaultPolicy, Demand{In: in, Out: out}, s) {
+				for _, ch := range pathChannels(chip, order, DefaultPolicy, demand{In: in, Out: out}, s) {
 					contrib[ch][in][out]++
 				}
 			}

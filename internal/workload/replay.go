@@ -37,7 +37,7 @@ func ReplayTrace(m *machine.Machine, tr *trace.Trace, maxPhaseCycles uint64) (Re
 		for _, e := range group {
 			if e.Cycle != start {
 				return Result{}, fmt.Errorf("workload: replay diverged: %s phase (timestep %d) event recorded at cycle %d, fabric quiesced at %d (machine config mismatch?)",
-					PhaseName(ph), ts, e.Cycle, start)
+					phaseName(ph), ts, e.Cycle, start)
 			}
 			in, err := injectionOf(e)
 			if err != nil {

@@ -49,8 +49,8 @@ const (
 
 var phaseNames = [numPhases]string{"halo", "multicast", "reduce"}
 
-// PhaseName returns the report name of a phase index.
-func PhaseName(i int) string {
+// phaseName returns the report name of a phase index.
+func phaseName(i int) string {
 	if i >= 0 && i < numPhases {
 		return phaseNames[i]
 	}
@@ -155,9 +155,9 @@ func (s Spec) Canonical() string {
 		s.HaloRadius, s.HaloPackets, s.HaloBurst, s.FanoutRadius, s.Multicasts, s.ReducePackets, s.Timesteps)
 }
 
-// GroupID maps (root node, torus slice) to the multicast group id Tables
+// groupID maps (root node, torus slice) to the multicast group id Tables
 // assigns.
-func GroupID(node, slice int) int { return node*topo.NumSlices + slice }
+func groupID(node, slice int) int { return node*topo.NumSlices + slice }
 
 // Tables compiles the force-distribution multicast tables the spec's
 // multicast phase uses: for every node, one plane-neighborhood group per
@@ -175,7 +175,7 @@ func (s Spec) Tables(tm *topo.Machine) map[int]*multicast.Compiled {
 		}
 		root := tm.Shape.Coord(n)
 		for sl := 0; sl < topo.NumSlices; sl++ {
-			out[GroupID(n, sl)] = multicast.Build(tm.Shape, root, dests, topo.AllDimOrders[0], sl).Compile(tm.Shape)
+			out[groupID(n, sl)] = multicast.Build(tm.Shape, root, dests, topo.AllDimOrders[0], sl).Compile(tm.Shape)
 		}
 	}
 	return out
@@ -263,18 +263,18 @@ func finishPhase(m *machine.Machine, ts, idx int, maxPhaseCycles uint64, before,
 			budget = defaultPhaseBudget(expected)
 		}
 		if _, err := m.RunUntilDelivered(before+expected, budget); err != nil {
-			return PhaseResult{}, fmt.Errorf("workload: %s phase (timestep %d): %w", PhaseName(idx), ts, err)
+			return PhaseResult{}, fmt.Errorf("workload: %s phase (timestep %d): %w", phaseName(idx), ts, err)
 		}
 	}
 	for i := 0; i < quiesceBudget && !m.Quiet(); i++ {
 		m.Engine.Step()
 	}
 	if !m.Quiet() {
-		return PhaseResult{}, fmt.Errorf("workload: %s phase (timestep %d) failed to quiesce within %d cycles", PhaseName(idx), ts, quiesceBudget)
+		return PhaseResult{}, fmt.Errorf("workload: %s phase (timestep %d) failed to quiesce within %d cycles", phaseName(idx), ts, quiesceBudget)
 	}
 	end := m.Engine.Now()
 	return PhaseResult{
-		Timestep: ts, Phase: PhaseName(idx),
+		Timestep: ts, Phase: phaseName(idx),
 		Injected: injected, Delivered: m.Delivered() - before,
 		StartCycle: start, EndCycle: end, Cycles: end - start,
 	}, nil
@@ -410,7 +410,7 @@ func (g *generator) phase(idx int, yield func(injection) error) error {
 		for n := 0; n < g.tm.NumNodes(); n++ {
 			src := topo.NodeEp{Node: n, Ep: g.cores[0]}
 			for k := 0; k < g.spec.Multicasts; k++ {
-				in := injection{mcast: true, src: src, class: route.ClassRequest, group: GroupID(n, (n+k)%topo.NumSlices)}
+				in := injection{mcast: true, src: src, class: route.ClassRequest, group: groupID(n, (n+k)%topo.NumSlices)}
 				if err := yield(in); err != nil {
 					return err
 				}
@@ -445,7 +445,7 @@ func runInner(m *machine.Machine, spec Spec, rec *trace.Recorder, maxPhaseCycles
 		return Result{}, fmt.Errorf("workload: shape %s too small for an MD timestep", tm.Shape)
 	}
 	gen := newGenerator(tm, m.Cfg.Seed, spec)
-	hasMcast := m.Cfg.Multicast[GroupID(0, 0)] != nil
+	hasMcast := m.Cfg.Multicast[groupID(0, 0)] != nil
 	if !hasMcast && len(spec.fanoutDests(tm, 0)) > 0 {
 		return Result{}, fmt.Errorf("workload: machine built without the spec's multicast tables (load Spec.Tables into Config.Multicast)")
 	}
@@ -480,7 +480,7 @@ func runInner(m *machine.Machine, spec Spec, rec *trace.Recorder, maxPhaseCycles
 			if resuming {
 				key, fromKey := ts*numPhases+idx, from.Timestep*numPhases+from.Phase
 				if key > fromKey {
-					return Result{}, fmt.Errorf("workload: checkpoint position (timestep %d, %s) was skipped", from.Timestep, PhaseName(from.Phase))
+					return Result{}, fmt.Errorf("workload: checkpoint position (timestep %d, %s) was skipped", from.Timestep, phaseName(from.Phase))
 				}
 				// Fully injected by checkpoint time: the machine state
 				// already reflects it; only the draws need replaying.
@@ -521,7 +521,7 @@ func runInner(m *machine.Machine, spec Spec, rec *trace.Recorder, maxPhaseCycles
 		}
 	}
 	if resuming {
-		return Result{}, fmt.Errorf("workload: checkpoint position (timestep %d, %s) beyond the spec's phases", from.Timestep, PhaseName(from.Phase))
+		return Result{}, fmt.Errorf("workload: checkpoint position (timestep %d, %s) beyond the spec's phases", from.Timestep, phaseName(from.Phase))
 	}
 	res.finish()
 	return res, nil
