@@ -25,8 +25,7 @@
 // included; serial otherwise, and under -engine scan) and 1 forces serial.
 // All engine configurations produce bit-identical results and artifacts — the
 // flags change simulation speed only and are excluded from result cache keys.
-// A flag combination that machine.Config.Validate or Checkpointable refuses
-// exits 2.
+// A flag combination that machine.Config.Validate refuses exits 2.
 //
 // With -checkpoint-dir and -checkpoint-every N (one without the other exits
 // 2), checkpoint-aware experiment points persist a resumable snapshot every N
@@ -283,7 +282,7 @@ func run(args []string, stderr io.Writer) int {
 		return reject(err)
 	}
 	var err error
-	if checkpoint, err = core.CheckpointFlags(mc, *ckptDir, *ckptEvery); err != nil {
+	if checkpoint, err = core.CheckpointFlags(*ckptDir, *ckptEvery); err != nil {
 		return reject(err)
 	}
 	shapeOverride = nil

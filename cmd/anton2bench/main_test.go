@@ -28,7 +28,6 @@ func TestInvalidFlagsRejected(t *testing.T) {
 		{"unknown engine", []string{"-engine", "warp", "fig4"}, "unknown engine"},
 		{"negative shards", []string{"-shards", "-1", "fig4"}, "shards must be >= 0"},
 		{"sharded scan", []string{"-engine", "scan", "-shards", "2", "fig4"}, "requires the active engine"},
-		{"checkpointed check", []string{"-checkpoint-dir", "x", "-checkpoint-every", "100", "-check", "fig9"}, "Config.Check"},
 		{"checkpointed family without RunCkpt", []string{"-quick", "-checkpoint-dir", "x", "-checkpoint-every", "100", "fig11"}, "no RunCkpt"},
 		{"checkpointed analytic experiment", []string{"-checkpoint-dir", "x", "-checkpoint-every", "100", "fig4"}, "no RunCkpt"},
 		{"lone checkpoint dir", []string{"-checkpoint-dir", "x", "fig9"}, "-checkpoint-every"},

@@ -20,8 +20,7 @@
 // -engine scan) and 1 forces serial. All three produce bit-identical results
 // and artifacts — the flags change only simulation speed (and are excluded
 // from result cache keys).
-// A flag combination that machine.Config.Validate or Checkpointable refuses
-// exits 2.
+// A flag combination that machine.Config.Validate refuses exits 2.
 //
 // With -check, the run executes under the internal/check invariant suite
 // (flit conservation, credit accounting, VC monotonicity, dimension order);
@@ -166,7 +165,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	job := simJob(mc, pattern, *batch)
 
 	opts := exp.Serial()
-	opts.Checkpoint, err = core.CheckpointFlags(mc, *ckptDir, *ckptEvery)
+	opts.Checkpoint, err = core.CheckpointFlags(*ckptDir, *ckptEvery)
 	if err != nil {
 		return reject(err)
 	}

@@ -36,7 +36,6 @@ func TestInvalidFlagsRejected(t *testing.T) {
 		{"unknown engine", []string{"-engine", "warp"}, "unknown engine"},
 		{"negative shards", []string{"-shards", "-1"}, "shards must be >= 0"},
 		{"sharded scan", []string{"-engine", "scan", "-shards", "2"}, "requires the active engine"},
-		{"checkpointed telemetry", []string{"-checkpoint-dir", "x", "-checkpoint-every", "100", "-telemetry", "y"}, "Config.Telemetry"},
 		{"lone checkpoint dir", []string{"-checkpoint-dir", "x"}, "-checkpoint-every"},
 		{"unknown flag", []string{"-frobnicate"}, ""},
 	}

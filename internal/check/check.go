@@ -22,8 +22,9 @@
 package check
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -32,6 +33,7 @@ import (
 	"anton2/internal/packet"
 	"anton2/internal/route"
 	"anton2/internal/topo"
+	"anton2/internal/wire"
 )
 
 // scanInterval is the cycle period of whole-machine scans (credit bounds,
@@ -89,6 +91,13 @@ type mkey struct {
 	group, node, ep int
 }
 
+// mcount is what a multicast key is owed and has been delivered.
+type mcount struct{ owed, got int }
+
+func (k mkey) cmp(o mkey) int {
+	return cmp.Or(cmp.Compare(k.group, o.group), cmp.Compare(k.node, o.node), cmp.Compare(k.ep, o.ep))
+}
+
 // Suite verifies the five invariants over one machine and collects their
 // violations.
 type Suite struct {
@@ -98,9 +107,9 @@ type Suite struct {
 	// injected + cloned == delivered + freed + queued + in-flight.
 	injected, cloned, delivered, freed atomic.Uint64
 
-	// Exactly-once multicast: deliveries owed and seen per (group,
-	// destination). Only the stepping goroutine touches them.
-	expected, got map[mkey]int
+	// Exactly-once multicast: copies owed and delivered per (group,
+	// destination). Only the stepping goroutine touches it.
+	mcast map[mkey]mcount
 
 	mu     sync.Mutex
 	vcount int
@@ -109,7 +118,7 @@ type Suite struct {
 
 // NewSuite builds the suite over the given environment.
 func NewSuite(env Env) *Suite {
-	return &Suite{env: env, expected: map[mkey]int{}, got: map[mkey]int{}}
+	return &Suite{env: env, mcast: map[mkey]mcount{}}
 }
 
 func (s *Suite) violate(checker string, now uint64, format string, args ...any) {
@@ -222,10 +231,12 @@ func (s *Suite) OnDeliver(p *packet.Packet, now uint64) {
 		return
 	}
 	k := mkey{group: p.MGroup, node: p.Dst.Node, ep: p.Dst.Ep}
-	s.got[k]++
-	if s.got[k] > s.expected[k] {
+	c := s.mcast[k]
+	c.got++
+	s.mcast[k] = c
+	if c.got > c.owed {
 		s.violate(mcastOnce, now, "multicast group %d delivered %d copies to node %d ep %d, expected %d",
-			k.group, s.got[k], k.node, k.ep, s.expected[k])
+			k.group, c.got, k.node, k.ep, c.owed)
 	}
 }
 
@@ -238,18 +249,25 @@ func (s *Suite) OnFree(p *packet.Packet, now uint64) { s.freed.Add(1) }
 func (s *Suite) OnMulticastInject(group int, g *multicast.Compiled, now uint64) {
 	for node, e := range g.Entries {
 		for _, ep := range e.Deliver {
-			s.expected[mkey{group: group, node: node, ep: ep}]++
+			k := mkey{group: group, node: node, ep: ep}
+			c := s.mcast[k]
+			c.owed++
+			s.mcast[k] = c
 		}
 	}
 }
 
 // Observe is the suite's engine observer (sim.Engine.Observe, first deadline
-// 1): the clock has arrived at now, so cycle now-1 just completed; it scans
-// the machine as of that cycle and asks to run again scanInterval cycles on —
-// completed cycles 0, scanInterval, 2*scanInterval, ...
+// 1): the clock has arrived at now, so cycle now-1 just completed. It scans
+// the machine as of completed cycles 0, scanInterval, 2*scanInterval, ...
+// and names the next of them, so a machine restored mid-run, whose observer
+// first runs one cycle after the restore, keeps the uninterrupted cadence.
 func (s *Suite) Observe(now uint64) (next uint64) {
-	s.scan(now - 1)
-	return now + scanInterval
+	off := (now - 1) % scanInterval
+	if off == 0 {
+		s.scan(now - 1)
+	}
+	return now + scanInterval - off
 }
 
 // live is the ledger's count of packets that exist.
@@ -312,23 +330,63 @@ func (s *Suite) Finish(now uint64, quiesced bool) {
 		}
 	}
 	var missing []mkey
-	for k, want := range s.expected {
-		if s.got[k] < want {
+	for k, c := range s.mcast {
+		if c.got < c.owed {
 			missing = append(missing, k)
 		}
 	}
-	sort.Slice(missing, func(i, j int) bool {
-		a, b := missing[i], missing[j]
-		if a.group != b.group {
-			return a.group < b.group
-		}
-		if a.node != b.node {
-			return a.node < b.node
-		}
-		return a.ep < b.ep
-	})
+	slices.SortFunc(missing, mkey.cmp)
 	for _, k := range missing {
 		s.violate(mcastOnce, now, "multicast group %d delivered %d copies to node %d ep %d, expected %d (missing deliveries)",
-			k.group, s.got[k], k.node, k.ep, s.expected[k])
+			k.group, s.mcast[k].got, k.node, k.ep, s.mcast[k].owed)
 	}
+}
+
+// AppendState appends the suite's state to a machine snapshot record: the
+// ledger, each multicast key owed or delivered a copy in sorted order with
+// both counts, and the violation count with the least violation. What it
+// keeps per packet, the packet's record holds.
+func (s *Suite) AppendState(b []byte) []byte {
+	for _, c := range s.ledger() {
+		b = wire.AppendUvarint(b, c.Load())
+	}
+	keys := make([]mkey, 0, len(s.mcast))
+	for k := range s.mcast {
+		keys = append(keys, k)
+	}
+	slices.SortFunc(keys, mkey.cmp)
+	b = wire.AppendUvarint(b, uint64(len(keys)))
+	for _, k := range keys {
+		for _, v := range [...]int{k.group, k.node, k.ep, s.mcast[k].owed, s.mcast[k].got} {
+			b = wire.AppendUvarint(b, uint64(v))
+		}
+	}
+	if b = wire.AppendUvarint(b, uint64(s.vcount)); s.vcount > 0 {
+		b = wire.AppendBytes(wire.AppendUvarint(b, s.least.Cycle), []byte(s.least.Checker))
+		b = wire.AppendBytes(b, []byte(s.least.Msg))
+	}
+	return b
+}
+
+// ReadState loads a record AppendState wrote into a fresh suite.
+func (s *Suite) ReadState(r *wire.Reader) {
+	for _, c := range s.ledger() {
+		c.Store(r.Uvarint())
+	}
+	var prev mkey
+	for i, n := 0, r.Count(5); i < n && r.Err() == nil; i++ {
+		k := mkey{int(r.Uvarint()), int(r.Uvarint()), int(r.Uvarint())}
+		c := mcount{int(r.Uvarint()), int(r.Uvarint())}
+		if (i > 0 && prev.cmp(k) >= 0) || c == (mcount{}) {
+			r.Fail("check: multicast count %d is out of key order or empty", i)
+		}
+		prev, s.mcast[k] = k, c
+	}
+	if s.vcount = int(r.Uvarint()); s.vcount > 0 {
+		s.least = violation{Cycle: r.Uvarint(), Checker: string(r.Bytes()), Msg: string(r.Bytes())}
+	}
+}
+
+func (s *Suite) ledger() [4]*atomic.Uint64 {
+	return [...]*atomic.Uint64{&s.injected, &s.cloned, &s.delivered, &s.freed}
 }

@@ -31,11 +31,9 @@ import (
 var ErrNoRunCkpt = errors.New("checkpointing: this experiment's jobs have no RunCkpt")
 
 // CheckpointFlags turns the CLIs' -checkpoint-dir / -checkpoint-every pair
-// into sweep options, or says why it cannot: the flags must come together,
-// and mc — the config every checkpointed machine will carry — must be
-// machine.Config.Checkpointable. With neither flag it returns the zero value:
-// checkpointing off.
-func CheckpointFlags(mc machine.Config, dir string, every uint64) (exp.CheckpointOptions, error) {
+// into sweep options, or says why it cannot: the flags must come together.
+// With neither flag it returns the zero value: checkpointing off.
+func CheckpointFlags(dir string, every uint64) (exp.CheckpointOptions, error) {
 	var off exp.CheckpointOptions
 	switch {
 	case dir == "" && every == 0:
@@ -44,9 +42,6 @@ func CheckpointFlags(mc machine.Config, dir string, every uint64) (exp.Checkpoin
 		return off, errors.New("-checkpoint-every requires -checkpoint-dir")
 	case every == 0:
 		return off, errors.New("-checkpoint-dir requires -checkpoint-every")
-	}
-	if err := mc.Checkpointable(); err != nil {
-		return off, err
 	}
 	return exp.CheckpointOptions{Dir: dir, Every: every}, nil
 }
@@ -73,18 +68,13 @@ func loadRunCkpt(rc ckpt.RunConfig, tag string, driver any) []byte {
 	return snap
 }
 
-// resumeRunCkpt is what both drivers call first on an enabled rc. It refuses
-// a config that is not Checkpointable rather than let the run go on silently
-// writing no checkpoints. Otherwise it tries to resume the run on m, freshly
-// built by BuildMachine(mc, weightPatterns...): it decodes the checkpoint's
-// driver section into driver, lets valid (when non-nil) vet it against the
-// run, and restores the machine snapshot. It returns the machine to run on and
-// whether it holds the restored state.
+// resumeRunCkpt is what both drivers call first on an enabled rc. It tries to
+// resume the run on m, freshly built by BuildMachine(mc, weightPatterns...):
+// it decodes the checkpoint's driver section into driver, lets valid (when
+// non-nil) vet it against the run, and restores the machine snapshot. It
+// returns the machine to run on and whether it holds the restored state.
 func resumeRunCkpt(m *machine.Machine, rc ckpt.RunConfig, tag string, driver any, valid func() bool,
 	mc machine.Config, weightPatterns ...traffic.Pattern) (*machine.Machine, bool, error) {
-	if err := mc.Checkpointable(); err != nil {
-		return nil, false, err
-	}
 	snap := loadRunCkpt(rc, tag, driver)
 	if snap == nil || (valid != nil && !valid()) {
 		return m, false, nil

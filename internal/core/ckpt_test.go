@@ -19,7 +19,6 @@ import (
 	"anton2/internal/machine"
 	"anton2/internal/route"
 	"anton2/internal/sim"
-	"anton2/internal/telemetry"
 	"anton2/internal/topo"
 	"anton2/internal/traffic"
 	"anton2/internal/workload"
@@ -78,8 +77,8 @@ func probeSeam(m *machine.Machine) {
 // other jobs, finished, leave nothing. It then runs the jobs again over that
 // directory, requires jobs[0] to have started from that checkpoint rather
 // than from cycle 0 and the directory to be empty after success, and returns
-// the second run's results.
-func killedThenResumed(t *testing.T, jobs []exp.Job, opts exp.Options, killAt uint64) []exp.Result {
+// the second run's results. between, when non-nil, runs between the two.
+func killedThenResumed(t *testing.T, jobs []exp.Job, opts exp.Options, killAt uint64, between func()) []exp.Result {
 	t.Helper()
 	seed, every := jobs[0].Spec.Seed(), opts.Checkpoint.Every
 	defer probes.Delete(seed)
@@ -89,6 +88,9 @@ func killedThenResumed(t *testing.T, jobs []exp.Job, opts exp.Options, killAt ui
 	}
 	if ents, _ := os.ReadDir(opts.Checkpoint.Dir); len(ents) != 1 {
 		t.Fatalf("killed run left %d files in its checkpoint directory, want its one checkpoint", len(ents))
+	}
+	if between != nil {
+		between()
 	}
 	witness := &runProbe{}
 	probes.Store(seed, witness)
@@ -143,7 +145,32 @@ func TestResumedBudgetIsAbsolute(t *testing.T) {
 	}
 	opts := exp.Serial()
 	opts.Checkpoint = exp.CheckpointOptions{Dir: t.TempDir(), Every: 50}
-	if got := killedThenResumed(t, []exp.Job{job}, opts, 120)[0]; got.Error != ref.Error {
+	if got := killedThenResumed(t, []exp.Job{job}, opts, 120, nil)[0]; got.Error != ref.Error {
+		t.Errorf("resumed run failed with %q, uninterrupted with %q", got.Error, ref.Error)
+	}
+}
+
+// TestCheckedResume: a checked 4x4x2 fig9 point whose credit counter is
+// corrupted from the start fails with the suite's error, which names the
+// violation count and the least violation. Killed after a checkpoint and
+// resumed, it fails with the same error: the record carries the suite, and a
+// restored suite scans on the uninterrupted run's cycles.
+func TestCheckedResume(t *testing.T) {
+	machineBuilt = func(m *machine.Machine) {
+		m.Chan(0).CorruptCreditsForTest(0, +10) // a restore overwrites it with the record's
+		probeSeam(m)
+	}
+	defer func() { machineBuilt = nil }()
+	cfg := tpCkptConfig(7)
+	cfg.Machine.Shape, cfg.Machine.Check = topo.Shape3(4, 4, 2), true
+	job := ThroughputJob(cfg)
+	ref := exp.Run([]exp.Job{job}, exp.Serial())[0]
+	if !strings.Contains(ref.Error, "above buffer capacity") {
+		t.Fatalf("uninterrupted run = %q, want the corrupted credit reported", ref.Error)
+	}
+	opts := exp.Serial()
+	opts.Checkpoint = exp.CheckpointOptions{Dir: t.TempDir(), Every: 100}
+	if got := killedThenResumed(t, []exp.Job{job}, opts, 250, nil)[0]; got.Error != ref.Error {
 		t.Errorf("resumed run failed with %q, uninterrupted with %q", got.Error, ref.Error)
 	}
 }
@@ -302,28 +329,21 @@ func TestFamilyJobsCheckpoint(t *testing.T) {
 	}
 }
 
-// TestCheckpointFlags: the CLIs' checkpoint flags come as a pair, on a
-// config checkpointing can snapshot, or not at all.
+// TestCheckpointFlags: the CLIs' checkpoint flags come as a pair or not at
+// all.
 func TestCheckpointFlags(t *testing.T) {
-	mc := machine.DefaultConfig(topo.Shape3(2, 2, 2))
-	checked, observed := mc, mc
-	checked.Check = true
-	observed.Telemetry = &telemetry.Options{}
 	for _, tc := range []struct {
 		name  string
-		mc    machine.Config
 		dir   string
 		every uint64
 		want  string // substring of the refusal; empty accepts
 	}{
-		{"every without dir", mc, "", 100, "-checkpoint-every requires -checkpoint-dir"},
-		{"dir without every", mc, "d", 0, "-checkpoint-dir requires -checkpoint-every"},
-		{"check", checked, "d", 100, "Config.Check"},
-		{"telemetry", observed, "d", 100, "Config.Telemetry"},
-		{"on", mc, "d", 100, ""},
-		{"off", checked, "", 0, ""},
+		{"every without dir", "", 100, "-checkpoint-every requires -checkpoint-dir"},
+		{"dir without every", "d", 0, "-checkpoint-dir requires -checkpoint-every"},
+		{"on", "d", 100, ""},
+		{"off", "", 0, ""},
 	} {
-		opts, err := CheckpointFlags(tc.mc, tc.dir, tc.every)
+		opts, err := CheckpointFlags(tc.dir, tc.every)
 		switch {
 		case tc.want == "" && err != nil:
 			t.Errorf("%s: refused: %v", tc.name, err)

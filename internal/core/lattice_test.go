@@ -2,12 +2,13 @@ package core
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"anton2/internal/arbiter"
@@ -166,28 +167,23 @@ func (c cell) name() string {
 		shards, tok(axCheck, "off", "on"), tok(axTel, "off", "on"), tok(axBeat, "off", "on"), tok(axCkpt, "off", "resume"), c.pool())
 }
 
-// refusalRules are DESIGN §9.3's refusals over the lattice in the order the
-// code applies them: Validate's, then Checkpointable's, which only a cell
-// that resumes meets. The first that applies names the field the cell is
+// refusalRules are DESIGN §9.3's refusals over the lattice in the order
+// Validate applies them. The first that applies names the field the cell is
 // refused for. EndpointPipeline = 0 is no axis: nothing sets it.
 var refusalRules = []struct {
 	field, condition string
-	validate         bool
 	applies          func(c cell) bool
 }{
-	{"Engine", "unknown engine", true, func(c cell) bool { return c.engine() == "warp" }},
-	{"Shards", "negative shard count", true, func(c cell) bool { return c.shards() < 0 }},
-	{"Engine", "explicit shards on the scan engine", true, func(c cell) bool { return c.shards() > 1 && c.engine() == machine.EngineScan }},
-	{"Fault", "invalid fault spec", true, func(c cell) bool { return c.p.fault == "invalid" }},
-	{"Check", "checkpointing the invariant suite", false, func(c cell) bool { return c.resumes() && c.on(axCheck) }},
-	{"Telemetry", "checkpointing telemetry", false, func(c cell) bool { return c.resumes() && c.on(axTel) }},
+	{"Engine", "unknown engine", func(c cell) bool { return c.engine() == "warp" }},
+	{"Shards", "negative shard count", func(c cell) bool { return c.shards() < 0 }},
+	{"Engine", "explicit shards on the scan engine", func(c cell) bool { return c.shards() > 1 && c.engine() == machine.EngineScan }},
+	{"Fault", "invalid fault spec", func(c cell) bool { return c.p.fault == "invalid" }},
 }
 
-// refusal returns the index of the rule that refuses c, or -1; with
-// validate, of Validate's rules alone.
-func (c cell) refusal(validate bool) int {
+// refusal returns the index of the rule that refuses c, or -1.
+func (c cell) refusal() int {
 	for i, rule := range refusalRules {
-		if rule.applies(c) && (rule.validate || !validate) {
+		if rule.applies(c) {
 			return i
 		}
 	}
@@ -423,11 +419,11 @@ func generateLattice(short bool) (*latticeSet, error) {
 		case short:
 			t = 2
 		}
-		p.rows = coveringRows(seeds, t, func(r row) bool { return cell{p, r}.refusal(false) < 0 })
+		p.rows = coveringRows(seeds, t, func(r row) bool { return cell{p, r}.refusal() < 0 })
 	}
 	// A refusal rule no row meets gets the first small row that meets it.
 	for i := range refusalRules {
-		l.meet(func(c cell) bool { return c.refusal(false) == i })
+		l.meet(func(c cell) bool { return c.refusal() == i })
 	}
 	for _, p := range l.panels {
 		for _, r := range p.rows {
@@ -486,16 +482,44 @@ func (c cell) reference() *latticeRef {
 	return ref
 }
 
+// reportLog collects the telemetry reports a cell's runs emit, as JSON.
+type reportLog struct {
+	mu      sync.Mutex
+	reports []string
+}
+
+func (l *reportLog) sink(r *telemetry.Report) {
+	b, err := json.Marshal(r)
+	if err != nil {
+		panic(err)
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.reports = append(l.reports, string(b))
+}
+
+// take returns the reports collected so far, sorted (a pool finishes points
+// in any order), and starts over.
+func (l *reportLog) take() []string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	got := l.reports
+	l.reports = nil
+	slices.Sort(got)
+	return got
+}
+
 // run holds one cell to its outcome: its machine config to machine's own
 // verdicts, then every point refused for the field its rule names, or the
-// reference's artifact.
+// reference's artifact; a resumed cell's telemetry reports, traces included,
+// are also the uninterrupted run's.
 func (c cell) run(t *testing.T) {
 	var cfg machine.Config // the mode fields of every point's config
-	var reports atomic.Int64
+	var reports reportLog
 	jobs := c.p.jobs(c.strategy(), func(mc *machine.Config) {
 		mc.Engine, mc.Shards, mc.Check = c.engine(), c.shards(), c.on(axCheck)
 		if c.on(axTel) {
-			mc.Telemetry = &telemetry.Options{Sink: func(*telemetry.Report) { reports.Add(1) }}
+			mc.Telemetry = &telemetry.Options{Sink: reports.sink}
 		}
 		if c.on(axBeat) {
 			mc.Progress = func(uint64) {}
@@ -512,7 +536,7 @@ func (c cell) run(t *testing.T) {
 		// A resuming cell sets its interval from the reference below.
 		opts.Checkpoint = exp.CheckpointOptions{Dir: t.TempDir(), Every: 1}
 	}
-	if i := c.refusal(false); i >= 0 {
+	if i := c.refusal(); i >= 0 {
 		for _, r := range exp.Run(jobs, opts) {
 			if got := fieldOf(r.Err); got != refusalRules[i].field {
 				t.Errorf("point %s: refused for %q, want Config.%s (%s)", r.Spec, got, refusalRules[i].field, refusalRules[i].condition)
@@ -531,27 +555,37 @@ func (c cell) run(t *testing.T) {
 		if opts.Checkpoint.Every = killAt / 3; opts.Checkpoint.Every == 0 {
 			t.Fatalf("the reference's first point runs %d cycles: too few to kill after a checkpoint", ref.results[0].Cycles)
 		}
-		rs = killedThenResumed(t, jobs, opts, killAt)
+		rs = killedThenResumed(t, jobs, opts, killAt, func() { reports.take() })
 	} else {
 		rs = exp.Run(jobs, opts)
 	}
 	if got, err := exp.MarshalCanonical(rs); err != nil || !bytes.Equal(got, ref.canonical) {
 		t.Errorf("artifact differs from the scan reference (%v)\nscan:\n%s\ncell:\n%s", err, ref.canonical, got)
 	}
-	if c.on(axTel) && reports.Load() == 0 {
+	if !c.on(axTel) {
+		return
+	}
+	got := reports.take()
+	if len(got) == 0 {
 		t.Error("the telemetry sink received no report")
+	}
+	if c.resumes() {
+		exp.Run(jobs, exp.Options{Parallelism: c.pool()})
+		if want := reports.take(); !slices.Equal(got, want) {
+			t.Errorf("resumed telemetry reports differ from the uninterrupted run's\nuninterrupted:\n%s\nresumed:\n%s", want, got)
+		}
 	}
 }
 
 // verdicts holds machine's statement of the rules to the cell: Validate and
-// New refuse what Validate's rules refuse, Shardable refuses exactly the scan
-// engine, a built machine snapshots exactly when Checkpointable says so, and
-// auto resolves to the rule's count, to a config that validates. New needs
+// New refuse what the rules refuse, Shardable refuses exactly the scan
+// engine, every machine New builds snapshots, and auto resolves to the rule's
+// count, to a config that validates. New needs
 // the weight tables of an inverse-weighted arbiter, which BuildMachine
 // computes: such a config skips it.
 func (c cell) verdicts(t *testing.T, cfg machine.Config) {
 	want := ""
-	if i := c.refusal(true); i >= 0 {
+	if i := c.refusal(); i >= 0 {
 		want = refusalRules[i].field
 	}
 	if got := fieldOf(cfg.Validate()); got != want {
@@ -563,9 +597,8 @@ func (c cell) verdicts(t *testing.T, cfg machine.Config) {
 			t.Errorf("New refuses %q, Validate %q", got, want)
 		}
 		if err == nil {
-			_, serr := m.Snapshot()
-			if got, ok := fieldOf(serr), fieldOf(cfg.Checkpointable()); got != ok {
-				t.Errorf("Snapshot refuses %q, Checkpointable %q", got, ok)
+			if _, err := m.Snapshot(); err != nil {
+				t.Errorf("a machine New builds does not snapshot: %v", err)
 			}
 		}
 	}
@@ -669,7 +702,7 @@ func TestLatticeCovers(t *testing.T) {
 	tuples := func(p *latticePanel, rows []row, built bool) map[int]bool {
 		held := map[int]bool{}
 		for _, r := range rows {
-			if c := (cell{p, r}); !built || c.refusal(false) < 0 {
+			if c := (cell{p, r}); !built || c.refusal() < 0 {
 				for _, k := range tupleKeys(r, strength) {
 					held[k] = true
 				}
@@ -683,7 +716,7 @@ func TestLatticeCovers(t *testing.T) {
 		for _, r := range p.rows {
 			c := cell{p, r}
 			strats[c.strategy().Name()] = true
-			if i := c.refusal(false); i >= 0 {
+			if i := c.refusal(); i >= 0 {
 				decided[i] = true
 			}
 		}

@@ -84,7 +84,7 @@ type Config struct {
 	// engine observer that calls it with the clock at every multiple of
 	// progressCycles (anton2serve streams it to SSE clients); a restored
 	// machine also reports its resumed clock on its first step. It reads
-	// nothing but the clock, so Validate, Shardable, Checkpointable and
+	// nothing but the clock, so Validate, Shardable, snapshots and
 	// experiment cache keys ignore it. It runs on the simulating goroutine,
 	// between steps, and must be fast and non-blocking.
 	Progress func(cycles uint64)
@@ -146,8 +146,7 @@ func (c Config) RouteConfig(tm *topo.Machine) *route.Config {
 	}
 }
 
-// ConfigError is a Config that Validate or Checkpointable refuses, naming the
-// offending field.
+// ConfigError is a Config that Validate refuses, naming the offending field.
 type ConfigError struct {
 	Field string // the Config field, e.g. "Shards"
 	Msg   string
@@ -197,19 +196,6 @@ func (c Config) Validate() error {
 func (c Config) Shardable() error {
 	if c.Engine == EngineScan {
 		return &ConfigError{"Engine", "sharded stepping requires the active engine"}
-	}
-	return nil
-}
-
-// Checkpointable reports whether a machine built from c can be snapshotted
-// and restored: the invariant suite's and the telemetry collector's own
-// state is not part of a Snapshot, so either one is a *ConfigError.
-func (c Config) Checkpointable() error {
-	switch {
-	case c.Check:
-		return &ConfigError{"Check", "checkpointing does not snapshot the invariant suite"}
-	case c.Telemetry != nil:
-		return &ConfigError{"Telemetry", "checkpointing does not snapshot telemetry windows"}
 	}
 	return nil
 }

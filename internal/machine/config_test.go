@@ -23,8 +23,8 @@ func refusedField(t *testing.T, err error) string {
 // progressCycles and never between, at the same clocks whether the machine
 // steps under scan, active, or two shards alternating serial and parallel
 // cycles (the run drains and then idles, so the active engines jump), and a
-// machine carrying it has no collector. That it changes no Shardable,
-// Checkpointable or Snapshot verdict is the beat axis of core's mode lattice.
+// machine carrying it has no collector. That it changes no Shardable or
+// Snapshot verdict is the beat axis of core's mode lattice.
 func TestProgressFiresAtCadence(t *testing.T) {
 	run := func(engine string, shards int) []uint64 {
 		var ticks []uint64

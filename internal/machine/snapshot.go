@@ -24,7 +24,8 @@ import (
 // Record order (every integer a wire varint unless noted):
 //
 //	header  version, now, injected, delivered, the machine's shape
-//	        (snapshotShape), body length (8 bytes, fixed)
+//	        (snapshotShape: observers included), body length (8 bytes,
+//	        fixed)
 //	body    per node: routers (per port: queue set, SA1 and SA2 arbiter
 //	        positions, crossbar-input busy cycle), channel adapters (egress
 //	        and ingress queue sets, two arbiter positions), endpoints
@@ -32,8 +33,12 @@ import (
 //	        then every channel (fabric.Channel.AppendState); then, under
 //	        fault injection, the injector streams, the summed counters and
 //	        every reliable link (presence, sender, receiver, window, frame
-//	        metadata, control pipe)
-//	table   packet count, then one record per packet
+//	        metadata, control pipe); then, with the invariant suite, its
+//	        state (check.Suite.AppendState); then, with telemetry, the
+//	        collector's (telemetry.Collector.AppendState)
+//	table   packet count, then one record per packet: its fields, then the
+//	        suite's three Seen bytes with the suite, and its trace events
+//	        (packet.AppendTrace) with telemetry
 //
 // A queue set is its occupancy mask, then the occupied queues only: packet
 // indices behind a count, then the head-of-line route decision if one has
@@ -50,15 +55,14 @@ import (
 // the restored machine re-encodes to the same bytes.
 //
 // Out of scope by design: the free-packet pool (unobservable — pooled
-// packets are fully Reset on reuse), the invariant suite and telemetry
-// (Snapshot refuses to run with either attached), and per-packet traces
-// (refused likewise; tracing is a diagnostic mode). Packets carry no
-// identity but their place in the table, so a sharded machine's record equals
-// a serial one's byte for byte.
+// packets are fully Reset on reuse) and, without a telemetry collector, a
+// trace some caller started on a packet. Packets carry no identity but their
+// place in the table, so a sharded machine's record equals a serial one's
+// byte for byte.
 
 // snapshotVersion is the first number of a snapshot record. It changes with
 // any change to the record order above; Restore refuses every other version.
-const snapshotVersion = 3
+const snapshotVersion = 4
 
 // Snapshot is the machine's complete mutable state at cycle Now, where Now is
 // the next cycle the engine would process: the clock, for whoever files the
@@ -71,9 +75,8 @@ type Snapshot struct {
 // pktTable interns packets by pointer identity in first-seen order. A machine
 // keeps one and reuses it, so a steady run of snapshots allocates nothing.
 type pktTable struct {
-	idx    map[*packet.Packet]uint64
-	list   []*packet.Packet
-	traced *packet.Packet
+	idx  map[*packet.Packet]uint64
+	list []*packet.Packet
 	// index is the intern method, bound once: the form channels take it in.
 	index func(*packet.Packet) uint64
 }
@@ -85,9 +88,6 @@ func (t *pktTable) intern(p *packet.Packet) uint64 {
 	i := uint64(len(t.list))
 	t.idx[p] = i
 	t.list = append(t.list, p)
-	if p.Trace != nil && t.traced == nil {
-		t.traced = p
-	}
 	return i
 }
 
@@ -115,7 +115,7 @@ func (t *pktTable) appendQueues(b []byte, qs []vcq, occ uint32) []byte {
 	return b
 }
 
-func appendPacket(b []byte, p *packet.Packet) []byte {
+func (m *Machine) appendPacket(b []byte, p *packet.Packet) []byte {
 	for _, v := range [...]int{p.Src.Node, p.Src.Ep, p.Dst.Node, p.Dst.Ep} {
 		b = wire.AppendUvarint(b, uint64(v))
 	}
@@ -127,7 +127,14 @@ func appendPacket(b []byte, p *packet.Packet) []byte {
 	}
 	b = wire.AppendBytes(b, p.Payload)
 	b = wire.AppendBytes(b, p.SourceRoute)
-	return wire.AppendUvarint(b, uint64(p.SRIdx))
+	b = wire.AppendUvarint(b, uint64(p.SRIdx))
+	if m.checks != nil {
+		b = append(b, p.SeenMVC, p.SeenTVC, p.SeenDim)
+	}
+	if m.tel != nil {
+		b = packet.AppendTrace(b, p.Trace)
+	}
+	return b
 }
 
 // minPacketBytes is the shortest packet record: what bounds a table's packet
@@ -151,6 +158,14 @@ func (m *Machine) readPacket(r *wire.Reader, p *packet.Packet) {
 	p.Payload = append([]byte(nil), r.Bytes()...)
 	p.SourceRoute = append([]uint8(nil), r.Bytes()...)
 	sr := r.Uvarint()
+	if m.checks != nil {
+		if seen := r.Next(3); seen != nil {
+			p.SeenMVC, p.SeenTVC, p.SeenDim = seen[0], seen[1], seen[2]
+		}
+	}
+	if m.tel != nil {
+		p.Trace = packet.ReadTrace(r)
+	}
 	nodes := uint64(m.Topo.NumNodes())
 	if src >= nodes || dst >= nodes || sep >= topo.NumEndpoints || dep >= topo.NumEndpoints ||
 		p.Size < 1 || p.Size > packet.MaxFlits || p.CurVC >= fabric.MaxVCs ||
@@ -165,15 +180,19 @@ func (m *Machine) readPacket(r *wire.Reader, p *packet.Packet) {
 // snapshotShape is what a snapshot record assumes of the machine it is
 // restored into, beyond what the build constants fix: node and channel
 // counts, VC queues per router port and per adapter side, arbiter kind, and
-// whether the fault layer exists.
-func (m *Machine) snapshotShape() [6]uint64 {
-	var fault uint64
-	if m.flt != nil {
-		fault = 1
+// whether the fault layer, the invariant suite and the telemetry collector
+// exist.
+func (m *Machine) snapshotShape() [8]uint64 {
+	has := func(attached bool) uint64 {
+		if attached {
+			return 1
+		}
+		return 0
 	}
-	return [6]uint64{
+	return [8]uint64{
 		uint64(len(m.nodes)), uint64(len(m.chans)), uint64(route.MaxTotalVCs(m.Cfg.Scheme)),
-		uint64(route.TotalVCs(m.Cfg.Scheme, topo.GroupT)), uint64(m.Cfg.Arbiter), fault,
+		uint64(route.TotalVCs(m.Cfg.Scheme, topo.GroupT)), uint64(m.Cfg.Arbiter),
+		has(m.flt != nil), has(m.checks != nil), has(m.tel != nil),
 	}
 }
 
@@ -189,14 +208,10 @@ func (m *Machine) Snapshot() (*Snapshot, error) {
 
 // AppendSnapshot appends the machine's snapshot record to b. It must be
 // called between engine steps (an engine observer is one such place) and
-// refuses to run unless the config is Checkpointable, with per-packet tracing
-// active, after a fatal fault, or with unflushed cross-shard traffic — the
-// last cannot happen between steps, so it is a consistency check. On an error
-// b is returned as it came.
+// refuses to run after a fatal fault or with unflushed cross-shard traffic —
+// the latter cannot happen between steps, so it is a consistency check. On
+// an error b is returned as it came.
 func (m *Machine) AppendSnapshot(b []byte) ([]byte, error) {
-	if err := m.Cfg.Checkpointable(); err != nil {
-		return b, err
-	}
 	if m.flt != nil && m.flt.fatal != nil {
 		return b, fmt.Errorf("machine: cannot checkpoint after a fatal fault: %w", m.flt.fatal)
 	}
@@ -213,7 +228,7 @@ func (m *Machine) AppendSnapshot(b []byte) ([]byte, error) {
 	defer func() {
 		clear(t.idx)
 		clear(t.list)
-		t.list, t.traced = t.list[:0], nil
+		t.list = t.list[:0]
 	}()
 
 	orig := b
@@ -285,8 +300,11 @@ func (m *Machine) AppendSnapshot(b []byte) ([]byte, error) {
 			})
 		}
 	}
-	if err == nil && t.traced != nil {
-		err = fmt.Errorf("machine: packet %v has tracing enabled; traced runs cannot be checkpointed", t.traced)
+	if m.checks != nil {
+		b = m.checks.AppendState(b)
+	}
+	if m.tel != nil {
+		b = m.tel.AppendState(b, t.index)
 	}
 	if err != nil {
 		return orig, err
@@ -295,7 +313,7 @@ func (m *Machine) AppendSnapshot(b []byte) ([]byte, error) {
 
 	b = wire.AppendUvarint(b, uint64(len(t.list)))
 	for _, p := range t.list {
-		b = appendPacket(b, p)
+		b = m.appendPacket(b, p)
 	}
 	return b, nil
 }
@@ -381,15 +399,12 @@ func (m *Machine) RestoreSnapshot(data []byte) error {
 	if m.Engine.Now() != 0 || m.injected != 0 || m.delivered != 0 {
 		return fmt.Errorf("machine: restore requires a freshly built machine")
 	}
-	if err := m.Cfg.Checkpointable(); err != nil {
-		return err
-	}
 	r := wire.NewReader(data)
 	if v := r.Uvarint(); v != snapshotVersion && r.Err() == nil {
 		return fmt.Errorf("machine: snapshot version %d, want %d", v, snapshotVersion)
 	}
 	now, injected, delivered := r.Uvarint(), r.Uvarint(), r.Uvarint()
-	var shape [6]uint64
+	var shape [8]uint64
 	for i := range shape {
 		shape[i] = r.Uvarint()
 	}
@@ -402,7 +417,7 @@ func (m *Machine) RestoreSnapshot(data []byte) error {
 		return fmt.Errorf("machine: snapshot header: %w", err)
 	}
 	if want := m.snapshotShape(); shape != want {
-		return fmt.Errorf("machine: snapshot of a machine with [nodes channels router-VCs adapter-VCs arbiter-kind fault] = %v, this one has %v", shape, want)
+		return fmt.Errorf("machine: snapshot of a machine with [nodes channels router-VCs adapter-VCs arbiter-kind fault check telemetry] = %v, this one has %v", shape, want)
 	}
 
 	d.pkts = make([]packet.Packet, r.Count(minPacketBytes))
@@ -477,6 +492,12 @@ func (m *Machine) RestoreSnapshot(data []byte) error {
 				rl.pushCtrl(d.Uvarint(), linkCtrl{seq: d.Uvarint(), nack: d.Bool()})
 			}
 		}
+	}
+	if m.checks != nil {
+		m.checks.ReadState(d.Reader)
+	}
+	if m.tel != nil {
+		m.tel.ReadState(d.Reader, d.pktAt)
 	}
 	if err := d.Err(); err != nil {
 		return fmt.Errorf("machine: snapshot: %w", err)

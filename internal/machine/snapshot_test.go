@@ -3,13 +3,16 @@ package machine
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"anton2/internal/arbiter"
 	"anton2/internal/fault"
 	"anton2/internal/loadcalc"
 	"anton2/internal/route"
+	"anton2/internal/telemetry"
 	"anton2/internal/topo"
 	"anton2/internal/traffic"
 )
@@ -151,6 +154,93 @@ func TestSnapshotRestoreBitIdentical(t *testing.T) {
 	}
 }
 
+// TestObservedResume: a checked 4x4x2 machine with a telemetry collector,
+// one of whose credit counters is corrupted from the start, is snapshotted
+// mid-flight between two check scans and two window closes, and restored
+// under every engine mode. After every cycle the restored machines'
+// records equal the uninterrupted one's, the suite's violation count and the
+// collector's window series included, so check scans and window closes fall
+// on the uninterrupted run's cycles; each finishes with the same error (count
+// and least violation) and the same report.
+func TestObservedResume(t *testing.T) {
+	observed := func(engine string, shards int, report *[]byte) Config {
+		cfg := snapConfig(topo.Shape3(4, 4, 2), engine, shards, false)
+		cfg.Check = true
+		cfg.Telemetry = &telemetry.Options{Sink: func(r *telemetry.Report) {
+			var err error
+			if *report, err = json.Marshal(r); err != nil {
+				t.Error(err)
+			}
+		}}
+		return cfg
+	}
+	var refReport []byte
+	ref := buildForTest(observed(EngineScan, 1, &refReport))
+	total := snapInject(ref, 80)
+	ref.Chan(0).CorruptCreditsForTest(0, +10)
+	// 12 cycles past a scan; telemetry's first window closed at 1 024, its
+	// second closes at 2 048.
+	const at, until = 1100, 2100
+	ref.Engine.Run(at)
+	mid := mustSnapshot(t, ref)
+	if ref.Delivered() == total {
+		t.Fatal("the snapshot holds no traffic in flight")
+	}
+
+	type resumed struct {
+		name   string
+		m      *Machine
+		report []byte
+	}
+	var rs []*resumed
+	for _, v := range []struct {
+		name   string
+		engine string
+		shards int
+	}{{"scan", EngineScan, 1}, {"active", EngineActive, 1}, {"sharded", EngineActive, 2}} {
+		r := &resumed{name: v.name}
+		r.m = buildForTest(observed(v.engine, v.shards, &r.report))
+		if err := r.m.RestoreSnapshot(mid); err != nil {
+			t.Fatalf("%s: restore: %v", v.name, err)
+		}
+		rs = append(rs, r)
+	}
+	var want, got []byte
+	for cycle := uint64(at + 1); cycle <= until; cycle++ {
+		ref.Engine.Step()
+		for _, r := range rs {
+			r.m.Engine.Step()
+		}
+		if cycle > at+2*64 && cycle < until-64 {
+			continue // two scans after the resume, and the window close
+		}
+		want = mustSnapshot(t, ref)
+		for _, r := range rs {
+			if got = mustSnapshot(t, r.m); !bytes.Equal(got, want) {
+				t.Fatalf("%s: record at cycle %d differs from the uninterrupted run's", r.name, cycle)
+			}
+		}
+	}
+	finish := func(m *Machine) string {
+		if _, err := m.RunUntilDelivered(total, 2_000_000); err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprint(m.FinishChecks())
+	}
+	wantErr := finish(ref)
+	if !strings.Contains(wantErr, "above buffer capacity") {
+		t.Fatalf("uninterrupted run: %s, want the corrupted credit reported", wantErr)
+	}
+	for _, r := range rs {
+		if gotErr := finish(r.m); gotErr != wantErr {
+			t.Errorf("%s: resumed run: %s\nuninterrupted: %s", r.name, gotErr, wantErr)
+		}
+		if !bytes.Equal(r.report, refReport) {
+			t.Errorf("%s: resumed telemetry report differs from the uninterrupted run's", r.name)
+		}
+	}
+}
+
 // TestSnapshotEveryCycle: restoring from every per-cycle snapshot of a short
 // window must converge to the identical final state — no cycle is a bad
 // checkpoint boundary.
@@ -191,18 +281,6 @@ func TestSnapshotEveryCycle(t *testing.T) {
 
 // TestSnapshotGuards: the refusal conditions.
 func TestSnapshotGuards(t *testing.T) {
-	cfg := DefaultConfig(topo.Shape3(2, 2, 2))
-	cfg.Check = true
-	m := MustNew(cfg)
-	if _, err := m.Snapshot(); err == nil {
-		t.Error("snapshot with the invariant suite attached should fail")
-	} else if got := refusedField(t, err); got != "Check" {
-		t.Errorf("snapshot refused Config.%s, want Config.Check", got)
-	}
-	if err := m.Restore(&Snapshot{}); refusedField(t, err) != "Check" {
-		t.Errorf("restore with the invariant suite attached = %v, want Config.Check refused", err)
-	}
-
 	cfg2 := DefaultConfig(topo.Shape3(2, 2, 2))
 	m2 := MustNew(cfg2)
 	m2.Engine.Run(10)
@@ -230,6 +308,19 @@ func TestSnapshotGuards(t *testing.T) {
 	if err := MustNew(flt).Restore(s); err == nil {
 		t.Error("restore of a fault-free snapshot into a fault-injecting machine should fail")
 	}
+	checked, observed := cfg2, cfg2
+	checked.Check = true
+	observed.Telemetry = &telemetry.Options{}
+	for name, other := range map[string]Config{"checked": checked, "observed": observed} {
+		if err := MustNew(other).Restore(s); err == nil || !strings.Contains(err.Error(), "snapshot of a machine with") {
+			t.Errorf("restore of an unobserved snapshot into a %s machine = %v, want a shape mismatch", name, err)
+		}
+		m := MustNew(other)
+		m.Engine.Run(10)
+		if err := MustNew(cfg2).RestoreSnapshot(mustSnapshot(t, m)); err == nil || !strings.Contains(err.Error(), "snapshot of a machine with") {
+			t.Errorf("restore of a %s snapshot into an unobserved machine = %v, want a shape mismatch", name, err)
+		}
+	}
 }
 
 // TestSnapshotSteadyStateAllocs: a snapshot is encoded straight from live
@@ -251,14 +342,21 @@ func TestSnapshotSteadyStateAllocs(t *testing.T) {
 }
 
 // fuzzConfig is the machine FuzzSnapshotRestore restores into: the mask
-// scenarios' 2x2x2 machines, and the uniform one again under inverse-weighted
-// arbiters.
+// scenarios' 2x2x2 machines, then the uniform one under inverse-weighted
+// arbiters, the multicast one under the invariant suite and the fault one
+// with a telemetry collector, which traces node 0's first packets.
 func fuzzConfig(i uint8) (maskScenario, Config) {
-	sc := maskScenarios[int(i)%len(maskScenarios)]
+	n := len(maskScenarios)
+	k := int(i) % (n + 3)
+	sc := maskScenarios[k%n]
 	cfg := sc.config(topo.Shape3(2, 2, 2), EngineActive, 0)
-	if int(i)%(len(maskScenarios)+1) == len(maskScenarios) {
-		sc = maskScenarios[0]
-		cfg = inverseWeighted(sc.config(topo.Shape3(2, 2, 2), EngineActive, 0))
+	switch k {
+	case n:
+		cfg = inverseWeighted(cfg)
+	case n + 1:
+		cfg.Check = true
+	case n + 2:
+		cfg.Telemetry = &telemetry.Options{}
 	}
 	return sc, cfg
 }
@@ -269,13 +367,24 @@ func fuzzConfig(i uint8) (maskScenario, Config) {
 // spelling of a state. The seed corpus is real mid-flight snapshots of each
 // configuration.
 func FuzzSnapshotRestore(f *testing.F) {
-	for i := uint8(0); i <= uint8(len(maskScenarios)); i++ {
+	for i := uint8(0); i < uint8(len(maskScenarios)+3); i++ {
 		sc, cfg := fuzzConfig(i)
 		m := MustNew(cfg)
 		sc.inject(m)
 		for _, cycles := range []uint64{0, 40, 90} {
 			m.Engine.Run(cycles)
-			f.Add(i, mustSnapshot(f, m))
+			data := mustSnapshot(f, m)
+			f.Add(i, data)
+			if m.tel != nil && cycles == 40 {
+				// Restored and finished at once, the collector reports the
+				// traces completed so far: fewer than it started.
+				var done int
+				obs := cfg
+				obs.Telemetry = &telemetry.Options{Sink: func(r *telemetry.Report) { done = len(r.Traces) }}
+				if r := MustNew(obs); r.RestoreSnapshot(data) != nil || r.FinishChecks() != nil || done >= 4 {
+					f.Fatalf("the telemetry seed holds no traced packet in flight (%d traces done)", done)
+				}
+			}
 		}
 	}
 	f.Fuzz(func(t *testing.T, i uint8, data []byte) {

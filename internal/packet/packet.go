@@ -9,6 +9,7 @@ import (
 
 	"anton2/internal/route"
 	"anton2/internal/topo"
+	"anton2/internal/wire"
 )
 
 // Packet sizes (Section 2.1/2.2).
@@ -43,8 +44,8 @@ type Packet struct {
 	CurVC uint8
 	// SeenMVC, SeenTVC and SeenDim are the invariant suite's last observation
 	// of Route.MVC, Route.TVC and Route.DimIdx (internal/check stamps them at
-	// injection and at every send); nothing else reads them, and they are
-	// not part of a snapshot.
+	// injection and at every send); nothing else reads them. A checked
+	// machine's snapshot writes them in the packet's record.
 	SeenMVC, SeenTVC, SeenDim uint8
 
 	// Timestamps (cycles). InjectedAt is when software handed the packet
@@ -100,6 +101,31 @@ func (p *Packet) StartTrace() {
 	if p.Trace == nil {
 		p.Trace = make([]TraceEvent, 0, 16)
 	}
+}
+
+// AppendTrace appends tr to a snapshot record: whether it is non-nil (a
+// traced packet, whose trace may still be empty), then its events.
+func AppendTrace(b []byte, tr []TraceEvent) []byte {
+	if b = wire.AppendBool(b, tr != nil); tr != nil {
+		b = wire.AppendUvarint(b, uint64(len(tr)))
+		for _, ev := range tr {
+			b = append(wire.AppendUvarint(b, uint64(len(ev.Stage))), ev.Stage...)
+			b = wire.AppendUvarint(b, ev.Cycle)
+		}
+	}
+	return b
+}
+
+// ReadTrace reads a trace AppendTrace wrote.
+func ReadTrace(r *wire.Reader) []TraceEvent {
+	if !r.Bool() {
+		return nil
+	}
+	tr := make([]TraceEvent, r.Count(2))
+	for i := range tr {
+		tr[i] = TraceEvent{Stage: string(r.Bytes()), Cycle: r.Uvarint()}
+	}
+	return tr
 }
 
 // Reset clears a packet for reuse from a free list.

@@ -5,13 +5,16 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math/rand"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -460,14 +463,27 @@ func TestWaitTimeoutTyped(t *testing.T) {
 // event with its kind.
 func streamEvents(t *testing.T, ts *httptest.Server, id string) (events []event, kinds []string) {
 	t.Helper()
+	return readEvents(t, openEvents(t, ts, id))
+}
+
+// openEvents subscribes to the run's SSE stream.
+func openEvents(t *testing.T, ts *httptest.Server, id string) *http.Response {
+	t.Helper()
 	resp, err := http.Get(ts.URL + "/v1/runs/" + id + "/events")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
 	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
+		resp.Body.Close()
 		t.Fatalf("Content-Type = %q", ct)
 	}
+	return resp
+}
+
+// readEvents reads an open SSE stream to its done event.
+func readEvents(t *testing.T, resp *http.Response) (events []event, kinds []string) {
+	t.Helper()
+	defer resp.Body.Close()
 	sc := bufio.NewScanner(resp.Body)
 	kind := ""
 	for sc.Scan() {
@@ -571,11 +587,57 @@ func TestHeartbeatComposesWithCheckpointing(t *testing.T) {
 	}
 }
 
+// TestStalledSubscriber: an SSE client that connects to a run's event stream
+// and never reads holds nothing up. Its handler may block writing to the
+// socket, and so a subscription nobody drains stands beside it: notify never
+// waits on one. The run completes in time, a second subscriber follows it to
+// its done event, and GET /v1/runs/{id} answers meanwhile.
+func TestStalledSubscriber(t *testing.T) {
+	// One point, several heartbeat periods long (about 4 600 cycles).
+	req := &Request{Family: "throughput", Shape: "2x2x2", Batches: []int{512}}
+	s, ts := newTestServer(t, Config{Workers: 1})
+	r, err := s.submit(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stalled, err := net.Dial("tcp", ts.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stalled.Close()
+	if _, err := fmt.Fprintf(stalled, "GET /v1/runs/%s/events HTTP/1.1\r\nHost: anton2\r\n\r\n", r.id); err != nil {
+		t.Fatal(err)
+	}
+	defer r.unsubscribe(r.subscribe())
+	resp, err := http.Get(ts.URL + "/v1/runs/" + r.id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /v1/runs/%s beside a stalled subscriber: status %d", r.id, resp.StatusCode)
+	}
+	second := openEvents(t, ts, r.id)
+	select {
+	case <-r.doneCh:
+	case <-time.After(time.Minute):
+		second.Body.Close()
+		t.Fatal("the run did not complete within a minute beside a stalled subscriber")
+	}
+	events, kinds := readEvents(t, second)
+	if kinds[len(kinds)-1] != "done" || events[len(events)-1].State != stateCompleted {
+		t.Fatalf("second subscriber's events end in %v, want a completed done event", kinds)
+	}
+	if !slices.ContainsFunc(events, func(ev event) bool { return ev.Done == 0 && ev.Cycles > 0 }) {
+		t.Errorf("second subscriber saw no heartbeat while the point ran: %+v", events)
+	}
+}
+
 // TestDefaultPointsTakeTheQuietPath: what a default server adds to a point's
 // machine config — the heartbeat — changes nothing about how the point runs.
 // An 8x8x8 config resolves to the same shard count (two, on two cores with one
-// worker) as under NoLiveProgress, carries no telemetry collector and stays
-// checkpointable.
+// worker) as under NoLiveProgress and carries neither observer, so its
+// checkpoints are unobserved records.
 func TestDefaultPointsTakeTheQuietPath(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	for _, quiet := range []bool{false, true} {
@@ -585,11 +647,8 @@ func TestDefaultPointsTakeTheQuietPath(t *testing.T) {
 		if (mc.Progress == nil) != quiet {
 			t.Errorf("NoLiveProgress=%v: heartbeat installed = %v", quiet, mc.Progress != nil)
 		}
-		if mc.Shards != 2 || mc.Telemetry != nil {
-			t.Errorf("NoLiveProgress=%v: Shards = %d, Telemetry = %v; want 2 shards and no collector", quiet, mc.Shards, mc.Telemetry)
-		}
-		if err := mc.Checkpointable(); err != nil {
-			t.Errorf("NoLiveProgress=%v: %v", quiet, err)
+		if mc.Shards != 2 || mc.Telemetry != nil || mc.Check {
+			t.Errorf("NoLiveProgress=%v: Shards = %d, Telemetry = %v, Check = %v; want 2 shards and no observer", quiet, mc.Shards, mc.Telemetry, mc.Check)
 		}
 	}
 }

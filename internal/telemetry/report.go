@@ -153,7 +153,7 @@ func (c *Collector) occStats(r *Report) {
 				Router:    ri,
 				VC:        uint8(vc),
 				Samples:   h.Total,
-				MeanFlits: c.occSum[i] / float64(h.Total),
+				MeanFlits: float64(c.occSum[i]) / float64(h.Total),
 				MaxFlits:  c.occMax[i],
 				P50Flits:  h.Quantile(0.5),
 				P99Flits:  h.Quantile(0.99),

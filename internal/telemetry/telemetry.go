@@ -23,6 +23,7 @@ import (
 	"anton2/internal/packet"
 	"anton2/internal/stats"
 	"anton2/internal/topo"
+	"anton2/internal/wire"
 )
 
 // The collector's fixed resolution.
@@ -87,9 +88,9 @@ type Collector struct {
 
 	maxVCs int
 
+	// The last sample was taken nextSample - window cycles in (0: none yet).
 	window     uint64 // current window width in cycles
 	nextSample uint64 // elapsed-cycle count of the next window boundary
-	lastSample uint64 // elapsed-cycle count of the last sample taken
 	partial    uint64 // width of the trailing partial window (0 = none)
 
 	prevSent []uint64   // per-channel flit counter at the last sample
@@ -97,7 +98,7 @@ type Collector struct {
 
 	// Per-(chip router, VC) occupancy, aggregated across nodes.
 	occ    []*stats.Histogram
-	occSum []float64
+	occSum []uint64
 	occMax []int
 
 	// Grant counters, dense over every arbitration point.
@@ -128,7 +129,7 @@ func NewCollector(env Env, opts Options) *Collector {
 		prevSent:   make([]uint64, len(env.Channels)),
 		series:     make([][]uint64, len(env.Channels)),
 		occ:        make([]*stats.Histogram, topo.NumRouters*env.MaxVCs),
-		occSum:     make([]float64, topo.NumRouters*env.MaxVCs),
+		occSum:     make([]uint64, topo.NumRouters*env.MaxVCs),
 		occMax:     make([]int, topo.NumRouters*env.MaxVCs),
 		sa1:        make([]uint64, nodes*topo.NumRouters*topo.MaxRouterPorts*env.MaxVCs),
 		sa2:        make([]uint64, nodes*topo.NumRouters*topo.MaxRouterPorts*topo.MaxRouterPorts),
@@ -152,7 +153,7 @@ func NewCollector(env Env, opts Options) *Collector {
 // out as windows merge — as the next deadline.
 func (c *Collector) Observe(now uint64) (next uint64) {
 	if now >= c.nextSample {
-		c.closeWindow(now)
+		c.closeWindow()
 		if len(c.series) > 0 && len(c.series[0]) >= maxWindows {
 			c.mergeWindows()
 		}
@@ -161,9 +162,9 @@ func (c *Collector) Observe(now uint64) (next uint64) {
 	return c.nextSample
 }
 
-// closeWindow appends the window ending at elapsed cycles to every channel's
-// series and samples occupancy.
-func (c *Collector) closeWindow(elapsed uint64) {
+// closeWindow appends the window ending now to every channel's series and
+// samples occupancy.
+func (c *Collector) closeWindow() {
 	for i, ch := range c.env.Channels {
 		sent := ch.FlitsSent()
 		c.series[i] = append(c.series[i], sent-c.prevSent[i])
@@ -172,7 +173,6 @@ func (c *Collector) closeWindow(elapsed uint64) {
 	if c.env.ScanVCOccupancy != nil {
 		c.env.ScanVCOccupancy(c.addOcc)
 	}
-	c.lastSample = elapsed
 }
 
 // mergeWindows halves the series by summing adjacent windows and doubles the
@@ -192,7 +192,7 @@ func (c *Collector) mergeWindows() {
 func (c *Collector) addOcc(router int, vc uint8, flits int) {
 	i := router*c.maxVCs + int(vc)
 	c.occ[i].Add(float64(flits))
-	c.occSum[i] += float64(flits)
+	c.occSum[i] += uint64(flits)
 	if flits > c.occMax[i] {
 		c.occMax[i] = flits
 	}
@@ -267,9 +267,9 @@ func (c *Collector) Finish(elapsed uint64) error {
 		return nil
 	}
 	c.finished = true
-	if elapsed > c.lastSample {
-		c.partial = elapsed - c.lastSample
-		c.closeWindow(elapsed)
+	if last := c.nextSample - c.window; elapsed > last {
+		c.partial = elapsed - last
+		c.closeWindow()
 	}
 	c.elapsed = elapsed
 	report := c.buildReport()
@@ -288,4 +288,74 @@ func (c *Collector) Finish(elapsed uint64) error {
 		}
 	}
 	return nil
+}
+
+// AppendState appends the collector's state to a machine snapshot record:
+// window width and next boundary, the series with each channel's flit count
+// at the last sample, the occupancy histograms with sums and maxima, the
+// grant counters, the traced list (0 for a delivered packet, else 1 + its
+// packet-table index) and the finished traces. A traced packet's events are
+// in its packet record.
+func (c *Collector) AppendState(b []byte, index func(*packet.Packet) uint64) []byte {
+	b = wire.AppendUvarint(wire.AppendUvarint(b, c.window), c.nextSample)
+	b = wire.AppendUvarints(wire.AppendUvarint(b, uint64(len(c.series[0]))), c.prevSent)
+	for _, s := range c.series {
+		b = wire.AppendUvarints(b, s)
+	}
+	for i, h := range c.occ {
+		b = wire.AppendUvarints(wire.AppendUvarint(b, h.Total), h.Counts)
+		b = wire.AppendUvarint(wire.AppendUvarint(b, c.occSum[i]), uint64(c.occMax[i]))
+	}
+	for _, g := range [...][]uint64{c.sa1, c.sa2, c.adEg, c.adIn} {
+		b = wire.AppendUvarints(b, g)
+	}
+	b = wire.AppendUvarint(b, uint64(len(c.traced)))
+	for _, p := range c.traced {
+		i := uint64(0)
+		if p != nil {
+			i = index(p) + 1
+		}
+		b = wire.AppendUvarint(b, i)
+	}
+	b = wire.AppendUvarint(b, uint64(len(c.traces)))
+	for _, t := range c.traces {
+		b = wire.AppendBytes(wire.AppendBytes(wire.AppendUvarint(b, t.ID), []byte(t.Src)), []byte(t.Dst))
+		b = packet.AppendTrace(wire.AppendUvarint(wire.AppendUvarint(b, t.InjectedAt), t.DeliveredAt), t.Events)
+	}
+	return b
+}
+
+// ReadState loads a record AppendState wrote into a fresh collector; pkt
+// resolves a packet-table index, failing the reader for a bad one.
+func (c *Collector) ReadState(r *wire.Reader, pkt func(uint64) *packet.Packet) {
+	c.window, c.nextSample = r.Uvarint(), r.Uvarint()
+	windows := r.Uvarint()
+	r.Uvarints(c.prevSent)
+	for i := range c.series {
+		c.series[i] = make([]uint64, min(windows, maxWindows))
+		r.Uvarints(c.series[i])
+	}
+	for i, h := range c.occ {
+		h.Total = r.Uvarint()
+		r.Uvarints(h.Counts)
+		c.occSum[i], c.occMax[i] = r.Uvarint(), int(r.Uvarint())
+	}
+	for _, g := range [...][]uint64{c.sa1, c.sa2, c.adEg, c.adIn} {
+		r.Uvarints(g)
+	}
+	n := r.Count(1)
+	if windows >= maxWindows || n > tracePackets {
+		r.Fail("telemetry: %d windows or %d traced packets", windows, n)
+	}
+	for ; n > 0 && r.Err() == nil; n-- {
+		var p *packet.Packet
+		if i := r.Uvarint(); i > 0 {
+			p = pkt(i - 1)
+		}
+		c.traced = append(c.traced, p)
+	}
+	for n := r.Count(6); n > 0; n-- {
+		c.traces = append(c.traces, PacketTrace{ID: r.Uvarint(), Src: string(r.Bytes()), Dst: string(r.Bytes()),
+			InjectedAt: r.Uvarint(), DeliveredAt: r.Uvarint(), Events: packet.ReadTrace(r)})
+	}
 }

@@ -1,8 +1,8 @@
 // Package wire is the one varint append/read helper behind the binary
 // machine snapshot: each layer that owns state (route, arbiter, fabric,
-// fault, machine) appends its records with the Append functions and reads
-// them back through a Reader. Every value has exactly one spelling, so input
-// that decodes re-encodes to the same bytes.
+// fault, check, telemetry, packet, machine) appends its records with the
+// Append functions and reads them back through a Reader. Every value has
+// exactly one spelling, so input that decodes re-encodes to the same bytes.
 package wire
 
 import (
@@ -21,6 +21,14 @@ var ErrCorrupt = errors.New("wire: truncated or non-canonical input")
 func AppendUvarint(b []byte, v uint64) []byte { return binary.AppendUvarint(b, v) }
 func AppendVarint(b []byte, v int64) []byte   { return binary.AppendVarint(b, v) }
 func AppendUint64(b []byte, v uint64) []byte  { return binary.LittleEndian.AppendUint64(b, v) }
+
+// AppendUvarints appends every value of vs, whose length the reader knows.
+func AppendUvarints(b []byte, vs []uint64) []byte {
+	for _, v := range vs {
+		b = binary.AppendUvarint(b, v)
+	}
+	return b
+}
 
 // AppendBool appends one byte, 0 or 1.
 func AppendBool(b []byte, v bool) []byte {
@@ -101,6 +109,13 @@ func (r *Reader) Uvarint() uint64 {
 	}
 	r.b = r.b[n:]
 	return v
+}
+
+// Uvarints fills dst with the values AppendUvarints wrote.
+func (r *Reader) Uvarints(dst []uint64) {
+	for i := range dst {
+		dst[i] = r.Uvarint()
+	}
 }
 
 func (r *Reader) Varint() int64 {
