@@ -5,10 +5,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"anton2/internal/arbiter"
+	"anton2/internal/ckpt"
 	"anton2/internal/fault"
 	"anton2/internal/loadcalc"
 	"anton2/internal/route"
@@ -342,32 +345,110 @@ func TestSnapshotSteadyStateAllocs(t *testing.T) {
 }
 
 // fuzzConfig is the machine FuzzSnapshotRestore restores into: the mask
-// scenarios' 2x2x2 machines, then the uniform one under inverse-weighted
-// arbiters, the multicast one under the invariant suite and the fault one
-// with a telemetry collector, which traces node 0's first packets.
+// scenarios' 2x2x2 machines, then the golden records' checked ones.
 func fuzzConfig(i uint8) (maskScenario, Config) {
 	n := len(maskScenarios)
-	k := int(i) % (n + 3)
-	sc := maskScenarios[k%n]
-	cfg := sc.config(topo.Shape3(2, 2, 2), EngineActive, 0)
-	switch k {
-	case n:
-		cfg = inverseWeighted(cfg)
-	case n + 1:
-		cfg.Check = true
-	case n + 2:
-		cfg.Telemetry = &telemetry.Options{}
+	k := int(i) % (n + len(goldenRecords))
+	if k < n {
+		return maskScenarios[k], maskScenarios[k].config(topo.Shape3(2, 2, 2), EngineActive, 0)
 	}
-	return sc, cfg
+	g := goldenRecords[k-n]
+	cfg := g.sc.config(topo.Shape3(2, 2, 2), EngineActive, 0)
+	cfg.Check = true
+	if g.mod != nil {
+		g.mod(&cfg)
+	}
+	return g.sc, cfg
+}
+
+// goldenRecords are the snapshot records under testdata/snapshot, one per
+// checked 2x2x2 machine: the uniform one under inverse-weighted arbiters, the
+// transient fault mix, the multicast one, and the fault mix with a telemetry
+// collector, which traces node 0's first packets. Each file is that
+// machine's FuzzSnapshotRestore seed at cycle 40, as the commit that added it
+// wrote it; goldenCkpt wraps the uniform machine's in a checkpoint record.
+var goldenRecords = []struct {
+	file string
+	sc   maskScenario
+	mod  func(*Config)
+}{
+	{"iw.bin", maskScenarios[0], func(c *Config) { *c = inverseWeighted(*c) }},
+	{"faults.bin", maskScenarios[2], nil},
+	{"multicast.bin", maskScenarios[1], nil},
+	{"telemetry.bin", maskScenarios[2], func(c *Config) { c.Telemetry = &telemetry.Options{} }},
+}
+
+const goldenCkpt = "uniform.ckpt.bin"
+
+func readGolden(tb testing.TB, file string) []byte {
+	tb.Helper()
+	data, err := os.ReadFile(filepath.Join("testdata", "snapshot", file))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return data
+}
+
+// TestSnapshotGolden: records an earlier commit wrote restore into freshly
+// built machines of their configs, re-encode to the same bytes and run on 50
+// cycles, then drain, with the invariant suite reporting no violation. The
+// checkpoint record likewise decodes, re-encodes to itself and carries a
+// snapshot that restores. This pins the record bytes across any rewrite of
+// the codec: a change to them must come with a new snapshotVersion and new
+// files.
+func TestSnapshotGolden(t *testing.T) {
+	runOn := func(name string, m *Machine, data []byte) {
+		if m.Injected() == m.Delivered() {
+			t.Errorf("%s holds no packet in flight", name)
+		}
+		if again := mustSnapshot(t, m); !bytes.Equal(again, data) {
+			t.Errorf("%s: the restored machine re-encodes to %d bytes that differ from the %d restored", name, len(again), len(data))
+		}
+		m.Engine.Run(50)
+		if err := m.FinishChecks(); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+	for j, g := range goldenRecords {
+		data := readGolden(t, g.file)
+		_, cfg := fuzzConfig(uint8(len(maskScenarios) + j))
+		m := MustNew(cfg)
+		if err := m.RestoreSnapshot(data); err != nil {
+			t.Fatalf("%s: %v", g.file, err)
+		}
+		runOn(g.file, m, data)
+	}
+
+	rec := readGolden(t, goldenCkpt)
+	c, err := ckpt.Decode(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again, err := c.Encode(); err != nil || !bytes.Equal(again, rec) {
+		t.Errorf("%s re-encodes to different bytes (%v)", goldenCkpt, err)
+	}
+	data, ok := c.Section("machine")
+	if !ok {
+		t.Fatalf("%s has no machine section", goldenCkpt)
+	}
+	_, cfg := fuzzConfig(0)
+	m := MustNew(cfg)
+	if err := m.Restore(&Snapshot{Now: c.Cycle, Data: data}); err != nil {
+		t.Fatal(err)
+	}
+	runOn(goldenCkpt, m, data)
 }
 
 // FuzzSnapshotRestore: restoring arbitrary bytes into a fresh machine is an
 // error or a success, never a panic, and on success the restored machine
 // re-encodes to exactly the bytes it was given — the decoder accepts one
-// spelling of a state. The seed corpus is real mid-flight snapshots of each
-// configuration.
+// spelling of a state. The seed corpus is the golden records and real
+// mid-flight snapshots of each configuration.
 func FuzzSnapshotRestore(f *testing.F) {
-	for i := uint8(0); i < uint8(len(maskScenarios)+3); i++ {
+	for j, g := range goldenRecords {
+		f.Add(uint8(len(maskScenarios)+j), readGolden(f, g.file))
+	}
+	for i := uint8(0); i < uint8(len(maskScenarios)+len(goldenRecords)); i++ {
 		sc, cfg := fuzzConfig(i)
 		m := MustNew(cfg)
 		sc.inject(m)
