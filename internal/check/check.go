@@ -342,48 +342,37 @@ func (s *Suite) Finish(now uint64, quiesced bool) {
 	}
 }
 
-// AppendState appends the suite's state to a machine snapshot record: the
-// ledger, each multicast key owed or delivered a copy in sorted order with
-// both counts, and the violation count with the least violation. What it
-// keeps per packet, the packet's record holds.
-func (s *Suite) AppendState(b []byte) []byte {
-	for _, c := range s.ledger() {
-		b = wire.AppendUvarint(b, c.Load())
+// State codes the suite's state in a machine snapshot record: the ledger,
+// each multicast key owed or delivered a copy in sorted order with both
+// counts, and the violation count with the least violation. What it keeps
+// per packet, the packet's record holds. Decoding fills a fresh suite.
+func (s *Suite) State(c *wire.Codec) {
+	for _, a := range s.ledger() {
+		v := a.Load()
+		c.Uvarint(&v)
+		a.Store(v)
 	}
 	keys := make([]mkey, 0, len(s.mcast))
 	for k := range s.mcast {
 		keys = append(keys, k)
 	}
 	slices.SortFunc(keys, mkey.cmp)
-	b = wire.AppendUvarint(b, uint64(len(keys)))
-	for _, k := range keys {
-		for _, v := range [...]int{k.group, k.node, k.ep, s.mcast[k].owed, s.mcast[k].got} {
-			b = wire.AppendUvarint(b, uint64(v))
+	wire.List(c, &keys, 0, 5)
+	for i := range keys {
+		k, n := &keys[i], s.mcast[keys[i]]
+		for _, v := range [...]*int{&k.group, &k.node, &k.ep, &n.owed, &n.got} {
+			c.Int(v)
 		}
-	}
-	if b = wire.AppendUvarint(b, uint64(s.vcount)); s.vcount > 0 {
-		b = wire.AppendBytes(wire.AppendUvarint(b, s.least.Cycle), []byte(s.least.Checker))
-		b = wire.AppendBytes(b, []byte(s.least.Msg))
-	}
-	return b
-}
-
-// ReadState loads a record AppendState wrote into a fresh suite.
-func (s *Suite) ReadState(r *wire.Reader) {
-	for _, c := range s.ledger() {
-		c.Store(r.Uvarint())
-	}
-	var prev mkey
-	for i, n := 0, r.Count(5); i < n && r.Err() == nil; i++ {
-		k := mkey{int(r.Uvarint()), int(r.Uvarint()), int(r.Uvarint())}
-		c := mcount{int(r.Uvarint()), int(r.Uvarint())}
-		if (i > 0 && prev.cmp(k) >= 0) || c == (mcount{}) {
-			r.Fail("check: multicast count %d is out of key order or empty", i)
+		if (i > 0 && keys[i-1].cmp(*k) >= 0) || n == (mcount{}) {
+			c.Fail("check: multicast count %d is out of key order or empty", i)
+			return
 		}
-		prev, s.mcast[k] = k, c
+		s.mcast[*k] = n
 	}
-	if s.vcount = int(r.Uvarint()); s.vcount > 0 {
-		s.least = violation{Cycle: r.Uvarint(), Checker: string(r.Bytes()), Msg: string(r.Bytes())}
+	if c.Int(&s.vcount); s.vcount > 0 {
+		c.Uvarint(&s.least.Cycle)
+		c.String(&s.least.Checker)
+		c.String(&s.least.Msg)
 	}
 }
 

@@ -108,25 +108,6 @@ func (c *Checkpoint) Section(name string) ([]byte, bool) {
 	return nil, false
 }
 
-func (c *Checkpoint) validate() error {
-	seen := make(map[string]bool, len(c.Sections))
-	for i, s := range c.Sections {
-		if s.Name == "" {
-			return fmt.Errorf("ckpt: section %d: empty name", i)
-		}
-		if seen[s.Name] {
-			return fmt.Errorf("ckpt: duplicate section %q", s.Name)
-		}
-		seen[s.Name] = true
-	}
-	return nil
-}
-
-// appendString appends s behind its length, as wire.AppendBytes would.
-func appendString(b []byte, s string) []byte {
-	return append(wire.AppendUvarint(b, uint64(len(s))), s...)
-}
-
 // Encode serializes the checkpoint to its canonical sealed record. Encoding
 // a valid checkpoint is deterministic: the same Checkpoint always yields the
 // same bytes.
@@ -135,54 +116,55 @@ func (c *Checkpoint) Encode() ([]byte, error) { return c.AppendEncode(nil) }
 // AppendEncode appends the checkpoint's sealed record to b, for writers that
 // keep one buffer across the checkpoints of a run.
 func (c *Checkpoint) AppendEncode(b []byte) ([]byte, error) {
-	if err := c.validate(); err != nil {
-		return b, err
+	w := wire.NewEncoder(b)
+	if c.state(w); w.Err() != nil {
+		return b, fmt.Errorf("ckpt: %w", w.Err())
 	}
-	start := len(b)
-	b = appendString(b, Format)
-	b = wire.AppendUvarint(b, version)
-	b = appendString(b, c.Tag)
-	b = wire.AppendUvarint(b, c.Cycle)
-	b = wire.AppendUvarint(b, uint64(len(c.Sections)))
-	for _, s := range c.Sections {
-		b = wire.AppendBytes(appendString(b, s.Name), s.Data)
-	}
-	return sealFrom(b, start), nil
+	return sealFrom(w.Buf(), len(b)), nil
 }
 
 // Decode parses and validates exactly one checkpoint. It never panics on
 // arbitrary input, and for any input x accepted by Decode, Encode(Decode(x))
-// is x. The sections of the result alias data.
+// is x.
 func Decode(data []byte) (*Checkpoint, error) {
 	body, err := Unseal(data)
 	if err != nil {
 		return nil, err
 	}
-	r := wire.NewReader(body)
-	if f := r.Bytes(); string(f) != Format {
-		return nil, fmt.Errorf("ckpt: format %q, want %q", f, Format)
+	c, r := &Checkpoint{}, wire.NewDecoder(body)
+	if c.state(r); r.Err() != nil {
+		return nil, fmt.Errorf("ckpt: %w", r.Err())
 	}
-	if v := r.Uvarint(); v != version {
-		return nil, fmt.Errorf("ckpt: version %d, want %d", v, version)
-	}
-	c := &Checkpoint{Tag: string(r.Bytes()), Cycle: r.Uvarint()}
-	// Every section spells at least its name's and its payload's length.
-	n := r.Count(2)
-	c.Sections = make([]Section, 0, n)
-	for i := 0; i < n; i++ {
-		name := string(r.Bytes())
-		c.Sections = append(c.Sections, Section{Name: name, Data: r.Bytes()})
-	}
-	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("ckpt: %w", err)
-	}
-	if r.Len() != 0 {
-		return nil, fmt.Errorf("ckpt: %d trailing bytes after the last section", r.Len())
-	}
-	if err := c.validate(); err != nil {
-		return nil, err
+	if n := len(r.Buf()); n != 0 {
+		return nil, fmt.Errorf("ckpt: %d trailing bytes after the last section", n)
 	}
 	return c, nil
+}
+
+// state codes the record before its seal: format name, version, tag, cycle,
+// then each section as its name and payload behind their lengths. Section
+// names are non-empty and unique.
+func (c *Checkpoint) state(w *wire.Codec) {
+	format, v := Format, uint64(version)
+	if w.String(&format); format != Format {
+		w.Fail("format %q, want %q", format, Format)
+	}
+	if w.Uvarint(&v); v != version {
+		w.Fail("version %d, want %d", v, version)
+	}
+	w.String(&c.Tag)
+	w.Uvarint(&c.Cycle)
+	// Every section spells at least its name's and its payload's length.
+	wire.List(w, &c.Sections, 0, 2)
+	seen := make(map[string]bool, len(c.Sections))
+	for i := range c.Sections {
+		s := &c.Sections[i]
+		w.String(&s.Name)
+		if w.Bytes(&s.Data); s.Name == "" || seen[s.Name] {
+			w.Fail("section %d: empty or duplicate name %q", i, s.Name)
+		}
+		seen[s.Name] = true
+	}
 }
 
 // tempSuffix is what AtomicWriteFile's temp files carry between the target's

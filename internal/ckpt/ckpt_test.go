@@ -29,10 +29,24 @@ func mustEncode(t testing.TB, c *Checkpoint) []byte {
 	return b
 }
 
+// uvarint and str append one value each through an encoding codec, for
+// hand-built records.
+func uvarint(b []byte, v uint64) []byte {
+	c := wire.NewEncoder(b)
+	c.Uvarint(&v)
+	return c.Buf()
+}
+
+func str(b []byte, s string) []byte {
+	c := wire.NewEncoder(b)
+	c.String(&s)
+	return c.Buf()
+}
+
 // head is an unsealed record of the given version up to its section count.
 func head(version uint64) []byte {
-	b := wire.AppendUvarint(appendString(nil, Format), version)
-	return wire.AppendUvarint(appendString(b, "t"), 7)
+	b := uvarint(str(nil, Format), version)
+	return uvarint(str(b, "t"), 7)
 }
 
 // v2Group is a well-formed frame group of the retired format v2: JSON
@@ -102,13 +116,13 @@ func TestDecodeRejectsDuplicateAndTrailing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	section := func(b []byte, name string) []byte { return wire.AppendBytes(appendString(b, name), []byte("x")) }
+	section := func(b []byte, name string) []byte { return str(str(b, name), "x") }
 	for name, in := range map[string][]byte{
 		"junk after the seal":   append(bytes.Clone(enc), "junk\n"...),
 		"junk inside the seal":  Seal(append(bytes.Clone(body), 0)),
-		"duplicate name":        Seal(section(section(wire.AppendUvarint(head(version), 2), "a"), "a")),
-		"empty name":            Seal(section(wire.AppendUvarint(head(version), 1), "")),
-		"fewer sections than n": Seal(section(wire.AppendUvarint(head(version), 2), "a")),
+		"duplicate name":        Seal(section(section(uvarint(head(version), 2), "a"), "a")),
+		"empty name":            Seal(section(uvarint(head(version), 1), "")),
+		"fewer sections than n": Seal(section(uvarint(head(version), 2), "a")),
 	} {
 		if _, err := Decode(in); err == nil {
 			t.Errorf("Decode accepted a record with %s", name)
@@ -220,12 +234,12 @@ func TestRunConfig(t *testing.T) {
 // records that claim more than they hold fail instead of allocating or
 // indexing past the input.
 func TestDecodeBoundsCounts(t *testing.T) {
-	oneSection := appendString(wire.AppendUvarint(head(version), 1), "m")
+	oneSection := str(uvarint(head(version), 1), "m")
 	for name, body := range map[string][]byte{
-		"section count overflows": wire.AppendUvarint(head(version), math.MaxUint64),
-		"section count too large": wire.AppendUvarint(head(version), 1<<40),
-		"length overflows":        wire.AppendUvarint(bytes.Clone(oneSection), math.MaxUint64),
-		"length past the end":     wire.AppendUvarint(bytes.Clone(oneSection), math.MaxInt64),
+		"section count overflows": uvarint(head(version), math.MaxUint64),
+		"section count too large": uvarint(head(version), 1<<40),
+		"length overflows":        uvarint(bytes.Clone(oneSection), math.MaxUint64),
+		"length past the end":     uvarint(bytes.Clone(oneSection), math.MaxInt64),
 	} {
 		if _, err := Decode(Seal(body)); err == nil {
 			t.Errorf("Decode accepted a record whose %s", name)
@@ -236,7 +250,7 @@ func TestDecodeBoundsCounts(t *testing.T) {
 // TestDecodeRejectsOtherVersions: there is no reader for another version,
 // whether it is spelled as a sealed record or as a retired v2 frame group.
 func TestDecodeRejectsOtherVersions(t *testing.T) {
-	v2Record := Seal(wire.AppendUvarint(head(2), 0))
+	v2Record := Seal(uvarint(head(2), 0))
 	if _, err := Decode(v2Record); err == nil || !strings.Contains(err.Error(), "version 2") {
 		t.Errorf("Decode(record claiming v2) = %v, want a version error", err)
 	}
@@ -258,7 +272,7 @@ func FuzzCheckpointCodec(f *testing.F) {
 	f.Add(enc)
 	f.Add(bytes.Clone(body))
 	f.Add([]byte(nil))
-	f.Add(wire.AppendUvarint(head(version), math.MaxUint64))
+	f.Add(uvarint(head(version), math.MaxUint64))
 	f.Add(v2Group())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, in := range [][]byte{data, Seal(bytes.Clone(data))} {

@@ -1,142 +1,96 @@
 package fabric
 
 import (
-	"fmt"
-	"math/bits"
-
 	"anton2/internal/packet"
 	"anton2/internal/wire"
 )
 
-// This file is the channels' half of the checkpoint codec. Everything a
-// Channel accumulates after construction is appended to and read back from
-// the machine snapshot, as: VC count; flags (below); a mask of the VCs whose
-// credit counter is not at the buffer capacity, and those counters;
-// busyUntilMilli, stallUntil, Sent, Pkts; the lost-credit ledger and the
-// energy counters when flagged; the previous payload; the packet pipe as
-// (arrival cycle, packet index) pairs behind a count; the credit pipe as
-// (arrival cycle, VC, flits) triples behind a count. An idle channel is a
-// dozen bytes. Wiring (latency, rate, bindings) is rebuilt by constructing
-// the machine fresh and is deliberately absent.
+// This file is the channels' part of the machine snapshot. Everything a
+// Channel accumulates after construction is in its record, in the order
+// State lists it; the credit counters at the buffer capacity are left out,
+// so an idle channel is a dozen bytes. Wiring (latency, rate, bindings) is
+// rebuilt by constructing the machine fresh and is deliberately absent.
 //
 // Packets are shared pointers: the same *packet.Packet can sit in a
 // retransmission window and in the pipe at once (Resend), so the machine
 // snapshot layer owns packet identity and the record holds indices into its
 // packet table.
 
-// Record flags: the channel has sent, keeps a lost-credit ledger, tracks
-// energy.
-const (
-	stSentAny = 1 << iota
-	stLost
-	stEnergy
-)
-
-// AppendState appends the channel's mutable state. pktIndex interns a packet
-// pointer into the snapshot's packet table and returns its index. Channels
-// are snapshotted between engine steps only; staged (deferred) traffic must
-// already be flushed, which the phase-barrier merge guarantees.
-func (ch *Channel) AppendState(b []byte, pktIndex func(*packet.Packet) uint64) ([]byte, error) {
+// State codes the channel's mutable state; ref codes a packet reference
+// (never nil here) as an index into the snapshot's packet table and returns
+// the packet it names. Channels are snapshotted between engine steps only,
+// so staged (deferred) traffic must already be flushed, which the
+// phase-barrier merge guarantees. Decoding fills a freshly built channel
+// (empty pipes) and re-issues what the in-flight traffic implies: each
+// packet sets the bound receiver's ready bit and wakes it at its arrival
+// cycle, each credit likewise for the bound sender — the same
+// pushPkt/pushCredit the original Send/ReturnCredit went through.
+func (ch *Channel) State(c *wire.Codec, ref func(p *packet.Packet, nilable bool) *packet.Packet) {
 	if len(ch.stagedPkts) != 0 || len(ch.stagedCreds) != 0 {
-		return b, fmt.Errorf("fabric: %s: snapshot with staged traffic", ch.Name)
+		c.Fail("fabric: %s: snapshot with staged traffic", ch.Name)
+		return
 	}
-	var flags uint8 // stSentAny, stLost, stEnergy, in that order
+	var flags uint8 // bit 0: the channel has sent; 1: keeps a lost-credit ledger; 2: tracks energy
 	for i, set := range [...]bool{ch.sentAny, ch.lost != nil, ch.Energy != nil} {
 		if set {
 			flags |= 1 << i
 		}
 	}
 	var spent uint64
-	for vc, c := range ch.credit[:ch.numVCs] {
-		if c != ch.bufFlits {
+	for vc, cr := range ch.credit[:ch.numVCs] {
+		if cr != ch.bufFlits {
 			spent |= 1 << vc
 		}
 	}
-	b = append(b, ch.numVCs, flags)
-	b = wire.AppendUvarint(b, spent)
-	for m := spent; m != 0; m &= m - 1 {
-		b = wire.AppendVarint(b, int64(ch.credit[bits.TrailingZeros64(m)]))
-	}
-	for _, v := range [...]uint64{ch.busyUntilMilli, ch.stallUntil, ch.Sent, ch.Pkts} {
-		b = wire.AppendUvarint(b, v)
-	}
-	for _, n := range ch.lost {
-		b = wire.AppendVarint(b, int64(n))
-	}
-	if e := ch.Energy; e != nil {
-		for _, v := range [...]uint64{e.Flits, e.Activations, e.HammingSum, e.SetBitsSum} {
-			b = wire.AppendUvarint(b, v)
-		}
-	}
-	b = wire.AppendBytes(b, ch.prevPayload)
-	b = wire.AppendUvarint(b, uint64(ch.pkts.Len()))
-	ch.pkts.Entries(func(at uint64, p *packet.Packet) {
-		b = wire.AppendUvarint(wire.AppendUvarint(b, at), pktIndex(p))
-	})
-	b = wire.AppendUvarint(b, uint64(ch.credits.Len()))
-	ch.credits.Entries(func(at uint64, c creditMsg) {
-		b = append(wire.AppendUvarint(b, at), c.vc, c.flits)
-	})
-	return b, nil
-}
-
-// ReadState loads a record AppendState wrote into a freshly built channel
-// (empty pipes) and re-issues what the in-flight traffic implies: each packet
-// sets the bound receiver's ready bit and wakes it at its arrival cycle, each
-// credit likewise for the bound sender — the same pushPkt/pushCredit the
-// original Send/ReturnCredit went through. pkt resolves a packet-table index,
-// failing the reader itself for one outside the table.
-func (ch *Channel) ReadState(r *wire.Reader, pkt func(uint64) *packet.Packet) {
-	if !ch.pkts.Empty() || !ch.credits.Empty() {
-		r.Fail("fabric: %s: restore into a non-empty channel", ch.Name)
-		return
-	}
-	numVCs, flags, spent := r.Byte(), r.Byte(), r.Uvarint()
-	switch hasLost, hasEnergy := flags&stLost != 0, flags&stEnergy != 0; {
-	case r.Err() != nil:
-	case numVCs != ch.numVCs:
-		r.Fail("fabric: %s: restore with %d VCs, channel has %d", ch.Name, numVCs, ch.numVCs)
-	case hasLost != (ch.lost != nil):
-		r.Fail("fabric: %s: lost-credit ledger shape mismatch", ch.Name)
-	case hasEnergy != (ch.Energy != nil):
-		r.Fail("fabric: %s: snapshot and channel disagree on energy tracking", ch.Name)
-	case flags >= stEnergy<<1 || spent>>numVCs != 0:
-		r.Fail("%w", wire.ErrCorrupt)
-	}
-	if r.Err() != nil {
+	numVCs, has := ch.numVCs, flags&^1
+	c.Byte(&numVCs)
+	c.Byte(&flags)
+	if c.Uvarint(&spent); numVCs != ch.numVCs || flags&^1 != has || spent>>numVCs != 0 {
+		c.Fail("fabric: %s: record of %d VCs, flags %#x, credit mask %#x; channel has %d VCs, flags %#x",
+			ch.Name, numVCs, flags, spent, ch.numVCs, has)
 		return
 	}
 	for vc := range ch.credit[:ch.numVCs] {
-		ch.credit[vc] = ch.bufFlits
-		if spent>>vc&1 != 0 {
-			c := r.Varint()
-			if c == int64(ch.bufFlits) || c != int64(int32(c)) {
-				r.Fail("%w", wire.ErrCorrupt)
-			}
-			ch.credit[vc] = int32(c)
+		if spent>>vc&1 == 0 {
+			ch.credit[vc] = ch.bufFlits
+			continue
 		}
+		cr := int64(ch.credit[vc])
+		if c.Varint(&cr); cr == int64(ch.bufFlits) || cr != int64(int32(cr)) {
+			c.Fail("%w", wire.ErrCorrupt)
+		}
+		ch.credit[vc] = int32(cr)
 	}
-	ch.sentAny = flags&stSentAny != 0
-	ch.busyUntilMilli, ch.stallUntil, ch.Sent, ch.Pkts = r.Uvarint(), r.Uvarint(), r.Uvarint(), r.Uvarint()
+	ch.sentAny = flags&1 != 0
+	for _, v := range [...]*uint64{&ch.busyUntilMilli, &ch.stallUntil, &ch.Sent, &ch.Pkts} {
+		c.Uvarint(v)
+	}
 	for vc := range ch.lost {
-		ch.lost[vc] = int(r.Varint())
+		n := int64(ch.lost[vc])
+		c.Varint(&n)
+		ch.lost[vc] = int(n)
 	}
 	if e := ch.Energy; e != nil {
-		e.Flits, e.Activations, e.HammingSum, e.SetBitsSum = r.Uvarint(), r.Uvarint(), r.Uvarint(), r.Uvarint()
+		for _, v := range [...]*uint64{&e.Flits, &e.Activations, &e.HammingSum, &e.SetBitsSum} {
+			c.Uvarint(v)
+		}
 	}
-	ch.prevPayload = append(ch.prevPayload[:0], r.Bytes()...)
-	for n := r.Count(2); n > 0; n-- {
-		at := r.Uvarint()
-		if p := pkt(r.Uvarint()); p != nil {
+	c.Bytes(&ch.prevPayload)
+
+	ch.pkts.State(c, 2, func(at uint64, p *packet.Packet) {
+		c.Uvarint(&at)
+		if p = ref(p, false); c.Decoding() && p != nil {
 			ch.pushPkt(at, p)
 		}
-	}
-	for n := r.Count(3); n > 0; n-- {
-		at, vc, flits := r.Uvarint(), r.Byte(), r.Byte()
-		if vc >= ch.numVCs {
-			r.Fail("fabric: %s: credit entry for VC %d of %d", ch.Name, vc, ch.numVCs)
-			return
+	})
+	ch.credits.State(c, 3, func(at uint64, m creditMsg) {
+		c.Uvarint(&at)
+		c.Byte(&m.vc)
+		c.Byte(&m.flits)
+		if m.vc >= ch.numVCs {
+			c.Fail("fabric: %s: credit entry for VC %d of %d", ch.Name, m.vc, ch.numVCs)
+		} else if c.Decoding() {
+			ch.pushCredit(at, m)
 		}
-		ch.pushCredit(at, creditMsg{vc: vc, flits: flits})
-	}
+	})
 }

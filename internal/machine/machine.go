@@ -55,9 +55,9 @@ type Machine struct {
 	tel    *telemetry.Collector
 	flt    *faultLayer
 
-	// snapTab is AppendSnapshot's packet interning table, kept between
+	// snap is AppendSnapshot's walk and packet table, kept between
 	// snapshots so that taking one allocates nothing.
-	snapTab pktTable
+	snap snapWalk
 }
 
 // node groups one ASIC's components.
@@ -618,38 +618,42 @@ func (m *Machine) quiet() bool {
 	return true
 }
 
-// Quiet reports whether the fabric is fully quiescent: no packets in queues
-// and no packets or credits in flight on any channel. It is the phase-barrier
-// predicate of the workload layer, which steps the engine manually until
-// Quiet holds (RunUntil's idle-cycle jumping would observe quiescence at an
-// engine-dependent cycle). Call it only between engine steps, never from a
-// hook running inside one.
-func (m *Machine) Quiet() bool { return m.quiet() }
-
-// drainBudget bounds the post-measurement drain in FinishChecks. Worst case
-// is a torus channel's full VC buffers serializing out at ~3.2 cycles/flit;
-// 1<<16 cycles covers that with wide margin on every supported shape.
+// drainBudget bounds Drain. Worst case is a torus channel's full VC buffers
+// serializing out at ~3.2 cycles/flit; 1<<16 cycles covers that with wide
+// margin on every supported shape.
 const drainBudget = 1 << 16
+
+// Drain steps the engine one cycle at a time until the fabric is quiescent —
+// no packets in queues, no packets or credits in flight on any channel — for
+// at most drainBudget cycles, and reports whether it is. It is the phase
+// barrier of the workload layer and the end-of-run drain of FinishChecks;
+// stepping manually keeps the cycle quiescence is observed at
+// engine-invariant, where RunUntil's idle-cycle jumping would not. Call it
+// only between engine steps, never from a hook running inside one.
+func (m *Machine) Drain() bool {
+	for i := 0; i < drainBudget && !m.quiet(); i++ {
+		m.Engine.Step()
+	}
+	return m.quiet()
+}
 
 // FinishChecks ends a measurement. It first finalizes the attached telemetry
 // collector at the current cycle (closing its trailing window and emitting
-// artifacts). Then, with the invariant suite attached, it lets the network
-// drain (bounded by drainBudget), runs the end-of-run checks — conservation
-// of every injected packet, exact credit restoration, exactly-once multicast
-// delivery — and returns an error if any invariant was violated during or
-// after the run. The drain steps the engine on, fault layer included, so
-// whatever a caller reads of the measurement it reads before this call. It is
-// a no-op without Cfg.Check and Cfg.Telemetry.
+// artifacts). Then, with the invariant suite attached, it drains the network,
+// runs the end-of-run checks — conservation of every injected packet, exact
+// credit restoration, exactly-once multicast delivery — and returns an error
+// if any invariant was violated during or after the run. The drain steps the
+// engine on, fault layer included, so whatever a caller reads of the
+// measurement it reads before this call. It is a no-op without Cfg.Check and
+// Cfg.Telemetry.
 func (m *Machine) FinishChecks() error {
 	var telErr error
 	if m.tel != nil {
 		telErr = m.tel.Finish(m.Engine.Now())
 	}
 	if m.checks != nil {
-		for i := 0; i < drainBudget && !m.quiet(); i++ {
-			m.Engine.Step()
-		}
-		m.checks.Finish(m.Engine.Now(), m.quiet())
+		quiesced := m.Drain()
+		m.checks.Finish(m.Engine.Now(), quiesced)
 		if err := m.checks.Err(); err != nil {
 			return err
 		}

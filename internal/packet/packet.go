@@ -103,29 +103,22 @@ func (p *Packet) StartTrace() {
 	}
 }
 
-// AppendTrace appends tr to a snapshot record: whether it is non-nil (a
-// traced packet, whose trace may still be empty), then its events.
-func AppendTrace(b []byte, tr []TraceEvent) []byte {
-	if b = wire.AppendBool(b, tr != nil); tr != nil {
-		b = wire.AppendUvarint(b, uint64(len(tr)))
-		for _, ev := range tr {
-			b = append(wire.AppendUvarint(b, uint64(len(ev.Stage))), ev.Stage...)
-			b = wire.AppendUvarint(b, ev.Cycle)
-		}
+// TraceState codes tr in a snapshot record: whether it is non-nil (a traced
+// packet, whose trace may still be empty), then its events.
+func TraceState(c *wire.Codec, tr *[]TraceEvent) {
+	on := *tr != nil
+	if c.Bool(&on); !on {
+		return
 	}
-	return b
-}
-
-// ReadTrace reads a trace AppendTrace wrote.
-func ReadTrace(r *wire.Reader) []TraceEvent {
-	if !r.Bool() {
-		return nil
+	if *tr == nil {
+		*tr = []TraceEvent{}
 	}
-	tr := make([]TraceEvent, r.Count(2))
-	for i := range tr {
-		tr[i] = TraceEvent{Stage: string(r.Bytes()), Cycle: r.Uvarint()}
+	wire.List(c, tr, 0, 2)
+	for i := range *tr {
+		ev := &(*tr)[i]
+		c.String(&ev.Stage)
+		c.Uvarint(&ev.Cycle)
 	}
-	return tr
 }
 
 // Reset clears a packet for reuse from a free list.

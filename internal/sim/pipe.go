@@ -1,5 +1,7 @@
 package sim
 
+import "anton2/internal/wire"
+
 // Pipe is a latency FIFO connecting two components. Items sent at cycle t
 // become receivable at cycle t+latency. Pipes are the only sanctioned way for
 // components to exchange state; because latency is at least one cycle, the
@@ -92,13 +94,23 @@ func (p *Pipe[T]) Poll(now uint64) (T, bool) {
 // Empty reports whether the pipe holds no items (arrived or in flight).
 func (p *Pipe[T]) Empty() bool { return p.due == never }
 
-// Entries calls f for every undelivered item in FIFO order with its absolute
-// arrival cycle. Snapshot paths use it to externalize in-flight traffic;
-// restore paths replay the entries through SendAt in the same order, which
-// reproduces the queue exactly (arrival cycles are monotone per pipe).
-func (p *Pipe[T]) Entries(f func(at uint64, item T)) {
-	for _, e := range p.q[p.head:] {
-		f(e.at, e.item)
+// State codes the pipe's undelivered items for a snapshot record, behind
+// their count; entry codes one item and its absolute arrival cycle, and
+// minBytes bounds its spelling from below. Encoding calls entry for every
+// item in FIFO order. Decoding calls it once per item with zero values, for
+// entry to decode into and re-send in the same order, which reproduces the
+// queue exactly (arrival cycles are monotone per pipe).
+func (p *Pipe[T]) State(c *wire.Codec, minBytes int, entry func(at uint64, item T)) {
+	n := p.Len()
+	if c.Len(&n, minBytes); !c.Decoding() {
+		for _, e := range p.q[p.head:] {
+			entry(e.at, e.item)
+		}
+		return
+	}
+	var zero T
+	for ; n > 0 && c.Err() == nil; n-- {
+		entry(0, zero)
 	}
 }
 

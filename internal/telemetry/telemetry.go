@@ -290,72 +290,57 @@ func (c *Collector) Finish(elapsed uint64) error {
 	return nil
 }
 
-// AppendState appends the collector's state to a machine snapshot record:
-// window width and next boundary, the series with each channel's flit count
-// at the last sample, the occupancy histograms with sums and maxima, the
-// grant counters, the traced list (0 for a delivered packet, else 1 + its
-// packet-table index) and the finished traces. A traced packet's events are
-// in its packet record.
-func (c *Collector) AppendState(b []byte, index func(*packet.Packet) uint64) []byte {
-	b = wire.AppendUvarint(wire.AppendUvarint(b, c.window), c.nextSample)
-	b = wire.AppendUvarints(wire.AppendUvarint(b, uint64(len(c.series[0]))), c.prevSent)
-	for _, s := range c.series {
-		b = wire.AppendUvarints(b, s)
+// State codes the collector's state in a machine snapshot record: window
+// width and next boundary, the series with each channel's flit count at the
+// last sample, the occupancy histograms with sums and maxima, the grant
+// counters, the traced list (ref's nilable spelling: a delivered packet is
+// nil) and the finished traces. A traced packet's events are in its packet
+// record. Decoding fills a fresh collector.
+func (c *Collector) State(w *wire.Codec, ref func(p *packet.Packet, nilable bool) *packet.Packet) {
+	w.Uvarint(&c.window)
+	w.Uvarint(&c.nextSample)
+	windows := len(c.series[0])
+	if w.Int(&windows); windows >= maxWindows {
+		w.Fail("telemetry: %d windows", windows)
+		return
+	}
+	uvarints(w, c.prevSent)
+	for i := range c.series {
+		if len(c.series[i]) != windows {
+			c.series[i] = make([]uint64, windows)
+		}
+		uvarints(w, c.series[i])
 	}
 	for i, h := range c.occ {
-		b = wire.AppendUvarints(wire.AppendUvarint(b, h.Total), h.Counts)
-		b = wire.AppendUvarint(wire.AppendUvarint(b, c.occSum[i]), uint64(c.occMax[i]))
+		w.Uvarint(&h.Total)
+		uvarints(w, h.Counts)
+		w.Uvarint(&c.occSum[i])
+		w.Int(&c.occMax[i])
 	}
 	for _, g := range [...][]uint64{c.sa1, c.sa2, c.adEg, c.adIn} {
-		b = wire.AppendUvarints(b, g)
+		uvarints(w, g)
 	}
-	b = wire.AppendUvarint(b, uint64(len(c.traced)))
-	for _, p := range c.traced {
-		i := uint64(0)
-		if p != nil {
-			i = index(p) + 1
-		}
-		b = wire.AppendUvarint(b, i)
+	if wire.List(w, &c.traced, 0, 1); len(c.traced) > tracePackets {
+		w.Fail("telemetry: %d traced packets", len(c.traced))
+		return
 	}
-	b = wire.AppendUvarint(b, uint64(len(c.traces)))
-	for _, t := range c.traces {
-		b = wire.AppendBytes(wire.AppendBytes(wire.AppendUvarint(b, t.ID), []byte(t.Src)), []byte(t.Dst))
-		b = packet.AppendTrace(wire.AppendUvarint(wire.AppendUvarint(b, t.InjectedAt), t.DeliveredAt), t.Events)
+	for i := range c.traced {
+		c.traced[i] = ref(c.traced[i], true)
 	}
-	return b
+	wire.List(w, &c.traces, 0, 6)
+	for i := range c.traces {
+		t := &c.traces[i]
+		w.Uvarint(&t.ID)
+		w.String(&t.Src)
+		w.String(&t.Dst)
+		w.Uvarint(&t.InjectedAt)
+		w.Uvarint(&t.DeliveredAt)
+		packet.TraceState(w, &t.Events)
+	}
 }
 
-// ReadState loads a record AppendState wrote into a fresh collector; pkt
-// resolves a packet-table index, failing the reader for a bad one.
-func (c *Collector) ReadState(r *wire.Reader, pkt func(uint64) *packet.Packet) {
-	c.window, c.nextSample = r.Uvarint(), r.Uvarint()
-	windows := r.Uvarint()
-	r.Uvarints(c.prevSent)
-	for i := range c.series {
-		c.series[i] = make([]uint64, min(windows, maxWindows))
-		r.Uvarints(c.series[i])
-	}
-	for i, h := range c.occ {
-		h.Total = r.Uvarint()
-		r.Uvarints(h.Counts)
-		c.occSum[i], c.occMax[i] = r.Uvarint(), int(r.Uvarint())
-	}
-	for _, g := range [...][]uint64{c.sa1, c.sa2, c.adEg, c.adIn} {
-		r.Uvarints(g)
-	}
-	n := r.Count(1)
-	if windows >= maxWindows || n > tracePackets {
-		r.Fail("telemetry: %d windows or %d traced packets", windows, n)
-	}
-	for ; n > 0 && r.Err() == nil; n-- {
-		var p *packet.Packet
-		if i := r.Uvarint(); i > 0 {
-			p = pkt(i - 1)
-		}
-		c.traced = append(c.traced, p)
-	}
-	for n := r.Count(6); n > 0; n-- {
-		c.traces = append(c.traces, PacketTrace{ID: r.Uvarint(), Src: string(r.Bytes()), Dst: string(r.Bytes()),
-			InjectedAt: r.Uvarint(), DeliveredAt: r.Uvarint(), Events: packet.ReadTrace(r)})
+func uvarints(w *wire.Codec, vs []uint64) {
+	for i := range vs {
+		w.Uvarint(&vs[i])
 	}
 }

@@ -1,89 +1,155 @@
 package wire
 
 import (
+	"bytes"
 	"errors"
 	"math"
 	"testing"
 )
 
-// TestRoundTrip: every Append function reads back through its Reader method,
-// in order, leaving nothing unread.
-func TestRoundTrip(t *testing.T) {
-	var b []byte
-	b = AppendUvarint(b, 0)
-	b = AppendUvarint(b, math.MaxUint64)
-	b = AppendVarint(b, -1)
-	b = AppendVarint(b, math.MinInt64)
-	b = AppendUint64(b, 0xdeadbeefcafef00d)
-	b = AppendBool(b, true)
-	b = AppendBytes(b, []byte("abc"))
-	b = AppendBytes(b, nil)
-	b = append(b, 7)
+// fields is one value of every Codec method's type, coded in order.
+type fields struct {
+	u, u8   uint64
+	v       int64
+	i, n    int
+	b       uint8
+	t       bool
+	p, none []byte
+	s       string
+	list    []uint64
+}
 
-	r := NewReader(b)
-	if v := r.Uvarint(); v != 0 {
-		t.Errorf("Uvarint = %d, want 0", v)
-	}
-	if v := r.Uvarint(); v != math.MaxUint64 {
-		t.Errorf("Uvarint = %d, want MaxUint64", v)
-	}
-	if v := r.Varint(); v != -1 {
-		t.Errorf("Varint = %d, want -1", v)
-	}
-	if v := r.Varint(); v != math.MinInt64 {
-		t.Errorf("Varint = %d, want MinInt64", v)
-	}
-	if v := r.Uint64(); v != 0xdeadbeefcafef00d {
-		t.Errorf("Uint64 = %#x", v)
-	}
-	if !r.Bool() {
-		t.Error("Bool = false, want true")
-	}
-	if p := r.Bytes(); string(p) != "abc" {
-		t.Errorf("Bytes = %q, want abc", p)
-	}
-	if p := r.Bytes(); len(p) != 0 {
-		t.Errorf("Bytes = %q, want empty", p)
-	}
-	if v := r.Byte(); v != 7 {
-		t.Errorf("Byte = %d, want 7", v)
-	}
-	if r.Err() != nil || r.Len() != 0 {
-		t.Errorf("after the last value: err %v, %d bytes unread", r.Err(), r.Len())
+func (f *fields) state(c *Codec) {
+	c.Uvarint(&f.u)
+	c.Varint(&f.v)
+	c.Uint64(&f.u8)
+	c.Int(&f.i)
+	c.Len(&f.n, 1)
+	c.Byte(&f.b)
+	c.Bool(&f.t)
+	c.Bytes(&f.p)
+	c.Bytes(&f.none)
+	c.String(&f.s)
+	List(c, &f.list, 1, 1)
+	for i := 1; i < len(f.list); i++ {
+		c.Uvarint(&f.list[i])
 	}
 }
 
-// TestReaderRefuses: truncated input, second spellings of a value and counts
-// the input cannot hold all fail with ErrCorrupt; the first failure sticks
-// and later reads return zero without panicking.
-func TestReaderRefuses(t *testing.T) {
-	for name, tc := range map[string]struct {
-		in   []byte
-		read func(*Reader)
-	}{
-		"empty byte":         {nil, func(r *Reader) { r.Byte() }},
-		"short uint64":       {make([]byte, 7), func(r *Reader) { r.Uint64() }},
-		"truncated varint":   {[]byte{0x80}, func(r *Reader) { r.Uvarint() }},
-		"padded varint":      {[]byte{0x80, 0x00}, func(r *Reader) { r.Uvarint() }},
-		"overlong varint":    {[]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02}, func(r *Reader) { r.Uvarint() }},
-		"bool 2":             {[]byte{2}, func(r *Reader) { r.Bool() }},
-		"bytes past the end": {[]byte{3, 'a', 'b'}, func(r *Reader) { r.Bytes() }},
-		"count past the end": {[]byte{4, 0, 0, 0, 0, 0, 0}, func(r *Reader) { r.Count(2) }},
-		"huge count":         {AppendUvarint(nil, math.MaxUint64), func(r *Reader) { r.Count(1) }},
-		"negative next":      {[]byte{1}, func(r *Reader) { r.Next(-1) }},
+// TestRoundTrip: every method's encoding decodes back into an empty value
+// through the same walk, leaving nothing unread, and the decoded value
+// re-encodes to the same bytes. Decoding copies byte strings out of the
+// input, and an empty one stays nil.
+func TestRoundTrip(t *testing.T) {
+	for _, in := range []fields{
+		{u: math.MaxUint64, v: math.MinInt64, u8: 0xdeadbeefcafef00d, i: math.MaxInt, n: 1,
+			b: 7, t: true, p: []byte("abc"), s: "déjà", list: []uint64{99, 1, math.MaxUint64}},
+		{v: -1, list: []uint64{5}},
+		{v: math.MaxInt64, list: []uint64{7}},
 	} {
-		r := NewReader(tc.in)
-		tc.read(r)
-		if !errors.Is(r.Err(), ErrCorrupt) {
-			t.Errorf("%s: err = %v, want ErrCorrupt", name, r.Err())
+		enc := NewEncoder([]byte("prefix"))
+		if in.state(enc); enc.Err() != nil || enc.Decoding() {
+			t.Fatalf("encoding: err %v, decoding %v", enc.Err(), enc.Decoding())
 		}
-		first := r.Err()
-		r.Fail("a later failure")
-		if v := r.Uvarint() + uint64(r.Byte()) + r.Uint64() + uint64(len(r.Bytes())); v != 0 || r.Len() != 0 || r.Err() != first {
-			t.Errorf("%s: a failed reader returned %d with %d bytes left and err %v", name, v, r.Len(), r.Err())
+		b := enc.Buf()
+		if !bytes.HasPrefix(b, []byte("prefix")) {
+			t.Fatalf("the encoder did not append to its buffer: %q", b)
+		}
+		input := bytes.Clone(b[len("prefix"):])
+		dec := NewDecoder(input)
+		var out fields
+		if out.state(dec); dec.Err() != nil || !dec.Decoding() || len(dec.Buf()) != 0 {
+			t.Fatalf("decoding: err %v, %d bytes unread", dec.Err(), len(dec.Buf()))
+		}
+		clear(input) // what decoded must not alias it
+		want := in
+		want.list = append([]uint64{0}, in.list[1:]...) // the head is not coded
+		if out.u != want.u || out.v != want.v || out.u8 != want.u8 || out.i != want.i || out.n != want.n ||
+			out.b != want.b || out.t != want.t || string(out.p) != string(want.p) || out.none != nil ||
+			out.s != want.s || len(out.list) != len(want.list) || (len(want.list) > 1 && out.list[1] != want.list[1]) {
+			t.Errorf("decoded %+v, want %+v", out, want)
+		}
+		again := NewEncoder(nil)
+		if out.state(again); !bytes.Equal(again.Buf(), b[len("prefix"):]) {
+			t.Errorf("the decoded value re-encodes to %x, want %x", again.Buf(), b[len("prefix"):])
 		}
 	}
-	if r := NewReader([]byte{3, 0, 0, 0, 0, 0, 0}); r.Count(2) != 3 || r.Err() != nil {
-		t.Errorf("a count its elements fit behind was refused: %v", r.Err())
+}
+
+// TestEncoderFail: Fail works while encoding, and the first failure sticks;
+// encoding a negative int fails.
+func TestEncoderFail(t *testing.T) {
+	c := NewEncoder(nil)
+	neg := -1
+	c.Int(&neg)
+	first := c.Err()
+	c.Fail("a later failure")
+	if first == nil || c.Err() != first {
+		t.Errorf("after encoding -1: err %v, then %v", first, c.Err())
+	}
+	c = NewEncoder(nil)
+	c.Fail("refused %d", 3)
+	if c.Err() == nil || c.Err().Error() != "refused 3" {
+		t.Errorf("Fail while encoding: %v", c.Err())
+	}
+}
+
+// TestDecoderRefuses: truncated input, second spellings of a value, ints
+// above math.MaxInt and counts the input cannot hold all fail with
+// ErrCorrupt or a range error; the first failure sticks and later fields
+// decode as zero without panicking.
+func TestDecoderRefuses(t *testing.T) {
+	var u uint64
+	var i int
+	var b uint8
+	var flag bool
+	var p []byte
+	var s string
+	var list []int
+	maxInt := NewEncoder(nil)
+	big := uint64(math.MaxInt) + 1
+	maxInt.Uvarint(&big)
+	for name, tc := range map[string]struct {
+		in      []byte
+		decode  func(*Codec)
+		corrupt bool
+	}{
+		"empty byte":          {nil, func(c *Codec) { c.Byte(&b) }, true},
+		"short uint64":        {make([]byte, 7), func(c *Codec) { c.Uint64(&u) }, true},
+		"truncated varint":    {[]byte{0x80}, func(c *Codec) { c.Uvarint(&u) }, true},
+		"padded varint":       {[]byte{0x80, 0x00}, func(c *Codec) { c.Uvarint(&u) }, true},
+		"padded varint (int)": {[]byte{0x81, 0x00}, func(c *Codec) { c.Varint(new(int64)) }, true},
+		"overlong varint":     {[]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02}, func(c *Codec) { c.Uvarint(&u) }, true},
+		"bool 2":              {[]byte{2}, func(c *Codec) { c.Bool(&flag) }, true},
+		"bytes past the end":  {[]byte{3, 'a', 'b'}, func(c *Codec) { c.Bytes(&p) }, true},
+		"string past the end": {[]byte{3, 'a', 'b'}, func(c *Codec) { c.String(&s) }, true},
+		"len past the end":    {[]byte{4, 0, 0, 0, 0, 0, 0}, func(c *Codec) { c.Len(&i, 2) }, true},
+		"list past the end":   {[]byte{4, 0, 0, 0, 0, 0, 0}, func(c *Codec) { List(c, &list, 0, 2) }, true},
+		"int above MaxInt":    {maxInt.Buf(), func(c *Codec) { c.Int(&i) }, false},
+		"len above MaxInt":    {maxInt.Buf(), func(c *Codec) { c.Len(&i, 1) }, false},
+	} {
+		c := NewDecoder(tc.in)
+		tc.decode(c)
+		if c.Err() == nil || errors.Is(c.Err(), ErrCorrupt) != tc.corrupt {
+			t.Errorf("%s: err = %v, want ErrCorrupt %v", name, c.Err(), tc.corrupt)
+		}
+		first := c.Err()
+		c.Fail("a later failure")
+		u, i, b, flag, p, s, list = 1, 1, 1, true, []byte{1}, "x", nil
+		c.Uvarint(&u)
+		c.Int(&i)
+		c.Byte(&b)
+		c.Bool(&flag)
+		c.Bytes(&p)
+		c.String(&s)
+		List(c, &list, 0, 1)
+		if u != 0 || i != 0 || b != 0 || flag || len(p) != 0 || s != "" || len(list) != 0 || len(c.Buf()) != 0 || c.Err() != first {
+			t.Errorf("%s: a failed decoder returned %d %d %d %v %q %q %v with %d bytes left and err %v",
+				name, u, i, b, flag, p, s, list, len(c.Buf()), c.Err())
+		}
+	}
+	c := NewDecoder([]byte{3, 0, 0, 0, 0, 0, 0})
+	if c.Len(&i, 2); i != 3 || c.Err() != nil {
+		t.Errorf("a count its elements fit behind was refused: %v", c.Err())
 	}
 }

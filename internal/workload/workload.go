@@ -225,10 +225,6 @@ func (r *Result) finish() {
 	r.TotalNS = machine.CyclesToNS(float64(r.TotalCycles))
 }
 
-// quiesceBudget bounds the phase-barrier drain, same rationale as the
-// machine's FinishChecks drain budget.
-const quiesceBudget = 1 << 16
-
 func defaultPhaseBudget(expected uint64) uint64 { return 400_000 + 64*expected }
 
 // Progress is a run's driver-level position, captured alongside a machine
@@ -253,9 +249,8 @@ type Progress struct {
 }
 
 // finishPhase runs the fabric until every expected delivery of an
-// already-injected phase has arrived, then steps until quiescence — the
-// phase barrier. Stepping manually keeps the observed quiescence cycle
-// engine-invariant.
+// already-injected phase has arrived, then drains the machine — the phase
+// barrier.
 func finishPhase(m *machine.Machine, ts, idx int, maxPhaseCycles uint64, before, injected, expected, start uint64) (PhaseResult, error) {
 	if expected > 0 {
 		budget := maxPhaseCycles
@@ -266,11 +261,8 @@ func finishPhase(m *machine.Machine, ts, idx int, maxPhaseCycles uint64, before,
 			return PhaseResult{}, fmt.Errorf("workload: %s phase (timestep %d): %w", phaseName(idx), ts, err)
 		}
 	}
-	for i := 0; i < quiesceBudget && !m.Quiet(); i++ {
-		m.Engine.Step()
-	}
-	if !m.Quiet() {
-		return PhaseResult{}, fmt.Errorf("workload: %s phase (timestep %d) failed to quiesce within %d cycles", phaseName(idx), ts, quiesceBudget)
+	if !m.Drain() {
+		return PhaseResult{}, fmt.Errorf("workload: %s phase (timestep %d) failed to quiesce within the drain budget", phaseName(idx), ts)
 	}
 	end := m.Engine.Now()
 	return PhaseResult{

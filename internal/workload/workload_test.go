@@ -39,7 +39,7 @@ func runOnce(t *testing.T, shape topo.TorusShape, spec workload.Spec, rec *trace
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !m.Quiet() {
+	if end := m.Engine.Now(); !m.Drain() || m.Engine.Now() != end {
 		t.Fatal("fabric not quiescent after the final phase barrier")
 	}
 	return res
