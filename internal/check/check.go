@@ -347,7 +347,7 @@ func (s *Suite) Finish(now uint64, quiesced bool) {
 // counts, and the violation count with the least violation. What it keeps
 // per packet, the packet's record holds. Decoding fills a fresh suite.
 func (s *Suite) State(c *wire.Codec) {
-	for _, a := range s.ledger() {
+	for _, a := range [...]*atomic.Uint64{&s.injected, &s.cloned, &s.delivered, &s.freed} {
 		v := a.Load()
 		c.Uvarint(&v)
 		a.Store(v)
@@ -374,8 +374,4 @@ func (s *Suite) State(c *wire.Codec) {
 		c.String(&s.least.Checker)
 		c.String(&s.least.Msg)
 	}
-}
-
-func (s *Suite) ledger() [4]*atomic.Uint64 {
-	return [...]*atomic.Uint64{&s.injected, &s.cloned, &s.delivered, &s.freed}
 }

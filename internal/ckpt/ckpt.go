@@ -125,7 +125,7 @@ func (c *Checkpoint) AppendEncode(b []byte) ([]byte, error) {
 
 // Decode parses and validates exactly one checkpoint. It never panics on
 // arbitrary input, and for any input x accepted by Decode, Encode(Decode(x))
-// is x.
+// is x. The sections of the result are copies, so data may be reused.
 func Decode(data []byte) (*Checkpoint, error) {
 	body, err := Unseal(data)
 	if err != nil {

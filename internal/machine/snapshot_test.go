@@ -365,8 +365,9 @@ func fuzzConfig(i uint8) (maskScenario, Config) {
 // checked 2x2x2 machine: the uniform one under inverse-weighted arbiters, the
 // transient fault mix, the multicast one, and the fault mix with a telemetry
 // collector, which traces node 0's first packets. Each file is that
-// machine's FuzzSnapshotRestore seed at cycle 40, as the commit that added it
-// wrote it; goldenCkpt wraps the uniform machine's in a checkpoint record.
+// machine's FuzzSnapshotRestore seed at cycle 40 (goldenRecipe), as the
+// commit that added it wrote it; goldenCkpt wraps the uniform machine's in a
+// checkpoint record.
 var goldenRecords = []struct {
 	file string
 	sc   maskScenario
@@ -379,6 +380,16 @@ var goldenRecords = []struct {
 }
 
 const goldenCkpt = "uniform.ckpt.bin"
+
+// goldenRecipe returns the record of fuzzConfig(k)'s machine 40 cycles after
+// its scenario's traffic was injected.
+func goldenRecipe(tb testing.TB, k uint8) (now uint64, record []byte) {
+	sc, cfg := fuzzConfig(k)
+	m := MustNew(cfg)
+	sc.inject(m)
+	m.Engine.Run(40)
+	return m.Engine.Now(), mustSnapshot(tb, m)
+}
 
 func readGolden(tb testing.TB, file string) []byte {
 	tb.Helper()
@@ -393,9 +404,12 @@ func readGolden(tb testing.TB, file string) []byte {
 // built machines of their configs, re-encode to the same bytes and run on 50
 // cycles, then drain, with the invariant suite reporting no violation. The
 // checkpoint record likewise decodes, re-encodes to itself and carries a
-// snapshot that restores. This pins the record bytes across any rewrite of
-// the codec: a change to them must come with a new snapshotVersion and new
-// files.
+// snapshot that restores. Their recipes still write the same bytes, which a
+// codec that swaps two fields symmetrically, and so round-trips, would not.
+// This pins the record bytes across any rewrite of the codec: a change to
+// them comes with a new snapshotVersion and new files. (A simulator change
+// that moves the state at cycle 40 fails only the recipe comparison; it
+// rewrites the files from goldenRecipe once the old ones have restored.)
 func TestSnapshotGolden(t *testing.T) {
 	runOn := func(name string, m *Machine, data []byte) {
 		if m.Injected() == m.Delivered() {
@@ -411,7 +425,11 @@ func TestSnapshotGolden(t *testing.T) {
 	}
 	for j, g := range goldenRecords {
 		data := readGolden(t, g.file)
-		_, cfg := fuzzConfig(uint8(len(maskScenarios) + j))
+		k := uint8(len(maskScenarios) + j)
+		if _, rec := goldenRecipe(t, k); !bytes.Equal(rec, data) {
+			t.Errorf("%s: its recipe writes %d bytes that differ from the %d on file", g.file, len(rec), len(data))
+		}
+		_, cfg := fuzzConfig(k)
 		m := MustNew(cfg)
 		if err := m.RestoreSnapshot(data); err != nil {
 			t.Fatalf("%s: %v", g.file, err)
@@ -426,6 +444,10 @@ func TestSnapshotGolden(t *testing.T) {
 	}
 	if again, err := c.Encode(); err != nil || !bytes.Equal(again, rec) {
 		t.Errorf("%s re-encodes to different bytes (%v)", goldenCkpt, err)
+	}
+	now, snap := goldenRecipe(t, 0)
+	if again, err := ckpt.New("golden", now).Add("machine", snap).Add("driver", []byte(`{"golden":true}`)).Encode(); err != nil || !bytes.Equal(again, rec) {
+		t.Errorf("%s: its recipe writes different bytes (%v)", goldenCkpt, err)
 	}
 	data, ok := c.Section("machine")
 	if !ok {
