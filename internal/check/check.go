@@ -281,10 +281,10 @@ func (s *Suite) live() int64 {
 func (s *Suite) scan(now uint64) {
 	census := int64(s.env.Queued())
 	for _, ch := range s.env.Channels {
-		// Census-exempt channels (reliable links under fault injection)
-		// may hold duplicate transmissions of one logical packet; their
-		// retransmission windows are accounted in Queued instead.
-		if !ch.CensusExempt {
+		// Reliable channels (fault injection) may hold duplicate
+		// transmissions of one logical packet; their retransmission
+		// windows are accounted in Queued instead.
+		if !ch.Reliable() {
 			census += int64(ch.InFlight())
 		}
 	}

@@ -10,10 +10,46 @@ import (
 	"anton2/internal/exp"
 	"anton2/internal/fault"
 	"anton2/internal/machine"
+	"anton2/internal/route"
 	"anton2/internal/telemetry"
 	"anton2/internal/topo"
 	"anton2/internal/traffic"
 )
+
+// TestShardedFaultFatalMatchesSerial: a run that dies of a fatal fault
+// returns the error a serial run returns, however its shards are stepped.
+// With 32 of a 4x4x4 machine's torus links failed, vcless cannot route some
+// uniform pairs, so endpoints of different shards raise in the same cycle and
+// their workers race for the lock; the least (cycle, component id) must win.
+func TestShardedFaultFatalMatchesSerial(t *testing.T) {
+	run := func(seed uint64, shards int, parallel func(now uint64) bool) error {
+		mc := machine.DefaultConfig(topo.Shape3(4, 4, 4))
+		mc.Scheme, mc.Fault = route.VClessScheme{}, &fault.Spec{FailLinks: 32}
+		mc.Seed, mc.Shards = seed, shards
+		machineBuilt = func(m *machine.Machine) { m.Engine.ForceParallelForTest(parallel) }
+		defer func() { machineBuilt = nil }()
+		_, err := RunThroughput(ThroughputConfig{Machine: mc, Pattern: traffic.Uniform{}, Batch: 8})
+		return err
+	}
+	modes := []struct {
+		name     string
+		parallel func(now uint64) bool
+	}{
+		{"parallel", func(uint64) bool { return true }},
+		{"alternating", func(now uint64) bool { return now&1 == 1 }},
+	}
+	for seed := uint64(4); seed <= 6; seed++ {
+		want := run(seed, 1, nil)
+		if want == nil {
+			t.Fatalf("seed %d: the serial run did not fail", seed)
+		}
+		for _, mode := range modes {
+			if got := run(seed, 4, mode.parallel); got == nil || got.Error() != want.Error() {
+				t.Errorf("seed %d, 4 shards %s: %v\nwant the serial run's %v", seed, mode.name, got, want)
+			}
+		}
+	}
+}
 
 // TestFaultSweepDegradesGracefully runs a small corruption-rate sweep and
 // checks the shape of the results: every point completes, delivers the full

@@ -99,21 +99,19 @@ type Channel struct {
 	// sits with the fields every send touches; what it gates is kept last.
 	deferred bool
 	sentAny  bool
-	// CensusExempt marks a channel whose in-flight packets are accounted
-	// for by a reliable-link retransmission window instead of the pipe
-	// census (the pipe may hold duplicates of one logical packet).
-	CensusExempt bool
-	Group        topo.Group
+	Group    topo.Group
 
 	ID          int // global channel id (topo.Machine space), -1 if synthetic
 	Name        string
 	lost        []int // credits dropped and not yet restored, per VC
+	link        *link // the link layer of a reliable channel (EnableLink), nil on a lossless one
 	prevPayload []byte
-	// A deferred channel stages its sends and credit returns here during
-	// the parallel phase of a sharded cycle and files itself on the staging
-	// shard's list (sndStage for the sending end, recvStage for the
-	// receiving one), which the coordinator flushes — with the original
-	// arrival cycles — at the phase barrier.
+	// A deferred channel stages its sends and credit returns — and, when
+	// reliable, its frame headers and acks — here during the parallel phase
+	// of a sharded cycle and files itself on the staging shard's list
+	// (sndStage for the sending end, recvStage for the receiving one), which
+	// the coordinator flushes — with the original arrival cycles — at the
+	// phase barrier.
 	sndStage, recvStage *StageList
 	stagedPkts          []stagedPkt
 	stagedCreds         []stagedCred
@@ -130,6 +128,43 @@ type stagedPkt struct {
 type stagedCred struct {
 	at  uint64
 	msg creditMsg
+}
+
+// Header is the link-layer framing of one transmission on a reliable
+// channel: its sequence number, wire VC and CRC verdict. It travels beside
+// the packet rather than in it: a retransmission may resend a packet whose
+// routing state has already advanced downstream, so per-transmission state
+// must live outside the packet.
+type Header struct {
+	Seq     uint64
+	VC      uint8
+	Corrupt bool
+}
+
+// Ctrl is one ack or nack on a reliable channel's reverse path, carrying the
+// receiver's next expected sequence (cumulative). Control messages ride a
+// lossless pipe: real hardware protects them with their own CRC and repeats
+// cumulative state, so modeling their loss adds latency but no new protocol
+// states.
+type Ctrl struct {
+	Seq  uint64
+	Nack bool
+}
+
+type stagedAck struct {
+	at uint64
+	c  Ctrl
+}
+
+// link is what a reliable channel carries besides its packets: the header of
+// every frame in the packet pipe, in a pipe kept in lockstep with it (same
+// entries, same arrival cycles), and the ack/nack pipe back to the sender.
+// Each stages like the pipe it shadows; stagedHdrs parallels stagedPkts.
+type link struct {
+	hdrs       sim.Pipe[Header]
+	ctrl       sim.Pipe[Ctrl]
+	stagedHdrs []Header
+	stagedAcks []stagedAck
 }
 
 // Config sizes a channel.
@@ -216,6 +251,16 @@ func (ch *Channel) pushCredit(at uint64, msg creditMsg) {
 	}
 }
 
+// pushCtrl is the only place an ack or nack enters the control pipe:
+// enqueue and wake the sender at the arrival cycle. The sender polls the
+// pipe on every tick, so no ready bit is involved.
+func (ch *Channel) pushCtrl(at uint64, c Ctrl) {
+	ch.link.ctrl.SendAt(at, c)
+	if ch.sndE != nil {
+		ch.sndE.Wake(int(ch.sndID), at)
+	}
+}
+
 // WakeSender wakes the bound sending component at the given cycle. The fault
 // layer uses it when a credit-resync audit restores sender-side credits
 // outside the normal credit pipe.
@@ -251,10 +296,21 @@ func (ch *Channel) SetDeferred(snd, recv *StageList) {
 	ch.deferred, ch.sndStage, ch.recvStage = true, snd, recv
 }
 
-// flushStaged moves staged sends and credit returns into the pipes (setting
-// ready bits and issuing wakes as a direct send would). A channel both of
-// whose ends staged is on two lists; its second flush finds nothing.
+// flushStaged moves staged sends, credit returns, headers and acks into the
+// pipes (setting ready bits and issuing wakes as a direct send would); a
+// header enters with its packet's arrival cycle. A channel both of whose ends
+// staged is on two lists; its second flush finds nothing.
 func (ch *Channel) flushStaged() {
+	if l := ch.link; l != nil {
+		for i, h := range l.stagedHdrs {
+			l.hdrs.SendAt(ch.stagedPkts[i].at, h)
+		}
+		l.stagedHdrs = l.stagedHdrs[:0]
+		for _, s := range l.stagedAcks {
+			ch.pushCtrl(s.at, s.c)
+		}
+		l.stagedAcks = l.stagedAcks[:0]
+	}
 	for i := range ch.stagedPkts {
 		s := &ch.stagedPkts[i]
 		ch.pushPkt(s.at, s.p)
@@ -310,12 +366,22 @@ func (ch *Channel) Send(now uint64, p *packet.Packet, vc uint8) uint64 {
 	return ch.transmit(now, p, vc)
 }
 
-// Resend retransmits a packet on vc without touching the packet's mutable
-// routing state: the original copy may already have been accepted downstream
-// and moved on, so a retransmission must treat the packet as read-only. Only
-// the reliable-link layer calls this.
-func (ch *Channel) Resend(now uint64, p *packet.Packet, vc uint8) uint64 {
-	return ch.transmit(now, p, vc)
+// SendFrame forwards a packet on a reliable channel as one frame under the
+// link-layer header h, on the wire VC h.VC, and returns the arrival cycle;
+// the header arrives with the packet. Unlike Send it leaves the packet's
+// routing state alone: a retransmission's original copy may already have
+// been accepted downstream and moved on, so the packet is read-only here, and
+// a fresh frame's sender sets CurVC itself. Every send on a reliable channel
+// goes through SendFrame, which keeps the header pipe in lockstep with the
+// packet pipe.
+func (ch *Channel) SendFrame(now uint64, p *packet.Packet, h Header) uint64 {
+	at := ch.transmit(now, p, h.VC)
+	if l := ch.link; ch.deferred && ch.sndE.Parallel() {
+		l.stagedHdrs = append(l.stagedHdrs, h)
+	} else {
+		l.hdrs.SendAt(at, h)
+	}
+	return at
 }
 
 func (ch *Channel) transmit(now uint64, p *packet.Packet, vc uint8) uint64 {
@@ -381,6 +447,14 @@ func (ch *Channel) Recv(now uint64) (*packet.Packet, bool) {
 	return p, ok
 }
 
+// RecvHeader returns the header of the frame Recv just returned on a reliable
+// channel. The two pipes are written together with the same arrival cycles,
+// so the header is there whenever its packet was.
+func (ch *Channel) RecvHeader(now uint64) Header {
+	h, _ := ch.link.hdrs.Poll(now)
+	return h
+}
+
 // ReturnCredit informs the sender that flits of buffer space freed on vc.
 func (ch *Channel) ReturnCredit(now uint64, vc uint8, flits uint8) {
 	if ch.DropCredit != nil && ch.DropCredit(vc, flits) {
@@ -389,14 +463,48 @@ func (ch *Channel) ReturnCredit(now uint64, vc uint8, flits uint8) {
 	}
 	at, msg := now+ch.credits.Latency(), creditMsg{vc: vc, flits: flits}
 	if ch.deferred && ch.recvE.Parallel() {
-		if len(ch.stagedCreds) == 0 {
-			ch.recvStage.chans = append(ch.recvStage.chans, ch)
-		}
+		ch.fileRecv()
 		ch.stagedCreds = append(ch.stagedCreds, stagedCred{at: at, msg: msg})
 		return
 	}
 	ch.pushCredit(at, msg)
 }
+
+// fileRecv files the channel on the receiving shard's list when its
+// receiving end is about to stage the cycle's first credit or ack.
+func (ch *Channel) fileRecv() {
+	if len(ch.stagedCreds) == 0 && (ch.link == nil || len(ch.link.stagedAcks) == 0) {
+		ch.recvStage.chans = append(ch.recvStage.chans, ch)
+	}
+}
+
+// EnableLink makes the channel reliable: it gains a header pipe beside its
+// packet pipe and an ack/nack pipe of the same latency back to the sender.
+// A reliable channel's pipe may hold duplicate transmissions of one logical
+// packet, so the conservation census skips it (Reliable) and counts the
+// link's retransmission window instead.
+func (ch *Channel) EnableLink() {
+	ch.link = &link{hdrs: sim.MakePipe[Header](ch.latency), ctrl: sim.MakePipe[Ctrl](ch.latency)}
+}
+
+// Reliable reports whether EnableLink was called.
+func (ch *Channel) Reliable() bool { return ch.link != nil }
+
+// SendCtrl returns an ack or nack to the sender of a reliable channel.
+func (ch *Channel) SendCtrl(now uint64, c Ctrl) {
+	l := ch.link
+	at := now + l.ctrl.Latency()
+	if ch.deferred && ch.recvE.Parallel() {
+		ch.fileRecv()
+		l.stagedAcks = append(l.stagedAcks, stagedAck{at: at, c: c})
+		return
+	}
+	ch.pushCtrl(at, c)
+}
+
+// RecvCtrl polls a reliable channel's ack/nack pipe for a message arrived by
+// cycle now. The sending component calls it on every tick.
+func (ch *Channel) RecvCtrl(now uint64) (Ctrl, bool) { return ch.link.ctrl.Poll(now) }
 
 // EnableCreditLoss installs a credit-drop predicate and allocates the
 // lost-credit ledger the resync audit restores from.
@@ -436,8 +544,11 @@ func (ch *Channel) SetStall(until uint64) { ch.stallUntil = until }
 // Stalled reports whether the channel is refusing new frames at cycle now.
 func (ch *Channel) Stalled(now uint64) bool { return ch.stallUntil > now }
 
-// Quiet reports whether the channel holds no in-flight packets or credits.
-func (ch *Channel) Quiet() bool { return ch.pkts.Empty() && ch.credits.Empty() }
+// Quiet reports whether the channel holds no in-flight packets, credits or
+// acks.
+func (ch *Channel) Quiet() bool {
+	return ch.pkts.Empty() && ch.credits.Empty() && (ch.link == nil || ch.link.ctrl.Empty())
+}
 
 // BufFlits returns the downstream per-VC buffer capacity in flits. It is the
 // upper bound a sender-side credit counter may ever reach.

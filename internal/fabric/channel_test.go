@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -321,53 +322,91 @@ type tickFn func(now uint64)
 func (f tickFn) Tick(now uint64) { f(now) }
 
 // TestChannelStaging: a shard-crossing channel stages its sends and credit
-// returns only while shard workers run — touching neither mask word and filing
-// itself once on each staging shard's list, which the barrier flushes — and in
-// a serially stepped cycle of the same engine puts both straight into the
-// pipes. Either way the cycle ends in the same state.
+// returns — and, when reliable, its frame headers and acks — only while shard
+// workers run, touching neither mask word and filing itself once on each
+// staging shard's list, which the barrier flushes with the arrival cycles of
+// the sends; in a serially stepped cycle of the same engine it puts all of it
+// straight into the pipes. Either way the cycle ends in the same state.
 func TestChannelStaging(t *testing.T) {
-	for _, parallel := range []bool{false, true} {
-		var inMask, credMask uint32
-		var snd, recv StageList
-		e := sim.NewEngineMode(sim.ModeActive)
-		ch := meshChan(false)
-		ch.SetDeferred(&snd, &recv)
-		sender := e.Register(tickFn(func(now uint64) {
-			if now == 0 {
-				ch.Send(now, pkt(1), 0)
+	for _, reliable := range []bool{false, true} {
+		for _, parallel := range []bool{false, true} {
+			name := fmt.Sprintf("reliable=%v parallel=%v", reliable, parallel)
+			var inMask, credMask uint32
+			var snd, recv StageList
+			e := sim.NewEngineMode(sim.ModeActive)
+			ch := meshChan(false)
+			ch.SetDeferred(&snd, &recv)
+			hdr, ack := Header{Seq: 7, VC: 2, Corrupt: true}, Ctrl{Seq: 5, Nack: true}
+			if reliable {
+				ch.EnableLink()
 			}
-		}))
-		receiver := e.Register(tickFn(func(now uint64) {
-			if now == 0 {
+			linkLens := func() (hdrs, ctrl int) {
+				if reliable {
+					return ch.link.hdrs.Len(), ch.link.ctrl.Len()
+				}
+				return 0, 0
+			}
+			sender := e.Register(tickFn(func(now uint64) {
+				if now != 0 {
+					return
+				}
+				if reliable {
+					ch.SendFrame(now, pkt(1), hdr)
+				} else {
+					ch.Send(now, pkt(1), 0)
+				}
+			}))
+			receiver := e.Register(tickFn(func(now uint64) {
+				if now != 0 {
+					return
+				}
+				if reliable {
+					ch.SendCtrl(now, ack)
+				}
 				ch.ReturnCredit(now, 1, 1)
 				ch.ReturnCredit(now, 2, 1)
+			}))
+			ch.BindSender(e, sender, &credMask, 5)
+			ch.BindReceiver(e, receiver, &inMask, 3)
+			merged := false
+			e.ConfigureShards([]sim.ShardRange{{Lo: 0, Hi: 1}, {Lo: 1, Hi: 2}}, 0, func(uint64) {
+				merged = true
+				if hdrs, ctrl := linkLens(); inMask|credMask != 0 || ch.InFlight()+ch.CreditsInFlight()+hdrs+ctrl != 0 {
+					t.Errorf("%s: staged traffic reached the pipes before the barrier: inMask %#x credMask %#x", name, inMask, credMask)
+				}
+				if len(snd.chans) != 1 || len(recv.chans) != 1 {
+					t.Errorf("%s: stage lists hold %d and %d channels, want 1 and 1", name, len(snd.chans), len(recv.chans))
+				}
+				snd.Flush()
+				recv.Flush()
+			})
+			e.ForceParallelForTest(func(uint64) bool { return parallel })
+			e.Step()
+			if merged != parallel {
+				t.Fatalf("%s: merge ran %v", name, merged)
 			}
-		}))
-		ch.BindSender(e, sender, &credMask, 5)
-		ch.BindReceiver(e, receiver, &inMask, 3)
-		merged := false
-		e.ConfigureShards([]sim.ShardRange{{Lo: 0, Hi: 1}, {Lo: 1, Hi: 2}}, 0, func(uint64) {
-			merged = true
-			if inMask|credMask != 0 || ch.InFlight() != 0 || ch.CreditsInFlight() != 0 {
-				t.Errorf("staged traffic reached the pipes before the barrier: inMask %#x credMask %#x", inMask, credMask)
+			if inMask != 1<<3 || credMask != 1<<5 || ch.InFlight() != 1 || ch.CreditsInFlight() != 2 {
+				t.Errorf("%s: after the cycle inMask %#x credMask %#x, %d packets and %d credits in flight; want %#x %#x 1 2",
+					name, inMask, credMask, ch.InFlight(), ch.CreditsInFlight(), 1<<3, 1<<5)
 			}
-			if len(snd.chans) != 1 || len(recv.chans) != 1 {
-				t.Errorf("stage lists hold %d and %d channels, want 1 and 1", len(snd.chans), len(recv.chans))
+			if len(snd.chans)+len(recv.chans) != 0 {
+				t.Errorf("%s: stage lists not emptied", name)
 			}
-			snd.Flush()
-			recv.Flush()
-		})
-		e.ForceParallelForTest(func(uint64) bool { return parallel })
-		e.Step()
-		if merged != parallel {
-			t.Fatalf("parallel=%v: merge ran %v", parallel, merged)
-		}
-		if inMask != 1<<3 || credMask != 1<<5 || ch.InFlight() != 1 || ch.CreditsInFlight() != 2 {
-			t.Errorf("parallel=%v: after the cycle inMask %#x credMask %#x, %d packets and %d credits in flight; want %#x %#x 1 2",
-				parallel, inMask, credMask, ch.InFlight(), ch.CreditsInFlight(), 1<<3, 1<<5)
-		}
-		if len(snd.chans)+len(recv.chans) != 0 {
-			t.Errorf("parallel=%v: stage lists not emptied", parallel)
+			if !reliable {
+				continue
+			}
+			if hdrs, ctrl := linkLens(); hdrs != 1 || ctrl != 1 || ch.link.hdrs.At(0) != ch.pkts.At(0) {
+				t.Fatalf("%s: %d headers and %d acks in flight, want 1 and 1 with the header due with its packet", name, hdrs, ctrl)
+			}
+			if _, ok := ch.Recv(1); !ok {
+				t.Fatalf("%s: the frame is not due at cycle 1", name)
+			}
+			if h := ch.RecvHeader(1); h != hdr {
+				t.Errorf("%s: header %+v, want %+v", name, h, hdr)
+			}
+			if c, ok := ch.RecvCtrl(1); !ok || c != ack {
+				t.Errorf("%s: ack %+v (%v), want %+v at cycle 1", name, c, ok, ack)
+			}
 		}
 	}
 }

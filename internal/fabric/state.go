@@ -12,9 +12,9 @@ import (
 // rebuilt by constructing the machine fresh and is deliberately absent.
 //
 // Packets are shared pointers: the same *packet.Packet can sit in a
-// retransmission window and in the pipe at once (Resend), so the machine
-// snapshot layer owns packet identity and the record holds indices into its
-// packet table.
+// retransmission window and in the pipe at once (a resent frame), so the
+// machine snapshot layer owns packet identity and the record holds indices
+// into its packet table.
 
 // State codes the channel's mutable state; ref codes a packet reference
 // (never nil here) as an index into the snapshot's packet table and returns
@@ -24,9 +24,10 @@ import (
 // (empty pipes) and re-issues what the in-flight traffic implies: each
 // packet sets the bound receiver's ready bit and wakes it at its arrival
 // cycle, each credit likewise for the bound sender — the same
-// pushPkt/pushCredit the original Send/ReturnCredit went through.
+// pushPkt/pushCredit the original Send/ReturnCredit went through. A reliable
+// channel's headers and acks are in LinkState's record, not this one.
 func (ch *Channel) State(c *wire.Codec, ref func(p *packet.Packet, nilable bool) *packet.Packet) {
-	if len(ch.stagedPkts) != 0 || len(ch.stagedCreds) != 0 {
+	if len(ch.stagedPkts) != 0 || len(ch.stagedCreds) != 0 || ch.link != nil && len(ch.link.stagedAcks) != 0 {
 		c.Fail("fabric: %s: snapshot with staged traffic", ch.Name)
 		return
 	}
@@ -91,6 +92,39 @@ func (ch *Channel) State(c *wire.Codec, ref func(p *packet.Packet, nilable bool)
 			c.Fail("fabric: %s: credit entry for VC %d of %d", ch.Name, m.vc, ch.numVCs)
 		} else if c.Decoding() {
 			ch.pushCredit(at, m)
+		}
+	})
+}
+
+// LinkState codes a reliable channel's link-layer traffic: the header of
+// every frame in the packet pipe, in pipe order, then the ack/nack pipe. It
+// follows the channel's State in the machine record (after the go-back-N
+// state of its link), so decoding finds the packet pipe refilled and gives
+// each header its frame's arrival cycle; acks wake the bound sender as
+// SendCtrl's did.
+func (ch *Channel) LinkState(c *wire.Codec) {
+	l := ch.link
+	l.hdrs.State(c, 3, func(_ uint64, h Header) {
+		c.Uvarint(&h.Seq)
+		c.Byte(&h.VC)
+		c.Bool(&h.Corrupt)
+		if !c.Decoding() {
+			return
+		}
+		if n := l.hdrs.Len(); n == ch.pkts.Len() || h.VC >= ch.numVCs {
+			c.Fail("fabric: %s: header %d on VC %d, for %d frames of %d VCs", ch.Name, n, h.VC, ch.pkts.Len(), ch.numVCs)
+		} else {
+			l.hdrs.SendAt(ch.pkts.At(n), h)
+		}
+	})
+	if c.Decoding() && l.hdrs.Len() != ch.pkts.Len() {
+		c.Fail("fabric: %s: %d headers for %d frames", ch.Name, l.hdrs.Len(), ch.pkts.Len())
+	}
+	l.ctrl.State(c, 3, func(at uint64, m Ctrl) {
+		c.Uvarint(&at)
+		c.Uvarint(&m.Seq)
+		if c.Bool(&m.Nack); c.Decoding() {
+			ch.pushCtrl(at, m)
 		}
 	})
 }

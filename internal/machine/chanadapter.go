@@ -98,17 +98,13 @@ func newChannelAdapter(m *Machine, node int, id topo.AdapterID) *channelAdapter 
 }
 
 // bind registers the adapter for active-set wakeups and ready-mask bits:
-// packet arrivals on both receive sides, credit returns on both send sides,
-// and — when the link is reliable — ack/nack control arrivals on the outgoing
-// link's reverse pipe.
+// packet arrivals on both receive sides and credit returns — and, on a
+// reliable torusOut, acks and nacks — on both send sides.
 func (a *channelAdapter) bind() {
 	a.fromRouter.BindReceiver(a.m.Engine, a.cid, &a.inMask, inFromRouter)
 	a.torusIn.BindReceiver(a.m.Engine, a.cid, &a.inMask, inTorusIn)
 	a.torusOut.BindSender(a.m.Engine, a.cid, &a.credMask, credTorusOut)
 	a.toRouter.BindSender(a.m.Engine, a.cid, &a.credMask, credToRouter)
-	if a.rlOut != nil {
-		a.rlOut.sndE, a.rlOut.sndID = a.m.Engine, int32(a.cid)
-	}
 }
 
 // Tick implements sim.Component. In active-set mode the adapter re-arms
@@ -215,14 +211,12 @@ func (a *channelAdapter) tick(now uint64) {
 			outVC := a.eg[g].outVC
 			p := popVC(a.eg, &a.egOcc, uint8(g))
 			a.queued--
-			a.torusOut.Send(now, p, outVC)
 			if rl := a.rlOut; rl != nil {
-				corrupt := a.m.flt.inj.CorruptNext(rl.link)
-				if corrupt {
-					a.m.flt.cnt[a.shard].CorruptInjected++
-				}
-				rl.pushMeta(rl.snd.OnSend(now), outVC, corrupt)
+				p.CurVC = outVC
+				a.sendFrame(now, p, rl.snd.OnSend(now), outVC)
 				rl.win = append(rl.win, winEntry{p: p, vc: outVC})
+			} else {
+				a.torusOut.Send(now, p, outVC)
 			}
 			if a.m.checks != nil {
 				a.m.checks.OnSend(p, a.torusOut, outVC, now)
@@ -297,32 +291,32 @@ func (a *channelAdapter) tick(now uint64) {
 // acceptFrame runs the go-back-N receiver over one frame arriving on
 // torusIn and returns whether the packet is delivered upward. Dropped
 // frames (corrupt, out of order, or stale duplicates) release their buffer
-// space immediately on the frame's wire VC; only the frame metadata is
+// space immediately on the frame's wire VC; only the frame header is
 // consulted for that, because the packet pointer of a stale duplicate may
 // alias a packet that has long since moved on.
 func (a *channelAdapter) acceptFrame(now uint64, p *packet.Packet) bool {
 	rl := a.rlIn
 	flt := a.m.flt
-	mt := rl.popMeta()
-	if mt.corrupt {
+	h := a.torusIn.RecvHeader(now)
+	if h.Corrupt {
 		flt.cnt[a.shard].CorruptDetected++
 	}
-	v := rl.rcv.OnFrame(mt.seq, mt.corrupt)
+	v := rl.rcv.OnFrame(h.Seq, h.Corrupt)
 	switch {
 	case v.Ack:
-		rl.sendCtrl(now, linkCtrl{seq: v.Seq})
+		a.torusIn.SendCtrl(now, fabric.Ctrl{Seq: v.Seq})
 		flt.cnt[a.shard].Acks++
 	case v.Nack:
-		rl.sendCtrl(now, linkCtrl{seq: v.Seq, nack: true})
+		a.torusIn.SendCtrl(now, fabric.Ctrl{Seq: v.Seq, Nack: true})
 		flt.cnt[a.shard].Nacks++
 	}
 	if v.Accept {
 		return true
 	}
-	if !mt.corrupt && mt.seq < rl.rcv.Expected() {
+	if !h.Corrupt && h.Seq < rl.rcv.Expected() {
 		flt.cnt[a.shard].DupsDropped++
 	}
-	a.torusIn.ReturnCredit(now, mt.vc, p.Size)
+	a.torusIn.ReturnCredit(now, h.VC, p.Size)
 	a.m.Engine.ProgressAt(int(a.shard))
 	return false
 }
@@ -335,15 +329,15 @@ func (a *channelAdapter) reliableOutTick(now uint64) {
 	rl := a.rlOut
 	flt := a.m.flt
 	for {
-		c, ok := rl.ctrl.Poll(now)
+		c, ok := a.torusOut.RecvCtrl(now)
 		if !ok {
 			break
 		}
 		var released int
-		if c.nack {
-			released = rl.snd.OnNack(c.seq, now)
+		if c.Nack {
+			released = rl.snd.OnNack(c.Seq, now)
 		} else {
-			released = rl.snd.OnAck(c.seq, now)
+			released = rl.snd.OnAck(c.Seq, now)
 		}
 		if released > 0 {
 			rl.win = rl.win[:copy(rl.win, rl.win[released:])]
@@ -354,7 +348,7 @@ func (a *channelAdapter) reliableOutTick(now uint64) {
 		flt.cnt[a.shard].Timeouts++
 	}
 	if rl.snd.Dead() {
-		flt.setFatalShard(int(a.shard), &fault.BudgetError{Link: rl.ch.Name, Attempts: rl.snd.Attempts()})
+		flt.raise(now, a.cid, &fault.BudgetError{Link: a.torusOut.Name, Attempts: rl.snd.Attempts()})
 	}
 }
 
@@ -373,17 +367,22 @@ func (a *channelAdapter) tryRetransmit(now uint64) bool {
 	if !a.torusOut.CanSend(now, ent.vc, ent.p.Size) {
 		return false
 	}
-	flt := a.m.flt
-	corrupt := flt.inj.CorruptNext(rl.link)
-	if corrupt {
-		flt.cnt[a.shard].CorruptInjected++
-	}
-	a.torusOut.Resend(now, ent.p, ent.vc)
-	rl.pushMeta(seq, ent.vc, corrupt)
+	a.sendFrame(now, ent.p, seq, ent.vc)
 	rl.snd.OnRetx()
-	flt.cnt[a.shard].Retransmits++
+	a.m.flt.cnt[a.shard].Retransmits++
 	a.m.Engine.ProgressAt(int(a.shard))
 	return true
+}
+
+// sendFrame transmits p on the reliable torusOut as frame seq on wire VC vc,
+// with the corruption the injector draws for it.
+func (a *channelAdapter) sendFrame(now uint64, p *packet.Packet, seq uint64, vc uint8) {
+	flt := a.m.flt
+	h := fabric.Header{Seq: seq, VC: vc, Corrupt: flt.inj.CorruptNext(a.rlOut.link)}
+	if h.Corrupt {
+		flt.cnt[a.shard].CorruptInjected++
+	}
+	a.torusOut.SendFrame(now, p, h)
 }
 
 // ingHead returns the packet that would move next from an ingress queue: a

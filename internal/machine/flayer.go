@@ -9,7 +9,6 @@ import (
 	"anton2/internal/fabric"
 	"anton2/internal/fault"
 	"anton2/internal/packet"
-	"anton2/internal/sim"
 )
 
 // This file wires the internal/fault model into the machine: a faultLayer
@@ -22,26 +21,6 @@ import (
 // site is a single predicted branch, and simulation results are bit-identical
 // to a build without the layer.
 
-// linkCtrl is one ack/nack control message on a reliable link's reverse
-// channel. Control messages ride a lossless pipe: real hardware protects
-// them with their own CRC and repeats cumulative state, so modeling their
-// loss adds latency but no new protocol states.
-type linkCtrl struct {
-	seq  uint64 // the receiver's next expected sequence (cumulative)
-	nack bool
-}
-
-// frameMeta is the link-layer framing (sequence number, CRC verdict, wire
-// VC) of one in-flight frame. It travels in a FIFO kept in lockstep with the
-// channel's packet pipe rather than in the packet itself: a retransmission
-// may duplicate a packet pointer whose routing state has already advanced
-// downstream, so per-transmission state must live outside the packet.
-type frameMeta struct {
-	seq     uint64
-	vc      uint8
-	corrupt bool
-}
-
 // winEntry is one unacknowledged frame held in the sender's retransmission
 // buffer.
 type winEntry struct {
@@ -49,111 +28,18 @@ type winEntry struct {
 	vc uint8
 }
 
-// stagedCtrl is one ack/nack buffered on a shard-crossing link until the
-// phase barrier, with the arrival cycle it would have had if sent directly.
-type stagedCtrl struct {
-	at uint64
-	c  linkCtrl
-}
-
-// rlink is the reliable-link state for one torus channel: the go-back-N
-// sender (owned by the upstream adapter) and receiver (owned by the
-// downstream adapter), the retransmission window, the in-flight frame
-// metadata FIFO, and the reverse control pipe.
+// rlink is the go-back-N state of one reliable torus channel: the sender
+// (owned by the upstream adapter), the receiver (owned by the downstream
+// adapter) and the retransmission window. What travels on the wire — each
+// frame's header and the acks and nacks — is the channel's
+// (fabric.Channel.EnableLink), which stages it across shards like its packets.
 type rlink struct {
 	link int // dense torus link index (injector stream index)
-	ch   *fabric.Channel
 
 	snd fault.Sender
 	rcv fault.Receiver
 
-	win      []winEntry // frames base..next-1, in sequence order
-	meta     []frameMeta
-	metaHead int
-
-	ctrl *sim.Pipe[linkCtrl] // receiver -> sender ack/nack channel
-
-	// Active-set binding of the sender adapter, so acks wake it.
-	sndE  *sim.Engine
-	sndID int32
-
-	// sndStage and recvStage are non-nil on a link that crosses a shard
-	// boundary: during a parallel phase frame metadata and control messages
-	// are staged by the owning shard, which files the link on its list, and
-	// flushed at the phase barrier (in lockstep with the channel's staged
-	// packets). They follow the channel's rule exactly: a serially stepped
-	// cycle stages nothing.
-	sndStage, recvStage *[]*rlink
-	metaStage           []frameMeta
-	ctrlStage           []stagedCtrl
-}
-
-func (rl *rlink) pushMeta(seq uint64, vc uint8, corrupt bool) {
-	if rl.sndStage != nil && rl.sndE.Parallel() {
-		if len(rl.metaStage) == 0 {
-			*rl.sndStage = append(*rl.sndStage, rl)
-		}
-		rl.metaStage = append(rl.metaStage, frameMeta{seq: seq, vc: vc, corrupt: corrupt})
-		return
-	}
-	rl.meta = append(rl.meta, frameMeta{seq: seq, vc: vc, corrupt: corrupt})
-}
-
-// pushCtrl is the only place an ack/nack enters the control pipe: enqueue and
-// wake the sender adapter at the arrival cycle.
-func (rl *rlink) pushCtrl(at uint64, c linkCtrl) {
-	rl.ctrl.SendAt(at, c)
-	if rl.sndE != nil {
-		rl.sndE.Wake(int(rl.sndID), at)
-	}
-}
-
-// sendCtrl issues one ack/nack toward the sender adapter; on shard-crossing
-// links in a parallel phase the message is staged for the barrier flush
-// instead.
-func (rl *rlink) sendCtrl(now uint64, c linkCtrl) {
-	at := now + rl.ctrl.Latency()
-	if rl.recvStage != nil && rl.sndE.Parallel() {
-		if len(rl.ctrlStage) == 0 {
-			*rl.recvStage = append(*rl.recvStage, rl)
-		}
-		rl.ctrlStage = append(rl.ctrlStage, stagedCtrl{at: at, c: c})
-		return
-	}
-	rl.pushCtrl(at, c)
-}
-
-// flush moves staged frame metadata and control messages into the live
-// structures. Coordinator-only, at the phase barrier; the channel's staged
-// packets flush in the same barrier, keeping the meta FIFO in lockstep. A
-// link both of whose ends staged is on two lists; its second flush finds
-// nothing.
-func (rl *rlink) flush() {
-	if len(rl.metaStage) > 0 {
-		rl.meta = append(rl.meta, rl.metaStage...)
-		rl.metaStage = rl.metaStage[:0]
-	}
-	for _, s := range rl.ctrlStage {
-		rl.pushCtrl(s.at, s.c)
-	}
-	rl.ctrlStage = rl.ctrlStage[:0]
-}
-
-// popMeta pairs the next arriving frame with its metadata. The packet pipe
-// and the metadata FIFO are both FIFO and written together, so they stay in
-// lockstep by construction.
-func (rl *rlink) popMeta() frameMeta {
-	mt := rl.meta[rl.metaHead]
-	rl.metaHead++
-	if rl.metaHead == len(rl.meta) {
-		rl.meta = rl.meta[:0]
-		rl.metaHead = 0
-	} else if rl.metaHead > 64 && rl.metaHead*2 >= len(rl.meta) {
-		n := copy(rl.meta, rl.meta[rl.metaHead:])
-		rl.meta = rl.meta[:n]
-		rl.metaHead = 0
-	}
-	return mt
+	win []winEntry // frames base..next-1, in sequence order
 }
 
 // live returns the number of window frames the receiver has not yet
@@ -165,11 +51,6 @@ func (rl *rlink) live() int {
 		lo = e
 	}
 	return int(rl.snd.Next() - lo)
-}
-
-// quiet reports whether the link's protocol state is fully drained.
-func (rl *rlink) quiet() bool {
-	return rl.snd.Quiet() && rl.ctrl.Empty()
 }
 
 // faultLayer owns the injector and the per-link reliability state. It is
@@ -197,19 +78,17 @@ type faultLayer struct {
 	failed     map[int]bool      // global channel ids of permanent outages
 	failedList []int             // same, sorted
 
-	// mu guards fatal and the injection counter slot: MakePacket may run on
-	// any shard worker (endpoint traffic sources execute inside Tick).
+	// mu guards the fatal record and the injection counter slot:
+	// MakePacket may run on any shard worker (endpoint traffic sources
+	// execute inside Tick), and so may a link running out of retries.
 	mu sync.Mutex
 	// fatal is set when a link exhausts its retry budget or a destination
 	// becomes unreachable; RunUntilDelivered surfaces it instead of
-	// spinning into the watchdog.
-	fatal error
-	// fatalSh holds each shard's first fatal until the phase barrier. If
-	// several links die in the same cycle, serial stepping keeps the one
-	// from the lowest component id; resolveFatal reproduces that by scanning
-	// the slots in shard order, so the surfaced error does not depend on
-	// worker scheduling.
-	fatalSh []error
+	// spinning into the watchdog. fatalAt and fatalBy are the cycle it was
+	// raised at and the component that raised it (raise).
+	fatal   error
+	fatalAt uint64
+	fatalBy int
 }
 
 // injSlot is the counter slot for injection-path and coordinator events.
@@ -224,41 +103,16 @@ func (f *faultLayer) counters() fault.Counters {
 	return total
 }
 
-// setFatal records the first fatal protocol failure.
-func (f *faultLayer) setFatal(err error) {
+// raise records a fatal failure that component cid met at cycle now. Of
+// several, the least (cycle, component id) is kept — the first a serial step,
+// ticking in id order, meets — so a parallel phase keeps the same one
+// whichever shard worker takes the lock first.
+func (f *faultLayer) raise(now uint64, cid int, err error) {
 	f.mu.Lock()
-	if f.fatal == nil {
-		f.fatal = err
+	if f.fatal == nil || now < f.fatalAt || now == f.fatalAt && cid < f.fatalBy {
+		f.fatal, f.fatalAt, f.fatalBy = err, now, cid
 	}
 	f.mu.Unlock()
-}
-
-// setFatalShard records a fatal failure observed by one shard's adapters. A
-// serially stepped cycle sets the machine-wide fatal directly (tick order
-// already picks the serial winner); a parallel phase stages per shard and
-// resolves at the barrier.
-func (f *faultLayer) setFatalShard(shard int, err error) {
-	if !f.m.Engine.Parallel() {
-		f.setFatal(err)
-		return
-	}
-	if f.fatalSh[shard] == nil {
-		f.fatalSh[shard] = err
-	}
-}
-
-// resolveFatal promotes the lowest-shard staged fatal. Coordinator-only, at
-// the phase barrier.
-func (f *faultLayer) resolveFatal() {
-	if f.fatal != nil {
-		return
-	}
-	for _, e := range f.fatalSh {
-		if e != nil {
-			f.fatal = e
-			return
-		}
-	}
 }
 
 func newFaultLayer(m *Machine, spec fault.Spec) *faultLayer {
@@ -270,7 +124,6 @@ func newFaultLayer(m *Machine, spec fault.Spec) *faultLayer {
 		inj:       fault.NewInjector(spec, m.Cfg.Seed, n),
 		cnt:       make([]fault.Counters, len(m.shards)+1),
 		recvShard: make([]int32, n),
-		fatalSh:   make([]error, len(m.shards)),
 		torusBase: base,
 		links:     make([]*fabric.Channel, n),
 		rlinks:    make([]*rlink, n),
@@ -290,16 +143,14 @@ func newFaultLayer(m *Machine, spec fault.Spec) *faultLayer {
 		if f.failed[ch.ID] {
 			continue
 		}
-		ch.CensusExempt = true
+		ch.EnableLink()
 		// The ack timeout covers the worst-case ack round trip
 		// (serialization + two wire flights + receiver turnaround) plus a
 		// stall episode.
 		timeout := 8*ch.Latency() + 4*fault.StallCycles + 64
 		f.rlinks[i] = &rlink{
 			link: i,
-			ch:   ch,
 			snd:  fault.NewSender(fault.Window, timeout, fault.RetryLimit),
-			ctrl: sim.NewPipe[linkCtrl](ch.Latency()),
 		}
 		if spec.CreditLossRate > 0 {
 			li := i
@@ -378,14 +229,12 @@ func (f *faultLayer) windowLive() int {
 	return total
 }
 
-// quiet reports whether every reliable link has drained its protocol state
-// and no dropped credits await resync.
+// quiet reports whether every reliable link has all its frames
+// acknowledged and no dropped credits await resync. (Acks in flight are
+// their channel's: Channel.Quiet.)
 func (f *faultLayer) quiet() bool {
 	for i, rl := range f.rlinks {
-		if rl == nil {
-			continue
-		}
-		if !rl.quiet() || f.links[i].LostCredits() > 0 {
+		if rl != nil && (!rl.snd.Quiet() || f.links[i].LostCredits() > 0) {
 			return false
 		}
 	}
@@ -460,9 +309,9 @@ func (m *Machine) deadlockDetail() string {
 		}
 	}
 	if m.flt != nil {
-		for _, rl := range m.flt.rlinks {
+		for i, rl := range m.flt.rlinks {
 			if rl != nil && rl.snd.Outstanding() > 0 {
-				add("link %s: %d frames unacked (attempts %d)\n", rl.ch.Name, rl.snd.Outstanding(), rl.snd.Attempts())
+				add("link %s: %d frames unacked (attempts %d)\n", m.flt.links[i].Name, rl.snd.Outstanding(), rl.snd.Attempts())
 			}
 		}
 		for _, id := range m.flt.failedList {

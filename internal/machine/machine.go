@@ -70,15 +70,14 @@ type node struct {
 
 // shardState is what one shard's worker owns during a parallel phase: its
 // packet free list, and the lists of what it staged for the barrier — the
-// deliveries its endpoints deferred and the shard-crossing channels and
-// reliable links it staged traffic on. Padded so neighbouring shards' list
-// headers never share a cache line.
+// deliveries its endpoints deferred and the shard-crossing channels it staged
+// traffic on. Padded so neighbouring shards' list headers never share a
+// cache line.
 type shardState struct {
-	pool   []*packet.Packet
-	deliv  []delivEnt
-	chans  fabric.StageList
-	rlinks []*rlink
-	_      [32]byte
+	pool  []*packet.Packet
+	deliv []delivEnt
+	chans fabric.StageList
+	_     [56]byte
 }
 
 // delivEnt is one delivery deferred to the phase barrier of a parallel cycle.
@@ -236,11 +235,6 @@ func New(cfg Config) (*Machine, error) {
 				}
 				if snd != recv {
 					m.chans[id].SetDeferred(&snd.chans, &recv.chans)
-					if m.flt != nil {
-						if rl := m.flt.rlinkFor(id); rl != nil {
-							rl.sndStage, rl.recvStage = &snd.rlinks, &recv.rlinks
-						}
-					}
 				}
 			}
 		}
@@ -362,13 +356,13 @@ func (m *Machine) MakePacket(src, dst topo.NodeEp, c route.Choices, class route.
 		avoided, rerouted, ok := m.avoidFailed(src, dst, c, class)
 		if !ok {
 			// Injection can run on any shard worker (endpoint Sources), so
-			// the injection counter slot and the fatal marker are mutexed.
+			// the injection counter slot is mutexed, and the failure is the
+			// source endpoint's.
 			m.flt.mu.Lock()
 			m.flt.cnt[m.flt.injSlot()].Unroutable++
-			if m.flt.fatal == nil {
-				m.flt.fatal = fmt.Errorf("machine: no admissible route from %v to %v avoids the failed links", src, dst)
-			}
 			m.flt.mu.Unlock()
+			m.flt.raise(m.Engine.Now(), m.Endpoint(src).cid,
+				fmt.Errorf("machine: no admissible route from %v to %v avoids the failed links", src, dst))
 		} else {
 			if rerouted {
 				m.flt.mu.Lock()
@@ -507,27 +501,16 @@ func (m *Machine) free(p *packet.Packet, shard int32) {
 	}
 }
 
-// merge is the barrier hook of a parallel cycle: flush what each shard staged
-// — cross-shard channel traffic (packets, credits) and link-layer metadata
-// and control messages, with the arrival cycles recorded at send time — then
-// apply deferred deliveries in shard order, which is component-id order, the
-// same order a serial step would have delivered them. It visits only what the
-// shards listed, so a cycle in which little crossed a boundary merges in
+// merge is the barrier hook of a parallel cycle: flush the cross-shard
+// channel traffic each shard staged (packets, credits, and on reliable links
+// frame headers and acks), with the arrival cycles recorded at send time —
+// then apply deferred deliveries in shard order, which is component-id order,
+// the same order a serial step would have delivered them. It visits only what
+// the shards listed, so a cycle in which little crossed a boundary merges in
 // proportion.
 func (m *Machine) merge(now uint64) {
 	for si := range m.shards {
 		m.shards[si].chans.Flush()
-	}
-	if m.flt != nil {
-		for si := range m.shards {
-			sh := &m.shards[si]
-			for i, rl := range sh.rlinks {
-				rl.flush()
-				sh.rlinks[i] = nil
-			}
-			sh.rlinks = sh.rlinks[:0]
-		}
-		m.flt.resolveFatal()
 	}
 	for si := range m.shards {
 		sh := &m.shards[si]

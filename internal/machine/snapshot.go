@@ -36,7 +36,7 @@ import (
 //
 // Packets are interned into the table by pointer identity, in first-seen
 // order of the body's walk: the same *packet.Packet may legally sit in a
-// retransmission window and in a channel pipe at once (go-back-N Resend), and
+// retransmission window and in a channel pipe at once (a resent frame), and
 // collapsing such aliases on restore is required for the link layer to
 // release the right buffers. The table comes last so that one pass over the
 // holders both assigns and writes the indices; a decoder reads it first. The
@@ -331,8 +331,8 @@ func (m *Machine) body(w *snapWalk) {
 			clear(f.cnt)
 			f.cnt[f.injSlot()] = cnt
 		}
-		for _, rl := range f.rlinks {
-			m.linkState(w, rl)
+		for i, rl := range f.rlinks {
+			m.linkState(w, rl, f.links[i])
 		}
 	}
 	if m.checks != nil {
@@ -343,18 +343,15 @@ func (m *Machine) body(w *snapWalk) {
 	}
 }
 
-// linkState codes a reliable link (nil: failed): its presence, sender,
-// receiver, window, frame metadata and control pipe.
-func (m *Machine) linkState(w *snapWalk, rl *rlink) {
+// linkState codes a reliable link (nil: failed) on channel ch: its presence,
+// sender, receiver and window, then the channel's frame headers and control
+// pipe.
+func (m *Machine) linkState(w *snapWalk, rl *rlink, ch *fabric.Channel) {
 	has := rl != nil
 	if w.Bool(&has); has != (rl != nil) {
 		w.Fail("snapshot and machine disagree on a failed link")
 	}
 	if rl == nil || w.Err() != nil {
-		return
-	}
-	if len(rl.metaStage) != 0 || len(rl.ctrlStage) != 0 {
-		w.Fail("staged link-layer traffic on %s", rl.ch.Name)
 		return
 	}
 	c := &w.Codec
@@ -366,22 +363,9 @@ func (m *Machine) linkState(w *snapWalk, rl *rlink) {
 		w.Byte(&rl.win[i].vc)
 	}
 	if uint64(len(rl.win)) != rl.snd.Next()-rl.snd.Base() {
-		w.Fail("link %s: %d window entries for sequences [%d, %d)", rl.ch.Name, len(rl.win), rl.snd.Base(), rl.snd.Next())
+		w.Fail("link %s: %d window entries for sequences [%d, %d)", ch.Name, len(rl.win), rl.snd.Base(), rl.snd.Next())
 	}
-	wire.List(c, &rl.meta, rl.metaHead, 3)
-	for i := rl.metaHead; i < len(rl.meta); i++ {
-		mt := &rl.meta[i]
-		w.Uvarint(&mt.seq)
-		w.Byte(&mt.vc)
-		w.Bool(&mt.corrupt)
-	}
-	rl.ctrl.State(c, 3, func(at uint64, lc linkCtrl) {
-		w.Uvarint(&at)
-		w.Uvarint(&lc.seq)
-		if w.Bool(&lc.nack); w.Decoding() {
-			rl.pushCtrl(at, lc)
-		}
-	})
+	ch.LinkState(c)
 }
 
 // Snapshot captures the machine's complete mutable state: AppendSnapshot into

@@ -10,7 +10,8 @@ import "anton2/internal/wire"
 // Active-set contract: a Pipe does no work on idle cycles — polling it when
 // nothing has arrived is a no-op — so under Engine ModeActive the sender side
 // is responsible for waking the receiving component at the arrival cycle of
-// whatever it enqueues (fabric.Channel does this for packets and credits).
+// whatever it enqueues (fabric.Channel does this for packets, credits and
+// acks).
 // Skipped idle cycles therefore cannot lose or delay items: arrival times are
 // absolute cycles, not tick counts.
 //
@@ -36,19 +37,12 @@ type pipeEntry[T any] struct {
 const never = ^uint64(0)
 
 // MakePipe returns a pipe value with the given latency in cycles (minimum
-// 1), for owners that hold their pipes inline.
+// 1), for its owner to hold inline.
 func MakePipe[T any](latency uint64) Pipe[T] {
 	if latency == 0 {
 		latency = 1
 	}
 	return Pipe[T]{due: never, latency: latency}
-}
-
-// NewPipe returns a heap-allocated pipe with the given latency in cycles
-// (minimum 1).
-func NewPipe[T any](latency uint64) *Pipe[T] {
-	p := MakePipe[T](latency)
-	return &p
 }
 
 // Latency returns the pipe's delivery latency in cycles.
@@ -113,6 +107,9 @@ func (p *Pipe[T]) State(c *wire.Codec, minBytes int, entry func(at uint64, item 
 		entry(0, zero)
 	}
 }
+
+// At returns the arrival cycle of the i-th item in the pipe, in FIFO order.
+func (p *Pipe[T]) At(i int) uint64 { return p.q[p.head+i].at }
 
 // Len returns the number of items in the pipe (arrived or in flight).
 func (p *Pipe[T]) Len() int { return len(p.q) - p.head }

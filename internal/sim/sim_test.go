@@ -132,8 +132,8 @@ func TestDeadlockSnapshot(t *testing.T) {
 func send[T any](p *Pipe[T], now uint64, v T) { p.SendAt(now+p.Latency(), v) }
 
 func TestPipeLatency(t *testing.T) {
-	p := NewPipe[int](3)
-	send(p, 10, 42)
+	p := MakePipe[int](3)
+	send(&p, 10, 42)
 	for now := uint64(10); now < 13; now++ {
 		if _, ok := p.Poll(now); ok {
 			t.Fatalf("item visible at cycle %d, latency 3 sent at 10", now)
@@ -149,11 +149,11 @@ func TestPipeLatency(t *testing.T) {
 }
 
 func TestPipeZeroLatencyClamped(t *testing.T) {
-	p := NewPipe[int](0)
+	p := MakePipe[int](0)
 	if p.Latency() != 1 {
 		t.Fatalf("latency = %d, want clamped to 1", p.Latency())
 	}
-	send(p, 0, 1)
+	send(&p, 0, 1)
 	if _, ok := p.Poll(0); ok {
 		t.Fatal("zero-latency delivery would break tick-order independence")
 	}
@@ -163,9 +163,9 @@ func TestPipeZeroLatencyClamped(t *testing.T) {
 }
 
 func TestPipeFIFOOrder(t *testing.T) {
-	p := NewPipe[int](1)
+	p := MakePipe[int](1)
 	for i := 0; i < 100; i++ {
-		send(p, uint64(i), i)
+		send(&p, uint64(i), i)
 	}
 	for i := 0; i < 100; i++ {
 		v, ok := p.Poll(1000)
@@ -176,12 +176,12 @@ func TestPipeFIFOOrder(t *testing.T) {
 }
 
 func TestPipeCompaction(t *testing.T) {
-	p := NewPipe[int](1)
+	p := MakePipe[int](1)
 	// Interleave sends and polls to force the head-compaction path.
 	sent, got := 0, 0
 	for round := 0; round < 50; round++ {
 		for i := 0; i < 10; i++ {
-			send(p, uint64(round), sent)
+			send(&p, uint64(round), sent)
 			sent++
 		}
 		for i := 0; i < 9; i++ {
@@ -208,7 +208,7 @@ func TestPipeCompaction(t *testing.T) {
 }
 
 func TestPipeSendAt(t *testing.T) {
-	p := NewPipe[string](1)
+	p := MakePipe[string](1)
 	p.SendAt(7, "late")
 	if _, ok := p.Poll(6); ok {
 		t.Fatal("SendAt item visible early")
@@ -260,14 +260,14 @@ func TestSplitMix64Deterministic(t *testing.T) {
 func TestPipeProperty(t *testing.T) {
 	f := func(lat uint8, ops []uint8) bool {
 		latency := uint64(lat%8) + 1
-		p := NewPipe[uint64](latency)
+		p := MakePipe[uint64](latency)
 		now := uint64(0)
 		var sentAt []uint64
 		next := 0
 		for _, op := range ops {
 			switch op % 3 {
 			case 0: // send
-				send(p, now, uint64(len(sentAt)))
+				send(&p, now, uint64(len(sentAt)))
 				sentAt = append(sentAt, now)
 			case 1: // poll
 				if v, ok := p.Poll(now); ok {

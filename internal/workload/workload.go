@@ -10,7 +10,7 @@
 //	            (the global reduction closing the timestep)
 //
 // A phase completes when all of its deliveries have arrived and the fabric
-// is quiescent (machine.Quiet) — the phase barrier — and the next phase's
+// is quiescent (Machine.Drain) — the phase barrier — and the next phase's
 // injections start on that exact cycle. The result is end-to-end timestep
 // time, cycles per phase and total, rather than steady-state throughput.
 //
