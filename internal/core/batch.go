@@ -141,7 +141,10 @@ func runBatch(pt batchPoint, rc ckpt.RunConfig) (*machine.Machine, uint64, *batc
 // the core's own "<stream>-src-<node>-<ep>" RNG stream. sent counts, in the
 // same order, the packets each core has already injected — all zero for a
 // fresh run; a resumed run passes its checkpointed counts and each stream is
-// fast-forwarded past exactly those packets' draws.
+// fast-forwarded past exactly those packets' draws. A stream is seeded, and
+// fast-forwarded, on its source's first call, which runs on the shard worker
+// ticking the endpoint in the run's first cycle, rather than all of them
+// serially before it; the draws are the same either way.
 func injectBatches(m *machine.Machine, stream string, batch int, sent []int,
 	draw func(tm *topo.Machine, src topo.NodeEp, rng *rand.Rand) (dst topo.NodeEp, patternID uint8)) {
 	tm := m.Topo
@@ -149,15 +152,18 @@ func injectBatches(m *machine.Machine, stream string, batch int, sent []int,
 	for n := 0; n < tm.NumNodes(); n++ {
 		for _, ep := range tm.Chip.CoreEndpoints() {
 			src := topo.NodeEp{Node: n, Ep: ep}
-			rng := sim.NewRNG(m.Cfg.Seed, fmt.Sprintf("%s-src-%d-%d", stream, n, ep))
-			for k := 0; k < sent[i]; k++ {
-				draw(tm, src, rng)
-				route.RandomChoices(rng)
-			}
 			count := &sent[i]
+			var rng *rand.Rand
 			m.Endpoint(src).Source = func() *packet.Packet {
 				if *count >= batch {
 					return nil
+				}
+				if rng == nil {
+					rng = sim.NewRNG(m.Cfg.Seed, fmt.Sprintf("%s-src-%d-%d", stream, src.Node, src.Ep))
+					for k := 0; k < *count; k++ {
+						draw(tm, src, rng)
+						route.RandomChoices(rng)
+					}
 				}
 				*count++
 				dst, pid := draw(tm, src, rng)

@@ -8,6 +8,7 @@ package fabric
 
 import (
 	"fmt"
+	"math"
 
 	"anton2/internal/packet"
 	"anton2/internal/sim"
@@ -355,7 +356,21 @@ func (ch *Channel) Credits(vc uint8) int { return int(ch.credit[vc]) }
 // exactly) and the downstream VC must have credit for every flit (virtual
 // cut-through).
 func (ch *Channel) CanSend(now uint64, vc uint8, flits uint8) bool {
-	return ch.credit[vc] >= int32(flits) && ch.busyUntilMilli < (now+1)*1000 && ch.stallUntil <= now
+	return ch.SendableAt(vc, flits) <= now
+}
+
+// SendableAt returns the first cycle at which CanSend(vc, flits) holds if no
+// credit arrives before then: the later of the cycle the serializer frees up
+// in and the end of a stall. It returns math.MaxUint64 — no cycle — when vc
+// is short of credit, since only a credit return (which wakes the bound
+// sender) or a resync audit (WakeSender) can change that, and for a
+// permanently failed channel. A sleeping sender uses it to pick the cycle it
+// next has to look at the channel.
+func (ch *Channel) SendableAt(vc uint8, flits uint8) uint64 {
+	if ch.credit[vc] < int32(flits) {
+		return math.MaxUint64
+	}
+	return max(ch.busyUntilMilli/1000, ch.stallUntil)
 }
 
 // Send forwards a packet on vc and returns the arrival cycle. The packet

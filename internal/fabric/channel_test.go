@@ -3,6 +3,7 @@ package fabric
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -420,4 +421,49 @@ func TestChannelVCBound(t *testing.T) {
 		}
 	}()
 	New(Config{Name: "too wide", NumVCs: MaxVCs + 1, BufFlits: 4})
+}
+
+// TestSendableAt holds the query to what CanSend spelled out before it: the
+// first cycle at which the serializer has freed up, no stall holds and the VC
+// has credit for every flit — and no cycle at all while credit is short or
+// the channel is down for good.
+func TestSendableAt(t *testing.T) {
+	ch := New(Config{
+		Name: "torus", Group: topo.GroupT, Latency: topo.TorusLatency,
+		RateMilli: topo.TorusRateMilli, NumVCs: 2, BufFlits: 8, CreditLatency: 1,
+	})
+	first := func(vc, flits uint8) uint64 {
+		for now := uint64(0); now < 10_000; now++ {
+			if ch.Credits(vc) >= int(flits) && ch.busyUntilMilli < (now+1)*1000 && ch.stallUntil <= now {
+				return now
+			}
+		}
+		return math.MaxUint64
+	}
+	check := func(step string, vc, flits uint8) uint64 {
+		t.Helper()
+		got, want := ch.SendableAt(vc, flits), first(vc, flits)
+		if got != want {
+			t.Fatalf("%s: SendableAt(%d, %d) = %d, want %d", step, vc, flits, got, want)
+		}
+		return got
+	}
+	now := uint64(0)
+	for i := 0; i < 6; i++ { // back to back at the fractional torus rate
+		vc, size := uint8(i%2), uint8(1+i%2)
+		now = max(now, check(fmt.Sprintf("send %d", i), vc, size))
+		ch.Send(now, pkt(size), vc)
+	}
+	ch.SetStall(now + 64)
+	check("stalled", 0, 1)
+	for ch.Credits(0) >= 2 {
+		ch.Send(check("after the stall", 0, 2), pkt(2), 0)
+	}
+	if at := check("VC 0 short of credit", 0, 2); at != math.MaxUint64 {
+		t.Fatalf("VC 0 has %d credits: SendableAt(0, 2) = %d, want none", ch.Credits(0), at)
+	}
+	ch.SetStall(math.MaxUint64)
+	if at := check("failed for good", 1, 1); at != math.MaxUint64 {
+		t.Fatalf("a permanently failed channel is sendable at %d", at)
+	}
 }

@@ -107,30 +107,31 @@ func (a *channelAdapter) bind() {
 	a.toRouter.BindSender(a.m.Engine, a.cid, &a.credMask, credToRouter)
 }
 
-// Tick implements sim.Component. In active-set mode the adapter re-arms
-// itself while it has queued packets or a pending replay, and — crucially —
-// schedules a wake at the go-back-N timeout deadline when frames are
-// outstanding, so a sleeping adapter still fires its retransmit timer on
-// exactly the cycle scan mode would.
+// Tick implements sim.Component. In active-set mode the adapter sleeps until
+// the first cycle at which one of its heads could move (tick's result), as a
+// router does (router.Tick). A reliable sender also re-arms every cycle while
+// a replay is pending and — crucially — at its go-back-N timeout deadline
+// while frames are outstanding, so a sleeping adapter still fires its
+// retransmit timer on exactly the cycle scan mode would.
 func (a *channelAdapter) Tick(now uint64) {
-	a.tick(now)
-	e := a.m.Engine
-	if a.queued > 0 {
-		e.Wake(a.cid, now+1)
-		return
-	}
+	wake := a.tick(now)
 	if rl := a.rlOut; rl != nil {
 		if _, ok := rl.snd.NeedRetx(); ok {
-			e.Wake(a.cid, now+1)
-			return
+			wake = now + 1
+		} else if dl, ok := rl.snd.Deadline(); ok {
+			wake = min(wake, dl)
 		}
-		if dl, ok := rl.snd.Deadline(); ok {
-			e.Wake(a.cid, dl)
-		}
+	}
+	if wake != never {
+		a.m.Engine.Wake(a.cid, wake)
 	}
 }
 
-func (a *channelAdapter) tick(now uint64) {
+// tick steps the adapter one cycle and returns the next cycle its queues have
+// work at, or never when only an arrival, a credit return or an ack can give
+// them some.
+func (a *channelAdapter) tick(now uint64) (wake uint64) {
+	wake = never
 	if a.credMask&(1<<credTorusOut) != 0 {
 		a.torusOut.AbsorbCredits(now)
 	}
@@ -178,14 +179,20 @@ func (a *channelAdapter) tick(now uint64) {
 	// A pending replay preempts fresh egress traffic (go-back-N order).
 	sentRetx := a.rlOut != nil && a.tryRetransmit(now)
 	if a.queued == 0 {
-		return
+		return never
 	}
 
 	// Egress: one packet per cycle onto the torus link, chosen among VC
 	// heads with credit downstream. Under reliability, fresh sends also
-	// need window space and yield to a retransmission this cycle.
+	// need window space and yield to a retransmission this cycle; a full
+	// window reopens with an ack or a timeout, each of which wakes the
+	// adapter, and a replay re-arms it every cycle (Tick).
 	var req uint64
-	if !sentRetx && (a.rlOut == nil || a.rlOut.snd.CanSend()) {
+	if sentRetx {
+		if a.egOcc != 0 {
+			wake = now + 1
+		}
+	} else if a.rlOut == nil || a.rlOut.snd.CanSend() {
 		for m := a.egOcc; m != 0; m &= m - 1 {
 			vci := bits.TrailingZeros32(m)
 			q := &a.eg[vci]
@@ -194,14 +201,18 @@ func (a *channelAdapter) tick(now uint64) {
 				// The dateline rule applies as the packet leaves the
 				// node (Section 2.5).
 				vc := route.AdapterEgress(a.m.routeCfg, &p.Route, a.nodeCoord)
-				q.outVC = uint8(route.PhysVC(a.m.Cfg.Scheme, topo.GroupT, p.Route.Class, vc))
-				q.routed = true
-				q.readyAt = p.ArrivedAt + topo.AdapterPipeline
+				q.markRouted(uint8(route.PhysVC(a.m.Cfg.Scheme, topo.GroupT, p.Route.Class, vc)), p.ArrivedAt+topo.AdapterPipeline)
 			}
-			if q.readyAt <= now && a.torusOut.CanSend(now, q.outVC, q.headPkt().Size) {
-				req |= 1 << vci
-				a.pats[vci] = q.headPkt().PatternID
+			at := q.readyAt
+			if at <= now {
+				at = a.torusOut.SendableAt(q.outVC, q.size)
 			}
+			if at > now {
+				wake = min(wake, at)
+				continue
+			}
+			req |= 1 << vci
+			a.pats[vci] = q.pat
 		}
 		if req != 0 {
 			g := a.egArb.Pick(req, a.pats)
@@ -224,6 +235,11 @@ func (a *channelAdapter) tick(now uint64) {
 			p.Tracepoint(a.outLabel, now)
 			a.fromRouter.ReturnCredit(now, uint8(g), p.Size)
 			a.m.Engine.ProgressAt(int(a.shard))
+			// A loser bids again next cycle, and the winner's next
+			// packet is routed then.
+			if req&(req-1) != 0 || a.egOcc>>g&1 != 0 {
+				wake = now + 1
+			}
 		}
 	}
 
@@ -234,24 +250,29 @@ func (a *channelAdapter) tick(now uint64) {
 		q := &a.ing[vci]
 		if !q.routed {
 			p := q.headPkt()
+			var vc uint8
 			if p.MGroup >= 0 {
 				// Multicast: replicate per the loaded table;
 				// branches ride the adapter->router link at
 				// the arrival T-group VC.
 				q.branches = a.expandMulticast(p)
-				q.outVC = uint8(route.PhysVC(a.m.Cfg.Scheme, topo.GroupT, p.Route.Class, p.Route.TVC))
+				vc = p.Route.TVC
 			} else {
 				// Continue-or-turn decision (once per arrival).
-				vc := route.AdapterIngress(a.m.routeCfg, &p.Route, p.Dst, a.node)
-				q.outVC = uint8(route.PhysVC(a.m.Cfg.Scheme, topo.GroupT, p.Route.Class, vc))
+				vc = route.AdapterIngress(a.m.routeCfg, &p.Route, p.Dst, a.node)
 			}
-			q.routed = true
-			q.readyAt = p.ArrivedAt + topo.AdapterPipeline
+			q.markRouted(uint8(route.PhysVC(a.m.Cfg.Scheme, topo.GroupT, p.Route.Class, vc)), p.ArrivedAt+topo.AdapterPipeline)
 		}
-		if q.readyAt <= now && a.toRouter.CanSend(now, q.outVC, a.ingHead(q).Size) {
-			req |= 1 << vci
-			a.pats[vci] = a.ingHead(q).PatternID
+		at := q.readyAt
+		if at <= now {
+			at = a.toRouter.SendableAt(q.outVC, a.ingHead(q).Size)
 		}
+		if at > now {
+			wake = min(wake, at)
+			continue
+		}
+		req |= 1 << vci
+		a.pats[vci] = a.ingHead(q).PatternID
 	}
 	if req != 0 {
 		g := a.inArb.Pick(req, a.pats)
@@ -285,7 +306,13 @@ func (a *channelAdapter) tick(now uint64) {
 			a.torusIn.ReturnCredit(now, uint8(g), p.Size)
 		}
 		a.m.Engine.ProgressAt(int(a.shard))
+		// A loser bids again next cycle; so does the winner's queue,
+		// with its next branch or its next packet to route.
+		if req&(req-1) != 0 || a.ingOcc>>g&1 != 0 {
+			wake = now + 1
+		}
 	}
+	return wake
 }
 
 // acceptFrame runs the go-back-N receiver over one frame arriving on

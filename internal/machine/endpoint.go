@@ -99,26 +99,22 @@ func (e *EndpointAdapter) Inject(p *packet.Packet) {
 // pending returns the number of packets queued for injection.
 func (e *EndpointAdapter) pending() int { return len(e.swq) - e.head }
 
-// Tick implements sim.Component. In active-set mode the endpoint re-arms
-// itself every cycle while a lazy Source is attached (the source must be
-// polled on exactly the cycles scan mode would poll it, so injection
-// timestamps match), and otherwise for the head packet's earliest send cycle.
+// Tick implements sim.Component. In active-set mode the endpoint sleeps until
+// its head packet could leave (tick's result): its NotBefore cycle and the
+// injection channel's serializer, or, short of credit, the credit return that
+// wakes it. A lazy Source is polled on exactly the cycles scan mode would
+// poll it — those that start with the software queue at or below the refill
+// mark, which only a send brings it down to — so injection timestamps match.
 func (e *EndpointAdapter) Tick(now uint64) {
-	e.tick(now)
-	if e.Source != nil {
-		e.m.Engine.Wake(e.cid, now+1)
-		return
-	}
-	if e.head < len(e.swq) {
-		at := e.swq[e.head].NotBefore
-		if at <= now {
-			at = now + 1
-		}
+	if at := e.tick(now); at != never {
 		e.m.Engine.Wake(e.cid, at)
 	}
 }
 
-func (e *EndpointAdapter) tick(now uint64) {
+// tick steps the endpoint one cycle and returns the next cycle it has work
+// at, or never when only an arrival, a credit return or an Inject can give it
+// some.
+func (e *EndpointAdapter) tick(now uint64) uint64 {
 	if e.credMask != 0 {
 		e.out.AbsorbCredits(now)
 	}
@@ -157,20 +153,18 @@ func (e *EndpointAdapter) tick(now uint64) {
 
 	// Injection: at most one packet per cycle onto the endpoint channel.
 	if e.head >= len(e.swq) {
-		return
+		return never
 	}
 	p := e.swq[e.head]
 	if p.NotBefore > now {
-		return
+		return p.NotBefore
 	}
 	var vc uint8
-	if p.SourceRoute != nil {
-		vc = 0
-	} else {
+	if p.SourceRoute == nil {
 		vc = uint8(route.PhysVC(e.m.Cfg.Scheme, topo.GroupM, p.Route.Class, p.Route.MVC))
 	}
-	if !e.out.CanSend(now, vc, p.Size) {
-		return
+	if at := e.out.SendableAt(vc, p.Size); at > now {
+		return at
 	}
 	e.out.Send(now, p, vc)
 	if e.m.checks != nil {
@@ -183,5 +177,10 @@ func (e *EndpointAdapter) tick(now uint64) {
 	if e.head == len(e.swq) {
 		e.head = 0
 		e.swq = e.swq[:0]
+		if e.Source == nil {
+			return never
+		}
 	}
+	// The next packet, or the source's refill, is looked at next cycle.
+	return now + 1
 }

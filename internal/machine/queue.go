@@ -1,6 +1,14 @@
 package machine
 
-import "anton2/internal/packet"
+import (
+	"math"
+
+	"anton2/internal/packet"
+)
+
+// never is the wake of a component that has nothing to do until one of its
+// channels wakes it: an arrival, a credit return or an ack.
+const never = math.MaxUint64
 
 // vcq is one virtual-channel input queue with head-of-line route state.
 // Capacity is enforced by upstream credits, not by the queue itself.
@@ -8,10 +16,15 @@ type vcq struct {
 	pkts []*packet.Packet
 	head int
 
-	// Head-of-line state, valid while routed is true.
+	// Head-of-line state, valid while routed is true: the route decision,
+	// the first cycle the head may bid, and — cached so that arbitration and
+	// the wake computation need not load the head packet — its flit count
+	// and weight-pattern label.
 	routed  bool
 	outPort int8
 	outVC   uint8
+	size    uint8
+	pat     uint8
 	readyAt uint64
 
 	// branches holds a multicast head's replicated copies, sent one per
@@ -26,6 +39,14 @@ func (q *vcq) empty() bool { return q.head >= len(q.pkts) }
 func (q *vcq) headPkt() *packet.Packet { return q.pkts[q.head] }
 
 func (q *vcq) push(p *packet.Packet) { q.pkts = append(q.pkts, p) }
+
+// markRouted records the head's route decision — output VC and the first
+// cycle it may bid — and caches the head's size and pattern label. (A
+// router sets outPort itself; an adapter's queues have one output.)
+func (q *vcq) markRouted(outVC uint8, readyAt uint64) {
+	h := q.headPkt()
+	q.routed, q.outVC, q.readyAt, q.size, q.pat = true, outVC, readyAt, h.Size, h.PatternID
+}
 
 // pop removes the head packet and invalidates the head route state so the
 // next packet is routed afresh.

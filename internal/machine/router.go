@@ -90,17 +90,23 @@ func (r *router) bind() {
 	}
 }
 
-// Tick implements sim.Component. In active-set mode the router re-arms
-// itself for the next cycle whenever packets remain queued; all other wake
-// sources (arrivals, credit returns) come from the channel bindings.
+// Tick implements sim.Component. In active-set mode the router sleeps until
+// the first cycle at which one of its heads could bid (tick's result): a head
+// waits out its pipeline delay, its input port's crossbar occupancy and its
+// output's serializer or stall, and a head short of credit waits for the
+// credit return, which wakes the router itself (fabric.Channel). Arrivals
+// wake it through the channel bindings.
 func (r *router) Tick(now uint64) {
-	r.tick(now)
-	if r.queued > 0 {
-		r.m.Engine.Wake(r.cid, now+1)
+	if at := r.tick(now); at != never {
+		r.m.Engine.Wake(r.cid, at)
 	}
 }
 
-func (r *router) tick(now uint64) {
+// tick steps the router one cycle and returns the next cycle it has work at,
+// or never when only an arrival or a credit return can give it some. Every
+// tick between the two is a no-op: no head is routed, no arbiter picks.
+func (r *router) tick(now uint64) (wake uint64) {
+	wake = never
 	// Absorb credits, then arrivals, on the ports that have any in flight.
 	for m := r.credMask; m != 0; m &= m - 1 {
 		r.ports[bits.TrailingZeros32(m)].out.AbsorbCredits(now)
@@ -122,19 +128,27 @@ func (r *router) tick(now uint64) {
 		}
 	}
 	if r.queued == 0 {
-		return
+		return never
 	}
 
 	// SA1: each input port nominates one (routed, credited) VC head and
-	// files its bid with that head's output port.
+	// files its bid with that head's output port. A head that cannot bid
+	// names the next cycle to look at it: the end of its pipeline delay,
+	// then the cycle its output's serializer or stall lets it go (none
+	// while it is short of credit). A busy port routes nothing until its
+	// crossbar input frees up.
 	var cand [topo.MaxRouterPorts]uint8  // SA1 winner VC of each bidding input port
 	var bids [topo.MaxRouterPorts]uint64 // per output port: the inputs bidding for it
 	var outs uint32                      // output ports with at least one bid
 	for pi := range r.ports {
-		if r.inBusy[pi] > now {
+		ps := &r.ports[pi]
+		if ps.occ == 0 {
 			continue
 		}
-		ps := &r.ports[pi]
+		if r.inBusy[pi] > now {
+			wake = min(wake, r.inBusy[pi])
+			continue
+		}
 		var req uint64
 		for m := ps.occ; m != 0; m &= m - 1 {
 			vci := bits.TrailingZeros32(m)
@@ -142,14 +156,16 @@ func (r *router) tick(now uint64) {
 			if !q.routed {
 				r.routeHead(now, q)
 			}
-			if q.readyAt > now {
+			at := q.readyAt
+			if at <= now {
+				at = r.ports[q.outPort].out.SendableAt(q.outVC, q.size)
+			}
+			if at > now {
+				wake = min(wake, at)
 				continue
 			}
-			h := q.headPkt()
-			if r.ports[q.outPort].out.CanSend(now, q.outVC, h.Size) {
-				req |= 1 << vci
-				r.pats[vci] = h.PatternID
-			}
+			req |= 1 << vci
+			r.pats[vci] = q.pat
 		}
 		if req == 0 {
 			continue
@@ -165,16 +181,21 @@ func (r *router) tick(now uint64) {
 	}
 
 	// SA2: each output port with bids grants one nominated input; transfer.
+	// A losing input bids again next cycle; the winner's port, if it holds
+	// more, looks again once the crossbar input frees up.
 	for m := outs; m != 0; m &= m - 1 {
 		po := bits.TrailingZeros32(m)
 		req := bids[po]
 		for b := req; b != 0; b &= b - 1 {
 			pi := bits.TrailingZeros64(b)
-			r.pats[pi] = r.ports[pi].vcs[cand[pi]].headPkt().PatternID
+			r.pats[pi] = r.ports[pi].vcs[cand[pi]].pat
 		}
 		g := r.sa2[po].Pick(req, r.pats)
 		if r.m.tel != nil {
 			r.m.tel.OnSA2Grant(r.node, r.routerID, po, g)
+		}
+		if req&(req-1) != 0 {
+			wake = now + 1
 		}
 		pi := g
 		vci := cand[pi]
@@ -188,13 +209,18 @@ func (r *router) tick(now uint64) {
 		}
 		ps.in.ReturnCredit(now, vci, p.Size)
 		r.inBusy[pi] = now + uint64(p.Size)
+		if ps.occ != 0 {
+			wake = min(wake, r.inBusy[pi])
+		}
 		r.m.Engine.ProgressAt(int(r.shard))
 	}
+	return wake
 }
 
 // routeHead runs route computation for a queue's new head packet.
 func (r *router) routeHead(now uint64, q *vcq) {
 	p := q.headPkt()
+	outVC := p.CurVC
 	if p.SourceRoute != nil {
 		op := p.SourceRoute[p.SRIdx]
 		p.SRIdx++
@@ -202,16 +228,10 @@ func (r *router) routeHead(now uint64, q *vcq) {
 			panic(fmt.Sprintf("machine: source route names port %d at %s with %d ports", op, r.rc, len(r.ports)))
 		}
 		q.outPort = int8(op)
-		q.outVC = p.CurVC
 	} else {
 		port, vc := route.RouterNext(r.m.routeCfg, &p.Route, p.Dst, r.rc)
-		out := r.ports[port].out
 		q.outPort = int8(port)
-		q.outVC = uint8(route.PhysVC(r.m.Cfg.Scheme, out.Group, p.Route.Class, vc))
+		outVC = uint8(route.PhysVC(r.m.Cfg.Scheme, r.ports[port].out.Group, p.Route.Class, vc))
 	}
-	q.routed = true
-	q.readyAt = p.ArrivedAt + topo.RouterPipeline
-	if q.readyAt < now {
-		q.readyAt = now
-	}
+	q.markRouted(outVC, max(p.ArrivedAt+topo.RouterPipeline, now))
 }

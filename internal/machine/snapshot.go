@@ -144,6 +144,11 @@ func (w *snapWalk) queues(qs []vcq, occ *uint32, ports int) (queued int) {
 			if q.outPort = int8(port); q.outPort < 0 || int(q.outPort) >= ports || q.outVC >= fabric.MaxVCs {
 				w.Fail("head-of-line route to port %d VC %d", q.outPort, q.outVC)
 			}
+			if w.Decoding() && !q.empty() {
+				// The head's size and label are cached, not recorded.
+				h := q.headPkt()
+				q.size, q.pat = h.Size, h.PatternID
+			}
 		}
 		if q.empty() {
 			w.Fail("occupied queue with no packets")
