@@ -281,12 +281,7 @@ func (s *Suite) live() int64 {
 func (s *Suite) scan(now uint64) {
 	census := int64(s.env.Queued())
 	for _, ch := range s.env.Channels {
-		// Reliable channels (fault injection) may hold duplicate
-		// transmissions of one logical packet; their retransmission
-		// windows are accounted in Queued instead.
-		if !ch.Reliable() {
-			census += int64(ch.InFlight())
-		}
+		census += int64(ch.InFlight())
 	}
 	if live := s.live(); live != census {
 		s.violate(conservation, now,

@@ -14,18 +14,18 @@ import (
 func TestChannelStallBoundary(t *testing.T) {
 	ch := meshChan(false)
 	ch.SetStall(10)
-	if ch.CanSend(9, 0, 1) || !ch.Stalled(9) {
+	if canSend(ch, 9, 0, 1) || !ch.Stalled(9) {
 		t.Error("channel must refuse frames strictly before stallUntil")
 	}
-	if !ch.CanSend(10, 0, 1) || ch.Stalled(10) {
+	if !canSend(ch, 10, 0, 1) || ch.Stalled(10) {
 		t.Error("channel must resume exactly at stallUntil")
 	}
 	ch.SetStall(math.MaxUint64)
-	if ch.CanSend(1<<40, 0, 1) {
+	if canSend(ch, 1<<40, 0, 1) {
 		t.Error("permanent outage must never resume")
 	}
 	ch.SetStall(0)
-	if !ch.CanSend(0, 0, 1) {
+	if !canSend(ch, 0, 0, 1) {
 		t.Error("clearing the stall must restore service")
 	}
 }
@@ -39,10 +39,10 @@ func TestChannelBackToBackStallResume(t *testing.T) {
 	for i := 0; i < 32; i++ {
 		if i%2 == 0 {
 			ch.SetStall(now + 1) // stalled for exactly this cycle
-			if ch.CanSend(now, 0, 1) {
+			if canSend(ch, now, 0, 1) {
 				t.Fatalf("cycle %d: send allowed during stall", now)
 			}
-		} else if ch.CanSend(now, 0, 1) {
+		} else if canSend(ch, now, 0, 1) {
 			ch.Send(now, pkt(1), 0)
 			sent++
 		}
@@ -58,7 +58,7 @@ func TestChannelBackToBackStallResume(t *testing.T) {
 	}
 	// Drain whatever is still in flight and check conservation: every sent
 	// flit is either received or nothing.
-	for end := now + ch.Latency() + 2; now < end; now++ {
+	for end := now + ch.latency + 2; now < end; now++ {
 		if p, ok := ch.Recv(now); ok {
 			ch.ReturnCredit(now, p.CurVC, p.Size)
 		}
@@ -113,22 +113,22 @@ func TestChannelCreditLossRestoreInterleaved(t *testing.T) {
 	dropped := 0
 	for now := uint64(0); now < 40; now++ {
 		ch.AbsorbCredits(now)
-		if ch.CanSend(now, 1, 1) {
+		if canSend(ch, now, 1, 1) {
 			ch.Send(now, pkt(1), 1)
 		}
 		if p, ok := ch.Recv(now); ok {
-			before := ch.LostCredits()
+			before := ch.lostCredits()
 			ch.ReturnCredit(now, p.CurVC, p.Size)
-			dropped += ch.LostCredits() - before
+			dropped += ch.lostCredits() - before
 		}
 		// Mid-run restore: the audit may fire at any moment, including
 		// with packets in flight.
 		if now == 20 {
-			if got := ch.RestoreLostCredits(); got != dropped {
+			if got := ch.RestoreLostCredits(now); got != dropped {
 				t.Fatalf("restore returned %d, ledger said %d", got, dropped)
 			}
 			dropped = 0
-			if ch.LostCredits() != 0 {
+			if ch.lostCredits() != 0 {
 				t.Fatal("ledger not cleared by restore")
 			}
 		}
@@ -140,7 +140,7 @@ func TestChannelCreditLossRestoreInterleaved(t *testing.T) {
 			ch.ReturnCredit(now, p.CurVC, p.Size)
 		}
 	}
-	ch.RestoreLostCredits()
+	ch.RestoreLostCredits(50)
 	ch.AbsorbCredits(51)
 	if got := ch.Credits(1); got != ch.BufFlits() {
 		t.Errorf("VC 1 credit = %d after drain+restore, want %d", got, ch.BufFlits())
@@ -167,7 +167,7 @@ func TestChannelStallHoldsInFlightDelivery(t *testing.T) {
 	if got := ch.Credits(0); got != ch.BufFlits() {
 		t.Errorf("credit = %d after stalled-channel drain, want %d", got, ch.BufFlits())
 	}
-	if ch.CanSend(arrive+1, 0, 1) {
+	if canSend(ch, arrive+1, 0, 1) {
 		t.Error("stalled channel accepted a new frame")
 	}
 }

@@ -53,8 +53,8 @@ const MaxVCs = 12
 //
 // Layout: both pipes and the credit counters are held inline and the fields
 // are grouped by who touches them on the hot path — the receiver's poll
-// (pkts, its mask), the sender's CanSend/Send (credit, serializer state,
-// counters), the credit return path (credits, its mask) — with
+// (pkts, its mask), the sender's SendableAt/Send (credit, serializer state,
+// link, counters), the credit return path (credits, its mask) — with
 // configuration-time, fault-only and staging state last.
 type Channel struct {
 	pkts     sim.Pipe[*packet.Packet]
@@ -68,6 +68,10 @@ type Channel struct {
 	// Zero (never stalled) is the common case; the fault layer sets it for
 	// transient stalls and permanent outages.
 	stallUntil uint64
+	// link is the link layer of a reliable channel (EnableLink), nil on a
+	// lossless one: the one field Send, SendableAt and Recv add to their
+	// lossless path.
+	link *link
 
 	latency uint64
 	rate    uint64 // millicycles per flit
@@ -82,10 +86,10 @@ type Channel struct {
 	// absorbed on the same cycle as in scan mode — per-cycle credit
 	// counters stay bit-identical across scheduling modes.
 	recvE, sndE *sim.Engine
-	// DropCredit, when non-nil, is consulted on every credit return; a true
+	// dropCredit, when non-nil, is consulted on every credit return; a true
 	// result drops the message, accumulating into lost. Installed only by
 	// the fault layer (EnableCreditLoss).
-	DropCredit func(vc, flits uint8) bool
+	dropCredit func(vc, flits uint8) bool
 	// Energy is non-nil when energy tracking is enabled.
 	Energy *EnergyCounters
 
@@ -105,7 +109,6 @@ type Channel struct {
 	ID          int // global channel id (topo.Machine space), -1 if synthetic
 	Name        string
 	lost        []int // credits dropped and not yet restored, per VC
-	link        *link // the link layer of a reliable channel (EnableLink), nil on a lossless one
 	prevPayload []byte
 	// A deferred channel stages its sends and credit returns — and, when
 	// reliable, its frame headers and acks — here during the parallel phase
@@ -129,43 +132,6 @@ type stagedPkt struct {
 type stagedCred struct {
 	at  uint64
 	msg creditMsg
-}
-
-// Header is the link-layer framing of one transmission on a reliable
-// channel: its sequence number, wire VC and CRC verdict. It travels beside
-// the packet rather than in it: a retransmission may resend a packet whose
-// routing state has already advanced downstream, so per-transmission state
-// must live outside the packet.
-type Header struct {
-	Seq     uint64
-	VC      uint8
-	Corrupt bool
-}
-
-// Ctrl is one ack or nack on a reliable channel's reverse path, carrying the
-// receiver's next expected sequence (cumulative). Control messages ride a
-// lossless pipe: real hardware protects them with their own CRC and repeats
-// cumulative state, so modeling their loss adds latency but no new protocol
-// states.
-type Ctrl struct {
-	Seq  uint64
-	Nack bool
-}
-
-type stagedAck struct {
-	at uint64
-	c  Ctrl
-}
-
-// link is what a reliable channel carries besides its packets: the header of
-// every frame in the packet pipe, in a pipe kept in lockstep with it (same
-// entries, same arrival cycles), and the ack/nack pipe back to the sender.
-// Each stages like the pipe it shadows; stagedHdrs parallels stagedPkts.
-type link struct {
-	hdrs       sim.Pipe[Header]
-	ctrl       sim.Pipe[Ctrl]
-	stagedHdrs []Header
-	stagedAcks []stagedAck
 }
 
 // Config sizes a channel.
@@ -252,25 +218,6 @@ func (ch *Channel) pushCredit(at uint64, msg creditMsg) {
 	}
 }
 
-// pushCtrl is the only place an ack or nack enters the control pipe:
-// enqueue and wake the sender at the arrival cycle. The sender polls the
-// pipe on every tick, so no ready bit is involved.
-func (ch *Channel) pushCtrl(at uint64, c Ctrl) {
-	ch.link.ctrl.SendAt(at, c)
-	if ch.sndE != nil {
-		ch.sndE.Wake(int(ch.sndID), at)
-	}
-}
-
-// WakeSender wakes the bound sending component at the given cycle. The fault
-// layer uses it when a credit-resync audit restores sender-side credits
-// outside the normal credit pipe.
-func (ch *Channel) WakeSender(at uint64) {
-	if ch.sndE != nil {
-		ch.sndE.Wake(int(ch.sndID), at)
-	}
-}
-
 // StageList is one shard's list of the shard-crossing channels it staged
 // traffic on during the current parallel phase. Only that shard's worker
 // appends to it, and only the coordinator, at the barrier, flushes it, so the
@@ -327,9 +274,6 @@ func (ch *Channel) flushStaged() {
 // NumVCs returns the channel's physical VC count.
 func (ch *Channel) NumVCs() int { return int(ch.numVCs) }
 
-// Latency returns the delivery latency in cycles.
-func (ch *Channel) Latency() uint64 { return ch.latency }
-
 // AbsorbCredits drains returned credits into the sender-side counters, and
 // clears the sender's ready bit once the credit pipe is empty. The sending
 // component calls this at the top of its Tick for ports whose bit is set.
@@ -349,24 +293,28 @@ func (ch *Channel) AbsorbCredits(now uint64) {
 // Credits returns the sender-side available credit for a VC, in flits.
 func (ch *Channel) Credits(vc uint8) int { return int(ch.credit[vc]) }
 
-// CanSend reports whether a packet of the given size can be forwarded on vc
-// right now: the serializer must free up within this cycle (a small
-// serialization FIFO lets the handoff overlap the previous flit's tail, so
-// fractional rates like the torus 45/14 cycles per flit are sustained
-// exactly) and the downstream VC must have credit for every flit (virtual
-// cut-through).
-func (ch *Channel) CanSend(now uint64, vc uint8, flits uint8) bool {
-	return ch.SendableAt(vc, flits) <= now
+// SendableAt returns the first cycle at which a packet of the given size can
+// be forwarded on vc if no credit arrives before then: the later of the cycle
+// the serializer frees up in (a small serialization FIFO lets the handoff
+// overlap the previous flit's tail, so fractional rates like the torus 45/14
+// cycles per flit are sustained exactly) and the end of a stall. It returns
+// math.MaxUint64 — no cycle — when vc is short of credit for every flit
+// (virtual cut-through), since only a credit return (which wakes the bound
+// sender) or a resync audit (RestoreLostCredits) can change that, and for a
+// permanently failed channel. On a reliable channel it also returns no cycle
+// while the window is full or a replay is pending; an ack wakes the sender,
+// and LinkWake names the cycles the rest needs. A sleeping sender uses it to
+// pick the cycle it next has to look at the channel.
+func (ch *Channel) SendableAt(vc uint8, flits uint8) uint64 {
+	if ch.link != nil && !ch.link.snd.CanSend() {
+		return math.MaxUint64
+	}
+	return ch.sendableAt(vc, flits)
 }
 
-// SendableAt returns the first cycle at which CanSend(vc, flits) holds if no
-// credit arrives before then: the later of the cycle the serializer frees up
-// in and the end of a stall. It returns math.MaxUint64 — no cycle — when vc
-// is short of credit, since only a credit return (which wakes the bound
-// sender) or a resync audit (WakeSender) can change that, and for a
-// permanently failed channel. A sleeping sender uses it to pick the cycle it
-// next has to look at the channel.
-func (ch *Channel) SendableAt(vc uint8, flits uint8) uint64 {
+// sendableAt is SendableAt below the link layer: what a replayed frame waits
+// for.
+func (ch *Channel) sendableAt(vc uint8, flits uint8) uint64 {
 	if ch.credit[vc] < int32(flits) {
 		return math.MaxUint64
 	}
@@ -375,33 +323,25 @@ func (ch *Channel) SendableAt(vc uint8, flits uint8) uint64 {
 
 // Send forwards a packet on vc and returns the arrival cycle. The packet
 // arrives downstream when its last flit clears the serializer plus the
-// channel latency. The caller must have checked CanSend.
+// channel latency. The caller must have found SendableAt(vc, p.Size) <= now.
+// On a reliable channel the packet goes out as the link's next frame and
+// stays in its window until the receiver acknowledges it.
 func (ch *Channel) Send(now uint64, p *packet.Packet, vc uint8) uint64 {
 	p.CurVC = vc
-	return ch.transmit(now, p, vc)
-}
-
-// SendFrame forwards a packet on a reliable channel as one frame under the
-// link-layer header h, on the wire VC h.VC, and returns the arrival cycle;
-// the header arrives with the packet. Unlike Send it leaves the packet's
-// routing state alone: a retransmission's original copy may already have
-// been accepted downstream and moved on, so the packet is read-only here, and
-// a fresh frame's sender sets CurVC itself. Every send on a reliable channel
-// goes through SendFrame, which keeps the header pipe in lockstep with the
-// packet pipe.
-func (ch *Channel) SendFrame(now uint64, p *packet.Packet, h Header) uint64 {
-	at := ch.transmit(now, p, h.VC)
-	if l := ch.link; ch.deferred && ch.sndE.Parallel() {
-		l.stagedHdrs = append(l.stagedHdrs, h)
-	} else {
-		l.hdrs.SendAt(at, h)
+	l := ch.link
+	if l == nil {
+		return ch.transmit(now, p, vc)
 	}
-	return at
+	if !l.snd.CanSend() {
+		panic("fabric: Send before SendableAt on " + ch.Name)
+	}
+	l.win = append(l.win, frame{p: p, vc: vc})
+	return ch.sendFrame(now, p, l.snd.OnSend(now), vc)
 }
 
 func (ch *Channel) transmit(now uint64, p *packet.Packet, vc uint8) uint64 {
-	if !ch.CanSend(now, vc, p.Size) {
-		panic("fabric: Send without CanSend on " + ch.Name)
+	if ch.sendableAt(vc, p.Size) > now {
+		panic("fabric: Send before SendableAt on " + ch.Name)
 	}
 	ch.credit[vc] -= int32(p.Size)
 	ch.Sent += uint64(p.Size)
@@ -453,26 +393,23 @@ func (ch *Channel) countEnergy(now uint64, p *packet.Packet) {
 // Recv polls for an arrived packet, and clears the receiver's ready bit once
 // the packet pipe is empty. The receiving component calls this in its Tick
 // for ports whose bit is set; credits guarantee it has buffer space for
-// anything that arrives.
+// anything that arrives. On a reliable channel a frame the link layer drops
+// (corrupt, out of order or a stale duplicate) comes back as (nil, true):
+// nothing to take, but the pipe moved and may hold more.
 func (ch *Channel) Recv(now uint64) (*packet.Packet, bool) {
 	p, ok := ch.pkts.Poll(now)
 	if ch.pkts.Empty() {
 		*ch.recvMask &^= ch.recvBit
 	}
+	if ok && ch.link != nil && !ch.accept(now, p) {
+		return nil, true
+	}
 	return p, ok
-}
-
-// RecvHeader returns the header of the frame Recv just returned on a reliable
-// channel. The two pipes are written together with the same arrival cycles,
-// so the header is there whenever its packet was.
-func (ch *Channel) RecvHeader(now uint64) Header {
-	h, _ := ch.link.hdrs.Poll(now)
-	return h
 }
 
 // ReturnCredit informs the sender that flits of buffer space freed on vc.
 func (ch *Channel) ReturnCredit(now uint64, vc uint8, flits uint8) {
-	if ch.DropCredit != nil && ch.DropCredit(vc, flits) {
+	if ch.dropCredit != nil && ch.dropCredit(vc, flits) {
 		ch.lost[vc] += int(flits)
 		return
 	}
@@ -493,43 +430,15 @@ func (ch *Channel) fileRecv() {
 	}
 }
 
-// EnableLink makes the channel reliable: it gains a header pipe beside its
-// packet pipe and an ack/nack pipe of the same latency back to the sender.
-// A reliable channel's pipe may hold duplicate transmissions of one logical
-// packet, so the conservation census skips it (Reliable) and counts the
-// link's retransmission window instead.
-func (ch *Channel) EnableLink() {
-	ch.link = &link{hdrs: sim.MakePipe[Header](ch.latency), ctrl: sim.MakePipe[Ctrl](ch.latency)}
-}
-
-// Reliable reports whether EnableLink was called.
-func (ch *Channel) Reliable() bool { return ch.link != nil }
-
-// SendCtrl returns an ack or nack to the sender of a reliable channel.
-func (ch *Channel) SendCtrl(now uint64, c Ctrl) {
-	l := ch.link
-	at := now + l.ctrl.Latency()
-	if ch.deferred && ch.recvE.Parallel() {
-		ch.fileRecv()
-		l.stagedAcks = append(l.stagedAcks, stagedAck{at: at, c: c})
-		return
-	}
-	ch.pushCtrl(at, c)
-}
-
-// RecvCtrl polls a reliable channel's ack/nack pipe for a message arrived by
-// cycle now. The sending component calls it on every tick.
-func (ch *Channel) RecvCtrl(now uint64) (Ctrl, bool) { return ch.link.ctrl.Poll(now) }
-
 // EnableCreditLoss installs a credit-drop predicate and allocates the
 // lost-credit ledger the resync audit restores from.
 func (ch *Channel) EnableCreditLoss(drop func(vc, flits uint8) bool) {
 	ch.lost = make([]int, ch.numVCs)
-	ch.DropCredit = drop
+	ch.dropCredit = drop
 }
 
-// LostCredits returns the total credits currently dropped and unrestored.
-func (ch *Channel) LostCredits() int {
+// lostCredits returns the total credits currently dropped and unrestored.
+func (ch *Channel) lostCredits() int {
 	total := 0
 	for _, n := range ch.lost {
 		total += n
@@ -537,9 +446,11 @@ func (ch *Channel) LostCredits() int {
 	return total
 }
 
-// RestoreLostCredits models a credit resync audit: every lost credit is
-// re-added to the sender-side counters. Returns the number restored.
-func (ch *Channel) RestoreLostCredits() int {
+// RestoreLostCredits models a credit resync audit at cycle now: every lost
+// credit is re-added to the sender-side counters, and a bound sender that got
+// any back is woken this cycle to use them, as it would be when scanned.
+// Returns the number restored.
+func (ch *Channel) RestoreLostCredits(now uint64) int {
 	total := 0
 	for vc, n := range ch.lost {
 		if n > 0 {
@@ -547,6 +458,9 @@ func (ch *Channel) RestoreLostCredits() int {
 			total += n
 			ch.lost[vc] = 0
 		}
+	}
+	if total > 0 && ch.sndE != nil {
+		ch.sndE.Wake(int(ch.sndID), now)
 	}
 	return total
 }
@@ -559,10 +473,15 @@ func (ch *Channel) SetStall(until uint64) { ch.stallUntil = until }
 // Stalled reports whether the channel is refusing new frames at cycle now.
 func (ch *Channel) Stalled(now uint64) bool { return ch.stallUntil > now }
 
-// Quiet reports whether the channel holds no in-flight packets, credits or
-// acks.
+// Quiet reports whether the channel holds no in-flight packets or credits; a
+// reliable channel must also have no acks in flight, every frame
+// acknowledged and no credit lost.
 func (ch *Channel) Quiet() bool {
-	return ch.pkts.Empty() && ch.credits.Empty() && (ch.link == nil || ch.link.ctrl.Empty())
+	if !ch.pkts.Empty() || !ch.credits.Empty() {
+		return false
+	}
+	l := ch.link
+	return l == nil || l.ctrl.Empty() && l.snd.Quiet() && ch.lostCredits() == 0
 }
 
 // BufFlits returns the downstream per-VC buffer capacity in flits. It is the
@@ -571,8 +490,15 @@ func (ch *Channel) BufFlits() int { return int(ch.bufFlits) }
 
 // InFlight returns the number of packets currently traversing the channel
 // (sent but not yet received). Invariant checkers use it for the flit
-// conservation census.
-func (ch *Channel) InFlight() int { return ch.pkts.Len() }
+// conservation census. A reliable channel's pipe may hold several
+// transmissions of one packet, so there it counts logical packets: the
+// window frames the receiver has not accepted yet.
+func (ch *Channel) InFlight() int {
+	if l := ch.link; l != nil {
+		return int(l.snd.Next() - max(l.snd.Base(), l.rcv.Expected()))
+	}
+	return ch.pkts.Len()
+}
 
 // CreditsInFlight returns the number of credit returns currently traversing
 // the channel's reverse path (returned but not yet absorbed).

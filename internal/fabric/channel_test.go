@@ -23,24 +23,28 @@ func meshChan(track bool) *Channel {
 
 func pkt(size uint8) *packet.Packet { return &packet.Packet{Size: size} }
 
+// canSend reports whether a packet of flits flits can go out on vc at cycle
+// now.
+func canSend(ch *Channel, now uint64, vc, flits uint8) bool { return ch.SendableAt(vc, flits) <= now }
+
 func TestChannelCreditAccounting(t *testing.T) {
 	ch := meshChan(false)
-	if !ch.CanSend(0, 2, 1) {
+	if !canSend(ch, 0, 2, 1) {
 		t.Fatal("fresh channel must have full credit")
 	}
 	// Exhaust VC 2's credit (4 flits) with two 2-flit packets.
 	ch.Send(0, pkt(2), 2)
 	ch.Send(2, pkt(2), 2)
-	if ch.CanSend(4, 2, 1) {
+	if canSend(ch, 4, 2, 1) {
 		t.Fatal("VC 2 should be out of credit")
 	}
-	if !ch.CanSend(4, 1, 2) {
+	if !canSend(ch, 4, 1, 2) {
 		t.Fatal("other VCs must be unaffected")
 	}
 	// Return one flit: enough for a 1-flit packet, not a 2-flit one.
 	ch.ReturnCredit(4, 2, 1)
 	ch.AbsorbCredits(5)
-	if !ch.CanSend(5, 2, 1) || ch.CanSend(5, 2, 2) {
+	if !canSend(ch, 5, 2, 1) || canSend(ch, 5, 2, 2) {
 		t.Fatalf("credit = %d, want exactly 1", ch.Credits(2))
 	}
 }
@@ -88,11 +92,11 @@ func TestChannelMeshTiming(t *testing.T) {
 func TestChannelBackToBackMeshRate(t *testing.T) {
 	ch := meshChan(false)
 	ch.Send(0, pkt(1), 0)
-	if !ch.CanSend(1, 1, 1) {
+	if !canSend(ch, 1, 1, 1) {
 		t.Fatal("mesh channel must accept one flit per cycle")
 	}
 	ch.Send(1, pkt(1), 1)
-	if ch.CanSend(1, 2, 1) {
+	if canSend(ch, 1, 2, 1) {
 		t.Fatal("channel accepted two flits in one cycle")
 	}
 }
@@ -104,10 +108,10 @@ func TestChannelTorusSerialization(t *testing.T) {
 	})
 	// Send at cycle 0: serializer busy until 3.214 cycles.
 	ch.Send(0, pkt(1), 0)
-	if ch.CanSend(1, 0, 1) || ch.CanSend(2, 0, 1) {
+	if canSend(ch, 1, 0, 1) || canSend(ch, 2, 0, 1) {
 		t.Fatal("torus serializer should still be busy at cycles 1-2")
 	}
-	if !ch.CanSend(3, 0, 1) {
+	if !canSend(ch, 3, 0, 1) {
 		t.Fatal("torus serializer frees within cycle 3 (3.214 cycles/flit)")
 	}
 	// Arrival: ceil(3.214) + latency - 1 = 4 + 9 = 13.
@@ -123,7 +127,7 @@ func TestChannelTorusSerialization(t *testing.T) {
 	sent := 0
 	for now := uint64(100); now < 100+900; now++ {
 		ch.AbsorbCredits(now)
-		if ch.CanSend(now, 1, 1) {
+		if canSend(ch, now, 1, 1) {
 			ch.Send(now, pkt(1), 1)
 			ch.ReturnCredit(now, 1, 1) // downstream drains immediately
 			sent++
@@ -214,7 +218,7 @@ func TestChannelCreditInvariantProperty(t *testing.T) {
 			vc := uint8(op>>4) & 1
 			switch op % 4 {
 			case 0: // try to send
-				if ch.CanSend(now, vc, 1) {
+				if canSend(ch, now, vc, 1) {
 					ch.Send(now, &packet.Packet{Size: 1}, vc)
 					sent++
 				}
@@ -327,7 +331,9 @@ func (f tickFn) Tick(now uint64) { f(now) }
 // workers run, touching neither mask word and filing itself once on each
 // staging shard's list, which the barrier flushes with the arrival cycles of
 // the sends; in a serially stepped cycle of the same engine it puts all of it
-// straight into the pipes. Either way the cycle ends in the same state.
+// straight into the pipes. Either way the cycle ends in the same state. On a
+// reliable channel the receiver takes the frame on the next cycle and stages
+// its ack the same way.
 func TestChannelStaging(t *testing.T) {
 	for _, reliable := range []bool{false, true} {
 		for _, parallel := range []bool{false, true} {
@@ -337,54 +343,58 @@ func TestChannelStaging(t *testing.T) {
 			e := sim.NewEngineMode(sim.ModeActive)
 			ch := meshChan(false)
 			ch.SetDeferred(&snd, &recv)
-			hdr, ack := Header{Seq: 7, VC: 2, Corrupt: true}, Ctrl{Seq: 5, Nack: true}
 			if reliable {
-				ch.EnableLink()
+				ch.EnableLink(func() bool { return false })
 			}
-			linkLens := func() (hdrs, ctrl int) {
+			linkLens := func() (hdrs, acks int) {
 				if reliable {
 					return ch.link.hdrs.Len(), ch.link.ctrl.Len()
 				}
 				return 0, 0
 			}
+			sent := pkt(1)
+			var got *packet.Packet
 			sender := e.Register(tickFn(func(now uint64) {
-				if now != 0 {
-					return
-				}
-				if reliable {
-					ch.SendFrame(now, pkt(1), hdr)
-				} else {
-					ch.Send(now, pkt(1), 0)
+				if now == 0 {
+					ch.Send(now, sent, 0)
 				}
 			}))
 			receiver := e.Register(tickFn(func(now uint64) {
-				if now != 0 {
-					return
+				switch {
+				case now == 0:
+					ch.ReturnCredit(now, 1, 1)
+					ch.ReturnCredit(now, 2, 1)
+				case now == 1 && reliable:
+					got, _ = ch.Recv(now)
 				}
-				if reliable {
-					ch.SendCtrl(now, ack)
-				}
-				ch.ReturnCredit(now, 1, 1)
-				ch.ReturnCredit(now, 2, 1)
 			}))
 			ch.BindSender(e, sender, &credMask, 5)
 			ch.BindReceiver(e, receiver, &inMask, 3)
-			merged := false
-			e.ConfigureShards([]sim.ShardRange{{Lo: 0, Hi: 1}, {Lo: 1, Hi: 2}}, 0, func(uint64) {
-				merged = true
-				if hdrs, ctrl := linkLens(); inMask|credMask != 0 || ch.InFlight()+ch.CreditsInFlight()+hdrs+ctrl != 0 {
-					t.Errorf("%s: staged traffic reached the pipes before the barrier: inMask %#x credMask %#x", name, inMask, credMask)
-				}
-				if len(snd.chans) != 1 || len(recv.chans) != 1 {
-					t.Errorf("%s: stage lists hold %d and %d channels, want 1 and 1", name, len(snd.chans), len(recv.chans))
+			merged := 0
+			e.ConfigureShards([]sim.ShardRange{{Lo: 0, Hi: 1}, {Lo: 1, Hi: 2}}, 0, func(now uint64) {
+				merged++
+				hdrs, acks := linkLens()
+				switch now {
+				case 0:
+					if inMask|credMask != 0 || ch.pkts.Len()+ch.CreditsInFlight()+hdrs != 0 {
+						t.Errorf("%s: staged traffic reached the pipes before the barrier: inMask %#x credMask %#x", name, inMask, credMask)
+					}
+					if len(snd.chans) != 1 || len(recv.chans) != 1 {
+						t.Errorf("%s: stage lists hold %d and %d channels, want 1 and 1", name, len(snd.chans), len(recv.chans))
+					}
+				case 1:
+					if acks != 0 || len(snd.chans) != 0 || len(recv.chans) != 1 {
+						t.Errorf("%s: %d acks in flight before the barrier, stage lists hold %d and %d channels; want 0, 0 and 1",
+							name, acks, len(snd.chans), len(recv.chans))
+					}
 				}
 				snd.Flush()
 				recv.Flush()
 			})
 			e.ForceParallelForTest(func(uint64) bool { return parallel })
 			e.Step()
-			if merged != parallel {
-				t.Fatalf("%s: merge ran %v", name, merged)
+			if merged != 0 != parallel {
+				t.Fatalf("%s: merge ran %d times", name, merged)
 			}
 			if inMask != 1<<3 || credMask != 1<<5 || ch.InFlight() != 1 || ch.CreditsInFlight() != 2 {
 				t.Errorf("%s: after the cycle inMask %#x credMask %#x, %d packets and %d credits in flight; want %#x %#x 1 2",
@@ -396,17 +406,17 @@ func TestChannelStaging(t *testing.T) {
 			if !reliable {
 				continue
 			}
-			if hdrs, ctrl := linkLens(); hdrs != 1 || ctrl != 1 || ch.link.hdrs.At(0) != ch.pkts.At(0) {
-				t.Fatalf("%s: %d headers and %d acks in flight, want 1 and 1 with the header due with its packet", name, hdrs, ctrl)
+			if hdrs, _ := linkLens(); hdrs != 1 || ch.link.hdrs.At(0) != ch.pkts.At(0) {
+				t.Fatalf("%s: %d headers in flight, want 1 due with its packet", name, hdrs)
 			}
-			if _, ok := ch.Recv(1); !ok {
-				t.Fatalf("%s: the frame is not due at cycle 1", name)
+			e.Step()
+			if _, acks := linkLens(); got != sent || acks != 1 || ch.InFlight() != 0 {
+				t.Fatalf("%s: cycle 1 took %v of %v with %d acks and %d packets in flight, want the frame, 1 and 0",
+					name, got, sent, acks, ch.InFlight())
 			}
-			if h := ch.RecvHeader(1); h != hdr {
-				t.Errorf("%s: header %+v, want %+v", name, h, hdr)
-			}
-			if c, ok := ch.RecvCtrl(1); !ok || c != ack {
-				t.Errorf("%s: ack %+v (%v), want %+v at cycle 1", name, c, ok, ack)
+			ch.AbsorbCredits(2)
+			if moved, err := ch.LinkTick(2); !moved || err != nil || !ch.Quiet() {
+				t.Errorf("%s: the ack moved the link %v (err %v), quiet %v; want moved and quiet", name, moved, err, ch.Quiet())
 			}
 		}
 	}
@@ -423,8 +433,8 @@ func TestChannelVCBound(t *testing.T) {
 	New(Config{Name: "too wide", NumVCs: MaxVCs + 1, BufFlits: 4})
 }
 
-// TestSendableAt holds the query to what CanSend spelled out before it: the
-// first cycle at which the serializer has freed up, no stall holds and the VC
+// TestSendableAt holds the query to a cycle-by-cycle search for the first
+// cycle at which the serializer has freed up, no stall holds and the VC
 // has credit for every flit — and no cycle at all while credit is short or
 // the channel is down for good.
 func TestSendableAt(t *testing.T) {

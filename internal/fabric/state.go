@@ -96,23 +96,43 @@ func (ch *Channel) State(c *wire.Codec, ref func(p *packet.Packet, nilable bool)
 	})
 }
 
-// LinkState codes a reliable channel's link-layer traffic: the header of
-// every frame in the packet pipe, in pipe order, then the ack/nack pipe. It
-// follows the channel's State in the machine record (after the go-back-N
-// state of its link), so decoding finds the packet pipe refilled and gives
-// each header its frame's arrival cycle; acks wake the bound sender as
-// SendCtrl's did.
-func (ch *Channel) LinkState(c *wire.Codec) {
+// LinkState codes a reliable channel's link layer: whether the channel has
+// one, then its sender, receiver and window, the header of every frame in
+// the packet pipe, in pipe order, and the ack/nack pipe. ref codes a window
+// packet as State's does. It follows the channel's State in the machine
+// record, so decoding finds the packet pipe refilled and gives each header
+// its frame's arrival cycle; acks wake the bound sender as sendCtrl's did.
+func (ch *Channel) LinkState(c *wire.Codec, ref func(p *packet.Packet, nilable bool) *packet.Packet) {
 	l := ch.link
-	l.hdrs.State(c, 3, func(_ uint64, h Header) {
-		c.Uvarint(&h.Seq)
-		c.Byte(&h.VC)
-		c.Bool(&h.Corrupt)
+	has := l != nil
+	if c.Bool(&has); has != (l != nil) {
+		c.Fail("fabric: %s: record and channel disagree on a reliable link", ch.Name)
+	}
+	if l == nil || c.Err() != nil {
+		return
+	}
+	l.snd.State(c)
+	l.rcv.State(c)
+	wire.List(c, &l.win, 0, 2)
+	for i := range l.win {
+		e := &l.win[i]
+		e.p = ref(e.p, false)
+		if c.Byte(&e.vc); e.vc >= ch.numVCs {
+			c.Fail("fabric: %s: window frame on VC %d of %d", ch.Name, e.vc, ch.numVCs)
+		}
+	}
+	if len(l.win) != l.snd.Outstanding() {
+		c.Fail("fabric: %s: %d window entries for sequences [%d, %d)", ch.Name, len(l.win), l.snd.Base(), l.snd.Next())
+	}
+	l.hdrs.State(c, 3, func(_ uint64, h header) {
+		c.Uvarint(&h.seq)
+		c.Byte(&h.vc)
+		c.Bool(&h.corrupt)
 		if !c.Decoding() {
 			return
 		}
-		if n := l.hdrs.Len(); n == ch.pkts.Len() || h.VC >= ch.numVCs {
-			c.Fail("fabric: %s: header %d on VC %d, for %d frames of %d VCs", ch.Name, n, h.VC, ch.pkts.Len(), ch.numVCs)
+		if n := l.hdrs.Len(); n == ch.pkts.Len() || h.vc >= ch.numVCs {
+			c.Fail("fabric: %s: header %d on VC %d, for %d frames of %d VCs", ch.Name, n, h.vc, ch.pkts.Len(), ch.numVCs)
 		} else {
 			l.hdrs.SendAt(ch.pkts.At(n), h)
 		}
@@ -120,10 +140,10 @@ func (ch *Channel) LinkState(c *wire.Codec) {
 	if c.Decoding() && l.hdrs.Len() != ch.pkts.Len() {
 		c.Fail("fabric: %s: %d headers for %d frames", ch.Name, l.hdrs.Len(), ch.pkts.Len())
 	}
-	l.ctrl.State(c, 3, func(at uint64, m Ctrl) {
+	l.ctrl.State(c, 3, func(at uint64, m ctrlMsg) {
 		c.Uvarint(&at)
-		c.Uvarint(&m.Seq)
-		if c.Bool(&m.Nack); c.Decoding() {
+		c.Uvarint(&m.seq)
+		if c.Bool(&m.nack); c.Decoding() {
 			ch.pushCtrl(at, m)
 		}
 	})

@@ -1,10 +1,10 @@
 package fault
 
 // This file implements the pure go-back-N state machines of the reliable
-// link layer. They hold no references to channels or packets — the machine's
-// adapter code owns the retransmission buffer and wires frames and control
-// messages through the fabric — which keeps the protocol state machines
-// directly unit-testable and fuzzable (FuzzGoBackN).
+// link layer. They hold no references to channels or packets — the reliable
+// fabric.Channel owns the retransmission window and carries frames and
+// control messages in its own pipes — which keeps the protocol state
+// machines directly unit-testable and fuzzable (FuzzGoBackN).
 //
 // Protocol sketch: every frame transmitted on a link carries a sequence
 // number and a CRC. The receiver accepts only the in-order, uncorrupted
@@ -147,7 +147,7 @@ func (s *Sender) Tick(now uint64) bool {
 // given no further acks or sends: lastMove + timeout. It reports false when
 // no timeout is pending (nothing outstanding, a replay in progress, or the
 // sender is dead). An active-set scheduler uses it to let an otherwise-idle
-// adapter sleep without missing its retransmit timer.
+// sender sleep without missing its retransmit timer.
 func (s *Sender) Deadline() (uint64, bool) {
 	if s.dead || s.base == s.next || s.retx < s.next {
 		return 0, false

@@ -1,6 +1,6 @@
 // Package fault provides a deterministic, seeded fault model for the
 // simulated network, plus the pure go-back-N sender/receiver state machines
-// the machine's reliable-link layer is built on.
+// the reliable channel's link layer (fabric.Channel.EnableLink) is built on.
 //
 // The paper assumes lossless channels; this package relaxes that assumption
 // so the reproduction can be exercised under transient flit corruption,
@@ -18,9 +18,8 @@ import (
 	"strings"
 )
 
-// The reliable-link protocol's parameters, the same on every link. The
-// machine derives each link's ack-progress timeout from the link's latency
-// and StallCycles.
+// The reliable-link protocol's parameters, the same on every link. A reliable
+// channel derives its ack-progress timeout from its latency and StallCycles.
 const (
 	// Window is the go-back-N sliding window in frames.
 	Window = 256
@@ -175,9 +174,9 @@ type Counters struct {
 	Unroutable      uint64 // packets with no failure-avoiding route
 }
 
-// Add accumulates another set of counters into c. The machine layer keeps
-// per-shard counter slots so parallel shards never contend, and sums them
-// with Add when reporting.
+// Add accumulates another set of counters into c. The machine's fault layer
+// counts injector events itself and each reliable channel its own protocol
+// events; Add sums them when reporting.
 func (c *Counters) Add(o Counters) {
 	from := o.words()
 	for i, w := range c.words() {

@@ -6,7 +6,6 @@ import (
 
 	"anton2/internal/arbiter"
 	"anton2/internal/fabric"
-	"anton2/internal/fault"
 	"anton2/internal/packet"
 	"anton2/internal/route"
 	"anton2/internal/topo"
@@ -41,12 +40,6 @@ type channelAdapter struct {
 	ing []vcq // torus -> router queues, indexed by arrival VC
 	// egOcc / ingOcc: bit v set while eg[v] / ing[v] is non-empty.
 	egOcc, ingOcc uint32
-
-	// Reliable-link state, non-nil only under fault injection: rlOut is
-	// the go-back-N sender side of torusOut, rlIn the receiver side of
-	// torusIn. Either may be nil for a permanently failed link.
-	rlOut *rlink
-	rlIn  *rlink
 
 	egArb arbiter.Arbiter
 	inArb arbiter.Arbiter
@@ -90,10 +83,6 @@ func newChannelAdapter(m *Machine, node int, id topo.AdapterID) *channelAdapter 
 	a.egArb = m.newArbiter(tvcs, m.adapterWeights(true, id, tvcs))
 	a.inArb = m.newArbiter(tvcs, m.adapterWeights(false, id, tvcs))
 	a.pats = m.arena.takePats(tvcs)
-	if m.flt != nil {
-		a.rlOut = m.flt.rlinkFor(a.torusOut.ID)
-		a.rlIn = m.flt.rlinkFor(a.torusIn.ID)
-	}
 	return a
 }
 
@@ -109,18 +98,14 @@ func (a *channelAdapter) bind() {
 
 // Tick implements sim.Component. In active-set mode the adapter sleeps until
 // the first cycle at which one of its heads could move (tick's result), as a
-// router does (router.Tick). A reliable sender also re-arms every cycle while
-// a replay is pending and — crucially — at its go-back-N timeout deadline
-// while frames are outstanding, so a sleeping adapter still fires its
-// retransmit timer on exactly the cycle scan mode would.
+// router does (router.Tick). Under fault injection torusOut's link layer may
+// need it sooner — to replay a frame, or at its go-back-N timeout deadline —
+// so a sleeping adapter still fires its retransmit timer on exactly the cycle
+// scan mode would.
 func (a *channelAdapter) Tick(now uint64) {
 	wake := a.tick(now)
-	if rl := a.rlOut; rl != nil {
-		if _, ok := rl.snd.NeedRetx(); ok {
-			wake = now + 1
-		} else if dl, ok := rl.snd.Deadline(); ok {
-			wake = min(wake, dl)
-		}
+	if a.m.flt != nil {
+		wake = min(wake, a.torusOut.LinkWake(now))
 	}
 	if wake != never {
 		a.m.Engine.Wake(a.cid, wake)
@@ -138,8 +123,14 @@ func (a *channelAdapter) tick(now uint64) (wake uint64) {
 	if a.credMask&(1<<credToRouter) != 0 {
 		a.toRouter.AbsorbCredits(now)
 	}
-	if a.rlOut != nil {
-		a.reliableOutTick(now)
+	if a.m.flt != nil {
+		moved, err := a.torusOut.LinkTick(now)
+		if moved {
+			a.m.Engine.ProgressAt(int(a.shard))
+		}
+		if err != nil {
+			a.m.flt.raise(now, a.cid, err)
+		}
 	}
 
 	for a.inMask&(1<<inFromRouter) != 0 {
@@ -162,10 +153,9 @@ func (a *channelAdapter) tick(now uint64) (wake uint64) {
 		if !ok {
 			break
 		}
-		// The link-layer verdict comes first: a dropped frame (corrupt or
-		// out of order) must not touch the packet's routing statistics —
-		// its pointer may alias a copy already accepted and moved on.
-		if a.rlIn != nil && !a.acceptFrame(now, p) {
+		if p == nil {
+			// The link layer dropped a frame: no packet, but progress.
+			a.m.Engine.ProgressAt(int(a.shard))
 			continue
 		}
 		p.ArrivedAt = now
@@ -176,70 +166,53 @@ func (a *channelAdapter) tick(now uint64) (wake uint64) {
 		pushVC(a.ing, &a.ingOcc, p.CurVC, p)
 		a.queued++
 	}
-	// A pending replay preempts fresh egress traffic (go-back-N order).
-	sentRetx := a.rlOut != nil && a.tryRetransmit(now)
 	if a.queued == 0 {
 		return never
 	}
 
 	// Egress: one packet per cycle onto the torus link, chosen among VC
-	// heads with credit downstream. Under reliability, fresh sends also
-	// need window space and yield to a retransmission this cycle; a full
-	// window reopens with an ack or a timeout, each of which wakes the
-	// adapter, and a replay re-arms it every cycle (Tick).
+	// heads with credit downstream.
 	var req uint64
-	if sentRetx {
-		if a.egOcc != 0 {
+	for m := a.egOcc; m != 0; m &= m - 1 {
+		vci := bits.TrailingZeros32(m)
+		q := &a.eg[vci]
+		if !q.routed {
+			p := q.headPkt()
+			// The dateline rule applies as the packet leaves the node
+			// (Section 2.5).
+			vc := route.AdapterEgress(a.m.routeCfg, &p.Route, a.nodeCoord)
+			q.markRouted(uint8(route.PhysVC(a.m.Cfg.Scheme, topo.GroupT, p.Route.Class, vc)), p.ArrivedAt+topo.AdapterPipeline)
+		}
+		at := q.readyAt
+		if at <= now {
+			at = a.torusOut.SendableAt(q.outVC, q.size)
+		}
+		if at > now {
+			wake = min(wake, at)
+			continue
+		}
+		req |= 1 << vci
+		a.pats[vci] = q.pat
+	}
+	if req != 0 {
+		g := a.egArb.Pick(req, a.pats)
+		if a.m.tel != nil {
+			a.m.tel.OnAdapterGrant(true, a.node, a.id.Index(), g)
+		}
+		outVC := a.eg[g].outVC
+		p := popVC(a.eg, &a.egOcc, uint8(g))
+		a.queued--
+		a.torusOut.Send(now, p, outVC)
+		if a.m.checks != nil {
+			a.m.checks.OnSend(p, a.torusOut, outVC, now)
+		}
+		p.Tracepoint(a.outLabel, now)
+		a.fromRouter.ReturnCredit(now, uint8(g), p.Size)
+		a.m.Engine.ProgressAt(int(a.shard))
+		// A loser bids again next cycle, and the winner's next packet is
+		// routed then.
+		if req&(req-1) != 0 || a.egOcc>>g&1 != 0 {
 			wake = now + 1
-		}
-	} else if a.rlOut == nil || a.rlOut.snd.CanSend() {
-		for m := a.egOcc; m != 0; m &= m - 1 {
-			vci := bits.TrailingZeros32(m)
-			q := &a.eg[vci]
-			if !q.routed {
-				p := q.headPkt()
-				// The dateline rule applies as the packet leaves the
-				// node (Section 2.5).
-				vc := route.AdapterEgress(a.m.routeCfg, &p.Route, a.nodeCoord)
-				q.markRouted(uint8(route.PhysVC(a.m.Cfg.Scheme, topo.GroupT, p.Route.Class, vc)), p.ArrivedAt+topo.AdapterPipeline)
-			}
-			at := q.readyAt
-			if at <= now {
-				at = a.torusOut.SendableAt(q.outVC, q.size)
-			}
-			if at > now {
-				wake = min(wake, at)
-				continue
-			}
-			req |= 1 << vci
-			a.pats[vci] = q.pat
-		}
-		if req != 0 {
-			g := a.egArb.Pick(req, a.pats)
-			if a.m.tel != nil {
-				a.m.tel.OnAdapterGrant(true, a.node, a.id.Index(), g)
-			}
-			outVC := a.eg[g].outVC
-			p := popVC(a.eg, &a.egOcc, uint8(g))
-			a.queued--
-			if rl := a.rlOut; rl != nil {
-				p.CurVC = outVC
-				a.sendFrame(now, p, rl.snd.OnSend(now), outVC)
-				rl.win = append(rl.win, winEntry{p: p, vc: outVC})
-			} else {
-				a.torusOut.Send(now, p, outVC)
-			}
-			if a.m.checks != nil {
-				a.m.checks.OnSend(p, a.torusOut, outVC, now)
-			}
-			p.Tracepoint(a.outLabel, now)
-			a.fromRouter.ReturnCredit(now, uint8(g), p.Size)
-			a.m.Engine.ProgressAt(int(a.shard))
-			// A loser bids again next cycle, and the winner's next
-			// packet is routed then.
-			if req&(req-1) != 0 || a.egOcc>>g&1 != 0 {
-				wake = now + 1
-			}
 		}
 	}
 
@@ -313,103 +286,6 @@ func (a *channelAdapter) tick(now uint64) (wake uint64) {
 		}
 	}
 	return wake
-}
-
-// acceptFrame runs the go-back-N receiver over one frame arriving on
-// torusIn and returns whether the packet is delivered upward. Dropped
-// frames (corrupt, out of order, or stale duplicates) release their buffer
-// space immediately on the frame's wire VC; only the frame header is
-// consulted for that, because the packet pointer of a stale duplicate may
-// alias a packet that has long since moved on.
-func (a *channelAdapter) acceptFrame(now uint64, p *packet.Packet) bool {
-	rl := a.rlIn
-	flt := a.m.flt
-	h := a.torusIn.RecvHeader(now)
-	if h.Corrupt {
-		flt.cnt[a.shard].CorruptDetected++
-	}
-	v := rl.rcv.OnFrame(h.Seq, h.Corrupt)
-	switch {
-	case v.Ack:
-		a.torusIn.SendCtrl(now, fabric.Ctrl{Seq: v.Seq})
-		flt.cnt[a.shard].Acks++
-	case v.Nack:
-		a.torusIn.SendCtrl(now, fabric.Ctrl{Seq: v.Seq, Nack: true})
-		flt.cnt[a.shard].Nacks++
-	}
-	if v.Accept {
-		return true
-	}
-	if !h.Corrupt && h.Seq < rl.rcv.Expected() {
-		flt.cnt[a.shard].DupsDropped++
-	}
-	a.torusIn.ReturnCredit(now, h.VC, p.Size)
-	a.m.Engine.ProgressAt(int(a.shard))
-	return false
-}
-
-// reliableOutTick drains torusOut's ack/nack channel into the go-back-N
-// sender, releases acknowledged window entries, and fires the timeout
-// rewind. A sender that exhausts its rewind budget marks the whole run
-// fatally degraded.
-func (a *channelAdapter) reliableOutTick(now uint64) {
-	rl := a.rlOut
-	flt := a.m.flt
-	for {
-		c, ok := a.torusOut.RecvCtrl(now)
-		if !ok {
-			break
-		}
-		var released int
-		if c.Nack {
-			released = rl.snd.OnNack(c.Seq, now)
-		} else {
-			released = rl.snd.OnAck(c.Seq, now)
-		}
-		if released > 0 {
-			rl.win = rl.win[:copy(rl.win, rl.win[released:])]
-			a.m.Engine.ProgressAt(int(a.shard))
-		}
-	}
-	if rl.snd.Tick(now) {
-		flt.cnt[a.shard].Timeouts++
-	}
-	if rl.snd.Dead() {
-		flt.raise(now, a.cid, &fault.BudgetError{Link: a.torusOut.Name, Attempts: rl.snd.Attempts()})
-	}
-}
-
-// tryRetransmit replays the next pending window entry on torusOut, if the
-// serializer and credits allow. Retransmissions bypass the invariant
-// suite's OnSend hook: the packet's routing state may legitimately have
-// advanced since the original transmission, so route-progress checks would
-// misfire on the stale copy.
-func (a *channelAdapter) tryRetransmit(now uint64) bool {
-	rl := a.rlOut
-	seq, ok := rl.snd.NeedRetx()
-	if !ok {
-		return false
-	}
-	ent := rl.win[seq-rl.snd.Base()]
-	if !a.torusOut.CanSend(now, ent.vc, ent.p.Size) {
-		return false
-	}
-	a.sendFrame(now, ent.p, seq, ent.vc)
-	rl.snd.OnRetx()
-	a.m.flt.cnt[a.shard].Retransmits++
-	a.m.Engine.ProgressAt(int(a.shard))
-	return true
-}
-
-// sendFrame transmits p on the reliable torusOut as frame seq on wire VC vc,
-// with the corruption the injector draws for it.
-func (a *channelAdapter) sendFrame(now uint64, p *packet.Packet, seq uint64, vc uint8) {
-	flt := a.m.flt
-	h := fabric.Header{Seq: seq, VC: vc, Corrupt: flt.inj.CorruptNext(a.rlOut.link)}
-	if h.Corrupt {
-		flt.cnt[a.shard].CorruptInjected++
-	}
-	a.torusOut.SendFrame(now, p, h)
 }
 
 // ingHead returns the packet that would move next from an ingress queue: a

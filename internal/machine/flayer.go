@@ -8,80 +8,40 @@ import (
 
 	"anton2/internal/fabric"
 	"anton2/internal/fault"
-	"anton2/internal/packet"
 )
 
 // This file wires the internal/fault model into the machine: a faultLayer
 // component that drives the injector (stall transitions, credit resyncs,
-// permanent outages), and per-torus-link rlink state implementing the
-// go-back-N reliable-link protocol at the channel adapters.
+// permanent outages) and makes every healthy torus channel reliable. The
+// go-back-N link layer itself is the channel's (fabric.Channel.EnableLink):
+// a channel adapter uses a reliable channel as it uses a lossless one.
 //
 // The layer follows the same nil-guarded, zero-cost-off discipline as
-// checking and telemetry: with Cfg.Fault == nil no rlink exists, every hook
-// site is a single predicted branch, and simulation results are bit-identical
-// to a build without the layer.
+// checking and telemetry: with Cfg.Fault == nil no channel is reliable, every
+// hook site is a single predicted branch, and simulation results are
+// bit-identical to a build without the layer.
 
-// winEntry is one unacknowledged frame held in the sender's retransmission
-// buffer.
-type winEntry struct {
-	p  *packet.Packet
-	vc uint8
-}
-
-// rlink is the go-back-N state of one reliable torus channel: the sender
-// (owned by the upstream adapter), the receiver (owned by the downstream
-// adapter) and the retransmission window. What travels on the wire — each
-// frame's header and the acks and nacks — is the channel's
-// (fabric.Channel.EnableLink), which stages it across shards like its packets.
-type rlink struct {
-	link int // dense torus link index (injector stream index)
-
-	snd fault.Sender
-	rcv fault.Receiver
-
-	win []winEntry // frames base..next-1, in sequence order
-}
-
-// live returns the number of window frames the receiver has not yet
-// accepted. The conservation census counts these instead of the channel
-// pipe, whose contents may include duplicates of one logical packet.
-func (rl *rlink) live() int {
-	lo := rl.snd.Base()
-	if e := rl.rcv.Expected(); e > lo {
-		lo = e
-	}
-	return int(rl.snd.Next() - lo)
-}
-
-// faultLayer owns the injector and the per-link reliability state. It is
-// registered as the first engine component — and is the engine's serial
-// prefix under sharding — so stall transitions and credit resyncs precede
-// all adapter ticks within a cycle.
+// faultLayer owns the injector, the failed links, its own event counters and
+// the fatal rule. It is registered as the first engine component — and is
+// the engine's serial prefix under sharding — so stall transitions and
+// credit resyncs precede all adapter ticks within a cycle.
 type faultLayer struct {
 	m    *Machine
 	spec fault.Spec
 	inj  *fault.Injector
 	cid  int // engine component id
 
-	// cnt holds per-shard counter slots so shard workers increment fault
-	// counters without contention: slot s accumulates events observed by
-	// shard s's adapters, and the extra last slot (injSlot) takes
-	// injection-path and coordinator events. counters() sums them.
-	cnt []fault.Counters
-	// recvShard maps a dense torus link index to the shard of its receiving
-	// adapter — the component that evaluates DropCredit for that link.
-	recvShard []int32
-
-	torusBase  int
 	links      []*fabric.Channel // dense torus index -> channel
-	rlinks     []*rlink          // dense torus index -> reliable link; nil for failed links
 	failed     map[int]bool      // global channel ids of permanent outages
 	failedList []int             // same, sorted
 
-	// mu guards the fatal record and the injection counter slot:
-	// MakePacket may run on any shard worker (endpoint traffic sources
-	// execute inside Tick), and so may a link running out of retries.
+	// mu guards the counters and the fatal record: MakePacket may run on
+	// any shard worker (endpoint traffic sources execute inside Tick), and
+	// so may a credit drop or a link running out of retries.
 	mu sync.Mutex
+	// cnt counts the injector's events and the reroutes; each reliable
+	// channel counts its own protocol events (counters sums both).
+	cnt fault.Counters
 	// fatal is set when a link exhausts its retry budget or a destination
 	// becomes unreachable; RunUntilDelivered surfaces it instead of
 	// spinning into the watchdog. fatalAt and fatalBy are the cycle it was
@@ -91,14 +51,14 @@ type faultLayer struct {
 	fatalBy int
 }
 
-// injSlot is the counter slot for injection-path and coordinator events.
-func (f *faultLayer) injSlot() int { return len(f.cnt) - 1 }
-
-// counters sums the per-shard slots into one machine-wide snapshot.
+// counters sums the layer's counters and every link's into one machine-wide
+// snapshot.
 func (f *faultLayer) counters() fault.Counters {
-	var total fault.Counters
-	for i := range f.cnt {
-		total.Add(f.cnt[i])
+	f.mu.Lock()
+	total := f.cnt
+	f.mu.Unlock()
+	for _, ch := range f.links {
+		total.Add(ch.LinkCounters())
 	}
 	return total
 }
@@ -119,88 +79,63 @@ func newFaultLayer(m *Machine, spec fault.Spec) *faultLayer {
 	base := m.Topo.NumNodes() * m.Topo.NumIntraChans()
 	n := len(m.chans) - base
 	f := &faultLayer{
-		m:         m,
-		spec:      spec,
-		inj:       fault.NewInjector(spec, m.Cfg.Seed, n),
-		cnt:       make([]fault.Counters, len(m.shards)+1),
-		recvShard: make([]int32, n),
-		torusBase: base,
-		links:     make([]*fabric.Channel, n),
-		rlinks:    make([]*rlink, n),
-		failed:    map[int]bool{},
-	}
-	for i := 0; i < n; i++ {
-		f.links[i] = m.chans[base+i]
+		m:      m,
+		spec:   spec,
+		inj:    fault.NewInjector(spec, m.Cfg.Seed, n),
+		links:  m.chans[base:],
+		failed: map[int]bool{},
 	}
 	for _, li := range f.inj.FailedLinks(n) {
 		ch := f.links[li]
 		f.failed[ch.ID] = true
 		f.failedList = append(f.failedList, ch.ID)
 		ch.SetStall(math.MaxUint64)
-		f.cnt[f.injSlot()].LinksFailed++
+		f.cnt.LinksFailed++
 	}
 	for i, ch := range f.links {
 		if f.failed[ch.ID] {
 			continue
 		}
-		ch.EnableLink()
-		// The ack timeout covers the worst-case ack round trip
-		// (serialization + two wire flights + receiver turnaround) plus a
-		// stall episode.
-		timeout := 8*ch.Latency() + 4*fault.StallCycles + 64
-		f.rlinks[i] = &rlink{
-			link: i,
-			snd:  fault.NewSender(fault.Window, timeout, fault.RetryLimit),
-		}
+		li := i
+		ch.EnableLink(func() bool { return f.inj.CorruptNext(li) })
 		if spec.CreditLossRate > 0 {
-			li := i
 			ch.EnableCreditLoss(func(vc, flits uint8) bool {
-				if f.inj.DropCreditNext(li) {
-					// Credit returns run on the receiving adapter's
-					// shard; its counter slot is contention-free.
-					f.cnt[f.recvShard[li]].CreditsDropped += uint64(flits)
-					return true
+				if !f.inj.DropCreditNext(li) {
+					return false
 				}
-				return false
+				f.mu.Lock()
+				f.cnt.CreditsDropped += uint64(flits)
+				f.mu.Unlock()
+				return true
 			})
 		}
 	}
 	return f
 }
 
-// rlinkFor returns the reliable link for a global torus channel id, or nil
-// for failed links.
-func (f *faultLayer) rlinkFor(chanID int) *rlink {
-	return f.rlinks[chanID-f.torusBase]
-}
-
 // Tick implements sim.Component: per-cycle stall transitions and the
 // periodic credit resync audit. The layer ticks inside the engine's serial
 // prefix, so its effects are visible to adapters in the same cycle — exactly
-// as in scan mode, where it is the first-registered component.
+// as in scan mode, where it is the first-registered component. A failed link
+// is stalled for good and keeps no lost-credit ledger, so both loops pass it
+// by.
 func (f *faultLayer) Tick(now uint64) {
 	if f.spec.StallRate > 0 {
 		for i, ch := range f.links {
-			if f.rlinks[i] == nil || ch.Stalled(now) {
-				continue
-			}
-			if f.inj.StallNext(i) {
+			if !ch.Stalled(now) && f.inj.StallNext(i) {
 				ch.SetStall(now + fault.StallCycles)
-				f.cnt[f.injSlot()].StallsInjected++
+				f.mu.Lock()
+				f.cnt.StallsInjected++
+				f.mu.Unlock()
 			}
 		}
 	}
 	if f.spec.CreditLossRate > 0 && now%fault.ResyncInterval == 0 {
-		for i, ch := range f.links {
-			if f.rlinks[i] == nil {
-				continue
-			}
-			if n := ch.RestoreLostCredits(); n > 0 {
-				f.cnt[f.injSlot()].CreditsRestored += uint64(n)
-				// The restored credits belong to the channel's sender;
-				// wake it this cycle so it can use them, as it would
-				// when scanned.
-				ch.WakeSender(now)
+		for _, ch := range f.links {
+			if n := ch.RestoreLostCredits(now); n > 0 {
+				f.mu.Lock()
+				f.cnt.CreditsRestored += uint64(n)
+				f.mu.Unlock()
 			}
 		}
 	}
@@ -209,36 +144,13 @@ func (f *faultLayer) Tick(now uint64) {
 	// every cycle, which is what keeps the draw sequence identical to scan
 	// mode). Credit resync audits only act on ResyncInterval multiples;
 	// corrupt-only and outage-only specs need no coordinator ticks at all —
-	// their draws happen at the adapters' send and credit-return sites.
+	// their draws happen at the channels' send and credit-return sites.
 	switch {
 	case f.spec.StallRate > 0:
 		f.m.Engine.Wake(f.cid, now+1)
 	case f.spec.CreditLossRate > 0:
 		f.m.Engine.Wake(f.cid, now-now%fault.ResyncInterval+fault.ResyncInterval)
 	}
-}
-
-// windowLive sums unaccepted window frames across all reliable links.
-func (f *faultLayer) windowLive() int {
-	total := 0
-	for _, rl := range f.rlinks {
-		if rl != nil {
-			total += rl.live()
-		}
-	}
-	return total
-}
-
-// quiet reports whether every reliable link has all its frames
-// acknowledged and no dropped credits await resync. (Acks in flight are
-// their channel's: Channel.Quiet.)
-func (f *faultLayer) quiet() bool {
-	for i, rl := range f.rlinks {
-		if rl != nil && (!rl.snd.Quiet() || f.links[i].LostCredits() > 0) {
-			return false
-		}
-	}
-	return true
 }
 
 // FaultStatus is a snapshot of the machine's fault state for reporting.
@@ -309,9 +221,9 @@ func (m *Machine) deadlockDetail() string {
 		}
 	}
 	if m.flt != nil {
-		for i, rl := range m.flt.rlinks {
-			if rl != nil && rl.snd.Outstanding() > 0 {
-				add("link %s: %d frames unacked (attempts %d)\n", m.flt.links[i].Name, rl.snd.Outstanding(), rl.snd.Attempts())
+		for _, ch := range m.flt.links {
+			if n := ch.InFlight(); n > 0 {
+				add("link %s: %d packets not yet accepted\n", ch.Name, n)
 			}
 		}
 		for _, id := range m.flt.failedList {

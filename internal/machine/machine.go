@@ -230,9 +230,6 @@ func New(cfg Config) (*Machine, error) {
 				id := tm.TorusChanID(n, ad.Dir, ad.Slice)
 				u := tm.Shape.NodeID(tm.Shape.Neighbor(tm.Shape.Coord(n), ad.Dir))
 				snd, recv := &m.shards[m.nodeShard[n]], &m.shards[m.nodeShard[u]]
-				if m.flt != nil {
-					m.flt.recvShard[id-m.flt.torusBase] = m.nodeShard[u]
-				}
 				if snd != recv {
 					m.chans[id].SetDeferred(&snd.chans, &recv.chans)
 				}
@@ -355,11 +352,9 @@ func (m *Machine) MakePacket(src, dst topo.NodeEp, c route.Choices, class route.
 	if m.flt != nil && len(m.flt.failed) > 0 {
 		avoided, rerouted, ok := m.avoidFailed(src, dst, c, class)
 		if !ok {
-			// Injection can run on any shard worker (endpoint Sources), so
-			// the injection counter slot is mutexed, and the failure is the
-			// source endpoint's.
+			// The failure is the source endpoint's.
 			m.flt.mu.Lock()
-			m.flt.cnt[m.flt.injSlot()].Unroutable++
+			m.flt.cnt.Unroutable++
 			m.flt.mu.Unlock()
 			m.flt.raise(m.Engine.Now(), m.Endpoint(src).cid,
 				fmt.Errorf("machine: no admissible route from %v to %v avoids the failed links", src, dst))
@@ -367,9 +362,9 @@ func (m *Machine) MakePacket(src, dst topo.NodeEp, c route.Choices, class route.
 			if rerouted {
 				m.flt.mu.Lock()
 				if m.faultAware {
-					m.flt.cnt[m.flt.injSlot()].RoutedNative++
+					m.flt.cnt.RoutedNative++
 				} else {
-					m.flt.cnt[m.flt.injSlot()].Rerouted++
+					m.flt.cnt.Rerouted++
 				}
 				m.flt.mu.Unlock()
 			}
@@ -575,12 +570,6 @@ func (m *Machine) queuedPackets() int {
 			total += e.pending()
 		}
 	}
-	if m.flt != nil {
-		// Reliable links are census-exempt (their pipes may hold duplicate
-		// transmissions of one logical packet); the retransmission windows
-		// account for their live packets instead.
-		total += m.flt.windowLive()
-	}
 	return total
 }
 
@@ -594,9 +583,6 @@ func (m *Machine) quiet() bool {
 		if !ch.Quiet() {
 			return false
 		}
-	}
-	if m.flt != nil && !m.flt.quiet() {
-		return false
 	}
 	return true
 }

@@ -192,12 +192,8 @@ func tickState(c *wire.Codec, comp sim.Component) {
 		}
 		arbiter.State(c, x.egArb)
 		arbiter.State(c, x.inArb)
-		if rl := x.rlOut; rl != nil {
-			rl.snd.State(c)
-			u(uint64(len(rl.win)))
-		}
-		if rl := x.rlIn; rl != nil {
-			rl.rcv.State(c)
+		for _, ch := range [...]*fabric.Channel{x.torusOut, x.torusIn} {
+			ch.LinkState(c, func(p *packet.Packet, _ bool) *packet.Packet { return p })
 		}
 	case *EndpointAdapter:
 		u(uint64(x.pending()))
@@ -309,7 +305,7 @@ func (r *router) idle() bool    { return r.queued == 0 && r.inMask == 0 && r.cre
 func (a *channelAdapter) engineID() int { return a.cid }
 func (a *channelAdapter) holds() bool   { return a.queued > 0 }
 func (a *channelAdapter) idle() bool {
-	return a.queued == 0 && a.inMask == 0 && a.credMask == 0 && a.torusOut.Quiet() && (a.rlOut == nil || a.rlOut.snd.Quiet())
+	return a.queued == 0 && a.inMask == 0 && a.credMask == 0 && a.torusOut.Quiet()
 }
 
 func (e *EndpointAdapter) engineID() int { return e.cid }

@@ -32,7 +32,7 @@ import (
 // resolved against the table), the body length (patched in after the body,
 // or used to read the table first), pipe entries (walked, or re-sent with
 // their wakes) and values rebuilt on decode (queued totals, the fault
-// counters' split across shard slots).
+// counters' split between the layer and its links).
 //
 // Packets are interned into the table by pointer identity, in first-seen
 // order of the body's walk: the same *packet.Packet may legally sit in a
@@ -330,14 +330,13 @@ func (m *Machine) body(w *snapWalk) {
 		f.inj.State(c)
 		cnt := f.counters()
 		if cnt.State(c); w.Decoding() {
-			// The per-shard counter split is unobservable; the whole
-			// restored total goes into the injection slot (counters()
-			// sums the slots).
-			clear(f.cnt)
-			f.cnt[f.injSlot()] = cnt
+			// Which of the layer and its links counted an event is
+			// unobservable; the whole restored total goes to the layer
+			// (counters() sums them).
+			f.cnt = cnt
 		}
-		for i, rl := range f.rlinks {
-			m.linkState(w, rl, f.links[i])
+		for _, ch := range f.links {
+			ch.LinkState(c, w.ref)
 		}
 	}
 	if m.checks != nil {
@@ -346,31 +345,6 @@ func (m *Machine) body(w *snapWalk) {
 	if m.tel != nil {
 		m.tel.State(c, w.ref)
 	}
-}
-
-// linkState codes a reliable link (nil: failed) on channel ch: its presence,
-// sender, receiver and window, then the channel's frame headers and control
-// pipe.
-func (m *Machine) linkState(w *snapWalk, rl *rlink, ch *fabric.Channel) {
-	has := rl != nil
-	if w.Bool(&has); has != (rl != nil) {
-		w.Fail("snapshot and machine disagree on a failed link")
-	}
-	if rl == nil || w.Err() != nil {
-		return
-	}
-	c := &w.Codec
-	rl.snd.State(c)
-	rl.rcv.State(c)
-	wire.List(c, &rl.win, 0, 2)
-	for i := range rl.win {
-		rl.win[i].p = w.pkt(rl.win[i].p, false)
-		w.Byte(&rl.win[i].vc)
-	}
-	if uint64(len(rl.win)) != rl.snd.Next()-rl.snd.Base() {
-		w.Fail("link %s: %d window entries for sequences [%d, %d)", ch.Name, len(rl.win), rl.snd.Base(), rl.snd.Next())
-	}
-	ch.LinkState(c)
 }
 
 // Snapshot captures the machine's complete mutable state: AppendSnapshot into
