@@ -86,8 +86,13 @@ type delivEnt struct {
 	p *packet.Packet
 }
 
-// New builds and wires a machine.
+// New builds and wires a machine, on a scrubbed stack (sim.ScrubStack).
 func New(cfg Config) (*Machine, error) {
+	sim.ScrubStack()
+	return build(cfg)
+}
+
+func build(cfg Config) (*Machine, error) {
 	tm, err := topo.NewMachine(cfg.Shape)
 	if err != nil {
 		return nil, err

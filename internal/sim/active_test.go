@@ -2,7 +2,9 @@ package sim
 
 import (
 	"errors"
+	"fmt"
 	"math/bits"
+	"slices"
 	"testing"
 )
 
@@ -163,22 +165,29 @@ func (p *prefixWaker) Tick(now uint64) {
 // higher id, in bucket words not yet scanned). This is the mechanism that
 // keeps fault-layer effects (stall onsets, credit-resync restores) visible to
 // adapters within the same cycle, as scan mode's registration order provides.
+// The target sits next to the prefix, or past 4 096 idle components, in a
+// word of the next summary word.
 func TestSerialPrefixSameCycleWake(t *testing.T) {
-	e := NewEngineMode(ModeActive)
-	p := &prefixWaker{e: e, wakeAt: []uint64{3, 9}}
-	p.id = e.Register(p)
-	w := &wakeTarget{}
-	p.tgt = e.Register(w)
-	e.SetSerialPrefix(1)
-	e.Run(12)
-	// Initial registration wake at cycle 0, then the two same-cycle wakes.
-	want := []uint64{0, 3, 9}
-	if len(w.ticks) != len(want) {
-		t.Fatalf("target ticked at %v, want %v", w.ticks, want)
-	}
-	for i := range want {
-		if w.ticks[i] != want[i] {
-			t.Fatalf("target ticked at %v, want %v", w.ticks, want)
+	for _, pad := range []int{0, 5000} {
+		e := NewEngineMode(ModeActive)
+		p := &prefixWaker{e: e, wakeAt: []uint64{3, 9}}
+		p.id = e.Register(p)
+		for i := 0; i < pad; i++ {
+			e.Register(idle{})
+		}
+		w := &wakeTarget{}
+		p.tgt = e.Register(w)
+		e.SetSerialPrefix(1)
+		e.Run(12)
+		// Initial registration wake at cycle 0, then the two same-cycle wakes.
+		want := []uint64{0, 3, 9}
+		if len(w.ticks) != len(want) {
+			t.Fatalf("target %d ticked at %v, want %v", p.tgt, w.ticks, want)
+		}
+		for i := range want {
+			if w.ticks[i] != want[i] {
+				t.Fatalf("target %d ticked at %v, want %v", p.tgt, w.ticks, want)
+			}
 		}
 	}
 }
@@ -272,9 +281,13 @@ func shardedCounters(n, shards int) (*Engine, []*shardCounter, *int) {
 // serial engine would, on the same cycles — whether every cycle is stepped in
 // parallel, none is, or the choice alternates. 64 components on 4 shards share
 // one wheel word (every parallel-phase wake takes the atomic path); 200 on 3
-// have boundaries at 66 and 132, so two words are shared and two are owned.
+// have boundaries at 66 and 132, so two words are shared and two are owned;
+// 9 000 on 3 have boundaries at 3 000 and 6 000, inside the first and second
+// summary words, so both summary words are shared and the third is owned;
+// 6 400 on 2 split the first summary word on a word boundary, at 3 200.
+// Afterwards every bucket's census holds, and ResetTo leaves nothing set.
 func TestShardedTickParity(t *testing.T) {
-	for _, sz := range []struct{ n, shards int }{{64, 4}, {200, 3}} {
+	for _, sz := range []struct{ n, shards int }{{64, 4}, {200, 3}, {9000, 3}, {6400, 2}} {
 		eSerial, serial, _ := shardedCounters(sz.n, 1)
 		eSerial.Run(500)
 		for name, parallel := range map[string]func(now uint64) bool{
@@ -293,15 +306,33 @@ func TestShardedTickParity(t *testing.T) {
 			if want := map[string]int{"parallel": 500, "serial": 0, "alternating": 250}[name]; *merged != want {
 				t.Errorf("%d/%d %s: merge ran %d times, want %d", sz.n, sz.shards, name, *merged, want)
 			}
-			for b, n := range eSharded.wheel.cnt {
-				want := 0
-				for _, word := range eSharded.wheel.words[b] {
-					want += bits.OnesCount64(word)
-				}
-				if int(n) != want {
-					t.Fatalf("%d/%d %s: bucket %d counts %d scheduled, holds %d", sz.n, sz.shards, name, b, n, want)
+			label := fmt.Sprintf("%d/%d %s", sz.n, sz.shards, name)
+			wheelCensus(t, &eSharded.wheel, label)
+			eSharded.ResetTo(eSharded.Now())
+			wheelCensus(t, &eSharded.wheel, label+" after ResetTo")
+			for b := range eSharded.wheel.sum {
+				if eSharded.wheel.cnt[b] != 0 || slices.ContainsFunc(eSharded.wheel.sum[b], func(s uint64) bool { return s != 0 }) {
+					t.Fatalf("%s: bucket %d still scheduled after ResetTo", label, b)
 				}
 			}
+		}
+	}
+}
+
+// wheelCensus checks every bucket of w: its count is the number of bits its
+// words hold, and a summary bit is set exactly when its word is non-zero.
+func wheelCensus(t *testing.T, w *wheel, label string) {
+	t.Helper()
+	for b, n := range w.cnt {
+		want := 0
+		for wi, word := range w.words[b] {
+			want += bits.OnesCount64(word)
+			if flagged := w.sum[b][wi>>6]>>(wi&63)&1 != 0; flagged != (word != 0) {
+				t.Fatalf("%s: bucket %d word %d holds %#x, summary bit %v", label, b, wi, word, flagged)
+			}
+		}
+		if int(n) != want {
+			t.Fatalf("%s: bucket %d counts %d scheduled, holds %d", label, b, n, want)
 		}
 	}
 }
@@ -336,5 +367,22 @@ func TestParallelStepZeroAllocs(t *testing.T) {
 	}
 	if *merged < 1024 {
 		t.Fatalf("only %d parallel cycles ran", *merged)
+	}
+}
+
+// BenchmarkSparseStep prices one stepped cycle of the sparsest run on the
+// paper's 512-node machine: 26 112 registered components (the 8x8x8 count),
+// all asleep but the last, which wakes itself every cycle. ns/op is ns per
+// stepped cycle; what it costs beyond the one tick is the wheel's walk to it.
+func BenchmarkSparseStep(b *testing.B) {
+	e := NewEngineMode(ModeActive)
+	for i := 0; i < 26112; i++ {
+		e.Register(idle{})
+	}
+	e.Register(&shardCounter{e: e, id: 26112, period: 1})
+	e.Step() // the registration cycle ticks everything once
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Step()
 	}
 }

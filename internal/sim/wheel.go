@@ -31,9 +31,17 @@ type wakeEnt struct {
 // wakes beyond the horizon. The invariant maintained by Engine is that bits
 // only ever describe cycles in [now, now+wheelBuckets), so bucket aliasing
 // is never ambiguous.
+//
+// Each bucket carries a summary bitmap, one bit per bucket word: bit wi&63
+// of sum[b][wi>>6] is set exactly while words[b][wi] is non-zero. set marks
+// it on a word's first bit, clear zeroes only the flagged words, and
+// tickRange walks the flagged words alone, so a sparse cycle costs the
+// components it ticks rather than the size of the machine (an 8x8x8 machine
+// has 408 words a bucket, and 7 summary words).
 type wheel struct {
 	words  [wheelBuckets][]uint64
-	cnt    [wheelBuckets]uint32 // scheduled bits per bucket (0 = skip/clear fast path)
+	sum    [wheelBuckets][]uint64 // per bucket, one bit per non-zero word
+	cnt    [wheelBuckets]uint32   // scheduled bits per bucket (0 = skip/clear fast path)
 	nwords int
 
 	// Parallel-phase bookkeeping of a sharded engine (shard). A worker wakes
@@ -43,8 +51,12 @@ type wheel struct {
 	// goes through the atomic path into the last slot. slotOf[wi] names the
 	// slot of word wi. The coordinator folds the slots into cnt at the
 	// barrier, so no word is shared by the workers but the straddling ones.
-	slotOf []uint16
-	pcnt   []*[wheelBuckets]uint32
+	// Summary words follow the same rule one level up: sumShared[si] is set
+	// when the 64 words summary word si covers are not all owned by one
+	// shard, and only such a word is marked with a compare-and-swap.
+	slotOf    []uint16
+	sumShared []bool
+	pcnt      []*[wheelBuckets]uint32
 
 	mu      sync.Mutex // guards heap pushes during the parallel phase
 	heap    []wakeEnt
@@ -58,10 +70,8 @@ func (w *wheel) init() { w.heapMin = ^uint64(0) }
 // re-issues every wake the restored state implies.
 func (w *wheel) reset() {
 	for b := range w.words {
-		ws := w.words[b]
-		for i := range ws {
-			ws[i] = 0
-		}
+		clear(w.words[b])
+		clear(w.sum[b])
 		w.cnt[b] = 0
 	}
 	w.heap = w.heap[:0]
@@ -74,9 +84,13 @@ func (w *wheel) grow(n int) {
 	if nw <= w.nwords {
 		return
 	}
+	ns := (nw + 63) >> 6
 	for b := range w.words {
 		for len(w.words[b]) < nw {
 			w.words[b] = append(w.words[b], 0)
+		}
+		for len(w.sum[b]) < ns {
+			w.sum[b] = append(w.sum[b], 0)
 		}
 	}
 	w.nwords = nw
@@ -85,7 +99,8 @@ func (w *wheel) grow(n int) {
 // set schedules component id at cycle at (caller guarantees at >= now). With
 // par set (shard workers running) the caller is the worker of id's shard: the
 // count goes to a per-shard slot, and the bit is set atomically only in a word
-// two shards share. The serial path stays branch-cheap and allocation-free.
+// two shards share; the word's summary bit likewise (mark). The serial path
+// stays branch-cheap and allocation-free.
 func (w *wheel) set(id int, at, now uint64, par bool) {
 	if at >= now+wheelBuckets {
 		w.pushHeap(at, id, par)
@@ -93,12 +108,16 @@ func (w *wheel) set(id int, at, now uint64, par bool) {
 	}
 	b := int(at) & wheelMask
 	wi, bit := id>>6, uint64(1)<<(id&63)
+	p := &w.words[b][wi]
 	if par {
-		p, k := &w.words[b][wi], int(w.slotOf[wi])
+		k := int(w.slotOf[wi])
 		if k < len(w.pcnt)-1 {
-			if *p&bit == 0 {
-				*p |= bit
+			if old := *p; old&bit == 0 {
+				*p = old | bit
 				w.pcnt[k][b]++
+				if old == 0 {
+					w.mark(b, wi)
+				}
 			}
 			return
 		}
@@ -109,13 +128,36 @@ func (w *wheel) set(id int, at, now uint64, par bool) {
 			}
 			if atomic.CompareAndSwapUint64(p, old, old|bit) {
 				atomic.AddUint32(&w.pcnt[k][b], 1)
+				if old == 0 {
+					w.mark(b, wi)
+				}
 				return
 			}
 		}
 	}
-	if w.words[b][wi]&bit == 0 {
-		w.words[b][wi] |= bit
+	if old := *p; old&bit == 0 {
+		*p = old | bit
 		w.cnt[b]++
+		if old == 0 {
+			w.sum[b][wi>>6] |= 1 << (wi & 63)
+		}
+	}
+}
+
+// mark sets word wi's summary bit in bucket b from inside the parallel phase:
+// plainly when one shard owns every word the summary word covers, else with a
+// compare-and-swap (go1.22 has no atomic.OrUint64).
+func (w *wheel) mark(b, wi int) {
+	q, bit := &w.sum[b][wi>>6], uint64(1)<<(wi&63)
+	if !w.sumShared[wi>>6] {
+		*q |= bit
+		return
+	}
+	for {
+		old := atomic.LoadUint64(q)
+		if old&bit != 0 || atomic.CompareAndSwapUint64(q, old, old|bit) {
+			return
+		}
 	}
 }
 
@@ -138,6 +180,11 @@ func (w *wheel) shard(ranges []ShardRange) {
 			w.slotOf[r.Lo>>6] = uint16(len(ranges))
 		}
 	}
+	w.sumShared = make([]bool, (w.nwords+63)>>6)
+	for wi, k := range w.slotOf {
+		si := wi >> 6
+		w.sumShared[si] = w.sumShared[si] || int(k) == len(ranges) || k != w.slotOf[si<<6]
+	}
 }
 
 // fold adds what the parallel phase counted per slot into cnt.
@@ -153,11 +200,15 @@ func (w *wheel) fold() {
 	}
 }
 
-// clear empties the bucket for the cycle that just ran.
+// clear empties the bucket for the cycle that just ran: only the words its
+// summary flags, then the summary.
 func (w *wheel) clear(slot int) {
-	ws := w.words[slot]
-	for i := range ws {
-		ws[i] = 0
+	ws, sum := w.words[slot], w.sum[slot]
+	for si, s := range sum {
+		for ; s != 0; s &= s - 1 {
+			ws[si<<6+trailingZeros64(s)] = 0
+		}
+		sum[si] = 0
 	}
 	w.cnt[slot] = 0
 }
