@@ -2,9 +2,7 @@ package machine
 
 import (
 	"fmt"
-	"math/bits"
 
-	"anton2/internal/arbiter"
 	"anton2/internal/fabric"
 	"anton2/internal/packet"
 	"anton2/internal/route"
@@ -15,7 +13,7 @@ import (
 // The egress path serializes mesh flits onto the torus link (applying the
 // dateline VC-promotion rule); the ingress path decides whether an arriving
 // packet continues along its dimension or turns, then forwards it to the
-// router. Both paths have per-VC queues and an arbiter across the VCs.
+// router. Each path is a vcset: per-VC queues and an arbiter across the VCs.
 type channelAdapter struct {
 	m         *Machine
 	node      int
@@ -36,14 +34,9 @@ type channelAdapter struct {
 	// channel holds returning credits.
 	inMask, credMask uint32
 
-	eg  []vcq // mesh -> torus queues, indexed by arrival VC
-	ing []vcq // torus -> router queues, indexed by arrival VC
-	// egOcc / ingOcc: bit v set while eg[v] / ing[v] is non-empty.
-	egOcc, ingOcc uint32
-
-	egArb arbiter.Arbiter
-	inArb arbiter.Arbiter
-	pats  []uint8 // scratch pattern labels for arbiter picks
+	eg   vcset   // mesh -> torus queues, indexed by arrival VC
+	ing  vcset   // torus -> router queues, indexed by arrival VC
+	pats []uint8 // scratch pattern labels for arbiter picks
 
 	// outLabel is the precomputed "torus out <id>" tracepoint stage: the
 	// serializer send sits on the hot path, and rebuilding the label there
@@ -76,15 +69,19 @@ func newChannelAdapter(m *Machine, node int, id topo.AdapterID) *channelAdapter 
 		toRouter:   m.chans[m.Topo.IntraChanID(node, ca.ToRouter)],
 		torusOut:   m.chans[m.Topo.TorusChanID(node, id.Dir, id.Slice)],
 		torusIn:    m.chans[m.Topo.TorusChanID(u, id.Dir.Opposite(), id.Slice)],
-		eg:         m.arena.takeVCQ(tvcs),
-		ing:        m.arena.takeVCQ(tvcs),
+		eg:         m.newVCSet(tvcs, m.adapterWeights(true, id, tvcs)),
+		ing:        m.newVCSet(tvcs, m.adapterWeights(false, id, tvcs)),
+		pats:       carve(m.arena.pats, &m.arena.ns, tvcs),
 		outLabel:   "torus out " + id.String(),
 	}
-	a.egArb = m.newArbiter(tvcs, m.adapterWeights(true, id, tvcs))
-	a.inArb = m.newArbiter(tvcs, m.adapterWeights(false, id, tvcs))
-	a.pats = m.arena.takePats(tvcs)
 	return a
 }
+
+// egress and ingress are the adapter's two sides as route steps (headRouter).
+type (
+	egress  channelAdapter
+	ingress channelAdapter
+)
 
 // bind registers the adapter for active-set wakeups and ready-mask bits:
 // packet arrivals on both receive sides and credit returns — and, on a
@@ -145,7 +142,7 @@ func (a *channelAdapter) tick(now uint64) (wake uint64) {
 		if p.Trace != nil {
 			p.Tracepoint("adapter egress "+a.id.String(), now)
 		}
-		pushVC(a.eg, &a.egOcc, p.CurVC, p)
+		a.eg.push(p)
 		a.queued++
 	}
 	for a.inMask&(1<<inTorusIn) != 0 {
@@ -163,7 +160,7 @@ func (a *channelAdapter) tick(now uint64) (wake uint64) {
 		if p.Trace != nil {
 			p.Tracepoint("adapter ingress "+a.id.String(), now)
 		}
-		pushVC(a.ing, &a.ingOcc, p.CurVC, p)
+		a.ing.push(p)
 		a.queued++
 	}
 	if a.queued == 0 {
@@ -172,129 +169,76 @@ func (a *channelAdapter) tick(now uint64) (wake uint64) {
 
 	// Egress: one packet per cycle onto the torus link, chosen among VC
 	// heads with credit downstream.
-	var req uint64
-	for m := a.egOcc; m != 0; m &= m - 1 {
-		vci := bits.TrailingZeros32(m)
-		q := &a.eg[vci]
-		if !q.routed {
-			p := q.headPkt()
-			// The dateline rule applies as the packet leaves the node
-			// (Section 2.5).
-			vc := route.AdapterEgress(a.m.routeCfg, &p.Route, a.nodeCoord)
-			q.markRouted(uint8(route.PhysVC(a.m.Cfg.Scheme, topo.GroupT, p.Route.Class, vc)), p.ArrivedAt+topo.AdapterPipeline)
-		}
-		at := q.readyAt
-		if at <= now {
-			at = a.torusOut.SendableAt(q.outVC, q.size)
-		}
-		if at > now {
-			wake = min(wake, at)
-			continue
-		}
-		req |= 1 << vci
-		a.pats[vci] = q.pat
-	}
+	g, req, at := a.eg.nominate(now, a.pats, (*egress)(a))
+	wake = min(wake, at)
 	if req != 0 {
-		g := a.egArb.Pick(req, a.pats)
 		if a.m.tel != nil {
 			a.m.tel.OnAdapterGrant(true, a.node, a.id.Index(), g)
 		}
-		outVC := a.eg[g].outVC
-		p := popVC(a.eg, &a.egOcc, uint8(g))
+		p := a.m.forward(now, &a.eg, g, a.fromRouter, a.shard)
 		a.queued--
-		a.torusOut.Send(now, p, outVC)
-		if a.m.checks != nil {
-			a.m.checks.OnSend(p, a.torusOut, outVC, now)
-		}
 		p.Tracepoint(a.outLabel, now)
-		a.fromRouter.ReturnCredit(now, uint8(g), p.Size)
-		a.m.Engine.ProgressAt(int(a.shard))
 		// A loser bids again next cycle, and the winner's next packet is
 		// routed then.
-		if req&(req-1) != 0 || a.egOcc>>g&1 != 0 {
+		if req&(req-1) != 0 || a.eg.occ>>g&1 != 0 {
 			wake = now + 1
 		}
 	}
 
 	// Ingress: one packet per cycle toward the router.
-	req = 0
-	for m := a.ingOcc; m != 0; m &= m - 1 {
-		vci := bits.TrailingZeros32(m)
-		q := &a.ing[vci]
-		if !q.routed {
-			p := q.headPkt()
-			var vc uint8
-			if p.MGroup >= 0 {
-				// Multicast: replicate per the loaded table;
-				// branches ride the adapter->router link at
-				// the arrival T-group VC.
-				q.branches = a.expandMulticast(p)
-				vc = p.Route.TVC
-			} else {
-				// Continue-or-turn decision (once per arrival).
-				vc = route.AdapterIngress(a.m.routeCfg, &p.Route, p.Dst, a.node)
-			}
-			q.markRouted(uint8(route.PhysVC(a.m.Cfg.Scheme, topo.GroupT, p.Route.Class, vc)), p.ArrivedAt+topo.AdapterPipeline)
-		}
-		at := q.readyAt
-		if at <= now {
-			at = a.toRouter.SendableAt(q.outVC, a.ingHead(q).Size)
-		}
-		if at > now {
-			wake = min(wake, at)
-			continue
-		}
-		req |= 1 << vci
-		a.pats[vci] = a.ingHead(q).PatternID
-	}
+	g, req, at = a.ing.nominate(now, a.pats, (*ingress)(a))
+	wake = min(wake, at)
 	if req != 0 {
-		g := a.inArb.Pick(req, a.pats)
 		if a.m.tel != nil {
 			a.m.tel.OnAdapterGrant(false, a.node, a.id.Index(), g)
 		}
-		q := &a.ing[g]
-		outVC := q.outVC
-		if len(q.branches) > 0 {
+		if q := &a.ing.vcs[g]; len(q.branches) > 0 {
 			// Send the next branch; pop the buffered original only
 			// after the last branch leaves.
-			b := q.branches[0]
-			q.branches = q.branches[1:]
-			a.toRouter.Send(now, b, outVC)
-			if a.m.checks != nil {
-				a.m.checks.OnSend(b, a.toRouter, outVC, now)
-			}
-			if len(q.branches) == 0 {
-				orig := popVC(a.ing, &a.ingOcc, uint8(g))
-				a.queued--
+			a.m.send(now, a.toRouter, q.branches[0], q.outVC)
+			if q.branches = q.branches[1:]; len(q.branches) == 0 {
+				orig := a.ing.pop(g)
 				a.torusIn.ReturnCredit(now, uint8(g), orig.Size)
 				a.m.free(orig, a.shard)
+				a.queued--
 			}
+			a.m.Engine.ProgressAt(int(a.shard))
 		} else {
-			p := popVC(a.ing, &a.ingOcc, uint8(g))
+			a.m.forward(now, &a.ing, g, a.torusIn, a.shard)
 			a.queued--
-			a.toRouter.Send(now, p, outVC)
-			if a.m.checks != nil {
-				a.m.checks.OnSend(p, a.toRouter, outVC, now)
-			}
-			a.torusIn.ReturnCredit(now, uint8(g), p.Size)
 		}
-		a.m.Engine.ProgressAt(int(a.shard))
 		// A loser bids again next cycle; so does the winner's queue,
 		// with its next branch or its next packet to route.
-		if req&(req-1) != 0 || a.ingOcc>>g&1 != 0 {
+		if req&(req-1) != 0 || a.ing.occ>>g&1 != 0 {
 			wake = now + 1
 		}
 	}
 	return wake
 }
 
-// ingHead returns the packet that would move next from an ingress queue: a
-// pending multicast branch, or the head itself.
-func (a *channelAdapter) ingHead(q *vcq) *packet.Packet {
-	if len(q.branches) > 0 {
-		return q.branches[0]
+// route computes an egress head's torus VC: the dateline rule applies as the
+// packet leaves the node (Section 2.5).
+func (e *egress) route(now uint64, q *vcq) {
+	a := (*channelAdapter)(e)
+	p := q.headPkt()
+	vc := route.AdapterEgress(a.m.routeCfg, &p.Route, a.nodeCoord)
+	q.markRouted(a.torusOut, uint8(route.PhysVC(a.m.Cfg.Scheme, topo.GroupT, p.Route.Class, vc)), p.ArrivedAt+topo.AdapterPipeline)
+}
+
+// route makes an ingress head's continue-or-turn decision (once per
+// arrival), or replicates a multicast head per the loaded table into
+// branches that ride the adapter->router link at the arrival T-group VC.
+func (i *ingress) route(now uint64, q *vcq) {
+	a := (*channelAdapter)(i)
+	p := q.headPkt()
+	var vc uint8
+	if p.MGroup >= 0 {
+		q.branches = a.expandMulticast(p)
+		vc = p.Route.TVC
+	} else {
+		vc = route.AdapterIngress(a.m.routeCfg, &p.Route, p.Dst, a.node)
 	}
-	return q.headPkt()
+	q.markRouted(a.toRouter, uint8(route.PhysVC(a.m.Cfg.Scheme, topo.GroupT, p.Route.Class, vc)), p.ArrivedAt+topo.AdapterPipeline)
 }
 
 // expandMulticast builds the branch copies an arriving multicast packet

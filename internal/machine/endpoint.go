@@ -166,10 +166,7 @@ func (e *EndpointAdapter) tick(now uint64) uint64 {
 	if at := e.out.SendableAt(vc, p.Size); at > now {
 		return at
 	}
-	e.out.Send(now, p, vc)
-	if e.m.checks != nil {
-		e.m.checks.OnSend(p, e.out, vc, now)
-	}
+	e.m.send(now, e.out, p, vc)
 	p.Tracepoint("endpoint inject", now)
 	e.m.Engine.ProgressAt(int(e.shard))
 	e.swq[e.head] = nil

@@ -192,27 +192,22 @@ func (m *Machine) deadlockDetail() string {
 		}
 		lines++
 	}
+	queues := func(s *vcset, who string, args ...any) {
+		for vci := range s.vcs {
+			if n := s.vcs[vci].flits(); n > 0 {
+				add(who+" vc %d: %d flits blocked\n", append(args, vci, n)...)
+			}
+		}
+	}
 	for _, node := range m.nodes {
 		for ri, r := range node.Routers {
 			for pi := range r.ports {
-				for vci := range r.ports[pi].vcs {
-					if n := r.ports[pi].vcs[vci].flits(); n > 0 {
-						add("node %d router %d port %d vc %d: %d flits blocked\n", node.ID, ri, pi, vci, n)
-					}
-				}
+				queues(&r.ports[pi].vcset, "node %d router %d port %d", node.ID, ri, pi)
 			}
 		}
 		for ai, a := range node.Adapters {
-			for vci := range a.eg {
-				if n := a.eg[vci].flits(); n > 0 {
-					add("node %d adapter %d egress vc %d: %d flits blocked\n", node.ID, ai, vci, n)
-				}
-			}
-			for vci := range a.ing {
-				if n := a.ing[vci].flits(); n > 0 {
-					add("node %d adapter %d ingress vc %d: %d flits blocked\n", node.ID, ai, vci, n)
-				}
-			}
+			queues(&a.eg, "node %d adapter %d egress", node.ID, ai)
+			queues(&a.ing, "node %d adapter %d ingress", node.ID, ai)
 		}
 		for ei, e := range node.Endpoints {
 			if n := e.pending(); n > 0 {

@@ -532,22 +532,14 @@ func (m *Machine) Checks() *check.Suite { return m.checks }
 
 // scanVCOccupancy feeds the telemetry occupancy sampler: for every node it
 // visits each (chip router, VC) pair with the queued flit count summed over
-// the router's input ports.
+// the router's input ports (every port has route.MaxTotalVCs queues).
 func (m *Machine) scanVCOccupancy(visit func(router int, vc uint8, flits int)) {
 	for _, node := range m.nodes {
 		for ri, r := range node.Routers {
-			maxVC := 0
-			for pi := range r.ports {
-				if n := len(r.ports[pi].vcs); n > maxVC {
-					maxVC = n
-				}
-			}
-			for vci := 0; vci < maxVC; vci++ {
+			for vci := range r.ports[0].vcs {
 				flits := 0
 				for pi := range r.ports {
-					if vci < len(r.ports[pi].vcs) {
-						flits += r.ports[pi].vcs[vci].flits()
-					}
+					flits += r.ports[pi].vcs[vci].flits()
 				}
 				visit(ri, uint8(vci), flits)
 			}
@@ -567,8 +559,8 @@ func (m *Machine) queuedPackets() int {
 		}
 		for _, a := range node.Adapters {
 			total += a.queued
-			for i := range a.ing {
-				total += len(a.ing[i].branches)
+			for i := range a.ing.vcs {
+				total += len(a.ing.vcs[i].branches)
 			}
 		}
 		for _, e := range node.Endpoints {

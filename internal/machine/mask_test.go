@@ -25,7 +25,10 @@ func occupancy(qs []vcq) uint32 {
 // maskErrors checks the two mask contracts on every component: a ready bit is
 // set exactly while its pipe holds something in flight, and a VC-occupancy
 // bit exactly while its queue is non-empty. It checks every lossless
-// channel's ready bits and a reliable one's credit bit.
+// channel's ready bits and a reliable one's credit bit. It also holds every
+// routed head's cached state to what it caches: size and pattern label are
+// those of the next packet to leave (the first pending multicast branch, or
+// else the head), and the output channel is the one its port names.
 func (m *Machine) maskErrors() []string {
 	var errs []string
 	ready := func(who, side string, mask uint32, bit int, inFlight int) {
@@ -33,9 +36,25 @@ func (m *Machine) maskErrors() []string {
 			errs = append(errs, fmt.Sprintf("%s: %s ready bit %d is %v with %d in flight", who, side, bit, got, inFlight))
 		}
 	}
-	occ := func(who, side string, mask uint32, qs []vcq) {
-		if want := occupancy(qs); mask != want {
-			errs = append(errs, fmt.Sprintf("%s: %s occupancy mask %#x, queues say %#x", who, side, mask, want))
+	queues := func(who, side string, s *vcset, out func(port int8) *fabric.Channel) {
+		if want := occupancy(s.vcs); s.occ != want {
+			errs = append(errs, fmt.Sprintf("%s: %s occupancy mask %#x, queues say %#x", who, side, s.occ, want))
+		}
+		for vc := range s.vcs {
+			q := &s.vcs[vc]
+			if q.empty() || q.out == nil {
+				continue
+			}
+			next := q.headPkt()
+			if len(q.branches) > 0 {
+				next = q.branches[0]
+			}
+			if q.size != next.Size || q.pat != next.PatternID {
+				errs = append(errs, fmt.Sprintf("%s: %s VC %d caches size %d pattern %d, the next packet out has %d, %d", who, side, vc, q.size, q.pat, next.Size, next.PatternID))
+			}
+			if q.out != out(q.outPort) {
+				errs = append(errs, fmt.Sprintf("%s: %s VC %d: routed head's channel is not port %d's output", who, side, vc, q.outPort))
+			}
 		}
 	}
 	in := func(who string, mask uint32, bit int, ch *fabric.Channel) {
@@ -51,7 +70,7 @@ func (m *Machine) maskErrors() []string {
 				ps := &r.ports[pi]
 				in(who, r.inMask, pi, ps.in)
 				cred(who, r.credMask, pi, ps.out)
-				occ(who, fmt.Sprintf("port %d", pi), ps.occ, ps.vcs)
+				queues(who, fmt.Sprintf("port %d", pi), &ps.vcset, func(po int8) *fabric.Channel { return r.ports[po].out })
 			}
 			if r.inMask>>len(r.ports) != 0 || r.credMask>>len(r.ports) != 0 {
 				errs = append(errs, who+": ready bit beyond the port count")
@@ -67,8 +86,8 @@ func (m *Machine) maskErrors() []string {
 			}
 			cred(who, a.credMask, credTorusOut, a.torusOut)
 			cred(who, a.credMask, credToRouter, a.toRouter)
-			occ(who, "egress", a.egOcc, a.eg)
-			occ(who, "ingress", a.ingOcc, a.ing)
+			queues(who, "egress", &a.eg, func(int8) *fabric.Channel { return a.torusOut })
+			queues(who, "ingress", &a.ing, func(int8) *fabric.Channel { return a.toRouter })
 		}
 		for ei, e := range node.Endpoints {
 			who := fmt.Sprintf("node %d endpoint %d", node.ID, ei)
@@ -165,7 +184,7 @@ func TestMaskConsistency(t *testing.T) {
 				}
 				r0 := m.nodes[0].Routers[0]
 				sawReady = sawReady || r0.inMask != 0 || r0.credMask != 0
-				sawOcc = sawOcc || m.nodes[0].Adapters[0].egOcc|m.nodes[0].Adapters[0].ingOcc != 0
+				sawOcc = sawOcc || m.nodes[0].Adapters[0].eg.occ|m.nodes[0].Adapters[0].ing.occ != 0
 				if m.Engine.Now()%restoreStride != 0 {
 					continue
 				}

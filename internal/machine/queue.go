@@ -2,7 +2,10 @@ package machine
 
 import (
 	"math"
+	"math/bits"
 
+	"anton2/internal/arbiter"
+	"anton2/internal/fabric"
 	"anton2/internal/packet"
 )
 
@@ -16,16 +19,18 @@ type vcq struct {
 	pkts []*packet.Packet
 	head int
 
-	// Head-of-line state, valid while routed is true: the route decision,
-	// the first cycle the head may bid, and — cached so that arbitration and
-	// the wake computation need not load the head packet — its flit count
-	// and weight-pattern label.
-	routed  bool
+	// Head-of-line state, valid while the head is routed (out is non-nil):
+	// the route decision (output channel and VC; a router also records the
+	// output port), the first cycle the head may bid, and — cached so that
+	// arbitration and the wake computation need not load the head packet —
+	// its flit count and weight-pattern label. A multicast branch is a clone
+	// of the head, so the cache is also every pending branch's.
 	outPort int8
 	outVC   uint8
 	size    uint8
 	pat     uint8
 	readyAt uint64
+	out     *fabric.Channel
 
 	// branches holds a multicast head's replicated copies, sent one per
 	// cycle from the single buffered original (channel-adapter ingress
@@ -38,25 +43,50 @@ func (q *vcq) empty() bool { return q.head >= len(q.pkts) }
 
 func (q *vcq) headPkt() *packet.Packet { return q.pkts[q.head] }
 
-func (q *vcq) push(p *packet.Packet) { q.pkts = append(q.pkts, p) }
-
-// markRouted records the head's route decision — output VC and the first
-// cycle it may bid — and caches the head's size and pattern label. (A
-// router sets outPort itself; an adapter's queues have one output.)
-func (q *vcq) markRouted(outVC uint8, readyAt uint64) {
+// markRouted records the head's route decision — output channel and VC, and
+// the first cycle it may bid — and caches the head's size and pattern label.
+// (A router sets outPort itself; an adapter's queues have one output.)
+func (q *vcq) markRouted(out *fabric.Channel, outVC uint8, readyAt uint64) {
 	h := q.headPkt()
-	q.routed, q.outVC, q.readyAt, q.size, q.pat = true, outVC, readyAt, h.Size, h.PatternID
+	q.out, q.outVC, q.readyAt, q.size, q.pat = out, outVC, readyAt, h.Size, h.PatternID
 }
 
-// pop removes the head packet and invalidates the head route state so the
-// next packet is routed afresh.
-func (q *vcq) pop() *packet.Packet {
+// vcset is one component's set of VC input queues — a router port's, or a
+// channel adapter's egress or ingress side — with the arbiter over their
+// heads. Bit v of occ is set exactly while queue v is non-empty: push and pop
+// are the only queue mutators on the tick path, so nominate visits occupied
+// queues only, in ascending VC order, the order a full walk would have found
+// them in.
+type vcset struct {
+	vcs []vcq
+	occ uint32
+	arb arbiter.Arbiter
+}
+
+// headRouter is a component's route computation for a queue's new head: it
+// sets the head's route with vcq.markRouted.
+type headRouter interface {
+	route(now uint64, q *vcq)
+}
+
+// push appends p to the queue of its arrival VC.
+func (s *vcset) push(p *packet.Packet) {
+	q := &s.vcs[p.CurVC]
+	q.pkts = append(q.pkts, p)
+	s.occ |= 1 << p.CurVC
+}
+
+// pop removes the head of queue vc and invalidates the head route state so
+// the next packet is routed afresh.
+func (s *vcset) pop(vc int) *packet.Packet {
+	q := &s.vcs[vc]
 	p := q.pkts[q.head]
 	q.pkts[q.head] = nil
 	q.head++
 	if q.head == len(q.pkts) {
 		q.head = 0
 		q.pkts = q.pkts[:0]
+		s.occ &^= 1 << vc
 	} else if q.head >= 16 && q.head*2 >= len(q.pkts) {
 		n := copy(q.pkts, q.pkts[q.head:])
 		for i := n; i < len(q.pkts); i++ {
@@ -65,33 +95,41 @@ func (q *vcq) pop() *packet.Packet {
 		q.pkts = q.pkts[:n]
 		q.head = 0
 	}
-	q.routed = false
+	q.out = nil
 	q.branches = nil
 	return p
 }
 
-// A set of VC queues (a router port's, an adapter's egress or ingress side)
-// carries an occupancy mask beside it: bit v is set exactly while queue v is
-// non-empty. pushVC and popVC are the only queue mutators on the tick path,
-// so the scans that nominate heads (SA1, adapter egress and ingress) visit
-// occupied queues only — in ascending VC order, the order a full walk would
-// have found them in.
-
-// pushVC appends p to qs[vc] and marks the VC occupied.
-func pushVC(qs []vcq, occ *uint32, vc uint8, p *packet.Packet) {
-	qs[vc].push(p)
-	*occ |= 1 << vc
-}
-
-// popVC removes the head of qs[vc], clearing the VC's occupancy bit when that
-// empties the queue.
-func popVC(qs []vcq, occ *uint32, vc uint8) *packet.Packet {
-	q := &qs[vc]
-	p := q.pop()
-	if q.empty() {
-		*occ &^= 1 << vc
+// nominate routes the new heads (through hr), files every head that can
+// send at now in req, and picks one of them, g, with the set's arbiter (g
+// is meaningless when req is 0). pats is the arbiter's scratch of pattern
+// labels. A head that cannot send names the next cycle to look at it in
+// wake: the end of its pipeline delay, then the cycle its output's
+// serializer or stall lets it go (none while it is short of credit: the
+// credit return wakes the component).
+func (s *vcset) nominate(now uint64, pats []uint8, hr headRouter) (g int, req, wake uint64) {
+	wake = never
+	for m := s.occ; m != 0; m &= m - 1 {
+		vci := bits.TrailingZeros32(m)
+		q := &s.vcs[vci]
+		if q.out == nil {
+			hr.route(now, q)
+		}
+		at := q.readyAt
+		if at <= now {
+			at = q.out.SendableAt(q.outVC, q.size)
+		}
+		if at > now {
+			wake = min(wake, at)
+			continue
+		}
+		req |= 1 << vci
+		pats[vci] = q.pat
 	}
-	return p
+	if req != 0 {
+		g = s.arb.Pick(req, pats)
+	}
+	return g, req, wake
 }
 
 // flits returns the queued flit count (for buffer occupancy accounting).
@@ -101,4 +139,25 @@ func (q *vcq) flits() int {
 		total += int(q.pkts[i].Size)
 	}
 	return total
+}
+
+// send puts p on ch at VC vc and reports the send to the invariant suite.
+func (m *Machine) send(now uint64, ch *fabric.Channel, p *packet.Packet, vc uint8) {
+	ch.Send(now, p, vc)
+	if m.checks != nil {
+		m.checks.OnSend(p, ch, vc, now)
+	}
+}
+
+// forward moves the head of queue vc of s, routed and able to send, onto its
+// output channel, returns its credit upstream on in and notes progress for
+// the given shard. It returns the packet moved.
+func (m *Machine) forward(now uint64, s *vcset, vc int, in *fabric.Channel, shard int32) *packet.Packet {
+	q := &s.vcs[vc]
+	out, outVC := q.out, q.outVC
+	p := s.pop(vc)
+	m.send(now, out, p, outVC)
+	in.ReturnCredit(now, uint8(vc), p.Size)
+	m.Engine.ProgressAt(int(shard))
+	return p
 }

@@ -34,7 +34,6 @@ type router struct {
 	// Port tables, VC queues and scratch arrays are carved from the
 	// machine's flat arena in component-id order.
 	ports  []routerPort
-	sa1    []arbiter.Arbiter // per input port, over VCs
 	sa2    []arbiter.Arbiter // per output port, over input ports
 	inBusy []uint64          // crossbar input occupancy (multi-flit packets)
 	pats   []uint8           // scratch pattern labels for arbiter picks
@@ -42,40 +41,35 @@ type router struct {
 	queued int
 }
 
+// routerPort is one port: its input and output channels, and the input VC
+// queues with their SA1 arbiter.
 type routerPort struct {
 	in, out *fabric.Channel
-	vcs     []vcq
-	occ     uint32 // bit v set while vcs[v] is non-empty (pushVC/popVC)
+	vcset
 }
 
 func newRouter(m *Machine, node int, rc topo.MeshCoord) *router {
-	chip := m.Topo.Chip
-	cr := chip.RouterAt(rc)
+	cr := m.Topo.Chip.RouterAt(rc)
+	np, maxVC := len(cr.Ports), route.MaxTotalVCs(m.Cfg.Scheme)
+	a := &m.arena
 	r := &router{
 		m:        m,
 		node:     node,
 		rc:       rc,
 		routerID: topo.RouterID(rc),
-		ports:    m.arena.takePorts(len(cr.Ports)),
-		sa1:      make([]arbiter.Arbiter, len(cr.Ports)),
-		sa2:      make([]arbiter.Arbiter, len(cr.Ports)),
-		inBusy:   m.arena.takeBusy(len(cr.Ports)),
+		ports:    carve(a.ports, &a.np, np),
+		sa2:      make([]arbiter.Arbiter, np),
+		inBusy:   carve(a.busy, &a.nb, np),
+		pats:     carve(a.pats, &a.ns, max(maxVC, np)),
 	}
-	maxVCScratch := route.MaxTotalVCs(m.Cfg.Scheme)
-	if maxVCScratch < len(cr.Ports) {
-		maxVCScratch = len(cr.Ports)
-	}
-	r.pats = m.arena.takePats(maxVCScratch)
-	maxVC := route.MaxTotalVCs(m.Cfg.Scheme)
 	for pi := range cr.Ports {
 		p := &cr.Ports[pi]
 		r.ports[pi] = routerPort{
-			in:  m.chans[m.Topo.IntraChanID(node, p.InChan)],
-			out: m.chans[m.Topo.IntraChanID(node, p.OutChan)],
-			vcs: m.arena.takeVCQ(maxVC),
+			in:    m.chans[m.Topo.IntraChanID(node, p.InChan)],
+			out:   m.chans[m.Topo.IntraChanID(node, p.OutChan)],
+			vcset: m.newVCSet(maxVC, m.sa1Weights(r.routerID, pi, maxVC)),
 		}
-		r.sa1[pi] = m.newArbiter(maxVC, m.sa1Weights(r.routerID, pi, maxVC))
-		r.sa2[pi] = m.newArbiter(len(cr.Ports), m.sa2Weights(r.routerID, pi, len(cr.Ports)))
+		r.sa2[pi] = m.newArbiter(np, m.sa2Weights(r.routerID, pi, np))
 	}
 	return r
 }
@@ -123,7 +117,7 @@ func (r *router) tick(now uint64) (wake uint64) {
 			if p.Trace != nil {
 				p.Tracepoint("router "+r.rc.String(), now)
 			}
-			pushVC(ps.vcs, &ps.occ, p.CurVC, p)
+			ps.push(p)
 			r.queued++
 		}
 	}
@@ -132,11 +126,8 @@ func (r *router) tick(now uint64) (wake uint64) {
 	}
 
 	// SA1: each input port nominates one (routed, credited) VC head and
-	// files its bid with that head's output port. A head that cannot bid
-	// names the next cycle to look at it: the end of its pipeline delay,
-	// then the cycle its output's serializer or stall lets it go (none
-	// while it is short of credit). A busy port routes nothing until its
-	// crossbar input frees up.
+	// files its bid with that head's output port. A busy port routes
+	// nothing until its crossbar input frees up.
 	var cand [topo.MaxRouterPorts]uint8  // SA1 winner VC of each bidding input port
 	var bids [topo.MaxRouterPorts]uint64 // per output port: the inputs bidding for it
 	var outs uint32                      // output ports with at least one bid
@@ -149,28 +140,11 @@ func (r *router) tick(now uint64) (wake uint64) {
 			wake = min(wake, r.inBusy[pi])
 			continue
 		}
-		var req uint64
-		for m := ps.occ; m != 0; m &= m - 1 {
-			vci := bits.TrailingZeros32(m)
-			q := &ps.vcs[vci]
-			if !q.routed {
-				r.routeHead(now, q)
-			}
-			at := q.readyAt
-			if at <= now {
-				at = r.ports[q.outPort].out.SendableAt(q.outVC, q.size)
-			}
-			if at > now {
-				wake = min(wake, at)
-				continue
-			}
-			req |= 1 << vci
-			r.pats[vci] = q.pat
-		}
+		g, req, at := ps.nominate(now, r.pats, r)
+		wake = min(wake, at)
 		if req == 0 {
 			continue
 		}
-		g := r.sa1[pi].Pick(req, r.pats)
 		if r.m.tel != nil {
 			r.m.tel.OnSA1Grant(r.node, r.routerID, pi, g)
 		}
@@ -197,41 +171,33 @@ func (r *router) tick(now uint64) (wake uint64) {
 		if req&(req-1) != 0 {
 			wake = now + 1
 		}
-		pi := g
-		vci := cand[pi]
-		ps := &r.ports[pi]
-		outVC := ps.vcs[vci].outVC
-		p := popVC(ps.vcs, &ps.occ, vci)
+		ps := &r.ports[g]
+		p := r.m.forward(now, &ps.vcset, int(cand[g]), ps.in, r.shard)
 		r.queued--
-		r.ports[po].out.Send(now, p, outVC)
-		if r.m.checks != nil {
-			r.m.checks.OnSend(p, r.ports[po].out, outVC, now)
-		}
-		ps.in.ReturnCredit(now, vci, p.Size)
-		r.inBusy[pi] = now + uint64(p.Size)
+		r.inBusy[g] = now + uint64(p.Size)
 		if ps.occ != 0 {
-			wake = min(wake, r.inBusy[pi])
+			wake = min(wake, r.inBusy[g])
 		}
-		r.m.Engine.ProgressAt(int(r.shard))
 	}
 	return wake
 }
 
-// routeHead runs route computation for a queue's new head packet.
-func (r *router) routeHead(now uint64, q *vcq) {
+// route runs route computation for a queue's new head packet.
+func (r *router) route(now uint64, q *vcq) {
 	p := q.headPkt()
 	outVC := p.CurVC
+	var port int
 	if p.SourceRoute != nil {
-		op := p.SourceRoute[p.SRIdx]
+		port = int(p.SourceRoute[p.SRIdx])
 		p.SRIdx++
-		if int(op) >= len(r.ports) {
-			panic(fmt.Sprintf("machine: source route names port %d at %s with %d ports", op, r.rc, len(r.ports)))
+		if port >= len(r.ports) {
+			panic(fmt.Sprintf("machine: source route names port %d at %s with %d ports", port, r.rc, len(r.ports)))
 		}
-		q.outPort = int8(op)
 	} else {
-		port, vc := route.RouterNext(r.m.routeCfg, &p.Route, p.Dst, r.rc)
-		q.outPort = int8(port)
+		var vc uint8
+		port, vc = route.RouterNext(r.m.routeCfg, &p.Route, p.Dst, r.rc)
 		outVC = uint8(route.PhysVC(r.m.Cfg.Scheme, r.ports[port].out.Group, p.Route.Class, vc))
 	}
-	q.markRouted(outVC, max(p.ArrivedAt+topo.RouterPipeline, now))
+	q.outPort = int8(port)
+	q.markRouted(r.ports[port].out, outVC, max(p.ArrivedAt+topo.RouterPipeline, now))
 }

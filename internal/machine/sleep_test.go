@@ -143,12 +143,12 @@ func injectLoops(m *Machine) uint64 {
 func tickState(c *wire.Codec, comp sim.Component) {
 	u := func(v uint64) { c.Uvarint(&v) }
 	b := func(v bool) { c.Bool(&v) }
-	queues := func(qs []vcq, occ uint32) {
-		u(uint64(occ))
-		for m := occ; m != 0; m &= m - 1 {
-			q := &qs[bits.TrailingZeros32(m)]
+	queues := func(s *vcset) {
+		u(uint64(s.occ))
+		for m := s.occ; m != 0; m &= m - 1 {
+			q := &s.vcs[bits.TrailingZeros32(m)]
 			u(uint64(len(q.pkts) - q.head))
-			b(q.routed)
+			b(q.out != nil)
 			u(uint64(q.outPort))
 			u(uint64(q.outVC))
 			u(q.readyAt)
@@ -175,23 +175,23 @@ func tickState(c *wire.Codec, comp sim.Component) {
 		for pi := range x.ports {
 			ps := &x.ports[pi]
 			u(x.inBusy[pi])
-			queues(ps.vcs, ps.occ)
+			queues(&ps.vcset)
 			channel(ps.in)
 			channel(ps.out)
-			arbiter.State(c, x.sa1[pi])
+			arbiter.State(c, ps.arb)
 			arbiter.State(c, x.sa2[pi])
 		}
 	case *channelAdapter:
 		u(uint64(x.queued))
 		u(uint64(x.inMask))
 		u(uint64(x.credMask))
-		queues(x.eg, x.egOcc)
-		queues(x.ing, x.ingOcc)
+		queues(&x.eg)
+		queues(&x.ing)
 		for _, ch := range [...]*fabric.Channel{x.fromRouter, x.toRouter, x.torusOut, x.torusIn} {
 			channel(ch)
 		}
-		arbiter.State(c, x.egArb)
-		arbiter.State(c, x.inArb)
+		arbiter.State(c, x.eg.arb)
+		arbiter.State(c, x.ing.arb)
 		for _, ch := range [...]*fabric.Channel{x.torusOut, x.torusIn} {
 			ch.LinkState(c, func(p *packet.Packet, _ bool) *packet.Packet { return p })
 		}

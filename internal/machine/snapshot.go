@@ -121,21 +121,23 @@ func (w *snapWalk) pkts(s *[]*packet.Packet, head int) {
 	}
 }
 
-// queues codes a queue set of a component with the given number of output
-// ports — its occupancy mask, then per occupied queue its packets and, once
-// made, its head-of-line route decision — and returns the packets it holds.
-// The occupancy mask is decoded in place.
-func (w *snapWalk) queues(qs []vcq, occ *uint32, ports int) (queued int) {
-	mask := uint64(*occ)
-	if w.Uvarint(&mask); mask>>len(qs) != 0 {
-		w.Fail("queue set occupancy %#x names more than %d VCs", mask, len(qs))
+// queues codes a component's queue set — its occupancy mask, then per
+// occupied queue its packets and, once made, its head-of-line route decision
+// — and returns the packets it holds. The record names a head's output by
+// port, one of ports; out maps a port to its channel. The occupancy mask is
+// decoded in place.
+func (w *snapWalk) queues(s *vcset, ports int, out func(port int) *fabric.Channel) (queued int) {
+	mask := uint64(s.occ)
+	if w.Uvarint(&mask); mask>>len(s.vcs) != 0 {
+		w.Fail("queue set occupancy %#x names more than %d VCs", mask, len(s.vcs))
 		return 0
 	}
-	*occ = uint32(mask)
+	s.occ = uint32(mask)
 	for m := mask; m != 0; m &= m - 1 {
-		q := &qs[bits.TrailingZeros64(m)]
+		q := &s.vcs[bits.TrailingZeros64(m)]
 		w.pkts(&q.pkts, q.head)
-		if w.Bool(&q.routed); q.routed {
+		routed := q.out != nil
+		if w.Bool(&routed); routed {
 			port := uint8(q.outPort)
 			w.Byte(&port)
 			w.Byte(&q.outVC)
@@ -143,11 +145,11 @@ func (w *snapWalk) queues(qs []vcq, occ *uint32, ports int) (queued int) {
 			w.pkts(&q.branches, 0)
 			if q.outPort = int8(port); q.outPort < 0 || int(q.outPort) >= ports || q.outVC >= fabric.MaxVCs {
 				w.Fail("head-of-line route to port %d VC %d", q.outPort, q.outVC)
-			}
-			if w.Decoding() && !q.empty() {
-				// The head's size and label are cached, not recorded.
+			} else if w.Decoding() && !q.empty() {
+				// The head's output channel, size and label are
+				// derived, not recorded.
 				h := q.headPkt()
-				q.size, q.pat = h.Size, h.PatternID
+				q.out, q.size, q.pat = out(int(q.outPort)), h.Size, h.PatternID
 			}
 		}
 		if q.empty() {
@@ -300,20 +302,21 @@ func (m *Machine) body(w *snapWalk) {
 		for _, rt := range node.Routers {
 			for pi := range rt.ports {
 				ps := &rt.ports[pi]
-				if n := w.queues(ps.vcs, &ps.occ, len(rt.ports)); w.Decoding() {
+				if n := w.queues(&ps.vcset, len(rt.ports), func(p int) *fabric.Channel { return rt.ports[p].out }); w.Decoding() {
 					rt.queued += n
 				}
-				arbiter.State(c, rt.sa1[pi])
+				arbiter.State(c, ps.arb)
 				arbiter.State(c, rt.sa2[pi])
 				w.Uvarint(&rt.inBusy[pi])
 			}
 		}
 		for _, a := range node.Adapters {
-			if n := w.queues(a.eg, &a.egOcc, 1) + w.queues(a.ing, &a.ingOcc, 1); w.Decoding() {
+			if n := w.queues(&a.eg, 1, func(int) *fabric.Channel { return a.torusOut }) +
+				w.queues(&a.ing, 1, func(int) *fabric.Channel { return a.toRouter }); w.Decoding() {
 				a.queued = n
 			}
-			arbiter.State(c, a.egArb)
-			arbiter.State(c, a.inArb)
+			arbiter.State(c, a.eg.arb)
+			arbiter.State(c, a.ing.arb)
 		}
 		for _, e := range node.Endpoints {
 			w.pkts(&e.swq, e.head)

@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"anton2/internal/arbiter"
 	"anton2/internal/route"
 	"anton2/internal/topo"
 )
@@ -21,7 +22,7 @@ type hotArena struct {
 	busy  []uint64
 	pats  []uint8
 
-	nq, np, nb, ns int // take cursors
+	nq, np, nb, ns int // carve cursors
 }
 
 // newArena pre-sizes the arena for a machine: the chip layout is identical
@@ -50,26 +51,15 @@ func newArena(m *Machine) hotArena {
 	}
 }
 
-func (h *hotArena) takeVCQ(n int) []vcq {
-	s := h.vcqs[h.nq : h.nq+n : h.nq+n]
-	h.nq += n
+// carve takes the next n elements of arr at cursor *next, as a full slice
+// expression (len == cap).
+func carve[T any](arr []T, next *int, n int) []T {
+	s := arr[*next : *next+n : *next+n]
+	*next += n
 	return s
 }
 
-func (h *hotArena) takePorts(n int) []routerPort {
-	s := h.ports[h.np : h.np+n : h.np+n]
-	h.np += n
-	return s
-}
-
-func (h *hotArena) takeBusy(n int) []uint64 {
-	s := h.busy[h.nb : h.nb+n : h.nb+n]
-	h.nb += n
-	return s
-}
-
-func (h *hotArena) takePats(n int) []uint8 {
-	s := h.pats[h.ns : h.ns+n : h.ns+n]
-	h.ns += n
-	return s
+// newVCSet carves n VC queues from the arena and puts an arbiter over them.
+func (m *Machine) newVCSet(n int, weights [][arbiter.NumPatterns]uint32) vcset {
+	return vcset{vcs: carve(m.arena.vcqs, &m.arena.nq, n), arb: m.newArbiter(n, weights)}
 }
