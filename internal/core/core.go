@@ -53,22 +53,22 @@ func BuildMachine(cfg machine.Config, weightPatterns ...traffic.Pattern) (*machi
 
 // machineBuilt, when non-nil, sees every machine BuildMachine returns. A test
 // seam: the cross-engine differential tests use it to force a sharded
-// engine's per-cycle choice on shapes too small to ever schedule
-// sim.parallelMinReady components.
+// engine's per-cycle choice, so that every shape mixes parallel and serial
+// cycles.
 var machineBuilt func(*machine.Machine)
 
 // nodesPerShard is the auto-sharding floor: a shard must own at least this
 // many nodes. Measured on the 2-vCPU benchmark host as the wall time of a
-// uniform batch-4 burst (the fig9 point) with Shards 1 against Shards 2,
-// alternating, best of 15 runs per shape (5 from 256 nodes): 32 nodes (4x4x2)
-// 1.05x, 64 nodes (4x4x4, 8x4x2) 1.06-1.07x, 128 nodes (8x4x4) 1.37x, 256
-// nodes (8x8x4) 1.47x, 512 nodes (8x8x8) 1.47x. Two shards start to pay at 128
-// nodes, where most cycles of a dense run schedule sim.parallelMinReady
-// components; below that the best case gains a few percent and the 4x4x2 MD
-// timestep nothing (0.99-1.00x), so auto stays serial, which also keeps every
-// 4x4x2, 4x2x2 and 2x2x2 point on the unsharded code path. A constant, not a
-// knob.
-const nodesPerShard = 64
+// unit with Shards 1 against Shards 2, alternating, median of 7 per shape
+// (serial over sharded, with the range of the seven pairs): the uniform
+// batch-4 burst (the fig9 point) gains 1.22x at 8 nodes (2x2x2), 1.27x at 16
+// (4x2x2), 1.39x at 32 (4x4x2), 1.64x at 64 (8x4x2) and 1.72x at 128 (8x4x4);
+// the 4-timestep MD workload ties at 8 nodes (0.98x, 0.81-1.12), reads 1.12x
+// at 16 but spreads 0.72-1.43, and gains 1.40x at 32 and 1.67x at 64. 32
+// nodes is the first size where both units gain, so two shards need 32 and
+// the 4x4x2 MD and burst units shard on two cores; 2x2x2 and 4x2x2 stay on
+// the unsharded code path. A constant, not a knob.
+const nodesPerShard = 16
 
 // autoLimits supplies the two inputs of the auto rule that are not in the
 // config: the cores this process may use and the floor. Tests replace it to

@@ -11,13 +11,16 @@ import (
 // TestAutoShards pins the auto rule over cores x machine size x pool width:
 // min(cores / pool, nodes / nodesPerShard), never below 1. The shapes are the
 // benchmark's (2x2x2, 4x4x2, 8x8x8) and the paper's maximum (16x16x16): the
-// floor keeps the small two serial on any host and shards the large two.
+// floor keeps 2x2x2 serial on any host, lets 4x4x2 take two shards and leaves
+// the large two to the cores.
 func TestAutoShards(t *testing.T) {
 	want := map[[3]int]int{} // {procs, nodes, pool} -> shards; absent = 1
 	for _, c := range [][4]int{
-		// 512 nodes allow 8 shards.
-		{2, 512, 1, 2}, {4, 512, 1, 4}, {4, 512, 2, 2}, {16, 512, 1, 8}, {16, 512, 2, 8}, {16, 512, 8, 2},
-		// 4096 nodes allow 64, so the cores decide.
+		// 32 nodes allow 2 shards.
+		{2, 32, 1, 2}, {4, 32, 1, 2}, {4, 32, 2, 2}, {16, 32, 1, 2}, {16, 32, 2, 2}, {16, 32, 8, 2},
+		// 512 nodes allow 32, so the cores decide.
+		{2, 512, 1, 2}, {4, 512, 1, 4}, {4, 512, 2, 2}, {16, 512, 1, 16}, {16, 512, 2, 8}, {16, 512, 8, 2},
+		// So do 4096 nodes.
 		{2, 4096, 1, 2}, {4, 4096, 1, 4}, {4, 4096, 2, 2}, {16, 4096, 1, 16}, {16, 4096, 2, 8}, {16, 4096, 8, 2},
 	} {
 		want[[3]int{c[0], c[1], c[2]}] = c[3]
@@ -57,7 +60,8 @@ func TestResolveShards(t *testing.T) {
 		"auto, pool of two":      {func(*machine.Config) {}, 2, 2},
 		"auto, pool fills cores": {func(*machine.Config) {}, 4, 1},
 		"auto, pool unset":       {func(*machine.Config) {}, 0, 4},
-		"auto, below the floor":  {func(c *machine.Config) { c.Shape = topo.Shape3(4, 4, 2) }, 1, 1},
+		"auto, 4x4x2":            {func(c *machine.Config) { c.Shape = topo.Shape3(4, 4, 2) }, 1, 2},
+		"auto, below the floor":  {func(c *machine.Config) { c.Shape = topo.Shape3(4, 2, 2) }, 1, 1},
 		"explicit serial":        {func(c *machine.Config) { c.Shards = 1 }, 1, 1},
 		"explicit count":         {func(c *machine.Config) { c.Shards = 7 }, 4, 7},
 		"auto under scan":        {func(c *machine.Config) { c.Engine = machine.EngineScan }, 1, 1},

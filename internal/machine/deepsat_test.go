@@ -2,6 +2,7 @@ package machine_test
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -30,17 +31,46 @@ const (
 // sends a batch of 256 uniform requests, warmed past its ramp-up and then
 // stepped deepCycles cycles per op, serially. It reports simulated cycles per
 // wall second and wall microseconds per cycle; the batch-256 anton2sim run it
-// stands for is timed beside it in EXPERIMENTS.md "Cycle kernel".
+// stands for is timed beside it in EXPERIMENTS.md "Cycle kernel". The machine
+// is built and warmed once per process: the testing package's b.N=1 probe
+// and the timed run step the same machine on.
 //
 //	go test -run '^$' -bench DeepSaturation -benchtime 5x ./internal/machine
 func BenchmarkDeepSaturation(b *testing.B) {
+	deepOnce.Do(func() { deepMachine, deepErr = warmDeepMachine() })
+	if deepErr != nil {
+		b.Fatal(deepErr)
+	}
+	m := deepMachine
+	b.ResetTimer()
+	start := time.Now()
+	for i := 0; i < b.N; i++ {
+		if m.Engine.Now()+deepCycles > deepLimit {
+			b.Fatalf("ran past the plateau at cycle %d: lower -benchtime", m.Engine.Now())
+		}
+		m.Engine.Run(deepCycles)
+	}
+	wall := time.Since(start).Seconds()
+	b.ReportMetric(float64(b.N*deepCycles)/wall, "cycles/s")
+	b.ReportMetric(wall*1e6/float64(b.N*deepCycles), "us/cycle")
+}
+
+var (
+	deepOnce    sync.Once
+	deepMachine *machine.Machine
+	deepErr     error
+)
+
+// warmDeepMachine builds BenchmarkDeepSaturation's machine and steps it past
+// its ramp-up.
+func warmDeepMachine() (*machine.Machine, error) {
 	shape := topo.Shape3(8, 8, 8)
 	mc := machine.DefaultConfig(shape)
 	mc.Arbiter = arbiter.KindInverseWeighted
 	mc.Shards = 1
 	m, _, err := core.BuildMachine(mc, traffic.Uniform{})
 	if err != nil {
-		b.Fatal(err)
+		return nil, err
 	}
 	tm := m.Topo
 	for n := 0; n < tm.NumNodes(); n++ {
@@ -58,15 +88,5 @@ func BenchmarkDeepSaturation(b *testing.B) {
 		}
 	}
 	m.Engine.Run(deepWarm)
-	b.ResetTimer()
-	start := time.Now()
-	for i := 0; i < b.N; i++ {
-		if m.Engine.Now()+deepCycles > deepLimit {
-			b.Fatalf("ran past the plateau at cycle %d: lower -benchtime", m.Engine.Now())
-		}
-		m.Engine.Run(deepCycles)
-	}
-	wall := time.Since(start).Seconds()
-	b.ReportMetric(float64(b.N*deepCycles)/wall, "cycles/s")
-	b.ReportMetric(wall*1e6/float64(b.N*deepCycles), "us/cycle")
+	return m, nil
 }

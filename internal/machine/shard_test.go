@@ -65,10 +65,10 @@ var cyclePolicies = map[string]func(now uint64) bool{
 	"alternating": func(now uint64) bool { return now&1 == 1 },
 }
 
-// buildForTest is MustNew for the differential tests. Their shapes are too
-// small to ever schedule sim.parallelMinReady components in a cycle, so a
-// sharded machine's engine is forced to alternate parallel and serial cycles:
-// the staging paths, the direct paths and every transition between them run.
+// buildForTest is MustNew for the differential tests. A sharded machine's
+// engine is forced to alternate parallel and serial cycles, whatever each
+// cycle schedules: the staging paths, the direct paths and every transition
+// between them run.
 func buildForTest(cfg Config) *Machine {
 	m := MustNew(cfg)
 	m.Engine.ForceParallelForTest(cyclePolicies["alternating"])

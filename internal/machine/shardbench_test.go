@@ -17,10 +17,10 @@ import (
 // carry it: each sub-benchmark runs one unit of a benchmark/ workload through
 // its core driver with Shards: 1 and with an explicit shard count, alternating
 // which goes first, and reports serial_over_sharded = serial wall / sharded
-// wall (above 1 the shards win). The saturated burst is where sharding pays;
-// the ping-pong and the timestep are where it must cost nothing, because their
-// cycles (all of the ping-pong's, all but ~60 of the timestep's 4 152) stay
-// below sim.parallelMinReady and are stepped serially.
+// wall (above 1 the shards win). The saturated burst and the timestep (2 285
+// of whose 4 073 stepped cycles schedule sim.parallelMinReady components) are
+// where sharding pays; the ping-pong is where it must cost nothing, because
+// all its cycles but the first stay below the rule and are stepped serially.
 //
 //	go test -run '^$' -bench ShardedOverSerial -benchtime 3x ./internal/machine
 func BenchmarkShardedOverSerial(b *testing.B) {

@@ -4,8 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"runtime"
 	"slices"
 	"testing"
+	"time"
 )
 
 // selfWaker ticks itself every period cycles and records each tick.
@@ -285,9 +287,12 @@ func shardedCounters(n, shards int) (*Engine, []*shardCounter, *int) {
 // 9 000 on 3 have boundaries at 3 000 and 6 000, inside the first and second
 // summary words, so both summary words are shared and the third is owned;
 // 6 400 on 2 split the first summary word on a word boundary, at 3 200.
-// Afterwards every bucket's census holds, and ResetTo leaves nothing set.
+// 200 on 3 run once more on one core, where the coordinator and both workers
+// share a thread and a phase ends only because every spin yields. Afterwards
+// every bucket's census holds, and ResetTo leaves nothing set.
 func TestShardedTickParity(t *testing.T) {
-	for _, sz := range []struct{ n, shards int }{{64, 4}, {200, 3}, {9000, 3}, {6400, 2}} {
+	for _, sz := range []struct{ n, shards, procs int }{{64, 4, 0}, {200, 3, 0}, {9000, 3, 0}, {6400, 2, 0}, {200, 3, 1}} {
+		procs := runtime.GOMAXPROCS(sz.procs)
 		eSerial, serial, _ := shardedCounters(sz.n, 1)
 		eSerial.Run(500)
 		for name, parallel := range map[string]func(now uint64) bool{
@@ -316,6 +321,45 @@ func TestShardedTickParity(t *testing.T) {
 				}
 			}
 		}
+		runtime.GOMAXPROCS(procs)
+	}
+}
+
+// TestShardPoolLifecycle: every shard worker a stepping call starts has
+// exited once the call returns, whether it is Run, RunUntil ending done or
+// in ErrTimeout, or each bare Step of a loop.
+func TestShardPoolLifecycle(t *testing.T) {
+	base := runtime.NumGoroutine()
+	settled := func(after string) {
+		t.Helper()
+		// An exiting worker still counts for the instant between its last
+		// act and its return.
+		for i := 0; runtime.NumGoroutine() > base; i++ {
+			if i == 1000 {
+				t.Fatalf("after %s: %d goroutines, %d before", after, runtime.NumGoroutine(), base)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	e, _, merged := shardedCounters(200, 3)
+	e.parMin = 0
+	e.Run(64)
+	settled("Run")
+	if err := e.RunUntil(func() bool { return e.Now() >= 128 }, 1000, 0); err != nil {
+		t.Fatal(err)
+	}
+	settled("RunUntil")
+	var timeout *ErrTimeout
+	if err := e.RunUntil(func() bool { return false }, 64, 0); !errors.As(err, &timeout) {
+		t.Fatalf("RunUntil = %v, want ErrTimeout", err)
+	}
+	settled("RunUntil's ErrTimeout")
+	for i := 0; i < 64; i++ {
+		e.Step()
+		settled("a bare Step")
+	}
+	if *merged != 64*4 {
+		t.Fatalf("%d parallel cycles ran, want %d", *merged, 64*4)
 	}
 }
 
@@ -356,8 +400,9 @@ func TestPerCycleRule(t *testing.T) {
 	}
 }
 
-// TestParallelStepZeroAllocs: a parallel cycle starts its shard goroutines
-// from closures built once, so it allocates nothing in steady state either.
+// TestParallelStepZeroAllocs: a parallel cycle opened by a bare Step starts
+// and stops the shard workers from closures built once, so it allocates
+// nothing in steady state either.
 func TestParallelStepZeroAllocs(t *testing.T) {
 	e, _, merged := shardedCounters(200, 2)
 	e.parMin = 0
@@ -385,4 +430,22 @@ func BenchmarkSparseStep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		e.Step()
 	}
+}
+
+// BenchmarkParallelStep prices the hand-off of a parallel cycle: 256 trivial
+// components on 2 shards, each waking itself every cycle, and every cycle
+// stepped in parallel within one Run. ns/op is ns per cycle, nearly all of it
+// opening the phase and waiting at its barrier.
+//
+//	go test -run '^$' -bench ParallelStep ./internal/sim
+func BenchmarkParallelStep(b *testing.B) {
+	e := NewEngineMode(ModeActive)
+	for i := 0; i < 256; i++ {
+		e.Register(&shardCounter{e: e, id: i, period: 1})
+	}
+	e.ConfigureShards([]ShardRange{{Lo: 0, Hi: 128}, {Lo: 128, Hi: 256}}, 0, nil)
+	e.parMin = 0
+	e.Run(1024)
+	b.ResetTimer()
+	e.Run(uint64(b.N))
 }

@@ -20,7 +20,10 @@ package sim
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"sync"
+	"sync/atomic"
+	"time"
 )
 
 // Component is anything ticked once per simulated cycle.
@@ -74,14 +77,15 @@ type Engine struct {
 	// cycle with fewer scheduled components is ticked by the coordinator
 	// alone, exactly as an unsharded engine would; only a denser one enters
 	// the parallel phase. It is math.MaxUint32 on an unsharded engine, so the
-	// rule is the one compare every engine pays. workers[i] ticks shard i in
-	// the bucket parSlot.
+	// rule is the one compare every engine pays. In the bucket parSlot the
+	// coordinator ticks shard 0 and workers[i] shard i+1 (shardPool).
+	shard0  ShardRange
 	workers []*shardWorker
 	parMin  uint32
 	parSlot int
-	wg      sync.WaitGroup
+	pool    shardPool
 	// OnMerge, when non-nil, runs after the parallel phase of every cycle
-	// that had one, with the barrier still held (no workers running). The
+	// that had one, with the barrier still held (no worker ticking). The
 	// machine layer uses it to flush staged cross-shard channel sends and
 	// apply deferred deliveries in component-id order, which is what makes
 	// sharded runs bit-identical to serial ones.
@@ -142,33 +146,31 @@ func (e *Engine) SetSerialPrefix(n int) { e.serialPrefix = n }
 // median cycle per ready-count bin, serial vs parallel in us:
 //
 //	ready        8x8x8 burst  8x4x4 burst  4x4x2 burst  4x4x2 mdstep
-//	256-383        62 / 70      41 / 63      36 / 63      37 / 66
-//	512-639       125 / 127     84 / 108    100 / 105     90 / 114
-//	768-895       199 / 157    141 / 137       -         172 / 175
-//	1024-1279     298 / 228    221 / 204    200 / 171    206 / 215
-//	2048-3071     787 / 422    755 / 443       -            -
-//	8192+        3739 / 2126      -            -            -
+//	1-15           6.5 / 5.9    2.8 / 4.3    1.5 / 3.8    1.0 / 2.7
+//	16-31         10.2 / 7.8    6.5 / 6.8    4.4 / 6.6    5.3 / 6.2
+//	32-63         22.9 / 16.1  15.3 / 11.4   8.1 / 9.3   10.1 / 11.1
+//	64-127        41.8 / 24.5  27.3 / 19.0  17.4 / 15.8  19.4 / 16.7
+//	128-255         88 / 48      57 / 33      36 / 26      40 / 28
+//	512-1023       398 / 203    279 / 136    205 / 125    192 / 99
+//	2048-4095     2206 / 944   1365 / 651       -            -
 //
 // (burst: the uniform batch-4 fig9 point, whose ramp, plateau and drain sweep
 // the ready count from 1 to ~20 000 at 8x8x8; mdstep: the 4-timestep MD
-// workload, 429 of whose 4 152 stepped cycles fall in the 512-639 bin.) A tick
-// costs 0.15-0.3 us — less on a machine that fits the cache — and the hand-off
-// ~5 us while the second thread still spins and 20-40 us once it has parked,
-// which it has whenever cycles are this long. On the 512-node machine the
-// crossover is near 400 ready, on the cache-resident ones between 640 and
-// 1 024, and the MD timestep, whose deliveries do their work at the barrier,
-// only ties from there. 1 024 is the first bin no measured run loses in; what
-// the 8x8x8 burst forgoes between 400 and 1 024 is 0.2 % of its wall time. A
-// constant, not a knob: the choice never changes a result, only which of two
-// bit-identical ways a cycle is executed.
-const parallelMinReady = 1024
+// workload, 2 285 of whose 4 073 stepped cycles schedule 64 or more.) With
+// the shard pool the hand-off costs ~2 us while the workers spin, so the
+// crossover sits between 16 and 64 ready on the cache-resident machines and
+// below 16 on the 512-node one. 64 is the first bin no measured run loses in
+// (the 4x4x2 burst's seven cycles above 1 023 are its first nine, cold and
+// noisy either way). A constant, not a knob: the choice never changes a
+// result, only which of two bit-identical ways a cycle is executed.
+const parallelMinReady = 64
 
 // ConfigureShards splits the component-id space for sharded stepping.
 // Components with id < serialPrefix are ticked by the coordinator first (in
 // id order). A cycle with fewer than parallelMinReady scheduled components is
 // then finished by the coordinator too, the same way an unsharded engine
-// would; a denser one ticks each range on its own goroutine and runs merge
-// (may be nil) at the barrier. Ranges must be sorted, disjoint, and cover
+// would; a denser one ticks each range on a goroutine of its own (the first
+// on the coordinator's) and runs merge (may be nil) at the barrier. Ranges must be sorted, disjoint, and cover
 // [serialPrefix, len(comps)), with every component already registered. While
 // the workers run, a component may wake only components of its own range
 // (itself, or a peer it reaches without leaving the shard): each worker then
@@ -181,14 +183,11 @@ func (e *Engine) ConfigureShards(ranges []ShardRange, serialPrefix int, merge fu
 	e.serialPrefix = serialPrefix
 	e.OnMerge = merge
 	e.parMin = parallelMinReady
+	e.shard0 = ShardRange{Lo: max(ranges[0].Lo, serialPrefix), Hi: ranges[0].Hi}
 	e.workers = e.workers[:0]
-	for _, r := range ranges {
-		w := &shardWorker{lo: max(r.Lo, serialPrefix), hi: r.Hi}
-		w.run = func() {
-			ScrubStack()
-			w.e.tickRange(w.e.parSlot, w.lo, w.hi)
-			w.e.wg.Done()
-		}
+	for _, r := range ranges[1:] {
+		w := &shardWorker{lo: max(r.Lo, serialPrefix), hi: r.Hi, tok: make(chan struct{}, 1)}
+		w.run = func() { e.work(w) }
 		e.workers = append(e.workers, w)
 	}
 	e.wheel.shard(ranges)
@@ -197,7 +196,7 @@ func (e *Engine) ConfigureShards(ranges []ShardRange, serialPrefix int, merge fu
 	}
 }
 
-// Parallel reports whether shard workers are running, that is whether the
+// Parallel reports whether the shards are ticking, that is whether the
 // caller is inside the parallel phase of a sharded cycle. The machine layer
 // stages cross-shard effects only then; in a serially stepped cycle the
 // coordinator ticks every component in id order — the reference order — so
@@ -352,8 +351,14 @@ func (e *Engine) Scheduled(id int) bool {
 }
 
 // Step advances the simulation by a single cycle, then runs the observers
-// due at the new clock.
+// due at the new clock. A parallel cycle's shard workers stop before it
+// returns, even when an observer panics.
 func (e *Engine) Step() {
+	defer e.stopPool()
+	e.step()
+}
+
+func (e *Engine) step() {
 	if e.mode == ModeScan {
 		for _, c := range e.comps {
 			c.Tick(e.now)
@@ -392,27 +397,30 @@ func (e *Engine) stepActive() {
 	w.clear(slot)
 }
 
-// stepParallel runs the parallel phase of one cycle: one goroutine per shard
-// over its id range, then the merge hook at the barrier. (The coordinator
-// waits rather than ticking a shard itself: a lone spawned goroutine sits in
-// the coordinator's runnext slot, which an idle P steals only after a sleep —
-// measured 40-60 us per cycle on the benchmark host, against ~5 us for the
-// spawn-all-and-wait hand-off.) Determinism argument: within a cycle,
-// components only push into latency>=1 pipes, so intra-shard tick order (id
-// order, same as serial) is the only order that matters for shard-local state;
-// all cross-shard effects are staged by the machine layer and applied by
-// OnMerge in id order with their original arrival cycles, so the post-barrier
-// state is bit-identical to a serial step.
+// stepParallel runs the parallel phase of one cycle: the coordinator opens
+// it to the shard workers, ticks shard 0 itself while they tick the rest, and
+// runs the merge hook once all have finished. Determinism argument: within a
+// cycle, components only push into latency>=1 pipes, so intra-shard tick
+// order (id order, same as serial) is the only order that matters for
+// shard-local state; all cross-shard effects are staged by the machine layer
+// and applied by OnMerge in id order with their original arrival cycles, so
+// the post-barrier state is bit-identical to a serial step.
 func (e *Engine) stepParallel(slot int) {
 	e.par, e.parSlot = true, slot
-	e.wg.Add(len(e.workers))
-	for _, w := range e.workers {
-		w.e = e
-		go w.run()
+	p := &e.pool
+	if !p.live {
+		e.startPool()
 	}
-	e.wg.Wait()
+	p.pending.Store(int32(len(e.workers)))
+	p.gen.Add(1)
 	for _, w := range e.workers {
-		w.e = nil
+		w.post()
+	}
+	e.tickRange(slot, e.shard0.Lo, e.shard0.Hi)
+	for i := 1; p.pending.Load() != 0; i++ {
+		if i%spinPolls == 0 {
+			runtime.Gosched()
+		}
 	}
 	e.par = false
 	e.wheel.fold()
@@ -421,15 +429,117 @@ func (e *Engine) stepParallel(slot int) {
 	}
 }
 
-// shardWorker is the goroutine body of one shard's range [lo, hi), built once
-// so that a parallel cycle allocates nothing. It reaches the engine only while
-// a parallel phase runs, so an exited worker goroutine, which the runtime may
-// keep until it reuses it, holds nothing of a finished machine; and it scrubs
-// the stack its ticks will use (ScrubStack).
+// shardPool is the phase barrier of a sharded engine. Its worker goroutines
+// live from the first parallel cycle of a stepping call (Run, RunUntil or a
+// bare Step) until that call returns, so none outlives the call or holds a
+// finished machine. The coordinator opens a phase by setting parSlot and par
+// and bumping gen, which publishes them; a worker that sees gen move ticks
+// its shard and decrements pending, and the coordinator, done with shard 0,
+// yields until pending is zero. Between phases a worker spins, yielding, for
+// up to workerSpin, then parks on its one-slot token, which the coordinator
+// posts at every phase: a spinning worker starts a phase in well under a
+// microsecond, a parked one only once the runtime has woken a thread for it.
+// Every spin yields, so a pool also finishes on a single core.
+type shardPool struct {
+	_       [64]byte // keep the spun-on words off the engine's hot fields
+	gen     atomic.Uint64
+	pending atomic.Int32
+	live    bool // worker goroutines are running
+	quit    bool // published by the gen bump that stops them
+	exited  sync.WaitGroup
+	_       [64]byte
+}
+
+// workerSpin is how long a worker spins for the next phase before it parks.
+// It spans the serial cycles a dense run steps between two parallel ones.
+const workerSpin = 100 * time.Microsecond
+
+// spinPolls is how many times a spinning goroutine polls between yields.
+const spinPolls = 1024
+
+// shardWorker is one pool worker, ticking the range [lo, hi). run is its
+// goroutine body, built once so that starting the pool allocates nothing.
 type shardWorker struct {
-	e      *Engine // set for the duration of a parallel phase only
 	lo, hi int
+	seen   uint64        // the last generation this worker acted on
+	tok    chan struct{} // one slot: posted every phase, taken only to unpark
 	run    func()
+}
+
+// post hands w the token without ever blocking: a full slot already wakes it.
+func (w *shardWorker) post() {
+	select {
+	case w.tok <- struct{}{}:
+	default:
+	}
+}
+
+// startPool starts one goroutine per worker. Coordinator-only.
+func (e *Engine) startPool() {
+	p := &e.pool
+	p.live, p.quit = true, false
+	g := p.gen.Load()
+	p.exited.Add(len(e.workers))
+	for _, w := range e.workers {
+		select { // a token left by the last pool's stop
+		case <-w.tok:
+		default:
+		}
+		w.seen = g
+		go w.run()
+	}
+}
+
+// stopPool ends the pool, if one runs, and returns once every worker has
+// exited. Coordinator-only, between phases.
+func (e *Engine) stopPool() {
+	p := &e.pool
+	if !p.live {
+		return
+	}
+	p.live, p.quit = false, true
+	p.gen.Add(1)
+	for _, w := range e.workers {
+		w.post()
+	}
+	p.exited.Wait()
+}
+
+// work is a worker goroutine: one shard tick per phase until the pool stops.
+// It scrubs the stack its ticks will use first (ScrubStack).
+func (e *Engine) work(w *shardWorker) {
+	ScrubStack()
+	p := &e.pool
+	for {
+		e.await(w)
+		if p.quit {
+			p.exited.Done()
+			return
+		}
+		e.tickRange(e.parSlot, w.lo, w.hi)
+		p.pending.Add(-1)
+	}
+}
+
+// await returns once the generation has moved past w.seen, recording it.
+func (e *Engine) await(w *shardWorker) {
+	p := &e.pool
+	for {
+		start := time.Now()
+		for i := 1; ; i++ {
+			if g := p.gen.Load(); g != w.seen {
+				w.seen = g
+				return
+			}
+			if i%spinPolls == 0 {
+				if i%(64*spinPolls) == 0 && time.Since(start) > workerSpin {
+					break
+				}
+				runtime.Gosched()
+			}
+		}
+		<-w.tok
+	}
 }
 
 // ScrubStack zeroes the 32 KB of goroutine stack below its caller's frame.
@@ -438,9 +548,8 @@ type shardWorker struct {
 // preempts a goroutine asynchronously scans the interrupted frame
 // conservatively, dead slots included. One such slot keeps a whole finished
 // machine marked live while the next is built, and doubles the heap goal.
-// The next machine lays its build frames (machine.New) and its first parallel
-// phase's tick frames (the shard workers) exactly where a finished one ran,
-// so both scrub first.
+// The next machine lays its build frames (machine.New) and its shard
+// workers' tick frames exactly where a finished one ran, so both scrub first.
 //
 //go:noinline
 func ScrubStack() {
@@ -564,6 +673,7 @@ func (e *Engine) RunUntil(done func() bool, maxCycles, watchdog uint64) error {
 // run is the one run loop: Run is run with no predicate (a spent budget is
 // then the normal way out, not an ErrTimeout) and no watchdog.
 func (e *Engine) run(done func() bool, maxCycles, watchdog uint64) error {
+	defer e.stopPool()
 	end := e.now + maxCycles
 	lastProgress := e.progressTotal()
 	lastProgressAt := e.now
@@ -587,7 +697,7 @@ func (e *Engine) run(done func() bool, maxCycles, watchdog uint64) error {
 			// mode would have (lastProgressAt + watchdog).
 			e.arrive(t)
 		} else {
-			e.Step()
+			e.step()
 		}
 		if watchdog == 0 {
 			continue

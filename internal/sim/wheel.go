@@ -50,17 +50,25 @@ type wheel struct {
 	// slot of pcnt; only a word whose ids straddle two ranges is shared, and
 	// goes through the atomic path into the last slot. slotOf[wi] names the
 	// slot of word wi. The coordinator folds the slots into cnt at the
-	// barrier, so no word is shared by the workers but the straddling ones.
+	// barrier, visiting only the buckets a slot flags as counted into, so no
+	// word is shared by the workers but the straddling ones.
 	// Summary words follow the same rule one level up: sumShared[si] is set
 	// when the 64 words summary word si covers are not all owned by one
 	// shard, and only such a word is marked with a compare-and-swap.
 	slotOf    []uint16
 	sumShared []bool
-	pcnt      []*[wheelBuckets]uint32
+	pcnt      []*phaseCount
 
 	mu      sync.Mutex // guards heap pushes during the parallel phase
 	heap    []wakeEnt
 	heapMin uint64 // heap[0].at, or ^uint64(0) when empty
+}
+
+// phaseCount is one slot of a parallel phase's wake counts: n[b] wakes into
+// bucket b, and bit b of hit set once n[b] is.
+type phaseCount struct {
+	n   [wheelBuckets]uint32
+	hit [wheelBuckets / 64]uint64
 }
 
 func (w *wheel) init() { w.heapMin = ^uint64(0) }
@@ -111,10 +119,13 @@ func (w *wheel) set(id int, at, now uint64, par bool) {
 	p := &w.words[b][wi]
 	if par {
 		k := int(w.slotOf[wi])
+		pc := w.pcnt[k]
 		if k < len(w.pcnt)-1 {
 			if old := *p; old&bit == 0 {
 				*p = old | bit
-				w.pcnt[k][b]++
+				if pc.n[b]++; pc.n[b] == 1 {
+					pc.hit[b>>6] |= 1 << (b & 63)
+				}
 				if old == 0 {
 					w.mark(b, wi)
 				}
@@ -127,7 +138,9 @@ func (w *wheel) set(id int, at, now uint64, par bool) {
 				return
 			}
 			if atomic.CompareAndSwapUint64(p, old, old|bit) {
-				atomic.AddUint32(&w.pcnt[k][b], 1)
+				if atomic.AddUint32(&pc.n[b], 1) == 1 {
+					atomicOr(&pc.hit[b>>6], 1<<(b&63))
+				}
 				if old == 0 {
 					w.mark(b, wi)
 				}
@@ -145,14 +158,20 @@ func (w *wheel) set(id int, at, now uint64, par bool) {
 }
 
 // mark sets word wi's summary bit in bucket b from inside the parallel phase:
-// plainly when one shard owns every word the summary word covers, else with a
-// compare-and-swap (go1.22 has no atomic.OrUint64).
+// plainly when one shard owns every word the summary word covers, else
+// atomically.
 func (w *wheel) mark(b, wi int) {
 	q, bit := &w.sum[b][wi>>6], uint64(1)<<(wi&63)
 	if !w.sumShared[wi>>6] {
 		*q |= bit
 		return
 	}
+	atomicOr(q, bit)
+}
+
+// atomicOr sets bit in *q with a compare-and-swap (go1.22 has no
+// atomic.OrUint64).
+func atomicOr(q *uint64, bit uint64) {
 	for {
 		old := atomic.LoadUint64(q)
 		if old&bit != 0 || atomic.CompareAndSwapUint64(q, old, old|bit) {
@@ -166,9 +185,9 @@ func (w *wheel) mark(b, wi int) {
 // own allocation so that no two workers' counters share a cache line.
 func (w *wheel) shard(ranges []ShardRange) {
 	w.slotOf = make([]uint16, w.nwords)
-	w.pcnt = make([]*[wheelBuckets]uint32, len(ranges)+1)
+	w.pcnt = make([]*phaseCount, len(ranges)+1)
 	for k := range w.pcnt {
-		w.pcnt[k] = new([wheelBuckets]uint32)
+		w.pcnt[k] = new(phaseCount)
 	}
 	for k, r := range ranges {
 		for wi := r.Lo >> 6; wi < (r.Hi+63)>>6; wi++ {
@@ -191,11 +210,13 @@ func (w *wheel) shard(ranges []ShardRange) {
 // Coordinator-only, at the barrier.
 func (w *wheel) fold() {
 	for _, pc := range w.pcnt {
-		for b, n := range pc {
-			if n != 0 {
-				w.cnt[b] += n
-				pc[b] = 0
+		for hi, h := range pc.hit {
+			for ; h != 0; h &= h - 1 {
+				b := hi<<6 + trailingZeros64(h)
+				w.cnt[b] += pc.n[b]
+				pc.n[b] = 0
 			}
+			pc.hit[hi] = 0
 		}
 	}
 }

@@ -10,6 +10,8 @@ package traffic
 import (
 	"fmt"
 	"math/rand"
+	"sync"
+	"sync/atomic"
 
 	"anton2/internal/loadcalc"
 	"anton2/internal/topo"
@@ -40,8 +42,13 @@ func (Uniform) Dest(m *topo.Machine, src topo.NodeEp, rng *rand.Rand) topo.NodeE
 	if dst >= src.Node {
 		dst++
 	}
-	cores := m.Chip.CoreEndpoints()
-	return topo.NodeEp{Node: dst, Ep: cores[rng.Intn(len(cores))]}
+	return topo.NodeEp{Node: dst, Ep: randomCore(m, rng)}
+}
+
+// randomCore draws one of the machine's core endpoints, reading the chip's
+// table in place.
+func randomCore(m *topo.Machine, rng *rand.Rand) int {
+	return m.Chip.CoreEndpoint(topo.RouterCoord(rng.Intn(topo.NumRouters)))
 }
 
 // Flows implements Pattern.
@@ -69,31 +76,80 @@ type NHop struct{ N int }
 func (p NHop) Name() string { return fmt.Sprintf("%d-hop", p.N) }
 
 // neighborhood returns the distinct destination nodes within the offset
-// cube, excluding the center.
+// cube, excluding the center, in the order of offsets.
 func (p NHop) neighborhood(m *topo.Machine, center topo.NodeCoord) []int {
-	seen := map[int]bool{}
-	var out []int
-	for dx := -p.N; dx <= p.N; dx++ {
-		for dy := -p.N; dy <= p.N; dy++ {
-			for dz := -p.N; dz <= p.N; dz++ {
-				c := m.Shape.Wrap(topo.NodeCoord{X: center.X + dx, Y: center.Y + dy, Z: center.Z + dz})
-				id := m.Shape.NodeID(c)
-				if c == center || seen[id] {
-					continue
-				}
-				seen[id] = true
-				out = append(out, id)
-			}
-		}
+	offs := p.offsets(m.Shape)
+	out := make([]int, len(offs))
+	for i, d := range offs {
+		out[i] = shifted(m.Shape, center, d)
 	}
 	return out
 }
 
+// shifted is the node at offset d from center.
+func shifted(s topo.TorusShape, center, d topo.NodeCoord) int {
+	return s.NodeID(s.Wrap(topo.NodeCoord{X: center.X + d.X, Y: center.Y + d.Y, Z: center.Z + d.Z}))
+}
+
+// offsets returns the offsets of the cube |d| <= N, each wrapped into the
+// shape, that reach distinct nodes other than the center: the first of every
+// set of offsets that alias on the torus, in dx, dy, dz order. Whether two
+// offsets alias does not depend on the center, so every center's
+// neighborhood lists its nodes in this one order.
+func (p NHop) offsets(s topo.TorusShape) []topo.NodeCoord {
+	key := nhopKey{p.N, s}
+	if c := nhopCache.Load(); c != nil {
+		if offs, ok := (*c)[key]; ok {
+			return offs
+		}
+	}
+	nhopMu.Lock()
+	defer nhopMu.Unlock()
+	next := map[nhopKey][]topo.NodeCoord{}
+	if c := nhopCache.Load(); c != nil {
+		if offs, ok := (*c)[key]; ok {
+			return offs
+		}
+		for k, v := range *c {
+			next[k] = v
+		}
+	}
+	seen := map[topo.NodeCoord]bool{{}: true}
+	var offs []topo.NodeCoord
+	for dx := -p.N; dx <= p.N; dx++ {
+		for dy := -p.N; dy <= p.N; dy++ {
+			for dz := -p.N; dz <= p.N; dz++ {
+				d := s.Wrap(topo.NodeCoord{X: dx, Y: dy, Z: dz})
+				if !seen[d] {
+					seen[d] = true
+					offs = append(offs, d)
+				}
+			}
+		}
+	}
+	next[key] = offs
+	nhopCache.Store(&next)
+	return offs
+}
+
+type nhopKey struct {
+	n     int
+	shape topo.TorusShape
+}
+
+// nhopCache holds the offsets of every (N, shape) drawn from so far. A miss
+// replaces the whole map under nhopMu, so a draw reads it without a lock and
+// without allocating.
+var (
+	nhopMu    sync.Mutex
+	nhopCache atomic.Pointer[map[nhopKey][]topo.NodeCoord]
+)
+
 // Dest implements Pattern.
 func (p NHop) Dest(m *topo.Machine, src topo.NodeEp, rng *rand.Rand) topo.NodeEp {
-	nodes := p.neighborhood(m, m.Shape.Coord(src.Node))
-	cores := m.Chip.CoreEndpoints()
-	return topo.NodeEp{Node: nodes[rng.Intn(len(nodes))], Ep: cores[rng.Intn(len(cores))]}
+	offs := p.offsets(m.Shape)
+	node := shifted(m.Shape, m.Shape.Coord(src.Node), offs[rng.Intn(len(offs))])
+	return topo.NodeEp{Node: node, Ep: randomCore(m, rng)}
 }
 
 // Flows implements Pattern.

@@ -3,6 +3,7 @@ package traffic
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"anton2/internal/topo"
@@ -167,6 +168,67 @@ func TestPatternNames(t *testing.T) {
 	for want, p := range cases {
 		if p.Name() != want {
 			t.Errorf("Name() = %q, want %q", p.Name(), want)
+		}
+	}
+}
+
+// neighborhoodRef is NHop's neighborhood as it was first written: the cube of
+// offsets walked around the center, deduplicated by node id.
+func neighborhoodRef(p NHop, m *topo.Machine, center topo.NodeCoord) []int {
+	seen := map[int]bool{}
+	var out []int
+	for dx := -p.N; dx <= p.N; dx++ {
+		for dy := -p.N; dy <= p.N; dy++ {
+			for dz := -p.N; dz <= p.N; dz++ {
+				c := m.Shape.Wrap(topo.NodeCoord{X: center.X + dx, Y: center.Y + dy, Z: center.Z + dz})
+				id := m.Shape.NodeID(c)
+				if c == center || seen[id] {
+					continue
+				}
+				seen[id] = true
+				out = append(out, id)
+			}
+		}
+	}
+	return out
+}
+
+// TestNHopMatchesReference: the offsets NHop computes once per shape give
+// every center the neighborhood the per-draw walk gave, in the same order, so
+// Dest draws the same destination from the same random stream.
+func TestNHopMatchesReference(t *testing.T) {
+	for _, shape := range []topo.TorusShape{topo.Shape3(2, 2, 2), topo.Shape3(4, 4, 2), topo.Shape3(8, 8, 8)} {
+		m := machineFor(t, shape)
+		for _, p := range []NHop{{N: 1}, {N: 2}} {
+			for node := 0; node < m.NumNodes(); node++ {
+				c := m.Shape.Coord(node)
+				if got, want := p.neighborhood(m, c), neighborhoodRef(p, m, c); !slices.Equal(got, want) {
+					t.Fatalf("%v %s around %v: %v, want %v", shape, p.Name(), c, got, want)
+				}
+			}
+			rng, ref := rand.New(rand.NewSource(5)), rand.New(rand.NewSource(5))
+			cores := m.Chip.CoreEndpoints()
+			for i := 0; i < 1000; i++ {
+				src := topo.NodeEp{Node: i % m.NumNodes(), Ep: cores[0]}
+				nodes := neighborhoodRef(p, m, m.Shape.Coord(src.Node))
+				want := topo.NodeEp{Node: nodes[ref.Intn(len(nodes))], Ep: cores[ref.Intn(len(cores))]}
+				if got := p.Dest(m, src, rng); got != want {
+					t.Fatalf("%v %s draw %d: %v, want %v", shape, p.Name(), i, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestDestAllocatesNothing: a destination draw reads precomputed tables only.
+func TestDestAllocatesNothing(t *testing.T) {
+	m := machineFor(t, topo.Shape3(8, 8, 8))
+	rng := rand.New(rand.NewSource(6))
+	src := topo.NodeEp{Node: 77, Ep: m.Chip.CoreEndpoints()[3]}
+	for _, p := range []Pattern{Uniform{}, NHop{N: 1}, NHop{N: 2}} {
+		p.Dest(m, src, rng)
+		if avg := testing.AllocsPerRun(200, func() { p.Dest(m, src, rng) }); avg != 0 {
+			t.Errorf("%s: Dest allocates %.1f objects per draw, want 0", p.Name(), avg)
 		}
 	}
 }
