@@ -1,6 +1,10 @@
 package wctraffic
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -321,4 +325,45 @@ func TestHungarianAgreesWithEnumeratedWorstCase(t *testing.T) {
 			t.Errorf("channel %s: Hungarian worst %g, enumerated %g", chip.IntraChans[c].Name, got, enumMax[c])
 		}
 	}
+}
+
+// TestLoadTablesPinned pins the whole analysis under both shipped skip
+// settings (through and exit skips; through skips only): a sha256 over the
+// float64 bits of Loads for every direction order and every derangement,
+// then each order's worst load and worst permutation.
+func TestLoadTablesPinned(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		exit bool
+		want string
+	}{
+		{"default", true, "dee1560c81bb0f524dfe5a22e679104a088f6f1747cca1c4a52c2d155f974845"},
+		{"through-only", false, "67381cbe1e0dc19f9bc008d065c466c1c4e1d66c7e7af3225e1d36d52b3c3a1b"},
+	} {
+		h := sha256.New()
+		put := func(f float64) { h.Write(binary.LittleEndian.AppendUint64(nil, math.Float64bits(f))) }
+		for _, order := range topo.AllDirOrders() {
+			for _, perm := range permutations() {
+				for _, l := range pinnedLoads(order, c.exit, perm) {
+					put(l)
+				}
+			}
+			r := pinnedEvaluate(order, c.exit)
+			put(r.WorstLoad)
+			for _, d := range r.WorstPerm {
+				h.Write([]byte{byte(d)})
+			}
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != c.want {
+			t.Errorf("%s: load tables hash %s, want %s", c.name, got, c.want)
+		}
+	}
+}
+
+func pinnedLoads(order topo.DirOrder, exit bool, perm [topo.NumDirections]topo.Direction) []float64 {
+	return Loads(topo.DefaultChip(), order, Policy{Through: true, Exit: exit}, perm)
+}
+
+func pinnedEvaluate(order topo.DirOrder, exit bool) Result {
+	return Evaluate(topo.DefaultChip(), order, Policy{Through: true, Exit: exit})
 }
