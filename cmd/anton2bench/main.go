@@ -520,9 +520,11 @@ func header(title, paper string) {
 func fig4() error {
 	header("Figure 4 / permutation (1): worst-case on-chip switching",
 		"optimized direction order limits worst-case mesh load to 2 torus channels")
-	chip := topo.DefaultChip()
-	winners, best := wctraffic.Best(chip, wctraffic.DefaultPolicy)
-	_, throughOnly := wctraffic.Best(chip, wctraffic.Policy{Through: true})
+	cfg := route.NewConfig(topo.MustMachine(topo.Shape3(6, 6, 6)))
+	winners, best := wctraffic.Best(cfg)
+	noExit := *cfg
+	noExit.ExitSkip = false
+	_, throughOnly := wctraffic.Best(&noExit)
 	fmt.Printf("measured: best worst-case load %.1f (through-only skips: %.1f)\n", best, throughOnly)
 	fmt.Printf("          %d of 24 direction orders achieve it; default %v", len(winners), topo.DefaultDirOrder)
 	for _, w := range winners {
@@ -532,7 +534,7 @@ func fig4() error {
 		}
 	}
 	fmt.Println()
-	def := wctraffic.Evaluate(chip, topo.DefaultDirOrder, wctraffic.DefaultPolicy)
+	def := wctraffic.Evaluate(cfg)
 	fmt.Printf("          worst-case permutation under the default order:\n")
 	fmt.Printf("            in:  X+  X-  Y+  Y-  Z+  Z-\n            out:")
 	for _, d := range def.WorstPerm {
@@ -540,14 +542,14 @@ func fig4() error {
 	}
 	fmt.Println()
 	fmt.Printf("          mesh channels it loads with 2 or more torus channels:\n")
-	for i, l := range wctraffic.Loads(chip, topo.DefaultDirOrder, wctraffic.DefaultPolicy, def.WorstPerm) {
-		ch := &chip.IntraChans[i]
+	for i, l := range wctraffic.Loads(cfg, def.WorstPerm) {
+		ch := &cfg.Machine.Chip.IntraChans[i]
 		if l >= 2 && ch.From.Kind == topo.LocRouter && ch.To.Kind == topo.LocRouter {
 			fmt.Printf("            %-12s %.1f\n", ch.Name, l)
 		}
 	}
 	fmt.Printf("          worst-case load of every direction order (* = optimal):\n")
-	for _, r := range wctraffic.SearchAll(chip, wctraffic.DefaultPolicy) {
+	for _, r := range wctraffic.SearchAll(cfg) {
 		mark, note := " ", ""
 		if r.WorstLoad == best {
 			mark = "*"

@@ -52,7 +52,7 @@ func computeHeadline(t *testing.T) headlineGolden {
 		MDStepCycles:        map[string]uint64{},
 	}
 
-	winners, best := wctraffic.Best(topo.DefaultChip(), wctraffic.DefaultPolicy)
+	winners, best := wctraffic.Best(route.NewConfig(topo.MustMachine(topo.Shape3(6, 6, 6))))
 	g.WorstCaseMeshLoad = best
 	g.OptimalOrderCount = len(winners)
 	for _, w := range winners {

@@ -145,11 +145,12 @@ func TestRunLatencyFigure11(t *testing.T) {
 	}
 	t.Logf("fit: %.1f ns + %.1f ns/hop (r2=%.4f), min %.1f ns", res.InterceptNS, res.SlopeNS, res.R2, res.MinNS)
 
-	// The skip-channel ablation (EXPERIMENTS.md "Ablations"): X through
-	// traffic crosses the chip on one skip channel instead of three mesh
-	// hops, so a machine without skips pays more per inter-node hop. The
-	// sweep runs to the diameter, where the Y and Z hops no skip shortens
-	// dilute the difference: the default pairs per hop count resolve it.
+	// The skip-channel ablation (EXPERIMENTS.md "Ablations"): with the
+	// exit crossing off, a packet that finished X walks the mesh to the far
+	// side instead of taking one skip hop, so it pays more per inter-node
+	// hop (X through-traffic crosses the skip either way). The sweep runs
+	// to the diameter, where the Y and Z hops no skip shortens dilute the
+	// difference: the default pairs per hop count resolve it.
 	slope := func(skips bool) float64 {
 		cfg := DefaultLatencyConfig(topo.Shape3(8, 2, 2))
 		cfg.Machine.UseSkip, cfg.Machine.ExitSkip = skips, skips

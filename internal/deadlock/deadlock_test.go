@@ -140,7 +140,8 @@ func TestDescribeCycleAcyclic(t *testing.T) {
 }
 
 // TestConfigVariantsDeadlockFree covers the shipped configuration space:
-// with and without exit-skip crossings, and with skips disabled entirely.
+// with and without exit-skip crossings, and with UseSkip false ("no-skips":
+// exit and entry crossings off; X through-traffic still crosses the skip).
 func TestConfigVariantsDeadlockFree(t *testing.T) {
 	shapes := []topo.TorusShape{topo.Shape3(4, 4, 2), topo.Shape3(8, 2, 2)}
 	variants := []struct {

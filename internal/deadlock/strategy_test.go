@@ -39,7 +39,8 @@ func TestRegisteredStrategiesDeadlockFree(t *testing.T) {
 
 // TestRegisteredStrategiesDeadlockFreeNoSkips re-verifies the registry under
 // the skip-channel ablations: a strategy's argument must not depend on a
-// particular chip skip policy.
+// particular chip skip policy. "no-skips" is UseSkip false: exit and entry
+// crossings off, X through-traffic still on the skip.
 func TestRegisteredStrategiesDeadlockFreeNoSkips(t *testing.T) {
 	variants := []struct {
 		name          string

@@ -11,8 +11,8 @@
 // over node-0-sourced routes of that resource's traversals at any node.
 //
 // Compute composes each route from two memoized segments, each a list of
-// int32 indices into one flat accumulator array, built with the route
-// package's transition functions. The prefix runs from the source endpoint
+// int32 indices into one flat accumulator array, walked with route.Traverse
+// (the step route.Walk takes). The prefix runs from the source endpoint
 // through the torus hop that arrives at the destination node; nothing before
 // that arrival depends on the destination endpoint, so it is walked once per
 // (source endpoint, destination node, routing choice). The sink runs from
@@ -113,9 +113,6 @@ func Compute(cfg *route.Config, sources []int, flows FlowFunc, class route.Class
 	return l
 }
 
-// maxHops bounds a walk defensively, as route.Walk does.
-const maxHops = 512
-
 // span is a segment: the half-open range [lo, hi) of an index list.
 type span struct{ lo, hi int32 }
 
@@ -126,15 +123,6 @@ type prefix struct {
 	torus, row int32
 }
 
-// leg is where a walk resumes: the packet has just entered router rc of
-// node over chip channel in at VC vc.
-type leg struct {
-	node int
-	rc   topo.MeshCoord
-	in   int
-	vc   uint8
-}
-
 // tables is Compute's working state. acc holds the per-resource Loads
 // fields, flat and row-major, in the order Chan, Torus, SA2, SA1, AdEg,
 // AdIn; a segment is a list of int32 indices into it.
@@ -143,6 +131,8 @@ type tables struct {
 	chip  *topo.Chip
 	class route.Class
 	maxVC int32
+	// vc0 holds, per channel group, the physical VC of the class's VC 0.
+	vc0 [2]int32
 	// Offsets of the Loads fields after Chan in acc.
 	torus, sa2, sa1, adEg, adIn int32
 	acc                         []float64
@@ -180,6 +170,9 @@ func newTables(cfg *route.Config, class route.Class) *tables {
 		choices: make([][]route.WeightedChoice, m.NumNodes()),
 		first:   make([]int32, m.NumNodes()),
 		rows:    map[uint64]int32{},
+	}
+	for g := range t.vc0 {
+		t.vc0[g] = int32(route.PhysVC(cfg.Scheme, topo.Group(g), class, 0))
 	}
 	t.torus = int32(m.NumIntraChans())
 	t.sa2 = t.torus + topo.NumChannelAdapters
@@ -255,8 +248,9 @@ func (t *tables) sink(row int32, dst topo.NodeEp) []int32 {
 	if s.hi == 0 {
 		st := t.arrivals[row]
 		lo := int32(len(t.sinkIdx))
-		var at leg
-		t.sinkIdx, at = t.ingress(t.sinkIdx, &st, dst, dst.Node)
+		ad := st.EgressAdapter()
+		at := route.Ingress(t.cfg, &st, dst, dst.Node)
+		t.sinkIdx = t.ingress(t.sinkIdx, ad, at)
 		t.sinkIdx, _ = t.walk(t.sinkIdx, &st, dst, at, -1)
 		*s = span{lo, int32(len(t.sinkIdx))}
 	}
@@ -268,10 +262,9 @@ func (t *tables) sink(row int32, dst topo.NodeEp) []int32 {
 // node, and returns its torus hop count; st is left in the route's state
 // there.
 func (t *tables) trace(idx []int32, st *route.State, dst topo.NodeEp, c route.Choices) ([]int32, int32) {
-	*st = route.Init(t.cfg, topo.NodeEp{Ep: t.src}, dst, c.Order, c.Slice, c.Ties, t.class)
-	ep := &t.chip.Endpoints[t.src]
-	idx = append(idx, int32(ep.ToRouter))
-	return t.walk(idx, st, dst, leg{rc: ep.Router, in: ep.ToRouter, vc: st.MVC}, dst.Node)
+	var at route.Leg
+	*st, at = route.Start(t.cfg, topo.NodeEp{Ep: t.src}, dst, c.Order, c.Slice, c.Ties, t.class)
+	return t.walk(append(idx, int32(at.In)), st, dst, at, dst.Node)
 }
 
 // walk appends the accumulator indices of a route from at on: per router
@@ -279,51 +272,39 @@ func (t *tables) trace(idx []int32, st *route.State, dst topo.NodeEp, c route.Ch
 // hop the adapter egress arbiter and the torus channel, then the ingress. It
 // stops at endpoint delivery or, before ingress, at the torus hop arriving at
 // node stop, and returns the torus hops it took.
-func (t *tables) walk(idx []int32, st *route.State, dst topo.NodeEp, at leg, stop int) ([]int32, int32) {
-	m := t.cfg.Machine
+func (t *tables) walk(idx []int32, st *route.State, dst topo.NodeEp, at route.Leg, stop int) ([]int32, int32) {
 	var torus int32
-	for range maxHops {
-		port, vc := route.RouterNext(t.cfg, st, dst, at.rc)
-		p := &t.chip.RouterAt(at.rc).Ports[port]
-		in := t.chip.InPortOf(at.in)
-		inVC := route.PhysVC(t.cfg.Scheme, t.chip.IntraChans[at.in].Group, t.class, at.vc)
+	for {
+		s := route.Traverse(t.cfg, st, dst, at, stop)
+		in := t.chip.InPortOf(at.In)
+		inVC := t.vc0[t.chip.IntraChans[at.In].Group] + int32(at.VC)
 		rp := int32(in.Router * topo.MaxRouterPorts)
-		idx = append(idx, int32(p.OutChan),
-			t.sa1+(rp+int32(in.Port))*t.maxVC+int32(inVC),
-			t.sa2+(rp+int32(port))*topo.MaxRouterPorts+int32(in.Port))
-		switch p.Kind {
+		idx = append(idx, int32(s.Out.OutChan),
+			t.sa1+(rp+int32(in.Port))*t.maxVC+inVC,
+			t.sa2+(rp+int32(s.Port))*topo.MaxRouterPorts+int32(in.Port))
+		switch s.Out.Kind {
 		case topo.PortEndpoint:
 			return idx, torus
-		case topo.PortMesh, topo.PortSkip:
-			at = leg{at.node, p.Peer, p.OutChan, vc}
 		case topo.PortAdapter:
 			// The egress queue is indexed by the arrival (pre-dateline) VC.
-			route.AdapterEgress(t.cfg, st, m.Shape.Coord(at.node))
-			a := int32(st.EgressAdapter().Index())
-			egVC := route.PhysVC(t.cfg.Scheme, topo.GroupT, t.class, vc)
-			idx = append(idx, t.adEg+a*t.maxVC+int32(egVC), t.torus+a)
+			ad := s.Out.Adapter
+			egVC := t.vc0[topo.GroupT] + int32(s.VC)
+			idx = append(idx, t.adEg+int32(ad.Index())*t.maxVC+egVC, t.torus+int32(ad.Index()))
 			torus++
-			next, _ := m.TorusDest(at.node, st.Dir, int(st.Slice))
-			if next == stop {
+			if s.Next.Node == stop {
 				return idx, torus
 			}
-			idx, at = t.ingress(idx, st, dst, next)
+			idx = t.ingress(idx, ad, s.Next)
 		}
+		at = s.Next
 	}
-	panic(fmt.Sprintf("loadcalc: walk to %v exceeded %d hops", dst, maxHops))
 }
 
-// ingress appends a torus arrival at node: the ingress arbiter input, kept
-// under the sending adapter and the torus VC, and the ingress adapter's
-// channel into its router.
-func (t *tables) ingress(idx []int32, st *route.State, dst topo.NodeEp, node int) ([]int32, leg) {
-	ad := st.EgressAdapter()
-	a := int32(ad.Index())
-	inVC := route.PhysVC(t.cfg.Scheme, topo.GroupT, t.class, st.TVC)
-	vc := route.AdapterIngress(t.cfg, st, dst, node)
-	in := t.chip.AdapterAt(topo.AdapterID{Dir: ad.Dir.Opposite(), Slice: ad.Slice})
-	idx = append(idx, t.adIn+a*t.maxVC+int32(inVC), int32(in.ToRouter))
-	return idx, leg{node, in.Router, in.ToRouter, vc}
+// ingress appends the torus arrival from egress adapter ad that starts leg
+// at: the ingress arbiter input, kept under the sending adapter and the torus
+// VC (the leg's), and the leg's channel into its router.
+func (t *tables) ingress(idx []int32, ad topo.AdapterID, at route.Leg) []int32 {
+	return append(idx, t.adIn+int32(ad.Index())*t.maxVC+t.vc0[topo.GroupT]+int32(at.VC), int32(at.In))
 }
 
 // fold hands acc to l: Chan, SA1, AdEg and AdIn become windows of it, the

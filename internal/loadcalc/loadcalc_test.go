@@ -417,3 +417,20 @@ func TestComputeAllocs(t *testing.T) {
 		t.Errorf("Compute made %.0f allocations at 4x4x2 uniform, want <= %.0f", allocs, budget)
 	}
 }
+
+// BenchmarkCompute prices one cold uniform load table: the 4x4x2 MD shape
+// and the 8x8x8 saturation shape, every core a source.
+func BenchmarkCompute(b *testing.B) {
+	for _, shape := range []topo.TorusShape{topo.Shape3(4, 4, 2), topo.Shape3(8, 8, 8)} {
+		b.Run(shape.String(), func(b *testing.B) {
+			m := topo.MustMachine(shape)
+			cfg := route.NewConfig(m)
+			sources := m.Chip.CoreEndpoints()
+			flows := traffic.Uniform{}.Flows(m)
+			b.ReportAllocs()
+			for b.Loop() {
+				loadcalc.Compute(cfg, sources, flows, route.ClassRequest)
+			}
+		})
+	}
+}

@@ -39,9 +39,9 @@ type Config struct {
 	// policy. Nil selects the paper's; read it through Strategy, the one
 	// place that default is spelled.
 	Scheme route.Strategy
-	// UseSkip routes X through-traffic over the skip channels; ExitSkip
-	// additionally lets packets finishing the X dimension cross sides
-	// over the skip (see route.Config).
+	// ExitSkip lets packets finishing the X dimension cross sides over
+	// the skip; UseSkip false turns that crossing off. X through-traffic
+	// crosses the skip either way (see route.Config).
 	UseSkip  bool
 	ExitSkip bool
 	// Arbiter selects round-robin or inverse-weighted arbitration

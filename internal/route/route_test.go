@@ -367,8 +367,10 @@ func TestEntrySkipVariantRoutes(t *testing.T) {
 	}
 }
 
-// TestNoSkipVariantRoutes: with skips fully disabled, X through-traffic
-// crosses the mesh at T-group VCs and still delivers everywhere.
+// TestNoSkipVariantRoutes: with the exit and entry skip crossings off
+// (UseSkip false), routes stay minimal, within every VC budget, and deliver
+// everywhere. X through-traffic still crosses the skip (see
+// TestUseSkipOffKeepsThroughSkip).
 func TestNoSkipVariantRoutes(t *testing.T) {
 	cfg := cfgFor(t, topo.Shape3(8, 2, 2), AntonScheme{})
 	cfg.UseSkip = false
@@ -378,6 +380,46 @@ func TestNoSkipVariantRoutes(t *testing.T) {
 		src := topo.NodeEp{Node: rng.Intn(cfg.Machine.NumNodes()), Ep: rng.Intn(topo.NumEndpoints)}
 		dst := topo.NodeEp{Node: rng.Intn(cfg.Machine.NumNodes()), Ep: rng.Intn(topo.NumEndpoints)}
 		walkEndToEnd(t, cfg, src, dst, RandomChoices(rng))
+	}
+}
+
+// TestUseSkipOffKeepsThroughSkip pins what UseSkip = false does: it turns
+// the exit and entry crossings off, and X through-traffic still crosses the
+// skip at every node it passes. Every route then crosses exactly one skip
+// per node it transits in X; under the default skips some cross one more.
+func TestUseSkipOffKeepsThroughSkip(t *testing.T) {
+	for _, useSkip := range []bool{false, true} {
+		cfg := cfgFor(t, topo.Shape3(8, 2, 2), AntonScheme{})
+		cfg.UseSkip = useSkip
+		m := cfg.Machine
+		skip := map[int]bool{}
+		for _, r := range m.Chip.Routers {
+			if sp := r.SkipPort(); sp >= 0 {
+				skip[r.Ports[sp].OutChan] = true
+			}
+		}
+		extra := 0
+		rng := rand.New(rand.NewSource(19))
+		for range 300 {
+			src := topo.NodeEp{Node: rng.Intn(m.NumNodes()), Ep: rng.Intn(topo.NumEndpoints)}
+			dst := topo.NodeEp{Node: rng.Intn(m.NumNodes()), Ep: rng.Intn(topo.NumEndpoints)}
+			c := RandomChoices(rng)
+			crossed := 0
+			for _, h := range walkEndToEnd(t, cfg, src, dst, c) {
+				if !m.IsTorusChan(h.Chan) && skip[h.Chan%m.NumIntraChans()] {
+					crossed++
+				}
+			}
+			dx, _ := m.Shape.MinimalDelta(m.Shape.Coord(src.Node), m.Shape.Coord(dst.Node), topo.DimX)
+			transits := max(dx*sgn(dx)-1, 0)
+			if crossed < transits || !useSkip && crossed != transits {
+				t.Fatalf("UseSkip %v %v->%v %+v: %d skip crossings, %d X transits", useSkip, src, dst, c, crossed, transits)
+			}
+			extra += crossed - transits
+		}
+		if useSkip != (extra > 0) {
+			t.Errorf("UseSkip %v: %d skip crossings beyond the X transits", useSkip, extra)
+		}
 	}
 }
 

@@ -36,7 +36,8 @@ func (m Mode) String() string {
 
 // State is a packet's routing state. It is initialized at injection and
 // mutated at each decision point; the same transition functions drive the
-// cycle-level simulator, the load calculator, and the deadlock analyzer.
+// cycle-level simulator, the load calculator, the deadlock analyzer, and
+// the worst-case on-chip analysis (wctraffic, through Walk).
 type State struct {
 	// Immutable per-packet routing choices (randomized at injection).
 	DimOrder topo.DimOrder
@@ -71,8 +72,10 @@ type Config struct {
 	// policy every transition function below consults.
 	Scheme   Strategy
 	DirOrder topo.DirOrder // on-chip direction order
-	// UseSkip selects whether X through-traffic uses the skip channels
-	// (true in Anton 2; false only for the ablation study).
+	// UseSkip gates the skip crossings of turning traffic: false turns
+	// EntrySkip and ExitSkip off (the skip ablation). X through-traffic
+	// crosses the skip whatever UseSkip says: RouterNext's transit branch
+	// takes it whenever its peer is the egress router.
 	UseSkip bool
 	// EntrySkip lets packets turning INTO the X dimension reach a
 	// far-side egress adapter via the near corner plus the skip channel.
@@ -237,10 +240,10 @@ func RouterNext(cfg *Config, st *State, dst topo.NodeEp, rc topo.MeshCoord) (por
 		if sp := r.SkipPort(); sp >= 0 && r.Ports[sp].Peer == target {
 			return sp, st.TVC
 		}
-		// Skip channels disabled (ablation): fall through to mesh
-		// routing at the transit VC. This widens the T-group VC usage
-		// to mesh channels and is only legal because the ablation also
-		// sizes mesh channels for T-group VCs.
+		// Neither at the egress router nor a skip away from it: mesh
+		// routing at the transit VC. No shipped layout reaches this (an
+		// X ingress router's skip partner is the egress router), and
+		// mesh channels are not sized for T-group VCs.
 		d, ok := cfg.DirOrder.NextMeshDir(rc, target)
 		if !ok {
 			panic(fmt.Sprintf("route: transit at %v with unreachable egress %v", rc, target))

@@ -13,9 +13,9 @@ type Hop struct {
 	VC   uint8 // scheme VC used on the channel (within the packet's class)
 }
 
-// maxWalkHops bounds route length defensively: the longest legal route is
-// bounded by mesh diameter per turn plus torus hops
-// (4 on-chip legs * ~8 + 3 * 8 torus hops * 3 channels each << 256).
+// maxWalkHops bounds a walk's router traversals defensively: the longest
+// legal route is bounded by mesh diameter per turn plus torus hops
+// (4 on-chip legs * ~8 + 3 * 8 torus hops * 3 routers each << 256).
 const maxWalkHops = 512
 
 // Walk enumerates the complete channel/VC sequence of one unicast route,
@@ -24,39 +24,86 @@ const maxWalkHops = 512
 // channel, every torus channel, and the final router-to-endpoint channel.
 func Walk(cfg *Config, src, dst topo.NodeEp, ord topo.DimOrder, slice uint8, ties [topo.NumDims]int8, class Class) []Hop {
 	m := cfg.Machine
-	chip := m.Chip
-	st := Init(cfg, src, dst, ord, slice, ties, class)
-
-	hops := make([]Hop, 0, 24)
-	node := src.Node
-	ep := &chip.Endpoints[src.Ep]
-	hops = append(hops, Hop{Chan: m.IntraChanID(node, ep.ToRouter), VC: st.MVC})
-	rc := ep.Router
-
-	for len(hops) < maxWalkHops {
-		port, vc := RouterNext(cfg, &st, dst, rc)
-		p := &chip.RouterAt(rc).Ports[port]
-		hops = append(hops, Hop{Chan: m.IntraChanID(node, p.OutChan), VC: vc})
-		switch p.Kind {
+	st, at := Start(cfg, src, dst, ord, slice, ties, class)
+	hops := append(make([]Hop, 0, 24), Hop{Chan: m.IntraChanID(at.Node, at.In), VC: at.VC})
+	for {
+		s := Traverse(cfg, &st, dst, at, -1)
+		hops = append(hops, Hop{Chan: m.IntraChanID(at.Node, s.Out.OutChan), VC: s.VC})
+		switch s.Out.Kind {
 		case topo.PortEndpoint:
-			if p.Endpoint != dst.Ep || node != dst.Node {
-				panic(fmt.Sprintf("route: delivered to n%d.E%d, want %v", node, p.Endpoint, dst))
+			if s.Out.Endpoint != dst.Ep || at.Node != dst.Node {
+				panic(fmt.Sprintf("route: delivered to n%d.E%d, want %v", at.Node, s.Out.Endpoint, dst))
 			}
 			return hops
-		case topo.PortMesh, topo.PortSkip:
-			rc = p.Peer
 		case topo.PortAdapter:
-			tvc := AdapterEgress(cfg, &st, m.Shape.Coord(node))
-			hops = append(hops, Hop{Chan: m.TorusChanID(node, st.Dir, int(st.Slice)), VC: tvc})
-			nextNode, inAd := m.TorusDest(node, st.Dir, int(st.Slice))
-			node = nextNode
-			ivc := AdapterIngress(cfg, &st, dst, node)
-			in := chip.AdapterAt(inAd)
-			hops = append(hops, Hop{Chan: m.IntraChanID(node, in.ToRouter), VC: ivc})
-			rc = in.Router
+			hops = append(hops, Hop{Chan: m.TorusChanID(at.Node, s.Out.Adapter.Dir, s.Out.Adapter.Slice), VC: s.Next.VC},
+				Hop{Chan: m.IntraChanID(s.Next.Node, s.Next.In), VC: s.Next.VC})
+		}
+		at = s.Next
+	}
+}
+
+// Leg is where a walk resumes: the packet has just entered router Router of
+// node Node over chip channel In at VC VC.
+type Leg struct {
+	Node   int
+	Router topo.MeshCoord
+	In     int
+	VC     uint8
+	hops   int // router traversals taken so far, against maxWalkHops
+}
+
+// Step is one router traversal taken by Traverse.
+type Step struct {
+	Port int        // the output port taken at the leg's router
+	Out  *topo.Port // that port; at an adapter port Out.Adapter is the egress adapter
+	VC   uint8      // the VC on Out's channel
+	// Next is where the walk resumes: the peer router after a mesh or skip
+	// hop, the ingress adapter's router after a torus hop, entered at the
+	// torus VC. After a torus hop that arrives at node stop only Next.Node
+	// is set.
+	Next Leg
+}
+
+// Start initializes a route as Init does and returns the leg it starts on:
+// the source endpoint's channel into its router.
+func Start(cfg *Config, src, dst topo.NodeEp, ord topo.DimOrder, slice uint8, ties [topo.NumDims]int8, class Class) (State, Leg) {
+	st := Init(cfg, src, dst, ord, slice, ties, class)
+	ep := &cfg.Machine.Chip.Endpoints[src.Ep]
+	return st, Leg{Node: src.Node, Router: ep.Router, In: ep.ToRouter, VC: st.MVC}
+}
+
+// Traverse takes one router traversal from at: route computation at its
+// router and, at an adapter port, the torus hop (AdapterEgress, TorusDest)
+// and the ingress at the next node (Ingress), unless that node is stop. A
+// walk resumed from a stop continues with Ingress.
+func Traverse(cfg *Config, st *State, dst topo.NodeEp, at Leg, stop int) Step {
+	if at.hops >= maxWalkHops {
+		panic(fmt.Sprintf("route: walk to %v exceeded %d router hops", dst, maxWalkHops))
+	}
+	m := cfg.Machine
+	port, vc := RouterNext(cfg, st, dst, at.Router)
+	p := &m.Chip.RouterAt(at.Router).Ports[port]
+	next := Leg{Node: at.Node, Router: p.Peer, In: p.OutChan, VC: vc}
+	if p.Kind == topo.PortAdapter {
+		AdapterEgress(cfg, st, m.Shape.Coord(at.Node))
+		node, _ := m.TorusDest(at.Node, st.Dir, int(st.Slice))
+		next = Leg{Node: node}
+		if node != stop {
+			next = Ingress(cfg, st, dst, node)
 		}
 	}
-	panic(fmt.Sprintf("route: walk %v->%v exceeded %d hops", src, dst, maxWalkHops))
+	next.hops = at.hops + 1
+	return Step{Port: port, Out: p, VC: vc, Next: next}
+}
+
+// Ingress applies a torus arrival at node (AdapterIngress) and returns the
+// leg it starts: the ingress adapter's channel into its router.
+func Ingress(cfg *Config, st *State, dst topo.NodeEp, node int) Leg {
+	ad := st.EgressAdapter()
+	in := cfg.Machine.Chip.AdapterAt(topo.AdapterID{Dir: ad.Dir.Opposite(), Slice: ad.Slice})
+	vc := AdapterIngress(cfg, st, dst, node)
+	return Leg{Node: node, Router: in.Router, In: in.ToRouter, VC: vc}
 }
 
 // Choices bundles the per-packet randomized routing decisions of

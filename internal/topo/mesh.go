@@ -117,38 +117,6 @@ func AllDirOrders() []DirOrder {
 	return out
 }
 
-// MeshHops returns the sequence of mesh directions a direction-order route
-// takes from a to b: for each direction in order, as many hops as needed.
-func (o DirOrder) MeshHops(a, b MeshCoord) []MeshDir {
-	var hops []MeshDir
-	du, dv := b.U-a.U, b.V-a.V
-	for _, d := range o {
-		var n int
-		switch d {
-		case UPos:
-			if du > 0 {
-				n = du
-			}
-		case UNeg:
-			if du < 0 {
-				n = -du
-			}
-		case VPos:
-			if dv > 0 {
-				n = dv
-			}
-		case VNeg:
-			if dv < 0 {
-				n = -dv
-			}
-		}
-		for i := 0; i < n; i++ {
-			hops = append(hops, d)
-		}
-	}
-	return hops
-}
-
 // NextMeshDir returns the first direction a direction-order route from a to b
 // moves in, or ok=false if a == b.
 func (o DirOrder) NextMeshDir(a, b MeshCoord) (MeshDir, bool) {

@@ -187,46 +187,28 @@ func TestAllDirOrders(t *testing.T) {
 	}
 }
 
-func TestMeshHopsReachDestination(t *testing.T) {
+// TestNextMeshDirReachesDestination: following NextMeshDir from a under any
+// direction order stays on the mesh and reaches b in the minimal hop count.
+func TestNextMeshDirReachesDestination(t *testing.T) {
 	for _, o := range AllDirOrders() {
 		for ai := 0; ai < NumRouters; ai++ {
 			for bi := 0; bi < NumRouters; bi++ {
 				a, b := RouterCoord(ai), RouterCoord(bi)
-				cur := a
-				for _, d := range o.MeshHops(a, b) {
-					next, ok := d.step(cur)
-					if !ok {
+				cur, hops := a, 0
+				for d, ok := o.NextMeshDir(cur, b); ok; d, ok = o.NextMeshDir(cur, b) {
+					next, on := d.step(cur)
+					if !on {
 						t.Fatalf("order %v: route %v->%v walks off mesh at %v going %v", o, a, b, cur, d)
 					}
 					cur = next
+					hops++
 				}
 				if cur != b {
 					t.Fatalf("order %v: route %v->%v ends at %v", o, a, b, cur)
 				}
-				want := abs(a.U-b.U) + abs(a.V-b.V)
-				if got := len(o.MeshHops(a, b)); got != want {
-					t.Fatalf("order %v: route %v->%v has %d hops, want minimal %d", o, a, b, got, want)
+				if want := abs(a.U-b.U) + abs(a.V-b.V); hops != want {
+					t.Fatalf("order %v: route %v->%v has %d hops, want minimal %d", o, a, b, hops, want)
 				}
-			}
-		}
-	}
-}
-
-func TestNextMeshDirConsistentWithHops(t *testing.T) {
-	o := DefaultDirOrder
-	for ai := 0; ai < NumRouters; ai++ {
-		for bi := 0; bi < NumRouters; bi++ {
-			a, b := RouterCoord(ai), RouterCoord(bi)
-			hops := o.MeshHops(a, b)
-			d, ok := o.NextMeshDir(a, b)
-			if a == b {
-				if ok {
-					t.Fatalf("NextMeshDir(%v,%v) ok for equal coords", a, b)
-				}
-				continue
-			}
-			if !ok || d != hops[0] {
-				t.Fatalf("NextMeshDir(%v,%v) = %v,%v; want %v", a, b, d, ok, hops[0])
 			}
 		}
 	}

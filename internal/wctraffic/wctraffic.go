@@ -10,117 +10,76 @@
 package wctraffic
 
 import (
+	"fmt"
 	"math"
 
+	"anton2/internal/route"
 	"anton2/internal/topo"
 )
 
-// demand labels a unit switching demand between two external channels of
-// one ASIC: traffic arriving on the channel labeled In departs on the
-// channel labeled Out. By the paper's channel-naming convention, traffic
+// paths holds, per demand (In, Out), the chip channels its traffic crosses
+// on both slices. A demand is a unit of switching between two external
+// channels of one ASIC: traffic arriving on the channel labeled In departs on
+// the channel labeled Out. By the paper's channel-naming convention, traffic
 // arriving on channel d travels in direction opposite(d), so a packet
 // continuing through the node in one dimension has Out == opposite(In), and
 // Out == In would be a non-minimal U-turn (excluded from the demand space).
-type demand struct {
-	In, Out topo.Direction
-}
+type paths [topo.NumDirections][topo.NumDirections][]int
 
-// Policy selects which skip-channel roles the routing algorithm uses:
-// Through covers X through-traffic, and Exit lets packets that finished the X
-// dimension cross to the other side before their M-group leg. The production
-// configuration is both. (Letting packets turning into X cross the far
-// corner's skip as well is deadlock-prone in combination with Exit; see
-// route.Config.EntrySkip.)
-type Policy struct {
-	Through, Exit bool
-}
-
-// DefaultPolicy matches route.NewConfig: through and exit skips.
-var DefaultPolicy = Policy{Through: true, Exit: true}
-
-// pathChannels returns the chip channel ids a demand's traffic traverses on
-// the given slice under a direction-order algorithm: ingress adapter link,
-// any mesh or skip channels, and the egress adapter link. It mirrors the
-// routing policy of internal/route: X-dimension legs enter and exit through
-// the nearest corner, crossing the skip channel when the adapter sits on
-// the far side of the chip (the cross-check against route.Walk lives in the
-// tests).
-func pathChannels(chip *topo.Chip, order topo.DirOrder, pol Policy, d demand, slice int) []int {
-	in := chip.AdapterAt(topo.AdapterID{Dir: d.In, Slice: slice})
-	out := chip.AdapterAt(topo.AdapterID{Dir: d.Out, Slice: slice})
-	chans := []int{in.ToRouter}
-	rIn, rOut := in.Router, out.Router
-
-	if d.Out == d.In.Opposite() {
-		// Through-traffic: single router for Y/Z; skip channel for X.
-		if rIn != rOut && pol.Through {
-			chans = append(chans, skipChan(chip, rIn, rOut))
-			return append(chans, out.FromRouter)
-		}
-		// Fall through to mesh routing (Y/Z same-router case appends
-		// no mesh hops; X without skips crosses the mesh).
-		return append(appendMesh(chans, chip, order, rIn, rOut), out.FromRouter)
+// demandPaths walks each demand as a route.Walk from one torus hop before the
+// middle node of cfg's machine (every ring at least 5 long, so the route is
+// minimal) to one hop past it, and keeps the middle node's chip channels.
+func demandPaths(cfg *route.Config) *paths {
+	m, k := cfg.Machine, cfg.Machine.Shape.K
+	if min(k[0], k[1], k[2]) < 5 {
+		panic(fmt.Sprintf("wctraffic: %v has a ring shorter than 5", m.Shape))
 	}
-
-	// Turning traffic: stay at the ingress corner or first cross its skip,
-	// whichever leaves the shorter mesh leg, with strict preference for the
-	// path without the skip crossing — identical to route.AdapterIngress.
-	landing := rIn
-	if pol.Exit {
-		if sp, ok := chip.SkipPartner(rIn); ok && meshDist(sp, rOut)+1 < meshDist(rIn, rOut) {
-			chans = append(chans, skipChan(chip, rIn, sp))
-			landing = sp
-		}
-	}
-	return append(appendMesh(chans, chip, order, landing, rOut), out.FromRouter)
-}
-
-func skipChan(chip *topo.Chip, from, to topo.MeshCoord) int {
-	r := chip.RouterAt(from)
-	sp := r.SkipPort()
-	if sp < 0 || r.Ports[sp].Peer != to {
-		panic("wctraffic: skip connectivity missing")
-	}
-	return r.Ports[sp].OutChan
-}
-
-func appendMesh(chans []int, chip *topo.Chip, order topo.DirOrder, from, to topo.MeshCoord) []int {
-	cur := from
-	for _, md := range order.MeshHops(from, to) {
-		r := chip.RouterAt(cur)
-		pi := r.MeshPort(md)
-		chans = append(chans, r.Ports[pi].OutChan)
-		cur = r.Ports[pi].Peer
-	}
-	return chans
-}
-
-func meshDist(a, b topo.MeshCoord) int {
-	du, dv := a.U-b.U, a.V-b.V
-	if du < 0 {
-		du = -du
-	}
-	if dv < 0 {
-		dv = -dv
-	}
-	return du + dv
-}
-
-// Loads accumulates per-chip-channel load for a full permutation demand on
-// both slices (each slice carries the same permutation, per the paper's
-// load-balanced-slices assumption). perm[i] is the Out direction for In
-// direction i. Loads are in units of one torus channel's bandwidth.
-func Loads(chip *topo.Chip, order topo.DirOrder, pol Policy, perm [topo.NumDirections]topo.Direction) []float64 {
-	loads := make([]float64, len(chip.IntraChans))
-	for s := 0; s < topo.NumSlices; s++ {
-		for in := topo.Direction(0); in < topo.NumDirections; in++ {
-			d := demand{In: in, Out: perm[in]}
-			for _, ch := range pathChannels(chip, order, pol, d, s) {
-				loads[ch]++
+	mid := topo.NodeCoord{X: k[0] / 2, Y: k[1] / 2, Z: k[2] / 2}
+	lo := m.IntraChanID(m.Shape.NodeID(mid), 0)
+	var p paths
+	for in := range topo.Direction(topo.NumDirections) {
+		for out := range topo.Direction(topo.NumDirections) {
+			if out == in {
+				continue
+			}
+			// Travel In's dimension first, then Out's, then the one left.
+			a, b := in.Dim(), out.Dim()
+			if a == b {
+				b = (a + 1) % topo.NumDims
+			}
+			ord := topo.DimOrder{a, b, topo.NumDims - a - b}
+			src := topo.NodeEp{Node: m.Shape.NodeID(m.Shape.Neighbor(mid, in))}
+			dst := topo.NodeEp{Node: m.Shape.NodeID(m.Shape.Neighbor(mid, out))}
+			for s := range uint8(topo.NumSlices) {
+				for _, h := range route.Walk(cfg, src, dst, ord, s, [topo.NumDims]int8{1, 1, 1}, route.ClassRequest) {
+					if ch := h.Chan - lo; ch >= 0 && ch < m.NumIntraChans() {
+						p[in][out] = append(p[in][out], ch)
+					}
+				}
 			}
 		}
 	}
+	return &p
+}
+
+// loads accumulates per-chip-channel load for a full permutation demand on
+// both slices (each slice carries the same permutation, per the paper's
+// load-balanced-slices assumption). perm[i] is the Out direction for In
+// direction i. Loads are in units of one torus channel's bandwidth.
+func (p *paths) loads(nChans int, perm [topo.NumDirections]topo.Direction) []float64 {
+	loads := make([]float64, nChans)
+	for in, out := range perm {
+		for _, ch := range p[in][out] {
+			loads[ch]++
+		}
+	}
 	return loads
+}
+
+// Loads is the per-chip-channel load of a full permutation demand under cfg
+// (see paths.loads).
+func Loads(cfg *route.Config, perm [topo.NumDirections]topo.Direction) []float64 {
+	return demandPaths(cfg).loads(cfg.Machine.NumIntraChans(), perm)
 }
 
 // maxMeshLoad returns the heaviest load over the router-to-router mesh
@@ -175,39 +134,39 @@ func permutations() [][topo.NumDirections]topo.Direction {
 	return out
 }
 
-// Evaluate computes the worst-case mesh load of one direction order by
+// Evaluate computes the worst-case mesh load of cfg's direction order by
 // exact enumeration of permutation demands.
-func Evaluate(chip *topo.Chip, order topo.DirOrder, pol Policy) Result {
-	res := Result{Order: order}
+func Evaluate(cfg *route.Config) Result {
+	chip := cfg.Machine.Chip
+	p := demandPaths(cfg)
+	res := Result{Order: cfg.DirOrder}
 	for _, perm := range permutations() {
-		loads := Loads(chip, order, pol, perm)
-		if l := maxMeshLoad(chip, loads); l > res.WorstLoad {
+		if l := maxMeshLoad(chip, p.loads(len(chip.IntraChans), perm)); l > res.WorstLoad {
 			res.WorstLoad, res.WorstPerm = l, perm
 		}
 	}
 	return res
 }
 
-// SearchAll evaluates every direction-order algorithm and returns results
+// SearchAll evaluates cfg under every direction order and returns results
 // sorted as enumerated by topo.AllDirOrders.
-func SearchAll(chip *topo.Chip, pol Policy) []Result {
-	orders := topo.AllDirOrders()
-	out := make([]Result, len(orders))
-	for i, o := range orders {
-		out[i] = Evaluate(chip, o, pol)
+func SearchAll(cfg *route.Config) []Result {
+	var out []Result
+	for _, o := range topo.AllDirOrders() {
+		c := *cfg
+		c.DirOrder = o
+		out = append(out, Evaluate(&c))
 	}
 	return out
 }
 
-// Best returns the direction orders minimizing worst-case load, and that
-// minimum.
-func Best(chip *topo.Chip, pol Policy) ([]Result, float64) {
-	all := SearchAll(chip, pol)
+// Best returns the direction orders minimizing worst-case load under cfg's
+// skip settings, and that minimum.
+func Best(cfg *route.Config) ([]Result, float64) {
+	all := SearchAll(cfg)
 	best := math.Inf(1)
 	for _, r := range all {
-		if r.WorstLoad < best {
-			best = r.WorstLoad
-		}
+		best = min(best, r.WorstLoad)
 	}
 	var winners []Result
 	for _, r := range all {

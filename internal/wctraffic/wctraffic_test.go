@@ -6,7 +6,6 @@ import (
 	"encoding/hex"
 	"math"
 	"math/rand"
-	"sort"
 	"testing"
 
 	"anton2/internal/route"
@@ -19,8 +18,7 @@ import (
 // channel's 288 Gb/s comfortably carries 2 x 89.6 Gb/s with headroom for
 // endpoint traffic.
 func TestBestWorstCaseLoadIsTwo(t *testing.T) {
-	chip := topo.DefaultChip()
-	winners, best := Best(chip, DefaultPolicy)
+	winners, best := Best(probeConfig(topo.DefaultDirOrder, true))
 	if best != 2.0 {
 		t.Fatalf("optimal worst-case mesh load = %g, want 2.0", best)
 	}
@@ -42,14 +40,8 @@ func TestBestWorstCaseLoadIsTwo(t *testing.T) {
 // raises the worst case to 3 torus channels, demonstrating why X-turning
 // traffic must also cross the skip.
 func TestSkipChannelsEssential(t *testing.T) {
-	chip := topo.DefaultChip()
-	_, throughOnly := Best(chip, Policy{Through: true})
-	if throughOnly != 3.0 {
+	if _, throughOnly := Best(probeConfig(topo.DefaultDirOrder, false)); throughOnly != 3.0 {
 		t.Fatalf("through-only worst case = %g, want 3.0", throughOnly)
-	}
-	_, none := Best(chip, Policy{})
-	if none < 3.0 {
-		t.Fatalf("no-skip worst case = %g, want >= 3.0", none)
 	}
 }
 
@@ -58,11 +50,10 @@ func TestSkipChannelsEssential(t *testing.T) {
 // adapter placement carries 3 torus channels of worst-case load on this
 // layout, against 2 for the order the search picks here.
 func TestPaperOrderLoadUnderThisLayout(t *testing.T) {
-	chip := topo.DefaultChip()
-	if l := Evaluate(chip, topo.PaperDirOrder, DefaultPolicy).WorstLoad; l != 3 {
+	if l := Evaluate(probeConfig(topo.PaperDirOrder, true)).WorstLoad; l != 3 {
 		t.Errorf("paper order %v worst-case load = %g, want 3", topo.PaperDirOrder, l)
 	}
-	if l := Evaluate(chip, topo.DefaultDirOrder, DefaultPolicy).WorstLoad; l != 2 {
+	if l := Evaluate(probeConfig(topo.DefaultDirOrder, true)).WorstLoad; l != 2 {
 		t.Errorf("default order %v worst-case load = %g, want 2", topo.DefaultDirOrder, l)
 	}
 }
@@ -83,8 +74,9 @@ var paperWorstCasePermutation = [topo.NumDirections]topo.Direction{
 // TestPaperPermutationLoad: the paper's permutation (1) places at most two
 // torus channels of load on any mesh channel under the default order.
 func TestPaperPermutationLoad(t *testing.T) {
-	chip := topo.DefaultChip()
-	loads := Loads(chip, topo.DefaultDirOrder, DefaultPolicy, paperWorstCasePermutation)
+	cfg := probeConfig(topo.DefaultDirOrder, true)
+	chip := cfg.Machine.Chip
+	loads := Loads(cfg, paperWorstCasePermutation)
 	l := maxMeshLoad(chip, loads)
 	if l > 2.0 {
 		t.Fatalf("paper permutation load = %g under default order, want <= 2.0", l)
@@ -118,117 +110,6 @@ func TestPermutationEnumeration(t *testing.T) {
 			seen[d] = true
 		}
 	}
-}
-
-// TestPathChannelsMatchesWalker: the analytic demand paths must equal the
-// intra-node channels the real route walker produces at an intermediate
-// node implementing that demand.
-func TestPathChannelsMatchesWalker(t *testing.T) {
-	m := topo.MustMachine(topo.Shape3(6, 6, 6))
-	cfg := route.NewConfig(m)
-	chip := m.Chip
-
-	// For a demand (In, Out), build a route that travels through node
-	// mid = (3,3,3) arriving via In and departing via Out.
-	mid := topo.NodeCoord{X: 3, Y: 3, Z: 3}
-	for in := topo.Direction(0); in < topo.NumDirections; in++ {
-		for out := topo.Direction(0); out < topo.NumDirections; out++ {
-			if out == in {
-				continue // U-turns impossible
-			}
-			travelIn := in.Opposite() // arriving on channel `in` means traveling opposite(in)
-			travelOut := out
-			if travelIn.Dim() == travelOut.Dim() && travelIn != travelOut {
-				continue // direction flip within a dimension: not minimal
-			}
-			for s := 0; s < topo.NumSlices; s++ {
-				// Source one hop before mid along travelIn;
-				// destination one hop past mid along travelOut,
-				// keeping every leg well under the minimal-route
-				// bound so the route passes through mid.
-				srcC := m.Shape.Neighbor(mid, travelIn.Opposite())
-				dstC := m.Shape.Neighbor(mid, travelOut)
-				var ord topo.DimOrder
-				if travelIn.Dim() == travelOut.Dim() {
-					ord = orderStartingWith(travelIn.Dim(), travelIn.Dim())
-				} else {
-					ord = orderStartingWith(travelIn.Dim(), travelOut.Dim())
-				}
-				src := topo.NodeEp{Node: m.Shape.NodeID(srcC), Ep: 0}
-				dst := topo.NodeEp{Node: m.Shape.NodeID(dstC), Ep: 0}
-				hops := route.Walk(cfg, src, dst, ord, uint8(s), [3]int8{1, 1, 1}, route.ClassRequest)
-
-				var got []int
-				midID := m.Shape.NodeID(mid)
-				for _, h := range hops {
-					if !m.IsTorusChan(h.Chan) {
-						if n, _ := m.IntraChanOf(h.Chan); n == midID {
-							got = append(got, h.Chan%m.NumIntraChans())
-						}
-					}
-				}
-				want := pathChannels(chip, cfg.DirOrder, DefaultPolicy, demand{In: in, Out: out}, s)
-				sort.Ints(got)
-				wantSorted := append([]int(nil), want...)
-				sort.Ints(wantSorted)
-				if !equalInts(got, wantSorted) {
-					t.Errorf("demand %v->%v slice %d: walker uses %v, analysis predicts %v",
-						in, out, s, names(chip, got), names(chip, wantSorted))
-				}
-			}
-		}
-	}
-}
-
-// orderStartingWith returns a dimension order beginning with first and, if
-// different, continuing with second.
-func orderStartingWith(first, second topo.Dim) topo.DimOrder {
-	var ord topo.DimOrder
-	ord[0] = first
-	i := 1
-	if second != first {
-		ord[i] = second
-		i++
-	}
-	for d := topo.Dim(0); d < topo.NumDims; d++ {
-		if d != first && d != second {
-			ord[i] = d
-			i++
-		}
-	}
-	for i < topo.NumDims {
-		// first == second case: fill remaining dims.
-		for d := topo.Dim(0); d < topo.NumDims; d++ {
-			if d != first && ord[1] != d {
-				ord[i] = d
-				i++
-				if i >= topo.NumDims {
-					break
-				}
-			}
-		}
-	}
-	return ord
-}
-
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func names(chip *topo.Chip, ids []int) []string {
-	out := make([]string, len(ids))
-	for i, id := range ids {
-		out[i] = chip.IntraChans[id].Name
-	}
-	return out
 }
 
 // TestHungarianMatchesBruteForce validates the assignment solver against
@@ -282,8 +163,8 @@ func bruteForceMax(w [][]float64) float64 {
 // TestHungarianAgreesWithEnumeratedWorstCase: per-channel worst loads from
 // the assignment solver equal the enumerated maxima.
 func TestHungarianAgreesWithEnumeratedWorstCase(t *testing.T) {
-	chip := topo.DefaultChip()
-	order := topo.DefaultDirOrder
+	cfg := probeConfig(topo.DefaultDirOrder, true)
+	chip := cfg.Machine.Chip
 	// Build per-channel contribution matrices and compare the Hungarian
 	// worst case to the enumerated one for a few mesh channels.
 	nCh := len(chip.IntraChans)
@@ -294,23 +175,17 @@ func TestHungarianAgreesWithEnumeratedWorstCase(t *testing.T) {
 			contrib[c][i] = make([]float64, topo.NumDirections)
 		}
 	}
-	for in := topo.Direction(0); in < topo.NumDirections; in++ {
-		for out := topo.Direction(0); out < topo.NumDirections; out++ {
-			if out == in {
-				continue
-			}
-			for s := 0; s < topo.NumSlices; s++ {
-				for _, ch := range pathChannels(chip, order, DefaultPolicy, demand{In: in, Out: out}, s) {
-					contrib[ch][in][out]++
-				}
+	for in, outs := range demandPaths(cfg) {
+		for out, chans := range outs {
+			for _, ch := range chans {
+				contrib[ch][in][out]++
 			}
 		}
 	}
 	// Enumerated per-channel maxima.
 	enumMax := make([]float64, nCh)
 	for _, perm := range permutations() {
-		loads := Loads(chip, order, DefaultPolicy, perm)
-		for c, l := range loads {
+		for c, l := range Loads(cfg, perm) {
 			if l > enumMax[c] {
 				enumMax[c] = l
 			}
@@ -361,9 +236,17 @@ func TestLoadTablesPinned(t *testing.T) {
 }
 
 func pinnedLoads(order topo.DirOrder, exit bool, perm [topo.NumDirections]topo.Direction) []float64 {
-	return Loads(topo.DefaultChip(), order, Policy{Through: true, Exit: exit}, perm)
+	return Loads(probeConfig(order, exit), perm)
 }
 
 func pinnedEvaluate(order topo.DirOrder, exit bool) Result {
-	return Evaluate(topo.DefaultChip(), order, Policy{Through: true, Exit: exit})
+	return Evaluate(probeConfig(order, exit))
+}
+
+// probeConfig is the shipped routing on a 6x6x6 probe machine under a
+// direction order, with or without exit skips.
+func probeConfig(order topo.DirOrder, exit bool) *route.Config {
+	cfg := route.NewConfig(topo.MustMachine(topo.Shape3(6, 6, 6)))
+	cfg.DirOrder, cfg.ExitSkip = order, exit
+	return cfg
 }
