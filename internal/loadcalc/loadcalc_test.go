@@ -428,7 +428,8 @@ func BenchmarkCompute(b *testing.B) {
 			sources := m.Chip.CoreEndpoints()
 			flows := traffic.Uniform{}.Flows(m)
 			b.ReportAllocs()
-			for b.Loop() {
+			b.ResetTimer()
+			for range b.N {
 				loadcalc.Compute(cfg, sources, flows, route.ClassRequest)
 			}
 		})
