@@ -9,29 +9,16 @@ package arbiter
 // the window is shifted by subtracting 2^M from every accumulator — realized
 // by clearing the MSB, or zeroing entirely in the underflow case.
 
-// accumState holds the accumulators of one inverse-weighted arbiter.
-type accumState struct {
-	K     int      // input count
-	M     int      // inverse-weight bit width; accumulators are M+1 bits
-	Accum []uint32 // K accumulators, each < 2^(M+1)
-}
+// accumMSB is the accumulators' most significant bit: M = inverseWeightBits,
+// so accumulators are M+1 bits.
+const accumMSB = uint32(1) << inverseWeightBits
 
-// newAccumState returns zeroed accumulators for a k-input arbiter with
-// M-bit inverse weights.
-func newAccumState(k, m int) *accumState {
-	checkK(k)
-	if m < 1 || m > 30 {
-		panic("arbiter: inverse-weight width out of range")
-	}
-	return &accumState{K: k, M: m, Accum: make([]uint32, k)}
-}
-
-// priInto fills pri (len >= K) with the per-input priority levels: 1 (high)
-// when the accumulator's MSB is clear, 0 (low) otherwise.
-func (s *accumState) priInto(pri []uint8) {
-	msbMask := uint32(1) << uint(s.M)
-	for i := 0; i < s.K; i++ {
-		if s.Accum[i]&msbMask == 0 {
+// priInto fills pri (len >= len(acc)) with the per-input priority levels of
+// accumulators acc: 1 (high) when the accumulator's MSB is clear, 0 (low)
+// otherwise.
+func priInto(acc []uint32, pri []uint8) {
+	for i, v := range acc {
+		if v&accumMSB == 0 {
 			pri[i] = 1
 		} else {
 			pri[i] = 0
@@ -39,32 +26,31 @@ func (s *accumState) priInto(pri []uint8) {
 	}
 }
 
-// update applies the accumulator update rule for a one-hot grant vector and
-// the granted input's inverse weight (invWeight < 2^M). It mirrors the
-// always_comb block of Figure 6 exactly.
-func (s *accumState) update(grant uint64, invWeight uint32) {
-	msbMask := uint32(1) << uint(s.M)
-	if invWeight >= msbMask {
+// updateAccum applies the accumulator update rule to acc for a one-hot grant
+// vector and the granted input's inverse weight (invWeight < 2^M). It
+// mirrors the always_comb block of Figure 6 exactly.
+func updateAccum(acc []uint32, grant uint64, invWeight uint32) {
+	if invWeight >= accumMSB {
 		panic("arbiter: inverse weight exceeds M bits")
 	}
 	// low_grant = |(grant & ~pri): the granted input was low priority.
 	lowGrant := false
-	for i := 0; i < s.K; i++ {
-		if grant&(1<<i) != 0 && s.Accum[i]&msbMask != 0 {
+	for i, v := range acc {
+		if grant&(1<<i) != 0 && v&accumMSB != 0 {
 			lowGrant = true
 		}
 	}
-	for i := 0; i < s.K; i++ {
-		accMSB0 := s.Accum[i] &^ msbMask
-		priHigh := s.Accum[i]&msbMask == 0
+	for i, v := range acc {
+		accMSB0 := v &^ accumMSB
+		priHigh := v&accumMSB == 0
 		switch {
 		case grant&(1<<i) != 0:
-			s.Accum[i] = accMSB0 + invWeight
+			acc[i] = accMSB0 + invWeight
 		case lowGrant:
 			if priHigh {
-				s.Accum[i] = 0 // underflow: clamp at zero
+				acc[i] = 0 // underflow: clamp at zero
 			} else {
-				s.Accum[i] = accMSB0
+				acc[i] = accMSB0
 			}
 		}
 	}

@@ -11,50 +11,86 @@ import "math/bits"
 // maxInputs bounds arbiter width so request vectors fit in a uint64.
 const maxInputs = 64
 
-// Arbiter selects one requester per invocation and updates its internal
-// fairness state. req is a bitmask of requesting inputs. pats[i] holds the
-// traffic-pattern id of input i's candidate packet (consulted only by
-// weighted arbiters and only for the granted input); it may be nil when the
-// caller has no pattern labels.
-type Arbiter interface {
-	// Pick returns the granted input index, or -1 if req is empty.
-	Pick(req uint64, pats []uint8) int
+// Arbiter is one arbitration point: it selects one requester per Pick and
+// updates its fairness state. It is either a locally fair round-robin
+// arbiter, which grants the next requesting input after the most recently
+// granted one (building the network entirely from these is the paper's
+// baseline, which exhibits significant global unfairness beyond saturation,
+// Section 3, Figure 9), or the inverse-weighted arbiter of Section 3, which
+// provides equality of service from precomputed per-pattern inverse weights
+// (iw.go). It is a value: a component holds its arbiters inline, and Init
+// builds one in place.
+type Arbiter struct {
+	k    uint8
+	next uint8 // round-robin: the highest-precedence input
+
+	// Inverse-weighted state, weights nil on a round-robin arbiter: the
+	// per-input per-pattern inverse weights, one accumulator per input and
+	// the thermometer-encoded round-robin tie-break.
+	rrTherm uint64
+	weights [][NumPatterns]uint32
+	accum   []uint32
 }
 
-// RoundRobin is a locally fair arbiter: it grants the next requesting input
-// after the most recently granted one. Building the network entirely from
-// these is the paper's baseline, which exhibits significant global
-// unfairness beyond saturation (Section 3, Figure 9).
-type RoundRobin struct {
-	k    int
-	next int // highest-precedence input
+// Init makes a a fresh arbiter over k inputs: round-robin when weights is
+// nil, else inverse-weighted over the given per-input per-pattern inverse
+// weights (each < 2^inverseWeightBits), keeping its accumulators in accum
+// (len k, zeroed).
+func (a *Arbiter) Init(k int, weights [][NumPatterns]uint32, accum []uint32) {
+	checkK(k)
+	*a = Arbiter{k: uint8(k)}
+	if weights == nil {
+		return
+	}
+	if len(weights) != k || len(accum) != k {
+		panic("arbiter: weight table size mismatch")
+	}
+	for _, w := range weights {
+		for _, m := range w {
+			if m >= 1<<inverseWeightBits {
+				panic("arbiter: inverse weight exceeds M bits")
+			}
+		}
+	}
+	a.weights, a.accum, a.rrTherm = weights, accum, uint64(1)<<uint(k)-1
 }
 
 // NewRoundRobin returns a round-robin arbiter over k inputs.
-func NewRoundRobin(k int) *RoundRobin {
-	checkK(k)
-	return &RoundRobin{k: k}
+func NewRoundRobin(k int) *Arbiter {
+	a := new(Arbiter)
+	a.Init(k, nil, nil)
+	return a
 }
 
-// Pick implements Arbiter.
-func (a *RoundRobin) Pick(req uint64, _ []uint8) int {
-	if req == 0 {
+// NewInverseWeighted returns an inverse-weighted arbiter over k inputs with
+// the given per-input per-pattern inverse weights.
+func NewInverseWeighted(k int, weights [][NumPatterns]uint32) *Arbiter {
+	a := new(Arbiter)
+	a.Init(k, weights, make([]uint32, k))
+	return a
+}
+
+// Pick returns the granted input index, or -1 if req is empty. req is a
+// bitmask of requesting inputs. pats[i] holds the traffic-pattern id of
+// input i's candidate packet (consulted only by an inverse-weighted arbiter
+// and only for the granted input); it may be nil when the caller has no
+// pattern labels.
+func (a *Arbiter) Pick(req uint64, pats []uint8) int {
+	if a.weights != nil {
+		return a.pickWeighted(req, pats)
+	}
+	r := req & (uint64(1)<<a.k - 1)
+	if r == 0 {
 		return -1
 	}
-	for off := 0; off < a.k; off++ {
-		i := a.next + off
-		if i >= a.k {
-			i -= a.k
-		}
-		if req&(1<<i) != 0 {
-			a.next = i + 1
-			if a.next == a.k {
-				a.next = 0
-			}
-			return i
-		}
+	i := bits.TrailingZeros64(r)
+	if hi := r >> a.next << a.next; hi != 0 {
+		i = bits.TrailingZeros64(hi)
 	}
-	return -1
+	if a.next = uint8(i + 1); a.next == a.k {
+		a.next = 0
+	}
+	return i
 }
 
 // msb returns the index of the most significant set bit, or -1.

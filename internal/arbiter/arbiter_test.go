@@ -211,33 +211,35 @@ func TestPrioArbRoundRobinWithinLevel(t *testing.T) {
 }
 
 func TestAccumUpdateFigure6Semantics(t *testing.T) {
-	const m = 5 // accumulators are 6 bits; MSB mask 32
-	s := newAccumState(2, m)
+	// M = 5: accumulators are 6 bits; MSB mask 32.
+	if accumMSB != 32 {
+		t.Fatalf("accumulator MSB %d, want 32", accumMSB)
+	}
 
 	// Grant to a high-priority input: plain add.
-	s.Accum = []uint32{10, 20}
-	s.update(0b01, 7)
-	if s.Accum[0] != 17 || s.Accum[1] != 20 {
-		t.Fatalf("high-pri grant: accums %v, want [17 20]", s.Accum)
+	acc := []uint32{10, 20}
+	updateAccum(acc, 0b01, 7)
+	if acc[0] != 17 || acc[1] != 20 {
+		t.Fatalf("high-pri grant: accums %v, want [17 20]", acc)
 	}
 
 	// Grant to a low-priority input (MSB set): window shifts. Granted
 	// input clears MSB then adds; other low-pri inputs clear MSB;
 	// high-pri inputs clamp at 0 (underflow).
-	s.Accum = []uint32{32 + 5, 12}
-	s.update(0b01, 3)
-	if s.Accum[0] != 8 {
-		t.Errorf("low-pri grant: accum[0] = %d, want 5+3 = 8", s.Accum[0])
+	acc = []uint32{32 + 5, 12}
+	updateAccum(acc, 0b01, 3)
+	if acc[0] != 8 {
+		t.Errorf("low-pri grant: accum[0] = %d, want 5+3 = 8", acc[0])
 	}
-	if s.Accum[1] != 0 {
-		t.Errorf("window shift underflow: accum[1] = %d, want clamped 0", s.Accum[1])
+	if acc[1] != 0 {
+		t.Errorf("window shift underflow: accum[1] = %d, want clamped 0", acc[1])
 	}
 
 	// No grant: unchanged.
-	before := append([]uint32(nil), s.Accum...)
-	s.update(0, 9)
+	before := append([]uint32(nil), acc...)
+	updateAccum(acc, 0, 9)
 	for i := range before {
-		if s.Accum[i] != before[i] {
+		if acc[i] != before[i] {
 			t.Fatalf("no-grant update changed accumulators")
 		}
 	}
@@ -245,22 +247,22 @@ func TestAccumUpdateFigure6Semantics(t *testing.T) {
 
 // TestAccumWindowInvariant: accumulators always stay below 2^(M+1).
 func TestAccumWindowInvariant(t *testing.T) {
-	const k, m = 4, 5
-	s := newAccumState(k, m)
+	const k, m = 4, inverseWeightBits
+	acc := make([]uint32, k)
 	rng := rand.New(rand.NewSource(1))
 	pri := make([]uint8, k)
 	therm := uint64((1 << k) - 1)
 	for step := 0; step < 20000; step++ {
 		req := uint64(rng.Intn(1 << k))
-		s.priInto(pri)
+		priInto(acc, pri)
 		grant := prioArb(k, 2, req, pri, therm)
 		if grant == 0 {
 			continue
 		}
 		g := msb(grant)
-		s.update(grant, uint32(rng.Intn(1<<m)))
+		updateAccum(acc, grant, uint32(rng.Intn(1<<m)))
 		therm = nextRRTherm(k, g)
-		for i, a := range s.Accum {
+		for i, a := range acc {
 			if a >= 1<<(m+1) {
 				t.Fatalf("step %d: accumulator %d = %d escaped the window", step, i, a)
 			}
@@ -439,4 +441,43 @@ func TestInverseWeightedRejectsBadTables(t *testing.T) {
 		}
 	}()
 	NewInverseWeighted(2, [][NumPatterns]uint32{{64, 1}, {1, 1}})
+}
+
+// TestRoundRobinMatchesRotation holds the round-robin pick to its
+// definition: the first requesting input at or after the cursor, in
+// rotation order, for every width.
+func TestRoundRobinMatchesRotation(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for k := 1; k <= maxInputs; k++ {
+		a, next := NewRoundRobin(k), 0
+		for step := 0; step < 200; step++ {
+			req := rng.Uint64()
+			if step%3 == 0 {
+				req &= 1<<uint(rng.Intn(k)) | 1<<uint(rng.Intn(k))
+			}
+			want := -1
+			for off := 0; off < k; off++ {
+				if i := (next + off) % k; req>>i&1 != 0 {
+					want, next = i, (i+1)%k
+					break
+				}
+			}
+			if got := a.Pick(req, nil); got != want {
+				t.Fatalf("k=%d step %d: Pick(%#x) = %d, want %d", k, step, req, got, want)
+			}
+		}
+	}
+}
+
+// TestPickAllocatesNothing: neither flavor allocates on the tick path.
+func TestPickAllocatesNothing(t *testing.T) {
+	const k = 6
+	rr, iw := NewRoundRobin(k), NewInverseWeighted(k, UniformWeights(k))
+	pats := make([]uint8, k)
+	if n := testing.AllocsPerRun(100, func() {
+		rr.Pick(0b101101, nil)
+		iw.Pick(0b110011, pats)
+	}); n != 0 {
+		t.Errorf("Pick allocates %v times a call", n)
+	}
 }

@@ -11,53 +11,22 @@ const inverseWeightBits = 5
 // each packet header carries a field identifying its pattern (Section 3.3).
 const NumPatterns = 2
 
-// InverseWeighted is the inverse-weighted arbiter of Section 3. Each input
-// stores one precomputed inverse weight per traffic pattern,
+// pickWeighted is Pick of the inverse-weighted arbiter of Section 3. Each
+// input stores one precomputed inverse weight per traffic pattern,
 // m[i][n] = nint(beta / gamma[i][n]); an accumulator per input tracks
 // weighted service, and the input with its accumulator in the lower half of
 // the sliding window is served first, achieving equality of service across
-// any blend of the N patterns.
-type InverseWeighted struct {
-	k       int
-	weights [][NumPatterns]uint32
-	state   *accumState
-	rrTherm uint64
-	pri     []uint8
-}
-
-// NewInverseWeighted builds an arbiter over k inputs with the given per-input
-// per-pattern inverse weights (each < 2^inverseWeightBits).
-func NewInverseWeighted(k int, weights [][NumPatterns]uint32) *InverseWeighted {
-	checkK(k)
-	if len(weights) != k {
-		panic("arbiter: weight table size mismatch")
-	}
-	for _, w := range weights {
-		for _, m := range w {
-			if m >= 1<<inverseWeightBits {
-				panic("arbiter: inverse weight exceeds M bits")
-			}
-		}
-	}
-	a := &InverseWeighted{
-		k:       k,
-		weights: weights,
-		state:   newAccumState(k, inverseWeightBits),
-		rrTherm: (uint64(1) << uint(k)) - 1,
-		pri:     make([]uint8, k),
-	}
-	return a
-}
-
-// Pick implements Arbiter: priorities come from the accumulator MSBs, the
+// any blend of the N patterns. Priorities come from the accumulator MSBs, the
 // grant from the two-level prioritized arbiter of Figure 8, and the
 // accumulator update from Figure 6 using the granted packet's pattern.
-func (a *InverseWeighted) Pick(req uint64, pats []uint8) int {
+func (a *Arbiter) pickWeighted(req uint64, pats []uint8) int {
 	if req == 0 {
 		return -1
 	}
-	a.state.priInto(a.pri)
-	grant := prioArb(a.k, 2, req, a.pri, a.rrTherm)
+	k := int(a.k)
+	var pri [maxInputs]uint8
+	priInto(a.accum, pri[:k])
+	grant := prioArb(k, 2, req, pri[:k], a.rrTherm)
 	if grant == 0 {
 		return -1
 	}
@@ -69,8 +38,8 @@ func (a *InverseWeighted) Pick(req uint64, pats []uint8) int {
 	if n >= NumPatterns {
 		n = NumPatterns - 1
 	}
-	a.state.update(grant, a.weights[g][n])
-	a.rrTherm = nextRRTherm(a.k, g)
+	updateAccum(a.accum, grant, a.weights[g][n])
+	a.rrTherm = nextRRTherm(k, g)
 	return g
 }
 

@@ -78,7 +78,7 @@ type Env struct {
 	// policy).
 	Route *route.Config
 	// Channels lists every fabric channel, indexed by global channel id.
-	Channels []*fabric.Channel
+	Channels []fabric.Channel
 	// Queued returns the machine-wide count of packets held in component
 	// queues (router VC queues, adapter queues and pending multicast
 	// branches, endpoint injection queues). Together with the channels'
@@ -172,7 +172,7 @@ func (s *Suite) OnClone(p *packet.Packet, now uint64) {
 func (s *Suite) OnSend(p *packet.Packet, ch *fabric.Channel, vc uint8, now uint64) {
 	if int(vc) < ch.NumVCs() && ch.Credits(vc) < 0 {
 		s.violate(credits, now, "channel %s vc %d credit went negative (%d) on send of packet %v",
-			ch.Name, vc, ch.Credits(vc), p)
+			ch.Name(), vc, ch.Credits(vc), p)
 	}
 	if p.SourceRoute != nil {
 		return
@@ -190,13 +190,13 @@ func (s *Suite) OnSend(p *packet.Packet, ch *fabric.Channel, vc uint8, now uint6
 	}
 	if int(vc) >= ch.NumVCs() {
 		s.violate(vcMonotone, now, "packet %v sent on %s vc %d, channel has %d VCs",
-			p, ch.Name, vc, ch.NumVCs())
+			p, ch.Name(), vc, ch.NumVCs())
 	}
 	if st.MVC < p.SeenMVC {
-		s.violate(vcMonotone, now, "packet %v M-VC demoted %d -> %d on %s", p, p.SeenMVC, st.MVC, ch.Name)
+		s.violate(vcMonotone, now, "packet %v M-VC demoted %d -> %d on %s", p, p.SeenMVC, st.MVC, ch.Name())
 	}
 	if st.TVC < p.SeenTVC {
-		s.violate(vcMonotone, now, "packet %v T-VC demoted %d -> %d on %s", p, p.SeenTVC, st.TVC, ch.Name)
+		s.violate(vcMonotone, now, "packet %v T-VC demoted %d -> %d on %s", p, p.SeenTVC, st.TVC, ch.Name())
 	}
 
 	if st.DimIdx < p.SeenDim {
@@ -208,7 +208,7 @@ func (s *Suite) OnSend(p *packet.Packet, ch *fabric.Channel, vc uint8, now uint6
 	}
 	if tm := s.env.Route.Machine; ch.ID >= 0 && tm.IsTorusChan(ch.ID) {
 		if int(st.DimIdx) >= topo.NumDims {
-			s.violate(dimOrder, now, "packet %v took torus hop on %s after completing all dimensions", p, ch.Name)
+			s.violate(dimOrder, now, "packet %v took torus hop on %s after completing all dimensions", p, ch.Name())
 		} else {
 			if want := st.DimOrder[st.DimIdx]; st.Dir.Dim() != want {
 				s.violate(dimOrder, now, "packet %v traveling %v but dimension order says dim %v is next",
@@ -216,7 +216,7 @@ func (s *Suite) OnSend(p *packet.Packet, ch *fabric.Channel, vc uint8, now uint6
 			}
 			if _, ad := tm.TorusChanOf(ch.ID); ad.Dir != st.Dir {
 				s.violate(dimOrder, now, "packet %v claims direction %v but was sent on torus channel %s",
-					p, st.Dir, ch.Name)
+					p, st.Dir, ch.Name())
 			}
 		}
 	}
@@ -280,22 +280,23 @@ func (s *Suite) live() int64 {
 // [0, BufFlits].
 func (s *Suite) scan(now uint64) {
 	census := int64(s.env.Queued())
-	for _, ch := range s.env.Channels {
-		census += int64(ch.InFlight())
+	for i := range s.env.Channels {
+		census += int64(s.env.Channels[i].InFlight())
 	}
 	if live := s.live(); live != census {
 		s.violate(conservation, now,
 			"ledger has %d live packets (injected %d + cloned %d - delivered %d - freed %d) but census found %d (queued + channel in-flight)",
 			live, s.injected.Load(), s.cloned.Load(), s.delivered.Load(), s.freed.Load(), census)
 	}
-	for _, ch := range s.env.Channels {
+	for i := range s.env.Channels {
+		ch := &s.env.Channels[i]
 		for vc := 0; vc < ch.NumVCs(); vc++ {
 			cr := ch.Credits(uint8(vc))
 			if cr < 0 {
-				s.violate(credits, now, "channel %s vc %d has negative credit %d", ch.Name, vc, cr)
+				s.violate(credits, now, "channel %s vc %d has negative credit %d", ch.Name(), vc, cr)
 			} else if cr > ch.BufFlits() {
 				s.violate(credits, now, "channel %s vc %d has credit %d above buffer capacity %d",
-					ch.Name, vc, cr, ch.BufFlits())
+					ch.Name(), vc, cr, ch.BufFlits())
 			}
 		}
 	}
@@ -315,12 +316,13 @@ func (s *Suite) Finish(now uint64, quiesced bool) {
 			"network quiesced with %d packets unaccounted for (injected %d + cloned %d, delivered %d, freed %d)",
 			live, s.injected.Load(), s.cloned.Load(), s.delivered.Load(), s.freed.Load())
 	}
-	for _, ch := range s.env.Channels {
+	for i := range s.env.Channels {
+		ch := &s.env.Channels[i]
 		for vc := 0; vc < ch.NumVCs(); vc++ {
 			if cr := ch.Credits(uint8(vc)); cr < ch.BufFlits() {
 				s.violate(credits, now,
 					"channel %s vc %d drained with credit %d, want full buffer %d (credit leak)",
-					ch.Name, vc, cr, ch.BufFlits())
+					ch.Name(), vc, cr, ch.BufFlits())
 			}
 		}
 	}

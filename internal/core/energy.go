@@ -183,15 +183,15 @@ func measureStream(cfg EnergyConfig, long bool) (power.Counters, EnergyPoint, ui
 	// Router energy: sum counters over channels driven by routers.
 	var c power.Counters
 	for id := 0; id < tm.NumChannels(); id++ {
-		ch := m.Chan(id)
-		if ch.Energy == nil || tm.IsTorusChan(id) {
+		e := m.Chan(id).Energy()
+		if e == nil || tm.IsTorusChan(id) {
 			continue
 		}
 		_, ic := tm.IntraChanOf(id)
 		if ic.From.Kind != topo.LocRouter {
 			continue
 		}
-		c.Add(power.Counters(*ch.Energy))
+		c.Add(power.Counters(*e))
 	}
 	r := float64(cfg.RateNum) / float64(cfg.RateDen)
 	a := power.MaxActivationRate(r)

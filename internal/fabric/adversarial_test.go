@@ -58,7 +58,7 @@ func TestChannelBackToBackStallResume(t *testing.T) {
 	}
 	// Drain whatever is still in flight and check conservation: every sent
 	// flit is either received or nothing.
-	for end := now + ch.latency + 2; now < end; now++ {
+	for end := now + ch.pkts.Latency() + 2; now < end; now++ {
 		if p, ok := ch.Recv(now); ok {
 			ch.ReturnCredit(now, p.CurVC, p.Size)
 		}
@@ -151,8 +151,8 @@ func TestChannelCreditLossRestoreInterleaved(t *testing.T) {
 // packet already serialized must still arrive, and its credit return must
 // still complete, while the channel refuses fresh frames.
 func TestChannelStallHoldsInFlightDelivery(t *testing.T) {
-	ch := New(Config{
-		Name: "torus", Group: topo.GroupT, Latency: 5,
+	ch := newChan(Config{
+		Group: topo.GroupT, Latency: 5,
 		RateMilli: topo.TorusRateMilli, NumVCs: 2, BufFlits: 8,
 		CreditLatency: 1,
 	})

@@ -54,8 +54,12 @@ const MaxVCs = 12
 // Layout: both pipes and the credit counters are held inline and the fields
 // are grouped by who touches them on the hot path — the receiver's poll
 // (pkts, its mask), the sender's SendableAt/Send (credit, serializer state,
-// link, counters), the credit return path (credits, its mask) — with
-// configuration-time, fault-only and staging state last.
+// link, counters), the credit return path (credits, its mask). What only some
+// channels use — shard-crossing staging, the lost-credit ledger, energy
+// counters — lives in a side record the channel gets when it first needs one,
+// behind a flag the hot path tests. A machine keeps its channels in one slab
+// and builds each in place (Init); a channel holds no name, but renders one
+// from its id on demand (Name).
 type Channel struct {
 	pkts     sim.Pipe[*packet.Packet]
 	recvMask *uint32 // receiver's inMask word and this channel's bit in it
@@ -73,8 +77,7 @@ type Channel struct {
 	// lossless path.
 	link *link
 
-	latency uint64
-	rate    uint64 // millicycles per flit
+	rate uint64 // millicycles per flit
 	// Sent counts total flits forwarded (always maintained; used for
 	// utilization reporting). Pkts is the packet analogue.
 	Sent uint64
@@ -86,12 +89,6 @@ type Channel struct {
 	// absorbed on the same cycle as in scan mode — per-cycle credit
 	// counters stay bit-identical across scheduling modes.
 	recvE, sndE *sim.Engine
-	// dropCredit, when non-nil, is consulted on every credit return; a true
-	// result drops the message, accumulating into lost. Installed only by
-	// the fault layer (EnableCreditLoss).
-	dropCredit func(vc, flits uint8) bool
-	// Energy is non-nil when energy tracking is enabled.
-	Energy *EnergyCounters
 
 	credits sim.Pipe[creditMsg]
 	sndMask *uint32 // sender's credMask word and this channel's bit in it
@@ -99,17 +96,24 @@ type Channel struct {
 	sndID   int32
 
 	bufFlits int32 // per-VC buffer capacity, in flits (credit upper bound)
-	numVCs   uint8
-	// deferred: the channel crosses a shard boundary (SetDeferred). The flag
-	// sits with the fields every send touches; what it gates is kept last.
-	deferred bool
-	sentAny  bool
-	Group    topo.Group
+	// unbound is the mask word an unbound side points at (with a zero bit),
+	// so the enqueue and drain paths need no nil checks.
+	unbound uint32
+	numVCs  uint8
+	// Flags the hot path tests before it reaches into side: deferred, the
+	// channel crosses a shard boundary (SetDeferred); lossy, it may drop
+	// credits (EnableCreditLoss); metered, it counts energy.
+	deferred, lossy, metered bool
+	sentAny                  bool
+	Group                    topo.Group
 
-	ID          int // global channel id (topo.Machine space), -1 if synthetic
-	Name        string
-	lost        []int // credits dropped and not yet restored, per VC
-	prevPayload []byte
+	ID    int           // global channel id (topo.Machine space)
+	names *topo.Machine // renders the name from ID (nil on a synthetic channel)
+	side  *side
+}
+
+// side is the part of a channel only some channels use.
+type side struct {
 	// A deferred channel stages its sends and credit returns — and, when
 	// reliable, its frame headers and acks — here during the parallel phase
 	// of a sharded cycle and files itself on the staging shard's list
@@ -119,9 +123,15 @@ type Channel struct {
 	sndStage, recvStage *StageList
 	stagedPkts          []stagedPkt
 	stagedCreds         []stagedCred
-	// unbound is the mask word an unbound side points at (with a zero bit),
-	// so the enqueue and drain paths need no nil checks.
-	unbound uint32
+
+	// dropCredit is consulted on every credit return of a lossy channel; a
+	// true result drops the message, accumulating into lost (per VC, the
+	// credits dropped and not yet restored).
+	dropCredit func(vc, flits uint8) bool
+	lost       []int
+
+	energy      EnergyCounters
+	prevPayload []byte
 }
 
 type stagedPkt struct {
@@ -136,8 +146,10 @@ type stagedCred struct {
 
 // Config sizes a channel.
 type Config struct {
-	ID            int
-	Name          string
+	ID int
+	// Names is the machine whose ChanName renders the channel's name from
+	// ID; nil for a synthetic channel.
+	Names         *topo.Machine
 	Group         topo.Group
 	Latency       uint64 // delivery latency in cycles (>= 1)
 	RateMilli     uint64 // millicycles per flit
@@ -147,8 +159,10 @@ type Config struct {
 	TrackEnergy   bool
 }
 
-// New builds a channel with full initial credit for every VC.
-func New(c Config) *Channel {
+// Init builds the channel in place, which must be zero, with full initial
+// credit for every VC. It is the one way to make a channel: a machine calls
+// it on each element of its channel slab.
+func (ch *Channel) Init(c Config) {
 	if c.NumVCs < 1 || c.NumVCs > MaxVCs {
 		panic(fmt.Sprintf("fabric: channel needs 1..%d VCs, got %d", MaxVCs, c.NumVCs))
 	}
@@ -158,28 +172,45 @@ func New(c Config) *Channel {
 	if c.RateMilli == 0 {
 		c.RateMilli = MeshRateMilli
 	}
-	if c.Latency == 0 {
-		c.Latency = 1
-	}
-	ch := &Channel{
-		ID:       c.ID,
-		Name:     c.Name,
-		Group:    c.Group,
-		latency:  c.Latency,
-		rate:     c.RateMilli,
-		pkts:     sim.MakePipe[*packet.Packet](c.Latency),
-		credits:  sim.MakePipe[creditMsg](c.CreditLatency),
-		numVCs:   uint8(c.NumVCs),
-		bufFlits: int32(c.BufFlits),
-	}
+	ch.ID, ch.names, ch.Group = c.ID, c.Names, c.Group
+	ch.rate = c.RateMilli
+	ch.pkts = sim.MakePipe[*packet.Packet](c.Latency)
+	ch.credits = sim.MakePipe[creditMsg](c.CreditLatency)
+	ch.numVCs, ch.bufFlits = uint8(c.NumVCs), int32(c.BufFlits)
 	ch.recvMask, ch.sndMask = &ch.unbound, &ch.unbound
 	for i := 0; i < c.NumVCs; i++ {
 		ch.credit[i] = ch.bufFlits
 	}
 	if c.TrackEnergy {
-		ch.Energy = &EnergyCounters{}
+		ch.sideRec()
+		ch.metered = true
 	}
-	return ch
+}
+
+// sideRec returns the channel's side record, making it on first use.
+func (ch *Channel) sideRec() *side {
+	if ch.side == nil {
+		ch.side = new(side)
+	}
+	return ch.side
+}
+
+// Name renders the channel's name for diagnostics: a machine channel's is
+// topo.Machine.ChanName of its id, a synthetic one's "channel <id>".
+func (ch *Channel) Name() string {
+	if ch.names == nil {
+		return fmt.Sprintf("channel %d", ch.ID)
+	}
+	return ch.names.ChanName(ch.ID)
+}
+
+// Energy returns the channel's energy counters, or nil when it does not
+// track energy.
+func (ch *Channel) Energy() *EnergyCounters {
+	if !ch.metered {
+		return nil
+	}
+	return &ch.side.energy
 }
 
 // BindReceiver registers the receiving component: every packet entering the
@@ -241,7 +272,8 @@ func (l *StageList) Flush() {
 // a serially stepped cycle the coordinator ticks both ends itself, in id
 // order, so they enter the pipes directly, as on an unsharded machine.
 func (ch *Channel) SetDeferred(snd, recv *StageList) {
-	ch.deferred, ch.sndStage, ch.recvStage = true, snd, recv
+	sd := ch.sideRec()
+	ch.deferred, sd.sndStage, sd.recvStage = true, snd, recv
 }
 
 // flushStaged moves staged sends, credit returns, headers and acks into the
@@ -249,9 +281,10 @@ func (ch *Channel) SetDeferred(snd, recv *StageList) {
 // header enters with its packet's arrival cycle. A channel both of whose ends
 // staged is on two lists; its second flush finds nothing.
 func (ch *Channel) flushStaged() {
+	sd := ch.side
 	if l := ch.link; l != nil {
 		for i, h := range l.stagedHdrs {
-			l.hdrs.SendAt(ch.stagedPkts[i].at, h)
+			l.hdrs.SendAt(sd.stagedPkts[i].at, h)
 		}
 		l.stagedHdrs = l.stagedHdrs[:0]
 		for _, s := range l.stagedAcks {
@@ -259,16 +292,16 @@ func (ch *Channel) flushStaged() {
 		}
 		l.stagedAcks = l.stagedAcks[:0]
 	}
-	for i := range ch.stagedPkts {
-		s := &ch.stagedPkts[i]
+	for i := range sd.stagedPkts {
+		s := &sd.stagedPkts[i]
 		ch.pushPkt(s.at, s.p)
 		s.p = nil
 	}
-	ch.stagedPkts = ch.stagedPkts[:0]
-	for _, s := range ch.stagedCreds {
+	sd.stagedPkts = sd.stagedPkts[:0]
+	for _, s := range sd.stagedCreds {
 		ch.pushCredit(s.at, s.msg)
 	}
-	ch.stagedCreds = ch.stagedCreds[:0]
+	sd.stagedCreds = sd.stagedCreds[:0]
 }
 
 // NumVCs returns the channel's physical VC count.
@@ -333,7 +366,7 @@ func (ch *Channel) Send(now uint64, p *packet.Packet, vc uint8) uint64 {
 		return ch.transmit(now, p, vc)
 	}
 	if !l.snd.CanSend() {
-		panic("fabric: Send before SendableAt on " + ch.Name)
+		panic("fabric: Send before SendableAt on " + ch.Name())
 	}
 	l.win = append(l.win, frame{p: p, vc: vc})
 	return ch.sendFrame(now, p, l.snd.OnSend(now), vc)
@@ -341,13 +374,13 @@ func (ch *Channel) Send(now uint64, p *packet.Packet, vc uint8) uint64 {
 
 func (ch *Channel) transmit(now uint64, p *packet.Packet, vc uint8) uint64 {
 	if ch.sendableAt(vc, p.Size) > now {
-		panic("fabric: Send before SendableAt on " + ch.Name)
+		panic("fabric: Send before SendableAt on " + ch.Name())
 	}
 	ch.credit[vc] -= int32(p.Size)
 	ch.Sent += uint64(p.Size)
 	ch.Pkts++
 
-	if ch.Energy != nil {
+	if ch.metered {
 		ch.countEnergy(now, p)
 	}
 	ch.sentAny = true
@@ -359,15 +392,16 @@ func (ch *Channel) transmit(now uint64, p *packet.Packet, vc uint8) uint64 {
 	ch.busyUntilMilli = start + uint64(p.Size)*ch.rate
 	// Arrival cycle: when the last flit has been serialized, plus wire
 	// latency. Integer-rounded up; always at least now+1.
-	arrive := (ch.busyUntilMilli+999)/1000 + ch.latency - 1
+	arrive := (ch.busyUntilMilli+999)/1000 + ch.pkts.Latency() - 1
 	if arrive <= now {
 		arrive = now + 1
 	}
 	if ch.deferred && ch.sndE.Parallel() {
-		if len(ch.stagedPkts) == 0 {
-			ch.sndStage.chans = append(ch.sndStage.chans, ch)
+		sd := ch.side
+		if len(sd.stagedPkts) == 0 {
+			sd.sndStage.chans = append(sd.sndStage.chans, ch)
 		}
-		ch.stagedPkts = append(ch.stagedPkts, stagedPkt{at: arrive, p: p})
+		sd.stagedPkts = append(sd.stagedPkts, stagedPkt{at: arrive, p: p})
 		return arrive
 	}
 	ch.pushPkt(arrive, p)
@@ -375,7 +409,8 @@ func (ch *Channel) transmit(now uint64, p *packet.Packet, vc uint8) uint64 {
 }
 
 func (ch *Channel) countEnergy(now uint64, p *packet.Packet) {
-	e := ch.Energy
+	sd := ch.side
+	e := &sd.energy
 	e.Flits += uint64(p.Size)
 	// An activation is an idle-to-valid transition: the previous flit
 	// finished strictly before this cycle began (back-to-back flits do
@@ -384,9 +419,9 @@ func (ch *Channel) countEnergy(now uint64, p *packet.Packet) {
 		e.Activations++
 	}
 	if p.Payload != nil {
-		e.HammingSum += uint64(packet.HammingDistance(ch.prevPayload, p.Payload))
+		e.HammingSum += uint64(packet.HammingDistance(sd.prevPayload, p.Payload))
 		e.SetBitsSum += uint64(packet.SetBits(p.Payload)) * uint64(p.Size)
-		ch.prevPayload = append(ch.prevPayload[:0], p.Payload...)
+		sd.prevPayload = append(sd.prevPayload[:0], p.Payload...)
 	}
 }
 
@@ -409,14 +444,14 @@ func (ch *Channel) Recv(now uint64) (*packet.Packet, bool) {
 
 // ReturnCredit informs the sender that flits of buffer space freed on vc.
 func (ch *Channel) ReturnCredit(now uint64, vc uint8, flits uint8) {
-	if ch.dropCredit != nil && ch.dropCredit(vc, flits) {
-		ch.lost[vc] += int(flits)
+	if ch.lossy && ch.side.dropCredit(vc, flits) {
+		ch.side.lost[vc] += int(flits)
 		return
 	}
 	at, msg := now+ch.credits.Latency(), creditMsg{vc: vc, flits: flits}
 	if ch.deferred && ch.recvE.Parallel() {
 		ch.fileRecv()
-		ch.stagedCreds = append(ch.stagedCreds, stagedCred{at: at, msg: msg})
+		ch.side.stagedCreds = append(ch.side.stagedCreds, stagedCred{at: at, msg: msg})
 		return
 	}
 	ch.pushCredit(at, msg)
@@ -425,22 +460,33 @@ func (ch *Channel) ReturnCredit(now uint64, vc uint8, flits uint8) {
 // fileRecv files the channel on the receiving shard's list when its
 // receiving end is about to stage the cycle's first credit or ack.
 func (ch *Channel) fileRecv() {
-	if len(ch.stagedCreds) == 0 && (ch.link == nil || len(ch.link.stagedAcks) == 0) {
-		ch.recvStage.chans = append(ch.recvStage.chans, ch)
+	if sd := ch.side; len(sd.stagedCreds) == 0 && (ch.link == nil || len(ch.link.stagedAcks) == 0) {
+		sd.recvStage.chans = append(sd.recvStage.chans, ch)
 	}
 }
 
 // EnableCreditLoss installs a credit-drop predicate and allocates the
 // lost-credit ledger the resync audit restores from.
 func (ch *Channel) EnableCreditLoss(drop func(vc, flits uint8) bool) {
-	ch.lost = make([]int, ch.numVCs)
-	ch.dropCredit = drop
+	sd := ch.sideRec()
+	sd.lost = make([]int, ch.numVCs)
+	sd.dropCredit = drop
+	ch.lossy = true
+}
+
+// lostLedger returns the lost-credit ledger, nil unless the channel is
+// lossy.
+func (ch *Channel) lostLedger() []int {
+	if !ch.lossy {
+		return nil
+	}
+	return ch.side.lost
 }
 
 // lostCredits returns the total credits currently dropped and unrestored.
 func (ch *Channel) lostCredits() int {
 	total := 0
-	for _, n := range ch.lost {
+	for _, n := range ch.lostLedger() {
 		total += n
 	}
 	return total
@@ -452,11 +498,12 @@ func (ch *Channel) lostCredits() int {
 // Returns the number restored.
 func (ch *Channel) RestoreLostCredits(now uint64) int {
 	total := 0
-	for vc, n := range ch.lost {
+	lost := ch.lostLedger()
+	for vc, n := range lost {
 		if n > 0 {
 			ch.credit[vc] += int32(n)
 			total += n
-			ch.lost[vc] = 0
+			lost[vc] = 0
 		}
 	}
 	if total > 0 && ch.sndE != nil {

@@ -13,9 +13,16 @@ import (
 	"anton2/internal/wire"
 )
 
+// newChan builds a synthetic channel on the heap.
+func newChan(c Config) *Channel {
+	ch := new(Channel)
+	ch.Init(c)
+	return ch
+}
+
 func meshChan(track bool) *Channel {
-	return New(Config{
-		Name: "test", Group: topo.GroupM, Latency: 1,
+	return newChan(Config{
+		Group: topo.GroupM, Latency: 1,
 		RateMilli: MeshRateMilli, NumVCs: 4, BufFlits: 4,
 		CreditLatency: 1, TrackEnergy: track,
 	})
@@ -102,8 +109,8 @@ func TestChannelBackToBackMeshRate(t *testing.T) {
 }
 
 func TestChannelTorusSerialization(t *testing.T) {
-	ch := New(Config{
-		Name: "torus", Group: topo.GroupT, Latency: 10,
+	ch := newChan(Config{
+		Group: topo.GroupT, Latency: 10,
 		RateMilli: topo.TorusRateMilli, NumVCs: 8, BufFlits: 32,
 	})
 	// Send at cycle 0: serializer busy until 3.214 cycles.
@@ -146,11 +153,11 @@ func TestChannelEnergyActivations(t *testing.T) {
 		ch.ReturnCredit(c, 0, 1)
 		ch.AbsorbCredits(c + 1)
 	}
-	if ch.Energy.Flits != 5 {
-		t.Errorf("flits = %d, want 5", ch.Energy.Flits)
+	if ch.Energy().Flits != 5 {
+		t.Errorf("flits = %d, want 5", ch.Energy().Flits)
 	}
-	if ch.Energy.Activations != 2 {
-		t.Errorf("activations = %d, want 2 (cycles 0 and 4)", ch.Energy.Activations)
+	if ch.Energy().Activations != 2 {
+		t.Errorf("activations = %d, want 2 (cycles 0 and 4)", ch.Energy().Activations)
 	}
 }
 
@@ -168,11 +175,11 @@ func TestChannelEnergyHammingAndSetBits(t *testing.T) {
 	ch.ReturnCredit(1, 0, 1)
 	ch.AbsorbCredits(2)
 	ch.Send(2, mk(0xFF), 0) // 0 flips, 16 set bits
-	if ch.Energy.HammingSum != 16 {
-		t.Errorf("hamming = %d, want 16", ch.Energy.HammingSum)
+	if ch.Energy().HammingSum != 16 {
+		t.Errorf("hamming = %d, want 16", ch.Energy().HammingSum)
 	}
-	if ch.Energy.SetBitsSum != 32 {
-		t.Errorf("set bits = %d, want 32", ch.Energy.SetBitsSum)
+	if ch.Energy().SetBitsSum != 32 {
+		t.Errorf("set bits = %d, want 32", ch.Energy().SetBitsSum)
 	}
 }
 
@@ -207,8 +214,8 @@ func TestHammingAndSetBitsHelpers(t *testing.T) {
 func TestChannelCreditInvariantProperty(t *testing.T) {
 	f := func(ops []uint8) bool {
 		const bufFlits = 4
-		ch := New(Config{
-			Name: "prop", Group: topo.GroupM, Latency: 1,
+		ch := newChan(Config{
+			Group: topo.GroupM, Latency: 1,
 			RateMilli: MeshRateMilli, NumVCs: 2, BufFlits: bufFlits,
 		})
 		now := uint64(0)
@@ -424,13 +431,13 @@ func TestChannelStaging(t *testing.T) {
 
 // TestChannelVCBound: the inline credit array is the VC limit.
 func TestChannelVCBound(t *testing.T) {
-	New(Config{Name: "widest", NumVCs: MaxVCs, BufFlits: 4})
+	newChan(Config{NumVCs: MaxVCs, BufFlits: 4})
 	defer func() {
 		if recover() == nil {
 			t.Fatalf("a channel with %d VCs must panic", MaxVCs+1)
 		}
 	}()
-	New(Config{Name: "too wide", NumVCs: MaxVCs + 1, BufFlits: 4})
+	newChan(Config{NumVCs: MaxVCs + 1, BufFlits: 4})
 }
 
 // TestSendableAt holds the query to a cycle-by-cycle search for the first
@@ -438,8 +445,8 @@ func TestChannelVCBound(t *testing.T) {
 // has credit for every flit — and no cycle at all while credit is short or
 // the channel is down for good.
 func TestSendableAt(t *testing.T) {
-	ch := New(Config{
-		Name: "torus", Group: topo.GroupT, Latency: topo.TorusLatency,
+	ch := newChan(Config{
+		Group: topo.GroupT, Latency: topo.TorusLatency,
 		RateMilli: topo.TorusRateMilli, NumVCs: 2, BufFlits: 8, CreditLatency: 1,
 	})
 	first := func(vc, flits uint8) uint64 {

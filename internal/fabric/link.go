@@ -75,12 +75,12 @@ type link struct {
 // ack round trip (serialization, two wire flights, receiver turnaround) plus
 // a stall episode.
 func (ch *Channel) EnableLink(corrupt func() bool) {
-	timeout := 8*ch.latency + 4*fault.StallCycles + 64
+	timeout := 8*ch.pkts.Latency() + 4*fault.StallCycles + 64
 	ch.link = &link{
 		snd:     fault.NewSender(fault.Window, timeout, fault.RetryLimit),
 		corrupt: corrupt,
-		hdrs:    sim.MakePipe[header](ch.latency),
-		ctrl:    sim.MakePipe[ctrlMsg](ch.latency),
+		hdrs:    sim.MakePipe[header](ch.pkts.Latency()),
+		ctrl:    sim.MakePipe[ctrlMsg](ch.pkts.Latency()),
 	}
 }
 
@@ -202,7 +202,7 @@ func (ch *Channel) LinkTick(now uint64) (moved bool, err error) {
 		l.cnt.Timeouts++
 	}
 	if l.snd.Dead() {
-		err = &fault.BudgetError{Link: ch.Name, Attempts: l.snd.Attempts()}
+		err = &fault.BudgetError{Link: ch.Name(), Attempts: l.snd.Attempts()}
 	}
 	if seq, ok := l.snd.NeedRetx(); ok {
 		e := l.win[seq-l.snd.Base()]

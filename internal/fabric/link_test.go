@@ -47,12 +47,12 @@ func runReliable(t *testing.T, mode sim.Mode) (uint64, fault.Counters) {
 		maxCycles = 200_000
 	)
 	cfg := Config{
-		Name: "reliable", Group: topo.GroupT, Latency: topo.TorusLatency,
+		Group: topo.GroupT, Latency: topo.TorusLatency,
 		RateMilli: topo.TorusRateMilli, NumVCs: 2, BufFlits: 16, CreditLatency: topo.TorusLatency,
 	}
 	rng := uint64(1)
 	e := sim.NewEngineMode(mode)
-	ch := New(cfg)
+	ch := newChan(cfg)
 	ch.EnableLink(func() bool { return float64(sim.SplitMix64(&rng)>>11)/(1<<53) < 0.1 })
 
 	var inMask, credMask uint32
@@ -175,7 +175,7 @@ func roundTrip(t *testing.T, ch *Channel, cfg Config) {
 	if enc.Err() != nil {
 		t.Fatal(enc.Err())
 	}
-	fresh := New(cfg)
+	fresh := newChan(cfg)
 	fresh.EnableLink(func() bool { return false })
 	if dec := walk(fresh, wire.NewDecoder(enc.Buf())); dec.Err() != nil || len(dec.Buf()) != 0 {
 		t.Fatalf("restore: err %v, %d bytes unread", dec.Err(), len(dec.Buf()))

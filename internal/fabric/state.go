@@ -27,12 +27,12 @@ import (
 // pushPkt/pushCredit the original Send/ReturnCredit went through. A reliable
 // channel's headers and acks are in LinkState's record, not this one.
 func (ch *Channel) State(c *wire.Codec, ref func(p *packet.Packet, nilable bool) *packet.Packet) {
-	if len(ch.stagedPkts) != 0 || len(ch.stagedCreds) != 0 || ch.link != nil && len(ch.link.stagedAcks) != 0 {
-		c.Fail("fabric: %s: snapshot with staged traffic", ch.Name)
+	if sd := ch.side; sd != nil && (len(sd.stagedPkts) != 0 || len(sd.stagedCreds) != 0) || ch.link != nil && len(ch.link.stagedAcks) != 0 {
+		c.Fail("fabric: %s: snapshot with staged traffic", ch.Name())
 		return
 	}
 	var flags uint8 // bit 0: the channel has sent; 1: keeps a lost-credit ledger; 2: tracks energy
-	for i, set := range [...]bool{ch.sentAny, ch.lost != nil, ch.Energy != nil} {
+	for i, set := range [...]bool{ch.sentAny, ch.lossy, ch.metered} {
 		if set {
 			flags |= 1 << i
 		}
@@ -48,7 +48,7 @@ func (ch *Channel) State(c *wire.Codec, ref func(p *packet.Packet, nilable bool)
 	c.Byte(&flags)
 	if c.Uvarint(&spent); numVCs != ch.numVCs || flags&^1 != has || spent>>numVCs != 0 {
 		c.Fail("fabric: %s: record of %d VCs, flags %#x, credit mask %#x; channel has %d VCs, flags %#x",
-			ch.Name, numVCs, flags, spent, ch.numVCs, has)
+			ch.Name(), numVCs, flags, spent, ch.numVCs, has)
 		return
 	}
 	for vc := range ch.credit[:ch.numVCs] {
@@ -66,17 +66,23 @@ func (ch *Channel) State(c *wire.Codec, ref func(p *packet.Packet, nilable bool)
 	for _, v := range [...]*uint64{&ch.busyUntilMilli, &ch.stallUntil, &ch.Sent, &ch.Pkts} {
 		c.Uvarint(v)
 	}
-	for vc := range ch.lost {
-		n := int64(ch.lost[vc])
+	lost := ch.lostLedger()
+	for vc := range lost {
+		n := int64(lost[vc])
 		c.Varint(&n)
-		ch.lost[vc] = int(n)
+		lost[vc] = int(n)
 	}
-	if e := ch.Energy; e != nil {
+	var payload []byte
+	e := ch.Energy()
+	if e != nil {
 		for _, v := range [...]*uint64{&e.Flits, &e.Activations, &e.HammingSum, &e.SetBitsSum} {
 			c.Uvarint(v)
 		}
+		payload = ch.side.prevPayload
 	}
-	c.Bytes(&ch.prevPayload)
+	if c.Bytes(&payload); e != nil {
+		ch.side.prevPayload = payload
+	}
 
 	ch.pkts.State(c, 2, func(at uint64, p *packet.Packet) {
 		c.Uvarint(&at)
@@ -89,7 +95,7 @@ func (ch *Channel) State(c *wire.Codec, ref func(p *packet.Packet, nilable bool)
 		c.Byte(&m.vc)
 		c.Byte(&m.flits)
 		if m.vc >= ch.numVCs {
-			c.Fail("fabric: %s: credit entry for VC %d of %d", ch.Name, m.vc, ch.numVCs)
+			c.Fail("fabric: %s: credit entry for VC %d of %d", ch.Name(), m.vc, ch.numVCs)
 		} else if c.Decoding() {
 			ch.pushCredit(at, m)
 		}
@@ -106,7 +112,7 @@ func (ch *Channel) LinkState(c *wire.Codec, ref func(p *packet.Packet, nilable b
 	l := ch.link
 	has := l != nil
 	if c.Bool(&has); has != (l != nil) {
-		c.Fail("fabric: %s: record and channel disagree on a reliable link", ch.Name)
+		c.Fail("fabric: %s: record and channel disagree on a reliable link", ch.Name())
 	}
 	if l == nil || c.Err() != nil {
 		return
@@ -118,11 +124,11 @@ func (ch *Channel) LinkState(c *wire.Codec, ref func(p *packet.Packet, nilable b
 		e := &l.win[i]
 		e.p = ref(e.p, false)
 		if c.Byte(&e.vc); e.vc >= ch.numVCs {
-			c.Fail("fabric: %s: window frame on VC %d of %d", ch.Name, e.vc, ch.numVCs)
+			c.Fail("fabric: %s: window frame on VC %d of %d", ch.Name(), e.vc, ch.numVCs)
 		}
 	}
 	if len(l.win) != l.snd.Outstanding() {
-		c.Fail("fabric: %s: %d window entries for sequences [%d, %d)", ch.Name, len(l.win), l.snd.Base(), l.snd.Next())
+		c.Fail("fabric: %s: %d window entries for sequences [%d, %d)", ch.Name(), len(l.win), l.snd.Base(), l.snd.Next())
 	}
 	l.hdrs.State(c, 3, func(_ uint64, h header) {
 		c.Uvarint(&h.seq)
@@ -132,13 +138,13 @@ func (ch *Channel) LinkState(c *wire.Codec, ref func(p *packet.Packet, nilable b
 			return
 		}
 		if n := l.hdrs.Len(); n == ch.pkts.Len() || h.vc >= ch.numVCs {
-			c.Fail("fabric: %s: header %d on VC %d, for %d frames of %d VCs", ch.Name, n, h.vc, ch.pkts.Len(), ch.numVCs)
+			c.Fail("fabric: %s: header %d on VC %d, for %d frames of %d VCs", ch.Name(), n, h.vc, ch.pkts.Len(), ch.numVCs)
 		} else {
 			l.hdrs.SendAt(ch.pkts.At(n), h)
 		}
 	})
 	if c.Decoding() && l.hdrs.Len() != ch.pkts.Len() {
-		c.Fail("fabric: %s: %d headers for %d frames", ch.Name, l.hdrs.Len(), ch.pkts.Len())
+		c.Fail("fabric: %s: %d headers for %d frames", ch.Name(), l.hdrs.Len(), ch.pkts.Len())
 	}
 	l.ctrl.State(c, 3, func(at uint64, m ctrlMsg) {
 		c.Uvarint(&at)

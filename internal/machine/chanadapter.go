@@ -38,10 +38,11 @@ type channelAdapter struct {
 	ing  vcset   // torus -> router queues, indexed by arrival VC
 	pats []uint8 // scratch pattern labels for arbiter picks
 
-	// outLabel is the precomputed "torus out <id>" tracepoint stage: the
-	// serializer send sits on the hot path, and rebuilding the label there
-	// would allocate for every packet whether or not it is traced.
-	outLabel string
+	// branches[v] holds the replicated copies of ing's multicast head on
+	// VC v, sent one per cycle from the single buffered original (ingress
+	// replication); the head pops and its credit returns only after the
+	// last branch leaves.
+	branches [][]*packet.Packet
 
 	queued int
 }
@@ -56,24 +57,23 @@ const (
 	credToRouter
 )
 
+// newChannelAdapter builds the adapter in place in the next slot of the
+// arena.
 func newChannelAdapter(m *Machine, node int, id topo.AdapterID) *channelAdapter {
 	ca := m.Topo.Chip.AdapterAt(id)
 	tvcs := route.TotalVCs(m.Cfg.Scheme, topo.GroupT)
 	u := m.Topo.Shape.NodeID(m.Topo.Shape.Neighbor(m.Topo.Shape.Coord(node), id.Dir))
-	a := &channelAdapter{
-		m:          m,
-		node:       node,
-		nodeCoord:  m.Topo.Shape.Coord(node),
-		id:         id,
-		fromRouter: m.chans[m.Topo.IntraChanID(node, ca.FromRouter)],
-		toRouter:   m.chans[m.Topo.IntraChanID(node, ca.ToRouter)],
-		torusOut:   m.chans[m.Topo.TorusChanID(node, id.Dir, id.Slice)],
-		torusIn:    m.chans[m.Topo.TorusChanID(u, id.Dir.Opposite(), id.Slice)],
-		eg:         m.newVCSet(tvcs, m.adapterWeights(true, id, tvcs)),
-		ing:        m.newVCSet(tvcs, m.adapterWeights(false, id, tvcs)),
-		pats:       carve(m.arena.pats, &m.arena.ns, tvcs),
-		outLabel:   "torus out " + id.String(),
-	}
+	ar := &m.arena
+	a := &carve(ar.adapters, &ar.na, 1)[0]
+	a.m, a.node, a.nodeCoord, a.id = m, node, m.Topo.Shape.Coord(node), id
+	a.fromRouter = &m.chans[m.Topo.IntraChanID(node, ca.FromRouter)]
+	a.toRouter = &m.chans[m.Topo.IntraChanID(node, ca.ToRouter)]
+	a.torusOut = &m.chans[m.Topo.TorusChanID(node, id.Dir, id.Slice)]
+	a.torusIn = &m.chans[m.Topo.TorusChanID(u, id.Dir.Opposite(), id.Slice)]
+	m.newVCSet(&a.eg, tvcs, m.adapterWeights(true, id, tvcs))
+	m.newVCSet(&a.ing, tvcs, m.adapterWeights(false, id, tvcs))
+	a.pats = carve(ar.pats, &ar.ns, tvcs)
+	a.branches = carve(ar.branches, &ar.nbr, tvcs)
 	return a
 }
 
@@ -177,7 +177,9 @@ func (a *channelAdapter) tick(now uint64) (wake uint64) {
 		}
 		p := a.m.forward(now, &a.eg, g, a.fromRouter, a.shard)
 		a.queued--
-		p.Tracepoint(a.outLabel, now)
+		if p.Trace != nil {
+			p.Tracepoint("torus out "+a.id.String(), now)
+		}
 		// A loser bids again next cycle, and the winner's next packet is
 		// routed then.
 		if req&(req-1) != 0 || a.eg.occ>>g&1 != 0 {
@@ -192,11 +194,12 @@ func (a *channelAdapter) tick(now uint64) (wake uint64) {
 		if a.m.tel != nil {
 			a.m.tel.OnAdapterGrant(false, a.node, a.id.Index(), g)
 		}
-		if q := &a.ing.vcs[g]; len(q.branches) > 0 {
+		if br := a.branches[g]; len(br) > 0 {
 			// Send the next branch; pop the buffered original only
 			// after the last branch leaves.
-			a.m.send(now, a.toRouter, q.branches[0], q.outVC)
-			if q.branches = q.branches[1:]; len(q.branches) == 0 {
+			a.m.send(now, a.toRouter, br[0], a.ing.vcs[g].outVC)
+			if a.branches[g] = br[1:]; len(br) == 1 {
+				a.branches[g] = nil
 				orig := a.ing.pop(g)
 				a.torusIn.ReturnCredit(now, uint8(g), orig.Size)
 				a.m.free(orig, a.shard)
@@ -218,7 +221,7 @@ func (a *channelAdapter) tick(now uint64) (wake uint64) {
 
 // route computes an egress head's torus VC: the dateline rule applies as the
 // packet leaves the node (Section 2.5).
-func (e *egress) route(now uint64, q *vcq) {
+func (e *egress) route(now uint64, q *vcq, _ int) {
 	a := (*channelAdapter)(e)
 	p := q.headPkt()
 	vc := route.AdapterEgress(a.m.routeCfg, &p.Route, a.nodeCoord)
@@ -228,12 +231,12 @@ func (e *egress) route(now uint64, q *vcq) {
 // route makes an ingress head's continue-or-turn decision (once per
 // arrival), or replicates a multicast head per the loaded table into
 // branches that ride the adapter->router link at the arrival T-group VC.
-func (i *ingress) route(now uint64, q *vcq) {
+func (i *ingress) route(now uint64, q *vcq, qvc int) {
 	a := (*channelAdapter)(i)
 	p := q.headPkt()
 	var vc uint8
 	if p.MGroup >= 0 {
-		q.branches = a.expandMulticast(p)
+		a.branches[qvc] = a.expandMulticast(p)
 		vc = p.Route.TVC
 	} else {
 		vc = route.AdapterIngress(a.m.routeCfg, &p.Route, p.Dst, a.node)

@@ -48,13 +48,14 @@ type EndpointAdapter struct {
 	sched uint64
 }
 
+// newEndpoint builds the endpoint in place in the next slot of the arena.
 func newEndpoint(m *Machine, node, ep int) *EndpointAdapter {
 	ce := &m.Topo.Chip.Endpoints[ep]
-	return &EndpointAdapter{
-		m:   m,
-		out: m.chans[m.Topo.IntraChanID(node, ce.ToRouter)],
-		in:  m.chans[m.Topo.IntraChanID(node, ce.FromRouter)],
-	}
+	e := &carve(m.arena.endpoints, &m.arena.ne, 1)[0]
+	e.m = m
+	e.out = &m.chans[m.Topo.IntraChanID(node, ce.ToRouter)]
+	e.in = &m.chans[m.Topo.IntraChanID(node, ce.FromRouter)]
+	return e
 }
 
 // bind registers the endpoint for active-set wakeups and ready-mask bits:

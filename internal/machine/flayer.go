@@ -31,9 +31,9 @@ type faultLayer struct {
 	inj  *fault.Injector
 	cid  int // engine component id
 
-	links      []*fabric.Channel // dense torus index -> channel
-	failed     map[int]bool      // global channel ids of permanent outages
-	failedList []int             // same, sorted
+	links      []fabric.Channel // dense torus index -> channel
+	failed     map[int]bool     // global channel ids of permanent outages
+	failedList []int            // same, sorted
 
 	// mu guards the counters and the fatal record: MakePacket may run on
 	// any shard worker (endpoint traffic sources execute inside Tick), and
@@ -57,8 +57,8 @@ func (f *faultLayer) counters() fault.Counters {
 	f.mu.Lock()
 	total := f.cnt
 	f.mu.Unlock()
-	for _, ch := range f.links {
-		total.Add(ch.LinkCounters())
+	for i := range f.links {
+		total.Add(f.links[i].LinkCounters())
 	}
 	return total
 }
@@ -86,13 +86,14 @@ func newFaultLayer(m *Machine, spec fault.Spec) *faultLayer {
 		failed: map[int]bool{},
 	}
 	for _, li := range f.inj.FailedLinks(n) {
-		ch := f.links[li]
+		ch := &f.links[li]
 		f.failed[ch.ID] = true
 		f.failedList = append(f.failedList, ch.ID)
 		ch.SetStall(math.MaxUint64)
 		f.cnt.LinksFailed++
 	}
-	for i, ch := range f.links {
+	for i := range f.links {
+		ch := &f.links[i]
 		if f.failed[ch.ID] {
 			continue
 		}
@@ -121,8 +122,8 @@ func newFaultLayer(m *Machine, spec fault.Spec) *faultLayer {
 // by.
 func (f *faultLayer) Tick(now uint64) {
 	if f.spec.StallRate > 0 {
-		for i, ch := range f.links {
-			if !ch.Stalled(now) && f.inj.StallNext(i) {
+		for i := range f.links {
+			if ch := &f.links[i]; !ch.Stalled(now) && f.inj.StallNext(i) {
 				ch.SetStall(now + fault.StallCycles)
 				f.mu.Lock()
 				f.cnt.StallsInjected++
@@ -131,8 +132,8 @@ func (f *faultLayer) Tick(now uint64) {
 		}
 	}
 	if f.spec.CreditLossRate > 0 && now%fault.ResyncInterval == 0 {
-		for _, ch := range f.links {
-			if n := ch.RestoreLostCredits(now); n > 0 {
+		for i := range f.links {
+			if n := f.links[i].RestoreLostCredits(now); n > 0 {
 				f.mu.Lock()
 				f.cnt.CreditsRestored += uint64(n)
 				f.mu.Unlock()
@@ -216,13 +217,13 @@ func (m *Machine) deadlockDetail() string {
 		}
 	}
 	if m.flt != nil {
-		for _, ch := range m.flt.links {
-			if n := ch.InFlight(); n > 0 {
-				add("link %s: %d packets not yet accepted\n", ch.Name, n)
+		for i := range m.flt.links {
+			if ch := &m.flt.links[i]; ch.InFlight() > 0 {
+				add("link %s: %d packets not yet accepted\n", ch.Name(), ch.InFlight())
 			}
 		}
 		for _, id := range m.flt.failedList {
-			add("link %s: permanently failed\n", m.chans[id].Name)
+			add("link %s: permanently failed\n", m.chans[id].Name())
 		}
 	}
 	if lines > maxLines {

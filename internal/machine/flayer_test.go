@@ -130,7 +130,7 @@ func TestFaultPermanentLinkDegraded(t *testing.T) {
 	}
 	for _, id := range m.flt.failedList {
 		if sent := m.Chan(id).FlitsSent(); sent != 0 {
-			t.Errorf("failed link %s carried %d flits, want 0", m.Chan(id).Name, sent)
+			t.Errorf("failed link %s carried %d flits, want 0", m.Chan(id).Name(), sent)
 		}
 	}
 	if st.Counters.Rerouted == 0 {
@@ -182,7 +182,8 @@ func TestFaultDeterminism(t *testing.T) {
 			t.Fatal(err)
 		}
 		var sum uint64
-		for _, ch := range m.chans {
+		for i := range m.chans {
+			ch := &m.chans[i]
 			sum += ch.Sent * uint64(ch.ID+1)
 		}
 		return end, sum, m.FaultStatus().Counters

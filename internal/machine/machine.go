@@ -25,14 +25,14 @@ type Machine struct {
 	// links (route.FaultRouter) — in which case absorbed link deaths do
 	// not degrade the run.
 	faultAware bool
-	chans      []*fabric.Channel // global channel id -> channel
-	nodes      []*node
+	chans      []fabric.Channel // global channel id -> channel
+	nodes      []node
 
 	injected  uint64
 	delivered uint64
 
-	// arena backs the VC queues, port tables and scratch arrays of every
-	// router and adapter.
+	// arena backs every component and the VC queues, port tables,
+	// arbiters and scratch arrays of every router and adapter.
 	arena hotArena
 
 	// Sharding state (Cfg.Shards > 1): components are partitioned into
@@ -60,7 +60,7 @@ type Machine struct {
 	snap snapWalk
 }
 
-// node groups one ASIC's components.
+// node groups one ASIC's components, which live in the arena.
 type node struct {
 	ID        int
 	Routers   [topo.NumRouters]*router
@@ -135,15 +135,16 @@ func build(cfg Config) (*Machine, error) {
 	}
 	m.arena = newArena(m)
 
-	// Channels.
-	m.chans = make([]*fabric.Channel, tm.NumChannels())
+	// Channels, one slab built in place; each renders its name from its
+	// id on demand.
+	m.chans = make([]fabric.Channel, tm.NumChannels())
 	for n := 0; n < tm.NumNodes(); n++ {
 		for ci := range tm.Chip.IntraChans {
 			ch := &tm.Chip.IntraChans[ci]
 			id := tm.IntraChanID(n, ci)
-			m.chans[id] = fabric.New(fabric.Config{
+			m.chans[id].Init(fabric.Config{
 				ID:            id,
-				Name:          fmt.Sprintf("n%d:%s", n, ch.Name),
+				Names:         tm,
 				Group:         ch.Group,
 				Latency:       topo.MeshLatency,
 				RateMilli:     fabric.MeshRateMilli,
@@ -156,9 +157,9 @@ func build(cfg Config) (*Machine, error) {
 		for ai := 0; ai < topo.NumChannelAdapters; ai++ {
 			ad := topo.AdapterByIndex(ai)
 			id := tm.TorusChanID(n, ad.Dir, ad.Slice)
-			m.chans[id] = fabric.New(fabric.Config{
+			m.chans[id].Init(fabric.Config{
 				ID:            id,
-				Name:          fmt.Sprintf("n%d:torus:%s", n, ad),
+				Names:         tm,
 				Group:         topo.GroupT,
 				Latency:       topo.TorusLatency,
 				RateMilli:     topo.TorusRateMilli,
@@ -170,6 +171,15 @@ func build(cfg Config) (*Machine, error) {
 		}
 	}
 
+	// The engine is sized once for every component: the fault layer, if
+	// any, then each node's routers, adapters and endpoints.
+	prefix := 0
+	if cfg.Fault != nil {
+		prefix = 1
+	}
+	perNode := topo.NumRouters + topo.NumChannelAdapters + topo.NumEndpoints
+	m.Engine.Reserve(prefix + tm.NumNodes()*perNode)
+
 	// Fault layer, before the components: it must exist when the channel
 	// adapters bind their reliable-link state, and it ticks first each
 	// cycle so stall transitions and credit resyncs precede all adapters.
@@ -180,10 +190,10 @@ func build(cfg Config) (*Machine, error) {
 
 	// Components, registered in a fixed order for determinism; each records
 	// its engine id and shard and binds its channels for active-set wakeups.
-	m.nodes = make([]*node, tm.NumNodes())
+	m.nodes = make([]node, tm.NumNodes())
 	for n := 0; n < tm.NumNodes(); n++ {
-		node := &node{ID: n}
-		m.nodes[n] = node
+		node := &m.nodes[n]
+		node.ID = n
 		sh := m.nodeShard[n]
 		for ri := 0; ri < topo.NumRouters; ri++ {
 			r := newRouter(m, n, topo.RouterCoord(ri))
@@ -209,14 +219,9 @@ func build(cfg Config) (*Machine, error) {
 	// active set (matching its first-registered position in scan mode), and
 	// its same-cycle effects — stall onsets, credit-resync restores — stay
 	// visible to adapters ticking in the same cycle.
-	prefix := 0
-	if m.flt != nil {
-		prefix = 1
-	}
 	m.Engine.SetSerialPrefix(prefix)
 
 	if shards > 1 {
-		perNode := topo.NumRouters + topo.NumChannelAdapters + topo.NumEndpoints
 		ranges := make([]sim.ShardRange, 0, shards)
 		lo := 0
 		for n := 1; n <= tm.NumNodes(); n++ {
@@ -299,18 +304,7 @@ func (m *Machine) Endpoint(ne topo.NodeEp) *EndpointAdapter {
 }
 
 // Chan returns a channel by global id.
-func (m *Machine) Chan(id int) *fabric.Channel { return m.chans[id] }
-
-// newArbiter builds one arbitration point of the configured flavor.
-func (m *Machine) newArbiter(k int, weights [][arbiter.NumPatterns]uint32) arbiter.Arbiter {
-	if m.Cfg.Arbiter == arbiter.KindInverseWeighted {
-		if weights == nil {
-			weights = arbiter.UniformWeights(k)
-		}
-		return arbiter.NewInverseWeighted(k, weights)
-	}
-	return arbiter.NewRoundRobin(k)
-}
+func (m *Machine) Chan(id int) *fabric.Channel { return &m.chans[id] }
 
 func (m *Machine) sa1Weights(router, port, k int) [][arbiter.NumPatterns]uint32 {
 	if m.Cfg.Weights == nil {
@@ -559,8 +553,8 @@ func (m *Machine) queuedPackets() int {
 		}
 		for _, a := range node.Adapters {
 			total += a.queued
-			for i := range a.ing.vcs {
-				total += len(a.ing.vcs[i].branches)
+			for _, br := range a.branches {
+				total += len(br)
 			}
 		}
 		for _, e := range node.Endpoints {
@@ -576,8 +570,8 @@ func (m *Machine) quiet() bool {
 	if m.queuedPackets() != 0 {
 		return false
 	}
-	for _, ch := range m.chans {
-		if !ch.Quiet() {
+	for i := range m.chans {
+		if !m.chans[i].Quiet() {
 			return false
 		}
 	}

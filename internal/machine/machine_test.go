@@ -73,12 +73,12 @@ func TestSimulatorMatchesWalk(t *testing.T) {
 		for _, h := range want {
 			used[h.Chan] = true
 		}
-		for id, ch := range m.chans {
-			switch {
+		for id := range m.chans {
+			switch ch := &m.chans[id]; {
 			case used[id] && ch.Sent != 1:
-				t.Errorf("trial %d: channel %s carried %d flits, want 1", trial, ch.Name, ch.Sent)
+				t.Errorf("trial %d: channel %s carried %d flits, want 1", trial, ch.Name(), ch.Sent)
 			case !used[id] && ch.Sent != 0:
-				t.Errorf("trial %d: channel %s carried %d flits, want 0 (not on route)", trial, ch.Name, ch.Sent)
+				t.Errorf("trial %d: channel %s carried %d flits, want 0 (not on route)", trial, ch.Name(), ch.Sent)
 			}
 		}
 	}
@@ -134,7 +134,8 @@ func TestDeterminism(t *testing.T) {
 			t.Fatal(err)
 		}
 		var sum uint64
-		for _, ch := range m.chans {
+		for i := range m.chans {
+			ch := &m.chans[i]
 			sum += ch.Sent * uint64(ch.ID+1)
 		}
 		return end, sum

@@ -6,6 +6,7 @@ import (
 
 	"anton2/internal/fabric"
 	"anton2/internal/multicast"
+	"anton2/internal/packet"
 	"anton2/internal/route"
 	"anton2/internal/topo"
 )
@@ -36,7 +37,7 @@ func (m *Machine) maskErrors() []string {
 			errs = append(errs, fmt.Sprintf("%s: %s ready bit %d is %v with %d in flight", who, side, bit, got, inFlight))
 		}
 	}
-	queues := func(who, side string, s *vcset, out func(port int8) *fabric.Channel) {
+	queues := func(who, side string, s *vcset, branches [][]*packet.Packet, out func(port int8) *fabric.Channel) {
 		if want := occupancy(s.vcs); s.occ != want {
 			errs = append(errs, fmt.Sprintf("%s: %s occupancy mask %#x, queues say %#x", who, side, s.occ, want))
 		}
@@ -46,8 +47,8 @@ func (m *Machine) maskErrors() []string {
 				continue
 			}
 			next := q.headPkt()
-			if len(q.branches) > 0 {
-				next = q.branches[0]
+			if branches != nil && len(branches[vc]) > 0 {
+				next = branches[vc][0]
 			}
 			if q.size != next.Size || q.pat != next.PatternID {
 				errs = append(errs, fmt.Sprintf("%s: %s VC %d caches size %d pattern %d, the next packet out has %d, %d", who, side, vc, q.size, q.pat, next.Size, next.PatternID))
@@ -70,7 +71,7 @@ func (m *Machine) maskErrors() []string {
 				ps := &r.ports[pi]
 				in(who, r.inMask, pi, ps.in)
 				cred(who, r.credMask, pi, ps.out)
-				queues(who, fmt.Sprintf("port %d", pi), &ps.vcset, func(po int8) *fabric.Channel { return r.ports[po].out })
+				queues(who, fmt.Sprintf("port %d", pi), &ps.vcset, nil, func(po int8) *fabric.Channel { return r.ports[po].out })
 			}
 			if r.inMask>>len(r.ports) != 0 || r.credMask>>len(r.ports) != 0 {
 				errs = append(errs, who+": ready bit beyond the port count")
@@ -86,8 +87,8 @@ func (m *Machine) maskErrors() []string {
 			}
 			cred(who, a.credMask, credTorusOut, a.torusOut)
 			cred(who, a.credMask, credToRouter, a.toRouter)
-			queues(who, "egress", &a.eg, func(int8) *fabric.Channel { return a.torusOut })
-			queues(who, "ingress", &a.ing, func(int8) *fabric.Channel { return a.toRouter })
+			queues(who, "egress", &a.eg, nil, func(int8) *fabric.Channel { return a.torusOut })
+			queues(who, "ingress", &a.ing, a.branches, func(int8) *fabric.Channel { return a.toRouter })
 		}
 		for ei, e := range node.Endpoints {
 			who := fmt.Sprintf("node %d endpoint %d", node.ID, ei)

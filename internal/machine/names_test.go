@@ -29,7 +29,7 @@ func TestChannelNamesFromIDs(t *testing.T) {
 		t.Run(c.shape.String(), func(t *testing.T) {
 			m := MustNew(DefaultConfig(c.shape))
 			for id := 0; id < m.Topo.NumChannels(); id++ {
-				if got, want := m.Chan(id).Name, m.Topo.ChanName(id); got != want {
+				if got, want := m.Chan(id).Name(), m.Topo.ChanName(id); got != want {
 					t.Fatalf("channel %d is named %q, want %q", id, got, want)
 				}
 			}

@@ -17,7 +17,7 @@ const never = math.MaxUint64
 // Capacity is enforced by upstream credits, not by the queue itself.
 type vcq struct {
 	pkts []*packet.Packet
-	head int
+	head int32
 
 	// Head-of-line state, valid while the head is routed (out is non-nil):
 	// the route decision (output channel and VC; a router also records the
@@ -31,15 +31,9 @@ type vcq struct {
 	pat     uint8
 	readyAt uint64
 	out     *fabric.Channel
-
-	// branches holds a multicast head's replicated copies, sent one per
-	// cycle from the single buffered original (channel-adapter ingress
-	// replication); the head pops and its credit returns only after the
-	// last branch leaves.
-	branches []*packet.Packet
 }
 
-func (q *vcq) empty() bool { return q.head >= len(q.pkts) }
+func (q *vcq) empty() bool { return int(q.head) >= len(q.pkts) }
 
 func (q *vcq) headPkt() *packet.Packet { return q.pkts[q.head] }
 
@@ -63,10 +57,10 @@ type vcset struct {
 	arb arbiter.Arbiter
 }
 
-// headRouter is a component's route computation for a queue's new head: it
-// sets the head's route with vcq.markRouted.
+// headRouter is a component's route computation for the new head of queue vc:
+// it sets the head's route with vcq.markRouted.
 type headRouter interface {
-	route(now uint64, q *vcq)
+	route(now uint64, q *vcq, vc int)
 }
 
 // push appends p to the queue of its arrival VC.
@@ -83,12 +77,12 @@ func (s *vcset) pop(vc int) *packet.Packet {
 	p := q.pkts[q.head]
 	q.pkts[q.head] = nil
 	q.head++
-	if q.head == len(q.pkts) {
+	if h := int(q.head); h == len(q.pkts) {
 		q.head = 0
 		q.pkts = q.pkts[:0]
 		s.occ &^= 1 << vc
-	} else if q.head >= 16 && q.head*2 >= len(q.pkts) {
-		n := copy(q.pkts, q.pkts[q.head:])
+	} else if h >= 16 && h*2 >= len(q.pkts) {
+		n := copy(q.pkts, q.pkts[h:])
 		for i := n; i < len(q.pkts); i++ {
 			q.pkts[i] = nil
 		}
@@ -96,7 +90,6 @@ func (s *vcset) pop(vc int) *packet.Packet {
 		q.head = 0
 	}
 	q.out = nil
-	q.branches = nil
 	return p
 }
 
@@ -113,7 +106,7 @@ func (s *vcset) nominate(now uint64, pats []uint8, hr headRouter) (g int, req, w
 		vci := bits.TrailingZeros32(m)
 		q := &s.vcs[vci]
 		if q.out == nil {
-			hr.route(now, q)
+			hr.route(now, q, vci)
 		}
 		at := q.readyAt
 		if at <= now {
@@ -135,7 +128,7 @@ func (s *vcset) nominate(now uint64, pats []uint8, hr headRouter) (g int, req, w
 // flits returns the queued flit count (for buffer occupancy accounting).
 func (q *vcq) flits() int {
 	total := 0
-	for i := q.head; i < len(q.pkts); i++ {
+	for i := int(q.head); i < len(q.pkts); i++ {
 		total += int(q.pkts[i].Size)
 	}
 	return total

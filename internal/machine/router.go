@@ -31,8 +31,8 @@ type router struct {
 	// returning credits. tick visits set bits only.
 	inMask, credMask uint32
 
-	// Port tables, VC queues and scratch arrays are carved from the
-	// machine's flat arena in component-id order.
+	// Port tables, VC queues, arbiters and scratch arrays are carved from
+	// the machine's flat arena in component-id order.
 	ports  []routerPort
 	sa2    []arbiter.Arbiter // per output port, over input ports
 	inBusy []uint64          // crossbar input occupancy (multi-flit packets)
@@ -48,28 +48,23 @@ type routerPort struct {
 	vcset
 }
 
+// newRouter builds the router in place in the next slot of the arena.
 func newRouter(m *Machine, node int, rc topo.MeshCoord) *router {
 	cr := m.Topo.Chip.RouterAt(rc)
 	np, maxVC := len(cr.Ports), route.MaxTotalVCs(m.Cfg.Scheme)
 	a := &m.arena
-	r := &router{
-		m:        m,
-		node:     node,
-		rc:       rc,
-		routerID: topo.RouterID(rc),
-		ports:    carve(a.ports, &a.np, np),
-		sa2:      make([]arbiter.Arbiter, np),
-		inBusy:   carve(a.busy, &a.nb, np),
-		pats:     carve(a.pats, &a.ns, max(maxVC, np)),
-	}
+	r := &carve(a.routers, &a.nr, 1)[0]
+	r.m, r.node, r.rc, r.routerID = m, node, rc, topo.RouterID(rc)
+	r.ports = carve(a.ports, &a.np, np)
+	r.sa2 = carve(a.arbs, &a.nx, np)
+	r.inBusy = carve(a.busy, &a.nb, np)
+	r.pats = carve(a.pats, &a.ns, max(maxVC, np))
 	for pi := range cr.Ports {
-		p := &cr.Ports[pi]
-		r.ports[pi] = routerPort{
-			in:    m.chans[m.Topo.IntraChanID(node, p.InChan)],
-			out:   m.chans[m.Topo.IntraChanID(node, p.OutChan)],
-			vcset: m.newVCSet(maxVC, m.sa1Weights(r.routerID, pi, maxVC)),
-		}
-		r.sa2[pi] = m.newArbiter(np, m.sa2Weights(r.routerID, pi, np))
+		p, ps := &cr.Ports[pi], &r.ports[pi]
+		ps.in = &m.chans[m.Topo.IntraChanID(node, p.InChan)]
+		ps.out = &m.chans[m.Topo.IntraChanID(node, p.OutChan)]
+		m.newVCSet(&ps.vcset, maxVC, m.sa1Weights(r.routerID, pi, maxVC))
+		m.initArbiter(&r.sa2[pi], np, m.sa2Weights(r.routerID, pi, np))
 	}
 	return r
 }
@@ -183,7 +178,7 @@ func (r *router) tick(now uint64) (wake uint64) {
 }
 
 // route runs route computation for a queue's new head packet.
-func (r *router) route(now uint64, q *vcq) {
+func (r *router) route(now uint64, q *vcq, _ int) {
 	p := q.headPkt()
 	outVC := p.CurVC
 	var port int

@@ -31,7 +31,8 @@ type fingerprint struct {
 
 func (m *Machine) fingerprint(end uint64, runErr error) fingerprint {
 	fp := fingerprint{end: end, injected: m.Injected(), delivered: m.Delivered()}
-	for _, ch := range m.chans {
+	for i := range m.chans {
+		ch := &m.chans[i]
 		fp.flitSum += ch.Sent * uint64(ch.ID+1)
 		fp.pktSum += ch.Pkts * uint64(ch.ID*7+3)
 	}

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"anton2/internal/arbiter"
 	"anton2/internal/fabric"
 	"anton2/internal/fault"
 	"anton2/internal/packet"
@@ -143,16 +142,19 @@ func injectLoops(m *Machine) uint64 {
 func tickState(c *wire.Codec, comp sim.Component) {
 	u := func(v uint64) { c.Uvarint(&v) }
 	b := func(v bool) { c.Bool(&v) }
-	queues := func(s *vcset) {
+	queues := func(s *vcset, branches [][]*packet.Packet) {
 		u(uint64(s.occ))
 		for m := s.occ; m != 0; m &= m - 1 {
-			q := &s.vcs[bits.TrailingZeros32(m)]
-			u(uint64(len(q.pkts) - q.head))
+			vc := bits.TrailingZeros32(m)
+			q := &s.vcs[vc]
+			u(uint64(len(q.pkts) - int(q.head)))
 			b(q.out != nil)
 			u(uint64(q.outPort))
 			u(uint64(q.outVC))
 			u(q.readyAt)
-			u(uint64(len(q.branches)))
+			if branches != nil {
+				u(uint64(len(branches[vc])))
+			}
 		}
 	}
 	channel := func(ch *fabric.Channel) {
@@ -175,23 +177,23 @@ func tickState(c *wire.Codec, comp sim.Component) {
 		for pi := range x.ports {
 			ps := &x.ports[pi]
 			u(x.inBusy[pi])
-			queues(&ps.vcset)
+			queues(&ps.vcset, nil)
 			channel(ps.in)
 			channel(ps.out)
-			arbiter.State(c, ps.arb)
-			arbiter.State(c, x.sa2[pi])
+			ps.arb.State(c)
+			x.sa2[pi].State(c)
 		}
 	case *channelAdapter:
 		u(uint64(x.queued))
 		u(uint64(x.inMask))
 		u(uint64(x.credMask))
-		queues(&x.eg)
-		queues(&x.ing)
+		queues(&x.eg, nil)
+		queues(&x.ing, x.branches)
 		for _, ch := range [...]*fabric.Channel{x.fromRouter, x.toRouter, x.torusOut, x.torusIn} {
 			channel(ch)
 		}
-		arbiter.State(c, x.eg.arb)
-		arbiter.State(c, x.ing.arb)
+		x.eg.arb.State(c)
+		x.ing.arb.State(c)
 		for _, ch := range [...]*fabric.Channel{x.torusOut, x.torusIn} {
 			ch.LinkState(c, func(p *packet.Packet, _ bool) *packet.Packet { return p })
 		}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/bits"
 
-	"anton2/internal/arbiter"
 	"anton2/internal/fabric"
 	"anton2/internal/packet"
 	"anton2/internal/route"
@@ -123,10 +122,12 @@ func (w *snapWalk) pkts(s *[]*packet.Packet, head int) {
 
 // queues codes a component's queue set — its occupancy mask, then per
 // occupied queue its packets and, once made, its head-of-line route decision
-// — and returns the packets it holds. The record names a head's output by
-// port, one of ports; out maps a port to its channel. The occupancy mask is
-// decoded in place.
-func (w *snapWalk) queues(s *vcset, ports int, out func(port int) *fabric.Channel) (queued int) {
+// and the head's pending multicast branches — and returns the packets it
+// holds. The record names a head's output by port, one of ports; out maps a
+// port to its channel. branches holds the set's branch lists, one per VC, at
+// a replicating site (adapter ingress) and is nil elsewhere, where every
+// list is empty. The occupancy mask is decoded in place.
+func (w *snapWalk) queues(s *vcset, branches [][]*packet.Packet, ports int, out func(port int) *fabric.Channel) (queued int) {
 	mask := uint64(s.occ)
 	if w.Uvarint(&mask); mask>>len(s.vcs) != 0 {
 		w.Fail("queue set occupancy %#x names more than %d VCs", mask, len(s.vcs))
@@ -134,15 +135,23 @@ func (w *snapWalk) queues(s *vcset, ports int, out func(port int) *fabric.Channe
 	}
 	s.occ = uint32(mask)
 	for m := mask; m != 0; m &= m - 1 {
-		q := &s.vcs[bits.TrailingZeros64(m)]
-		w.pkts(&q.pkts, q.head)
+		vc := bits.TrailingZeros64(m)
+		q := &s.vcs[vc]
+		w.pkts(&q.pkts, int(q.head))
 		routed := q.out != nil
 		if w.Bool(&routed); routed {
 			port := uint8(q.outPort)
 			w.Byte(&port)
 			w.Byte(&q.outVC)
 			w.Uvarint(&q.readyAt)
-			w.pkts(&q.branches, 0)
+			var none []*packet.Packet
+			br := &none
+			if branches != nil {
+				br = &branches[vc]
+			}
+			if w.pkts(br, 0); len(*br) > 0 && branches == nil {
+				w.Fail("multicast branches at a queue that does not replicate")
+			}
 			if q.outPort = int8(port); q.outPort < 0 || int(q.outPort) >= ports || q.outVC >= fabric.MaxVCs {
 				w.Fail("head-of-line route to port %d VC %d", q.outPort, q.outVC)
 			} else if w.Decoding() && !q.empty() {
@@ -155,7 +164,7 @@ func (w *snapWalk) queues(s *vcset, ports int, out func(port int) *fabric.Channe
 		if q.empty() {
 			w.Fail("occupied queue with no packets")
 		}
-		queued += len(q.pkts) - q.head
+		queued += len(q.pkts) - int(q.head)
 	}
 	return queued
 }
@@ -302,21 +311,21 @@ func (m *Machine) body(w *snapWalk) {
 		for _, rt := range node.Routers {
 			for pi := range rt.ports {
 				ps := &rt.ports[pi]
-				if n := w.queues(&ps.vcset, len(rt.ports), func(p int) *fabric.Channel { return rt.ports[p].out }); w.Decoding() {
+				if n := w.queues(&ps.vcset, nil, len(rt.ports), func(p int) *fabric.Channel { return rt.ports[p].out }); w.Decoding() {
 					rt.queued += n
 				}
-				arbiter.State(c, ps.arb)
-				arbiter.State(c, rt.sa2[pi])
+				ps.arb.State(c)
+				rt.sa2[pi].State(c)
 				w.Uvarint(&rt.inBusy[pi])
 			}
 		}
 		for _, a := range node.Adapters {
-			if n := w.queues(&a.eg, 1, func(int) *fabric.Channel { return a.torusOut }) +
-				w.queues(&a.ing, 1, func(int) *fabric.Channel { return a.toRouter }); w.Decoding() {
+			if n := w.queues(&a.eg, nil, 1, func(int) *fabric.Channel { return a.torusOut }) +
+				w.queues(&a.ing, a.branches, 1, func(int) *fabric.Channel { return a.toRouter }); w.Decoding() {
 				a.queued = n
 			}
-			arbiter.State(c, a.eg.arb)
-			arbiter.State(c, a.ing.arb)
+			a.eg.arb.State(c)
+			a.ing.arb.State(c)
 		}
 		for _, e := range node.Endpoints {
 			w.pkts(&e.swq, e.head)
@@ -326,8 +335,8 @@ func (m *Machine) body(w *snapWalk) {
 			return
 		}
 	}
-	for _, ch := range m.chans {
-		ch.State(c, w.ref)
+	for i := range m.chans {
+		m.chans[i].State(c, w.ref)
 	}
 	if f := m.flt; f != nil {
 		f.inj.State(c)
@@ -338,8 +347,8 @@ func (m *Machine) body(w *snapWalk) {
 			// (counters() sums them).
 			f.cnt = cnt
 		}
-		for _, ch := range f.links {
-			ch.LinkState(c, w.ref)
+		for i := range f.links {
+			f.links[i].LinkState(c, w.ref)
 		}
 	}
 	if m.checks != nil {

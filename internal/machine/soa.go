@@ -2,27 +2,43 @@ package machine
 
 import (
 	"anton2/internal/arbiter"
+	"anton2/internal/packet"
 	"anton2/internal/route"
 	"anton2/internal/topo"
 )
 
-// hotArena owns the flat backing storage for the per-component arrays the
-// tick path indexes: the VC queues of all routers and channel adapters, and
-// the routers' port tables, crossbar-input occupancy and arbiter scratch
-// labels. (Credit counters and pipes live inline in fabric.Channel; ready and
-// occupancy masks live in the components and port tables.) Components are
-// carved contiguous subslices in registration (component-id) order, so the
-// cycle kernel walks dense memory instead of chasing per-component
-// allocations. The carve uses full slice expressions (len == cap), so an
-// accidental append in one component can never bleed into its neighbor's
-// storage.
+// hotArena owns the flat backing storage of every component: the routers,
+// channel adapters and endpoints themselves, and the per-component arrays
+// the tick path indexes — the VC queues of all routers and channel adapters,
+// the routers' port tables, crossbar-input occupancy and SA2 arbiters, the
+// inverse-weighted arbiters' accumulators, the adapters' multicast branch
+// lists and the arbiter scratch labels. (Credit counters and pipes live
+// inline in the machine's channel slab; ready and occupancy masks and the
+// SA1 and adapter arbiters live in the components and port tables.)
+// Components are carved in registration (component-id) order, so the cycle
+// kernel walks dense memory instead of chasing per-component allocations, and
+// a build makes a few dozen allocations however large the machine. The carve
+// uses full slice expressions (len == cap), so an accidental append in one
+// component can never bleed into its neighbor's storage.
 type hotArena struct {
-	vcqs  []vcq
-	ports []routerPort
-	busy  []uint64
-	pats  []uint8
+	routers   []router
+	adapters  []channelAdapter
+	endpoints []EndpointAdapter
 
-	nq, np, nb, ns int // carve cursors
+	vcqs     []vcq
+	ports    []routerPort
+	busy     []uint64
+	arbs     []arbiter.Arbiter
+	accum    []uint32
+	branches [][]*packet.Packet
+	pats     []uint8
+
+	// uniform is the inverse-weighted arbiters' weight table when the
+	// configuration brings none: equal weights, shared by every arbiter.
+	uniform [][arbiter.NumPatterns]uint32
+
+	// carve cursors
+	nr, na, ne, nq, np, nb, nx, nacc, nbr, ns int
 }
 
 // newArena pre-sizes the arena for a machine: the chip layout is identical
@@ -31,24 +47,35 @@ type hotArena struct {
 func newArena(m *Machine) hotArena {
 	maxVC := route.MaxTotalVCs(m.Cfg.Scheme)
 	tvcs := route.TotalVCs(m.Cfg.Scheme, topo.GroupT)
-	nPorts, nPats := 0, 0
+	nPorts, nSA2, nPats := 0, 0, 0
 	for ri := 0; ri < topo.NumRouters; ri++ {
 		cr := m.Topo.Chip.RouterAt(topo.RouterCoord(ri))
 		p := len(cr.Ports)
 		nPorts += p
-		scratch := maxVC
-		if scratch < p {
-			scratch = p
-		}
-		nPats += scratch
+		nSA2 += p * p
+		nPats += max(maxVC, p)
 	}
 	nodes := m.Topo.NumNodes()
-	return hotArena{
-		vcqs:  make([]vcq, (nPorts*maxVC+topo.NumChannelAdapters*2*tvcs)*nodes),
-		ports: make([]routerPort, nPorts*nodes),
-		busy:  make([]uint64, nPorts*nodes),
-		pats:  make([]uint8, (nPats+topo.NumChannelAdapters*tvcs)*nodes),
+	a := hotArena{
+		routers:   make([]router, topo.NumRouters*nodes),
+		adapters:  make([]channelAdapter, topo.NumChannelAdapters*nodes),
+		endpoints: make([]EndpointAdapter, topo.NumEndpoints*nodes),
+		vcqs:      make([]vcq, (nPorts*maxVC+topo.NumChannelAdapters*2*tvcs)*nodes),
+		ports:     make([]routerPort, nPorts*nodes),
+		busy:      make([]uint64, nPorts*nodes),
+		arbs:      make([]arbiter.Arbiter, nPorts*nodes),
+		branches:  make([][]*packet.Packet, topo.NumChannelAdapters*tvcs*nodes),
+		pats:      make([]uint8, (nPats+topo.NumChannelAdapters*tvcs)*nodes),
 	}
+	if m.Cfg.Arbiter == arbiter.KindInverseWeighted {
+		// One accumulator per arbiter input: each port's SA1 (maxVC) and
+		// SA2 (its router's port count) arbiters, each adapter side's.
+		a.accum = make([]uint32, (nPorts*maxVC+nSA2+topo.NumChannelAdapters*2*tvcs)*nodes)
+		if m.Cfg.Weights == nil {
+			a.uniform = arbiter.UniformWeights(max(maxVC, topo.MaxRouterPorts))
+		}
+	}
+	return a
 }
 
 // carve takes the next n elements of arr at cursor *next, as a full slice
@@ -59,7 +86,23 @@ func carve[T any](arr []T, next *int, n int) []T {
 	return s
 }
 
-// newVCSet carves n VC queues from the arena and puts an arbiter over them.
-func (m *Machine) newVCSet(n int, weights [][arbiter.NumPatterns]uint32) vcset {
-	return vcset{vcs: carve(m.arena.vcqs, &m.arena.nq, n), arb: m.newArbiter(n, weights)}
+// initArbiter builds a in place as one arbitration point over k inputs of
+// the configured flavor; weights is the point's slice of Cfg.Weights, nil
+// when the configuration brings none.
+func (m *Machine) initArbiter(a *arbiter.Arbiter, k int, weights [][arbiter.NumPatterns]uint32) {
+	if m.Cfg.Arbiter != arbiter.KindInverseWeighted {
+		a.Init(k, nil, nil)
+		return
+	}
+	if weights == nil {
+		weights = m.arena.uniform[:k]
+	}
+	a.Init(k, weights, carve(m.arena.accum, &m.arena.nacc, k))
+}
+
+// newVCSet carves n VC queues from the arena and builds the arbiter over
+// them in place.
+func (m *Machine) newVCSet(s *vcset, n int, weights [][arbiter.NumPatterns]uint32) {
+	s.vcs = carve(m.arena.vcqs, &m.arena.nq, n)
+	m.initArbiter(&s.arb, n, weights)
 }

@@ -449,3 +449,42 @@ func BenchmarkParallelStep(b *testing.B) {
 	b.ResetTimer()
 	e.Run(uint64(b.N))
 }
+
+// TestReserveSizesOnce: after Reserve, registering that many components
+// allocates nothing, and the schedule they get is the one growing as they
+// register gives: the wheel keeps its words and summaries through a later
+// growth past the reservation, and every component ticks at its wake.
+func TestReserveSizesOnce(t *testing.T) {
+	const n = 5000
+	e := NewEngineMode(ModeActive)
+	ws := make([]selfWaker, n+300)
+	e.Reserve(n)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range ws[:n] {
+		ws[i] = selfWaker{e: e, period: uint64(1 + i%7)}
+		ws[i].id = e.Register(&ws[i])
+	}
+	runtime.ReadMemStats(&after)
+	if allocs := after.Mallocs - before.Mallocs; allocs != 0 {
+		t.Fatalf("registering %d reserved components allocated %d times", n, allocs)
+	}
+	e.Run(3)
+	for i := range ws[n:] {
+		w := &ws[n+i]
+		*w = selfWaker{e: e, period: 2}
+		w.id = e.Register(w)
+	}
+	wheelCensus(t, &e.wheel, "after growth")
+	e.Run(12)
+	for i := range ws {
+		w := &ws[i]
+		start := uint64(0)
+		if i >= n {
+			start = 3
+		}
+		if want := int((15 - start + w.period - 1) / w.period); len(w.ticks) != want {
+			t.Fatalf("component %d (period %d) ticked %d times, want %d", i, w.period, len(w.ticks), want)
+		}
+	}
+}

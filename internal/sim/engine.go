@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -127,6 +128,16 @@ func (e *Engine) Register(c Component) int {
 		e.Wake(id, e.now)
 	}
 	return id
+}
+
+// Reserve sizes the engine for n registered components before they
+// register: the component list and, in ModeActive, the wake wheel grow once
+// instead of as Register goes. Registration-time only.
+func (e *Engine) Reserve(n int) {
+	e.comps = slices.Grow(e.comps, max(0, n-len(e.comps)))
+	if e.mode == ModeActive {
+		e.wheel.grow(n)
+	}
 }
 
 // SetSerialPrefix marks components with id < n as the serial prefix: they

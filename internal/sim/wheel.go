@@ -87,19 +87,23 @@ func (w *wheel) reset() {
 }
 
 // grow widens every bucket to cover n components. Registration-time only.
+// All buckets share one backing array (and their summaries another), which
+// grows geometrically, so registering components one at a time stays
+// linear; Engine.Reserve grows it once, to the final count.
 func (w *wheel) grow(n int) {
 	nw := (n + 63) >> 6
 	if nw <= w.nwords {
 		return
 	}
+	nw = max(nw, 2*w.nwords)
 	ns := (nw + 63) >> 6
+	words := make([]uint64, wheelBuckets*nw)
+	sums := make([]uint64, wheelBuckets*ns)
 	for b := range w.words {
-		for len(w.words[b]) < nw {
-			w.words[b] = append(w.words[b], 0)
-		}
-		for len(w.sum[b]) < ns {
-			w.sum[b] = append(w.sum[b], 0)
-		}
+		copy(words[b*nw:], w.words[b])
+		copy(sums[b*ns:], w.sum[b])
+		w.words[b] = words[b*nw : (b+1)*nw : (b+1)*nw]
+		w.sum[b] = sums[b*ns : (b+1)*ns : (b+1)*ns]
 	}
 	w.nwords = nw
 }

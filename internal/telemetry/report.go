@@ -119,10 +119,11 @@ func (c *Collector) buildReport() *Report {
 
 func (c *Collector) channelStats(r *Report) {
 	r.Channels = make([]ChannelStat, 0, len(c.env.Channels))
-	for id, ch := range c.env.Channels {
+	for id := range c.env.Channels {
+		ch := &c.env.Channels[id]
 		cs := ChannelStat{
 			ID:          id,
-			Name:        ch.Name,
+			Name:        ch.Name(),
 			Adapter:     -1,
 			RateMilli:   ch.RateMilli(),
 			Flits:       ch.FlitsSent(),

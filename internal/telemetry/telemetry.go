@@ -60,7 +60,7 @@ type Options struct {
 // filled by machine.New; the collector never mutates anything it references.
 type Env struct {
 	Topo     *topo.Machine
-	Channels []*fabric.Channel // global channel id -> channel
+	Channels []fabric.Channel // global channel id -> channel
 	// MaxVCs is the per-port VC array stride (route.MaxTotalVCs).
 	MaxVCs int
 	// CyclePS is the cycle time in picoseconds (trace timestamp scale).
@@ -165,8 +165,8 @@ func (c *Collector) Observe(now uint64) (next uint64) {
 // closeWindow appends the window ending now to every channel's series and
 // samples occupancy.
 func (c *Collector) closeWindow() {
-	for i, ch := range c.env.Channels {
-		sent := ch.FlitsSent()
+	for i := range c.env.Channels {
+		sent := c.env.Channels[i].FlitsSent()
 		c.series[i] = append(c.series[i], sent-c.prevSent[i])
 		c.prevSent[i] = sent
 	}
