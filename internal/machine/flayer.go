@@ -200,7 +200,8 @@ func (m *Machine) deadlockDetail() string {
 			}
 		}
 	}
-	for _, node := range m.nodes {
+	for i := range m.nodes {
+		node := &m.nodes[i]
 		for ri, r := range node.Routers {
 			for pi := range r.ports {
 				queues(&r.ports[pi].vcset, "node %d router %d port %d", node.ID, ri, pi)

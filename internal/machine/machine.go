@@ -528,7 +528,8 @@ func (m *Machine) Checks() *check.Suite { return m.checks }
 // visits each (chip router, VC) pair with the queued flit count summed over
 // the router's input ports (every port has route.MaxTotalVCs queues).
 func (m *Machine) scanVCOccupancy(visit func(router int, vc uint8, flits int)) {
-	for _, node := range m.nodes {
+	for i := range m.nodes {
+		node := &m.nodes[i]
 		for ri, r := range node.Routers {
 			for vci := range r.ports[0].vcs {
 				flits := 0
@@ -547,7 +548,8 @@ func (m *Machine) scanVCOccupancy(visit func(router int, vc uint8, flits int)) {
 // checker itself.
 func (m *Machine) queuedPackets() int {
 	total := 0
-	for _, node := range m.nodes {
+	for i := range m.nodes {
+		node := &m.nodes[i]
 		for _, r := range node.Routers {
 			total += r.queued
 		}

@@ -64,7 +64,8 @@ func (m *Machine) maskErrors() []string {
 	cred := func(who string, mask uint32, bit int, ch *fabric.Channel) {
 		ready(who, "credit", mask, bit, ch.CreditsInFlight())
 	}
-	for _, node := range m.nodes {
+	for i := range m.nodes {
+		node := &m.nodes[i]
 		for ri, r := range node.Routers {
 			who := fmt.Sprintf("node %d router %d", node.ID, ri)
 			for pi := range r.ports {

@@ -273,7 +273,8 @@ func TestShardedSourceDriven(t *testing.T) {
 		cfg.Shards, cfg.Check = shards, shards > 0
 		m := steadyStateMachine(t, cfg)
 		m.Engine.Run(2048)
-		for _, node := range m.nodes {
+		for i := range m.nodes {
+			node := &m.nodes[i]
 			for _, e := range node.Endpoints {
 				e.Source = nil
 			}

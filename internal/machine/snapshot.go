@@ -307,7 +307,8 @@ func (m *Machine) table(w *snapWalk) {
 // body codes every component, in the order it lists them.
 func (m *Machine) body(w *snapWalk) {
 	c := &w.Codec
-	for _, node := range m.nodes {
+	for i := range m.nodes {
+		node := &m.nodes[i]
 		for _, rt := range node.Routers {
 			for pi := range rt.ports {
 				ps := &rt.ports[pi]
