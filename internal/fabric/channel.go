@@ -82,13 +82,14 @@ type Channel struct {
 	// utilization reporting). Pkts is the packet analogue.
 	Sent uint64
 	Pkts uint64
-	// Active-set bindings: the engines and component ids of the two
-	// endpoints. When bound, a send wakes the receiver at the arrival cycle
-	// and a credit return wakes the sender at the credit's arrival cycle, so
-	// sleeping components never miss traffic and — because credits are
-	// absorbed on the same cycle as in scan mode — per-cycle credit
-	// counters stay bit-identical across scheduling modes.
-	recvE, sndE *sim.Engine
+	// Active-set binding: the engine of the two endpoints, whose component
+	// ids are recvID and sndID (-1 for a side bound without one). When
+	// bound, a send wakes the receiver at the arrival cycle and a credit
+	// return wakes the sender at the credit's arrival cycle, so sleeping
+	// components never miss traffic and — because credits are absorbed on
+	// the same cycle as in scan mode — per-cycle credit counters stay
+	// bit-identical across scheduling modes.
+	eng *sim.Engine
 
 	credits sim.Pipe[creditMsg]
 	sndMask *uint32 // sender's credMask word and this channel's bit in it
@@ -174,10 +175,11 @@ func (ch *Channel) Init(c Config) {
 	}
 	ch.ID, ch.names, ch.Group = c.ID, c.Names, c.Group
 	ch.rate = c.RateMilli
-	ch.pkts = sim.MakePipe[*packet.Packet](c.Latency)
-	ch.credits = sim.MakePipe[creditMsg](c.CreditLatency)
+	ch.pkts.Init(c.Latency)
+	ch.credits.Init(c.CreditLatency)
 	ch.numVCs, ch.bufFlits = uint8(c.NumVCs), int32(c.BufFlits)
 	ch.recvMask, ch.sndMask = &ch.unbound, &ch.unbound
+	ch.recvID, ch.sndID = -1, -1
 	for i := 0; i < c.NumVCs; i++ {
 		ch.credit[i] = ch.bufFlits
 	}
@@ -217,7 +219,7 @@ func (ch *Channel) Energy() *EnergyCounters {
 // pipe sets bit of the component's inMask word and wakes it at the packet's
 // arrival cycle.
 func (ch *Channel) BindReceiver(e *sim.Engine, id int, inMask *uint32, bit uint) {
-	ch.recvE, ch.recvID = e, int32(id)
+	ch.recvID = ch.bind(e, id)
 	ch.recvMask, ch.recvBit = inMask, 1<<bit
 }
 
@@ -225,8 +227,28 @@ func (ch *Channel) BindReceiver(e *sim.Engine, id int, inMask *uint32, bit uint)
 // sets bit of the component's credMask word and wakes it at the credit's
 // arrival cycle.
 func (ch *Channel) BindSender(e *sim.Engine, id int, credMask *uint32, bit uint) {
-	ch.sndE, ch.sndID = e, int32(id)
+	ch.sndID = ch.bind(e, id)
 	ch.sndMask, ch.sndBit = credMask, 1<<bit
+}
+
+// bind records the engine a side is bound with and returns the component id
+// its wakes go to, -1 without an engine. Both sides share one engine.
+func (ch *Channel) bind(e *sim.Engine, id int) int32 {
+	if e == nil {
+		return -1
+	}
+	if ch.eng != nil && ch.eng != e {
+		panic("fabric: " + ch.Name() + " bound to two engines")
+	}
+	ch.eng = e
+	return int32(id)
+}
+
+// wake wakes component id at cycle at, unless id is -1.
+func (ch *Channel) wake(id int32, at uint64) {
+	if id >= 0 {
+		ch.eng.Wake(int(id), at)
+	}
 }
 
 // pushPkt is the only place a packet enters the pipe: enqueue, mark the
@@ -234,9 +256,7 @@ func (ch *Channel) BindSender(e *sim.Engine, id int, credMask *uint32, bit uint)
 func (ch *Channel) pushPkt(at uint64, p *packet.Packet) {
 	ch.pkts.SendAt(at, p)
 	*ch.recvMask |= ch.recvBit
-	if ch.recvE != nil {
-		ch.recvE.Wake(int(ch.recvID), at)
-	}
+	ch.wake(ch.recvID, at)
 }
 
 // pushCredit is the only place a credit enters the pipe: enqueue, mark the
@@ -244,9 +264,7 @@ func (ch *Channel) pushPkt(at uint64, p *packet.Packet) {
 func (ch *Channel) pushCredit(at uint64, msg creditMsg) {
 	ch.credits.SendAt(at, msg)
 	*ch.sndMask |= ch.sndBit
-	if ch.sndE != nil {
-		ch.sndE.Wake(int(ch.sndID), at)
-	}
+	ch.wake(ch.sndID, at)
 }
 
 // StageList is one shard's list of the shard-crossing channels it staged
@@ -396,7 +414,7 @@ func (ch *Channel) transmit(now uint64, p *packet.Packet, vc uint8) uint64 {
 	if arrive <= now {
 		arrive = now + 1
 	}
-	if ch.deferred && ch.sndE.Parallel() {
+	if ch.deferred && ch.eng.Parallel() {
 		sd := ch.side
 		if len(sd.stagedPkts) == 0 {
 			sd.sndStage.chans = append(sd.sndStage.chans, ch)
@@ -449,7 +467,7 @@ func (ch *Channel) ReturnCredit(now uint64, vc uint8, flits uint8) {
 		return
 	}
 	at, msg := now+ch.credits.Latency(), creditMsg{vc: vc, flits: flits}
-	if ch.deferred && ch.recvE.Parallel() {
+	if ch.deferred && ch.eng.Parallel() {
 		ch.fileRecv()
 		ch.side.stagedCreds = append(ch.side.stagedCreds, stagedCred{at: at, msg: msg})
 		return
@@ -506,8 +524,8 @@ func (ch *Channel) RestoreLostCredits(now uint64) int {
 			lost[vc] = 0
 		}
 	}
-	if total > 0 && ch.sndE != nil {
-		ch.sndE.Wake(int(ch.sndID), now)
+	if total > 0 {
+		ch.wake(ch.sndID, now)
 	}
 	return total
 }

@@ -76,12 +76,13 @@ type link struct {
 // a stall episode.
 func (ch *Channel) EnableLink(corrupt func() bool) {
 	timeout := 8*ch.pkts.Latency() + 4*fault.StallCycles + 64
-	ch.link = &link{
+	l := &link{
 		snd:     fault.NewSender(fault.Window, timeout, fault.RetryLimit),
 		corrupt: corrupt,
-		hdrs:    sim.MakePipe[header](ch.pkts.Latency()),
-		ctrl:    sim.MakePipe[ctrlMsg](ch.pkts.Latency()),
 	}
+	l.hdrs.Init(ch.pkts.Latency())
+	l.ctrl.Init(ch.pkts.Latency())
+	ch.link = l
 }
 
 // LinkCounters returns the protocol events the link layer counted:
@@ -105,7 +106,7 @@ func (ch *Channel) sendFrame(now uint64, p *packet.Packet, seq uint64, vc uint8)
 		l.cnt.CorruptInjected++
 	}
 	at := ch.transmit(now, p, vc)
-	if ch.deferred && ch.sndE.Parallel() {
+	if ch.deferred && ch.eng.Parallel() {
 		l.stagedHdrs = append(l.stagedHdrs, h)
 	} else {
 		l.hdrs.SendAt(at, h)
@@ -147,7 +148,7 @@ func (ch *Channel) accept(now uint64, p *packet.Packet) bool {
 func (ch *Channel) sendCtrl(now uint64, c ctrlMsg) {
 	l := ch.link
 	at := now + l.ctrl.Latency()
-	if ch.deferred && ch.recvE.Parallel() {
+	if ch.deferred && ch.eng.Parallel() {
 		ch.fileRecv()
 		l.stagedAcks = append(l.stagedAcks, stagedAck{at: at, c: c})
 		return
@@ -160,9 +161,7 @@ func (ch *Channel) sendCtrl(now uint64, c ctrlMsg) {
 // pipe on every LinkTick, so no ready bit is involved.
 func (ch *Channel) pushCtrl(at uint64, c ctrlMsg) {
 	ch.link.ctrl.SendAt(at, c)
-	if ch.sndE != nil {
-		ch.sndE.Wake(int(ch.sndID), at)
-	}
+	ch.wake(ch.sndID, at)
 }
 
 // LinkTick runs the sending side of the link for cycle now: it drains the

@@ -64,7 +64,7 @@ func newChannelAdapter(m *Machine, node int, id topo.AdapterID) *channelAdapter 
 	tvcs := route.TotalVCs(m.Cfg.Scheme, topo.GroupT)
 	u := m.Topo.Shape.NodeID(m.Topo.Shape.Neighbor(m.Topo.Shape.Coord(node), id.Dir))
 	ar := &m.arena
-	a := &carve(ar.adapters, &ar.na, 1)[0]
+	a := &ar.adapters.take(1)[0]
 	a.m, a.node, a.nodeCoord, a.id = m, node, m.Topo.Shape.Coord(node), id
 	a.fromRouter = &m.chans[m.Topo.IntraChanID(node, ca.FromRouter)]
 	a.toRouter = &m.chans[m.Topo.IntraChanID(node, ca.ToRouter)]
@@ -72,8 +72,8 @@ func newChannelAdapter(m *Machine, node int, id topo.AdapterID) *channelAdapter 
 	a.torusIn = &m.chans[m.Topo.TorusChanID(u, id.Dir.Opposite(), id.Slice)]
 	m.newVCSet(&a.eg, tvcs, m.adapterWeights(true, id, tvcs))
 	m.newVCSet(&a.ing, tvcs, m.adapterWeights(false, id, tvcs))
-	a.pats = carve(ar.pats, &ar.ns, tvcs)
-	a.branches = carve(ar.branches, &ar.nbr, tvcs)
+	a.pats = ar.pats.take(tvcs)
+	a.branches = ar.branches.take(tvcs)
 	return a
 }
 

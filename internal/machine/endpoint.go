@@ -51,7 +51,7 @@ type EndpointAdapter struct {
 // newEndpoint builds the endpoint in place in the next slot of the arena.
 func newEndpoint(m *Machine, node, ep int) *EndpointAdapter {
 	ce := &m.Topo.Chip.Endpoints[ep]
-	e := &carve(m.arena.endpoints, &m.arena.ne, 1)[0]
+	e := &m.arena.endpoints.take(1)[0]
 	e.m = m
 	e.out = &m.chans[m.Topo.IntraChanID(node, ce.ToRouter)]
 	e.in = &m.chans[m.Topo.IntraChanID(node, ce.FromRouter)]

@@ -53,12 +53,12 @@ func newRouter(m *Machine, node int, rc topo.MeshCoord) *router {
 	cr := m.Topo.Chip.RouterAt(rc)
 	np, maxVC := len(cr.Ports), route.MaxTotalVCs(m.Cfg.Scheme)
 	a := &m.arena
-	r := &carve(a.routers, &a.nr, 1)[0]
+	r := &a.routers.take(1)[0]
 	r.m, r.node, r.rc, r.routerID = m, node, rc, topo.RouterID(rc)
-	r.ports = carve(a.ports, &a.np, np)
-	r.sa2 = carve(a.arbs, &a.nx, np)
-	r.inBusy = carve(a.busy, &a.nb, np)
-	r.pats = carve(a.pats, &a.ns, max(maxVC, np))
+	r.ports = a.ports.take(np)
+	r.sa2 = a.arbs.take(np)
+	r.inBusy = a.busy.take(np)
+	r.pats = a.pats.take(max(maxVC, np))
 	for pi := range cr.Ports {
 		p, ps := &cr.Ports[pi], &r.ports[pi]
 		ps.in = &m.chans[m.Topo.IntraChanID(node, p.InChan)]

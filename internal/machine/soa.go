@@ -17,28 +17,40 @@ import (
 // SA1 and adapter arbiters live in the components and port tables.)
 // Components are carved in registration (component-id) order, so the cycle
 // kernel walks dense memory instead of chasing per-component allocations, and
-// a build makes a few dozen allocations however large the machine. The carve
-// uses full slice expressions (len == cap), so an accidental append in one
-// component can never bleed into its neighbor's storage.
+// a build makes a few dozen allocations however large the machine.
 type hotArena struct {
-	routers   []router
-	adapters  []channelAdapter
-	endpoints []EndpointAdapter
+	routers   slab[router]
+	adapters  slab[channelAdapter]
+	endpoints slab[EndpointAdapter]
 
-	vcqs     []vcq
-	ports    []routerPort
-	busy     []uint64
-	arbs     []arbiter.Arbiter
-	accum    []uint32
-	branches [][]*packet.Packet
-	pats     []uint8
+	vcqs     slab[vcq]
+	ports    slab[routerPort]
+	busy     slab[uint64]
+	arbs     slab[arbiter.Arbiter]
+	accum    slab[uint32]
+	branches slab[[]*packet.Packet]
+	pats     slab[uint8]
 
 	// uniform is the inverse-weighted arbiters' weight table when the
 	// configuration brings none: equal weights, shared by every arbiter.
 	uniform [][arbiter.NumPatterns]uint32
+}
 
-	// carve cursors
-	nr, na, ne, nq, np, nb, nx, nacc, nbr, ns int
+// slab is one pre-sized array of the arena and its carve cursor.
+type slab[T any] struct {
+	s    []T
+	next int
+}
+
+func makeSlab[T any](n int) slab[T] { return slab[T]{s: make([]T, n)} }
+
+// take carves the next n elements, as a full slice expression (len == cap),
+// so an accidental append in one component can never bleed into its
+// neighbor's storage.
+func (s *slab[T]) take(n int) []T {
+	t := s.s[s.next : s.next+n : s.next+n]
+	s.next += n
+	return t
 }
 
 // newArena pre-sizes the arena for a machine: the chip layout is identical
@@ -57,33 +69,25 @@ func newArena(m *Machine) hotArena {
 	}
 	nodes := m.Topo.NumNodes()
 	a := hotArena{
-		routers:   make([]router, topo.NumRouters*nodes),
-		adapters:  make([]channelAdapter, topo.NumChannelAdapters*nodes),
-		endpoints: make([]EndpointAdapter, topo.NumEndpoints*nodes),
-		vcqs:      make([]vcq, (nPorts*maxVC+topo.NumChannelAdapters*2*tvcs)*nodes),
-		ports:     make([]routerPort, nPorts*nodes),
-		busy:      make([]uint64, nPorts*nodes),
-		arbs:      make([]arbiter.Arbiter, nPorts*nodes),
-		branches:  make([][]*packet.Packet, topo.NumChannelAdapters*tvcs*nodes),
-		pats:      make([]uint8, (nPats+topo.NumChannelAdapters*tvcs)*nodes),
+		routers:   makeSlab[router](topo.NumRouters * nodes),
+		adapters:  makeSlab[channelAdapter](topo.NumChannelAdapters * nodes),
+		endpoints: makeSlab[EndpointAdapter](topo.NumEndpoints * nodes),
+		vcqs:      makeSlab[vcq]((nPorts*maxVC + topo.NumChannelAdapters*2*tvcs) * nodes),
+		ports:     makeSlab[routerPort](nPorts * nodes),
+		busy:      makeSlab[uint64](nPorts * nodes),
+		arbs:      makeSlab[arbiter.Arbiter](nPorts * nodes),
+		branches:  makeSlab[[]*packet.Packet](topo.NumChannelAdapters * tvcs * nodes),
+		pats:      makeSlab[uint8]((nPats + topo.NumChannelAdapters*tvcs) * nodes),
 	}
 	if m.Cfg.Arbiter == arbiter.KindInverseWeighted {
 		// One accumulator per arbiter input: each port's SA1 (maxVC) and
 		// SA2 (its router's port count) arbiters, each adapter side's.
-		a.accum = make([]uint32, (nPorts*maxVC+nSA2+topo.NumChannelAdapters*2*tvcs)*nodes)
+		a.accum = makeSlab[uint32]((nPorts*maxVC + nSA2 + topo.NumChannelAdapters*2*tvcs) * nodes)
 		if m.Cfg.Weights == nil {
 			a.uniform = arbiter.UniformWeights(max(maxVC, topo.MaxRouterPorts))
 		}
 	}
 	return a
-}
-
-// carve takes the next n elements of arr at cursor *next, as a full slice
-// expression (len == cap).
-func carve[T any](arr []T, next *int, n int) []T {
-	s := arr[*next : *next+n : *next+n]
-	*next += n
-	return s
 }
 
 // initArbiter builds a in place as one arbitration point over k inputs of
@@ -97,12 +101,12 @@ func (m *Machine) initArbiter(a *arbiter.Arbiter, k int, weights [][arbiter.NumP
 	if weights == nil {
 		weights = m.arena.uniform[:k]
 	}
-	a.Init(k, weights, carve(m.arena.accum, &m.arena.nacc, k))
+	a.Init(k, weights, m.arena.accum.take(k))
 }
 
 // newVCSet carves n VC queues from the arena and builds the arbiter over
 // them in place.
 func (m *Machine) newVCSet(s *vcset, n int, weights [][arbiter.NumPatterns]uint32) {
-	s.vcs = carve(m.arena.vcqs, &m.arena.nq, n)
+	s.vcs = m.arena.vcqs.take(n)
 	m.initArbiter(&s.arb, n, weights)
 }

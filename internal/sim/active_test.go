@@ -451,23 +451,22 @@ func BenchmarkParallelStep(b *testing.B) {
 }
 
 // TestReserveSizesOnce: after Reserve, registering that many components
-// allocates nothing, and the schedule they get is the one growing as they
-// register gives: the wheel keeps its words and summaries through a later
-// growth past the reservation, and every component ticks at its wake.
+// neither regrows the component list nor moves a wheel bucket, and the
+// schedule they get is the one growing as they register gives: the wheel
+// keeps its words and summaries through a later growth past the
+// reservation, and every component ticks at its wake.
 func TestReserveSizesOnce(t *testing.T) {
 	const n = 5000
 	e := NewEngineMode(ModeActive)
 	ws := make([]selfWaker, n+300)
 	e.Reserve(n)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
+	comps, words, sums := cap(e.comps), &e.wheel.words[wheelMask][0], &e.wheel.sum[wheelMask][0]
 	for i := range ws[:n] {
 		ws[i] = selfWaker{e: e, period: uint64(1 + i%7)}
 		ws[i].id = e.Register(&ws[i])
 	}
-	runtime.ReadMemStats(&after)
-	if allocs := after.Mallocs - before.Mallocs; allocs != 0 {
-		t.Fatalf("registering %d reserved components allocated %d times", n, allocs)
+	if cap(e.comps) != comps || &e.wheel.words[wheelMask][0] != words || &e.wheel.sum[wheelMask][0] != sums {
+		t.Fatalf("registering %d reserved components regrew the engine", n)
 	}
 	e.Run(3)
 	for i := range ws[n:] {

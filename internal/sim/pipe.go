@@ -15,7 +15,7 @@ import "anton2/internal/wire"
 // Skipped idle cycles therefore cannot lose or delay items: arrival times are
 // absolute cycles, not tick counts.
 //
-// Layout: a Pipe is meant to be held by value inside its owner (MakePipe;
+// Layout: a Pipe is meant to be held by value inside its owner (Init;
 // fabric.Channel embeds two), and it caches its head's arrival cycle in due
 // — never when empty — so the common poll, "nothing has arrived yet", reads
 // one word of the owner's cache line and never touches the backing array. A
@@ -23,8 +23,8 @@ import "anton2/internal/wire"
 // polled on every one of them.
 type Pipe[T any] struct {
 	due     uint64 // arrival cycle of q[head]; never when the pipe is empty
-	latency uint64
-	head    int
+	latency uint32
+	head    int32
 	q       []pipeEntry[T]
 }
 
@@ -36,23 +36,21 @@ type pipeEntry[T any] struct {
 // never is the due value of an empty pipe: no poll cycle reaches it.
 const never = ^uint64(0)
 
-// MakePipe returns a pipe value with the given latency in cycles (minimum
-// 1), for its owner to hold inline.
-func MakePipe[T any](latency uint64) Pipe[T] {
-	if latency == 0 {
-		latency = 1
-	}
-	return Pipe[T]{due: never, latency: latency}
+// Init readies a zero pipe in place, inside its owner, with the given
+// latency in cycles (minimum 1). It writes no pointer, so building a slab
+// of channels costs no write barriers.
+func (p *Pipe[T]) Init(latency uint64) {
+	p.due, p.latency = never, uint32(max(latency, 1))
 }
 
 // Latency returns the pipe's delivery latency in cycles.
-func (p *Pipe[T]) Latency() uint64 { return p.latency }
+func (p *Pipe[T]) Latency() uint64 { return uint64(p.latency) }
 
 // SendAt enqueues an item that arrives at the explicit cycle at, which must
 // be at least now+1 for determinism. It is used to model serialized channels
 // whose delivery time depends on occupancy.
 func (p *Pipe[T]) SendAt(at uint64, v T) {
-	if p.head == len(p.q) {
+	if int(p.head) == len(p.q) {
 		p.due = at
 	}
 	p.q = append(p.q, pipeEntry[T]{at: at, item: v})
@@ -67,13 +65,12 @@ func (p *Pipe[T]) Poll(now uint64) (T, bool) {
 	v := p.q[p.head].item
 	p.q[p.head].item = zero // release for GC
 	p.head++
-	if p.head == len(p.q) {
+	if h := int(p.head); h == len(p.q) {
 		p.head = 0
 		p.q = p.q[:0]
 		p.due = never
 		return v, true
-	}
-	if p.head > 64 && p.head*2 >= len(p.q) {
+	} else if h > 64 && h*2 >= len(p.q) {
 		n := copy(p.q, p.q[p.head:])
 		for i := n; i < len(p.q); i++ {
 			p.q[i].item = zero
@@ -109,7 +106,7 @@ func (p *Pipe[T]) State(c *wire.Codec, minBytes int, entry func(at uint64, item 
 }
 
 // At returns the arrival cycle of the i-th item in the pipe, in FIFO order.
-func (p *Pipe[T]) At(i int) uint64 { return p.q[p.head+i].at }
+func (p *Pipe[T]) At(i int) uint64 { return p.q[int(p.head)+i].at }
 
 // Len returns the number of items in the pipe (arrived or in flight).
-func (p *Pipe[T]) Len() int { return len(p.q) - p.head }
+func (p *Pipe[T]) Len() int { return len(p.q) - int(p.head) }

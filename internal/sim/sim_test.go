@@ -132,7 +132,8 @@ func TestDeadlockSnapshot(t *testing.T) {
 func send[T any](p *Pipe[T], now uint64, v T) { p.SendAt(now+p.Latency(), v) }
 
 func TestPipeLatency(t *testing.T) {
-	p := MakePipe[int](3)
+	var p Pipe[int]
+	p.Init(3)
 	send(&p, 10, 42)
 	for now := uint64(10); now < 13; now++ {
 		if _, ok := p.Poll(now); ok {
@@ -149,7 +150,8 @@ func TestPipeLatency(t *testing.T) {
 }
 
 func TestPipeZeroLatencyClamped(t *testing.T) {
-	p := MakePipe[int](0)
+	var p Pipe[int]
+	p.Init(0)
 	if p.Latency() != 1 {
 		t.Fatalf("latency = %d, want clamped to 1", p.Latency())
 	}
@@ -163,7 +165,8 @@ func TestPipeZeroLatencyClamped(t *testing.T) {
 }
 
 func TestPipeFIFOOrder(t *testing.T) {
-	p := MakePipe[int](1)
+	var p Pipe[int]
+	p.Init(1)
 	for i := 0; i < 100; i++ {
 		send(&p, uint64(i), i)
 	}
@@ -176,7 +179,8 @@ func TestPipeFIFOOrder(t *testing.T) {
 }
 
 func TestPipeCompaction(t *testing.T) {
-	p := MakePipe[int](1)
+	var p Pipe[int]
+	p.Init(1)
 	// Interleave sends and polls to force the head-compaction path.
 	sent, got := 0, 0
 	for round := 0; round < 50; round++ {
@@ -208,7 +212,8 @@ func TestPipeCompaction(t *testing.T) {
 }
 
 func TestPipeSendAt(t *testing.T) {
-	p := MakePipe[string](1)
+	var p Pipe[string]
+	p.Init(1)
 	p.SendAt(7, "late")
 	if _, ok := p.Poll(6); ok {
 		t.Fatal("SendAt item visible early")
@@ -260,7 +265,8 @@ func TestSplitMix64Deterministic(t *testing.T) {
 func TestPipeProperty(t *testing.T) {
 	f := func(lat uint8, ops []uint8) bool {
 		latency := uint64(lat%8) + 1
-		p := MakePipe[uint64](latency)
+		var p Pipe[uint64]
+		p.Init(latency)
 		now := uint64(0)
 		var sentAt []uint64
 		next := 0
