@@ -198,7 +198,9 @@ func (a *channelAdapter) tick(now uint64) (wake uint64) {
 			// Send the next branch; pop the buffered original only
 			// after the last branch leaves.
 			a.m.send(now, a.toRouter, br[0], a.ing.vcs[g].outVC)
-			if a.branches[g] = br[1:]; len(br) == 1 {
+			if len(br) > 1 {
+				a.branches[g] = br[1:]
+			} else {
 				a.branches[g] = nil
 				orig := a.ing.pop(g)
 				a.torusIn.ReturnCredit(now, uint8(g), orig.Size)

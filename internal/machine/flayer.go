@@ -219,8 +219,9 @@ func (m *Machine) deadlockDetail() string {
 	}
 	if m.flt != nil {
 		for i := range m.flt.links {
-			if ch := &m.flt.links[i]; ch.InFlight() > 0 {
-				add("link %s: %d packets not yet accepted\n", ch.Name(), ch.InFlight())
+			ch := &m.flt.links[i]
+			if n := ch.InFlight(); n > 0 {
+				add("link %s: %d packets not yet accepted\n", ch.Name(), n)
 			}
 		}
 		for _, id := range m.flt.failedList {
