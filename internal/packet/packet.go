@@ -23,52 +23,55 @@ const (
 // Packet is one network packet. Packets move whole (virtual cut-through):
 // Size only affects channel occupancy and credit accounting.
 type Packet struct {
-	// ID is written by nothing: packets carry no serial number (String names
-	// one). It stays only because the benchmark harness compiles against it.
-	ID    uint64
-	Src   topo.NodeEp
+	// The fields up to Trace are the ones a hop touches (receive, routing,
+	// VC selection, forwarding, the invariant suite's stamps); they come
+	// first so that they share the first cache line of the packet's
+	// 192-byte allocation.
 	Dst   topo.NodeEp
-	Size  uint8 // flits
 	Route route.State
+	Size  uint8 // flits
 	// PatternID labels the packet with one of the precomputed traffic
 	// patterns for inverse-weighted arbitration (Section 3.2); it is a
 	// field in the Anton 2 packet header.
 	PatternID uint8
-	// MGroup is the multicast group id, or -1 for unicast packets.
-	// Multicast packets are replicated at endpoint and channel adapters
-	// according to the loaded tables (Section 2.3).
-	MGroup int
-
 	// CurVC is the physical VC on the channel currently carrying the
 	// packet; the sender sets it at each hop.
 	CurVC uint8
+	// TorusHops counts inter-node hops taken (for latency-vs-hops plots).
+	TorusHops uint8
 	// SeenMVC, SeenTVC and SeenDim are the invariant suite's last observation
 	// of Route.MVC, Route.TVC and Route.DimIdx (internal/check stamps them at
 	// injection and at every send); nothing else reads them. A checked
 	// machine's snapshot writes them in the packet's record.
 	SeenMVC, SeenTVC, SeenDim uint8
+	// ArrivedAt is the arrival cycle at the current hop (overwritten hop by
+	// hop, used for pipeline modeling).
+	ArrivedAt uint64
+	// Trace, when non-nil, accumulates per-stage timestamps as the packet
+	// moves (used to measure the Figure 12 latency decomposition).
+	Trace []TraceEvent
+
+	// ID is written by nothing: packets carry no serial number (String names
+	// one). It stays only because the benchmark harness compiles against it.
+	ID  uint64
+	Src topo.NodeEp
+	// MGroup is the multicast group id, or -1 for unicast packets.
+	// Multicast packets are replicated at endpoint and channel adapters
+	// according to the loaded tables (Section 2.3).
+	MGroup int
 
 	// Timestamps (cycles). InjectedAt is when software handed the packet
 	// to the endpoint adapter; DeliveredAt when the destination endpoint
-	// adapter accepted it. ArrivedAt is the arrival cycle at the current
-	// hop (overwritten hop by hop, used for pipeline modeling).
+	// adapter accepted it.
 	InjectedAt  uint64
 	DeliveredAt uint64
-	ArrivedAt   uint64
 	// NotBefore delays injection until the given cycle (rate-controlled
 	// streams in the energy experiments).
 	NotBefore uint64
 
-	// TorusHops counts inter-node hops taken (for latency-vs-hops plots).
-	TorusHops uint8
-
 	// Payload carries modeled data bits for the router-energy
 	// experiments; nil disables data-dependent accounting.
 	Payload []byte
-
-	// Trace, when non-nil, accumulates per-stage timestamps as the packet
-	// moves (used to measure the Figure 12 latency decomposition).
-	Trace []TraceEvent
 
 	// SourceRoute, when non-nil, overrides route computation: each entry
 	// is the output-port index to take at the next router visited. Used

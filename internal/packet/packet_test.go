@@ -1,6 +1,9 @@
 package packet
 
-import "testing"
+import (
+	"testing"
+	"unsafe"
+)
 
 func TestResetPreservesPayloadCapacity(t *testing.T) {
 	p := &Packet{InjectedAt: 7, Payload: make([]byte, 16, 32), TorusHops: 3}
@@ -25,5 +28,27 @@ func TestHammingAndSetBits(t *testing.T) {
 	}
 	if n := SetBits([]byte{0x03, 0x80}); n != 3 {
 		t.Errorf("SetBits = %d, want 3", n)
+	}
+}
+
+// TestPacketLayout keeps the fields every hop reads in the packet's first
+// cache line, and the packet in the 192-byte size class, whose slots start
+// on cache-line boundaries.
+func TestPacketLayout(t *testing.T) {
+	var p Packet
+	if size := unsafe.Sizeof(p); size > 192 {
+		t.Errorf("Packet is %d B, want ≤ 192", size)
+	}
+	for name, off := range map[string]uintptr{
+		"Dst": unsafe.Offsetof(p.Dst), "Route": unsafe.Offsetof(p.Route),
+		"Size": unsafe.Offsetof(p.Size), "PatternID": unsafe.Offsetof(p.PatternID),
+		"CurVC": unsafe.Offsetof(p.CurVC), "TorusHops": unsafe.Offsetof(p.TorusHops),
+		"SeenMVC": unsafe.Offsetof(p.SeenMVC), "SeenTVC": unsafe.Offsetof(p.SeenTVC),
+		"SeenDim": unsafe.Offsetof(p.SeenDim), "ArrivedAt": unsafe.Offsetof(p.ArrivedAt),
+		"Trace": unsafe.Offsetof(p.Trace), // its pointer word
+	} {
+		if off >= 64 {
+			t.Errorf("Packet.%s at offset %d, want < 64", name, off)
+		}
 	}
 }
