@@ -22,9 +22,11 @@ var sharedLoads = exp.NewCache()
 // loadsKey canonically identifies the inputs of a pattern-load computation.
 // Patterns are keyed by Name(), which uniquely identifies every pattern in
 // internal/traffic; custom Permutation patterns must use distinct labels.
+// The dir and skip tokens are route.NewConfig's constants, still written
+// because serve's disk tier persists loads under these keys.
 func loadsKey(cfg machine.Config, p traffic.Pattern) string {
-	return fmt.Sprintf("loads{shape=%v scheme=%s dir=%v skip=%v exitskip=%v pattern=%s}",
-		cfg.Shape, cfg.Strategy().Name(), topo.DefaultDirOrder, cfg.UseSkip, cfg.ExitSkip, p.Name())
+	return fmt.Sprintf("loads{shape=%v scheme=%s dir=%v skip=true exitskip=true pattern=%s}",
+		cfg.Shape, cfg.Strategy().Name(), topo.DefaultDirOrder, p.Name())
 }
 
 // computeLoads is the uncached load computation behind PatternLoads.

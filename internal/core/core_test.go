@@ -144,28 +144,6 @@ func TestRunLatencyFigure11(t *testing.T) {
 		t.Errorf("latency-vs-hops fit r2 = %.3f; should be nearly linear", res.R2)
 	}
 	t.Logf("fit: %.1f ns + %.1f ns/hop (r2=%.4f), min %.1f ns", res.InterceptNS, res.SlopeNS, res.R2, res.MinNS)
-
-	// The skip-channel ablation (EXPERIMENTS.md "Ablations"): with the
-	// exit crossing off, a packet that finished X walks the mesh to the far
-	// side instead of taking one skip hop, so it pays more per inter-node
-	// hop (X through-traffic crosses the skip either way). The sweep runs
-	// to the diameter, where the Y and Z hops no skip shortens dilute the
-	// difference: the default pairs per hop count resolve it.
-	slope := func(skips bool) float64 {
-		cfg := DefaultLatencyConfig(topo.Shape3(8, 2, 2))
-		cfg.Machine.UseSkip, cfg.Machine.ExitSkip = skips, skips
-		cfg.PingPongs = 4
-		res, err := RunLatency(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.SlopeNS
-	}
-	with, without := slope(true), slope(false)
-	if with >= without {
-		t.Errorf("per-hop latency with skips %.3f ns, without %.3f ns; skips must be faster", with, without)
-	}
-	t.Logf("per-hop latency: with skips %.3f ns, without %.3f ns", with, without)
 }
 
 func TestDecomposeMinLatency(t *testing.T) {

@@ -53,15 +53,16 @@ func (r BlendResult) SimCycles() uint64 { return r.Cycles }
 // package never set Multicast. Check and Telemetry are deliberately excluded —
 // the observability layers never affect results, so toggling them must not
 // change cache keys. The nineteen tokens are frozen — stored artifacts are
-// addressed by their hash — so the ten that no Config field sets any more
-// are still written: package topo's eight constants, the direction order
-// (always topo.DefaultDirOrder) and per-link latencies (always off).
+// addressed by their hash — so the twelve that no Config field sets any
+// more are still written: package topo's eight constants, the direction
+// order and the two skip tokens (always route.NewConfig's) and per-link
+// latencies (always off).
 func addMachine(s *exp.Spec, cfg machine.Config) *exp.Spec {
 	s.Add("shape", cfg.Shape).
 		Add("scheme", cfg.Strategy().Name()).
 		Add("dir", topo.DefaultDirOrder).
-		Add("skip", cfg.UseSkip).
-		Add("exitskip", cfg.ExitSkip).
+		Add("skip", true).
+		Add("exitskip", true).
 		Add("arb", cfg.Arbiter).
 		Add("meshbuf", topo.MeshVCBuf).
 		Add("torusbuf", topo.TorusVCBuf).

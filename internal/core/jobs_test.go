@@ -6,6 +6,7 @@ import (
 
 	"anton2/internal/exp"
 	"anton2/internal/machine"
+	"anton2/internal/route"
 	"anton2/internal/sim"
 	"anton2/internal/topo"
 	"anton2/internal/traffic"
@@ -71,9 +72,9 @@ func TestPatternLoadsShared(t *testing.T) {
 	if c != a {
 		t.Error("seed change must not split the loads cache")
 	}
-	noskip := mc
-	noskip.UseSkip = false
-	d, _ := PatternLoads(noskip, traffic.Uniform{})
+	rerouted := mc
+	rerouted.Scheme = route.BaselineScheme{}
+	d, _ := PatternLoads(rerouted, traffic.Uniform{})
 	if d == a {
 		t.Error("routing-policy change must not share cached loads")
 	}

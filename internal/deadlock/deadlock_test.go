@@ -140,22 +140,20 @@ func TestDescribeCycleAcyclic(t *testing.T) {
 }
 
 // TestConfigVariantsDeadlockFree covers the shipped configuration space:
-// with and without exit-skip crossings, and with UseSkip false ("no-skips":
-// exit and entry crossings off; X through-traffic still crosses the skip).
+// with and without exit-skip crossings ("through-only": X through-traffic
+// still crosses the skip).
 func TestConfigVariantsDeadlockFree(t *testing.T) {
 	shapes := []topo.TorusShape{topo.Shape3(4, 4, 2), topo.Shape3(8, 2, 2)}
 	variants := []struct {
-		name          string
-		useSkip, exit bool
+		name string
+		exit bool
 	}{
-		{"through+exit", true, true},
-		{"through-only", true, false},
-		{"no-skips", false, false},
+		{"through+exit", true},
+		{"through-only", false},
 	}
 	for _, shape := range shapes {
 		for _, v := range variants {
 			cfg := configFor(t, shape, route.AntonScheme{})
-			cfg.UseSkip = v.useSkip
 			cfg.ExitSkip = v.exit
 			if err := Verify(cfg); err != nil {
 				t.Errorf("%v %s: %v", shape, v.name, err)

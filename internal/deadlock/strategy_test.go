@@ -38,28 +38,18 @@ func TestRegisteredStrategiesDeadlockFree(t *testing.T) {
 }
 
 // TestRegisteredStrategiesDeadlockFreeNoSkips re-verifies the registry under
-// the skip-channel ablations: a strategy's argument must not depend on a
-// particular chip skip policy. "no-skips" is UseSkip false: exit and entry
-// crossings off, X through-traffic still on the skip.
+// the skip-channel ablation: a strategy's argument must not depend on a
+// particular chip skip policy. "through-only" is ExitSkip false: exit and
+// entry crossings off, X through-traffic still on the skip.
 func TestRegisteredStrategiesDeadlockFreeNoSkips(t *testing.T) {
-	variants := []struct {
-		name          string
-		useSkip, exit bool
-	}{
-		{"through-only", true, false},
-		{"no-skips", false, false},
-	}
 	for _, strat := range route.Strategies() {
-		for _, v := range variants {
-			t.Run(strat.Name()+"/"+v.name, func(t *testing.T) {
-				cfg := configFor(t, topo.Shape3(4, 4, 2), strat)
-				cfg.UseSkip = v.useSkip
-				cfg.ExitSkip = v.exit
-				if err := Verify(cfg); err != nil {
-					t.Fatal(err)
-				}
-			})
-		}
+		t.Run(strat.Name()+"/through-only", func(t *testing.T) {
+			cfg := configFor(t, topo.Shape3(4, 4, 2), strat)
+			cfg.ExitSkip = false
+			if err := Verify(cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 

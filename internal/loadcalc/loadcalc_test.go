@@ -370,7 +370,6 @@ func TestComputeMatchesWalkOracle(t *testing.T) {
 		set  func(*route.Config)
 	}{
 		{"default", func(*route.Config) {}},
-		{"noskip", func(c *route.Config) { c.UseSkip = false }},
 		{"noexitskip", func(c *route.Config) { c.ExitSkip = false }},
 		{"entryskip", func(c *route.Config) { c.EntrySkip = true }},
 	}

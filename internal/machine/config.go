@@ -39,11 +39,6 @@ type Config struct {
 	// policy. Nil selects the paper's; read it through Strategy, the one
 	// place that default is spelled.
 	Scheme route.Strategy
-	// ExitSkip lets packets finishing the X dimension cross sides over
-	// the skip; UseSkip false turns that crossing off. X through-traffic
-	// crosses the skip either way (see route.Config).
-	UseSkip  bool
-	ExitSkip bool
 	// Arbiter selects round-robin or inverse-weighted arbitration
 	// throughout the network.
 	Arbiter arbiter.Kind
@@ -134,16 +129,12 @@ func (c Config) Strategy() route.Strategy {
 // RouteConfig returns the routing configuration the config describes over
 // the topology tm: what New routes with and what the analytic consumers
 // (load calculation, deadlock analysis) must be handed to agree with it. The
-// on-chip direction order is always topo.DefaultDirOrder; the direction-order
-// ablations are analytic and vary route.Config.DirOrder directly.
+// direction order and skip policy are route.NewConfig's; the ablations of
+// either are analytic and vary the route.Config directly.
 func (c Config) RouteConfig(tm *topo.Machine) *route.Config {
-	return &route.Config{
-		Machine:  tm,
-		Scheme:   c.Strategy(),
-		DirOrder: topo.DefaultDirOrder,
-		UseSkip:  c.UseSkip,
-		ExitSkip: c.ExitSkip,
-	}
+	rc := route.NewConfig(tm)
+	rc.Scheme = c.Strategy()
+	return rc
 }
 
 // ConfigError is a Config that Validate refuses, naming the offending field.
@@ -211,8 +202,6 @@ func DefaultConfig(shape topo.TorusShape) Config {
 	return Config{
 		Shape:            shape,
 		Scheme:           route.AntonScheme{},
-		UseSkip:          true,
-		ExitSkip:         true,
 		Arbiter:          arbiter.KindRoundRobin,
 		EndpointPipeline: 4,
 		Seed:             1,

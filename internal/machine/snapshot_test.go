@@ -55,7 +55,8 @@ func snapConfig(shape topo.TorusShape, engine string, shards int, withFault bool
 // uniform loads.
 func inverseWeighted(cfg Config) Config {
 	tm := topo.MustMachine(cfg.Shape)
-	rc := &route.Config{Machine: tm, Scheme: cfg.Scheme, DirOrder: topo.DefaultDirOrder, UseSkip: true}
+	// Through-only skip weights: the golden records were taken with them.
+	rc := &route.Config{Machine: tm, Scheme: cfg.Scheme, DirOrder: topo.DefaultDirOrder, ExitSkip: false}
 	cfg.Arbiter = arbiter.KindInverseWeighted
 	cfg.Weights = loadcalc.BuildWeights(loadcalc.Compute(rc, tm.Chip.CoreEndpoints(), traffic.Uniform{}.Flows(tm), route.ClassRequest))
 	return cfg

@@ -40,13 +40,8 @@ func FuzzWalk(f *testing.F) {
 		default:
 			scheme = NoDatelineScheme{}
 		}
-		cfg := &Config{
-			Machine:  m,
-			Scheme:   scheme,
-			DirOrder: topo.DefaultDirOrder,
-			UseSkip:  true,
-			ExitSkip: exitSkip,
-		}
+		cfg := NewConfig(m)
+		cfg.Scheme, cfg.ExitSkip = scheme, exitSkip
 		src := topo.NodeEp{Node: int(srcNode) % shape.NumNodes(), Ep: int(srcEp) % topo.NumEndpoints}
 		dst := topo.NodeEp{Node: int(dstNode) % shape.NumNodes(), Ep: int(dstEp) % topo.NumEndpoints}
 		ord := topo.AllDimOrders[int(orderIdx)%len(topo.AllDimOrders)]
@@ -116,13 +111,8 @@ func FuzzStrategyWalk(f *testing.F) {
 		}
 		names := StrategyNames()
 		strat, _ := StrategyByName(names[int(stratSel)%len(names)])
-		cfg := &Config{
-			Machine:  m,
-			Scheme:   strat,
-			DirOrder: topo.DefaultDirOrder,
-			UseSkip:  true,
-			ExitSkip: exitSkip,
-		}
+		cfg := NewConfig(m)
+		cfg.Scheme, cfg.ExitSkip = strat, exitSkip
 		src := topo.NodeEp{Node: int(srcNode) % shape.NumNodes(), Ep: int(srcEp) % topo.NumEndpoints}
 		dst := topo.NodeEp{Node: int(dstNode) % shape.NumNodes(), Ep: int(dstEp) % topo.NumEndpoints}
 		raw := Choices{

@@ -367,30 +367,15 @@ func TestEntrySkipVariantRoutes(t *testing.T) {
 	}
 }
 
-// TestNoSkipVariantRoutes: with the exit and entry skip crossings off
-// (UseSkip false), routes stay minimal, within every VC budget, and deliver
-// everywhere. X through-traffic still crosses the skip (see
-// TestUseSkipOffKeepsThroughSkip).
-func TestNoSkipVariantRoutes(t *testing.T) {
-	cfg := cfgFor(t, topo.Shape3(8, 2, 2), AntonScheme{})
-	cfg.UseSkip = false
-	cfg.ExitSkip = false
-	rng := rand.New(rand.NewSource(18))
-	for i := 0; i < 300; i++ {
-		src := topo.NodeEp{Node: rng.Intn(cfg.Machine.NumNodes()), Ep: rng.Intn(topo.NumEndpoints)}
-		dst := topo.NodeEp{Node: rng.Intn(cfg.Machine.NumNodes()), Ep: rng.Intn(topo.NumEndpoints)}
-		walkEndToEnd(t, cfg, src, dst, RandomChoices(rng))
-	}
-}
-
-// TestUseSkipOffKeepsThroughSkip pins what UseSkip = false does: it turns
-// the exit and entry crossings off, and X through-traffic still crosses the
-// skip at every node it passes. Every route then crosses exactly one skip
-// per node it transits in X; under the default skips some cross one more.
-func TestUseSkipOffKeepsThroughSkip(t *testing.T) {
-	for _, useSkip := range []bool{false, true} {
+// TestExitSkipOffKeepsThroughSkip pins what ExitSkip = false does: it turns
+// the exit crossing off, and X through-traffic still crosses the skip at
+// every node it passes. Every route then crosses exactly one skip per node
+// it transits in X; under the default skips some cross one more. Either way
+// routes stay minimal, within every VC budget, and deliver.
+func TestExitSkipOffKeepsThroughSkip(t *testing.T) {
+	for _, exitSkip := range []bool{false, true} {
 		cfg := cfgFor(t, topo.Shape3(8, 2, 2), AntonScheme{})
-		cfg.UseSkip = useSkip
+		cfg.ExitSkip = exitSkip
 		m := cfg.Machine
 		skip := map[int]bool{}
 		for _, r := range m.Chip.Routers {
@@ -412,13 +397,13 @@ func TestUseSkipOffKeepsThroughSkip(t *testing.T) {
 			}
 			dx, _ := m.Shape.MinimalDelta(m.Shape.Coord(src.Node), m.Shape.Coord(dst.Node), topo.DimX)
 			transits := max(dx*sgn(dx)-1, 0)
-			if crossed < transits || !useSkip && crossed != transits {
-				t.Fatalf("UseSkip %v %v->%v %+v: %d skip crossings, %d X transits", useSkip, src, dst, c, crossed, transits)
+			if crossed < transits || !exitSkip && crossed != transits {
+				t.Fatalf("ExitSkip %v %v->%v %+v: %d skip crossings, %d X transits", exitSkip, src, dst, c, crossed, transits)
 			}
 			extra += crossed - transits
 		}
-		if useSkip != (extra > 0) {
-			t.Errorf("UseSkip %v: %d skip crossings beyond the X transits", useSkip, extra)
+		if exitSkip != (extra > 0) {
+			t.Errorf("ExitSkip %v: %d skip crossings beyond the X transits", exitSkip, extra)
 		}
 	}
 }

@@ -72,11 +72,6 @@ type Config struct {
 	// policy every transition function below consults.
 	Scheme   Strategy
 	DirOrder topo.DirOrder // on-chip direction order
-	// UseSkip gates the skip crossings of turning traffic: false turns
-	// EntrySkip and ExitSkip off (the skip ablation). X through-traffic
-	// crosses the skip whatever UseSkip says: RouterNext's transit branch
-	// takes it whenever its peer is the egress router.
-	UseSkip bool
 	// EntrySkip lets packets turning INTO the X dimension reach a
 	// far-side egress adapter via the near corner plus the skip channel.
 	// DISABLED in the default configuration: combined with ExitSkip it
@@ -90,10 +85,11 @@ type Config struct {
 	ExitSkip bool
 }
 
-// NewConfig returns a Config with the paper's defaults: the Anton strategy
-// and the V- U+ U- V+ direction order with skip channels enabled.
+// NewConfig returns a Config with the shipped defaults: the Anton strategy,
+// topo.DefaultDirOrder and exit skips on. It is the one place the shipped
+// skip policy is spelled; ablations vary the returned fields.
 func NewConfig(m *topo.Machine) *Config {
-	return &Config{Machine: m, Scheme: AntonScheme{}, DirOrder: topo.DefaultDirOrder, UseSkip: true, ExitSkip: true}
+	return &Config{Machine: m, Scheme: AntonScheme{}, DirOrder: topo.DefaultDirOrder, ExitSkip: true}
 }
 
 // delta returns the signed hop count from node cur to dst along dim. For
@@ -147,7 +143,7 @@ func (st *State) legPlan(cfg *Config, dst topo.NodeEp, at topo.MeshCoord) (cost 
 		tgt = chip.Endpoints[dst.Ep].Router
 	}
 	cost = meshDist(at, tgt)
-	if st.Mode == ModeMeshToAdapter && cfg.UseSkip && cfg.EntrySkip {
+	if st.Mode == ModeMeshToAdapter && cfg.EntrySkip {
 		if alt, ok := chip.SkipPartner(tgt); ok {
 			if c := meshDist(at, alt) + 1; c < cost {
 				return c, true
@@ -240,15 +236,9 @@ func RouterNext(cfg *Config, st *State, dst topo.NodeEp, rc topo.MeshCoord) (por
 		if sp := r.SkipPort(); sp >= 0 && r.Ports[sp].Peer == target {
 			return sp, st.TVC
 		}
-		// Neither at the egress router nor a skip away from it: mesh
-		// routing at the transit VC. No shipped layout reaches this (an
-		// X ingress router's skip partner is the egress router), and
-		// mesh channels are not sized for T-group VCs.
-		d, ok := cfg.DirOrder.NextMeshDir(rc, target)
-		if !ok {
-			panic(fmt.Sprintf("route: transit at %v with unreachable egress %v", rc, target))
-		}
-		return r.MeshPort(d), st.TVC
+		// Mesh channels carry no T-group VC, and an X ingress router's
+		// skip partner is its egress router in every layout.
+		panic(fmt.Sprintf("route: transit at %v is neither at nor a skip from egress %v", rc, target))
 	}
 
 	if rc == target {
@@ -326,7 +316,7 @@ func (st *State) planAfterDim(cfg *Config, dst topo.NodeEp, ingress topo.MeshCoo
 	st.SkipExit = false
 	costDirect, viaDirect := st.legPlan(cfg, dst, ingress)
 	st.ViaSkip = viaDirect
-	if cfg.UseSkip && cfg.ExitSkip {
+	if cfg.ExitSkip {
 		if sp, ok := cfg.Machine.Chip.SkipPartner(ingress); ok {
 			if costVia, viaS := st.legPlan(cfg, dst, sp); costVia+1 < costDirect {
 				st.SkipExit = true

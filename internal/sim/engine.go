@@ -85,12 +85,13 @@ type Engine struct {
 	parMin  uint32
 	parSlot int
 	pool    shardPool
-	// OnMerge, when non-nil, runs after the parallel phase of every cycle
-	// that had one, with the barrier still held (no worker ticking). The
-	// machine layer uses it to flush staged cross-shard channel sends and
-	// apply deferred deliveries in component-id order, which is what makes
-	// sharded runs bit-identical to serial ones.
-	OnMerge func(now uint64)
+	// onMerge (ConfigureShards' merge), when non-nil, runs after the
+	// parallel phase of every cycle that had one, with the barrier still
+	// held (no worker ticking). The machine layer uses it to flush staged
+	// cross-shard channel sends and apply deferred deliveries in
+	// component-id order, which is what makes sharded runs bit-identical
+	// to serial ones.
+	onMerge func(now uint64)
 
 	// DeadlockDetail, when non-nil, is called once when the RunUntil
 	// watchdog fires, to capture a diagnostic snapshot (e.g. a per-router
@@ -192,7 +193,7 @@ func (e *Engine) ConfigureShards(ranges []ShardRange, serialPrefix int, merge fu
 		panic("sim: ConfigureShards requires ModeActive")
 	}
 	e.serialPrefix = serialPrefix
-	e.OnMerge = merge
+	e.onMerge = merge
 	e.parMin = parallelMinReady
 	e.shard0 = ShardRange{Lo: max(ranges[0].Lo, serialPrefix), Hi: ranges[0].Hi}
 	e.workers = e.workers[:0]
@@ -414,7 +415,7 @@ func (e *Engine) stepActive() {
 // cycle, components only push into latency>=1 pipes, so intra-shard tick
 // order (id order, same as serial) is the only order that matters for
 // shard-local state; all cross-shard effects are staged by the machine layer
-// and applied by OnMerge in id order with their original arrival cycles, so
+// and applied by onMerge in id order with their original arrival cycles, so
 // the post-barrier state is bit-identical to a serial step.
 func (e *Engine) stepParallel(slot int) {
 	e.par, e.parSlot = true, slot
@@ -435,8 +436,8 @@ func (e *Engine) stepParallel(slot int) {
 	}
 	e.par = false
 	e.wheel.fold()
-	if e.OnMerge != nil {
-		e.OnMerge(e.now)
+	if e.onMerge != nil {
+		e.onMerge(e.now)
 	}
 }
 
