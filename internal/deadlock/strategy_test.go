@@ -38,18 +38,29 @@ func TestRegisteredStrategiesDeadlockFree(t *testing.T) {
 }
 
 // TestRegisteredStrategiesDeadlockFreeNoSkips re-verifies the registry under
-// the skip-channel ablation: a strategy's argument must not depend on a
+// the skip-channel ablations: a strategy's argument must not depend on a
 // particular chip skip policy. "through-only" is ExitSkip false: exit and
-// entry crossings off, X through-traffic still on the skip.
+// entry crossings off, X through-traffic still on the skip. "entry-only"
+// swaps the exit crossing for the entry one, the acyclic half of the pair
+// TestEntryPlusExitSkipIsCyclic rejects.
 func TestRegisteredStrategiesDeadlockFreeNoSkips(t *testing.T) {
+	variants := []struct {
+		name        string
+		entry, exit bool
+	}{
+		{"through-only", false, false},
+		{"entry-only", true, false},
+	}
 	for _, strat := range route.Strategies() {
-		t.Run(strat.Name()+"/through-only", func(t *testing.T) {
-			cfg := configFor(t, topo.Shape3(4, 4, 2), strat)
-			cfg.ExitSkip = false
-			if err := Verify(cfg); err != nil {
-				t.Fatal(err)
-			}
-		})
+		for _, v := range variants {
+			t.Run(strat.Name()+"/"+v.name, func(t *testing.T) {
+				cfg := configFor(t, topo.Shape3(4, 4, 2), strat)
+				cfg.EntrySkip, cfg.ExitSkip = v.entry, v.exit
+				if err := Verify(cfg); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
 	}
 }
 

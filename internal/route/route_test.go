@@ -68,7 +68,7 @@ func walkEndToEnd(t *testing.T, cfg *Config, src, dst topo.NodeEp, c Choices) []
 			torusHops++
 		}
 	}
-	if want := interNodeHops(m.Shape, src, dst); torusHops != want {
+	if want := interNodeHopsFor(cfg.Scheme, m.Shape, src, dst); torusHops != want {
 		t.Fatalf("%v->%v %+v: %d torus hops, want minimal %d", src, dst, c, torusHops, want)
 	}
 	return hops
@@ -364,6 +364,24 @@ func TestEntrySkipVariantRoutes(t *testing.T) {
 		src := topo.NodeEp{Node: rng.Intn(cfg.Machine.NumNodes()), Ep: rng.Intn(topo.NumEndpoints)}
 		dst := topo.NodeEp{Node: rng.Intn(cfg.Machine.NumNodes()), Ep: rng.Intn(topo.NumEndpoints)}
 		walkEndToEnd(t, cfg, src, dst, RandomChoices(rng))
+	}
+}
+
+// TestNoSkipVariantRoutes: with the exit and entry skip crossings both off,
+// every registered strategy's routes stay minimal, within every VC budget,
+// and deliver. X through-traffic still crosses the skip (see
+// TestExitSkipOffKeepsThroughSkip), so RouterNext's transit branch must
+// reach the egress router or the skip to it under each strategy.
+func TestNoSkipVariantRoutes(t *testing.T) {
+	for _, strat := range Strategies() {
+		cfg := cfgFor(t, topo.Shape3(8, 2, 2), strat)
+		cfg.EntrySkip, cfg.ExitSkip = false, false
+		rng := rand.New(rand.NewSource(18))
+		for range 300 {
+			src := topo.NodeEp{Node: rng.Intn(cfg.Machine.NumNodes()), Ep: rng.Intn(topo.NumEndpoints)}
+			dst := topo.NodeEp{Node: rng.Intn(cfg.Machine.NumNodes()), Ep: rng.Intn(topo.NumEndpoints)}
+			walkEndToEnd(t, cfg, src, dst, strat.Choose(cfg, src, dst, RandomChoices(rng), ClassRequest))
+		}
 	}
 }
 
