@@ -262,12 +262,11 @@ func TestMDStepCkptResume(t *testing.T) {
 }
 
 // mdCkptInQuiescence plays a run that crashes right after a checkpoint taken
-// inside a phase barrier's quiescence stepping: it drives the point's
-// workload with a checkpoint every cycle and keeps, at rc.Path, the first one
-// that fires after the clock at which its phase's last delivery arrived — the
-// delivery wait is over by then, so it is the driver's manual quiescence Step
-// that fired it. It fails the test unless a fresh machine can resume from
-// what it kept.
+// inside a phase barrier's quiescence drain: it drives the point's workload
+// with a checkpoint every cycle and keeps, at rc.Path, the first one that
+// fires after the clock at which its phase's last delivery arrived — the
+// delivery wait is over by then, so it is the barrier's drain that fired it.
+// It fails the test unless a fresh machine can resume from what it kept.
 func mdCkptInQuiescence(t *testing.T, cfg MDStepConfig, rc ckpt.RunConfig) {
 	t.Helper()
 	mc, spec, err := mdstepMachine(cfg)

@@ -115,18 +115,13 @@ func loopRoute(chip *topo.Chip, long bool, homeEp int) []uint8 {
 	return ports
 }
 
-// routerHops counts the router traversals of a source route (every entry is
-// one router's output decision).
-func routerHops(ports []uint8) int { return len(ports) }
-
-// measureStream drives one stream and returns the router-energy counters
-// plus the observed per-flit statistics.
-func measureStream(cfg EnergyConfig, long bool) (power.Counters, EnergyPoint, uint64, error) {
+// measureStream drives one stream and returns its router-energy counters.
+func measureStream(cfg EnergyConfig, long bool) (power.Counters, error) {
 	mcfg := cfg.Machine
 	mcfg.TrackEnergy = true
 	m, _, err := BuildMachine(mcfg)
 	if err != nil {
-		return power.Counters{}, EnergyPoint{}, 0, err
+		return power.Counters{}, err
 	}
 	tm := m.Topo
 	chip := tm.Chip
@@ -165,19 +160,12 @@ func measureStream(cfg EnergyConfig, long bool) (power.Counters, EnergyPoint, ui
 		sent++
 		return p
 	}
-	delivered := uint64(0)
-	ep.OnDeliver = func(p *packet.Packet, now uint64) bool {
-		delivered++
-		return false
-	}
-
 	total := uint64(cfg.Flits)
-	end, err := m.RunUntilDelivered(total, 50_000_000)
-	if err != nil {
-		return power.Counters{}, EnergyPoint{}, 0, fmt.Errorf("core: energy stream (long=%v): %w", long, err)
+	if _, err := m.RunUntilDelivered(total, 50_000_000); err != nil {
+		return power.Counters{}, fmt.Errorf("core: energy stream (long=%v): %w", long, err)
 	}
 	if err := m.FinishChecks(); err != nil {
-		return power.Counters{}, EnergyPoint{}, 0, fmt.Errorf("core: energy stream (long=%v): %w", long, err)
+		return power.Counters{}, fmt.Errorf("core: energy stream (long=%v): %w", long, err)
 	}
 
 	// Router energy: sum counters over channels driven by routers.
@@ -193,25 +181,18 @@ func measureStream(cfg EnergyConfig, long bool) (power.Counters, EnergyPoint, ui
 		}
 		c.Add(power.Counters(*e))
 	}
-	r := float64(cfg.RateNum) / float64(cfg.RateDen)
-	a := power.MaxActivationRate(r)
-	pt := EnergyPoint{
-		Rate:    r,
-		Payload: cfg.Payload,
-		AOverR:  a / r,
-	}
-	return c, pt, end, nil
+	return c, nil
 }
 
 // RunEnergy performs the two-route subtraction of Section 4.5: a 3-router
 // and a 35-router stream at the same rate and payload; per-flit, per-hop
 // energy is the counter difference over the hop difference.
 func RunEnergy(cfg EnergyConfig) (EnergyPoint, error) {
-	cShort, _, _, err := measureStream(cfg, false)
+	cShort, err := measureStream(cfg, false)
 	if err != nil {
 		return EnergyPoint{}, err
 	}
-	cLong, pt, _, err := measureStream(cfg, true)
+	cLong, err := measureStream(cfg, true)
 	if err != nil {
 		return EnergyPoint{}, err
 	}
@@ -219,13 +200,18 @@ func RunEnergy(cfg EnergyConfig) (EnergyPoint, error) {
 	// output decision per entry).
 	chip := topo.DefaultChip()
 	home := chip.CoreEndpoint(topo.MeshCoord{U: 0, V: 0})
-	hopsShort := routerHops(loopRoute(chip, false, home))
-	hopsLong := routerHops(loopRoute(chip, true, home))
+	hopsShort := len(loopRoute(chip, false, home))
+	hopsLong := len(loopRoute(chip, true, home))
 
 	eShort := power.PaperModel.WindowEnergy(cShort)
 	eLong := power.PaperModel.WindowEnergy(cLong)
-	flits := float64(cfg.Flits)
-	perHopPerFlit := (eLong - eShort) / float64(hopsLong-hopsShort) / flits
+	r := float64(cfg.RateNum) / float64(cfg.RateDen)
+	pt := EnergyPoint{
+		Rate:      r,
+		Payload:   cfg.Payload,
+		AOverR:    power.MaxActivationRate(r) / r,
+		PerFlitPJ: (eLong - eShort) / float64(hopsLong-hopsShort) / float64(cfg.Flits),
+	}
 
 	// Per-hop stream statistics from the same subtraction: the counter
 	// differences isolate the added hops, exactly as the power
@@ -236,7 +222,6 @@ func RunEnergy(cfg EnergyConfig) (EnergyPoint, error) {
 		pt.N = float64(cLong.SetBitsSum-cShort.SetBitsSum) / dF
 		pt.AOverR = float64(cLong.Activations-cShort.Activations) / dF
 	}
-	pt.PerFlitPJ = perHopPerFlit
 	return pt, nil
 }
 

@@ -378,7 +378,7 @@ func TestChannelStaging(t *testing.T) {
 			ch.BindSender(e, sender, &credMask, 5)
 			ch.BindReceiver(e, receiver, &inMask, 3)
 			merged := 0
-			e.ConfigureShards([]sim.ShardRange{{Lo: 0, Hi: 1}, {Lo: 1, Hi: 2}}, 0, func(now uint64) {
+			e.ConfigureShards([]sim.ShardRange{{Lo: 0, Hi: 1}, {Lo: 1, Hi: 2}}, func(now uint64) {
 				merged++
 				hdrs, acks := linkLens()
 				switch now {
@@ -399,7 +399,7 @@ func TestChannelStaging(t *testing.T) {
 				recv.Flush()
 			})
 			e.ForceParallelForTest(func(uint64) bool { return parallel })
-			e.Step()
+			e.Run(1)
 			if merged != 0 != parallel {
 				t.Fatalf("%s: merge ran %d times", name, merged)
 			}
@@ -416,7 +416,7 @@ func TestChannelStaging(t *testing.T) {
 			if hdrs, _ := linkLens(); hdrs != 1 || ch.link.hdrs.At(0) != ch.pkts.At(0) {
 				t.Fatalf("%s: %d headers in flight, want 1 due with its packet", name, hdrs)
 			}
-			e.Step()
+			e.Run(1)
 			if _, acks := linkLens(); got != sent || acks != 1 || ch.InFlight() != 0 {
 				t.Fatalf("%s: cycle 1 took %v of %v with %d acks and %d packets in flight, want the frame, 1 and 0",
 					name, got, sent, acks, ch.InFlight())

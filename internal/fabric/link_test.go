@@ -118,7 +118,7 @@ func runReliable(t *testing.T, mode sim.Mode) (uint64, fault.Counters) {
 			}
 			roundTrip(t, ch, cfg)
 		}
-		e.Step()
+		e.Run(1)
 		if got, want := ch.InFlight(), len(sent)-len(accepted); got != want {
 			t.Fatalf("cycle %d: InFlight %d, want sent %d - accepted %d", now, got, len(sent), len(accepted))
 		}

@@ -241,7 +241,7 @@ func steadyStateMachine(tb testing.TB, cfg Config) *Machine {
 		}
 	}
 	for i := 0; i < 4096; i++ {
-		m.Engine.Step()
+		m.Engine.Run(1)
 	}
 	return m
 }
@@ -254,7 +254,7 @@ func TestStepFaultOffZeroAllocs(t *testing.T) {
 	if m.flt != nil {
 		t.Fatal("fault layer attached without a spec")
 	}
-	if avg := testing.AllocsPerRun(500, func() { m.Engine.Step() }); avg != 0 {
-		t.Errorf("fault-off Engine.Step allocates %.2f objects/cycle, want 0", avg)
+	if avg := testing.AllocsPerRun(500, func() { m.Engine.Run(1) }); avg != 0 {
+		t.Errorf("fault-off Engine.Run(1) allocates %.2f objects/cycle, want 0", avg)
 	}
 }

@@ -230,7 +230,7 @@ func build(cfg Config) (*Machine, error) {
 				lo = n
 			}
 		}
-		m.Engine.ConfigureShards(ranges, prefix, m.merge)
+		m.Engine.ConfigureShards(ranges, m.merge)
 		// Torus channels whose endpoints land in different shards stage
 		// their traffic during a parallel phase; everything else stays
 		// direct.
@@ -459,7 +459,7 @@ func (m *Machine) InjectMulticast(src topo.NodeEp, group int, class route.Class,
 // deliver finalizes a packet at its destination endpoint.
 func (m *Machine) deliver(e *EndpointAdapter, p *packet.Packet, now uint64) {
 	m.delivered++
-	m.Engine.Progress()
+	m.Engine.ProgressAt(0)
 	if m.checks != nil {
 		m.checks.OnDeliver(p, now)
 	}
@@ -585,18 +585,14 @@ func (m *Machine) quiet() bool {
 // margin on every supported shape.
 const drainBudget = 1 << 16
 
-// Drain steps the engine one cycle at a time until the fabric is quiescent —
-// no packets in queues, no packets or credits in flight on any channel — for
-// at most drainBudget cycles, and reports whether it is. It is the phase
-// barrier of the workload layer and the end-of-run drain of FinishChecks;
-// stepping manually keeps the cycle quiescence is observed at
-// engine-invariant, where RunUntil's idle-cycle jumping would not. Call it
-// only between engine steps, never from a hook running inside one.
+// Drain runs the engine until the fabric is quiescent — no packets in
+// queues, no packets or credits in flight on any channel — for at most
+// drainBudget cycles, and reports whether it is. It is the phase barrier of
+// the workload layer and the end-of-run drain of FinishChecks. Quiescence is
+// observed at the same cycle in every engine: only a tick can change it, and
+// idle jumps skip no tick.
 func (m *Machine) Drain() bool {
-	for i := 0; i < drainBudget && !m.quiet(); i++ {
-		m.Engine.Step()
-	}
-	return m.quiet()
+	return m.Engine.RunUntil(m.quiet, drainBudget, 0) == nil
 }
 
 // FinishChecks ends a measurement. It first finalizes the attached telemetry
@@ -629,10 +625,7 @@ func (m *Machine) FinishChecks() error {
 // protocol failure (retry budget exhausted, unroutable destination) stops
 // the run immediately and is returned instead of spinning into the watchdog.
 func (m *Machine) RunUntilDelivered(want uint64, maxCycles uint64) (uint64, error) {
-	done := func() bool { return m.delivered >= want }
-	if m.flt != nil {
-		done = func() bool { return m.delivered >= want || m.flt.fatal != nil }
-	}
+	done := func() bool { return m.delivered >= want || m.flt != nil && m.flt.fatal != nil }
 	err := m.Engine.RunUntil(done, maxCycles, 50_000)
 	if m.flt != nil && m.flt.fatal != nil {
 		return m.Engine.Now(), m.flt.fatal

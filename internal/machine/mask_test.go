@@ -180,7 +180,7 @@ func TestMaskConsistency(t *testing.T) {
 				if m.Engine.Now() > 200_000 {
 					t.Fatalf("%s/%s: run did not finish (delivered %d/%d)", sc.name, name, m.Delivered(), total)
 				}
-				m.Engine.Step()
+				m.Engine.Run(1)
 				if errs := m.maskErrors(); errs != nil {
 					t.Fatalf("%s/%s: after cycle %d: %d mask errors, first: %s", sc.name, name, m.Engine.Now()-1, len(errs), errs[0])
 				}

@@ -40,7 +40,7 @@ func TestMixedCycles(t *testing.T) {
 				if ref.Engine.Now() > 200_000 {
 					t.Fatalf("%v %s: reference did not finish (delivered %d/%d)", sh.shape, sc.name, ref.Delivered(), total)
 				}
-				ref.Engine.Step()
+				ref.Engine.Run(1)
 				fps = append(fps, ref.fingerprint(ref.Engine.Now(), nil))
 				if now := ref.Engine.Now(); now%sh.snapStride == 0 {
 					snaps[now] = mustSnapshot(t, ref)
@@ -54,7 +54,7 @@ func TestMixedCycles(t *testing.T) {
 					sc.inject(m)
 					m.Engine.ForceParallelForTest(policy)
 					for _, want := range fps {
-						m.Engine.Step()
+						m.Engine.Run(1)
 						now := m.Engine.Now()
 						if got := m.fingerprint(now, nil); got != want {
 							t.Fatalf("after cycle %d: trajectory divergence:\n  scan: %+v\n  got:  %+v", now-1, want, got)

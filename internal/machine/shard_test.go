@@ -19,14 +19,17 @@ import (
 
 // fingerprint is a comparable digest of everything a run can observe: the
 // completion cycle, machine-wide packet counts, order-weighted per-channel
-// flit and packet totals, and the summed fault counters. Two runs with equal
-// fingerprints took the same per-channel, per-cycle trajectory.
+// flit and packet totals, the summed fault counters and, where the run
+// drained (runWorkload), the clock Drain stopped at and its result. Two runs
+// with equal fingerprints took the same per-channel, per-cycle trajectory.
 type fingerprint struct {
 	end                 uint64
 	injected, delivered uint64
 	flitSum, pktSum     uint64
 	faultCnt            fault.Counters
 	runErr              string
+	drainEnd            uint64
+	quiesced            bool
 }
 
 func (m *Machine) fingerprint(end uint64, runErr error) fingerprint {
@@ -76,16 +79,21 @@ func buildForTest(cfg Config) *Machine {
 	return m
 }
 
-// runWorkload drives a uniform-random burst through a machine built from cfg
-// and returns its fingerprint. Runs that end in an error (fault budget
-// exhaustion, watchdog) fingerprint the error too — divergent failure cycles
-// count as divergence.
+// runWorkload drives a uniform-random burst through a machine built from cfg,
+// then, unless the run failed, through the phase barrier (Drain), and returns
+// its fingerprint. Runs that end in an error (fault budget exhaustion,
+// watchdog) fingerprint the error too — divergent failure cycles count as
+// divergence.
 func runWorkload(t *testing.T, cfg Config, perEp int) fingerprint {
 	t.Helper()
 	m := buildForTest(cfg)
 	total := injectUniform(m, perEp, 1234)
 	end, err := m.RunUntilDelivered(total, 4_000_000)
-	return m.finish(t, end, err)
+	quiesced := err == nil && m.Drain()
+	drainEnd := m.Engine.Now()
+	fp := m.finish(t, end, err)
+	fp.drainEnd, fp.quiesced = drainEnd, quiesced
+	return fp
 }
 
 // diffConfigs pins bit-identity between a reference config and variants that
@@ -433,8 +441,8 @@ func TestActiveStepMachineZeroAllocs(t *testing.T) {
 			// growing after the shared warm-up.
 			m.Engine.Run(8192)
 		}
-		if avg := testing.AllocsPerRun(500, func() { m.Engine.Step() }); avg != 0 {
-			t.Errorf("%s shards=%d: active-engine Step allocates %.2f objects/cycle, want 0", kind, tc.shards, avg)
+		if avg := testing.AllocsPerRun(500, func() { m.Engine.Run(1) }); avg != 0 {
+			t.Errorf("%s shards=%d: active-engine Run(1) allocates %.2f objects/cycle, want 0", kind, tc.shards, avg)
 		}
 	}
 }

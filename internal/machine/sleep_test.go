@@ -236,7 +236,7 @@ func TestSleepingTicksAreNoops(t *testing.T) {
 				if check != nil {
 					check(m)
 				}
-				m.Engine.Step()
+				m.Engine.Run(1)
 			}
 			var fatal error
 			if m.flt != nil {

@@ -211,9 +211,9 @@ func TestObservedResume(t *testing.T) {
 	}
 	var want, got []byte
 	for cycle := uint64(at + 1); cycle <= until; cycle++ {
-		ref.Engine.Step()
+		ref.Engine.Run(1)
 		for _, r := range rs {
-			r.m.Engine.Step()
+			r.m.Engine.Run(1)
 		}
 		if cycle > at+2*64 && cycle < until-64 {
 			continue // two scans after the resume, and the window close

@@ -20,7 +20,7 @@ type selfWaker struct {
 
 func (s *selfWaker) Tick(now uint64) {
 	s.ticks = append(s.ticks, now)
-	s.e.Progress()
+	s.e.ProgressAt(0)
 	s.e.Wake(s.id, now+s.period)
 }
 
@@ -94,7 +94,7 @@ type stallThenSleep struct {
 
 func (s *stallThenSleep) Tick(now uint64) {
 	if now < s.n {
-		s.e.Progress()
+		s.e.ProgressAt(0)
 		s.e.Wake(s.id, now+1)
 	}
 }
@@ -234,8 +234,8 @@ func TestActiveStepZeroAllocs(t *testing.T) {
 		s.id = e.Register(s)
 	}
 	e.Run(1024) // warm up wheel and heap capacity
-	if avg := testing.AllocsPerRun(500, func() { e.Step() }); avg != 0 {
-		t.Errorf("active Step allocates %.2f objects/cycle in steady state, want 0", avg)
+	if avg := testing.AllocsPerRun(500, func() { e.Run(1) }); avg != 0 {
+		t.Errorf("active Run(1) allocates %.2f objects/cycle in steady state, want 0", avg)
 	}
 }
 
@@ -274,7 +274,7 @@ func shardedCounters(n, shards int) (*Engine, []*shardCounter, *int) {
 			}
 			ranges = append(ranges, ShardRange{Lo: s * per, Hi: hi})
 		}
-		e.ConfigureShards(ranges, 0, func(uint64) { *merged++ })
+		e.ConfigureShards(ranges, func(uint64) { *merged++ })
 	}
 	return e, comps, merged
 }
@@ -327,7 +327,7 @@ func TestShardedTickParity(t *testing.T) {
 
 // TestShardPoolLifecycle: every shard worker a stepping call starts has
 // exited once the call returns, whether it is Run, RunUntil ending done or
-// in ErrTimeout, or each bare Step of a loop.
+// in ErrTimeout, or each Run(1) of a loop.
 func TestShardPoolLifecycle(t *testing.T) {
 	base := runtime.NumGoroutine()
 	settled := func(after string) {
@@ -355,8 +355,8 @@ func TestShardPoolLifecycle(t *testing.T) {
 	}
 	settled("RunUntil's ErrTimeout")
 	for i := 0; i < 64; i++ {
-		e.Step()
-		settled("a bare Step")
+		e.Run(1)
+		settled("a Run(1)")
 	}
 	if *merged != 64*4 {
 		t.Fatalf("%d parallel cycles ran, want %d", *merged, 64*4)
@@ -400,15 +400,15 @@ func TestPerCycleRule(t *testing.T) {
 	}
 }
 
-// TestParallelStepZeroAllocs: a parallel cycle opened by a bare Step starts
+// TestParallelStepZeroAllocs: a parallel cycle opened by Run(1) starts
 // and stops the shard workers from closures built once, so it allocates
 // nothing in steady state either.
 func TestParallelStepZeroAllocs(t *testing.T) {
 	e, _, merged := shardedCounters(200, 2)
 	e.parMin = 0
 	e.Run(1024)
-	if avg := testing.AllocsPerRun(500, func() { e.Step() }); avg != 0 {
-		t.Errorf("parallel Step allocates %.2f objects/cycle in steady state, want 0", avg)
+	if avg := testing.AllocsPerRun(500, func() { e.Run(1) }); avg != 0 {
+		t.Errorf("parallel Run(1) allocates %.2f objects/cycle in steady state, want 0", avg)
 	}
 	if *merged < 1024 {
 		t.Fatalf("only %d parallel cycles ran", *merged)
@@ -425,10 +425,10 @@ func BenchmarkSparseStep(b *testing.B) {
 		e.Register(idle{})
 	}
 	e.Register(&shardCounter{e: e, id: 26112, period: 1})
-	e.Step() // the registration cycle ticks everything once
+	e.Run(1) // the registration cycle ticks everything once
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.Step()
+		e.Run(1)
 	}
 }
 
@@ -443,7 +443,7 @@ func BenchmarkParallelStep(b *testing.B) {
 	for i := 0; i < 256; i++ {
 		e.Register(&shardCounter{e: e, id: i, period: 1})
 	}
-	e.ConfigureShards([]ShardRange{{Lo: 0, Hi: 128}, {Lo: 128, Hi: 256}}, 0, nil)
+	e.ConfigureShards([]ShardRange{{Lo: 0, Hi: 128}, {Lo: 128, Hi: 256}}, nil)
 	e.parMin = 0
 	e.Run(1024)
 	b.ResetTimer()

@@ -64,13 +64,13 @@ type Engine struct {
 	comps []Component
 	mode  Mode
 
-	// progress is bumped by components via Progress/ProgressAt; the RunUntil
-	// watchdog sums the slots. Slot 0 exists always; sharding adds one slot
-	// per shard so workers never contend on a shared counter.
+	// progress is bumped by components via ProgressAt; the RunUntil watchdog
+	// sums the slots. Slot 0 exists always; sharding adds one slot per shard
+	// so workers never contend on a shared counter.
 	progress []progSlot
 
 	wheel    wheel
-	stepping bool // inside Step: wakes for the current cycle defer to now+1
+	stepping bool // mid-scan of a cycle: wakes for the current cycle defer to now+1
 	par      bool // inside the parallel phase: Wake must use atomic bit-sets
 
 	serialPrefix int
@@ -177,28 +177,27 @@ func (e *Engine) SetSerialPrefix(n int) { e.serialPrefix = n }
 // result, only which of two bit-identical ways a cycle is executed.
 const parallelMinReady = 64
 
-// ConfigureShards splits the component-id space for sharded stepping.
-// Components with id < serialPrefix are ticked by the coordinator first (in
-// id order). A cycle with fewer than parallelMinReady scheduled components is
+// ConfigureShards splits the component-id space for sharded stepping. The
+// serial prefix (SetSerialPrefix) is ticked by the coordinator first (in id
+// order). A cycle with fewer than parallelMinReady scheduled components is
 // then finished by the coordinator too, the same way an unsharded engine
 // would; a denser one ticks each range on a goroutine of its own (the first
 // on the coordinator's) and runs merge (may be nil) at the barrier. Ranges must be sorted, disjoint, and cover
-// [serialPrefix, len(comps)), with every component already registered. While
+// [serial prefix, len(comps)), with every component already registered. While
 // the workers run, a component may wake only components of its own range
 // (itself, or a peer it reaches without leaving the shard): each worker then
 // owns its part of the wake wheel outright. Whatever crosses a range is the
 // caller's to stage and to wake from merge. Only valid in ModeActive.
-func (e *Engine) ConfigureShards(ranges []ShardRange, serialPrefix int, merge func(now uint64)) {
+func (e *Engine) ConfigureShards(ranges []ShardRange, merge func(now uint64)) {
 	if e.mode != ModeActive {
 		panic("sim: ConfigureShards requires ModeActive")
 	}
-	e.serialPrefix = serialPrefix
 	e.onMerge = merge
 	e.parMin = parallelMinReady
-	e.shard0 = ShardRange{Lo: max(ranges[0].Lo, serialPrefix), Hi: ranges[0].Hi}
+	e.shard0 = ShardRange{Lo: max(ranges[0].Lo, e.serialPrefix), Hi: ranges[0].Hi}
 	e.workers = e.workers[:0]
 	for _, r := range ranges[1:] {
-		w := &shardWorker{lo: max(r.Lo, serialPrefix), hi: r.Hi, tok: make(chan struct{}, 1)}
+		w := &shardWorker{lo: max(r.Lo, e.serialPrefix), hi: r.Hi, tok: make(chan struct{}, 1)}
 		w.run = func() { e.work(w) }
 		e.workers = append(e.workers, w)
 	}
@@ -238,14 +237,10 @@ func (e *Engine) ForceParallelForTest(parallel func(now uint64) bool) {
 // Now returns the current cycle.
 func (e *Engine) Now() uint64 { return e.now }
 
-// Progress notes that forward progress (e.g. a packet delivery or a flit
-// transfer) occurred. The deadlock watchdog in RunUntil uses it. Only the
-// coordinator (or code running outside the parallel phase) may call it;
-// shard workers use ProgressAt with their own slot.
-func (e *Engine) Progress() { e.progress[0].v++ }
-
-// ProgressAt notes forward progress from the given shard. Each shard owns a
-// padded counter, so workers never contend; the watchdog sums all slots.
+// ProgressAt notes forward progress (e.g. a packet delivery or a flit
+// transfer) from the given shard; the deadlock watchdog in RunUntil uses it.
+// Each shard owns a padded counter, so workers never contend; the watchdog
+// sums all slots. Code running outside the parallel phase uses slot 0.
 func (e *Engine) ProgressAt(shard int) { e.progress[shard].v++ }
 
 func (e *Engine) progressTotal() uint64 {
@@ -263,16 +258,16 @@ type observer struct {
 }
 
 // Observe installs fn as a between-steps observer: it runs whenever the
-// clock arrives at or past its deadline — at the end of the Step that
+// clock arrives at or past its deadline — at the end of the step that
 // completes cycle deadline-1, or at the end of an idle jump, which is clamped
 // to the earliest deadline exactly as it is to the budget and the watchdog —
 // with the simulation fully settled (no component mid-tick) and now the cycle
 // about to execute. first is the first deadline; fn returns the next one, and
 // a value <= now uninstalls the observer. Deadlines are therefore the same
-// clocks in scan, active and sharded engines, under Step, Run and RunUntil
-// alike; an observer returning now+1 sees every cycle. Observers due at the
-// same clock run in installation order. fn must only read simulation state,
-// and must not call Observe.
+// clocks in scan, active and sharded engines, under Run and RunUntil alike;
+// an observer returning now+1 sees every cycle. Observers due at the same
+// clock run in installation order. fn must only read simulation state, and
+// must not call Observe.
 func (e *Engine) Observe(first uint64, fn func(now uint64) (next uint64)) {
 	e.obs = append(e.obs, observer{at: first, fn: fn})
 	e.nextObs = min(e.nextObs, first)
@@ -348,11 +343,10 @@ func (e *Engine) Wake(id int, at uint64) {
 	e.wheel.set(id, at, e.now, e.par)
 }
 
-// Scheduled reports whether component id ticks in the next Step, the one
-// that executes cycle Now: a wake for it is pending at Now. In ModeScan every
-// component ticks every cycle. Call it between steps only. The wake contract
-// tests use it to tick the components that sleep through a cycle anyway and
-// find the tick a no-op.
+// Scheduled reports whether component id ticks in the cycle Now: a wake for
+// it is pending at Now. In ModeScan every component ticks every cycle. Call
+// it between Run calls only. The wake contract tests use it to tick the
+// components that sleep through a cycle anyway and find the tick a no-op.
 func (e *Engine) Scheduled(id int) bool {
 	if e.mode != ModeActive {
 		return true
@@ -360,14 +354,6 @@ func (e *Engine) Scheduled(id int) bool {
 	w := &e.wheel
 	w.drainOverflow(e.now)
 	return w.words[int(e.now)&wheelMask][id>>6]>>(id&63)&1 != 0
-}
-
-// Step advances the simulation by a single cycle, then runs the observers
-// due at the new clock. A parallel cycle's shard workers stop before it
-// returns, even when an observer panics.
-func (e *Engine) Step() {
-	defer e.stopPool()
-	e.step()
 }
 
 func (e *Engine) step() {
@@ -442,12 +428,12 @@ func (e *Engine) stepParallel(slot int) {
 }
 
 // shardPool is the phase barrier of a sharded engine. Its worker goroutines
-// live from the first parallel cycle of a stepping call (Run, RunUntil or a
-// bare Step) until that call returns, so none outlives the call or holds a
-// finished machine. The coordinator opens a phase by setting parSlot and par
-// and bumping gen, which publishes them; a worker that sees gen move ticks
-// its shard and decrements pending, and the coordinator, done with shard 0,
-// yields until pending is zero. Between phases a worker spins, yielding, for
+// live from the first parallel cycle of a Run or RunUntil call until that
+// call returns, so none outlives the call or holds a finished machine. The
+// coordinator opens a phase by setting parSlot and par and bumping gen, which
+// publishes them; a worker that sees gen move ticks its shard and decrements
+// pending, and the coordinator, done with shard 0, yields until pending is
+// zero. Between phases a worker spins, yielding, for
 // up to workerSpin, then parks on its one-slot token, which the coordinator
 // posts at every phase: a spinning worker starts a phase in well under a
 // microsecond, a parked one only once the runtime has woken a thread for it.

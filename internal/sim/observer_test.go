@@ -38,7 +38,7 @@ func observedEngine(mode Mode, shards int) (*Engine, []*pulse) {
 		for s := 0; s < shards; s++ {
 			ranges = append(ranges, ShardRange{Lo: s * per, Hi: (s + 1) * per})
 		}
-		e.ConfigureShards(ranges, 0, nil)
+		e.ConfigureShards(ranges, nil)
 		e.parMin = 0 // 48 components: below the per-cycle rule
 	}
 	return e, comps
@@ -48,7 +48,7 @@ func observedEngine(mode Mode, shards int) (*Engine, []*pulse) {
 // installs — the invariant suite's (clock 1, then every 64), telemetry's
 // growing window, and the checkpoint writer's multiples — fire at identical
 // clocks, seeing identical component state, in scan, active and sharded
-// engines, whether the clock advances by Run, by manual Step, or by RunUntil.
+// engines, whether the clock advances by Run, Run(1) at a time, or RunUntil.
 func TestObserverDeadlinesAcrossEngines(t *testing.T) {
 	type firing struct {
 		at   string // "<observer>@<clock>"
@@ -76,7 +76,7 @@ func TestObserverDeadlinesAcrossEngines(t *testing.T) {
 		e.Observe(30, func(now uint64) uint64 { note("ckpt", now); return now + 30 - now%30 })
 		e.Run(300)
 		for i := 0; i < 50; i++ {
-			e.Step()
+			e.Run(1)
 		}
 		if err := e.RunUntil(func() bool { return e.Now() >= 1000 }, 5000, 0); err != nil {
 			t.Fatal(err)

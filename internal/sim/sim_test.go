@@ -14,7 +14,7 @@ type counter struct {
 
 func (c *counter) Tick(now uint64) {
 	c.ticks = append(c.ticks, now)
-	c.e.Progress()
+	c.e.ProgressAt(0)
 }
 
 func TestEngineStepAdvancesClock(t *testing.T) {
@@ -85,7 +85,7 @@ type stallAfter struct {
 
 func (s *stallAfter) Tick(now uint64) {
 	if now < s.n {
-		s.e.Progress()
+		s.e.ProgressAt(0)
 	}
 }
 

@@ -42,7 +42,7 @@ func loadedMachine(tb testing.TB, opts *telemetry.Options) *machine.Machine {
 		}
 	}
 	for i := 0; i < 4096; i++ {
-		m.Engine.Step()
+		m.Engine.Run(1)
 	}
 	return m
 }
@@ -52,8 +52,8 @@ func loadedMachine(tb testing.TB, opts *telemetry.Options) *machine.Machine {
 // cycle must not allocate at all.
 func TestStepTelemetryOffZeroAllocs(t *testing.T) {
 	m := loadedMachine(t, nil)
-	if avg := testing.AllocsPerRun(500, func() { m.Engine.Step() }); avg != 0 {
-		t.Errorf("telemetry-off Engine.Step allocates %.2f objects/cycle, want 0", avg)
+	if avg := testing.AllocsPerRun(500, func() { m.Engine.Run(1) }); avg != 0 {
+		t.Errorf("telemetry-off Engine.Run(1) allocates %.2f objects/cycle, want 0", avg)
 	}
 }
 
@@ -62,7 +62,7 @@ func benchmarkStep(b *testing.B, opts *telemetry.Options) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.Engine.Step()
+		m.Engine.Run(1)
 	}
 }
 

@@ -11,13 +11,9 @@
 //
 // A phase completes when all of its deliveries have arrived and the fabric
 // is quiescent (Machine.Drain) — the phase barrier — and the next phase's
-// injections start on that exact cycle. The result is end-to-end timestep
-// time, cycles per phase and total, rather than steady-state throughput.
-//
-// Quiescence is detected by stepping the engine manually, never through
-// RunUntil: active-mode idle-cycle jumping would observe the quiet fabric at
-// an engine-dependent cycle, and phase times must be bit-identical across
-// the scan, active, and sharded kernels.
+// injections start on that exact cycle, the same in every kernel. The result
+// is end-to-end timestep time, cycles per phase and total, rather than
+// steady-state throughput.
 //
 // Runs can record their injections into the internal/trace format
 // (route choices captured pre strategy-Choose), and ReplayTrace re-injects a
