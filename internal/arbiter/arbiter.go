@@ -19,27 +19,34 @@ const maxInputs = 64
 // Section 3, Figure 9), or the inverse-weighted arbiter of Section 3, which
 // provides equality of service from precomputed per-pattern inverse weights
 // (iw.go). It is a value: a component holds its arbiters inline, and Init
-// builds one in place.
+// builds one in place. A round-robin arbiter is 16 bytes; what only the
+// inverse-weighted flavor keeps lives in a Weighted record beside it.
 type Arbiter struct {
 	k    uint8
 	next uint8 // round-robin: the highest-precedence input
 
-	// Inverse-weighted state, weights nil on a round-robin arbiter: the
-	// per-input per-pattern inverse weights, one accumulator per input and
-	// the thermometer-encoded round-robin tie-break.
+	// iw is the inverse-weighted state, nil on a round-robin arbiter.
+	iw *Weighted
+}
+
+// Weighted is what an inverse-weighted arbiter keeps beyond a round-robin
+// one: the per-input per-pattern inverse weights, one accumulator per input
+// and the thermometer-encoded round-robin tie-break. A machine carves these
+// records from its arena only when its arbiters are inverse-weighted.
+type Weighted struct {
 	rrTherm uint64
 	weights [][NumPatterns]uint32
 	accum   []uint32
 }
 
-// Init makes a a fresh arbiter over k inputs: round-robin when weights is
-// nil, else inverse-weighted over the given per-input per-pattern inverse
-// weights (each < 2^inverseWeightBits), keeping its accumulators in accum
-// (len k, zeroed).
-func (a *Arbiter) Init(k int, weights [][NumPatterns]uint32, accum []uint32) {
+// Init makes a a fresh arbiter over k inputs: round-robin when iw is nil,
+// else inverse-weighted with its state in iw (zero), over the given
+// per-input per-pattern inverse weights (len k, each < 2^inverseWeightBits)
+// and keeping its accumulators in accum (len k, zeroed).
+func (a *Arbiter) Init(k int, iw *Weighted, weights [][NumPatterns]uint32, accum []uint32) {
 	checkK(k)
 	*a = Arbiter{k: uint8(k)}
-	if weights == nil {
+	if iw == nil {
 		return
 	}
 	if len(weights) != k || len(accum) != k {
@@ -52,13 +59,14 @@ func (a *Arbiter) Init(k int, weights [][NumPatterns]uint32, accum []uint32) {
 			}
 		}
 	}
-	a.weights, a.accum, a.rrTherm = weights, accum, uint64(1)<<uint(k)-1
+	*iw = Weighted{rrTherm: uint64(1)<<uint(k) - 1, weights: weights, accum: accum}
+	a.iw = iw
 }
 
 // NewRoundRobin returns a round-robin arbiter over k inputs.
 func NewRoundRobin(k int) *Arbiter {
 	a := new(Arbiter)
-	a.Init(k, nil, nil)
+	a.Init(k, nil, nil, nil)
 	return a
 }
 
@@ -66,7 +74,7 @@ func NewRoundRobin(k int) *Arbiter {
 // the given per-input per-pattern inverse weights.
 func NewInverseWeighted(k int, weights [][NumPatterns]uint32) *Arbiter {
 	a := new(Arbiter)
-	a.Init(k, weights, make([]uint32, k))
+	a.Init(k, new(Weighted), weights, make([]uint32, k))
 	return a
 }
 
@@ -76,7 +84,7 @@ func NewInverseWeighted(k int, weights [][NumPatterns]uint32) *Arbiter {
 // and only for the granted input); it may be nil when the caller has no
 // pattern labels.
 func (a *Arbiter) Pick(req uint64, pats []uint8) int {
-	if a.weights != nil {
+	if a.iw != nil {
 		return a.pickWeighted(req, pats)
 	}
 	r := req & (uint64(1)<<a.k - 1)

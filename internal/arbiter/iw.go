@@ -23,10 +23,10 @@ func (a *Arbiter) pickWeighted(req uint64, pats []uint8) int {
 	if req == 0 {
 		return -1
 	}
-	k := int(a.k)
+	k, iw := int(a.k), a.iw
 	var pri [maxInputs]uint8
-	priInto(a.accum, pri[:k])
-	grant := prioArb(k, 2, req, pri[:k], a.rrTherm)
+	priInto(iw.accum, pri[:k])
+	grant := prioArb(k, 2, req, pri[:k], iw.rrTherm)
 	if grant == 0 {
 		return -1
 	}
@@ -38,8 +38,8 @@ func (a *Arbiter) pickWeighted(req uint64, pats []uint8) int {
 	if n >= NumPatterns {
 		n = NumPatterns - 1
 	}
-	updateAccum(a.accum, grant, a.weights[g][n])
-	a.rrTherm = nextRRTherm(k, g)
+	updateAccum(iw.accum, grant, iw.weights[g][n])
+	iw.rrTherm = nextRRTherm(k, g)
 	return g
 }
 

@@ -10,7 +10,8 @@ import "anton2/internal/wire"
 // the K accumulators and round-robin thermometer of an inverse-weighted one.
 // Decoding loads it into an arbiter of the same kind and width.
 func (a *Arbiter) State(c *wire.Codec) {
-	if a.weights == nil {
+	iw := a.iw
+	if iw == nil {
 		next := uint64(a.next)
 		if c.Uvarint(&next); next >= uint64(a.k) {
 			c.Fail("arbiter: round-robin cursor %d outside [0, %d)", next, a.k)
@@ -19,13 +20,13 @@ func (a *Arbiter) State(c *wire.Codec) {
 		a.next = uint8(next)
 		return
 	}
-	for i := range a.accum {
-		acc := uint64(a.accum[i])
+	for i := range iw.accum {
+		acc := uint64(iw.accum[i])
 		if c.Uvarint(&acc); acc >= 2*uint64(accumMSB) {
 			c.Fail("arbiter: accumulator %d exceeds %d bits", acc, inverseWeightBits+1)
 			return
 		}
-		a.accum[i] = uint32(acc)
+		iw.accum[i] = uint32(acc)
 	}
-	c.Uvarint(&a.rrTherm)
+	c.Uvarint(&iw.rrTherm)
 }

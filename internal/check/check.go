@@ -172,7 +172,7 @@ func (s *Suite) OnClone(p *packet.Packet, now uint64) {
 func (s *Suite) OnSend(p *packet.Packet, ch *fabric.Channel, vc uint8, now uint64) {
 	if int(vc) < ch.NumVCs() && ch.Credits(vc) < 0 {
 		s.violate(credits, now, "channel %s vc %d credit went negative (%d) on send of packet %v",
-			ch.Name(), vc, ch.Credits(vc), p)
+			ch.Name(s.env.Route.Machine), vc, ch.Credits(vc), p)
 	}
 	if p.SourceRoute != nil {
 		return
@@ -190,13 +190,13 @@ func (s *Suite) OnSend(p *packet.Packet, ch *fabric.Channel, vc uint8, now uint6
 	}
 	if int(vc) >= ch.NumVCs() {
 		s.violate(vcMonotone, now, "packet %v sent on %s vc %d, channel has %d VCs",
-			p, ch.Name(), vc, ch.NumVCs())
+			p, ch.Name(s.env.Route.Machine), vc, ch.NumVCs())
 	}
 	if st.MVC < p.SeenMVC {
-		s.violate(vcMonotone, now, "packet %v M-VC demoted %d -> %d on %s", p, p.SeenMVC, st.MVC, ch.Name())
+		s.violate(vcMonotone, now, "packet %v M-VC demoted %d -> %d on %s", p, p.SeenMVC, st.MVC, ch.Name(s.env.Route.Machine))
 	}
 	if st.TVC < p.SeenTVC {
-		s.violate(vcMonotone, now, "packet %v T-VC demoted %d -> %d on %s", p, p.SeenTVC, st.TVC, ch.Name())
+		s.violate(vcMonotone, now, "packet %v T-VC demoted %d -> %d on %s", p, p.SeenTVC, st.TVC, ch.Name(s.env.Route.Machine))
 	}
 
 	if st.DimIdx < p.SeenDim {
@@ -206,17 +206,17 @@ func (s *Suite) OnSend(p *packet.Packet, ch *fabric.Channel, vc uint8, now uint6
 	if st.DimIdx > topo.NumDims {
 		s.violate(dimOrder, now, "packet %v dimension-order position %d out of range", p, st.DimIdx)
 	}
-	if tm := s.env.Route.Machine; ch.ID >= 0 && tm.IsTorusChan(ch.ID) {
+	if tm := s.env.Route.Machine; ch.ID >= 0 && tm.IsTorusChan(int(ch.ID)) {
 		if int(st.DimIdx) >= topo.NumDims {
-			s.violate(dimOrder, now, "packet %v took torus hop on %s after completing all dimensions", p, ch.Name())
+			s.violate(dimOrder, now, "packet %v took torus hop on %s after completing all dimensions", p, ch.Name(s.env.Route.Machine))
 		} else {
 			if want := st.DimOrder[st.DimIdx]; st.Dir.Dim() != want {
 				s.violate(dimOrder, now, "packet %v traveling %v but dimension order says dim %v is next",
 					p, st.Dir, want)
 			}
-			if _, ad := tm.TorusChanOf(ch.ID); ad.Dir != st.Dir {
+			if _, ad := tm.TorusChanOf(int(ch.ID)); ad.Dir != st.Dir {
 				s.violate(dimOrder, now, "packet %v claims direction %v but was sent on torus channel %s",
-					p, st.Dir, ch.Name())
+					p, st.Dir, ch.Name(s.env.Route.Machine))
 			}
 		}
 	}
@@ -293,10 +293,10 @@ func (s *Suite) scan(now uint64) {
 		for vc := 0; vc < ch.NumVCs(); vc++ {
 			cr := ch.Credits(uint8(vc))
 			if cr < 0 {
-				s.violate(credits, now, "channel %s vc %d has negative credit %d", ch.Name(), vc, cr)
+				s.violate(credits, now, "channel %s vc %d has negative credit %d", ch.Name(s.env.Route.Machine), vc, cr)
 			} else if cr > ch.BufFlits() {
 				s.violate(credits, now, "channel %s vc %d has credit %d above buffer capacity %d",
-					ch.Name(), vc, cr, ch.BufFlits())
+					ch.Name(s.env.Route.Machine), vc, cr, ch.BufFlits())
 			}
 		}
 	}
@@ -322,7 +322,7 @@ func (s *Suite) Finish(now uint64, quiesced bool) {
 			if cr := ch.Credits(uint8(vc)); cr < ch.BufFlits() {
 				s.violate(credits, now,
 					"channel %s vc %d drained with credit %d, want full buffer %d (credit leak)",
-					ch.Name(), vc, cr, ch.BufFlits())
+					ch.Name(s.env.Route.Machine), vc, cr, ch.BufFlits())
 			}
 		}
 	}

@@ -54,30 +54,25 @@ const MaxVCs = 12
 // Layout: both pipes and the credit counters are held inline and the fields
 // are grouped by who touches them on the hot path — the receiver's poll
 // (pkts, its mask), the sender's SendableAt/Send (credit, serializer state,
-// link, counters), the credit return path (credits, its mask). What only some
-// channels use — shard-crossing staging, the lost-credit ledger, energy
-// counters — lives in a side record the channel gets when it first needs one,
-// behind a flag the hot path tests. A machine keeps its channels in one slab
-// and builds each in place (Init); a channel holds no name, but renders one
-// from its id on demand (Name).
+// counters), the credit return path (credits, its mask). What only some
+// channels use — the link layer of a reliable channel, shard-crossing
+// staging, the lost-credit ledger, energy counters — lives in a side record
+// the channel gets when it first needs one, behind a flag the hot path tests.
+// A machine keeps its channels in one slab and builds each in place (Init);
+// a channel holds no name: Name renders one from its id and the caller's
+// topo.Machine. A channel is 200 bytes.
 type Channel struct {
 	pkts     sim.Pipe[*packet.Packet]
-	recvMask *uint32 // receiver's inMask word and this channel's bit in it
-	recvBit  uint32
+	recvMask *uint32 // receiver's inMask word; recvBit is this channel's bit in it
 	recvID   int32
+	ID       int32 // global channel id (topo.Machine space)
 
-	credit         [MaxVCs]int32 // sender-side available credits per VC, in flits
+	credit         [MaxVCs]int16 // sender-side available credits per VC, in flits
 	busyUntilMilli uint64        // serializer occupancy, in millicycles
 	// stallUntil: the channel accepts no new frames while now < stallUntil.
 	// Zero (never stalled) is the common case; the fault layer sets it for
 	// transient stalls and permanent outages.
 	stallUntil uint64
-	// link is the link layer of a reliable channel (EnableLink), nil on a
-	// lossless one: the one field Send, SendableAt and Recv add to their
-	// lossless path.
-	link *link
-
-	rate uint64 // millicycles per flit
 	// Sent counts total flits forwarded (always maintained; used for
 	// utilization reporting). Pkts is the packet analogue.
 	Sent uint64
@@ -89,32 +84,34 @@ type Channel struct {
 	// components never miss traffic and — because credits are absorbed on
 	// the same cycle as in scan mode — per-cycle credit counters stay
 	// bit-identical across scheduling modes.
-	eng *sim.Engine
+	eng      *sim.Engine
+	rate     uint32 // millicycles per flit
+	bufFlits int16  // per-VC buffer capacity, in flits (credit upper bound)
+	numVCs   uint8
+	recvBit  uint8
 
 	credits sim.Pipe[creditMsg]
-	sndMask *uint32 // sender's credMask word and this channel's bit in it
-	sndBit  uint32
+	sndMask *uint32 // sender's credMask word; sndBit is this channel's bit in it
+	side    *side
 	sndID   int32
-
-	bufFlits int32 // per-VC buffer capacity, in flits (credit upper bound)
-	// unbound is the mask word an unbound side points at (with a zero bit),
-	// so the enqueue and drain paths need no nil checks.
+	// unbound is the mask word an unbound side points at, so the enqueue
+	// and drain paths need no nil checks; nothing reads it.
 	unbound uint32
-	numVCs  uint8
-	// Flags the hot path tests before it reaches into side: deferred, the
-	// channel crosses a shard boundary (SetDeferred); lossy, it may drop
-	// credits (EnableCreditLoss); metered, it counts energy.
-	deferred, lossy, metered bool
-	sentAny                  bool
-	Group                    topo.Group
-
-	ID    int           // global channel id (topo.Machine space)
-	names *topo.Machine // renders the name from ID (nil on a synthetic channel)
-	side  *side
+	sndBit  uint8
+	Group   topo.Group
+	// Flags the hot path tests before it reaches into side: linked, the
+	// channel is reliable (EnableLink); deferred, it crosses a shard
+	// boundary (SetDeferred); lossy, it may drop credits
+	// (EnableCreditLoss); metered, it counts energy.
+	linked, deferred, lossy, metered bool
+	sentAny                          bool
 }
 
 // side is the part of a channel only some channels use.
 type side struct {
+	// link is the link layer of a reliable channel (EnableLink).
+	link *link
+
 	// A deferred channel stages its sends and credit returns — and, when
 	// reliable, its frame headers and acks — here during the parallel phase
 	// of a sharded cycle and files itself on the staging shard's list
@@ -147,10 +144,7 @@ type stagedCred struct {
 
 // Config sizes a channel.
 type Config struct {
-	ID int
-	// Names is the machine whose ChanName renders the channel's name from
-	// ID; nil for a synthetic channel.
-	Names         *topo.Machine
+	ID            int
 	Group         topo.Group
 	Latency       uint64 // delivery latency in cycles (>= 1)
 	RateMilli     uint64 // millicycles per flit
@@ -167,17 +161,17 @@ func (ch *Channel) Init(c Config) {
 	if c.NumVCs < 1 || c.NumVCs > MaxVCs {
 		panic(fmt.Sprintf("fabric: channel needs 1..%d VCs, got %d", MaxVCs, c.NumVCs))
 	}
-	if c.BufFlits < packet.MaxFlits {
-		panic(fmt.Sprintf("fabric: per-VC buffer %d cannot hold a max-size packet", c.BufFlits))
+	if c.BufFlits < packet.MaxFlits || c.BufFlits > math.MaxInt16 {
+		panic(fmt.Sprintf("fabric: per-VC buffer %d cannot hold a max-size packet or overflows a credit counter", c.BufFlits))
 	}
 	if c.RateMilli == 0 {
 		c.RateMilli = MeshRateMilli
 	}
-	ch.ID, ch.names, ch.Group = c.ID, c.Names, c.Group
-	ch.rate = c.RateMilli
+	ch.ID, ch.Group = int32(c.ID), c.Group
+	ch.rate = uint32(c.RateMilli)
 	ch.pkts.Init(c.Latency)
 	ch.credits.Init(c.CreditLatency)
-	ch.numVCs, ch.bufFlits = uint8(c.NumVCs), int32(c.BufFlits)
+	ch.numVCs, ch.bufFlits = uint8(c.NumVCs), int16(c.BufFlits)
 	ch.recvMask, ch.sndMask = &ch.unbound, &ch.unbound
 	ch.recvID, ch.sndID = -1, -1
 	for i := 0; i < c.NumVCs; i++ {
@@ -197,13 +191,22 @@ func (ch *Channel) sideRec() *side {
 	return ch.side
 }
 
-// Name renders the channel's name for diagnostics: a machine channel's is
-// topo.Machine.ChanName of its id, a synthetic one's "channel <id>".
-func (ch *Channel) Name() string {
-	if ch.names == nil {
+// linkLayer returns the link layer of a reliable channel, nil on a lossless
+// one.
+func (ch *Channel) linkLayer() *link {
+	if !ch.linked {
+		return nil
+	}
+	return ch.side.link
+}
+
+// Name renders the channel's name for diagnostics: names.ChanName of its id
+// for a channel of the machine names, "channel <id>" when names is nil.
+func (ch *Channel) Name(names *topo.Machine) string {
+	if names == nil {
 		return fmt.Sprintf("channel %d", ch.ID)
 	}
-	return ch.names.ChanName(ch.ID)
+	return names.ChanName(int(ch.ID))
 }
 
 // Energy returns the channel's energy counters, or nil when it does not
@@ -220,7 +223,7 @@ func (ch *Channel) Energy() *EnergyCounters {
 // arrival cycle.
 func (ch *Channel) BindReceiver(e *sim.Engine, id int, inMask *uint32, bit uint) {
 	ch.recvID = ch.bind(e, id)
-	ch.recvMask, ch.recvBit = inMask, 1<<bit
+	ch.recvMask, ch.recvBit = inMask, uint8(bit)
 }
 
 // BindSender registers the sending component: every credit entering the pipe
@@ -228,7 +231,7 @@ func (ch *Channel) BindReceiver(e *sim.Engine, id int, inMask *uint32, bit uint)
 // arrival cycle.
 func (ch *Channel) BindSender(e *sim.Engine, id int, credMask *uint32, bit uint) {
 	ch.sndID = ch.bind(e, id)
-	ch.sndMask, ch.sndBit = credMask, 1<<bit
+	ch.sndMask, ch.sndBit = credMask, uint8(bit)
 }
 
 // bind records the engine a side is bound with and returns the component id
@@ -238,7 +241,7 @@ func (ch *Channel) bind(e *sim.Engine, id int) int32 {
 		return -1
 	}
 	if ch.eng != nil && ch.eng != e {
-		panic("fabric: " + ch.Name() + " bound to two engines")
+		panic("fabric: " + ch.Name(nil) + " bound to two engines")
 	}
 	ch.eng = e
 	return int32(id)
@@ -255,7 +258,7 @@ func (ch *Channel) wake(id int32, at uint64) {
 // receiver's port ready, wake the receiver at the arrival cycle.
 func (ch *Channel) pushPkt(at uint64, p *packet.Packet) {
 	ch.pkts.SendAt(at, p)
-	*ch.recvMask |= ch.recvBit
+	*ch.recvMask |= 1 << ch.recvBit
 	ch.wake(ch.recvID, at)
 }
 
@@ -263,7 +266,7 @@ func (ch *Channel) pushPkt(at uint64, p *packet.Packet) {
 // sender's port ready, wake the sender at the arrival cycle.
 func (ch *Channel) pushCredit(at uint64, msg creditMsg) {
 	ch.credits.SendAt(at, msg)
-	*ch.sndMask |= ch.sndBit
+	*ch.sndMask |= 1 << ch.sndBit
 	ch.wake(ch.sndID, at)
 }
 
@@ -300,7 +303,7 @@ func (ch *Channel) SetDeferred(snd, recv *StageList) {
 // staged is on two lists; its second flush finds nothing.
 func (ch *Channel) flushStaged() {
 	sd := ch.side
-	if l := ch.link; l != nil {
+	if l := ch.linkLayer(); l != nil {
 		for i, h := range l.stagedHdrs {
 			l.hdrs.SendAt(sd.stagedPkts[i].at, h)
 		}
@@ -334,10 +337,10 @@ func (ch *Channel) AbsorbCredits(now uint64) {
 		if !ok {
 			break
 		}
-		ch.credit[c.vc] += int32(c.flits)
+		ch.credit[c.vc] += int16(c.flits)
 	}
 	if ch.credits.Empty() {
-		*ch.sndMask &^= ch.sndBit
+		*ch.sndMask &^= 1 << ch.sndBit
 	}
 }
 
@@ -357,7 +360,7 @@ func (ch *Channel) Credits(vc uint8) int { return int(ch.credit[vc]) }
 // and LinkWake names the cycles the rest needs. A sleeping sender uses it to
 // pick the cycle it next has to look at the channel.
 func (ch *Channel) SendableAt(vc uint8, flits uint8) uint64 {
-	if ch.link != nil && !ch.link.snd.CanSend() {
+	if ch.linked && !ch.side.link.snd.CanSend() {
 		return math.MaxUint64
 	}
 	return ch.sendableAt(vc, flits)
@@ -366,7 +369,7 @@ func (ch *Channel) SendableAt(vc uint8, flits uint8) uint64 {
 // sendableAt is SendableAt below the link layer: what a replayed frame waits
 // for.
 func (ch *Channel) sendableAt(vc uint8, flits uint8) uint64 {
-	if ch.credit[vc] < int32(flits) {
+	if ch.credit[vc] < int16(flits) {
 		return math.MaxUint64
 	}
 	return max(ch.busyUntilMilli/1000, ch.stallUntil)
@@ -379,12 +382,12 @@ func (ch *Channel) sendableAt(vc uint8, flits uint8) uint64 {
 // stays in its window until the receiver acknowledges it.
 func (ch *Channel) Send(now uint64, p *packet.Packet, vc uint8) uint64 {
 	p.CurVC = vc
-	l := ch.link
-	if l == nil {
+	if !ch.linked {
 		return ch.transmit(now, p, vc)
 	}
+	l := ch.side.link
 	if !l.snd.CanSend() {
-		panic("fabric: Send before SendableAt on " + ch.Name())
+		panic("fabric: Send before SendableAt on " + ch.Name(nil))
 	}
 	l.win = append(l.win, frame{p: p, vc: vc})
 	return ch.sendFrame(now, p, l.snd.OnSend(now), vc)
@@ -392,9 +395,9 @@ func (ch *Channel) Send(now uint64, p *packet.Packet, vc uint8) uint64 {
 
 func (ch *Channel) transmit(now uint64, p *packet.Packet, vc uint8) uint64 {
 	if ch.sendableAt(vc, p.Size) > now {
-		panic("fabric: Send before SendableAt on " + ch.Name())
+		panic("fabric: Send before SendableAt on " + ch.Name(nil))
 	}
-	ch.credit[vc] -= int32(p.Size)
+	ch.credit[vc] -= int16(p.Size)
 	ch.Sent += uint64(p.Size)
 	ch.Pkts++
 
@@ -407,7 +410,7 @@ func (ch *Channel) transmit(now uint64, p *packet.Packet, vc uint8) uint64 {
 	if ch.busyUntilMilli > start {
 		start = ch.busyUntilMilli
 	}
-	ch.busyUntilMilli = start + uint64(p.Size)*ch.rate
+	ch.busyUntilMilli = start + uint64(p.Size)*uint64(ch.rate)
 	// Arrival cycle: when the last flit has been serialized, plus wire
 	// latency. Integer-rounded up; always at least now+1.
 	arrive := (ch.busyUntilMilli+999)/1000 + ch.pkts.Latency() - 1
@@ -452,9 +455,9 @@ func (ch *Channel) countEnergy(now uint64, p *packet.Packet) {
 func (ch *Channel) Recv(now uint64) (*packet.Packet, bool) {
 	p, ok := ch.pkts.Poll(now)
 	if ch.pkts.Empty() {
-		*ch.recvMask &^= ch.recvBit
+		*ch.recvMask &^= 1 << ch.recvBit
 	}
-	if ok && ch.link != nil && !ch.accept(now, p) {
+	if ok && ch.linked && !ch.accept(now, p) {
 		return nil, true
 	}
 	return p, ok
@@ -478,7 +481,7 @@ func (ch *Channel) ReturnCredit(now uint64, vc uint8, flits uint8) {
 // fileRecv files the channel on the receiving shard's list when its
 // receiving end is about to stage the cycle's first credit or ack.
 func (ch *Channel) fileRecv() {
-	if sd := ch.side; len(sd.stagedCreds) == 0 && (ch.link == nil || len(ch.link.stagedAcks) == 0) {
+	if sd := ch.side; len(sd.stagedCreds) == 0 && (sd.link == nil || len(sd.link.stagedAcks) == 0) {
 		sd.recvStage.chans = append(sd.recvStage.chans, ch)
 	}
 }
@@ -519,7 +522,7 @@ func (ch *Channel) RestoreLostCredits(now uint64) int {
 	lost := ch.lostLedger()
 	for vc, n := range lost {
 		if n > 0 {
-			ch.credit[vc] += int32(n)
+			ch.credit[vc] += int16(n)
 			total += n
 			lost[vc] = 0
 		}
@@ -545,7 +548,7 @@ func (ch *Channel) Quiet() bool {
 	if !ch.pkts.Empty() || !ch.credits.Empty() {
 		return false
 	}
-	l := ch.link
+	l := ch.linkLayer()
 	return l == nil || l.ctrl.Empty() && l.snd.Quiet() && ch.lostCredits() == 0
 }
 
@@ -559,7 +562,7 @@ func (ch *Channel) BufFlits() int { return int(ch.bufFlits) }
 // transmissions of one packet, so there it counts logical packets: the
 // window frames the receiver has not accepted yet.
 func (ch *Channel) InFlight() int {
-	if l := ch.link; l != nil {
+	if l := ch.linkLayer(); l != nil {
 		return int(l.snd.Next() - max(l.snd.Base(), l.rcv.Expected()))
 	}
 	return ch.pkts.Len()
@@ -574,11 +577,11 @@ func (ch *Channel) CreditsInFlight() int { return ch.credits.Len() }
 // invariant-checking layer catches credit-accounting bugs; production code
 // must never call it.
 func (ch *Channel) CorruptCreditsForTest(vc uint8, delta int) {
-	ch.credit[vc] += int32(delta)
+	ch.credit[vc] += int16(delta)
 }
 
 // FlitsSent returns the total flits forwarded over the channel's lifetime.
 func (ch *Channel) FlitsSent() uint64 { return ch.Sent }
 
 // RateMilli returns the serialization rate in millicycles per flit.
-func (ch *Channel) RateMilli() uint64 { return ch.rate }
+func (ch *Channel) RateMilli() uint64 { return uint64(ch.rate) }

@@ -355,7 +355,7 @@ func TestChannelStaging(t *testing.T) {
 			}
 			linkLens := func() (hdrs, acks int) {
 				if reliable {
-					return ch.link.hdrs.Len(), ch.link.ctrl.Len()
+					return ch.side.link.hdrs.Len(), ch.side.link.ctrl.Len()
 				}
 				return 0, 0
 			}
@@ -413,7 +413,7 @@ func TestChannelStaging(t *testing.T) {
 			if !reliable {
 				continue
 			}
-			if hdrs, _ := linkLens(); hdrs != 1 || ch.link.hdrs.At(0) != ch.pkts.At(0) {
+			if hdrs, _ := linkLens(); hdrs != 1 || ch.side.link.hdrs.At(0) != ch.pkts.At(0) {
 				t.Fatalf("%s: %d headers in flight, want 1 due with its packet", name, hdrs)
 			}
 			e.Run(1)
@@ -422,7 +422,7 @@ func TestChannelStaging(t *testing.T) {
 					name, got, sent, acks, ch.InFlight())
 			}
 			ch.AbsorbCredits(2)
-			if moved, err := ch.LinkTick(2); !moved || err != nil || !ch.Quiet() {
+			if moved, err := ch.LinkTick(2, nil); !moved || err != nil || !ch.Quiet() {
 				t.Errorf("%s: the ack moved the link %v (err %v), quiet %v; want moved and quiet", name, moved, err, ch.Quiet())
 			}
 		}

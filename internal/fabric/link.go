@@ -6,6 +6,7 @@ import (
 	"anton2/internal/fault"
 	"anton2/internal/packet"
 	"anton2/internal/sim"
+	"anton2/internal/topo"
 )
 
 // This file is a reliable channel's link layer: go-back-N over the channel's
@@ -82,17 +83,17 @@ func (ch *Channel) EnableLink(corrupt func() bool) {
 	}
 	l.hdrs.Init(ch.pkts.Latency())
 	l.ctrl.Init(ch.pkts.Latency())
-	ch.link = l
+	ch.sideRec().link, ch.linked = l, true
 }
 
 // LinkCounters returns the protocol events the link layer counted:
 // corruption injected and detected, duplicates dropped, retransmissions,
 // acks, nacks and timeouts. It is zero on a lossless channel.
 func (ch *Channel) LinkCounters() fault.Counters {
-	if ch.link == nil {
+	if !ch.linked {
 		return fault.Counters{}
 	}
-	return ch.link.cnt
+	return ch.side.link.cnt
 }
 
 // sendFrame transmits p as frame seq on wire VC vc under the corruption the
@@ -100,7 +101,7 @@ func (ch *Channel) LinkCounters() fault.Counters {
 // routing state is left alone: a replayed packet may already have been
 // accepted downstream and moved on.
 func (ch *Channel) sendFrame(now uint64, p *packet.Packet, seq uint64, vc uint8) uint64 {
-	l := ch.link
+	l := ch.side.link
 	h := header{seq: seq, vc: vc, corrupt: l.corrupt()}
 	if h.corrupt {
 		l.cnt.CorruptInjected++
@@ -120,7 +121,7 @@ func (ch *Channel) sendFrame(now uint64, p *packet.Packet, seq uint64, vc uint8)
 // wire VC; only the header is read for that, because the packet of a stale
 // duplicate may alias one that has long since moved on.
 func (ch *Channel) accept(now uint64, p *packet.Packet) bool {
-	l := ch.link
+	l := ch.side.link
 	h, _ := l.hdrs.Poll(now)
 	if h.corrupt {
 		l.cnt.CorruptDetected++
@@ -146,7 +147,7 @@ func (ch *Channel) accept(now uint64, p *packet.Packet) bool {
 
 // sendCtrl returns an ack or nack to the sender.
 func (ch *Channel) sendCtrl(now uint64, c ctrlMsg) {
-	l := ch.link
+	l := ch.side.link
 	at := now + l.ctrl.Latency()
 	if ch.deferred && ch.eng.Parallel() {
 		ch.fileRecv()
@@ -160,7 +161,7 @@ func (ch *Channel) sendCtrl(now uint64, c ctrlMsg) {
 // enqueue and wake the sender at the arrival cycle. The sender polls the
 // pipe on every LinkTick, so no ready bit is involved.
 func (ch *Channel) pushCtrl(at uint64, c ctrlMsg) {
-	ch.link.ctrl.SendAt(at, c)
+	ch.side.link.ctrl.SendAt(at, c)
 	ch.wake(ch.sndID, at)
 }
 
@@ -171,13 +172,14 @@ func (ch *Channel) pushCtrl(at uint64, c ctrlMsg) {
 // absorbing the cycle's credits, before anything else it does on the
 // channel. moved reports whether window entries were released or a frame was
 // resent; err is a *fault.BudgetError once the link has exhausted its rewind
-// budget. It does nothing on a lossless channel.
+// budget, naming the link by names (Name). It does nothing on a lossless
+// channel.
 //
 // A replay bypasses the invariant suite's OnSend hook, which its sender
 // calls for fresh sends only: the packet's routing state may legitimately
 // have advanced since the original transmission.
-func (ch *Channel) LinkTick(now uint64) (moved bool, err error) {
-	l := ch.link
+func (ch *Channel) LinkTick(now uint64, names *topo.Machine) (moved bool, err error) {
+	l := ch.linkLayer()
 	if l == nil {
 		return false, nil
 	}
@@ -201,7 +203,7 @@ func (ch *Channel) LinkTick(now uint64) (moved bool, err error) {
 		l.cnt.Timeouts++
 	}
 	if l.snd.Dead() {
-		err = &fault.BudgetError{Link: ch.Name(), Attempts: l.snd.Attempts()}
+		err = &fault.BudgetError{Link: ch.Name(names), Attempts: l.snd.Attempts()}
 	}
 	if seq, ok := l.snd.NeedRetx(); ok {
 		e := l.win[seq-l.snd.Base()]
@@ -220,7 +222,7 @@ func (ch *Channel) LinkTick(now uint64) (moved bool, err error) {
 // while a replay is pending, the timeout deadline while frames are
 // outstanding, and math.MaxUint64 otherwise or on a lossless channel.
 func (ch *Channel) LinkWake(now uint64) uint64 {
-	l := ch.link
+	l := ch.linkLayer()
 	if l == nil {
 		return math.MaxUint64
 	}

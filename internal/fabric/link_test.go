@@ -63,7 +63,7 @@ func runReliable(t *testing.T, mode sim.Mode) (uint64, fault.Counters) {
 		if credMask != 0 {
 			ch.AbsorbCredits(now)
 		}
-		if _, err := ch.LinkTick(now); err != nil {
+		if _, err := ch.LinkTick(now, nil); err != nil {
 			t.Fatalf("cycle %d: %v", now, err)
 		}
 		wake := ch.LinkWake(now)

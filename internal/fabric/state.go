@@ -27,8 +27,8 @@ import (
 // pushPkt/pushCredit the original Send/ReturnCredit went through. A reliable
 // channel's headers and acks are in LinkState's record, not this one.
 func (ch *Channel) State(c *wire.Codec, ref func(p *packet.Packet, nilable bool) *packet.Packet) {
-	if sd := ch.side; sd != nil && (len(sd.stagedPkts) != 0 || len(sd.stagedCreds) != 0) || ch.link != nil && len(ch.link.stagedAcks) != 0 {
-		c.Fail("fabric: %s: snapshot with staged traffic", ch.Name())
+	if sd := ch.side; sd != nil && (len(sd.stagedPkts) != 0 || len(sd.stagedCreds) != 0 || sd.link != nil && len(sd.link.stagedAcks) != 0) {
+		c.Fail("fabric: %s: snapshot with staged traffic", ch.Name(nil))
 		return
 	}
 	var flags uint8 // bit 0: the channel has sent; 1: keeps a lost-credit ledger; 2: tracks energy
@@ -48,7 +48,7 @@ func (ch *Channel) State(c *wire.Codec, ref func(p *packet.Packet, nilable bool)
 	c.Byte(&flags)
 	if c.Uvarint(&spent); numVCs != ch.numVCs || flags&^1 != has || spent>>numVCs != 0 {
 		c.Fail("fabric: %s: record of %d VCs, flags %#x, credit mask %#x; channel has %d VCs, flags %#x",
-			ch.Name(), numVCs, flags, spent, ch.numVCs, has)
+			ch.Name(nil), numVCs, flags, spent, ch.numVCs, has)
 		return
 	}
 	for vc := range ch.credit[:ch.numVCs] {
@@ -57,10 +57,10 @@ func (ch *Channel) State(c *wire.Codec, ref func(p *packet.Packet, nilable bool)
 			continue
 		}
 		cr := int64(ch.credit[vc])
-		if c.Varint(&cr); cr == int64(ch.bufFlits) || cr != int64(int32(cr)) {
+		if c.Varint(&cr); cr == int64(ch.bufFlits) || cr != int64(int16(cr)) {
 			c.Fail("%w", wire.ErrCorrupt)
 		}
-		ch.credit[vc] = int32(cr)
+		ch.credit[vc] = int16(cr)
 	}
 	ch.sentAny = flags&1 != 0
 	for _, v := range [...]*uint64{&ch.busyUntilMilli, &ch.stallUntil, &ch.Sent, &ch.Pkts} {
@@ -95,7 +95,7 @@ func (ch *Channel) State(c *wire.Codec, ref func(p *packet.Packet, nilable bool)
 		c.Byte(&m.vc)
 		c.Byte(&m.flits)
 		if m.vc >= ch.numVCs {
-			c.Fail("fabric: %s: credit entry for VC %d of %d", ch.Name(), m.vc, ch.numVCs)
+			c.Fail("fabric: %s: credit entry for VC %d of %d", ch.Name(nil), m.vc, ch.numVCs)
 		} else if c.Decoding() {
 			ch.pushCredit(at, m)
 		}
@@ -109,10 +109,10 @@ func (ch *Channel) State(c *wire.Codec, ref func(p *packet.Packet, nilable bool)
 // record, so decoding finds the packet pipe refilled and gives each header
 // its frame's arrival cycle; acks wake the bound sender as sendCtrl's did.
 func (ch *Channel) LinkState(c *wire.Codec, ref func(p *packet.Packet, nilable bool) *packet.Packet) {
-	l := ch.link
+	l := ch.linkLayer()
 	has := l != nil
 	if c.Bool(&has); has != (l != nil) {
-		c.Fail("fabric: %s: record and channel disagree on a reliable link", ch.Name())
+		c.Fail("fabric: %s: record and channel disagree on a reliable link", ch.Name(nil))
 	}
 	if l == nil || c.Err() != nil {
 		return
@@ -124,11 +124,11 @@ func (ch *Channel) LinkState(c *wire.Codec, ref func(p *packet.Packet, nilable b
 		e := &l.win[i]
 		e.p = ref(e.p, false)
 		if c.Byte(&e.vc); e.vc >= ch.numVCs {
-			c.Fail("fabric: %s: window frame on VC %d of %d", ch.Name(), e.vc, ch.numVCs)
+			c.Fail("fabric: %s: window frame on VC %d of %d", ch.Name(nil), e.vc, ch.numVCs)
 		}
 	}
 	if len(l.win) != l.snd.Outstanding() {
-		c.Fail("fabric: %s: %d window entries for sequences [%d, %d)", ch.Name(), len(l.win), l.snd.Base(), l.snd.Next())
+		c.Fail("fabric: %s: %d window entries for sequences [%d, %d)", ch.Name(nil), len(l.win), l.snd.Base(), l.snd.Next())
 	}
 	l.hdrs.State(c, 3, func(_ uint64, h header) {
 		c.Uvarint(&h.seq)
@@ -138,13 +138,13 @@ func (ch *Channel) LinkState(c *wire.Codec, ref func(p *packet.Packet, nilable b
 			return
 		}
 		if n := l.hdrs.Len(); n == ch.pkts.Len() || h.vc >= ch.numVCs {
-			c.Fail("fabric: %s: header %d on VC %d, for %d frames of %d VCs", ch.Name(), n, h.vc, ch.pkts.Len(), ch.numVCs)
+			c.Fail("fabric: %s: header %d on VC %d, for %d frames of %d VCs", ch.Name(nil), n, h.vc, ch.pkts.Len(), ch.numVCs)
 		} else {
 			l.hdrs.SendAt(ch.pkts.At(n), h)
 		}
 	})
 	if c.Decoding() && l.hdrs.Len() != ch.pkts.Len() {
-		c.Fail("fabric: %s: %d headers for %d frames", ch.Name(), l.hdrs.Len(), ch.pkts.Len())
+		c.Fail("fabric: %s: %d headers for %d frames", ch.Name(nil), l.hdrs.Len(), ch.pkts.Len())
 	}
 	l.ctrl.State(c, 3, func(at uint64, m ctrlMsg) {
 		c.Uvarint(&at)

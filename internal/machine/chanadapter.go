@@ -121,7 +121,7 @@ func (a *channelAdapter) tick(now uint64) (wake uint64) {
 		a.toRouter.AbsorbCredits(now)
 	}
 	if a.m.flt != nil {
-		moved, err := a.torusOut.LinkTick(now)
+		moved, err := a.torusOut.LinkTick(now, a.m.Topo)
 		if moved {
 			a.m.Engine.ProgressAt(int(a.shard))
 		}

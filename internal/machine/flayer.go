@@ -87,14 +87,14 @@ func newFaultLayer(m *Machine, spec fault.Spec) *faultLayer {
 	}
 	for _, li := range f.inj.FailedLinks(n) {
 		ch := &f.links[li]
-		f.failed[ch.ID] = true
-		f.failedList = append(f.failedList, ch.ID)
+		f.failed[int(ch.ID)] = true
+		f.failedList = append(f.failedList, int(ch.ID))
 		ch.SetStall(math.MaxUint64)
 		f.cnt.LinksFailed++
 	}
 	for i := range f.links {
 		ch := &f.links[i]
-		if f.failed[ch.ID] {
+		if f.failed[int(ch.ID)] {
 			continue
 		}
 		li := i
@@ -221,11 +221,11 @@ func (m *Machine) deadlockDetail() string {
 		for i := range m.flt.links {
 			ch := &m.flt.links[i]
 			if n := ch.InFlight(); n > 0 {
-				add("link %s: %d packets not yet accepted\n", ch.Name(), n)
+				add("link %s: %d packets not yet accepted\n", ch.Name(m.Topo), n)
 			}
 		}
 		for _, id := range m.flt.failedList {
-			add("link %s: permanently failed\n", m.chans[id].Name())
+			add("link %s: permanently failed\n", m.Topo.ChanName(id))
 		}
 	}
 	if lines > maxLines {

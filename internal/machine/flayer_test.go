@@ -130,7 +130,7 @@ func TestFaultPermanentLinkDegraded(t *testing.T) {
 	}
 	for _, id := range m.flt.failedList {
 		if sent := m.Chan(id).FlitsSent(); sent != 0 {
-			t.Errorf("failed link %s carried %d flits, want 0", m.Chan(id).Name(), sent)
+			t.Errorf("failed link %s carried %d flits, want 0", m.Chan(id).Name(m.Topo), sent)
 		}
 	}
 	if st.Counters.Rerouted == 0 {

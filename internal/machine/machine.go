@@ -144,7 +144,6 @@ func build(cfg Config) (*Machine, error) {
 			id := tm.IntraChanID(n, ci)
 			m.chans[id].Init(fabric.Config{
 				ID:            id,
-				Names:         tm,
 				Group:         ch.Group,
 				Latency:       topo.MeshLatency,
 				RateMilli:     fabric.MeshRateMilli,
@@ -159,7 +158,6 @@ func build(cfg Config) (*Machine, error) {
 			id := tm.TorusChanID(n, ad.Dir, ad.Slice)
 			m.chans[id].Init(fabric.Config{
 				ID:            id,
-				Names:         tm,
 				Group:         topo.GroupT,
 				Latency:       topo.TorusLatency,
 				RateMilli:     topo.TorusRateMilli,
@@ -416,6 +414,7 @@ func (m *Machine) clonePacket(p *packet.Packet, shard int32) *packet.Packet {
 	c := m.alloc(shard)
 	*c = *p
 	c.Payload = nil // branches share no payload modeling
+	c.Next = nil    // the original's queue link is not the branch's
 	if m.checks != nil {
 		m.checks.OnClone(c, m.Engine.Now())
 	}

@@ -76,9 +76,9 @@ func TestSimulatorMatchesWalk(t *testing.T) {
 		for id := range m.chans {
 			switch ch := &m.chans[id]; {
 			case used[id] && ch.Sent != 1:
-				t.Errorf("trial %d: channel %s carried %d flits, want 1", trial, ch.Name(), ch.Sent)
+				t.Errorf("trial %d: channel %s carried %d flits, want 1", trial, ch.Name(m.Topo), ch.Sent)
 			case !used[id] && ch.Sent != 0:
-				t.Errorf("trial %d: channel %s carried %d flits, want 0 (not on route)", trial, ch.Name(), ch.Sent)
+				t.Errorf("trial %d: channel %s carried %d flits, want 0 (not on route)", trial, ch.Name(m.Topo), ch.Sent)
 			}
 		}
 	}

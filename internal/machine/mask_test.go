@@ -83,7 +83,7 @@ func (m *Machine) maskErrors() []string {
 			in(who, a.inMask, inFromRouter, a.fromRouter)
 			// A reliable channel counts logical packets in flight, not pipe
 			// entries: fabric's TestReliableChannel holds its ready bit.
-			if m.flt == nil || m.flt.failed[a.torusIn.ID] {
+			if m.flt == nil || m.flt.failed[int(a.torusIn.ID)] {
 				in(who, a.inMask, inTorusIn, a.torusIn)
 			}
 			cred(who, a.credMask, credTorusOut, a.torusOut)

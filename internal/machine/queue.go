@@ -13,11 +13,12 @@ import (
 // channels wakes it: an arrival, a credit return or an ack.
 const never = math.MaxUint64
 
-// vcq is one virtual-channel input queue with head-of-line route state.
-// Capacity is enforced by upstream credits, not by the queue itself.
+// vcq is one virtual-channel input queue with head-of-line route state. Its
+// packets are linked through packet.Packet.Next, first to last, so a queue
+// owns no storage of its own. Capacity is enforced by upstream credits, not
+// by the queue itself.
 type vcq struct {
-	pkts []*packet.Packet
-	head int32
+	first, last *packet.Packet
 
 	// Head-of-line state, valid while the head is routed (out is non-nil):
 	// the route decision (output channel and VC; a router also records the
@@ -33,9 +34,19 @@ type vcq struct {
 	out     *fabric.Channel
 }
 
-func (q *vcq) empty() bool { return int(q.head) >= len(q.pkts) }
+func (q *vcq) empty() bool { return q.first == nil }
 
-func (q *vcq) headPkt() *packet.Packet { return q.pkts[q.head] }
+func (q *vcq) headPkt() *packet.Packet { return q.first }
+
+// link appends p, which is in no queue, at the tail.
+func (q *vcq) link(p *packet.Packet) {
+	if q.last == nil {
+		q.first = p
+	} else {
+		q.last.Next = p
+	}
+	q.last = p
+}
 
 // markRouted records the head's route decision — output channel and VC, and
 // the first cycle it may bid — and caches the head's size and pattern label.
@@ -65,8 +76,7 @@ type headRouter interface {
 
 // push appends p to the queue of its arrival VC.
 func (s *vcset) push(p *packet.Packet) {
-	q := &s.vcs[p.CurVC]
-	q.pkts = append(q.pkts, p)
+	s.vcs[p.CurVC].link(p)
 	s.occ |= 1 << p.CurVC
 }
 
@@ -74,20 +84,10 @@ func (s *vcset) push(p *packet.Packet) {
 // the next packet is routed afresh.
 func (s *vcset) pop(vc int) *packet.Packet {
 	q := &s.vcs[vc]
-	p := q.pkts[q.head]
-	q.pkts[q.head] = nil
-	q.head++
-	if h := int(q.head); h == len(q.pkts) {
-		q.head = 0
-		q.pkts = q.pkts[:0]
+	p := q.first
+	if q.first, p.Next = p.Next, nil; q.first == nil {
+		q.last = nil
 		s.occ &^= 1 << vc
-	} else if h >= 16 && h*2 >= len(q.pkts) {
-		n := copy(q.pkts, q.pkts[h:])
-		for i := n; i < len(q.pkts); i++ {
-			q.pkts[i] = nil
-		}
-		q.pkts = q.pkts[:n]
-		q.head = 0
 	}
 	q.out = nil
 	return p
@@ -125,11 +125,20 @@ func (s *vcset) nominate(now uint64, pats []uint8, hr headRouter) (g int, req, w
 	return g, req, wake
 }
 
+// count returns the number of queued packets.
+func (q *vcq) count() int {
+	n := 0
+	for p := q.first; p != nil; p = p.Next {
+		n++
+	}
+	return n
+}
+
 // flits returns the queued flit count (for buffer occupancy accounting).
 func (q *vcq) flits() int {
 	total := 0
-	for i := int(q.head); i < len(q.pkts); i++ {
-		total += int(q.pkts[i].Size)
+	for p := q.first; p != nil; p = p.Next {
+		total += int(p.Size)
 	}
 	return total
 }

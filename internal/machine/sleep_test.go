@@ -147,7 +147,7 @@ func tickState(c *wire.Codec, comp sim.Component) {
 		for m := s.occ; m != 0; m &= m - 1 {
 			vc := bits.TrailingZeros32(m)
 			q := &s.vcs[vc]
-			u(uint64(len(q.pkts) - int(q.head)))
+			u(uint64(q.count()))
 			b(q.out != nil)
 			u(uint64(q.outPort))
 			u(uint64(q.outVC))

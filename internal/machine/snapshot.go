@@ -120,6 +120,30 @@ func (w *snapWalk) pkts(s *[]*packet.Packet, head int) {
 	}
 }
 
+// queue codes q's packets, first to last, behind their count, and returns
+// the count; decoding links them into q, which is empty. Queues come first in
+// the body and a packet sits in at most one, so each queued packet is
+// referenced there for the first time: a decoder refuses any other, which
+// would link one packet into two lists.
+func (w *snapWalk) queue(q *vcq) int {
+	n := q.count()
+	if w.Len(&n, 1); !w.Decoding() {
+		for p := q.first; p != nil; p = p.Next {
+			w.pkt(p, false)
+		}
+		return n
+	}
+	for i := 0; i < n && w.Err() == nil; i++ {
+		seen := w.seen
+		if p := w.pkt(nil, false); w.seen == seen {
+			w.Fail("queued packet referenced before its queue")
+		} else {
+			q.link(p)
+		}
+	}
+	return n
+}
+
 // queues codes a component's queue set — its occupancy mask, then per
 // occupied queue its packets and, once made, its head-of-line route decision
 // and the head's pending multicast branches — and returns the packets it
@@ -137,7 +161,7 @@ func (w *snapWalk) queues(s *vcset, branches [][]*packet.Packet, ports int, out 
 	for m := mask; m != 0; m &= m - 1 {
 		vc := bits.TrailingZeros64(m)
 		q := &s.vcs[vc]
-		w.pkts(&q.pkts, int(q.head))
+		queued += w.queue(q)
 		routed := q.out != nil
 		if w.Bool(&routed); routed {
 			port := uint8(q.outPort)
@@ -164,7 +188,6 @@ func (w *snapWalk) queues(s *vcset, branches [][]*packet.Packet, ports int, out 
 		if q.empty() {
 			w.Fail("occupied queue with no packets")
 		}
-		queued += len(q.pkts) - int(q.head)
 	}
 	return queued
 }

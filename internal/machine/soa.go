@@ -11,7 +11,8 @@ import (
 // channel adapters and endpoints themselves, and the per-component arrays
 // the tick path indexes — the VC queues of all routers and channel adapters,
 // the routers' port tables, crossbar-input occupancy and SA2 arbiters, the
-// inverse-weighted arbiters' accumulators, the adapters' multicast branch
+// inverse-weighted arbiters' weighted records and accumulators (made only
+// on an inverse-weighted machine), the adapters' multicast branch
 // lists and the arbiter scratch labels. (Credit counters and pipes live
 // inline in the machine's channel slab; ready and occupancy masks and the
 // SA1 and adapter arbiters live in the components and port tables.)
@@ -27,6 +28,7 @@ type hotArena struct {
 	ports    slab[routerPort]
 	busy     slab[uint64]
 	arbs     slab[arbiter.Arbiter]
+	weighted slab[arbiter.Weighted]
 	accum    slab[uint32]
 	branches slab[[]*packet.Packet]
 	pats     slab[uint8]
@@ -80,8 +82,10 @@ func newArena(m *Machine) hotArena {
 		pats:      makeSlab[uint8]((nPats + topo.NumChannelAdapters*tvcs) * nodes),
 	}
 	if m.Cfg.Arbiter == arbiter.KindInverseWeighted {
-		// One accumulator per arbiter input: each port's SA1 (maxVC) and
-		// SA2 (its router's port count) arbiters, each adapter side's.
+		// One weighted record per arbiter — each port's SA1 and SA2, each
+		// adapter side's — and one accumulator per arbiter input: maxVC
+		// for SA1, its router's port count for SA2, tvcs for an adapter.
+		a.weighted = makeSlab[arbiter.Weighted]((2*nPorts + topo.NumChannelAdapters*2) * nodes)
 		a.accum = makeSlab[uint32]((nPorts*maxVC + nSA2 + topo.NumChannelAdapters*2*tvcs) * nodes)
 		if m.Cfg.Weights == nil {
 			a.uniform = arbiter.UniformWeights(max(maxVC, topo.MaxRouterPorts))
@@ -95,13 +99,13 @@ func newArena(m *Machine) hotArena {
 // when the configuration brings none.
 func (m *Machine) initArbiter(a *arbiter.Arbiter, k int, weights [][arbiter.NumPatterns]uint32) {
 	if m.Cfg.Arbiter != arbiter.KindInverseWeighted {
-		a.Init(k, nil, nil)
+		a.Init(k, nil, nil, nil)
 		return
 	}
 	if weights == nil {
 		weights = m.arena.uniform[:k]
 	}
-	a.Init(k, weights, m.arena.accum.take(k))
+	a.Init(k, &m.arena.weighted.take(1)[0], weights, m.arena.accum.take(k))
 }
 
 // newVCSet carves n VC queues from the arena and builds the arbiter over

@@ -47,6 +47,11 @@ type Packet struct {
 	// ArrivedAt is the arrival cycle at the current hop (overwritten hop by
 	// hop, used for pipeline modeling).
 	ArrivedAt uint64
+	// Next links the packet to the one behind it in the component VC queue
+	// that holds it: nil at a queue's tail and whenever the packet is in no
+	// queue. The machine's queues are its only writers; a queue's push
+	// writes it on the tail packet's first cache line.
+	Next *Packet
 	// Trace, when non-nil, accumulates per-stage timestamps as the packet
 	// moves (used to measure the Figure 12 latency decomposition).
 	Trace []TraceEvent

@@ -45,6 +45,7 @@ func TestPacketLayout(t *testing.T) {
 		"CurVC": unsafe.Offsetof(p.CurVC), "TorusHops": unsafe.Offsetof(p.TorusHops),
 		"SeenMVC": unsafe.Offsetof(p.SeenMVC), "SeenTVC": unsafe.Offsetof(p.SeenTVC),
 		"SeenDim": unsafe.Offsetof(p.SeenDim), "ArrivedAt": unsafe.Offsetof(p.ArrivedAt),
+		"Next":  unsafe.Offsetof(p.Next),
 		"Trace": unsafe.Offsetof(p.Trace), // its pointer word
 	} {
 		if off >= 64 {

@@ -123,7 +123,7 @@ func (c *Collector) channelStats(r *Report) {
 		ch := &c.env.Channels[id]
 		cs := ChannelStat{
 			ID:          id,
-			Name:        ch.Name(),
+			Name:        c.env.Topo.ChanName(id),
 			Adapter:     -1,
 			RateMilli:   ch.RateMilli(),
 			Flits:       ch.FlitsSent(),
