@@ -6,6 +6,8 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -253,5 +255,76 @@ func TestFoldedAnalyticExperiments(t *testing.T) {
 	dl := stdoutOf(t, "-shape", "3x3x2", "deadlock")
 	if n := strings.Count(dl, "on 3x3x2 -> deadlock-free"); n != 5 {
 		t.Errorf("deadlock on 3x3x2: %d deadlock-free verdicts, want 5:\n%s", n, dl)
+	}
+}
+
+// TestDocumentedLatencyAndEnergy pins the Figure 11–13 numbers the docs
+// quote to what the experiments print at their canonical sizes: every
+// number in EXPERIMENTS.md's Figure 11 table and its per-hop points, in its
+// Figure 13 table, and in README's Fig. 11/12 and Fig. 13 headline rows must
+// be printed by fig11, fig12 or fig13, to the digits the docs give.
+func TestDocumentedLatencyAndEnergy(t *testing.T) {
+	number := regexp.MustCompile(`\d+(?:\.\d+)?`)
+	printed := map[string]bool{}
+	for _, fig := range []string{"fig11", "fig12", "fig13"} {
+		for _, s := range number.FindAllString(stdoutOf(t, fig), -1) {
+			v, err := strconv.ParseFloat(s, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for digits := 0; digits <= 4; digits++ {
+				printed[strconv.FormatFloat(v, 'f', digits, 64)] = true
+			}
+		}
+	}
+	doc := func(name string) string {
+		b, err := os.ReadFile(filepath.Join("..", "..", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	// section returns a doc's section from its heading to the next one.
+	section := func(text, heading string) string {
+		_, s, ok := strings.Cut(text, "\n"+heading)
+		if !ok {
+			t.Fatalf("no section %q", heading)
+		}
+		s, _, _ = strings.Cut(s, "\n## ")
+		return s
+	}
+	// rows returns a text's table rows that contain marker.
+	rows := func(text, marker string) string {
+		var b strings.Builder
+		for _, line := range strings.Split(text, "\n") {
+			if strings.HasPrefix(line, "|") && strings.Contains(line, marker) {
+				b.WriteString(line + "\n")
+			}
+		}
+		return b.String()
+	}
+	experiments, readme := doc("EXPERIMENTS.md"), doc("README.md")
+	fig11 := section(experiments, "## Figure 11 ")
+	_, points, _ := strings.Cut(fig11, "Points behind the fit:")
+	points, _, _ = strings.Cut(points, "\n\n")
+	for _, c := range []struct {
+		where, text string
+		least       int
+	}{
+		{"EXPERIMENTS.md Figure 11 table", rows(fig11, ""), 10},
+		{"EXPERIMENTS.md Figure 11 points", points, 12},
+		{"EXPERIMENTS.md Figure 13 table", rows(section(experiments, "## Figure 13 "), ""), 28},
+		{"README Fig. 11/12 row", rows(readme, "(Fig. 11/12)"), 9},
+		{"README Fig. 13 row", rows(readme, "(Fig. 13)"), 5},
+	} {
+		cited := number.FindAllString(c.text, -1)
+		if len(cited) < c.least {
+			t.Errorf("%s: %d numbers, want at least %d:\n%s", c.where, len(cited), c.least, c.text)
+		}
+		for _, n := range cited {
+			if !printed[n] {
+				t.Errorf("%s cites %s, which fig11, fig12 and fig13 do not print", c.where, n)
+			}
+		}
 	}
 }

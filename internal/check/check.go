@@ -80,9 +80,9 @@ type Env struct {
 	// Channels lists every fabric channel, indexed by global channel id.
 	Channels []fabric.Channel
 	// Queued returns the machine-wide count of packets held in component
-	// queues (router VC queues, adapter queues and pending multicast
-	// branches, endpoint injection queues). Together with the channels'
-	// in-flight counts it forms the conservation census.
+	// packet lists (router and adapter VC queues, pending multicast
+	// branches, endpoint injection queues; not the free lists). Together
+	// with the channels' in-flight counts it forms the conservation census.
 	Queued func() int
 }
 
@@ -354,7 +354,7 @@ func (s *Suite) State(c *wire.Codec) {
 		keys = append(keys, k)
 	}
 	slices.SortFunc(keys, mkey.cmp)
-	wire.List(c, &keys, 0, 5)
+	wire.List(c, &keys, 5)
 	for i := range keys {
 		k, n := &keys[i], s.mcast[keys[i]]
 		for _, v := range [...]*int{&k.group, &k.node, &k.ep, &n.owed, &n.got} {

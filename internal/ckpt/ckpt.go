@@ -155,7 +155,7 @@ func (c *Checkpoint) state(w *wire.Codec) {
 	w.String(&c.Tag)
 	w.Uvarint(&c.Cycle)
 	// Every section spells at least its name's and its payload's length.
-	wire.List(w, &c.Sections, 0, 2)
+	wire.List(w, &c.Sections, 2)
 	seen := make(map[string]bool, len(c.Sections))
 	for i := range c.Sections {
 		s := &c.Sections[i]

@@ -119,7 +119,7 @@ func (ch *Channel) LinkState(c *wire.Codec, ref func(p *packet.Packet, nilable b
 	}
 	l.snd.State(c)
 	l.rcv.State(c)
-	wire.List(c, &l.win, 0, 2)
+	wire.List(c, &l.win, 2)
 	for i := range l.win {
 		e := &l.win[i]
 		e.p = ref(e.p, false)

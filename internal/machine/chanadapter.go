@@ -38,11 +38,11 @@ type channelAdapter struct {
 	ing  vcset   // torus -> router queues, indexed by arrival VC
 	pats []uint8 // scratch pattern labels for arbiter picks
 
-	// branches[v] holds the replicated copies of ing's multicast head on
+	// branches[v] lists the replicated copies of ing's multicast head on
 	// VC v, sent one per cycle from the single buffered original (ingress
 	// replication); the head pops and its credit returns only after the
 	// last branch leaves.
-	branches [][]*packet.Packet
+	branches []pktList
 
 	queued int
 }
@@ -194,14 +194,11 @@ func (a *channelAdapter) tick(now uint64) (wake uint64) {
 		if a.m.tel != nil {
 			a.m.tel.OnAdapterGrant(false, a.node, a.id.Index(), g)
 		}
-		if br := a.branches[g]; len(br) > 0 {
+		if br := &a.branches[g]; !br.empty() {
 			// Send the next branch; pop the buffered original only
 			// after the last branch leaves.
-			a.m.send(now, a.toRouter, br[0], a.ing.vcs[g].outVC)
-			if len(br) > 1 {
-				a.branches[g] = br[1:]
-			} else {
-				a.branches[g] = nil
+			a.m.send(now, a.toRouter, br.unlink(), a.ing.vcs[g].outVC)
+			if br.empty() {
 				orig := a.ing.pop(g)
 				a.torusIn.ReturnCredit(now, uint8(g), orig.Size)
 				a.m.free(orig, a.shard)
@@ -225,7 +222,7 @@ func (a *channelAdapter) tick(now uint64) (wake uint64) {
 // packet leaves the node (Section 2.5).
 func (e *egress) route(now uint64, q *vcq, _ int) {
 	a := (*channelAdapter)(e)
-	p := q.headPkt()
+	p := q.first
 	vc := route.AdapterEgress(a.m.routeCfg, &p.Route, a.nodeCoord)
 	q.markRouted(a.torusOut, uint8(route.PhysVC(a.m.Cfg.Scheme, topo.GroupT, p.Route.Class, vc)), p.ArrivedAt+topo.AdapterPipeline)
 }
@@ -235,10 +232,10 @@ func (e *egress) route(now uint64, q *vcq, _ int) {
 // branches that ride the adapter->router link at the arrival T-group VC.
 func (i *ingress) route(now uint64, q *vcq, qvc int) {
 	a := (*channelAdapter)(i)
-	p := q.headPkt()
+	p := q.first
 	var vc uint8
 	if p.MGroup >= 0 {
-		a.branches[qvc] = a.expandMulticast(p)
+		a.expandMulticast(p, &a.branches[qvc])
 		vc = p.Route.TVC
 	} else {
 		vc = route.AdapterIngress(a.m.routeCfg, &p.Route, p.Dst, a.node)
@@ -246,9 +243,10 @@ func (i *ingress) route(now uint64, q *vcq, qvc int) {
 	q.markRouted(a.toRouter, uint8(route.PhysVC(a.m.Cfg.Scheme, topo.GroupT, p.Route.Class, vc)), p.ArrivedAt+topo.AdapterPipeline)
 }
 
-// expandMulticast builds the branch copies an arriving multicast packet
-// fans out into at this node, per the group's table.
-func (a *channelAdapter) expandMulticast(p *packet.Packet) []*packet.Packet {
+// expandMulticast links into br, which is empty, the branch copies an
+// arriving multicast packet fans out into at this node, per the group's
+// table.
+func (a *channelAdapter) expandMulticast(p *packet.Packet, br *pktList) {
 	g := a.m.Cfg.Multicast[p.MGroup]
 	if g == nil {
 		panic(fmt.Sprintf("machine: multicast group %d not loaded", p.MGroup))
@@ -258,7 +256,6 @@ func (a *channelAdapter) expandMulticast(p *packet.Packet) []*packet.Packet {
 		panic(fmt.Sprintf("machine: multicast group %d has no entry at node %d", p.MGroup, a.node))
 	}
 	ingress := a.m.Topo.Chip.AdapterAt(a.id).Router
-	out := make([]*packet.Packet, 0, len(e.Forward)+len(e.Deliver))
 	for _, d := range e.Forward {
 		c := a.m.clonePacket(p, a.shard)
 		if d == p.Route.Dir {
@@ -266,16 +263,15 @@ func (a *channelAdapter) expandMulticast(p *packet.Packet) []*packet.Packet {
 		} else {
 			route.MulticastTurn(a.m.routeCfg, &c.Route, d, g.DimIndex(d.Dim()), ingress)
 		}
-		out = append(out, c)
+		br.link(c)
 	}
 	for _, ep := range e.Deliver {
 		c := a.m.clonePacket(p, a.shard)
 		c.Dst = topo.NodeEp{Node: a.node, Ep: ep}
 		route.MulticastDeliver(a.m.routeCfg, &c.Route, c.Dst, ingress)
-		out = append(out, c)
+		br.link(c)
 	}
-	if len(out) == 0 {
+	if br.empty() {
 		panic(fmt.Sprintf("machine: multicast group %d entry at node %d forwards nowhere", p.MGroup, a.node))
 	}
-	return out
 }

@@ -27,8 +27,10 @@ type EndpointAdapter struct {
 	// returning credits.
 	inMask, credMask uint32
 
-	swq  []*packet.Packet // software injection queue (FIFO)
-	head int
+	// inj is the software injection queue and queued its length, which the
+	// Source refill check reads every tick.
+	inj    pktList
+	queued int
 
 	// Source, when non-nil, lazily supplies injection packets once the
 	// explicit queue is empty; it returns nil when exhausted. This keeps
@@ -77,7 +79,8 @@ func (e *EndpointAdapter) Inject(p *packet.Packet) {
 		p.NotBefore = nb
 		e.sched = nb
 	}
-	e.swq = append(e.swq, p)
+	e.inj.link(p)
+	e.queued++
 	if e.m.Engine.Parallel() {
 		// Traffic sources run inside shard workers; the machine-wide
 		// injection count is the one piece of shared state they touch.
@@ -96,9 +99,6 @@ func (e *EndpointAdapter) Inject(p *packet.Packet) {
 		e.m.tel.OnInject(p)
 	}
 }
-
-// pending returns the number of packets queued for injection.
-func (e *EndpointAdapter) pending() int { return len(e.swq) - e.head }
 
 // Tick implements sim.Component. In active-set mode the endpoint sleeps until
 // its head packet could leave (tick's result): its NotBefore cycle and the
@@ -142,7 +142,7 @@ func (e *EndpointAdapter) tick(now uint64) uint64 {
 	// Top up the software queue from the lazy source so the injection
 	// pipeline stays full (one send per cycle once primed).
 	if e.Source != nil {
-		for e.pending() <= int(e.m.Cfg.EndpointPipeline)+1 {
+		for e.queued <= int(e.m.Cfg.EndpointPipeline)+1 {
 			p := e.Source()
 			if p == nil {
 				e.Source = nil
@@ -153,10 +153,10 @@ func (e *EndpointAdapter) tick(now uint64) uint64 {
 	}
 
 	// Injection: at most one packet per cycle onto the endpoint channel.
-	if e.head >= len(e.swq) {
+	p := e.inj.first
+	if p == nil {
 		return never
 	}
-	p := e.swq[e.head]
 	if p.NotBefore > now {
 		return p.NotBefore
 	}
@@ -167,17 +167,13 @@ func (e *EndpointAdapter) tick(now uint64) uint64 {
 	if at := e.out.SendableAt(vc, p.Size); at > now {
 		return at
 	}
+	e.inj.unlink()
+	e.queued--
 	e.m.send(now, e.out, p, vc)
 	p.Tracepoint("endpoint inject", now)
 	e.m.Engine.ProgressAt(int(e.shard))
-	e.swq[e.head] = nil
-	e.head++
-	if e.head == len(e.swq) {
-		e.head = 0
-		e.swq = e.swq[:0]
-		if e.Source == nil {
-			return never
-		}
+	if e.queued == 0 && e.Source == nil {
+		return never
 	}
 	// The next packet, or the source's refill, is looked at next cycle.
 	return now + 1

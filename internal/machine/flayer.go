@@ -212,8 +212,8 @@ func (m *Machine) deadlockDetail() string {
 			queues(&a.ing, "node %d adapter %d ingress", node.ID, ai)
 		}
 		for ei, e := range node.Endpoints {
-			if n := e.pending(); n > 0 {
-				add("node %d endpoint %d: %d pkts pending injection\n", node.ID, ei, n)
+			if e.queued > 0 {
+				add("node %d endpoint %d: %d pkts pending injection\n", node.ID, ei, e.queued)
 			}
 		}
 	}

@@ -69,15 +69,15 @@ type node struct {
 }
 
 // shardState is what one shard's worker owns during a parallel phase: its
-// packet free list, and the lists of what it staged for the barrier — the
-// deliveries its endpoints deferred and the shard-crossing channels it staged
-// traffic on. Padded so neighbouring shards' list headers never share a
-// cache line.
+// packet free list (a stack linked through packet.Packet.Next), and the
+// lists of what it staged for the barrier — the deliveries its endpoints
+// deferred and the shard-crossing channels it staged traffic on. Padded so
+// neighbouring shards' list headers never share a cache line.
 type shardState struct {
-	pool  []*packet.Packet
+	pool  *packet.Packet
 	deliv []delivEnt
 	chans fabric.StageList
-	_     [56]byte
+	_     [72]byte
 }
 
 // delivEnt is one delivery deferred to the phase barrier of a parallel cycle.
@@ -329,9 +329,6 @@ func (m *Machine) adapterWeights(egress bool, id topo.AdapterID, k int) [][arbit
 }
 
 func clipWeights(w [][arbiter.NumPatterns]uint32, k int) [][arbiter.NumPatterns]uint32 {
-	if w == nil {
-		return nil
-	}
 	if len(w) < k {
 		panic("machine: weight table narrower than arbiter")
 	}
@@ -398,14 +395,19 @@ func (m *Machine) MakeRandomPacket(src, dst topo.NodeEp, class route.Class, patt
 // word doing it: the lists are per shard and packets carry no serial number.
 // Pooled packets are fully Reset on reuse.
 func (m *Machine) alloc(shard int32) *packet.Packet {
-	pool := &m.shards[shard].pool
-	if n := len(*pool); n > 0 {
-		p := (*pool)[n-1]
-		*pool = (*pool)[:n-1]
+	sh := &m.shards[shard]
+	if p := sh.pool; p != nil {
+		sh.pool = p.Next
 		p.Reset()
 		return p
 	}
 	return &packet.Packet{MGroup: -1}
+}
+
+// recycle pushes p, which is in no list, on the free list of the given shard.
+func (m *Machine) recycle(p *packet.Packet, shard int32) {
+	sh := &m.shards[shard]
+	p.Next, sh.pool = sh.pool, p
 }
 
 // clonePacket copies a multicast packet for one branch of its tree, on
@@ -477,8 +479,7 @@ func (m *Machine) deliver(e *EndpointAdapter, p *packet.Packet, now uint64) {
 	// back to the shard that will allocate for this source again: steady
 	// traffic then recycles within each shard's own list.
 	if !retain && m.flt == nil {
-		pool := &m.shards[m.nodeShard[p.Src.Node]].pool
-		*pool = append(*pool, p)
+		m.recycle(p, m.nodeShard[p.Src.Node])
 	}
 }
 
@@ -489,8 +490,7 @@ func (m *Machine) free(p *packet.Packet, shard int32) {
 		m.checks.OnFree(p, m.Engine.Now())
 	}
 	if m.flt == nil {
-		pool := &m.shards[shard].pool
-		*pool = append(*pool, p)
+		m.recycle(p, shard)
 	}
 }
 
@@ -554,12 +554,12 @@ func (m *Machine) queuedPackets() int {
 		}
 		for _, a := range node.Adapters {
 			total += a.queued
-			for _, br := range a.branches {
-				total += len(br)
+			for i := range a.branches {
+				total += a.branches[i].count()
 			}
 		}
 		for _, e := range node.Endpoints {
-			total += e.pending()
+			total += e.queued
 		}
 	}
 	return total

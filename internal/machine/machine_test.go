@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"anton2/internal/arbiter"
+	"anton2/internal/loadcalc"
 	"anton2/internal/packet"
 	"anton2/internal/route"
 	"anton2/internal/topo"
@@ -225,6 +226,21 @@ func TestMachineRejectsIWWithoutWeights(t *testing.T) {
 	if _, err := New(cfg); err == nil {
 		t.Fatal("expected error for IW arbitration without weights")
 	}
+}
+
+// TestMachineIWNilWeightTable: an inverse-weighted machine whose WeightSet
+// lacks a table panics with clipWeights' own message, not on an index into
+// a table it does not have.
+func TestMachineIWNilWeightTable(t *testing.T) {
+	cfg := DefaultConfig(topo.Shape3(2, 2, 2))
+	cfg.Arbiter = arbiter.KindInverseWeighted
+	cfg.Weights = &loadcalc.WeightSet{}
+	defer func() {
+		if r := recover(); r != "machine: weight table narrower than arbiter" {
+			t.Errorf("New panicked with %v, want clipWeights' message", r)
+		}
+	}()
+	New(cfg)
 }
 
 func TestCycleConversions(t *testing.T) {

@@ -6,7 +6,6 @@ import (
 
 	"anton2/internal/fabric"
 	"anton2/internal/multicast"
-	"anton2/internal/packet"
 	"anton2/internal/route"
 	"anton2/internal/topo"
 )
@@ -37,7 +36,7 @@ func (m *Machine) maskErrors() []string {
 			errs = append(errs, fmt.Sprintf("%s: %s ready bit %d is %v with %d in flight", who, side, bit, got, inFlight))
 		}
 	}
-	queues := func(who, side string, s *vcset, branches [][]*packet.Packet, out func(port int8) *fabric.Channel) {
+	queues := func(who, side string, s *vcset, branches []pktList, out func(port int8) *fabric.Channel) {
 		if want := occupancy(s.vcs); s.occ != want {
 			errs = append(errs, fmt.Sprintf("%s: %s occupancy mask %#x, queues say %#x", who, side, s.occ, want))
 		}
@@ -46,9 +45,9 @@ func (m *Machine) maskErrors() []string {
 			if q.empty() || q.out == nil {
 				continue
 			}
-			next := q.headPkt()
-			if branches != nil && len(branches[vc]) > 0 {
-				next = branches[vc][0]
+			next := q.first
+			if branches != nil && !branches[vc].empty() {
+				next = branches[vc].first
 			}
 			if q.size != next.Size || q.pat != next.PatternID {
 				errs = append(errs, fmt.Sprintf("%s: %s VC %d caches size %d pattern %d, the next packet out has %d, %d", who, side, vc, q.size, q.pat, next.Size, next.PatternID))

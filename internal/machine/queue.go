@@ -13,12 +13,50 @@ import (
 // channels wakes it: an arrival, a credit return or an ack.
 const never = math.MaxUint64
 
-// vcq is one virtual-channel input queue with head-of-line route state. Its
-// packets are linked through packet.Packet.Next, first to last, so a queue
-// owns no storage of its own. Capacity is enforced by upstream credits, not
-// by the queue itself.
-type vcq struct {
+// pktList is a FIFO of packets linked through packet.Packet.Next, first to
+// last: a VC queue, an endpoint's injection queue or an ingress VC's
+// multicast branches. A list owns no storage of its own, and a packet sits
+// in at most one list (a shard's free list, a stack through the same link,
+// included).
+type pktList struct {
 	first, last *packet.Packet
+}
+
+func (l *pktList) empty() bool { return l.first == nil }
+
+// link appends p, which is in no list, at the tail.
+func (l *pktList) link(p *packet.Packet) {
+	if l.last == nil {
+		l.first = p
+	} else {
+		l.last.Next = p
+	}
+	l.last = p
+}
+
+// unlink removes the head of a non-empty list and returns it, its Next
+// cleared.
+func (l *pktList) unlink() *packet.Packet {
+	p := l.first
+	if l.first, p.Next = p.Next, nil; l.first == nil {
+		l.last = nil
+	}
+	return p
+}
+
+// count returns the number of listed packets.
+func (l *pktList) count() int {
+	n := 0
+	for p := l.first; p != nil; p = p.Next {
+		n++
+	}
+	return n
+}
+
+// vcq is one virtual-channel input queue with head-of-line route state.
+// Capacity is enforced by upstream credits, not by the queue itself.
+type vcq struct {
+	pktList
 
 	// Head-of-line state, valid while the head is routed (out is non-nil):
 	// the route decision (output channel and VC; a router also records the
@@ -34,26 +72,11 @@ type vcq struct {
 	out     *fabric.Channel
 }
 
-func (q *vcq) empty() bool { return q.first == nil }
-
-func (q *vcq) headPkt() *packet.Packet { return q.first }
-
-// link appends p, which is in no queue, at the tail.
-func (q *vcq) link(p *packet.Packet) {
-	if q.last == nil {
-		q.first = p
-	} else {
-		q.last.Next = p
-	}
-	q.last = p
-}
-
 // markRouted records the head's route decision — output channel and VC, and
 // the first cycle it may bid — and caches the head's size and pattern label.
 // (A router sets outPort itself; an adapter's queues have one output.)
 func (q *vcq) markRouted(out *fabric.Channel, outVC uint8, readyAt uint64) {
-	h := q.headPkt()
-	q.out, q.outVC, q.readyAt, q.size, q.pat = out, outVC, readyAt, h.Size, h.PatternID
+	q.out, q.outVC, q.readyAt, q.size, q.pat = out, outVC, readyAt, q.first.Size, q.first.PatternID
 }
 
 // vcset is one component's set of VC input queues — a router port's, or a
@@ -84,9 +107,8 @@ func (s *vcset) push(p *packet.Packet) {
 // the next packet is routed afresh.
 func (s *vcset) pop(vc int) *packet.Packet {
 	q := &s.vcs[vc]
-	p := q.first
-	if q.first, p.Next = p.Next, nil; q.first == nil {
-		q.last = nil
+	p := q.unlink()
+	if q.empty() {
 		s.occ &^= 1 << vc
 	}
 	q.out = nil
@@ -123,15 +145,6 @@ func (s *vcset) nominate(now uint64, pats []uint8, hr headRouter) (g int, req, w
 		g = s.arb.Pick(req, pats)
 	}
 	return g, req, wake
-}
-
-// count returns the number of queued packets.
-func (q *vcq) count() int {
-	n := 0
-	for p := q.first; p != nil; p = p.Next {
-		n++
-	}
-	return n
 }
 
 // flits returns the queued flit count (for buffer occupancy accounting).

@@ -179,7 +179,7 @@ func (r *router) tick(now uint64) (wake uint64) {
 
 // route runs route computation for a queue's new head packet.
 func (r *router) route(now uint64, q *vcq, _ int) {
-	p := q.headPkt()
+	p := q.first
 	outVC := p.CurVC
 	var port int
 	if p.SourceRoute != nil {

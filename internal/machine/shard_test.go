@@ -445,4 +445,35 @@ func TestActiveStepMachineZeroAllocs(t *testing.T) {
 			t.Errorf("%s shards=%d: active-engine Run(1) allocates %.2f objects/cycle, want 0", kind, tc.shards, avg)
 		}
 	}
+
+	// Multicast replication: an adapter clones the branches a torus arrival
+	// fans out into from the free lists and links them as it makes them, so
+	// once one batch of multicast groups has drained into the free lists, a
+	// second batch injects, replicates, travels and delivers without
+	// allocating. AllocsPerRun's first, uncounted call is the first batch;
+	// one counted call is one whole batch, because the average it reports
+	// is rounded down.
+	for _, shards := range []int{0, 2} {
+		m := MustNew(maskScenario{mcast: true}.config(topo.Shape3(2, 2, 2), EngineActive, shards))
+		m.Engine.ForceParallelForTest(cyclePolicies["parallel"])
+		want, batches := uint64(0), 0
+		batch := func() {
+			for n := 0; n < m.Topo.NumNodes(); n++ {
+				src := topo.NodeEp{Node: n, Ep: m.Topo.Chip.CoreEndpoints()[n%4]}
+				for i := 0; i < 3; i++ {
+					want += uint64(m.InjectMulticast(src, n, route.ClassRequest, 0))
+				}
+			}
+			for m.Delivered() < want && m.Engine.Now() < 100_000 {
+				m.Engine.Run(1)
+			}
+			batches++
+		}
+		if avg := testing.AllocsPerRun(1, batch); avg != 0 {
+			t.Errorf("multicast shards=%d: a second batch allocates %v objects, want 0", shards, avg)
+		}
+		if batches != 2 || m.Delivered() != want {
+			t.Errorf("multicast shards=%d: %d batches delivered %d of %d packets", shards, batches, m.Delivered(), want)
+		}
+	}
 }

@@ -142,7 +142,7 @@ func injectLoops(m *Machine) uint64 {
 func tickState(c *wire.Codec, comp sim.Component) {
 	u := func(v uint64) { c.Uvarint(&v) }
 	b := func(v bool) { c.Bool(&v) }
-	queues := func(s *vcset, branches [][]*packet.Packet) {
+	queues := func(s *vcset, branches []pktList) {
 		u(uint64(s.occ))
 		for m := s.occ; m != 0; m &= m - 1 {
 			vc := bits.TrailingZeros32(m)
@@ -153,7 +153,7 @@ func tickState(c *wire.Codec, comp sim.Component) {
 			u(uint64(q.outVC))
 			u(q.readyAt)
 			if branches != nil {
-				u(uint64(len(branches[vc])))
+				u(uint64(branches[vc].count()))
 			}
 		}
 	}
@@ -198,7 +198,7 @@ func tickState(c *wire.Codec, comp sim.Component) {
 			ch.LinkState(c, func(p *packet.Packet, _ bool) *packet.Packet { return p })
 		}
 	case *EndpointAdapter:
-		u(uint64(x.pending()))
+		u(uint64(x.queued))
 		u(x.sched)
 		u(uint64(x.inMask))
 		u(uint64(x.credMask))
@@ -311,9 +311,9 @@ func (a *channelAdapter) idle() bool {
 }
 
 func (e *EndpointAdapter) engineID() int { return e.cid }
-func (e *EndpointAdapter) holds() bool   { return e.pending() > 0 }
+func (e *EndpointAdapter) holds() bool   { return e.queued > 0 }
 func (e *EndpointAdapter) idle() bool {
-	return e.pending() == 0 && e.Source == nil && e.inMask == 0 && e.credMask == 0
+	return e.queued == 0 && e.Source == nil && e.inMask == 0 && e.credMask == 0
 }
 
 // components lists the node's components in registration order.

@@ -44,7 +44,12 @@ import (
 // minimally spelled — so whatever it accepts, the restored machine
 // re-encodes to the same bytes.
 //
-// Out of scope by design: the free-packet pool (unobservable — pooled
+// Every packet list a component keeps — a VC queue, an ingress VC's
+// multicast branches, an endpoint's injection queue — is coded by one walk,
+// snapWalk.queue: its count, then one packet reference per packet, first to
+// last.
+//
+// Out of scope by design: the shards' free lists (unobservable — pooled
 // packets are fully Reset on reuse) and, without a telemetry collector, a
 // trace some caller started on a packet. Packets carry no identity but their
 // place in the table, so a sharded machine's record equals a serial one's
@@ -112,23 +117,15 @@ func (w *snapWalk) pkt(p *packet.Packet, nilable bool) *packet.Packet {
 	return w.list[i]
 }
 
-// pkts codes the packet list (*s)[head:] behind its count.
-func (w *snapWalk) pkts(s *[]*packet.Packet, head int) {
-	wire.List(&w.Codec, s, head, 1)
-	for i := head; i < len(*s); i++ {
-		(*s)[i] = w.pkt((*s)[i], false)
-	}
-}
-
-// queue codes q's packets, first to last, behind their count, and returns
-// the count; decoding links them into q, which is empty. Queues come first in
-// the body and a packet sits in at most one, so each queued packet is
-// referenced there for the first time: a decoder refuses any other, which
-// would link one packet into two lists.
-func (w *snapWalk) queue(q *vcq) int {
-	n := q.count()
+// queue codes l's packets, first to last, behind their count, and returns
+// the count; decoding links them into l, which is empty. The body walks every
+// list before any other packet holder, and a packet sits in at most one
+// list, so each listed packet is referenced there for the first time: a
+// decoder refuses any other, which would link one packet into two lists.
+func (w *snapWalk) queue(l *pktList) int {
+	n := l.count()
 	if w.Len(&n, 1); !w.Decoding() {
-		for p := q.first; p != nil; p = p.Next {
+		for p := l.first; p != nil; p = p.Next {
 			w.pkt(p, false)
 		}
 		return n
@@ -138,7 +135,7 @@ func (w *snapWalk) queue(q *vcq) int {
 		if p := w.pkt(nil, false); w.seen == seen {
 			w.Fail("queued packet referenced before its queue")
 		} else {
-			q.link(p)
+			l.link(p)
 		}
 	}
 	return n
@@ -151,7 +148,7 @@ func (w *snapWalk) queue(q *vcq) int {
 // port to its channel. branches holds the set's branch lists, one per VC, at
 // a replicating site (adapter ingress) and is nil elsewhere, where every
 // list is empty. The occupancy mask is decoded in place.
-func (w *snapWalk) queues(s *vcset, branches [][]*packet.Packet, ports int, out func(port int) *fabric.Channel) (queued int) {
+func (w *snapWalk) queues(s *vcset, branches []pktList, ports int, out func(port int) *fabric.Channel) (queued int) {
 	mask := uint64(s.occ)
 	if w.Uvarint(&mask); mask>>len(s.vcs) != 0 {
 		w.Fail("queue set occupancy %#x names more than %d VCs", mask, len(s.vcs))
@@ -161,19 +158,18 @@ func (w *snapWalk) queues(s *vcset, branches [][]*packet.Packet, ports int, out 
 	for m := mask; m != 0; m &= m - 1 {
 		vc := bits.TrailingZeros64(m)
 		q := &s.vcs[vc]
-		queued += w.queue(q)
+		queued += w.queue(&q.pktList)
 		routed := q.out != nil
 		if w.Bool(&routed); routed {
 			port := uint8(q.outPort)
 			w.Byte(&port)
 			w.Byte(&q.outVC)
 			w.Uvarint(&q.readyAt)
-			var none []*packet.Packet
-			br := &none
+			br := &pktList{}
 			if branches != nil {
 				br = &branches[vc]
 			}
-			if w.pkts(br, 0); len(*br) > 0 && branches == nil {
+			if w.queue(br) > 0 && branches == nil {
 				w.Fail("multicast branches at a queue that does not replicate")
 			}
 			if q.outPort = int8(port); q.outPort < 0 || int(q.outPort) >= ports || q.outVC >= fabric.MaxVCs {
@@ -181,8 +177,7 @@ func (w *snapWalk) queues(s *vcset, branches [][]*packet.Packet, ports int, out 
 			} else if w.Decoding() && !q.empty() {
 				// The head's output channel, size and label are
 				// derived, not recorded.
-				h := q.headPkt()
-				q.out, q.size, q.pat = out(int(q.outPort)), h.Size, h.PatternID
+				q.out, q.size, q.pat = out(int(q.outPort)), q.first.Size, q.first.PatternID
 			}
 		}
 		if q.empty() {
@@ -352,7 +347,9 @@ func (m *Machine) body(w *snapWalk) {
 			a.ing.arb.State(c)
 		}
 		for _, e := range node.Endpoints {
-			w.pkts(&e.swq, e.head)
+			if n := w.queue(&e.inj); w.Decoding() {
+				e.queued = n
+			}
 			w.Uvarint(&e.sched)
 		}
 		if w.Err() != nil {

@@ -2,7 +2,6 @@ package machine
 
 import (
 	"anton2/internal/arbiter"
-	"anton2/internal/packet"
 	"anton2/internal/route"
 	"anton2/internal/topo"
 )
@@ -30,12 +29,8 @@ type hotArena struct {
 	arbs     slab[arbiter.Arbiter]
 	weighted slab[arbiter.Weighted]
 	accum    slab[uint32]
-	branches slab[[]*packet.Packet]
+	branches slab[pktList]
 	pats     slab[uint8]
-
-	// uniform is the inverse-weighted arbiters' weight table when the
-	// configuration brings none: equal weights, shared by every arbiter.
-	uniform [][arbiter.NumPatterns]uint32
 }
 
 // slab is one pre-sized array of the arena and its carve cursor.
@@ -78,7 +73,7 @@ func newArena(m *Machine) hotArena {
 		ports:     makeSlab[routerPort](nPorts * nodes),
 		busy:      makeSlab[uint64](nPorts * nodes),
 		arbs:      makeSlab[arbiter.Arbiter](nPorts * nodes),
-		branches:  makeSlab[[]*packet.Packet](topo.NumChannelAdapters * tvcs * nodes),
+		branches:  makeSlab[pktList](topo.NumChannelAdapters * tvcs * nodes),
 		pats:      makeSlab[uint8]((nPats + topo.NumChannelAdapters*tvcs) * nodes),
 	}
 	if m.Cfg.Arbiter == arbiter.KindInverseWeighted {
@@ -87,23 +82,17 @@ func newArena(m *Machine) hotArena {
 		// for SA1, its router's port count for SA2, tvcs for an adapter.
 		a.weighted = makeSlab[arbiter.Weighted]((2*nPorts + topo.NumChannelAdapters*2) * nodes)
 		a.accum = makeSlab[uint32]((nPorts*maxVC + nSA2 + topo.NumChannelAdapters*2*tvcs) * nodes)
-		if m.Cfg.Weights == nil {
-			a.uniform = arbiter.UniformWeights(max(maxVC, topo.MaxRouterPorts))
-		}
 	}
 	return a
 }
 
 // initArbiter builds a in place as one arbitration point over k inputs of
-// the configured flavor; weights is the point's slice of Cfg.Weights, nil
-// when the configuration brings none.
+// the configured flavor; weights is the point's slice of Cfg.Weights, which
+// an inverse-weighted machine always has.
 func (m *Machine) initArbiter(a *arbiter.Arbiter, k int, weights [][arbiter.NumPatterns]uint32) {
 	if m.Cfg.Arbiter != arbiter.KindInverseWeighted {
 		a.Init(k, nil, nil, nil)
 		return
-	}
-	if weights == nil {
-		weights = m.arena.uniform[:k]
 	}
 	a.Init(k, &m.arena.weighted.take(1)[0], weights, m.arena.accum.take(k))
 }

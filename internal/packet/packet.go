@@ -47,10 +47,11 @@ type Packet struct {
 	// ArrivedAt is the arrival cycle at the current hop (overwritten hop by
 	// hop, used for pipeline modeling).
 	ArrivedAt uint64
-	// Next links the packet to the one behind it in the component VC queue
-	// that holds it: nil at a queue's tail and whenever the packet is in no
-	// queue. The machine's queues are its only writers; a queue's push
-	// writes it on the tail packet's first cache line.
+	// Next links the packet to the one behind it in the machine's list that
+	// holds it — a VC queue, an injection queue, a multicast branch list or
+	// a shard's free list: nil at a list's tail and whenever the packet is
+	// in no list. Those lists are its only writers; a push writes it on the
+	// tail packet's first cache line.
 	Next *Packet
 	// Trace, when non-nil, accumulates per-stage timestamps as the packet
 	// moves (used to measure the Figure 12 latency decomposition).
@@ -121,7 +122,7 @@ func TraceState(c *wire.Codec, tr *[]TraceEvent) {
 	if *tr == nil {
 		*tr = []TraceEvent{}
 	}
-	wire.List(c, tr, 0, 2)
+	wire.List(c, tr, 2)
 	for i := range *tr {
 		ev := &(*tr)[i]
 		c.String(&ev.Stage)

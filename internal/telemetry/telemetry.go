@@ -320,14 +320,14 @@ func (c *Collector) State(w *wire.Codec, ref func(p *packet.Packet, nilable bool
 	for _, g := range [...][]uint64{c.sa1, c.sa2, c.adEg, c.adIn} {
 		uvarints(w, g)
 	}
-	if wire.List(w, &c.traced, 0, 1); len(c.traced) > tracePackets {
+	if wire.List(w, &c.traced, 1); len(c.traced) > tracePackets {
 		w.Fail("telemetry: %d traced packets", len(c.traced))
 		return
 	}
 	for i := range c.traced {
 		c.traced[i] = ref(c.traced[i], true)
 	}
-	wire.List(w, &c.traces, 0, 6)
+	wire.List(w, &c.traces, 6)
 	for i := range c.traces {
 		t := &c.traces[i]
 		w.Uvarint(&t.ID)

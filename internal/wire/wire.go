@@ -190,12 +190,12 @@ func (c *Codec) String(s *string) {
 	*s = string(c.next(n))
 }
 
-// List codes the length of the live part (*s)[head:] of a slice with Len.
-// Decoding, it then extends *s with zero elements to that length, for the
-// caller to fill element by element; encoding leaves *s as it is.
-func List[T any](c *Codec, s *[]T, head, minBytes int) {
-	n := len(*s) - head
-	if c.Len(&n, minBytes); n > len(*s)-head {
-		*s = append(*s, make([]T, n-(len(*s)-head))...)
+// List codes the length of a slice with Len. Decoding, it then extends *s
+// with zero elements to that length, for the caller to fill element by
+// element; encoding leaves *s as it is.
+func List[T any](c *Codec, s *[]T, minBytes int) {
+	n := len(*s)
+	if c.Len(&n, minBytes); n > len(*s) {
+		*s = append(*s, make([]T, n-len(*s))...)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -30,8 +31,8 @@ func (f *fields) state(c *Codec) {
 	c.Bytes(&f.p)
 	c.Bytes(&f.none)
 	c.String(&f.s)
-	List(c, &f.list, 1, 1)
-	for i := 1; i < len(f.list); i++ {
+	List(c, &f.list, 1)
+	for i := range f.list {
 		c.Uvarint(&f.list[i])
 	}
 }
@@ -63,10 +64,9 @@ func TestRoundTrip(t *testing.T) {
 		}
 		clear(input) // what decoded must not alias it
 		want := in
-		want.list = append([]uint64{0}, in.list[1:]...) // the head is not coded
 		if out.u != want.u || out.v != want.v || out.u8 != want.u8 || out.i != want.i || out.n != want.n ||
 			out.b != want.b || out.t != want.t || string(out.p) != string(want.p) || out.none != nil ||
-			out.s != want.s || len(out.list) != len(want.list) || (len(want.list) > 1 && out.list[1] != want.list[1]) {
+			out.s != want.s || !slices.Equal(out.list, want.list) {
 			t.Errorf("decoded %+v, want %+v", out, want)
 		}
 		again := NewEncoder(nil)
@@ -124,7 +124,7 @@ func TestDecoderRefuses(t *testing.T) {
 		"bytes past the end":  {[]byte{3, 'a', 'b'}, func(c *Codec) { c.Bytes(&p) }, true},
 		"string past the end": {[]byte{3, 'a', 'b'}, func(c *Codec) { c.String(&s) }, true},
 		"len past the end":    {[]byte{4, 0, 0, 0, 0, 0, 0}, func(c *Codec) { c.Len(&i, 2) }, true},
-		"list past the end":   {[]byte{4, 0, 0, 0, 0, 0, 0}, func(c *Codec) { List(c, &list, 0, 2) }, true},
+		"list past the end":   {[]byte{4, 0, 0, 0, 0, 0, 0}, func(c *Codec) { List(c, &list, 2) }, true},
 		"int above MaxInt":    {maxInt.Buf(), func(c *Codec) { c.Int(&i) }, false},
 		"len above MaxInt":    {maxInt.Buf(), func(c *Codec) { c.Len(&i, 1) }, false},
 	} {
@@ -142,7 +142,7 @@ func TestDecoderRefuses(t *testing.T) {
 		c.Bool(&flag)
 		c.Bytes(&p)
 		c.String(&s)
-		List(c, &list, 0, 1)
+		List(c, &list, 1)
 		if u != 0 || i != 0 || b != 0 || flag || len(p) != 0 || s != "" || len(list) != 0 || len(c.Buf()) != 0 || c.Err() != first {
 			t.Errorf("%s: a failed decoder returned %d %d %d %v %q %q %v with %d bytes left and err %v",
 				name, u, i, b, flag, p, s, list, len(c.Buf()), c.Err())
